@@ -171,19 +171,27 @@ pub fn seal_live(label: &str, program: &Program, state: &SharedTranslationState)
 ///
 /// # Errors
 ///
-/// A human-readable reason; the caller counts it as a reject.
-pub fn validate(bytes: &[u8], declared_fingerprint: u64) -> Result<Opened, String> {
-    let opened = open_salvage(bytes).map_err(|e| format!("artifact rejected: {e}"))?;
+/// A human-readable reason, plus how many sections the transfer had
+/// quarantined (0 unless that is the reason). The caller counts the
+/// reject, and the quarantines where disk-scan damage is counted.
+pub fn validate(bytes: &[u8], declared_fingerprint: u64) -> Result<Opened, (String, usize)> {
+    let opened = open_salvage(bytes).map_err(|e| (format!("artifact rejected: {e}"), 0))?;
     if let Some(q) = opened.quarantined.first() {
-        return Err(format!(
-            "artifact section {} quarantined in transfer: {}",
-            q.section, q.reason
+        return Err((
+            format!(
+                "artifact section {} quarantined in transfer: {}",
+                q.section, q.reason
+            ),
+            opened.quarantined.len(),
         ));
     }
     let fp = opened.artifact.fingerprint();
     if fp != declared_fingerprint {
-        return Err(format!(
-            "artifact fingerprint {fp:016x} does not match the declared {declared_fingerprint:016x}"
+        return Err((
+            format!(
+                "artifact fingerprint {fp:016x} does not match the declared {declared_fingerprint:016x}"
+            ),
+            0,
         ));
     }
     Ok(opened)

@@ -1674,7 +1674,7 @@ mod tests {
     use pdbt_isa_arm::builders as g;
     use pdbt_isa_arm::{Cpu as GuestCpu, Operand as O, Reg};
 
-    fn countdown_program() -> Program {
+    pub(super) fn countdown_program() -> Program {
         Program::new(
             0x1000,
             vec![
@@ -1690,7 +1690,7 @@ mod tests {
         )
     }
 
-    fn setup() -> RunSetup {
+    pub(super) fn setup() -> RunSetup {
         RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000)
     }
 
@@ -1884,6 +1884,7 @@ mod tests {
 
 #[cfg(test)]
 mod engine_edge_tests {
+    use super::tests::{countdown_program, setup};
     use super::*;
     use pdbt_isa_arm::builders as g;
     use pdbt_isa_arm::{Operand as O, Program, Reg};
@@ -1893,26 +1894,6 @@ mod engine_edge_tests {
             0x1000,
             vec![g::mov(Reg::R0, O::Imm(1)), g::svc(1), g::svc(0)],
         )
-    }
-
-    fn countdown_program() -> Program {
-        Program::new(
-            0x1000,
-            vec![
-                g::mov(Reg::R0, O::Imm(5)),
-                g::mov(Reg::R1, O::Imm(0)),
-                g::add(Reg::R1, Reg::R1, O::Reg(Reg::R0)),
-                g::sub(Reg::R0, Reg::R0, O::Imm(1)).with_s(),
-                g::b(pdbt_isa::Cond::Ne, -8),
-                g::mov(Reg::R0, O::Reg(Reg::R1)),
-                g::svc(1),
-                g::svc(0),
-            ],
-        )
-    }
-
-    fn setup() -> RunSetup {
-        RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000)
     }
 
     #[test]

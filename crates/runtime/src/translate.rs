@@ -1,5 +1,12 @@
 //! Block translation: the three translation paths and their glue.
 //!
+//! There is one translator, `translate_members`, over a connected
+//! sequence of guest basic blocks, with two public entry points:
+//! [`translate_block`] (one member — the paper's per-block translator)
+//! and [`translate_trace`] (two or more — a hot-trace superblock whose
+//! interior direct branches become side exits). Rule lookup, §IV-D flag
+//! delegation, flag liveness and register-residency sync exist once.
+//!
 //! Each guest basic block becomes one host block:
 //!
 //! * **prologue** — load the block's cached guest registers from the
@@ -197,6 +204,7 @@ pub struct TranslatedBlock {
     pub member_marks: Vec<MemberMark>,
 }
 
+#[derive(Default)]
 struct Emitter {
     code: Vec<HInst>,
     classes: Vec<CodeClass>,
@@ -292,6 +300,14 @@ fn tcg_legalize(code: Vec<HInst>) -> Vec<HInst> {
     out
 }
 
+/// The target of the direct branch (`b`/`bl`) `inst` at `addr`.
+fn branch_target(addr: Addr, inst: &GInst) -> Addr {
+    let Operand::Target(d) = inst.operands[0] else {
+        unreachable!("direct branches carry a target operand")
+    };
+    addr.wrapping_add(d as u32)
+}
+
 /// Whole-program flag live-in analysis: for every instruction index,
 /// which flags may be read (along some path) before being redefined.
 /// Backward fixpoint over the static CFG; indirect control transfers
@@ -334,10 +350,7 @@ pub(crate) fn flag_liveins(prog: &Program) -> Vec<FlagSet> {
             let fall = (i + 1 < n).then_some(i + 1);
             let (uses, succ) = match inst.op {
                 pdbt_isa_arm::Op::B => {
-                    let Operand::Target(d) = inst.operands[0] else {
-                        unreachable!()
-                    };
-                    let t = idx_of(addr.wrapping_add(d as u32));
+                    let t = idx_of(branch_target(addr, inst));
                     if inst.cond == Cond::Al {
                         (FlagSet::EMPTY, at(t, &live_in))
                     } else {
@@ -348,10 +361,7 @@ pub(crate) fn flag_liveins(prog: &Program) -> Vec<FlagSet> {
                     }
                 }
                 pdbt_isa_arm::Op::Bl => {
-                    let Operand::Target(d) = inst.operands[0] else {
-                        unreachable!()
-                    };
-                    let t = idx_of(addr.wrapping_add(d as u32));
+                    let t = idx_of(branch_target(addr, inst));
                     // The callee's entry, plus (conservatively) the
                     // return continuation.
                     (FlagSet::EMPTY, at(t, &live_in) | at(fall, &live_in))
@@ -506,14 +516,6 @@ enum ProducerKind {
     Qemu,
 }
 
-/// How the terminal conditional branch will be compiled.
-enum BranchMode {
-    /// Branch directly on the live host flags with this condition.
-    Direct(pdbt_isa_x86::Cc),
-    /// Evaluate the guest condition from the environment flags.
-    Env,
-}
-
 /// Appends the block bookkeeping the stubs perform on every exit
 /// (modelling QEMU's icount/pending-work maintenance).
 fn bookkeeping(e: &mut Emitter, guest_len: u32) {
@@ -592,22 +594,14 @@ fn block_exit_live(
     let at = |addr: Addr| livein_at(prog, liveins, addr);
     match last_inst.op {
         pdbt_isa_arm::Op::B => {
-            let Operand::Target(d) = last_inst.operands[0] else {
-                unreachable!()
-            };
-            let taken = at(last_addr.wrapping_add(d as u32));
+            let taken = at(branch_target(last_addr, last_inst));
             if last_inst.cond == Cond::Al {
                 taken
             } else {
                 taken | at(last_addr + INST_SIZE)
             }
         }
-        pdbt_isa_arm::Op::Bl => {
-            let Operand::Target(d) = last_inst.operands[0] else {
-                unreachable!()
-            };
-            at(last_addr.wrapping_add(d as u32)) | at(last_addr + INST_SIZE)
-        }
+        pdbt_isa_arm::Op::Bl => at(branch_target(last_addr, last_inst)) | at(last_addr + INST_SIZE),
         pdbt_isa_arm::Op::Svc if last_inst.operands[0].as_imm() == Some(0) => FlagSet::EMPTY,
         _ if last_inst.is_branch() => {
             // Indirect transfer (return): join over call continuations.
@@ -644,11 +638,26 @@ struct Segment {
     cached: bool,
 }
 
-/// Segment accumulation shared by the per-block and per-trace
-/// translators. `seg_of_guest` is indexed by *global* guest position —
-/// for traces, across all members including their terminals — so the
-/// delegation pass can map a producer position to its segment
-/// (`usize::MAX` marks positions with no segment of their own).
+impl Segment {
+    /// A QEMU-path segment that defers no flags.
+    fn qemu(code: Vec<HInst>) -> Segment {
+        Segment {
+            code,
+            class: CodeClass::QemuCore,
+            covered: 0,
+            report: None,
+            needs_mat: FlagSet::EMPTY,
+            kind: ProducerKind::Qemu,
+            cached: false,
+        }
+    }
+}
+
+/// Segment accumulation across a member sequence. `seg_of_guest` is
+/// indexed by *global* guest position — across all members including
+/// their terminals — so the delegation pass can map a producer position
+/// to its segment (`usize::MAX` marks positions with no segment of
+/// their own).
 #[derive(Default)]
 struct BodyState {
     segments: Vec<Segment>,
@@ -659,11 +668,91 @@ struct BodyState {
     lookup_misses: Vec<String>,
 }
 
+impl BodyState {
+    /// Records one rule application covering `insts`: its registers
+    /// join the cached set, its coverage is attributed to `label`, and
+    /// its host code becomes one segment deferring `live` flags.
+    #[allow(clippy::too_many_arguments)]
+    fn push_rule_segment(
+        &mut self,
+        insts: &[(Addr, &GInst)],
+        label: String,
+        root: pdbt_isa_arm::Op,
+        code: Vec<HInst>,
+        report: &[(Flag, FlagEquiv)],
+        live: FlagSet,
+        cached: bool,
+    ) {
+        for (_, inst) in insts {
+            for g in inst.uses().into_iter().chain(inst.defs()) {
+                if !self.cached_regs.contains(&g) {
+                    self.cached_regs.push(g);
+                }
+            }
+            for g in inst.defs() {
+                if !self.cached_writes.contains(&g) {
+                    self.cached_writes.push(g);
+                }
+            }
+        }
+        let covered = insts.len() as u32;
+        self.attributions.push(RuleAttribution {
+            label,
+            subgroup: subgroup_of(root).to_string(),
+            covered,
+        });
+        for _ in insts {
+            self.seg_of_guest.push(self.segments.len());
+        }
+        self.segments.push(Segment {
+            code,
+            class: CodeClass::RuleCore,
+            covered,
+            report: (!live.is_empty()).then(|| report.to_vec()),
+            needs_mat: live,
+            kind: ProducerKind::Rule,
+            cached,
+        });
+    }
+}
+
+/// Whether a rule whose host code leaves `report` may produce the live
+/// guest flags `live`. With delegation the flags must be recoverable
+/// from the host flags (directly for a delegated branch, or via setcc
+/// materialization); without it rules apply to live-flag producers
+/// only when the relationship is exact — modelling the baseline's
+/// flag-inclusive rules.
+fn rule_flags_ok(live: FlagSet, report: &[(Flag, FlagEquiv)], cfg: &TranslateConfig) -> bool {
+    if cfg.flag_delegation {
+        can_materialize(live, report)
+    } else {
+        live.iter().all(|f| {
+            report
+                .iter()
+                .any(|(ff, eq)| *ff == f && *eq == FlagEquiv::Exact)
+        })
+    }
+}
+
+/// Host locations for a rule's slots: the block's cached registers, or
+/// the environment slots directly when the block does not cache.
+fn slot_locs(slots: &[GReg], map: &RegMap, use_cache: bool) -> Vec<HostLoc> {
+    slots
+        .iter()
+        .map(|g| {
+            if use_cache {
+                slot_loc(map, *g)
+            } else {
+                HostLoc::Mem(env::reg_mem(*g))
+            }
+        })
+        .collect()
+}
+
 /// Phase 1 of translation: generates per-instruction host segments for
-/// a run of body instructions. `base` is the global guest position of
-/// `insts[0]`; `live_after` is indexed and `producers` expressed in
-/// global positions, so the same builder serves single blocks (base 0)
-/// and the members of a hot trace.
+/// one member's body instructions. `base` is the global guest position
+/// of `insts[0]`; `live_after` is indexed and `producers` expressed in
+/// global positions.
 #[allow(clippy::too_many_arguments)]
 fn build_body_segments(
     insts: &[(Addr, &GInst)],
@@ -706,65 +795,28 @@ fn build_body_segments(
                         }
                     }
                     if ok && !last_live.is_empty() {
-                        ok = if cfg.flag_delegation {
-                            can_materialize(last_live, &sm.entry.flags)
-                        } else {
-                            last_live.iter().all(|f| {
-                                sm.entry
-                                    .flags
-                                    .iter()
-                                    .any(|(ff, eq)| *ff == f && *eq == FlagEquiv::Exact)
-                            })
-                        };
+                        ok = rule_flags_ok(last_live, &sm.entry.flags, cfg);
                     }
                     if ok {
-                        let locs: Vec<HostLoc> = if use_cache {
-                            sm.inst.slots.iter().map(|g| slot_loc(map, *g)).collect()
-                        } else {
-                            sm.inst
-                                .slots
-                                .iter()
-                                .map(|g| HostLoc::Mem(env::reg_mem(*g)))
-                                .collect()
-                        };
+                        let locs = slot_locs(&sm.inst.slots, map, use_cache);
                         if let Ok(code) = rules.instantiate_seq_match(&sm, &locs) {
-                            for (_, seq_inst) in &insts[i..=last] {
-                                for g in seq_inst.uses().into_iter().chain(seq_inst.defs()) {
-                                    if !st.cached_regs.contains(&g) {
-                                        st.cached_regs.push(g);
-                                    }
-                                }
-                                for g in seq_inst.defs() {
-                                    if !st.cached_writes.contains(&g) {
-                                        st.cached_writes.push(g);
-                                    }
-                                }
-                            }
-                            let report = sm.entry.flags.clone();
-                            st.attributions.push(RuleAttribution {
-                                label: format!(
-                                    "seq[{}]",
-                                    sm.keys
-                                        .iter()
-                                        .map(|k| k.to_string())
-                                        .collect::<Vec<_>>()
-                                        .join(" + ")
-                                ),
-                                subgroup: subgroup_of(sm.keys[0].op).to_string(),
-                                covered: sm.len as u32,
-                            });
-                            for _ in 0..sm.len {
-                                st.seg_of_guest.push(st.segments.len());
-                            }
-                            st.segments.push(Segment {
+                            let label = format!(
+                                "seq[{}]",
+                                sm.keys
+                                    .iter()
+                                    .map(|k| k.to_string())
+                                    .collect::<Vec<_>>()
+                                    .join(" + ")
+                            );
+                            st.push_rule_segment(
+                                &insts[i..=last],
+                                label,
+                                sm.keys[0].op,
                                 code,
-                                class: CodeClass::RuleCore,
-                                covered: sm.len as u32,
-                                report: (!last_live.is_empty()).then_some(report),
-                                needs_mat: last_live,
-                                kind: ProducerKind::Rule,
-                                cached: use_cache,
-                            });
+                                &sm.entry.flags,
+                                last_live,
+                                use_cache,
+                            );
                             i += sm.len;
                             continue;
                         }
@@ -775,64 +827,22 @@ fn build_body_segments(
         // --- rule path ---
         if let Some(rules) = rules {
             if let Some(m) = &body_matches[i] {
-                let report = m.entry.flags.clone();
-                let flags_ok = if live_defs.is_empty() {
-                    true
-                } else if cfg.flag_delegation {
-                    // Live flags must be recoverable from the host flags
-                    // (directly for a delegated branch, or via setcc
-                    // materialization).
-                    can_materialize(live_defs, &report)
-                } else {
-                    // Without delegation, rules apply to live-flag
-                    // producers only when the relationship is exact —
-                    // modelling the baseline's flag-inclusive rules.
-                    live_defs.iter().all(|f| {
-                        report
-                            .iter()
-                            .any(|(ff, eq)| *ff == f && *eq == FlagEquiv::Exact)
-                    })
-                };
-                if flags_ok {
-                    let locs: Vec<HostLoc> = if use_cache {
-                        m.inst.slots.iter().map(|g| slot_loc(map, *g)).collect()
-                    } else {
-                        m.inst
-                            .slots
-                            .iter()
-                            .map(|g| HostLoc::Mem(env::reg_mem(*g)))
-                            .collect()
-                    };
+                if live_defs.is_empty() || rule_flags_ok(live_defs, &m.entry.flags, cfg) {
+                    let locs = slot_locs(&m.inst.slots, map, use_cache);
                     let code = rules
                         .instantiate_match(m, &locs)
                         .map_err(|err| TranslateError {
                             detail: format!("instantiation failed: {err}"),
                         })?;
-                    for g in inst.uses().into_iter().chain(inst.defs()) {
-                        if !st.cached_regs.contains(&g) {
-                            st.cached_regs.push(g);
-                        }
-                    }
-                    for g in inst.defs() {
-                        if !st.cached_writes.contains(&g) {
-                            st.cached_writes.push(g);
-                        }
-                    }
-                    st.attributions.push(RuleAttribution {
-                        label: m.key.to_string(),
-                        subgroup: subgroup_of(m.key.op).to_string(),
-                        covered: 1,
-                    });
-                    st.seg_of_guest.push(st.segments.len());
-                    st.segments.push(Segment {
+                    st.push_rule_segment(
+                        &insts[i..=i],
+                        m.key.to_string(),
+                        m.key.op,
                         code,
-                        class: CodeClass::RuleCore,
-                        covered: 1,
-                        report: (!live_defs.is_empty()).then_some(report),
-                        needs_mat: live_defs,
-                        kind: ProducerKind::Rule,
-                        cached: use_cache,
-                    });
+                        &m.entry.flags,
+                        live_defs,
+                        use_cache,
+                    );
                     i += 1;
                     continue;
                 }
@@ -859,32 +869,21 @@ fn build_body_segments(
                     fold_producer(inst, &env_map).map(|(code, _)| (tcg_legalize(code), r))
                 })
         };
+        st.seg_of_guest.push(st.segments.len());
         if let Some((code, report)) = folded {
-            st.seg_of_guest.push(st.segments.len());
             st.segments.push(Segment {
-                code,
-                class: CodeClass::QemuCore,
-                covered: 0,
                 report: Some(report),
                 needs_mat: live_defs,
-                kind: ProducerKind::Qemu,
-                cached: false,
+                ..Segment::qemu(code)
             });
         } else {
             let lifted = pdbt_ir::lift_omit(inst, *addr, dead).map_err(|err| TranslateError {
                 detail: format!("{inst}: {err}"),
             })?;
-            let code = tcg_legalize(lower_ops(&lifted.body, &env_map));
-            st.seg_of_guest.push(st.segments.len());
-            st.segments.push(Segment {
-                code,
-                class: CodeClass::QemuCore,
-                covered: 0,
-                report: None,
-                needs_mat: FlagSet::EMPTY,
-                kind: ProducerKind::Qemu,
-                cached: false,
-            });
+            st.segments.push(Segment::qemu(tcg_legalize(lower_ops(
+                &lifted.body,
+                &env_map,
+            ))));
         }
         i += 1;
     }
@@ -944,55 +943,39 @@ fn emit_terminal(
     let lifted = lift(inst, addr).map_err(|err| TranslateError {
         detail: format!("{inst}: {err}"),
     })?;
-    let mode = match direct_cc {
-        Some(cc) => BranchMode::Direct(cc),
-        None => BranchMode::Env,
-    };
-    Ok(match (&lifted.term, mode) {
-        (
-            Some(Terminator::Br {
-                cond: Some(_),
-                taken,
-                fallthrough,
-            }),
-            BranchMode::Direct(cc),
-        ) => {
-            // Direct branch on live host flags: delegation (rule
-            // producer, Fig 10) or TCG folding (QEMU producer). The
-            // coverage accounting happened in the delegation phase. The
-            // cached registers are stored by the epilogue.
-            StubPlan::Cond(cc, *taken, *fallthrough)
-        }
-        (
-            Some(Terminator::Br {
-                cond: Some((icc, a, b)),
-                taken,
-                fallthrough,
-            }),
-            BranchMode::Env,
-        ) => {
-            enter_env(e, cached_mode, sync_stores);
-            let host = tcg_legalize(lower_ops(&lifted.body, env_map));
-            e.extend(host, CodeClass::QemuCore);
+    if let (
+        Some(Terminator::Br {
+            cond: Some(_),
+            taken,
+            fallthrough,
+        }),
+        Some(cc),
+    ) = (&lifted.term, direct_cc)
+    {
+        // Direct branch on live host flags: delegation (rule producer,
+        // Fig 10) or TCG folding (QEMU producer). The coverage
+        // accounting happened in the delegation phase. The cached
+        // registers are stored by the epilogue.
+        return Ok(StubPlan::Cond(cc, *taken, *fallthrough));
+    }
+    enter_env(e, cached_mode, sync_stores);
+    let host = tcg_legalize(lower_ops(&lifted.body, env_map));
+    e.extend(host, CodeClass::QemuCore);
+    Ok(match &lifted.term {
+        Some(Terminator::Br {
+            cond: Some((icc, a, b)),
+            taken,
+            fallthrough,
+        }) => {
+            // Evaluate the guest condition from the environment flags.
             let (cmp, hcc) = lower_branch_cond(*icc, *a, *b, env_map);
             e.extend(tcg_legalize(cmp), CodeClass::QemuCore);
             StubPlan::Cond(hcc, *taken, *fallthrough)
         }
-        (
-            Some(Terminator::Br {
-                cond: None, taken, ..
-            }),
-            _,
-        ) => {
-            enter_env(e, cached_mode, sync_stores);
-            let host = tcg_legalize(lower_ops(&lifted.body, env_map));
-            e.extend(host, CodeClass::QemuCore);
-            StubPlan::Uncond(*taken)
-        }
-        (Some(Terminator::BrInd { target }), _) => {
-            enter_env(e, cached_mode, sync_stores);
-            let host = tcg_legalize(lower_ops(&lifted.body, env_map));
-            e.extend(host, CodeClass::QemuCore);
+        Some(Terminator::Br {
+            cond: None, taken, ..
+        }) => StubPlan::Uncond(*taken),
+        Some(Terminator::BrInd { target }) => {
             let src = match target {
                 pdbt_ir::Val::Reg(g) => HOperand::Mem(env::reg_mem(*g)),
                 pdbt_ir::Val::Tmp(t) => HOperand::Mem(env::spill_mem(t.0 as usize)),
@@ -1001,18 +984,8 @@ fn emit_terminal(
             e.push(hb::mov(HOperand::Reg(HReg::Eax), src), CodeClass::QemuCore);
             StubPlan::Indirect
         }
-        (Some(Terminator::Exit), _) => {
-            enter_env(e, cached_mode, sync_stores);
-            let host = tcg_legalize(lower_ops(&lifted.body, env_map));
-            e.extend(host, CodeClass::QemuCore);
-            StubPlan::Exit
-        }
-        (None, _) => {
-            enter_env(e, cached_mode, sync_stores);
-            let host = tcg_legalize(lower_ops(&lifted.body, env_map));
-            e.extend(host, CodeClass::QemuCore);
-            StubPlan::FallThrough
-        }
+        Some(Terminator::Exit) => StubPlan::Exit,
+        None => StubPlan::FallThrough,
     })
 }
 
@@ -1051,267 +1024,7 @@ fn emit_exit_stubs(e: &mut Emitter, plan: &StubPlan, fall: Addr, guest_len: u32)
     }
 }
 
-/// Translates the basic block starting at `start`.
-///
-/// # Errors
-///
-/// [`TranslateError`] on fetch failures or unliftable instructions.
-pub fn translate_block(
-    prog: &Program,
-    start: Addr,
-    rules: Option<&RuleSet>,
-    cfg: &TranslateConfig,
-) -> Result<TranslatedBlock, TranslateError> {
-    let _span = pdbt_obs::span_with("translate_block", || format!("{start:#x}"));
-    let insts = collect_block(prog, start, cfg.max_block)?;
-    let guest_len = insts.len() as u32;
-
-    let ordered = reg_frequency_order(insts.iter().map(|(_, i)| *i));
-    let map = RegMap::allocate(&ordered);
-
-    // Flag liveness (backwards), including the terminal branch's needs.
-    let terminal_cond: Option<Cond> = match insts.last() {
-        Some((_, i)) if i.op == pdbt_isa_arm::Op::B && i.cond != Cond::Al => Some(i.cond),
-        _ => None,
-    };
-    let n = insts.len();
-    // Flags live into the block's successors (cross-block liveness).
-    let liveins = flag_liveins(prog);
-    let (last_addr, last_inst) = *insts.last().expect("non-empty block");
-    let exit_live = block_exit_live(prog, &liveins, last_addr, last_inst);
-    let mut live_after = vec![FlagSet::EMPTY; n];
-    let mut live = exit_live;
-    for i in (0..n).rev() {
-        let inst = insts[i].1;
-        live_after[i] = live;
-        // Conditional branches read exactly their condition's flags.
-        let uses = if inst.op == pdbt_isa_arm::Op::B && inst.cond != Cond::Al {
-            cond_flag_uses(inst.cond)
-        } else {
-            inst.flag_uses()
-        };
-        live = (live - inst.flag_defs()) | uses;
-    }
-
-    // The body excludes the final instruction iff it terminates control
-    // flow (it is handled by the stub); a max-length block keeps all.
-    let last_terminates = insts.last().is_some_and(|(_, i)| i.ends_block());
-    let body_len = if last_terminates { n - 1 } else { n };
-
-    // Identify the flag producer feeding the terminal branch.
-    let branch_flag_uses = terminal_cond.map(cond_flag_uses).unwrap_or(FlagSet::EMPTY);
-    let mut producer: Option<usize> = None;
-    if !branch_flag_uses.is_empty() {
-        for i in (0..body_len).rev() {
-            if insts[i].1.flag_defs().intersects(branch_flag_uses) {
-                producer = Some(i);
-                break;
-            }
-        }
-    }
-
-    let mut e = Emitter {
-        code: Vec::new(),
-        classes: Vec::new(),
-    };
-    let mut rule_covered: u32 = 0;
-
-    // -------- Phase 1: generate per-instruction segments -----------------
-    //
-    // Materialization of live flags is deferred to phase 2, which decides
-    // — with the generated host code of every segment in hand — whether
-    // the terminal branch can consume the producer's live host flags
-    // directly (delegation / TCG compare-branch folding) or whether the
-    // flags must be stored into the environment.
-    let env_map = RegMap::all_env();
-    // Single rule-lookup pass over the body: each probe starts with the
-    // store's O(1) opcode-presence check, and the match results are
-    // reused by both the caching heuristic below and the segment builder
-    // (which previously probed a second time).
-    let body_matches: Vec<Option<pdbt_core::Match<'_>>> = match rules {
-        Some(r) => insts
-            .iter()
-            .take(body_len)
-            .map(|(_, i)| r.lookup(i))
-            .collect(),
-        None => vec![None; body_len],
-    };
-    // Register caching only pays off when enough of the block is
-    // rule-translated to amortize the residency synchronization; short
-    // or sparsely covered blocks instantiate rules directly on the
-    // environment slots.
-    let rule_hits = body_matches.iter().filter(|m| m.is_some()).count();
-    let use_cache = rule_hits >= 3;
-    let producers: Vec<usize> = producer.into_iter().collect();
-    let mut st = BodyState::default();
-    build_body_segments(
-        &insts[..body_len],
-        0,
-        &live_after,
-        &producers,
-        rules,
-        cfg,
-        &map,
-        use_cache,
-        &body_matches,
-        &mut st,
-    )?;
-    let BodyState {
-        mut segments,
-        seg_of_guest,
-        cached_regs,
-        cached_writes,
-        mut attributions,
-        lookup_misses,
-    } = st;
-
-    // -------- Phase 2: delegation decision --------------------------------
-    let mut direct_cc: Option<pdbt_isa_x86::Cc> = None;
-    let mut branch_covered = false;
-    let mut deleg_depth: Option<u32> = None;
-    if let (Some(cond), Some(p)) = (terminal_cond, producer) {
-        let within_window = n - 1 - p <= cfg.window;
-        // The segment holding the producer (sequence rules cover several
-        // guest instructions); delegation additionally requires the
-        // producer to be the segment's *last* flag definer, which the
-        // sequence application policy guarantees.
-        let sp = seg_of_guest.get(p).copied();
-        if within_window {
-            if let Some(sp) = sp {
-                if let Some(report) = segments.get(sp).and_then(|s| s.report.clone()) {
-                    if let Some(cc) = delegated_cc(cond, &report) {
-                        // The host flags must survive every later segment
-                        // (the paper's "killed within the window" check;
-                        // materialization code is flag-preserving
-                        // setcc/mov).
-                        let clean = segments[sp + 1..]
-                            .iter()
-                            .flat_map(|s| &s.code)
-                            .all(|h| h.flag_defs().is_empty());
-                        if clean {
-                            direct_cc = Some(cc);
-                            deleg_depth = Some((n - 1 - p) as u32);
-                            branch_covered =
-                                segments[sp].kind == ProducerKind::Rule && cfg.flag_delegation;
-                            // Flags the branch consumes can skip the
-                            // environment — unless a successor block also
-                            // reads them.
-                            segments[sp].needs_mat =
-                                segments[sp].needs_mat - (branch_flag_uses - exit_live);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // -------- Emit: segments, with register-residency synchronization ------
-    //
-    // The environment is canonical between blocks. Rule-translated
-    // segments work on block-cached host registers; TCG segments work on
-    // the environment directly. Every residency transition pays data
-    // transfer (register loads/stores), which is why low coverage —
-    // frequent rule↔emulation mixing — barely beats pure emulation
-    // (paper Fig 11: `w/o para.` at 1.04×) while high coverage pays the
-    // sync only at block boundaries.
-    let mut cached_mode = false;
-    // Load every register the rule segments touch; store back only the
-    // ones they write (values loaded and unmodified match the
-    // environment already).
-    let sync_loads: Vec<(GReg, HReg)> = map
-        .allocated()
-        .iter()
-        .copied()
-        .filter(|(g, _)| cached_regs.contains(g))
-        .collect();
-    let sync_stores: Vec<(GReg, HReg)> = map
-        .allocated()
-        .iter()
-        .copied()
-        .filter(|(g, _)| cached_writes.contains(g))
-        .collect();
-    for seg in &segments {
-        if seg.cached {
-            enter_cached(&mut e, &mut cached_mode, &sync_loads);
-        } else {
-            enter_env(&mut e, &mut cached_mode, &sync_stores);
-        }
-        e.extend(seg.code.clone(), seg.class);
-        rule_covered += seg.covered;
-        if !seg.needs_mat.is_empty() {
-            let report = seg.report.as_ref().expect("deferred flags carry a report");
-            if !materialize_flags(&mut e, seg.needs_mat, report) {
-                return Err(TranslateError {
-                    detail: "phase 1 admitted an unmaterializable producer".into(),
-                });
-            }
-        }
-    }
-    if branch_covered {
-        rule_covered += 1;
-        attributions.push(RuleAttribution {
-            label: format!(
-                "b{} (delegated)",
-                terminal_cond.expect("covered branch has a condition")
-            ),
-            subgroup: subgroup_of(pdbt_isa_arm::Op::B).to_string(),
-            covered: 1,
-        });
-    }
-    // Terminal-branch flag handling, for the window-depth histogram: a
-    // conditional exit either delegated (depth = producer distance) or
-    // read environment-materialized flags.
-    let deleg = terminal_cond.map(|_| match deleg_depth {
-        Some(d) => DelegOutcome::Delegated(d),
-        None => DelegOutcome::EnvFallback,
-    });
-
-    // Terminal instruction: emit its guest work (link-register writes,
-    // pop loads, condition evaluation) BEFORE the epilogue so its
-    // register effects are stored back; the exit jumps come after.
-    let fall = start + guest_len * INST_SIZE;
-    let plan: StubPlan = if last_terminates {
-        let (addr, inst) = insts[n - 1];
-        emit_terminal(
-            &mut e,
-            addr,
-            inst,
-            direct_cc,
-            &env_map,
-            &sync_stores,
-            &mut cached_mode,
-        )?
-    } else {
-        StubPlan::FallThrough
-    };
-    let succ = succ_of_plan(&plan, fall);
-
-    // Epilogue: leave the environment canonical (flag-preserving moves).
-    enter_env(&mut e, &mut cached_mode, &sync_stores);
-
-    // Exit stubs.
-    emit_exit_stubs(&mut e, &plan, fall, guest_len);
-
-    debug_assert_eq!(
-        attributions.iter().map(|a| a.covered).sum::<u32>(),
-        rule_covered,
-        "attribution must decompose coverage exactly"
-    );
-    Ok(TranslatedBlock {
-        start,
-        code: e.code,
-        classes: e.classes,
-        guest_len,
-        rule_covered,
-        attributions,
-        lookup_misses,
-        deleg,
-        succ,
-        member_marks: Vec::new(),
-    })
-}
-
-/// A recorded conditional branch inside a trace.
+/// A recorded conditional branch inside a member sequence.
 struct BranchSite {
     /// Global position of the branch instruction.
     t: usize,
@@ -1344,6 +1057,10 @@ fn decide_delegation(
     if bs.t - p > cfg.window {
         return None;
     }
+    // The segment holding the producer (sequence rules cover several
+    // guest instructions); delegation additionally requires the
+    // producer to be the segment's *last* flag definer, which the
+    // sequence application policy guarantees.
     let sp = *st.seg_of_guest.get(p)?;
     if sp == usize::MAX {
         return None;
@@ -1377,23 +1094,45 @@ fn decide_delegation(
     Some((cc, covered, (bs.t - p) as u32))
 }
 
-/// How control flows from an interior trace member to the next.
+/// An interior member's conditional side exit: one direction of its
+/// terminal branch continues on-trace, the other leaves through a
+/// trampoline that syncs state and exits to `off`. (Straight-line
+/// transitions — fall-through, unconditional branch, call — need no
+/// branch code at all.)
 #[derive(Clone, Copy)]
-enum Trans {
-    /// Straight-line (fall-through, unconditional branch, call): no
-    /// branch code at all.
-    Seamless,
-    /// Conditional: `jcc cc` continues on-trace, otherwise a trampoline
-    /// syncs state and side-exits to `off`.
-    Cond { cc: pdbt_isa_x86::Cc, off: Addr },
+struct SideExit {
+    on_trace_taken: bool,
+    off: Addr,
+}
+
+/// Translates the basic block starting at `start`: the one-member case
+/// of the member-sequence translator, with the lone member's branch
+/// outcome reported on the block itself.
+///
+/// # Errors
+///
+/// [`TranslateError`] on fetch failures or unliftable instructions.
+pub fn translate_block(
+    prog: &Program,
+    start: Addr,
+    rules: Option<&RuleSet>,
+    cfg: &TranslateConfig,
+) -> Result<TranslatedBlock, TranslateError> {
+    let _span = pdbt_obs::span_with("translate_block", || format!("{start:#x}"));
+    let mut block = translate_members(prog, &[start], rules, cfg)?;
+    let mark = block
+        .member_marks
+        .pop()
+        .expect("one member yields one mark");
+    block.deleg = mark.deleg;
+    Ok(block)
 }
 
 /// Translates a straight-line hot trace spanning `members` (basic-block
 /// start addresses in execution order; repeated members model loop
 /// unrolling) into a single superblock.
 ///
-/// The trace reuses [`translate_block`]'s machinery end to end:
-/// register-frequency allocation runs over the whole trace, flag
+/// Register-frequency allocation runs over the whole trace, flag
 /// liveness is solved across member boundaries — so condition-flag
 /// delegation extends across former block boundaries — and every
 /// interior direct branch becomes an inline conditional with a
@@ -1406,22 +1145,41 @@ enum Trans {
 ///
 /// # Errors
 ///
-/// [`TranslateError`] if the members do not form a connected
-/// straight-line trace (each interior member's on-trace successor must
-/// be the next member), or on any translation failure.
+/// [`TranslateError`] if there are fewer than two members, if they do
+/// not form a connected straight-line trace (each interior member's
+/// on-trace successor must be the next member), or on any translation
+/// failure.
 pub fn translate_trace(
     prog: &Program,
     members: &[Addr],
     rules: Option<&RuleSet>,
     cfg: &TranslateConfig,
 ) -> Result<TranslatedBlock, TranslateError> {
+    if members.len() < 2 {
+        return Err(TranslateError {
+            detail: "a trace needs at least two members".into(),
+        });
+    }
     let _span = pdbt_obs::span_with("translate_trace", || {
         format!("{:#x} ({} members)", members[0], members.len())
     });
+    translate_members(prog, members, rules, cfg)
+}
+
+/// The translator: one host block for a connected sequence of guest
+/// basic blocks. A single member is an ordinary block; with several,
+/// interior direct branches become side exits. Always reports branch
+/// outcomes per member (`deleg` is `None`, one [`MemberMark`] each).
+fn translate_members(
+    prog: &Program,
+    members: &[Addr],
+    rules: Option<&RuleSet>,
+    cfg: &TranslateConfig,
+) -> Result<TranslatedBlock, TranslateError> {
     let k = members.len();
-    if k < 2 {
+    if k == 0 {
         return Err(TranslateError {
-            detail: "a trace needs at least two members".into(),
+            detail: "nothing to translate: no members".into(),
         });
     }
     let mut mems: Vec<Vec<(Addr, &GInst)>> = Vec::with_capacity(k);
@@ -1429,32 +1187,28 @@ pub fn translate_trace(
         mems.push(collect_block(prog, start, cfg.max_block)?);
     }
 
-    // Validate connectivity and find each interior member's on-trace
-    // branch direction.
-    let mut on_trace_taken: Vec<bool> = vec![false; k];
+    // Validate connectivity; an interior member ending in a conditional
+    // branch records which direction stays on-trace and where the other
+    // one leaves to.
+    let mut side: Vec<Option<SideExit>> = vec![None; k];
     for m in 0..k - 1 {
         let (last_addr, last_inst) = *mems[m].last().expect("non-empty block");
         let next = members[m + 1];
         let fall = last_addr + INST_SIZE;
         let connected = match last_inst.op {
             pdbt_isa_arm::Op::B => {
-                let Operand::Target(d) = last_inst.operands[0] else {
-                    unreachable!()
-                };
-                let taken = last_addr.wrapping_add(d as u32);
+                let taken = branch_target(last_addr, last_inst);
                 if last_inst.cond == Cond::Al {
                     next == taken
                 } else {
-                    on_trace_taken[m] = next == taken;
+                    side[m] = Some(SideExit {
+                        on_trace_taken: next == taken,
+                        off: if next == taken { fall } else { taken },
+                    });
                     next == taken || next == fall
                 }
             }
-            pdbt_isa_arm::Op::Bl => {
-                let Operand::Target(d) = last_inst.operands[0] else {
-                    unreachable!()
-                };
-                next == last_addr.wrapping_add(d as u32)
-            }
+            pdbt_isa_arm::Op::Bl => next == branch_target(last_addr, last_inst),
             // Indirect transfers and halts have no static successor.
             _ if last_inst.ends_block() => false,
             // Max-length member: falls through.
@@ -1467,7 +1221,9 @@ pub fn translate_trace(
         }
     }
 
-    // Global instruction sequence and per-member position ranges.
+    // Global instruction sequence and per-member position ranges. A
+    // member's body excludes its final instruction iff that terminates
+    // control flow; a max-length member keeps all.
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
     let mut global: Vec<(Addr, &GInst)> = Vec::new();
     for insts in &mems {
@@ -1488,15 +1244,16 @@ pub fn translate_trace(
         })
         .collect();
 
-    // Trace-wide register-frequency allocation.
+    // Register-frequency allocation over the whole sequence.
     let ordered = reg_frequency_order(global.iter().map(|(_, i)| *i));
     let map = RegMap::allocate(&ordered);
     let env_map = RegMap::all_env();
 
-    // Flag liveness, solved backwards over the whole trace: interior
-    // conditional branches join their off-trace side's live-ins, so a
-    // producer's flags stay live exactly as long as any on- or off-trace
-    // consumer can still read them.
+    // Flag liveness, solved backwards over the whole sequence from the
+    // flags live into the final member's successors (cross-block
+    // liveness): interior conditional branches join their off-trace
+    // side's live-ins, so a producer's flags stay live exactly as long
+    // as any on- or off-trace consumer can still read them.
     let liveins = flag_liveins(prog);
     let (final_last_addr, final_last_inst) = *mems[k - 1].last().expect("non-empty block");
     let exit_live = block_exit_live(prog, &liveins, final_last_addr, final_last_inst);
@@ -1510,28 +1267,16 @@ pub fn translate_trace(
             }
             let (addr, inst) = global[t];
             if m < k - 1 && t + 1 == ranges[m].1 {
-                // Interior terminal: join what the off-trace side reads.
-                match inst.op {
-                    pdbt_isa_arm::Op::B if inst.cond != Cond::Al => {
-                        let Operand::Target(d) = inst.operands[0] else {
-                            unreachable!()
-                        };
-                        let taken = addr.wrapping_add(d as u32);
-                        let off = if on_trace_taken[m] {
-                            addr + INST_SIZE
-                        } else {
-                            taken
-                        };
-                        live |= livein_at(prog, &liveins, off);
-                    }
-                    // A call's return continuation is off-trace.
-                    pdbt_isa_arm::Op::Bl => {
-                        live |= livein_at(prog, &liveins, addr + INST_SIZE);
-                    }
-                    _ => {}
+                // Interior terminal: join what the off-trace side reads
+                // (a call's return continuation is off-trace).
+                if let Some(exit) = side[m] {
+                    live |= livein_at(prog, &liveins, exit.off);
+                } else if inst.op == pdbt_isa_arm::Op::Bl {
+                    live |= livein_at(prog, &liveins, addr + INST_SIZE);
                 }
             }
             live_after[t] = live;
+            // Conditional branches read exactly their condition's flags.
             let uses = if inst.op == pdbt_isa_arm::Op::B && inst.cond != Cond::Al {
                 cond_flag_uses(inst.cond)
             } else {
@@ -1562,35 +1307,40 @@ pub fn translate_trace(
     }
     let producers: Vec<usize> = branches.iter().filter_map(|bs| bs.producer).collect();
 
-    // Rule matches per member body; the caching heuristic counts hits
-    // across the whole trace.
+    // Single rule-lookup pass over the member bodies: each probe starts
+    // with the store's O(1) opcode-presence check, and the match results
+    // are reused by both the caching heuristic below and the segment
+    // builder.
     let mut all_matches: Vec<Vec<Option<pdbt_core::Match<'_>>>> = Vec::with_capacity(k);
-    let mut rule_hits = 0usize;
     for (m, insts) in mems.iter().enumerate() {
-        let matches: Vec<Option<pdbt_core::Match<'_>>> = match rules {
-            Some(r) => insts
+        all_matches.push(
+            insts[..body_lens[m]]
                 .iter()
-                .take(body_lens[m])
-                .map(|(_, i)| r.lookup(i))
+                .map(|(_, i)| rules.and_then(|r| r.lookup(i)))
                 .collect(),
-            None => vec![None; body_lens[m]],
-        };
-        rule_hits += matches.iter().filter(|x| x.is_some()).count();
-        all_matches.push(matches);
+        );
     }
+    // Register caching only pays off when enough of the sequence is
+    // rule-translated to amortize the residency synchronization; short
+    // or sparsely covered blocks instantiate rules directly on the
+    // environment slots.
+    let rule_hits = all_matches.iter().flatten().flatten().count();
     let use_cache = rule_hits >= 3;
 
-    // Phase 1 + delegation, member by member in trace order: a branch's
-    // decision runs as soon as its member's segments exist, so the clean
-    // check always sees exactly the on-trace code between producer and
-    // branch (including earlier members' transition segments).
+    // Phase 1 + delegation, member by member in order. Materialization
+    // of live flags is deferred so that each branch's decision — run as
+    // soon as its member's segments exist, with exactly the on-trace
+    // host code between producer and branch in hand (including earlier
+    // members' transition segments) — can choose between consuming the
+    // producer's live host flags directly (delegation / TCG
+    // compare-branch folding) and storing them into the environment.
     let mut st = BodyState::default();
     let mut deleg_off: Vec<(usize, FlagSet)> = Vec::new();
     let mut seg_ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
     let mut attr_ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
     let mut member_deleg: Vec<Option<DelegOutcome>> = vec![None; k];
     let mut member_branch_cov: Vec<bool> = vec![false; k];
-    let mut trans: Vec<Trans> = vec![Trans::Seamless; k];
+    let mut exit_cc: Vec<Option<pdbt_isa_x86::Cc>> = vec![None; k];
     let mut final_direct_cc: Option<pdbt_isa_x86::Cc> = None;
     for m in 0..k {
         let seg_b = st.segments.len();
@@ -1607,129 +1357,100 @@ pub fn translate_trace(
             &all_matches[m],
             &mut st,
         )?;
-        let has_term = body_lens[m] < mems[m].len();
-        if has_term {
-            let t = ranges[m].1 - 1;
-            let (taddr, tinst) = global[t];
-            if tinst.op == pdbt_isa_arm::Op::B && tinst.cond != Cond::Al {
-                let bs = branches
-                    .iter()
-                    .find(|b| b.t == t)
-                    .expect("conditional branch was recorded");
-                let interior = m < k - 1;
-                let Operand::Target(d) = tinst.operands[0] else {
-                    unreachable!()
-                };
-                let taken = taddr.wrapping_add(d as u32);
-                let off = if on_trace_taken[m] {
-                    taddr + INST_SIZE
-                } else {
-                    taken
-                };
-                let off_live = if interior {
-                    livein_at(prog, &liveins, off)
-                } else {
-                    FlagSet::EMPTY
-                };
-                let decided =
-                    decide_delegation(&mut st, &mut deleg_off, bs, live_after[t], off_live, cfg);
-                if let Some((_, covered, depth)) = decided {
-                    member_deleg[m] = Some(DelegOutcome::Delegated(depth));
-                    member_branch_cov[m] = covered;
-                    if covered {
-                        st.attributions.push(RuleAttribution {
-                            label: format!("b{} (delegated)", bs.cond),
-                            subgroup: subgroup_of(pdbt_isa_arm::Op::B).to_string(),
-                            covered: 1,
-                        });
+        let t = ranges[m].1 - 1;
+        let (taddr, tinst) = global[t];
+        if let Some(bs) = branches.iter().find(|b| b.t == t) {
+            let off_live =
+                side[m].map_or(FlagSet::EMPTY, |exit| livein_at(prog, &liveins, exit.off));
+            let decided =
+                decide_delegation(&mut st, &mut deleg_off, bs, live_after[t], off_live, cfg);
+            // Flag handling for the window-depth histogram: a
+            // conditional exit either delegated (depth = producer
+            // distance) or read environment-materialized flags.
+            member_deleg[m] = Some(match decided {
+                Some((_, _, depth)) => DelegOutcome::Delegated(depth),
+                None => DelegOutcome::EnvFallback,
+            });
+            if let Some((_, true, _)) = decided {
+                member_branch_cov[m] = true;
+                st.attributions.push(RuleAttribution {
+                    label: format!("b{} (delegated)", bs.cond),
+                    subgroup: subgroup_of(pdbt_isa_arm::Op::B).to_string(),
+                    covered: 1,
+                });
+            }
+            if let Some(exit) = side[m] {
+                let hcc = match decided {
+                    Some((cc, _, _)) => {
+                        st.seg_of_guest.push(usize::MAX);
+                        cc
                     }
-                } else {
-                    member_deleg[m] = Some(DelegOutcome::EnvFallback);
-                }
-                if interior {
-                    let hcc = match decided {
-                        Some((cc, _, _)) => {
-                            st.seg_of_guest.push(usize::MAX);
-                            if on_trace_taken[m] {
-                                cc
-                            } else {
-                                cc.invert()
-                            }
-                        }
-                        None => {
-                            // Evaluate the guest condition from the
-                            // environment flags in a transition segment.
-                            let lifted = lift(tinst, taddr).map_err(|err| TranslateError {
-                                detail: format!("{tinst}: {err}"),
-                            })?;
-                            let Some(Terminator::Br {
-                                cond: Some((icc, a, b)),
-                                ..
-                            }) = lifted.term
-                            else {
-                                return Err(TranslateError {
-                                    detail: format!("{tinst}: expected a conditional terminator"),
-                                });
-                            };
-                            let mut code = tcg_legalize(lower_ops(&lifted.body, &env_map));
-                            let (cmp, hcc0) = lower_branch_cond(icc, a, b, &env_map);
-                            code.extend(tcg_legalize(cmp));
-                            st.seg_of_guest.push(st.segments.len());
-                            st.segments.push(Segment {
-                                code,
-                                class: CodeClass::QemuCore,
-                                covered: 0,
-                                report: None,
-                                needs_mat: FlagSet::EMPTY,
-                                kind: ProducerKind::Qemu,
-                                cached: false,
+                    None => {
+                        // Evaluate the guest condition from the
+                        // environment flags in a transition segment.
+                        let lifted = lift(tinst, taddr).map_err(|err| TranslateError {
+                            detail: format!("{tinst}: {err}"),
+                        })?;
+                        let Some(Terminator::Br {
+                            cond: Some((icc, a, b)),
+                            ..
+                        }) = lifted.term
+                        else {
+                            return Err(TranslateError {
+                                detail: format!("{tinst}: expected a conditional terminator"),
                             });
-                            if on_trace_taken[m] {
-                                hcc0
-                            } else {
-                                hcc0.invert()
-                            }
-                        }
-                    };
-                    trans[m] = Trans::Cond { cc: hcc, off };
+                        };
+                        let mut code = tcg_legalize(lower_ops(&lifted.body, &env_map));
+                        let (cmp, hcc) = lower_branch_cond(icc, a, b, &env_map);
+                        code.extend(tcg_legalize(cmp));
+                        st.seg_of_guest.push(st.segments.len());
+                        st.segments.push(Segment::qemu(code));
+                        hcc
+                    }
+                };
+                exit_cc[m] = Some(if exit.on_trace_taken {
+                    hcc
                 } else {
-                    final_direct_cc = decided.map(|(cc, _, _)| cc);
-                }
-            } else if m < k - 1 {
-                // Unconditional b/bl: emit its guest work (link-register
-                // writes) as a transition segment; a plain `b` has none
-                // and the trace flows seamlessly through it.
-                let lifted = lift(tinst, taddr).map_err(|err| TranslateError {
-                    detail: format!("{tinst}: {err}"),
-                })?;
-                let code = tcg_legalize(lower_ops(&lifted.body, &env_map));
-                if code.is_empty() {
-                    st.seg_of_guest.push(usize::MAX);
-                } else {
-                    st.seg_of_guest.push(st.segments.len());
-                    st.segments.push(Segment {
-                        code,
-                        class: CodeClass::QemuCore,
-                        covered: 0,
-                        report: None,
-                        needs_mat: FlagSet::EMPTY,
-                        kind: ProducerKind::Qemu,
-                        cached: false,
-                    });
-                }
+                    hcc.invert()
+                });
+            } else {
+                final_direct_cc = decided.map(|(cc, _, _)| cc);
+            }
+        } else if m < k - 1 && body_lens[m] < mems[m].len() {
+            // Unconditional b/bl: emit its guest work (link-register
+            // writes) as a transition segment; a plain `b` has none
+            // and the trace flows seamlessly through it.
+            let lifted = lift(tinst, taddr).map_err(|err| TranslateError {
+                detail: format!("{tinst}: {err}"),
+            })?;
+            let code = tcg_legalize(lower_ops(&lifted.body, &env_map));
+            if code.is_empty() {
+                st.seg_of_guest.push(usize::MAX);
+            } else {
+                st.seg_of_guest.push(st.segments.len());
+                st.segments.push(Segment::qemu(code));
             }
         }
         seg_ranges.push((seg_b, st.segments.len()));
         attr_ranges.push((attr_b, st.attributions.len()));
     }
 
-    // Emission: members in order, side-exit trampolines between them,
-    // per-block terminal machinery for the final member.
-    let mut e = Emitter {
-        code: Vec::new(),
-        classes: Vec::new(),
-    };
+    // Emission: members in order with register-residency
+    // synchronization, side-exit trampolines between them, and the
+    // terminal machinery for the final member.
+    //
+    // The environment is canonical between blocks. Rule-translated
+    // segments work on block-cached host registers; TCG segments work on
+    // the environment directly. Every residency transition pays data
+    // transfer (register loads/stores), which is why low coverage —
+    // frequent rule↔emulation mixing — barely beats pure emulation
+    // (paper Fig 11: `w/o para.` at 1.04×) while high coverage pays the
+    // sync only at block boundaries.
+    let mut e = Emitter::default();
     let mut cached_mode = false;
+    // Load every register the rule segments touch; store back only the
+    // ones they write (values loaded and unmodified match the
+    // environment already).
     let sync_loads: Vec<(GReg, HReg)> = map
         .allocated()
         .iter()
@@ -1771,7 +1492,7 @@ pub fn translate_trace(
             member_rc += 1;
         }
         if m < k - 1 {
-            if let Trans::Cond { cc, off } = trans[m] {
+            if let (Some(cc), Some(SideExit { off, .. })) = (exit_cc[m], side[m]) {
                 // Side exit: `jcc` continues on-trace (keeping the cached
                 // registers live), otherwise the trampoline syncs state,
                 // advances icount to exactly the members retired so far,
@@ -1788,13 +1509,14 @@ pub fn translate_trace(
                 e.push(hb::jmp_exit(HOperand::Imm(off as i32)), CodeClass::Control);
             }
         } else {
-            let has_term = body_lens[m] < mems[m].len();
-            let plan = if has_term {
-                let (taddr, tinst) = *mems[m].last().expect("non-empty block");
+            // Terminal instruction: emit its guest work BEFORE the
+            // epilogue so its register effects are stored back; the
+            // exit jumps come after.
+            let plan = if body_lens[m] < mems[m].len() {
                 emit_terminal(
                     &mut e,
-                    taddr,
-                    tinst,
+                    final_last_addr,
+                    final_last_inst,
                     final_direct_cc,
                     &env_map,
                     &sync_stores,
@@ -1805,7 +1527,8 @@ pub fn translate_trace(
             };
             let fall = members[m] + mems[m].len() as u32 * INST_SIZE;
             succ = succ_of_plan(&plan, fall);
-            // Epilogue: leave the environment canonical.
+            // Epilogue: leave the environment canonical
+            // (flag-preserving moves).
             enter_env(&mut e, &mut cached_mode, &sync_stores);
             emit_exit_stubs(&mut e, &plan, fall, cum_guest);
         }
@@ -2193,6 +1916,15 @@ mod tests {
         cpu.write(Reg::R4, 5);
         pdbt_isa_arm::run(&mut cpu, &prog, 1000).unwrap();
         assert_eq!(report.output, cpu.output);
+    }
+
+    #[test]
+    fn traces_of_fewer_than_two_members_are_errors_not_panics() {
+        let cfg = TranslateConfig::default();
+        for members in [&[][..], &[0x2008][..]] {
+            let err = translate_trace(&test_program(), members, None, &cfg).unwrap_err();
+            assert!(err.detail.contains("at least two members"), "{err}");
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! image (fingerprint of base address + instruction listing): sessions
 //! running the same image share its warm cache, while an unrelated
 //! image gets a fresh partition with a clone of the server's ruleset.
+//! Everything the server knows about an image — live state, label,
+//! guest program, sealed bytes, version, disk generation — is one
+//! `Partition` record in one fingerprint-keyed table, and both ways
+//! an artifact can enter (the boot scan of `--artifact-dir`, a peer
+//! transfer) build that record with `Partition::from_artifact`.
 //! Status counters aggregate across partitions.
 //!
 //! # Session isolation
@@ -47,8 +52,8 @@
 use crate::proto::{self, op};
 use pdbt_core::RuleSet;
 use pdbt_fleet::{
-    artifact_file_name, chunk_count, dedupe_newest, parse_generation, seal_live, ArtifactAd,
-    ArtifactVersion, CHUNK, MAX_ARTIFACT,
+    artifact_file_name, chunk_count, dedupe_newest, parse_generation, seal_live, validate,
+    ArtifactAd, ArtifactVersion, CHUNK, MAX_ARTIFACT,
 };
 use pdbt_obs::json::Json;
 use pdbt_obs::{LatencyHists, PhaseNs, RequestSummary};
@@ -76,8 +81,6 @@ pub struct ServeConfig {
     pub rules: Option<RuleSet>,
     /// Session worker count: how many requests run concurrently.
     pub jobs: usize,
-    /// Shard count of each partition's code cache.
-    pub cache_shards: usize,
     /// Deadline applied to requests that don't carry their own
     /// `deadline_ms`.
     pub default_deadline_ms: Option<u64>,
@@ -116,7 +119,6 @@ impl Default for ServeConfig {
         ServeConfig {
             rules: None,
             jobs: 4,
-            cache_shards: EngineConfig::default().cache_shards,
             default_deadline_ms: None,
             flight_path: None,
             artifact_dir: None,
@@ -140,9 +142,9 @@ pub struct ServeSummary {
 /// State shared between the accept loop and the session workers.
 #[derive(Debug)]
 struct ServerCtx {
-    /// One translation-state partition per guest-image fingerprint
-    /// (see the module docs on why images must not share a cache).
-    states: Mutex<HashMap<u64, Arc<SharedTranslationState>>>,
+    /// One partition per guest-image fingerprint (see the module docs
+    /// on why images must not share a cache).
+    partitions: Mutex<HashMap<u64, Partition>>,
     /// Memoized workload builds, keyed by `(benchmark, scale)`.
     /// Building a benchmark is deterministic but not cheap, so the
     /// first request for a corpus pays for it and later requests reuse
@@ -151,17 +153,12 @@ struct ServerCtx {
     workloads: Mutex<HashMap<(String, String), Arc<Workload>>>,
     /// The ruleset cloned into each new partition.
     rules: Option<RuleSet>,
-    /// Shard count for each new partition's cache.
-    cache_shards: usize,
     /// Fallback deadline for requests without `deadline_ms`.
     default_deadline_ms: Option<u64>,
     /// Worker count, used to size each partition's telemetry slots.
     jobs: usize,
     /// Host block executor for every session.
     backend: BackendKind,
-    /// Human-readable label per partition fingerprint (`mcf/tiny`,
-    /// `inline`), recorded on first sight for the STATS payload.
-    labels: Mutex<HashMap<u64, String>>,
     /// When the server started serving (uptime reference).
     started: Instant,
     /// Monotone STATS snapshot sequence: every snapshot claims the
@@ -177,15 +174,11 @@ struct ServerCtx {
     /// out quarantinable (the wire rejects it, but the damage is
     /// counted where operators already look for it).
     artifacts: ArtifactBoot,
-    /// Replication-plane bookkeeping per partition: the guest program
-    /// (for re-sealing), the current sealed bytes and their version,
-    /// and what generation the artifact dir holds.
-    replicas: Mutex<HashMap<u64, ReplicaMeta>>,
     /// Serializes replication-plane mutations (sealing, adoption,
     /// write-back) between the accept loop and the refresh tick. The
-    /// inner `states`/`labels`/`replicas` locks stay short-lived;
-    /// this one scopes a whole decide-then-adopt sequence so two
-    /// concurrent transfers cannot interleave their version checks.
+    /// `partitions` lock stays short-lived; this one scopes a whole
+    /// decide-then-adopt sequence so two concurrent transfers cannot
+    /// interleave their version checks.
     replication: Mutex<()>,
     /// Replication-plane counters (pulled/pushed/adopted/rejected/
     /// written_back/bytes), surfaced as the `fleet` PING/STATS section.
@@ -220,8 +213,11 @@ struct ArtifactBoot {
 }
 
 impl ArtifactBoot {
-    fn to_json(&self) -> Json {
+    /// The `artifacts` PING/STATS section: the tally plus the live
+    /// trace-library hits summed over partitions.
+    fn to_json(&self, trace_hits: u64) -> Json {
         Json::obj([
+            ("trace_hits", Json::from(trace_hits)),
             ("loaded", Json::from(self.loaded.load(Ordering::Relaxed))),
             (
                 "rejected",
@@ -235,12 +231,16 @@ impl ArtifactBoot {
     }
 }
 
-/// What the replication plane knows about one partition beyond its
-/// live [`SharedTranslationState`]: enough to advertise it, serve it
-/// to a peer, and write it back to disk.
+/// Everything the server holds for one guest image: the live
+/// [`SharedTranslationState`] its sessions share, and what the
+/// replication plane needs to advertise it, serve it to a peer, and
+/// write it back to disk.
 #[derive(Debug)]
-struct ReplicaMeta {
-    /// The partition label (advertised and sealed into write-backs).
+struct Partition {
+    /// The translation state sessions of this image attach to.
+    state: Arc<SharedTranslationState>,
+    /// Human-readable label (`mcf/tiny`, `inline`), recorded on first
+    /// sight; shown in STATS, advertised and sealed into write-backs.
     label: String,
     /// The guest image — re-sealing needs the GIMG section.
     program: pdbt_isa_arm::Program,
@@ -259,46 +259,123 @@ struct ReplicaMeta {
     disk_generation: Option<u64>,
 }
 
+impl Partition {
+    /// A cold partition for an image seen for the first time in a
+    /// request. Its telemetry plane gets one latency slot per worker
+    /// and is stamped with the image fingerprint.
+    fn cold(
+        rules: Option<RuleSet>,
+        slots: usize,
+        image: u64,
+        label: &str,
+        program: &pdbt_isa_arm::Program,
+    ) -> Partition {
+        Partition {
+            state: Arc::new(SharedTranslationState::with_telemetry(
+                rules,
+                EngineConfig::default().cache_shards,
+                slots,
+                image,
+            )),
+            label: label.to_string(),
+            program: program.clone(),
+            version: ArtifactVersion::default(),
+            sealed: None,
+            sealed_blocks: 0,
+            disk_generation: None,
+        }
+    }
+
+    /// The one artifact-ingest path, shared by the boot scan and wire
+    /// adoption: label (the artifact's own, else the caller's
+    /// fallback), then `warm_state` — no counter pollution, so sessions
+    /// on the new state report translate-free warm runs — then the
+    /// record. When the artifact carries no ruleset, or its RULE section
+    /// was quarantined, the partition falls back to the server's own
+    /// `rules`, exactly as a cold partition would.
+    fn from_artifact(
+        opened: &pdbt_artifact::Opened,
+        fallback_label: impl FnOnce() -> String,
+        rules: Option<&RuleSet>,
+        slots: usize,
+        version: ArtifactVersion,
+        bytes: Arc<Vec<u8>>,
+        disk_generation: Option<u64>,
+    ) -> Partition {
+        let label = if opened.artifact.label.is_empty() {
+            fallback_label()
+        } else {
+            opened.artifact.label.clone()
+        };
+        let state =
+            pdbt_artifact::warm_state(opened, rules, EngineConfig::default().cache_shards, slots);
+        Partition {
+            state: Arc::new(state),
+            label,
+            program: opened.artifact.program.clone(),
+            version,
+            // A salvaged (partially quarantined) file is not worth
+            // advertising: leave `sealed` empty so the first peer
+            // interaction re-seals clean content from live state.
+            sealed: opened.quarantined.is_empty().then_some(bytes),
+            sealed_blocks: opened.artifact.blocks.len(),
+            disk_generation,
+        }
+    }
+
+    /// The current sealed bytes and version, re-sealing lazily when
+    /// the live cache has outgrown the last seal. Every content change
+    /// bumps the generation by one, so this node's advertised versions
+    /// are monotone — the property the fleet's newest-wins convergence
+    /// rests on. Returns `None` when there is nothing to advertise
+    /// (empty cache, never sealed). Callers hold `ctx.replication`.
+    fn seal(&mut self) -> Option<(Arc<Vec<u8>>, ArtifactVersion)> {
+        let live_blocks = self.state.cache().len();
+        if let Some(sealed) = &self.sealed {
+            if self.sealed_blocks == live_blocks {
+                return Some((Arc::clone(sealed), self.version));
+            }
+        }
+        if live_blocks == 0 && self.sealed.is_none() {
+            return None;
+        }
+        let generation = if self.sealed.is_some() {
+            self.version.generation + 1
+        } else {
+            // First seal: continue past whatever the disk holds (a
+            // quarantined boot artifact leaves `sealed` empty but the
+            // file's generation taken), else start at 0.
+            self.disk_generation.map_or(0, |g| g + 1)
+        };
+        let bytes = seal_live(&self.label, &self.program, &self.state);
+        let version = ArtifactVersion::of_bytes(generation, &bytes)
+            .expect("a self-sealed artifact always parses");
+        let sealed = Arc::new(bytes);
+        self.sealed = Some(Arc::clone(&sealed));
+        self.sealed_blocks = live_blocks;
+        self.version = version;
+        Some((sealed, version))
+    }
+}
+
 impl ServerCtx {
-    /// The partition for a guest image, created on first sight. Each
-    /// partition's telemetry plane gets one latency slot per worker
-    /// and is stamped with the image fingerprint. The guest program is
-    /// recorded alongside so the replication plane can re-seal the
-    /// partition later (drain write-back, peer pulls).
+    fn partitions(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Partition>> {
+        self.partitions.lock().expect("partition table poisoned")
+    }
+
+    /// The translation state for a guest image, its partition created
+    /// cold on first sight.
     fn state_for(
         &self,
         image: u64,
         label: &str,
         program: &pdbt_isa_arm::Program,
     ) -> Arc<SharedTranslationState> {
-        let mut map = self.states.lock().expect("state map poisoned");
-        let state = Arc::clone(map.entry(image).or_insert_with(|| {
-            Arc::new(SharedTranslationState::with_telemetry(
-                self.rules.clone(),
-                self.cache_shards,
-                self.jobs,
-                image,
-            ))
-        }));
-        drop(map);
-        self.labels
-            .lock()
-            .expect("label map poisoned")
-            .entry(image)
-            .or_insert_with(|| label.to_string());
-        self.replicas
-            .lock()
-            .expect("replica map poisoned")
-            .entry(image)
-            .or_insert_with(|| ReplicaMeta {
-                label: label.to_string(),
-                program: program.clone(),
-                version: ArtifactVersion::default(),
-                sealed: None,
-                sealed_blocks: 0,
-                disk_generation: None,
-            });
-        state
+        let mut table = self.partitions();
+        let partition = table.entry(image).or_insert_with(|| {
+            Partition::cold(self.rules.clone(), self.jobs, image, label, program)
+        });
+        Arc::clone(&partition.state)
     }
 }
 
@@ -324,24 +401,21 @@ impl Server {
         let queue = TaskQueue::new(cfg.jobs);
         let jobs = queue.jobs();
         let scan = match &cfg.artifact_dir {
-            Some(dir) => load_artifacts(dir, cfg.rules.as_ref(), cfg.cache_shards, jobs),
+            Some(dir) => load_artifacts(dir, cfg.rules.as_ref(), jobs),
             None => BootScan::default(),
         };
         let ctx = Arc::new(ServerCtx {
-            states: Mutex::new(scan.states),
+            partitions: Mutex::new(scan.partitions),
             workloads: Mutex::new(HashMap::new()),
             rules: cfg.rules,
-            cache_shards: cfg.cache_shards,
             default_deadline_ms: cfg.default_deadline_ms,
             jobs,
             backend: cfg.backend,
-            labels: Mutex::new(scan.labels),
             started: Instant::now(),
             stats_seq: AtomicU64::new(0),
             served: AtomicU64::new(0),
             active: AtomicU64::new(0),
             artifacts: scan.boot,
-            replicas: Mutex::new(scan.replicas),
             replication: Mutex::new(()),
             fleet: pdbt_obs::FleetCounters::new(),
             reply_errors: AtomicU64::new(0),
@@ -534,49 +608,63 @@ impl Server {
     }
 }
 
+/// Server-lifetime counters summed across partitions: the one fold
+/// behind the `server` and `artifacts` sections of PING and STATS.
+#[derive(Default)]
+struct Totals {
+    server: pdbt_obs::ServerSnapshot,
+    trace_hits: u64,
+    cached_blocks: usize,
+    images: usize,
+}
+
+impl Totals {
+    fn add(&mut self, state: &SharedTranslationState, snap: &pdbt_obs::ServerSnapshot) {
+        self.server.probes += snap.probes;
+        self.server.inserted += snap.inserted;
+        self.server.hits += snap.hits;
+        self.server.translate_calls += snap.translate_calls;
+        self.server.sessions += snap.sessions;
+        self.server.compiled_blocks += snap.compiled_blocks;
+        self.trace_hits += state.artifact().snapshot().trace_hits;
+        self.cached_blocks += state.cache().len();
+        self.images += 1;
+    }
+
+    /// The `server` section: the counters both payloads carry plus the
+    /// caller's own.
+    fn server_json(&self, extra: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        let common = [
+            ("probes", Json::from(self.server.probes)),
+            ("inserted", Json::from(self.server.inserted)),
+            ("hits", Json::from(self.server.hits)),
+            ("translate_calls", Json::from(self.server.translate_calls)),
+            ("sessions", Json::from(self.server.sessions)),
+        ];
+        Json::obj(common.into_iter().chain(extra))
+    }
+}
+
 /// The PONG status payload: protocol version, queue occupancy, and the
 /// server-lifetime counters summed across guest-image partitions.
 fn status(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
-    let (mut probes, mut inserted, mut hits) = (0u64, 0u64, 0u64);
-    let (mut translate_calls, mut sessions, mut trace_hits) = (0u64, 0u64, 0u64);
-    let (mut cached_blocks, mut images) = (0usize, 0usize);
-    for state in ctx.states.lock().expect("state map poisoned").values() {
-        let snap = state.server().snapshot();
-        probes += snap.probes;
-        inserted += snap.inserted;
-        hits += snap.hits;
-        translate_calls += snap.translate_calls;
-        sessions += snap.sessions;
-        trace_hits += state.artifact().snapshot().trace_hits;
-        cached_blocks += state.cache().len();
-        images += 1;
+    let mut totals = Totals::default();
+    for p in ctx.partitions().values() {
+        totals.add(&p.state, &p.state.server().snapshot());
     }
-    let mut artifacts = ctx.artifacts.to_json();
-    if let Json::Obj(pairs) = &mut artifacts {
-        pairs.insert("trace_hits".to_string(), Json::from(trace_hits));
-    }
+    let reply_errors = Json::from(ctx.reply_errors.load(Ordering::Relaxed));
     Json::obj([
         ("version", Json::from(u64::from(proto::VERSION))),
         ("jobs", Json::from(queue.jobs())),
         ("outstanding", Json::from(queue.outstanding())),
         ("faults_enabled", Json::from(pdbt_faults::ENABLED)),
-        ("images", Json::from(images)),
-        ("cached_blocks", Json::from(cached_blocks)),
-        ("artifacts", artifacts),
+        ("images", Json::from(totals.images)),
+        ("cached_blocks", Json::from(totals.cached_blocks)),
+        ("artifacts", ctx.artifacts.to_json(totals.trace_hits)),
         ("fleet", fleet_json(ctx)),
         (
             "server",
-            Json::obj([
-                ("probes", Json::from(probes)),
-                ("inserted", Json::from(inserted)),
-                ("hits", Json::from(hits)),
-                ("translate_calls", Json::from(translate_calls)),
-                ("sessions", Json::from(sessions)),
-                (
-                    "reply_errors",
-                    Json::from(ctx.reply_errors.load(Ordering::Relaxed)),
-                ),
-            ]),
+            totals.server_json([("reply_errors", reply_errors)]),
         ),
     ])
 }
@@ -588,41 +676,27 @@ fn status(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
 fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
     let stats_seq = ctx.stats_seq.fetch_add(1, Ordering::Relaxed) + 1;
     // Partitions sorted by fingerprint: deterministic payload order.
-    let mut states: Vec<(u64, Arc<SharedTranslationState>)> = ctx
-        .states
-        .lock()
-        .expect("state map poisoned")
+    let mut states: Vec<(u64, String, Arc<SharedTranslationState>)> = ctx
+        .partitions()
         .iter()
-        .map(|(&fp, s)| (fp, Arc::clone(s)))
+        .map(|(&fp, p)| (fp, p.label.clone(), Arc::clone(&p.state)))
         .collect();
-    states.sort_by_key(|&(fp, _)| fp);
-    let labels = ctx.labels.lock().expect("label map poisoned").clone();
+    states.sort_by_key(|&(fp, _, _)| fp);
 
-    let (mut probes, mut inserted, mut hits) = (0u64, 0u64, 0u64);
-    let (mut translate_calls, mut sessions, mut trace_hits) = (0u64, 0u64, 0u64);
-    let mut compiled_blocks = 0u64;
+    let mut totals = Totals::default();
     let mut global = LatencyHists::default();
     let mut flight: Vec<RequestSummary> = Vec::new();
     let mut partitions = Vec::with_capacity(states.len());
-    for (fp, state) in &states {
+    for (fp, label, state) in &states {
         let snap = state.server().snapshot();
         let tele = state.telemetry().snapshot();
         let art = state.artifact().snapshot();
-        probes += snap.probes;
-        inserted += snap.inserted;
-        hits += snap.hits;
-        translate_calls += snap.translate_calls;
-        sessions += snap.sessions;
-        trace_hits += art.trace_hits;
-        compiled_blocks += snap.compiled_blocks;
+        totals.add(state, &snap);
         global.merge(&tele.latency);
         flight.extend(tele.flight);
         partitions.push(Json::obj([
             ("partition", Json::str(format!("{fp:016x}"))),
-            (
-                "label",
-                Json::str(labels.get(fp).map(String::as_str).unwrap_or("?")),
-            ),
+            ("label", Json::str(label.as_str())),
             ("cached_blocks", Json::from(state.cache().len())),
             ("warm", Json::from(art.warm())),
             ("loaded_blocks", Json::from(art.loaded_blocks)),
@@ -649,11 +723,6 @@ fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
     let tail_from = flight
         .len()
         .saturating_sub(pdbt_obs::FlightRecorder::CAPACITY);
-    let hit_rate = if probes == 0 {
-        0.0
-    } else {
-        hits as f64 / probes as f64
-    };
     Json::obj([
         ("stats_seq", Json::from(stats_seq)),
         ("version", Json::from(u64::from(proto::VERSION))),
@@ -692,23 +761,12 @@ fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
         ),
         (
             "server",
-            Json::obj([
-                ("probes", Json::from(probes)),
-                ("inserted", Json::from(inserted)),
-                ("hits", Json::from(hits)),
-                ("translate_calls", Json::from(translate_calls)),
-                ("sessions", Json::from(sessions)),
-                ("compiled_blocks", Json::from(compiled_blocks)),
-                ("hit_rate", Json::from(hit_rate)),
+            totals.server_json([
+                ("compiled_blocks", Json::from(totals.server.compiled_blocks)),
+                ("hit_rate", Json::from(totals.server.hit_rate())),
             ]),
         ),
-        ("artifacts", {
-            let mut artifacts = ctx.artifacts.to_json();
-            if let Json::Obj(pairs) = &mut artifacts {
-                pairs.insert("trace_hits".to_string(), Json::from(trace_hits));
-            }
-            artifacts
-        }),
+        ("artifacts", ctx.artifacts.to_json(totals.trace_hits)),
         ("fleet", fleet_json(ctx)),
         ("latency", global.to_json()),
         ("partitions", Json::Arr(partitions)),
@@ -801,84 +859,26 @@ fn fleet_json(ctx: &ServerCtx) -> Json {
     ])
 }
 
-/// The current sealed bytes and version of one partition, re-sealing
-/// lazily when the live cache has outgrown the last seal. Every
-/// content change bumps the generation by one, so this node's
-/// advertised versions are monotone — the property the fleet's
-/// newest-wins convergence rests on. Returns `None` for a partition
-/// with nothing to advertise (empty cache, never sealed) or no
-/// recorded guest program.
-///
-/// Callers hold `ctx.replication`; the inner locks are taken in the
-/// house order (`states`, then `replicas`).
-fn seal_partition(ctx: &ServerCtx, fp: u64) -> Option<(Arc<Vec<u8>>, ArtifactVersion)> {
-    let state = {
-        let map = ctx.states.lock().expect("state map poisoned");
-        map.get(&fp).map(Arc::clone)
-    }?;
-    let live_blocks = state.cache().len();
-    let mut replicas = ctx.replicas.lock().expect("replica map poisoned");
-    let meta = replicas.get_mut(&fp)?;
-    if let Some(sealed) = &meta.sealed {
-        if meta.sealed_blocks == live_blocks {
-            return Some((Arc::clone(sealed), meta.version));
-        }
-    }
-    if live_blocks == 0 && meta.sealed.is_none() {
-        return None;
-    }
-    let generation = if meta.sealed.is_some() {
-        meta.version.generation + 1
-    } else {
-        // First seal: continue past whatever the disk holds (a
-        // quarantined boot artifact leaves `sealed` empty but the
-        // file's generation taken), else start at 0.
-        meta.disk_generation.map_or(0, |g| g + 1)
-    };
-    let bytes = seal_live(&meta.label, &meta.program, &state);
-    let version = ArtifactVersion::of_bytes(generation, &bytes)
-        .expect("a self-sealed artifact always parses");
-    let sealed = Arc::new(bytes);
-    meta.sealed = Some(Arc::clone(&sealed));
-    meta.sealed_blocks = live_blocks;
-    meta.version = version;
-    Some((sealed, version))
-}
-
 /// Builds the `ART_LIST` advertisement: one entry per sealable
 /// partition, in fingerprint order.
 fn advertise(ctx: &ServerCtx) -> Vec<ArtifactAd> {
     let _plane = ctx.replication.lock().expect("replication lock poisoned");
-    let mut fps: Vec<u64> = {
-        let map = ctx.states.lock().expect("state map poisoned");
-        map.keys().copied().collect()
-    };
-    fps.sort_unstable();
-    let mut ads = Vec::new();
-    for fp in fps {
-        let Some((sealed, version)) = seal_partition(ctx, fp) else {
-            continue;
-        };
-        let (blocks, traces) = {
-            let map = ctx.states.lock().expect("state map poisoned");
-            map.get(&fp)
-                .map_or((0, 0), |s| (s.cache().len() as u64, s.library_len() as u64))
-        };
-        let label = {
-            let replicas = ctx.replicas.lock().expect("replica map poisoned");
-            replicas
-                .get(&fp)
-                .map_or_else(String::new, |m| m.label.clone())
-        };
-        ads.push(ArtifactAd {
-            fingerprint: fp,
-            version,
-            blocks,
-            traces,
-            bytes: sealed.len() as u64,
-            label,
-        });
-    }
+    let mut ads: Vec<ArtifactAd> = ctx
+        .partitions()
+        .iter_mut()
+        .filter_map(|(&fingerprint, p)| {
+            let (sealed, version) = p.seal()?;
+            Some(ArtifactAd {
+                fingerprint,
+                version,
+                blocks: p.state.cache().len() as u64,
+                traces: p.state.library_len() as u64,
+                bytes: sealed.len() as u64,
+                label: p.label.clone(),
+            })
+        })
+        .collect();
+    ads.sort_by_key(|ad| ad.fingerprint);
     ads
 }
 
@@ -901,9 +901,11 @@ fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
     };
     let sealed = {
         let _plane = ctx.replication.lock().expect("replication lock poisoned");
-        seal_partition(ctx, fp)
+        ctx.partitions()
+            .get_mut(&fp)
+            .and_then(|p| Some((p.seal()?, p.label.clone())))
     };
-    let Some((sealed, version)) = sealed else {
+    let Some(((sealed, version), label)) = sealed else {
         respond_error(
             ctx,
             stream,
@@ -911,12 +913,6 @@ fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
             &format!("no artifact for fingerprint {fp:016x}"),
         );
         return;
-    };
-    let label = {
-        let replicas = ctx.replicas.lock().expect("replica map poisoned");
-        replicas
-            .get(&fp)
-            .map_or_else(String::new, |m| m.label.clone())
     };
     let header = Json::obj([
         ("fingerprint", Json::str(format!("{fp:016x}"))),
@@ -1023,71 +1019,44 @@ fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
 }
 
 /// The adoption decision for a CRC-verified transferred artifact: the
-/// wire trust boundary (opens cleanly, zero quarantined sections,
-/// content fingerprint matches the declared one), then the version
-/// order against the locally *materialized* version — the local side
-/// seals its live growth first, so the comparison is deterministic no
-/// matter when the offer arrives. On adoption the partition's shared
-/// state is rebuilt via `warm_state` semantics (no counter pollution:
-/// sessions on the new state report translate-free warm runs);
-/// in-flight sessions keep the old `Arc` and finish undisturbed.
+/// wire trust boundary ([`validate`]), then the version order against
+/// the locally *materialized* version — the local side seals its live
+/// growth first, so the comparison is deterministic no matter when the
+/// offer arrives. On adoption the partition is replaced by
+/// [`Partition::from_artifact`]; in-flight sessions keep the old
+/// state's `Arc` and finish undisturbed.
 ///
 /// Returns `(adopted, reason, local generation after the decision)`.
 /// Caller holds `ctx.replication`.
-fn adopt_artifact(
-    ctx: &ServerCtx,
-    bytes: &[u8],
-    generation: u64,
-    declared_fp: u64,
-) -> (bool, String, u64) {
-    let local_generation = |fp: u64| -> u64 {
-        let replicas = ctx.replicas.lock().expect("replica map poisoned");
-        replicas.get(&fp).map_or(0, |m| m.version.generation)
-    };
-    let opened = match pdbt_artifact::open_salvage(bytes) {
+fn adopt_artifact(ctx: &ServerCtx, bytes: &[u8], generation: u64, fp: u64) -> (bool, String, u64) {
+    let opened = match validate(bytes, fp) {
         Ok(o) => o,
-        Err(e) => {
+        Err((reason, quarantined)) => {
+            // Quarantines are counted where disk-scan damage already
+            // shows up, and the artifact is refused wholesale: a
+            // partial copy never replaces a healthy partition — the
+            // peer can re-pull.
+            ctx.artifacts
+                .sections_quarantined
+                .fetch_add(quarantined as u64, Ordering::Relaxed);
             ctx.fleet.record_rejected();
-            return (
-                false,
-                format!("artifact rejected: {e}"),
-                local_generation(declared_fp),
-            );
+            let local = ctx
+                .partitions()
+                .get(&fp)
+                .map_or(0, |p| p.version.generation);
+            return (false, reason, local);
         }
     };
-    if !opened.quarantined.is_empty() {
-        // Counted where disk-scan damage already shows up, and the
-        // artifact is refused wholesale: a partial copy never
-        // replaces a healthy partition — the peer can re-pull.
-        ctx.artifacts
-            .sections_quarantined
-            .fetch_add(opened.quarantined.len() as u64, Ordering::Relaxed);
-        ctx.fleet.record_rejected();
-        return (
-            false,
-            format!(
-                "{} section(s) quarantined in transfer",
-                opened.quarantined.len()
-            ),
-            local_generation(declared_fp),
-        );
-    }
-    let fp = opened.artifact.fingerprint();
-    if fp != declared_fp {
-        ctx.fleet.record_rejected();
-        return (
-            false,
-            format!("content fingerprint {fp:016x} does not match the declared {declared_fp:016x}"),
-            local_generation(declared_fp),
-        );
-    }
     let incoming =
         ArtifactVersion::of_bytes(generation, bytes).expect("an artifact that opened still parses");
     // Materialize the local version before comparing: live growth is
     // sealed (and its generation bumped) first, so an offer can never
     // overwrite translations the incoming artifact lacks.
-    let local = seal_partition(ctx, fp).map(|(_, v)| v);
-    if let Some(held) = local {
+    let (held, prior_disk) = match ctx.partitions().get_mut(&fp) {
+        Some(p) => (p.seal().map(|(_, v)| v), p.disk_generation),
+        None => (None, None),
+    };
+    if let Some(held) = held {
         if held >= incoming {
             ctx.fleet.record_rejected();
             return (
@@ -1100,20 +1069,10 @@ fn adopt_artifact(
             );
         }
     }
-    let state = pdbt_artifact::warm_state(&opened, ctx.rules.as_ref(), ctx.cache_shards, ctx.jobs);
-    let label = if opened.artifact.label.is_empty() {
-        format!("{fp:016x}")
-    } else {
-        opened.artifact.label.clone()
-    };
     let sealed = Arc::new(bytes.to_vec());
     // Persist the adopted bytes so a restart boots warm from disk; a
     // write failure demotes this to memory-only adoption (the drain
     // write-back will retry).
-    let prior_disk = {
-        let replicas = ctx.replicas.lock().expect("replica map poisoned");
-        replicas.get(&fp).and_then(|m| m.disk_generation)
-    };
     let disk_generation = match &ctx.artifact_dir {
         Some(dir) => {
             let path = dir.join(artifact_file_name(fp, generation));
@@ -1130,26 +1089,16 @@ fn adopt_artifact(
         }
         None => prior_disk,
     };
-    let meta = ReplicaMeta {
-        label: label.clone(),
-        program: opened.artifact.program.clone(),
-        version: incoming,
-        sealed: Some(sealed),
-        sealed_blocks: opened.artifact.blocks.len(),
+    let partition = Partition::from_artifact(
+        &opened,
+        || format!("{fp:016x}"),
+        ctx.rules.as_ref(),
+        ctx.jobs,
+        incoming,
+        sealed,
         disk_generation,
-    };
-    ctx.states
-        .lock()
-        .expect("state map poisoned")
-        .insert(fp, Arc::new(state));
-    ctx.labels
-        .lock()
-        .expect("label map poisoned")
-        .insert(fp, label);
-    ctx.replicas
-        .lock()
-        .expect("replica map poisoned")
-        .insert(fp, meta);
+    );
+    ctx.partitions().insert(fp, partition);
     ctx.fleet.record_adopted();
     (true, "adopted".to_string(), generation)
 }
@@ -1170,7 +1119,10 @@ fn replicate_once(ctx: &ServerCtx) {
         for ad in ads {
             let worth_pulling = {
                 let _plane = ctx.replication.lock().expect("replication lock poisoned");
-                seal_partition(ctx, ad.fingerprint).is_none_or(|(_, held)| held < ad.version)
+                ctx.partitions()
+                    .get_mut(&ad.fingerprint)
+                    .and_then(Partition::seal)
+                    .is_none_or(|(_, held)| held < ad.version)
             };
             if !worth_pulling {
                 continue;
@@ -1204,25 +1156,18 @@ fn replicate_once(ctx: &ServerCtx) {
 
 /// Drain write-back: every partition whose current seal has moved past
 /// what the artifact dir holds is written out under its generation
-/// file name. Runs after the queue quiesced, so the seals are final.
+/// file name, in fingerprint order. Runs after the queue quiesced, so
+/// the seals are final.
 fn write_back(ctx: &ServerCtx, dir: &std::path::Path) {
     let _plane = ctx.replication.lock().expect("replication lock poisoned");
-    let mut fps: Vec<u64> = {
-        let map = ctx.states.lock().expect("state map poisoned");
-        map.keys().copied().collect()
-    };
-    fps.sort_unstable();
-    for fp in fps {
-        let Some((sealed, version)) = seal_partition(ctx, fp) else {
+    let mut table = ctx.partitions();
+    let mut sorted: Vec<(u64, &mut Partition)> = table.iter_mut().map(|(&fp, p)| (fp, p)).collect();
+    sorted.sort_by_key(|&(fp, _)| fp);
+    for (fp, p) in sorted {
+        let Some((sealed, version)) = p.seal() else {
             continue;
         };
-        let stale = {
-            let replicas = ctx.replicas.lock().expect("replica map poisoned");
-            replicas
-                .get(&fp)
-                .is_none_or(|m| m.disk_generation.is_none_or(|g| version.generation > g))
-        };
-        if !stale {
+        if p.disk_generation.is_some_and(|g| version.generation <= g) {
             continue;
         }
         let path = dir.join(artifact_file_name(fp, version.generation));
@@ -1230,14 +1175,7 @@ fn write_back(ctx: &ServerCtx, dir: &std::path::Path) {
             Ok(()) => {
                 ctx.fleet.record_written_back();
                 ctx.fleet.record_bytes(sealed.len() as u64);
-                if let Some(m) = ctx
-                    .replicas
-                    .lock()
-                    .expect("replica map poisoned")
-                    .get_mut(&fp)
-                {
-                    m.disk_generation = Some(version.generation);
-                }
+                p.disk_generation = Some(version.generation);
             }
             Err(e) => {
                 eprintln!("pdbt-serve: write-back to {} failed: {e}", path.display());
@@ -1262,23 +1200,10 @@ impl Guest {
     }
 }
 
-/// Fingerprints a guest image (base address + encoded instruction
-/// words) to pick its translation-state partition. This value is now
-/// *persisted* — sealed into PDBA artifacts and matched against them at
-/// boot — so it must be stable across processes, platforms, and Rust
-/// releases; [`pdbt_isa_arm::Program::fingerprint`] (seeded FNV-1a with
-/// a splitmix64 finalizer) is, where the `DefaultHasher` previously
-/// used here explicitly is not.
-fn image_fingerprint(prog: &pdbt_isa_arm::Program) -> u64 {
-    prog.fingerprint()
-}
-
 /// What the bind-time artifact scan produced.
 #[derive(Debug, Default)]
 struct BootScan {
-    states: HashMap<u64, Arc<SharedTranslationState>>,
-    labels: HashMap<u64, String>,
-    replicas: HashMap<u64, ReplicaMeta>,
+    partitions: HashMap<u64, Partition>,
     boot: ArtifactBoot,
 }
 
@@ -1292,15 +1217,8 @@ struct BootScan {
 ///
 /// Failure is never fatal and never aborts the scan: an unreadable or
 /// rejected artifact is counted and logged, and that image simply boots
-/// cold when its first request arrives. When an artifact carries no
-/// ruleset — or its RULE section was quarantined — the partition falls
-/// back to the server's own rules, exactly as a cold partition would.
-fn load_artifacts(
-    dir: &std::path::Path,
-    rules: Option<&RuleSet>,
-    cache_shards: usize,
-    slots: usize,
-) -> BootScan {
+/// cold when its first request arrives.
+fn load_artifacts(dir: &std::path::Path, rules: Option<&RuleSet>, slots: usize) -> BootScan {
     let mut scan = BootScan::default();
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
         Ok(entries) => entries
@@ -1327,17 +1245,12 @@ fn load_artifacts(
                 continue;
             }
         };
-        let opened = match pdbt_artifact::open_salvage(&bytes) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("pdbt-serve: artifact {} rejected: {e}", path.display());
-                scan.boot.rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        let generation = parse_generation(&path);
-        let version = match ArtifactVersion::of_bytes(generation, &bytes) {
-            Ok(v) => v,
+        let parsed = pdbt_artifact::open_salvage(&bytes).and_then(|opened| {
+            let version = ArtifactVersion::of_bytes(parse_generation(&path), &bytes)?;
+            Ok((opened, version))
+        });
+        let (opened, version) = match parsed {
+            Ok(p) => p,
             Err(e) => {
                 eprintln!("pdbt-serve: artifact {} rejected: {e}", path.display());
                 scan.boot.rejected.fetch_add(1, Ordering::Relaxed);
@@ -1367,31 +1280,22 @@ fn load_artifacts(
         scan.boot
             .sections_quarantined
             .fetch_add(opened.quarantined.len() as u64, Ordering::Relaxed);
-        let label = if opened.artifact.label.is_empty() {
+        let file_stem = || {
             path.file_stem().map_or_else(
                 || "artifact".to_string(),
                 |s| s.to_string_lossy().into_owned(),
             )
-        } else {
-            opened.artifact.label.clone()
         };
-        let state = pdbt_artifact::warm_state(&opened, rules, cache_shards, slots);
-        scan.replicas.insert(
-            fingerprint,
-            ReplicaMeta {
-                label: label.clone(),
-                program: opened.artifact.program.clone(),
-                version,
-                // A salvaged (partially quarantined) file is not worth
-                // advertising: leave `sealed` empty so the first peer
-                // interaction re-seals clean content from live state.
-                sealed: opened.quarantined.is_empty().then(|| Arc::new(bytes)),
-                sealed_blocks: opened.artifact.blocks.len(),
-                disk_generation: Some(version.generation),
-            },
+        let partition = Partition::from_artifact(
+            &opened,
+            file_stem,
+            rules,
+            slots,
+            version,
+            Arc::new(bytes),
+            Some(version.generation),
         );
-        scan.states.insert(fingerprint, Arc::new(state));
-        scan.labels.insert(fingerprint, label);
+        scan.partitions.insert(fingerprint, partition);
         scan.boot.loaded.fetch_add(1, Ordering::Relaxed);
     }
     scan
@@ -1485,7 +1389,10 @@ fn run_request(ctx: &ServerCtx, req: &Json) -> Result<(Json, RequestTelemetry), 
         .get("no_delegation")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    let partition = image_fingerprint(guest.program());
+    // The partition key is *persisted* — sealed into PDBA artifacts and
+    // matched against them at boot — which `Program::fingerprint`'s
+    // process- and platform-stable hash is there for.
+    let partition = guest.program().fingerprint();
     let shared = ctx.state_for(partition, &label, guest.program());
     // Request-scoped fault arming: armed with this request's plan, or
     // explicitly shielded from any process-global plan. Installed after
@@ -1682,6 +1589,45 @@ mod tests {
 
         client::shutdown(addr, t).expect("shutdown");
         handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn boot_scan_and_wire_adoption_install_the_same_partition() {
+        // The same labelled artifact at the same generation, once
+        // scanned from disk and once adopted off the wire: both go
+        // through `Partition::from_artifact`, so the records agree.
+        let insts = pdbt_isa_arm::parse_listing(GUEST).unwrap();
+        let prog = pdbt_isa_arm::Program::new(0x1000, insts);
+        let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+        let artifact =
+            pdbt_artifact::compile(&prog, None, &setup, EngineConfig::default(), "inline-guest")
+                .expect("compile");
+        let bytes = pdbt_artifact::seal(&artifact);
+        let fp = prog.fingerprint();
+        let dir =
+            std::env::temp_dir().join(format!("pdbt-serve-install-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(artifact_file_name(fp, 3)), &bytes).unwrap();
+
+        let scan = load_artifacts(&dir, None, 1);
+        let scanned = &scan.partitions[&fp];
+
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let (adopted, reason, generation) = adopt_artifact(&server.ctx, &bytes, 3, fp);
+        assert!(adopted, "{reason}");
+        assert_eq!(generation, 3);
+        let table = server.ctx.partitions();
+        let wired = &table[&fp];
+
+        assert_eq!(scanned.label, "inline-guest");
+        assert_eq!(wired.label, scanned.label);
+        assert_eq!(wired.version, scanned.version);
+        assert_eq!(wired.sealed_blocks, scanned.sealed_blocks);
+        assert_eq!(wired.sealed, scanned.sealed);
+        // Only where the bytes live differs: on disk vs memory-only.
+        assert_eq!(scanned.disk_generation, Some(3));
+        assert_eq!(wired.disk_generation, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -682,7 +682,7 @@ fn cmd_sync(args: &Args) -> Result<(), String> {
         let pulled = pdbt_serve::pull_artifact(peer.as_str(), ad.fingerprint, timeout)
             .map_err(|e| format!("pull {:016x}: {e}", ad.fingerprint))?;
         pdbt::fleet::validate(&pulled.bytes, ad.fingerprint)
-            .map_err(|e| format!("pull {:016x}: {e}", ad.fingerprint))?;
+            .map_err(|(reason, _)| format!("pull {:016x}: {reason}", ad.fingerprint))?;
         let name = pdbt::fleet::artifact_file_name(pulled.fingerprint, pulled.generation);
         let path = dir.join(&name);
         std::fs::write(&path, &pulled.bytes).map_err(|e| format!("{}: {e}", path.display()))?;

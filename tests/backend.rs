@@ -136,6 +136,37 @@ fn backends_agree_end_to_end_across_corpora_and_jobs() {
     }
 }
 
+/// Every suite workload is the same architectural run under both
+/// backends: guest output, retired guest instructions and executed
+/// host instructions agree, and only the threaded backend compiles.
+#[test]
+fn backends_agree_on_every_suite_workload() {
+    for w in suite(Scale::tiny()) {
+        let run = |backend| {
+            let cfg = EngineConfig {
+                backend,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::new(None, cfg);
+            engine.run(&w.pair.guest.program, &w.setup()).expect("run")
+        };
+        let (model, threaded) = (run(BackendKind::Model), run(BackendKind::Threaded));
+        let name = w.bench.name();
+        assert_eq!(model.output, threaded.output, "{name}: output diverged");
+        assert_eq!(
+            model.metrics.guest_retired, threaded.metrics.guest_retired,
+            "{name}: guest_retired diverged"
+        );
+        assert_eq!(
+            model.metrics.host_executed(),
+            threaded.metrics.host_executed(),
+            "{name}: host_executed diverged"
+        );
+        assert_eq!(model.obs.dispatch.compiled_blocks, 0, "{name}");
+        assert!(threaded.obs.dispatch.compiled_blocks > 0, "{name}");
+    }
+}
+
 /// Compiled-block accounting is deterministic: `compiled_blocks` equals
 /// distinct blocks executed, independent of the prewarm worker count.
 #[test]

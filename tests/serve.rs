@@ -110,9 +110,22 @@ fn eight_concurrent_sessions_are_bit_identical_to_sequential_runs() {
     // counted, not silently discarded.
     assert_eq!(field("reply_errors"), 0);
 
+    // A later session on the now-warm partition translates nothing at
+    // all (insert races can only happen among the first arrivals).
+    let calls_before = field("translate_calls");
+    assert!(calls_before >= blocks, "cold sessions translated nothing");
+    let warm = submit(addr, &mcf_request(8), T).expect("warm submit");
+    assert_eq!(stripped(report_of(&warm)), stripped(&oracle_json));
+    let pong = ping(addr, T).expect("ping");
+    let calls_after = pong
+        .get("server")
+        .and_then(|s| s.get("translate_calls"))
+        .and_then(Json::as_u64);
+    assert_eq!(calls_after, Some(calls_before), "a warm session translated");
+
     shutdown(addr, T).expect("shutdown");
     let summary = handle.join().unwrap();
-    assert_eq!(summary.requests, 8);
+    assert_eq!(summary.requests, 9);
     assert_eq!(summary.panicked, 0);
 }
 
