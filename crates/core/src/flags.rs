@@ -8,25 +8,10 @@
 //! needed; otherwise the flags are materialized into the guest
 //! environment.
 
+pub use pdbt_isa::cond_flag_uses;
 use pdbt_isa::{Cond, Flag, FlagSet};
 use pdbt_isa_x86::{CarrySense, Cc};
 use pdbt_symexec::FlagEquiv;
-
-/// The flags a guest condition code reads.
-#[must_use]
-pub fn cond_flag_uses(cond: Cond) -> FlagSet {
-    use Flag::*;
-    match cond {
-        Cond::Eq | Cond::Ne => FlagSet::single(Z),
-        Cond::Cs | Cond::Cc => FlagSet::single(C),
-        Cond::Mi | Cond::Pl => FlagSet::single(N),
-        Cond::Vs | Cond::Vc => FlagSet::single(V),
-        Cond::Hi | Cond::Ls => FlagSet::single(C) | FlagSet::single(Z),
-        Cond::Ge | Cond::Lt => FlagSet::single(N) | FlagSet::single(V),
-        Cond::Gt | Cond::Le => FlagSet::single(N) | FlagSet::single(V) | FlagSet::single(Z),
-        Cond::Al => FlagSet::EMPTY,
-    }
-}
 
 /// Default look-ahead window: "we only check three instructions
 /// following a condition flag-setting instruction" (§IV-D).
@@ -108,15 +93,6 @@ mod tests {
             (Flag::C, FlagEquiv::Inverted),
             (Flag::V, FlagEquiv::Exact),
         ]
-    }
-
-    #[test]
-    fn cond_flag_uses_cover_all_conditions() {
-        assert_eq!(cond_flag_uses(Cond::Eq), FlagSet::single(Flag::Z));
-        assert!(cond_flag_uses(Cond::Lt).contains(Flag::N));
-        assert!(cond_flag_uses(Cond::Lt).contains(Flag::V));
-        assert!(cond_flag_uses(Cond::Hi).contains(Flag::C));
-        assert!(cond_flag_uses(Cond::Al).is_empty());
     }
 
     #[test]

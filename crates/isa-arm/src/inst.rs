@@ -4,7 +4,7 @@
 
 use crate::operand::{MemAddr, Operand};
 use crate::reg::{Reg, RegList};
-use pdbt_isa::{Cond, DataType, EncodingFormat, ExecError, FlagSet, OpCategory, Width};
+use pdbt_isa::{Addr, Cond, DataType, EncodingFormat, ExecError, FlagSet, OpCategory, Width};
 use std::fmt;
 
 /// A guest opcode.
@@ -638,6 +638,16 @@ impl Inst {
         matches!(self.op, Op::B | Op::Bl | Op::Bx)
             || (self.op == Op::Svc && self.operands[0].as_imm() == Some(0))
             || self.defs().contains(&Reg::Pc)
+    }
+
+    /// The target of a direct branch (`b`/`bl`) at `addr`; `None` for
+    /// every other instruction.
+    #[must_use]
+    pub fn direct_target(&self, addr: Addr) -> Option<Addr> {
+        match (self.op, self.operands.first()) {
+            (Op::B | Op::Bl, Some(Operand::Target(d))) => Some(addr.wrapping_add(*d as u32)),
+            _ => None,
+        }
     }
 
     /// Whether this instruction ends a basic block for translation

@@ -52,6 +52,6 @@ pub use inst::{Inst, Op, OperandTransform, Shape};
 pub use interp::step;
 pub use operand::{MemAddr, Operand, ShiftKind};
 pub use parse::{parse_listing, ParseError};
-pub use program::{run, Program, RunStats, INST_SIZE};
+pub use program::{run, FlagLiveness, Program, RunStats, INST_SIZE};
 pub use reg::{FReg, Reg, RegList};
 pub use state::Cpu;

@@ -1,9 +1,19 @@
-//! Guest program container and the reference execution loop.
+//! Guest program container, the reference execution loop, and the
+//! program's flag liveness.
+//!
+//! A [`Program`] is immutable once built, so whole-program facts that
+//! depend on nothing but its instructions are solved here, once, and
+//! kept with it: [`Program::flag_liveness`] is the cross-block half of
+//! the paper's §IV-D condition-flag delegation. Every block and trace
+//! translation, session, prewarm worker and clone of one program reads
+//! the same memo; the translator owns only the per-block backward scan
+//! that starts from it.
 
-use crate::inst::Inst;
+use crate::inst::{Inst, Op};
 use crate::interp;
 use crate::state::Cpu;
-use pdbt_isa::{Addr, Control, ExecError};
+use pdbt_isa::{cond_flag_uses, Addr, Cond, Control, ExecError, FlagSet};
+use std::sync::{Arc, OnceLock};
 
 /// Size of one encoded guest instruction in bytes.
 pub const INST_SIZE: u32 = 4;
@@ -13,13 +23,49 @@ pub const INST_SIZE: u32 = 4;
 pub struct Program {
     base: Addr,
     insts: Vec<Inst>,
+    /// Solved at the first [`Program::flag_liveness`] call. Behind an
+    /// `Arc` so that clones — which are the same immutable program —
+    /// share one solution whichever of them asks first.
+    flag_liveness: Arc<OnceLock<FlagLiveness>>,
 }
+
+/// Whole-program flag liveness: which flags may be read, along some
+/// path, before being redefined.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlagLiveness {
+    live_in: Box<[FlagSet]>,
+    ret_live: FlagSet,
+}
+
+impl FlagLiveness {
+    /// Flags live into each instruction, by instruction index.
+    #[must_use]
+    pub fn live_in(&self) -> &[FlagSet] {
+        &self.live_in
+    }
+
+    /// Flags live out of an indirect control transfer: the join over
+    /// every call continuation (see [`Program::flag_liveness`]).
+    #[must_use]
+    pub fn ret_live(&self) -> FlagSet {
+        self.ret_live
+    }
+}
+
+/// Fixpoint solves started, over all threads. Every test that solves
+/// holds `tests::SOLVES_LOCK`.
+#[cfg(test)]
+static SOLVES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 impl Program {
     /// Creates a program at `base` from an instruction sequence.
     #[must_use]
     pub fn new(base: Addr, insts: Vec<Inst>) -> Program {
-        Program { base, insts }
+        Program {
+            base,
+            insts,
+            flag_liveness: Arc::default(),
+        }
     }
 
     /// The base (entry) address.
@@ -70,6 +116,98 @@ impl Program {
         }
         let idx = ((pc - self.base) / INST_SIZE) as usize;
         self.insts.get(idx).ok_or(ExecError::BadPc { pc })
+    }
+
+    /// The index of the instruction at `addr`, if `addr` is an aligned
+    /// address inside the text section.
+    fn index_of(&self, addr: Addr) -> Option<usize> {
+        let off = addr.checked_sub(self.base)?;
+        let i = (off / INST_SIZE) as usize;
+        (off.is_multiple_of(INST_SIZE) && i < self.insts.len()).then_some(i)
+    }
+
+    /// Whole-program flag live-in analysis, solved once per program
+    /// (clones included) at the first call and read from the memo
+    /// afterwards; concurrent first calls block on the one solve.
+    ///
+    /// A backward fixpoint over the static CFG. Indirect control
+    /// transfers (`bx`, `pop {…, pc}`, `mov pc, …`) are overwhelmingly
+    /// returns; their flag live-out is the join over every call
+    /// continuation (the instruction after each `bl`). Truly unknown
+    /// targets (computed jumps) would need NZCV, but the guest compiler
+    /// only produces indirect control flow for returns. Direct branches
+    /// out of the text section conservatively treat all flags as live.
+    /// The block translator uses this to decide which flag definitions
+    /// must be materialized into the environment for *successor* blocks
+    /// — the cross-block counterpart of the paper's "emulated by their
+    /// corresponding memory locations to guarantee the correctness"
+    /// fallback (§IV-D).
+    #[must_use]
+    pub fn flag_liveness(&self) -> &FlagLiveness {
+        self.flag_liveness
+            .get_or_init(|| self.solve_flag_liveness())
+    }
+
+    /// The flags live into the instruction at `addr` — the conservative
+    /// NZCV for addresses outside the program (unknown continuations).
+    #[must_use]
+    pub fn flag_live_in_at(&self, addr: Addr) -> FlagSet {
+        self.index_of(addr)
+            .map_or(FlagSet::NZCV, |i| self.flag_liveness().live_in[i])
+    }
+
+    fn solve_flag_liveness(&self) -> FlagLiveness {
+        #[cfg(test)]
+        SOLVES.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let insts = &self.insts;
+        let n = insts.len();
+        let mut live_in = vec![FlagSet::EMPTY; n];
+        let at = |j: Option<usize>, live_in: &[FlagSet]| j.map_or(FlagSet::NZCV, |j| live_in[j]);
+        loop {
+            let mut changed = false;
+            let mut ret_live = FlagSet::EMPTY;
+            for (i, inst) in insts.iter().enumerate() {
+                if inst.op == Op::Bl && i + 1 < n {
+                    ret_live |= live_in[i + 1];
+                }
+            }
+            for i in (0..n).rev() {
+                let inst = &insts[i];
+                let fall = (i + 1 < n).then_some(i + 1);
+                let target = || {
+                    inst.direct_target(self.addr_of(i))
+                        .and_then(|t| self.index_of(t))
+                };
+                let (uses, succ) = match inst.op {
+                    Op::B if inst.cond == Cond::Al => (FlagSet::EMPTY, at(target(), &live_in)),
+                    Op::B => (
+                        cond_flag_uses(inst.cond),
+                        at(target(), &live_in) | at(fall, &live_in),
+                    ),
+                    // The callee's entry, plus (conservatively) the
+                    // return continuation.
+                    Op::Bl => (FlagSet::EMPTY, at(target(), &live_in) | at(fall, &live_in)),
+                    Op::Svc if inst.operands[0].as_imm() == Some(0) => {
+                        (FlagSet::EMPTY, FlagSet::EMPTY)
+                    }
+                    _ if inst.is_branch() => (inst.flag_uses(), ret_live),
+                    _ => (inst.flag_uses(), at(fall, &live_in)),
+                };
+                let new = uses | (succ - inst.flag_defs());
+                if new != live_in[i] {
+                    live_in[i] = new;
+                    changed = true;
+                }
+            }
+            if !changed {
+                // Nothing moved in this sweep, so `ret_live`, joined
+                // before it, is the join over the final sets.
+                return FlagLiveness {
+                    live_in: live_in.into_boxed_slice(),
+                    ret_live,
+                };
+            }
+        }
     }
 
     /// Iterates over `(address, instruction)` pairs.
@@ -255,6 +393,103 @@ mod tests {
             Program::new(0x1000, tweaked).fingerprint(),
             "one immediate flip must change the fingerprint"
         );
+    }
+
+    /// Serializes the tests that solve, so [`SOLVES`] deltas are exact.
+    static SOLVES_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn solves() -> usize {
+        SOLVES.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// main: cmp; bl f; beq +4 (reads Z after the call); svc 0 twice /
+    /// f: adds (defines NZCV); bx lr.
+    fn call_program() -> Program {
+        Program::new(
+            0x1000,
+            vec![
+                cmp(Reg::R0, Operand::Imm(1)),                   // 0x1000
+                bl(12),                                          // 0x1004 → f at 0x1010
+                b(Cond::Eq, 4),                                  // 0x1008 → 0x100c
+                svc(0),                                          // 0x100c
+                add(Reg::R1, Reg::R1, Operand::Imm(1)).with_s(), // 0x1010
+                adc(Reg::R2, Reg::R2, Operand::Imm(0)),          // 0x1014 reads C
+                bx(Reg::Lr),                                     // 0x1018
+                b(Cond::Al, 0x4000),                             // 0x101c → outside
+            ],
+        )
+    }
+
+    #[test]
+    fn flag_liveness_follows_calls_returns_and_unknown_targets() {
+        use pdbt_isa::Flag;
+        let _serial = SOLVES_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let p = call_program();
+        let z = FlagSet::single(Flag::Z);
+        let live = p.flag_liveness();
+        // The return join is what the one call continuation reads.
+        assert_eq!(live.ret_live(), z);
+        assert_eq!(
+            live.live_in(),
+            &[
+                FlagSet::EMPTY,               // cmp defines everything it passes on
+                z,                            // bl: callee entry | continuation
+                z,                            // beq
+                FlagSet::EMPTY,               // svc #0 halts
+                FlagSet::EMPTY,               // adds redefines NZCV
+                z | FlagSet::single(Flag::C), // adc reads C, bx passes Z on
+                z,                            // bx lr: the return join
+                FlagSet::NZCV,                // target outside the text section
+            ]
+        );
+        assert_eq!(p.flag_live_in_at(0x1014), z | FlagSet::single(Flag::C));
+        // Unknown continuations: below, past, and between instructions.
+        for addr in [0xffc, 0x1020, 0x1006] {
+            assert_eq!(p.flag_live_in_at(addr), FlagSet::NZCV, "{addr:#x}");
+        }
+    }
+
+    #[test]
+    fn flag_liveness_is_solved_once_per_program_and_shared_by_clones() {
+        let _serial = SOLVES_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let p = call_program();
+        let early_clone = p.clone();
+        let before = solves();
+        let first = p.flag_liveness();
+        for i in 0..p.len() {
+            assert!(std::ptr::eq(first, p.flag_liveness()));
+            let _ = p.flag_live_in_at(p.addr_of(i));
+        }
+        let late_clone = p.clone();
+        assert!(std::ptr::eq(first, early_clone.flag_liveness()));
+        assert!(std::ptr::eq(first, late_clone.flag_liveness()));
+        assert_eq!(solves() - before, 1);
+        // A separately built program is a separate value: its own solve,
+        // same answer.
+        let rebuilt = Program::new(p.base(), p.insts().to_vec());
+        assert_eq!(rebuilt.flag_liveness(), first);
+        assert!(!std::ptr::eq(first, rebuilt.flag_liveness()));
+        assert_eq!(solves() - before, 2);
+    }
+
+    #[test]
+    fn racing_first_reads_observe_one_solve() {
+        let _serial = SOLVES_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let p = call_program();
+        let clone = p.clone();
+        let before = solves();
+        let start = std::sync::Barrier::new(2);
+        let read = |prog: &Program| {
+            start.wait();
+            prog.flag_liveness().live_in().as_ptr() as usize
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| read(&p));
+            let b = s.spawn(|| read(&clone));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b, "both threads read the same slice");
+        assert_eq!(solves() - before, 1);
     }
 
     #[test]

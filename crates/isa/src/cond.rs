@@ -5,7 +5,7 @@
 //! …) and the host (`je`, `jne`, …). `Display` is ARM-flavoured; the host
 //! crate maps codes to x86 mnemonic suffixes itself.
 
-use crate::flags::Flags;
+use crate::flags::{Flag, FlagSet, Flags};
 use std::fmt;
 
 /// A condition code over the N/Z/C/V flags.
@@ -120,6 +120,22 @@ impl Cond {
     }
 }
 
+/// The flags a condition code reads.
+#[must_use]
+pub fn cond_flag_uses(cond: Cond) -> FlagSet {
+    use Flag::*;
+    match cond {
+        Cond::Eq | Cond::Ne => FlagSet::single(Z),
+        Cond::Cs | Cond::Cc => FlagSet::single(C),
+        Cond::Mi | Cond::Pl => FlagSet::single(N),
+        Cond::Vs | Cond::Vc => FlagSet::single(V),
+        Cond::Hi | Cond::Ls => FlagSet::single(C) | FlagSet::single(Z),
+        Cond::Ge | Cond::Lt => FlagSet::single(N) | FlagSet::single(V),
+        Cond::Gt | Cond::Le => FlagSet::single(N) | FlagSet::single(V) | FlagSet::single(Z),
+        Cond::Al => FlagSet::EMPTY,
+    }
+}
+
 impl fmt::Display for Cond {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -181,6 +197,22 @@ mod tests {
                     let f = flags(bits & 1 != 0, bits & 2 != 0, bits & 4 != 0, bits & 8 != 0);
                     assert_eq!(c.eval(f), !c.invert().eval(f), "{c:?} on {f}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cond_flag_uses_are_exactly_the_flags_eval_reads() {
+        for c in Cond::ALL {
+            for (i, flag) in Flag::ALL.into_iter().enumerate() {
+                // A flag is read iff flipping it changes some outcome.
+                let read = (0..16u8).any(|bits| {
+                    let of = |b: u8| flags(b & 1 != 0, b & 2 != 0, b & 4 != 0, b & 8 != 0);
+                    let mut flipped = of(bits);
+                    flipped.set(flag, !flipped.get(flag));
+                    c.eval(of(bits)) != c.eval(flipped)
+                });
+                assert_eq!(cond_flag_uses(c).contains(flag), read, "{c:?} flag {i}");
             }
         }
     }

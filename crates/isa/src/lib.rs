@@ -13,7 +13,7 @@ mod flags;
 pub mod mem;
 mod operand;
 
-pub use cond::Cond;
+pub use cond::{cond_flag_uses, Cond};
 pub use error::ExecError;
 pub use flags::{Flag, FlagSet, Flags};
 pub use mem::Memory;

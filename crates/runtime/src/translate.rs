@@ -7,6 +7,12 @@
 //! interior direct branches become side exits). Rule lookup, §IV-D flag
 //! delegation, flag liveness and register-residency sync exist once.
 //!
+//! Flag liveness has two owners. Which flags are live *into* each guest
+//! instruction is a fact of the immutable program, solved once per
+//! program by [`Program::flag_liveness`] and read here; a translation
+//! pays only for the backward scan over its own members that starts
+//! from the live-ins of its exits.
+//!
 //! Each guest basic block becomes one host block:
 //!
 //! * **prologue** — load the block's cached guest registers from the
@@ -29,7 +35,7 @@ use pdbt_core::{emit, key as rkey, template as rtemplate, HostLoc, RuleSet};
 use pdbt_ir::{env, lift, lower_branch_cond, lower_ops, RegMap, Terminator};
 use pdbt_isa::Flag;
 use pdbt_isa::{Addr, Cond, FlagSet};
-use pdbt_isa_arm::{Inst as GInst, Operand, Program, Reg as GReg, INST_SIZE};
+use pdbt_isa_arm::{Inst as GInst, Program, Reg as GReg, INST_SIZE};
 use pdbt_isa_x86::builders as hb;
 use pdbt_isa_x86::{Inst as HInst, Operand as HOperand, Reg as HReg};
 use pdbt_symexec::FlagEquiv;
@@ -302,86 +308,8 @@ fn tcg_legalize(code: Vec<HInst>) -> Vec<HInst> {
 
 /// The target of the direct branch (`b`/`bl`) `inst` at `addr`.
 fn branch_target(addr: Addr, inst: &GInst) -> Addr {
-    let Operand::Target(d) = inst.operands[0] else {
-        unreachable!("direct branches carry a target operand")
-    };
-    addr.wrapping_add(d as u32)
-}
-
-/// Whole-program flag live-in analysis: for every instruction index,
-/// which flags may be read (along some path) before being redefined.
-/// Backward fixpoint over the static CFG; indirect control transfers
-/// (`bx`, `pop {…, pc}`, `mov pc, …`) conservatively treat all flags as
-/// live. The block translator uses this to decide which flag
-/// definitions must be materialized into the environment for
-/// *successor* blocks — the cross-block counterpart of the paper's
-/// "emulated by their corresponding memory locations to guarantee the
-/// correctness" fallback (§IV-D).
-pub(crate) fn flag_liveins(prog: &Program) -> Vec<FlagSet> {
-    let insts = prog.insts();
-    let n = insts.len();
-    let idx_of = |addr: Addr| -> Option<usize> {
-        if addr < prog.base() || !(addr - prog.base()).is_multiple_of(INST_SIZE) {
-            return None;
-        }
-        let i = ((addr - prog.base()) / INST_SIZE) as usize;
-        (i < n).then_some(i)
-    };
-    let mut live_in = vec![FlagSet::EMPTY; n];
-    loop {
-        let mut changed = false;
-        // Indirect control transfers are overwhelmingly returns; their
-        // flag live-out is the join over every call continuation (the
-        // instruction after each `bl`). Truly unknown targets (computed
-        // jumps) would need NZCV, but the guest compiler only produces
-        // indirect control flow for returns.
-        let mut ret_live = FlagSet::EMPTY;
-        for (i, inst) in insts.iter().enumerate() {
-            if inst.op == pdbt_isa_arm::Op::Bl && i + 1 < n {
-                ret_live |= live_in[i + 1];
-            }
-        }
-        for i in (0..n).rev() {
-            let inst = &insts[i];
-            let addr = prog.addr_of(i);
-            let at = |j: Option<usize>, live_in: &[FlagSet]| {
-                j.map(|j| live_in[j]).unwrap_or(FlagSet::NZCV)
-            };
-            let fall = (i + 1 < n).then_some(i + 1);
-            let (uses, succ) = match inst.op {
-                pdbt_isa_arm::Op::B => {
-                    let t = idx_of(branch_target(addr, inst));
-                    if inst.cond == Cond::Al {
-                        (FlagSet::EMPTY, at(t, &live_in))
-                    } else {
-                        (
-                            cond_flag_uses(inst.cond),
-                            at(t, &live_in) | at(fall, &live_in),
-                        )
-                    }
-                }
-                pdbt_isa_arm::Op::Bl => {
-                    let t = idx_of(branch_target(addr, inst));
-                    // The callee's entry, plus (conservatively) the
-                    // return continuation.
-                    (FlagSet::EMPTY, at(t, &live_in) | at(fall, &live_in))
-                }
-                pdbt_isa_arm::Op::Svc if inst.operands[0].as_imm() == Some(0) => {
-                    (FlagSet::EMPTY, FlagSet::EMPTY)
-                }
-                _ if inst.is_branch() => (inst.flag_uses(), ret_live),
-                _ => (inst.flag_uses(), at(fall, &live_in)),
-            };
-            let new = uses | (succ - inst.flag_defs());
-            if new != live_in[i] {
-                live_in[i] = new;
-                changed = true;
-            }
-        }
-        if !changed {
-            return live_in;
-        }
-    }
+    inst.direct_target(addr)
+        .expect("direct branches carry a target operand")
 }
 
 /// Collects the guest basic block starting at `start`.
@@ -573,25 +501,11 @@ fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> Vec<GReg> 
     order
 }
 
-/// The flag live-in set at a guest address — the conservative NZCV join
-/// for addresses outside the program (unknown continuations).
-fn livein_at(prog: &Program, liveins: &[FlagSet], addr: Addr) -> FlagSet {
-    if addr < prog.base() || !(addr - prog.base()).is_multiple_of(INST_SIZE) {
-        return FlagSet::NZCV;
-    }
-    let i = ((addr - prog.base()) / INST_SIZE) as usize;
-    liveins.get(i).copied().unwrap_or(FlagSet::NZCV)
-}
-
 /// Flags live out of a block ending in `last_inst` at `last_addr`: the
-/// join over the successors' live-ins (cross-block flag liveness).
-fn block_exit_live(
-    prog: &Program,
-    liveins: &[FlagSet],
-    last_addr: Addr,
-    last_inst: &GInst,
-) -> FlagSet {
-    let at = |addr: Addr| livein_at(prog, liveins, addr);
+/// join over the successors' live-ins (cross-block flag liveness), read
+/// from the program's memo.
+fn block_exit_live(prog: &Program, last_addr: Addr, last_inst: &GInst) -> FlagSet {
+    let at = |addr: Addr| prog.flag_live_in_at(addr);
     match last_inst.op {
         pdbt_isa_arm::Op::B => {
             let taken = at(branch_target(last_addr, last_inst));
@@ -603,16 +517,8 @@ fn block_exit_live(
         }
         pdbt_isa_arm::Op::Bl => at(branch_target(last_addr, last_inst)) | at(last_addr + INST_SIZE),
         pdbt_isa_arm::Op::Svc if last_inst.operands[0].as_imm() == Some(0) => FlagSet::EMPTY,
-        _ if last_inst.is_branch() => {
-            // Indirect transfer (return): join over call continuations.
-            let mut ret_live = FlagSet::EMPTY;
-            for (i, inst) in prog.insts().iter().enumerate() {
-                if inst.op == pdbt_isa_arm::Op::Bl && i + 1 < liveins.len() {
-                    ret_live |= liveins[i + 1];
-                }
-            }
-            ret_live
-        }
+        // Indirect transfer (return): join over call continuations.
+        _ if last_inst.is_branch() => prog.flag_liveness().ret_live(),
         // Max-length block: falls through to the next instruction.
         _ => at(last_addr + INST_SIZE),
     }
@@ -1254,9 +1160,8 @@ fn translate_members(
     // liveness): interior conditional branches join their off-trace
     // side's live-ins, so a producer's flags stay live exactly as long
     // as any on- or off-trace consumer can still read them.
-    let liveins = flag_liveins(prog);
     let (final_last_addr, final_last_inst) = *mems[k - 1].last().expect("non-empty block");
-    let exit_live = block_exit_live(prog, &liveins, final_last_addr, final_last_inst);
+    let exit_live = block_exit_live(prog, final_last_addr, final_last_inst);
     let mut live_after = vec![FlagSet::EMPTY; total_n];
     {
         let mut live = exit_live;
@@ -1270,9 +1175,9 @@ fn translate_members(
                 // Interior terminal: join what the off-trace side reads
                 // (a call's return continuation is off-trace).
                 if let Some(exit) = side[m] {
-                    live |= livein_at(prog, &liveins, exit.off);
+                    live |= prog.flag_live_in_at(exit.off);
                 } else if inst.op == pdbt_isa_arm::Op::Bl {
-                    live |= livein_at(prog, &liveins, addr + INST_SIZE);
+                    live |= prog.flag_live_in_at(addr + INST_SIZE);
                 }
             }
             live_after[t] = live;
@@ -1360,8 +1265,7 @@ fn translate_members(
         let t = ranges[m].1 - 1;
         let (taddr, tinst) = global[t];
         if let Some(bs) = branches.iter().find(|b| b.t == t) {
-            let off_live =
-                side[m].map_or(FlagSet::EMPTY, |exit| livein_at(prog, &liveins, exit.off));
+            let off_live = side[m].map_or(FlagSet::EMPTY, |exit| prog.flag_live_in_at(exit.off));
             let decided =
                 decide_delegation(&mut st, &mut deleg_off, bs, live_after[t], off_live, cfg);
             // Flag handling for the window-depth histogram: a
@@ -1924,6 +1828,44 @@ mod tests {
         for members in [&[][..], &[0x2008][..]] {
             let err = translate_trace(&test_program(), members, None, &cfg).unwrap_err();
             assert!(err.detail.contains("at least two members"), "{err}");
+        }
+    }
+
+    /// The solver is private to `pdbt-isa-arm` and its memo cell cannot
+    /// be re-initialised (the `cfg(test)` solve counter lives there,
+    /// with the solver), so what is checked here is the translator's
+    /// side: every block and trace translation of one program value,
+    /// on any thread and through a clone, reads the one memo, and the
+    /// result equals a translation that paid for its own solve.
+    #[test]
+    fn every_translation_of_a_program_shares_one_liveness_solve() {
+        let learned = learn_rules();
+        let (full, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
+        let cfg = TranslateConfig::default();
+        let prog = test_program();
+        let clone = prog.clone();
+        let starts: Vec<Addr> = (0..prog.len()).map(|i| prog.addr_of(i)).collect();
+        let translate_all = |p: &pdbt_isa_arm::Program| -> Vec<TranslatedBlock> {
+            let mut out: Vec<TranslatedBlock> = starts
+                .iter()
+                .map(|s| translate_block(p, *s, Some(&full), &cfg).unwrap())
+                .collect();
+            out.push(translate_trace(p, &[0x2008, 0x2008], Some(&full), &cfg).unwrap());
+            out
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| translate_all(&prog));
+            let b = s.spawn(|| translate_all(&clone));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(std::ptr::eq(prog.flag_liveness(), clone.flag_liveness()));
+        assert_eq!(a, b);
+        for (i, start) in starts.iter().enumerate() {
+            let fresh = test_program();
+            assert_eq!(
+                translate_block(&fresh, *start, Some(&full), &cfg).unwrap(),
+                a[i]
+            );
         }
     }
 

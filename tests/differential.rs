@@ -309,3 +309,88 @@ fn random_loops_agree_across_translators() {
         assert_eq!(&para, &golden, "parameterized path diverged");
     }
 }
+
+/// A from-scratch solve of the flag-liveness equations, written as a
+/// plain Jacobi iteration over explicit successor lists — the oracle
+/// for [`Program::flag_liveness`]'s memo. Returns the live-in sets and
+/// the return join.
+fn fresh_flag_liveins(prog: &Program) -> (Vec<pdbt_isa::FlagSet>, pdbt_isa::FlagSet) {
+    use pdbt::arm::Op;
+    use pdbt_isa::{cond_flag_uses, Cond, FlagSet};
+    let insts = prog.insts();
+    let n = insts.len();
+    let index_of = |addr: u32| -> Option<usize> {
+        let off = addr.checked_sub(prog.base())?;
+        (off % 4 == 0 && ((off / 4) as usize) < n).then_some((off / 4) as usize)
+    };
+    let mut live = vec![FlagSet::EMPTY; n];
+    let mut ret = FlagSet::EMPTY;
+    loop {
+        let at = |j: Option<usize>| j.map_or(FlagSet::NZCV, |j| live[j]);
+        let next_ret = (0..n.saturating_sub(1))
+            .filter(|i| insts[*i].op == Op::Bl)
+            .fold(FlagSet::EMPTY, |acc, i| acc | live[i + 1]);
+        let next: Vec<FlagSet> = (0..n)
+            .map(|i| {
+                let inst = &insts[i];
+                let fall = at((i + 1 < n).then_some(i + 1));
+                let target = || at(index_of(inst.direct_target(prog.addr_of(i)).unwrap()));
+                let halts = inst.op == Op::Svc && inst.operands[0].as_imm() == Some(0);
+                let (uses, out) = match inst.op {
+                    Op::B if inst.cond == Cond::Al => (FlagSet::EMPTY, target()),
+                    Op::B => (cond_flag_uses(inst.cond), target() | fall),
+                    Op::Bl => (FlagSet::EMPTY, target() | fall),
+                    _ if halts => (FlagSet::EMPTY, FlagSet::EMPTY),
+                    _ if inst.is_branch() => (inst.flag_uses(), ret),
+                    _ => (inst.flag_uses(), fall),
+                };
+                uses | (out - inst.flag_defs())
+            })
+            .collect();
+        if next == live && next_ret == ret {
+            return (live, ret);
+        }
+        live = next;
+        ret = next_ret;
+    }
+}
+
+#[test]
+fn flag_liveness_memo_matches_a_fresh_solve() {
+    let check = |prog: &Program, setup: &RunSetup, what: &str| {
+        // Run first, so the memo compared is the one translation read.
+        let clone = prog.clone();
+        Engine::new(Some(rules().clone()), EngineConfig::default())
+            .run(prog, setup)
+            .expect("engine run");
+        let (live_in, ret_live) = fresh_flag_liveins(prog);
+        let memo = prog.flag_liveness();
+        assert_eq!(memo.live_in(), &live_in[..], "{what}: live-in sets");
+        assert_eq!(memo.ret_live(), ret_live, "{what}: return join");
+        assert!(
+            std::ptr::eq(memo, clone.flag_liveness()),
+            "{what}: a clone taken before the first read shares the memo"
+        );
+    };
+    for (scale, name) in [(Scale::tiny(), "tiny"), (Scale::full(), "full")] {
+        for w in pdbt::workloads::suite(scale) {
+            let what = format!("{}/{name}", w.bench.name());
+            check(&w.pair.guest.program, &w.setup(), &what);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0xD1FF04);
+    for case in 0..cases() {
+        let body: Vec<Inst> = (0..rng.gen_range(1..24))
+            .map(|_| body_inst(&mut rng))
+            .collect();
+        let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
+        let prog = if rng.gen_bool(0.5) {
+            let branch = (rng.gen_range(0usize..20), rng.gen_range(0..=u8::MAX));
+            program(body, seeds, Some(branch))
+        } else {
+            loop_program(body, seeds, rng.gen_range(1u32..20))
+        };
+        let setup = RunSetup::basic(DATA_BASE, 0x1000, 0x8_0000, 0x1000);
+        check(&prog, &setup, &format!("random case {case}"));
+    }
+}
