@@ -8,7 +8,7 @@
 //! Without the `enabled` feature the guard is a zero-sized type, the
 //! clock reads return 0, and the whole module folds away — the
 //! instrumentation sites in `learn`, `parameterize`, `verify`,
-//! `translate_block` and `exec_block` cost nothing.
+//! `translate_block` and `exec_segment` cost nothing.
 
 /// A completed span.
 #[derive(Clone, Debug, PartialEq)]
@@ -280,7 +280,7 @@ mod tests {
                 scope: 0,
             },
             Event {
-                name: "exec_block",
+                name: "exec_segment",
                 start_ns: 4_000,
                 dur_ns: 10,
                 detail: None,

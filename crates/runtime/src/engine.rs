@@ -1366,15 +1366,17 @@ impl Engine {
             // Chain segment: execute the resolved block, then follow
             // chain links inline for as long as they resolve. The
             // per-block scalar folds batch into locals and land in the
-            // metrics once per segment.
+            // metrics once per segment, and the segment is the unit of
+            // tracing: one span per dispatcher entry, no clock read
+            // between chain links (unchained, a segment is one block).
             let mut seg_guest = 0u64;
             let mut seg_rule = 0u64;
             let mut seg_host = 0u64;
             let mut seg_blocks = 0u64;
+            let seg_span = pdbt_obs::span("exec_segment");
             let seg_outcome = loop {
                 let block = &cur.block;
                 let exec = {
-                    let _exec_span = pdbt_obs::span("exec_block");
                     let budget = host_block_budget(
                         setup.max_guest,
                         self.metrics.guest_retired + seg_guest,
@@ -1475,6 +1477,7 @@ impl Engine {
                     None => break None,
                 }
             };
+            drop(seg_span);
             self.metrics.guest_retired += seg_guest;
             self.metrics.rule_covered += seg_rule;
             self.metrics.host_retired += seg_host;

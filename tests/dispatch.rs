@@ -227,3 +227,51 @@ fn chained_dispatch_is_deterministic_across_jobs() {
         );
     }
 }
+
+/// The tracing budget of the dispatcher: one `exec_segment` span per
+/// dispatcher entry — not per block — so a chained run's ring keeps its
+/// `translate_block` spans; unchained, a segment is one block.
+#[cfg(feature = "obs")]
+#[test]
+fn exec_spans_are_per_chain_segment_and_leave_room_for_translate_spans() {
+    let rules = tiny_rules();
+    let drain = || {
+        let (events, dropped) = pdbt::obs::drain_events();
+        let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
+        (count("exec_segment"), count("translate_block"), dropped)
+    };
+    for w in &suite(Scale::tiny()) {
+        drain();
+        let chained = run_with(w, Some(&rules), chained_cfg());
+        let (exec, translate, dropped) = drain();
+        let d = &chained.obs.dispatch;
+        assert!(exec > 0, "{}: no exec spans", w.bench);
+        assert!(
+            exec <= d.jump_cache_hits + d.jump_cache_misses,
+            "{}: {exec} exec spans for {} dispatcher entries",
+            w.bench,
+            d.jump_cache_hits + d.jump_cache_misses
+        );
+        assert!(
+            exec < chained.metrics.blocks_executed,
+            "{}: chaining never batched a segment",
+            w.bench
+        );
+        assert!(
+            translate >= chained.metrics.blocks_translated,
+            "{}: {translate} translate_block spans for {} blocks",
+            w.bench,
+            chained.metrics.blocks_translated
+        );
+        assert_eq!(dropped, 0, "{}: the ring wrapped", w.bench);
+
+        let unchained = run_with(w, Some(&rules), unchained_cfg());
+        let (exec, _, dropped) = drain();
+        assert_eq!(dropped, 0, "{}: the ring wrapped unchained", w.bench);
+        assert_eq!(
+            exec, unchained.metrics.blocks_executed,
+            "{}: unchained runs trace every block",
+            w.bench
+        );
+    }
+}
