@@ -40,4 +40,7 @@ pub use interp::{
 };
 pub use operand::{CarrySense, Cc, Mem, Operand};
 pub use reg::{Reg, Xmm};
-pub use threaded::{compile_block, exec_threaded_into, ThreadedCode};
+pub use threaded::{
+    compile_block, compile_block_tagged, exec_threaded, exec_threaded_into, OpTag, RetireTally,
+    ThreadedCode, MAX_ANCHOR, RETIRE_CLASSES,
+};

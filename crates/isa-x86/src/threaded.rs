@@ -5,9 +5,17 @@
 //! array of [`TOp`]s — per-op fn pointers specialized (via const
 //! generics) over the operand shapes the translator actually emits,
 //! with register indices, immediates, displacements and condition
-//! predicates pre-resolved. [`exec_threaded_into`] then runs the block
-//! as a tight loop over those fn pointers: no `Inst` re-decode, no
-//! operand `match`, no width dispatch on the hot path.
+//! predicates pre-resolved. [`exec_threaded`] then runs the block as a
+//! tight loop over those fn pointers: no `Inst` re-decode, no operand
+//! `match`, no width dispatch on the hot path.
+//!
+//! Retire accounting happens inside that loop. Each op carries an
+//! [`OpTag`] — a caller-defined cost class and an optional anchor
+//! number — and every retire bumps a [`RetireTally`] (per-class counts
+//! plus a mask of the anchors that ran), so a dispatcher learns what an
+//! execution cost without a per-op count buffer to clear before and
+//! fold after. [`exec_threaded_into`] is the same loop recording per-op
+//! counts instead, for differential tests against the model.
 //!
 //! The contract with the model interpreter (`crate::interp`) is
 //! **bit-identity**: same architectural effects, same retire counts,
@@ -70,7 +78,10 @@ const F_DIV: u8 = 3;
 /// are destination/source register (or xmm) indices, `mb`/`mi`/`disp`
 /// describe the (at most one) memory operand, `imm` holds an immediate
 /// or a relative jump displacement, `cc` is the pre-bound condition
-/// predicate, and `aux` indexes the side tables (`texts` / `slow`).
+/// predicate, and `aux` indexes the `texts` side table (an `h_slow`
+/// op indexes `slow` through `imm`, which it has no other use for and
+/// which cannot overflow). `tag` is the op's retire accounting. With
+/// the two tag bytes the struct is 32 bytes, no padding.
 #[derive(Clone, Copy)]
 pub struct TOp {
     exec: ExecFn,
@@ -82,6 +93,48 @@ pub struct TOp {
     disp: u32,
     cc: fn(Flags) -> bool,
     aux: u16,
+    tag: OpTag,
+}
+
+/// Number of cost classes a [`RetireTally`] distinguishes.
+pub const RETIRE_CLASSES: usize = 4;
+
+/// Highest anchor number an [`OpTag`] can carry (the mask is 64 bits
+/// and number 0 means "no anchor").
+pub const MAX_ANCHOR: u8 = 63;
+
+/// How one compiled op is accounted when it retires.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpTag {
+    /// Caller-defined cost class, below [`RETIRE_CLASSES`].
+    pub class: u8,
+    /// `0`, or an anchor number in `1..=MAX_ANCHOR`: retiring the op
+    /// sets that bit of [`RetireTally::anchors`].
+    pub anchor: u8,
+}
+
+/// What one execution retired, by [`OpTag`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetireTally {
+    /// Ops retired per cost class (loop iterations count each time).
+    pub by_class: [u64; RETIRE_CLASSES],
+    /// Bit `k` is set iff an op tagged with anchor number `k` retired.
+    pub anchors: u64,
+}
+
+impl RetireTally {
+    /// Records `n` retires of an op tagged `tag`.
+    #[inline(always)]
+    pub fn retire(&mut self, tag: OpTag, n: u64) {
+        self.by_class[usize::from(tag.class) % RETIRE_CLASSES] += n;
+        self.anchors |= u64::from(tag.anchor != 0 && n != 0) << (tag.anchor & MAX_ANCHOR);
+    }
+
+    /// Whether an op tagged with anchor number `anchor` retired.
+    #[must_use]
+    pub fn anchor_ran(&self, anchor: u8) -> bool {
+        anchor != 0 && anchor <= MAX_ANCHOR && self.anchors >> anchor & 1 == 1
+    }
 }
 
 /// Handler result: boxing the (cold) error keeps the hot return at 16
@@ -512,7 +565,7 @@ fn h_ucomiss<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
 /// Bit-identical by construction; only shapes the translator never
 /// emits land here.
 fn h_slow(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    interp::step(cpu, &c.slow[t.aux as usize]).map_err(Box::new)
+    interp::step(cpu, &c.slow[t.imm as usize]).map_err(Box::new)
 }
 
 // --- compiler ---------------------------------------------------------
@@ -841,14 +894,22 @@ fn fast_op(inst: &Inst, t: &mut TOp, texts: &mut Vec<Box<str>>) -> Option<ExecFn
     }
 }
 
-/// Compiles a block of host instructions into threaded code. Pure and
-/// deterministic: the result depends only on the instructions.
+/// Compiles a block of host instructions into threaded code, every op
+/// tagged with the default [`OpTag`]. Pure and deterministic: the
+/// result depends only on the instructions.
 #[must_use]
 pub fn compile_block(insts: &[Inst]) -> ThreadedCode {
+    compile_block_tagged(insts, &[])
+}
+
+/// [`compile_block`] with retire accounting: op `i` carries `tags[i]`
+/// (the default tag past the end of `tags`).
+#[must_use]
+pub fn compile_block_tagged(insts: &[Inst], tags: &[OpTag]) -> ThreadedCode {
     let mut ops = Vec::with_capacity(insts.len());
     let mut texts: Vec<Box<str>> = Vec::new();
     let mut slow: Vec<Inst> = Vec::new();
-    for inst in insts {
+    for (i, inst) in insts.iter().enumerate() {
         let mut t = TOp {
             exec: h_hlt,
             a: 0,
@@ -859,17 +920,12 @@ pub fn compile_block(insts: &[Inst]) -> ThreadedCode {
             disp: 0,
             cc: cc_never,
             aux: 0,
+            tag: tags.get(i).copied().unwrap_or_default(),
         };
         t.exec = match fast_op(inst, &mut t, &mut texts) {
             Some(f) => f,
             None => {
-                t.aux = u16::try_from(slow.len()).unwrap_or(0);
-                if usize::from(t.aux) != slow.len() {
-                    // Side table overflow (>65535 odd ops in one block
-                    // cannot happen with max_block=32; belt and braces).
-                    slow.truncate(0);
-                    t.aux = 0;
-                }
+                t.imm = u32::try_from(slow.len()).expect("a block holds fewer than 2^32 ops");
                 slow.push(inst.clone());
                 h_slow
             }
@@ -883,27 +939,38 @@ pub fn compile_block(insts: &[Inst]) -> ThreadedCode {
     }
 }
 
-/// Executes compiled threaded code on `cpu`, writing per-op retire
-/// counts into `counts` (cleared and resized to the op count).
-///
-/// Mirrors `exec_block_traced_into` exactly: budget is checked before
-/// each retire, relative jumps are bounds-checked against the op
-/// count, and falling off the end is [`BlockExit::Fell`].
-///
-/// # Errors
-///
-/// Identical to [`crate::exec_block`]: any interpreter error,
-/// [`ExecError::Timeout`] past `budget`, [`ExecError::BadPc`] on a
-/// wild relative jump.
-pub fn exec_threaded_into(
+/// Where the executor loop records a retire: the one loop serves the
+/// dispatcher's [`RetireTally`] and the tests' per-op counts.
+trait RetireSink {
+    fn retire(&mut self, ip: usize, op: &TOp);
+}
+
+impl RetireSink for RetireTally {
+    #[inline(always)]
+    fn retire(&mut self, _ip: usize, op: &TOp) {
+        RetireTally::retire(self, op.tag, 1);
+    }
+}
+
+impl RetireSink for [u32] {
+    #[inline(always)]
+    fn retire(&mut self, ip: usize, _op: &TOp) {
+        self[ip] += 1;
+    }
+}
+
+/// The executor loop. Mirrors `exec_block_traced_into` exactly: budget
+/// is checked before each retire, relative jumps are bounds-checked
+/// against the op count, and falling off the end is
+/// [`BlockExit::Fell`].
+#[inline(always)]
+fn run<S: RetireSink + ?Sized>(
     cpu: &mut Cpu,
     code: &ThreadedCode,
     budget: u64,
-    counts: &mut Vec<u32>,
+    sink: &mut S,
 ) -> Result<(BlockExit, ExecStats), ExecError> {
     let ops = &code.ops;
-    counts.clear();
-    counts.resize(ops.len(), 0);
     let mut ip: usize = 0;
     let mut stats = ExecStats::default();
     while ip < ops.len() {
@@ -912,7 +979,7 @@ pub fn exec_threaded_into(
         }
         let t = &ops[ip];
         stats.executed += 1;
-        counts[ip] += 1;
+        sink.retire(ip, t);
         match (t.exec)(t, code, cpu).map_err(|e| *e)? {
             Step::Next => ip += 1,
             Step::Rel(d) => {
@@ -926,6 +993,42 @@ pub fn exec_threaded_into(
         }
     }
     Ok((BlockExit::Fell, stats))
+}
+
+/// Executes compiled threaded code on `cpu` and returns what it
+/// retired, tallied by each op's [`OpTag`].
+///
+/// # Errors
+///
+/// Identical to [`crate::exec_block`]: any interpreter error,
+/// [`ExecError::Timeout`] past `budget`, [`ExecError::BadPc`] on a
+/// wild relative jump.
+pub fn exec_threaded(
+    cpu: &mut Cpu,
+    code: &ThreadedCode,
+    budget: u64,
+) -> Result<(BlockExit, ExecStats, RetireTally), ExecError> {
+    let mut tally = RetireTally::default();
+    let (exit, stats) = run(cpu, code, budget, &mut tally)?;
+    Ok((exit, stats, tally))
+}
+
+/// Like [`exec_threaded`], but writes per-op retire counts into
+/// `counts` (cleared and resized to the op count) — the shape the
+/// model's `exec_block_traced_into` reports, for differential tests.
+///
+/// # Errors
+///
+/// See [`exec_threaded`].
+pub fn exec_threaded_into(
+    cpu: &mut Cpu,
+    code: &ThreadedCode,
+    budget: u64,
+    counts: &mut Vec<u32>,
+) -> Result<(BlockExit, ExecStats), ExecError> {
+    counts.clear();
+    counts.resize(code.ops.len(), 0);
+    run(cpu, code, budget, counts.as_mut_slice())
 }
 
 #[cfg(test)]
@@ -945,7 +1048,8 @@ mod tests {
 
     /// Runs a block through both executors from identical initial
     /// state and asserts bit-identical results: outcome, stats, retire
-    /// counts, registers, flags, xmm bits, output, and error equality.
+    /// counts, registers, flags, xmm bits, memory, output, and error
+    /// equality.
     fn check(insts: &[Inst], setup: impl Fn(&mut Cpu)) {
         let mut model = cpu();
         let mut fast = cpu();
@@ -955,8 +1059,9 @@ mod tests {
         assert_eq!(code.len(), insts.len());
         let mut mc = Vec::new();
         let mut fc = Vec::new();
-        let mr = exec_block_traced_into(&mut model, insts, 10_000, &mut mc);
-        let fr = exec_threaded_into(&mut fast, &code, 10_000, &mut fc);
+        let budget = 10_000.max(2 * insts.len() as u64);
+        let mr = exec_block_traced_into(&mut model, insts, budget, &mut mc);
+        let fr = exec_threaded_into(&mut fast, &code, budget, &mut fc);
         match (&mr, &fr) {
             (Ok((me, ms)), Ok((fe, fs))) => {
                 assert_eq!(me, fe, "exit for {insts:?}");
@@ -974,6 +1079,13 @@ mod tests {
             "xmm for {insts:?}"
         );
         assert_eq!(model.output, fast.output, "output for {insts:?}");
+        for base in [0x1_0000, 0x8_0000] {
+            assert_eq!(
+                model.mem.read_bytes(base, 0x1000).unwrap(),
+                fast.mem.read_bytes(base, 0x1000).unwrap(),
+                "memory at {base:#x}"
+            );
+        }
     }
 
     #[test]
@@ -1143,5 +1255,83 @@ mod tests {
         let f = exec_threaded_into(&mut c2, &code, 5, &mut b2);
         assert_eq!(format!("{m:?}"), format!("{f:?}"));
         assert_eq!(b1, b2);
+    }
+
+    /// mem→mem moves have no specialized handler, so every one lands in
+    /// the model-fallback table; past 65 535 entries the table index
+    /// used to wrap and rebind every earlier op.
+    #[test]
+    fn fallback_table_past_65535_entries_keeps_every_op_bound() {
+        const N: usize = 65_536 + 64;
+        let slot = |i: usize| Mem::base_disp(Reg::Ebp, 4 * (i % 256) as i32);
+        // Built directly: the validating builders refuse the shape.
+        let insts: Vec<Inst> = (0..N)
+            .map(|i| Inst {
+                op: Op::Mov,
+                cc: None,
+                operands: vec![slot(7 * i + 1).into(), slot(i).into()],
+            })
+            .collect();
+        assert_eq!(compile_block(&insts).slow_ops(), N);
+        check(&insts, |c| {
+            c.write(Reg::Ebp, 0x1_0000);
+            for i in 0..256u32 {
+                c.mem
+                    .store32(0x1_0000 + 4 * i, (i + 1).wrapping_mul(0x9e37_79b9))
+                    .unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn tally_is_the_fold_of_the_per_op_counts_by_tag() {
+        let insts = [
+            mov(Reg::Eax.into(), Operand::Imm(3)),
+            mov(Reg::Ecx.into(), Operand::Imm(0)),
+            add(Reg::Ecx.into(), Reg::Eax.into()),
+            sub(Reg::Eax.into(), Operand::Imm(1)),
+            jcc(Cc::Ne, -3),
+            jmp_exit(Operand::Imm(0x40)),
+            out(), // never reached
+        ];
+        let tags: Vec<OpTag> = (0..insts.len())
+            .map(|i| OpTag {
+                class: (i % RETIRE_CLASSES) as u8,
+                anchor: [1, 0, 2, 0, 0, MAX_ANCHOR, 7][i],
+            })
+            .collect();
+        let code = compile_block_tagged(&insts, &tags);
+        let mut counts = Vec::new();
+        let by_counts = exec_threaded_into(&mut cpu(), &code, 100, &mut counts).unwrap();
+        let (exit, stats, tally) = exec_threaded(&mut cpu(), &code, 100).unwrap();
+        assert_eq!((exit, stats), by_counts);
+        assert_eq!(counts, [1, 1, 3, 3, 3, 1, 0]);
+        let mut folded = RetireTally::default();
+        for (tag, n) in tags.iter().zip(&counts) {
+            folded.retire(*tag, u64::from(*n));
+        }
+        assert_eq!(tally, folded);
+        assert_eq!(tally.by_class, [1 + 3, 1 + 1, 3, 3]);
+        assert_eq!(tally.by_class.iter().sum::<u64>(), stats.executed);
+        assert_eq!(tally.anchors, 1 << 1 | 1 << 2 | 1 << MAX_ANCHOR);
+        for (anchor, ran) in [
+            (0, false),
+            (1, true),
+            (2, true),
+            (7, false),
+            (MAX_ANCHOR, true),
+        ] {
+            assert_eq!(tally.anchor_ran(anchor), ran, "anchor {anchor}");
+        }
+        // Untagged code tallies everything under class 0, no anchors.
+        let (_, _, plain) = exec_threaded(&mut cpu(), &compile_block(&insts), 100).unwrap();
+        assert_eq!(plain.by_class, [stats.executed, 0, 0, 0]);
+        assert_eq!(plain.anchors, 0);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_tag_fits_the_ops_spare_bytes() {
+        assert_eq!(std::mem::size_of::<TOp>(), 32);
     }
 }

@@ -9,9 +9,17 @@
 //!   execution. Kept as the oracle: slow, obviously correct.
 //! * [`ThreadedBackend`] — compiles each block *once* (lazily, on its
 //!   first execute) into direct-threaded code
-//!   ([`pdbt_isa_x86::compile_block`]) and runs that. Same
-//!   architectural effects, retire counts and errors, minus the
+//!   ([`pdbt_isa_x86::compile_block_tagged`]) and runs that. Same
+//!   architectural effects, retire tally and errors, minus the
 //!   per-instruction decode/dispatch overhead.
+//!
+//! Both hand the dispatcher a [`RetireTally`] per execution: host
+//! instructions retired per [`CodeClass`](crate::CodeClass) and, for a
+//! superblock, which members' anchors ran. [`op_tags`] is the one
+//! definition of how a translation's `classes` / `member_marks` map
+//! onto that tally; the threaded backend compiles the tags into its ops
+//! and tallies as it executes, the model folds its per-instruction
+//! counts through the same tags.
 //!
 //! The lazy-compile rule is **counter-neutral**: compilation happens
 //! at first *execute*, never at adopt/prewarm/warm-boot time, and
@@ -23,11 +31,14 @@
 //! comparisons exactly like `histograms.translate_ns`.
 
 use crate::cache::CachedBlock;
+use crate::translate::{MemberMark, TranslatedBlock};
 use pdbt_isa::ExecError;
 use pdbt_isa_x86::{
-    compile_block, exec_block_traced_into, exec_threaded_into, BlockExit, Cpu as HostCpu, ExecStats,
+    compile_block_tagged, exec_block_traced_into, exec_threaded, BlockExit, Cpu as HostCpu,
+    ExecStats, OpTag, RetireTally, MAX_ANCHOR,
 };
 use pdbt_obs::{DispatchCounters, ServerCounters};
+use std::cell::RefCell;
 
 /// Which host backend a session executes blocks with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,15 +82,63 @@ pub struct BackendObs<'a> {
     pub server: &'a ServerCounters,
 }
 
+/// The anchor number of each superblock member, in member order:
+/// distinct anchors are numbered from 1, and members that share an
+/// anchor (a member with no host code of its own shares the next one's)
+/// share its number, so they retire together. `0` — never retired — past
+/// [`MAX_ANCHOR`] distinct anchors, far beyond any trace the engine
+/// forms.
+pub(crate) fn anchor_numbers(marks: &[MemberMark]) -> impl Iterator<Item = u8> + '_ {
+    let mut number = 0u8;
+    let mut prev = None;
+    marks.iter().map(move |m| {
+        if prev != Some(m.anchor) {
+            prev = Some(m.anchor);
+            number = number.saturating_add(1);
+        }
+        if number <= MAX_ANCHOR {
+            number
+        } else {
+            0
+        }
+    })
+}
+
+/// Writes the retire tag of each host instruction of `block` into
+/// `tags` (cleared first): its [`CodeClass`](crate::CodeClass) index
+/// and, on a member's anchor instruction, that member's
+/// [`anchor_numbers`] entry.
+pub(crate) fn op_tags(block: &TranslatedBlock, tags: &mut Vec<OpTag>) {
+    debug_assert_eq!(block.code.len(), block.classes.len());
+    tags.clear();
+    tags.extend(block.classes.iter().map(|c| OpTag {
+        class: c.index() as u8,
+        anchor: 0,
+    }));
+    for (m, number) in block
+        .member_marks
+        .iter()
+        .zip(anchor_numbers(&block.member_marks))
+    {
+        if let Some(tag) = tags.get_mut(m.anchor) {
+            tag.anchor = number;
+        }
+    }
+}
+
 /// A host block executor. Implementations must be bit-identical to the
-/// model: same architectural effects, same per-instruction retire
-/// counts (`counts` is cleared and resized to the block length), same
-/// errors — the whole determinism lockdown runs under either backend.
+/// model: same architectural effects, same retire tally (host
+/// instructions per class index, anchors that ran, by [`op_tags`]),
+/// same errors — the whole determinism lockdown runs under either
+/// backend.
 pub trait HostBackend: Send + Sync + std::fmt::Debug {
     /// Stable backend name.
     fn name(&self) -> &'static str;
 
-    /// Executes `cached` (a plain block or a superblock) on `cpu`.
+    /// Executes `cached` (a plain block or a superblock) on `cpu` and
+    /// returns how it left, how many host instructions retired, and
+    /// their tally. The dispatcher folds the tally; it never sees
+    /// per-instruction counts.
     ///
     /// # Errors
     ///
@@ -90,9 +149,8 @@ pub trait HostBackend: Send + Sync + std::fmt::Debug {
         cached: &CachedBlock,
         cpu: &mut HostCpu,
         budget: u64,
-        counts: &mut Vec<u32>,
         obs: &mut BackendObs<'_>,
-    ) -> Result<(BlockExit, ExecStats), ExecError>;
+    ) -> Result<(BlockExit, ExecStats, RetireTally), ExecError>;
 }
 
 /// The oracle: the model interpreter, unchanged.
@@ -109,10 +167,22 @@ impl HostBackend for ModelBackend {
         cached: &CachedBlock,
         cpu: &mut HostCpu,
         budget: u64,
-        counts: &mut Vec<u32>,
         _obs: &mut BackendObs<'_>,
-    ) -> Result<(BlockExit, ExecStats), ExecError> {
-        exec_block_traced_into(cpu, &cached.block.code, budget, counts)
+    ) -> Result<(BlockExit, ExecStats, RetireTally), ExecError> {
+        thread_local! {
+            /// Per-instruction counts and tags of the execution in
+            /// flight, reused so the oracle allocates nothing per block.
+            static SCRATCH: RefCell<(Vec<u32>, Vec<OpTag>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+        }
+        SCRATCH.with_borrow_mut(|(counts, tags)| {
+            let (exit, stats) = exec_block_traced_into(cpu, &cached.block.code, budget, counts)?;
+            op_tags(&cached.block, tags);
+            let mut tally = RetireTally::default();
+            for (tag, n) in tags.iter().zip(counts.iter()) {
+                tally.retire(*tag, u64::from(*n));
+            }
+            Ok((exit, stats, tally))
+        })
     }
 }
 
@@ -131,23 +201,24 @@ impl HostBackend for ThreadedBackend {
         cached: &CachedBlock,
         cpu: &mut HostCpu,
         budget: u64,
-        counts: &mut Vec<u32>,
         obs: &mut BackendObs<'_>,
-    ) -> Result<(BlockExit, ExecStats), ExecError> {
+    ) -> Result<(BlockExit, ExecStats, RetireTally), ExecError> {
         let code = match cached.compiled.get() {
             Some(code) => code,
             None => {
                 let t0 = pdbt_obs::now_ns();
-                let code = cached
-                    .compiled
-                    .get_or_init(|| compile_block(&cached.block.code));
+                let code = cached.compiled.get_or_init(|| {
+                    let mut tags = Vec::new();
+                    op_tags(&cached.block, &mut tags);
+                    compile_block_tagged(&cached.block.code, &tags)
+                });
                 obs.dispatch.compiled_blocks += 1;
                 obs.dispatch.compile_ns += pdbt_obs::now_ns().saturating_sub(t0);
                 obs.server.record_compiled();
                 code
             }
         };
-        exec_threaded_into(cpu, code, budget, counts)
+        exec_threaded(cpu, code, budget)
     }
 }
 
@@ -167,7 +238,7 @@ pub fn backend_for(kind: BackendKind) -> &'static dyn HostBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::translate::{BlockSuccs, TranslatedBlock};
+    use crate::translate::{BlockSuccs, CodeClass, TranslatedBlock};
     use pdbt_isa_x86::builders::*;
     use pdbt_isa_x86::{Operand, Reg};
     use std::sync::Arc;
@@ -176,7 +247,7 @@ mod tests {
         CachedBlock::new(
             Arc::new(TranslatedBlock {
                 start: 0x1000,
-                classes: Vec::new(),
+                classes: vec![CodeClass::Control; code.len()],
                 guest_len: 1,
                 rule_covered: 0,
                 attributions: Vec::new(),
@@ -200,8 +271,6 @@ mod tests {
         ]);
         let server = ServerCounters::new();
         let mut dispatch = DispatchCounters::new();
-        let mut counts_m = Vec::new();
-        let mut counts_t = Vec::new();
         let mut cpu_m = HostCpu::new();
         let mut cpu_t = HostCpu::new();
         let mut obs = BackendObs {
@@ -209,18 +278,18 @@ mod tests {
             server: &server,
         };
         let m = ModelBackend
-            .execute(&block, &mut cpu_m, 100, &mut counts_m, &mut obs)
+            .execute(&block, &mut cpu_m, 100, &mut obs)
             .unwrap();
         let t = ThreadedBackend
-            .execute(&block, &mut cpu_t, 100, &mut counts_t, &mut obs)
+            .execute(&block, &mut cpu_t, 100, &mut obs)
             .unwrap();
         assert_eq!(m, t);
-        assert_eq!(counts_m, counts_t);
+        assert_eq!(m.2.by_class[CodeClass::Control.index()], 4);
         assert_eq!(cpu_m.output, cpu_t.output);
         assert_eq!(cpu_m.regs, cpu_t.regs);
         // Second execute reuses the compiled slot: one compile total.
         ThreadedBackend
-            .execute(&block, &mut cpu_t, 100, &mut counts_t, &mut obs)
+            .execute(&block, &mut cpu_t, 100, &mut obs)
             .unwrap();
         assert_eq!(obs.dispatch.compiled_blocks, 1);
         assert_eq!(server.snapshot().compiled_blocks, 1);

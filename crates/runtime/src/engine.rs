@@ -6,7 +6,7 @@
 //! attributed to their [`CodeClass`], which is the measurement behind
 //! Table II, Fig 13 and the instruction-count performance proxy.
 
-use crate::backend::{backend_for, BackendKind, BackendObs};
+use crate::backend::{anchor_numbers, backend_for, BackendKind, BackendObs};
 use crate::cache::{CachedBlock, ShardedCache};
 use crate::shared::SharedTranslationState;
 use crate::translate::{
@@ -1323,10 +1323,6 @@ impl Engine {
             )?;
         }
         let mut pc = prog.base();
-        // Reused per-instruction execution-count buffer: chained
-        // dispatch executes many blocks per dispatcher entry, so the
-        // allocation is hoisted out of the hot loop entirely.
-        let mut counts: Vec<u32> = Vec::new();
         // The host executor, resolved once; the shared handle is
         // cloned out so the backend's counter sinks don't alias the
         // `&mut self` borrows inside the segment loop.
@@ -1372,6 +1368,7 @@ impl Engine {
             let mut seg_guest = 0u64;
             let mut seg_rule = 0u64;
             let mut seg_host = 0u64;
+            let mut seg_class = [0u64; 4];
             let mut seg_blocks = 0u64;
             let seg_span = pdbt_obs::span("exec_segment");
             let seg_outcome = loop {
@@ -1387,15 +1384,17 @@ impl Engine {
                         dispatch: &mut self.obs.dispatch,
                         server: shared.server(),
                     };
-                    backend.execute(&cur, &mut host, budget, &mut counts, &mut obs)
+                    backend.execute(&cur, &mut host, budget, &mut obs)
                 };
-                let (exit, stats) = match exec {
+                // The executor tallied what it retired, by class and
+                // by member anchor: nothing here scales with the
+                // block's length.
+                let (exit, stats, tally) = match exec {
                     Ok(res) => res,
                     Err(e) => break Some(Outcome::Exec(e)),
                 };
-                debug_assert_eq!(block.code.len(), block.classes.len());
-                for (i, c) in counts.iter().enumerate() {
-                    self.metrics.host_by_class[block.classes[i].index()] += u64::from(*c);
+                for (sum, n) in seg_class.iter_mut().zip(tally.by_class) {
+                    *sum += n;
                 }
                 seg_blocks += 1;
                 seg_host += stats.executed;
@@ -1426,13 +1425,14 @@ impl Engine {
                     }
                 } else {
                     // A superblock retires the member prefix that
-                    // actually ran: a member retired iff its first host
-                    // instruction executed (side exits leave through a
-                    // member's own trampoline, so retired members always
-                    // form a prefix).
+                    // actually ran: a member retired iff its anchor —
+                    // its first host instruction — executed (side exits
+                    // leave through a member's own trampoline, so
+                    // retired members always form a prefix).
                     self.obs.dispatch.trace_execs += 1;
-                    for m in &block.member_marks {
-                        if counts[m.anchor] == 0 {
+                    let marks = &block.member_marks;
+                    for (m, anchor) in marks.iter().zip(anchor_numbers(marks)) {
+                        if !tally.anchor_ran(anchor) {
                             break;
                         }
                         seg_guest += u64::from(m.guest_len);
@@ -1481,6 +1481,9 @@ impl Engine {
             self.metrics.guest_retired += seg_guest;
             self.metrics.rule_covered += seg_rule;
             self.metrics.host_retired += seg_host;
+            for (sum, n) in self.metrics.host_by_class.iter_mut().zip(seg_class) {
+                *sum += n;
+            }
             self.metrics.blocks_executed += seg_blocks;
             if let Some(outcome) = seg_outcome {
                 break outcome;

@@ -16,22 +16,30 @@
 //!   architectural outcome — result (exit or error, by `Debug`
 //!   equality, which covers error detail strings), registers, flags,
 //!   XMM bit patterns, memory, output stream, and per-instruction
-//!   retire counts. `FUZZ_CASES` scales the loop (deep-fuzz CI runs
-//!   512).
+//!   retire counts. The same cases run as `CachedBlock`s with random
+//!   cost classes and superblock member marks through both
+//!   `HostBackend`s, whose retire tallies must equal a fold of the
+//!   model's per-instruction counts. `FUZZ_CASES` scales the loop
+//!   (deep-fuzz CI runs 512).
 
 use pdbt::compiler::{degrade, DegradeProfile};
 use pdbt::core::learning::{learn_into, LearnConfig};
 use pdbt::core::RuleSet;
 use pdbt::obs::json::Json;
-use pdbt::runtime::{BackendKind, Engine, EngineConfig, Report};
+use pdbt::obs::{DispatchCounters, ServerCounters};
+use pdbt::runtime::{
+    BackendKind, BackendObs, BlockSuccs, CachedBlock, CodeClass, Engine, EngineConfig, HostBackend,
+    MemberMark, ModelBackend, Report, ThreadedBackend, TranslatedBlock,
+};
 use pdbt::workloads::{suite, Scale};
 use pdbt::x86::builders as hx;
 use pdbt::x86::{
     compile_block, exec_block_traced_into, exec_threaded_into, Cc, Cpu, Inst, Mem, Operand, Reg,
-    Xmm,
+    RetireTally, Xmm,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The determinism lockdown's three degraded corpora.
 const SEEDS: [u64; 3] = [0xDE7_001, 0xDE7_002, 0xDE7_003];
@@ -399,9 +407,167 @@ fn rnd_cpu(rng: &mut StdRng) -> Cpu {
     cpu
 }
 
+const CLASSES: [CodeClass; 4] = [
+    CodeClass::RuleCore,
+    CodeClass::QemuCore,
+    CodeClass::DataTransfer,
+    CodeClass::Control,
+];
+
+/// A member mark anchored at host instruction `anchor`.
+fn mark(anchor: usize) -> MemberMark {
+    MemberMark {
+        start: 0x1000 + 4 * anchor as u32,
+        anchor,
+        guest_len: 1,
+        rule_covered: 0,
+        attr_range: (0, 0),
+        deleg: None,
+    }
+}
+
+/// Up to three members at random non-decreasing anchors — repeats are
+/// members that share an anchor.
+fn rnd_marks(rng: &mut StdRng, len: usize) -> Vec<MemberMark> {
+    let mut anchors: Vec<usize> = (0..rng.gen_range(0usize..4))
+        .map(|_| rng.gen_range(0..len))
+        .collect();
+    anchors.sort_unstable();
+    anchors.into_iter().map(mark).collect()
+}
+
+/// The tally a dispatcher must be handed for per-instruction `counts`,
+/// folded straight from the translation's side tables: retires per
+/// class, and one mask bit per distinct anchor (numbered from 1 in
+/// member order) that retired at least once.
+fn fold_counts(classes: &[CodeClass], marks: &[MemberMark], counts: &[u32]) -> RetireTally {
+    let mut tally = RetireTally::default();
+    for (class, n) in classes.iter().zip(counts) {
+        tally.by_class[class.index()] += u64::from(*n);
+    }
+    let mut distinct: Vec<usize> = marks.iter().map(|m| m.anchor).collect();
+    distinct.dedup();
+    for (i, anchor) in distinct.iter().enumerate() {
+        if counts[*anchor] > 0 {
+            tally.anchors |= 1 << (i + 1);
+        }
+    }
+    tally
+}
+
+/// Executes `code` — as a block with these classes and member marks —
+/// under both backends from `cpu`, and checks each backend's result
+/// and retire tally against the model executor's per-instruction
+/// counts. Returns the tally both agreed on, if the block ran clean.
+fn check_backend_tallies(
+    code: &[Inst],
+    classes: Vec<CodeClass>,
+    marks: Vec<MemberMark>,
+    cpu: &Cpu,
+    budget: u64,
+    ctx: &str,
+) -> Option<RetireTally> {
+    let mut counts = Vec::new();
+    let oracle = exec_block_traced_into(&mut cpu.clone(), code, budget, &mut counts);
+    let expect = oracle
+        .map(|(exit, stats)| (exit, stats, fold_counts(&classes, &marks, &counts)))
+        .map_err(|e| format!("{e:?}"));
+    let block = Arc::new(TranslatedBlock {
+        start: 0x1000,
+        code: code.to_vec(),
+        classes,
+        guest_len: 1,
+        rule_covered: 0,
+        attributions: Vec::new(),
+        lookup_misses: Vec::new(),
+        deleg: None,
+        succ: BlockSuccs::None,
+        member_marks: marks,
+    });
+    let server = ServerCounters::new();
+    let backends: [&dyn HostBackend; 2] = [&ModelBackend, &ThreadedBackend];
+    for backend in backends {
+        let cached = CachedBlock::new(Arc::clone(&block), Vec::new());
+        let mut dispatch = DispatchCounters::new();
+        let mut obs = BackendObs {
+            dispatch: &mut dispatch,
+            server: &server,
+        };
+        // Twice: the threaded backend compiles on the first execute
+        // and reuses the tagged code on the second.
+        for round in 0..2 {
+            let got = backend
+                .execute(&cached, &mut cpu.clone(), budget, &mut obs)
+                .map_err(|e| format!("{e:?}"));
+            assert_eq!(got, expect, "{ctx}: {} round {round}", backend.name());
+        }
+    }
+    expect.ok().map(|(_, _, tally)| tally)
+}
+
+/// The two superblock shapes member retirement hinges on: members that
+/// share an anchor retire together, and a trace left through its first
+/// side exit retires its first member only.
+#[test]
+fn superblock_anchor_masks_agree_across_backends() {
+    let mut cpu = Cpu::new();
+    cpu.mem.map(DATA_BASE, DATA_SIZE);
+    // Members 0 and 1 share anchor 0 (member 0 has no host code of its
+    // own); member 2 is anchored at instruction 2.
+    let shared = [
+        hx::mov(Reg::Eax.into(), Operand::Imm(1)),
+        hx::add(Reg::Eax.into(), Operand::Imm(2)),
+        hx::mov(Reg::Ecx.into(), Reg::Eax.into()),
+        hx::jmp_exit(Operand::Imm(0x2000)),
+    ];
+    let tally = check_backend_tallies(
+        &shared,
+        vec![
+            CodeClass::RuleCore,
+            CodeClass::RuleCore,
+            CodeClass::DataTransfer,
+            CodeClass::Control,
+        ],
+        vec![mark(0), mark(0), mark(2)],
+        &cpu,
+        100,
+        "shared anchor",
+    )
+    .expect("runs clean");
+    assert_eq!(tally.by_class, [2, 0, 1, 1]);
+    assert_eq!(tally.anchors, 0b110, "two distinct anchors, both ran");
+    // `xor` sets Z, the `jne` over the side-exit stub is not taken, and
+    // the trace leaves before member 1's anchor at instruction 3.
+    let side_exit = [
+        hx::xor(Reg::Eax.into(), Reg::Eax.into()),
+        hx::jcc(Cc::Ne, 1),
+        hx::jmp_exit(Operand::Imm(0x2000)),
+        hx::mov(Reg::Ecx.into(), Operand::Imm(1)),
+        hx::jmp_exit(Operand::Imm(0x3000)),
+    ];
+    let tally = check_backend_tallies(
+        &side_exit,
+        vec![
+            CodeClass::QemuCore,
+            CodeClass::Control,
+            CodeClass::Control,
+            CodeClass::QemuCore,
+            CodeClass::Control,
+        ],
+        vec![mark(0), mark(3)],
+        &cpu,
+        100,
+        "first side exit",
+    )
+    .expect("runs clean");
+    assert_eq!(tally.by_class, [0, 1, 0, 2]);
+    assert_eq!(tally.anchors, 0b010, "only the first member retired");
+}
+
 /// Seeded differential fuzz: random blocks from random states must
 /// leave both executors in bit-identical architectural states — on
-/// success *and* on every fault path.
+/// success *and* on every fault path — and both backends must tally
+/// what retired exactly as the model's per-instruction counts fold.
 #[test]
 fn fuzz_threaded_matches_model_per_block() {
     let mut rng = StdRng::seed_from_u64(0xBAC_CE4D);
@@ -415,6 +581,16 @@ fn fuzz_threaded_matches_model_per_block() {
         };
         let mut cpu_m = rnd_cpu(&mut rng);
         let mut cpu_t = cpu_m.clone();
+        let classes = code.iter().map(|_| CLASSES[rng.gen_range(0..4)]).collect();
+        let marks = rnd_marks(&mut rng, code.len());
+        check_backend_tallies(
+            &code,
+            classes,
+            marks,
+            &cpu_m,
+            budget,
+            &format!("case {case}"),
+        );
         let mut counts_m = Vec::new();
         let mut counts_t = Vec::new();
         let res_m = exec_block_traced_into(&mut cpu_m, &code, budget, &mut counts_m);
