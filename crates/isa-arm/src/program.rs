@@ -111,11 +111,9 @@ impl Program {
     /// [`ExecError::BadPc`] if `pc` is outside the text section or
     /// unaligned.
     pub fn fetch(&self, pc: Addr) -> Result<&Inst, ExecError> {
-        if pc < self.base || !pc.is_multiple_of(INST_SIZE) {
-            return Err(ExecError::BadPc { pc });
-        }
-        let idx = ((pc - self.base) / INST_SIZE) as usize;
-        self.insts.get(idx).ok_or(ExecError::BadPc { pc })
+        self.index_of(pc)
+            .map(|i| &self.insts[i])
+            .ok_or(ExecError::BadPc { pc })
     }
 
     /// The index of the instruction at `addr`, if `addr` is an aligned
@@ -156,13 +154,49 @@ impl Program {
             .map_or(FlagSet::NZCV, |i| self.flag_liveness().live_in[i])
     }
 
+    /// The flags live out of the instruction at `addr` — what a block
+    /// ending there must leave correct for its successors: the join of
+    /// their live-ins (for an indirect transfer, of every call
+    /// continuation's). NZCV for addresses outside the program.
+    #[must_use]
+    pub fn flag_live_out_at(&self, addr: Addr) -> FlagSet {
+        let live = self.flag_liveness();
+        self.index_of(addr).map_or(FlagSet::NZCV, |i| {
+            self.flag_flow(i, &live.live_in, live.ret_live).1
+        })
+    }
+
+    /// The flags instruction `i` reads itself, and the flags live out
+    /// of it given the live-in sets and the return join so far: one
+    /// definition of the static successors, for the solver and for
+    /// [`Program::flag_live_out_at`].
+    fn flag_flow(&self, i: usize, live_in: &[FlagSet], ret_live: FlagSet) -> (FlagSet, FlagSet) {
+        let inst = &self.insts[i];
+        let at = |j: Option<usize>| j.map_or(FlagSet::NZCV, |j| live_in[j]);
+        let fall = || at((i + 1 < live_in.len()).then_some(i + 1));
+        let target = || {
+            at(inst
+                .direct_target(self.addr_of(i))
+                .and_then(|t| self.index_of(t)))
+        };
+        match inst.op {
+            Op::B if inst.cond == Cond::Al => (FlagSet::EMPTY, target()),
+            Op::B => (cond_flag_uses(inst.cond), target() | fall()),
+            // The callee's entry, plus (conservatively) the return
+            // continuation.
+            Op::Bl => (FlagSet::EMPTY, target() | fall()),
+            Op::Svc if inst.operands[0].as_imm() == Some(0) => (FlagSet::EMPTY, FlagSet::EMPTY),
+            _ if inst.is_branch() => (inst.flag_uses(), ret_live),
+            _ => (inst.flag_uses(), fall()),
+        }
+    }
+
     fn solve_flag_liveness(&self) -> FlagLiveness {
         #[cfg(test)]
         SOLVES.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let insts = &self.insts;
         let n = insts.len();
         let mut live_in = vec![FlagSet::EMPTY; n];
-        let at = |j: Option<usize>, live_in: &[FlagSet]| j.map_or(FlagSet::NZCV, |j| live_in[j]);
         loop {
             let mut changed = false;
             let mut ret_live = FlagSet::EMPTY;
@@ -172,28 +206,8 @@ impl Program {
                 }
             }
             for i in (0..n).rev() {
-                let inst = &insts[i];
-                let fall = (i + 1 < n).then_some(i + 1);
-                let target = || {
-                    inst.direct_target(self.addr_of(i))
-                        .and_then(|t| self.index_of(t))
-                };
-                let (uses, succ) = match inst.op {
-                    Op::B if inst.cond == Cond::Al => (FlagSet::EMPTY, at(target(), &live_in)),
-                    Op::B => (
-                        cond_flag_uses(inst.cond),
-                        at(target(), &live_in) | at(fall, &live_in),
-                    ),
-                    // The callee's entry, plus (conservatively) the
-                    // return continuation.
-                    Op::Bl => (FlagSet::EMPTY, at(target(), &live_in) | at(fall, &live_in)),
-                    Op::Svc if inst.operands[0].as_imm() == Some(0) => {
-                        (FlagSet::EMPTY, FlagSet::EMPTY)
-                    }
-                    _ if inst.is_branch() => (inst.flag_uses(), ret_live),
-                    _ => (inst.flag_uses(), at(fall, &live_in)),
-                };
-                let new = uses | (succ - inst.flag_defs());
+                let (uses, out) = self.flag_flow(i, &live_in, ret_live);
+                let new = uses | (out - insts[i].flag_defs());
                 if new != live_in[i] {
                     live_in[i] = new;
                     changed = true;
@@ -443,6 +457,12 @@ mod tests {
             ]
         );
         assert_eq!(p.flag_live_in_at(0x1014), z | FlagSet::single(Flag::C));
+        // Live-outs: a call joins callee entry and continuation, a
+        // return exits into the return join, the halt into nothing.
+        assert_eq!(p.flag_live_out_at(0x1004), z);
+        assert_eq!(p.flag_live_out_at(0x1018), z);
+        assert_eq!(p.flag_live_out_at(0x100c), FlagSet::EMPTY);
+        assert_eq!(p.flag_live_out_at(0x101c), FlagSet::NZCV);
         // Unknown continuations: below, past, and between instructions.
         for addr in [0xffc, 0x1020, 0x1006] {
             assert_eq!(p.flag_live_in_at(addr), FlagSet::NZCV, "{addr:#x}");

@@ -172,7 +172,8 @@ impl HostBackend for ModelBackend {
         thread_local! {
             /// Per-instruction counts and tags of the execution in
             /// flight, reused so the oracle allocates nothing per block.
-            static SCRATCH: RefCell<(Vec<u32>, Vec<OpTag>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+            static SCRATCH: RefCell<(Vec<u32>, Vec<OpTag>)> =
+                const { RefCell::new((Vec::new(), Vec::new())) };
         }
         SCRATCH.with_borrow_mut(|(counts, tags)| {
             let (exit, stats) = exec_block_traced_into(cpu, &cached.block.code, budget, counts)?;

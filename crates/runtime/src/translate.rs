@@ -501,29 +501,6 @@ fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> Vec<GReg> 
     order
 }
 
-/// Flags live out of a block ending in `last_inst` at `last_addr`: the
-/// join over the successors' live-ins (cross-block flag liveness), read
-/// from the program's memo.
-fn block_exit_live(prog: &Program, last_addr: Addr, last_inst: &GInst) -> FlagSet {
-    let at = |addr: Addr| prog.flag_live_in_at(addr);
-    match last_inst.op {
-        pdbt_isa_arm::Op::B => {
-            let taken = at(branch_target(last_addr, last_inst));
-            if last_inst.cond == Cond::Al {
-                taken
-            } else {
-                taken | at(last_addr + INST_SIZE)
-            }
-        }
-        pdbt_isa_arm::Op::Bl => at(branch_target(last_addr, last_inst)) | at(last_addr + INST_SIZE),
-        pdbt_isa_arm::Op::Svc if last_inst.operands[0].as_imm() == Some(0) => FlagSet::EMPTY,
-        // Indirect transfer (return): join over call continuations.
-        _ if last_inst.is_branch() => prog.flag_liveness().ret_live(),
-        // Max-length block: falls through to the next instruction.
-        _ => at(last_addr + INST_SIZE),
-    }
-}
-
 /// A host-code segment for one guest instruction (or one sequence-rule
 /// application). Flag materialization is deferred so the delegation
 /// decision can run with every segment's host code in hand.
@@ -1161,7 +1138,7 @@ fn translate_members(
     // side's live-ins, so a producer's flags stay live exactly as long
     // as any on- or off-trace consumer can still read them.
     let (final_last_addr, final_last_inst) = *mems[k - 1].last().expect("non-empty block");
-    let exit_live = block_exit_live(prog, final_last_addr, final_last_inst);
+    let exit_live = prog.flag_live_out_at(final_last_addr);
     let mut live_after = vec![FlagSet::EMPTY; total_n];
     {
         let mut live = exit_live;
