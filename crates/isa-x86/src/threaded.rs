@@ -123,17 +123,25 @@ pub struct RetireTally {
 }
 
 impl RetireTally {
-    /// Records `n` retires of an op tagged `tag`.
+    /// Records one retire of an op tagged `tag`.
     #[inline(always)]
-    pub fn retire(&mut self, tag: OpTag, n: u64) {
-        self.by_class[usize::from(tag.class) % RETIRE_CLASSES] += n;
-        self.anchors |= u64::from(tag.anchor != 0 && n != 0) << (tag.anchor & MAX_ANCHOR);
+    pub fn retire(&mut self, tag: OpTag) {
+        self.by_class[usize::from(tag.class) % RETIRE_CLASSES] += 1;
+        self.anchors |= u64::from(tag.anchor != 0) << (tag.anchor & MAX_ANCHOR);
+    }
+
+    /// Records that an op tagged with anchor number `anchor` retired
+    /// (numbers outside `1..=MAX_ANCHOR` are no anchor).
+    pub fn mark_anchor(&mut self, anchor: u8) {
+        if (1..=MAX_ANCHOR).contains(&anchor) {
+            self.anchors |= 1 << anchor;
+        }
     }
 
     /// Whether an op tagged with anchor number `anchor` retired.
     #[must_use]
     pub fn anchor_ran(&self, anchor: u8) -> bool {
-        anchor != 0 && anchor <= MAX_ANCHOR && self.anchors >> anchor & 1 == 1
+        (1..=MAX_ANCHOR).contains(&anchor) && self.anchors >> anchor & 1 == 1
     }
 }
 
@@ -948,7 +956,7 @@ trait RetireSink {
 impl RetireSink for RetireTally {
     #[inline(always)]
     fn retire(&mut self, _ip: usize, op: &TOp) {
-        RetireTally::retire(self, op.tag, 1);
+        RetireTally::retire(self, op.tag);
     }
 }
 
@@ -1308,7 +1316,7 @@ mod tests {
         assert_eq!(counts, [1, 1, 3, 3, 3, 1, 0]);
         let mut folded = RetireTally::default();
         for (tag, n) in tags.iter().zip(&counts) {
-            folded.retire(*tag, u64::from(*n));
+            (0..*n).for_each(|_| folded.retire(*tag));
         }
         assert_eq!(tally, folded);
         assert_eq!(tally.by_class, [1 + 3, 1 + 1, 3, 3]);

@@ -15,11 +15,11 @@
 //!
 //! Both hand the dispatcher a [`RetireTally`] per execution: host
 //! instructions retired per [`CodeClass`](crate::CodeClass) and, for a
-//! superblock, which members' anchors ran. [`op_tags`] is the one
-//! definition of how a translation's `classes` / `member_marks` map
-//! onto that tally; the threaded backend compiles the tags into its ops
-//! and tallies as it executes, the model folds its per-instruction
-//! counts through the same tags.
+//! superblock, which members' anchors ran (numbered by
+//! [`anchor_numbers`], the one definition both backends and the
+//! dispatcher share). The threaded backend compiles each op's class and
+//! anchor number into the op and tallies as it executes; the model
+//! folds its own per-instruction counts the same way after the fact.
 //!
 //! The lazy-compile rule is **counter-neutral**: compilation happens
 //! at first *execute*, never at adopt/prewarm/warm-boot time, and
@@ -104,17 +104,19 @@ pub(crate) fn anchor_numbers(marks: &[MemberMark]) -> impl Iterator<Item = u8> +
     })
 }
 
-/// Writes the retire tag of each host instruction of `block` into
-/// `tags` (cleared first): its [`CodeClass`](crate::CodeClass) index
-/// and, on a member's anchor instruction, that member's
-/// [`anchor_numbers`] entry.
-pub(crate) fn op_tags(block: &TranslatedBlock, tags: &mut Vec<OpTag>) {
+/// The retire tag of each host instruction of `block`: its
+/// [`CodeClass`](crate::CodeClass) index and, on a member's anchor
+/// instruction, that member's [`anchor_numbers`] entry.
+fn op_tags(block: &TranslatedBlock) -> Vec<OpTag> {
     debug_assert_eq!(block.code.len(), block.classes.len());
-    tags.clear();
-    tags.extend(block.classes.iter().map(|c| OpTag {
-        class: c.index() as u8,
-        anchor: 0,
-    }));
+    let mut tags: Vec<OpTag> = block
+        .classes
+        .iter()
+        .map(|c| OpTag {
+            class: c.index() as u8,
+            anchor: 0,
+        })
+        .collect();
     for (m, number) in block
         .member_marks
         .iter()
@@ -124,12 +126,13 @@ pub(crate) fn op_tags(block: &TranslatedBlock, tags: &mut Vec<OpTag>) {
             tag.anchor = number;
         }
     }
+    tags
 }
 
 /// A host block executor. Implementations must be bit-identical to the
 /// model: same architectural effects, same retire tally (host
-/// instructions per class index, anchors that ran, by [`op_tags`]),
-/// same errors — the whole determinism lockdown runs under either
+/// instructions per class index, anchors that ran by
+/// [`anchor_numbers`]), same errors — the whole determinism lockdown runs under either
 /// backend.
 pub trait HostBackend: Send + Sync + std::fmt::Debug {
     /// Stable backend name.
@@ -170,17 +173,22 @@ impl HostBackend for ModelBackend {
         _obs: &mut BackendObs<'_>,
     ) -> Result<(BlockExit, ExecStats, RetireTally), ExecError> {
         thread_local! {
-            /// Per-instruction counts and tags of the execution in
-            /// flight, reused so the oracle allocates nothing per block.
-            static SCRATCH: RefCell<(Vec<u32>, Vec<OpTag>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
+            /// Per-instruction counts of the execution in flight,
+            /// reused so the oracle allocates nothing per block.
+            static COUNTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
         }
-        SCRATCH.with_borrow_mut(|(counts, tags)| {
-            let (exit, stats) = exec_block_traced_into(cpu, &cached.block.code, budget, counts)?;
-            op_tags(&cached.block, tags);
+        COUNTS.with_borrow_mut(|counts| {
+            let block = &cached.block;
+            let (exit, stats) = exec_block_traced_into(cpu, &block.code, budget, counts)?;
             let mut tally = RetireTally::default();
-            for (tag, n) in tags.iter().zip(counts.iter()) {
-                tally.retire(*tag, u64::from(*n));
+            for (class, n) in block.classes.iter().zip(counts.iter()) {
+                tally.by_class[class.index()] += u64::from(*n);
+            }
+            let marks = &block.member_marks;
+            for (m, number) in marks.iter().zip(anchor_numbers(marks)) {
+                if counts.get(m.anchor).is_some_and(|n| *n > 0) {
+                    tally.mark_anchor(number);
+                }
             }
             Ok((exit, stats, tally))
         })
@@ -209,9 +217,7 @@ impl HostBackend for ThreadedBackend {
             None => {
                 let t0 = pdbt_obs::now_ns();
                 let code = cached.compiled.get_or_init(|| {
-                    let mut tags = Vec::new();
-                    op_tags(&cached.block, &mut tags);
-                    compile_block_tagged(&cached.block.code, &tags)
+                    compile_block_tagged(&cached.block.code, &op_tags(&cached.block))
                 });
                 obs.dispatch.compiled_blocks += 1;
                 obs.dispatch.compile_ns += pdbt_obs::now_ns().saturating_sub(t0);
