@@ -111,14 +111,14 @@ pub fn warm_state(
     slots: usize,
 ) -> SharedTranslationState {
     let a = &opened.artifact;
-    let counters = ArtifactCounters::loaded(
-        a.blocks.len() as u64,
-        a.traces.len() as u64,
-        a.rules
-            .as_ref()
-            .map_or(0, |r| (r.len() + r.seq_len()) as u64),
-        opened.quarantined.len() as u64,
-    );
+    let loaded_rules = a.rules.as_ref().map_or(0, |r| r.len() + r.seq_len());
+    let counters = ArtifactCounters {
+        loaded_blocks: (a.blocks.len() as u64).into(),
+        loaded_traces: (a.traces.len() as u64).into(),
+        loaded_rules: (loaded_rules as u64).into(),
+        quarantined_sections: (opened.quarantined.len() as u64).into(),
+        trace_hits: 0.into(),
+    };
     let rules = a.rules.clone().or_else(|| fallback_rules.cloned());
     SharedTranslationState::warm(
         rules,

@@ -12,8 +12,10 @@
 //!   Summed over all rules this equals the engine's `rule_covered`
 //!   metric, so coverage decomposes exactly into per-rule shares.
 
+use crate::json::Json;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dense handle for an interned rule label.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -283,160 +285,240 @@ impl PoolCounters {
     }
 }
 
-/// Dispatch hot-path counters: how block transitions were resolved
-/// (direct-mapped jump cache, inline chain links, or the full
-/// dispatcher) and how many hot traces were promoted to superblocks.
-#[derive(Clone, Debug, Default)]
-pub struct DispatchCounters {
-    /// Direct-mapped jump-cache probes that hit.
-    pub jump_cache_hits: u64,
-    /// Jump-cache probes that missed (fell through to the dispatcher).
-    pub jump_cache_misses: u64,
-    /// Block transitions followed through an inline chain link without
-    /// re-entering the dispatcher.
-    pub chain_followed: u64,
-    /// Chain links lazily resolved (first follow, or re-resolved after
-    /// an epoch bump).
-    pub links_resolved: u64,
-    /// Hot traces promoted to superblocks.
-    pub traces_formed: u64,
-    /// Superblock executions.
-    pub trace_execs: u64,
-    /// Chain/jump-cache invalidation epochs (trace formation or a
-    /// member block degrading).
-    pub invalidations: u64,
-    /// Blocks compiled to threaded code by this session (first-execute
-    /// lazy compiles; deterministic — one per distinct block executed).
-    pub compiled_blocks: u64,
-    /// Wall-clock nanoseconds spent compiling threaded code. Timing,
-    /// so determinism comparisons strip it (like
-    /// `histograms.translate_ns`).
-    pub compile_ns: u64,
-}
-
-impl DispatchCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds `other` into `self` field-wise.
-    pub fn merge(&mut self, other: &DispatchCounters) {
-        self.jump_cache_hits += other.jump_cache_hits;
-        self.jump_cache_misses += other.jump_cache_misses;
-        self.chain_followed += other.chain_followed;
-        self.links_resolved += other.links_resolved;
-        self.traces_formed += other.traces_formed;
-        self.trace_execs += other.trace_execs;
-        self.invalidations += other.invalidations;
-        self.compiled_blocks += other.compiled_blocks;
-        self.compile_ns += other.compile_ns;
-    }
-}
-
-/// Server-lifetime shared-translation counters, updated concurrently
-/// by every session attached to one `SharedTranslationState` (atomics;
-/// a session holds the state behind an `Arc`).
-///
-/// The invariant that keeps these *deterministic* under concurrency:
-/// `probes` counts each session's first sight of a block address (one
-/// probe per distinct pc per session), and `inserted` counts the
-/// translations that actually entered the shared cache (the insert
-/// dedups, so exactly one per distinct pc server-wide). `hits` is
-/// *derived* as `probes - inserted`: a session that raced another to
-/// translate the same block and lost counts as a hit — its duplicate
-/// work shows up only in `translate_calls`, the one field that may
-/// legitimately exceed `inserted` under concurrency.
+/// One relaxed atomic statistic: a field of a shared counter family.
+/// It publishes no other data, so every access is `Relaxed`.
 #[derive(Debug, Default)]
-pub struct ServerCounters {
-    probes: std::sync::atomic::AtomicU64,
-    inserted: std::sync::atomic::AtomicU64,
-    translate_calls: std::sync::atomic::AtomicU64,
-    sessions: std::sync::atomic::AtomicU64,
-    compiled: std::sync::atomic::AtomicU64,
-}
+pub struct Counter(AtomicU64);
 
-impl ServerCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one session-first-sight probe of the shared cache.
+impl Counter {
     #[inline]
-    pub fn record_probe(&self) {
-        self.probes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    pub fn inc(&self) {
+        self.add(1);
     }
 
-    /// Records a translation that won the insert race (a new block
-    /// entered the shared cache).
     #[inline]
-    pub fn record_insert(&self) {
-        self.inserted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one `translate_block` invocation (including race losers
-    /// whose result was discarded).
-    #[inline]
-    pub fn record_translate(&self) {
-        self.translate_calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records a session attaching to the shared state.
-    #[inline]
-    pub fn record_session(&self) {
-        self.sessions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records a block compiled to threaded code (first execute of a
-    /// block by any session sharing this state).
-    #[inline]
-    pub fn record_compiled(&self) {
-        self.compiled
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters.
     #[must_use]
-    pub fn snapshot(&self) -> ServerSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
-        let probes = self.probes.load(Relaxed);
-        let inserted = self.inserted.load(Relaxed);
-        ServerSnapshot {
-            probes,
-            inserted,
-            hits: probes.saturating_sub(inserted),
-            translate_calls: self.translate_calls.load(Relaxed),
-            sessions: self.sessions.load(Relaxed),
-            compiled_blocks: self.compiled.load(Relaxed),
-        }
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A point-in-time copy of [`ServerCounters`], embedded in run reports
-/// as the `server` section.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerSnapshot {
-    /// Session-first-sight probes of the shared cache.
-    pub probes: u64,
-    /// Distinct blocks translated into the shared cache.
-    pub inserted: u64,
-    /// Probes served without a new translation entering the cache
-    /// (`probes - inserted`).
-    pub hits: u64,
-    /// Actual `translate_block` invocations (≥ `inserted`; the excess
-    /// is duplicate work from insert races).
-    pub translate_calls: u64,
-    /// Sessions that attached to the shared state.
-    pub sessions: u64,
-    /// Blocks compiled to threaded code across all sessions (0 under
-    /// the model backend).
-    pub compiled_blocks: u64,
+impl From<u64> for Counter {
+    fn from(n: u64) -> Counter {
+        Counter(AtomicU64::new(n))
+    }
+}
+
+/// Declares a counter family from one table: each line is a doc
+/// comment and a name, and the name is at once the `pub u64` field, the
+/// entry in `FIELDS` and the JSON key.
+///
+/// ```text
+/// counter_family! {
+///     /// What the family measures.
+///     pub struct Name {
+///         /// What this counter counts.
+///         some_counter,
+///     }
+/// }
+/// ```
+///
+/// generates `struct Name` (`Clone`, `Debug`, `Default`, `PartialEq`,
+/// `Eq`) with:
+///
+/// * `Name::FIELDS` — the names in table order;
+/// * `values()` / `values_mut()` — the fields in that order, for code
+///   that must treat every counter alike (the merge-law tests);
+/// * `merge(&other)` — field-wise sum;
+/// * `json_pairs()` / `to_json()` — one `(name, value)` pair per line,
+///   allocation-free until collected into a [`Json`](crate::json::Json)
+///   object.
+///
+/// A trailing `atomic pub struct Twin;` adds the shared twin — the same
+/// names as `pub` [`Counter`] fields, bumped concurrently through
+/// `twin.some_counter.inc()` — with `Default` and `snapshot() -> Name`.
+///
+/// A trailing `also { name: [u64; N] = op, }` block adds array fields
+/// that `merge` folds element-wise with `op` (a `fn(u64, u64) -> u64`);
+/// they are not in `FIELDS` and their JSON is written by hand.
+///
+/// What stays hand-written, beside the invocation: anything derived
+/// from the counters (`hits`, `hit_rate`, `warm`, coverage ratios), the
+/// JSON of the `also` arrays (their keys come from another enum), and
+/// which section of a payload a family is rendered into. Adding a
+/// counter is one table line plus `UPDATE_GOLDEN=1 cargo test --test
+/// report_schema --test serve`.
+#[macro_export]
+macro_rules! counter_family {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $field:ident, )+
+        }
+        $( also {
+            $( $(#[$ameta:meta])* $afield:ident : [u64; $alen:expr] = $aop:expr, )+
+        } )?
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )+
+            $($( $(#[$ameta])* pub $afield: [u64; $alen], )+)?
+        }
+
+        // A private family need not use every generated view.
+        #[allow(dead_code)]
+        impl $name {
+            /// The counter names, in table order.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),+];
+
+            /// The counters, in `FIELDS` order.
+            #[must_use]
+            pub fn values(&self) -> [u64; $name::FIELDS.len()] {
+                [$(self.$field),+]
+            }
+
+            /// The counters, in `FIELDS` order.
+            pub fn values_mut(&mut self) -> [&mut u64; $name::FIELDS.len()] {
+                [$(&mut self.$field),+]
+            }
+
+            /// Folds `other` into `self` field-wise.
+            pub fn merge(&mut self, other: &$name) {
+                $( self.$field += other.$field; )+
+                $($(
+                    for (a, b) in self.$afield.iter_mut().zip(&other.$afield) {
+                        *a = $aop(*a, *b);
+                    }
+                )+)?
+            }
+
+            /// One `(name, value)` pair per counter.
+            pub fn json_pairs(&self) -> impl Iterator<Item = (&'static str, $crate::json::Json)> {
+                Self::FIELDS
+                    .iter()
+                    .copied()
+                    .zip(self.values())
+                    .map(|(k, v)| (k, $crate::json::Json::from(v)))
+            }
+
+            /// The family as a flat JSON object.
+            #[must_use]
+            pub fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj(self.json_pairs())
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $field:ident, )+
+        }
+        $(#[$tmeta:meta])*
+        atomic $tvis:vis struct $twin:ident;
+    ) => {
+        $crate::counter_family! {
+            $(#[$meta])*
+            $vis struct $name {
+                $( $(#[$fmeta])* $field, )+
+            }
+        }
+
+        $(#[$tmeta])*
+        #[derive(Debug, Default)]
+        $tvis struct $twin {
+            $( $(#[$fmeta])* pub $field: $crate::counters::Counter, )+
+        }
+
+        #[allow(dead_code)]
+        impl $twin {
+            /// A point-in-time copy of the counters.
+            #[must_use]
+            pub fn snapshot(&self) -> $name {
+                $name { $( $field: self.$field.get(), )+ }
+            }
+        }
+    };
+}
+
+counter_family! {
+    /// Dispatch hot-path counters: how block transitions were resolved
+    /// (direct-mapped jump cache, inline chain links, or the full
+    /// dispatcher) and how many hot traces were promoted to
+    /// superblocks. The report's `dispatch` section.
+    pub struct DispatchCounters {
+        /// Direct-mapped jump-cache probes that hit.
+        jump_cache_hits,
+        /// Jump-cache probes that missed (fell through to the
+        /// dispatcher).
+        jump_cache_misses,
+        /// Block transitions followed through an inline chain link
+        /// without re-entering the dispatcher.
+        chain_followed,
+        /// Chain links lazily resolved (first follow, or re-resolved
+        /// after an epoch bump).
+        links_resolved,
+        /// Hot traces promoted to superblocks.
+        traces_formed,
+        /// Superblock executions.
+        trace_execs,
+        /// Chain/jump-cache invalidation epochs (trace formation or a
+        /// member block degrading).
+        invalidations,
+        /// Blocks compiled to threaded code by this session
+        /// (first-execute lazy compiles; deterministic — one per
+        /// distinct block executed).
+        compiled_blocks,
+        /// Wall-clock nanoseconds spent compiling threaded code.
+        /// Timing, so the stripped report drops it.
+        compile_ns,
+    }
+}
+
+counter_family! {
+    /// A point-in-time copy of [`ServerCounters`], the counters of the
+    /// report's `server` section.
+    pub struct ServerSnapshot {
+        /// Session-first-sight probes of the shared cache (one per
+        /// distinct pc per session).
+        probes,
+        /// Translations that won the insert race: distinct blocks in
+        /// the shared cache (the insert dedups, so exactly one per
+        /// distinct pc server-wide).
+        inserted,
+        /// `translate_block` invocations, including race losers whose
+        /// result was discarded (≥ `inserted`; the excess is duplicate
+        /// work from insert races).
+        translate_calls,
+        /// Sessions that attached to the shared state.
+        sessions,
+        /// Blocks compiled to threaded code across all sessions (0
+        /// under the model backend).
+        compiled_blocks,
+    }
+    /// Server-lifetime shared-translation counters, updated
+    /// concurrently by every session attached to one
+    /// `SharedTranslationState`.
+    ///
+    /// What keeps them *deterministic* under concurrency: `probes` and
+    /// `inserted` are schedule-independent, and `hits` is *derived* as
+    /// `probes - inserted` — a session that raced another to translate
+    /// the same block and lost counts as a hit; its duplicate work
+    /// shows up only in `translate_calls`.
+    atomic pub struct ServerCounters;
 }
 
 impl ServerSnapshot {
+    /// Probes served without a new translation entering the cache.
+    #[must_use]
+    pub fn hits(&self) -> u64 {
+        self.probes.saturating_sub(self.inserted)
+    }
+
     /// Fraction of probes served from the warm cache (0.0 when nothing
     /// was probed).
     #[must_use]
@@ -444,89 +526,43 @@ impl ServerSnapshot {
         if self.probes == 0 {
             return 0.0;
         }
-        self.hits as f64 / self.probes as f64
+        self.hits() as f64 / self.probes as f64
+    }
+
+    /// The `server` section's counter keys: the table plus the derived
+    /// `hits` and `hit_rate`.
+    pub fn section_pairs(&self) -> impl Iterator<Item = (&'static str, Json)> {
+        self.json_pairs().chain([
+            ("hits", Json::from(self.hits())),
+            ("hit_rate", Json::from(self.hit_rate())),
+        ])
     }
 }
 
-/// Translation-artifact counters of one shared state: what a sealed
-/// `.pdba` artifact contributed at boot (fixed at load time) plus the
-/// live superblock-library hits. A cold state carries the all-zero
-/// default. Reported inside the `server` JSON section, so determinism
-/// comparisons strip it alongside the other server-lifetime counters.
-#[derive(Debug, Default)]
-pub struct ArtifactCounters {
-    /// Pre-translated blocks rehydrated into the shared cache at boot.
-    loaded_blocks: u64,
-    /// Superblock traces loaded into the trace library at boot.
-    loaded_traces: u64,
-    /// Rules carried by the artifact's embedded ruleset (0 when the
-    /// artifact had no RULE section or it was quarantined).
-    loaded_rules: u64,
-    /// Artifact sections whose checksum or parse failed and were
-    /// quarantined at load (the rest of the artifact still boots).
-    quarantined_sections: u64,
-    /// Trace formations served from the loaded library instead of a
-    /// fresh `translate_trace` call.
-    trace_hits: std::sync::atomic::AtomicU64,
-}
-
-impl ArtifactCounters {
-    /// Cold counters: no artifact was loaded.
-    pub fn new() -> Self {
-        Self::default()
+counter_family! {
+    /// A point-in-time copy of [`ArtifactCounters`], reported as
+    /// `server.artifact`.
+    pub struct ArtifactSnapshot {
+        /// Pre-translated blocks rehydrated into the shared cache at
+        /// boot.
+        loaded_blocks,
+        /// Superblock traces loaded into the trace library at boot.
+        loaded_traces,
+        /// Rules carried by the artifact's embedded ruleset (0 when the
+        /// artifact had no RULE section or it was quarantined).
+        loaded_rules,
+        /// Artifact sections whose checksum or parse failed and were
+        /// quarantined at load (the rest of the artifact still boots).
+        quarantined_sections,
+        /// Trace formations served from the loaded library instead of a
+        /// fresh `translate_trace` call.
+        trace_hits,
     }
-
-    /// Counters for a state booted from an artifact.
-    #[must_use]
-    pub fn loaded(
-        loaded_blocks: u64,
-        loaded_traces: u64,
-        loaded_rules: u64,
-        quarantined_sections: u64,
-    ) -> Self {
-        ArtifactCounters {
-            loaded_blocks,
-            loaded_traces,
-            loaded_rules,
-            quarantined_sections,
-            trace_hits: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Records a trace formation served from the loaded library.
-    #[inline]
-    pub fn record_trace_hit(&self) {
-        self.trace_hits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters.
-    #[must_use]
-    pub fn snapshot(&self) -> ArtifactSnapshot {
-        ArtifactSnapshot {
-            loaded_blocks: self.loaded_blocks,
-            loaded_traces: self.loaded_traces,
-            loaded_rules: self.loaded_rules,
-            quarantined_sections: self.quarantined_sections,
-            trace_hits: self.trace_hits.load(std::sync::atomic::Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`ArtifactCounters`], embedded in run
-/// reports inside the `server` section as `artifact`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ArtifactSnapshot {
-    /// Pre-translated blocks rehydrated at boot.
-    pub loaded_blocks: u64,
-    /// Superblock traces loaded at boot.
-    pub loaded_traces: u64,
-    /// Rules carried by the artifact's embedded ruleset.
-    pub loaded_rules: u64,
-    /// Sections quarantined at load.
-    pub quarantined_sections: u64,
-    /// Trace formations served from the loaded library.
-    pub trace_hits: u64,
+    /// Translation-artifact counters of one shared state: what a sealed
+    /// `.pdba` artifact contributed at boot (set once, at load) plus
+    /// the live superblock-library hits. A cold state carries the
+    /// all-zero default.
+    atomic pub struct ArtifactCounters;
 }
 
 impl ArtifactSnapshot {
@@ -537,107 +573,31 @@ impl ArtifactSnapshot {
     }
 }
 
-/// Replication-plane counters of one serving daemon: what the fleet
-/// protocol (`ART_LIST`/`ART_PULL`/`ART_PUSH`) moved in and out, and
-/// what the drain write-back persisted. Server-global (not per
-/// partition) and updated concurrently by the accept loop and the
-/// replication tick, so everything is atomic. Surfaced as the `fleet`
-/// section of the PING/STATS payloads.
-#[derive(Debug, Default)]
-pub struct FleetCounters {
-    /// Artifacts fetched from peers (boot pull or refresh tick),
-    /// whether or not they were subsequently adopted.
-    pulled: std::sync::atomic::AtomicU64,
-    /// Artifacts served out to peers (answering their `ART_PULL`).
-    pushed: std::sync::atomic::AtomicU64,
-    /// Incoming artifacts that replaced (or created) a partition.
-    adopted: std::sync::atomic::AtomicU64,
-    /// Incoming artifacts refused: validation failure, fingerprint
-    /// mismatch, or a stale generation.
-    rejected: std::sync::atomic::AtomicU64,
-    /// Partitions re-sealed to the artifact dir on drain.
-    written_back: std::sync::atomic::AtomicU64,
-    /// Total artifact payload bytes moved (in + out + written back).
-    bytes: std::sync::atomic::AtomicU64,
-}
-
-impl FleetCounters {
-    pub fn new() -> Self {
-        Self::default()
+counter_family! {
+    /// A point-in-time copy of [`FleetCounters`]: the `fleet` section
+    /// of the PING/STATS payloads.
+    pub struct FleetSnapshot {
+        /// Artifacts fetched from peers (boot pull or refresh tick),
+        /// whether or not they were subsequently adopted.
+        pulled,
+        /// Artifacts served out to peers (answering their `ART_PULL`).
+        pushed,
+        /// Incoming artifacts that replaced (or created) a partition.
+        adopted,
+        /// Incoming artifacts refused: validation failure, fingerprint
+        /// mismatch, or a stale generation.
+        rejected,
+        /// Partitions re-sealed to the artifact dir on drain.
+        written_back,
+        /// Total artifact payload bytes moved (in + out + written back).
+        bytes,
     }
-
-    /// Records an artifact fetched from a peer.
-    #[inline]
-    pub fn record_pulled(&self) {
-        self.pulled
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records an artifact served out to a peer.
-    #[inline]
-    pub fn record_pushed(&self) {
-        self.pushed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records an incoming artifact adopted into a partition.
-    #[inline]
-    pub fn record_adopted(&self) {
-        self.adopted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records an incoming artifact refused.
-    #[inline]
-    pub fn record_rejected(&self) {
-        self.rejected
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records a partition written back to the artifact dir on drain.
-    #[inline]
-    pub fn record_written_back(&self) {
-        self.written_back
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records artifact payload bytes moved.
-    #[inline]
-    pub fn record_bytes(&self, n: u64) {
-        self.bytes
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters.
-    #[must_use]
-    pub fn snapshot(&self) -> FleetSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
-        FleetSnapshot {
-            pulled: self.pulled.load(Relaxed),
-            pushed: self.pushed.load(Relaxed),
-            adopted: self.adopted.load(Relaxed),
-            rejected: self.rejected.load(Relaxed),
-            written_back: self.written_back.load(Relaxed),
-            bytes: self.bytes.load(Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`FleetCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetSnapshot {
-    /// Artifacts fetched from peers.
-    pub pulled: u64,
-    /// Artifacts served out to peers.
-    pub pushed: u64,
-    /// Incoming artifacts adopted into partitions.
-    pub adopted: u64,
-    /// Incoming artifacts refused.
-    pub rejected: u64,
-    /// Partitions written back on drain.
-    pub written_back: u64,
-    /// Artifact payload bytes moved.
-    pub bytes: u64,
+    /// Replication-plane counters of one serving daemon: what the fleet
+    /// protocol (`ART_LIST`/`ART_PULL`/`ART_PUSH`) moved in and out, and
+    /// what the drain write-back persisted. Server-global (not per
+    /// partition), updated concurrently by the accept loop and the
+    /// replication tick.
+    atomic pub struct FleetCounters;
 }
 
 impl fmt::Display for RuleCounters {
@@ -755,30 +715,67 @@ mod tests {
         assert_eq!(p.tasks(), &[1, 2]);
     }
 
+    counter_family! {
+        /// A plain family with an array field folded by `max`.
+        struct Sample {
+            first,
+            second,
+        }
+        also {
+            peak: [u64; 2] = u64::max,
+        }
+    }
+
+    counter_family! {
+        struct Shot {
+            seen,
+            bytes,
+        }
+        atomic struct Shared;
+    }
+
+    #[test]
+    fn counter_family_views_all_come_from_the_one_table() {
+        assert_eq!(Sample::FIELDS, ["first", "second"]);
+        let mut a = Sample {
+            first: 1,
+            second: 2,
+            peak: [5, 0],
+        };
+        let b = Sample {
+            first: 10,
+            second: 20,
+            peak: [3, 4],
+        };
+        a.merge(&b);
+        assert_eq!(a.values(), [11, 22]);
+        assert_eq!(a.peak, [5, 4], "`also` arrays fold with their own op");
+        assert_eq!(a.to_json().to_string(), r#"{"first":11,"second":22}"#);
+        for v in a.values_mut() {
+            *v = 7;
+        }
+        assert_eq!((a.first, a.second), (7, 7));
+
+        let shared = Shared::default();
+        shared.seen.inc();
+        shared.bytes.add(40);
+        shared.bytes.add(2);
+        assert_eq!(shared.snapshot(), Shot { seen: 1, bytes: 42 });
+    }
+
     #[test]
     fn server_counters_derive_hits_from_probes_and_inserts() {
-        let c = ServerCounters::new();
-        for _ in 0..3 {
-            c.record_session();
-        }
+        let c = ServerCounters::default();
         // 3 sessions × 4 blocks probed; only the first session's 4
         // translations entered the cache, but one race loser also
         // called the translator.
-        for _ in 0..12 {
-            c.record_probe();
-        }
-        for _ in 0..4 {
-            c.record_insert();
-        }
-        for _ in 0..5 {
-            c.record_translate();
-        }
+        c.sessions.add(3);
+        c.probes.add(12);
+        c.inserted.add(4);
+        c.translate_calls.add(5);
         let s = c.snapshot();
-        assert_eq!(s.sessions, 3);
-        assert_eq!(s.probes, 12);
-        assert_eq!(s.inserted, 4);
-        assert_eq!(s.hits, 8, "hits = probes - inserted");
-        assert_eq!(s.translate_calls, 5);
+        assert_eq!(s.values(), [12, 4, 5, 3, 0]);
+        assert_eq!(s.hits(), 8, "hits = probes - inserted");
         assert!((s.hit_rate() - 8.0 / 12.0).abs() < 1e-12);
         assert_eq!(ServerSnapshot::default().hit_rate(), 0.0);
         // Concurrent recording keeps the derived totals exact.
@@ -786,7 +783,7 @@ mod tests {
             for _ in 0..4 {
                 sc.spawn(|| {
                     for _ in 0..100 {
-                        c.record_probe();
+                        c.probes.inc();
                     }
                 });
             }

@@ -70,6 +70,10 @@ pub struct Histogram {
     bounds: &'static [u64],
     counts: Vec<u64>,
     count: u64,
+    /// [`Histogram::FALLBACK`] records: in `count` and the catch-all
+    /// bucket, but not samples — `sum`, `min`, `max`, the mean and the
+    /// quantiles are over `count - fallbacks` real values.
+    fallbacks: u64,
     sum: u64,
     min: u64,
     max: u64,
@@ -77,7 +81,8 @@ pub struct Histogram {
 
 impl Histogram {
     /// Sentinel value routed to the catch-all bucket; used by the
-    /// delegation-depth histogram for environment fallbacks.
+    /// delegation-depth histogram for environment fallbacks. It marks
+    /// an event without a magnitude: counted, never a sample.
     pub const FALLBACK: u64 = u64::MAX;
 
     pub fn new(bounds: &'static [u64]) -> Self {
@@ -85,6 +90,7 @@ impl Histogram {
             bounds,
             counts: vec![0; bounds.len() + 1],
             count: 0,
+            fallbacks: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
@@ -127,9 +133,11 @@ impl Histogram {
         let b = self.bucket_of(v);
         self.counts[b] += 1;
         self.count += 1;
-        self.sum = self
-            .sum
-            .saturating_add(if v == Self::FALLBACK { 0 } else { v });
+        if v == Self::FALLBACK {
+            self.fallbacks += 1;
+            return;
+        }
+        self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -141,6 +149,7 @@ impl Histogram {
             *a += b;
         }
         self.count += other.count;
+        self.fallbacks += other.fallbacks;
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -154,16 +163,21 @@ impl Histogram {
         self.sum
     }
 
+    /// Real samples: everything recorded except the sentinel.
+    fn samples(&self) -> u64 {
+        self.count - self.fallbacks
+    }
+
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.samples() == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64
+            self.sum as f64 / self.samples() as f64
         }
     }
 
     pub fn min(&self) -> u64 {
-        if self.count == 0 {
+        if self.samples() == 0 {
             0
         } else {
             self.min
@@ -178,21 +192,29 @@ impl Histogram {
     /// interpolation within the bucket whose cumulative count reaches
     /// the rank, clamped to the observed `[min, max]` so a sparse
     /// bucket can't report a value outside the recorded range. The
-    /// catch-all bucket interpolates toward the observed max.
+    /// catch-all bucket interpolates toward the observed max. Ranks
+    /// run over real samples only ([`Histogram::FALLBACK`] records
+    /// have no magnitude to rank).
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
+        let samples = self.samples();
+        if samples == 0 {
             return 0;
         }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let target = (p.clamp(0.0, 1.0) * samples as f64).ceil().max(1.0) as u64;
         let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            if *c == 0 {
+        for (i, &c) in self.counts.iter().enumerate() {
+            let c = if i == self.bounds.len() {
+                c - self.fallbacks
+            } else {
+                c
+            };
+            if c == 0 {
                 continue;
             }
             if cum + c >= target {
                 let lo = if i == 0 { 0 } else { self.bounds[i - 1] };
                 let hi = self.bounds.get(i).copied().unwrap_or(self.max).max(lo);
-                let frac = (target - cum) as f64 / *c as f64;
+                let frac = (target - cum) as f64 / c as f64;
                 let v = lo as f64 + frac * (hi - lo) as f64;
                 return (v.round() as u64).clamp(self.min, self.max);
             }
@@ -298,13 +320,31 @@ mod tests {
     }
 
     #[test]
-    fn fallback_sentinel_lands_in_catch_all_without_poisoning_sum() {
+    fn fallback_sentinel_is_counted_but_never_a_sample() {
         let mut h = Histogram::deleg_depth();
         h.record(0);
         h.record(3);
         h.record(Histogram::FALLBACK);
         assert_eq!(h.raw_counts(), &[1, 0, 0, 1, 1]);
+        assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 3);
+        assert_eq!((h.min(), h.max()), (0, 3));
+        assert_eq!(h.mean(), 1.5);
+        assert_eq!((h.p50(), h.p99()), (0, 3));
+
+        // Fallbacks alone leave every sample statistic at its empty
+        // value, through a merge too.
+        let mut only = Histogram::deleg_depth();
+        only.record(Histogram::FALLBACK);
+        let mut merged = Histogram::deleg_depth();
+        merged.merge(&only);
+        for h in [&only, &merged] {
+            assert_eq!(h.count(), 1);
+            assert_eq!((h.min(), h.max(), h.p50(), h.p99()), (0, 0, 0, 0));
+            assert_eq!(h.mean(), 0.0);
+            assert!(!h.to_json().to_string().contains('-'));
+            assert!(h.to_string().ends_with("n=1 mean=0.0 min=0 max=0"));
+        }
     }
 
     #[test]

@@ -100,6 +100,22 @@ impl Json {
         }
     }
 
+    /// Removes the value at a dotted object path (`"dispatch.compile_ns"`)
+    /// and returns it; `None` when any segment is missing or not an
+    /// object.
+    pub fn remove_path(&mut self, path: &str) -> Option<Json> {
+        let mut node = self;
+        let mut keys = path.split('.').peekable();
+        while let Some(key) = keys.next() {
+            let Json::Obj(map) = node else { return None };
+            if keys.peek().is_none() {
+                return map.remove(key);
+            }
+            node = map.get_mut(key)?;
+        }
+        None
+    }
+
     // -- writing ------------------------------------------------------
 
     pub fn write(&self, out: &mut String) {
@@ -179,8 +195,10 @@ impl fmt::Display for Json {
 }
 
 impl From<u64> for Json {
+    /// Saturates at `i64::MAX`: a counter past the `Int` range reads as
+    /// "huge", never as a negative number.
     fn from(n: u64) -> Json {
-        Json::Int(n as i64)
+        Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
     }
 }
 
@@ -484,6 +502,22 @@ mod tests {
     fn integral_floats_stay_floats_on_roundtrip() {
         let text = Json::Float(2.0).to_string();
         assert_eq!(Json::parse(&text).unwrap(), Json::Float(2.0));
+    }
+
+    #[test]
+    fn u64_past_the_int_range_saturates() {
+        assert_eq!(Json::from(u64::MAX), Json::Int(i64::MAX));
+        assert_eq!(Json::from(7u64), Json::Int(7));
+    }
+
+    #[test]
+    fn remove_path_walks_dotted_object_keys() {
+        let mut doc = Json::parse(r#"{"a":{"b":{"c":1,"d":2}},"e":3}"#).unwrap();
+        assert_eq!(doc.remove_path("a.b.c"), Some(Json::Int(1)));
+        assert_eq!(doc.remove_path("e"), Some(Json::Int(3)));
+        assert_eq!(doc.remove_path("a.x.c"), None);
+        assert_eq!(doc.remove_path("a.b.d.z"), None);
+        assert_eq!(doc.to_string(), r#"{"a":{"b":{"d":2}}}"#);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use counters::{
-    ArtifactCounters, ArtifactSnapshot, DispatchCounters, FleetCounters, FleetSnapshot,
+    ArtifactCounters, ArtifactSnapshot, Counter, DispatchCounters, FleetCounters, FleetSnapshot,
     PoolCounters, RuleCounters, RuleId, RuleRow, ServerCounters, ServerSnapshot, ShardCounters,
 };
 pub use hist::Histogram;

@@ -16,6 +16,7 @@
 //! or a live `STATS` poll) can show *what the daemon just did* without
 //! rerunning anything.
 
+use crate::counters::ServerSnapshot;
 use crate::hist::Histogram;
 use crate::json::Json;
 use std::collections::VecDeque;
@@ -279,6 +280,36 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
+    /// One `partitions[]` row, the shape the run report (a standalone
+    /// engine's single partition) and the daemon's STATS payload share:
+    /// the fingerprint, the partition's `server` counters and its
+    /// request-latency rollup.
+    pub fn partition_pairs(
+        &self,
+        server: &ServerSnapshot,
+    ) -> impl Iterator<Item = (&'static str, Json)> {
+        let requests = &self.latency.request_ns;
+        let latency = Json::obj([
+            ("count", Json::from(requests.count())),
+            ("p50", Json::from(requests.p50())),
+            ("p95", Json::from(requests.p95())),
+            ("p99", Json::from(requests.p99())),
+        ]);
+        // Duplicate translation work is reported server-wide only. The
+        // survivors pass through a fixed-size array so the row keeps an
+        // exact size hint (one allocation when collected, like a
+        // literal), which `filter` alone would lose.
+        let mut kept = server
+            .section_pairs()
+            .filter(|(key, _)| *key != "translate_calls");
+        let counters: [_; ServerSnapshot::FIELDS.len() + 1] =
+            std::array::from_fn(|_| kept.next().expect("the section minus one key"));
+        counters.into_iter().chain([
+            ("partition", Json::str(format!("{:016x}", self.partition))),
+            ("latency", latency),
+        ])
+    }
+
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("latency", self.latency.to_json()),

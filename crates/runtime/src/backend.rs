@@ -221,7 +221,7 @@ impl HostBackend for ThreadedBackend {
                 });
                 obs.dispatch.compiled_blocks += 1;
                 obs.dispatch.compile_ns += pdbt_obs::now_ns().saturating_sub(t0);
-                obs.server.record_compiled();
+                obs.server.compiled_blocks.inc();
                 code
             }
         };
@@ -276,8 +276,8 @@ mod tests {
             out(),
             hlt(),
         ]);
-        let server = ServerCounters::new();
-        let mut dispatch = DispatchCounters::new();
+        let server = ServerCounters::default();
+        let mut dispatch = DispatchCounters::default();
         let mut cpu_m = HostCpu::new();
         let mut cpu_t = HostCpu::new();
         let mut obs = BackendObs {

@@ -124,26 +124,29 @@ impl RunSetup {
     }
 }
 
-/// Aggregated run metrics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Guest instructions retired (dynamic).
-    pub guest_retired: u64,
-    /// Guest instructions translated through rules (dynamic), including
-    /// delegated terminal branches.
-    pub rule_covered: u64,
-    /// Executed host instructions by [`CodeClass`] index.
-    pub host_by_class: [u64; 4],
-    /// Blocks translated (static) and executed (dynamic).
-    pub blocks_translated: u64,
-    /// Block executions.
-    pub blocks_executed: u64,
-    /// Host instructions generated (static).
-    pub host_generated: u64,
-    /// Executed host instructions as counted by the block executor
-    /// (folds the per-block `ExecStats`; equals the sum of the
-    /// per-class counters).
-    pub host_retired: u64,
+pdbt_obs::counter_family! {
+    /// Aggregated run metrics: the report's `metrics` section.
+    pub struct Metrics {
+        /// Guest instructions retired (dynamic).
+        guest_retired,
+        /// Guest instructions translated through rules (dynamic),
+        /// including delegated terminal branches.
+        rule_covered,
+        /// Blocks translated (static).
+        blocks_translated,
+        /// Block executions (dynamic).
+        blocks_executed,
+        /// Host instructions generated (static).
+        host_generated,
+        /// Executed host instructions as counted by the block executor
+        /// (folds the per-block `ExecStats`; equals the sum of the
+        /// per-class counters).
+        host_retired,
+    }
+    also {
+        /// Executed host instructions by [`CodeClass`] index.
+        host_by_class: [u64; 4] = std::ops::Add::add,
+    }
 }
 
 impl Metrics {
@@ -182,19 +185,6 @@ impl Metrics {
             return 0.0;
         }
         self.host_executed() as f64 / self.guest_retired as f64
-    }
-
-    /// Folds another run's metrics into this one (suite aggregation).
-    pub fn merge(&mut self, other: &Metrics) {
-        self.guest_retired += other.guest_retired;
-        self.rule_covered += other.rule_covered;
-        for (a, b) in self.host_by_class.iter_mut().zip(&other.host_by_class) {
-            *a += b;
-        }
-        self.blocks_translated += other.blocks_translated;
-        self.blocks_executed += other.blocks_executed;
-        self.host_generated += other.host_generated;
-        self.host_retired += other.host_retired;
     }
 }
 
@@ -270,7 +260,7 @@ impl Default for RunObs {
             deleg_depth: Histogram::deleg_depth(),
             cache: ShardCounters::new(),
             pool: PoolCounters::new(),
-            dispatch: DispatchCounters::new(),
+            dispatch: DispatchCounters::default(),
         }
     }
 }
@@ -286,10 +276,6 @@ impl RunObs {
         self.pool.merge(&other.pool);
         self.dispatch.merge(&other.dispatch);
     }
-}
-
-fn hist_json(h: &Histogram) -> Json {
-    h.to_json()
 }
 
 /// How a run ended. Anything other than [`Outcome::Completed`] means
@@ -321,45 +307,34 @@ impl Outcome {
     }
 }
 
-/// Degraded-mode counters for one run: how often the engine fell back
-/// instead of failing, plus the fault-injection snapshot. All zeros in
-/// a healthy, fault-free run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Resilience {
-    /// Blocks that failed to translate and were interpreted instead.
-    pub degraded_blocks: u64,
-    /// Guest instructions retired on the interpreter fallback (a subset
-    /// of `Metrics::guest_retired`).
-    pub interpreted_guest: u64,
-    /// Rule-store entries quarantined by salvage loading
-    /// (`load_rules_salvage`); folded in by the CLI via
-    /// [`Engine::resilience_mut`].
-    pub quarantined_rules: u64,
-    /// Derivation candidates quarantined by panic isolation
-    /// (`DeriveStats::quarantined`); folded in by the CLI.
-    pub quarantined_combos: u64,
-    /// Verifications that ran out of fuel (`DeriveStats::fuel_exhausted`);
-    /// folded in by the CLI.
-    pub fuel_exhausted: u64,
-    /// Per-site injected fault counts ([`pdbt_faults::injected`]),
-    /// snapshotted when the report is built. All zeros unless a fault
-    /// plan is active.
-    pub injected: [u64; pdbt_faults::SITE_COUNT],
-}
-
-impl Resilience {
-    /// Folds another run's counters into this one (suite aggregation).
-    /// The injected-fault snapshot is process-wide, so it is maxed, not
-    /// summed.
-    pub fn merge(&mut self, other: &Resilience) {
-        self.degraded_blocks += other.degraded_blocks;
-        self.interpreted_guest += other.interpreted_guest;
-        self.quarantined_rules += other.quarantined_rules;
-        self.quarantined_combos += other.quarantined_combos;
-        self.fuel_exhausted += other.fuel_exhausted;
-        for (a, b) in self.injected.iter_mut().zip(&other.injected) {
-            *a = (*a).max(*b);
-        }
+pdbt_obs::counter_family! {
+    /// Degraded-mode counters for one run: how often the engine fell
+    /// back instead of failing, plus the fault-injection snapshot. All
+    /// zeros in a healthy, fault-free run. The report's `resilience`
+    /// section.
+    pub struct Resilience {
+        /// Blocks that failed to translate and were interpreted instead.
+        degraded_blocks,
+        /// Guest instructions retired on the interpreter fallback (a
+        /// subset of `Metrics::guest_retired`).
+        interpreted_guest,
+        /// Rule-store entries quarantined by salvage loading
+        /// (`load_rules_salvage`); folded in by the CLI via
+        /// [`Engine::resilience_mut`].
+        quarantined_rules,
+        /// Derivation candidates quarantined by panic isolation
+        /// (`DeriveStats::quarantined`); folded in by the CLI.
+        quarantined_combos,
+        /// Verifications that ran out of fuel
+        /// (`DeriveStats::fuel_exhausted`); folded in by the CLI.
+        fuel_exhausted,
+    }
+    also {
+        /// Per-site injected fault counts ([`pdbt_faults::injected`]),
+        /// snapshotted when the report is built. All zeros unless a
+        /// fault plan is active. The snapshot is process-wide, so
+        /// merging takes the max, not the sum.
+        injected: [u64; pdbt_faults::SITE_COUNT] = u64::max,
     }
 }
 
@@ -402,51 +377,61 @@ pub struct Report {
 }
 
 impl Report {
+    /// What [`Report::stripped`] drops: the one section that describes
+    /// the shared state rather than the session (`server`, snapshotted
+    /// at a wall-clock-dependent point under concurrency) and the two
+    /// wall-clock measurements.
+    pub const STRIPPED: [&'static str; 3] =
+        ["server", "histograms.translate_ns", "dispatch.compile_ns"];
+
+    /// The stripped report — the definition of the determinism
+    /// invariant: for one guest, rule set and configuration, this
+    /// document is bit-identical to a sequential cold run's whether the
+    /// session ran warm, concurrently, from an artifact or on a
+    /// follower. Takes the JSON form so reports that arrived over the
+    /// wire compare the same way.
+    #[must_use]
+    pub fn stripped(report: &Json) -> Json {
+        let mut doc = report.clone();
+        for path in Self::STRIPPED {
+            doc.remove_path(path);
+        }
+        doc
+    }
+
     /// The machine-readable run report (`pdbt run --report-json`).
+    /// Counter families render themselves (`json_pairs`, keyed by their
+    /// table); only derived values, arrays and non-counter sections are
+    /// spelled out here.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let m = &self.metrics;
         let r = &self.resilience;
+        let obs = &self.obs;
+        let counts = |ns: &[u64]| Json::arr(ns.iter().map(|&n| Json::from(n)));
+        let host_by_class = [
+            ("rule_core", CodeClass::RuleCore),
+            ("qemu_core", CodeClass::QemuCore),
+            ("data_transfer", CodeClass::DataTransfer),
+            ("control", CodeClass::Control),
+        ]
+        .map(|(key, class)| (key, Json::from(m.host_by_class[class.index()])));
+        let injected =
+            pdbt_faults::Site::ALL.map(|s| (s.name(), Json::from(r.injected[s.index()])));
         Json::obj([
             ("outcome", Json::str(self.outcome.label())),
             (
                 "metrics",
-                Json::obj([
-                    ("guest_retired", Json::from(m.guest_retired)),
-                    ("rule_covered", Json::from(m.rule_covered)),
+                Json::obj(m.json_pairs().chain([
                     ("coverage", Json::from(m.coverage())),
                     ("host_executed", Json::from(m.host_executed())),
-                    ("host_retired", Json::from(m.host_retired)),
                     ("total_ratio", Json::from(m.total_ratio())),
-                    (
-                        "host_by_class",
-                        Json::obj([
-                            (
-                                "rule_core",
-                                Json::from(m.host_by_class[CodeClass::RuleCore.index()]),
-                            ),
-                            (
-                                "qemu_core",
-                                Json::from(m.host_by_class[CodeClass::QemuCore.index()]),
-                            ),
-                            (
-                                "data_transfer",
-                                Json::from(m.host_by_class[CodeClass::DataTransfer.index()]),
-                            ),
-                            (
-                                "control",
-                                Json::from(m.host_by_class[CodeClass::Control.index()]),
-                            ),
-                        ]),
-                    ),
-                    ("blocks_translated", Json::from(m.blocks_translated)),
-                    ("blocks_executed", Json::from(m.blocks_executed)),
-                    ("host_generated", Json::from(m.host_generated)),
-                ]),
+                    ("host_by_class", Json::obj(host_by_class)),
+                ])),
             ),
             (
                 "rules",
-                Json::arr(self.obs.rules.rows_by_coverage().into_iter().map(|r| {
+                Json::arr(obs.rules.rows_by_coverage().into_iter().map(|r| {
                     Json::obj([
                         ("label", Json::str(&r.label)),
                         ("subgroup", Json::str(&r.subgroup)),
@@ -457,169 +442,82 @@ impl Report {
             ),
             (
                 "lookup_misses",
-                Json::arr(self.obs.rules.misses().into_iter().map(|(label, n)| {
+                Json::arr(obs.rules.misses().into_iter().map(|(label, n)| {
                     Json::obj([("label", Json::str(label)), ("count", Json::from(n))])
                 })),
             ),
             (
                 "coverage_by_subgroup",
-                Json::arr(
-                    self.obs
-                        .rules
-                        .coverage_by_subgroup()
-                        .into_iter()
-                        .map(|(sg, n)| {
-                            Json::obj([("subgroup", Json::str(sg)), ("dyn_covered", Json::from(n))])
-                        }),
-                ),
+                Json::arr(obs.rules.coverage_by_subgroup().into_iter().map(|(sg, n)| {
+                    Json::obj([("subgroup", Json::str(sg)), ("dyn_covered", Json::from(n))])
+                })),
             ),
             (
                 "histograms",
                 Json::obj([
-                    ("translate_ns", hist_json(&self.obs.translate_ns)),
-                    ("block_host_len", hist_json(&self.obs.block_host_len)),
-                    ("deleg_depth", hist_json(&self.obs.deleg_depth)),
+                    ("translate_ns", obs.translate_ns.to_json()),
+                    ("block_host_len", obs.block_host_len.to_json()),
+                    ("deleg_depth", obs.deleg_depth.to_json()),
                 ]),
             ),
             (
                 "cache",
                 Json::obj([
-                    ("shards", Json::from(self.obs.cache.shards() as u64)),
-                    (
-                        "hits",
-                        Json::arr(self.obs.cache.hits().iter().map(|&n| Json::from(n))),
-                    ),
-                    (
-                        "misses",
-                        Json::arr(self.obs.cache.misses().iter().map(|&n| Json::from(n))),
-                    ),
-                    ("total_hits", Json::from(self.obs.cache.total_hits())),
-                    ("total_misses", Json::from(self.obs.cache.total_misses())),
-                    ("hit_rate", Json::from(self.obs.cache.hit_rate())),
+                    ("shards", Json::from(obs.cache.shards())),
+                    ("hits", counts(obs.cache.hits())),
+                    ("misses", counts(obs.cache.misses())),
+                    ("total_hits", Json::from(obs.cache.total_hits())),
+                    ("total_misses", Json::from(obs.cache.total_misses())),
+                    ("hit_rate", Json::from(obs.cache.hit_rate())),
                 ]),
             ),
             (
                 "pool",
                 Json::obj([
-                    ("workers", Json::from(self.obs.pool.workers() as u64)),
-                    (
-                        "tasks",
-                        Json::arr(self.obs.pool.tasks().iter().map(|&n| Json::from(n))),
-                    ),
-                    ("total", Json::from(self.obs.pool.total())),
+                    ("workers", Json::from(obs.pool.workers())),
+                    ("tasks", counts(obs.pool.tasks())),
+                    ("total", Json::from(obs.pool.total())),
                 ]),
             ),
             (
                 "dispatch",
-                Json::obj([
-                    ("backend", Json::str(self.backend)),
-                    (
-                        "compiled_blocks",
-                        Json::from(self.obs.dispatch.compiled_blocks),
-                    ),
-                    // Wall-clock; determinism comparisons strip this
-                    // field (like `histograms.translate_ns`).
-                    ("compile_ns", Json::from(self.obs.dispatch.compile_ns)),
-                    (
-                        "jump_cache_hits",
-                        Json::from(self.obs.dispatch.jump_cache_hits),
-                    ),
-                    (
-                        "jump_cache_misses",
-                        Json::from(self.obs.dispatch.jump_cache_misses),
-                    ),
-                    (
-                        "chain_followed",
-                        Json::from(self.obs.dispatch.chain_followed),
-                    ),
-                    (
-                        "links_resolved",
-                        Json::from(self.obs.dispatch.links_resolved),
-                    ),
-                    ("traces_formed", Json::from(self.obs.dispatch.traces_formed)),
-                    ("trace_execs", Json::from(self.obs.dispatch.trace_execs)),
-                    ("invalidations", Json::from(self.obs.dispatch.invalidations)),
-                ]),
+                Json::obj(
+                    obs.dispatch
+                        .json_pairs()
+                        .chain([("backend", Json::str(self.backend))]),
+                ),
             ),
             (
                 "server",
-                Json::obj([
-                    ("probes", Json::from(self.server.probes)),
-                    ("inserted", Json::from(self.server.inserted)),
-                    ("hits", Json::from(self.server.hits)),
-                    ("translate_calls", Json::from(self.server.translate_calls)),
-                    ("sessions", Json::from(self.server.sessions)),
-                    ("compiled_blocks", Json::from(self.server.compiled_blocks)),
-                    ("hit_rate", Json::from(self.server.hit_rate())),
-                    (
-                        "artifact",
-                        Json::obj([
-                            ("loaded_blocks", Json::from(self.artifact.loaded_blocks)),
-                            ("loaded_traces", Json::from(self.artifact.loaded_traces)),
-                            ("loaded_rules", Json::from(self.artifact.loaded_rules)),
-                            (
-                                "quarantined_sections",
-                                Json::from(self.artifact.quarantined_sections),
+                Json::obj(
+                    self.server.section_pairs().chain([
+                        (
+                            "artifact",
+                            Json::obj(
+                                self.artifact
+                                    .json_pairs()
+                                    .chain([("warm", Json::from(self.artifact.warm()))]),
                             ),
-                            ("trace_hits", Json::from(self.artifact.trace_hits)),
-                            ("warm", Json::from(self.artifact.warm())),
-                        ]),
-                    ),
-                    ("latency", self.telemetry.latency.to_json()),
-                    (
-                        "flight",
-                        Json::arr(self.telemetry.flight.iter().map(|s| s.to_json())),
-                    ),
-                    // A standalone engine sees exactly one partition:
-                    // the shared state it ran against. `pdbt serve`
-                    // exposes the full multi-image view through the
-                    // same shape in its STATS payload.
-                    (
-                        "partitions",
-                        Json::arr([Json::obj([
-                            (
-                                "partition",
-                                Json::str(format!("{:016x}", self.telemetry.partition)),
-                            ),
-                            ("sessions", Json::from(self.server.sessions)),
-                            ("probes", Json::from(self.server.probes)),
-                            ("inserted", Json::from(self.server.inserted)),
-                            ("hits", Json::from(self.server.hits)),
-                            ("compiled_blocks", Json::from(self.server.compiled_blocks)),
-                            ("hit_rate", Json::from(self.server.hit_rate())),
-                            (
-                                "latency",
-                                Json::obj([
-                                    (
-                                        "count",
-                                        Json::from(self.telemetry.latency.request_ns.count()),
-                                    ),
-                                    ("p50", Json::from(self.telemetry.latency.request_ns.p50())),
-                                    ("p95", Json::from(self.telemetry.latency.request_ns.p95())),
-                                    ("p99", Json::from(self.telemetry.latency.request_ns.p99())),
-                                ]),
-                            ),
-                        ])]),
-                    ),
-                ]),
+                        ),
+                        ("latency", self.telemetry.latency.to_json()),
+                        (
+                            "flight",
+                            Json::arr(self.telemetry.flight.iter().map(|s| s.to_json())),
+                        ),
+                        // A standalone engine sees exactly one partition:
+                        // the shared state it ran against. `pdbt serve`
+                        // exposes the full multi-image view through the
+                        // same rows in its STATS payload.
+                        (
+                            "partitions",
+                            Json::arr([Json::obj(self.telemetry.partition_pairs(&self.server))]),
+                        ),
+                    ]),
+                ),
             ),
             (
                 "resilience",
-                Json::obj([
-                    ("degraded_blocks", Json::from(r.degraded_blocks)),
-                    ("interpreted_guest", Json::from(r.interpreted_guest)),
-                    ("quarantined_rules", Json::from(r.quarantined_rules)),
-                    ("quarantined_combos", Json::from(r.quarantined_combos)),
-                    ("fuel_exhausted", Json::from(r.fuel_exhausted)),
-                    (
-                        "injected",
-                        Json::obj(
-                            pdbt_faults::Site::ALL
-                                .iter()
-                                .map(|s| (s.name(), Json::from(r.injected[s.index()]))),
-                        ),
-                    ),
-                ]),
+                Json::obj(r.json_pairs().chain([("injected", Json::obj(injected))])),
             ),
             (
                 "output",
@@ -830,7 +728,7 @@ impl Engine {
             pool: PoolCounters::with_workers(cfg.jobs),
             ..RunObs::default()
         };
-        shared.server().record_session();
+        shared.server().sessions.inc();
         Engine {
             shared,
             cfg,
@@ -955,10 +853,10 @@ impl Engine {
                         .translate_ns
                         .record(pdbt_obs::now_ns().saturating_sub(t0));
                 }
-                self.shared.server().record_translate();
+                self.shared.server().translate_calls.inc();
                 let (t, new) = self.shared.cache().insert(pc, block);
                 if new {
-                    self.shared.server().record_insert();
+                    self.shared.server().inserted.inc();
                 }
                 t
             }
@@ -966,7 +864,7 @@ impl Engine {
         // One probe per distinct pc per session, counted only for
         // successful resolutions — so the server counters stay
         // schedule-independent (see `ServerCounters`).
-        self.shared.server().record_probe();
+        self.shared.server().probes.inc();
         Ok(self.adopt(pc, translation))
     }
 
@@ -1136,7 +1034,7 @@ impl Engine {
         // choice simply misses and retranslates.
         let tb = match self.shared.library_trace(&members) {
             Some(t) => {
-                self.shared.artifact().record_trace_hit();
+                self.shared.artifact().trace_hits.inc();
                 t
             }
             None => {
@@ -1255,10 +1153,10 @@ impl Engine {
             match translate_block(prog, *pc, shared.rules(), &tcfg) {
                 Ok(block) => {
                     let ns = pdbt_obs::now_ns().saturating_sub(t0);
-                    shared.server().record_translate();
+                    shared.server().translate_calls.inc();
                     let (t, new) = shared.cache().insert(*pc, block);
                     if new {
-                        shared.server().record_insert();
+                        shared.server().inserted.inc();
                     }
                     (Some(t), Some(ns))
                 }
@@ -1276,7 +1174,7 @@ impl Engine {
                     self.obs.translate_ns.record(ns);
                 }
             }
-            self.shared.server().record_probe();
+            self.shared.server().probes.inc();
             self.adopt(pc, translation);
             cached += 1;
         }
@@ -1989,11 +1887,9 @@ mod engine_edge_tests {
         let a = engine.run(&prog, &setup).unwrap().metrics;
         let mut total = a.clone();
         total.merge(&a);
-        assert_eq!(total.guest_retired, 2 * a.guest_retired);
-        assert_eq!(total.host_executed(), 2 * a.host_executed());
-        assert_eq!(total.host_retired, 2 * a.host_retired);
-        assert_eq!(total.blocks_translated, 2 * a.blocks_translated);
-        assert_eq!(total.host_generated, 2 * a.host_generated);
+        assert!(a.guest_retired > 0);
+        assert_eq!(total.values(), a.values().map(|n| 2 * n));
+        assert_eq!(total.host_by_class, a.host_by_class.map(|n| 2 * n));
         // Ratios are invariant under self-merge.
         assert!((total.total_ratio() - a.total_ratio()).abs() < 1e-12);
         // The Display table mentions the headline counters.
@@ -2306,12 +2202,15 @@ mod engine_edge_tests {
         assert_eq!(snap.sessions, 2);
         assert_eq!(snap.inserted, a.metrics.blocks_translated);
         assert_eq!(snap.probes, 2 * a.metrics.blocks_translated);
-        assert_eq!(snap.hits, a.metrics.blocks_translated);
+        assert_eq!(snap.hits(), a.metrics.blocks_translated);
         // The report carries the server section.
         let doc = pdbt_obs::json::Json::parse(&b.to_json().to_string()).unwrap();
         let server = doc.get("server").expect("server section");
         assert_eq!(server.get("sessions").and_then(|v| v.as_u64()), Some(2));
-        assert_eq!(server.get("hits").and_then(|v| v.as_u64()), Some(snap.hits));
+        assert_eq!(
+            server.get("hits").and_then(|v| v.as_u64()),
+            Some(snap.hits())
+        );
     }
 
     #[test]

@@ -87,10 +87,10 @@ impl SharedTranslationState {
         SharedTranslationState {
             rules,
             cache: ShardedCache::new(cache_shards),
-            server: ServerCounters::new(),
+            server: ServerCounters::default(),
             telemetry: Telemetry::with_partition(slots, partition),
             traces: HashMap::new(),
-            artifact: ArtifactCounters::new(),
+            artifact: ArtifactCounters::default(),
         }
     }
 

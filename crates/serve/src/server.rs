@@ -197,38 +197,24 @@ struct ServerCtx {
 /// Per-connection socket timeout for peer replication calls.
 const FLEET_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The artifact warm-boot tally. All-zero when the server boots cold
-/// (no `--artifact-dir`); `sections_quarantined` also moves at runtime
-/// when a wire transfer carries quarantinable damage.
-#[derive(Debug, Default)]
-struct ArtifactBoot {
-    /// Artifacts that loaded and warmed a partition.
-    loaded: AtomicU64,
-    /// Artifacts rejected wholesale (unreadable, bad header/version,
-    /// fingerprint mismatch) or shadowed by a newer generation of the
-    /// same image — the image boots from the winner or cold.
-    rejected: AtomicU64,
-    /// Sections quarantined inside scanned or transferred artifacts.
-    sections_quarantined: AtomicU64,
-}
-
-impl ArtifactBoot {
-    /// The `artifacts` PING/STATS section: the tally plus the live
-    /// trace-library hits summed over partitions.
-    fn to_json(&self, trace_hits: u64) -> Json {
-        Json::obj([
-            ("trace_hits", Json::from(trace_hits)),
-            ("loaded", Json::from(self.loaded.load(Ordering::Relaxed))),
-            (
-                "rejected",
-                Json::from(self.rejected.load(Ordering::Relaxed)),
-            ),
-            (
-                "sections_quarantined",
-                Json::from(self.sections_quarantined.load(Ordering::Relaxed)),
-            ),
-        ])
+pdbt_obs::counter_family! {
+    /// A point-in-time copy of [`ArtifactBoot`]: the `artifacts`
+    /// PING/STATS section, next to the live trace-library hits summed
+    /// over partitions.
+    struct ArtifactTally {
+        /// Artifacts that loaded and warmed a partition.
+        loaded,
+        /// Artifacts rejected wholesale (unreadable, bad header/version,
+        /// fingerprint mismatch) or shadowed by a newer generation of
+        /// the same image — the image boots from the winner or cold.
+        rejected,
+        /// Sections quarantined inside scanned or transferred artifacts.
+        sections_quarantined,
     }
+    /// The artifact warm-boot tally. All-zero when the server boots
+    /// cold (no `--artifact-dir`); `sections_quarantined` also moves at
+    /// runtime when a wire transfer carries quarantinable damage.
+    atomic struct ArtifactBoot;
 }
 
 /// Everything the server holds for one guest image: the live
@@ -417,7 +403,7 @@ impl Server {
             active: AtomicU64::new(0),
             artifacts: scan.boot,
             replication: Mutex::new(()),
-            fleet: pdbt_obs::FleetCounters::new(),
+            fleet: pdbt_obs::FleetCounters::default(),
             reply_errors: AtomicU64::new(0),
             peers: cfg.peers,
             artifact_dir: cfg.artifact_dir,
@@ -620,28 +606,21 @@ struct Totals {
 
 impl Totals {
     fn add(&mut self, state: &SharedTranslationState, snap: &pdbt_obs::ServerSnapshot) {
-        self.server.probes += snap.probes;
-        self.server.inserted += snap.inserted;
-        self.server.hits += snap.hits;
-        self.server.translate_calls += snap.translate_calls;
-        self.server.sessions += snap.sessions;
-        self.server.compiled_blocks += snap.compiled_blocks;
-        self.trace_hits += state.artifact().snapshot().trace_hits;
+        self.server.merge(snap);
+        self.trace_hits += state.artifact().trace_hits.get();
         self.cached_blocks += state.cache().len();
         self.images += 1;
     }
 
-    /// The `server` section: the counters both payloads carry plus the
-    /// caller's own.
-    fn server_json(&self, extra: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        let common = [
-            ("probes", Json::from(self.server.probes)),
-            ("inserted", Json::from(self.server.inserted)),
-            ("hits", Json::from(self.server.hits)),
-            ("translate_calls", Json::from(self.server.translate_calls)),
-            ("sessions", Json::from(self.server.sessions)),
-        ];
-        Json::obj(common.into_iter().chain(extra))
+    /// The `artifacts` section: the boot tally plus the live
+    /// trace-library hits.
+    fn artifacts_json(&self, ctx: &ServerCtx) -> Json {
+        let tally = ctx.artifacts.snapshot();
+        Json::obj(
+            tally
+                .json_pairs()
+                .chain([("trace_hits", Json::from(self.trace_hits))]),
+        )
     }
 }
 
@@ -660,11 +639,19 @@ fn status(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
         ("faults_enabled", Json::from(pdbt_faults::ENABLED)),
         ("images", Json::from(totals.images)),
         ("cached_blocks", Json::from(totals.cached_blocks)),
-        ("artifacts", ctx.artifacts.to_json(totals.trace_hits)),
-        ("fleet", fleet_json(ctx)),
+        ("artifacts", totals.artifacts_json(ctx)),
+        ("fleet", ctx.fleet.snapshot().to_json()),
         (
             "server",
-            totals.server_json([("reply_errors", reply_errors)]),
+            Json::obj(
+                totals
+                    .server
+                    .section_pairs()
+                    // The liveness probe carries the translation-sharing
+                    // counters only; STATS has the full section.
+                    .filter(|(key, _)| !matches!(*key, "compiled_blocks" | "hit_rate"))
+                    .chain([("reply_errors", reply_errors)]),
+            ),
         ),
     ])
 }
@@ -687,36 +674,20 @@ fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
     let mut global = LatencyHists::default();
     let mut flight: Vec<RequestSummary> = Vec::new();
     let mut partitions = Vec::with_capacity(states.len());
-    for (fp, label, state) in &states {
+    for (_, label, state) in &states {
         let snap = state.server().snapshot();
         let tele = state.telemetry().snapshot();
         let art = state.artifact().snapshot();
         totals.add(state, &snap);
-        global.merge(&tele.latency);
-        flight.extend(tele.flight);
-        partitions.push(Json::obj([
-            ("partition", Json::str(format!("{fp:016x}"))),
+        partitions.push(Json::obj(tele.partition_pairs(&snap).chain([
             ("label", Json::str(label.as_str())),
             ("cached_blocks", Json::from(state.cache().len())),
             ("warm", Json::from(art.warm())),
             ("loaded_blocks", Json::from(art.loaded_blocks)),
             ("trace_hits", Json::from(art.trace_hits)),
-            ("sessions", Json::from(snap.sessions)),
-            ("probes", Json::from(snap.probes)),
-            ("inserted", Json::from(snap.inserted)),
-            ("hits", Json::from(snap.hits)),
-            ("compiled_blocks", Json::from(snap.compiled_blocks)),
-            ("hit_rate", Json::from(snap.hit_rate())),
-            (
-                "latency",
-                Json::obj([
-                    ("count", Json::from(tele.latency.request_ns.count())),
-                    ("p50", Json::from(tele.latency.request_ns.p50())),
-                    ("p95", Json::from(tele.latency.request_ns.p95())),
-                    ("p99", Json::from(tele.latency.request_ns.p99())),
-                ]),
-            ),
-        ]));
+        ])));
+        global.merge(&tele.latency);
+        flight.extend(tele.flight);
     }
     // The merged flight tail reads chronologically across partitions.
     flight.sort_by_key(|s| s.seq);
@@ -759,15 +730,9 @@ fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
                 ),
             ]),
         ),
-        (
-            "server",
-            totals.server_json([
-                ("compiled_blocks", Json::from(totals.server.compiled_blocks)),
-                ("hit_rate", Json::from(totals.server.hit_rate())),
-            ]),
-        ),
-        ("artifacts", ctx.artifacts.to_json(totals.trace_hits)),
-        ("fleet", fleet_json(ctx)),
+        ("server", Json::obj(totals.server.section_pairs())),
+        ("artifacts", totals.artifacts_json(ctx)),
+        ("fleet", ctx.fleet.snapshot().to_json()),
         ("latency", global.to_json()),
         ("partitions", Json::Arr(partitions)),
         (
@@ -846,19 +811,6 @@ fn respond_error(ctx: &ServerCtx, stream: &mut TcpStream, id: Option<u64>, msg: 
     );
 }
 
-/// The `fleet` PING/STATS section.
-fn fleet_json(ctx: &ServerCtx) -> Json {
-    let f = ctx.fleet.snapshot();
-    Json::obj([
-        ("pulled", Json::from(f.pulled)),
-        ("pushed", Json::from(f.pushed)),
-        ("adopted", Json::from(f.adopted)),
-        ("rejected", Json::from(f.rejected)),
-        ("written_back", Json::from(f.written_back)),
-        ("bytes", Json::from(f.bytes)),
-    ])
-}
-
 /// Builds the `ART_LIST` advertisement: one entry per sealable
 /// partition, in fingerprint order.
 fn advertise(ctx: &ServerCtx) -> Vec<ArtifactAd> {
@@ -932,8 +884,8 @@ fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
             return;
         }
     }
-    ctx.fleet.record_pushed();
-    ctx.fleet.record_bytes(sealed.len() as u64);
+    ctx.fleet.pushed.inc();
+    ctx.fleet.bytes.add(sealed.len() as u64);
 }
 
 /// Serves an `ART_PUSH`: reassembles the offered artifact from its
@@ -965,7 +917,7 @@ fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
         return;
     };
     if total > MAX_ARTIFACT || chunks != chunk_count(total as usize) as u64 {
-        ctx.fleet.record_rejected();
+        ctx.fleet.rejected.inc();
         respond_error(
             ctx,
             stream,
@@ -979,7 +931,7 @@ fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
         let data = match proto::read_frame(stream) {
             Ok(f) if f.opcode == op::ART_DATA => f.payload,
             Ok(f) => {
-                ctx.fleet.record_rejected();
+                ctx.fleet.rejected.inc();
                 respond_error(
                     ctx,
                     stream,
@@ -989,24 +941,24 @@ fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
                 return;
             }
             Err(e) => {
-                ctx.fleet.record_rejected();
+                ctx.fleet.rejected.inc();
                 respond_error(ctx, stream, None, &format!("artifact stream died: {e}"));
                 return;
             }
         };
         if data.len() > CHUNK || bytes.len() + data.len() > total as usize {
-            ctx.fleet.record_rejected();
+            ctx.fleet.rejected.inc();
             respond_error(ctx, stream, None, "oversized artifact chunk");
             return;
         }
         bytes.extend_from_slice(&data);
     }
     if bytes.len() as u64 != total || u64::from(pdbt_artifact::bytes::crc32(&bytes)) != crc {
-        ctx.fleet.record_rejected();
+        ctx.fleet.rejected.inc();
         respond_error(ctx, stream, None, "artifact transfer fails its envelope");
         return;
     }
-    ctx.fleet.record_bytes(total);
+    ctx.fleet.bytes.add(total);
     let _plane = ctx.replication.lock().expect("replication lock poisoned");
     let (adopted, reason, current) = adopt_artifact(ctx, &bytes, generation, fp);
     let verdict = Json::obj([
@@ -1036,10 +988,8 @@ fn adopt_artifact(ctx: &ServerCtx, bytes: &[u8], generation: u64, fp: u64) -> (b
             // shows up, and the artifact is refused wholesale: a
             // partial copy never replaces a healthy partition — the
             // peer can re-pull.
-            ctx.artifacts
-                .sections_quarantined
-                .fetch_add(quarantined as u64, Ordering::Relaxed);
-            ctx.fleet.record_rejected();
+            ctx.artifacts.sections_quarantined.add(quarantined as u64);
+            ctx.fleet.rejected.inc();
             let local = ctx
                 .partitions()
                 .get(&fp)
@@ -1058,7 +1008,7 @@ fn adopt_artifact(ctx: &ServerCtx, bytes: &[u8], generation: u64, fp: u64) -> (b
     };
     if let Some(held) = held {
         if held >= incoming {
-            ctx.fleet.record_rejected();
+            ctx.fleet.rejected.inc();
             return (
                 false,
                 format!(
@@ -1099,7 +1049,7 @@ fn adopt_artifact(ctx: &ServerCtx, bytes: &[u8], generation: u64, fp: u64) -> (b
         disk_generation,
     );
     ctx.partitions().insert(fp, partition);
-    ctx.fleet.record_adopted();
+    ctx.fleet.adopted.inc();
     (true, "adopted".to_string(), generation)
 }
 
@@ -1131,7 +1081,7 @@ fn replicate_once(ctx: &ServerCtx) {
                 match crate::fleet::pull_artifact(peer.as_str(), ad.fingerprint, FLEET_TIMEOUT) {
                     Ok(p) => p,
                     Err(e) => {
-                        ctx.fleet.record_rejected();
+                        ctx.fleet.rejected.inc();
                         eprintln!(
                             "pdbt-serve: pull of {:016x} from {peer} failed: {e}",
                             ad.fingerprint
@@ -1139,8 +1089,8 @@ fn replicate_once(ctx: &ServerCtx) {
                         continue;
                     }
                 };
-            ctx.fleet.record_pulled();
-            ctx.fleet.record_bytes(pulled.bytes.len() as u64);
+            ctx.fleet.pulled.inc();
+            ctx.fleet.bytes.add(pulled.bytes.len() as u64);
             let _plane = ctx.replication.lock().expect("replication lock poisoned");
             let (adopted, reason, _) =
                 adopt_artifact(ctx, &pulled.bytes, pulled.generation, ad.fingerprint);
@@ -1173,8 +1123,8 @@ fn write_back(ctx: &ServerCtx, dir: &std::path::Path) {
         let path = dir.join(artifact_file_name(fp, version.generation));
         match std::fs::write(&path, sealed.as_slice()) {
             Ok(()) => {
-                ctx.fleet.record_written_back();
-                ctx.fleet.record_bytes(sealed.len() as u64);
+                ctx.fleet.written_back.inc();
+                ctx.fleet.bytes.add(sealed.len() as u64);
                 p.disk_generation = Some(version.generation);
             }
             Err(e) => {
@@ -1241,7 +1191,7 @@ fn load_artifacts(dir: &std::path::Path, rules: Option<&RuleSet>, slots: usize) 
             Ok(b) => b,
             Err(e) => {
                 eprintln!("pdbt-serve: artifact {} unreadable: {e}", path.display());
-                scan.boot.rejected.fetch_add(1, Ordering::Relaxed);
+                scan.boot.rejected.inc();
                 continue;
             }
         };
@@ -1253,7 +1203,7 @@ fn load_artifacts(dir: &std::path::Path, rules: Option<&RuleSet>, slots: usize) 
             Ok(p) => p,
             Err(e) => {
                 eprintln!("pdbt-serve: artifact {} rejected: {e}", path.display());
-                scan.boot.rejected.fetch_add(1, Ordering::Relaxed);
+                scan.boot.rejected.inc();
                 continue;
             }
         };
@@ -1266,7 +1216,7 @@ fn load_artifacts(dir: &std::path::Path, rules: Option<&RuleSet>, slots: usize) 
             "pdbt-serve: {shadowed} duplicate artifact(s) shadowed by newer generations in {}",
             dir.display()
         );
-        scan.boot.rejected.fetch_add(shadowed, Ordering::Relaxed);
+        scan.boot.rejected.add(shadowed);
     }
     for (fingerprint, version, (path, bytes, opened)) in winners {
         for q in &opened.quarantined {
@@ -1279,7 +1229,7 @@ fn load_artifacts(dir: &std::path::Path, rules: Option<&RuleSet>, slots: usize) 
         }
         scan.boot
             .sections_quarantined
-            .fetch_add(opened.quarantined.len() as u64, Ordering::Relaxed);
+            .add(opened.quarantined.len() as u64);
         let file_stem = || {
             path.file_stem().map_or_else(
                 || "artifact".to_string(),
@@ -1296,7 +1246,7 @@ fn load_artifacts(dir: &std::path::Path, rules: Option<&RuleSet>, slots: usize) 
             Some(version.generation),
         );
         scan.partitions.insert(fingerprint, partition);
-        scan.boot.loaded.fetch_add(1, Ordering::Relaxed);
+        scan.boot.loaded.inc();
     }
     scan
 }

@@ -522,11 +522,9 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     let res = &report.resilience;
     if *res != Resilience::default() || report.outcome != Outcome::Completed {
         println!("\nresilience (outcome: {})", report.outcome.label());
-        println!("  degraded blocks        {:>12}", res.degraded_blocks);
-        println!("  interpreted guest      {:>12}", res.interpreted_guest);
-        println!("  quarantined rules      {:>12}", res.quarantined_rules);
-        println!("  quarantined combos     {:>12}", res.quarantined_combos);
-        println!("  fuel exhausted         {:>12}", res.fuel_exhausted);
+        for (name, n) in Resilience::FIELDS.iter().zip(res.values()) {
+            println!("  {:<22} {n:>12}", name.replace('_', " "));
+        }
         for s in pdbt_faults::Site::ALL {
             if res.injected[s.index()] > 0 {
                 println!(

@@ -57,30 +57,18 @@ fn learned_for(seed: u64) -> RuleSet {
     learned
 }
 
-/// The report JSON with the session-environment fields removed (see
-/// `tests/determinism.rs`): `histograms.translate_ns` is wall clock,
-/// the `server` section describes the shared state a session ran
-/// against — including the artifact boot counters, which legitimately
-/// differ between a cold and a warm engine — and `pool` records which
-/// worker ran each prewarm task, a work-stealing schedule that shifts
-/// when warm tasks complete instantly. Everything else must be
-/// bit-identical.
+/// The stripped report (whose dropped `server` section carries the
+/// artifact boot counters, which legitimately differ between a cold
+/// and a warm engine) minus `pool`: which worker ran each prewarm task
+/// is a work-stealing schedule that shifts when warm tasks complete
+/// instantly. Everything else must be bit-identical.
 fn stripped_report(report: &Report) -> String {
     stripped(&report.to_json())
 }
 
 fn stripped(doc: &Json) -> String {
-    let mut doc = doc.clone();
-    if let Json::Obj(top) = &mut doc {
-        top.remove("server");
-        top.remove("pool");
-        if let Some(Json::Obj(hists)) = top.get_mut("histograms") {
-            hists.remove("translate_ns");
-        }
-        if let Some(Json::Obj(dispatch)) = top.get_mut("dispatch") {
-            dispatch.remove("compile_ns");
-        }
-    }
+    let mut doc = Report::stripped(doc);
+    doc.remove_path("pool");
     doc.to_string()
 }
 

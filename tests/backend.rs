@@ -25,7 +25,6 @@
 use pdbt::compiler::{degrade, DegradeProfile};
 use pdbt::core::learning::{learn_into, LearnConfig};
 use pdbt::core::RuleSet;
-use pdbt::obs::json::Json;
 use pdbt::obs::{DispatchCounters, ServerCounters};
 use pdbt::runtime::{
     BackendKind, BackendObs, BlockSuccs, CachedBlock, CodeClass, Engine, EngineConfig, HostBackend,
@@ -83,26 +82,15 @@ fn run_with(rules: &RuleSet, jobs: usize, backend: BackendKind) -> Report {
     engine.run(&w.pair.guest.program, &w.setup()).expect("run")
 }
 
-/// The report JSON stripped for a cross-backend comparison: the usual
-/// determinism strips (`server`, wall-clock `histograms.translate_ns`
-/// and `dispatch.compile_ns`) plus the two fields that *name* the
-/// backend — `dispatch.backend` and `dispatch.compiled_blocks` (always
-/// zero under the model). Everything else must be bit-identical.
+/// The stripped report minus `pool` (work-stealing task distribution
+/// is scheduling noise under `--jobs 4`) and the two fields that *name*
+/// the backend — `dispatch.backend` and `dispatch.compiled_blocks`
+/// (always zero under the model). Everything else must be
+/// bit-identical.
 fn stripped_cross_backend(report: &Report) -> String {
-    let mut doc = report.to_json();
-    if let Json::Obj(top) = &mut doc {
-        top.remove("server");
-        // Work-stealing task distribution is scheduling noise under
-        // `--jobs 4` (same strip as tests/artifact.rs).
-        top.remove("pool");
-        if let Some(Json::Obj(hists)) = top.get_mut("histograms") {
-            hists.remove("translate_ns");
-        }
-        if let Some(Json::Obj(dispatch)) = top.get_mut("dispatch") {
-            dispatch.remove("backend");
-            dispatch.remove("compiled_blocks");
-            dispatch.remove("compile_ns");
-        }
+    let mut doc = Report::stripped(&report.to_json());
+    for path in ["pool", "dispatch.backend", "dispatch.compiled_blocks"] {
+        doc.remove_path(path);
     }
     doc.to_string()
 }
@@ -484,11 +472,11 @@ fn check_backend_tallies(
         succ: BlockSuccs::None,
         member_marks: marks,
     });
-    let server = ServerCounters::new();
+    let server = ServerCounters::default();
     let backends: [&dyn HostBackend; 2] = [&ModelBackend, &ThreadedBackend];
     for backend in backends {
         let cached = CachedBlock::new(Arc::clone(&block), Vec::new());
-        let mut dispatch = DispatchCounters::new();
+        let mut dispatch = DispatchCounters::default();
         let mut obs = BackendObs {
             dispatch: &mut dispatch,
             server: &server,

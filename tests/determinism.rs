@@ -10,14 +10,12 @@
 //! The engine configuration is held fixed across the comparison (only
 //! the *derive* worker count varies): pool and cache counters are part
 //! of the report and legitimately differ between engine `jobs` values.
-//! The one wall-clock field, `histograms.translate_ns`, is stripped
-//! before comparing.
+//! Reports are compared stripped (`Report::stripped`).
 
 use pdbt::compiler::{degrade, DegradeProfile};
 use pdbt::core::derive::{derive_jobs, DeriveConfig};
 use pdbt::core::learning::{learn_into, LearnConfig};
 use pdbt::core::{save_rules, RuleSet};
-use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig, Report};
 use pdbt::workloads::{suite, Scale};
 use pdbt_symexec::CheckOptions;
@@ -53,25 +51,13 @@ fn run_fixed(rules: &RuleSet) -> Report {
     engine.run(&w.pair.guest.program, &w.setup()).expect("run")
 }
 
-/// The report JSON with the wall-clock histogram and the
-/// server-lifetime counters removed: `translate_ns` is the one clock
-/// field, and the `server` section describes the shared state a
-/// session ran against (sessions, warm hits), which legitimately
-/// differs between a cold standalone run and a warm shared session.
-/// Everything else — metrics, attribution, dispatch, resilience — must
-/// be bit-identical.
+/// The stripped report: the `server` section it drops describes the
+/// shared state a session ran against (sessions, warm hits), which
+/// legitimately differs between a cold standalone run and a warm shared
+/// session. Everything else — metrics, attribution, dispatch,
+/// resilience — must be bit-identical.
 fn comparable_json(report: &Report) -> String {
-    let mut doc = report.to_json();
-    if let Json::Obj(top) = &mut doc {
-        top.remove("server");
-        if let Some(Json::Obj(hists)) = top.get_mut("histograms") {
-            hists.remove("translate_ns");
-        }
-        if let Some(Json::Obj(dispatch)) = top.get_mut("dispatch") {
-            dispatch.remove("compile_ns");
-        }
-    }
-    doc.to_string()
+    Report::stripped(&report.to_json()).to_string()
 }
 
 #[test]
@@ -197,7 +183,7 @@ fn concurrent_shared_sessions_match_sequential_cold_runs() {
             "seed {seed:#x}: each session probes each block once"
         );
         assert_eq!(
-            snap.hits,
+            snap.hits(),
             blocks * (n - 1),
             "seed {seed:#x}: warm hits must equal the sequential sum"
         );

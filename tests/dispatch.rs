@@ -7,7 +7,6 @@
 use pdbt::core::derive::{derive, DeriveConfig};
 use pdbt::core::learning::{learn_into, LearnConfig};
 use pdbt::core::RuleSet;
-use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig, Outcome, Report, RunSetup};
 use pdbt::workloads::{run_reference, suite, Scale, Workload};
 use pdbt_isa_arm::{builders as g, Operand as O, Program, Reg};
@@ -180,23 +179,16 @@ fn budget_truncation_is_identical_chained_and_unchained() {
 /// block (lazy dispatch vs. prewarm changes static translation counts
 /// and cache/pool traffic) — everything *dynamic* must be bit-identical.
 fn strip_jobs_dependent(report: &Report) -> String {
-    let mut doc = report.to_json();
-    if let Json::Obj(top) = &mut doc {
-        if let Some(Json::Obj(hists)) = top.get_mut("histograms") {
-            hists.remove("translate_ns");
-        }
-        top.remove("cache");
-        top.remove("pool");
-        top.remove("server");
-        top.remove("rules");
-        top.remove("lookup_misses");
-        if let Some(Json::Obj(metrics)) = top.get_mut("metrics") {
-            metrics.remove("blocks_translated");
-            metrics.remove("host_generated");
-        }
-        if let Some(Json::Obj(dispatch)) = top.get_mut("dispatch") {
-            dispatch.remove("compile_ns");
-        }
+    let mut doc = Report::stripped(&report.to_json());
+    for path in [
+        "cache",
+        "pool",
+        "rules",
+        "lookup_misses",
+        "metrics.blocks_translated",
+        "metrics.host_generated",
+    ] {
+        doc.remove_path(path);
     }
     doc.to_string()
 }

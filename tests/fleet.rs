@@ -37,23 +37,12 @@ fn oracle_run() -> Report {
         .expect("oracle run")
 }
 
-/// The report with the session-environment fields removed (see
-/// `tests/artifact.rs`): `server` (shared-state counters), `pool`
-/// (work-stealing schedule, which shifts when warm tasks complete
-/// instantly), and the wall-clock histograms. Everything else must be
+/// The stripped report minus `pool` (work-stealing schedule, which
+/// shifts when warm tasks complete instantly). Everything else must be
 /// bit-identical between a replicated warm session and a cold run.
 fn stripped(report: &Json) -> String {
-    let mut doc = report.clone();
-    if let Json::Obj(top) = &mut doc {
-        top.remove("server");
-        top.remove("pool");
-        if let Some(Json::Obj(hists)) = top.get_mut("histograms") {
-            hists.remove("translate_ns");
-        }
-        if let Some(Json::Obj(dispatch)) = top.get_mut("dispatch") {
-            dispatch.remove("compile_ns");
-        }
-    }
+    let mut doc = Report::stripped(report);
+    doc.remove_path("pool");
     doc.to_string()
 }
 

@@ -24,20 +24,16 @@ fn cases() -> usize {
         .unwrap_or(48)
 }
 
+/// Every counter of the family's table, whatever it lists today, plus
+/// the per-class array.
 fn random_metrics(rng: &mut StdRng) -> Metrics {
     let mut m = Metrics::default();
-    m.guest_retired = rng.gen_range(0..1_000_000);
-    m.rule_covered = rng.gen_range(0..m.guest_retired.max(1));
-    m.host_by_class = [
-        rng.gen_range(0..100_000),
-        rng.gen_range(0..100_000),
-        rng.gen_range(0..100_000),
-        rng.gen_range(0..100_000),
-    ];
-    m.blocks_translated = rng.gen_range(0..1_000);
-    m.blocks_executed = rng.gen_range(0..10_000);
-    m.host_generated = rng.gen_range(0..50_000);
-    m.host_retired = m.host_by_class.iter().sum();
+    for v in m.values_mut() {
+        *v = rng.gen_range(0..1_000_000);
+    }
+    for v in &mut m.host_by_class {
+        *v = rng.gen_range(0..100_000);
+    }
     m
 }
 
@@ -82,6 +78,9 @@ fn random_obs(rng: &mut StdRng) -> RunObs {
         let tasks: Vec<u64> = (0..workers).map(|_| rng.gen_range(0..40)).collect();
         o.pool.record(&tasks);
     }
+    for v in o.dispatch.values_mut() {
+        *v = rng.gen_range(0..10_000);
+    }
     o
 }
 
@@ -95,6 +94,7 @@ struct Fingerprint {
     hists: Vec<(Vec<u64>, u64, u64, u64, u64)>,
     cache: (Vec<u64>, Vec<u64>),
     pool: Vec<u64>,
+    dispatch: pdbt::obs::DispatchCounters,
 }
 
 fn fingerprint(o: &RunObs) -> Fingerprint {
@@ -135,6 +135,7 @@ fn fingerprint(o: &RunObs) -> Fingerprint {
         ],
         cache: (o.cache.hits().to_vec(), o.cache.misses().to_vec()),
         pool: o.pool.tasks().to_vec(),
+        dispatch: o.dispatch.clone(),
     }
 }
 

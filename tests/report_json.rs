@@ -111,3 +111,79 @@ fn report_json_attribution_sums_to_rule_covered() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A flag producer five non-flag instructions away from its `bne`: the
+/// delegation window cannot reach it, so every execution of the block
+/// is an environment fallback — the sentinel the `deleg_depth`
+/// histogram counts in its catch-all bucket.
+const FALLBACK_GUEST: &str = "\
+mov r2, #3
+mov r1, #0
+subs r2, r2, #1
+add r1, r1, #1
+add r1, r1, #1
+add r1, r1, #1
+add r1, r1, #1
+add r1, r1, #1
+bne .-24
+mov r0, r1
+svc #1
+svc #0
+";
+
+fn assert_no_negative_int(doc: &Json, path: &str) {
+    match doc {
+        Json::Int(n) => assert!(*n >= 0, "{path} = {n}"),
+        Json::Obj(map) => {
+            for (key, value) in map {
+                assert_no_negative_int(value, &format!("{path}.{key}"));
+            }
+        }
+        Json::Arr(items) => {
+            for item in items {
+                assert_no_negative_int(item, &format!("{path}[]"));
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Regression: the fallback sentinel (`u64::MAX`) used to become the
+/// histogram's min/max/quantiles and wrap to `-1` in the report.
+#[test]
+fn env_fallback_delegations_report_no_negative_numbers() {
+    let dir = std::env::temp_dir().join(format!("pdbt-fallback-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prog = dir.join("fallback.s");
+    let report = dir.join("report.json");
+    std::fs::write(&prog, FALLBACK_GUEST).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_pdbt"))
+        .args([
+            "stats",
+            prog.to_str().unwrap(),
+            "--report-json",
+            report.to_str().unwrap(),
+        ])
+        .output()
+        .expect("pdbt binary runs");
+    assert!(out.status.success());
+    let table = String::from_utf8(out.stdout).unwrap();
+    assert!(!table.contains(&u64::MAX.to_string()), "{table}");
+
+    let doc = Json::parse(&std::fs::read_to_string(&report).unwrap()).expect("valid JSON");
+    let depth = doc
+        .get("histograms")
+        .and_then(|h| h.get("deleg_depth"))
+        .expect("deleg_depth");
+    let fallbacks = depth
+        .get("counts")
+        .and_then(Json::as_arr)
+        .and_then(|c| c.last())
+        .and_then(Json::as_u64);
+    assert_eq!(fallbacks, Some(3), "every loop iteration falls back");
+    assert_eq!(depth.get("count").and_then(Json::as_u64), Some(3));
+    assert_no_negative_int(&doc, "report");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

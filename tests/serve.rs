@@ -5,7 +5,11 @@
 //! byte — while the server-lifetime counters prove the sharing
 //! actually happened.
 
+mod common;
+
+use common::{assert_schema, family_paths, schema_paths};
 use pdbt::obs::json::Json;
+use pdbt::obs::{FleetSnapshot, ServerSnapshot};
 use pdbt::runtime::{Engine, EngineConfig, Report};
 use pdbt::workloads::{build, Benchmark, Scale};
 use pdbt_serve::{ping, shutdown, stats, submit, ServeConfig, ServeSummary, Server};
@@ -32,22 +36,10 @@ fn oracle_run() -> Report {
         .expect("oracle run")
 }
 
-/// Serializes a report with the two session-environment fields removed:
-/// `histograms.translate_ns` (wall clock) and `server` (describes the
-/// shared state, not the session). Everything else must match a cold
-/// run exactly.
+/// The stripped report ([`Report::stripped`]): everything in it must
+/// match a cold run exactly.
 fn stripped(report: &Json) -> String {
-    let mut doc = report.clone();
-    if let Json::Obj(top) = &mut doc {
-        top.remove("server");
-        if let Some(Json::Obj(hists)) = top.get_mut("histograms") {
-            hists.remove("translate_ns");
-        }
-        if let Some(Json::Obj(dispatch)) = top.get_mut("dispatch") {
-            dispatch.remove("compile_ns");
-        }
-    }
-    doc.to_string()
+    Report::stripped(report).to_string()
 }
 
 fn mcf_request(id: u64) -> Json {
@@ -56,6 +48,26 @@ fn mcf_request(id: u64) -> Json {
         ("workload", Json::str("mcf")),
         ("scale", Json::str("tiny")),
     ])
+}
+
+/// A STATS snapshot taken once the daemon has folded `served` requests
+/// into its telemetry plane. A worker records a request (and leaves
+/// `sessions.active`) *after* writing the reply, so a poll racing the
+/// last reply can still see it in flight.
+fn settled_stats(addr: SocketAddr, served: u64) -> Json {
+    (0..2000)
+        .find_map(|_| {
+            let snap = stats(addr, T).expect("STATS");
+            let at = |section: &str, key: &str| snap.get(section)?.get(key).cloned();
+            let recorded = at("latency", "request_ns")?.get("count")?.as_u64();
+            let active = at("sessions", "active")?.as_u64();
+            if (recorded, active) == (Some(served), Some(0)) {
+                return Some(snap);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            None
+        })
+        .expect("the daemon settles")
 }
 
 fn report_of(resp: &Json) -> &Json {
@@ -129,6 +141,41 @@ fn eight_concurrent_sessions_are_bit_identical_to_sequential_runs() {
     assert_eq!(summary.panicked, 0);
 }
 
+/// The wire side of the schema pin: the key sets of the PING and STATS
+/// payloads of a daemon that has served one request, as `ping.*` and
+/// `stats.*` paths in `tests/golden/stats_schema.txt`. Operators' probes
+/// and `pdbt submit --stats` key on these names; the `server`, `fleet`
+/// and `partitions[]` sections are rendered from the counter tables,
+/// so their required paths come from the same tables.
+#[test]
+fn ping_and_stats_key_sets_match_golden() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    submit(addr, &mcf_request(1), T).expect("submit");
+    let mut paths = std::collections::BTreeSet::new();
+    schema_paths(&ping(addr, T).expect("ping"), "ping", &mut paths);
+    let snap = settled_stats(addr, 1);
+    schema_paths(&snap, "stats", &mut paths);
+    shutdown(addr, T).expect("shutdown");
+    handle.join().unwrap();
+
+    let without = |dropped: &[&str]| -> Vec<&str> {
+        let kept = ServerSnapshot::FIELDS.iter().copied();
+        kept.filter(|f| !dropped.contains(f)).collect()
+    };
+    let required = [
+        family_paths("ping.fleet", FleetSnapshot::FIELDS),
+        family_paths("stats.fleet", FleetSnapshot::FIELDS),
+        family_paths("ping.server", &without(&["compiled_blocks"])),
+        family_paths("stats.server", ServerSnapshot::FIELDS),
+        family_paths("stats.partitions[]", &without(&["translate_calls"])),
+    ]
+    .concat();
+    assert_schema(paths, &required, "stats_schema.txt");
+}
+
 #[test]
 fn stats_polls_stay_monotone_and_sum_to_the_drain_summary() {
     let flight_path = std::env::temp_dir().join(format!("pdbt_flight_{}.json", std::process::id()));
@@ -175,7 +222,7 @@ fn stats_polls_stay_monotone_and_sum_to_the_drain_summary() {
 
     // Quiescent now: the final snapshot's counters must sum exactly to
     // what the 8 sessions did, across every view of the same traffic.
-    let snap = stats(addr, T).expect("final STATS");
+    let snap = settled_stats(addr, 8);
     let u = |path: &[&str]| {
         let mut v = &snap;
         for k in path {
