@@ -202,13 +202,15 @@ pub fn parameterize(inst: &Inst) -> Option<Parameterized> {
 /// Returns `None` if the slot/immediate counts do not fit the key.
 #[must_use]
 pub fn reconstruct(key: &ComboKey, inst: &Instantiation) -> Option<Inst> {
-    let mut regs = inst.slots.iter();
+    reconstruct_from(key, &inst.slots, &inst.imms)
+}
+
+fn reconstruct_from(key: &ComboKey, slots: &[Reg], imms: &[u32]) -> Option<Inst> {
     let mut pattern = key.reg_pattern.iter();
-    let mut imms = inst.imms.iter();
-    let _ = &mut regs;
+    let mut imms = imms.iter();
     let mut next_reg = || -> Option<Reg> {
         let slot = *pattern.next()?;
-        inst.slots.get(slot as usize).copied()
+        slots.get(slot as usize).copied()
     };
     let mut operands = Vec::with_capacity(key.modes.len());
     for m in &key.modes {
@@ -625,12 +627,9 @@ pub fn reconstruct_seq(keys: &[ComboKey], inst: &Instantiation) -> Option<Vec<In
     let mut imm_cursor = 0usize;
     for key in keys {
         let n_imms = imm_count(key);
-        let sub = Instantiation {
-            slots: inst.slots.clone(),
-            imms: inst.imms.get(imm_cursor..imm_cursor + n_imms)?.to_vec(),
-        };
+        let imms = inst.imms.get(imm_cursor..imm_cursor + n_imms)?;
         imm_cursor += n_imms;
-        out.push(reconstruct(key, &sub)?);
+        out.push(reconstruct_from(key, &inst.slots, imms)?);
     }
     (imm_cursor == inst.imms.len()).then_some(out)
 }

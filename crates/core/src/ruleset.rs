@@ -13,6 +13,7 @@ use pdbt_isa_arm::{Inst as GInst, Op as GOpc, Reg as GReg};
 use pdbt_isa_x86::{Inst as HInst, Reg as HReg};
 use pdbt_symexec::{check, CheckOptions, FlagEquiv, Mapping, Verdict};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// How a rule entered the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,48 +106,17 @@ pub fn verify_combo(
     template: &Template,
     opts: CheckOptions,
 ) -> Result<Vec<(Flag, FlagEquiv)>, String> {
-    let _span = pdbt_obs::span_with("verify", || key.to_string());
-    let n = key::slot_count(key);
-    if n > 4 {
-        return Err(format!("{n} parameter slots exceed the canonical pool"));
-    }
-    let gslots = canonical_guest_slots(n);
-    let hslots = canonical_host_slots(n);
-    let mapping = Mapping::new(gslots.iter().copied().zip(hslots.iter().copied()).collect());
-    let locs: Vec<HostLoc> = hslots.iter().map(|h| HostLoc::Reg(*h)).collect();
-    let mut report: Option<Vec<(Flag, FlagEquiv)>> = None;
-    for imms in sample_imm_vectors(key) {
-        let ginst = key::reconstruct(
-            key,
-            &Instantiation {
-                slots: gslots.clone(),
-                imms: imms.clone(),
-            },
-        )
-        .ok_or_else(|| "key does not reconstruct".to_string())?;
-        let host = instantiate(template, &locs, &imms).map_err(|e| e.to_string())?;
-        match check(&[ginst], &host, &mapping, opts) {
-            Verdict::Equivalent { flags } => {
-                report = Some(match report {
-                    None => flags,
-                    Some(prev) => prev
-                        .into_iter()
-                        .zip(flags)
-                        .map(|((f, a), (_, b))| (f, if a == b { a } else { FlagEquiv::Mismatch }))
-                        .collect(),
-                });
-            }
-            Verdict::NotEquivalent { reason }
-            | Verdict::Unproven { reason }
-            | Verdict::Unsupported { reason } => return Err(reason),
-        }
-    }
-    Ok(report.unwrap_or_default())
+    verify_seq(
+        std::slice::from_ref(key),
+        template,
+        key::slot_count(key),
+        opts,
+    )
 }
 
 /// Verifies a `(sequence key, template)` pair over canonical registers
-/// and sample immediates, like [`verify_combo`] but for learned
-/// sequence rules.
+/// and sample immediates: [`verify_combo`] is the one-key call, learned
+/// sequence rules pass several keys.
 ///
 /// # Errors
 ///
@@ -158,10 +128,12 @@ pub fn verify_seq(
     opts: CheckOptions,
 ) -> Result<Vec<(Flag, FlagEquiv)>, String> {
     let _span = pdbt_obs::span_with("verify", || {
-        keys.iter()
-            .map(|k| k.to_string())
-            .collect::<Vec<_>>()
-            .join(" + ")
+        let mut label = String::new();
+        for (i, k) in keys.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " + " };
+            let _ = write!(label, "{sep}{k}");
+        }
+        label
     });
     if n_slots > 4 {
         return Err(format!(
@@ -171,24 +143,28 @@ pub fn verify_seq(
     let gslots = canonical_guest_slots(n_slots);
     let hslots = canonical_host_slots(n_slots);
     let mapping = Mapping::new(gslots.iter().copied().zip(hslots.iter().copied()).collect());
+    let mut inst = Instantiation {
+        slots: gslots,
+        imms: Vec::new(),
+    };
     let locs: Vec<HostLoc> = hslots.iter().map(|h| HostLoc::Reg(*h)).collect();
     // Sample vector built per-key, concatenated in key order.
+    let per_key: Vec<Vec<Vec<u32>>> = keys.iter().map(sample_imm_vectors).collect();
     let mut report: Option<Vec<(Flag, FlagEquiv)>> = None;
     for sample in 0..3usize {
-        let mut imms = Vec::new();
-        for key in keys {
-            let vecs = sample_imm_vectors(key);
-            imms.extend(vecs[sample].clone());
+        inst.imms.clear();
+        for vecs in &per_key {
+            inst.imms.extend_from_slice(&vecs[sample]);
         }
-        let ginsts = key::reconstruct_seq(
-            keys,
-            &Instantiation {
-                slots: gslots.clone(),
-                imms: imms.clone(),
-            },
-        )
-        .ok_or_else(|| "sequence key does not reconstruct".to_string())?;
-        let host = instantiate(template, &locs, &imms).map_err(|e| e.to_string())?;
+        let ginsts = key::reconstruct_seq(keys, &inst).ok_or_else(|| {
+            let what = if keys.len() == 1 {
+                "key"
+            } else {
+                "sequence key"
+            };
+            format!("{what} does not reconstruct")
+        })?;
+        let host = instantiate(template, &locs, &inst.imms).map_err(|e| e.to_string())?;
         match check(&ginsts, &host, &mapping, opts) {
             Verdict::Equivalent { flags } => {
                 report = Some(match report {

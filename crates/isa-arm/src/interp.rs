@@ -1,381 +1,309 @@
-//! Reference interpreter for the guest ISA.
+//! The guest ISA's instruction semantics, written once.
 //!
-//! This is the semantic ground truth: the synthetic compiler's output, the
-//! learned rules, and every DBT configuration are all validated against
-//! it (directly in tests and via differential testing in the verifier).
+//! [`step`] is generic over the [`Machine`] it acts on. Instantiated at
+//! [`crate::Cpu`] it is the reference interpreter — the ground truth the
+//! synthetic compiler's output, the learned rules and every DBT
+//! configuration are validated against. Instantiated at the verifier's
+//! symbolic state it is the guest half of the equivalence checker. One
+//! body, so the two cannot disagree about what an instruction does.
 
 use crate::inst::{Inst, Op};
 use crate::operand::{MemAddr, Operand, ShiftKind};
-use crate::reg::Reg;
-use crate::state::Cpu;
-use pdbt_isa::{Addr, Control, ExecError, Flags};
+use crate::reg::{FReg, Reg};
+use pdbt_isa::{
+    BinOp, Concrete, Cond, Control, Domain, ExecError, Flag, Machine, PredOp, UnOp, Width,
+};
 
-/// The result of evaluating a flexible second operand.
-struct Op2Value {
-    value: u32,
-    /// Carry out of the barrel shifter, when a shift actually happened.
-    /// (Reserved for DP-shifter carry semantics; the model only routes
-    /// shifter carry through the explicit shift opcodes.)
-    #[allow(dead_code)]
-    shifter_carry: Option<bool>,
+fn reg_at(inst: &Inst, i: usize) -> Reg {
+    inst.operands[i].as_reg().expect("validated")
 }
 
-fn eval_op2(cpu: &Cpu, op: &Operand) -> Result<Op2Value, ExecError> {
-    match op {
-        Operand::Reg(r) => Ok(Op2Value {
-            value: cpu.read(*r),
-            shifter_carry: None,
-        }),
-        Operand::Imm(v) => Ok(Op2Value {
-            value: *v,
-            shifter_carry: None,
-        }),
+fn freg_at(inst: &Inst, i: usize) -> FReg {
+    match inst.operands[i] {
+        Operand::FReg(r) => r,
+        _ => unreachable!("validated"),
+    }
+}
+
+/// The flexible second operand at position `i`.
+fn op2<M: Machine<Reg = Reg>>(m: &M, inst: &Inst, i: usize) -> M::W {
+    match inst.operands[i] {
+        Operand::Reg(r) => m.reg(r),
+        Operand::Imm(v) => M::D::c(v),
         Operand::Shifted { rm, kind, amount } => {
-            let v = cpu.read(*rm);
-            if *amount == 0 {
-                return Ok(Op2Value {
-                    value: v,
-                    shifter_carry: None,
-                });
-            }
-            let (value, carry) = kind.apply(v, *amount);
-            Ok(Op2Value {
-                value,
-                shifter_carry: Some(carry),
-            })
+            M::D::bin(shift_op(kind), m.reg(rm), M::D::c(u32::from(amount)))
         }
-        other => Err(ExecError::MalformedInstruction {
-            detail: format!("operand {other} cannot be a flexible second operand"),
-        }),
+        _ => unreachable!("validated"),
     }
 }
 
-fn mem_addr(cpu: &Cpu, m: MemAddr) -> Addr {
-    match m {
-        MemAddr::BaseImm { base, offset } => cpu.read(base).wrapping_add(offset as u32),
-        MemAddr::BaseReg { base, index } => cpu.read(base).wrapping_add(cpu.read(index)),
+fn shift_op(kind: ShiftKind) -> BinOp {
+    match kind {
+        ShiftKind::Lsl => BinOp::Shl,
+        ShiftKind::Lsr => BinOp::Shr,
+        ShiftKind::Asr => BinOp::Sar,
+        ShiftKind::Ror => BinOp::Ror,
     }
 }
 
-/// Arithmetic helper: `a + b + carry_in`, producing NZCV.
-fn add_with_carry(a: u32, b: u32, carry_in: bool) -> (u32, Flags) {
-    let wide = u64::from(a) + u64::from(b) + u64::from(carry_in);
-    let result = wide as u32;
-    let c = wide > u64::from(u32::MAX);
-    let v = (!(a ^ b) & (a ^ result)) & 0x8000_0000 != 0;
-    let mut f = Flags {
-        c,
-        v,
-        ..Flags::default()
-    };
-    f.set_nz(result);
-    (result, f)
+/// The address of the memory operand at position 1.
+fn mem_addr<M: Machine<Reg = Reg>>(m: &M, inst: &Inst) -> M::W {
+    match inst.operands[1].as_mem().expect("validated") {
+        MemAddr::BaseImm { base, offset } => {
+            M::D::bin(BinOp::Add, m.reg(base), M::D::c(offset as u32))
+        }
+        MemAddr::BaseReg { base, index } => M::D::bin(BinOp::Add, m.reg(base), m.reg(index)),
+    }
 }
 
-fn write_result(cpu: &mut Cpu, rd: Reg, value: u32) -> Control {
+/// Writes a result register; a write to `pc` is a jump.
+fn write_result<M: Machine<Reg = Reg>>(m: &mut M, rd: Reg, v: M::W) -> Result<Control, M::Error> {
     if rd.is_pc() {
-        Control::Jump(value)
-    } else {
-        cpu.write(rd, value);
-        Control::Next
+        return Ok(Control::Jump(m.target(v)?));
     }
+    m.set_reg(rd, v);
+    Ok(Control::Next)
 }
 
-/// Executes one instruction on `cpu`.
+/// Executes one instruction on `m`.
 ///
 /// The caller is responsible for advancing the PC on [`Control::Next`]
-/// (the interpreter never mutates `pc` itself except through explicit
-/// control transfers reported in the return value).
+/// (`step` never changes `pc` itself; control transfers are reported in
+/// the return value).
 ///
 /// # Errors
 ///
-/// Any [`ExecError`] the instruction semantics can raise (memory faults,
-/// malformed shapes, undefined system calls).
-pub fn step(cpu: &mut Cpu, inst: &Inst) -> Result<Control, ExecError> {
+/// A malformed shape or an undefined system call, as the machine's
+/// error; whatever the machine's memory raises; whatever it raises when
+/// asked to decide a condition or resolve a jump target it cannot.
+pub fn step<M: Machine<Reg = Reg, FReg = FReg>>(
+    m: &mut M,
+    inst: &Inst,
+) -> Result<Control, M::Error> {
+    use Op::*;
     inst.validate()?;
-    if !inst.cond.eval(cpu.flags) {
+    if inst.cond != Cond::Al && !m.decide(inst.cond.holds::<M::D>(|f| m.flag(f)))? {
         return Ok(Control::Next);
     }
-    let pc = cpu.pc();
-    use Op::*;
     match inst.op {
-        // ---- three-operand data processing -------------------------------
-        And | Eor | Sub | Rsb | Add | Adc | Sbc | Rsc | Orr | Bic | Lsl | Lsr | Asr | Ror => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let rn = cpu.read(inst.operands[1].as_reg().expect("validated"));
-            let op2 = eval_op2(cpu, &inst.operands[2])?;
-            let carry_in = cpu.flags.c;
-            let (result, arith_flags) = match inst.op {
-                Add => add_with_carry(rn, op2.value, false),
-                Adc => add_with_carry(rn, op2.value, carry_in),
-                Sub => add_with_carry(rn, !op2.value, true),
-                Sbc => add_with_carry(rn, !op2.value, carry_in),
-                Rsb => add_with_carry(op2.value, !rn, true),
-                Rsc => add_with_carry(op2.value, !rn, carry_in),
-                And => (rn & op2.value, Flags::default()),
-                Orr => (rn | op2.value, Flags::default()),
-                Eor => (rn ^ op2.value, Flags::default()),
-                Bic => (rn & !op2.value, Flags::default()),
-                Lsl | Lsr | Asr | Ror => {
-                    let amount = (op2.value & 31) as u8;
-                    let kind = match inst.op {
-                        Lsl => ShiftKind::Lsl,
-                        Lsr => ShiftKind::Lsr,
-                        Asr => ShiftKind::Asr,
-                        _ => ShiftKind::Ror,
-                    };
-                    if amount == 0 {
-                        (
-                            rn,
-                            Flags {
-                                c: cpu.flags.c,
-                                ..Flags::default()
-                            },
-                        )
-                    } else {
-                        let (v, c) = kind.apply(rn, amount);
-                        (
-                            v,
-                            Flags {
-                                c,
-                                ..Flags::default()
-                            },
-                        )
-                    }
-                }
+        // ---- data processing: `op rd, rn, op2`, and the compares, which
+        // are the flag-setting forms without a destination ---------------
+        And | Eor | Sub | Rsb | Add | Adc | Sbc | Rsc | Orr | Bic | Cmp | Cmn | Tst | Teq => {
+            let compare = matches!(inst.op, Cmp | Cmn | Tst | Teq);
+            let src = usize::from(!compare);
+            let (a, b) = (m.reg(reg_at(inst, src)), op2(m, inst, src + 1));
+            // The guest's carry after a subtraction is "no borrow", and
+            // `sbc`/`rsc` subtract the missing carry.
+            let sub = |a, b, c: Option<M::B>| {
+                let (r, borrow, v) = M::D::sub_with_borrow(a, b, c.map(M::D::not));
+                (r, Some((M::D::not(borrow), v)))
+            };
+            let add = |a, b, c| {
+                let (r, c, v) = M::D::add_with_carry(a, b, c);
+                (r, Some((c, v)))
+            };
+            let (res, cv) = match inst.op {
+                Add | Cmn => add(a, b, None),
+                Adc => add(a, b, Some(m.flag(Flag::C))),
+                Sub | Cmp => sub(a, b, None),
+                Sbc => sub(a, b, Some(m.flag(Flag::C))),
+                Rsb => sub(b, a, None),
+                Rsc => sub(b, a, Some(m.flag(Flag::C))),
+                And | Tst => (M::D::bin(BinOp::And, a, b), None),
+                Orr => (M::D::bin(BinOp::Or, a, b), None),
+                Eor | Teq => (M::D::bin(BinOp::Xor, a, b), None),
+                Bic => (M::D::bin(BinOp::And, a, M::D::un(UnOp::Not, b)), None),
                 _ => unreachable!(),
             };
-            if inst.s {
-                let defs = inst.flag_defs();
-                let mut new = arith_flags;
-                new.set_nz(result);
-                cpu.flags.copy_masked(new, defs);
+            if inst.s || compare {
+                m.set_nz(&res);
+                if let Some((c, v)) = cv {
+                    m.set_flag(Flag::C, c);
+                    m.set_flag(Flag::V, v);
+                }
             }
-            Ok(write_result(cpu, rd, result))
+            if compare {
+                return Ok(Control::Next);
+            }
+            write_result(m, reg_at(inst, 0), res)
         }
-        // ---- two-operand data processing ----------------------------------
-        Mov | Mvn => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let op2 = eval_op2(cpu, &inst.operands[1])?;
-            let result = if inst.op == Mvn {
-                !op2.value
-            } else {
-                op2.value
+        // ---- shifts: `op rd, rn, op2` with the amount taken modulo 32 ----
+        Lsl | Lsr | Asr | Ror => {
+            let op = match inst.op {
+                Lsl => BinOp::Shl,
+                Lsr => BinOp::Shr,
+                Asr => BinOp::Sar,
+                _ => BinOp::Ror,
             };
+            let a = m.reg(reg_at(inst, 1));
+            let amount = M::D::bin(BinOp::And, op2(m, inst, 2), M::D::c(31));
+            let res = M::D::bin(op, a.clone(), amount.clone());
             if inst.s {
-                let mut new = Flags::default();
-                new.set_nz(result);
-                cpu.flags.copy_masked(new, inst.flag_defs());
+                m.set_nz(&res);
+                // C is the last bit shifted out; a zero amount shifts
+                // nothing out and leaves C alone. An immediate amount is
+                // known here, so its carry needs no test.
+                match inst.operands[2] {
+                    Operand::Imm(v @ 1..=31) => {
+                        let at = M::D::c(Concrete::carry_distance(op, v));
+                        m.set_flag(Flag::C, M::D::shift_carry(op, a, at));
+                    }
+                    _ => {
+                        let moved = M::D::pred(PredOp::Ne, amount.clone(), M::D::c(0));
+                        let at = M::D::carry_distance(op, amount);
+                        m.set_flag_if(&moved, Flag::C, M::D::shift_carry(op, a, at));
+                    }
+                }
             }
-            Ok(write_result(cpu, rd, result))
+            write_result(m, reg_at(inst, 0), res)
+        }
+        Mov | Mvn => {
+            let mut res = op2(m, inst, 1);
+            if inst.op == Mvn {
+                res = M::D::un(UnOp::Not, res);
+            }
+            if inst.s {
+                m.set_nz(&res);
+            }
+            write_result(m, reg_at(inst, 0), res)
         }
         Clz => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let rm = cpu.read(inst.operands[1].as_reg().expect("validated"));
-            Ok(write_result(cpu, rd, rm.leading_zeros()))
+            let res = M::D::un(UnOp::Clz, m.reg(reg_at(inst, 1)));
+            write_result(m, reg_at(inst, 0), res)
         }
         // ---- multiply family ----------------------------------------------
         Mul | Mla => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let rm = cpu.read(inst.operands[1].as_reg().expect("validated"));
-            let rs = cpu.read(inst.operands[2].as_reg().expect("validated"));
-            let acc = if inst.op == Mla {
-                cpu.read(inst.operands[3].as_reg().expect("validated"))
-            } else {
-                0
-            };
-            let result = rm.wrapping_mul(rs).wrapping_add(acc);
-            if inst.s {
-                let mut new = Flags::default();
-                new.set_nz(result);
-                cpu.flags.copy_masked(new, inst.flag_defs());
+            let mut res = M::D::bin(BinOp::Mul, m.reg(reg_at(inst, 1)), m.reg(reg_at(inst, 2)));
+            if inst.op == Mla {
+                res = M::D::bin(BinOp::Add, res, m.reg(reg_at(inst, 3)));
             }
-            Ok(write_result(cpu, rd, result))
+            if inst.s {
+                m.set_nz(&res);
+            }
+            write_result(m, reg_at(inst, 0), res)
         }
         Umull | Umlal => {
-            let rdlo = inst.operands[0].as_reg().expect("validated");
-            let rdhi = inst.operands[1].as_reg().expect("validated");
-            let rm = cpu.read(inst.operands[2].as_reg().expect("validated"));
-            let rs = cpu.read(inst.operands[3].as_reg().expect("validated"));
-            let mut wide = u64::from(rm) * u64::from(rs);
+            let (rdlo, rdhi) = (reg_at(inst, 0), reg_at(inst, 1));
+            let (a, b) = (m.reg(reg_at(inst, 2)), m.reg(reg_at(inst, 3)));
+            let mut lo = M::D::bin(BinOp::Mul, a.clone(), b.clone());
+            let mut hi = M::D::bin(BinOp::MulhU, a, b);
             if inst.op == Umlal {
-                let acc = (u64::from(cpu.read(rdhi)) << 32) | u64::from(cpu.read(rdlo));
-                wide = wide.wrapping_add(acc);
+                let (sum, carry, _) = M::D::add_with_carry(m.reg(rdlo), lo, None);
+                lo = sum;
+                hi = M::D::bin(BinOp::Add, m.reg(rdhi), hi);
+                hi = M::D::bin(BinOp::Add, hi, M::D::word(carry));
             }
-            cpu.write(rdlo, wide as u32);
-            cpu.write(rdhi, (wide >> 32) as u32);
-            Ok(Control::Next)
-        }
-        // ---- compares -------------------------------------------------------
-        Cmp | Cmn | Tst | Teq => {
-            let rn = cpu.read(inst.operands[0].as_reg().expect("validated"));
-            let op2 = eval_op2(cpu, &inst.operands[1])?;
-            match inst.op {
-                Cmp => {
-                    let (_, f) = add_with_carry(rn, !op2.value, true);
-                    cpu.flags = f;
-                }
-                Cmn => {
-                    let (_, f) = add_with_carry(rn, op2.value, false);
-                    cpu.flags = f;
-                }
-                Tst => {
-                    let mut f = Flags::default();
-                    f.set_nz(rn & op2.value);
-                    cpu.flags.copy_masked(f, inst.flag_defs());
-                }
-                Teq => {
-                    let mut f = Flags::default();
-                    f.set_nz(rn ^ op2.value);
-                    cpu.flags.copy_masked(f, inst.flag_defs());
-                }
-                _ => unreachable!(),
-            }
+            m.set_reg(rdlo, lo);
+            m.set_reg(rdhi, hi);
             Ok(Control::Next)
         }
         // ---- loads and stores -----------------------------------------------
         Ldr | Ldrb | Ldrh => {
-            let rt = inst.operands[0].as_reg().expect("validated");
-            let addr = mem_addr(cpu, inst.operands[1].as_mem().expect("validated"));
             let width = inst.op.access_width().expect("load has a width");
-            let v = cpu.mem.load(addr, width)?;
-            Ok(write_result(cpu, rt, v))
+            let v = m.load(mem_addr(m, inst), width)?;
+            write_result(m, reg_at(inst, 0), v)
         }
         Str | Strb | Strh => {
-            let rt = cpu.read(inst.operands[0].as_reg().expect("validated"));
-            let addr = mem_addr(cpu, inst.operands[1].as_mem().expect("validated"));
             let width = inst.op.access_width().expect("store has a width");
-            cpu.mem.store(addr, rt, width)?;
+            m.store(mem_addr(m, inst), m.reg(reg_at(inst, 0)), width)?;
             Ok(Control::Next)
         }
         // ---- stack -----------------------------------------------------------
         Push => {
             let list = inst.reg_list().expect("validated");
-            let mut sp = cpu.sp();
+            let mut sp = m.reg(Reg::Sp);
             // Store in descending address order: highest-numbered register
             // at the highest address.
             for r in list.iter().collect::<Vec<_>>().into_iter().rev() {
-                sp = sp.wrapping_sub(4);
-                cpu.mem.store32(sp, cpu.read(r))?;
+                sp = M::D::bin(BinOp::Sub, sp, M::D::c(4));
+                m.store(sp.clone(), m.reg(r), Width::B32)?;
             }
-            cpu.write(Reg::Sp, sp);
+            m.set_reg(Reg::Sp, sp);
             Ok(Control::Next)
         }
         Pop => {
-            let list = inst.reg_list().expect("validated");
-            let mut sp = cpu.sp();
+            let mut sp = m.reg(Reg::Sp);
             let mut jump = None;
-            for r in list.iter() {
-                let v = cpu.mem.load32(sp)?;
-                sp = sp.wrapping_add(4);
+            for r in inst.reg_list().expect("validated").iter() {
+                let v = m.load(sp.clone(), Width::B32)?;
+                sp = M::D::bin(BinOp::Add, sp, M::D::c(4));
                 if r.is_pc() {
                     jump = Some(v);
                 } else {
-                    cpu.write(r, v);
+                    m.set_reg(r, v);
                 }
             }
-            cpu.write(Reg::Sp, sp);
-            Ok(match jump {
-                Some(t) => Control::Jump(t),
-                None => Control::Next,
-            })
+            m.set_reg(Reg::Sp, sp);
+            match jump {
+                Some(t) => Ok(Control::Jump(m.target(t)?)),
+                None => Ok(Control::Next),
+            }
         }
-        // ---- branches ----------------------------------------------------------
-        B => {
+        // ---- branches: `pc` reads as this instruction's address plus 8 -------
+        B | Bl => {
             let Operand::Target(d) = inst.operands[0] else {
-                unreachable!()
+                unreachable!("validated")
             };
-            Ok(Control::Jump(pc.wrapping_add(d as u32)))
-        }
-        Bl => {
-            let Operand::Target(d) = inst.operands[0] else {
-                unreachable!()
-            };
-            let link = pc.wrapping_add(4);
-            cpu.write(Reg::Lr, link);
+            let rel = |off: i32| M::D::c(off.wrapping_sub(8) as u32);
+            let at = |off: i32| M::D::bin(BinOp::Add, m.reg(Reg::Pc), rel(off));
+            let target = m.target(at(d))?;
+            if inst.op == B {
+                return Ok(Control::Jump(target));
+            }
+            let link = at(4);
+            m.set_reg(Reg::Lr, link.clone());
             Ok(Control::Call {
-                target: pc.wrapping_add(d as u32),
-                link,
+                target,
+                link: m.target(link)?,
             })
         }
-        Bx => {
-            let rm = cpu.read(inst.operands[0].as_reg().expect("validated"));
-            Ok(Control::Jump(rm))
-        }
-        Svc => {
-            let imm = inst.operands[0].as_imm().expect("validated");
-            match imm {
-                0 => Ok(Control::Halt),
-                1 => {
-                    cpu.output.push(cpu.read(Reg::R0));
-                    Ok(Control::Next)
-                }
-                other => Err(ExecError::Undefined {
-                    detail: format!("svc #{other}"),
-                }),
+        Bx => Ok(Control::Jump(m.target(m.reg(reg_at(inst, 0)))?)),
+        Svc => match inst.operands[0].as_imm().expect("validated") {
+            0 => Ok(Control::Halt),
+            1 => {
+                m.output(m.reg(Reg::R0));
+                Ok(Control::Next)
             }
-        }
-        // ---- floating point -------------------------------------------------------
+            other => {
+                let detail = format!("svc #{other}");
+                Err(ExecError::Undefined { detail }.into())
+            }
+        },
+        // ---- floating point, on single-precision bit patterns -----------------
         Vadd | Vsub | Vmul | Vdiv => {
-            let (Operand::FReg(sd), Operand::FReg(sn), Operand::FReg(sm)) =
-                (inst.operands[0], inst.operands[1], inst.operands[2])
-            else {
-                unreachable!()
+            let op = match inst.op {
+                Vadd => BinOp::FAdd,
+                Vsub => BinOp::FSub,
+                Vmul => BinOp::FMul,
+                _ => BinOp::FDiv,
             };
-            let a = cpu.read_f(sn);
-            let b = cpu.read_f(sm);
-            let r = match inst.op {
-                Vadd => a + b,
-                Vsub => a - b,
-                Vmul => a * b,
-                Vdiv => a / b,
-                _ => unreachable!(),
-            };
-            cpu.write_f(sd, r);
+            let res = M::D::bin(op, m.freg(freg_at(inst, 1)), m.freg(freg_at(inst, 2)));
+            m.set_freg(freg_at(inst, 0), res);
             Ok(Control::Next)
         }
         Vmov => {
-            let (Operand::FReg(sd), Operand::FReg(sm)) = (inst.operands[0], inst.operands[1])
-            else {
-                unreachable!()
-            };
-            let v = cpu.read_f(sm);
-            cpu.write_f(sd, v);
+            m.set_freg(freg_at(inst, 0), m.freg(freg_at(inst, 1)));
             Ok(Control::Next)
         }
         Vcmp => {
-            let (Operand::FReg(sd), Operand::FReg(sm)) = (inst.operands[0], inst.operands[1])
-            else {
-                unreachable!()
-            };
-            let a = cpu.read_f(sd);
-            let b = cpu.read_f(sm);
-            // ARM FP comparison flags: N = less, Z = equal, C = greater-or-
-            // equal-or-unordered, V = unordered.
-            let unordered = a.is_nan() || b.is_nan();
-            cpu.flags = Flags {
-                n: !unordered && a < b,
-                z: !unordered && a == b,
-                c: unordered || a >= b,
-                v: unordered,
-            };
+            // N = less, Z = equal, C = greater-or-equal-or-unordered,
+            // V = unordered.
+            let (a, b) = (m.freg(freg_at(inst, 0)), m.freg(freg_at(inst, 1)));
+            let nan = M::D::unordered(&a, &b);
+            m.set_flag(Flag::N, M::D::pred(PredOp::FLt, a.clone(), b.clone()));
+            m.set_flag(Flag::Z, M::D::pred(PredOp::FEq, a.clone(), b.clone()));
+            let ge = M::D::pred(PredOp::FGe, a, b);
+            m.set_flag(Flag::C, M::D::logic(BinOp::Or, nan.clone(), ge));
+            m.set_flag(Flag::V, nan);
             Ok(Control::Next)
         }
         Vldr => {
-            let Operand::FReg(sd) = inst.operands[0] else {
-                unreachable!()
-            };
-            let addr = mem_addr(cpu, inst.operands[1].as_mem().expect("validated"));
-            let bits = cpu.mem.load32(addr)?;
-            cpu.write_f(sd, f32::from_bits(bits));
+            let v = m.load(mem_addr(m, inst), Width::B32)?;
+            m.set_freg(freg_at(inst, 0), v);
             Ok(Control::Next)
         }
         Vstr => {
-            let Operand::FReg(sd) = inst.operands[0] else {
-                unreachable!()
-            };
-            let addr = mem_addr(cpu, inst.operands[1].as_mem().expect("validated"));
-            cpu.mem.store32(addr, cpu.read_f(sd).to_bits())?;
+            m.store(mem_addr(m, inst), m.freg(freg_at(inst, 0)), Width::B32)?;
             Ok(Control::Next)
         }
     }
@@ -385,7 +313,7 @@ pub fn step(cpu: &mut Cpu, inst: &Inst) -> Result<Control, ExecError> {
 mod tests {
     use super::*;
     use crate::builders::*;
-    use crate::reg::FReg;
+    use crate::state::Cpu;
     use pdbt_isa::Cond;
 
     fn cpu() -> Cpu {

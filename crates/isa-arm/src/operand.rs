@@ -28,20 +28,6 @@ impl ShiftKind {
         ShiftKind::Ror,
     ];
 
-    /// Applies the shift to `v` by `amount` (1–31), returning the result
-    /// and the carry-out bit.
-    #[must_use]
-    pub fn apply(self, v: u32, amount: u8) -> (u32, bool) {
-        debug_assert!((1..32).contains(&amount));
-        let a = u32::from(amount);
-        match self {
-            ShiftKind::Lsl => (v << a, (v >> (32 - a)) & 1 != 0),
-            ShiftKind::Lsr => (v >> a, (v >> (a - 1)) & 1 != 0),
-            ShiftKind::Asr => (((v as i32) >> a) as u32, ((v as i32) >> (a - 1)) & 1 != 0),
-            ShiftKind::Ror => (v.rotate_right(a), (v >> (a - 1)) & 1 != 0),
-        }
-    }
-
     /// Encoding index (0–3).
     #[must_use]
     pub fn index(self) -> u8 {
@@ -252,26 +238,6 @@ impl From<FReg> for Operand {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shift_apply_lsl() {
-        assert_eq!(ShiftKind::Lsl.apply(1, 4), (16, false));
-        assert_eq!(ShiftKind::Lsl.apply(0x8000_0000, 1), (0, true));
-    }
-
-    #[test]
-    fn shift_apply_lsr_asr() {
-        assert_eq!(ShiftKind::Lsr.apply(0x8000_0000, 31), (1, false));
-        assert_eq!(ShiftKind::Lsr.apply(3, 1), (1, true));
-        assert_eq!(ShiftKind::Asr.apply(0x8000_0000, 31), (0xffff_ffff, false));
-        assert_eq!(ShiftKind::Asr.apply(0xffff_fffe, 1), (0xffff_ffff, false));
-    }
-
-    #[test]
-    fn shift_apply_ror() {
-        assert_eq!(ShiftKind::Ror.apply(1, 1), (0x8000_0000, true));
-        assert_eq!(ShiftKind::Ror.apply(0xf000_000f, 4), (0xff00_0000, true));
-    }
 
     #[test]
     fn shift_index_roundtrip() {

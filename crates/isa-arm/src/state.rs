@@ -1,7 +1,7 @@
 //! Guest CPU state.
 
 use crate::reg::{FReg, Reg};
-use pdbt_isa::{Addr, Flags, Memory};
+use pdbt_isa::{Addr, Concrete, ExecError, Flag, Flags, Machine, Memory, Width};
 
 /// The architectural state of the guest CPU.
 ///
@@ -74,6 +74,62 @@ impl Cpu {
     #[must_use]
     pub fn sp(&self) -> Addr {
         self.regs[Reg::Sp.index()]
+    }
+}
+
+/// The reference interpreter's state: concrete values, real memory,
+/// and every condition and jump target decidable.
+impl Machine for Cpu {
+    type W = u32;
+    type B = bool;
+    type D = Concrete;
+    type Reg = Reg;
+    type FReg = FReg;
+    type Error = ExecError;
+
+    #[inline]
+    fn reg(&self, r: Reg) -> u32 {
+        self.read(r)
+    }
+    #[inline]
+    fn set_reg(&mut self, r: Reg, v: u32) {
+        self.write(r, v);
+    }
+    #[inline]
+    fn freg(&self, r: FReg) -> u32 {
+        self.read_f(r).to_bits()
+    }
+    #[inline]
+    fn set_freg(&mut self, r: FReg, v: u32) {
+        self.write_f(r, f32::from_bits(v));
+    }
+    #[inline]
+    fn flag(&self, f: Flag) -> bool {
+        self.flags.get(f)
+    }
+    #[inline]
+    fn set_flag(&mut self, f: Flag, v: bool) {
+        self.flags.set(f, v);
+    }
+    #[inline]
+    fn load(&self, addr: u32, width: Width) -> Result<u32, ExecError> {
+        self.mem.load(addr, width)
+    }
+    #[inline]
+    fn store(&mut self, addr: u32, v: u32, width: Width) -> Result<(), ExecError> {
+        self.mem.store(addr, v, width)
+    }
+    #[inline]
+    fn output(&mut self, v: u32) {
+        self.output.push(v);
+    }
+    #[inline]
+    fn decide(&self, cond: bool) -> Result<bool, ExecError> {
+        Ok(cond)
+    }
+    #[inline]
+    fn target(&self, addr: u32) -> Result<Addr, ExecError> {
+        Ok(addr)
     }
 }
 

@@ -9,7 +9,9 @@
 use crate::inst::{Inst, Op};
 use crate::operand::{Mem, Operand};
 use crate::reg::{Reg, Xmm};
-use pdbt_isa::{Addr, ExecError, Flags, Memory, Width};
+use pdbt_isa::{
+    Addr, BinOp, Concrete, Domain, ExecError, Flag, Flags, Machine, Memory, PredOp, UnOp, Width,
+};
 
 /// The architectural state of the host CPU.
 #[derive(Debug, Clone, Default)]
@@ -68,307 +70,332 @@ pub enum BlockExit {
     Halted,
 }
 
-fn mem_addr(cpu: &Cpu, m: Mem) -> Addr {
-    let mut a = m.disp as u32;
-    if let Some(b) = m.base {
-        a = a.wrapping_add(cpu.read(b));
+/// The model backend's state: concrete values, real memory, and every
+/// condition and jump target decidable.
+impl Machine for Cpu {
+    type W = u32;
+    type B = bool;
+    type D = Concrete;
+    type Reg = Reg;
+    type FReg = Xmm;
+    type Error = ExecError;
+
+    #[inline]
+    fn reg(&self, r: Reg) -> u32 {
+        self.read(r)
     }
-    if let Some(i) = m.index {
-        a = a.wrapping_add(cpu.read(i));
+    #[inline]
+    fn set_reg(&mut self, r: Reg, v: u32) {
+        self.write(r, v);
+    }
+    #[inline]
+    fn freg(&self, x: Xmm) -> u32 {
+        self.read_x(x).to_bits()
+    }
+    #[inline]
+    fn set_freg(&mut self, x: Xmm, v: u32) {
+        self.write_x(x, f32::from_bits(v));
+    }
+    #[inline]
+    fn flag(&self, f: Flag) -> bool {
+        self.flags.get(f)
+    }
+    #[inline]
+    fn set_flag(&mut self, f: Flag, v: bool) {
+        self.flags.set(f, v);
+    }
+    #[inline]
+    fn load(&self, addr: u32, width: Width) -> Result<u32, ExecError> {
+        self.mem.load(addr, width)
+    }
+    #[inline]
+    fn store(&mut self, addr: u32, v: u32, width: Width) -> Result<(), ExecError> {
+        self.mem.store(addr, v, width)
+    }
+    #[inline]
+    fn output(&mut self, v: u32) {
+        self.output.push(v);
+    }
+    #[inline]
+    fn decide(&self, cond: bool) -> Result<bool, ExecError> {
+        Ok(cond)
+    }
+    #[inline]
+    fn target(&self, addr: u32) -> Result<Addr, ExecError> {
+        Ok(addr)
+    }
+}
+
+/// The flags of an arithmetic result, for the threaded handlers (which
+/// assign `Cpu::flags` whole where [`step`] writes flag by flag).
+#[inline]
+pub(crate) fn flags_of(result: u32, c: bool, v: bool) -> Flags {
+    let (n, z) = Concrete::nz(&result);
+    Flags { n, z, c, v }
+}
+
+fn malformed<E: From<ExecError>>(detail: String) -> E {
+    ExecError::MalformedInstruction { detail }.into()
+}
+
+fn mem_addr<M: Machine<Reg = Reg>>(m: &M, mem: Mem) -> M::W {
+    let mut a = M::D::c(mem.disp as u32);
+    if let Some(b) = mem.base {
+        a = M::D::bin(BinOp::Add, m.reg(b), a);
+    }
+    if let Some(i) = mem.index {
+        a = M::D::bin(BinOp::Add, a, m.reg(i));
     }
     a
 }
 
-fn read_operand(cpu: &Cpu, o: &Operand, width: Width) -> Result<u32, ExecError> {
+fn read_operand<M: Machine<Reg = Reg>>(m: &M, o: &Operand, width: Width) -> Result<M::W, M::Error> {
     match o {
-        Operand::Reg(r) => Ok(cpu.read(*r)),
-        Operand::Imm(v) => Ok(*v as u32),
-        Operand::Mem(m) => cpu.mem.load(mem_addr(cpu, *m), width),
-        Operand::Xmm(_) | Operand::Target(_) => Err(ExecError::MalformedInstruction {
-            detail: format!("{o} is not an integer source"),
-        }),
+        Operand::Reg(r) => Ok(m.reg(*r)),
+        Operand::Imm(v) => Ok(M::D::c(*v as u32)),
+        Operand::Mem(mem) => m.load(mem_addr(m, *mem), width),
+        Operand::Xmm(_) | Operand::Target(_) => {
+            Err(malformed(format!("{o} is not an integer source")))
+        }
     }
 }
 
-fn write_operand(cpu: &mut Cpu, o: &Operand, v: u32, width: Width) -> Result<(), ExecError> {
+fn write_operand<M: Machine<Reg = Reg>>(
+    m: &mut M,
+    o: &Operand,
+    v: M::W,
+    width: Width,
+) -> Result<(), M::Error> {
     match o {
         Operand::Reg(r) => {
-            cpu.write(*r, v);
+            m.set_reg(*r, v);
             Ok(())
         }
-        Operand::Mem(m) => cpu.mem.store(mem_addr(cpu, *m), v, width),
-        other => Err(ExecError::MalformedInstruction {
-            detail: format!("{other} is not a writable destination"),
-        }),
+        Operand::Mem(mem) => m.store(mem_addr(m, *mem), v, width),
+        other => Err(malformed(format!("{other} is not a writable destination"))),
     }
 }
 
-fn read_f(cpu: &Cpu, o: &Operand) -> Result<f32, ExecError> {
+/// A scalar-float source: an `xmm` register or 32 bits of memory.
+fn read_f<M: Machine<Reg = Reg, FReg = Xmm>>(m: &M, o: &Operand) -> Result<M::W, M::Error> {
     match o {
-        Operand::Xmm(x) => Ok(cpu.read_x(*x)),
-        Operand::Mem(m) => Ok(f32::from_bits(cpu.mem.load32(mem_addr(cpu, *m))?)),
-        other => Err(ExecError::MalformedInstruction {
-            detail: format!("{other} is not a float source"),
-        }),
+        Operand::Xmm(x) => Ok(m.freg(*x)),
+        Operand::Mem(mem) => m.load(mem_addr(m, *mem), Width::B32),
+        other => Err(malformed(format!("{other} is not a float source"))),
     }
 }
 
-pub(crate) fn add_with_carry(a: u32, b: u32, carry_in: bool) -> (u32, Flags) {
-    let wide = u64::from(a) + u64::from(b) + u64::from(carry_in);
-    let result = wide as u32;
-    let mut f = Flags {
-        c: wide > u64::from(u32::MAX),
-        v: (!(a ^ b) & (a ^ result)) & 0x8000_0000 != 0,
-        ..Flags::default()
+/// The operands of `op xmm, xmm/m32`: the register and both values.
+fn sse_operands<M: Machine<Reg = Reg, FReg = Xmm>>(
+    m: &M,
+    ops: &[Operand],
+) -> Result<(Xmm, M::W, M::W), M::Error> {
+    let Operand::Xmm(x) = ops[0] else {
+        unreachable!("validated")
     };
-    f.set_nz(result);
-    (result, f)
+    Ok((x, m.freg(x), read_f(m, &ops[1])?))
 }
 
-pub(crate) fn sub_with_borrow(a: u32, b: u32, borrow_in: bool) -> (u32, Flags) {
-    // x86: CF = borrow (set when a < b + borrow_in).
-    let (r, f) = add_with_carry(a, !b, !borrow_in);
-    (r, Flags { c: !f.c, ..f })
-}
-
-pub(crate) fn logic_flags(result: u32) -> Flags {
-    let mut f = Flags::default(); // CF = OF = 0
-    f.set_nz(result);
-    f
-}
-
-/// The result of stepping one instruction inside a block. Shared with
-/// the threaded-code compiler (`crate::threaded`), whose pre-compiled
-/// handlers return the same control decisions as the model's `step`.
-pub(crate) enum Step {
+/// The result of stepping one instruction inside a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Continue with the next instruction.
     Next,
+    /// Continue this many instructions past the next one.
     Rel(i32),
+    /// Leave the block.
     Exit(BlockExit),
 }
 
-pub(crate) fn step(cpu: &mut Cpu, inst: &Inst) -> Result<Step, ExecError> {
+/// Executes one host instruction on `m`: the host ISA's semantics,
+/// written once. At [`Cpu`] this is the model backend (and the threaded
+/// backend's fallback and oracle); at the verifier's symbolic state it
+/// is the host half of the equivalence checker.
+///
+/// # Errors
+///
+/// A malformed shape or `call`/`ret`, as the machine's error; whatever
+/// the machine's memory raises; whatever it raises when asked to decide
+/// a condition or resolve a jump target it cannot.
+pub fn step<M: Machine<Reg = Reg, FReg = Xmm>>(m: &mut M, inst: &Inst) -> Result<Step, M::Error> {
     use Op::*;
+    use Width::B32;
     let ops = &inst.operands;
     match inst.op {
-        Mov => {
-            let v = read_operand(cpu, &ops[1], Width::B32)?;
-            write_operand(cpu, &ops[0], v, Width::B32)?;
-        }
-        MovB | MovW => {
-            let v = read_operand(cpu, &ops[1], Width::B32)?;
-            write_operand(cpu, &ops[0], v, inst.op.access_width())?;
-        }
-        MovzxB | MovzxW => {
-            let v = read_operand(cpu, &ops[1], inst.op.access_width())?;
-            write_operand(cpu, &ops[0], v, Width::B32)?;
+        Mov | MovB | MovW | MovzxB | MovzxW => {
+            // A narrow store narrows the write, a widening load the read.
+            let (from, to) = match inst.op {
+                MovB | MovW => (B32, inst.op.access_width()),
+                _ => (inst.op.access_width(), B32),
+            };
+            let v = read_operand(m, &ops[1], from)?;
+            write_operand(m, &ops[0], v, to)?;
         }
         Lea => {
-            let m = ops[1]
+            let mem = ops[1]
                 .as_mem()
-                .ok_or_else(|| ExecError::MalformedInstruction {
-                    detail: "lea needs a memory source".into(),
-                })?;
-            let a = mem_addr(cpu, m);
-            write_operand(cpu, &ops[0], a, Width::B32)?;
+                .ok_or_else(|| malformed("lea needs a memory source".into()))?;
+            write_operand(m, &ops[0], mem_addr(m, mem), B32)?;
         }
         Add | Adc | Sub | Sbb | Cmp => {
-            let a = read_operand(cpu, &ops[0], Width::B32)?;
-            let b = read_operand(cpu, &ops[1], Width::B32)?;
-            let carry = cpu.flags.c;
-            let (r, f) = match inst.op {
-                Add => add_with_carry(a, b, false),
-                Adc => add_with_carry(a, b, carry),
-                Sub | Cmp => sub_with_borrow(a, b, false),
-                Sbb => sub_with_borrow(a, b, carry),
-                _ => unreachable!(),
+            let a = read_operand(m, &ops[0], B32)?;
+            let b = read_operand(m, &ops[1], B32)?;
+            // CF after a subtraction is the borrow itself.
+            let (res, c, v) = match inst.op {
+                Add => M::D::add_with_carry(a, b, None),
+                Adc => M::D::add_with_carry(a, b, Some(m.flag(Flag::C))),
+                Sbb => M::D::sub_with_borrow(a, b, Some(m.flag(Flag::C))),
+                _ => M::D::sub_with_borrow(a, b, None),
             };
-            cpu.flags = f;
+            m.set_nz(&res);
+            m.set_flag(Flag::C, c);
+            m.set_flag(Flag::V, v);
             if inst.op != Cmp {
-                write_operand(cpu, &ops[0], r, Width::B32)?;
+                write_operand(m, &ops[0], res, B32)?;
             }
         }
         And | Or | Xor | Test => {
-            let a = read_operand(cpu, &ops[0], Width::B32)?;
-            let b = read_operand(cpu, &ops[1], Width::B32)?;
-            let r = match inst.op {
-                And | Test => a & b,
-                Or => a | b,
-                Xor => a ^ b,
-                _ => unreachable!(),
+            let a = read_operand(m, &ops[0], B32)?;
+            let b = read_operand(m, &ops[1], B32)?;
+            let op = match inst.op {
+                Or => BinOp::Or,
+                Xor => BinOp::Xor,
+                _ => BinOp::And,
             };
-            cpu.flags = logic_flags(r);
+            let res = M::D::bin(op, a, b);
+            m.set_nz(&res);
+            m.set_flag(Flag::C, M::D::bit(M::D::c(0)));
+            m.set_flag(Flag::V, M::D::bit(M::D::c(0)));
             if inst.op != Test {
-                write_operand(cpu, &ops[0], r, Width::B32)?;
+                write_operand(m, &ops[0], res, B32)?;
             }
         }
         Imul => {
-            let a = read_operand(cpu, &ops[0], Width::B32)?;
-            let b = read_operand(cpu, &ops[1], Width::B32)?;
+            let a = read_operand(m, &ops[0], B32)?;
+            let b = read_operand(m, &ops[1], B32)?;
             // Flags are modelled as undefined (left unchanged).
-            write_operand(cpu, &ops[0], a.wrapping_mul(b), Width::B32)?;
+            write_operand(m, &ops[0], M::D::bin(BinOp::Mul, a, b), B32)?;
         }
         MulWide => {
-            let a = cpu.read(Reg::Eax);
-            let b = read_operand(cpu, &ops[0], Width::B32)?;
-            let wide = u64::from(a) * u64::from(b);
-            cpu.write(Reg::Eax, wide as u32);
-            cpu.write(Reg::Edx, (wide >> 32) as u32);
+            let a = m.reg(Reg::Eax);
+            let b = read_operand(m, &ops[0], B32)?;
+            m.set_reg(Reg::Eax, M::D::bin(BinOp::Mul, a.clone(), b.clone()));
+            m.set_reg(Reg::Edx, M::D::bin(BinOp::MulhU, a, b));
         }
         Shl | Shr | Sar | Ror => {
-            let a = read_operand(cpu, &ops[0], Width::B32)?;
-            let amt = (read_operand(cpu, &ops[1], Width::B32)? & 31) as u8;
-            if amt == 0 {
-                // No flag change, no write needed, but write keeps RMW
-                // semantics uniform.
-                write_operand(cpu, &ops[0], a, Width::B32)?;
-            } else {
-                let kind = match inst.op {
-                    Shl => ShiftOp::Lsl,
-                    Shr => ShiftOp::Lsr,
-                    Sar => ShiftOp::Asr,
-                    _ => ShiftOp::Ror,
-                };
-                let (r, c) = apply_shift(kind, a, amt);
-                if inst.op == Ror {
-                    cpu.flags.c = c;
-                } else {
-                    let mut f = Flags {
-                        c,
-                        v: cpu.flags.v,
-                        ..Flags::default()
-                    };
-                    f.set_nz(r);
-                    cpu.flags = f;
-                }
-                write_operand(cpu, &ops[0], r, Width::B32)?;
+            let op = match inst.op {
+                Shl => BinOp::Shl,
+                Shr => BinOp::Shr,
+                Sar => BinOp::Sar,
+                _ => BinOp::Ror,
+            };
+            let a = read_operand(m, &ops[0], B32)?;
+            let amount = M::D::bin(BinOp::And, read_operand(m, &ops[1], B32)?, M::D::c(31));
+            let res = M::D::bin(op, a.clone(), amount.clone());
+            // A zero (masked) amount leaves every flag unchanged; the
+            // destination is rewritten either way.
+            let moved = M::D::pred(PredOp::Ne, amount.clone(), M::D::c(0));
+            if inst.op != Ror {
+                let (n, z) = M::D::nz(&res);
+                m.set_flag_if(&moved, Flag::N, n);
+                m.set_flag_if(&moved, Flag::Z, z);
             }
+            let at = M::D::carry_distance(op, amount);
+            m.set_flag_if(&moved, Flag::C, M::D::shift_carry(op, a, at));
+            write_operand(m, &ops[0], res, B32)?;
         }
         Not => {
-            let a = read_operand(cpu, &ops[0], Width::B32)?;
-            write_operand(cpu, &ops[0], !a, Width::B32)?;
+            let a = read_operand(m, &ops[0], B32)?;
+            write_operand(m, &ops[0], M::D::un(UnOp::Not, a), B32)?;
         }
         Neg => {
-            let a = read_operand(cpu, &ops[0], Width::B32)?;
-            let (r, f) = sub_with_borrow(0, a, false);
-            cpu.flags = f;
-            write_operand(cpu, &ops[0], r, Width::B32)?;
+            let a = read_operand(m, &ops[0], B32)?;
+            let (_, c, v) = M::D::sub_with_borrow(M::D::c(0), a.clone(), None);
+            let res = M::D::un(UnOp::Neg, a);
+            m.set_nz(&res);
+            m.set_flag(Flag::C, c);
+            m.set_flag(Flag::V, v);
+            write_operand(m, &ops[0], res, B32)?;
         }
         Bsr => {
-            let src = read_operand(cpu, &ops[1], Width::B32)?;
-            if src == 0 {
-                cpu.flags.z = true;
-            } else {
-                cpu.flags.z = false;
-                write_operand(cpu, &ops[0], 31 - src.leading_zeros(), Width::B32)?;
+            let src = read_operand(m, &ops[1], B32)?;
+            let zero = M::D::pred(PredOp::Eq, src.clone(), M::D::c(0));
+            m.set_flag(Flag::Z, zero.clone());
+            // The destination is untouched when the source is zero.
+            if !m.decide(zero)? {
+                let top = M::D::bin(BinOp::Sub, M::D::c(31), M::D::un(UnOp::Clz, src));
+                write_operand(m, &ops[0], top, B32)?;
             }
         }
         Push => {
-            let v = read_operand(cpu, &ops[0], Width::B32)?;
-            let sp = cpu.read(Reg::Esp).wrapping_sub(4);
-            cpu.mem.store32(sp, v)?;
-            cpu.write(Reg::Esp, sp);
+            let v = read_operand(m, &ops[0], B32)?;
+            let sp = M::D::bin(BinOp::Sub, m.reg(Reg::Esp), M::D::c(4));
+            m.store(sp.clone(), v, B32)?;
+            m.set_reg(Reg::Esp, sp);
         }
         Pop => {
-            let sp = cpu.read(Reg::Esp);
-            let v = cpu.mem.load32(sp)?;
-            cpu.write(Reg::Esp, sp.wrapping_add(4));
-            write_operand(cpu, &ops[0], v, Width::B32)?;
+            let sp = m.reg(Reg::Esp);
+            let v = m.load(sp.clone(), B32)?;
+            m.set_reg(Reg::Esp, M::D::bin(BinOp::Add, sp, M::D::c(4)));
+            write_operand(m, &ops[0], v, B32)?;
         }
         Jmp => match ops[0] {
             Operand::Target(d) => return Ok(Step::Rel(d)),
             _ => {
-                let v = read_operand(cpu, &ops[0], Width::B32)?;
-                return Ok(Step::Exit(BlockExit::Jumped(v)));
+                let v = read_operand(m, &ops[0], B32)?;
+                return Ok(Step::Exit(BlockExit::Jumped(m.target(v)?)));
             }
         },
         Jcc => {
             let Operand::Target(d) = ops[0] else {
                 unreachable!("validated")
             };
-            if inst.cc.expect("validated").eval(cpu.flags) {
+            if m.decide(inst.cc.expect("validated").holds::<M::D>(|f| m.flag(f)))? {
                 return Ok(Step::Rel(d));
             }
         }
         Call | Ret => {
-            return Err(ExecError::Undefined {
-                detail: format!("{} inside a translation block", inst.op),
-            })
+            let detail = format!("{} inside a translation block", inst.op);
+            return Err(ExecError::Undefined { detail }.into());
         }
         Setcc => {
-            let v = u32::from(inst.cc.expect("validated").eval(cpu.flags));
-            write_operand(cpu, &ops[0], v, Width::B32)?;
+            let holds = inst.cc.expect("validated").holds::<M::D>(|f| m.flag(f));
+            write_operand(m, &ops[0], M::D::word(holds), B32)?;
         }
-        Out => {
-            let v = cpu.read(Reg::Eax);
-            cpu.output.push(v);
-        }
+        Out => m.output(m.reg(Reg::Eax)),
         Hlt => return Ok(Step::Exit(BlockExit::Halted)),
         Movss => {
-            let v = read_f(cpu, &ops[1]).map_err(|_| ExecError::MalformedInstruction {
-                detail: format!("{inst}"),
-            })?;
+            let v = read_f(m, &ops[1]).map_err(|_| malformed(format!("{inst}")))?;
             match &ops[0] {
-                Operand::Xmm(x) => cpu.write_x(*x, v),
-                Operand::Mem(m) => cpu.mem.store32(mem_addr(cpu, *m), v.to_bits())?,
-                other => {
-                    return Err(ExecError::MalformedInstruction {
-                        detail: format!("movss destination {other}"),
-                    })
-                }
+                Operand::Xmm(x) => m.set_freg(*x, v),
+                Operand::Mem(mem) => m.store(mem_addr(m, *mem), v, B32)?,
+                other => return Err(malformed(format!("movss destination {other}"))),
             }
         }
         Addss | Subss | Mulss | Divss => {
-            let Operand::Xmm(x) = ops[0] else {
-                unreachable!("validated")
+            let op = match inst.op {
+                Addss => BinOp::FAdd,
+                Subss => BinOp::FSub,
+                Mulss => BinOp::FMul,
+                _ => BinOp::FDiv,
             };
-            let a = cpu.read_x(x);
-            let b = read_f(cpu, &ops[1])?;
-            let r = match inst.op {
-                Addss => a + b,
-                Subss => a - b,
-                Mulss => a * b,
-                Divss => a / b,
-                _ => unreachable!(),
-            };
-            cpu.write_x(x, r);
+            let (x, a, b) = sse_operands(m, ops)?;
+            m.set_freg(x, M::D::bin(op, a, b));
         }
         Ucomiss => {
-            let Operand::Xmm(x) = ops[0] else {
-                unreachable!("validated")
-            };
-            let a = cpu.read_x(x);
-            let b = read_f(cpu, &ops[1])?;
-            let unordered = a.is_nan() || b.is_nan();
-            cpu.flags = Flags {
-                z: unordered || a == b,
-                c: unordered || a < b,
-                n: false,
-                v: false,
-            };
+            // ZF = equal, CF = less, both also set when the comparison
+            // is unordered; SF = OF = 0.
+            let (_, a, b) = sse_operands(m, ops)?;
+            let nan = M::D::unordered(&a, &b);
+            let eq = M::D::pred(PredOp::FEq, a.clone(), b.clone());
+            let lt = M::D::pred(PredOp::FLt, a, b);
+            m.set_flag(Flag::Z, M::D::logic(BinOp::Or, nan.clone(), eq));
+            m.set_flag(Flag::C, M::D::logic(BinOp::Or, nan, lt));
+            m.set_flag(Flag::N, M::D::bit(M::D::c(0)));
+            m.set_flag(Flag::V, M::D::bit(M::D::c(0)));
         }
     }
     Ok(Step::Next)
-}
-
-// Local alias so the shift helper can borrow the guest crate's tested
-// barrel-shifter arithmetic without a dependency edge.
-#[derive(Clone, Copy)]
-#[allow(clippy::enum_variant_names)]
-pub(crate) enum ShiftOp {
-    Lsl,
-    Lsr,
-    Asr,
-    Ror,
-}
-
-pub(crate) fn apply_shift(kind: ShiftOp, v: u32, amount: u8) -> (u32, bool) {
-    let a = u32::from(amount);
-    match kind {
-        ShiftOp::Lsl => (v << a, (v >> (32 - a)) & 1 != 0),
-        ShiftOp::Lsr => (v >> a, (v >> (a - 1)) & 1 != 0),
-        ShiftOp::Asr => (((v as i32) >> a) as u32, ((v as i32) >> (a - 1)) & 1 != 0),
-        ShiftOp::Ror => (v.rotate_right(a), (v >> (a - 1)) & 1 != 0),
-    }
 }
 
 /// Statistics of one block execution.

@@ -36,7 +36,7 @@ mod threaded;
 pub use encode::{decode, decode_block, encode, encode_block, DecodeError, EncodeError};
 pub use inst::{Inst, Op, Shape};
 pub use interp::{
-    exec_block, exec_block_traced, exec_block_traced_into, BlockExit, Cpu, ExecStats,
+    exec_block, exec_block_traced, exec_block_traced_into, step, BlockExit, Cpu, ExecStats, Step,
 };
 pub use operand::{CarrySense, Cc, Mem, Operand};
 pub use reg::{Reg, Xmm};

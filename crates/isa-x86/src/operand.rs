@@ -2,7 +2,7 @@
 //! the host condition codes with their guest-condition mapping.
 
 use crate::reg::{Reg, Xmm};
-use pdbt_isa::{AddrModeKind, Cond, Flags};
+use pdbt_isa::{AddrModeKind, BinOp, Concrete, Cond, Domain, Flag, Flags};
 use std::fmt;
 
 /// A host memory operand: `[base + index + disp]`.
@@ -258,25 +258,39 @@ impl Cc {
         Cc::Le,
     ];
 
+    /// The condition as a truth value of domain `D`, reading host flags
+    /// (`N`=SF, `Z`=ZF, `C`=CF, `V`=OF) through `flag`.
+    #[inline]
+    pub fn holds<D: Domain>(self, mut flag: impl FnMut(Flag) -> D::B) -> D::B {
+        use BinOp::{And, Or, Xor};
+        use Flag::{C, N, V, Z};
+        match self {
+            Cc::E => flag(Z),
+            Cc::Ne => D::not(flag(Z)),
+            Cc::B => flag(C),
+            Cc::Ae => D::not(flag(C)),
+            Cc::A => D::logic(And, D::not(flag(C)), D::not(flag(Z))),
+            Cc::Be => D::logic(Or, flag(C), flag(Z)),
+            Cc::S => flag(N),
+            Cc::Ns => D::not(flag(N)),
+            Cc::O => flag(V),
+            Cc::No => D::not(flag(V)),
+            Cc::Ge => D::not(D::logic(Xor, flag(N), flag(V))),
+            Cc::L => D::logic(Xor, flag(N), flag(V)),
+            Cc::G => D::logic(
+                And,
+                D::not(D::logic(Xor, flag(N), flag(V))),
+                D::not(flag(Z)),
+            ),
+            Cc::Le => D::logic(Or, D::logic(Xor, flag(N), flag(V)), flag(Z)),
+        }
+    }
+
     /// Evaluates against host flags (`n`=SF, `z`=ZF, `c`=CF, `v`=OF).
     #[must_use]
+    #[inline]
     pub fn eval(self, f: Flags) -> bool {
-        match self {
-            Cc::E => f.z,
-            Cc::Ne => !f.z,
-            Cc::B => f.c,
-            Cc::Ae => !f.c,
-            Cc::A => !f.c && !f.z,
-            Cc::Be => f.c || f.z,
-            Cc::S => f.n,
-            Cc::Ns => !f.n,
-            Cc::O => f.v,
-            Cc::No => !f.v,
-            Cc::Ge => f.n == f.v,
-            Cc::L => f.n != f.v,
-            Cc::G => !f.z && f.n == f.v,
-            Cc::Le => f.z || f.n != f.v,
-        }
+        self.holds::<Concrete>(|flag| f.get(flag))
     }
 
     /// The logical negation.

@@ -31,7 +31,7 @@ use crate::inst::{Inst, Op};
 use crate::interp::{self, BlockExit, Cpu, ExecStats, Step};
 use crate::operand::{Cc, Mem, Operand};
 use crate::reg::Reg;
-use pdbt_isa::{ExecError, Flags, Width};
+use pdbt_isa::{BinOp, Concrete, Domain, ExecError, Flags, Width};
 
 /// Operand-shape codes: the const-generic parameters the handlers are
 /// specialized over. `C_REG` doubles as "xmm register" for the SSE
@@ -338,13 +338,13 @@ fn h_arith<const K: u8, const D: u8, const S: u8>(
     let a = rd_dst::<D>(t, cpu)?;
     let b = rd::<S>(t, cpu)?;
     let carry = cpu.flags.c;
-    let (r, f) = match K {
-        A_ADD => interp::add_with_carry(a, b, false),
-        A_ADC => interp::add_with_carry(a, b, carry),
-        A_SBB => interp::sub_with_borrow(a, b, carry),
-        _ => interp::sub_with_borrow(a, b, false),
+    let (r, c, v) = match K {
+        A_ADD => Concrete::add_with_carry(a, b, None),
+        A_ADC => Concrete::add_with_carry(a, b, Some(carry)),
+        A_SBB => Concrete::sub_with_borrow(a, b, Some(carry)),
+        _ => Concrete::sub_with_borrow(a, b, None),
     };
-    cpu.flags = f;
+    cpu.flags = interp::flags_of(r, c, v);
     if K != A_CMP {
         wr_dst::<D>(t, cpu, r)?;
     }
@@ -363,7 +363,7 @@ fn h_logic<const K: u8, const D: u8, const S: u8>(
         L_XOR => a ^ b,
         _ => a & b,
     };
-    cpu.flags = interp::logic_flags(r);
+    cpu.flags = interp::flags_of(r, false, false);
     if K != L_TEST {
         wr_dst::<D>(t, cpu, r)?;
     }
@@ -392,27 +392,22 @@ fn h_shift<const K: u8, const D: u8, const S: u8>(
     cpu: &mut Cpu,
 ) -> HRes {
     let a = rd_dst::<D>(t, cpu)?;
-    let amt = (rd::<S>(t, cpu)? & 31) as u8;
+    let amt = rd::<S>(t, cpu)? & 31;
     if amt == 0 {
         wr_dst::<D>(t, cpu, a)?;
     } else {
-        let kind = match K {
-            K_SHL => interp::ShiftOp::Lsl,
-            K_SHR => interp::ShiftOp::Lsr,
-            K_SAR => interp::ShiftOp::Asr,
-            _ => interp::ShiftOp::Ror,
+        let op = match K {
+            K_SHL => BinOp::Shl,
+            K_SHR => BinOp::Shr,
+            K_SAR => BinOp::Sar,
+            _ => BinOp::Ror,
         };
-        let (r, c) = interp::apply_shift(kind, a, amt);
+        let r = op.eval(a, amt);
+        let c = Concrete::shift_carry(op, a, Concrete::carry_distance(op, amt));
         if K == K_ROR {
             cpu.flags.c = c;
         } else {
-            let mut f = Flags {
-                c,
-                v: cpu.flags.v,
-                ..Flags::default()
-            };
-            f.set_nz(r);
-            cpu.flags = f;
+            cpu.flags = interp::flags_of(r, c, cpu.flags.v);
         }
         wr_dst::<D>(t, cpu, r)?;
     }
@@ -427,8 +422,8 @@ fn h_not<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
 
 fn h_neg<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
     let a = rd_dst::<D>(t, cpu)?;
-    let (r, f) = interp::sub_with_borrow(0, a, false);
-    cpu.flags = f;
+    let (r, c, v) = Concrete::sub_with_borrow(0, a, None);
+    cpu.flags = interp::flags_of(r, c, v);
     wr_dst::<D>(t, cpu, r)?;
     Ok(Step::Next)
 }

@@ -5,6 +5,7 @@
 //! …) and the host (`je`, `jne`, …). `Display` is ARM-flavoured; the host
 //! crate maps codes to x86 mnemonic suffixes itself.
 
+use crate::domain::{BinOp, Concrete, Domain};
 use crate::flags::{Flag, FlagSet, Flags};
 use std::fmt;
 
@@ -63,26 +64,36 @@ impl Cond {
         Cond::Al,
     ];
 
+    /// The condition as a truth value of domain `D`, reading flags
+    /// through `flag`.
+    #[inline]
+    pub fn holds<D: Domain>(self, mut flag: impl FnMut(Flag) -> D::B) -> D::B {
+        use BinOp::{And, Or, Xor};
+        use Flag::{C, N, V, Z};
+        match self {
+            Cond::Eq => flag(Z),
+            Cond::Ne => D::not(flag(Z)),
+            Cond::Cs => flag(C),
+            Cond::Cc => D::not(flag(C)),
+            Cond::Mi => flag(N),
+            Cond::Pl => D::not(flag(N)),
+            Cond::Vs => flag(V),
+            Cond::Vc => D::not(flag(V)),
+            Cond::Hi => D::logic(And, flag(C), D::not(flag(Z))),
+            Cond::Ls => D::logic(Or, D::not(flag(C)), flag(Z)),
+            Cond::Ge => D::not(D::logic(Xor, flag(N), flag(V))),
+            Cond::Lt => D::logic(Xor, flag(N), flag(V)),
+            Cond::Gt => D::not(D::logic(Or, flag(Z), D::logic(Xor, flag(N), flag(V)))),
+            Cond::Le => D::logic(Or, flag(Z), D::logic(Xor, flag(N), flag(V))),
+            Cond::Al => D::bit(D::c(1)),
+        }
+    }
+
     /// Evaluates the condition against concrete flags.
     #[must_use]
+    #[inline]
     pub fn eval(self, f: Flags) -> bool {
-        match self {
-            Cond::Eq => f.z,
-            Cond::Ne => !f.z,
-            Cond::Cs => f.c,
-            Cond::Cc => !f.c,
-            Cond::Mi => f.n,
-            Cond::Pl => !f.n,
-            Cond::Vs => f.v,
-            Cond::Vc => !f.v,
-            Cond::Hi => f.c && !f.z,
-            Cond::Ls => !f.c || f.z,
-            Cond::Ge => f.n == f.v,
-            Cond::Lt => f.n != f.v,
-            Cond::Gt => !f.z && f.n == f.v,
-            Cond::Le => f.z || f.n != f.v,
-            Cond::Al => true,
-        }
+        self.holds::<Concrete>(|flag| f.get(flag))
     }
 
     /// The logical negation (`Al` has no negation and returns itself).

@@ -8,12 +8,14 @@
 //! execution-error type.
 
 mod cond;
+mod domain;
 mod error;
 mod flags;
 pub mod mem;
 mod operand;
 
 pub use cond::{cond_flag_uses, Cond};
+pub use domain::{BinOp, Concrete, Domain, Machine, PredOp, UnOp};
 pub use error::ExecError;
 pub use flags::{Flag, FlagSet, Flags};
 pub use mem::Memory;

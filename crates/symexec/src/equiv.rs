@@ -13,7 +13,7 @@ use crate::eval::{eval, eval_mem_writes, Assignment};
 use crate::machine::{guest, host, SymExecError};
 use crate::simplify::{simplify, simplify_mem};
 use crate::term::{BinOp, Sym, Term, TermRef};
-use pdbt_isa::Flag;
+use pdbt_isa::{Flag, Machine};
 use pdbt_isa_arm::{Inst as GInst, Reg as GReg};
 use pdbt_isa_x86::{Inst as HInst, Reg as HReg};
 

@@ -6,6 +6,7 @@
 //! agree without materializing it.
 
 use crate::term::{Sym, SymMem, Term};
+use pdbt_isa::{Concrete, Domain};
 use std::collections::HashMap;
 
 /// A concrete assignment of symbols (plus the initial-memory seed).
@@ -114,32 +115,18 @@ pub fn eval_mem_writes(mem: &SymMem, asg: &Assignment) -> HashMap<u32, u8> {
 /// Evaluates a term under an assignment.
 #[must_use]
 pub fn eval(t: &Term, asg: &Assignment) -> u32 {
+    let val = |t: &Term| eval(t, asg);
+    let bit = |t: &Term| Concrete::bit(eval(t, asg));
     match t {
         Term::Const(v) => *v,
         Term::Sym(s) => asg.get(*s),
         Term::Bin(op, a, b) => op.eval(eval(a, asg), eval(b, asg)),
         Term::Un(op, a) => op.eval(eval(a, asg)),
         Term::Pred(op, a, b) => u32::from(op.eval(eval(a, asg), eval(b, asg))),
-        Term::CarryAdd(a, b, c) => {
-            let wide =
-                u64::from(eval(a, asg)) + u64::from(eval(b, asg)) + u64::from(eval(c, asg) & 1);
-            u32::from(wide > u64::from(u32::MAX))
-        }
-        Term::BorrowSub(a, b, c) => {
-            let borrow =
-                u64::from(eval(a, asg)) < u64::from(eval(b, asg)) + u64::from(eval(c, asg) & 1);
-            u32::from(borrow)
-        }
-        Term::OverflowAdd(a, b, c) => {
-            let (x, y, z) = (eval(a, asg), eval(b, asg), eval(c, asg) & 1);
-            let r = x.wrapping_add(y).wrapping_add(z);
-            u32::from((!(x ^ y) & (x ^ r)) & 0x8000_0000 != 0)
-        }
-        Term::OverflowSub(a, b, c) => {
-            let (x, y, z) = (eval(a, asg), eval(b, asg), eval(c, asg) & 1);
-            let r = x.wrapping_sub(y).wrapping_sub(z);
-            u32::from(((x ^ y) & (x ^ r)) & 0x8000_0000 != 0)
-        }
+        Term::CarryAdd(a, b, c) => u32::from(Concrete::carry_add(val(a), val(b), bit(c))),
+        Term::BorrowSub(a, b, c) => u32::from(Concrete::borrow_sub(val(a), val(b), bit(c))),
+        Term::OverflowAdd(a, b, c) => u32::from(Concrete::overflow_add(val(a), val(b), bit(c))),
+        Term::OverflowSub(a, b, c) => u32::from(Concrete::overflow_sub(val(a), val(b), bit(c))),
         Term::Ite(c, th, el) => {
             if eval(c, asg) != 0 {
                 eval(th, asg)

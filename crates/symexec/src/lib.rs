@@ -3,9 +3,10 @@
 //! The paper verifies rule candidates (and parameterized derivations) by
 //! symbolic execution (§II-A, §IV-C). This crate is that verifier: a
 //! 32-bit term algebra with carry/borrow/overflow primitives
-//! ([`term`]), a normalizing rewriter ([`simplify`]), symbolic
-//! evaluators for both machine models ([`machine`]), and the equivalence
-//! checker ([`check`]) with a randomized differential backstop.
+//! ([`term`]), a normalizing rewriter ([`simplify`]), the symbolic
+//! machine states both ISAs' one `step` body runs on ([`machine`]), and
+//! the equivalence checker ([`check`]) with a randomized differential
+//! backstop.
 //!
 //! The checker is a *semi-decision procedure* (see DESIGN.md §2): it
 //! proves equivalence by normalization, refutes it by differential

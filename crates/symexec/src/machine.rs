@@ -1,22 +1,23 @@
-//! Symbolic evaluators for the guest and host machine models.
+//! The symbolic machines: guest and host state over the [`Term`]
+//! algebra, and the verifier's policy about what it will execute.
 //!
-//! Both evaluators share the [`Term`] algebra and one symbolic memory
-//! root (the DBT identity-maps guest memory into host memory), and use
-//! the same carry/borrow/overflow primitives, so equivalent computations
-//! normalize to equal terms.
+//! What an instruction *does* is not written here. Each ISA crate
+//! defines its semantics once, as `step<M: Machine>`; the [`State`]s
+//! below are the [`Machine`]s that instantiate those bodies at the
+//! symbolic domain, so the terms the checker compares are built by the
+//! same code the reference interpreters run. Both states share one
+//! symbolic memory root (the DBT identity-maps guest memory into host
+//! memory), so equivalent computations normalize to equal terms.
+//!
+//! What the verifier *declines* to execute is policy, and is written
+//! here: one refusal list per ISA, consulted before the shared body
+//! runs — the shapes the paper's verification also rejects (§II-B).
+//!
+//! [`State`]: guest::State
 
-use crate::term::{BinOp, PredOp, Sym, SymMem, Term, TermRef, UnOp};
-use pdbt_isa::{Flag, Width};
+use crate::term::{BinOp, Sym, SymMem, Term, TermRef};
+use pdbt_isa::{Addr, ExecError, Flag, Machine, Width};
 use std::rc::Rc;
-
-fn flag_index(f: Flag) -> u8 {
-    match f {
-        Flag::N => 0,
-        Flag::Z => 1,
-        Flag::C => 2,
-        Flag::V => 3,
-    }
-}
 
 /// An error raised when a sequence cannot be evaluated symbolically.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,10 +34,58 @@ impl std::fmt::Display for SymExecError {
 
 impl std::error::Error for SymExecError {}
 
+/// A malformed or undefined instruction is outside the symbolic subset.
+impl From<ExecError> for SymExecError {
+    fn from(e: ExecError) -> SymExecError {
+        let detail = e.to_string();
+        SymExecError { detail }
+    }
+}
+
 fn unsupported<T>(detail: impl Into<String>) -> Result<T, SymExecError> {
-    Err(SymExecError {
-        detail: detail.into(),
-    })
+    let detail = detail.into();
+    Err(SymExecError { detail })
+}
+
+/// The [`Machine`] methods both states implement alike: flags, the
+/// store chain, the output list, and the two questions a symbolic
+/// machine cannot answer.
+macro_rules! symbolic_machine_common {
+    () => {
+        type W = TermRef;
+        type B = TermRef;
+        type D = Term;
+        type Error = SymExecError;
+
+        fn flag(&self, f: Flag) -> TermRef {
+            self.flags[f as usize].clone()
+        }
+        fn set_flag(&mut self, f: Flag, v: TermRef) {
+            self.flags[f as usize] = v;
+        }
+        fn load(&self, addr: TermRef, width: Width) -> Result<TermRef, SymExecError> {
+            Ok(Rc::new(Term::Read(self.mem.clone(), addr, width)))
+        }
+        fn store(&mut self, addr: TermRef, val: TermRef, width: Width) -> Result<(), SymExecError> {
+            let prev = self.mem.clone();
+            self.mem = Rc::new(SymMem::Store {
+                prev,
+                addr,
+                val,
+                width,
+            });
+            Ok(())
+        }
+        fn output(&mut self, v: TermRef) {
+            self.output.push(v);
+        }
+        fn decide(&self, _cond: TermRef) -> Result<bool, SymExecError> {
+            unsupported("data-dependent control flow")
+        }
+        fn target(&self, _addr: TermRef) -> Result<Addr, SymExecError> {
+            unsupported("symbolic jump target")
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -46,7 +95,7 @@ fn unsupported<T>(detail: impl Into<String>) -> Result<T, SymExecError> {
 pub mod guest {
     use super::*;
     use pdbt_isa::Cond;
-    use pdbt_isa_arm::{FReg, Inst, MemAddr, Op, Operand, Reg, ShiftKind};
+    use pdbt_isa_arm::{FReg, Inst, Op, Operand, Reg};
 
     /// Symbolic guest machine state.
     #[derive(Debug, Clone)]
@@ -76,66 +125,61 @@ pub mod guest {
                 output: Vec::new(),
             }
         }
+    }
 
-        /// Reads a register (`pc` reads as the `pc + 8` symbol-based term).
-        #[must_use]
-        pub fn read(&self, r: Reg) -> TermRef {
+    impl Machine for State {
+        type Reg = Reg;
+        type FReg = FReg;
+        symbolic_machine_common!();
+
+        /// `pc` reads as the `pc + 8` symbol-based term.
+        fn reg(&self, r: Reg) -> TermRef {
             if r.is_pc() {
                 Term::bin(BinOp::Add, Term::sym(Sym::Pc), Term::c(8))
             } else {
                 self.regs[r.index()].clone()
             }
         }
-
-        fn write(&mut self, r: Reg, t: TermRef) -> Result<(), SymExecError> {
-            if r.is_pc() {
-                return unsupported("write to pc");
-            }
-            self.regs[r.index()] = t;
-            Ok(())
+        fn set_reg(&mut self, r: Reg, v: TermRef) {
+            self.regs[r.index()] = v;
         }
-
-        /// Reads a flag term.
-        #[must_use]
-        pub fn flag(&self, f: Flag) -> TermRef {
-            self.flags[flag_index(f) as usize].clone()
+        fn freg(&self, r: FReg) -> TermRef {
+            self.fregs[r.index()].clone()
         }
-
-        fn set_flag(&mut self, f: Flag, t: TermRef) {
-            self.flags[flag_index(f) as usize] = t;
-        }
-
-        fn set_nz(&mut self, res: &TermRef) {
-            self.set_flag(Flag::N, Term::pred(PredOp::Lts, res.clone(), Term::c(0)));
-            self.set_flag(Flag::Z, Term::pred(PredOp::Eq, res.clone(), Term::c(0)));
+        fn set_freg(&mut self, r: FReg, v: TermRef) {
+            self.fregs[r.index()] = v;
         }
     }
 
-    fn eval_op2(st: &State, op2: &Operand) -> Result<TermRef, SymExecError> {
-        match op2 {
-            Operand::Reg(r) => Ok(st.read(*r)),
-            Operand::Imm(v) => Ok(Term::c(*v)),
-            Operand::Shifted { rm, kind, amount } => {
-                let op = match kind {
-                    ShiftKind::Lsl => BinOp::Shl,
-                    ShiftKind::Lsr => BinOp::Shr,
-                    ShiftKind::Asr => BinOp::Sar,
-                    ShiftKind::Ror => BinOp::Ror,
-                };
-                Ok(Term::bin(op, st.read(*rm), Term::c(u32::from(*amount))))
-            }
-            other => unsupported(format!("op2 {other}")),
+    /// Declines `inst` if the verifier does, saying why. Lifting a refusal
+    /// means deleting its line: the shared semantics already cover
+    /// every shape listed here.
+    fn refuse(inst: &Inst) -> Result<(), SymExecError> {
+        use Op::*;
+        if inst.cond != Cond::Al {
+            return unsupported("conditional execution");
         }
-    }
-
-    fn mem_addr(st: &State, m: MemAddr) -> TermRef {
-        match m {
-            MemAddr::BaseImm { base, offset } => {
-                Term::bin(BinOp::Add, st.read(base), Term::c(offset as u32))
+        match inst.op {
+            B | Bl | Bx => unsupported(format!("control flow `{inst}`")),
+            Push | Pop => unsupported(format!("ABI-coupled stack op `{inst}`")),
+            Svc => match inst.operands[0].as_imm().expect("validated") {
+                1 => Ok(()),
+                imm => unsupported(format!("svc #{imm}")),
+            },
+            Lsl | Lsr | Asr | Ror
+                if inst.s && !matches!(inst.operands[2], Operand::Imm(1..=31)) =>
+            {
+                unsupported(format!("flag-setting shift amount {}", inst.operands[2]))
             }
-            MemAddr::BaseReg { base, index } => {
-                Term::bin(BinOp::Add, st.read(base), st.read(index))
+            Adc | Sbc | Rsc if inst.s => unsupported("flag-setting carry-chain op"),
+            // Only an instruction that names `pc` as a register can define
+            // it; `defs` allocates, so ask it last.
+            _ if inst.operands.contains(&Operand::Reg(Reg::Pc))
+                && inst.defs().contains(&Reg::Pc) =>
+            {
+                unsupported("write to pc")
             }
+            _ => Ok(()),
         }
     }
 
@@ -147,303 +191,8 @@ pub mod guest {
     /// writes, and flag-setting variable shifts — the shapes the paper's
     /// verification also rejects (§II-B).
     pub fn step(st: &mut State, inst: &Inst) -> Result<(), SymExecError> {
-        if inst.cond != Cond::Al {
-            return unsupported("conditional execution");
-        }
-        use Op::*;
-        match inst.op {
-            B | Bl | Bx => unsupported(format!("control flow `{inst}`")),
-            Push | Pop => unsupported(format!("ABI-coupled stack op `{inst}`")),
-            Svc => {
-                let imm = inst.operands[0].as_imm().expect("validated");
-                if imm == 1 {
-                    let v = st.read(Reg::R0);
-                    st.output.push(v);
-                    Ok(())
-                } else {
-                    unsupported(format!("svc #{imm}"))
-                }
-            }
-            And | Eor | Sub | Rsb | Add | Adc | Sbc | Rsc | Orr | Bic | Lsl | Lsr | Asr | Ror => {
-                let rd = inst.operands[0].as_reg().expect("validated");
-                let a = st.read(inst.operands[1].as_reg().expect("validated"));
-                let b = eval_op2(st, &inst.operands[2])?;
-                let cin = st.flag(Flag::C);
-                let not_c = Term::bin(BinOp::Xor, cin.clone(), Term::c(1));
-                let res = match inst.op {
-                    Add => Term::bin(BinOp::Add, a.clone(), b.clone()),
-                    Sub => Term::bin(BinOp::Sub, a.clone(), b.clone()),
-                    Rsb => Term::bin(BinOp::Sub, b.clone(), a.clone()),
-                    And => Term::bin(BinOp::And, a.clone(), b.clone()),
-                    Orr => Term::bin(BinOp::Or, a.clone(), b.clone()),
-                    Eor => Term::bin(BinOp::Xor, a.clone(), b.clone()),
-                    Bic => Term::bin(BinOp::And, a.clone(), Term::un(UnOp::Not, b.clone())),
-                    Adc => Term::bin(
-                        BinOp::Add,
-                        Term::bin(BinOp::Add, a.clone(), b.clone()),
-                        cin.clone(),
-                    ),
-                    Sbc => Term::bin(
-                        BinOp::Sub,
-                        Term::bin(BinOp::Sub, a.clone(), b.clone()),
-                        not_c.clone(),
-                    ),
-                    Rsc => Term::bin(
-                        BinOp::Sub,
-                        Term::bin(BinOp::Sub, b.clone(), a.clone()),
-                        not_c.clone(),
-                    ),
-                    Lsl => Term::bin(BinOp::Shl, a.clone(), masked_amount(&b)),
-                    Lsr => Term::bin(BinOp::Shr, a.clone(), masked_amount(&b)),
-                    Asr => Term::bin(BinOp::Sar, a.clone(), masked_amount(&b)),
-                    Ror => Term::bin(BinOp::Ror, a.clone(), masked_amount(&b)),
-                    _ => unreachable!(),
-                };
-                if inst.s {
-                    match inst.op {
-                        Add => {
-                            st.set_nz(&res);
-                            st.set_flag(
-                                Flag::C,
-                                Rc::new(Term::CarryAdd(a.clone(), b.clone(), Term::c(0))),
-                            );
-                            st.set_flag(
-                                Flag::V,
-                                Rc::new(Term::OverflowAdd(a.clone(), b.clone(), Term::c(0))),
-                            );
-                        }
-                        Sub => {
-                            st.set_nz(&res);
-                            st.set_flag(
-                                Flag::C,
-                                Term::bin(
-                                    BinOp::Xor,
-                                    Rc::new(Term::BorrowSub(a.clone(), b.clone(), Term::c(0))),
-                                    Term::c(1),
-                                ),
-                            );
-                            st.set_flag(
-                                Flag::V,
-                                Rc::new(Term::OverflowSub(a.clone(), b.clone(), Term::c(0))),
-                            );
-                        }
-                        Rsb => {
-                            st.set_nz(&res);
-                            st.set_flag(
-                                Flag::C,
-                                Term::bin(
-                                    BinOp::Xor,
-                                    Rc::new(Term::BorrowSub(b.clone(), a.clone(), Term::c(0))),
-                                    Term::c(1),
-                                ),
-                            );
-                            st.set_flag(
-                                Flag::V,
-                                Rc::new(Term::OverflowSub(b.clone(), a.clone(), Term::c(0))),
-                            );
-                        }
-                        And | Orr | Eor | Bic => st.set_nz(&res),
-                        Lsl | Lsr | Asr | Ror => {
-                            let amount = match &inst.operands[2] {
-                                Operand::Imm(v) if *v >= 1 && *v <= 31 => *v,
-                                other => {
-                                    return unsupported(format!(
-                                        "flag-setting shift amount {other}"
-                                    ))
-                                }
-                            };
-                            st.set_nz(&res);
-                            let carry_src = match inst.op {
-                                Lsl => Term::bin(BinOp::Shr, a.clone(), Term::c(32 - amount)),
-                                Lsr | Ror => Term::bin(BinOp::Shr, a.clone(), Term::c(amount - 1)),
-                                Asr => Term::bin(BinOp::Sar, a.clone(), Term::c(amount - 1)),
-                                _ => unreachable!(),
-                            };
-                            st.set_flag(Flag::C, Term::bin(BinOp::And, carry_src, Term::c(1)));
-                        }
-                        Adc | Sbc | Rsc => return unsupported("flag-setting carry-chain op"),
-                        _ => unreachable!(),
-                    }
-                }
-                st.write(rd, res)
-            }
-            Mov | Mvn => {
-                let rd = inst.operands[0].as_reg().expect("validated");
-                let v = eval_op2(st, &inst.operands[1])?;
-                let res = if inst.op == Mvn {
-                    Term::un(UnOp::Not, v)
-                } else {
-                    v
-                };
-                if inst.s {
-                    st.set_nz(&res);
-                }
-                st.write(rd, res)
-            }
-            Clz => {
-                let rd = inst.operands[0].as_reg().expect("validated");
-                let a = st.read(inst.operands[1].as_reg().expect("validated"));
-                st.write(rd, Term::un(UnOp::Clz, a))
-            }
-            Mul | Mla => {
-                let rd = inst.operands[0].as_reg().expect("validated");
-                let a = st.read(inst.operands[1].as_reg().expect("validated"));
-                let b = st.read(inst.operands[2].as_reg().expect("validated"));
-                let mut res = Term::bin(BinOp::Mul, a, b);
-                if inst.op == Mla {
-                    let acc = st.read(inst.operands[3].as_reg().expect("validated"));
-                    res = Term::bin(BinOp::Add, res, acc);
-                }
-                if inst.s {
-                    st.set_nz(&res);
-                }
-                st.write(rd, res)
-            }
-            Umull | Umlal => {
-                let rdlo = inst.operands[0].as_reg().expect("validated");
-                let rdhi = inst.operands[1].as_reg().expect("validated");
-                let a = st.read(inst.operands[2].as_reg().expect("validated"));
-                let b = st.read(inst.operands[3].as_reg().expect("validated"));
-                let lo = Term::bin(BinOp::Mul, a.clone(), b.clone());
-                let hi = Term::bin(BinOp::MulhU, a, b);
-                let (lo, hi) = if inst.op == Umlal {
-                    let old_lo = st.read(rdlo);
-                    let old_hi = st.read(rdhi);
-                    let nlo = Term::bin(BinOp::Add, old_lo.clone(), lo.clone());
-                    let carry = Rc::new(Term::CarryAdd(old_lo, lo, Term::c(0)));
-                    let nhi = Term::bin(BinOp::Add, Term::bin(BinOp::Add, old_hi, hi), carry);
-                    (nlo, nhi)
-                } else {
-                    (lo, hi)
-                };
-                st.write(rdlo, lo)?;
-                st.write(rdhi, hi)
-            }
-            Cmp | Cmn | Tst | Teq => {
-                let a = st.read(inst.operands[0].as_reg().expect("validated"));
-                let b = eval_op2(st, &inst.operands[1])?;
-                match inst.op {
-                    Cmp => {
-                        let res = Term::bin(BinOp::Sub, a.clone(), b.clone());
-                        st.set_nz(&res);
-                        st.set_flag(
-                            Flag::C,
-                            Term::bin(
-                                BinOp::Xor,
-                                Rc::new(Term::BorrowSub(a.clone(), b.clone(), Term::c(0))),
-                                Term::c(1),
-                            ),
-                        );
-                        st.set_flag(Flag::V, Rc::new(Term::OverflowSub(a, b, Term::c(0))));
-                    }
-                    Cmn => {
-                        let res = Term::bin(BinOp::Add, a.clone(), b.clone());
-                        st.set_nz(&res);
-                        st.set_flag(
-                            Flag::C,
-                            Rc::new(Term::CarryAdd(a.clone(), b.clone(), Term::c(0))),
-                        );
-                        st.set_flag(Flag::V, Rc::new(Term::OverflowAdd(a, b, Term::c(0))));
-                    }
-                    Tst => {
-                        let res = Term::bin(BinOp::And, a, b);
-                        st.set_nz(&res);
-                    }
-                    Teq => {
-                        let res = Term::bin(BinOp::Xor, a, b);
-                        st.set_nz(&res);
-                    }
-                    _ => unreachable!(),
-                }
-                Ok(())
-            }
-            Ldr | Ldrb | Ldrh => {
-                let rt = inst.operands[0].as_reg().expect("validated");
-                let addr = mem_addr(st, inst.operands[1].as_mem().expect("validated"));
-                let width = inst.op.access_width().expect("load width");
-                let v = Rc::new(Term::Read(st.mem.clone(), addr, width));
-                st.write(rt, v)
-            }
-            Str | Strb | Strh => {
-                let v = st.read(inst.operands[0].as_reg().expect("validated"));
-                let addr = mem_addr(st, inst.operands[1].as_mem().expect("validated"));
-                let width = inst.op.access_width().expect("store width");
-                st.mem = Rc::new(SymMem::Store {
-                    prev: st.mem.clone(),
-                    addr,
-                    val: v,
-                    width,
-                });
-                Ok(())
-            }
-            Vadd | Vsub | Vmul | Vdiv => {
-                let (Operand::FReg(sd), Operand::FReg(sn), Operand::FReg(sm)) =
-                    (inst.operands[0], inst.operands[1], inst.operands[2])
-                else {
-                    unreachable!("validated")
-                };
-                let op = match inst.op {
-                    Vadd => BinOp::FAdd,
-                    Vsub => BinOp::FSub,
-                    Vmul => BinOp::FMul,
-                    _ => BinOp::FDiv,
-                };
-                let res = Term::bin(
-                    op,
-                    st.fregs[sn.index()].clone(),
-                    st.fregs[sm.index()].clone(),
-                );
-                st.fregs[sd.index()] = res;
-                Ok(())
-            }
-            Vmov => {
-                let (Operand::FReg(sd), Operand::FReg(sm)) = (inst.operands[0], inst.operands[1])
-                else {
-                    unreachable!("validated")
-                };
-                st.fregs[sd.index()] = st.fregs[sm.index()].clone();
-                Ok(())
-            }
-            Vcmp => {
-                let (Operand::FReg(sd), Operand::FReg(sm)) = (inst.operands[0], inst.operands[1])
-                else {
-                    unreachable!("validated")
-                };
-                let a = st.fregs[sd.index()].clone();
-                let b = st.fregs[sm.index()].clone();
-                st.set_flag(Flag::N, Term::pred(PredOp::FLt, a.clone(), b.clone()));
-                st.set_flag(Flag::Z, Term::pred(PredOp::FEq, a.clone(), b.clone()));
-                st.set_flag(Flag::C, Term::pred(PredOp::FGe, a, b));
-                st.set_flag(Flag::V, Term::c(0));
-                Ok(())
-            }
-            Vldr => {
-                let Operand::FReg(sd) = inst.operands[0] else {
-                    unreachable!("validated")
-                };
-                let addr = mem_addr(st, inst.operands[1].as_mem().expect("validated"));
-                st.fregs[sd.index()] = Rc::new(Term::Read(st.mem.clone(), addr, Width::B32));
-                Ok(())
-            }
-            Vstr => {
-                let Operand::FReg(sd) = inst.operands[0] else {
-                    unreachable!("validated")
-                };
-                let addr = mem_addr(st, inst.operands[1].as_mem().expect("validated"));
-                let v = st.fregs[sd.index()].clone();
-                st.mem = Rc::new(SymMem::Store {
-                    prev: st.mem.clone(),
-                    addr,
-                    val: v,
-                    width: Width::B32,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn masked_amount(b: &TermRef) -> TermRef {
-        Term::bin(BinOp::And, b.clone(), Term::c(31))
+        refuse(inst)?;
+        pdbt_isa_arm::step(st, inst).map(|_| ())
     }
 
     /// Symbolically executes a straight-line sequence.
@@ -452,18 +201,8 @@ pub mod guest {
     ///
     /// See [`step`].
     pub fn run(st: &mut State, insts: &[Inst]) -> Result<(), SymExecError> {
-        for i in insts {
-            step(st, i)?;
-        }
-        Ok(())
+        insts.iter().try_for_each(|i| step(st, i))
     }
-
-    #[allow(unused_imports)]
-    pub use super::SymExecError as Error;
-
-    // FReg import is used in pattern bindings above.
-    #[allow(unused)]
-    fn _freg_witness(_f: FReg) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -472,14 +211,15 @@ pub mod guest {
 
 pub mod host {
     use super::*;
-    use pdbt_isa_x86::{Cc, Inst, Mem, Op, Operand, Reg, Xmm};
+    use pdbt_isa_x86::{Inst, Op, Reg, Xmm};
 
     /// Symbolic host machine state.
     #[derive(Debug, Clone)]
     pub struct State {
         /// One term per general-purpose register.
         pub regs: [TermRef; 8],
-        /// SF, ZF, CF, OF flag terms (indices match guest N, Z, C, V).
+        /// SF, ZF, CF, OF flag terms, read by the guest-aligned flag
+        /// (N/SF, Z/ZF, C/CF, V/OF).
         pub flags: [TermRef; 4],
         /// Scalar-float registers (bit patterns).
         pub xmm: [TermRef; 8],
@@ -501,106 +241,36 @@ pub mod host {
                 output: Vec::new(),
             }
         }
+    }
 
-        /// Reads a register term.
-        #[must_use]
-        pub fn read(&self, r: Reg) -> TermRef {
+    impl Machine for State {
+        type Reg = Reg;
+        type FReg = Xmm;
+        symbolic_machine_common!();
+
+        fn reg(&self, r: Reg) -> TermRef {
             self.regs[r.index()].clone()
         }
-
-        fn write(&mut self, r: Reg, t: TermRef) {
-            self.regs[r.index()] = t;
+        fn set_reg(&mut self, r: Reg, v: TermRef) {
+            self.regs[r.index()] = v;
         }
-
-        /// Reads a flag term by guest-aligned index (N/SF, Z/ZF, C/CF,
-        /// V/OF).
-        #[must_use]
-        pub fn flag(&self, f: Flag) -> TermRef {
-            self.flags[flag_index(f) as usize].clone()
+        fn freg(&self, x: Xmm) -> TermRef {
+            self.xmm[x.index()].clone()
         }
-
-        fn set_flag(&mut self, f: Flag, t: TermRef) {
-            self.flags[flag_index(f) as usize] = t;
-        }
-
-        fn set_nz(&mut self, res: &TermRef) {
-            self.set_flag(Flag::N, Term::pred(PredOp::Lts, res.clone(), Term::c(0)));
-            self.set_flag(Flag::Z, Term::pred(PredOp::Eq, res.clone(), Term::c(0)));
+        fn set_freg(&mut self, x: Xmm, v: TermRef) {
+            self.xmm[x.index()] = v;
         }
     }
 
-    fn mem_addr(st: &State, m: Mem) -> TermRef {
-        let mut t = Term::c(m.disp as u32);
-        if let Some(b) = m.base {
-            t = Term::bin(BinOp::Add, st.read(b), t);
-        }
-        if let Some(i) = m.index {
-            t = Term::bin(BinOp::Add, t, st.read(i));
-        }
-        t
-    }
-
-    fn read_operand(st: &State, o: &Operand, width: Width) -> Result<TermRef, SymExecError> {
-        match o {
-            Operand::Reg(r) => Ok(st.read(*r)),
-            Operand::Imm(v) => Ok(Term::c(*v as u32)),
-            Operand::Mem(m) => Ok(Rc::new(Term::Read(st.mem.clone(), mem_addr(st, *m), width))),
-            other => unsupported(format!("integer read of {other}")),
-        }
-    }
-
-    fn write_operand(
-        st: &mut State,
-        o: &Operand,
-        t: TermRef,
-        width: Width,
-    ) -> Result<(), SymExecError> {
-        match o {
-            Operand::Reg(r) => {
-                st.write(*r, t);
-                Ok(())
-            }
-            Operand::Mem(m) => {
-                let addr = mem_addr(st, *m);
-                st.mem = Rc::new(SymMem::Store {
-                    prev: st.mem.clone(),
-                    addr,
-                    val: t,
-                    width,
-                });
-                Ok(())
-            }
-            other => unsupported(format!("write to {other}")),
-        }
-    }
-
-    fn cc_term(st: &State, cc: Cc) -> TermRef {
-        let n = st.flag(Flag::N);
-        let z = st.flag(Flag::Z);
-        let c = st.flag(Flag::C);
-        let v = st.flag(Flag::V);
-        let not = |t: TermRef| Term::bin(BinOp::Xor, t, Term::c(1));
-        match cc {
-            Cc::E => z,
-            Cc::Ne => not(z),
-            Cc::B => c,
-            Cc::Ae => not(c),
-            Cc::A => Term::bin(BinOp::And, not(c), not(z)),
-            Cc::Be => Term::bin(BinOp::Or, c, z),
-            Cc::S => n,
-            Cc::Ns => not(n),
-            Cc::O => v,
-            Cc::No => not(v),
-            Cc::Ge => not(Term::bin(BinOp::Xor, n, v)),
-            Cc::L => Term::bin(BinOp::Xor, n, v),
-            Cc::G => {
-                let ge = not(Term::bin(BinOp::Xor, n, v));
-                Term::bin(BinOp::And, ge, not(z))
-            }
-            Cc::Le => {
-                let l = Term::bin(BinOp::Xor, n, v);
-                Term::bin(BinOp::Or, l, z)
-            }
+    /// Declines `inst` if the verifier does, saying why (see the guest
+    /// list).
+    fn refuse(inst: &Inst) -> Result<(), SymExecError> {
+        use Op::*;
+        match inst.op {
+            Jmp | Jcc | Call | Ret | Hlt => unsupported(format!("control flow `{inst}`")),
+            Push | Pop => unsupported(format!("stack op `{inst}`")),
+            Bsr => unsupported("bsr (branchy clz emulation)"),
+            _ => Ok(()),
         }
     }
 
@@ -610,260 +280,8 @@ pub mod host {
     ///
     /// [`SymExecError`] for control flow and stack operations.
     pub fn step(st: &mut State, inst: &Inst) -> Result<(), SymExecError> {
-        use Op::*;
-        let ops = &inst.operands;
-        match inst.op {
-            Jmp | Jcc | Call | Ret | Hlt => unsupported(format!("control flow `{inst}`")),
-            Push | Pop => unsupported(format!("stack op `{inst}`")),
-            Mov => {
-                let v = read_operand(st, &ops[1], Width::B32)?;
-                write_operand(st, &ops[0], v, Width::B32)
-            }
-            MovB | MovW => {
-                let v = read_operand(st, &ops[1], Width::B32)?;
-                write_operand(st, &ops[0], v, inst.op.access_width())
-            }
-            MovzxB | MovzxW => {
-                let v = read_operand(st, &ops[1], inst.op.access_width())?;
-                write_operand(st, &ops[0], v, Width::B32)
-            }
-            Lea => {
-                let m = ops[1].as_mem().ok_or_else(|| SymExecError {
-                    detail: "lea needs memory".into(),
-                })?;
-                let a = mem_addr(st, m);
-                write_operand(st, &ops[0], a, Width::B32)
-            }
-            Add | Adc | Sub | Sbb | Cmp => {
-                let a = read_operand(st, &ops[0], Width::B32)?;
-                let b = read_operand(st, &ops[1], Width::B32)?;
-                let cin = st.flag(Flag::C);
-                let (res, c, v) = match inst.op {
-                    Add => (
-                        Term::bin(BinOp::Add, a.clone(), b.clone()),
-                        Rc::new(Term::CarryAdd(a.clone(), b.clone(), Term::c(0))),
-                        Rc::new(Term::OverflowAdd(a.clone(), b.clone(), Term::c(0))),
-                    ),
-                    Adc => (
-                        Term::bin(
-                            BinOp::Add,
-                            Term::bin(BinOp::Add, a.clone(), b.clone()),
-                            cin.clone(),
-                        ),
-                        Rc::new(Term::CarryAdd(a.clone(), b.clone(), cin.clone())),
-                        Rc::new(Term::OverflowAdd(a.clone(), b.clone(), cin.clone())),
-                    ),
-                    Sub | Cmp => (
-                        Term::bin(BinOp::Sub, a.clone(), b.clone()),
-                        Rc::new(Term::BorrowSub(a.clone(), b.clone(), Term::c(0))),
-                        Rc::new(Term::OverflowSub(a.clone(), b.clone(), Term::c(0))),
-                    ),
-                    Sbb => (
-                        Term::bin(
-                            BinOp::Sub,
-                            Term::bin(BinOp::Sub, a.clone(), b.clone()),
-                            cin.clone(),
-                        ),
-                        Rc::new(Term::BorrowSub(a.clone(), b.clone(), cin.clone())),
-                        Rc::new(Term::OverflowSub(a.clone(), b.clone(), cin.clone())),
-                    ),
-                    _ => unreachable!(),
-                };
-                st.set_nz(&res);
-                st.set_flag(Flag::C, c);
-                st.set_flag(Flag::V, v);
-                if inst.op != Cmp {
-                    write_operand(st, &ops[0], res, Width::B32)?;
-                }
-                Ok(())
-            }
-            And | Or | Xor | Test => {
-                let a = read_operand(st, &ops[0], Width::B32)?;
-                let b = read_operand(st, &ops[1], Width::B32)?;
-                let op = match inst.op {
-                    And | Test => BinOp::And,
-                    Or => BinOp::Or,
-                    Xor => BinOp::Xor,
-                    _ => unreachable!(),
-                };
-                let res = Term::bin(op, a, b);
-                st.set_nz(&res);
-                st.set_flag(Flag::C, Term::c(0));
-                st.set_flag(Flag::V, Term::c(0));
-                if inst.op != Test {
-                    write_operand(st, &ops[0], res, Width::B32)?;
-                }
-                Ok(())
-            }
-            Imul => {
-                let a = read_operand(st, &ops[0], Width::B32)?;
-                let b = read_operand(st, &ops[1], Width::B32)?;
-                // Flags modelled as undefined: leave unchanged.
-                write_operand(st, &ops[0], Term::bin(BinOp::Mul, a, b), Width::B32)
-            }
-            MulWide => {
-                let a = st.read(Reg::Eax);
-                let b = read_operand(st, &ops[0], Width::B32)?;
-                let lo = Term::bin(BinOp::Mul, a.clone(), b.clone());
-                let hi = Term::bin(BinOp::MulhU, a, b);
-                st.write(Reg::Eax, lo);
-                st.write(Reg::Edx, hi);
-                Ok(())
-            }
-            Shl | Shr | Sar | Ror => {
-                let a = read_operand(st, &ops[0], Width::B32)?;
-                let amt_raw = read_operand(st, &ops[1], Width::B32)?;
-                let amt = Term::bin(BinOp::And, amt_raw, Term::c(31));
-                let (op, carry_src) = match inst.op {
-                    Shl => (
-                        BinOp::Shl,
-                        Term::bin(
-                            BinOp::Shr,
-                            a.clone(),
-                            Term::bin(BinOp::Sub, Term::c(32), amt.clone()),
-                        ),
-                    ),
-                    Shr => (
-                        BinOp::Shr,
-                        Term::bin(
-                            BinOp::Shr,
-                            a.clone(),
-                            Term::bin(BinOp::Sub, amt.clone(), Term::c(1)),
-                        ),
-                    ),
-                    Sar => (
-                        BinOp::Sar,
-                        Term::bin(
-                            BinOp::Sar,
-                            a.clone(),
-                            Term::bin(BinOp::Sub, amt.clone(), Term::c(1)),
-                        ),
-                    ),
-                    Ror => (
-                        BinOp::Ror,
-                        Term::bin(
-                            BinOp::Shr,
-                            a.clone(),
-                            Term::bin(BinOp::Sub, amt.clone(), Term::c(1)),
-                        ),
-                    ),
-                    _ => unreachable!(),
-                };
-                let res = Term::bin(op, a, amt.clone());
-                // A zero (masked) amount leaves every flag unchanged —
-                // conditional flag terms keep the model faithful for
-                // symbolic amounts.
-                let nonzero = Term::pred(PredOp::Ne, amt, Term::c(0));
-                let ite =
-                    |new: TermRef, old: TermRef| Rc::new(Term::Ite(nonzero.clone(), new, old));
-                if inst.op != Ror {
-                    let n = Term::pred(PredOp::Lts, res.clone(), Term::c(0));
-                    let z = Term::pred(PredOp::Eq, res.clone(), Term::c(0));
-                    let old_n = st.flag(Flag::N);
-                    let old_z = st.flag(Flag::Z);
-                    st.set_flag(Flag::N, ite(n, old_n));
-                    st.set_flag(Flag::Z, ite(z, old_z));
-                }
-                let c = Term::bin(BinOp::And, carry_src, Term::c(1));
-                let old_c = st.flag(Flag::C);
-                st.set_flag(Flag::C, ite(c, old_c));
-                write_operand(st, &ops[0], res, Width::B32)
-            }
-            Not => {
-                let a = read_operand(st, &ops[0], Width::B32)?;
-                write_operand(st, &ops[0], Term::un(UnOp::Not, a), Width::B32)
-            }
-            Neg => {
-                let a = read_operand(st, &ops[0], Width::B32)?;
-                let res = Term::un(UnOp::Neg, a.clone());
-                st.set_nz(&res);
-                st.set_flag(
-                    Flag::C,
-                    Rc::new(Term::BorrowSub(Term::c(0), a.clone(), Term::c(0))),
-                );
-                st.set_flag(
-                    Flag::V,
-                    Rc::new(Term::OverflowSub(Term::c(0), a, Term::c(0))),
-                );
-                write_operand(st, &ops[0], res, Width::B32)
-            }
-            Bsr => unsupported("bsr (branchy clz emulation)"),
-            Setcc => {
-                let t = cc_term(st, inst.cc.expect("validated"));
-                write_operand(st, &ops[0], t, Width::B32)
-            }
-            Out => {
-                let v = st.read(Reg::Eax);
-                st.output.push(v);
-                Ok(())
-            }
-            Movss => {
-                let v = match &ops[1] {
-                    Operand::Xmm(x) => st.xmm[x.index()].clone(),
-                    Operand::Mem(m) => {
-                        Rc::new(Term::Read(st.mem.clone(), mem_addr(st, *m), Width::B32))
-                    }
-                    other => return unsupported(format!("movss source {other}")),
-                };
-                match &ops[0] {
-                    Operand::Xmm(x) => {
-                        st.xmm[x.index()] = v;
-                        Ok(())
-                    }
-                    Operand::Mem(m) => {
-                        let addr = mem_addr(st, *m);
-                        st.mem = Rc::new(SymMem::Store {
-                            prev: st.mem.clone(),
-                            addr,
-                            val: v,
-                            width: Width::B32,
-                        });
-                        Ok(())
-                    }
-                    other => unsupported(format!("movss destination {other}")),
-                }
-            }
-            Addss | Subss | Mulss | Divss => {
-                let Operand::Xmm(x) = ops[0] else {
-                    unreachable!("validated")
-                };
-                let a = st.xmm[x.index()].clone();
-                let b = match &ops[1] {
-                    Operand::Xmm(y) => st.xmm[y.index()].clone(),
-                    Operand::Mem(m) => {
-                        Rc::new(Term::Read(st.mem.clone(), mem_addr(st, *m), Width::B32))
-                    }
-                    other => return unsupported(format!("sse source {other}")),
-                };
-                let op = match inst.op {
-                    Addss => BinOp::FAdd,
-                    Subss => BinOp::FSub,
-                    Mulss => BinOp::FMul,
-                    _ => BinOp::FDiv,
-                };
-                st.xmm[x.index()] = Term::bin(op, a, b);
-                Ok(())
-            }
-            Ucomiss => {
-                let Operand::Xmm(x) = ops[0] else {
-                    unreachable!("validated")
-                };
-                let a = st.xmm[x.index()].clone();
-                let b = match &ops[1] {
-                    Operand::Xmm(y) => st.xmm[y.index()].clone(),
-                    Operand::Mem(m) => {
-                        Rc::new(Term::Read(st.mem.clone(), mem_addr(st, *m), Width::B32))
-                    }
-                    other => return unsupported(format!("ucomiss source {other}")),
-                };
-                // ZF = (a == b), CF = (a < b), SF = OF = 0.
-                st.set_flag(Flag::Z, Term::pred(PredOp::FEq, a.clone(), b.clone()));
-                st.set_flag(Flag::C, Term::pred(PredOp::FLt, a, b));
-                st.set_flag(Flag::N, Term::c(0));
-                st.set_flag(Flag::V, Term::c(0));
-                Ok(())
-            }
-        }
+        refuse(inst)?;
+        pdbt_isa_x86::step(st, inst).map(|_| ())
     }
 
     /// Symbolically executes a straight-line sequence.
@@ -872,12 +290,102 @@ pub mod host {
     ///
     /// See [`step`].
     pub fn run(st: &mut State, insts: &[Inst]) -> Result<(), SymExecError> {
-        for i in insts {
-            step(st, i)?;
+        insts.iter().try_for_each(|i| step(st, i))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{check, CheckOptions, Mapping, Verdict};
+    use pdbt_isa::Cond;
+    use pdbt_isa_arm::{builders as g, Operand as GOp, Reg as GReg, ShiftKind};
+    use pdbt_isa_x86::{builders as h, Cc, Operand as HOp, Reg as HReg};
+
+    fn reason(guest: &[pdbt_isa_arm::Inst], host: &[pdbt_isa_x86::Inst]) -> String {
+        match check(guest, host, &Mapping::default(), CheckOptions::default()) {
+            Verdict::Unsupported { reason } => reason,
+            other => panic!("expected a refusal, got {other:?}"),
         }
-        Ok(())
     }
 
-    #[allow(unused)]
-    fn _xmm_witness(_x: Xmm) {}
+    /// Every refused shape, with the reason text rule files, derive
+    /// statistics and `Verdict` consumers have always seen.
+    #[test]
+    fn refusals_keep_their_reason_text() {
+        use GReg::{Pc, R0, R1, R2};
+        let shifted = GOp::Shifted {
+            rm: R2,
+            kind: ShiftKind::Lsl,
+            amount: 1,
+        };
+        let guest = [
+            (
+                g::mov(R0, GOp::Imm(1)).with_cond(Cond::Eq),
+                "conditional execution".to_string(),
+            ),
+            (g::b(Cond::Al, 8), "control flow `b .+8`".into()),
+            (g::bl(8), "control flow `bl .+8`".into()),
+            (g::bx(R1), "control flow `bx r1`".into()),
+            (g::push([R0]), "ABI-coupled stack op `push {r0}`".into()),
+            (g::pop([R0]), "ABI-coupled stack op `pop {r0}`".into()),
+            (g::svc(0), "svc #0".into()),
+            (g::svc(7), "svc #7".into()),
+            (
+                g::lsl(R0, R1, GOp::Reg(R2)).with_s(),
+                "flag-setting shift amount r2".into(),
+            ),
+            (
+                g::lsr(R0, R1, GOp::Imm(0)).with_s(),
+                "flag-setting shift amount #0".into(),
+            ),
+            (
+                g::asr(R0, R1, shifted).with_s(),
+                "flag-setting shift amount r2, lsl #1".into(),
+            ),
+            (
+                g::adc(R0, R1, GOp::Reg(R2)).with_s(),
+                "flag-setting carry-chain op".into(),
+            ),
+            (
+                g::sbc(R0, R1, GOp::Reg(R2)).with_s(),
+                "flag-setting carry-chain op".into(),
+            ),
+            (
+                g::rsc(Pc, R1, GOp::Reg(R2)).with_s(),
+                "flag-setting carry-chain op".into(),
+            ),
+            (g::mov(Pc, GOp::Reg(R1)), "write to pc".into()),
+            (g::add(Pc, R1, GOp::Imm(4)), "write to pc".into()),
+            (g::umull(R0, Pc, R1, R2), "write to pc".into()),
+        ];
+        for (inst, why) in guest {
+            assert_eq!(
+                reason(std::slice::from_ref(&inst), &[]),
+                format!("guest: {why}"),
+                "{inst}"
+            );
+        }
+        let eax = HOp::Reg(HReg::Eax);
+        let host = [
+            (h::jmp_rel(1), "control flow `jmp .+1`".to_string()),
+            (h::jmp_exit(eax), "control flow `jmp eax`".into()),
+            (h::jcc(Cc::E, 1), "control flow `je .+1`".into()),
+            (h::call(eax), "control flow `call eax`".into()),
+            (h::ret(), "control flow `ret`".into()),
+            (h::hlt(), "control flow `hlt`".into()),
+            (h::push(eax), "stack op `pushl eax`".into()),
+            (h::pop(eax), "stack op `popl eax`".into()),
+            (
+                h::bsr(eax, HOp::Reg(HReg::Ecx)),
+                "bsr (branchy clz emulation)".into(),
+            ),
+        ];
+        for (inst, why) in host {
+            assert_eq!(
+                reason(&[], std::slice::from_ref(&inst)),
+                format!("host: {why}"),
+                "{inst}"
+            );
+        }
+    }
 }

@@ -7,9 +7,13 @@
 //! which is what lets the normalizing checker decide equivalence without
 //! a full SMT solver (see DESIGN.md for the substitution rationale).
 
-use pdbt_isa::Width;
+use pdbt_isa::{Domain, Width};
 use std::fmt;
 use std::rc::Rc;
+
+/// The operator vocabulary, defined (with its concrete meaning) next to
+/// the [`Domain`] trait.
+pub use pdbt_isa::{BinOp, PredOp, UnOp};
 
 /// A reference-counted term.
 pub type TermRef = Rc<Term>;
@@ -44,130 +48,6 @@ impl fmt::Display for Sym {
             Sym::HostFlag(i) => write!(f, "hf{i}"),
             Sym::Pc => write!(f, "pc"),
             Sym::Free(i) => write!(f, "s{i}"),
-        }
-    }
-}
-
-/// Binary bit-vector operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
-pub enum BinOp {
-    Add,
-    Sub,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    Sar,
-    Ror,
-    Mul,
-    MulhU,
-    FAdd,
-    FSub,
-    FMul,
-    FDiv,
-}
-
-impl BinOp {
-    /// Whether the operator commutes.
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add
-                | BinOp::And
-                | BinOp::Or
-                | BinOp::Xor
-                | BinOp::Mul
-                | BinOp::MulhU
-                | BinOp::FAdd
-                | BinOp::FMul
-        )
-    }
-
-    /// Concrete evaluation.
-    #[must_use]
-    pub fn eval(self, a: u32, b: u32) -> u32 {
-        match self {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl => a.wrapping_shl(b & 31),
-            BinOp::Shr => a.wrapping_shr(b & 31),
-            BinOp::Sar => ((a as i32).wrapping_shr(b & 31)) as u32,
-            BinOp::Ror => a.rotate_right(b & 31),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::MulhU => ((u64::from(a) * u64::from(b)) >> 32) as u32,
-            BinOp::FAdd => (f32::from_bits(a) + f32::from_bits(b)).to_bits(),
-            BinOp::FSub => (f32::from_bits(a) - f32::from_bits(b)).to_bits(),
-            BinOp::FMul => (f32::from_bits(a) * f32::from_bits(b)).to_bits(),
-            BinOp::FDiv => (f32::from_bits(a) / f32::from_bits(b)).to_bits(),
-        }
-    }
-}
-
-/// Unary bit-vector operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
-pub enum UnOp {
-    Not,
-    Neg,
-    Clz,
-}
-
-impl UnOp {
-    /// Concrete evaluation.
-    #[must_use]
-    pub fn eval(self, a: u32) -> u32 {
-        match self {
-            UnOp::Not => !a,
-            UnOp::Neg => a.wrapping_neg(),
-            UnOp::Clz => a.leading_zeros(),
-        }
-    }
-}
-
-/// Predicate operators (0/1-valued terms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
-pub enum PredOp {
-    Eq,
-    Ne,
-    Ltu,
-    Geu,
-    Lts,
-    Ges,
-    Gts,
-    Les,
-    Gtu,
-    Leu,
-    FLt,
-    FEq,
-    FGe,
-}
-
-impl PredOp {
-    /// Concrete evaluation.
-    #[must_use]
-    pub fn eval(self, a: u32, b: u32) -> bool {
-        let (sa, sb) = (a as i32, b as i32);
-        match self {
-            PredOp::Eq => a == b,
-            PredOp::Ne => a != b,
-            PredOp::Ltu => a < b,
-            PredOp::Geu => a >= b,
-            PredOp::Lts => sa < sb,
-            PredOp::Ges => sa >= sb,
-            PredOp::Gts => sa > sb,
-            PredOp::Les => sa <= sb,
-            PredOp::Gtu => a > b,
-            PredOp::Leu => a <= b,
-            PredOp::FLt => f32::from_bits(a) < f32::from_bits(b),
-            PredOp::FEq => f32::from_bits(a) == f32::from_bits(b),
-            PredOp::FGe => f32::from_bits(a) >= f32::from_bits(b),
         }
     }
 }
@@ -313,6 +193,48 @@ impl Term {
                 }
             }
         }
+    }
+}
+
+/// The symbolic domain: words and truth values are terms (a truth
+/// value is a 0/1-valued term), and every operator builds its node
+/// unevaluated. `eval` is the other half of the [`Domain`] contract.
+impl Domain for Term {
+    type W = TermRef;
+    type B = TermRef;
+
+    fn c(v: u32) -> TermRef {
+        Term::c(v)
+    }
+    fn bin(op: BinOp, a: TermRef, b: TermRef) -> TermRef {
+        Term::bin(op, a, b)
+    }
+    fn un(op: UnOp, a: TermRef) -> TermRef {
+        Term::un(op, a)
+    }
+    fn pred(op: PredOp, a: TermRef, b: TermRef) -> TermRef {
+        Term::pred(op, a, b)
+    }
+    fn carry_add(a: TermRef, b: TermRef, cin: TermRef) -> TermRef {
+        Rc::new(Term::CarryAdd(a, b, cin))
+    }
+    fn borrow_sub(a: TermRef, b: TermRef, bin: TermRef) -> TermRef {
+        Rc::new(Term::BorrowSub(a, b, bin))
+    }
+    fn overflow_add(a: TermRef, b: TermRef, cin: TermRef) -> TermRef {
+        Rc::new(Term::OverflowAdd(a, b, cin))
+    }
+    fn overflow_sub(a: TermRef, b: TermRef, bin: TermRef) -> TermRef {
+        Rc::new(Term::OverflowSub(a, b, bin))
+    }
+    fn ite(c: TermRef, t: TermRef, e: TermRef) -> TermRef {
+        Rc::new(Term::Ite(c, t, e))
+    }
+    fn word(b: TermRef) -> TermRef {
+        b
+    }
+    fn bit(w: TermRef) -> TermRef {
+        w
     }
 }
 

@@ -19,6 +19,39 @@ use rand::{Rng, SeedableRng};
 
 const MEM_BASE: u32 = 0x10_0000;
 
+/// Float register seeds: the patterns comparisons and arithmetic treat
+/// specially (quiet and signalling NaN, both infinities, both zeros, a
+/// denormal), and a few ordinary values.
+const FLOAT_SEEDS: [u32; 12] = [
+    0x7fc0_0000, // NaN
+    0xffc0_0001, // -NaN with a payload
+    0x7f80_0001, // signalling NaN
+    0x7f80_0000, // +inf
+    0xff80_0000, // -inf
+    0x8000_0000, // -0.0
+    0x0000_0000, // +0.0
+    0x0000_0001, // smallest denormal
+    0x3f80_0000, // 1.0
+    0xc020_0000, // -2.5
+    0x7f7f_ffff, // f32::MAX
+    0x4049_0fdb, // pi
+];
+
+fn float_seed(rng: &mut StdRng) -> u32 {
+    FLOAT_SEEDS[rng.gen_range(0..FLOAT_SEEDS.len())]
+}
+
+/// Float stores go to their own window above the one integer accesses
+/// use, and float registers compare equal when both are NaN: which
+/// NaN an operation on two NaNs returns depends on operand order, which
+/// the compiler may pick differently for the interpreter and for
+/// `eval`, so a NaN's payload must not decide an integer or a flag.
+const FLOAT_WINDOW: i32 = 0x100;
+
+fn same_float(a: u32, b: u32) -> bool {
+    a == b || (f32::from_bits(a).is_nan() && f32::from_bits(b).is_nan())
+}
+
 fn cases() -> usize {
     std::env::var("FUZZ_CASES")
         .ok()
@@ -32,11 +65,22 @@ fn cases() -> usize {
 
 mod g {
     use super::*;
-    use pdbt_isa_arm::{builders as gb, Cpu, Inst, MemAddr, Operand, Reg, ShiftKind};
+    use pdbt_isa_arm::{builders as gb, Cpu, FReg, Inst, MemAddr, Operand, Reg, ShiftKind};
 
     fn reg(rng: &mut StdRng) -> Reg {
         // r1 is reserved as the in-range memory base.
         Reg::from_index(rng.gen_range(4..12)).unwrap()
+    }
+
+    fn freg(rng: &mut StdRng) -> FReg {
+        FReg::new(rng.gen_range(0..16))
+    }
+
+    fn float_slot(rng: &mut StdRng) -> MemAddr {
+        MemAddr::BaseImm {
+            base: Reg::R1,
+            offset: FLOAT_WINDOW + (rng.gen_range(0i32..0xf0) & !3),
+        }
     }
 
     fn op2(rng: &mut StdRng) -> Operand {
@@ -52,7 +96,7 @@ mod g {
     }
 
     pub fn inst(rng: &mut StdRng) -> Inst {
-        match rng.gen_range(0..14) {
+        match rng.gen_range(0..21) {
             0 => {
                 type B = fn(Reg, Reg, Operand) -> Inst;
                 const OPS: [B; 10] = [
@@ -112,13 +156,23 @@ mod g {
                     offset: rng.gen_range(0i32..0xf0),
                 },
             ),
-            _ => gb::strb(
+            13 => gb::strb(
                 reg(rng),
                 MemAddr::BaseImm {
                     base: Reg::R1,
                     offset: rng.gen_range(0i32..0xf0),
                 },
             ),
+            14 => gb::umlal(reg(rng), reg(rng), reg(rng), reg(rng)),
+            15 => {
+                type B = fn(FReg, FReg, FReg) -> Inst;
+                const OPS: [B; 4] = [gb::vadd, gb::vsub, gb::vmul, gb::vdiv];
+                OPS[rng.gen_range(0..4)](freg(rng), freg(rng), freg(rng))
+            }
+            16 => gb::vmov(freg(rng), freg(rng)),
+            17 | 18 => gb::vcmp(freg(rng), freg(rng)),
+            19 => gb::vldr(freg(rng), float_slot(rng)),
+            _ => gb::vstr(freg(rng), float_slot(rng)),
         }
     }
 
@@ -134,10 +188,14 @@ mod g {
         cpu.flags.z = flags & 2 != 0;
         cpu.flags.c = flags & 4 != 0;
         cpu.flags.v = flags & 8 != 0;
+        for i in 0..16 {
+            let bits = asg.get(Sym::Free(0x80 + i));
+            cpu.write_f(FReg::new(i as u8), f32::from_bits(bits));
+        }
         // Pre-fill the touched memory window with the assignment's
         // deterministic initial-memory function, so the symbolic
         // memory's `Init` matches.
-        for a in (MEM_BASE..MEM_BASE + 0x100).step_by(1) {
+        for a in (MEM_BASE..MEM_BASE + 0x200).step_by(1) {
             cpu.mem
                 .store(a, u32::from(asg.init_byte(a)), pdbt_isa::Width::B8)
                 .unwrap();
@@ -181,6 +239,9 @@ fn guest_symbolic_matches_interpreter() {
         asg.set(Sym::Flag(1), u32::from(flags & 2 != 0));
         asg.set(Sym::Flag(2), u32::from(flags & 4 != 0));
         asg.set(Sym::Flag(3), u32::from(flags & 8 != 0));
+        for i in 0..16 {
+            asg.set(Sym::Free(0x80 + i), float_seed(&mut rng));
+        }
         let cpu = g::run_concrete(&seq, &seeds, flags, &asg);
         // Every register and flag must agree.
         for r in pdbt_isa_arm::Reg::ALL {
@@ -206,6 +267,14 @@ fn guest_symbolic_matches_interpreter() {
                 seq.iter().map(|i| i.to_string()).collect::<Vec<_>>()
             );
         }
+        for (i, f) in cpu.fregs.iter().enumerate() {
+            assert!(
+                same_float(eval(&st.fregs[i], &asg), f.to_bits()),
+                "float register s{} after {:?}",
+                i,
+                seq.iter().map(|i| i.to_string()).collect::<Vec<_>>()
+            );
+        }
     }
 }
 
@@ -215,7 +284,7 @@ fn guest_symbolic_matches_interpreter() {
 
 mod h {
     use super::*;
-    use pdbt_isa_x86::{builders as hbb, Cpu, Inst, Mem, Operand, Reg};
+    use pdbt_isa_x86::{builders as hbb, Cpu, Inst, Mem, Operand, Reg, Xmm};
 
     const REGS: [Reg; 6] = [Reg::Eax, Reg::Ecx, Reg::Edx, Reg::Ebx, Reg::Esi, Reg::Edi];
 
@@ -228,6 +297,23 @@ mod h {
         Mem::base_disp(Reg::Ebp, rng.gen_range(0i32..0xf0) & !3)
     }
 
+    fn xmm(rng: &mut StdRng) -> Xmm {
+        Xmm::new(rng.gen_range(0..8))
+    }
+
+    fn float_mem(rng: &mut StdRng) -> Mem {
+        Mem::base_disp(Reg::Ebp, FLOAT_WINDOW + (rng.gen_range(0i32..0xf0) & !3))
+    }
+
+    /// A scalar-float source: an `xmm` register or a memory word.
+    fn xm(rng: &mut StdRng) -> Operand {
+        if rng.gen_bool(0.5) {
+            Operand::Xmm(xmm(rng))
+        } else {
+            Operand::Mem(float_mem(rng))
+        }
+    }
+
     fn rmi(rng: &mut StdRng) -> Operand {
         match rng.gen_range(0..3) {
             0 => Operand::Reg(reg(rng)),
@@ -237,7 +323,7 @@ mod h {
     }
 
     pub fn inst(rng: &mut StdRng) -> Inst {
-        match rng.gen_range(0..8) {
+        match rng.gen_range(0..13) {
             0 | 1 => {
                 type B = fn(Operand, Operand) -> Inst;
                 const OPS: [B; 13] = [
@@ -268,10 +354,18 @@ mod h {
             4 => hbb::neg(Operand::Reg(reg(rng))),
             5 => hbb::movzxb(Operand::Reg(reg(rng)), Operand::Mem(mem(rng))),
             6 => hbb::movb(Operand::Mem(mem(rng)), Operand::Reg(reg(rng))),
-            _ => hbb::setcc(
+            7 => hbb::setcc(
                 pdbt_isa_x86::Cc::ALL[rng.gen_range(0..14)],
                 Operand::Reg(reg(rng)),
             ),
+            8 => hbb::movss(Operand::Xmm(xmm(rng)), xm(rng)),
+            9 => hbb::movss(Operand::Mem(float_mem(rng)), Operand::Xmm(xmm(rng))),
+            10 => {
+                type B = fn(Xmm, Operand) -> Inst;
+                const OPS: [B; 4] = [hbb::addss, hbb::subss, hbb::mulss, hbb::divss];
+                OPS[rng.gen_range(0..4)](xmm(rng), xm(rng))
+            }
+            _ => hbb::ucomiss(xmm(rng), xm(rng)),
         }
     }
 
@@ -286,7 +380,11 @@ mod h {
         cpu.flags.z = flags & 2 != 0;
         cpu.flags.c = flags & 4 != 0;
         cpu.flags.v = flags & 8 != 0;
-        for a in MEM_BASE..MEM_BASE + 0x100 {
+        for i in 0..8 {
+            let bits = asg.get(Sym::Free(0x100 + i));
+            cpu.write_x(Xmm::new(i as u8), f32::from_bits(bits));
+        }
+        for a in MEM_BASE..MEM_BASE + 0x200 {
             cpu.mem
                 .store(a, u32::from(asg.init_byte(a)), pdbt_isa::Width::B8)
                 .unwrap();
@@ -328,6 +426,9 @@ fn host_symbolic_matches_executor() {
         asg.set(Sym::HostFlag(1), u32::from(flags & 2 != 0));
         asg.set(Sym::HostFlag(2), u32::from(flags & 4 != 0));
         asg.set(Sym::HostFlag(3), u32::from(flags & 8 != 0));
+        for i in 0..8 {
+            asg.set(Sym::Free(0x100 + i), float_seed(&mut rng));
+        }
         let cpu = h::run_concrete(&seq, &seeds, flags, &asg);
         for r in Reg::ALL {
             if matches!(r, Reg::Esp | Reg::Ebp) {
@@ -339,6 +440,14 @@ fn host_symbolic_matches_executor() {
                 cpu.read(r),
                 "register {} after {:?}",
                 r,
+                seq.iter().map(|i| i.to_string()).collect::<Vec<_>>()
+            );
+        }
+        for (i, x) in cpu.xmm.iter().enumerate() {
+            assert!(
+                same_float(eval(&st.xmm[i], &asg), x.to_bits()),
+                "float register xmm{} after {:?}",
+                i,
                 seq.iter().map(|i| i.to_string()).collect::<Vec<_>>()
             );
         }
