@@ -333,20 +333,6 @@ pub fn learn_into(
     stats
 }
 
-/// Convenience: learn from a whole training set, returning the rule set
-/// and per-benchmark stats.
-pub fn learn_all<'a, I>(training: I, cfg: LearnConfig) -> (RuleSet, Vec<FunnelStats>)
-where
-    I: IntoIterator<Item = (&'a CompiledPair, &'a [DebugEntry])>,
-{
-    let mut rules = RuleSet::new();
-    let mut stats = Vec::new();
-    for (pair, debug) in training {
-        stats.push(learn_into(&mut rules, pair, debug, cfg));
-    }
-    (rules, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,7 +52,7 @@ pub mod template;
 
 pub use derive::{derive as parameterize_rules, derive_jobs, DeriveConfig, DeriveStats};
 pub use key::{parameterize, ComboKey, Instantiation, ModeTag, Parameterized};
-pub use learning::{learn_all, learn_into, FunnelStats, LearnConfig, Reject};
+pub use learning::{learn_into, FunnelStats, LearnConfig, Reject};
 pub use ruleset::{Match, Provenance, RuleEntry, RuleSet};
 pub use store_io::{load_rules, load_rules_salvage, save_rules, QuarantinedRule, StoreError};
 pub use template::{HostLoc, Template, TemplateError, TemplateInst};

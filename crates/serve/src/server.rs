@@ -1254,16 +1254,9 @@ fn load_artifacts(dir: &std::path::Path, rules: Option<&RuleSet>, slots: usize) 
 /// Resolves the request's guest program, base run setup, and label.
 fn resolve_guest(ctx: &ServerCtx, req: &Json) -> Result<(Guest, RunSetup, String), String> {
     if let Some(name) = req.get("workload").and_then(Json::as_str) {
-        let bench = Benchmark::ALL
-            .into_iter()
-            .find(|b| b.name() == name)
-            .ok_or_else(|| format!("unknown workload `{name}`"))?;
+        let bench = Benchmark::from_name(name)?;
         let scale_name = req.get("scale").and_then(Json::as_str).unwrap_or("tiny");
-        let scale = match scale_name {
-            "tiny" => Scale::tiny(),
-            "full" => Scale::full(),
-            other => return Err(format!("unknown scale `{other}` (want tiny|full)")),
-        };
+        let scale = Scale::from_name(scale_name)?;
         let key = (name.to_string(), scale_name.to_string());
         let w = {
             let mut map = ctx.workloads.lock().expect("workload cache poisoned");

@@ -4,28 +4,34 @@
 //! generated from a per-benchmark [`Profile`] preserving the workload
 //! dimensions the experiments measure. The training protocol matches
 //! §V-A: leave-one-out — "the rules learned from the other 11
-//! benchmarks are applied to the 12th".
+//! benchmarks are applied to the 12th". The paper's evaluation itself
+//! is [`Experiment`] (one memoized fixture) and [`EXPERIMENTS`] (the
+//! eleven tables and figures printed from it by `pdbt experiments`).
 //!
 //! # Example
 //!
 //! ```no_run
-//! use pdbt_workloads::{train_excluding, Benchmark, Scale};
+//! use pdbt_workloads::{learn_suite, Benchmark, Scale};
 //!
 //! let suite = pdbt_workloads::suite(Scale::tiny());
-//! let rules = train_excluding(&suite, Benchmark::Mcf, Default::default());
+//! let rules = learn_suite(&suite, Some(Benchmark::Mcf));
 //! let target = suite.iter().find(|w| w.bench == Benchmark::Mcf).unwrap();
 //! let report = pdbt_workloads::run_dbt(target, Some(rules), true).unwrap();
 //! println!("coverage: {:.1}%", report.metrics.coverage() * 100.0);
 //! ```
 
+mod experiment;
+mod figures;
 mod gen;
 mod profile;
 
+pub use experiment::{Config, Experiment};
+pub use figures::{View, EXPERIMENTS};
 pub use gen::{generate, DATA_BASE, DATA_SIZE, STACK_BASE, STACK_SIZE};
 pub use profile::{Benchmark, Profile, Scale};
 
 use pdbt_compiler::{CompiledPair, DebugEntry};
-use pdbt_core::learning::{learn_into, FunnelStats, LearnConfig};
+use pdbt_core::learning::{learn_into, LearnConfig};
 use pdbt_core::RuleSet;
 use pdbt_runtime::{Engine, EngineConfig, EngineError, Report, RunSetup};
 use rand::rngs::StdRng;
@@ -40,8 +46,6 @@ pub struct Workload {
     pub pair: CompiledPair,
     /// The degraded (line-table-realistic) debug map used for learning.
     pub debug: Vec<DebugEntry>,
-    /// Statement count of the source program.
-    pub statements: usize,
 }
 
 impl Workload {
@@ -63,12 +67,7 @@ pub fn build(bench: Benchmark, scale: Scale) -> Workload {
     let pair = pdbt_compiler::compile_pair(&src, 0x1000).expect("generated programs compile");
     let accurate = pdbt_compiler::build_debug_map(&pair.guest, &pair.host);
     let debug = pdbt_compiler::degrade(&accurate, profile.degrade, &mut rng);
-    Workload {
-        bench,
-        pair,
-        debug,
-        statements: src.statement_count(),
-    }
+    Workload { bench, pair, debug }
 }
 
 /// Builds the whole suite.
@@ -77,31 +76,17 @@ pub fn suite(scale: Scale) -> Vec<Workload> {
     Benchmark::ALL.iter().map(|b| build(*b, scale)).collect()
 }
 
-/// Learns rules from every workload except `exclude` (the paper's
-/// leave-one-out protocol, §V-A). Returns the merged learned rule set.
+/// The one training protocol: learns every workload of `suite` in
+/// order — all but `exclude` under the paper's leave-one-out protocol
+/// (§V-A) — into one rule set. The first-seen rule keeps a key, within
+/// a program and across programs.
 #[must_use]
-pub fn train_excluding(suite: &[Workload], exclude: Benchmark, cfg: LearnConfig) -> RuleSet {
+pub fn learn_suite(suite: &[Workload], exclude: Option<Benchmark>) -> RuleSet {
     let mut rules = RuleSet::new();
-    for w in suite.iter().filter(|w| w.bench != exclude) {
-        learn_into(&mut rules, &w.pair, &w.debug, cfg);
+    for w in suite.iter().filter(|w| Some(w.bench) != exclude) {
+        learn_into(&mut rules, &w.pair, &w.debug, LearnConfig::default());
     }
     rules
-}
-
-/// Learns rules from an explicit training subset, also returning the
-/// per-benchmark funnel statistics (Table I / Fig 2 inputs).
-#[must_use]
-pub fn train_with_stats(
-    training: &[&Workload],
-    cfg: LearnConfig,
-) -> (RuleSet, Vec<(Benchmark, FunnelStats)>) {
-    let mut rules = RuleSet::new();
-    let mut stats = Vec::new();
-    for w in training {
-        let s = learn_into(&mut rules, &w.pair, &w.debug, cfg);
-        stats.push((w.bench, s));
-    }
-    (rules, stats)
 }
 
 /// Runs a workload under the DBT with the given rules and delegation
@@ -139,8 +124,6 @@ pub fn run_reference(w: &Workload) -> Result<Vec<u32>, pdbt_isa::ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdbt_core::derive::{derive, DeriveConfig};
-    use pdbt_symexec::CheckOptions;
 
     #[test]
     fn workloads_are_deterministic() {
@@ -155,8 +138,12 @@ mod tests {
         // statements > candidates > learned > unique, with candidate
         // yield broadly around the paper's 54%.
         let w = build(Benchmark::Sjeng, Scale::tiny());
-        let (_, stats) = train_with_stats(&[&w], LearnConfig::default());
-        let s = &stats[0].1;
+        let s = learn_into(
+            &mut RuleSet::new(),
+            &w.pair,
+            &w.debug,
+            LearnConfig::default(),
+        );
         assert!(s.candidates < s.statements, "{s:?}");
         assert!(s.learned < s.candidates, "{s:?}");
         assert!(s.unique <= s.learned, "{s:?}");
@@ -166,51 +153,5 @@ mod tests {
             (0.3..0.85).contains(&yield_ratio),
             "candidate yield {yield_ratio}"
         );
-    }
-
-    #[test]
-    fn leave_one_out_end_to_end_mcf() {
-        // Small-scale version of the paper's protocol on the smallest
-        // benchmark: train on the others, run mcf under every config,
-        // check correctness and the coverage/performance ordering.
-        let scale = Scale::tiny();
-        // A 3-benchmark training set keeps this test quick; the full
-        // protocol runs in the bench harness.
-        let training: Vec<Workload> = [Benchmark::Sjeng, Benchmark::Bzip2, Benchmark::Hmmer]
-            .iter()
-            .map(|b| build(*b, scale))
-            .collect();
-        let refs: Vec<&Workload> = training.iter().collect();
-        let (learned, _) = train_with_stats(&refs, LearnConfig::default());
-        assert!(learned.len() > 10, "learned {} rules", learned.len());
-        let (full, dstats) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
-        assert!(dstats.instantiated > dstats.learned * 5, "{dstats:?}");
-
-        let target = build(Benchmark::Mcf, scale);
-        let golden = run_reference(&target).unwrap();
-        assert!(!golden.is_empty());
-
-        let qemu = run_dbt(&target, None, true).unwrap();
-        assert_eq!(qemu.output, golden, "qemu config wrong");
-
-        let base = run_dbt(&target, Some(learned), false).unwrap();
-        assert_eq!(base.output, golden, "learned config wrong");
-
-        let para = run_dbt(&target, Some(full), true).unwrap();
-        assert_eq!(para.output, golden, "parameterized config wrong");
-
-        // Shape: coverage and instruction-ratio orderings.
-        assert!(
-            base.metrics.coverage() > 0.10,
-            "{}",
-            base.metrics.coverage()
-        );
-        assert!(
-            para.metrics.coverage() > base.metrics.coverage() + 0.05,
-            "para {} vs base {}",
-            para.metrics.coverage(),
-            base.metrics.coverage()
-        );
-        assert!(para.metrics.host_executed() < qemu.metrics.host_executed());
     }
 }

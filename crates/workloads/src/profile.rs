@@ -66,6 +66,16 @@ impl Benchmark {
         }
     }
 
+    /// The benchmark called `name`, or an error listing the twelve: the
+    /// CLI and the serve daemon both resolve user-supplied names here.
+    pub fn from_name(name: &str) -> Result<Benchmark, String> {
+        let found = Benchmark::ALL.into_iter().find(|b| b.name() == name);
+        found.ok_or_else(|| {
+            let names = Benchmark::ALL.map(Benchmark::name).join("|");
+            format!("unknown benchmark `{name}` (want {names})")
+        })
+    }
+
     /// Source-statement count from the paper's Table I.
     #[must_use]
     pub fn paper_statements(self) -> usize {
@@ -336,6 +346,15 @@ impl Scale {
         Scale {
             divisor: 1_000,
             cap: 150,
+        }
+    }
+
+    /// The scale called `name`: `tiny` or `full`, nothing else.
+    pub fn from_name(name: &str) -> Result<Scale, String> {
+        match name {
+            "tiny" => Ok(Scale::tiny()),
+            "full" => Ok(Scale::full()),
+            other => Err(format!("unknown scale `{other}` (want tiny|full)")),
         }
     }
 

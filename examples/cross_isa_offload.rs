@@ -1,72 +1,44 @@
 //! The paper's motivating scenario (§I): offloading a guest (ARM)
 //! binary onto a host (x86) server via DBT. Runs one synthetic SPEC-like
 //! benchmark under every system configuration and prints the evaluation
-//! row it contributes to Figs 11/12.
+//! row it contributes to Figs 11–15.
 //!
 //! ```sh
 //! cargo run --release --example cross_isa_offload [benchmark]
 //! ```
 
-use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::core::learning::LearnConfig;
-use pdbt::workloads::{run_dbt, run_reference, train_excluding, Benchmark, Scale};
-use pdbt_symexec::CheckOptions;
+use pdbt::workloads::{Benchmark, Config, Experiment, Scale};
 
 fn main() {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "libquantum".into());
-    let bench = Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == name)
-        .unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
+    let bench = Benchmark::from_name(&name).unwrap_or_else(|e| panic!("{e}"));
 
     println!("building the synthetic suite and training leave-one-out (excluding {bench})…");
-    let suite = pdbt::workloads::suite(Scale::full());
-    let target = suite.iter().find(|w| w.bench == bench).unwrap();
-    let golden = run_reference(target).expect("reference run");
-
-    let learned = train_excluding(&suite, bench, LearnConfig::default());
-    let check = CheckOptions::default();
-    let (opcode, _) = derive(&learned, DeriveConfig::opcode_only(), check);
-    let (addr, _) = derive(&learned, DeriveConfig::opcode_addrmode(), check);
-    let (full, stats) = derive(&learned, DeriveConfig::full(), check);
-    println!(
-        "rules: {} learned -> {} applicable after full parameterization\n",
-        stats.learned, stats.instantiated
-    );
+    let mut exp = Experiment::new(Scale::full());
+    let learned = exp.rules_for(Config::WoPara, bench).map_or(0, |r| r.len());
+    let full = exp.rules_for(Config::Para, bench).map_or(0, |r| r.len());
+    println!("rules: {learned} learned -> {full} applicable after full parameterization\n");
 
     println!(
         "{:<14}{:>10}{:>12}{:>10}",
         "config", "coverage", "host/guest", "speedup"
     );
-    let qemu = run_dbt(target, None, true).expect("runs");
-    assert_eq!(qemu.output, golden);
-    let qemu_total = qemu.metrics.host_executed() as f64;
-    let show = |label: &str, report: &pdbt::runtime::Report| {
+    // Each cell's output has been compared with the reference
+    // interpreter's before `metrics` hands it out.
+    let cell =
+        |exp: &mut Experiment, cfg| exp.metrics(cfg, bench).unwrap_or_else(|e| panic!("{e}"));
+    let qemu = cell(&mut exp, Config::Qemu).host_executed() as f64;
+    for cfg in Config::ALL {
+        let m = cell(&mut exp, cfg);
         println!(
             "{:<14}{:>9.1}%{:>12.2}{:>9.2}x",
-            label,
-            report.metrics.coverage() * 100.0,
-            report.metrics.total_ratio(),
-            qemu_total / report.metrics.host_executed() as f64,
+            cfg.label(),
+            m.coverage() * 100.0,
+            m.total_ratio(),
+            qemu / m.host_executed() as f64,
         );
-    };
-    show("qemu4.1", &qemu);
-    let r = run_dbt(target, Some(learned), false).expect("runs");
-    assert_eq!(r.output, golden);
-    show("w/o para.", &r);
-    let r = run_dbt(target, Some(opcode), false).expect("runs");
-    assert_eq!(r.output, golden);
-    show("+opcode", &r);
-    let r = run_dbt(target, Some(addr), false).expect("runs");
-    assert_eq!(r.output, golden);
-    show("+addr-mode", &r);
-    let r = run_dbt(target, Some(full), true).expect("runs");
-    assert_eq!(r.output, golden);
-    show("+condition", &r);
-    println!(
-        "\nall configurations produced the reference output ({} values)",
-        golden.len()
-    );
+    }
+    println!("\nall configurations produced the reference output");
 }

@@ -8,9 +8,8 @@
 
 use pdbt::arm::{parse_listing, Program};
 use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::core::learning::LearnConfig;
 use pdbt::runtime::{translate_block, CodeClass, TranslateConfig};
-use pdbt::workloads::{train_excluding, Benchmark, Scale};
+use pdbt::workloads::{learn_suite, Benchmark, Scale};
 use pdbt_symexec::CheckOptions;
 
 fn class_tag(c: CodeClass) -> &'static str {
@@ -34,7 +33,7 @@ fn main() {
     println!("guest block:\n{}", program.disassemble());
 
     let suite = pdbt::workloads::suite(Scale::tiny());
-    let learned = train_excluding(&suite, Benchmark::Mcf, LearnConfig::default());
+    let learned = learn_suite(&suite, Some(Benchmark::Mcf));
     let (rules, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
 
     for (label, rules) in [("qemu path", None), ("parameterized rules", Some(&rules))] {

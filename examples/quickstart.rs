@@ -7,9 +7,8 @@
 
 use pdbt::arm::{parse_listing, Program};
 use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::core::learning::LearnConfig;
 use pdbt::runtime::{Engine, EngineConfig, RunSetup};
-use pdbt::workloads::{train_excluding, Benchmark, Scale};
+use pdbt::workloads::{learn_suite, Benchmark, Scale};
 use pdbt_symexec::CheckOptions;
 
 fn main() {
@@ -44,7 +43,7 @@ fn main() {
     // out style) and expanded along the opcode/addressing-mode
     // dimensions with condition-flag delegation.
     let suite = pdbt::workloads::suite(Scale::tiny());
-    let learned = train_excluding(&suite, Benchmark::Mcf, LearnConfig::default());
+    let learned = learn_suite(&suite, Some(Benchmark::Mcf));
     let (rules, stats) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
     println!(
         "\nrules: {} learned -> {} applicable after parameterization",

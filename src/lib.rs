@@ -15,14 +15,13 @@
 //!
 //! ```
 //! use pdbt::core::derive::{derive, DeriveConfig};
-//! use pdbt::core::learning::LearnConfig;
-//! use pdbt::workloads::{run_dbt, train_excluding, Benchmark, Scale};
+//! use pdbt::workloads::{learn_suite, run_dbt, Benchmark, Scale};
 //! use pdbt_symexec::CheckOptions;
 //!
 //! // Learn rules from every benchmark except `mcf`, parameterize them,
 //! // and run `mcf` under the parameterized DBT.
 //! let suite = pdbt::workloads::suite(Scale::tiny());
-//! let learned = train_excluding(&suite, Benchmark::Mcf, LearnConfig::default());
+//! let learned = learn_suite(&suite, Some(Benchmark::Mcf));
 //! let (rules, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
 //! let target = suite.iter().find(|w| w.bench == Benchmark::Mcf).unwrap();
 //! let report = run_dbt(target, Some(rules), true).unwrap();

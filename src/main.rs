@@ -1,24 +1,16 @@
 //! `pdbt` — command-line front end for the parameterized learning-based
 //! DBT.
 //!
-//! ```text
-//! pdbt train  [--scale tiny|full] [--exclude BENCH] [--no-param] [--jobs N]
-//!             [--faults SPEC] -o rules.txt
-//! pdbt run    prog.s [--rules rules.txt] [--no-delegation] [--stats] [--jobs N]
-//!             [--no-chain] [--no-trace] [--trace-threshold N] [--backend model|threaded]
-//!             [--faults SPEC] [--report-json FILE] [--trace-out FILE]
-//! pdbt stats  prog.s [--rules rules.txt] [--no-delegation] [--jobs N]
-//!             [--no-chain] [--no-trace] [--trace-threshold N] [--backend model|threaded]
-//!             [--faults SPEC] [--report-json FILE] [--trace-out FILE]
-//! pdbt trace  prog.s [--rules rules.txt] [--addr HEX]
-//! pdbt bench  [--scale tiny|full] [BENCH]
-//! pdbt serve  [--addr HOST:PORT] [--rules rules.txt] [--jobs N] [--deadline-ms N]
-//!             [--peer ADDR]... [--replicate-interval SECS]
-//! pdbt sync   PEER [--timeout-s N] -o DIR
-//! pdbt submit [prog.s] [--addr HOST:PORT] [--workload BENCH --scale tiny|full]
-//!             [--max-guest N] [--deadline-ms N] [--faults SPEC] [--no-delegation]
-//!             [--timeout-s N] [--report-json FILE] [--ping] [--shutdown]
-//! ```
+//! `pdbt` with no arguments prints the synopsis: one line per subcommand,
+//! which is that subcommand's entry in the `COMMANDS` table below — the
+//! parser reads the same text, so an unknown flag, a value flag without
+//! its value, or an unknown scale, benchmark or experiment name exits 2
+//! with the line it broke.
+//!
+//! `experiments` prints the paper's evaluation — every table and figure
+//! of §V, or the ones named by ID (`pdbt experiments nosuch` lists the
+//! IDs) — from one memoized `pdbt::workloads::Experiment`; EXPERIMENTS.md
+//! is the record of its `--scale full` output.
 //!
 //! `serve` starts the multi-session translation daemon: every submitted
 //! run borrows one shared ruleset and warm code cache (see
@@ -72,8 +64,7 @@
 //! `0x1000` with a data region at `0x100000` and a stack at `0x80000`.
 
 use pdbt::arm::{parse_listing, Program};
-use pdbt::core::derive::{derive, derive_jobs, DeriveConfig};
-use pdbt::core::learning::LearnConfig;
+use pdbt::core::derive::{derive_jobs, DeriveConfig};
 use pdbt::core::{load_rules_salvage, save_rules, RuleSet};
 use pdbt::obs::json::Json;
 use pdbt::obs::trace::export_chrome_trace;
@@ -81,54 +72,139 @@ use pdbt::runtime::{
     translate_block, BackendKind, CodeClass, Engine, EngineConfig, RunSetup, TranslateConfig,
 };
 use pdbt::runtime::{Outcome, Report, Resilience};
-use pdbt::workloads::{run_dbt, run_reference, train_excluding, Benchmark, Scale};
+use pdbt::workloads::{learn_suite, Benchmark, Experiment, Scale, EXPERIMENTS};
 use pdbt_symexec::CheckOptions;
 use std::process::ExitCode;
 
 const DATA_BASE: u32 = 0x10_0000;
 
+/// Why a subcommand stopped: a mistake on the command line (exit 2,
+/// with that subcommand's usage line) or a failed run (exit 1).
+enum Fail {
+    Usage(String),
+    Run(String),
+}
+
+impl<S: Into<String>> From<S> for Fail {
+    fn from(e: S) -> Fail {
+        Fail::Run(e.into())
+    }
+}
+
+type Cmd = (&'static str, &'static str, fn(&Args) -> Result<(), Fail>);
+
+macro_rules! engine_flags {
+    () => {
+        "[--rules FILE] [--no-delegation] [--jobs N] [--no-chain] [--no-trace] \
+         [--trace-threshold N] [--backend model|threaded] [--faults SPEC] [--report-json FILE] \
+         [--trace-out FILE]"
+    };
+}
+
+/// Every subcommand: name, usage, entry point. The usage text is also
+/// the flag table: `[--name]` declares a switch, `[--name VALUE]` (or
+/// `-o VALUE`, the short form of `--out`) a flag that takes a value, and
+/// a text that does not open with a flag takes positional arguments.
+const COMMANDS: [Cmd; 10] = [
+    (
+        "train",
+        "[--scale tiny|full] [--exclude BENCH] [--no-param] [--jobs N] [--faults SPEC] -o FILE",
+        cmd_train,
+    ),
+    (
+        "run",
+        concat!("PROG.s [--stats] ", engine_flags!()),
+        cmd_run,
+    ),
+    ("stats", concat!("PROG.s ", engine_flags!()), cmd_stats),
+    ("trace", "PROG.s [--rules FILE] [--addr HEX]", cmd_trace),
+    (
+        "experiments",
+        "[ID]... [--scale tiny|full]",
+        cmd_experiments,
+    ),
+    (
+        "compile",
+        "WORKLOAD|PROG.s [--scale tiny|full] [--rules FILE] [--baseline] [--no-param] [--jobs N] \
+         [--backend model|threaded] [--faults SPEC] [--label NAME] -o FILE.pdba",
+        cmd_compile,
+    ),
+    (
+        "serve",
+        "[--addr HOST:PORT] [--rules FILE] [--jobs N] [--backend model|threaded] \
+         [--deadline-ms N] [--flight-out FILE] [--artifact-dir DIR] [--peer ADDR]... \
+         [--replicate-interval SECS]",
+        cmd_serve,
+    ),
+    ("sync", "PEER [--timeout-s N] -o DIR", cmd_sync),
+    (
+        "submit",
+        "[PROG.s] [--addr HOST:PORT] [--workload BENCH] [--scale tiny|full] [--max-guest N] \
+         [--deadline-ms N] [--faults SPEC] [--no-delegation] [--timeout-s N] \
+         [--report-json FILE] [--ping] [--shutdown] [--stats]",
+        cmd_submit,
+    ),
+    (
+        "loadgen",
+        "[--addr HOST:PORT] [--sessions N] [--requests N] [--hot N] [--tail N] [--seed N] \
+         [--poll-ms N] [--timeout-s N] [-o FILE]",
+        cmd_loadgen,
+    ),
+];
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  \
-         pdbt train  [--scale tiny|full] [--exclude BENCH] [--no-param] [--jobs N] [--faults SPEC] -o FILE\n  \
-         pdbt run    PROG.s [--rules FILE] [--no-delegation] [--stats] [--jobs N] [--no-chain] [--no-trace] [--trace-threshold N] [--backend model|threaded] [--faults SPEC] [--report-json FILE] [--trace-out FILE]\n  \
-         pdbt stats  PROG.s [--rules FILE] [--no-delegation] [--jobs N] [--no-chain] [--no-trace] [--trace-threshold N] [--backend model|threaded] [--faults SPEC] [--report-json FILE] [--trace-out FILE]\n  \
-         pdbt trace  PROG.s [--rules FILE] [--addr HEX]\n  \
-         pdbt bench  [--scale tiny|full] [BENCH]\n  \
-         pdbt compile WORKLOAD|PROG.s [--scale tiny|full] [--rules FILE | --baseline] [--no-param] [--jobs N] [--backend model|threaded] [--label NAME] -o FILE.pdba\n  \
-         pdbt serve  [--addr HOST:PORT] [--rules FILE] [--jobs N] [--backend model|threaded] [--deadline-ms N] [--flight-out FILE] [--artifact-dir DIR] [--peer ADDR]... [--replicate-interval SECS]\n  \
-         pdbt sync   PEER [--timeout-s N] -o DIR\n  \
-         pdbt submit [PROG.s] [--addr HOST:PORT] [--workload BENCH --scale tiny|full] [--max-guest N] [--deadline-ms N] [--faults SPEC] [--no-delegation] [--timeout-s N] [--report-json FILE] [--ping] [--shutdown] [--stats]\n  \
-         pdbt loadgen [--addr HOST:PORT] [--sessions N] [--requests N] [--hot N] [--tail N] [--seed N] [--poll-ms N] [--timeout-s N] [--out FILE]"
-    );
+    eprintln!("usage:");
+    for (name, usage, _) in &COMMANDS {
+        eprintln!("  pdbt {name} {usage}");
+    }
     ExitCode::from(2)
 }
 
-/// Minimal flag parser: returns (positional args, flag values).
+/// A parsed command line: positional arguments and flag values.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String], value_flags: &[&str]) -> Args {
+    /// Parses `raw` against a subcommand's usage text; an unknown flag,
+    /// a value flag without its value and a stray positional are errors.
+    fn parse(usage: &str, raw: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = raw.iter().peekable();
+        let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if value_flags.contains(&name) {
-                    flags.push((name.to_string(), it.next().cloned()));
-                } else {
-                    flags.push((name.to_string(), None));
+            let name = match a.strip_prefix("--") {
+                Some(name) => name,
+                None if a == "-o" => "out",
+                None if usage.starts_with("[--") => {
+                    return Err(format!("unexpected argument `{a}`"))
                 }
-            } else if a == "-o" {
-                flags.push(("out".to_string(), it.next().cloned()));
-            } else {
-                positional.push(a.clone());
-            }
+                None => {
+                    positional.push(a.clone());
+                    continue;
+                }
+            };
+            // `[--name` or `-o` opens a flag with a value, `[--name]` is a switch.
+            let takes_value = usage
+                .split(' ')
+                .find_map(|word| {
+                    let open = word.trim_start_matches('[');
+                    let bare = open.trim_end_matches(']');
+                    let declared = bare
+                        .strip_prefix("--")
+                        .or((bare == "-o").then_some("out"))?;
+                    (declared == name).then_some(open == bare)
+                })
+                .ok_or_else(|| format!("unknown flag `{a}`"))?;
+            let value = match takes_value.then(|| it.next()) {
+                None => None,
+                Some(Some(v)) if !v.starts_with("--") => Some(v.clone()),
+                Some(_) => return Err(format!("`{a}` needs a value")),
+            };
+            flags.push((name.to_string(), value));
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn has(&self, name: &str) -> bool {
@@ -152,15 +228,9 @@ impl Args {
     }
 }
 
-fn scale_of(args: &Args) -> Scale {
-    match args.value("scale") {
-        Some("tiny") => Scale::tiny(),
-        _ => Scale::full(),
-    }
-}
-
-fn bench_of(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| b.name() == name)
+/// `--scale tiny|full` for the subcommands where absent means full.
+fn scale_of(args: &Args) -> Result<Scale, Fail> {
+    Scale::from_name(args.value("scale").unwrap_or("full")).map_err(Fail::Usage)
 }
 
 /// The `--jobs N` worker count: absent = 1 (serial), `0` = hardware
@@ -234,55 +304,45 @@ fn load_rules_file(path: &str) -> Result<(RuleSet, u64), String> {
     Ok((rules, quarantined.len() as u64))
 }
 
-fn cmd_train(args: &Args) -> Result<(), String> {
-    let out = args.value("out").ok_or("train needs -o FILE")?;
-    configure_faults(args)?;
-    let scale = scale_of(args);
-    let exclude = match args.value("exclude") {
-        Some(name) => Some(bench_of(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?),
-        None => None,
-    };
+/// The training pass behind `train` and `compile`: learns the suite at
+/// `scale` (all of it but `exclude`) and, unless `--no-param`,
+/// parameterizes the result on `--jobs` verification workers.
+fn train(args: &Args, scale: Scale, exclude: Option<Benchmark>) -> Result<RuleSet, String> {
     eprintln!("building the synthetic suite…");
-    let suite = pdbt::workloads::suite(scale);
-    let learned = match exclude {
-        Some(b) => train_excluding(&suite, b, LearnConfig::default()),
-        None => {
-            let mut all = RuleSet::new();
-            for w in &suite {
-                let mut r = RuleSet::new();
-                pdbt::core::learning::learn_into(&mut r, &w.pair, &w.debug, LearnConfig::default());
-                all.merge(r);
-            }
-            all
-        }
-    };
+    let learned = learn_suite(&pdbt::workloads::suite(scale), exclude);
     eprintln!(
         "learned {} rules (+{} sequences)",
         learned.len(),
         learned.seq_len()
     );
-    let rules = if args.has("no-param") {
-        learned
-    } else {
-        let jobs = jobs_of(args)?;
-        let (full, stats) = derive_jobs(
-            &learned,
-            DeriveConfig::full(),
-            CheckOptions::default(),
-            jobs,
-        );
+    if args.has("no-param") {
+        return Ok(learned);
+    }
+    let jobs = jobs_of(args)?;
+    let (full, stats) = derive_jobs(
+        &learned,
+        DeriveConfig::full(),
+        CheckOptions::default(),
+        jobs,
+    );
+    eprintln!(
+        "parameterized to {} applicable rules ({} derived, {} rejected, {} verification jobs)",
+        stats.instantiated, stats.derived, stats.rejected, jobs
+    );
+    if stats.quarantined > 0 || stats.fuel_exhausted > 0 {
         eprintln!(
-            "parameterized to {} applicable rules ({} derived, {} rejected, {} verification jobs)",
-            stats.instantiated, stats.derived, stats.rejected, jobs
+            "degraded: {} candidates quarantined, {} verifications fuel-exhausted",
+            stats.quarantined, stats.fuel_exhausted
         );
-        if stats.quarantined > 0 || stats.fuel_exhausted > 0 {
-            eprintln!(
-                "degraded: {} candidates quarantined, {} verifications fuel-exhausted",
-                stats.quarantined, stats.fuel_exhausted
-            );
-        }
-        full
-    };
+    }
+    Ok(full)
+}
+
+fn cmd_train(args: &Args) -> Result<(), Fail> {
+    let out = args.value("out").ok_or("train needs -o FILE")?;
+    configure_faults(args)?;
+    let exclude = args.value("exclude").map(Benchmark::from_name).transpose();
+    let rules = train(args, scale_of(args)?, exclude.map_err(Fail::Usage)?)?;
     std::fs::write(out, save_rules(&rules)).map_err(|e| format!("{out}: {e}"))?;
     eprintln!("wrote {out}");
     Ok(())
@@ -296,7 +356,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 /// The rules sealed in come from `--rules FILE` when given, from a
 /// fresh train-and-parameterize pass over the synthetic suite by
 /// default, or nowhere (`--baseline`, the pure QEMU-path engine).
-fn cmd_compile(args: &Args) -> Result<(), String> {
+fn cmd_compile(args: &Args) -> Result<(), Fail> {
     let out = args.value("out").ok_or("compile needs -o FILE.pdba")?;
     let target = args
         .positional
@@ -307,17 +367,10 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
 
     // Resolve the guest image exactly like `serve` will, so the sealed
     // fingerprint matches the serving partition.
-    let (prog, setup, default_label) = match bench_of(target) {
-        Some(bench) => {
-            let scale = match args.value("scale") {
-                Some("full") => Scale::full(),
-                _ => Scale::tiny(),
-            };
-            let scale_name = if args.value("scale") == Some("full") {
-                "full"
-            } else {
-                "tiny"
-            };
+    let (prog, setup, default_label) = match Benchmark::from_name(target) {
+        Ok(bench) => {
+            let scale_name = args.value("scale").unwrap_or("tiny");
+            let scale = Scale::from_name(scale_name).map_err(Fail::Usage)?;
             eprintln!("building {target}/{scale_name}…");
             let w = pdbt::workloads::build(bench, scale);
             let setup = w.setup();
@@ -327,7 +380,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
                 format!("{target}/{scale_name}"),
             )
         }
-        None => {
+        Err(_) => {
             let prog = load_program(target)?;
             let setup = RunSetup::basic(DATA_BASE, 0x1000, 0x8_0000, 0x1000);
             (prog, setup, "inline".to_string())
@@ -340,29 +393,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     } else if args.has("baseline") {
         None
     } else {
-        eprintln!("training over the synthetic suite…");
-        let suite = pdbt::workloads::suite(Scale::tiny());
-        let mut learned = RuleSet::new();
-        for w in &suite {
-            let mut r = RuleSet::new();
-            pdbt::core::learning::learn_into(&mut r, &w.pair, &w.debug, LearnConfig::default());
-            learned.merge(r);
-        }
-        if args.has("no-param") {
-            Some(learned)
-        } else {
-            let (full, stats) = derive_jobs(
-                &learned,
-                DeriveConfig::full(),
-                CheckOptions::default(),
-                jobs,
-            );
-            eprintln!(
-                "parameterized to {} applicable rules ({} derived, {} rejected)",
-                stats.instantiated, stats.derived, stats.rejected
-            );
-            Some(full)
-        }
+        Some(train(args, Scale::tiny(), None)?)
     };
 
     let mut cfg = EngineConfig {
@@ -423,14 +454,14 @@ fn execute(args: &Args, verb: &str) -> Result<Report, String> {
 
 /// Maps a non-`Completed` outcome to a process-level error *after* the
 /// partial report has been printed and exported.
-fn outcome_err(report: &Report) -> Result<(), String> {
+fn outcome_err(report: &Report) -> Result<(), Fail> {
     match &report.outcome {
         Outcome::Completed => Ok(()),
         Outcome::Budget => {
             Err("guest instruction budget exhausted (partial report emitted)".into())
         }
         Outcome::Deadline => Err("deadline exceeded (partial report emitted)".into()),
-        Outcome::Exec(e) => Err(format!("execution fault: {e} (partial report emitted)")),
+        Outcome::Exec(e) => Err(format!("execution fault: {e} (partial report emitted)").into()),
     }
 }
 
@@ -454,7 +485,7 @@ fn export_report(args: &Args, report: &Report) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args) -> Result<(), Fail> {
     let report = execute(args, "run")?;
     for v in &report.output {
         println!("{v}");
@@ -466,7 +497,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     outcome_err(&report)
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
+fn cmd_stats(args: &Args) -> Result<(), Fail> {
     let report = execute(args, "stats")?;
     println!("metrics");
     println!("{}", report.metrics);
@@ -539,7 +570,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     outcome_err(&report)
 }
 
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(args: &Args) -> Result<(), Fail> {
     let path = args
         .positional
         .first()
@@ -575,35 +606,22 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    let scale = scale_of(args);
-    let only = args.positional.first().map(String::as_str);
-    let suite = pdbt::workloads::suite(scale);
-    println!(
-        "{:<12}{:>10}{:>12}{:>10}",
-        "benchmark", "coverage", "host/guest", "speedup"
-    );
-    for w in &suite {
-        if let Some(name) = only {
-            if w.bench.name() != name {
-                continue;
-            }
-        }
-        let golden = run_reference(w).map_err(|e| e.to_string())?;
-        let learned = train_excluding(&suite, w.bench, LearnConfig::default());
-        let (full, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
-        let qemu = run_dbt(w, None, true).map_err(|e| e.to_string())?;
-        let para = run_dbt(w, Some(full), true).map_err(|e| e.to_string())?;
-        if qemu.output != golden || para.output != golden {
-            return Err(format!("{}: output mismatch", w.bench));
-        }
-        println!(
-            "{:<12}{:>9.1}%{:>12.2}{:>9.2}x",
-            w.bench.name(),
-            para.metrics.coverage() * 100.0,
-            para.metrics.total_ratio(),
-            qemu.metrics.host_executed() as f64 / para.metrics.host_executed() as f64,
-        );
+/// `pdbt experiments [ID]...`: the paper's evaluation, all of it or the
+/// named tables and figures, printed from one [`Experiment`].
+fn cmd_experiments(args: &Args) -> Result<(), Fail> {
+    let mut views = Vec::new();
+    for id in &args.positional {
+        views.push(EXPERIMENTS.iter().find(|e| e.0 == id).ok_or_else(|| {
+            let ids = EXPERIMENTS.map(|e| e.0).join("\n  ");
+            Fail::Usage(format!("unknown experiment `{id}`; the IDs are\n  {ids}"))
+        })?);
+    }
+    if views.is_empty() {
+        views.extend(&EXPERIMENTS);
+    }
+    let mut exp = Experiment::new(scale_of(args)?);
+    for (_, view) in views {
+        view(&mut exp, &mut std::io::stdout().lock()).map_err(|e| e.to_string())?;
     }
     Ok(())
 }
@@ -621,7 +639,7 @@ fn parse_u64_flag(args: &Args, name: &str) -> Result<Option<u64>, String> {
     }
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), Fail> {
     let addr = args.value("addr").unwrap_or(SERVE_ADDR);
     let mut cfg = pdbt_serve::ServeConfig::default();
     if let Some(p) = args.value("rules") {
@@ -656,7 +674,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         summary.requests, summary.panicked
     );
     if summary.panicked > 0 {
-        return Err(format!("{} sessions panicked", summary.panicked));
+        return Err(format!("{} sessions panicked", summary.panicked).into());
     }
     Ok(())
 }
@@ -666,7 +684,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// the wire trust boundary, and written as `{fingerprint}-g{N}.pdba`,
 /// so the directory is directly usable as another daemon's
 /// `--artifact-dir`.
-fn cmd_sync(args: &Args) -> Result<(), String> {
+fn cmd_sync(args: &Args) -> Result<(), Fail> {
     let peer = args.positional.first().ok_or("sync needs a PEER address")?;
     let dir = std::path::PathBuf::from(args.value("out").ok_or("sync needs -o DIR")?);
     let timeout = std::time::Duration::from_secs(parse_u64_flag(args, "timeout-s")?.unwrap_or(120));
@@ -698,7 +716,7 @@ fn cmd_sync(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_submit(args: &Args) -> Result<(), String> {
+fn cmd_submit(args: &Args) -> Result<(), Fail> {
     let addr = args.value("addr").unwrap_or(SERVE_ADDR).to_string();
     let timeout = std::time::Duration::from_secs(parse_u64_flag(args, "timeout-s")?.unwrap_or(120));
     if args.has("ping") {
@@ -723,11 +741,11 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
 
     let mut req = vec![("id".to_string(), Json::from(std::process::id() as u64))];
     if let Some(name) = args.value("workload") {
+        let scale = args.value("scale").unwrap_or("tiny");
+        Benchmark::from_name(name).map_err(Fail::Usage)?;
+        Scale::from_name(scale).map_err(Fail::Usage)?;
         req.push(("workload".to_string(), Json::str(name)));
-        req.push((
-            "scale".to_string(),
-            Json::str(args.value("scale").unwrap_or("tiny")),
-        ));
+        req.push(("scale".to_string(), Json::str(scale)));
     } else if let Some(path) = args.positional.first() {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         req.push(("program".to_string(), Json::str(text)));
@@ -761,9 +779,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     }
     match resp.get("outcome").and_then(Json::as_str) {
         Some("completed") => Ok(()),
-        Some(other) => Err(format!(
-            "run ended early: {other} (partial report received)"
-        )),
+        Some(other) => Err(format!("run ended early: {other} (partial report received)").into()),
         None => Err("response carried no outcome".into()),
     }
 }
@@ -854,7 +870,7 @@ fn print_stats(snap: &Json) {
     }
 }
 
-fn cmd_loadgen(args: &Args) -> Result<(), String> {
+fn cmd_loadgen(args: &Args) -> Result<(), Fail> {
     let mut cfg = pdbt_serve::LoadgenConfig::default();
     if let Some(addr) = args.value("addr") {
         cfg.addr = addr
@@ -906,58 +922,24 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().map(String::as_str) else {
+    let Some((name, usage, run)) = raw
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.0 == name))
+    else {
         return usage();
     };
-    let args = Args::parse(
-        &raw[1..],
-        &[
-            "scale",
-            "exclude",
-            "rules",
-            "addr",
-            "jobs",
-            "faults",
-            "report-json",
-            "trace-out",
-            "trace-threshold",
-            "backend",
-            "workload",
-            "max-guest",
-            "deadline-ms",
-            "timeout-s",
-            "flight-out",
-            "sessions",
-            "requests",
-            "hot",
-            "tail",
-            "seed",
-            "poll-ms",
-            "out",
-            "label",
-            "artifact-dir",
-            "peer",
-            "replicate-interval",
-        ],
-    );
-    let result = match cmd {
-        "train" => cmd_train(&args),
-        "compile" => cmd_compile(&args),
-        "run" => cmd_run(&args),
-        "stats" => cmd_stats(&args),
-        "trace" => cmd_trace(&args),
-        "bench" => cmd_bench(&args),
-        "serve" => cmd_serve(&args),
-        "sync" => cmd_sync(&args),
-        "submit" => cmd_submit(&args),
-        "loadgen" => cmd_loadgen(&args),
-        _ => return usage(),
-    };
-    match result {
+    match Args::parse(usage, &raw[1..])
+        .map_err(Fail::Usage)
+        .and_then(|args| run(&args))
+    {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Fail::Run(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+        Err(Fail::Usage(e)) => {
+            eprintln!("error: {e}\nusage: pdbt {name} {usage}");
+            ExitCode::from(2)
         }
     }
 }

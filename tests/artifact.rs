@@ -13,20 +13,17 @@
 //! value for a known program is pinned here as a regression test — any
 //! drift silently orphans every artifact ever written.
 
+mod common;
+
+use common::{learned_for, mcf_request, spawn_server, stripped, SEEDS, T};
 use pdbt::artifact::{open_salvage, seal, warm_state};
-use pdbt::compiler::{degrade, DegradeProfile};
-use pdbt::core::learning::{learn_into, LearnConfig};
-use pdbt::core::RuleSet;
 use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig, Report, RunSetup};
 use pdbt::workloads::{build, suite, Benchmark, Scale};
-use pdbt_serve::{ping, shutdown, submit, ServeConfig, Server};
+use pdbt_serve::{ping, shutdown, submit, ServeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
-
-const SEEDS: [u64; 3] = [0xDE7_001, 0xDE7_002, 0xDE7_003];
 
 /// Fuzz iterations for the randomized fixpoint loop; FUZZ_CASES scales.
 fn cases() -> usize {
@@ -36,40 +33,14 @@ fn cases() -> usize {
         .unwrap_or(24)
 }
 
-/// A learned rule set over the tiny suite with seed-specific extra
-/// debug-map degradation (the `tests/determinism.rs` corpora): each
-/// seed trains on a distinct corpus, so artifact identity is proven
-/// over three different rule sets, not one lucky input.
-fn learned_for(seed: u64) -> RuleSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let profile = DegradeProfile {
-        drop: 0.15,
-        merge: 0.08,
-        skew: 0.05,
-    };
-    let mut learned = RuleSet::new();
-    for w in &suite(Scale::tiny()) {
-        let debug = degrade(&w.debug, profile, &mut rng);
-        let mut r = RuleSet::new();
-        learn_into(&mut r, &w.pair, &debug, LearnConfig::default());
-        learned.merge(r);
-    }
-    learned
-}
-
-/// The stripped report (whose dropped `server` section carries the
-/// artifact boot counters, which legitimately differ between a cold
-/// and a warm engine) minus `pool`: which worker ran each prewarm task
-/// is a work-stealing schedule that shifts when warm tasks complete
-/// instantly. Everything else must be bit-identical.
+/// On top of the stripped report (whose dropped `server` section
+/// carries the artifact boot counters, which legitimately differ
+/// between a cold and a warm engine) this suite ignores `pool`: which
+/// worker ran each prewarm task is a work-stealing schedule that shifts
+/// when warm tasks complete instantly. Everything else must be
+/// bit-identical.
 fn stripped_report(report: &Report) -> String {
-    stripped(&report.to_json())
-}
-
-fn stripped(doc: &Json) -> String {
-    let mut doc = Report::stripped(doc);
-    doc.remove_path("pool");
-    doc.to_string()
+    stripped(&report.to_json(), &["pool"])
 }
 
 /// The stable fingerprint of a known program is pinned: this exact
@@ -242,7 +213,6 @@ fn randomized_programs_roundtrip_and_boot_identically() {
 /// translation work on the server.
 #[test]
 fn concurrent_serve_sessions_off_one_artifact_match_the_cold_oracle() {
-    const T: Duration = Duration::from_secs(120);
     let w = build(Benchmark::Mcf, Scale::tiny());
     // The serve oracle configuration: no rules, default engine.
     let artifact = pdbt::artifact::compile(
@@ -264,28 +234,14 @@ fn concurrent_serve_sessions_off_one_artifact_match_the_cold_oracle() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("mcf.pdba"), seal(&artifact)).unwrap();
 
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            jobs: 2,
-            artifact_dir: Some(dir.clone()),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-
-    let req = |id: u64| {
-        Json::obj([
-            ("id", Json::from(id)),
-            ("workload", Json::str("mcf")),
-            ("scale", Json::str("tiny")),
-        ])
-    };
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        artifact_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
     let responses: Vec<Json> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..2u64)
-            .map(|i| s.spawn(move || submit(addr, &req(i), T).expect("submit")))
+            .map(|i| s.spawn(move || submit(addr, &mcf_request(i), T).expect("submit")))
             .collect();
         handles
             .into_iter()
@@ -300,8 +256,8 @@ fn concurrent_serve_sessions_off_one_artifact_match_the_cold_oracle() {
         );
         let report = resp.get("report").expect("report");
         assert_eq!(
-            stripped(report),
-            stripped(&oracle_json),
+            stripped(report, &["pool"]),
+            stripped(&oracle_json, &["pool"]),
             "a warm session diverged from the sequential cold oracle"
         );
     }

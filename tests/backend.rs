@@ -22,8 +22,9 @@
 //!   model's per-instruction counts. `FUZZ_CASES` scales the loop
 //!   (deep-fuzz CI runs 512).
 
-use pdbt::compiler::{degrade, DegradeProfile};
-use pdbt::core::learning::{learn_into, LearnConfig};
+mod common;
+
+use common::{learned_for, SEEDS};
 use pdbt::core::RuleSet;
 use pdbt::obs::{DispatchCounters, ServerCounters};
 use pdbt::runtime::{
@@ -40,34 +41,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// The determinism lockdown's three degraded corpora.
-const SEEDS: [u64; 3] = [0xDE7_001, 0xDE7_002, 0xDE7_003];
-
 /// Honour FUZZ_CASES when set; default to a CI-friendly 64.
 fn fuzz_cases() -> u64 {
     std::env::var("FUZZ_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(64)
-}
-
-/// A learned rule set over the tiny suite with seed-specific extra
-/// debug-map degradation (identical to `tests/determinism.rs`).
-fn learned_for(seed: u64) -> RuleSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let profile = DegradeProfile {
-        drop: 0.15,
-        merge: 0.08,
-        skew: 0.05,
-    };
-    let mut learned = RuleSet::new();
-    for w in &suite(Scale::tiny()) {
-        let debug = degrade(&w.debug, profile, &mut rng);
-        let mut r = RuleSet::new();
-        learn_into(&mut r, &w.pair, &debug, LearnConfig::default());
-        learned.merge(r);
-    }
-    learned
 }
 
 fn run_with(rules: &RuleSet, jobs: usize, backend: BackendKind) -> Report {

@@ -12,36 +12,14 @@
 //! of the report and legitimately differ between engine `jobs` values.
 //! Reports are compared stripped (`Report::stripped`).
 
-use pdbt::compiler::{degrade, DegradeProfile};
+mod common;
+
+use common::{learned_for, SEEDS};
 use pdbt::core::derive::{derive_jobs, DeriveConfig};
-use pdbt::core::learning::{learn_into, LearnConfig};
 use pdbt::core::{save_rules, RuleSet};
 use pdbt::runtime::{Engine, EngineConfig, Report};
 use pdbt::workloads::{suite, Scale};
 use pdbt_symexec::CheckOptions;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const SEEDS: [u64; 3] = [0xDE7_001, 0xDE7_002, 0xDE7_003];
-
-/// A learned rule set over the tiny suite with seed-specific extra
-/// debug-map degradation, so each seed trains on a distinct corpus.
-fn learned_for(seed: u64) -> RuleSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let profile = DegradeProfile {
-        drop: 0.15,
-        merge: 0.08,
-        skew: 0.05,
-    };
-    let mut learned = RuleSet::new();
-    for w in &suite(Scale::tiny()) {
-        let debug = degrade(&w.debug, profile, &mut rng);
-        let mut r = RuleSet::new();
-        learn_into(&mut r, &w.pair, &debug, LearnConfig::default());
-        learned.merge(r);
-    }
-    learned
-}
 
 /// A fixed-configuration engine run over one of the suite's workloads.
 fn run_fixed(rules: &RuleSet) -> Report {

@@ -12,10 +12,9 @@
 
 use pdbt::arm::{builders as g, Inst, MemAddr, Operand, Program, Reg, ShiftKind};
 use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::core::learning::LearnConfig;
 use pdbt::core::RuleSet;
 use pdbt::runtime::{Engine, EngineConfig, RunSetup};
-use pdbt::workloads::{train_excluding, Benchmark, Scale};
+use pdbt::workloads::{learn_suite, Benchmark, Scale};
 use pdbt_symexec::CheckOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +35,7 @@ fn rules() -> &'static RuleSet {
     static RULES: OnceLock<RuleSet> = OnceLock::new();
     RULES.get_or_init(|| {
         let suite = pdbt::workloads::suite(Scale::tiny());
-        let learned = train_excluding(&suite, Benchmark::Mcf, LearnConfig::default());
+        let learned = learn_suite(&suite, Some(Benchmark::Mcf));
         let (full, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
         full
     })

@@ -5,10 +5,9 @@
 //! workload, at every worker count, and across budget truncation.
 
 use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::core::learning::{learn_into, LearnConfig};
 use pdbt::core::RuleSet;
 use pdbt::runtime::{Engine, EngineConfig, Outcome, Report, RunSetup};
-use pdbt::workloads::{run_reference, suite, Scale, Workload};
+use pdbt::workloads::{learn_suite, run_reference, suite, Scale, Workload};
 use pdbt_isa_arm::{builders as g, Operand as O, Program, Reg};
 use pdbt_symexec::CheckOptions;
 
@@ -38,12 +37,8 @@ fn run_with(w: &Workload, rules: Option<&RuleSet>, cfg: EngineConfig) -> Report 
 /// The paper's full rule set over the tiny suite (learned from all
 /// benchmarks — this file tests dispatch, not the training protocol).
 fn tiny_rules() -> RuleSet {
-    let mut learned = RuleSet::new();
-    for w in &suite(Scale::tiny()) {
-        learn_into(&mut learned, &w.pair, &w.debug, LearnConfig::default());
-    }
-    let (full, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
-    full
+    let learned = learn_suite(&suite(Scale::tiny()), None);
+    derive(&learned, DeriveConfig::full(), CheckOptions::default()).0
 }
 
 /// A two-level hot loop spanning three short blocks per inner

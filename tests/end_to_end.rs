@@ -1,84 +1,90 @@
 //! Cross-crate integration: the full paper pipeline at test scale.
 //!
-//! Builds the synthetic suite, trains leave-one-out, derives
-//! parameterized rules, and runs several benchmarks under every system
-//! configuration, checking output correctness against the reference
-//! interpreter and the evaluation's headline orderings.
+//! One tiny-scale [`Experiment`] — the suite, leave-one-out training,
+//! the staged derivations and the (configuration × benchmark) matrix —
+//! is shared by the tests below. Every cell it hands out has already
+//! been compared with the reference interpreter's output inside the
+//! fixture; the tests add the evaluation's headline orderings.
 
-use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::core::learning::LearnConfig;
-use pdbt::workloads::{run_dbt, run_reference, train_excluding, Benchmark, Scale};
-use pdbt_symexec::CheckOptions;
+use pdbt::workloads::{Benchmark, Config, Experiment, Scale};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-fn targets() -> [Benchmark; 3] {
-    [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Astar]
+/// The shared matrix. A test that panics mid-cell leaves it valid (cells
+/// are inserted whole, after their check), so poisoning is ignored and
+/// the other tests report their own results.
+fn matrix() -> MutexGuard<'static, Experiment> {
+    static MATRIX: OnceLock<Mutex<Experiment>> = OnceLock::new();
+    MATRIX
+        .get_or_init(|| Mutex::new(Experiment::new(Scale::tiny())))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The big hammer: every benchmark in the suite, under every
+/// configuration from the pure QEMU path to the fully parameterized
+/// DBT, must reproduce the reference interpreter's output exactly.
+#[test]
+fn all_twelve_benchmarks_are_translated_correctly() {
+    let mut exp = matrix();
+    for b in Benchmark::ALL {
+        for cfg in Config::ALL {
+            let report = exp.report(cfg, b).unwrap_or_else(|e| panic!("{e}"));
+            assert!(!report.output.is_empty(), "{b}: nothing to compare");
+        }
+        let coverage = exp.metrics(Config::Para, b).unwrap().coverage();
+        assert!(coverage > 0.80, "{b}: coverage {coverage:.3}");
+    }
 }
 
 #[test]
 fn every_configuration_is_correct_and_ordered() {
-    let scale = Scale::tiny();
-    let suite = pdbt::workloads::suite(scale);
-    for target in targets() {
-        let w = suite.iter().find(|w| w.bench == target).unwrap();
-        let golden = run_reference(w).expect("reference runs");
-        assert!(!golden.is_empty());
-
-        let learned = train_excluding(&suite, target, LearnConfig::default());
+    let mut exp = matrix();
+    for target in [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Astar] {
+        let learned = exp.rules_for(Config::WoPara, target).unwrap();
         assert!(learned.len() > 20, "{target}: learned {}", learned.len());
-        let (full, stats) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
-        assert!(stats.instantiated > stats.learned, "{target}: {stats:?}");
+        let full = exp.rules_for(Config::Para, target).unwrap();
+        assert!(
+            full.len() > learned.len(),
+            "{target}: {} instantiated from {} learned",
+            full.len(),
+            learned.len()
+        );
 
-        let qemu = run_dbt(w, None, true).expect("qemu config");
-        assert_eq!(qemu.output, golden, "{target}: qemu output");
-        assert_eq!(qemu.metrics.coverage(), 0.0);
-
-        let wo = run_dbt(w, Some(learned), false).expect("w/o para config");
-        assert_eq!(wo.output, golden, "{target}: w/o para output");
-
-        let para = run_dbt(w, Some(full), true).expect("para config");
-        assert_eq!(para.output, golden, "{target}: para output");
+        let qemu = exp.metrics(Config::Qemu, target).unwrap();
+        assert_eq!(qemu.coverage(), 0.0);
+        let wo = exp.metrics(Config::WoPara, target).unwrap();
+        let para = exp.metrics(Config::Para, target).unwrap();
 
         // Headline orderings (Figs 11/12): parameterization increases
         // coverage and reduces executed host instructions.
         assert!(
-            para.metrics.coverage() > wo.metrics.coverage(),
+            para.coverage() > wo.coverage(),
             "{target}: coverage {} vs {}",
-            para.metrics.coverage(),
-            wo.metrics.coverage()
+            para.coverage(),
+            wo.coverage()
         );
+        assert!(para.coverage() > 0.85, "{target}: {}", para.coverage());
         assert!(
-            para.metrics.coverage() > 0.85,
-            "{target}: {}",
-            para.metrics.coverage()
-        );
-        assert!(
-            para.metrics.host_executed() < qemu.metrics.host_executed(),
+            para.host_executed() < qemu.host_executed(),
             "{target}: para {} vs qemu {}",
-            para.metrics.host_executed(),
-            qemu.metrics.host_executed()
+            para.host_executed(),
+            qemu.host_executed()
         );
     }
 }
 
 #[test]
 fn ablation_stages_are_monotone_in_coverage() {
-    let scale = Scale::tiny();
-    let suite = pdbt::workloads::suite(scale);
-    let target = Benchmark::Sjeng;
-    let w = suite.iter().find(|w| w.bench == target).unwrap();
-    let learned = train_excluding(&suite, target, LearnConfig::default());
-    let check = CheckOptions::default();
-    let (opcode, _) = derive(&learned, DeriveConfig::opcode_only(), check);
-    let (addr, _) = derive(&learned, DeriveConfig::opcode_addrmode(), check);
-    let (full, _) = derive(&learned, DeriveConfig::full(), check);
-
-    let c0 = run_dbt(w, Some(learned), false).unwrap().metrics.coverage();
-    let c1 = run_dbt(w, Some(opcode), false).unwrap().metrics.coverage();
-    let c2 = run_dbt(w, Some(addr), false).unwrap().metrics.coverage();
-    let c3 = run_dbt(w, Some(full), true).unwrap().metrics.coverage();
-    assert!(c0 <= c1 + 1e-9, "{c0} {c1}");
-    assert!(c1 <= c2 + 1e-9, "{c1} {c2}");
-    assert!(c2 < c3, "{c2} {c3}");
+    let mut exp = matrix();
+    for b in Benchmark::ALL {
+        let c: Vec<f64> = Config::ALL[1..]
+            .iter()
+            .map(|cfg| exp.metrics(*cfg, b).unwrap().coverage())
+            .collect();
+        assert!(c[0] <= c[1] + 1e-9, "{b}: {c:?}");
+        assert!(c[1] <= c[2] + 1e-9, "{b}: {c:?}");
+        assert!(c[2] < c[3], "{b}: {c:?}");
+    }
 }
 
 #[test]
@@ -103,12 +109,9 @@ fn unlearnable_instructions_fall_back_but_stay_correct() {
             g::svc(0),
         ],
     );
-    let scale = Scale::tiny();
-    let suite = pdbt::workloads::suite(scale);
-    let learned = train_excluding(&suite, Benchmark::Mcf, LearnConfig::default());
-    let (full, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
+    let full = matrix().rules_for(Config::Para, Benchmark::Mcf);
     let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
-    let mut engine = Engine::new(Some(full), EngineConfig::default());
+    let mut engine = Engine::new(full, EngineConfig::default());
     let report = engine.run(&prog, &setup).unwrap();
     // Reference.
     let mut cpu = pdbt::arm::Cpu::new();

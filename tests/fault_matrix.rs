@@ -12,10 +12,9 @@
 #![cfg(feature = "faults")]
 
 use pdbt::core::derive::{derive_jobs, DeriveConfig};
-use pdbt::core::learning::{learn_into, LearnConfig};
 use pdbt::core::{load_rules_salvage, save_rules, RuleSet};
 use pdbt::runtime::{Engine, EngineConfig, Outcome};
-use pdbt::workloads::{run_reference, suite, Scale, Workload};
+use pdbt::workloads::{learn_suite, run_reference, suite, Scale, Workload};
 use pdbt_faults::{Plan, Site};
 use pdbt_symexec::CheckOptions;
 use std::sync::Mutex;
@@ -34,16 +33,6 @@ fn rate_for(site: Site) -> f64 {
         Site::Store => 0.5,
         Site::Cache => 1.0,
     }
-}
-
-fn learn_tiny() -> RuleSet {
-    let mut rules = RuleSet::new();
-    for w in &suite(Scale::tiny()) {
-        let mut r = RuleSet::new();
-        learn_into(&mut r, &w.pair, &w.debug, LearnConfig::default());
-        rules.merge(r);
-    }
-    rules
 }
 
 /// Runs `workload` under the DBT with `rules`, folding `quarantined`
@@ -79,7 +68,7 @@ fn every_fault_site_degrades_instead_of_aborting() {
     let workloads = suite(Scale::tiny());
     let w = &workloads[0];
     let golden = run_reference(w).expect("reference runs");
-    let learned = learn_tiny();
+    let learned = learn_suite(&suite(Scale::tiny()), None);
     // The derivation pipeline is untouched by store/cache faults, so
     // one clean derive serves all their cases.
     let (clean, _) = derive_jobs(&learned, DeriveConfig::full(), CheckOptions::default(), 4);
@@ -160,7 +149,7 @@ fn mixed_fault_run_still_matches_reference() {
     let workloads = suite(Scale::tiny());
     let w = &workloads[0];
     let golden = run_reference(w).expect("reference runs");
-    let learned = learn_tiny();
+    let learned = learn_suite(&suite(Scale::tiny()), None);
     quiet_panics(|| {
         for seed in SEEDS {
             pdbt_faults::configure(Some(Plan::all_sites(seed, 0.3)));
@@ -188,7 +177,7 @@ fn poisoned_block_breaks_its_chain_and_the_run_completes() {
     let workloads = suite(Scale::tiny());
     let w = &workloads[0];
     let golden = run_reference(w).expect("reference runs");
-    let learned = learn_tiny();
+    let learned = learn_suite(&suite(Scale::tiny()), None);
     let (clean, _) = derive_jobs(&learned, DeriveConfig::full(), CheckOptions::default(), 4);
     // 0.3 leaves translated and interpreted blocks interleaved, so
     // chains form around the poisoned pcs instead of vanishing wholesale.
@@ -253,7 +242,7 @@ fn poisoned_block_breaks_its_chain_and_the_run_completes() {
 #[test]
 fn quarantined_derivation_is_bit_identical_serial_and_parallel() {
     let _guard = PLAN.lock().unwrap();
-    let learned = learn_tiny();
+    let learned = learn_suite(&suite(Scale::tiny()), None);
     let derive_plan = |seed| Plan {
         seed,
         rate: 0.05,

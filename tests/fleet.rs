@@ -7,52 +7,23 @@
 //! byte-level fixpoint `pdbt compile` produces, and pushed artifacts
 //! must obey the generation order.
 
+mod common;
+
+use common::{mcf_request, oracle_run, spawn_server, stripped, T};
 use pdbt::artifact::{open_salvage, seal, warm_state};
 use pdbt::fleet::artifact_file_name;
 use pdbt::obs::json::Json;
-use pdbt::runtime::{Engine, EngineConfig, Report};
+use pdbt::runtime::{Engine, EngineConfig};
 use pdbt::workloads::{build, Benchmark, Scale};
-use pdbt_serve::{ping, push_artifact, shutdown, submit, ServeConfig, ServeSummary, Server};
-use std::net::SocketAddr;
+use pdbt_serve::{ping, push_artifact, shutdown, submit, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Socket timeout for every client call; far above any tiny-scale run.
-const T: Duration = Duration::from_secs(120);
-
-fn spawn_server(cfg: ServeConfig) -> (SocketAddr, std::thread::JoinHandle<ServeSummary>) {
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle)
-}
-
-/// A cold standalone run of the corpus and configuration the server
-/// uses per session (`EngineConfig::default()`, one thread).
-fn oracle_run() -> Report {
-    let w = build(Benchmark::Mcf, Scale::tiny());
-    let mut engine = Engine::new(None, EngineConfig::default());
-    engine
-        .run(&w.pair.guest.program, &w.setup())
-        .expect("oracle run")
-}
-
-/// The stripped report minus `pool` (work-stealing schedule, which
-/// shifts when warm tasks complete instantly). Everything else must be
-/// bit-identical between a replicated warm session and a cold run.
-fn stripped(report: &Json) -> String {
-    let mut doc = Report::stripped(report);
-    doc.remove_path("pool");
-    doc.to_string()
-}
-
-fn mcf_request(id: u64) -> Json {
-    Json::obj([
-        ("id", Json::from(id)),
-        ("workload", Json::str("mcf")),
-        ("scale", Json::str("tiny")),
-    ])
-}
+/// On top of the stripped report these suites ignore `pool`: the
+/// work-stealing schedule shifts when warm tasks complete instantly.
+/// Everything else must be bit-identical between a replicated warm
+/// session and a cold run.
+const POOL: &[&str] = &["pool"];
 
 fn fleet_field(pong: &Json, name: &str) -> u64 {
     pong.get("fleet")
@@ -109,8 +80,8 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
         Some("completed")
     );
     assert_eq!(
-        stripped(first.get("report").expect("report")),
-        stripped(&oracle_json),
+        stripped(first.get("report").expect("report"), POOL),
+        stripped(&oracle_json, POOL),
         "the follower's first request diverged from the sequential cold oracle"
     );
 
@@ -181,7 +152,10 @@ fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
         .run(&w.pair.guest.program, &w.setup())
         .expect("warm run");
     assert_eq!(warm.server.translate_calls, 0);
-    assert_eq!(stripped(&warm.to_json()), stripped(&cold.to_json()));
+    assert_eq!(
+        stripped(&warm.to_json(), POOL),
+        stripped(&cold.to_json(), POOL)
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

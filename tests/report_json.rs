@@ -4,13 +4,14 @@
 //! per-rule dynamic coverage counts sum to the engine's `rule_covered`
 //! metric.
 
+mod common;
+
+use common::pdbt;
 use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::core::learning::{learn_into, LearnConfig};
-use pdbt::core::{save_rules, RuleSet};
+use pdbt::core::save_rules;
 use pdbt::obs::json::Json;
-use pdbt::workloads::{suite, Scale};
+use pdbt::workloads::{learn_suite, suite, Scale};
 use pdbt_symexec::CheckOptions;
-use std::process::Command;
 
 const GUEST: &str = "\
 mov r0, #5
@@ -24,13 +25,7 @@ svc #0
 ";
 
 fn train_rules() -> String {
-    let suite = suite(Scale::tiny());
-    let mut learned = RuleSet::new();
-    for w in &suite {
-        let mut r = RuleSet::new();
-        learn_into(&mut r, &w.pair, &w.debug, LearnConfig::default());
-        learned.merge(r);
-    }
+    let learned = learn_suite(&suite(Scale::tiny()), None);
     let (full, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
     save_rules(&full)
 }
@@ -39,24 +34,13 @@ fn train_rules() -> String {
 fn report_json_attribution_sums_to_rule_covered() {
     let dir = std::env::temp_dir().join(format!("pdbt-report-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let prog = dir.join("loop.s");
-    let rules = dir.join("rules.txt");
-    let report = dir.join("report.json");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (prog, rules, report) = (path("loop.s"), path("rules.txt"), path("report.json"));
     std::fs::write(&prog, GUEST).unwrap();
     std::fs::write(&rules, train_rules()).unwrap();
 
-    let status = Command::new(env!("CARGO_BIN_EXE_pdbt"))
-        .args([
-            "run",
-            prog.to_str().unwrap(),
-            "--rules",
-            rules.to_str().unwrap(),
-            "--report-json",
-            report.to_str().unwrap(),
-        ])
-        .status()
-        .expect("pdbt binary runs");
-    assert!(status.success());
+    let run = pdbt(&["run", &prog, "--rules", &rules, "--report-json", &report]);
+    assert!(run.status.success());
 
     let text = std::fs::read_to_string(&report).unwrap();
     let doc = Json::parse(&text).expect("report is valid JSON");
@@ -154,19 +138,11 @@ fn assert_no_negative_int(doc: &Json, path: &str) {
 fn env_fallback_delegations_report_no_negative_numbers() {
     let dir = std::env::temp_dir().join(format!("pdbt-fallback-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let prog = dir.join("fallback.s");
-    let report = dir.join("report.json");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (prog, report) = (path("fallback.s"), path("report.json"));
     std::fs::write(&prog, FALLBACK_GUEST).unwrap();
 
-    let out = Command::new(env!("CARGO_BIN_EXE_pdbt"))
-        .args([
-            "stats",
-            prog.to_str().unwrap(),
-            "--report-json",
-            report.to_str().unwrap(),
-        ])
-        .output()
-        .expect("pdbt binary runs");
+    let out = pdbt(&["stats", &prog, "--report-json", &report]);
     assert!(out.status.success());
     let table = String::from_utf8(out.stdout).unwrap();
     assert!(!table.contains(&u64::MAX.to_string()), "{table}");

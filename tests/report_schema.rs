@@ -19,12 +19,11 @@
 
 mod common;
 
-use common::{assert_schema, family_paths, schema_paths};
+use common::{assert_schema, family_paths, pdbt, schema_paths};
 use pdbt::obs::json::Json;
 use pdbt::obs::{ArtifactSnapshot, DispatchCounters, ServerSnapshot};
 use pdbt::runtime::{Metrics, Resilience};
 use std::collections::BTreeSet;
-use std::process::Command;
 
 /// A guest that exercises every report section: rule-covered ALU work,
 /// an unlearnable (`mul`) to force lookup misses, a flag-delegated
@@ -48,33 +47,26 @@ svc #0
 fn report_json_schema_matches_golden() {
     let dir = std::env::temp_dir().join(format!("pdbt-schema-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let prog = dir.join("prog.s");
-    let rules = dir.join("rules.txt");
-    let report = dir.join("report.json");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (prog, rules, report) = (path("prog.s"), path("rules.txt"), path("report.json"));
     std::fs::write(&prog, GUEST).unwrap();
 
-    let status = Command::new(env!("CARGO_BIN_EXE_pdbt"))
-        .args(["train", "--scale", "tiny", "-o", rules.to_str().unwrap()])
-        .status()
-        .expect("pdbt train runs");
-    assert!(status.success());
+    let train = pdbt(&["train", "--scale", "tiny", "-o", &rules]);
+    assert!(train.status.success());
 
     // `--jobs 2` prewarms through the worker pool, so the pool and
     // per-shard cache sections carry real data.
-    let status = Command::new(env!("CARGO_BIN_EXE_pdbt"))
-        .args([
-            "stats",
-            prog.to_str().unwrap(),
-            "--rules",
-            rules.to_str().unwrap(),
-            "--jobs",
-            "2",
-            "--report-json",
-            report.to_str().unwrap(),
-        ])
-        .status()
-        .expect("pdbt stats runs");
-    assert!(status.success());
+    let stats = pdbt(&[
+        "stats",
+        &prog,
+        "--rules",
+        &rules,
+        "--jobs",
+        "2",
+        "--report-json",
+        &report,
+    ]);
+    assert!(stats.status.success());
 
     let text = std::fs::read_to_string(&report).unwrap();
     let doc = Json::parse(&text).expect("report is valid JSON");

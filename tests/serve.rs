@@ -7,48 +7,14 @@
 
 mod common;
 
-use common::{assert_schema, family_paths, schema_paths};
+use common::{
+    assert_schema, family_paths, mcf_request, oracle_run, schema_paths, spawn_server, stripped, T,
+};
 use pdbt::obs::json::Json;
 use pdbt::obs::{FleetSnapshot, ServerSnapshot};
-use pdbt::runtime::{Engine, EngineConfig, Report};
-use pdbt::workloads::{build, Benchmark, Scale};
-use pdbt_serve::{ping, shutdown, stats, submit, ServeConfig, ServeSummary, Server};
+use pdbt_serve::{ping, shutdown, stats, submit, ServeConfig};
 use std::net::SocketAddr;
 use std::time::Duration;
-
-/// Socket timeout for every client call; far above any tiny-scale run.
-const T: Duration = Duration::from_secs(120);
-
-fn spawn_server(cfg: ServeConfig) -> (SocketAddr, std::thread::JoinHandle<ServeSummary>) {
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle)
-}
-
-/// A cold standalone run of the same corpus and configuration the
-/// server uses per session (`EngineConfig::default()`, one thread).
-fn oracle_run() -> Report {
-    let w = build(Benchmark::Mcf, Scale::tiny());
-    let mut engine = Engine::new(None, EngineConfig::default());
-    engine
-        .run(&w.pair.guest.program, &w.setup())
-        .expect("oracle run")
-}
-
-/// The stripped report ([`Report::stripped`]): everything in it must
-/// match a cold run exactly.
-fn stripped(report: &Json) -> String {
-    Report::stripped(report).to_string()
-}
-
-fn mcf_request(id: u64) -> Json {
-    Json::obj([
-        ("id", Json::from(id)),
-        ("workload", Json::str("mcf")),
-        ("scale", Json::str("tiny")),
-    ])
-}
 
 /// A STATS snapshot taken once the daemon has folded `served` requests
 /// into its telemetry plane. A worker records a request (and leaves
@@ -102,8 +68,8 @@ fn eight_concurrent_sessions_are_bit_identical_to_sequential_runs() {
             "session did not complete: {resp}"
         );
         assert_eq!(
-            stripped(report_of(resp)),
-            stripped(&oracle_json),
+            stripped(report_of(resp), &[]),
+            stripped(&oracle_json, &[]),
             "a warm concurrent session's report diverged from the cold oracle"
         );
     }
@@ -127,7 +93,7 @@ fn eight_concurrent_sessions_are_bit_identical_to_sequential_runs() {
     let calls_before = field("translate_calls");
     assert!(calls_before >= blocks, "cold sessions translated nothing");
     let warm = submit(addr, &mcf_request(8), T).expect("warm submit");
-    assert_eq!(stripped(report_of(&warm)), stripped(&oracle_json));
+    assert_eq!(stripped(report_of(&warm), &[]), stripped(&oracle_json, &[]));
     let pong = ping(addr, T).expect("ping");
     let calls_after = pong
         .get("server")
@@ -321,8 +287,8 @@ fn fault_armed_and_deadline_requests_leave_neighbours_untouched() {
             Some("completed")
         );
         assert_eq!(
-            stripped(report_of(resp)),
-            stripped(&oracle_json),
+            stripped(report_of(resp), &[]),
+            stripped(&oracle_json, &[]),
             "a clean session was perturbed by a fault-armed neighbour"
         );
     }

@@ -15,10 +15,9 @@
 //! aliased as `rand`) — the offline build has no proptest.
 
 use pdbt::artifact::{open_salvage, seal, section_table, warm_state};
-use pdbt::core::learning::{learn_into, LearnConfig};
-use pdbt::core::{load_rules, load_rules_salvage, save_rules, RuleSet};
+use pdbt::core::{load_rules, load_rules_salvage, save_rules};
 use pdbt::runtime::{Engine, EngineConfig, RunSetup};
-use pdbt::workloads::{suite, Scale};
+use pdbt::workloads::{learn_suite, suite, Scale};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -33,13 +32,7 @@ fn cases() -> usize {
 
 /// A realistic store: everything learnable from the tiny suite.
 fn healthy_store() -> String {
-    let mut rules = RuleSet::new();
-    for w in &suite(Scale::tiny()) {
-        let mut r = RuleSet::new();
-        learn_into(&mut r, &w.pair, &w.debug, LearnConfig::default());
-        rules.merge(r);
-    }
-    let text = save_rules(&rules);
+    let text = save_rules(&learn_suite(&suite(Scale::tiny()), None));
     assert!(
         text.is_ascii(),
         "store format is ASCII; mutations slice bytes"
@@ -224,12 +217,7 @@ fn fuzz_setup() -> RunSetup {
 fn sealed_fixture() -> &'static (Vec<u8>, Vec<u32>) {
     static FIXTURE: OnceLock<(Vec<u8>, Vec<u32>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let mut rules = RuleSet::new();
-        for w in &suite(Scale::tiny()) {
-            let mut r = RuleSet::new();
-            learn_into(&mut r, &w.pair, &w.debug, LearnConfig::default());
-            rules.merge(r);
-        }
+        let rules = learn_suite(&suite(Scale::tiny()), None);
         let prog = fuzz_program();
         let artifact = pdbt::artifact::compile(
             &prog,
