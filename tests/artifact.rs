@@ -15,11 +15,12 @@
 
 mod common;
 
-use common::{learned_for, mcf_request, spawn_server, stripped, SEEDS, T};
+use common::{assert_golden, learned_for, mcf_request, spawn_server, stripped, SEEDS, T};
+use pdbt::artifact::bytes::crc32;
 use pdbt::artifact::{open_salvage, seal, warm_state};
 use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig, Report, RunSetup};
-use pdbt::workloads::{build, suite, Benchmark, Scale};
+use pdbt::workloads::{build, suite, Benchmark, Config, Experiment, Scale};
 use pdbt_serve::{ping, shutdown, submit, ServeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -158,6 +159,39 @@ fn seal_open_seal_is_a_byte_fixpoint() {
             "seed {seed:#x}: seal(open(seal)) diverged"
         );
     }
+}
+
+/// Translation identity, pinned: the sealed artifact of every workload
+/// under the paper's protocol (leave-one-out `para.` rules) and under no
+/// rules is held to the length and CRC recorded in
+/// `tests/golden/artifact_digests.txt`. A change that is not meant to
+/// move a translated byte, a sealed rule or a trace must leave the file
+/// alone; one that is refreshes it with `UPDATE_GOLDEN=1` and reviews
+/// the diff.
+#[test]
+fn sealed_artifact_digests_match_the_golden() {
+    let mut exp = Experiment::new(Scale::tiny());
+    let mut got = String::new();
+    for bench in Benchmark::ALL {
+        for (name, rules) in [("para", exp.rules_for(Config::Para, bench)), ("none", None)] {
+            let w = build(bench, Scale::tiny());
+            let artifact = pdbt::artifact::compile(
+                &w.pair.guest.program,
+                rules.as_ref(),
+                &w.setup(),
+                EngineConfig::default(),
+                &format!("{bench}/tiny"),
+            )
+            .unwrap_or_else(|e| panic!("{bench} {name}: {e}"));
+            let bytes = seal(&artifact);
+            got.push_str(&format!(
+                "{bench} {name} {} {:08x}\n",
+                bytes.len(),
+                crc32(&bytes)
+            ));
+        }
+    }
+    assert_golden(&got, "artifact_digests.txt");
 }
 
 /// Randomized-workload fixpoint: seeded straight-line ALU programs,

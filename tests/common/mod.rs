@@ -125,20 +125,25 @@ pub fn family_paths(prefix: &str, fields: &[&str]) -> Vec<String> {
 }
 
 /// Asserts `paths` contains every `required` path and equals the golden
-/// file `tests/golden/<name>`; `UPDATE_GOLDEN=1` rewrites the file
-/// first.
+/// file `tests/golden/<name>` ([`assert_golden`]).
 pub fn assert_schema(paths: BTreeSet<String>, required: &[String], name: &str) {
     for path in required {
         assert!(paths.contains(path), "{name}: missing the `{path}` field");
     }
     let got = paths.into_iter().collect::<Vec<_>>().join("\n") + "\n";
+    assert_golden(&got, name);
+}
+
+/// Asserts `got` equals the golden file `tests/golden/<name>`;
+/// `UPDATE_GOLDEN=1` rewrites the file first.
+pub fn assert_golden(got: &str, name: &str) {
     let golden_path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&golden_path, &got).unwrap();
+        std::fs::write(&golden_path, got).unwrap();
     }
     let want = std::fs::read_to_string(&golden_path).expect("golden file present");
     assert_eq!(
         got, want,
-        "{name}: schema changed; review and refresh with UPDATE_GOLDEN=1"
+        "{name} changed; review and refresh with UPDATE_GOLDEN=1"
     );
 }
