@@ -430,7 +430,7 @@ pub fn derive_jobs(
     for (c, outcome) in candidates.iter().zip(outcomes) {
         match outcome {
             Some(Outcome::Accepted(entry)) => {
-                if out.insert(c.key.clone(), *entry) {
+                if out.insert(vec![c.key.clone()], *entry) {
                     stats.derived += 1;
                 }
             }
@@ -464,7 +464,7 @@ mod tests {
         let flags = verify_combo(&p.key, &template, CheckOptions::default()).unwrap();
         let mut rs = RuleSet::new();
         rs.insert(
-            p.key,
+            vec![p.key],
             RuleEntry {
                 template,
                 flags,
@@ -570,7 +570,7 @@ mod tests {
         let template = emit_for(&p.key).unwrap();
         let flags = verify_combo(&p.key, &template, CheckOptions::default()).unwrap();
         rs.insert(
-            p.key,
+            vec![p.key],
             RuleEntry {
                 template,
                 flags,
@@ -662,7 +662,7 @@ mod tests {
             let template = emit_for(&p.key).unwrap();
             let flags = verify_combo(&p.key, &template, CheckOptions::default()).unwrap();
             rs.insert(
-                p.key,
+                vec![p.key],
                 RuleEntry {
                     template,
                     flags,

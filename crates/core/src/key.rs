@@ -93,26 +93,67 @@ pub struct Parameterized {
     pub inst: Instantiation,
 }
 
-struct Builder {
-    modes: Vec<ModeTag>,
-    reg_pattern: Vec<u8>,
+/// The one walk over guest operands: scans the longest clean prefix of
+/// an instruction window, numbering register slots by first appearance
+/// and collecting immediates in scan order *across the whole window*, so
+/// the keys' `reg_pattern`s index shared slots and `Vec<ComboKey>` is
+/// the canonical key of the window. [`parameterize`] is the
+/// one-instruction call.
+///
+/// The scan is prefix-stable — the keys, slots and immediates of the
+/// first `len` instructions are literal prefixes of the whole scan's —
+/// and every rejection (predication, a banned opcode, an opaque operand,
+/// a PC slot) is pinned to the instruction that introduces it, so
+/// validity is monotone in the prefix length. One scan therefore serves
+/// every candidate length of a longest-first lookup.
+/// `tests/scan_props.rs` holds it to both.
+#[derive(Debug, Clone, Default)]
+pub struct Scan {
+    keys: Vec<ComboKey>,
     slots: Vec<Reg>,
     imms: Vec<u32>,
-    opaque: bool,
 }
 
-impl Builder {
-    fn new() -> Builder {
-        Builder {
-            modes: Vec::new(),
-            reg_pattern: Vec::new(),
-            slots: Vec::new(),
-            imms: Vec::new(),
-            opaque: false,
+impl Scan {
+    /// Scans at most `max_len` instructions, stopping at the first one
+    /// outside the rule-translatable universe (branches, stack ops,
+    /// predicated execution, system calls, floating point, PC-mentioning
+    /// operands — the paper's Fig 9 constraint).
+    #[must_use]
+    pub fn of<'a>(insts: impl IntoIterator<Item = &'a Inst>, max_len: usize) -> Scan {
+        let mut scan = Scan::default();
+        for inst in insts.into_iter().take(max_len) {
+            if inst.cond != pdbt_isa::Cond::Al
+                || matches!(
+                    inst.op,
+                    Op::B | Op::Bl | Op::Bx | Op::Push | Op::Pop | Op::Svc
+                )
+            {
+                break;
+            }
+            let (n_slots, n_imms) = (scan.slots.len(), scan.imms.len());
+            let mut key = ComboKey {
+                op: inst.op,
+                s: inst.s,
+                modes: Vec::with_capacity(inst.operands.len()),
+                reg_pattern: Vec::with_capacity(inst.operands.len()),
+            };
+            let mut opaque = false;
+            for o in &inst.operands {
+                opaque |= !scan.operand(&mut key, o);
+            }
+            // A PC slot seen earlier would already have stopped the scan.
+            if opaque || scan.slots[n_slots..].iter().any(|r| r.is_pc()) {
+                scan.slots.truncate(n_slots);
+                scan.imms.truncate(n_imms);
+                break;
+            }
+            scan.keys.push(key);
         }
+        scan
     }
 
-    fn reg(&mut self, r: Reg) {
+    fn reg(&mut self, key: &mut ComboKey, r: Reg) {
         let idx = match self.slots.iter().position(|s| *s == r) {
             Some(i) => i,
             None => {
@@ -120,94 +161,134 @@ impl Builder {
                 self.slots.len() - 1
             }
         };
-        self.reg_pattern.push(idx as u8);
+        key.reg_pattern.push(idx as u8);
     }
 
-    fn operand(&mut self, o: &Operand) {
+    /// Appends one operand to `key`; `false` for the unparameterizable
+    /// shapes.
+    fn operand(&mut self, key: &mut ComboKey, o: &Operand) -> bool {
         match o {
             Operand::Reg(r) => {
-                self.modes.push(ModeTag::Reg);
-                self.reg(*r);
+                key.modes.push(ModeTag::Reg);
+                self.reg(key, *r);
             }
             Operand::Imm(v) => {
-                self.modes.push(ModeTag::Imm);
+                key.modes.push(ModeTag::Imm);
                 self.imms.push(*v);
             }
             Operand::Shifted { rm, kind, amount } => {
-                self.modes.push(ModeTag::Shifted(*kind));
-                self.reg(*rm);
+                key.modes.push(ModeTag::Shifted(*kind));
+                self.reg(key, *rm);
                 self.imms.push(u32::from(*amount));
             }
             Operand::Mem(MemAddr::BaseImm { base, offset }) => {
-                self.modes.push(ModeTag::MemBaseImm);
-                self.reg(*base);
+                key.modes.push(ModeTag::MemBaseImm);
+                self.reg(key, *base);
                 self.imms.push(*offset as u32);
             }
             Operand::Mem(MemAddr::BaseReg { base, index }) => {
-                self.modes.push(ModeTag::MemBaseReg);
-                self.reg(*base);
-                self.reg(*index);
+                key.modes.push(ModeTag::MemBaseReg);
+                self.reg(key, *base);
+                self.reg(key, *index);
             }
-            Operand::FReg(_) | Operand::RegList(_) | Operand::Target(_) => {
-                self.modes.push(ModeTag::Opaque);
-                self.opaque = true;
-            }
+            Operand::FReg(_) | Operand::RegList(_) | Operand::Target(_) => return false,
+        }
+        true
+    }
+
+    /// Longest prefix length that parameterizes cleanly.
+    #[must_use]
+    pub fn valid_len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The first instruction's key — what [`parameterize`] gives it —
+    /// unless that instruction is outside the universe.
+    #[must_use]
+    pub fn first(&self) -> Option<&ComboKey> {
+        self.keys.first()
+    }
+
+    /// The key of the first `len` instructions (`len <= valid_len`).
+    #[must_use]
+    pub fn keys(&self, len: usize) -> &[ComboKey] {
+        &self.keys[..len]
+    }
+
+    /// The registers bound by the first `len` instructions, by slot.
+    #[must_use]
+    pub fn slots(&self, len: usize) -> &[Reg] {
+        &self.slots[..seq_arity(self.keys(len)).0]
+    }
+
+    /// The immediates consumed by the first `len` instructions.
+    #[must_use]
+    pub fn imms(&self, len: usize) -> &[u32] {
+        &self.imms[..seq_arity(self.keys(len)).1]
+    }
+
+    /// The concrete instantiation of the first `len` instructions.
+    #[must_use]
+    pub fn instantiation(&self, len: usize) -> Instantiation {
+        Instantiation {
+            slots: self.slots(len).to_vec(),
+            imms: self.imms(len).to_vec(),
         }
     }
 }
 
 /// Parameterizes a guest instruction into its combo key and concrete
 /// instantiation. Returns `None` for instructions outside the
-/// rule-translatable universe (branches, stack ops, predicated
-/// execution, system calls, floating point, PC-mentioning operands —
-/// the paper's Fig 9 constraint).
+/// rule-translatable universe (see [`Scan::of`]).
 #[must_use]
 pub fn parameterize(inst: &Inst) -> Option<Parameterized> {
-    if inst.cond != pdbt_isa::Cond::Al {
-        return None;
-    }
-    if matches!(
-        inst.op,
-        Op::B | Op::Bl | Op::Bx | Op::Push | Op::Pop | Op::Svc
-    ) {
-        return None;
-    }
-    let mut b = Builder::new();
-    for o in &inst.operands {
-        b.operand(o);
-    }
-    if b.opaque || b.slots.iter().any(|r| r.is_pc()) {
-        return None;
-    }
+    let (mut keys, inst) = parameterize_seq(std::slice::from_ref(inst))?;
     Some(Parameterized {
-        key: ComboKey {
-            op: inst.op,
-            s: inst.s,
-            modes: b.modes,
-            reg_pattern: b.reg_pattern,
-        },
-        inst: Instantiation {
-            slots: b.slots,
-            imms: b.imms,
-        },
+        key: keys.pop()?,
+        inst,
     })
 }
 
-/// Reconstructs a concrete guest instruction from a key and an
-/// instantiation — the inverse of [`parameterize`], used to build
-/// verification instances of derived rules (paper §IV-C: "we first
-/// instantiate all possible derived rules from the parameterized rule,
-/// and verify each").
+/// Parameterizes a short *sequence* of guest instructions as one unit —
+/// the whole-window [`Scan`]. Learned sequence rules use this; per §V-D
+/// they are matched as-is and never parameterized further.
+#[must_use]
+pub fn parameterize_seq(insts: &[Inst]) -> Option<(Vec<ComboKey>, Instantiation)> {
+    let scan = Scan::of(insts, insts.len());
+    let whole = !insts.is_empty() && scan.valid_len() == insts.len();
+    whole.then_some((
+        scan.keys,
+        Instantiation {
+            slots: scan.slots,
+            imms: scan.imms,
+        },
+    ))
+}
+
+/// Reconstructs a concrete instruction sequence from a key and an
+/// instantiation — the inverse of [`parameterize_seq`], used to build
+/// verification instances of learned and derived rules (paper §IV-C: "we
+/// first instantiate all possible derived rules from the parameterized
+/// rule, and verify each").
 ///
 /// Returns `None` if the slot/immediate counts do not fit the key.
 #[must_use]
-pub fn reconstruct(key: &ComboKey, inst: &Instantiation) -> Option<Inst> {
-    reconstruct_from(key, &inst.slots, &inst.imms)
+pub fn reconstruct_seq(keys: &[ComboKey], inst: &Instantiation) -> Option<Vec<Inst>> {
+    let mut imms = inst.imms.iter();
+    let out: Option<Vec<Inst>> = keys
+        .iter()
+        .map(|key| reconstruct_one(key, &inst.slots, &mut imms))
+        .collect();
+    out.filter(|_| imms.next().is_none())
 }
 
-fn reconstruct_from(key: &ComboKey, slots: &[Reg], imms: &[u32]) -> Option<Inst> {
+/// Reconstructs one instruction, taking its immediates off `imms`.
+fn reconstruct_one(
+    key: &ComboKey,
+    slots: &[Reg],
+    imms: &mut std::slice::Iter<'_, u32>,
+) -> Option<Inst> {
     let mut pattern = key.reg_pattern.iter();
-    let mut imms = imms.iter();
     let mut next_reg = || -> Option<Reg> {
         let slot = *pattern.next()?;
         slots.get(slot as usize).copied()
@@ -250,23 +331,19 @@ fn reconstruct_from(key: &ComboKey, slots: &[Reg], imms: &[u32]) -> Option<Inst>
     Some(out)
 }
 
-/// The number of register slots a key binds.
+/// The register slots and immediate slots a key (of any length) binds.
+/// Slots are numbered by first appearance, so the highest index
+/// mentioned names the count.
 #[must_use]
-pub fn slot_count(key: &ComboKey) -> usize {
-    key.reg_pattern
-        .iter()
-        .map(|p| *p as usize + 1)
-        .max()
-        .unwrap_or(0)
-}
-
-/// The number of immediate slots a key binds.
-#[must_use]
-pub fn imm_count(key: &ComboKey) -> usize {
-    key.modes
-        .iter()
-        .filter(|m| matches!(m, ModeTag::Imm | ModeTag::Shifted(_) | ModeTag::MemBaseImm))
-        .count()
+pub fn seq_arity(keys: &[ComboKey]) -> (usize, usize) {
+    let patterns = keys.iter().flat_map(|k| &k.reg_pattern);
+    let modes = keys.iter().flat_map(|k| &k.modes);
+    (
+        patterns.map(|p| usize::from(*p) + 1).max().unwrap_or(0),
+        modes
+            .filter(|m| matches!(m, ModeTag::Imm | ModeTag::Shifted(_) | ModeTag::MemBaseImm))
+            .count(),
+    )
 }
 
 #[cfg(test)]
@@ -407,8 +484,8 @@ mod tests {
         ];
         for inst in cases {
             let p = parameterize(&inst).unwrap_or_else(|| panic!("parameterize {inst}"));
-            let back = reconstruct(&p.key, &p.inst).unwrap_or_else(|| panic!("reconstruct {inst}"));
-            assert_eq!(back, inst, "roundtrip of {inst}");
+            let back = reconstruct_seq(&[p.key], &p.inst);
+            assert_eq!(back, Some(vec![inst.clone()]), "roundtrip of {inst}");
         }
     }
 
@@ -421,15 +498,14 @@ mod tests {
             slots: vec![Reg::R9, Reg::R10],
             imms: vec![],
         };
-        let inst = reconstruct(&p.key, &fresh).unwrap();
-        assert_eq!(inst, add(Reg::R9, Reg::R9, Operand::Reg(Reg::R10)));
+        let inst = reconstruct_seq(&[p.key], &fresh).unwrap();
+        assert_eq!(inst, [add(Reg::R9, Reg::R9, Operand::Reg(Reg::R10))]);
     }
 
     #[test]
     fn slot_and_imm_counts() {
         let p = parameterize(&add(Reg::R2, Reg::R0, Operand::Imm(5))).unwrap();
-        assert_eq!(slot_count(&p.key), 2);
-        assert_eq!(imm_count(&p.key), 1);
+        assert_eq!(seq_arity(&[p.key]), (2, 1));
         let p = parameterize(&str_(
             Reg::R0,
             MemAddr::BaseReg {
@@ -438,206 +514,25 @@ mod tests {
             },
         ))
         .unwrap();
-        assert_eq!(slot_count(&p.key), 3);
-        assert_eq!(imm_count(&p.key), 0);
+        assert_eq!(seq_arity(&[p.key]), (3, 0));
     }
 
     #[test]
     fn reconstruct_rejects_bad_shapes() {
-        let p = parameterize(&add(Reg::R0, Reg::R0, Operand::Imm(1))).unwrap();
-        // Too few slots.
-        assert!(reconstruct(
-            &p.key,
-            &Instantiation {
-                slots: vec![],
-                imms: vec![1]
-            }
-        )
-        .is_none());
-        // Too few immediates.
-        assert!(reconstruct(
-            &p.key,
-            &Instantiation {
-                slots: vec![Reg::R0],
-                imms: vec![]
-            }
-        )
-        .is_none());
-    }
-}
-
-/// Parameterizes a short *sequence* of guest instructions as one unit:
-/// register slots and immediate slots are numbered across the whole
-/// sequence, so `Vec<ComboKey>` (whose `reg_pattern`s index the shared
-/// slots) is the canonical sequence key. Learned sequence rules use
-/// this; per §V-D they are matched as-is and never parameterized.
-#[must_use]
-pub fn parameterize_seq(insts: &[Inst]) -> Option<(Vec<ComboKey>, Instantiation)> {
-    if insts.is_empty() {
-        return None;
-    }
-    let mut b = Builder::new();
-    let mut keys = Vec::with_capacity(insts.len());
-    for inst in insts {
-        if inst.cond != pdbt_isa::Cond::Al {
-            return None;
-        }
-        if matches!(
-            inst.op,
-            Op::B | Op::Bl | Op::Bx | Op::Push | Op::Pop | Op::Svc
-        ) {
-            return None;
-        }
-        let modes_start = b.modes.len();
-        let pattern_start = b.reg_pattern.len();
-        for o in &inst.operands {
-            b.operand(o);
-        }
-        keys.push(ComboKey {
-            op: inst.op,
-            s: inst.s,
-            modes: b.modes[modes_start..].to_vec(),
-            reg_pattern: b.reg_pattern[pattern_start..].to_vec(),
-        });
-    }
-    if b.opaque || b.slots.iter().any(|r| r.is_pc()) {
-        return None;
-    }
-    Some((
-        keys,
-        Instantiation {
-            slots: b.slots,
-            imms: b.imms,
-        },
-    ))
-}
-
-/// A single-pass incremental [`parameterize_seq`]: scans the longest
-/// clean prefix of a window once, recording per-length checkpoints so a
-/// caller probing every candidate length (longest-first sequence
-/// lookup) can slice the key/immediate prefix instead of re-running the
-/// whole parameterization per length.
-///
-/// This is sound because sequence parameterization is prefix-stable:
-/// slots are numbered by first appearance and immediates appended in
-/// scan order, so the keys and instantiation of `insts[..len]` are
-/// literal prefixes of those of the full window; and every rejection
-/// (predication, banned opcode, opaque operand, PC slot) is pinned to
-/// the instruction that introduces it, so validity is monotone in the
-/// prefix length.
-#[derive(Debug)]
-pub struct SeqScan {
-    keys: Vec<ComboKey>,
-    slots: Vec<Reg>,
-    imms: Vec<u32>,
-    /// `slot_marks[i]` / `imm_marks[i]`: slot / immediate counts after
-    /// the first `i + 1` instructions.
-    slot_marks: Vec<usize>,
-    imm_marks: Vec<usize>,
-}
-
-impl SeqScan {
-    /// Scans at most `max_len` instructions, stopping at the first one
-    /// that would make the prefix unparameterizable.
-    #[must_use]
-    pub fn scan(insts: &[Inst], max_len: usize) -> SeqScan {
-        let n = insts.len().min(max_len);
-        let mut b = Builder::new();
-        let mut out = SeqScan {
-            keys: Vec::with_capacity(n),
-            slots: Vec::new(),
-            imms: Vec::new(),
-            slot_marks: Vec::with_capacity(n),
-            imm_marks: Vec::with_capacity(n),
+        let keys = [parameterize(&add(Reg::R0, Reg::R0, Operand::Imm(1)))
+            .unwrap()
+            .key];
+        let with = |slots: Vec<Reg>, imms: Vec<u32>| {
+            reconstruct_seq(&keys, &Instantiation { slots, imms })
         };
-        for inst in &insts[..n] {
-            if inst.cond != pdbt_isa::Cond::Al
-                || matches!(
-                    inst.op,
-                    Op::B | Op::Bl | Op::Bx | Op::Push | Op::Pop | Op::Svc
-                )
-            {
-                break;
-            }
-            let modes_start = b.modes.len();
-            let pattern_start = b.reg_pattern.len();
-            let slots_start = b.slots.len();
-            for o in &inst.operands {
-                b.operand(o);
-            }
-            // Opaque operands and PC slots invalidate the prefix from
-            // the instruction that introduces them (a PC slot seen
-            // earlier would already have stopped the scan).
-            if b.opaque || b.slots[slots_start..].iter().any(|r| r.is_pc()) {
-                break;
-            }
-            out.keys.push(ComboKey {
-                op: inst.op,
-                s: inst.s,
-                modes: b.modes[modes_start..].to_vec(),
-                reg_pattern: b.reg_pattern[pattern_start..].to_vec(),
-            });
-            out.slot_marks.push(b.slots.len());
-            out.imm_marks.push(b.imms.len());
-        }
-        out.slots = b.slots;
-        out.imms = b.imms;
-        out.slots
-            .truncate(out.slot_marks.last().copied().unwrap_or(0));
-        out.imms
-            .truncate(out.imm_marks.last().copied().unwrap_or(0));
-        out
+        assert!(with(vec![Reg::R0], vec![1]).is_some());
+        assert!(with(vec![], vec![1]).is_none(), "too few slots");
+        assert!(with(vec![Reg::R0], vec![]).is_none(), "too few immediates");
+        assert!(
+            with(vec![Reg::R0], vec![1, 2]).is_none(),
+            "too many immediates"
+        );
     }
-
-    /// Longest prefix length that parameterizes cleanly.
-    #[must_use]
-    pub fn valid_len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// The sequence key of the first `len` instructions
-    /// (`len <= valid_len`).
-    #[must_use]
-    pub fn keys(&self, len: usize) -> &[ComboKey] {
-        &self.keys[..len]
-    }
-
-    /// The immediates consumed by the first `len` instructions.
-    #[must_use]
-    pub fn imms(&self, len: usize) -> &[u32] {
-        &self.imms[..self.imm_marks[len - 1]]
-    }
-
-    /// The concrete instantiation of the first `len` instructions —
-    /// identical to what `parameterize_seq(&insts[..len])` returns.
-    #[must_use]
-    pub fn instantiation(&self, len: usize) -> Instantiation {
-        Instantiation {
-            slots: self.slots[..self.slot_marks[len - 1]].to_vec(),
-            imms: self.imms(len).to_vec(),
-        }
-    }
-}
-
-/// Reconstructs a concrete instruction sequence from a sequence key —
-/// the inverse of [`parameterize_seq`].
-#[must_use]
-pub fn reconstruct_seq(keys: &[ComboKey], inst: &Instantiation) -> Option<Vec<Inst>> {
-    let mut out = Vec::with_capacity(keys.len());
-    let mut imm_cursor = 0usize;
-    for key in keys {
-        let n_imms = imm_count(key);
-        let imms = inst.imms.get(imm_cursor..imm_cursor + n_imms)?;
-        imm_cursor += n_imms;
-        out.push(reconstruct_from(key, &inst.slots, imms)?);
-    }
-    (imm_cursor == inst.imms.len()).then_some(out)
-}
-
-#[cfg(test)]
-mod seq_tests {
-    use super::*;
-    use pdbt_isa_arm::builders::*;
 
     #[test]
     fn sequence_slots_are_shared() {

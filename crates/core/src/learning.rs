@@ -7,13 +7,13 @@
 //! keys and merged into the rule store. The per-stage counters reproduce
 //! the funnel of Table I.
 
-use crate::key::{self, Parameterized};
-use crate::ruleset::{verify_combo, verify_seq, Provenance, RuleEntry, RuleSet};
+use crate::key::{self, ComboKey};
+use crate::ruleset::{verify_at, verify_seq, Provenance, RuleEntry, RuleSet};
 use crate::template;
 use pdbt_compiler::{CompiledPair, DebugEntry};
 use pdbt_isa_arm::{Inst as GInst, Op as GOp};
 use pdbt_isa_x86::Inst as HInst;
-use pdbt_symexec::{check, propose_mappings, CheckOptions, Verdict};
+use pdbt_symexec::{check, propose_mappings, CheckOptions};
 use std::collections::HashMap;
 
 /// Why a candidate was rejected (reported per benchmark; the categories
@@ -99,14 +99,14 @@ pub fn is_unlearnable(op: GOp) -> bool {
     )
 }
 
-/// A learned rule: a single-instruction combo or a sequence.
-enum Learned {
-    Single(key::ComboKey, RuleEntry),
-    Seq(Vec<key::ComboKey>, RuleEntry),
-}
-
-/// Tries to learn one candidate pair.
-fn learn_candidate(guest: &[GInst], host: &[HInst], cfg: LearnConfig) -> Result<Learned, Reject> {
+/// Tries to learn one candidate pair: a rule whose key has one
+/// [`ComboKey`] per guest instruction (paper §V-D: the multi-instruction
+/// ones are learned but never parameterized).
+fn learn_candidate(
+    guest: &[GInst],
+    host: &[HInst],
+    cfg: LearnConfig,
+) -> Result<(Vec<ComboKey>, RuleEntry), Reject> {
     // Line tables attribute a conditional statement's compare and its
     // branch to the same line; the compare is learnable even though the
     // branch is not (paper §V-B2: "an individual b instruction cannot be
@@ -137,15 +137,10 @@ fn learn_candidate(guest: &[GInst], host: &[HInst], cfg: LearnConfig) -> Result<
     if guest.iter().any(|i| is_unlearnable(i.op)) {
         return Err(Reject::Unlearnable);
     }
-    if guest.len() > 1 {
-        return learn_seq_candidate(guest, host, cfg);
+    if guest.len() > MAX_SEQ {
+        return Err(Reject::Sequence);
     }
-    let inst = &guest[0];
-    let Some(Parameterized {
-        key,
-        inst: concrete,
-    }) = key::parameterize(inst)
-    else {
+    let Some((keys, concrete)) = key::parameterize_seq(guest) else {
         return Err(Reject::Unlearnable);
     };
     // Infer the register mapping and verify the concrete pair.
@@ -153,14 +148,10 @@ fn learn_candidate(guest: &[GInst], host: &[HInst], cfg: LearnConfig) -> Result<
     if mappings.is_empty() {
         return Err(Reject::NoMapping);
     }
-    let mut verified = None;
-    for m in &mappings {
-        if check(guest, host, m, cfg.check).is_equivalent() {
-            verified = Some(m.clone());
-            break;
-        }
-    }
-    let Some(mapping) = verified else {
+    let Some(mapping) = mappings
+        .iter()
+        .find(|m| check(guest, host, m, cfg.check).is_equivalent())
+    else {
         return Err(Reject::Verification);
     };
     // Align the mapping with the parameterization's slot order.
@@ -176,114 +167,26 @@ fn learn_candidate(guest: &[GInst], host: &[HInst], cfg: LearnConfig) -> Result<
     }
     let tmpl = template::extract(host, &slot_of, &concrete.imms).map_err(|_| Reject::Template)?;
     // Canonical re-verification also validates immediate generalization;
-    // when it fails, keep the rule pinned to its concrete immediates if
-    // the concrete pair verified (a constrained rule, §IV-C).
-    match verify_combo(&key, &tmpl, cfg.check) {
-        Ok(flags) => Ok(Learned::Single(
-            key,
-            RuleEntry {
-                template: tmpl,
-                flags,
-                provenance: Provenance::Learned,
-                imm_constraint: None,
-            },
-        )),
-        Err(_) if key::imm_count(&key) > 0 => {
-            // Re-verify only at the learned immediates, canonically.
-            let n = key::slot_count(&key);
-            let gslots = crate::ruleset::canonical_guest_slots(n);
-            let hslots = crate::ruleset::canonical_host_slots(n);
-            let cmap = pdbt_symexec::Mapping::new(
-                gslots.iter().copied().zip(hslots.iter().copied()).collect(),
-            );
-            let locs: Vec<template::HostLoc> =
-                hslots.iter().map(|h| template::HostLoc::Reg(*h)).collect();
-            let ginst = key::reconstruct(
-                &key,
-                &key::Instantiation {
-                    slots: gslots,
-                    imms: concrete.imms.clone(),
-                },
-            )
-            .ok_or(Reject::Template)?;
-            let hcode = template::instantiate(&tmpl, &locs, &concrete.imms)
-                .map_err(|_| Reject::Template)?;
-            match check(&[ginst], &hcode, &cmap, cfg.check) {
-                Verdict::Equivalent { flags } => Ok(Learned::Single(
-                    key,
-                    RuleEntry {
-                        template: tmpl,
-                        flags,
-                        provenance: Provenance::Learned,
-                        imm_constraint: Some(concrete.imms),
-                    },
-                )),
-                _ => Err(Reject::Verification),
-            }
-        }
-        Err(_) => Err(Reject::Verification),
-    }
-}
-
-/// Learns a multi-instruction sequence rule (paper §V-D: learned but
-/// never parameterized).
-fn learn_seq_candidate(
-    guest: &[GInst],
-    host: &[HInst],
-    cfg: LearnConfig,
-) -> Result<Learned, Reject> {
-    if guest.len() > MAX_SEQ {
-        return Err(Reject::Sequence);
-    }
-    let Some((keys, concrete)) = key::parameterize_seq(guest) else {
-        return Err(Reject::Unlearnable);
+    // when it fails, re-verify canonically at the learned immediates
+    // only and keep the rule pinned to them (a constrained rule, §IV-C).
+    let (flags, imm_constraint) = match verify_seq(&keys, &tmpl, cfg.check) {
+        Ok(flags) => (flags, None),
+        Err(_) if !concrete.imms.is_empty() => (
+            verify_at(&keys, &tmpl, [concrete.imms.clone()], cfg.check)
+                .map_err(|_| Reject::Verification)?,
+            Some(concrete.imms),
+        ),
+        Err(_) => return Err(Reject::Verification),
     };
-    let mappings = propose_mappings(guest, host, cfg.max_mappings);
-    if mappings.is_empty() {
-        return Err(Reject::NoMapping);
-    }
-    let mut verified = None;
-    for m in &mappings {
-        if check(guest, host, m, cfg.check).is_equivalent() {
-            verified = Some(m.clone());
-            break;
-        }
-    }
-    let Some(mapping) = verified else {
-        return Err(Reject::Verification);
-    };
-    let slot_of = |h: pdbt_isa_x86::Reg| -> Option<u8> {
-        let g = mapping.pairs.iter().find(|(_, hh)| *hh == h)?.0;
-        concrete.slots.iter().position(|s| *s == g).map(|i| i as u8)
-    };
-    for s in &concrete.slots {
-        if !mapping.pairs.iter().any(|(g, _)| g == s) {
-            return Err(Reject::NoMapping);
-        }
-    }
-    let tmpl = template::extract(host, &slot_of, &concrete.imms).map_err(|_| Reject::Template)?;
-    match verify_seq(&keys, &tmpl, concrete.slots.len(), cfg.check) {
-        Ok(flags) => Ok(Learned::Seq(
-            keys,
-            RuleEntry {
-                template: tmpl,
-                flags,
-                provenance: Provenance::Learned,
-                imm_constraint: None,
-            },
-        )),
-        // Pin to the learned immediates when generalization fails.
-        Err(_) if !concrete.imms.is_empty() => Ok(Learned::Seq(
-            keys,
-            RuleEntry {
-                template: tmpl,
-                flags: Vec::new(),
-                provenance: Provenance::Learned,
-                imm_constraint: Some(concrete.imms),
-            },
-        )),
-        Err(_) => Err(Reject::Verification),
-    }
+    Ok((
+        keys,
+        RuleEntry {
+            template: tmpl,
+            flags,
+            provenance: Provenance::Learned,
+            imm_constraint,
+        },
+    ))
 }
 
 /// Runs the learning pipeline over one compiled benchmark, adding new
@@ -311,17 +214,9 @@ pub fn learn_into(
         let guest = &pair.guest.program.insts()[entry.guest.clone()];
         let host = &pair.host.insts[entry.host.clone()];
         match learn_candidate(guest, host, cfg) {
-            Ok(Learned::Single(key, rule)) => {
+            Ok((keys, rule)) => {
                 stats.learned += 1;
-                if rules.insert(key, rule) {
-                    stats.unique += 1;
-                } else {
-                    stats.reject(Reject::Duplicate);
-                }
-            }
-            Ok(Learned::Seq(keys, rule)) => {
-                stats.learned += 1;
-                if rules.insert_seq(keys, rule) {
+                if rules.insert(keys, rule) {
                     stats.unique += 1;
                 } else {
                     stats.reject(Reject::Duplicate);
@@ -544,6 +439,67 @@ mod tests {
             .unwrap();
         assert_eq!(m.entry.flag_equiv(Flag::Z), Some(FlagEquiv::Exact));
         assert_eq!(m.entry.flag_equiv(Flag::C), Some(FlagEquiv::Inverted));
+    }
+
+    /// A host side that bakes in an immediate derived from the guest's
+    /// (`x - 5` as `x + -5`) does not generalize over immediates; the
+    /// rule is kept pinned to the learned ones, verified canonically at
+    /// them, and carries the verifier's flag report like any other rule.
+    #[test]
+    fn pinned_sequence_rules_are_verified_and_keep_their_flag_report() {
+        use pdbt_isa_arm::builders as g;
+        use pdbt_isa_arm::{Operand as O, Reg};
+        use pdbt_isa_x86::builders as h;
+        use pdbt_isa_x86::{Operand as HO, Reg as HReg};
+        let guest = [
+            g::sub(Reg::R6, Reg::R6, O::Imm(5)),
+            g::add(Reg::R7, Reg::R7, O::Reg(Reg::R6)).with_s(),
+        ];
+        let host = [
+            h::add(HReg::Esi.into(), HO::Imm(-5)),
+            h::add(HReg::Edi.into(), HReg::Esi.into()),
+        ];
+        let (keys, rule) = learn_candidate(&guest, &host, LearnConfig::default()).expect("learned");
+        assert_eq!(keys.len(), 2);
+        assert_eq!(rule.imm_constraint, Some(vec![5]));
+        assert_eq!(
+            rule.flag_equiv(pdbt_isa::Flag::Z),
+            Some(pdbt_symexec::FlagEquiv::Exact),
+            "the report of the flag-setting last instruction is kept: {:?}",
+            rule.flags
+        );
+    }
+
+    /// A candidate that verifies under its own register mapping but not
+    /// canonically — here it binds more registers than the canonical
+    /// pool has — is rejected even when it has immediates to pin.
+    #[test]
+    fn pinned_candidates_failing_the_canonical_recheck_are_rejected() {
+        use pdbt_isa_arm::builders as g;
+        use pdbt_isa_arm::{Operand as O, Reg};
+        use pdbt_isa_x86::builders as h;
+        use pdbt_isa_x86::{Operand as HO, Reg as HReg};
+        let guest = [
+            g::add(Reg::R4, Reg::R4, O::Reg(Reg::R5)),
+            g::add(Reg::R6, Reg::R6, O::Reg(Reg::R7)),
+            g::add(Reg::R8, Reg::R8, O::Imm(3)),
+        ];
+        let host = [
+            h::add(HReg::Ecx.into(), HReg::Ebx.into()),
+            h::add(HReg::Esi.into(), HReg::Edi.into()),
+            h::add(HReg::Eax.into(), HO::Imm(3)),
+        ];
+        let mappings = propose_mappings(&guest, &host, 16);
+        assert!(
+            mappings
+                .iter()
+                .any(|m| check(&guest, &host, m, CheckOptions::default()).is_equivalent()),
+            "the concrete pair verifies under a proposed mapping"
+        );
+        assert_eq!(
+            learn_candidate(&guest, &host, LearnConfig::default()).map(|(keys, _)| keys),
+            Err(Reject::Verification)
+        );
     }
 
     #[test]

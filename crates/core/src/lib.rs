@@ -8,12 +8,18 @@
 //! 1. [`learning`] — pair guest/host sequences per source statement
 //!    (via the synthetic compiler's debug map), verify semantic
 //!    equivalence symbolically, normalize and merge into a [`RuleSet`].
+//!    A rule's key is a sequence of one or more [`ComboKey`]s, one per
+//!    guest instruction, produced by the one operand scanner
+//!    ([`key::Scan`]); the rule set is one table over such keys.
 //! 2. [`classify`] — split the ISA into subgroups by data type,
 //!    encoding format and operation category (§IV-A).
 //! 3. [`mod@derive`] — enumerate each seeded subgroup's combo universe,
 //!    adapt host templates (opcode substitution, addressing-mode
 //!    substitution, auxiliary instructions for complex opcodes and
 //!    dependence patterns), verify every derivation, merge (§IV-B/C/D).
+//!    Only one-key rules are read and derived (§V-D): [`RuleSet::len`],
+//!    `iter` and `lookup` are that view, [`RuleSet::seq_len`] counts the
+//!    longer, learned-only rules.
 //! 4. [`flags`] — condition-flag delegation for rule application.
 //!
 //! # Example: Fig 3 in code
@@ -29,7 +35,7 @@
 //! let template = emit::emit_for(&p.key).unwrap();
 //! let flags = ruleset::verify_combo(&p.key, &template, CheckOptions::default()).unwrap();
 //! let mut rules = RuleSet::new();
-//! rules.insert(p.key, RuleEntry {
+//! rules.insert(vec![p.key], RuleEntry {
 //!     template, flags, provenance: Provenance::Learned, imm_constraint: None,
 //! });
 //!

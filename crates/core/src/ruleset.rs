@@ -1,12 +1,13 @@
-//! The translation-rule store: a hash table from combo keys to verified
-//! host templates, with the canonical verification harness used by both
-//! the learning pipeline and the parameterization engine.
+//! The translation-rule store: one hash table from key sequences (one
+//! combo key per guest instruction a rule consumes) to verified host
+//! templates, with the canonical verification harness used by both the
+//! learning pipeline and the parameterization engine.
 //!
 //! "A hash algorithm is used to retrieve the translation rules from a
 //! hash table. The matched rule will then be instantiated to generate
 //! host instructions" (paper §V-A).
 
-use crate::key::{self, ComboKey, Instantiation, ModeTag, Parameterized};
+use crate::key::{self, ComboKey, Instantiation, ModeTag, Scan};
 use crate::template::{instantiate, HostLoc, Template};
 use pdbt_isa::Flag;
 use pdbt_isa_arm::{Inst as GInst, Op as GOpc, Reg as GReg};
@@ -14,6 +15,7 @@ use pdbt_isa_x86::{Inst as HInst, Reg as HReg};
 use pdbt_symexec::{check, CheckOptions, FlagEquiv, Mapping, Verdict};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 
 /// How a rule entered the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,7 +28,7 @@ pub enum Provenance {
     AddrModeDerived,
 }
 
-/// A verified translation rule for one combo key.
+/// A verified translation rule for one key sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleEntry {
     /// The host template.
@@ -57,46 +59,38 @@ pub fn canonical_guest_slots(n: usize) -> Vec<GReg> {
         .collect()
 }
 
+/// The most parameter slots a rule can bind: the size of the canonical
+/// host register pool every rule is verified over.
+pub(crate) const MAX_SLOTS: usize = 4;
+
 /// The canonical host registers used for verification instances.
 #[must_use]
 pub fn canonical_host_slots(n: usize) -> Vec<HReg> {
-    const POOL: [HReg; 4] = [HReg::Ecx, HReg::Ebx, HReg::Esi, HReg::Edi];
+    const POOL: [HReg; MAX_SLOTS] = [HReg::Ecx, HReg::Ebx, HReg::Esi, HReg::Edi];
     POOL[..n].to_vec()
 }
 
-/// Sample immediate vectors for a key, respecting slot roles (shift
-/// amounts must stay in 1–31, displacements small, generic immediates
-/// anywhere in the encodable range).
+/// Three sample immediate vectors for a key sequence, respecting slot
+/// roles (shift amounts must stay in 1–31, displacements small, generic
+/// immediates anywhere in the encodable range).
 #[must_use]
-pub fn sample_imm_vectors(key: &ComboKey) -> Vec<Vec<u32>> {
-    let roles: Vec<&ModeTag> = key
-        .modes
-        .iter()
-        .filter(|m| matches!(m, ModeTag::Imm | ModeTag::Shifted(_) | ModeTag::MemBaseImm))
-        .collect();
-    let samples = [0usize, 1, 2];
-    samples
-        .iter()
-        .map(|s| {
-            roles
-                .iter()
-                .map(|m| match m {
-                    ModeTag::Imm => [5u32, 0, 2047][*s],
-                    ModeTag::Shifted(_) => [1u32, 7, 31][*s],
-                    ModeTag::MemBaseImm => [4u32, 0, (-8i32) as u32][*s],
-                    _ => unreachable!(),
-                })
-                .collect()
-        })
-        .collect()
+pub fn sample_imm_vectors(keys: &[ComboKey]) -> Vec<Vec<u32>> {
+    let sample = |s: usize| {
+        let modes = keys.iter().flat_map(|k| &k.modes);
+        modes
+            .filter_map(|m| match m {
+                ModeTag::Imm => Some([5u32, 0, 2047][s]),
+                ModeTag::Shifted(_) => Some([1u32, 7, 31][s]),
+                ModeTag::MemBaseImm => Some([4u32, 0, (-8i32) as u32][s]),
+                _ => None,
+            })
+            .collect()
+    };
+    (0..3).map(sample).collect()
 }
 
 /// Verifies a `(key, template)` pair over canonical registers and the
-/// sample immediate vectors. Returns the flag report on success.
-///
-/// This is the verification step shared by learning (imm
-/// generalization) and parameterization (derived-rule validation,
-/// §IV-C: "instantiate all possible derived rules … and verify each").
+/// sample immediate vectors: the one-key call of [`verify_seq`].
 ///
 /// # Errors
 ///
@@ -106,17 +100,15 @@ pub fn verify_combo(
     template: &Template,
     opts: CheckOptions,
 ) -> Result<Vec<(Flag, FlagEquiv)>, String> {
-    verify_seq(
-        std::slice::from_ref(key),
-        template,
-        key::slot_count(key),
-        opts,
-    )
+    verify_seq(std::slice::from_ref(key), template, opts)
 }
 
-/// Verifies a `(sequence key, template)` pair over canonical registers
-/// and sample immediates: [`verify_combo`] is the one-key call, learned
-/// sequence rules pass several keys.
+/// Verifies a `(key sequence, template)` pair over canonical registers
+/// and the sample immediate vectors. Returns the flag report on success.
+///
+/// This is the verification step shared by learning (imm
+/// generalization) and parameterization (derived-rule validation,
+/// §IV-C: "instantiate all possible derived rules … and verify each").
 ///
 /// # Errors
 ///
@@ -124,7 +116,23 @@ pub fn verify_combo(
 pub fn verify_seq(
     keys: &[ComboKey],
     template: &Template,
-    n_slots: usize,
+    opts: CheckOptions,
+) -> Result<Vec<(Flag, FlagEquiv)>, String> {
+    verify_at(keys, template, sample_imm_vectors(keys), opts)
+}
+
+/// Verifies a `(key sequence, template)` pair over canonical registers
+/// at each of the given immediate vectors, joining the per-sample flag
+/// reports (a flag whose relationship differs between samples is a
+/// `Mismatch`).
+///
+/// # Errors
+///
+/// A human-readable reason on the first failing vector.
+pub(crate) fn verify_at(
+    keys: &[ComboKey],
+    template: &Template,
+    imm_vectors: impl IntoIterator<Item = Vec<u32>>,
     opts: CheckOptions,
 ) -> Result<Vec<(Flag, FlagEquiv)>, String> {
     let _span = pdbt_obs::span_with("verify", || {
@@ -135,7 +143,8 @@ pub fn verify_seq(
         }
         label
     });
-    if n_slots > 4 {
+    let n_slots = key::seq_arity(keys).0;
+    if n_slots > MAX_SLOTS {
         return Err(format!(
             "{n_slots} parameter slots exceed the canonical pool"
         ));
@@ -148,14 +157,9 @@ pub fn verify_seq(
         imms: Vec::new(),
     };
     let locs: Vec<HostLoc> = hslots.iter().map(|h| HostLoc::Reg(*h)).collect();
-    // Sample vector built per-key, concatenated in key order.
-    let per_key: Vec<Vec<Vec<u32>>> = keys.iter().map(sample_imm_vectors).collect();
     let mut report: Option<Vec<(Flag, FlagEquiv)>> = None;
-    for sample in 0..3usize {
-        inst.imms.clear();
-        for vecs in &per_key {
-            inst.imms.extend_from_slice(&vecs[sample]);
-        }
+    for imms in imm_vectors {
+        inst.imms = imms;
         let ginsts = key::reconstruct_seq(keys, &inst).ok_or_else(|| {
             let what = if keys.len() == 1 {
                 "key"
@@ -187,40 +191,33 @@ pub fn verify_seq(
 /// A matched rule ready to instantiate.
 #[derive(Debug, Clone)]
 pub struct Match<'a> {
-    /// The key that matched (attribution label for observability).
-    pub key: ComboKey,
+    /// The rule's key, one [`ComboKey`] per guest instruction (the
+    /// attribution label for observability).
+    pub keys: &'a [ComboKey],
     /// The rule.
     pub entry: &'a RuleEntry,
-    /// The guest instruction's concrete registers and immediates.
+    /// The matched instructions' concrete registers and immediates.
     pub inst: Instantiation,
-}
-
-/// A matched sequence rule ready to instantiate.
-#[derive(Debug, Clone)]
-pub struct SeqMatch<'a> {
-    /// The keys that matched, in sequence order.
-    pub keys: Vec<ComboKey>,
-    /// The rule.
-    pub entry: &'a RuleEntry,
-    /// Concrete registers and immediates for the whole sequence.
-    pub inst: Instantiation,
-    /// Guest instructions the match consumes.
+    /// Guest instructions the match consumes (`keys.len()`).
     pub len: usize,
 }
 
-/// The rule hash table: single-instruction rules plus learned
-/// multi-instruction *sequence rules* (matched as-is; the paper
-/// parameterizes only single-instruction rules, §V-D).
+/// The rule hash table. A rule's key is a sequence of one or more combo
+/// keys: length one for the single-instruction rules — the only ones
+/// parameterization reads and derives (§V-D) — and up to
+/// [`crate::learning::MAX_SEQ`] for learned multi-instruction rules,
+/// which are matched as learned.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    entries: HashMap<ComboKey, RuleEntry>,
-    seq_entries: HashMap<Vec<ComboKey>, RuleEntry>,
-    /// Longest sequence key, for the runtime's greedy matcher.
-    max_seq: usize,
-    /// Dense `(opcode, s)`-indexed entry counts. Translation probes the
-    /// store once per guest instruction and most probes miss (every
-    /// QEMU-path body instruction); a zero bucket rejects the lookup
-    /// before the allocating `parameterize` call builds a `ComboKey`.
+    entries: HashMap<Vec<ComboKey>, RuleEntry>,
+    /// How many entries have a one-key sequence.
+    one_key: usize,
+    /// Longest key sequence, where the longest-first lookup starts.
+    max_len: usize,
+    /// Dense entry counts indexed by the `(opcode, s)` of a rule's first
+    /// key. Translation probes the store at every guest instruction; a
+    /// zero bucket rejects the probe before anything is hashed (and, in
+    /// [`RuleSet::lookup`], before the allocating scan).
     op_index: Vec<u32>,
 }
 
@@ -236,24 +233,40 @@ impl RuleSet {
         RuleSet::default()
     }
 
-    /// Number of rules.
+    /// Number of one-key (single-instruction) rules.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.one_key
     }
 
-    /// Whether the set is empty.
+    /// Whether the set has no one-key rule.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.one_key == 0
+    }
+
+    /// Number of multi-key (sequence) rules.
+    #[must_use]
+    pub fn seq_len(&self) -> usize {
+        self.entries.len() - self.one_key
+    }
+
+    /// Length of the longest key (0 for an empty set).
+    #[must_use]
+    pub fn max_len(&self) -> usize {
+        self.max_len
     }
 
     /// Inserts a rule; returns `false` (and keeps the existing rule) if
     /// the key is already present — the merging step of §IV-D.
-    pub fn insert(&mut self, key: ComboKey, entry: RuleEntry) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// If `keys` is empty.
+    pub fn insert(&mut self, keys: Vec<ComboKey>, entry: RuleEntry) -> bool {
         use std::collections::hash_map::Entry;
-        let bucket = op_bucket(key.op, key.s);
-        match self.entries.entry(key) {
+        let (bucket, len) = (op_bucket(keys[0].op, keys[0].s), keys.len());
+        match self.entries.entry(keys) {
             Entry::Occupied(_) => false,
             Entry::Vacant(v) => {
                 v.insert(entry);
@@ -261,14 +274,14 @@ impl RuleSet {
                     self.op_index = vec![0; GOpc::ALL.len() * 2];
                 }
                 self.op_index[bucket] += 1;
+                self.one_key += usize::from(len == 1);
+                self.max_len = self.max_len.max(len);
                 true
             }
         }
     }
 
-    /// Whether any rule exists for this `(opcode, s)` pair — the O(1)
-    /// probe the translator uses to skip parameterization on guaranteed
-    /// misses.
+    /// Whether any rule's key starts with this `(opcode, s)` pair.
     #[must_use]
     pub fn op_present(&self, op: GOpc, s: bool) -> bool {
         self.op_index
@@ -276,109 +289,53 @@ impl RuleSet {
             .is_some_and(|count| *count != 0)
     }
 
-    /// Inserts a sequence rule (merging duplicates like [`RuleSet::insert`]).
-    pub fn insert_seq(&mut self, keys: Vec<ComboKey>, entry: RuleEntry) -> bool {
-        use std::collections::hash_map::Entry;
-        self.max_seq = self.max_seq.max(keys.len());
-        match self.seq_entries.entry(keys) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(entry);
-                true
-            }
-        }
-    }
-
-    /// Number of sequence rules.
-    #[must_use]
-    pub fn seq_len(&self) -> usize {
-        self.seq_entries.len()
-    }
-
-    /// Length of the longest sequence rule (0 when there are none).
-    #[must_use]
-    pub fn max_seq_len(&self) -> usize {
-        self.max_seq
-    }
-
-    /// Greedy longest-first sequence lookup starting at `insts[0]`.
-    ///
-    /// The window is parameterized once ([`key::SeqScan`]) and each
-    /// candidate length probes a sliced key prefix — `Vec<ComboKey>`
-    /// hashes as its slice, so `seq_entries` is queried through
-    /// `Borrow<[ComboKey]>` without re-scanning per length.
-    #[must_use]
-    pub fn lookup_seq(&self, insts: &[GInst]) -> Option<SeqMatch<'_>> {
-        let max = self.max_seq.min(insts.len());
-        if max < 2 {
-            return None;
-        }
-        let scan = key::SeqScan::scan(insts, max);
-        for len in (2..=max.min(scan.valid_len())).rev() {
-            if let Some(entry) = self.seq_entries.get(scan.keys(len)) {
-                if let Some(required) = &entry.imm_constraint {
-                    if required[..] != *scan.imms(len) {
-                        continue;
-                    }
-                }
-                return Some(SeqMatch {
-                    keys: scan.keys(len).to_vec(),
-                    entry,
-                    inst: scan.instantiation(len),
-                    len,
-                });
-            }
-        }
-        None
-    }
-
-    /// Instantiates a sequence match with the actual host locations of
-    /// its slots.
-    ///
-    /// # Errors
-    ///
-    /// Forwarded template errors.
-    pub fn instantiate_seq_match(
-        &self,
-        m: &SeqMatch<'_>,
-        locs: &[HostLoc],
-    ) -> Result<Vec<HInst>, crate::template::TemplateError> {
-        instantiate(&m.entry.template, locs, &m.inst.imms)
-    }
-
-    /// Whether a key is present.
+    /// Whether a one-key rule is present.
     #[must_use]
     pub fn contains(&self, key: &ComboKey) -> bool {
-        self.entries.contains_key(key)
+        self.entries.contains_key(std::slice::from_ref(key))
     }
 
-    /// The entry for a key.
+    /// The entry of a one-key rule.
     #[must_use]
     pub fn get(&self, key: &ComboKey) -> Option<&RuleEntry> {
-        self.entries.get(key)
+        self.entries.get(std::slice::from_ref(key))
     }
 
-    /// Looks up a guest instruction: parameterize, hash, check immediate
-    /// constraints (paper §IV-D rule application).
+    /// Looks up the one-key rule for a guest instruction: parameterize,
+    /// hash, check immediate constraints (paper §IV-D rule application).
     #[must_use]
     pub fn lookup(&self, inst: &GInst) -> Option<Match<'_>> {
         if !self.op_present(inst.op, inst.s) {
             return None;
         }
-        let Parameterized {
-            key,
-            inst: concrete,
-        } = key::parameterize(inst)?;
-        let entry = self.entries.get(&key)?;
-        if let Some(required) = &entry.imm_constraint {
-            if *required != concrete.imms {
-                return None;
-            }
+        self.lookup_scan(&Scan::of([inst], 1), 1..=1)
+    }
+
+    /// Longest-first lookup at the head of a scanned window, over the
+    /// key lengths in `lens`: the longest prefix of the scan that is the
+    /// key of a rule whose immediate constraint (if any) the window
+    /// meets. `Vec<ComboKey>` hashes as its slice, so each length probes
+    /// a prefix of the one scan.
+    #[must_use]
+    pub fn lookup_scan(&self, scan: &Scan, lens: RangeInclusive<usize>) -> Option<Match<'_>> {
+        let first = scan.first()?;
+        if !self.op_present(first.op, first.s) {
+            return None;
         }
-        Some(Match {
-            key,
-            entry,
-            inst: concrete,
+        let longest = (*lens.end()).min(self.max_len).min(scan.valid_len());
+        (*lens.start()..=longest).rev().find_map(|len| {
+            let (keys, entry) = self.entries.get_key_value(scan.keys(len))?;
+            if let Some(required) = &entry.imm_constraint {
+                if required[..] != *scan.imms(len) {
+                    return None;
+                }
+            }
+            Some(Match {
+                keys,
+                entry,
+                inst: scan.instantiation(len),
+                len,
+            })
         })
     }
 
@@ -386,7 +343,8 @@ impl RuleSet {
     ///
     /// # Errors
     ///
-    /// Forwarded template errors (arity mismatches).
+    /// Forwarded template errors (a slot or immediate the match does not
+    /// bind, an invalid host instruction shape).
     pub fn instantiate_match(
         &self,
         m: &Match<'_>,
@@ -395,37 +353,27 @@ impl RuleSet {
         instantiate(&m.entry.template, locs, &m.inst.imms)
     }
 
-    /// Iterates over all rules.
+    /// Iterates over the one-key rules.
     pub fn iter(&self) -> impl Iterator<Item = (&ComboKey, &RuleEntry)> {
-        self.entries.iter()
+        self.entries().filter_map(|(keys, entry)| match keys {
+            [key] => Some((key, entry)),
+            _ => None,
+        })
     }
 
-    /// Rule count by provenance.
-    #[must_use]
-    pub fn count_by_provenance(&self, p: Provenance) -> usize {
-        self.entries.values().filter(|e| e.provenance == p).count()
+    /// Iterates over every rule, of any key length.
+    pub fn entries(&self) -> impl Iterator<Item = (&[ComboKey], &RuleEntry)> {
+        self.entries.iter().map(|(keys, entry)| (&keys[..], entry))
     }
 
     /// Merges another rule set into this one (existing keys win);
     /// returns how many entries were newly added.
     pub fn merge(&mut self, other: RuleSet) -> usize {
-        let mut added = 0;
-        for (k, v) in other.entries {
-            if self.insert(k, v) {
-                added += 1;
-            }
-        }
-        for (k, v) in other.seq_entries {
-            if self.insert_seq(k, v) {
-                added += 1;
-            }
-        }
-        added
-    }
-
-    /// Iterates over the sequence rules.
-    pub fn iter_seq(&self) -> impl Iterator<Item = (&Vec<ComboKey>, &RuleEntry)> {
-        self.seq_entries.iter()
+        other
+            .entries
+            .into_iter()
+            .map(|(keys, entry)| usize::from(self.insert(keys, entry)))
+            .sum()
     }
 }
 
@@ -438,14 +386,14 @@ mod tests {
     use pdbt_isa_x86::builders as h;
     use pdbt_isa_x86::Operand as HOperand;
 
-    fn rmw_add_rule() -> (ComboKey, RuleEntry) {
+    fn rmw_add_rule() -> (Vec<ComboKey>, RuleEntry) {
         // add r0, r0, #imm ↔ addl S0, $imm
         let p = key::parameterize(&g::add(GReg::R4, GReg::R4, GOp::Imm(5))).unwrap();
         let host = [h::add(HReg::Ecx.into(), HOperand::Imm(5))];
         let template = extract(&host, &|r| (r == HReg::Ecx).then_some(0), &[5]).unwrap();
         let flags = verify_combo(&p.key, &template, CheckOptions::default()).unwrap();
         (
-            p.key,
+            vec![p.key],
             RuleEntry {
                 template,
                 flags,
@@ -526,7 +474,6 @@ mod tests {
         assert!(rs.insert(key.clone(), entry.clone()));
         assert!(!rs.insert(key, entry), "second insert is a duplicate");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.count_by_provenance(Provenance::Learned), 1);
     }
 
     #[test]
@@ -568,7 +515,7 @@ mod tests {
             },
         ))
         .unwrap();
-        for v in sample_imm_vectors(&p.key) {
+        for v in sample_imm_vectors(&[p.key]) {
             assert_eq!(v.len(), 1);
             assert!((1..=31).contains(&v[0]), "shift amount {v:?}");
         }

@@ -12,8 +12,8 @@
 //! end
 //! ```
 
-use crate::key::{ComboKey, ModeTag};
-use crate::ruleset::{Provenance, RuleEntry, RuleSet};
+use crate::key::{seq_arity, ComboKey, ModeTag};
+use crate::ruleset::{Provenance, RuleEntry, RuleSet, MAX_SLOTS};
 use crate::template::{TImm, TMem, TOperand, TReg, TemplateInst};
 use pdbt_isa::Flag;
 use pdbt_isa_arm::{Op as GOp, ShiftKind};
@@ -311,121 +311,181 @@ fn entry_meta_text(entry: &RuleEntry) -> String {
     )
 }
 
-/// Serializes a rule set to the text format.
+/// Serializes a rule set to the text format: one-key rules as `rule`
+/// blocks, then multi-key rules as `seq` blocks, each group sorted by
+/// its keys' display form so files are reproducible.
 #[must_use]
 pub fn save_rules(rules: &RuleSet) -> String {
     let mut out = String::from("# pdbt rules v1\n");
-    // Deterministic order for reproducible files.
-    let mut entries: Vec<(&ComboKey, &RuleEntry)> = rules.iter().collect();
-    entries.sort_by_key(|(k, _)| format!("{k}"));
-    for (key, entry) in entries {
-        out.push_str(&format!(
-            "rule {}|{}\n",
-            key_text(key),
-            entry_meta_text(entry)
-        ));
-        for t in &entry.template {
-            out.push_str("  ");
-            out.push_str(&template_inst_text(t));
-            out.push('\n');
-        }
-        out.push_str("end\n");
-    }
-    // Sequence rules.
-    let mut seqs: Vec<(&Vec<ComboKey>, &RuleEntry)> = rules.iter_seq().collect();
-    seqs.sort_by_key(|(ks, _)| {
-        ks.iter()
-            .map(|k| format!("{k}"))
-            .collect::<Vec<_>>()
-            .join(";")
+    let mut entries: Vec<(&[ComboKey], &RuleEntry)> = rules.entries().collect();
+    entries.sort_by_cached_key(|(keys, _)| {
+        let shown: Vec<String> = keys.iter().map(ComboKey::to_string).collect();
+        (keys.len() > 1, shown.join(";"))
     });
-    for (keys, entry) in seqs {
-        out.push_str(&format!("seq {}\n", entry_meta_text(entry)));
-        for k in keys {
-            out.push_str("  g ");
-            out.push_str(&key_text(k));
-            out.push('\n');
-        }
+    for (keys, entry) in entries {
+        // A one-key block carries its key in the header and bare
+        // template lines; a multi-key block tags `g` key and `h`
+        // template lines.
+        let tag = match keys {
+            [key] => {
+                out.push_str(&format!(
+                    "rule {}|{}\n",
+                    key_text(key),
+                    entry_meta_text(entry)
+                ));
+                ""
+            }
+            _ => {
+                out.push_str(&format!("seq {}\n", entry_meta_text(entry)));
+                for k in keys {
+                    out.push_str(&format!("  g {}\n", key_text(k)));
+                }
+                "h "
+            }
+        };
         for t in &entry.template {
-            out.push_str("  h ");
-            out.push_str(&template_inst_text(t));
-            out.push('\n');
+            out.push_str(&format!("  {tag}{}\n", template_inst_text(t)));
         }
         out.push_str("end\n");
     }
     out
 }
 
+/// A rule block being parsed: its keys so far, its entry so far, and
+/// whether a `seq` header opened it (body lines are then `g`/`h`-tagged).
+struct Block {
+    keys: Vec<ComboKey>,
+    entry: RuleEntry,
+    tagged: bool,
+}
+
+impl Block {
+    /// What is wrong with a finished block, if anything. Stores are
+    /// outside input: beyond shape, a block must bind what its template
+    /// and immediate constraint name — otherwise the rule would never
+    /// match, or match and then fail to instantiate — and no more slots
+    /// than verification has registers for.
+    fn defect(&self) -> Option<String> {
+        if self.tagged && (self.keys.len() < 2 || self.entry.template.is_empty()) {
+            return Some("seq rule needs ≥2 keys and a template".into());
+        }
+        if self.entry.template.is_empty() {
+            return Some("rule has an empty template".into());
+        }
+        let (slots, imms) = seq_arity(&self.keys);
+        if slots > MAX_SLOTS {
+            return Some(format!(
+                "{slots} parameter slots exceed the {MAX_SLOTS} a rule is verified over"
+            ));
+        }
+        if let Some(pinned) = &self.entry.imm_constraint {
+            if pinned.len() != imms {
+                return Some(format!(
+                    "imms= pins {} immediates, the keys bind {imms}",
+                    pinned.len()
+                ));
+            }
+        }
+        // The slots and immediates the template names: highest index + 1.
+        let (mut named_slots, mut named_imms) = (0, 0);
+        for o in self.entry.template.iter().flat_map(|t| &t.operands) {
+            let (regs, imm) = match o {
+                TOperand::Reg(r) => ([Some(*r), None], None),
+                TOperand::Imm(i) => ([None, None], Some(*i)),
+                TOperand::Mem(m) => ([m.base, m.index], Some(m.disp)),
+            };
+            for r in regs {
+                if let Some(TReg::Slot(i)) = r {
+                    named_slots = named_slots.max(usize::from(i) + 1);
+                }
+            }
+            if let Some(TImm::Slot(j)) = imm {
+                named_imms = named_imms.max(usize::from(j) + 1);
+            }
+        }
+        if named_slots > slots || named_imms > imms {
+            return Some(format!(
+                "template names {named_slots} slots and {named_imms} immediates, \
+                 the keys bind {slots} and {imms}"
+            ));
+        }
+        None
+    }
+}
+
 /// Parses a rule set from the text format.
 ///
 /// # Errors
 ///
-/// [`StoreError`] pinpointing the offending line.
+/// [`StoreError`] pinpointing the offending line; a defect of a whole
+/// block (empty template, arity its keys do not bind) is reported at the
+/// block's `end` line.
 pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
     let err = |line: usize, detail: String| StoreError {
         line: line + 1,
         detail,
     };
     let mut out = RuleSet::new();
-    let mut pending: Option<(ComboKey, RuleEntry)> = None;
-    let mut pending_seq: Option<(Vec<ComboKey>, RuleEntry)> = None;
+    let mut pending: Option<Block> = None;
     for (no, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if let Some(header) = line.strip_prefix("rule ") {
-            if pending.is_some() || pending_seq.is_some() {
+        let rule_header = line.strip_prefix("rule ");
+        if let Some(header) = rule_header.or_else(|| line.strip_prefix("seq ")) {
+            if pending.is_some() {
                 return Err(err(no, "rule block not closed with `end`".into()));
             }
-            // Split the key fields (first four) from the entry metadata.
-            let fields: Vec<&str> = header.split('|').collect();
-            if fields.len() < 7 {
-                return Err(err(no, "truncated rule header".into()));
-            }
-            let key = parse_key(&fields[..4].join("|"), no)?;
-            let entry = parse_entry_meta(&fields[4..].join("|"), no)?;
-            pending = Some((key, entry));
-        } else if let Some(meta) = line.strip_prefix("seq ") {
-            if pending.is_some() || pending_seq.is_some() {
-                return Err(err(no, "rule block not closed with `end`".into()));
-            }
-            pending_seq = Some((Vec::new(), parse_entry_meta(meta, no)?));
-        } else if let Some(body) = line.strip_prefix("g ") {
-            let (keys, _) = pending_seq
-                .as_mut()
-                .ok_or_else(|| err(no, "`g` line outside a seq block".into()))?;
-            keys.push(parse_key(body.trim(), no)?);
-        } else if let Some(body) = line.strip_prefix("h ") {
-            let (_, entry) = pending_seq
-                .as_mut()
-                .ok_or_else(|| err(no, "`h` line outside a seq block".into()))?;
-            let t = parse_template_inst(body.trim())
-                .ok_or_else(|| err(no, format!("bad template instruction `{body}`")))?;
-            entry.template.push(t);
-        } else if line == "end" && pending_seq.is_some() {
-            let (keys, entry) = pending_seq.take().expect("checked");
-            if keys.len() < 2 || entry.template.is_empty() {
-                return Err(err(no, "seq rule needs ≥2 keys and a template".into()));
-            }
-            out.insert_seq(keys, entry);
+            // A `rule` header is the key's four fields, then the entry
+            // metadata a `seq` header consists of.
+            let (keys, meta) = if rule_header.is_some() {
+                let fields: Vec<&str> = header.split('|').collect();
+                if fields.len() < 7 {
+                    return Err(err(no, "truncated rule header".into()));
+                }
+                let key = parse_key(&fields[..4].join("|"), no)?;
+                (vec![key], fields[4..].join("|"))
+            } else {
+                (Vec::new(), header.to_string())
+            };
+            pending = Some(Block {
+                keys,
+                entry: parse_entry_meta(&meta, no)?,
+                tagged: rule_header.is_none(),
+            });
         } else if line == "end" {
-            let (key, entry) = pending
+            let block = pending
                 .take()
                 .ok_or_else(|| err(no, "`end` without a rule".into()))?;
-            if entry.template.is_empty() {
-                return Err(err(no, "rule has an empty template".into()));
+            if let Some(defect) = block.defect() {
+                return Err(err(no, defect));
             }
-            out.insert(key, entry);
-        } else if let Some((_, entry)) = pending.as_mut() {
-            let t = parse_template_inst(line)
-                .ok_or_else(|| err(no, format!("bad template instruction `{line}`")))?;
-            entry.template.push(t);
+            out.insert(block.keys, block.entry);
         } else {
-            return Err(err(no, format!("unexpected line `{line}`")));
+            // The body of a `seq` block is tagged — `g` lines are keys,
+            // `h` lines template instructions — a `rule` block's is bare
+            // template instructions.
+            let tag = ["g ", "h "].into_iter().find(|t| line.starts_with(t));
+            let (block, text) = match (pending.as_mut(), tag) {
+                (Some(block), Some("g ")) if block.tagged => {
+                    block.keys.push(parse_key(line[2..].trim(), no)?);
+                    continue;
+                }
+                (Some(block), Some(_)) if block.tagged => (block, &line[2..]),
+                (_, Some(tag)) => {
+                    let tag = tag.trim();
+                    return Err(err(no, format!("`{tag}` line outside a seq block")));
+                }
+                (Some(block), None) if !block.tagged => (block, line),
+                _ => return Err(err(no, format!("unexpected line `{line}`"))),
+            };
+            let t = parse_template_inst(text.trim())
+                .ok_or_else(|| err(no, format!("bad template instruction `{text}`")))?;
+            block.entry.template.push(t);
         }
     }
-    if pending.is_some() || pending_seq.is_some() {
+    if pending.is_some() {
         return Err(StoreError {
             line: text.lines().count(),
             detail: "unterminated rule".into(),
@@ -589,7 +649,7 @@ fn parse_entry_meta(text: &str, line: usize) -> Result<RuleEntry, StoreError> {
 mod tests {
     use super::*;
     use crate::emit::emit_for;
-    use crate::key::parameterize;
+    use crate::key::{parameterize, Scan};
     use crate::ruleset::verify_combo;
     use pdbt_isa_arm::{builders as g, MemAddr, Operand as O, Reg};
     use pdbt_symexec::CheckOptions;
@@ -630,7 +690,7 @@ mod tests {
             let template = emit_for(&p.key).unwrap();
             let flags = verify_combo(&p.key, &template, CheckOptions::default()).unwrap();
             rs.insert(
-                p.key,
+                vec![p.key],
                 RuleEntry {
                     template,
                     flags,
@@ -662,18 +722,18 @@ mod tests {
         let p = parameterize(&g::add(Reg::R4, Reg::R4, O::Imm(5))).unwrap();
         let template = emit_for(&p.key).unwrap();
         rules.insert(
-            p.key,
+            vec![p.key],
             RuleEntry {
                 template,
                 flags: vec![(Flag::C, FlagEquiv::Inverted)],
                 provenance: Provenance::AddrModeDerived,
-                imm_constraint: Some(vec![5, 12]),
+                imm_constraint: Some(vec![5]),
             },
         );
         let back = load_rules(&save_rules(&rules)).unwrap();
         let (_, e) = back.iter().next().unwrap();
         assert_eq!(e.provenance, Provenance::AddrModeDerived);
-        assert_eq!(e.imm_constraint, Some(vec![5, 12]));
+        assert_eq!(e.imm_constraint, Some(vec![5]));
         assert_eq!(e.flags, vec![(Flag::C, FlagEquiv::Inverted)]);
     }
 
@@ -735,9 +795,9 @@ mod tests {
             _ => None,
         };
         let tmpl = crate::template::extract(&host, &slot_of, &concrete.imms).unwrap();
-        let flags = verify_seq(&keys, &tmpl, 2, CheckOptions::default()).unwrap();
+        let flags = verify_seq(&keys, &tmpl, CheckOptions::default()).unwrap();
         let mut rules = sample_rules();
-        rules.insert_seq(
+        rules.insert(
             keys.clone(),
             RuleEntry {
                 template: tmpl,
@@ -756,10 +816,57 @@ mod tests {
             g::add(Reg::R9, Reg::R9, O::Reg(Reg::R8)),
         ];
         assert!(
-            back.lookup_seq(&renamed).is_some(),
+            back.lookup_scan(&Scan::of(&renamed, 2), 2..=2).is_some(),
             "reloaded sequence rule matches"
         );
         assert_eq!(save_rules(&back), text, "canonical reserialization");
+    }
+
+    /// Blocks whose keys do not bind what the block names: the strict
+    /// loader errors at the block's `end` line, salvage drops exactly
+    /// that block.
+    #[test]
+    fn arity_the_keys_do_not_bind_is_rejected() {
+        let add = "rule add|s=0|modes=reg,reg,imm|pat=0,0|prov=L|flags=";
+        let five_slots = "seq prov=L|flags=|imms=*\n  \
+            g mov|s=0|modes=reg,reg|pat=0,1\n  \
+            g mov|s=0|modes=reg,reg|pat=2,3\n  \
+            g mov|s=0|modes=reg,reg|pat=4,0\n  \
+            h movl S0, S1\nend\n";
+        let cases = [
+            (format!("{add}|imms=5,12\n  addl S0, $I0\nend\n"), "imms="),
+            (
+                format!("{add}|imms=*\n  addl S1, $I0\nend\n"),
+                "template names 2 slots",
+            ),
+            (
+                format!("{add}|imms=*\n  addl S0, $I1\nend\n"),
+                "and 2 immediates",
+            ),
+            (
+                format!("{add}|imms=*\n  movl eax, [S0+S3:I0]\nend\n"),
+                "template names 4 slots",
+            ),
+            (five_slots.to_string(), "5 parameter slots"),
+        ];
+        let healthy = save_rules(&sample_rules());
+        for (block, why) in cases {
+            let e = load_rules(&block).unwrap_err();
+            assert!(e.detail.contains(why), "{block}: {e}");
+            assert_eq!(e.line, block.lines().count(), "{block}: the `end` line");
+            let (back, quarantined) = load_rules_salvage(&format!("{block}{healthy}"));
+            assert_eq!(save_rules(&back), healthy, "{block}");
+            assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+            assert_eq!(quarantined[0].line, block.lines().count());
+        }
+        // What the keys do bind loads: two keys, two pinned immediates.
+        let pinned = "seq prov=L|flags=|imms=5,12\n  \
+            g mov|s=0|modes=reg,imm|pat=0\n  \
+            g add|s=0|modes=reg,reg,imm|pat=1,0\n  \
+            h leal S1, [S0:I1]\nend\n";
+        let back = load_rules(pinned).expect("loads");
+        let (_, e) = back.entries().next().unwrap();
+        assert_eq!(e.imm_constraint, Some(vec![5, 12]));
     }
 
     #[test]

@@ -1,0 +1,137 @@
+//! The contract of [`Scan`], the one walk over guest operands: prefix
+//! stability and monotone validity are what let one scan serve every
+//! candidate length of the longest-first rule lookup.
+//!
+//! Checked over every instruction window (length 1–3) of the twelve
+//! suite programs, and over seeded random windows of suite instructions
+//! salted with each rejecting shape. `FUZZ_CASES` scales the random half.
+
+use pdbt_core::key::{parameterize, reconstruct_seq, Scan};
+use pdbt_isa::Cond;
+use pdbt_isa_arm::builders as g;
+use pdbt_isa_arm::{FReg, Inst, MemAddr, Op, Operand, Reg};
+use pdbt_workloads::{suite, Scale};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The rule-translatable universe, written independently of the scanner
+/// (paper Fig 9): unpredicated, not control flow / stack / system, no
+/// float, register-list or target operand, PC in no register position.
+fn in_universe(inst: &Inst) -> bool {
+    inst.cond == Cond::Al
+        && !matches!(
+            inst.op,
+            Op::B | Op::Bl | Op::Bx | Op::Push | Op::Pop | Op::Svc
+        )
+        && inst.operands.iter().all(|o| match o {
+            Operand::Imm(_) => true,
+            Operand::Reg(r) | Operand::Shifted { rm: r, .. } => !r.is_pc(),
+            Operand::Mem(MemAddr::BaseImm { base, .. }) => !base.is_pc(),
+            Operand::Mem(MemAddr::BaseReg { base, index }) => !base.is_pc() && !index.is_pc(),
+            Operand::FReg(_) | Operand::RegList(_) | Operand::Target(_) => false,
+        })
+}
+
+fn check_window(window: &[Inst]) {
+    let scan = Scan::of(window, window.len());
+    // Monotone validity: the scan stops at the first instruction outside
+    // the universe, and at nothing else.
+    let valid = window.iter().take_while(|i| in_universe(i)).count();
+    assert_eq!(scan.valid_len(), valid, "{window:?}");
+    for len in 1..=valid {
+        let head = &window[..len];
+        // Each prefix view is the inverse image of the instructions…
+        let back = reconstruct_seq(scan.keys(len), &scan.instantiation(len));
+        assert_eq!(back.as_deref(), Some(head), "{window:?} at {len}");
+        // …and a literal prefix: exactly what scanning only them gives.
+        let alone = Scan::of(head, len);
+        assert_eq!(alone.valid_len(), len);
+        assert_eq!(alone.keys(len), scan.keys(len), "{window:?} at {len}");
+        assert_eq!(alone.slots(len), scan.slots(len), "{window:?} at {len}");
+        assert_eq!(alone.imms(len), scan.imms(len), "{window:?} at {len}");
+    }
+    // The one-instruction scan is `parameterize`.
+    let p = parameterize(&window[0]);
+    assert_eq!(p.as_ref().map(|p| &p.key), scan.first(), "{window:?}");
+    assert_eq!(p.is_some(), in_universe(&window[0]));
+    if let Some(p) = p {
+        assert_eq!(p.inst, scan.instantiation(1), "{window:?}");
+    }
+}
+
+/// One instruction outside the universe, of a seeded kind.
+fn rejecting(rng: &mut StdRng, donor: &Inst) -> Inst {
+    let mem = MemAddr::BaseImm {
+        base: Reg::R1,
+        offset: 4,
+    };
+    match rng.gen_range(0..11u8) {
+        0 => donor.clone().with_cond(Cond::Ne),
+        1 => g::b(Cond::Al, 8),
+        2 => g::bl(-8),
+        3 => g::bx(Reg::Lr),
+        4 => g::push([Reg::R4, Reg::Lr]),
+        5 => g::pop([Reg::R4]),
+        6 => g::svc(1),
+        7 => g::vadd(FReg::new(0), FReg::new(1), FReg::new(2)),
+        8 => g::vldr(FReg::new(0), mem),
+        // PC in a register position of the donor, from a seeded start.
+        _ => {
+            let mut inst = donor.clone();
+            let n = inst.operands.len();
+            let start = rng.gen_range(0..n.max(1));
+            for k in 0..n {
+                match &mut inst.operands[(start + k) % n] {
+                    Operand::Reg(r) | Operand::Shifted { rm: r, .. } => *r = Reg::Pc,
+                    Operand::Mem(MemAddr::BaseImm { base, .. }) => *base = Reg::Pc,
+                    Operand::Mem(MemAddr::BaseReg { index, .. }) => *index = Reg::Pc,
+                    _ => continue,
+                }
+                return inst;
+            }
+            g::mov(Reg::Pc, Operand::Imm(0))
+        }
+    }
+}
+
+#[test]
+fn scans_are_prefix_stable_and_validity_is_monotone() {
+    let programs: Vec<Vec<Inst>> = suite(Scale::tiny())
+        .iter()
+        .map(|w| w.pair.guest.program.insts().to_vec())
+        .collect();
+    assert_eq!(programs.len(), 12);
+    let (mut windows, mut clean) = (0usize, 0usize);
+    for insts in &programs {
+        for len in 1..=3 {
+            for window in insts.windows(len) {
+                check_window(window);
+                windows += 1;
+                clean += usize::from(window.iter().all(in_universe));
+            }
+        }
+    }
+    assert!(
+        clean > windows / 4,
+        "{clean} of {windows} windows scan whole"
+    );
+
+    let cases = std::env::var("FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256);
+    let mut rng = StdRng::seed_from_u64(0x5CA9_0001);
+    for _ in 0..cases {
+        let insts = &programs[rng.gen_range(0..programs.len())];
+        let mut window: Vec<Inst> = (0..rng.gen_range(1..=3usize))
+            .map(|_| insts[rng.gen_range(0..insts.len())].clone())
+            .collect();
+        // Salt one position of most windows with a rejecting shape.
+        if rng.gen_range(0..4u8) != 0 {
+            let at = rng.gen_range(0..window.len());
+            window[at] = rejecting(&mut rng, &window[at]);
+            assert!(!in_universe(&window[at]), "{:?}", window[at]);
+        }
+        check_window(&window);
+    }
+}

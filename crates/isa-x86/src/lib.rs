@@ -4,9 +4,10 @@
 //! instructions, `EFLAGS` with x86 polarity (CF is *borrow* after
 //! subtraction — the opposite of the guest, which is what makes
 //! condition-flag delegation interesting, see [`Cc::from_guest`]),
-//! memory operands with base+index+displacement, a variable-length
-//! binary encoding, and a block executor ([`exec_block`]) with QEMU-style
-//! block-exit conventions.
+//! memory operands with base+index+displacement, and a block executor
+//! ([`exec_block`]) with QEMU-style block-exit conventions. Host code
+//! lives as [`Inst`] values; its one byte form is the sealed artifact's
+//! (`pdbt-artifact`'s codec).
 //!
 //! # Example
 //!
@@ -26,14 +27,12 @@
 //! ```
 
 pub mod builders;
-mod encode;
 mod inst;
 mod interp;
 mod operand;
 mod reg;
 mod threaded;
 
-pub use encode::{decode, decode_block, encode, encode_block, DecodeError, EncodeError};
 pub use inst::{Inst, Op, Shape};
 pub use interp::{
     exec_block, exec_block_traced, exec_block_traced_into, step, BlockExit, Cpu, ExecStats, Step,

@@ -31,7 +31,8 @@ use pdbt_core::classify::subgroup_of;
 use pdbt_core::flags::{
     can_materialize, cond_flag_uses, delegated_cc, setcc_for_flag, DELEGATION_WINDOW,
 };
-use pdbt_core::{emit, key as rkey, template as rtemplate, HostLoc, RuleSet};
+use pdbt_core::key::{ComboKey, Scan};
+use pdbt_core::{emit, template as rtemplate, HostLoc, Match, RuleSet};
 use pdbt_ir::{env, lift, lower_branch_cond, lower_ops, RegMap, Terminator};
 use pdbt_isa::Flag;
 use pdbt_isa::{Addr, Cond, FlagSet};
@@ -39,6 +40,7 @@ use pdbt_isa_arm::{Inst as GInst, Program, Reg as GReg, INST_SIZE};
 use pdbt_isa_x86::builders as hb;
 use pdbt_isa_x86::{Inst as HInst, Operand as HOperand, Reg as HReg};
 use pdbt_symexec::FlagEquiv;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Where an executed host instruction's cost is attributed (the four
@@ -421,20 +423,15 @@ fn folded_flag_report(inst: &GInst) -> Option<Vec<(Flag, pdbt_symexec::FlagEquiv
     )
 }
 
-/// Per-flag equivalence reports for a producer's host code.
-type FlagReports = Vec<(Flag, FlagEquiv)>;
-
-/// Emits host code for a foldable QEMU-path flag producer whose flags
-/// feed the adjacent terminal branch: the canonical counterpart code
-/// with environment flag materialization omitted (TCG's compare/branch
-/// folding). Returns the flag report for the stub's condition mapping.
-fn fold_producer(inst: &GInst, map: &RegMap) -> Option<(Vec<HInst>, FlagReports)> {
-    let report = folded_flag_report(inst)?;
-    let p = rkey::parameterize(inst)?;
-    let template = emit::emit_for(&p.key)?;
-    let locs: Vec<HostLoc> = p.inst.slots.iter().map(|g| slot_loc(map, *g)).collect();
-    let code = rtemplate::instantiate(&template, &locs, &p.inst.imms).ok()?;
-    Some((code, report))
+/// Emits host code for a foldable QEMU-path flag producer (the head of
+/// `scan`) whose flags feed the adjacent terminal branch: the canonical
+/// counterpart code with environment flag materialization omitted
+/// (TCG's compare/branch folding); [`folded_flag_report`] is the flag
+/// report for the stub's condition mapping.
+fn fold_producer(scan: &Scan, map: &RegMap) -> Option<Vec<HInst>> {
+    let template = emit::emit_for(scan.first()?)?;
+    let locs: Vec<HostLoc> = scan.slots(1).iter().map(|g| slot_loc(map, *g)).collect();
+    rtemplate::instantiate(&template, &locs, scan.imms(1)).ok()
 }
 
 /// Who produced the host flags the terminal branch may use.
@@ -552,17 +549,15 @@ struct BodyState {
 }
 
 impl BodyState {
-    /// Records one rule application covering `insts`: its registers
-    /// join the cached set, its coverage is attributed to `label`, and
-    /// its host code becomes one segment deferring `live` flags.
-    #[allow(clippy::too_many_arguments)]
+    /// Records the application of rule match `m` to `insts`: their
+    /// registers join the cached set, their coverage is attributed to
+    /// the rule's key, and `code` becomes one segment deferring `live`
+    /// flags.
     fn push_rule_segment(
         &mut self,
         insts: &[(Addr, &GInst)],
-        label: String,
-        root: pdbt_isa_arm::Op,
+        m: &Match<'_>,
         code: Vec<HInst>,
-        report: &[(Flag, FlagEquiv)],
         live: FlagSet,
         cached: bool,
     ) {
@@ -580,8 +575,8 @@ impl BodyState {
         }
         let covered = insts.len() as u32;
         self.attributions.push(RuleAttribution {
-            label,
-            subgroup: subgroup_of(root).to_string(),
+            label: rule_label(m.keys),
+            subgroup: subgroup_of(m.keys[0].op).to_string(),
             covered,
         });
         for _ in insts {
@@ -591,12 +586,33 @@ impl BodyState {
             code,
             class: CodeClass::RuleCore,
             covered,
-            report: (!live.is_empty()).then(|| report.to_vec()),
+            report: (!live.is_empty()).then(|| m.entry.flags.clone()),
             needs_mat: live,
             kind: ProducerKind::Rule,
             cached,
         });
     }
+}
+
+/// A rule's attribution label: its key's display form, `seq[k1 + k2]`
+/// for a multi-key rule.
+fn rule_label(keys: &[ComboKey]) -> String {
+    match keys {
+        [key] => key.to_string(),
+        _ => {
+            let shown: Vec<String> = keys.iter().map(ComboKey::to_string).collect();
+            format!("seq[{}]", shown.join(" + "))
+        }
+    }
+}
+
+/// What the rule-lookup pass records per body position: the scan of the
+/// window starting there (as long as the rule set's longest key) and
+/// its one-key match. The multi-key lookup, the miss label and
+/// compare/branch folding read the scan.
+struct Probe<'r> {
+    scan: Scan,
+    one: Option<Match<'r>>,
 }
 
 /// Whether a rule whose host code leaves `report` may produce the live
@@ -635,7 +651,8 @@ fn slot_locs(slots: &[GReg], map: &RegMap, use_cache: bool) -> Vec<HostLoc> {
 /// Phase 1 of translation: generates per-instruction host segments for
 /// one member's body instructions. `base` is the global guest position
 /// of `insts[0]`; `live_after` is indexed and `producers` expressed in
-/// global positions.
+/// global positions; `probes` is per body position, empty when no rule
+/// set is installed.
 #[allow(clippy::too_many_arguments)]
 fn build_body_segments(
     insts: &[(Addr, &GInst)],
@@ -646,102 +663,55 @@ fn build_body_segments(
     cfg: &TranslateConfig,
     map: &RegMap,
     use_cache: bool,
-    body_matches: &[Option<pdbt_core::Match<'_>>],
+    probes: &[Probe<'_>],
     st: &mut BodyState,
 ) -> Result<(), TranslateError> {
     let env_map = RegMap::all_env();
-    let body_len = insts.len();
+    // The live flags `inst[j]` defines.
+    let live_defs_at = |j: usize| insts[j].1.flag_defs() & live_after[base + j];
+    // Flag policy of applying match `m` at position `i`: no instruction
+    // before its last may define live flags or produce a branch's, and
+    // the last one's live flags must be recoverable from the rule's host
+    // flags. Yields the flags whose materialization the segment defers.
+    let deferred_flags = |m: &Match<'_>, i: usize| -> Option<FlagSet> {
+        let last = i + m.len - 1;
+        let interior_clean =
+            (i..last).all(|j| live_defs_at(j).is_empty() && !producers.contains(&(base + j)));
+        let live = live_defs_at(last);
+        (interior_clean && (live.is_empty() || rule_flags_ok(live, &m.entry.flags, cfg)))
+            .then_some(live)
+    };
     let mut i = 0usize;
-    while i < body_len {
+    while i < insts.len() {
         let (addr, inst) = (&insts[i].0, insts[i].1);
-        let live_defs = inst.flag_defs() & live_after[base + i];
-        // --- learned sequence rules (longest-first, §V-D) ---
-        if let Some(rules) = rules {
-            if rules.max_seq_len() >= 2 {
-                let tail: Vec<GInst> = insts[i..].iter().map(|(_, x)| (*x).clone()).collect();
-                if let Some(sm) = rules.lookup_seq(&tail) {
-                    // Flag policy: no instruction inside the sequence may
-                    // define live flags except the last, which follows
-                    // the single-instruction policy; and a branch
-                    // producer may not sit strictly inside.
-                    let last = i + sm.len - 1;
-                    let mut ok = !producers.iter().any(|&p| p >= base + i && p < base + last);
-                    let mut last_live = FlagSet::EMPTY;
-                    for j in i..=last {
-                        let ld = insts[j].1.flag_defs() & live_after[base + j];
-                        if !ld.is_empty() {
-                            if j != last {
-                                ok = false;
-                            } else {
-                                last_live = ld;
-                            }
-                        }
-                    }
-                    if ok && !last_live.is_empty() {
-                        ok = rule_flags_ok(last_live, &sm.entry.flags, cfg);
-                    }
-                    if ok {
-                        let locs = slot_locs(&sm.inst.slots, map, use_cache);
-                        if let Ok(code) = rules.instantiate_seq_match(&sm, &locs) {
-                            let label = format!(
-                                "seq[{}]",
-                                sm.keys
-                                    .iter()
-                                    .map(|k| k.to_string())
-                                    .collect::<Vec<_>>()
-                                    .join(" + ")
-                            );
-                            st.push_rule_segment(
-                                &insts[i..=last],
-                                label,
-                                sm.keys[0].op,
-                                code,
-                                &sm.entry.flags,
-                                last_live,
-                                use_cache,
-                            );
-                            i += sm.len;
-                            continue;
-                        }
-                    }
-                }
-            }
-        }
         // --- rule path ---
+        // The longest multi-key match (learned sequences, §V-D), then
+        // the one-key match; a candidate the flag policy or the host
+        // instruction shapes reject is skipped, never fatal. Shorter
+        // sequences are not retried: a window is one rule's or none's.
         if let Some(rules) = rules {
-            if let Some(m) = &body_matches[i] {
-                if live_defs.is_empty() || rule_flags_ok(live_defs, &m.entry.flags, cfg) {
-                    let locs = slot_locs(&m.inst.slots, map, use_cache);
-                    let code = rules
-                        .instantiate_match(m, &locs)
-                        .map_err(|err| TranslateError {
-                            detail: format!("instantiation failed: {err}"),
-                        })?;
-                    st.push_rule_segment(
-                        &insts[i..=i],
-                        m.key.to_string(),
-                        m.key.op,
-                        code,
-                        &m.entry.flags,
-                        live_defs,
-                        use_cache,
-                    );
-                    i += 1;
-                    continue;
-                }
+            let multi = rules.lookup_scan(&probes[i].scan, 2..=usize::MAX);
+            let applied = multi.iter().chain(&probes[i].one).find_map(|m| {
+                let live = deferred_flags(m, i)?;
+                let locs = slot_locs(&m.inst.slots, map, use_cache);
+                let code = rules.instantiate_match(m, &locs).ok()?;
+                Some((m, code, live))
+            });
+            if let Some((m, code, live)) = applied {
+                st.push_rule_segment(&insts[i..i + m.len], m, code, live, use_cache);
+                i += m.len;
+                continue;
             }
+            st.lookup_misses.push(match probes[i].scan.first() {
+                Some(key) => key.to_string(),
+                None => inst.op.to_string(),
+            });
         }
         // --- QEMU path ---
         // TCG-style flag handling: dead flags are never materialized,
         // and a producer whose live flags are recoverable from the host
         // ALU flags defers materialization (compare/branch folding).
-        if rules.is_some() {
-            st.lookup_misses.push(
-                rkey::parameterize(inst)
-                    .map(|p| p.key.to_string())
-                    .unwrap_or_else(|| inst.op.to_string()),
-            );
-        }
+        let live_defs = live_defs_at(i);
         let dead = inst.flag_defs() - live_defs;
         let folded = if live_defs.is_empty() {
             None
@@ -749,7 +719,12 @@ fn build_body_segments(
             folded_flag_report(inst)
                 .filter(|r| can_materialize(live_defs, r))
                 .and_then(|r| {
-                    fold_producer(inst, &env_map).map(|(code, _)| (tcg_legalize(code), r))
+                    // Nothing was scanned when no rule set is installed.
+                    let scan = probes.get(i).map_or_else(
+                        || Cow::Owned(Scan::of([inst], 1)),
+                        |probe| Cow::Borrowed(&probe.scan),
+                    );
+                    fold_producer(&scan, &env_map).map(|code| (tcg_legalize(code), r))
                 })
         };
         st.seg_of_guest.push(st.segments.len());
@@ -1189,24 +1164,29 @@ fn translate_members(
     }
     let producers: Vec<usize> = branches.iter().filter_map(|bs| bs.producer).collect();
 
-    // Single rule-lookup pass over the member bodies: each probe starts
-    // with the store's O(1) opcode-presence check, and the match results
-    // are reused by both the caching heuristic below and the segment
-    // builder.
-    let mut all_matches: Vec<Vec<Option<pdbt_core::Match<'_>>>> = Vec::with_capacity(k);
+    // Single rule-lookup pass over the member bodies: each position's
+    // window is scanned once and probed for its one-key rule; the scans
+    // and matches are reused by both the caching heuristic below and
+    // the segment builder.
+    let mut probes: Vec<Vec<Probe<'_>>> = Vec::with_capacity(k);
     for (m, insts) in mems.iter().enumerate() {
-        all_matches.push(
-            insts[..body_lens[m]]
-                .iter()
-                .map(|(_, i)| rules.and_then(|r| r.lookup(i)))
-                .collect(),
-        );
+        let body = &insts[..body_lens[m]];
+        probes.push(rules.map_or_else(Vec::new, |r| {
+            (0..body.len())
+                .map(|i| {
+                    let scan = Scan::of(body[i..].iter().map(|(_, inst)| *inst), r.max_len());
+                    let one = r.lookup_scan(&scan, 1..=1);
+                    Probe { scan, one }
+                })
+                .collect()
+        }));
     }
     // Register caching only pays off when enough of the sequence is
     // rule-translated to amortize the residency synchronization; short
     // or sparsely covered blocks instantiate rules directly on the
-    // environment slots.
-    let rule_hits = all_matches.iter().flatten().flatten().count();
+    // environment slots. One-key matches are what is counted: the
+    // threshold decides register residency, and so host code.
+    let rule_hits = probes.iter().flatten().filter(|p| p.one.is_some()).count();
     let use_cache = rule_hits >= 3;
 
     // Phase 1 + delegation, member by member in order. Materialization
@@ -1236,7 +1216,7 @@ fn translate_members(
             cfg,
             &map,
             use_cache,
-            &all_matches[m],
+            &probes[m],
             &mut st,
         )?;
         let t = ranges[m].1 - 1;
@@ -1862,7 +1842,7 @@ mod seq_tests {
     use crate::engine::{Engine, EngineConfig, RunSetup};
     use pdbt_core::learning::LearnConfig;
     use pdbt_core::ruleset::{verify_seq, Provenance, RuleEntry};
-    use pdbt_core::{key, template, RuleSet};
+    use pdbt_core::{key, load_rules, template, RuleSet};
     use pdbt_isa_arm::builders as g;
     use pdbt_isa_arm::{Operand as O, Reg};
     use pdbt_isa_x86::builders as h;
@@ -1888,9 +1868,9 @@ mod seq_tests {
             _ => None,
         };
         let tmpl = template::extract(&host, &slot_of, &concrete.imms).unwrap();
-        let flags = verify_seq(&keys, &tmpl, 2, CheckOptions::default()).unwrap();
+        let flags = verify_seq(&keys, &tmpl, CheckOptions::default()).unwrap();
         let mut rs = RuleSet::new();
-        assert!(rs.insert_seq(
+        assert!(rs.insert(
             keys,
             RuleEntry {
                 template: tmpl,
@@ -1931,6 +1911,51 @@ mod seq_tests {
         let prog2 = pdbt_isa_arm::Program::new(0x1000, prog2);
         let report = engine.run(&prog2, &setup).unwrap();
         assert_eq!(report.output, vec![109]);
+    }
+
+    /// One failure policy at every key length: a rule whose template
+    /// instantiates to an invalid host instruction costs the instruction
+    /// its rule — a counted lookup miss, translated through the IR — not
+    /// the block its translation.
+    #[test]
+    fn a_rule_that_fails_to_instantiate_is_a_miss_not_an_error() {
+        // `addl $I0, S0`: an immediate destination, whatever S0 is.
+        let mut rules = load_rules(
+            "rule add|s=0|modes=reg,reg,imm|pat=0,0|prov=L|flags=|imms=*\n  addl $I0, S0\nend\n",
+        )
+        .expect("well-formed and arity-consistent");
+        rules.merge(seq_rule_set());
+        let prog = pdbt_isa_arm::Program::new(
+            0x1000,
+            vec![
+                g::add(Reg::R0, Reg::R0, O::Imm(7)),
+                g::mov(Reg::R6, O::Imm(9)),
+                g::add(Reg::R0, Reg::R0, O::Reg(Reg::R6)),
+                g::svc(1),
+                g::svc(0),
+            ],
+        );
+        let bad = key::parameterize(&prog.insts()[0]).unwrap().key;
+        assert!(rules.lookup(&prog.insts()[0]).is_some(), "the rule matches");
+        let block =
+            translate_block(&prog, 0x1000, Some(&rules), &TranslateConfig::default()).unwrap();
+        assert_eq!(
+            block.rule_covered, 2,
+            "only the healthy sequence rule covers"
+        );
+        assert!(block
+            .attributions
+            .iter()
+            .all(|a| a.label.starts_with("seq[")));
+        assert!(block.lookup_misses.contains(&bad.to_string()));
+        let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+        let report = Engine::new(Some(rules), EngineConfig::default())
+            .run(&prog, &setup)
+            .unwrap();
+        let mut cpu = pdbt_isa_arm::Cpu::new();
+        pdbt_isa_arm::run(&mut cpu, &prog, 1000).unwrap();
+        assert_eq!(report.output, cpu.output);
+        assert_eq!(report.output, vec![16]);
     }
 
     #[test]

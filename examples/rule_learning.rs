@@ -11,7 +11,7 @@ use pdbt::compiler::lang::*;
 use pdbt::compiler::{build_debug_map, compile_pair};
 use pdbt::core::derive::{derive, DeriveConfig};
 use pdbt::core::learning::{learn_into, LearnConfig};
-use pdbt::core::{parameterize, RuleSet};
+use pdbt::core::RuleSet;
 use pdbt::isa::Width;
 use pdbt_isa_arm::{builders as g, Operand as O, Reg};
 use pdbt_symexec::CheckOptions;
@@ -74,9 +74,15 @@ fn main() {
         "learning funnel: {} statements -> {} candidates -> {} learned -> {} unique",
         stats.statements, stats.candidates, stats.learned, stats.unique
     );
-    for (key, entry) in rules.iter() {
+    // One table: a rule's key is one combo key per guest instruction.
+    for (keys, entry) in rules.entries() {
+        let key: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
         let tmpl: Vec<String> = entry.template.iter().map(|t| t.to_string()).collect();
-        println!("  learned rule  {key}   =>   {}", tmpl.join("; "));
+        println!(
+            "  learned rule  {}   =>   {}",
+            key.join(" + "),
+            tmpl.join("; ")
+        );
     }
 
     // 3. Parameterize (paper Fig 3): the add rules derive eor/sub/orr/…
@@ -102,9 +108,8 @@ fn main() {
         g::cmp(Reg::R4, O::Imm(10)),
         g::mla(Reg::R4, Reg::R5, Reg::R6, Reg::R7), // unlearnable → none
     ] {
-        let key = parameterize(&inst).map(|p| p.key);
-        match (key, full.lookup(&inst)) {
-            (Some(_), Some(m)) => {
+        match full.lookup(&inst) {
+            Some(m) => {
                 let tmpl: Vec<String> = m.entry.template.iter().map(|t| t.to_string()).collect();
                 println!(
                     "  {:<24} -> {:?}: {}",
@@ -113,7 +118,7 @@ fn main() {
                     tmpl.join("; ")
                 );
             }
-            _ => println!("  {:<24} -> no rule (emulated)", inst.to_string()),
+            None => println!("  {:<24} -> no rule (emulated)", inst.to_string()),
         }
     }
 }

@@ -161,12 +161,20 @@ fn targeted_corruption_quarantines_exactly_the_mutated_entry() {
         }
     }
     assert!(!blocks.is_empty());
-    for _ in 0..cases() {
+    for case in 0..cases() {
         let &(s, e) = &blocks[rng.gen_range(0..blocks.len())];
         assert!(e > s + 1, "blocks have at least one body line");
         let victim = s + 1 + rng.gen_range(0..(e - s - 1));
         let mut mutated: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
-        mutated[victim] = "?? corrupted ??".to_string();
+        if case % 2 == 0 {
+            mutated[victim] = "?? corrupted ??".to_string();
+        } else {
+            // Every line still parses; the header pins more immediates
+            // than any key binds, which only the arity check at the
+            // block's `end` can see.
+            mutated[s] = mutated[s].replace("imms=*", "imms=1,2,3,4,5,6,7,8,9");
+            assert_ne!(mutated[s], lines[s], "no suite rule is pinned");
+        }
         let (rules, quarantined) = load_rules_salvage(&mutated.join("\n"));
         assert_eq!(
             quarantined.len(),
