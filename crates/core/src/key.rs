@@ -230,9 +230,10 @@ impl Scan {
     /// The concrete instantiation of the first `len` instructions.
     #[must_use]
     pub fn instantiation(&self, len: usize) -> Instantiation {
+        let (slots, imms) = seq_arity(self.keys(len));
         Instantiation {
-            slots: self.slots(len).to_vec(),
-            imms: self.imms(len).to_vec(),
+            slots: self.slots[..slots].to_vec(),
+            imms: self.imms[..imms].to_vec(),
         }
     }
 }

@@ -172,12 +172,14 @@ fn seal_open_seal_is_a_byte_fixpoint() {
 fn sealed_artifact_digests_match_the_golden() {
     let mut exp = Experiment::new(Scale::tiny());
     let mut got = String::new();
-    for bench in Benchmark::ALL {
-        for (name, rules) in [("para", exp.rules_for(Config::Para, bench)), ("none", None)] {
-            let w = build(bench, Scale::tiny());
+    for (i, bench) in Benchmark::ALL.into_iter().enumerate() {
+        let para = exp.rules_for(Config::Para, bench);
+        let w = &exp.suite[i];
+        assert_eq!(w.bench, bench);
+        for (name, rules) in [("para", para.as_ref()), ("none", None)] {
             let artifact = pdbt::artifact::compile(
                 &w.pair.guest.program,
-                rules.as_ref(),
+                rules,
                 &w.setup(),
                 EngineConfig::default(),
                 &format!("{bench}/tiny"),
