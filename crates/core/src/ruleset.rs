@@ -308,14 +308,34 @@ impl RuleSet {
         if !self.op_present(inst.op, inst.s) {
             return None;
         }
-        self.lookup_scan(&Scan::of([inst], 1), 1..=1)
+        let scan = Scan::of([inst], 1);
+        let (keys, entry) = self.probe(&scan, 1)?;
+        let (_, inst) = scan.into_parts();
+        Some(Match {
+            keys,
+            entry,
+            inst,
+            len: 1,
+        })
+    }
+
+    /// The rule keyed by the first `len` keys of `scan`, if the window
+    /// meets its immediate constraint. `Vec<ComboKey>` hashes as its
+    /// slice, so every length probes a prefix of the one scan.
+    fn probe(&self, scan: &Scan, len: usize) -> Option<(&[ComboKey], &RuleEntry)> {
+        let (keys, entry) = self.entries.get_key_value(scan.keys(len))?;
+        if let Some(required) = &entry.imm_constraint {
+            if required[..] != *scan.imms(len) {
+                return None;
+            }
+        }
+        Some((keys, entry))
     }
 
     /// Longest-first lookup at the head of a scanned window, over the
     /// key lengths in `lens`: the longest prefix of the scan that is the
     /// key of a rule whose immediate constraint (if any) the window
-    /// meets. `Vec<ComboKey>` hashes as its slice, so each length probes
-    /// a prefix of the one scan.
+    /// meets.
     #[must_use]
     pub fn lookup_scan(&self, scan: &Scan, lens: RangeInclusive<usize>) -> Option<Match<'_>> {
         let first = scan.first()?;
@@ -324,16 +344,12 @@ impl RuleSet {
         }
         let longest = (*lens.end()).min(self.max_len).min(scan.valid_len());
         (*lens.start()..=longest).rev().find_map(|len| {
-            let (keys, entry) = self.entries.get_key_value(scan.keys(len))?;
-            if let Some(required) = &entry.imm_constraint {
-                if required[..] != *scan.imms(len) {
-                    return None;
-                }
-            }
+            let (keys, entry) = self.probe(scan, len)?;
+            let inst = scan.instantiation(len);
             Some(Match {
                 keys,
                 entry,
-                inst: scan.instantiation(len),
+                inst,
                 len,
             })
         })
