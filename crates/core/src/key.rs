@@ -227,13 +227,6 @@ impl Scan {
         &self.imms[..seq_arity(self.keys(len)).1]
     }
 
-    /// The key and instantiation of everything scanned.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<ComboKey>, Instantiation) {
-        let (slots, imms) = (self.slots, self.imms);
-        (self.keys, Instantiation { slots, imms })
-    }
-
     /// The concrete instantiation of the first `len` instructions.
     #[must_use]
     pub fn instantiation(&self, len: usize) -> Instantiation {
@@ -264,7 +257,13 @@ pub fn parameterize(inst: &Inst) -> Option<Parameterized> {
 pub fn parameterize_seq(insts: &[Inst]) -> Option<(Vec<ComboKey>, Instantiation)> {
     let scan = Scan::of(insts, insts.len());
     let whole = !insts.is_empty() && scan.valid_len() == insts.len();
-    whole.then(|| scan.into_parts())
+    whole.then_some((
+        scan.keys,
+        Instantiation {
+            slots: scan.slots,
+            imms: scan.imms,
+        },
+    ))
 }
 
 /// Reconstructs a concrete instruction sequence from a key and an

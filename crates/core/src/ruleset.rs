@@ -308,34 +308,14 @@ impl RuleSet {
         if !self.op_present(inst.op, inst.s) {
             return None;
         }
-        let scan = Scan::of([inst], 1);
-        let (keys, entry) = self.probe(&scan, 1)?;
-        let (_, inst) = scan.into_parts();
-        Some(Match {
-            keys,
-            entry,
-            inst,
-            len: 1,
-        })
-    }
-
-    /// The rule keyed by the first `len` keys of `scan`, if the window
-    /// meets its immediate constraint. `Vec<ComboKey>` hashes as its
-    /// slice, so every length probes a prefix of the one scan.
-    fn probe(&self, scan: &Scan, len: usize) -> Option<(&[ComboKey], &RuleEntry)> {
-        let (keys, entry) = self.entries.get_key_value(scan.keys(len))?;
-        if let Some(required) = &entry.imm_constraint {
-            if required[..] != *scan.imms(len) {
-                return None;
-            }
-        }
-        Some((keys, entry))
+        self.lookup_scan(&Scan::of([inst], 1), 1..=1)
     }
 
     /// Longest-first lookup at the head of a scanned window, over the
     /// key lengths in `lens`: the longest prefix of the scan that is the
     /// key of a rule whose immediate constraint (if any) the window
-    /// meets.
+    /// meets. `Vec<ComboKey>` hashes as its slice, so each length probes
+    /// a prefix of the one scan.
     #[must_use]
     pub fn lookup_scan(&self, scan: &Scan, lens: RangeInclusive<usize>) -> Option<Match<'_>> {
         let first = scan.first()?;
@@ -344,12 +324,16 @@ impl RuleSet {
         }
         let longest = (*lens.end()).min(self.max_len).min(scan.valid_len());
         (*lens.start()..=longest).rev().find_map(|len| {
-            let (keys, entry) = self.probe(scan, len)?;
-            let inst = scan.instantiation(len);
+            let (keys, entry) = self.entries.get_key_value(scan.keys(len))?;
+            if let Some(required) = &entry.imm_constraint {
+                if required[..] != *scan.imms(len) {
+                    return None;
+                }
+            }
             Some(Match {
                 keys,
                 entry,
-                inst,
+                inst: scan.instantiation(len),
                 len,
             })
         })
@@ -466,6 +450,21 @@ mod tests {
         // A different opcode does not match.
         assert!(rs
             .lookup(&g::eor(GReg::R9, GReg::R9, GOp::Imm(77)))
+            .is_none());
+    }
+
+    #[test]
+    fn lookup_is_none_outside_the_rule_universe() {
+        // Both share the rule's (opcode, s) bucket, so the presence gate
+        // passes and the empty scan is what has to say no.
+        let (key, entry) = rmw_add_rule();
+        let mut rs = RuleSet::new();
+        rs.insert(key, entry);
+        let add = g::add(GReg::R0, GReg::R0, GOp::Imm(1));
+        assert!(rs.lookup(&add).is_some());
+        assert!(rs.lookup(&add.with_cond(pdbt_isa::Cond::Eq)).is_none());
+        assert!(rs
+            .lookup(&g::add(GReg::Pc, GReg::Pc, GOp::Imm(4)))
             .is_none());
     }
 

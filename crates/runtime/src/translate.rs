@@ -40,7 +40,6 @@ use pdbt_isa_arm::{Inst as GInst, Program, Reg as GReg, INST_SIZE};
 use pdbt_isa_x86::builders as hb;
 use pdbt_isa_x86::{Inst as HInst, Operand as HOperand, Reg as HReg};
 use pdbt_symexec::FlagEquiv;
-use std::borrow::Cow;
 use std::fmt;
 
 /// Where an executed host instruction's cost is attributed (the four
@@ -720,11 +719,15 @@ fn build_body_segments(
                 .filter(|r| can_materialize(live_defs, r))
                 .and_then(|r| {
                     // Nothing was scanned when no rule set is installed.
-                    let scan = probes.get(i).map_or_else(
-                        || Cow::Owned(Scan::of([inst], 1)),
-                        |probe| Cow::Borrowed(&probe.scan),
-                    );
-                    fold_producer(&scan, &env_map).map(|code| (tcg_legalize(code), r))
+                    let own;
+                    let scan = match probes.get(i) {
+                        Some(probe) => &probe.scan,
+                        None => {
+                            own = Scan::of([inst], 1);
+                            &own
+                        }
+                    };
+                    fold_producer(scan, &env_map).map(|code| (tcg_legalize(code), r))
                 })
         };
         st.seg_of_guest.push(st.segments.len());

@@ -161,43 +161,42 @@ fn targeted_corruption_quarantines_exactly_the_mutated_entry() {
         }
     }
     assert!(!blocks.is_empty());
-    for case in 0..cases() {
+    for _ in 0..cases() {
         let &(s, e) = &blocks[rng.gen_range(0..blocks.len())];
         assert!(e > s + 1, "blocks have at least one body line");
         let victim = s + 1 + rng.gen_range(0..(e - s - 1));
-        let mut mutated: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
-        if case % 2 == 0 {
-            mutated[victim] = "?? corrupted ??".to_string();
-        } else {
-            // Every line still parses; the header pins more immediates
-            // than any key binds, which only the arity check at the
-            // block's `end` can see.
-            mutated[s] = mutated[s].replace("imms=*", "imms=1,2,3,4,5,6,7,8,9");
-            assert_ne!(mutated[s], lines[s], "no suite rule is pinned");
+        // Every line of the second mutation still parses; the header
+        // pins more immediates than any key binds, which only the arity
+        // check at the block's `end` can see.
+        let pinned = lines[s].replace("imms=*", "imms=1,2,3,4,5,6,7,8,9");
+        assert_ne!(pinned, lines[s], "no suite rule is pinned");
+        for (at, poison) in [(victim, "?? corrupted ??"), (s, &pinned[..])] {
+            let mut mutated = lines.clone();
+            mutated[at] = poison;
+            let (rules, quarantined) = load_rules_salvage(&mutated.join("\n"));
+            assert_eq!(
+                quarantined.len(),
+                1,
+                "exactly the mutated block is quarantined"
+            );
+            let q = &quarantined[0];
+            assert!(
+                q.line > s && q.line <= e + 1,
+                "quarantine points into the mutated block: line {} not in ({}, {}]",
+                q.line,
+                s,
+                e + 1
+            );
+            // Deleting the block entirely gives the same surviving set.
+            let without: Vec<&str> = lines
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i < s || *i > e)
+                .map(|(_, l)| *l)
+                .collect();
+            let expect = load_rules(&without.join("\n")).expect("remainder is valid");
+            assert_eq!(save_rules(&rules), save_rules(&expect));
         }
-        let (rules, quarantined) = load_rules_salvage(&mutated.join("\n"));
-        assert_eq!(
-            quarantined.len(),
-            1,
-            "exactly the mutated block is quarantined"
-        );
-        let q = &quarantined[0];
-        assert!(
-            q.line > s && q.line <= e + 1,
-            "quarantine points into the mutated block: line {} not in ({}, {}]",
-            q.line,
-            s,
-            e + 1
-        );
-        // Deleting the block entirely gives the same surviving set.
-        let without: Vec<&str> = lines
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i < s || *i > e)
-            .map(|(_, l)| *l)
-            .collect();
-        let expect = load_rules(&without.join("\n")).expect("remainder is valid");
-        assert_eq!(save_rules(&rules), save_rules(&expect));
     }
 }
 
