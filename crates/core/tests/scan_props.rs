@@ -5,6 +5,9 @@
 //! Checked over every instruction window (length 1–3) of the twelve
 //! suite programs, and over seeded random windows of suite instructions
 //! salted with each rejecting shape. `FUZZ_CASES` scales the random half.
+//!
+//! Also here, because the same programs feed it: the register lists
+//! `Inst::uses`/`defs` hand the translator, pinned element for element.
 
 use pdbt_core::key::{parameterize, reconstruct_seq, Scan};
 use pdbt_isa::Cond;
@@ -134,4 +137,35 @@ fn scans_are_prefix_stable_and_validity_is_monotone() {
         }
         check_window(&window);
     }
+}
+
+/// `uses()`/`defs()` order is load-bearing — register allocation breaks
+/// frequency ties by first appearance — and the translation goldens
+/// cannot say which list moved. Each line of the golden is a function
+/// of the instruction's text, so the distinct instructions of the twelve
+/// programs cover every instruction in them. The lists were recorded
+/// while both functions still returned a `Vec`; `UPDATE_GOLDEN=1`
+/// rewrites the file when the suite's programs change.
+#[test]
+fn uses_and_defs_list_registers_in_the_recorded_order() {
+    let mut lines = std::collections::BTreeSet::new();
+    for w in suite(Scale::tiny()) {
+        for inst in w.pair.guest.program.insts() {
+            lines.insert(format!(
+                "{inst} | uses {:?} | defs {:?}\n",
+                &inst.uses()[..],
+                &inst.defs()[..]
+            ));
+        }
+    }
+    let got: String = lines.into_iter().collect();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/uses_defs.txt");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &got).unwrap();
+    }
+    let want = std::fs::read_to_string(path).expect("golden file present");
+    assert!(
+        got == want,
+        "uses/defs lists changed; review and refresh with UPDATE_GOLDEN=1"
+    );
 }

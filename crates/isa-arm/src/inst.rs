@@ -3,7 +3,7 @@
 //! parameterization framework consumes.
 
 use crate::operand::{MemAddr, Operand};
-use crate::reg::{Reg, RegList};
+use crate::reg::{Reg, RegList, RegVec};
 use pdbt_isa::{Addr, Cond, DataType, EncodingFormat, ExecError, FlagSet, OpCategory, Width};
 use std::fmt;
 
@@ -528,63 +528,64 @@ impl Inst {
         Ok(())
     }
 
-    /// The general-purpose registers written by this instruction.
-    pub fn defs(&self) -> Vec<Reg> {
+    /// Calls `f` with each general-purpose register this instruction
+    /// writes, in [`Inst::defs`] order.
+    #[inline]
+    fn each_def(&self, mut f: impl FnMut(Reg)) {
         use Shape::*;
-        let mut out = match self.op.shape() {
-            Dp3 | Dp2 | Unary2 | Mul3 => self.operands[0].as_reg().into_iter().collect(),
+        let mut plain = |o: &Operand| o.as_reg().into_iter().for_each(&mut f);
+        match self.op.shape() {
+            Dp3 | Dp2 | Unary2 | Mul3 => plain(&self.operands[0]),
             Mul4 => match self.op {
                 // mla rd, rm, rs, ra → writes rd. umull/umlal write lo and hi.
-                Op::Mla => self.operands[0].as_reg().into_iter().collect(),
-                _ => self.operands[..2]
-                    .iter()
-                    .filter_map(Operand::as_reg)
-                    .collect(),
+                Op::Mla => plain(&self.operands[0]),
+                _ => self.operands[..2].iter().for_each(plain),
             },
-            Cmp2 | Branch | Sys | Vfp3 | Vfp2 => vec![],
-            LdSt => {
-                if self.op.is_load() {
-                    self.operands[0].as_reg().into_iter().collect()
-                } else {
-                    vec![]
-                }
-            }
-            VfpLdSt => vec![],
+            LdSt if self.op.is_load() => plain(&self.operands[0]),
             Stack => {
-                let mut v = vec![Reg::Sp];
-                if self.op == Op::Pop {
-                    if let Operand::RegList(l) = self.operands[0] {
-                        v.extend(l.iter());
-                    }
+                f(Reg::Sp);
+                if let (Op::Pop, Operand::RegList(l)) = (self.op, self.operands[0]) {
+                    l.iter().for_each(&mut f);
                 }
-                v
             }
-            BranchReg => vec![],
-        };
-        if self.op == Op::Bl {
-            out.push(Reg::Lr);
+            LdSt | Cmp2 | Branch | BranchReg | Sys | Vfp3 | Vfp2 | VfpLdSt => {}
         }
+        if self.op == Op::Bl {
+            f(Reg::Lr);
+        }
+    }
+
+    /// The general-purpose registers written by this instruction.
+    #[must_use]
+    pub fn defs(&self) -> RegVec {
+        let mut out = RegVec::new();
+        self.each_def(|r| out.push(r));
         out
     }
 
-    /// The general-purpose registers read by this instruction.
-    pub fn uses(&self) -> Vec<Reg> {
+    /// Whether `pc` is among [`Inst::defs`], asked without listing them:
+    /// block collection asks it of every instruction it fetches.
+    fn writes_pc(&self) -> bool {
+        let mut hit = false;
+        self.each_def(|r| hit |= r.is_pc());
+        hit
+    }
+
+    /// The general-purpose registers read by this instruction, in operand
+    /// order (register allocation breaks frequency ties by it).
+    #[must_use]
+    pub fn uses(&self) -> RegVec {
         use Shape::*;
-        let mut out: Vec<Reg> = match self.op.shape() {
-            Dp3 => {
-                let mut v = self.operands[1].uses();
-                v.extend(self.operands[2].uses());
-                v
-            }
-            Dp2 => self.operands[1].uses(),
-            Unary2 => self.operands[1].uses(),
-            Mul3 => self.operands[1..].iter().flat_map(Operand::uses).collect(),
+        let of = |operands: &[Operand]| operands.iter().flat_map(Operand::uses).collect();
+        let mut out: RegVec = match self.op.shape() {
+            Dp3 | Mul3 => of(&self.operands[1..]),
+            Dp2 | Unary2 | VfpLdSt => self.operands[1].uses(),
             Mul4 => match self.op {
-                Op::Mla => self.operands[1..].iter().flat_map(Operand::uses).collect(),
-                Op::Umlal => self.operands.iter().flat_map(Operand::uses).collect(),
-                _ => self.operands[2..].iter().flat_map(Operand::uses).collect(),
+                Op::Mla => of(&self.operands[1..]),
+                Op::Umlal => of(&self.operands),
+                _ => of(&self.operands[2..]),
             },
-            Cmp2 => self.operands.iter().flat_map(Operand::uses).collect(),
+            Cmp2 => of(&self.operands),
             LdSt => {
                 let mut v = self.operands[1].uses();
                 if self.op.is_store() {
@@ -592,19 +593,15 @@ impl Inst {
                 }
                 v
             }
-            VfpLdSt => self.operands[1].uses(),
             Stack => {
-                let mut v = vec![Reg::Sp];
-                if self.op == Op::Push {
-                    if let Operand::RegList(l) = self.operands[0] {
-                        v.extend(l.iter());
-                    }
+                let mut v: RegVec = [Reg::Sp].into_iter().collect();
+                if let (Op::Push, Operand::RegList(l)) = (self.op, self.operands[0]) {
+                    v.extend(l.iter());
                 }
                 v
             }
-            Branch | Sys => vec![],
             BranchReg => self.operands[0].uses(),
-            Vfp3 | Vfp2 => vec![],
+            Branch | Sys | Vfp3 | Vfp2 => RegVec::new(),
         };
         out.dedup();
         out
@@ -637,7 +634,7 @@ impl Inst {
     pub fn is_branch(&self) -> bool {
         matches!(self.op, Op::B | Op::Bl | Op::Bx)
             || (self.op == Op::Svc && self.operands[0].as_imm() == Some(0))
-            || self.defs().contains(&Reg::Pc)
+            || self.writes_pc()
     }
 
     /// The target of a direct branch (`b`/`bl`) at `addr`; `None` for

@@ -2,7 +2,7 @@
 //! shifted register), memory addressing modes, and the uniform operand
 //! type the parameterization framework manipulates.
 
-use crate::reg::{FReg, Reg, RegList};
+use crate::reg::{FReg, Reg, RegList, RegVec};
 use pdbt_isa::AddrModeKind;
 use std::fmt;
 
@@ -146,13 +146,13 @@ impl Operand {
     }
 
     /// The general-purpose registers this operand reads.
-    pub fn uses(&self) -> Vec<Reg> {
+    #[must_use]
+    pub fn uses(&self) -> RegVec {
         match self {
-            Operand::Reg(r) => vec![*r],
-            Operand::Shifted { rm, .. } => vec![*rm],
+            Operand::Reg(r) | Operand::Shifted { rm: r, .. } => [*r].into_iter().collect(),
             Operand::Mem(m) => m.uses().collect(),
             Operand::RegList(l) => l.iter().collect(),
-            Operand::Imm(_) | Operand::FReg(_) | Operand::Target(_) => vec![],
+            Operand::Imm(_) | Operand::FReg(_) | Operand::Target(_) => RegVec::new(),
         }
     }
 

@@ -11,8 +11,9 @@ use std::str::FromStr;
 /// as on real ARM — `pc` can appear as an ordinary operand, which is one
 /// of the addressing-mode constraints the parameterizer must handle
 /// (paper §IV-C2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Reg {
+    #[default]
     R0,
     R1,
     R2,
@@ -103,6 +104,11 @@ impl FromStr for Reg {
         Reg::from_index(n).ok_or_else(|| format!("register index out of range: `{s}`"))
     }
 }
+
+/// The registers an instruction or operand reads or writes, in operand
+/// order and by value. The longest is a sixteen-register `push`/`pop`
+/// list next to `sp`.
+pub type RegVec = pdbt_isa::InlineVec<Reg, 17>;
 
 /// A guest single-precision floating-point register (`s0`–`s15`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -11,6 +11,7 @@ mod cond;
 mod domain;
 mod error;
 mod flags;
+mod inline;
 pub mod mem;
 mod operand;
 
@@ -18,6 +19,7 @@ pub use cond::{cond_flag_uses, Cond};
 pub use domain::{BinOp, Concrete, Domain, Machine, PredOp, UnOp};
 pub use error::ExecError;
 pub use flags::{Flag, FlagSet, Flags};
+pub use inline::{CapacityError, InlineVec};
 pub use mem::Memory;
 pub use operand::{AddrModeKind, AddrModeSet, DataType, EncodingFormat, OpCategory, Width};
 
