@@ -249,8 +249,8 @@ pub fn read_block(r: &mut Reader) -> Result<TranslatedBlock, CodecError> {
     let mut attributions = Vec::with_capacity(n_attr);
     for _ in 0..n_attr {
         attributions.push(RuleAttribution {
-            label: r.str()?,
-            subgroup: r.str()?,
+            label: r.str()?.into(),
+            subgroup: r.str()?.into(),
             covered: r.u32()?,
         });
     }

@@ -183,8 +183,8 @@ fn combo_universe(op: GOp, s: bool) -> Vec<ComboKey> {
             out.push(ComboKey {
                 op,
                 s,
-                modes: modes.clone(),
-                reg_pattern: pattern,
+                modes: modes.iter().copied().collect(),
+                reg_pattern: pattern.into_iter().collect(),
             });
         }
     }
@@ -193,12 +193,12 @@ fn combo_universe(op: GOp, s: bool) -> Vec<ComboKey> {
 
 /// The operand signature of a key (everything except the opcode), used
 /// to group learned rules into opcode-parameterized rules.
-fn opcode_signature(key: &ComboKey) -> (usize, bool, Vec<ModeTag>, Vec<u8>) {
+fn opcode_signature(key: &ComboKey) -> impl std::hash::Hash + Eq {
     (
         classify::pseudo_op(classify::subgroup_of(key.op)),
         key.s,
-        key.modes.clone(),
-        key.reg_pattern.clone(),
+        key.modes,
+        key.reg_pattern,
     )
 }
 
@@ -298,7 +298,7 @@ pub fn derive_jobs(
         subgroup_seeds
             .entry(classify::subgroup_of(key.op))
             .or_default()
-            .push(key.clone());
+            .push(*key);
     }
     let mut groups: Vec<(Subgroup, Vec<ComboKey>)> = subgroup_seeds.into_iter().collect();
     groups.sort_by_key(|(sg, _)| *sg);
@@ -330,12 +330,7 @@ pub fn derive_jobs(
                     seeds
                         .iter()
                         .filter(|k| k.s == s || cfg.flag_delegation)
-                        .map(|k| ComboKey {
-                            op,
-                            s,
-                            modes: k.modes.clone(),
-                            reg_pattern: k.reg_pattern.clone(),
-                        })
+                        .map(|k| ComboKey { op, s, ..*k })
                         .collect()
                 };
                 for key in universe {
@@ -346,7 +341,7 @@ pub fn derive_jobs(
                     match index.entry(key) {
                         Entry::Occupied(e) => candidates[*e.get()].occurrences += 1,
                         Entry::Vacant(v) => {
-                            let key = v.key().clone();
+                            let key = *v.key();
                             // A key names its opcode, so duplicates can
                             // only repeat within one subgroup: the
                             // provenance decision is safe to make on the
@@ -430,7 +425,7 @@ pub fn derive_jobs(
     for (c, outcome) in candidates.iter().zip(outcomes) {
         match outcome {
             Some(Outcome::Accepted(entry)) => {
-                if out.insert(vec![c.key.clone()], *entry) {
+                if out.insert(vec![c.key], *entry) {
                     stats.derived += 1;
                 }
             }

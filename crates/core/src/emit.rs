@@ -38,16 +38,16 @@ fn shift_hop(kind: ShiftKind) -> HOp {
 
 /// Positional decode of a key: slots per register position and the
 /// flexible-operand description.
-struct Decoded {
+struct Decoded<'k> {
     /// Slot of each register mention, in scan order.
-    regs: Vec<u8>,
+    regs: &'k [u8],
     /// The mode of the final (flexible or memory) operand.
     last_mode: ModeTag,
 }
 
-fn decode(key: &ComboKey) -> Decoded {
+fn decode(key: &ComboKey) -> Decoded<'_> {
     Decoded {
-        regs: key.reg_pattern.clone(),
+        regs: &key.reg_pattern,
         last_mode: *key.modes.last().expect("non-empty modes"),
     }
 }

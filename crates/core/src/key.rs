@@ -7,13 +7,38 @@
 //! operand dependence pattern (paper Fig 8) — plus the concrete register
 //! and immediate values needed to instantiate a matched rule.
 
+use pdbt_isa::InlineVec;
 use pdbt_isa_arm::{Inst, MemAddr, Op, Operand, Reg, ShiftKind};
 use std::fmt;
 
+/// Operands per key: the widest guest shape (`mla`, `umull`, `umlal`)
+/// takes four.
+pub const MAX_OPERANDS: usize = 4;
+
+/// Register mentions per key: four plain registers at most (a load or
+/// store mentions three — value, base, index).
+pub const MAX_REG_MENTIONS: usize = 4;
+
+/// Keys per scanned window, and so per rule. Learning stops at
+/// [`crate::learning::MAX_SEQ`]; the spare key is for hand-written rule
+/// files, which [`crate::load_rules`] holds to this bound.
+pub const MAX_WINDOW: usize = 4;
+
+/// Register slots per window: every mention of every key distinct.
+pub const MAX_WINDOW_SLOTS: usize = MAX_WINDOW * MAX_REG_MENTIONS;
+
+/// Immediates per window: every operand of every key an immediate. With
+/// the two window capacities the products of the per-key ones, a window
+/// can only outgrow its storage at an instruction that outgrows a key.
+pub const MAX_WINDOW_IMMS: usize = MAX_WINDOW * MAX_OPERANDS;
+
+const _: () = assert!(crate::learning::MAX_SEQ <= MAX_WINDOW);
+
 /// Addressing-mode tag of one operand position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum ModeTag {
     /// A register.
+    #[default]
     Reg,
     /// An immediate (value becomes an immediate slot).
     Imm,
@@ -48,16 +73,33 @@ impl fmt::Display for ModeTag {
 /// pattern `[0, 0, 1]` and `add r2, r0, r1` has `[0, 1, 2]`, distinct
 /// keys with distinct (aux-move-bearing) templates, which is how the
 /// paper's dependence constraints (§IV-C2, Fig 8) are enforced.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// A key is a value: both lists are inline ([`MAX_OPERANDS`],
+/// [`MAX_REG_MENTIONS`]) and compare, order and hash as the slices they
+/// hold, so building, probing and copying one never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ComboKey {
     /// The opcode.
     pub op: Op,
     /// The set-flags bit.
     pub s: bool,
     /// Addressing-mode tag per operand position.
-    pub modes: Vec<ModeTag>,
+    pub modes: InlineVec<ModeTag, MAX_OPERANDS>,
     /// Slot index per register mention (scan order).
-    pub reg_pattern: Vec<u8>,
+    pub reg_pattern: InlineVec<u8, MAX_REG_MENTIONS>,
+}
+
+/// The operand-less `mov`: the key of no instruction. It pads the unused
+/// tail of a [`Scan`]'s inline key list.
+impl Default for ComboKey {
+    fn default() -> ComboKey {
+        ComboKey {
+            op: Op::Mov,
+            s: false,
+            modes: InlineVec::new(),
+            reg_pattern: InlineVec::new(),
+        }
+    }
 }
 
 impl fmt::Display for ComboKey {
@@ -74,18 +116,18 @@ impl fmt::Display for ComboKey {
     }
 }
 
-/// The concrete part of a parameterized guest instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The concrete part of a parameterized guest instruction (or window).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Instantiation {
     /// Slot index → guest register.
-    pub slots: Vec<Reg>,
+    pub slots: InlineVec<Reg, MAX_WINDOW_SLOTS>,
     /// Immediate slot index → value (op2 immediates, shift amounts,
     /// memory displacements, in scan order).
-    pub imms: Vec<u32>,
+    pub imms: InlineVec<u32, MAX_WINDOW_IMMS>,
 }
 
 /// The result of parameterizing one guest instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parameterized {
     /// The canonical key.
     pub key: ComboKey,
@@ -96,9 +138,9 @@ pub struct Parameterized {
 /// The one walk over guest operands: scans the longest clean prefix of
 /// an instruction window, numbering register slots by first appearance
 /// and collecting immediates in scan order *across the whole window*, so
-/// the keys' `reg_pattern`s index shared slots and `Vec<ComboKey>` is
-/// the canonical key of the window. [`parameterize`] is the
-/// one-instruction call.
+/// the keys' `reg_pattern`s index shared slots and the key list is the
+/// canonical key of the window. [`parameterize`] is the one-instruction
+/// call.
 ///
 /// The scan is prefix-stable — the keys, slots and immediates of the
 /// first `len` instructions are literal prefixes of the whole scan's —
@@ -107,22 +149,28 @@ pub struct Parameterized {
 /// validity is monotone in the prefix length. One scan therefore serves
 /// every candidate length of a longest-first lookup.
 /// `tests/scan_props.rs` holds it to both.
-#[derive(Debug, Clone, Default)]
+///
+/// A scan is a value of [`MAX_WINDOW`] keys at most, built without
+/// touching the heap — which is why nothing memoizes one: scanning a
+/// window again costs less than finding where its scan was kept.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Scan {
-    keys: Vec<ComboKey>,
-    slots: Vec<Reg>,
-    imms: Vec<u32>,
+    keys: InlineVec<ComboKey, MAX_WINDOW>,
+    inst: Instantiation,
 }
 
 impl Scan {
-    /// Scans at most `max_len` instructions, stopping at the first one
-    /// outside the rule-translatable universe (branches, stack ops,
-    /// predicated execution, system calls, floating point, PC-mentioning
-    /// operands — the paper's Fig 9 constraint).
+    /// Scans at most `max_len` instructions — and never more than
+    /// [`MAX_WINDOW`], whatever length a rule file claims — stopping at
+    /// the first one outside the rule-translatable universe (branches,
+    /// stack ops, predicated execution, system calls, floating point,
+    /// PC-mentioning operands — the paper's Fig 9 constraint). An
+    /// instruction with more operands or register mentions than a key
+    /// holds (no validated shape has) is outside it too.
     #[must_use]
     pub fn of<'a>(insts: impl IntoIterator<Item = &'a Inst>, max_len: usize) -> Scan {
         let mut scan = Scan::default();
-        for inst in insts.into_iter().take(max_len) {
+        for inst in insts.into_iter().take(max_len.min(MAX_WINDOW)) {
             if inst.cond != pdbt_isa::Cond::Al
                 || matches!(
                     inst.op,
@@ -131,21 +179,20 @@ impl Scan {
             {
                 break;
             }
-            let (n_slots, n_imms) = (scan.slots.len(), scan.imms.len());
+            let (n_slots, n_imms) = (scan.inst.slots.len(), scan.inst.imms.len());
             let mut key = ComboKey {
                 op: inst.op,
                 s: inst.s,
-                modes: Vec::with_capacity(inst.operands.len()),
-                reg_pattern: Vec::with_capacity(inst.operands.len()),
+                ..ComboKey::default()
             };
-            let mut opaque = false;
-            for o in &inst.operands {
-                opaque |= !scan.operand(&mut key, o);
-            }
+            let fits = inst
+                .operands
+                .iter()
+                .all(|o| scan.operand(&mut key, o).is_some());
             // A PC slot seen earlier would already have stopped the scan.
-            if opaque || scan.slots[n_slots..].iter().any(|r| r.is_pc()) {
-                scan.slots.truncate(n_slots);
-                scan.imms.truncate(n_imms);
+            if !fits || scan.inst.slots[n_slots..].iter().any(|r| r.is_pc()) {
+                scan.inst.slots.truncate(n_slots);
+                scan.inst.imms.truncate(n_imms);
                 break;
             }
             scan.keys.push(key);
@@ -153,47 +200,47 @@ impl Scan {
         scan
     }
 
-    fn reg(&mut self, key: &mut ComboKey, r: Reg) {
-        let idx = match self.slots.iter().position(|s| *s == r) {
+    fn reg(&mut self, key: &mut ComboKey, r: Reg) -> Option<()> {
+        let idx = match self.inst.slots.iter().position(|s| *s == r) {
             Some(i) => i,
             None => {
-                self.slots.push(r);
-                self.slots.len() - 1
+                self.inst.slots.try_push(r).ok()?;
+                self.inst.slots.len() - 1
             }
         };
-        key.reg_pattern.push(idx as u8);
+        key.reg_pattern.try_push(idx as u8).ok()
     }
 
-    /// Appends one operand to `key`; `false` for the unparameterizable
-    /// shapes.
-    fn operand(&mut self, key: &mut ComboKey, o: &Operand) -> bool {
-        match o {
+    /// Appends one operand to `key`; `None` for the unparameterizable
+    /// shapes and for an operand that would overflow a capacity.
+    fn operand(&mut self, key: &mut ComboKey, o: &Operand) -> Option<()> {
+        let mode = match o {
             Operand::Reg(r) => {
-                key.modes.push(ModeTag::Reg);
-                self.reg(key, *r);
+                self.reg(key, *r)?;
+                ModeTag::Reg
             }
             Operand::Imm(v) => {
-                key.modes.push(ModeTag::Imm);
-                self.imms.push(*v);
+                self.inst.imms.try_push(*v).ok()?;
+                ModeTag::Imm
             }
             Operand::Shifted { rm, kind, amount } => {
-                key.modes.push(ModeTag::Shifted(*kind));
-                self.reg(key, *rm);
-                self.imms.push(u32::from(*amount));
+                self.reg(key, *rm)?;
+                self.inst.imms.try_push(u32::from(*amount)).ok()?;
+                ModeTag::Shifted(*kind)
             }
             Operand::Mem(MemAddr::BaseImm { base, offset }) => {
-                key.modes.push(ModeTag::MemBaseImm);
-                self.reg(key, *base);
-                self.imms.push(*offset as u32);
+                self.reg(key, *base)?;
+                self.inst.imms.try_push(*offset as u32).ok()?;
+                ModeTag::MemBaseImm
             }
             Operand::Mem(MemAddr::BaseReg { base, index }) => {
-                key.modes.push(ModeTag::MemBaseReg);
-                self.reg(key, *base);
-                self.reg(key, *index);
+                self.reg(key, *base)?;
+                self.reg(key, *index)?;
+                ModeTag::MemBaseReg
             }
-            Operand::FReg(_) | Operand::RegList(_) | Operand::Target(_) => return false,
-        }
-        true
+            Operand::FReg(_) | Operand::RegList(_) | Operand::Target(_) => return None,
+        };
+        key.modes.try_push(mode).ok()
     }
 
     /// Longest prefix length that parameterizes cleanly.
@@ -218,23 +265,23 @@ impl Scan {
     /// The registers bound by the first `len` instructions, by slot.
     #[must_use]
     pub fn slots(&self, len: usize) -> &[Reg] {
-        &self.slots[..seq_arity(self.keys(len)).0]
+        &self.inst.slots[..seq_arity(self.keys(len)).0]
     }
 
     /// The immediates consumed by the first `len` instructions.
     #[must_use]
     pub fn imms(&self, len: usize) -> &[u32] {
-        &self.imms[..seq_arity(self.keys(len)).1]
+        &self.inst.imms[..seq_arity(self.keys(len)).1]
     }
 
     /// The concrete instantiation of the first `len` instructions.
     #[must_use]
     pub fn instantiation(&self, len: usize) -> Instantiation {
         let (slots, imms) = seq_arity(self.keys(len));
-        Instantiation {
-            slots: self.slots[..slots].to_vec(),
-            imms: self.imms[..imms].to_vec(),
-        }
+        let mut inst = self.inst;
+        inst.slots.truncate(slots);
+        inst.imms.truncate(imms);
+        inst
     }
 }
 
@@ -243,27 +290,23 @@ impl Scan {
 /// rule-translatable universe (see [`Scan::of`]).
 #[must_use]
 pub fn parameterize(inst: &Inst) -> Option<Parameterized> {
-    let (mut keys, inst) = parameterize_seq(std::slice::from_ref(inst))?;
+    let scan = Scan::of([inst], 1);
     Some(Parameterized {
-        key: keys.pop()?,
-        inst,
+        key: *scan.first()?,
+        inst: scan.inst,
     })
 }
 
 /// Parameterizes a short *sequence* of guest instructions as one unit —
 /// the whole-window [`Scan`]. Learned sequence rules use this; per §V-D
-/// they are matched as-is and never parameterized further.
+/// they are matched as-is and never parameterized further. The keys come
+/// back as the `Vec` a rule is [inserted](crate::RuleSet::insert) under.
+/// `None` also for a sequence longer than [`MAX_WINDOW`].
 #[must_use]
 pub fn parameterize_seq(insts: &[Inst]) -> Option<(Vec<ComboKey>, Instantiation)> {
     let scan = Scan::of(insts, insts.len());
     let whole = !insts.is_empty() && scan.valid_len() == insts.len();
-    whole.then_some((
-        scan.keys,
-        Instantiation {
-            slots: scan.slots,
-            imms: scan.imms,
-        },
-    ))
+    whole.then(|| (scan.keys.to_vec(), scan.inst))
 }
 
 /// Reconstructs a concrete instruction sequence from a key and an
@@ -496,8 +539,8 @@ mod tests {
         // training.
         let p = parameterize(&add(Reg::R0, Reg::R0, Operand::Reg(Reg::R1))).unwrap();
         let fresh = Instantiation {
-            slots: vec![Reg::R9, Reg::R10],
-            imms: vec![],
+            slots: [Reg::R9, Reg::R10].into_iter().collect(),
+            ..Instantiation::default()
         };
         let inst = reconstruct_seq(&[p.key], &fresh).unwrap();
         assert_eq!(inst, [add(Reg::R9, Reg::R9, Operand::Reg(Reg::R10))]);
@@ -524,7 +567,11 @@ mod tests {
             .unwrap()
             .key];
         let with = |slots: Vec<Reg>, imms: Vec<u32>| {
-            reconstruct_seq(&keys, &Instantiation { slots, imms })
+            let inst = Instantiation {
+                slots: slots.into_iter().collect(),
+                imms: imms.into_iter().collect(),
+            };
+            reconstruct_seq(&keys, &inst)
         };
         assert!(with(vec![Reg::R0], vec![1]).is_some());
         assert!(with(vec![], vec![1]).is_none(), "too few slots");
@@ -575,8 +622,8 @@ mod tests {
         assert_eq!(back, seq);
         // Fresh registers and immediates instantiate the same shape.
         let fresh = Instantiation {
-            slots: vec![Reg::R7, Reg::R8, Reg::R9],
-            imms: vec![1, 2, 4],
+            slots: [Reg::R7, Reg::R8, Reg::R9].into_iter().collect(),
+            imms: [1, 2, 4].into_iter().collect(),
         };
         let derived = reconstruct_seq(&keys, &fresh).unwrap();
         assert_eq!(derived[0], mov(Reg::R7, Operand::Imm(1)));

@@ -7,6 +7,7 @@
 //! hash table. The matched rule will then be instantiated to generate
 //! host instructions" (paper §V-A).
 
+use crate::classify::subgroup_of;
 use crate::key::{self, ComboKey, Instantiation, ModeTag, Scan};
 use crate::template::{instantiate, HostLoc, Template};
 use pdbt_isa::Flag;
@@ -15,7 +16,9 @@ use pdbt_isa_x86::{Inst as HInst, Reg as HReg};
 use pdbt_symexec::{check, CheckOptions, FlagEquiv, Mapping, Verdict};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// How a rule entered the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,13 +156,14 @@ pub(crate) fn verify_at(
     let hslots = canonical_host_slots(n_slots);
     let mapping = Mapping::new(gslots.iter().copied().zip(hslots.iter().copied()).collect());
     let mut inst = Instantiation {
-        slots: gslots,
-        imms: Vec::new(),
+        slots: gslots.into_iter().collect(),
+        ..Instantiation::default()
     };
     let locs: Vec<HostLoc> = hslots.iter().map(|h| HostLoc::Reg(*h)).collect();
     let mut report: Option<Vec<(Flag, FlagEquiv)>> = None;
     for imms in imm_vectors {
-        inst.imms = imms;
+        inst.imms = pdbt_isa::InlineVec::from_slice(&imms)
+            .ok_or_else(|| format!("{} immediates exceed a window", imms.len()))?;
         let ginsts = key::reconstruct_seq(keys, &inst).ok_or_else(|| {
             let what = if keys.len() == 1 {
                 "key"
@@ -191,11 +195,17 @@ pub(crate) fn verify_at(
 /// A matched rule ready to instantiate.
 #[derive(Debug, Clone)]
 pub struct Match<'a> {
-    /// The rule's key, one [`ComboKey`] per guest instruction (the
-    /// attribution label for observability).
+    /// The rule's key, one [`ComboKey`] per guest instruction.
     pub keys: &'a [ComboKey],
     /// The rule.
     pub entry: &'a RuleEntry,
+    /// The rule's attribution label for observability: its key's display
+    /// form, `seq[k1 + k2]` for a multi-key rule. Formatted once, when
+    /// the rule was inserted; every application shares it.
+    pub label: &'a Arc<str>,
+    /// Instruction-class subgroup of the rule's root opcode (`Int/Dp/Alu`
+    /// style), formatted once like the label.
+    pub subgroup: &'a Arc<str>,
     /// The matched instructions' concrete registers and immediates.
     pub inst: Instantiation,
     /// Guest instructions the match consumes (`keys.len()`).
@@ -209,7 +219,7 @@ pub struct Match<'a> {
 /// which are matched as learned.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    entries: HashMap<Vec<ComboKey>, RuleEntry>,
+    entries: HashMap<Vec<ComboKey>, Rule, BuildHasherDefault<KeyHasher>>,
     /// How many entries have a one-key sequence.
     one_key: usize,
     /// Longest key sequence, where the longest-first lookup starts.
@@ -219,6 +229,67 @@ pub struct RuleSet {
     /// zero bucket rejects the probe before anything is hashed (and, in
     /// [`RuleSet::lookup`], before the allocating scan).
     op_index: Vec<u32>,
+}
+
+/// What the table holds per key: the rule, and the two strings every
+/// application of it is attributed under. The set owns them so that the
+/// translator hands out a reference count, not a freshly formatted
+/// `String`, per rule application.
+#[derive(Debug, Clone)]
+struct Rule {
+    entry: RuleEntry,
+    label: Arc<str>,
+    subgroup: Arc<str>,
+}
+
+/// A rule's attribution label: its key's display form, `seq[k1 + k2]`
+/// for a multi-key rule.
+fn rule_label(keys: &[ComboKey]) -> String {
+    match keys {
+        [key] => key.to_string(),
+        _ => {
+            let shown: Vec<String> = keys.iter().map(ComboKey::to_string).collect();
+            format!("seq[{}]", shown.join(" + "))
+        }
+    }
+}
+
+/// The rule table's hasher: rotate, xor, multiply per word. The table's
+/// keys are the rules the operator installed — a rule file, or what
+/// learning and derivation produced — while guest code, the input
+/// nobody vouches for, only ever *probes* it. No guest can grow a bucket,
+/// so SipHash's collision resistance buys nothing here and its cost
+/// lands on every translated guest instruction ([`pdbt_isa::Memory`]'s
+/// page map makes the same trade).
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
 }
 
 /// The `op_index` bucket of an `(opcode, s)` pair.
@@ -264,12 +335,21 @@ impl RuleSet {
     ///
     /// If `keys` is empty.
     pub fn insert(&mut self, keys: Vec<ComboKey>, entry: RuleEntry) -> bool {
+        let rule = Rule {
+            entry,
+            label: rule_label(&keys).into(),
+            subgroup: subgroup_of(keys[0].op).to_string().into(),
+        };
+        self.insert_rule(keys, rule)
+    }
+
+    fn insert_rule(&mut self, keys: Vec<ComboKey>, rule: Rule) -> bool {
         use std::collections::hash_map::Entry;
         let (bucket, len) = (op_bucket(keys[0].op, keys[0].s), keys.len());
         match self.entries.entry(keys) {
             Entry::Occupied(_) => false,
             Entry::Vacant(v) => {
-                v.insert(entry);
+                v.insert(rule);
                 if self.op_index.is_empty() {
                     self.op_index = vec![0; GOpc::ALL.len() * 2];
                 }
@@ -298,7 +378,8 @@ impl RuleSet {
     /// The entry of a one-key rule.
     #[must_use]
     pub fn get(&self, key: &ComboKey) -> Option<&RuleEntry> {
-        self.entries.get(std::slice::from_ref(key))
+        let rule = self.entries.get(std::slice::from_ref(key))?;
+        Some(&rule.entry)
     }
 
     /// Looks up the one-key rule for a guest instruction: parameterize,
@@ -315,7 +396,8 @@ impl RuleSet {
     /// key lengths in `lens`: the longest prefix of the scan that is the
     /// key of a rule whose immediate constraint (if any) the window
     /// meets. `Vec<ComboKey>` hashes as its slice, so each length probes
-    /// a prefix of the one scan.
+    /// a prefix of the one scan; neither the probe nor the match it
+    /// returns touches the heap.
     #[must_use]
     pub fn lookup_scan(&self, scan: &Scan, lens: RangeInclusive<usize>) -> Option<Match<'_>> {
         let first = scan.first()?;
@@ -324,15 +406,17 @@ impl RuleSet {
         }
         let longest = (*lens.end()).min(self.max_len).min(scan.valid_len());
         (*lens.start()..=longest).rev().find_map(|len| {
-            let (keys, entry) = self.entries.get_key_value(scan.keys(len))?;
-            if let Some(required) = &entry.imm_constraint {
+            let (keys, rule) = self.entries.get_key_value(scan.keys(len))?;
+            if let Some(required) = &rule.entry.imm_constraint {
                 if required[..] != *scan.imms(len) {
                     return None;
                 }
             }
             Some(Match {
                 keys,
-                entry,
+                entry: &rule.entry,
+                label: &rule.label,
+                subgroup: &rule.subgroup,
                 inst: scan.instantiation(len),
                 len,
             })
@@ -363,7 +447,9 @@ impl RuleSet {
 
     /// Iterates over every rule, of any key length.
     pub fn entries(&self) -> impl Iterator<Item = (&[ComboKey], &RuleEntry)> {
-        self.entries.iter().map(|(keys, entry)| (&keys[..], entry))
+        self.entries
+            .iter()
+            .map(|(keys, rule)| (&keys[..], &rule.entry))
     }
 
     /// Merges another rule set into this one (existing keys win);
@@ -372,7 +458,7 @@ impl RuleSet {
         other
             .entries
             .into_iter()
-            .map(|(keys, entry)| usize::from(self.insert(keys, entry)))
+            .map(|(keys, rule)| usize::from(self.insert_rule(keys, rule)))
             .sum()
     }
 }

@@ -12,7 +12,7 @@
 //! end
 //! ```
 
-use crate::key::{seq_arity, ComboKey, ModeTag};
+use crate::key::{seq_arity, ComboKey, ModeTag, MAX_OPERANDS, MAX_REG_MENTIONS, MAX_WINDOW};
 use crate::ruleset::{Provenance, RuleEntry, RuleSet, MAX_SLOTS};
 use crate::template::{TImm, TMem, TOperand, TReg, TemplateInst};
 use pdbt_isa::Flag;
@@ -250,15 +250,18 @@ fn key_text(key: &ComboKey) -> String {
     )
 }
 
-fn parse_key(text: &str, line: usize) -> Result<ComboKey, StoreError> {
+/// Parses one key. A `modes=` or `pat=` list longer than a key holds is
+/// a defect of the block, not of the line: the key comes back cut at
+/// its capacity together with the complaint, which [`Block::defect`]
+/// raises at the block's `end` — so the cut key is never inserted.
+fn parse_key(text: &str, line: usize) -> Result<(ComboKey, Option<String>), StoreError> {
     let err = |detail: String| StoreError {
         line: line + 1,
         detail,
     };
     let mut op = None;
-    let mut s = false;
-    let mut modes = Vec::new();
-    let mut pat = Vec::new();
+    let mut key = ComboKey::default();
+    let mut overflow = None;
     for (i, field) in text.split('|').enumerate() {
         if i == 0 {
             op = GOp::ALL.into_iter().find(|o| o.mnemonic() == field);
@@ -271,26 +274,32 @@ fn parse_key(text: &str, line: usize) -> Result<ComboKey, StoreError> {
             .split_once('=')
             .ok_or_else(|| err(format!("bad field `{field}`")))?;
         match k {
-            "s" => s = v == "1",
+            "s" => key.s = v == "1",
             "modes" => {
                 for m in v.split(',').filter(|m| !m.is_empty()) {
-                    modes.push(parse_mode(m).ok_or_else(|| err(format!("bad mode `{m}`")))?);
+                    let mode = parse_mode(m).ok_or_else(|| err(format!("bad mode `{m}`")))?;
+                    if key.modes.try_push(mode).is_err() {
+                        overflow = Some(format!(
+                            "modes= lists more than the {MAX_OPERANDS} operands a key holds"
+                        ));
+                    }
                 }
             }
             "pat" => {
                 for p in v.split(',').filter(|p| !p.is_empty()) {
-                    pat.push(p.parse().map_err(|_| err(format!("bad pattern `{p}`")))?);
+                    let slot = p.parse().map_err(|_| err(format!("bad pattern `{p}`")))?;
+                    if key.reg_pattern.try_push(slot).is_err() {
+                        overflow = Some(format!(
+                            "pat= lists more than the {MAX_REG_MENTIONS} register mentions a key holds"
+                        ));
+                    }
                 }
             }
             other => return Err(err(format!("unknown key field `{other}`"))),
         }
     }
-    Ok(ComboKey {
-        op: op.expect("checked"),
-        s,
-        modes,
-        reg_pattern: pat,
-    })
+    key.op = op.expect("checked");
+    Ok((key, overflow))
 }
 
 fn entry_meta_text(entry: &RuleEntry) -> String {
@@ -351,21 +360,33 @@ pub fn save_rules(rules: &RuleSet) -> String {
     out
 }
 
-/// A rule block being parsed: its keys so far, its entry so far, and
-/// whether a `seq` header opened it (body lines are then `g`/`h`-tagged).
+/// A rule block being parsed: its keys so far, its entry so far,
+/// whether a `seq` header opened it (body lines are then `g`/`h`-tagged),
+/// and the first key list found longer than a key holds.
 struct Block {
     keys: Vec<ComboKey>,
     entry: RuleEntry,
     tagged: bool,
+    overflow: Option<String>,
 }
 
 impl Block {
     /// What is wrong with a finished block, if anything. Stores are
     /// outside input: beyond shape, a block must bind what its template
     /// and immediate constraint name — otherwise the rule would never
-    /// match, or match and then fail to instantiate — and no more slots
-    /// than verification has registers for.
+    /// match, or match and then fail to instantiate — no more slots than
+    /// verification has registers for, and nothing past the fixed
+    /// capacities keys and scanned windows are stored in ([`crate::key`]).
     fn defect(&self) -> Option<String> {
+        if let Some(overflow) = &self.overflow {
+            return Some(overflow.clone());
+        }
+        if self.keys.len() > MAX_WINDOW {
+            return Some(format!(
+                "{} keys exceed the {MAX_WINDOW}-instruction window a rule is matched in",
+                self.keys.len()
+            ));
+        }
         if self.tagged && (self.keys.len() < 2 || self.entry.template.is_empty()) {
             return Some("seq rule needs ≥2 keys and a template".into());
         }
@@ -439,20 +460,21 @@ pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
             }
             // A `rule` header is the key's four fields, then the entry
             // metadata a `seq` header consists of.
-            let (keys, meta) = if rule_header.is_some() {
+            let (keys, overflow, meta) = if rule_header.is_some() {
                 let fields: Vec<&str> = header.split('|').collect();
                 if fields.len() < 7 {
                     return Err(err(no, "truncated rule header".into()));
                 }
-                let key = parse_key(&fields[..4].join("|"), no)?;
-                (vec![key], fields[4..].join("|"))
+                let (key, overflow) = parse_key(&fields[..4].join("|"), no)?;
+                (vec![key], overflow, fields[4..].join("|"))
             } else {
-                (Vec::new(), header.to_string())
+                (Vec::new(), None, header.to_string())
             };
             pending = Some(Block {
                 keys,
                 entry: parse_entry_meta(&meta, no)?,
                 tagged: rule_header.is_none(),
+                overflow,
             });
         } else if line == "end" {
             let block = pending
@@ -469,7 +491,9 @@ pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
             let tag = ["g ", "h "].into_iter().find(|t| line.starts_with(t));
             let (block, text) = match (pending.as_mut(), tag) {
                 (Some(block), Some("g ")) if block.tagged => {
-                    block.keys.push(parse_key(line[2..].trim(), no)?);
+                    let (key, overflow) = parse_key(line[2..].trim(), no)?;
+                    block.keys.push(key);
+                    block.overflow = block.overflow.take().or(overflow);
                     continue;
                 }
                 (Some(block), Some(_)) if block.tagged => (block, &line[2..]),

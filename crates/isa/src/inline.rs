@@ -3,10 +3,11 @@
 //! tags, rule slots, host operands) live in their owner instead of on
 //! the heap.
 //!
-//! The unused tail of the backing array holds `T::default()` padding
-//! and is never observable: every view, comparison, hash and `Debug`
-//! goes through the live slice, so an `InlineVec` compares, orders,
-//! hashes and prints exactly like the `Vec` holding the same elements.
+//! The tail of the backing array past the length is padding —
+//! `T::default()`, or whatever a since-shortened list held — and is
+//! never observable: every view, comparison, hash and `Debug` goes
+//! through the live slice, so an `InlineVec` compares, orders, hashes
+//! and prints exactly like the `Vec` holding the same elements.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -72,7 +73,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Shortens the list to `len` elements; a no-op when it is shorter.
     pub fn truncate(&mut self, len: usize) {
         if len < usize::from(self.len) {
-            self.items[len..usize::from(self.len)].fill(T::default());
             self.len = len as u8;
         }
     }

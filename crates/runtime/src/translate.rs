@@ -31,7 +31,7 @@ use pdbt_core::classify::subgroup_of;
 use pdbt_core::flags::{
     can_materialize, cond_flag_uses, delegated_cc, setcc_for_flag, DELEGATION_WINDOW,
 };
-use pdbt_core::key::{ComboKey, Scan};
+use pdbt_core::key::Scan;
 use pdbt_core::{emit, template as rtemplate, HostLoc, Match, RuleSet};
 use pdbt_ir::{env, lift, lower_branch_cond, lower_ops, RegMap, Terminator};
 use pdbt_isa::Flag;
@@ -41,6 +41,7 @@ use pdbt_isa_x86::builders as hb;
 use pdbt_isa_x86::{Inst as HInst, Operand as HOperand, Reg as HReg};
 use pdbt_symexec::FlagEquiv;
 use std::fmt;
+use std::sync::Arc;
 
 /// Where an executed host instruction's cost is attributed (the four
 /// columns of Table II).
@@ -116,11 +117,12 @@ impl std::error::Error for TranslateError {}
 pub struct RuleAttribution {
     /// Rule label: the matched `ComboKey`'s display form, a
     /// `seq[..]` compound for sequence rules, or `b<cond> (delegated)`
-    /// for a delegated terminal branch.
-    pub label: String,
+    /// for a delegated terminal branch. A rule's label is the rule
+    /// set's ([`Match::label`]): every application shares the one text.
+    pub label: Arc<str>,
     /// Instruction-class subgroup of the rule's root opcode
-    /// (`Int/Dp/Alu` style).
-    pub subgroup: String,
+    /// (`Int/Dp/Alu` style), shared the same way.
+    pub subgroup: Arc<str>,
     /// Guest instructions this application covers.
     pub covered: u32,
 }
@@ -574,8 +576,8 @@ impl BodyState {
         }
         let covered = insts.len() as u32;
         self.attributions.push(RuleAttribution {
-            label: rule_label(m.keys),
-            subgroup: subgroup_of(m.keys[0].op).to_string(),
+            label: Arc::clone(m.label),
+            subgroup: Arc::clone(m.subgroup),
             covered,
         });
         for _ in insts {
@@ -590,18 +592,6 @@ impl BodyState {
             kind: ProducerKind::Rule,
             cached,
         });
-    }
-}
-
-/// A rule's attribution label: its key's display form, `seq[k1 + k2]`
-/// for a multi-key rule.
-fn rule_label(keys: &[ComboKey]) -> String {
-    match keys {
-        [key] => key.to_string(),
-        _ => {
-            let shown: Vec<String> = keys.iter().map(ComboKey::to_string).collect();
-            format!("seq[{}]", shown.join(" + "))
-        }
     }
 }
 
@@ -1238,8 +1228,8 @@ fn translate_members(
             if let Some((_, true, _)) = decided {
                 member_branch_cov[m] = true;
                 st.attributions.push(RuleAttribution {
-                    label: format!("b{} (delegated)", bs.cond),
-                    subgroup: subgroup_of(pdbt_isa_arm::Op::B).to_string(),
+                    label: format!("b{} (delegated)", bs.cond).into(),
+                    subgroup: subgroup_of(pdbt_isa_arm::Op::B).to_string().into(),
                     covered: 1,
                 });
             }
