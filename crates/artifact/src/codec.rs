@@ -10,7 +10,7 @@
 //! section — never a panic.
 
 use crate::bytes::{err, CodecError, Reader, Writer};
-use pdbt_isa_x86::{Cc, Inst, Mem, Op, Operand, Reg, Shape, Xmm};
+use pdbt_isa_x86::{Cc, Inst, Mem, Op, Operand, Operands, Reg, Shape, Xmm};
 use pdbt_runtime::{
     BlockSuccs, CodeClass, DelegOutcome, MemberMark, RuleAttribution, TranslatedBlock,
 };
@@ -107,9 +107,11 @@ fn read_inst(r: &mut Reader) -> Result<Inst, CodecError> {
         },
     };
     let n = r.u8()? as usize;
-    let mut operands = Vec::with_capacity(n);
+    let mut operands = Operands::new();
     for _ in 0..n {
-        operands.push(read_operand(r)?);
+        if operands.try_push(read_operand(r)?).is_err() {
+            return err(format!("{n} operands on one host instruction"));
+        }
     }
     // A conditional op without its condition code cannot even be
     // displayed, so reject it before `validate` formats an error.

@@ -161,6 +161,7 @@ pub(crate) fn verify_at(
     };
     let locs: Vec<HostLoc> = hslots.iter().map(|h| HostLoc::Reg(*h)).collect();
     let mut report: Option<Vec<(Flag, FlagEquiv)>> = None;
+    let mut host = Vec::new();
     for imms in imm_vectors {
         inst.imms = pdbt_isa::InlineVec::from_slice(&imms)
             .ok_or_else(|| format!("{} immediates exceed a window", imms.len()))?;
@@ -172,7 +173,8 @@ pub(crate) fn verify_at(
             };
             format!("{what} does not reconstruct")
         })?;
-        let host = instantiate(template, &locs, &inst.imms).map_err(|e| e.to_string())?;
+        host.clear();
+        instantiate(template, &locs, &inst.imms, &mut host).map_err(|e| e.to_string())?;
         match check(&ginsts, &host, &mapping, opts) {
             Verdict::Equivalent { flags } => {
                 report = Some(match report {
@@ -423,7 +425,9 @@ impl RuleSet {
         })
     }
 
-    /// Instantiates a match with the actual host locations of its slots.
+    /// Instantiates a match with the actual host locations of its slots,
+    /// into a buffer of its own. The translator appends to the block's
+    /// with [`instantiate`] directly.
     ///
     /// # Errors
     ///
@@ -434,7 +438,8 @@ impl RuleSet {
         m: &Match<'_>,
         locs: &[HostLoc],
     ) -> Result<Vec<HInst>, crate::template::TemplateError> {
-        instantiate(&m.entry.template, locs, &m.inst.imms)
+        let mut out = Vec::new();
+        instantiate(&m.entry.template, locs, &m.inst.imms, &mut out).map(|()| out)
     }
 
     /// Iterates over the one-key rules.

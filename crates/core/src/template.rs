@@ -10,7 +10,7 @@
 //! in-environment memory slot — and legalizes the result (mem-mem
 //! operand fixes, address materialization).
 
-use pdbt_isa_x86::{Cc, Inst as HInst, Mem, Op as HOp, Operand as HOperand, Reg as HReg};
+use pdbt_isa_x86::{Cc, Inst as HInst, Mem, Op as HOp, Operand as HOperand, Operands, Reg as HReg};
 use std::fmt;
 
 /// A template register reference.
@@ -211,8 +211,9 @@ pub fn extract(
 struct Resolver<'a> {
     locs: &'a [HostLoc],
     imms: &'a [u32],
-    /// Instructions emitted ahead of the current one (materializations).
-    out: Vec<HInst>,
+    /// The caller's buffer: materializations land in it ahead of the
+    /// instruction whose operands need them.
+    out: &'a mut Vec<HInst>,
 }
 
 impl Resolver<'_> {
@@ -283,7 +284,8 @@ impl Resolver<'_> {
 /// Instantiates a template with concrete parameter locations and
 /// immediate values, legalizing mem-mem operand pairs and materializing
 /// memory-resident address bases. This is the paper's "matched rule
-/// instantiation" step (§IV-D).
+/// instantiation" step (§IV-D). The host code is appended to `out`, the
+/// caller's buffer; a failed instantiation leaves `out` as it found it.
 ///
 /// # Errors
 ///
@@ -292,66 +294,75 @@ pub fn instantiate(
     template: &Template,
     locs: &[HostLoc],
     imms: &[u32],
-) -> Result<Vec<HInst>, TemplateError> {
+    out: &mut Vec<HInst>,
+) -> Result<(), TemplateError> {
+    let start = out.len();
+    let appended = append(template, locs, imms, out);
+    if appended.is_err() {
+        out.truncate(start);
+    }
+    appended
+}
+
+fn append(
+    template: &Template,
+    locs: &[HostLoc],
+    imms: &[u32],
+    out: &mut Vec<HInst>,
+) -> Result<(), TemplateError> {
     use pdbt_isa_x86::builders as hb;
-    let mut out: Vec<HInst> = Vec::with_capacity(template.len());
+    out.reserve(template.len());
     for t in template {
-        let mut r = Resolver {
-            locs,
-            imms,
-            out: Vec::new(),
-        };
-        let mut operands: Vec<HOperand> = t
-            .operands
-            .iter()
-            .map(|o| r.operand(o))
-            .collect::<Result<_, _>>()?;
-        out.append(&mut r.out);
-        // Legalize two-memory-operand combinations: load the source into
-        // a scratch register first. Template-derived code never keeps a
-        // live value in the chosen scratch across this boundary (see the
-        // crate tests that enforce it).
-        if operands.len() == 2
-            && matches!(operands[0], HOperand::Mem(_))
-            && matches!(operands[1], HOperand::Mem(_))
-            // Narrow moves have their own width-correct fixes below.
-            && !matches!(t.op, HOp::MovB | HOp::MovW | HOp::MovzxB | HOp::MovzxW)
-        {
-            let uses_eax = t.operands.iter().any(|o| {
-                matches!(o, TOperand::Reg(TReg::Scratch(0)))
-                    || matches!(
-                        o,
-                        TOperand::Mem(TMem {
-                            base: Some(TReg::Scratch(0)),
-                            ..
-                        })
-                    )
-            });
-            let scratch = if uses_eax { HReg::Edx } else { HReg::Eax };
-            out.push(hb::mov(HOperand::Reg(scratch), operands[1]));
-            operands[1] = HOperand::Reg(scratch);
-        }
-        // Narrow stores need a register source.
-        if matches!(t.op, HOp::MovB | HOp::MovW) && !matches!(operands[1], HOperand::Reg(_)) {
-            out.push(hb::mov(HOperand::Reg(HReg::Eax), operands[1]));
-            operands[1] = HOperand::Reg(HReg::Eax);
-        }
-        // Zero-extending loads need a register destination.
-        if matches!(t.op, HOp::MovzxB | HOp::MovzxW) && !matches!(operands[0], HOperand::Reg(_)) {
-            let final_dst = operands[0];
-            operands[0] = HOperand::Reg(HReg::Eax);
-            let inst = HInst {
-                op: t.op,
-                cc: t.cc,
-                operands,
-            };
-            inst.validate().map_err(|e| TemplateError {
-                detail: e.to_string(),
+        let mut r = Resolver { locs, imms, out };
+        let mut operands = Operands::new();
+        for o in &t.operands {
+            let resolved = r.operand(o)?;
+            // Rule files are outside input: a third operand is the
+            // template's defect, not a full list's panic.
+            operands.try_push(resolved).map_err(|_| TemplateError {
+                detail: format!("`{t}` has more operands than a host instruction takes"),
             })?;
-            out.push(inst);
-            out.push(hb::mov(final_dst, HOperand::Reg(HReg::Eax)));
-            continue;
         }
+        if let [dst, src] = &mut operands[..] {
+            // Legalize two-memory-operand combinations: load the source
+            // into a scratch register first. Template-derived code never
+            // keeps a live value in the chosen scratch across this
+            // boundary (see the crate tests that enforce it). Narrow
+            // moves have their own width-correct fixes below.
+            if matches!((&dst, &src), (HOperand::Mem(_), HOperand::Mem(_)))
+                && !matches!(t.op, HOp::MovB | HOp::MovW | HOp::MovzxB | HOp::MovzxW)
+            {
+                let uses_eax = t.operands.iter().any(|o| {
+                    matches!(o, TOperand::Reg(TReg::Scratch(0)))
+                        || matches!(
+                            o,
+                            TOperand::Mem(TMem {
+                                base: Some(TReg::Scratch(0)),
+                                ..
+                            })
+                        )
+                });
+                let scratch = if uses_eax { HReg::Edx } else { HReg::Eax };
+                out.push(hb::mov(HOperand::Reg(scratch), *src));
+                *src = HOperand::Reg(scratch);
+            }
+            // Narrow stores need a register source.
+            if matches!(t.op, HOp::MovB | HOp::MovW) && !matches!(src, HOperand::Reg(_)) {
+                out.push(hb::mov(HOperand::Reg(HReg::Eax), *src));
+                *src = HOperand::Reg(HReg::Eax);
+            }
+        }
+        // Zero-extending loads need a register destination: load into
+        // `eax`, then move it to where the rule wants it.
+        let spill_to = match operands.first_mut() {
+            Some(dst)
+                if matches!(t.op, HOp::MovzxB | HOp::MovzxW)
+                    && !matches!(dst, HOperand::Reg(_)) =>
+            {
+                Some(std::mem::replace(dst, HOperand::Reg(HReg::Eax)))
+            }
+            _ => None,
+        };
         let inst = HInst {
             op: t.op,
             cc: t.cc,
@@ -361,8 +372,11 @@ pub fn instantiate(
             detail: e.to_string(),
         })?;
         out.push(inst);
+        if let Some(final_dst) = spill_to {
+            out.push(hb::mov(final_dst, HOperand::Reg(HReg::Eax)));
+        }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -372,6 +386,16 @@ mod tests {
 
     fn slot_map(pairs: &[(HReg, u8)]) -> impl Fn(HReg) -> Option<u8> + '_ {
         move |r| pairs.iter().find(|(h, _)| *h == r).map(|(_, i)| *i)
+    }
+
+    /// The host code `super::instantiate` appends to an empty buffer.
+    fn instantiate(
+        t: &Template,
+        locs: &[HostLoc],
+        imms: &[u32],
+    ) -> Result<Vec<HInst>, TemplateError> {
+        let mut out = Vec::new();
+        super::instantiate(t, locs, imms, &mut out).map(|()| out)
     }
 
     #[test]

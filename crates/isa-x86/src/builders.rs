@@ -7,7 +7,7 @@ use crate::operand::{Cc, Operand};
 use crate::reg::Reg;
 use crate::reg::Xmm;
 
-fn build(op: Op, operands: Vec<Operand>) -> Inst {
+fn build(op: Op, operands: impl IntoIterator<Item = Operand>) -> Inst {
     Inst::new(op, operands).expect("builder produced a malformed instruction")
 }
 
@@ -71,115 +71,115 @@ two_op! {
 /// `notl dst`
 #[must_use]
 pub fn not(dst: Operand) -> Inst {
-    build(Op::Not, vec![dst])
+    build(Op::Not, [dst])
 }
 
 /// `negl dst`
 #[must_use]
 pub fn neg(dst: Operand) -> Inst {
-    build(Op::Neg, vec![dst])
+    build(Op::Neg, [dst])
 }
 
 /// `mull src` — `edx:eax = eax * src`
 #[must_use]
 pub fn mul_wide(src: Operand) -> Inst {
-    build(Op::MulWide, vec![src])
+    build(Op::MulWide, [src])
 }
 
 /// `pushl src`
 #[must_use]
 pub fn push(src: Operand) -> Inst {
-    build(Op::Push, vec![src])
+    build(Op::Push, [src])
 }
 
 /// `popl dst`
 #[must_use]
 pub fn pop(dst: Operand) -> Inst {
-    build(Op::Pop, vec![dst])
+    build(Op::Pop, [dst])
 }
 
 /// `jmp .+d` — relative jump by `d` instructions.
 #[must_use]
 pub fn jmp_rel(d: i32) -> Inst {
-    build(Op::Jmp, vec![Operand::Target(d)])
+    build(Op::Jmp, [Operand::Target(d)])
 }
 
 /// `jmp r/m/imm` — block exit; the operand value is the next guest PC.
 #[must_use]
 pub fn jmp_exit(target: Operand) -> Inst {
-    build(Op::Jmp, vec![target])
+    build(Op::Jmp, [target])
 }
 
 /// `j<cc> .+d`
 #[must_use]
 pub fn jcc(cc: Cc, d: i32) -> Inst {
-    Inst::new_cc(Op::Jcc, cc, vec![Operand::Target(d)]).expect("valid jcc")
+    Inst::new_cc(Op::Jcc, cc, [Operand::Target(d)]).expect("valid jcc")
 }
 
 /// `set<cc> dst` — dst := 0/1.
 #[must_use]
 pub fn setcc(cc: Cc, dst: Operand) -> Inst {
-    Inst::new_cc(Op::Setcc, cc, vec![dst]).expect("valid setcc")
+    Inst::new_cc(Op::Setcc, cc, [dst]).expect("valid setcc")
 }
 
 /// `ret`
 #[must_use]
 pub fn ret() -> Inst {
-    build(Op::Ret, vec![])
+    build(Op::Ret, [])
 }
 
 /// `call <target>`
 #[must_use]
 pub fn call(target: Operand) -> Inst {
-    build(Op::Call, vec![target])
+    build(Op::Call, [target])
 }
 
 /// `out` — emit `eax` to the output stream.
 #[must_use]
 pub fn out() -> Inst {
-    build(Op::Out, vec![])
+    build(Op::Out, [])
 }
 
 /// `hlt` — stop execution.
 #[must_use]
 pub fn hlt() -> Inst {
-    build(Op::Hlt, vec![])
+    build(Op::Hlt, [])
 }
 
 /// `movss dst, src`
 #[must_use]
 pub fn movss(dst: Operand, src: Operand) -> Inst {
-    build(Op::Movss, vec![dst, src])
+    build(Op::Movss, [dst, src])
 }
 
 /// `addss xmm, src`
 #[must_use]
 pub fn addss(dst: Xmm, src: Operand) -> Inst {
-    build(Op::Addss, vec![Operand::Xmm(dst), src])
+    build(Op::Addss, [Operand::Xmm(dst), src])
 }
 
 /// `subss xmm, src`
 #[must_use]
 pub fn subss(dst: Xmm, src: Operand) -> Inst {
-    build(Op::Subss, vec![Operand::Xmm(dst), src])
+    build(Op::Subss, [Operand::Xmm(dst), src])
 }
 
 /// `mulss xmm, src`
 #[must_use]
 pub fn mulss(dst: Xmm, src: Operand) -> Inst {
-    build(Op::Mulss, vec![Operand::Xmm(dst), src])
+    build(Op::Mulss, [Operand::Xmm(dst), src])
 }
 
 /// `divss xmm, src`
 #[must_use]
 pub fn divss(dst: Xmm, src: Operand) -> Inst {
-    build(Op::Divss, vec![Operand::Xmm(dst), src])
+    build(Op::Divss, [Operand::Xmm(dst), src])
 }
 
 /// `ucomiss xmm, src`
 #[must_use]
 pub fn ucomiss(a: Xmm, b: Operand) -> Inst {
-    build(Op::Ucomiss, vec![Operand::Xmm(a), b])
+    build(Op::Ucomiss, [Operand::Xmm(a), b])
 }
 
 impl From<Xmm> for Operand {

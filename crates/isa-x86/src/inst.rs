@@ -5,7 +5,7 @@
 use crate::operand::Mem;
 use crate::operand::{Cc, Operand};
 use crate::reg::Reg;
-use pdbt_isa::{DataType, EncodingFormat, ExecError, FlagSet, OpCategory, Width};
+use pdbt_isa::{DataType, EncodingFormat, ExecError, FlagSet, InlineVec, OpCategory, Width};
 use std::fmt;
 
 /// A host opcode.
@@ -300,6 +300,14 @@ impl fmt::Display for Op {
     }
 }
 
+/// Operands per host instruction: no [`Shape`] takes more than two.
+pub const MAX_OPERANDS: usize = 2;
+
+/// A host instruction's operands, held in the instruction itself — the
+/// translator builds and moves host code without a heap allocation per
+/// instruction.
+pub type Operands = InlineVec<Operand, MAX_OPERANDS>;
+
 /// A host instruction.
 ///
 /// Operand order is **AT&T-free destination-first**: `addl dst, src`
@@ -312,7 +320,7 @@ pub struct Inst {
     /// Condition for `Jcc`/`Setcc`.
     pub cc: Option<Cc>,
     /// Positional operands.
-    pub operands: Vec<Operand>,
+    pub operands: Operands,
 }
 
 impl Inst {
@@ -320,28 +328,41 @@ impl Inst {
     ///
     /// # Errors
     ///
-    /// [`ExecError::MalformedInstruction`] on a shape violation.
-    pub fn new(op: Op, operands: Vec<Operand>) -> Result<Inst, ExecError> {
-        let inst = Inst {
-            op,
-            cc: None,
-            operands,
-        };
-        inst.validate()?;
-        Ok(inst)
+    /// [`ExecError::MalformedInstruction`] on a shape violation, more
+    /// than [`MAX_OPERANDS`] operands included.
+    pub fn new(op: Op, operands: impl IntoIterator<Item = Operand>) -> Result<Inst, ExecError> {
+        Inst::checked(op, None, operands)
     }
 
     /// Creates a `Jcc`/`Setcc` with its condition.
     ///
     /// # Errors
     ///
-    /// [`ExecError::MalformedInstruction`] on a shape violation.
-    pub fn new_cc(op: Op, cc: Cc, operands: Vec<Operand>) -> Result<Inst, ExecError> {
-        let inst = Inst {
+    /// As [`Inst::new`].
+    pub fn new_cc(
+        op: Op,
+        cc: Cc,
+        operands: impl IntoIterator<Item = Operand>,
+    ) -> Result<Inst, ExecError> {
+        Inst::checked(op, Some(cc), operands)
+    }
+
+    fn checked(
+        op: Op,
+        cc: Option<Cc>,
+        operands: impl IntoIterator<Item = Operand>,
+    ) -> Result<Inst, ExecError> {
+        let mut inst = Inst {
             op,
-            cc: Some(cc),
-            operands,
+            cc,
+            operands: Operands::new(),
         };
+        for o in operands {
+            let fits = inst.operands.try_push(o);
+            fits.map_err(|_| ExecError::MalformedInstruction {
+                detail: format!("{op} given more than {MAX_OPERANDS} operands"),
+            })?;
+        }
         inst.validate()?;
         Ok(inst)
     }
@@ -559,30 +580,35 @@ mod tests {
         let i = Inst {
             op: Op::Add,
             cc: None,
-            operands: vec![Mem::base(Reg::Eax).into(), Mem::base(Reg::Ecx).into()],
+            operands: [Mem::base(Reg::Eax).into(), Mem::base(Reg::Ecx).into()]
+                .into_iter()
+                .collect(),
         };
         assert!(i.validate().is_err());
         // jcc without cc is illegal.
         let i = Inst {
             op: Op::Jcc,
             cc: None,
-            operands: vec![Operand::Target(1)],
+            operands: [Operand::Target(1)].into_iter().collect(),
         };
         assert!(i.validate().is_err());
         // cc on a non-cc opcode is illegal.
         let i = Inst {
             op: Op::Add,
             cc: Some(Cc::E),
-            operands: vec![Reg::Eax.into(), Operand::Imm(1)],
+            operands: [Reg::Eax.into(), Operand::Imm(1)].into_iter().collect(),
         };
         assert!(i.validate().is_err());
         // imm destination is illegal.
         let i = Inst {
             op: Op::Mov,
             cc: None,
-            operands: vec![Operand::Imm(1), Reg::Eax.into()],
+            operands: [Operand::Imm(1), Reg::Eax.into()].into_iter().collect(),
         };
         assert!(i.validate().is_err());
+        // A third operand is a shape error, not a panic.
+        let three = [Reg::Eax.into(), Reg::Ecx.into(), Operand::Imm(1)];
+        assert!(Inst::new(Op::Add, three).is_err());
     }
 
     #[test]

@@ -33,7 +33,7 @@ mod operand;
 mod reg;
 mod threaded;
 
-pub use inst::{Inst, Op, Shape};
+pub use inst::{Inst, Op, Operands, Shape, MAX_OPERANDS};
 pub use interp::{
     exec_block, exec_block_traced, exec_block_traced_into, step, BlockExit, Cpu, ExecStats, Step,
 };

@@ -105,6 +105,14 @@ pub enum Operand {
     Target(i32),
 }
 
+/// `$0`: what pads the unused tail of an instruction's inline operand
+/// list, where nothing reads it.
+impl Default for Operand {
+    fn default() -> Operand {
+        Operand::Imm(0)
+    }
+}
+
 impl Operand {
     /// The addressing-mode kind (for host-side subgroup classification).
     #[must_use]

@@ -1272,7 +1272,9 @@ mod tests {
             .map(|i| Inst {
                 op: Op::Mov,
                 cc: None,
-                operands: vec![slot(7 * i + 1).into(), slot(i).into()],
+                operands: [slot(7 * i + 1).into(), slot(i).into()]
+                    .into_iter()
+                    .collect(),
             })
             .collect();
         assert_eq!(compile_block(&insts).slow_ops(), N);

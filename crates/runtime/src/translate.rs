@@ -41,6 +41,7 @@ use pdbt_isa_x86::builders as hb;
 use pdbt_isa_x86::{Inst as HInst, Operand as HOperand, Reg as HReg};
 use pdbt_symexec::FlagEquiv;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where an executed host instruction's cost is attributed (the four
@@ -225,10 +226,9 @@ impl Emitter {
         self.classes.push(class);
     }
 
-    fn extend(&mut self, insts: Vec<HInst>, class: CodeClass) {
-        for i in insts {
-            self.push(i, class);
-        }
+    fn extend(&mut self, insts: impl IntoIterator<Item = HInst>, class: CodeClass) {
+        self.code.extend(insts);
+        self.classes.resize(self.code.len(), class);
     }
 }
 
@@ -264,7 +264,7 @@ fn tcg_legalize(code: Vec<HInst>) -> Vec<HInst> {
             continue;
         }
         let env_mem = |o: &HOperand| matches!(o, HOperand::Mem(m) if m.base == Some(HReg::Ebp));
-        let mut operands = inst.operands.clone();
+        let mut operands = inst.operands;
         let uses_eax = operands.contains(&HOperand::Reg(HReg::Eax));
         let uses_edx = operands.contains(&HOperand::Reg(HReg::Edx));
         // Source position (last operand) first.
@@ -326,14 +326,27 @@ pub fn collect_block(
     max: usize,
 ) -> Result<Vec<(Addr, &GInst)>, TranslateError> {
     let mut out = Vec::new();
+    collect_block_into(prog, start, max, &mut out)?;
+    Ok(out)
+}
+
+/// [`collect_block`], appending to `out`: a member sequence is one flat
+/// instruction list.
+fn collect_block_into<'p>(
+    prog: &'p Program,
+    start: Addr,
+    max: usize,
+    out: &mut Vec<(Addr, &'p GInst)>,
+) -> Result<(), TranslateError> {
+    let first = out.len();
     let mut pc = start;
     loop {
         let inst = prog.fetch(pc).map_err(|e| TranslateError {
             detail: format!("fetch {pc:#x}: {e}"),
         })?;
         out.push((pc, inst));
-        if inst.ends_block() || out.len() >= max {
-            return Ok(out);
+        if inst.ends_block() || out.len() - first >= max {
+            return Ok(());
         }
         pc += INST_SIZE;
     }
@@ -432,7 +445,9 @@ fn folded_flag_report(inst: &GInst) -> Option<Vec<(Flag, pdbt_symexec::FlagEquiv
 fn fold_producer(scan: &Scan, map: &RegMap) -> Option<Vec<HInst>> {
     let template = emit::emit_for(scan.first()?)?;
     let locs: Vec<HostLoc> = scan.slots(1).iter().map(|g| slot_loc(map, *g)).collect();
-    rtemplate::instantiate(&template, &locs, scan.imms(1)).ok()
+    let mut code = Vec::new();
+    rtemplate::instantiate(&template, &locs, scan.imms(1), &mut code).ok()?;
+    Some(code)
 }
 
 /// Who produced the host flags the terminal branch may use.
@@ -503,7 +518,8 @@ fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> Vec<GReg> 
 /// application). Flag materialization is deferred so the delegation
 /// decision can run with every segment's host code in hand.
 struct Segment {
-    code: Vec<HInst>,
+    /// The segment's host code, as a range of [`BodyState::code`].
+    code: Range<usize>,
     class: CodeClass,
     /// Guest instructions this segment rule-covers.
     covered: u32,
@@ -521,7 +537,7 @@ struct Segment {
 
 impl Segment {
     /// A QEMU-path segment that defers no flags.
-    fn qemu(code: Vec<HInst>) -> Segment {
+    fn qemu(code: Range<usize>) -> Segment {
         Segment {
             code,
             class: CodeClass::QemuCore,
@@ -541,6 +557,10 @@ impl Segment {
 /// their own).
 #[derive(Default)]
 struct BodyState {
+    /// Every segment's host code, back to back in segment order: rules
+    /// instantiate straight into it, and emission copies each segment
+    /// out between the residency syncs.
+    code: Vec<HInst>,
     segments: Vec<Segment>,
     seg_of_guest: Vec<usize>,
     cached_regs: Vec<GReg>,
@@ -550,15 +570,23 @@ struct BodyState {
 }
 
 impl BodyState {
+    /// Appends `code` as a QEMU-path segment that defers no flags.
+    fn push_qemu_segment(&mut self, code: Vec<HInst>) -> &mut Segment {
+        let start = self.code.len();
+        self.code.extend(code);
+        self.segments.push(Segment::qemu(start..self.code.len()));
+        self.segments.last_mut().expect("just pushed")
+    }
+
     /// Records the application of rule match `m` to `insts`: their
     /// registers join the cached set, their coverage is attributed to
-    /// the rule's key, and `code` becomes one segment deferring `live`
-    /// flags.
+    /// the rule's key, and the host code instantiated from `start` on
+    /// becomes one segment deferring `live` flags.
     fn push_rule_segment(
         &mut self,
         insts: &[(Addr, &GInst)],
         m: &Match<'_>,
-        code: Vec<HInst>,
+        start: usize,
         live: FlagSet,
         cached: bool,
     ) {
@@ -584,7 +612,7 @@ impl BodyState {
             self.seg_of_guest.push(self.segments.len());
         }
         self.segments.push(Segment {
-            code,
+            code: start..self.code.len(),
             class: CodeClass::RuleCore,
             covered,
             report: (!live.is_empty()).then(|| m.entry.flags.clone()),
@@ -622,19 +650,18 @@ fn rule_flags_ok(live: FlagSet, report: &[(Flag, FlagEquiv)], cfg: &TranslateCon
     }
 }
 
-/// Host locations for a rule's slots: the block's cached registers, or
-/// the environment slots directly when the block does not cache.
-fn slot_locs(slots: &[GReg], map: &RegMap, use_cache: bool) -> Vec<HostLoc> {
-    slots
-        .iter()
-        .map(|g| {
-            if use_cache {
-                slot_loc(map, *g)
-            } else {
-                HostLoc::Mem(env::reg_mem(*g))
-            }
-        })
-        .collect()
+/// Host locations for a rule's slots, written over `locs`: the block's
+/// cached registers, or the environment slots directly when the block
+/// does not cache.
+fn slot_locs(slots: &[GReg], map: &RegMap, use_cache: bool, locs: &mut Vec<HostLoc>) {
+    locs.clear();
+    locs.extend(slots.iter().map(|g| {
+        if use_cache {
+            slot_loc(map, *g)
+        } else {
+            HostLoc::Mem(env::reg_mem(*g))
+        }
+    }));
 }
 
 /// Phase 1 of translation: generates per-instruction host segments for
@@ -670,6 +697,7 @@ fn build_body_segments(
         (interior_clean && (live.is_empty() || rule_flags_ok(live, &m.entry.flags, cfg)))
             .then_some(live)
     };
+    let mut locs = Vec::new();
     let mut i = 0usize;
     while i < insts.len() {
         let (addr, inst) = (&insts[i].0, insts[i].1);
@@ -682,12 +710,14 @@ fn build_body_segments(
             let multi = rules.lookup_scan(&probes[i].scan, 2..=usize::MAX);
             let applied = multi.iter().chain(&probes[i].one).find_map(|m| {
                 let live = deferred_flags(m, i)?;
-                let locs = slot_locs(&m.inst.slots, map, use_cache);
-                let code = rules.instantiate_match(m, &locs).ok()?;
-                Some((m, code, live))
+                slot_locs(&m.inst.slots, map, use_cache, &mut locs);
+                let start = st.code.len();
+                let template = &m.entry.template;
+                rtemplate::instantiate(template, &locs, &m.inst.imms, &mut st.code).ok()?;
+                Some((m, start, live))
             });
-            if let Some((m, code, live)) = applied {
-                st.push_rule_segment(&insts[i..i + m.len], m, code, live, use_cache);
+            if let Some((m, start, live)) = applied {
+                st.push_rule_segment(&insts[i..i + m.len], m, start, live, use_cache);
                 i += m.len;
                 continue;
             }
@@ -722,19 +752,14 @@ fn build_body_segments(
         };
         st.seg_of_guest.push(st.segments.len());
         if let Some((code, report)) = folded {
-            st.segments.push(Segment {
-                report: Some(report),
-                needs_mat: live_defs,
-                ..Segment::qemu(code)
-            });
+            let seg = st.push_qemu_segment(code);
+            seg.report = Some(report);
+            seg.needs_mat = live_defs;
         } else {
             let lifted = pdbt_ir::lift_omit(inst, *addr, dead).map_err(|err| TranslateError {
                 detail: format!("{inst}: {err}"),
             })?;
-            st.segments.push(Segment::qemu(tcg_legalize(lower_ops(
-                &lifted.body,
-                &env_map,
-            ))));
+            st.push_qemu_segment(tcg_legalize(lower_ops(&lifted.body, &env_map)));
         }
         i += 1;
     }
@@ -921,9 +946,8 @@ fn decide_delegation(
     // The host flags must survive every later segment on the on-trace
     // path (the paper's "killed within the window" check; residency
     // syncs and materialization code are flag-preserving moves).
-    let clean = st.segments[sp + 1..]
+    let clean = st.code[st.segments[sp].code.end..]
         .iter()
-        .flat_map(|s| &s.code)
         .all(|h| h.flag_defs().is_empty());
     if !clean {
         return None;
@@ -1033,17 +1057,24 @@ fn translate_members(
             detail: "nothing to translate: no members".into(),
         });
     }
-    let mut mems: Vec<Vec<(Addr, &GInst)>> = Vec::with_capacity(k);
+    // The members' instructions, back to back, and each member's
+    // half-open range of global positions in it.
+    let mut global: Vec<(Addr, &GInst)> = Vec::new();
+    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
     for &start in members {
-        mems.push(collect_block(prog, start, cfg.max_block)?);
+        let b = global.len();
+        collect_block_into(prog, start, cfg.max_block, &mut global)?;
+        ranges.push((b, global.len()));
     }
+    let total_n = global.len();
+    let member = |m: usize| &global[ranges[m].0..ranges[m].1];
 
     // Validate connectivity; an interior member ending in a conditional
     // branch records which direction stays on-trace and where the other
     // one leaves to.
     let mut side: Vec<Option<SideExit>> = vec![None; k];
     for m in 0..k - 1 {
-        let (last_addr, last_inst) = *mems[m].last().expect("non-empty block");
+        let (last_addr, last_inst) = *member(m).last().expect("non-empty block");
         let next = members[m + 1];
         let fall = last_addr + INST_SIZE;
         let connected = match last_inst.op {
@@ -1072,20 +1103,11 @@ fn translate_members(
         }
     }
 
-    // Global instruction sequence and per-member position ranges. A
-    // member's body excludes its final instruction iff that terminates
-    // control flow; a max-length member keeps all.
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
-    let mut global: Vec<(Addr, &GInst)> = Vec::new();
-    for insts in &mems {
-        let b = global.len();
-        global.extend(insts.iter().copied());
-        ranges.push((b, global.len()));
-    }
-    let total_n = global.len();
-    let body_lens: Vec<usize> = mems
-        .iter()
-        .map(|insts| {
+    // A member's body excludes its final instruction iff that
+    // terminates control flow; a max-length member keeps all.
+    let body_lens: Vec<usize> = (0..k)
+        .map(|m| {
+            let insts = member(m);
             let lt = insts.last().is_some_and(|(_, i)| i.ends_block());
             if lt {
                 insts.len() - 1
@@ -1105,7 +1127,7 @@ fn translate_members(
     // liveness): interior conditional branches join their off-trace
     // side's live-ins, so a producer's flags stay live exactly as long
     // as any on- or off-trace consumer can still read them.
-    let (final_last_addr, final_last_inst) = *mems[k - 1].last().expect("non-empty block");
+    let (final_last_addr, final_last_inst) = *member(k - 1).last().expect("non-empty block");
     let exit_live = prog.flag_live_out_at(final_last_addr);
     let mut live_after = vec![FlagSet::EMPTY; total_n];
     {
@@ -1161,25 +1183,26 @@ fn translate_members(
     // window is scanned once and probed for its one-key rule; the scans
     // and matches are reused by both the caching heuristic below and
     // the segment builder.
-    let mut probes: Vec<Vec<Probe<'_>>> = Vec::with_capacity(k);
-    for (m, insts) in mems.iter().enumerate() {
-        let body = &insts[..body_lens[m]];
-        probes.push(rules.map_or_else(Vec::new, |r| {
-            (0..body.len())
-                .map(|i| {
-                    let scan = Scan::of(body[i..].iter().map(|(_, inst)| *inst), r.max_len());
-                    let one = r.lookup_scan(&scan, 1..=1);
-                    Probe { scan, one }
-                })
-                .collect()
-        }));
+    // The probes of every member's body lie back to back, in member
+    // order; terminals have none.
+    let mut probes: Vec<Probe<'_>> = Vec::new();
+    if let Some(r) = rules {
+        probes.reserve(total_n);
+        for (m, body_len) in body_lens.iter().enumerate() {
+            let body = &member(m)[..*body_len];
+            probes.extend((0..body.len()).map(|i| {
+                let scan = Scan::of(body[i..].iter().map(|(_, inst)| *inst), r.max_len());
+                let one = r.lookup_scan(&scan, 1..=1);
+                Probe { scan, one }
+            }));
+        }
     }
     // Register caching only pays off when enough of the sequence is
     // rule-translated to amortize the residency synchronization; short
     // or sparsely covered blocks instantiate rules directly on the
     // environment slots. One-key matches are what is counted: the
     // threshold decides register residency, and so host code.
-    let rule_hits = probes.iter().flatten().filter(|p| p.one.is_some()).count();
+    let rule_hits = probes.iter().filter(|p| p.one.is_some()).count();
     let use_cache = rule_hits >= 3;
 
     // Phase 1 + delegation, member by member in order. Materialization
@@ -1197,11 +1220,17 @@ fn translate_members(
     let mut member_branch_cov: Vec<bool> = vec![false; k];
     let mut exit_cc: Vec<Option<pdbt_isa_x86::Cc>> = vec![None; k];
     let mut final_direct_cc: Option<pdbt_isa_x86::Cc> = None;
+    let mut probe_base = 0;
     for m in 0..k {
         let seg_b = st.segments.len();
         let attr_b = st.attributions.len();
+        // Empty without a rule set: nothing was probed.
+        let body_probes = probes
+            .get(probe_base..probe_base + body_lens[m])
+            .unwrap_or_default();
+        probe_base += body_lens[m];
         build_body_segments(
-            &mems[m][..body_lens[m]],
+            &member(m)[..body_lens[m]],
             ranges[m].0,
             &live_after,
             &producers,
@@ -1209,7 +1238,7 @@ fn translate_members(
             cfg,
             &map,
             use_cache,
-            &probes[m],
+            body_probes,
             &mut st,
         )?;
         let t = ranges[m].1 - 1;
@@ -1258,7 +1287,7 @@ fn translate_members(
                         let (cmp, hcc) = lower_branch_cond(icc, a, b, &env_map);
                         code.extend(tcg_legalize(cmp));
                         st.seg_of_guest.push(st.segments.len());
-                        st.segments.push(Segment::qemu(code));
+                        st.push_qemu_segment(code);
                         hcc
                     }
                 };
@@ -1270,7 +1299,7 @@ fn translate_members(
             } else {
                 final_direct_cc = decided.map(|(cc, _, _)| cc);
             }
-        } else if m < k - 1 && body_lens[m] < mems[m].len() {
+        } else if m < k - 1 && body_lens[m] < member(m).len() {
             // Unconditional b/bl: emit its guest work (link-register
             // writes) as a transition segment; a plain `b` has none
             // and the trace flows seamlessly through it.
@@ -1282,7 +1311,7 @@ fn translate_members(
                 st.seg_of_guest.push(usize::MAX);
             } else {
                 st.seg_of_guest.push(st.segments.len());
-                st.segments.push(Segment::qemu(code));
+                st.push_qemu_segment(code);
             }
         }
         seg_ranges.push((seg_b, st.segments.len()));
@@ -1323,7 +1352,7 @@ fn translate_members(
     let mut succ = BlockSuccs::None;
     for m in 0..k {
         let anchor = e.code.len();
-        cum_guest += mems[m].len() as u32;
+        cum_guest += member(m).len() as u32;
         let mut member_rc: u32 = 0;
         for seg in &st.segments[seg_ranges[m].0..seg_ranges[m].1] {
             if seg.cached {
@@ -1331,7 +1360,7 @@ fn translate_members(
             } else {
                 enter_env(&mut e, &mut cached_mode, &sync_stores);
             }
-            e.extend(seg.code.clone(), seg.class);
+            e.extend(st.code[seg.code.clone()].iter().cloned(), seg.class);
             member_rc += seg.covered;
             if !seg.needs_mat.is_empty() {
                 let report = seg.report.as_ref().expect("deferred flags carry a report");
@@ -1366,7 +1395,7 @@ fn translate_members(
             // Terminal instruction: emit its guest work BEFORE the
             // epilogue so its register effects are stored back; the
             // exit jumps come after.
-            let plan = if body_lens[m] < mems[m].len() {
+            let plan = if body_lens[m] < member(m).len() {
                 emit_terminal(
                     &mut e,
                     final_last_addr,
@@ -1379,7 +1408,7 @@ fn translate_members(
             } else {
                 StubPlan::FallThrough
             };
-            let fall = members[m] + mems[m].len() as u32 * INST_SIZE;
+            let fall = members[m] + member(m).len() as u32 * INST_SIZE;
             succ = succ_of_plan(&plan, fall);
             // Epilogue: leave the environment canonical
             // (flag-preserving moves).
@@ -1390,7 +1419,7 @@ fn translate_members(
         member_marks.push(MemberMark {
             start: members[m],
             anchor,
-            guest_len: mems[m].len() as u32,
+            guest_len: member(m).len() as u32,
             rule_covered: member_rc,
             attr_range: attr_ranges[m],
             deleg: member_deleg[m],
