@@ -72,7 +72,9 @@ const F_SUB: u8 = 1;
 const F_MUL: u8 = 2;
 const F_DIV: u8 = 3;
 
-/// One pre-compiled op: a handler plus its pre-resolved operands.
+/// One pre-compiled op: a handler plus its pre-resolved operands. The
+/// handler returns an [`HRes`] — the step, in a register — and parks
+/// its error, if any, out of band.
 ///
 /// Field meaning depends on the handler the compiler bound: `a`/`b`
 /// are destination/source register (or xmm) indices, `mb`/`mi`/`disp`
@@ -145,12 +147,34 @@ impl RetireTally {
     }
 }
 
-/// Handler result: boxing the (cold) error keeps the hot return at 16
-/// bytes — a register-pair return instead of a stack-slot (`sret`)
-/// write/read on every executed op.
-type HRes = Result<Step, Box<ExecError>>;
+/// The fault marker: the handler's error is in the [`Fault`] slot the
+/// loop lent it.
+#[derive(Debug, Clone, Copy)]
+struct Parked;
 
-type ExecFn = fn(&TOp, &ThreadedCode, &mut Cpu) -> HRes;
+/// Handler result: the step, or the fault marker. `Parked` is
+/// zero-sized, so this is `Step` plus one spare tag value — 8 bytes,
+/// handed back in a register. With the error itself in the result
+/// (`Result<Step, Box<ExecError>>`, 16 bytes) rustc returned it through
+/// a hidden out-pointer, and the loop's read of the step straddled the
+/// handler's store of it, which the store buffer cannot forward: a
+/// stall on every executed op.
+type HRes = Result<Step, Parked>;
+
+/// Where a faulting handler leaves its error: a slot beside the
+/// executor loop's state, empty at entry, read only after a handler
+/// reports [`Parked`] — the cold path pays for the error, not the return
+/// of every op.
+type Fault = Option<ExecError>;
+
+type ExecFn = fn(&TOp, &ThreadedCode, &mut Cpu, &mut Fault) -> HRes;
+
+/// Parks `e` in the loop's fault slot.
+#[cold]
+fn park(fault: &mut Fault, e: ExecError) -> Parked {
+    *fault = Some(e);
+    Parked
+}
 
 /// A block compiled to threaded code, plus its side tables:
 /// pre-formatted error texts (so error details stay bit-identical to
@@ -240,26 +264,26 @@ fn maddr<const K: u8>(t: &TOp, cpu: &Cpu) -> u32 {
 
 /// 32-bit source read (register / immediate / memory).
 #[inline(always)]
-fn rd<const S: u8>(t: &TOp, cpu: &Cpu) -> Result<u32, Box<ExecError>> {
+fn rd<const S: u8>(t: &TOp, cpu: &Cpu, f: &mut Fault) -> Result<u32, Parked> {
     match S {
         C_REG => Ok(cpu.regs[t.b as usize]),
         C_IMM => Ok(t.imm),
         _ => cpu
             .mem
             .load(maddr::<S>(t, cpu), Width::B32)
-            .map_err(Box::new),
+            .map_err(|e| park(f, e)),
     }
 }
 
 /// 32-bit destination read (register / memory).
 #[inline(always)]
-fn rd_dst<const D: u8>(t: &TOp, cpu: &Cpu) -> Result<u32, Box<ExecError>> {
+fn rd_dst<const D: u8>(t: &TOp, cpu: &Cpu, f: &mut Fault) -> Result<u32, Parked> {
     if D == C_REG {
         Ok(cpu.regs[t.a as usize])
     } else {
         cpu.mem
             .load(maddr::<D>(t, cpu), Width::B32)
-            .map_err(Box::new)
+            .map_err(|e| park(f, e))
     }
 }
 
@@ -267,22 +291,27 @@ fn rd_dst<const D: u8>(t: &TOp, cpu: &Cpu) -> Result<u32, Box<ExecError>> {
 /// recompute the address at write time, exactly like the model's
 /// `write_operand`.
 #[inline(always)]
-fn wr_dst<const D: u8>(t: &TOp, cpu: &mut Cpu, v: u32) -> Result<(), Box<ExecError>> {
+fn wr_dst<const D: u8>(t: &TOp, cpu: &mut Cpu, v: u32, f: &mut Fault) -> Result<(), Parked> {
     if D == C_REG {
         cpu.regs[t.a as usize] = v;
         Ok(())
     } else {
         cpu.mem
             .store(maddr::<D>(t, cpu), v, Width::B32)
-            .map_err(Box::new)
+            .map_err(|e| park(f, e))
     }
 }
 
 // --- handlers ---------------------------------------------------------
 
-fn h_mov<const D: u8, const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    let v = rd::<S>(t, cpu)?;
-    wr_dst::<D>(t, cpu, v)?;
+fn h_mov<const D: u8, const S: u8>(
+    t: &TOp,
+    _c: &ThreadedCode,
+    cpu: &mut Cpu,
+    f: &mut Fault,
+) -> HRes {
+    let v = rd::<S>(t, cpu, f)?;
+    wr_dst::<D>(t, cpu, v, f)?;
     Ok(Step::Next)
 }
 
@@ -293,14 +322,15 @@ fn h_narrow<const W: u8, const D: u8, const S: u8>(
     t: &TOp,
     _c: &ThreadedCode,
     cpu: &mut Cpu,
+    f: &mut Fault,
 ) -> HRes {
-    let v = rd::<S>(t, cpu)?;
+    let v = rd::<S>(t, cpu, f)?;
     if D == C_REG {
         cpu.regs[t.a as usize] = v;
     } else {
         cpu.mem
             .store(maddr::<D>(t, cpu), v, width_of(W))
-            .map_err(Box::new)?;
+            .map_err(|e| park(f, e))?;
     }
     Ok(Step::Next)
 }
@@ -311,6 +341,7 @@ fn h_movzx<const W: u8, const D: u8, const S: u8>(
     t: &TOp,
     _c: &ThreadedCode,
     cpu: &mut Cpu,
+    f: &mut Fault,
 ) -> HRes {
     let v = match S {
         C_REG => cpu.regs[t.b as usize],
@@ -318,13 +349,13 @@ fn h_movzx<const W: u8, const D: u8, const S: u8>(
         _ => cpu
             .mem
             .load(maddr::<S>(t, cpu), width_of(W))
-            .map_err(Box::new)?,
+            .map_err(|e| park(f, e))?,
     };
-    wr_dst::<D>(t, cpu, v)?;
+    wr_dst::<D>(t, cpu, v, f)?;
     Ok(Step::Next)
 }
 
-fn h_lea<const M: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_lea<const M: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
     let a = maddr::<M>(t, cpu);
     cpu.regs[t.a as usize] = a;
     Ok(Step::Next)
@@ -334,9 +365,10 @@ fn h_arith<const K: u8, const D: u8, const S: u8>(
     t: &TOp,
     _c: &ThreadedCode,
     cpu: &mut Cpu,
+    f: &mut Fault,
 ) -> HRes {
-    let a = rd_dst::<D>(t, cpu)?;
-    let b = rd::<S>(t, cpu)?;
+    let a = rd_dst::<D>(t, cpu, f)?;
+    let b = rd::<S>(t, cpu, f)?;
     let carry = cpu.flags.c;
     let (r, c, v) = match K {
         A_ADD => Concrete::add_with_carry(a, b, None),
@@ -346,7 +378,7 @@ fn h_arith<const K: u8, const D: u8, const S: u8>(
     };
     cpu.flags = interp::flags_of(r, c, v);
     if K != A_CMP {
-        wr_dst::<D>(t, cpu, r)?;
+        wr_dst::<D>(t, cpu, r, f)?;
     }
     Ok(Step::Next)
 }
@@ -355,9 +387,10 @@ fn h_logic<const K: u8, const D: u8, const S: u8>(
     t: &TOp,
     _c: &ThreadedCode,
     cpu: &mut Cpu,
+    f: &mut Fault,
 ) -> HRes {
-    let a = rd_dst::<D>(t, cpu)?;
-    let b = rd::<S>(t, cpu)?;
+    let a = rd_dst::<D>(t, cpu, f)?;
+    let b = rd::<S>(t, cpu, f)?;
     let r = match K {
         L_OR => a | b,
         L_XOR => a ^ b,
@@ -365,21 +398,26 @@ fn h_logic<const K: u8, const D: u8, const S: u8>(
     };
     cpu.flags = interp::flags_of(r, false, false);
     if K != L_TEST {
-        wr_dst::<D>(t, cpu, r)?;
+        wr_dst::<D>(t, cpu, r, f)?;
     }
     Ok(Step::Next)
 }
 
-fn h_imul<const D: u8, const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    let a = rd_dst::<D>(t, cpu)?;
-    let b = rd::<S>(t, cpu)?;
-    wr_dst::<D>(t, cpu, a.wrapping_mul(b))?;
+fn h_imul<const D: u8, const S: u8>(
+    t: &TOp,
+    _c: &ThreadedCode,
+    cpu: &mut Cpu,
+    f: &mut Fault,
+) -> HRes {
+    let a = rd_dst::<D>(t, cpu, f)?;
+    let b = rd::<S>(t, cpu, f)?;
+    wr_dst::<D>(t, cpu, a.wrapping_mul(b), f)?;
     Ok(Step::Next)
 }
 
-fn h_mulwide<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_mulwide<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
     let a = cpu.regs[Reg::Eax.index()];
-    let b = rd::<S>(t, cpu)?;
+    let b = rd::<S>(t, cpu, f)?;
     let wide = u64::from(a) * u64::from(b);
     cpu.regs[Reg::Eax.index()] = wide as u32;
     cpu.regs[Reg::Edx.index()] = (wide >> 32) as u32;
@@ -390,11 +428,12 @@ fn h_shift<const K: u8, const D: u8, const S: u8>(
     t: &TOp,
     _c: &ThreadedCode,
     cpu: &mut Cpu,
+    f: &mut Fault,
 ) -> HRes {
-    let a = rd_dst::<D>(t, cpu)?;
-    let amt = rd::<S>(t, cpu)? & 31;
+    let a = rd_dst::<D>(t, cpu, f)?;
+    let amt = rd::<S>(t, cpu, f)? & 31;
     if amt == 0 {
-        wr_dst::<D>(t, cpu, a)?;
+        wr_dst::<D>(t, cpu, a, f)?;
     } else {
         let op = match K {
             K_SHL => BinOp::Shl,
@@ -409,64 +448,69 @@ fn h_shift<const K: u8, const D: u8, const S: u8>(
         } else {
             cpu.flags = interp::flags_of(r, c, cpu.flags.v);
         }
-        wr_dst::<D>(t, cpu, r)?;
+        wr_dst::<D>(t, cpu, r, f)?;
     }
     Ok(Step::Next)
 }
 
-fn h_not<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    let a = rd_dst::<D>(t, cpu)?;
-    wr_dst::<D>(t, cpu, !a)?;
+fn h_not<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
+    let a = rd_dst::<D>(t, cpu, f)?;
+    wr_dst::<D>(t, cpu, !a, f)?;
     Ok(Step::Next)
 }
 
-fn h_neg<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    let a = rd_dst::<D>(t, cpu)?;
+fn h_neg<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
+    let a = rd_dst::<D>(t, cpu, f)?;
     let (r, c, v) = Concrete::sub_with_borrow(0, a, None);
     cpu.flags = interp::flags_of(r, c, v);
-    wr_dst::<D>(t, cpu, r)?;
+    wr_dst::<D>(t, cpu, r, f)?;
     Ok(Step::Next)
 }
 
-fn h_bsr<const D: u8, const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    let src = rd::<S>(t, cpu)?;
+fn h_bsr<const D: u8, const S: u8>(
+    t: &TOp,
+    _c: &ThreadedCode,
+    cpu: &mut Cpu,
+    f: &mut Fault,
+) -> HRes {
+    let src = rd::<S>(t, cpu, f)?;
     if src == 0 {
         cpu.flags.z = true;
     } else {
         cpu.flags.z = false;
-        wr_dst::<D>(t, cpu, 31 - src.leading_zeros())?;
+        wr_dst::<D>(t, cpu, 31 - src.leading_zeros(), f)?;
     }
     Ok(Step::Next)
 }
 
-fn h_push<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    let v = rd::<S>(t, cpu)?;
+fn h_push<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
+    let v = rd::<S>(t, cpu, f)?;
     let sp = cpu.regs[Reg::Esp.index()].wrapping_sub(4);
-    cpu.mem.store32(sp, v).map_err(Box::new)?;
+    cpu.mem.store32(sp, v).map_err(|e| park(f, e))?;
     cpu.regs[Reg::Esp.index()] = sp;
     Ok(Step::Next)
 }
 
 /// `Esp` is bumped *before* the destination write, like the model, so
 /// a memory destination addressing through `esp` sees the new value.
-fn h_pop<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_pop<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
     let sp = cpu.regs[Reg::Esp.index()];
-    let v = cpu.mem.load32(sp).map_err(Box::new)?;
+    let v = cpu.mem.load32(sp).map_err(|e| park(f, e))?;
     cpu.regs[Reg::Esp.index()] = sp.wrapping_add(4);
-    wr_dst::<D>(t, cpu, v)?;
+    wr_dst::<D>(t, cpu, v, f)?;
     Ok(Step::Next)
 }
 
-fn h_jmp_rel(t: &TOp, _c: &ThreadedCode, _cpu: &mut Cpu) -> HRes {
+fn h_jmp_rel(t: &TOp, _c: &ThreadedCode, _cpu: &mut Cpu, _f: &mut Fault) -> HRes {
     Ok(Step::Rel(t.imm as i32))
 }
 
-fn h_jmp_exit<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    let v = rd::<S>(t, cpu)?;
+fn h_jmp_exit<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
+    let v = rd::<S>(t, cpu, f)?;
     Ok(Step::Exit(BlockExit::Jumped(v)))
 }
 
-fn h_jcc(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_jcc(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
     if (t.cc)(cpu.flags) {
         Ok(Step::Rel(t.imm as i32))
     } else {
@@ -474,31 +518,32 @@ fn h_jcc(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
     }
 }
 
-fn h_setcc<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_setcc<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
     let v = u32::from((t.cc)(cpu.flags));
-    wr_dst::<D>(t, cpu, v)?;
+    wr_dst::<D>(t, cpu, v, f)?;
     Ok(Step::Next)
 }
 
-fn h_out(_t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_out(_t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
     let v = cpu.regs[Reg::Eax.index()];
     cpu.output.push(v);
     Ok(Step::Next)
 }
 
-fn h_hlt(_t: &TOp, _c: &ThreadedCode, _cpu: &mut Cpu) -> HRes {
+fn h_hlt(_t: &TOp, _c: &ThreadedCode, _cpu: &mut Cpu, _f: &mut Fault) -> HRes {
     Ok(Step::Exit(BlockExit::Halted))
 }
 
 /// `call`/`ret`: always undefined inside a block; the detail string is
 /// pre-formatted so it matches the model byte-for-byte.
-fn h_undef(t: &TOp, c: &ThreadedCode, _cpu: &mut Cpu) -> HRes {
-    Err(Box::new(ExecError::Undefined {
+fn h_undef(t: &TOp, c: &ThreadedCode, _cpu: &mut Cpu, f: &mut Fault) -> HRes {
+    let e = ExecError::Undefined {
         detail: c.texts[t.aux as usize].to_string(),
-    }))
+    };
+    Err(park(f, e))
 }
 
-fn h_movss_xx(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_movss_xx(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
     cpu.xmm[t.a as usize] = cpu.xmm[t.b as usize];
     Ok(Step::Next)
 }
@@ -506,11 +551,12 @@ fn h_movss_xx(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
 /// `movss xmm, [mem]`: the model remaps *any* source-read error
 /// (including memory faults) to `MalformedInstruction` carrying the
 /// instruction's display text — reproduced from the side table.
-fn h_movss_xm<const S: u8>(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_movss_xm<const S: u8>(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
     let bits = cpu.mem.load32(maddr::<S>(t, cpu)).map_err(|_| {
-        Box::new(ExecError::MalformedInstruction {
+        let e = ExecError::MalformedInstruction {
             detail: c.texts[t.aux as usize].to_string(),
-        })
+        };
+        park(f, e)
     })?;
     cpu.xmm[t.a as usize] = f32::from_bits(bits);
     Ok(Step::Next)
@@ -518,29 +564,34 @@ fn h_movss_xm<const S: u8>(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
 
 /// `movss [mem], xmm`: the store error propagates unmapped (the
 /// model's remap covers only the source read).
-fn h_movss_mx<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_movss_mx<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
     let v = cpu.xmm[t.b as usize];
     cpu.mem
         .store32(maddr::<D>(t, cpu), v.to_bits())
-        .map_err(Box::new)?;
+        .map_err(|e| park(f, e))?;
     Ok(Step::Next)
 }
 
 #[inline(always)]
-fn rd_f<const S: u8>(t: &TOp, cpu: &Cpu) -> Result<f32, Box<ExecError>> {
+fn rd_f<const S: u8>(t: &TOp, cpu: &Cpu, f: &mut Fault) -> Result<f32, Parked> {
     if S == C_REG {
         Ok(cpu.xmm[t.b as usize])
     } else {
         match cpu.mem.load32(maddr::<S>(t, cpu)) {
             Ok(bits) => Ok(f32::from_bits(bits)),
-            Err(e) => Err(Box::new(e)),
+            Err(e) => Err(park(f, e)),
         }
     }
 }
 
-fn h_ssebin<const K: u8, const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_ssebin<const K: u8, const S: u8>(
+    t: &TOp,
+    _c: &ThreadedCode,
+    cpu: &mut Cpu,
+    f: &mut Fault,
+) -> HRes {
     let a = cpu.xmm[t.a as usize];
-    let b = rd_f::<S>(t, cpu)?;
+    let b = rd_f::<S>(t, cpu, f)?;
     let r = match K {
         F_ADD => a + b,
         F_SUB => a - b,
@@ -551,9 +602,9 @@ fn h_ssebin<const K: u8, const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu)
     Ok(Step::Next)
 }
 
-fn h_ucomiss<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
+fn h_ucomiss<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
     let a = cpu.xmm[t.a as usize];
-    let b = rd_f::<S>(t, cpu)?;
+    let b = rd_f::<S>(t, cpu, f)?;
     let unordered = a.is_nan() || b.is_nan();
     cpu.flags = Flags {
         z: unordered || a == b,
@@ -567,8 +618,8 @@ fn h_ucomiss<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
 /// Fallback: run the original instruction through the model's `step`.
 /// Bit-identical by construction; only shapes the translator never
 /// emits land here.
-fn h_slow(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu) -> HRes {
-    interp::step(cpu, &c.slow[t.imm as usize]).map_err(Box::new)
+fn h_slow(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
+    interp::step(cpu, &c.slow[t.imm as usize]).map_err(|e| park(f, e))
 }
 
 // --- compiler ---------------------------------------------------------
@@ -976,6 +1027,7 @@ fn run<S: RetireSink + ?Sized>(
     let ops = &code.ops;
     let mut ip: usize = 0;
     let mut stats = ExecStats::default();
+    let mut fault: Fault = None;
     while ip < ops.len() {
         if stats.executed >= budget {
             return Err(ExecError::Timeout { budget });
@@ -983,16 +1035,17 @@ fn run<S: RetireSink + ?Sized>(
         let t = &ops[ip];
         stats.executed += 1;
         sink.retire(ip, t);
-        match (t.exec)(t, code, cpu).map_err(|e| *e)? {
-            Step::Next => ip += 1,
-            Step::Rel(d) => {
+        match (t.exec)(t, code, cpu, &mut fault) {
+            Ok(Step::Next) => ip += 1,
+            Ok(Step::Rel(d)) => {
                 let next = ip as i64 + 1 + i64::from(d);
                 if next < 0 || next as usize > ops.len() {
                     return Err(ExecError::BadPc { pc: next as u32 });
                 }
                 ip = next as usize;
             }
-            Step::Exit(e) => return Ok((e, stats)),
+            Ok(Step::Exit(e)) => return Ok((e, stats)),
+            Err(Parked) => return Err(fault.expect("a handler that reports a fault parks it")),
         }
     }
     Ok((BlockExit::Fell, stats))
@@ -1211,6 +1264,40 @@ mod tests {
         );
     }
 
+    /// A fault past the first op: what retired before it, what it left
+    /// of the machine and the error itself all match the model — and the
+    /// error stays with the execution that raised it.
+    #[test]
+    fn a_fault_mid_block_matches_the_model_and_does_not_outlive_its_execution() {
+        // `ecx` is the store's base: unmapped unless the caller points it
+        // at mapped memory.
+        let insts = [
+            mov(Reg::Eax.into(), Operand::Imm(7)),
+            add(Reg::Edx.into(), Reg::Eax.into()),
+            mov(Mem::base_disp(Reg::Ecx, 4).into(), Reg::Edx.into()),
+            out(),
+            hlt(),
+        ];
+        check(&insts, |_| {});
+        check(&insts, |c| c.write(Reg::Ecx, 0x1_0000));
+        let code = compile_block(&insts);
+        let mut counts = Vec::new();
+        let mut bad = cpu();
+        let faulted = exec_threaded_into(&mut bad, &code, 100, &mut counts);
+        assert_eq!(faulted, Err(ExecError::MemoryFault { addr: 4 }));
+        assert_eq!(counts, [1, 1, 1, 0, 0], "the faulting op counts as retired");
+        assert_eq!(bad.read(Reg::Edx), 7, "the ops before it took effect");
+        // The same compiled code, on a machine where the store lands.
+        for _ in 0..2 {
+            let mut good = cpu();
+            good.write(Reg::Ecx, 0x1_0000);
+            let (exit, stats, _) = exec_threaded(&mut good, &code, 100).expect("no stale fault");
+            assert_eq!((exit, stats.executed), (BlockExit::Halted, 5));
+            assert_eq!(good.output, [7]);
+        }
+        assert_eq!(exec_threaded(&mut cpu(), &code, 100).err(), faulted.err());
+    }
+
     #[test]
     fn float_bits_match_model() {
         check(
@@ -1338,5 +1425,13 @@ mod tests {
     #[test]
     fn the_tag_fits_the_ops_spare_bytes() {
         assert_eq!(std::mem::size_of::<TOp>(), 32);
+    }
+
+    /// What keeps the handler return out of memory: anything wider goes
+    /// back through a hidden out-pointer.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_handler_return_fits_a_register() {
+        assert!(std::mem::size_of::<HRes>() <= 8);
     }
 }
