@@ -571,15 +571,15 @@ impl Inst {
         hit
     }
 
-    /// The general-purpose registers read by this instruction, in operand
-    /// order (register allocation breaks frequency ties by it).
-    #[must_use]
-    pub fn uses(&self) -> RegVec {
+    /// Calls `f` with each general-purpose register this instruction
+    /// reads, in operand order, repeats included.
+    #[inline]
+    fn each_use(&self, mut f: impl FnMut(Reg)) {
         use Shape::*;
-        let of = |operands: &[Operand]| operands.iter().flat_map(Operand::uses).collect();
-        let mut out: RegVec = match self.op.shape() {
+        let mut of = |operands: &[Operand]| operands.iter().for_each(|o| o.each_use(&mut f));
+        match self.op.shape() {
             Dp3 | Mul3 => of(&self.operands[1..]),
-            Dp2 | Unary2 | VfpLdSt => self.operands[1].uses(),
+            Dp2 | Unary2 | VfpLdSt => of(&self.operands[1..2]),
             Mul4 => match self.op {
                 Op::Mla => of(&self.operands[1..]),
                 Op::Umlal => of(&self.operands),
@@ -587,23 +587,33 @@ impl Inst {
             },
             Cmp2 => of(&self.operands),
             LdSt => {
-                let mut v = self.operands[1].uses();
+                of(&self.operands[1..2]);
                 if self.op.is_store() {
-                    v.extend(self.operands[0].uses());
+                    of(&self.operands[..1]);
                 }
-                v
             }
             Stack => {
-                let mut v: RegVec = [Reg::Sp].into_iter().collect();
+                f(Reg::Sp);
                 if let (Op::Push, Operand::RegList(l)) = (self.op, self.operands[0]) {
-                    v.extend(l.iter());
+                    l.iter().for_each(f);
                 }
-                v
             }
-            BranchReg => self.operands[0].uses(),
-            Branch | Sys | Vfp3 | Vfp2 => RegVec::new(),
-        };
-        out.dedup();
+            BranchReg => of(&self.operands[..1]),
+            Branch | Sys | Vfp3 | Vfp2 => {}
+        }
+    }
+
+    /// The general-purpose registers read by this instruction, in operand
+    /// order (register allocation breaks frequency ties by it); a register
+    /// read twice in a row is listed once.
+    #[must_use]
+    pub fn uses(&self) -> RegVec {
+        let mut out = RegVec::new();
+        self.each_use(|r| {
+            if out.last() != Some(&r) {
+                out.push(r);
+            }
+        });
         out
     }
 

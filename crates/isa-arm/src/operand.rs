@@ -145,21 +145,32 @@ impl Operand {
         }
     }
 
+    /// Calls `f` with each general-purpose register this operand reads,
+    /// in order.
+    #[inline]
+    pub(crate) fn each_use(&self, mut f: impl FnMut(Reg)) {
+        match self {
+            Operand::Reg(r) | Operand::Shifted { rm: r, .. } => f(*r),
+            Operand::Mem(m) => m.uses().for_each(f),
+            Operand::RegList(l) => l.iter().for_each(f),
+            Operand::Imm(_) | Operand::FReg(_) | Operand::Target(_) => {}
+        }
+    }
+
     /// The general-purpose registers this operand reads.
     #[must_use]
     pub fn uses(&self) -> RegVec {
-        match self {
-            Operand::Reg(r) | Operand::Shifted { rm: r, .. } => [*r].into_iter().collect(),
-            Operand::Mem(m) => m.uses().collect(),
-            Operand::RegList(l) => l.iter().collect(),
-            Operand::Imm(_) | Operand::FReg(_) | Operand::Target(_) => RegVec::new(),
-        }
+        let mut out = RegVec::new();
+        self.each_use(|r| out.push(r));
+        out
     }
 
     /// Whether the operand mentions the program counter.
     #[must_use]
     pub fn uses_pc(&self) -> bool {
-        self.uses().iter().any(|r| r.is_pc())
+        let mut hit = false;
+        self.each_use(|r| hit |= r.is_pc());
+        hit
     }
 
     /// Convenience accessor: the register, if this is a plain register.

@@ -56,10 +56,11 @@ impl Reg {
         Reg::Pc,
     ];
 
-    /// The register's index (0–15).
+    /// The register's index (0–15): its position in [`Reg::ALL`], which
+    /// lists the variants in declaration order.
     #[must_use]
     pub fn index(self) -> usize {
-        Reg::ALL.iter().position(|r| *r == self).unwrap()
+        self as usize
     }
 
     /// Register from index.

@@ -76,20 +76,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             self.len = len as u8;
         }
     }
-
-    /// Removes consecutive repeated elements, like `Vec::dedup`.
-    pub fn dedup(&mut self)
-    where
-        T: PartialEq,
-    {
-        let mut kept = Self::new();
-        for item in self.iter() {
-            if kept.last() != Some(item) {
-                kept.push(*item);
-            }
-        }
-        *self = kept;
-    }
 }
 
 impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
@@ -238,10 +224,7 @@ mod tests {
         v.truncate(3);
         assert_eq!(v, [9]);
         assert_eq!(hash_of(&v), hash_of(&vec![9u8]));
-        let mut d: Four = [5, 5, 6, 5].into_iter().collect();
-        d.dedup();
-        assert_eq!(d, [5, 6, 5]);
-        assert_eq!(d, Four::from_slice(&[5, 6, 5]).unwrap());
+        assert_eq!(v, Four::from_slice(&[9]).unwrap());
     }
 
     #[test]
