@@ -17,7 +17,7 @@ macro_rules! two_op {
             #[$doc]
             #[must_use]
             pub fn $name(dst: Operand, src: Operand) -> Inst {
-                build(Op::$op, vec![dst, src])
+                build(Op::$op, [dst, src])
             }
         )*
     };

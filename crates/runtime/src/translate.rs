@@ -34,15 +34,14 @@ use pdbt_core::flags::{
 use pdbt_core::key::Scan;
 use pdbt_core::{emit, template as rtemplate, HostLoc, Match, RuleSet};
 use pdbt_ir::{env, lift, lower_branch_cond, lower_ops, RegMap, Terminator};
-use pdbt_isa::Flag;
-use pdbt_isa::{Addr, Cond, FlagSet};
+use pdbt_isa::{Addr, Cond, Flag, FlagSet, InlineVec};
 use pdbt_isa_arm::{Inst as GInst, Program, Reg as GReg, INST_SIZE};
 use pdbt_isa_x86::builders as hb;
 use pdbt_isa_x86::{Inst as HInst, Operand as HOperand, Reg as HReg};
 use pdbt_symexec::FlagEquiv;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Where an executed host instruction's cost is attributed (the four
 /// columns of Table II).
@@ -496,9 +495,9 @@ fn one_sided_exit(e: &mut Emitter, target: HOperand, guest_len: u32) {
 /// broken by first appearance. Counting goes through a fixed array
 /// indexed by [`GReg::index`] so the scan is O(operands), not
 /// O(operands × distinct regs).
-fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> Vec<GReg> {
+fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> InlineVec<GReg, 16> {
     let mut counts = [0usize; 16];
-    let mut order: Vec<GReg> = Vec::new();
+    let mut order = InlineVec::new();
     for inst in insts {
         for r in inst.uses().into_iter().chain(inst.defs()) {
             if counts[r.index()] == 0 {
@@ -563,8 +562,12 @@ struct BodyState {
     code: Vec<HInst>,
     segments: Vec<Segment>,
     seg_of_guest: Vec<usize>,
-    cached_regs: Vec<GReg>,
-    cached_writes: Vec<GReg>,
+    /// The guest registers rule segments touch, and those they write:
+    /// distinct registers, so sixteen at most.
+    cached_regs: InlineVec<GReg, 16>,
+    cached_writes: InlineVec<GReg, 16>,
+    /// Scratch: the host locations of the rule being instantiated.
+    locs: Vec<HostLoc>,
     attributions: Vec<RuleAttribution>,
     lookup_misses: Vec<String>,
 }
@@ -697,7 +700,6 @@ fn build_body_segments(
         (interior_clean && (live.is_empty() || rule_flags_ok(live, &m.entry.flags, cfg)))
             .then_some(live)
     };
-    let mut locs = Vec::new();
     let mut i = 0usize;
     while i < insts.len() {
         let (addr, inst) = (&insts[i].0, insts[i].1);
@@ -710,10 +712,10 @@ fn build_body_segments(
             let multi = rules.lookup_scan(&probes[i].scan, 2..=usize::MAX);
             let applied = multi.iter().chain(&probes[i].one).find_map(|m| {
                 let live = deferred_flags(m, i)?;
-                slot_locs(&m.inst.slots, map, use_cache, &mut locs);
+                slot_locs(&m.inst.slots, map, use_cache, &mut st.locs);
                 let start = st.code.len();
                 let template = &m.entry.template;
-                rtemplate::instantiate(template, &locs, &m.inst.imms, &mut st.code).ok()?;
+                rtemplate::instantiate(template, &st.locs, &m.inst.imms, &mut st.code).ok()?;
                 Some((m, start, live))
             });
             if let Some((m, start, live)) = applied {
@@ -900,6 +902,27 @@ fn emit_exit_stubs(e: &mut Emitter, plan: &StubPlan, fall: Addr, guest_len: u32)
     }
 }
 
+/// The attribution of a delegated `b<cond>`. A delegated branch is
+/// covered by no rule of its own, so no rule set owns its label; there
+/// are fifteen of them, formatted once per process and shared like a
+/// rule's.
+fn delegated_attribution(cond: Cond) -> RuleAttribution {
+    static ALL: OnceLock<Vec<RuleAttribution>> = OnceLock::new();
+    let all = ALL.get_or_init(|| {
+        let subgroup: Arc<str> = subgroup_of(pdbt_isa_arm::Op::B).to_string().into();
+        let label = |c: &Cond| format!("b{c} (delegated)").into();
+        Cond::ALL
+            .iter()
+            .map(|c| RuleAttribution {
+                label: label(c),
+                subgroup: Arc::clone(&subgroup),
+                covered: 1,
+            })
+            .collect()
+    });
+    all[usize::from(cond.index())].clone()
+}
+
 /// A recorded conditional branch inside a member sequence.
 struct BranchSite {
     /// Global position of the branch instruction.
@@ -941,8 +964,7 @@ fn decide_delegation(
     if sp == usize::MAX {
         return None;
     }
-    let report = st.segments.get(sp).and_then(|s| s.report.clone())?;
-    let cc = delegated_cc(bs.cond, &report)?;
+    let cc = delegated_cc(bs.cond, st.segments.get(sp)?.report.as_deref()?)?;
     // The host flags must survive every later segment on the on-trace
     // path (the paper's "killed within the window" check; residency
     // syncs and materialization code are flag-preserving moves).
@@ -1059,7 +1081,7 @@ fn translate_members(
     }
     // The members' instructions, back to back, and each member's
     // half-open range of global positions in it.
-    let mut global: Vec<(Addr, &GInst)> = Vec::new();
+    let mut global: Vec<(Addr, &GInst)> = Vec::with_capacity(8 * k);
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
     for &start in members {
         let b = global.len();
@@ -1212,7 +1234,15 @@ fn translate_members(
     // members' transition segments) — can choose between consuming the
     // producer's live host flags directly (delegation / TCG
     // compare-branch folding) and storing them into the environment.
-    let mut st = BodyState::default();
+    // Sized once: a guest instruction is a segment of a host
+    // instruction or two.
+    let mut st = BodyState {
+        code: Vec::with_capacity(2 * total_n),
+        segments: Vec::with_capacity(total_n),
+        seg_of_guest: Vec::with_capacity(total_n),
+        attributions: Vec::with_capacity(total_n),
+        ..BodyState::default()
+    };
     let mut deleg_off: Vec<(usize, FlagSet)> = Vec::new();
     let mut seg_ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
     let mut attr_ranges: Vec<(usize, usize)> = Vec::with_capacity(k);
@@ -1256,11 +1286,7 @@ fn translate_members(
             });
             if let Some((_, true, _)) = decided {
                 member_branch_cov[m] = true;
-                st.attributions.push(RuleAttribution {
-                    label: format!("b{} (delegated)", bs.cond).into(),
-                    subgroup: subgroup_of(pdbt_isa_arm::Op::B).to_string().into(),
-                    covered: 1,
-                });
+                st.attributions.push(delegated_attribution(bs.cond));
             }
             if let Some(exit) = side[m] {
                 let hcc = match decided {
@@ -1329,7 +1355,13 @@ fn translate_members(
     // frequent rule↔emulation mixing — barely beats pure emulation
     // (paper Fig 11: `w/o para.` at 1.04×) while high coverage pays the
     // sync only at block boundaries.
-    let mut e = Emitter::default();
+    // The segments' code plus, per member, a residency sync each way
+    // and an exit stub.
+    let host_estimate = st.code.len() + 16 * k;
+    let mut e = Emitter {
+        code: Vec::with_capacity(host_estimate),
+        classes: Vec::with_capacity(host_estimate),
+    };
     let mut cached_mode = false;
     // Load every register the rule segments touch; store back only the
     // ones they write (values loaded and unmodified match the
@@ -1978,6 +2010,61 @@ mod seq_tests {
         pdbt_isa_arm::run(&mut cpu, &prog, 1000).unwrap();
         assert_eq!(report.output, cpu.output);
         assert_eq!(report.output, vec![16]);
+    }
+
+    /// An attribution's label and subgroup are the rule set's own
+    /// strings — one `Arc` per rule, however often it applies — and read
+    /// exactly as they did when every application formatted its own.
+    #[test]
+    fn attribution_labels_are_shared_per_rule_and_read_as_before() {
+        use pdbt_isa_arm::Op;
+        let mut rules = load_rules(
+            "rule add|s=0|modes=reg,reg,imm|pat=0,0|prov=L|flags=|imms=*\n  addl S0, $I0\nend\n\
+             rule sub|s=1|modes=reg,reg,imm|pat=0,0|prov=L|flags=N:E,Z:E,C:I,V:E|imms=*\n  \
+             subl S0, $I0\nend\n",
+        )
+        .expect("well-formed");
+        rules.merge(seq_rule_set());
+        let prog = pdbt_isa_arm::Program::new(
+            0x1000,
+            vec![
+                g::add(Reg::R0, Reg::R0, O::Imm(7)),
+                g::add(Reg::R1, Reg::R1, O::Imm(9)), // the same rule again
+                g::mov(Reg::R6, O::Imm(9)),          // seq part 1
+                g::add(Reg::R2, Reg::R2, O::Reg(Reg::R6)), // seq part 2
+                g::sub(Reg::R3, Reg::R3, O::Imm(1)).with_s(),
+                g::b(Cond::Ne, -20),
+                g::svc(0),
+            ],
+        );
+        let block =
+            translate_block(&prog, 0x1000, Some(&rules), &TranslateConfig::default()).unwrap();
+        // The texts, formatted here the way each application used to.
+        let key = |i: usize| key::parameterize(&prog.insts()[i]).unwrap().key;
+        let (seq, _) = key::parameterize_seq(&prog.insts()[2..4]).unwrap();
+        let subgroup = |op: Op| subgroup_of(op).to_string();
+        let expected = [
+            (key(0).to_string(), subgroup(Op::Add), 1),
+            (key(1).to_string(), subgroup(Op::Add), 1),
+            (
+                format!("seq[{} + {}]", seq[0], seq[1]),
+                subgroup(Op::Mov),
+                2,
+            ),
+            (key(4).to_string(), subgroup(Op::Sub), 1),
+            ("bne (delegated)".to_string(), subgroup(Op::B), 1),
+        ];
+        let got: Vec<(String, String, u32)> = block
+            .attributions
+            .iter()
+            .map(|a| (a.label.to_string(), a.subgroup.to_string(), a.covered))
+            .collect();
+        assert_eq!(got, expected);
+        let (first, second) = (&block.attributions[0], &block.attributions[1]);
+        assert!(Arc::ptr_eq(&first.label, &second.label));
+        assert!(Arc::ptr_eq(&first.subgroup, &second.subgroup));
+        let m = rules.lookup(&prog.insts()[0]).expect("the add rule");
+        assert!(Arc::ptr_eq(m.label, &first.label), "and they are the set's");
     }
 
     #[test]
