@@ -29,7 +29,8 @@ use std::sync::Mutex;
 pub struct PhaseNs {
     /// Accept to dequeue: time spent waiting for a session worker.
     pub queue: u64,
-    /// Time inside the translator (sum over blocks).
+    /// Time inside the translator: the sum over the blocks and the
+    /// traces the request translated.
     pub translate: u64,
     /// Dequeue to run completion, minus translate.
     pub execute: u64,

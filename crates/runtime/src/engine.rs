@@ -235,8 +235,11 @@ pub struct RunObs {
     /// Per-rule static hits, dynamic coverage attribution and lookup
     /// misses.
     pub rules: RuleCounters,
-    /// Per-block translation latency in nanoseconds. Stays empty when
-    /// the `obs` feature is disabled (no clock).
+    /// Translation latency in nanoseconds: one sample per block this
+    /// session translated and one per trace it translated (a trace taken
+    /// from an artifact's library is not translated, so not timed). Its
+    /// sum is the `translate` phase. Stays empty when the `obs` feature
+    /// is disabled (no clock).
     pub translate_ns: Histogram,
     /// Executed host instructions per block execution.
     pub block_host_len: Histogram,
@@ -1038,9 +1041,17 @@ impl Engine {
                 t
             }
             None => {
-                let Ok(tb) =
-                    translate_trace(prog, &members, self.shared.rules(), &self.cfg.translate)
-                else {
+                // Timed like `block`'s translation: a trace is translated
+                // work, and most of a cold run's at that.
+                let t0 = pdbt_obs::now_ns();
+                let translated =
+                    translate_trace(prog, &members, self.shared.rules(), &self.cfg.translate);
+                if pdbt_obs::ENABLED {
+                    self.obs
+                        .translate_ns
+                        .record(pdbt_obs::now_ns().saturating_sub(t0));
+                }
+                let Ok(tb) = translated else {
                     return;
                 };
                 Arc::new(tb)
