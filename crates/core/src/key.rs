@@ -476,6 +476,47 @@ mod tests {
         .is_none());
     }
 
+    /// Instructions built with a struct literal skip shape validation;
+    /// one that would overflow a key ends the window like an opaque
+    /// operand does, and leaves nothing of itself in the scan.
+    #[test]
+    fn an_instruction_too_wide_for_a_key_ends_the_window() {
+        let unvalidated = |operands: Vec<Operand>| Inst {
+            op: Op::Add,
+            s: false,
+            cond: pdbt_isa::Cond::Al,
+            operands,
+        };
+        let base_index = Operand::Mem(MemAddr::BaseReg {
+            base: Reg::R1,
+            index: Reg::R2,
+        });
+        // What exactly fills a key still parameterizes.
+        let four = parameterize(&unvalidated(vec![Operand::Imm(9); MAX_OPERANDS])).unwrap();
+        assert_eq!(
+            (four.key.modes.len(), &four.inst.imms[..]),
+            (4, &[9; 4][..])
+        );
+        for too_wide in [
+            unvalidated(vec![Operand::Imm(9); MAX_OPERANDS + 1]),
+            // Three base+index operands mention six registers.
+            unvalidated(vec![base_index; 3]),
+        ] {
+            assert_eq!(parameterize(&too_wide), None);
+            let head = mov(Reg::R4, Operand::Imm(1));
+            let window = [head.clone(), too_wide, mov(Reg::R5, Operand::Imm(2))];
+            let scan = Scan::of(&window, window.len());
+            assert_eq!(scan.valid_len(), 1);
+            assert_eq!(scan.instantiation(1), parameterize(&head).unwrap().inst);
+            assert_eq!(parameterize_seq(&window), None);
+        }
+        // However long a window is asked for, a scan holds MAX_WINDOW keys.
+        let long = vec![mov(Reg::R4, Operand::Imm(1)); MAX_WINDOW + 2];
+        assert_eq!(Scan::of(&long, usize::MAX).valid_len(), MAX_WINDOW);
+        assert_eq!(parameterize_seq(&long), None);
+        assert!(parameterize_seq(&long[..MAX_WINDOW]).is_some());
+    }
+
     #[test]
     fn s_bit_distinguishes_keys() {
         let plain = parameterize(&add(Reg::R0, Reg::R0, Operand::Imm(1))).unwrap();

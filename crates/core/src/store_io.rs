@@ -846,6 +846,75 @@ mod tests {
         assert_eq!(save_rules(&back), text, "canonical reserialization");
     }
 
+    /// A block with a whole-block defect: the strict loader errors at the
+    /// block's `end` line with `why`, salvage drops exactly that block and
+    /// keeps the healthy store after it.
+    fn assert_rejected_at_block_close(block: &str, why: &str) {
+        let healthy = save_rules(&sample_rules());
+        let e = load_rules(block).unwrap_err();
+        assert!(e.detail.contains(why), "{block}: {e}");
+        assert_eq!(e.line, block.lines().count(), "{block}: the `end` line");
+        let (back, quarantined) = load_rules_salvage(&format!("{block}{healthy}"));
+        assert_eq!(save_rules(&back), healthy, "{block}");
+        assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+        assert_eq!(quarantined[0].line, block.lines().count());
+    }
+
+    /// Keys and scanned windows are stored inline: a rule file naming
+    /// more than a capacity holds is refused at the block's close, one
+    /// case per capacity, and what exactly fills one loads and matches.
+    #[test]
+    fn lists_longer_than_the_inline_capacities_are_rejected() {
+        let meta = "prov=L|flags=|imms=*";
+        let g = "  g mov|s=0|modes=reg,imm|pat=0\n";
+        let cases = [
+            // Operands per key.
+            (
+                format!("rule add|s=0|modes=reg,reg,reg,reg,imm|pat=0,1,2,3|{meta}\n  addl S0, S1\nend\n"),
+                "modes= lists more than the 4 operands",
+            ),
+            // Register mentions per key.
+            (
+                format!("rule add|s=0|modes=reg,reg,reg|pat=0,1,2,0,1|{meta}\n  addl S0, S1\nend\n"),
+                "pat= lists more than the 4 register mentions",
+            ),
+            // The same, on a `g` line in the middle of a sequence.
+            (
+                format!("seq {meta}\n{g}  g add|s=0|modes=reg,reg,reg|pat=0,0,0,0,0\n{g}  h movl S0, $I0\nend\n"),
+                "pat= lists more than the 4 register mentions",
+            ),
+            // Keys per window.
+            (
+                format!("seq {meta}\n{}  h movl S0, $I0\nend\n", g.repeat(MAX_WINDOW + 1)),
+                "5 keys exceed the 4-instruction window",
+            ),
+            // Immediates per window: more pinned than any window binds.
+            (
+                format!(
+                    "seq prov=L|flags=|imms={}\n{g}{g}  h movl S0, $I0\nend\n",
+                    vec!["7"; crate::key::MAX_WINDOW_IMMS + 1].join(",")
+                ),
+                "imms= pins 17 immediates",
+            ),
+        ];
+        // (Slots per window: `arity_the_keys_do_not_bind_is_rejected`.)
+        for (block, why) in cases {
+            assert_rejected_at_block_close(&block, why);
+        }
+        // A window's worth of keys loads, and matches four instructions.
+        let full = format!(
+            "seq {meta}\n{}  h movl S0, $I3\nend\n",
+            g.repeat(MAX_WINDOW)
+        );
+        let rules = load_rules(&full).expect("exactly MAX_WINDOW keys load");
+        assert_eq!((rules.seq_len(), rules.max_len()), (1, MAX_WINDOW));
+        let window: Vec<_> = (0..5).map(|i| g::mov(Reg::R4, O::Imm(i))).collect();
+        let m = rules
+            .lookup_scan(&Scan::of(&window, rules.max_len()), 2..=usize::MAX)
+            .expect("the four-key rule matches");
+        assert_eq!((m.len, &m.inst.imms[..]), (MAX_WINDOW, &[0, 1, 2, 3][..]));
+    }
+
     /// Blocks whose keys do not bind what the block names: the strict
     /// loader errors at the block's `end` line, salvage drops exactly
     /// that block.
@@ -873,15 +942,8 @@ mod tests {
             ),
             (five_slots.to_string(), "5 parameter slots"),
         ];
-        let healthy = save_rules(&sample_rules());
         for (block, why) in cases {
-            let e = load_rules(&block).unwrap_err();
-            assert!(e.detail.contains(why), "{block}: {e}");
-            assert_eq!(e.line, block.lines().count(), "{block}: the `end` line");
-            let (back, quarantined) = load_rules_salvage(&format!("{block}{healthy}"));
-            assert_eq!(save_rules(&back), healthy, "{block}");
-            assert_eq!(quarantined.len(), 1, "{quarantined:?}");
-            assert_eq!(quarantined[0].line, block.lines().count());
+            assert_rejected_at_block_close(&block, why);
         }
         // What the keys do bind loads: two keys, two pinned immediates.
         let pinned = "seq prov=L|flags=|imms=5,12\n  \

@@ -9,7 +9,7 @@
 //! Also here, because the same programs feed it: the register lists
 //! `Inst::uses`/`defs` hand the translator, pinned element for element.
 
-use pdbt_core::key::{parameterize, reconstruct_seq, Scan};
+use pdbt_core::key::{parameterize, reconstruct_seq, ComboKey, ModeTag, Scan};
 use pdbt_isa::Cond;
 use pdbt_isa_arm::builders as g;
 use pdbt_isa_arm::{FReg, Inst, MemAddr, Op, Operand, Reg};
@@ -97,28 +97,20 @@ fn rejecting(rng: &mut StdRng, donor: &Inst) -> Inst {
     }
 }
 
-#[test]
-fn scans_are_prefix_stable_and_validity_is_monotone() {
+/// Every window the properties are checked over: each instruction
+/// window (length 1–3) of the twelve suite programs, then `FUZZ_CASES`
+/// seeded random windows, most salted with a rejecting shape.
+fn for_each_window(mut check: impl FnMut(&[Inst])) {
     let programs: Vec<Vec<Inst>> = suite(Scale::tiny())
         .iter()
         .map(|w| w.pair.guest.program.insts().to_vec())
         .collect();
     assert_eq!(programs.len(), 12);
-    let (mut windows, mut clean) = (0usize, 0usize);
     for insts in &programs {
         for len in 1..=3 {
-            for window in insts.windows(len) {
-                check_window(window);
-                windows += 1;
-                clean += usize::from(window.iter().all(in_universe));
-            }
+            insts.windows(len).for_each(&mut check);
         }
     }
-    assert!(
-        clean > windows / 4,
-        "{clean} of {windows} windows scan whole"
-    );
-
     let cases = std::env::var("FUZZ_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -135,7 +127,68 @@ fn scans_are_prefix_stable_and_validity_is_monotone() {
             window[at] = rejecting(&mut rng, &window[at]);
             assert!(!in_universe(&window[at]), "{:?}", window[at]);
         }
-        check_window(&window);
+        check(&window);
+    }
+}
+
+#[test]
+fn scans_are_prefix_stable_and_validity_is_monotone() {
+    let (mut windows, mut clean) = (0usize, 0usize);
+    for_each_window(|window| {
+        check_window(window);
+        windows += 1;
+        clean += usize::from(window.iter().all(in_universe));
+    });
+    assert!(
+        clean > windows / 4,
+        "{clean} of {windows} windows scan whole"
+    );
+}
+
+/// A key's lists are inline arrays with padding past their length; the
+/// rule table, `save_rules`' order and every sealed byte rely on a key
+/// comparing, ordering and hashing as the `(op, s, modes, pattern)` of
+/// slices it stands for — padding never taking part.
+#[test]
+fn inline_keys_compare_order_and_hash_as_their_slices() {
+    use std::hash::{Hash, Hasher};
+    fn hash_of(v: impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+    let as_slices = |k: &'_ ComboKey| (k.op, k.s, k.modes.to_vec(), k.reg_pattern.to_vec());
+    let mut keys: Vec<ComboKey> = Vec::new();
+    for_each_window(|window| {
+        // Later keys of a window number their slots from the earlier
+        // ones', so they are keys no one-instruction scan yields.
+        let scan = Scan::of(window, window.len());
+        for key in scan.keys(scan.valid_len()) {
+            if !keys.iter().any(|k| as_slices(k) == as_slices(key)) {
+                keys.push(*key);
+            }
+        }
+    });
+    assert!(keys.len() > 50, "{} distinct keys", keys.len());
+    for a in &keys {
+        let (op, s, modes, pattern) = as_slices(a);
+        assert_eq!(
+            hash_of(a),
+            hash_of((op, s, &modes[..], &pattern[..])),
+            "{a}"
+        );
+        // A shorter list that once was longer keeps stale elements past
+        // its length: they must not show either.
+        let mut shrunk = *a;
+        shrunk
+            .modes
+            .extend([ModeTag::Opaque; 4].into_iter().take(4 - modes.len()));
+        shrunk.modes.truncate(modes.len());
+        assert_eq!((shrunk, hash_of(shrunk)), (*a, hash_of(a)), "{a}");
+        for b in &keys {
+            assert_eq!(a == b, as_slices(a) == as_slices(b), "{a} == {b}");
+            assert_eq!(a.cmp(b), as_slices(a).cmp(&as_slices(b)), "{a} cmp {b}");
+        }
     }
 }
 

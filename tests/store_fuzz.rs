@@ -170,7 +170,20 @@ fn targeted_corruption_quarantines_exactly_the_mutated_entry() {
         // check at the block's `end` can see.
         let pinned = lines[s].replace("imms=*", "imms=1,2,3,4,5,6,7,8,9");
         assert_ne!(pinned, lines[s], "no suite rule is pinned");
-        for (at, poison) in [(victim, "?? corrupted ??"), (s, &pinned[..])] {
+        // So does every line of the third: the block's first key (in the
+        // `rule` header, or the first `g` line of a `seq`) lists more
+        // operand modes than the inline key holds, which is likewise
+        // reported at the block's `end` — and must not panic before it.
+        let keyed = (s..e)
+            .find(|i| lines[*i].contains("|modes="))
+            .expect("every block has a key");
+        let overgrown = lines[keyed].replacen("|pat=", ",reg,reg,reg,reg|pat=", 1);
+        assert_ne!(overgrown, lines[keyed]);
+        for (at, poison) in [
+            (victim, "?? corrupted ??"),
+            (s, &pinned[..]),
+            (keyed, &overgrown[..]),
+        ] {
             let mut mutated = lines.clone();
             mutated[at] = poison;
             let (rules, quarantined) = load_rules_salvage(&mutated.join("\n"));
