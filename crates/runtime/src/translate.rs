@@ -213,7 +213,6 @@ pub struct TranslatedBlock {
     pub member_marks: Vec<MemberMark>,
 }
 
-#[derive(Default)]
 struct Emitter {
     code: Vec<HInst>,
     classes: Vec<CodeClass>,
@@ -1234,8 +1233,9 @@ fn translate_members(
     // members' transition segments) — can choose between consuming the
     // producer's live host flags directly (delegation / TCG
     // compare-branch folding) and storing them into the environment.
-    // Sized once: a guest instruction is a segment of a host
-    // instruction or two.
+    //
+    // The buffers are sized once: a guest instruction is a segment of a
+    // host instruction or two.
     let mut st = BodyState {
         code: Vec::with_capacity(2 * total_n),
         segments: Vec::with_capacity(total_n),
@@ -1355,8 +1355,9 @@ fn translate_members(
     // frequent rule↔emulation mixing — barely beats pure emulation
     // (paper Fig 11: `w/o para.` at 1.04×) while high coverage pays the
     // sync only at block boundaries.
-    // The segments' code plus, per member, a residency sync each way
-    // and an exit stub.
+    //
+    // Sized for the segments' code plus, per member, a residency sync
+    // each way and an exit stub.
     let host_estimate = st.code.len() + 16 * k;
     let mut e = Emitter {
         code: Vec::with_capacity(host_estimate),
