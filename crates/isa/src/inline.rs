@@ -130,12 +130,6 @@ impl<T: Hash, const N: usize> Hash for InlineVec<T, N> {
     }
 }
 
-impl<T: PartialEq, const N: usize> PartialEq<[T]> for InlineVec<T, N> {
-    fn eq(&self, other: &[T]) -> bool {
-        **self == *other
-    }
-}
-
 impl<T: PartialEq, const N: usize, const M: usize> PartialEq<[T; M]> for InlineVec<T, N> {
     fn eq(&self, other: &[T; M]) -> bool {
         **self == other[..]
@@ -158,12 +152,6 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
         let mut out = Self::new();
         iter.into_iter().for_each(|item| out.push(item));
         out
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        iter.into_iter().for_each(|item| self.push(item));
     }
 }
 
