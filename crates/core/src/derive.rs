@@ -235,6 +235,89 @@ enum Outcome {
     Quarantined,
 }
 
+/// Phase 1 of [`derive_jobs`]: the deduplicated candidate universe, in
+/// a serial, deterministic order. Seeds: which subgroups have learned
+/// rules, and which operand signatures appear per subgroup (for the
+/// opcode-only stage). Everything is sorted so the candidate order does
+/// not depend on `HashMap` iteration order.
+fn enumerate(learned: &RuleSet, cfg: DeriveConfig) -> Vec<Candidate> {
+    let mut subgroup_seeds: HashMap<Subgroup, Vec<ComboKey>> = HashMap::new();
+    for (key, _) in learned.iter() {
+        subgroup_seeds
+            .entry(classify::subgroup_of(key.op))
+            .or_default()
+            .push(*key);
+    }
+    let mut groups: Vec<(Subgroup, Vec<ComboKey>)> = subgroup_seeds.into_iter().collect();
+    groups.sort_by_key(|(sg, _)| *sg);
+
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut index: HashMap<ComboKey, usize> = HashMap::new();
+    for (sg, seeds) in &mut groups {
+        if !classify::is_parameterizable(*sg) {
+            continue;
+        }
+        seeds.sort();
+        for op in classify::members(*sg) {
+            // Flag-setting variants are always enumerated; without
+            // delegation, the post-verification filter below keeps only
+            // the ones whose host flags are *exactly* the guest's (the
+            // baseline's flag-inclusive rules), while delegation also
+            // admits inverted-carry relationships (§IV-D).
+            let s_variants: Vec<bool> = if op.supports_s() {
+                vec![false, true]
+            } else {
+                vec![false]
+            };
+            for s in s_variants {
+                let universe = if cfg.addrmode {
+                    combo_universe(op, s)
+                } else {
+                    // Opcode dimension only: project the learned operand
+                    // signatures of this subgroup onto the new opcode.
+                    seeds
+                        .iter()
+                        .filter(|k| k.s == s || cfg.flag_delegation)
+                        .map(|k| ComboKey { op, s, ..*k })
+                        .collect()
+                };
+                for key in universe {
+                    if learned.contains(&key) {
+                        continue;
+                    }
+                    use std::collections::hash_map::Entry;
+                    match index.entry(key) {
+                        Entry::Occupied(e) => candidates[*e.get()].occurrences += 1,
+                        Entry::Vacant(v) => {
+                            let key = *v.key();
+                            // A key names its opcode, so duplicates can
+                            // only repeat within one subgroup: the
+                            // provenance decision is safe to make on the
+                            // first visit.
+                            let provenance = if seeds.iter().any(|k| {
+                                k.modes == key.modes
+                                    && k.reg_pattern == key.reg_pattern
+                                    && k.s == key.s
+                            }) {
+                                Provenance::OpcodeDerived
+                            } else {
+                                Provenance::AddrModeDerived
+                            };
+                            v.insert(candidates.len());
+                            candidates.push(Candidate {
+                                key,
+                                provenance,
+                                occurrences: 1,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    candidates
+}
+
 /// Runs parameterization over a learned rule set, returning the expanded
 /// store and the statistics. Serial shorthand for
 /// [`derive_jobs`]`(learned, cfg, check, 1)`.
@@ -289,84 +372,7 @@ pub fn derive_jobs(
         return (out, stats);
     }
 
-    // Phase 1 — enumerate. Seeds: which subgroups have learned rules,
-    // and which operand signatures appear per subgroup (for the
-    // opcode-only stage). Everything is sorted so the candidate order
-    // does not depend on `HashMap` iteration order.
-    let mut subgroup_seeds: HashMap<Subgroup, Vec<ComboKey>> = HashMap::new();
-    for (key, _) in learned.iter() {
-        subgroup_seeds
-            .entry(classify::subgroup_of(key.op))
-            .or_default()
-            .push(*key);
-    }
-    let mut groups: Vec<(Subgroup, Vec<ComboKey>)> = subgroup_seeds.into_iter().collect();
-    groups.sort_by_key(|(sg, _)| *sg);
-
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut index: HashMap<ComboKey, usize> = HashMap::new();
-    for (sg, seeds) in &mut groups {
-        if !classify::is_parameterizable(*sg) {
-            continue;
-        }
-        seeds.sort();
-        for op in classify::members(*sg) {
-            // Flag-setting variants are always enumerated; without
-            // delegation, the post-verification filter below keeps only
-            // the ones whose host flags are *exactly* the guest's (the
-            // baseline's flag-inclusive rules), while delegation also
-            // admits inverted-carry relationships (§IV-D).
-            let s_variants: Vec<bool> = if op.supports_s() {
-                vec![false, true]
-            } else {
-                vec![false]
-            };
-            for s in s_variants {
-                let universe = if cfg.addrmode {
-                    combo_universe(op, s)
-                } else {
-                    // Opcode dimension only: project the learned operand
-                    // signatures of this subgroup onto the new opcode.
-                    seeds
-                        .iter()
-                        .filter(|k| k.s == s || cfg.flag_delegation)
-                        .map(|k| ComboKey { op, s, ..*k })
-                        .collect()
-                };
-                for key in universe {
-                    if out.contains(&key) {
-                        continue;
-                    }
-                    use std::collections::hash_map::Entry;
-                    match index.entry(key) {
-                        Entry::Occupied(e) => candidates[*e.get()].occurrences += 1,
-                        Entry::Vacant(v) => {
-                            let key = *v.key();
-                            // A key names its opcode, so duplicates can
-                            // only repeat within one subgroup: the
-                            // provenance decision is safe to make on the
-                            // first visit.
-                            let provenance = if seeds.iter().any(|k| {
-                                k.modes == key.modes
-                                    && k.reg_pattern == key.reg_pattern
-                                    && k.s == key.s
-                            }) {
-                                Provenance::OpcodeDerived
-                            } else {
-                                Provenance::AddrModeDerived
-                            };
-                            v.insert(candidates.len());
-                            candidates.push(Candidate {
-                                key,
-                                provenance,
-                                occurrences: 1,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let candidates = enumerate(learned, cfg);
 
     // Phase 2 — emit and verify every candidate over the pool, with
     // panic isolation so one poisoned candidate degrades to a
@@ -478,6 +484,33 @@ mod tests {
         assert!(patterns(3).contains(&vec![0, 1, 2]));
         assert!(patterns(3).contains(&vec![0, 0, 1]));
         assert!(patterns(3).contains(&vec![0, 1, 0]));
+    }
+
+    /// Every candidate `derive(full)` enumerates from the one add rule,
+    /// with what `emit_for` + `verify_combo` say of it — accepted or
+    /// not, and the flag report — held to a table generated before the
+    /// verifier's terms moved off the heap (`UPDATE_GOLDEN=1` rewrites
+    /// it). The full-scale goldens say *that* a verdict moved; this
+    /// says which key's.
+    #[test]
+    fn candidate_verdicts_match_the_recorded_table() {
+        use std::fmt::Write as _;
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/derive_verdicts.txt"
+        );
+        let mut got = String::new();
+        for c in enumerate(&learned_add_rule(), DeriveConfig::full()) {
+            let verdict = emit_for(&c.key).ok_or("no template").and_then(|t| {
+                verify_combo(&c.key, &t, CheckOptions::default()).or(Err("rejected"))
+            });
+            let _ = writeln!(got, "{} x{}: {verdict:?}", c.key, c.occurrences);
+        }
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(path, &got).unwrap();
+        }
+        let want = std::fs::read_to_string(path).unwrap();
+        assert!(got == want, "a candidate's verdict moved:\n{got}");
     }
 
     #[test]
