@@ -12,7 +12,7 @@
 use crate::eval::{eval, eval_mem_writes, Assignment};
 use crate::machine::{guest, host, SymExecError};
 use crate::simplify::{simplify, simplify_mem};
-use crate::term::{BinOp, Sym, Term, TermRef};
+use crate::term::{BinOp, Node, Sym, Term};
 use pdbt_isa::{Flag, Machine};
 use pdbt_isa_arm::{Inst as GInst, Reg as GReg};
 use pdbt_isa_x86::{Inst as HInst, Reg as HReg};
@@ -152,23 +152,25 @@ impl Fuel {
 }
 
 /// Term size with a cap: counts nodes but stops descending once `cap`
-/// is reached. The cap matters beyond saving time — terms are
-/// `Rc`-shared DAGs, so an uncapped tree walk could be exponential in
-/// the DAG depth.
+/// is reached. The cap matters beyond saving time — interior nodes are
+/// `Rc`-shared, so terms are DAGs and an uncapped tree walk could be
+/// exponential in the DAG depth.
 fn term_size(t: &Term, cap: u64) -> u64 {
     if cap == 0 {
         return 0;
     }
     let mut n = 1;
-    let kids: &[&TermRef] = match t {
-        Term::Const(_) | Term::Sym(_) => &[],
-        Term::Un(_, a) | Term::Read(_, a, _) => &[a],
-        Term::Bin(_, a, b) | Term::Pred(_, a, b) => &[a, b],
-        Term::CarryAdd(a, b, c)
-        | Term::BorrowSub(a, b, c)
-        | Term::OverflowAdd(a, b, c)
-        | Term::OverflowSub(a, b, c)
-        | Term::Ite(a, b, c) => &[a, b, c],
+    let kids: &[&Term] = match t.as_node() {
+        None => &[],
+        Some(Node::Un(_, a) | Node::Read(_, a, _)) => &[a],
+        Some(Node::Bin(_, a, b) | Node::Pred(_, a, b)) => &[a, b],
+        Some(
+            Node::CarryAdd(a, b, c)
+            | Node::BorrowSub(a, b, c)
+            | Node::OverflowAdd(a, b, c)
+            | Node::OverflowSub(a, b, c)
+            | Node::Ite(a, b, c),
+        ) => &[a, b, c],
     };
     for k in kids {
         if n >= cap {
@@ -193,7 +195,7 @@ fn sym_env(mapping: &Mapping) -> (guest::State, host::State) {
 
 /// Differentially compares two terms; returns `(always_equal,
 /// always_inverted)` over the trials.
-fn diff_classify(a: &TermRef, b: &TermRef, opts: CheckOptions) -> (bool, bool) {
+fn diff_classify(a: &Term, b: &Term, opts: CheckOptions) -> (bool, bool) {
     let mut equal = true;
     let mut inverted = true;
     for trial in 0..opts.trials {
@@ -295,7 +297,7 @@ pub fn check(
             continue;
         }
         let ng = simp!("unmapped-register normalization", &gst.regs[r.index()]);
-        if *ng != Term::Sym(Sym::GuestReg(r.index() as u8)) {
+        if ng != Term::Sym(Sym::GuestReg(r.index() as u8)) {
             return Verdict::NotEquivalent {
                 reason: format!("guest register {r} modified but not mapped"),
             };

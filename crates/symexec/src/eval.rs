@@ -5,7 +5,7 @@
 //! address, so guest and host evaluations of the shared initial memory
 //! agree without materializing it.
 
-use crate::term::{Sym, SymMem, Term};
+use crate::term::{Node, Sym, SymMem, Term};
 use pdbt_isa::{Concrete, Domain};
 use std::collections::HashMap;
 
@@ -71,23 +71,13 @@ impl Assignment {
 
 /// Evaluates one byte of a symbolic memory.
 fn eval_mem_byte(mem: &SymMem, addr: u32, asg: &Assignment) -> u8 {
-    match mem {
-        SymMem::Init => asg.init_byte(addr),
-        SymMem::Store {
-            prev,
-            addr: saddr,
-            val,
-            width,
-        } => {
-            let sa = eval(saddr, asg);
-            if addr.wrapping_sub(sa) < width.bytes() {
-                let byte = addr.wrapping_sub(sa);
-                (eval(val, asg) >> (8 * byte)) as u8
-            } else {
-                eval_mem_byte(prev, addr, asg)
-            }
+    for s in mem.stores() {
+        let byte = addr.wrapping_sub(eval(&s.addr, asg));
+        if byte < s.width.bytes() {
+            return (eval(&s.val, asg) >> (8 * byte)) as u8;
         }
     }
+    asg.init_byte(addr)
 }
 
 /// Evaluates all bytes a store chain touches, newest-store-wins, into an
@@ -95,16 +85,11 @@ fn eval_mem_byte(mem: &SymMem, addr: u32, asg: &Assignment) -> u8 {
 #[must_use]
 pub fn eval_mem_writes(mem: &SymMem, asg: &Assignment) -> HashMap<u32, u8> {
     let mut touched = Vec::new();
-    let mut cur = mem;
-    while let SymMem::Store {
-        prev, addr, width, ..
-    } = cur
-    {
-        let a = eval(addr, asg);
-        for i in 0..width.bytes() {
+    for s in mem.stores() {
+        let a = eval(&s.addr, asg);
+        for i in 0..s.width.bytes() {
             touched.push(a.wrapping_add(i));
         }
-        cur = prev;
     }
     touched
         .into_iter()
@@ -117,25 +102,28 @@ pub fn eval_mem_writes(mem: &SymMem, asg: &Assignment) -> HashMap<u32, u8> {
 pub fn eval(t: &Term, asg: &Assignment) -> u32 {
     let val = |t: &Term| eval(t, asg);
     let bit = |t: &Term| Concrete::bit(eval(t, asg));
-    match t {
-        Term::Const(v) => *v,
-        Term::Sym(s) => asg.get(*s),
-        Term::Bin(op, a, b) => op.eval(eval(a, asg), eval(b, asg)),
-        Term::Un(op, a) => op.eval(eval(a, asg)),
-        Term::Pred(op, a, b) => u32::from(op.eval(eval(a, asg), eval(b, asg))),
-        Term::CarryAdd(a, b, c) => u32::from(Concrete::carry_add(val(a), val(b), bit(c))),
-        Term::BorrowSub(a, b, c) => u32::from(Concrete::borrow_sub(val(a), val(b), bit(c))),
-        Term::OverflowAdd(a, b, c) => u32::from(Concrete::overflow_add(val(a), val(b), bit(c))),
-        Term::OverflowSub(a, b, c) => u32::from(Concrete::overflow_sub(val(a), val(b), bit(c))),
-        Term::Ite(c, th, el) => {
-            if eval(c, asg) != 0 {
-                eval(th, asg)
+    let node = match t {
+        Term::Const(v) => return *v,
+        Term::Sym(s) => return asg.get(*s),
+        Term::Node(n) => &**n,
+    };
+    match node {
+        Node::Bin(op, a, b) => op.eval(val(a), val(b)),
+        Node::Un(op, a) => op.eval(val(a)),
+        Node::Pred(op, a, b) => u32::from(op.eval(val(a), val(b))),
+        Node::CarryAdd(a, b, c) => u32::from(Concrete::carry_add(val(a), val(b), bit(c))),
+        Node::BorrowSub(a, b, c) => u32::from(Concrete::borrow_sub(val(a), val(b), bit(c))),
+        Node::OverflowAdd(a, b, c) => u32::from(Concrete::overflow_add(val(a), val(b), bit(c))),
+        Node::OverflowSub(a, b, c) => u32::from(Concrete::overflow_sub(val(a), val(b), bit(c))),
+        Node::Ite(c, th, el) => {
+            if val(c) != 0 {
+                val(th)
             } else {
-                eval(el, asg)
+                val(el)
             }
         }
-        Term::Read(mem, addr, width) => {
-            let a = eval(addr, asg);
+        Node::Read(mem, addr, width) => {
+            let a = val(addr);
             let mut v = 0u32;
             for i in 0..width.bytes() {
                 v |= u32::from(eval_mem_byte(mem, a.wrapping_add(i), asg)) << (8 * i);
@@ -150,7 +138,6 @@ mod tests {
     use super::*;
     use crate::term::{BinOp, PredOp};
     use pdbt_isa::Width;
-    use std::rc::Rc;
 
     #[test]
     fn eval_is_deterministic() {
@@ -189,18 +176,16 @@ mod tests {
         let mut asg = Assignment::new(1);
         asg.set(Sym::Param(0), 0x1000);
         asg.set(Sym::Param(1), 0xdead_beef);
-        let mem = Rc::new(SymMem::Store {
-            prev: Rc::new(SymMem::Init),
-            addr: Term::sym(Sym::Param(0)),
-            val: Term::sym(Sym::Param(1)),
-            width: Width::B32,
-        });
-        let read = Term::Read(mem.clone(), Term::c(0x1000), Width::B32);
-        assert_eq!(eval(&read, &asg), 0xdead_beef);
-        let read8 = Term::Read(mem.clone(), Term::c(0x1001), Width::B8);
-        assert_eq!(eval(&read8, &asg), 0xbe);
+        let mem = SymMem::Init.store(
+            Term::sym(Sym::Param(0)),
+            Term::sym(Sym::Param(1)),
+            Width::B32,
+        );
+        let read = |addr, width| Term::node(Node::Read(mem.clone(), Term::c(addr), width));
+        assert_eq!(eval(&read(0x1000, Width::B32), &asg), 0xdead_beef);
+        assert_eq!(eval(&read(0x1001, Width::B8), &asg), 0xbe);
         // Unwritten bytes come from the deterministic init function.
-        let other = Term::Read(mem, Term::c(0x2000), Width::B8);
+        let other = read(0x2000, Width::B8);
         assert_eq!(eval(&other, &asg), u32::from(asg.init_byte(0x2000)));
     }
 
@@ -208,31 +193,17 @@ mod tests {
     fn narrow_store_shadows_partially() {
         let mut asg = Assignment::new(3);
         asg.set(Sym::Param(0), 0x11223344);
-        let m1 = Rc::new(SymMem::Store {
-            prev: Rc::new(SymMem::Init),
-            addr: Term::c(0x100),
-            val: Term::sym(Sym::Param(0)),
-            width: Width::B32,
-        });
-        let m2 = Rc::new(SymMem::Store {
-            prev: m1,
-            addr: Term::c(0x101),
-            val: Term::c(0xaa),
-            width: Width::B8,
-        });
-        let read = Term::Read(m2, Term::c(0x100), Width::B32);
+        let mem = SymMem::Init
+            .store(Term::c(0x100), Term::sym(Sym::Param(0)), Width::B32)
+            .store(Term::c(0x101), Term::c(0xaa), Width::B8);
+        let read = Term::node(Node::Read(mem, Term::c(0x100), Width::B32));
         assert_eq!(eval(&read, &asg), 0x1122_aa44);
     }
 
     #[test]
     fn eval_mem_writes_collects_touched_bytes() {
         let asg = Assignment::new(5);
-        let mem = Rc::new(SymMem::Store {
-            prev: Rc::new(SymMem::Init),
-            addr: Term::c(0x10),
-            val: Term::c(0x0a0b_0c0d),
-            width: Width::B32,
-        });
+        let mem = SymMem::Init.store(Term::c(0x10), Term::c(0x0a0b_0c0d), Width::B32);
         let writes = eval_mem_writes(&mem, &asg);
         assert_eq!(writes.len(), 4);
         assert_eq!(writes[&0x10], 0x0d);
@@ -244,15 +215,15 @@ mod tests {
         let asg = Assignment::new(0);
         let t = Term::pred(PredOp::Ltu, Term::c(1), Term::c(2));
         assert_eq!(eval(&t, &asg), 1);
-        let t = Term::Bin(
+        let t = Term::bin(
             BinOp::FAdd,
             Term::c(1.5f32.to_bits()),
             Term::c(2.5f32.to_bits()),
         );
         assert_eq!(f32::from_bits(eval(&t, &asg)), 4.0);
-        let carry = Term::CarryAdd(Term::c(u32::MAX), Term::c(1), Term::c(0));
+        let carry = Term::node(Node::CarryAdd(Term::c(u32::MAX), Term::c(1), Term::c(0)));
         assert_eq!(eval(&carry, &asg), 1);
-        let borrow = Term::BorrowSub(Term::c(3), Term::c(5), Term::c(0));
+        let borrow = Term::node(Node::BorrowSub(Term::c(3), Term::c(5), Term::c(0)));
         assert_eq!(eval(&borrow, &asg), 1);
     }
 }

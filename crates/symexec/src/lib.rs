@@ -46,4 +46,4 @@ pub use equiv::{
 pub use eval::{eval, eval_mem_writes, Assignment};
 pub use machine::SymExecError;
 pub use simplify::{simplify, simplify_mem};
-pub use term::{Sym, SymMem, Term, TermRef};
+pub use term::{Node, Sym, SymMem, Term};

@@ -15,9 +15,8 @@
 //!
 //! [`State`]: guest::State
 
-use crate::term::{BinOp, Sym, SymMem, Term, TermRef};
+use crate::term::{BinOp, Node, Sym, SymMem, Term};
 use pdbt_isa::{Addr, ExecError, Flag, Machine, Width};
-use std::rc::Rc;
 
 /// An error raised when a sequence cannot be evaluated symbolically.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,37 +51,31 @@ fn unsupported<T>(detail: impl Into<String>) -> Result<T, SymExecError> {
 /// machine cannot answer.
 macro_rules! symbolic_machine_common {
     () => {
-        type W = TermRef;
-        type B = TermRef;
+        type W = Term;
+        type B = Term;
         type D = Term;
         type Error = SymExecError;
 
-        fn flag(&self, f: Flag) -> TermRef {
+        fn flag(&self, f: Flag) -> Term {
             self.flags[f as usize].clone()
         }
-        fn set_flag(&mut self, f: Flag, v: TermRef) {
+        fn set_flag(&mut self, f: Flag, v: Term) {
             self.flags[f as usize] = v;
         }
-        fn load(&self, addr: TermRef, width: Width) -> Result<TermRef, SymExecError> {
-            Ok(Rc::new(Term::Read(self.mem.clone(), addr, width)))
+        fn load(&self, addr: Term, width: Width) -> Result<Term, SymExecError> {
+            Ok(Term::node(Node::Read(self.mem.clone(), addr, width)))
         }
-        fn store(&mut self, addr: TermRef, val: TermRef, width: Width) -> Result<(), SymExecError> {
-            let prev = self.mem.clone();
-            self.mem = Rc::new(SymMem::Store {
-                prev,
-                addr,
-                val,
-                width,
-            });
+        fn store(&mut self, addr: Term, val: Term, width: Width) -> Result<(), SymExecError> {
+            self.mem = std::mem::take(&mut self.mem).store(addr, val, width);
             Ok(())
         }
-        fn output(&mut self, v: TermRef) {
+        fn output(&mut self, v: Term) {
             self.output.push(v);
         }
-        fn decide(&self, _cond: TermRef) -> Result<bool, SymExecError> {
+        fn decide(&self, _cond: Term) -> Result<bool, SymExecError> {
             unsupported("data-dependent control flow")
         }
-        fn target(&self, _addr: TermRef) -> Result<Addr, SymExecError> {
+        fn target(&self, _addr: Term) -> Result<Addr, SymExecError> {
             unsupported("symbolic jump target")
         }
     };
@@ -101,27 +94,28 @@ pub mod guest {
     #[derive(Debug, Clone)]
     pub struct State {
         /// One term per general-purpose register.
-        pub regs: [TermRef; 16],
+        pub regs: [Term; 16],
         /// N, Z, C, V flag terms (0/1-valued).
-        pub flags: [TermRef; 4],
+        pub flags: [Term; 4],
         /// Float registers (bit patterns).
-        pub fregs: [TermRef; 16],
+        pub fregs: [Term; 16],
         /// Symbolic memory.
-        pub mem: Rc<SymMem>,
+        pub mem: SymMem,
         /// Values emitted by `svc #1`.
-        pub output: Vec<TermRef>,
+        pub output: Vec<Term>,
     }
 
     impl State {
         /// Creates an initial state: register `r` is `init(r)` (so the
         /// caller chooses parameter vs. free symbols), flags are flag
-        /// symbols, memory is the shared initial memory.
-        pub fn init(init: impl Fn(Reg) -> TermRef) -> State {
+        /// symbols, memory is the shared initial memory. Every one of
+        /// them is a leaf, so a state of symbols allocates nothing.
+        pub fn init(init: impl Fn(Reg) -> Term) -> State {
             State {
                 regs: std::array::from_fn(|i| init(Reg::from_index(i).unwrap())),
                 flags: std::array::from_fn(|i| Term::sym(Sym::Flag(i as u8))),
                 fregs: std::array::from_fn(|i| Term::sym(Sym::Free(0x80 + i as u16))),
-                mem: Rc::new(SymMem::Init),
+                mem: SymMem::Init,
                 output: Vec::new(),
             }
         }
@@ -133,20 +127,20 @@ pub mod guest {
         symbolic_machine_common!();
 
         /// `pc` reads as the `pc + 8` symbol-based term.
-        fn reg(&self, r: Reg) -> TermRef {
+        fn reg(&self, r: Reg) -> Term {
             if r.is_pc() {
                 Term::bin(BinOp::Add, Term::sym(Sym::Pc), Term::c(8))
             } else {
                 self.regs[r.index()].clone()
             }
         }
-        fn set_reg(&mut self, r: Reg, v: TermRef) {
+        fn set_reg(&mut self, r: Reg, v: Term) {
             self.regs[r.index()] = v;
         }
-        fn freg(&self, r: FReg) -> TermRef {
+        fn freg(&self, r: FReg) -> Term {
             self.fregs[r.index()].clone()
         }
-        fn set_freg(&mut self, r: FReg, v: TermRef) {
+        fn set_freg(&mut self, r: FReg, v: Term) {
             self.fregs[r.index()] = v;
         }
     }
@@ -217,27 +211,27 @@ pub mod host {
     #[derive(Debug, Clone)]
     pub struct State {
         /// One term per general-purpose register.
-        pub regs: [TermRef; 8],
+        pub regs: [Term; 8],
         /// SF, ZF, CF, OF flag terms, read by the guest-aligned flag
         /// (N/SF, Z/ZF, C/CF, V/OF).
-        pub flags: [TermRef; 4],
+        pub flags: [Term; 4],
         /// Scalar-float registers (bit patterns).
-        pub xmm: [TermRef; 8],
+        pub xmm: [Term; 8],
         /// Symbolic memory (shared root with the guest side).
-        pub mem: Rc<SymMem>,
+        pub mem: SymMem,
         /// Values emitted by `out`.
-        pub output: Vec<TermRef>,
+        pub output: Vec<Term>,
     }
 
     impl State {
         /// Creates an initial state with the caller choosing each
         /// register's initial term.
-        pub fn init(init: impl Fn(Reg) -> TermRef) -> State {
+        pub fn init(init: impl Fn(Reg) -> Term) -> State {
             State {
                 regs: std::array::from_fn(|i| init(Reg::from_index(i).unwrap())),
                 flags: std::array::from_fn(|i| Term::sym(Sym::HostFlag(i as u8))),
                 xmm: std::array::from_fn(|i| Term::sym(Sym::Free(0x100 + i as u16))),
-                mem: Rc::new(SymMem::Init),
+                mem: SymMem::Init,
                 output: Vec::new(),
             }
         }
@@ -248,16 +242,16 @@ pub mod host {
         type FReg = Xmm;
         symbolic_machine_common!();
 
-        fn reg(&self, r: Reg) -> TermRef {
+        fn reg(&self, r: Reg) -> Term {
             self.regs[r.index()].clone()
         }
-        fn set_reg(&mut self, r: Reg, v: TermRef) {
+        fn set_reg(&mut self, r: Reg, v: Term) {
             self.regs[r.index()] = v;
         }
-        fn freg(&self, x: Xmm) -> TermRef {
+        fn freg(&self, x: Xmm) -> Term {
             self.xmm[x.index()].clone()
         }
-        fn set_freg(&mut self, x: Xmm, v: TermRef) {
+        fn set_freg(&mut self, x: Xmm, v: Term) {
             self.xmm[x.index()] = v;
         }
     }

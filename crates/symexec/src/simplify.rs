@@ -6,9 +6,8 @@
 //! normalize to structurally equal terms, which is the fast path of the
 //! equivalence checker.
 
-use crate::term::{BinOp, PredOp, Sym, SymMem, Term, TermRef, UnOp};
+use crate::term::{BinOp, Node, PredOp, Sym, SymMem, Term, UnOp};
 use std::cmp::Ordering;
-use std::rc::Rc;
 
 /// A total structural order used to canonicalize commutative operands.
 fn term_order(a: &Term, b: &Term) -> Ordering {
@@ -18,45 +17,59 @@ fn term_order(a: &Term, b: &Term) -> Ordering {
 }
 
 fn rank(t: &Term) -> u8 {
-    match t {
+    let node = match t {
         // Constants sort last so canonical forms look like `x + c`,
         // which the constant-chain reassociation patterns rely on.
-        Term::Const(_) => 11,
-        Term::Sym(_) => 1,
-        Term::Un(..) => 2,
-        Term::Bin(..) => 3,
-        Term::Pred(..) => 4,
-        Term::CarryAdd(..) => 5,
-        Term::BorrowSub(..) => 6,
-        Term::OverflowAdd(..) => 7,
-        Term::OverflowSub(..) => 8,
-        Term::Ite(..) => 9,
-        Term::Read(..) => 10,
+        Term::Const(_) => return 11,
+        Term::Sym(_) => return 1,
+        Term::Node(n) => &**n,
+    };
+    match node {
+        Node::Un(..) => 2,
+        Node::Bin(..) => 3,
+        Node::Pred(..) => 4,
+        Node::CarryAdd(..) => 5,
+        Node::BorrowSub(..) => 6,
+        Node::OverflowAdd(..) => 7,
+        Node::OverflowSub(..) => 8,
+        Node::Ite(..) => 9,
+        Node::Read(..) => 10,
+    }
+}
+
+/// The node `(x op c)` with `c` constant, if `t` is one.
+fn bin_with_const(t: &Term) -> Option<(BinOp, &Term, u32)> {
+    match t.as_node()? {
+        Node::Bin(op, x, Term::Const(c)) => Some((*op, x, *c)),
+        _ => None,
     }
 }
 
 /// Normalizes a term.
 #[must_use]
-pub fn simplify(t: &TermRef) -> TermRef {
-    match &**t {
-        Term::Const(_) | Term::Sym(_) => t.clone(),
-        Term::Un(op, a) => {
+pub fn simplify(t: &Term) -> Term {
+    let node = match t {
+        Term::Const(_) | Term::Sym(_) => return t.clone(),
+        Term::Node(n) => &**n,
+    };
+    match node {
+        Node::Un(op, a) => {
             let a = simplify(a);
-            if let Term::Const(v) = &*a {
-                return Term::c(op.eval(*v));
+            if let Term::Const(v) = a {
+                return Term::c(op.eval(v));
             }
             // not(not x) = x, neg(neg x) = x
-            if let Term::Un(inner, x) = &*a {
+            if let Some(Node::Un(inner, x)) = a.as_node() {
                 if inner == op && matches!(op, UnOp::Not | UnOp::Neg) {
                     return x.clone();
                 }
             }
-            Rc::new(Term::Un(*op, a))
+            Term::un(*op, a)
         }
-        Term::Bin(op, a, b) => {
+        Node::Bin(op, a, b) => {
             let mut a = simplify(a);
             let mut b = simplify(b);
-            if let (Term::Const(x), Term::Const(y)) = (&*a, &*b) {
+            if let (Term::Const(x), Term::Const(y)) = (&a, &b) {
                 return Term::c(op.eval(*x, *y));
             }
             if op.is_commutative() && term_order(&a, &b) == Ordering::Greater {
@@ -147,50 +160,31 @@ pub fn simplify(t: &TermRef) -> TermRef {
                 // float terms only fold when both operands are constant.
                 BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => {}
             }
-            // Reassociate constant chains: (x + c1) + c2 → x + (c1+c2);
-            // also (x - c1) - c2 and (x + c1) - c2 style mixes.
-            if let Term::Const(c2) = &*b {
-                if let Term::Bin(inner_op, x, c1) = &*a {
-                    if let Term::Const(c1v) = &**c1 {
-                        match (inner_op, op) {
-                            (BinOp::Add, BinOp::Add) => {
-                                return simplify(&Term::bin(
-                                    BinOp::Add,
-                                    x.clone(),
-                                    Term::c(c1v.wrapping_add(*c2)),
-                                ));
-                            }
-                            (BinOp::Add, BinOp::Sub) => {
-                                return simplify(&Term::bin(
-                                    BinOp::Add,
-                                    x.clone(),
-                                    Term::c(c1v.wrapping_sub(*c2)),
-                                ));
-                            }
-                            (BinOp::Sub, BinOp::Sub) => {
-                                return simplify(&Term::bin(
-                                    BinOp::Sub,
-                                    x.clone(),
-                                    Term::c(c1v.wrapping_add(*c2)),
-                                ));
-                            }
-                            _ => {}
-                        }
+            if let Term::Const(c2) = b {
+                // Reassociate constant chains: (x + c1) + c2 → x + (c1+c2);
+                // also (x - c1) - c2 and (x + c1) - c2 style mixes.
+                if let Some((inner_op, x, c1)) = bin_with_const(&a) {
+                    let merged = match (inner_op, op) {
+                        (BinOp::Add, BinOp::Add) => Some((BinOp::Add, c1.wrapping_add(c2))),
+                        (BinOp::Add, BinOp::Sub) => Some((BinOp::Add, c1.wrapping_sub(c2))),
+                        (BinOp::Sub, BinOp::Sub) => Some((BinOp::Sub, c1.wrapping_add(c2))),
+                        _ => None,
+                    };
+                    if let Some((op, c)) = merged {
+                        return simplify(&Term::bin(op, x.clone(), Term::c(c)));
                     }
                 }
-            }
-            // Canonicalize x - c → x + (-c) so add/sub chains merge.
-            if *op == BinOp::Sub {
-                if let Term::Const(c) = &*b {
-                    return simplify(&Term::bin(BinOp::Add, a, Term::c(c.wrapping_neg())));
+                // Canonicalize x - c → x + (-c) so add/sub chains merge.
+                if *op == BinOp::Sub {
+                    return simplify(&Term::bin(BinOp::Add, a, Term::c(c2.wrapping_neg())));
                 }
             }
-            Rc::new(Term::Bin(*op, a, b))
+            Term::bin(*op, a, b)
         }
-        Term::Pred(op, a, b) => {
+        Node::Pred(op, a, b) => {
             let a = simplify(a);
             let b = simplify(b);
-            if let (Term::Const(x), Term::Const(y)) = (&*a, &*b) {
+            if let (Term::Const(x), Term::Const(y)) = (&a, &b) {
                 return Term::c(u32::from(op.eval(*x, *y)));
             }
             // Predicates over a 0/1-valued term against 0: `(p != 0)` is
@@ -204,94 +198,84 @@ pub fn simplify(t: &TermRef) -> TermRef {
                     _ => {}
                 }
             }
-            Rc::new(Term::Pred(*op, a, b))
+            Term::pred(*op, a, b)
         }
-        Term::CarryAdd(a, b, c) => {
+        Node::CarryAdd(a, b, c) => {
             let (a, b, c) = (simplify(a), simplify(b), simplify(c));
-            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&*a, &*b, &*c) {
+            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let wide = u64::from(*x) + u64::from(*y) + u64::from(*z & 1);
                 return Term::c(u32::from(wide > u64::from(u32::MAX)));
             }
             let (a, b) = order_pair(a, b);
-            Rc::new(Term::CarryAdd(a, b, c))
+            Term::node(Node::CarryAdd(a, b, c))
         }
-        Term::BorrowSub(a, b, c) => {
+        Node::BorrowSub(a, b, c) => {
             let (a, b, c) = (simplify(a), simplify(b), simplify(c));
-            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&*a, &*b, &*c) {
+            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let borrow = u64::from(*x) < u64::from(*y) + u64::from(*z & 1);
                 return Term::c(u32::from(borrow));
             }
-            Rc::new(Term::BorrowSub(a, b, c))
+            Term::node(Node::BorrowSub(a, b, c))
         }
-        Term::OverflowAdd(a, b, c) => {
+        Node::OverflowAdd(a, b, c) => {
             let (a, b, c) = (simplify(a), simplify(b), simplify(c));
-            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&*a, &*b, &*c) {
+            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let r = x.wrapping_add(*y).wrapping_add(*z & 1);
                 let v = (!(x ^ y) & (x ^ r)) & 0x8000_0000 != 0;
                 return Term::c(u32::from(v));
             }
             let (a, b) = order_pair(a, b);
-            Rc::new(Term::OverflowAdd(a, b, c))
+            Term::node(Node::OverflowAdd(a, b, c))
         }
-        Term::OverflowSub(a, b, c) => {
+        Node::OverflowSub(a, b, c) => {
             let (a, b, c) = (simplify(a), simplify(b), simplify(c));
-            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&*a, &*b, &*c) {
+            if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let r = x.wrapping_sub(*y).wrapping_sub(*z & 1);
                 let v = ((x ^ y) & (x ^ r)) & 0x8000_0000 != 0;
                 return Term::c(u32::from(v));
             }
-            Rc::new(Term::OverflowSub(a, b, c))
+            Term::node(Node::OverflowSub(a, b, c))
         }
-        Term::Ite(c, t, e) => {
+        Node::Ite(c, t, e) => {
             let c = simplify(c);
             let t = simplify(t);
             let e = simplify(e);
-            if let Term::Const(v) = &*c {
-                return if *v != 0 { t } else { e };
+            if let Term::Const(v) = c {
+                return if v != 0 { t } else { e };
             }
             if t == e {
                 return t;
             }
-            Rc::new(Term::Ite(c, t, e))
+            Term::node(Node::Ite(c, t, e))
         }
-        Term::Read(mem, addr, width) => {
+        Node::Read(mem, addr, width) => {
             let addr = simplify(addr);
             let mem = simplify_mem(mem);
             // Store-to-load forwarding for syntactically equal addresses
             // and widths (sound but incomplete: differing symbolic
             // addresses conservatively keep the read).
-            let mut cur: &SymMem = &mem;
-            while let SymMem::Store {
-                prev,
-                addr: saddr,
-                val,
-                width: sw,
-            } = cur
-            {
-                if *saddr == addr && sw == width {
+            for s in mem.stores() {
+                if s.addr == addr && s.width == *width {
                     return if *width == pdbt_isa::Width::B32 {
-                        val.clone()
+                        s.val.clone()
                     } else {
-                        simplify(&Term::bin(BinOp::And, val.clone(), Term::c(width.mask())))
+                        simplify(&Term::bin(BinOp::And, s.val.clone(), Term::c(width.mask())))
                     };
                 }
                 // Distinct constant addresses cannot alias (width-aware).
-                if let (Term::Const(sa), Term::Const(da)) = (&**saddr, &*addr) {
-                    let no_alias =
-                        sa.wrapping_add(sw.bytes()) <= *da || da.wrapping_add(width.bytes()) <= *sa;
-                    if no_alias {
-                        cur = prev;
-                        continue;
-                    }
+                let no_alias = matches!((&s.addr, &addr), (Term::Const(sa), Term::Const(da))
+                    if sa.wrapping_add(s.width.bytes()) <= *da
+                        || da.wrapping_add(width.bytes()) <= *sa);
+                if !no_alias {
+                    break;
                 }
-                break;
             }
-            Rc::new(Term::Read(mem, addr, *width))
+            Term::node(Node::Read(mem, addr, *width))
         }
     }
 }
 
-fn order_pair(a: TermRef, b: TermRef) -> (TermRef, TermRef) {
+fn order_pair(a: Term, b: Term) -> (Term, Term) {
     if term_order(&a, &b) == Ordering::Greater {
         (b, a)
     } else {
@@ -301,42 +285,37 @@ fn order_pair(a: TermRef, b: TermRef) -> (TermRef, TermRef) {
 
 /// Whether a term is known to be 0/1-valued.
 fn is_boolean(t: &Term) -> bool {
-    matches!(
-        t,
-        Term::Pred(..)
-            | Term::CarryAdd(..)
-            | Term::BorrowSub(..)
-            | Term::OverflowAdd(..)
-            | Term::OverflowSub(..)
-    ) || matches!(t, Term::Const(v) if *v <= 1)
-        || matches!(t, Term::Sym(Sym::Flag(_) | Sym::HostFlag(_)))
+    match t {
+        Term::Const(v) => *v <= 1,
+        Term::Sym(s) => matches!(s, Sym::Flag(_) | Sym::HostFlag(_)),
+        Term::Node(n) => matches!(
+            **n,
+            Node::Pred(..)
+                | Node::CarryAdd(..)
+                | Node::BorrowSub(..)
+                | Node::OverflowAdd(..)
+                | Node::OverflowSub(..)
+        ),
+    }
 }
 
 /// Normalizes a symbolic memory (simplifying store addresses/values).
 #[must_use]
-pub fn simplify_mem(m: &Rc<SymMem>) -> Rc<SymMem> {
-    match &**m {
-        SymMem::Init => m.clone(),
-        SymMem::Store {
-            prev,
-            addr,
-            val,
-            width,
-        } => Rc::new(SymMem::Store {
-            prev: simplify_mem(prev),
-            addr: simplify(addr),
-            val: simplify(val),
-            width: *width,
-        }),
+pub fn simplify_mem(m: &SymMem) -> SymMem {
+    match m {
+        SymMem::Init => SymMem::Init,
+        SymMem::Store(s) => {
+            simplify_mem(&s.prev).store(simplify(&s.addr), simplify(&s.val), s.width)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Sym;
+    use pdbt_isa::Width;
 
-    fn p(i: u8) -> TermRef {
+    fn p(i: u8) -> Term {
         Term::sym(Sym::Param(i))
     }
 
@@ -403,7 +382,7 @@ mod tests {
 
     #[test]
     fn boolean_predicates_collapse() {
-        let carry = Rc::new(Term::CarryAdd(p(0), p(1), Term::c(0)));
+        let carry = Term::node(Node::CarryAdd(p(0), p(1), Term::c(0)));
         // (carry != 0) → carry
         let t = Term::pred(PredOp::Ne, carry.clone(), Term::c(0));
         assert_eq!(simplify(&t), simplify(&carry));
@@ -411,45 +390,34 @@ mod tests {
 
     #[test]
     fn store_to_load_forwarding() {
-        let mem = Rc::new(SymMem::Store {
-            prev: Rc::new(SymMem::Init),
-            addr: p(0),
-            val: p(1),
-            width: pdbt_isa::Width::B32,
-        });
-        let read = Rc::new(Term::Read(mem, p(0), pdbt_isa::Width::B32));
+        let mem = SymMem::Init.store(p(0), p(1), Width::B32);
+        let read = Term::node(Node::Read(mem, p(0), Width::B32));
         assert_eq!(simplify(&read), p(1));
     }
 
     #[test]
     fn read_skips_non_aliasing_constant_store() {
-        let mem = Rc::new(SymMem::Store {
-            prev: Rc::new(SymMem::Store {
-                prev: Rc::new(SymMem::Init),
-                addr: Term::c(0x100),
-                val: p(1),
-                width: pdbt_isa::Width::B32,
-            }),
-            addr: Term::c(0x200),
-            val: p(2),
-            width: pdbt_isa::Width::B32,
-        });
-        let read = Rc::new(Term::Read(mem, Term::c(0x100), pdbt_isa::Width::B32));
+        let mem = SymMem::Init.store(Term::c(0x100), p(1), Width::B32).store(
+            Term::c(0x200),
+            p(2),
+            Width::B32,
+        );
+        let read = Term::node(Node::Read(mem, Term::c(0x100), Width::B32));
         assert_eq!(simplify(&read), p(1));
     }
 
     #[test]
     fn ite_simplifies() {
-        let t = Rc::new(Term::Ite(Term::c(1), p(0), p(1)));
+        let t = Term::node(Node::Ite(Term::c(1), p(0), p(1)));
         assert_eq!(simplify(&t), p(0));
-        let t = Rc::new(Term::Ite(p(2), p(0), p(0)));
+        let t = Term::node(Node::Ite(p(2), p(0), p(0)));
         assert_eq!(simplify(&t), p(0));
     }
 
     #[test]
     fn carry_is_commutative_in_addends() {
-        let c1 = Rc::new(Term::CarryAdd(p(0), p(1), Term::c(0)));
-        let c2 = Rc::new(Term::CarryAdd(p(1), p(0), Term::c(0)));
+        let c1 = Term::node(Node::CarryAdd(p(0), p(1), Term::c(0)));
+        let c2 = Term::node(Node::CarryAdd(p(1), p(0), Term::c(0)));
         assert_eq!(simplify(&c1), simplify(&c2));
     }
 }

@@ -6,6 +6,14 @@
 //! structurally aligned terms for semantically matching operations —
 //! which is what lets the normalizing checker decide equivalence without
 //! a full SMT solver (see DESIGN.md for the substitution rationale).
+//!
+//! A [`Term`] is a value two words wide. Its leaves — constants and
+//! symbols — are inline, so the initial machine states (58 symbols
+//! between them) and every immediate cost no allocation and no
+//! reference count; only an operation allocates, one shared [`Node`].
+//! Interior nodes are immutable and `Rc`-shared, so terms over them are
+//! DAGs. [`SymMem`] is built the same way: the initial memory is a
+//! value, each store one shared [`Store`].
 
 use pdbt_isa::{Domain, Width};
 use std::fmt;
@@ -14,9 +22,6 @@ use std::rc::Rc;
 /// The operator vocabulary, defined (with its concrete meaning) next to
 /// the [`Domain`] trait.
 pub use pdbt_isa::{BinOp, PredOp, UnOp};
-
-/// A reference-counted term.
-pub type TermRef = Rc<Term>;
 
 /// A named symbolic input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,102 +58,125 @@ impl fmt::Display for Sym {
 }
 
 /// A symbolic memory: the initial memory plus a chain of symbolic stores.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub enum SymMem {
     /// The initial memory state (shared by guest and host — the DBT
     /// identity-maps guest memory).
+    #[default]
     Init,
-    /// A store on top of `prev`.
-    Store {
-        /// The memory before this store.
-        prev: Rc<SymMem>,
-        /// Store address.
-        addr: TermRef,
-        /// Stored value (low `width` bits significant).
-        val: TermRef,
-        /// Store width.
-        width: Width,
-    },
+    /// The memory after a store.
+    Store(Rc<Store>),
+}
+
+/// One symbolic store.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Store {
+    /// Store width.
+    pub width: Width,
+    /// Store address.
+    pub addr: Term,
+    /// Stored value (low `width` bits significant).
+    pub val: Term,
+    /// The memory before this store.
+    pub prev: SymMem,
 }
 
 impl SymMem {
-    /// The store chain from oldest to newest.
+    /// This memory after storing the low `width` bits of `val` at `addr`.
     #[must_use]
-    pub fn stores(&self) -> Vec<(&TermRef, &TermRef, Width)> {
-        let mut out = Vec::new();
-        let mut cur = self;
-        while let SymMem::Store {
-            prev,
+    pub fn store(self, addr: Term, val: Term, width: Width) -> SymMem {
+        SymMem::Store(Rc::new(Store {
+            width,
             addr,
             val,
-            width,
-        } = cur
-        {
-            out.push((addr, val, *width));
-            cur = prev;
-        }
-        out.reverse();
-        out
+            prev: self,
+        }))
+    }
+
+    /// The store chain from newest to oldest.
+    pub fn stores(&self) -> impl Iterator<Item = &Store> {
+        let mut cur = self;
+        std::iter::from_fn(move || match cur {
+            SymMem::Init => None,
+            SymMem::Store(s) => {
+                cur = &s.prev;
+                Some(&**s)
+            }
+        })
     }
 }
 
 /// A 32-bit symbolic term.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
-    /// A constant.
-    Const(u32),
     /// A symbolic input.
     Sym(Sym),
-    /// A binary operation.
-    Bin(BinOp, TermRef, TermRef),
+    /// An operation over terms.
+    Node(Rc<Node>),
+    /// A constant.
+    Const(u32),
+}
+
+/// An interior node: one operation over terms.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Node {
     /// A unary operation.
-    Un(UnOp, TermRef),
+    Un(UnOp, Term),
+    /// A binary operation.
+    Bin(BinOp, Term, Term),
     /// A comparison predicate (0/1).
-    Pred(PredOp, TermRef, TermRef),
+    Pred(PredOp, Term, Term),
     /// Carry out of `a + b + cin` (0/1).
-    CarryAdd(TermRef, TermRef, TermRef),
+    CarryAdd(Term, Term, Term),
     /// Borrow out of `a - b - bin` (0/1). The guest's subtraction carry
     /// is `1 - borrow`; the host's CF after `sub` is the borrow itself.
-    BorrowSub(TermRef, TermRef, TermRef),
+    BorrowSub(Term, Term, Term),
     /// Signed overflow of `a + b + cin` (0/1).
-    OverflowAdd(TermRef, TermRef, TermRef),
+    OverflowAdd(Term, Term, Term),
     /// Signed overflow of `a - b - bin` (0/1).
-    OverflowSub(TermRef, TermRef, TermRef),
+    OverflowSub(Term, Term, Term),
     /// `if c != 0 then t else e`.
-    Ite(TermRef, TermRef, TermRef),
+    Ite(Term, Term, Term),
     /// A memory read.
-    Read(Rc<SymMem>, TermRef, Width),
+    Read(SymMem, Term, Width),
 }
 
 impl Term {
     /// Constant constructor.
     #[must_use]
-    pub fn c(v: u32) -> TermRef {
-        Rc::new(Term::Const(v))
+    pub fn c(v: u32) -> Term {
+        Term::Const(v)
     }
 
     /// Symbol constructor.
     #[must_use]
-    pub fn sym(s: Sym) -> TermRef {
-        Rc::new(Term::Sym(s))
+    pub fn sym(s: Sym) -> Term {
+        Term::Sym(s)
+    }
+
+    /// Operation constructor (unnormalized): the one place a term
+    /// allocates.
+    #[must_use]
+    pub fn node(n: Node) -> Term {
+        Term::Node(Rc::new(n))
     }
 
     /// Binary-operation constructor (unnormalized).
     #[must_use]
-    pub fn bin(op: BinOp, a: TermRef, b: TermRef) -> TermRef {
-        Rc::new(Term::Bin(op, a, b))
+    pub fn bin(op: BinOp, a: Term, b: Term) -> Term {
+        Term::node(Node::Bin(op, a, b))
     }
 
     /// Unary-operation constructor (unnormalized).
     #[must_use]
-    pub fn un(op: UnOp, a: TermRef) -> TermRef {
-        Rc::new(Term::Un(op, a))
+    pub fn un(op: UnOp, a: Term) -> Term {
+        Term::node(Node::Un(op, a))
     }
 
     /// Predicate constructor (unnormalized).
     #[must_use]
-    pub fn pred(op: PredOp, a: TermRef, b: TermRef) -> TermRef {
-        Rc::new(Term::Pred(op, a, b))
+    pub fn pred(op: PredOp, a: Term, b: Term) -> Term {
+        Term::node(Node::Pred(op, a, b))
     }
 
     /// Whether the term is the constant `v`.
@@ -157,39 +185,47 @@ impl Term {
         matches!(self, Term::Const(c) if *c == v)
     }
 
+    /// The operation, if the term is one.
+    #[must_use]
+    pub fn as_node(&self) -> Option<&Node> {
+        match self {
+            Term::Node(n) => Some(n),
+            Term::Sym(_) | Term::Const(_) => None,
+        }
+    }
+
     /// All symbols appearing in the term.
     pub fn collect_syms(&self, out: &mut Vec<Sym>) {
-        match self {
-            Term::Const(_) => {}
+        let node = match self {
+            Term::Const(_) => return,
             Term::Sym(s) => {
                 if !out.contains(s) {
                     out.push(*s);
                 }
+                return;
             }
-            Term::Bin(_, a, b) | Term::Pred(_, a, b) => {
+            Term::Node(n) => &**n,
+        };
+        match node {
+            Node::Bin(_, a, b) | Node::Pred(_, a, b) => {
                 a.collect_syms(out);
                 b.collect_syms(out);
             }
-            Term::Un(_, a) => a.collect_syms(out),
-            Term::CarryAdd(a, b, c)
-            | Term::BorrowSub(a, b, c)
-            | Term::OverflowAdd(a, b, c)
-            | Term::OverflowSub(a, b, c)
-            | Term::Ite(a, b, c) => {
+            Node::Un(_, a) => a.collect_syms(out),
+            Node::CarryAdd(a, b, c)
+            | Node::BorrowSub(a, b, c)
+            | Node::OverflowAdd(a, b, c)
+            | Node::OverflowSub(a, b, c)
+            | Node::Ite(a, b, c) => {
                 a.collect_syms(out);
                 b.collect_syms(out);
                 c.collect_syms(out);
             }
-            Term::Read(mem, addr, _) => {
+            Node::Read(mem, addr, _) => {
                 addr.collect_syms(out);
-                let mut cur: &SymMem = mem;
-                while let SymMem::Store {
-                    prev, addr, val, ..
-                } = cur
-                {
-                    addr.collect_syms(out);
-                    val.collect_syms(out);
-                    cur = prev;
+                for s in mem.stores() {
+                    s.addr.collect_syms(out);
+                    s.val.collect_syms(out);
                 }
             }
         }
@@ -200,40 +236,40 @@ impl Term {
 /// value is a 0/1-valued term), and every operator builds its node
 /// unevaluated. `eval` is the other half of the [`Domain`] contract.
 impl Domain for Term {
-    type W = TermRef;
-    type B = TermRef;
+    type W = Term;
+    type B = Term;
 
-    fn c(v: u32) -> TermRef {
+    fn c(v: u32) -> Term {
         Term::c(v)
     }
-    fn bin(op: BinOp, a: TermRef, b: TermRef) -> TermRef {
+    fn bin(op: BinOp, a: Term, b: Term) -> Term {
         Term::bin(op, a, b)
     }
-    fn un(op: UnOp, a: TermRef) -> TermRef {
+    fn un(op: UnOp, a: Term) -> Term {
         Term::un(op, a)
     }
-    fn pred(op: PredOp, a: TermRef, b: TermRef) -> TermRef {
+    fn pred(op: PredOp, a: Term, b: Term) -> Term {
         Term::pred(op, a, b)
     }
-    fn carry_add(a: TermRef, b: TermRef, cin: TermRef) -> TermRef {
-        Rc::new(Term::CarryAdd(a, b, cin))
+    fn carry_add(a: Term, b: Term, cin: Term) -> Term {
+        Term::node(Node::CarryAdd(a, b, cin))
     }
-    fn borrow_sub(a: TermRef, b: TermRef, bin: TermRef) -> TermRef {
-        Rc::new(Term::BorrowSub(a, b, bin))
+    fn borrow_sub(a: Term, b: Term, bin: Term) -> Term {
+        Term::node(Node::BorrowSub(a, b, bin))
     }
-    fn overflow_add(a: TermRef, b: TermRef, cin: TermRef) -> TermRef {
-        Rc::new(Term::OverflowAdd(a, b, cin))
+    fn overflow_add(a: Term, b: Term, cin: Term) -> Term {
+        Term::node(Node::OverflowAdd(a, b, cin))
     }
-    fn overflow_sub(a: TermRef, b: TermRef, bin: TermRef) -> TermRef {
-        Rc::new(Term::OverflowSub(a, b, bin))
+    fn overflow_sub(a: Term, b: Term, bin: Term) -> Term {
+        Term::node(Node::OverflowSub(a, b, bin))
     }
-    fn ite(c: TermRef, t: TermRef, e: TermRef) -> TermRef {
-        Rc::new(Term::Ite(c, t, e))
+    fn ite(c: Term, t: Term, e: Term) -> Term {
+        Term::node(Node::Ite(c, t, e))
     }
-    fn word(b: TermRef) -> TermRef {
+    fn word(b: Term) -> Term {
         b
     }
-    fn bit(w: TermRef) -> TermRef {
+    fn bit(w: Term) -> Term {
         w
     }
 }
@@ -243,15 +279,23 @@ impl fmt::Display for Term {
         match self {
             Term::Const(v) => write!(f, "{v:#x}"),
             Term::Sym(s) => write!(f, "{s}"),
-            Term::Bin(op, a, b) => write!(f, "({op:?} {a} {b})"),
-            Term::Un(op, a) => write!(f, "({op:?} {a})"),
-            Term::Pred(op, a, b) => write!(f, "({op:?} {a} {b})"),
-            Term::CarryAdd(a, b, c) => write!(f, "(carry+ {a} {b} {c})"),
-            Term::BorrowSub(a, b, c) => write!(f, "(borrow- {a} {b} {c})"),
-            Term::OverflowAdd(a, b, c) => write!(f, "(ovf+ {a} {b} {c})"),
-            Term::OverflowSub(a, b, c) => write!(f, "(ovf- {a} {b} {c})"),
-            Term::Ite(c, t, e) => write!(f, "(ite {c} {t} {e})"),
-            Term::Read(_, addr, w) => write!(f, "(read{w} {addr})"),
+            Term::Node(n) => write!(f, "{n}"),
+        }
+    }
+}
+
+impl fmt::Display for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Node::Bin(op, a, b) => write!(f, "({op:?} {a} {b})"),
+            Node::Un(op, a) => write!(f, "({op:?} {a})"),
+            Node::Pred(op, a, b) => write!(f, "({op:?} {a} {b})"),
+            Node::CarryAdd(a, b, c) => write!(f, "(carry+ {a} {b} {c})"),
+            Node::BorrowSub(a, b, c) => write!(f, "(borrow- {a} {b} {c})"),
+            Node::OverflowAdd(a, b, c) => write!(f, "(ovf+ {a} {b} {c})"),
+            Node::OverflowSub(a, b, c) => write!(f, "(ovf- {a} {b} {c})"),
+            Node::Ite(c, t, e) => write!(f, "(ite {c} {t} {e})"),
+            Node::Read(_, addr, w) => write!(f, "(read{w} {addr})"),
         }
     }
 }
@@ -299,22 +343,23 @@ mod tests {
     }
 
     #[test]
-    fn store_chain_order() {
-        let m0 = Rc::new(SymMem::Init);
-        let m1 = Rc::new(SymMem::Store {
-            prev: m0,
-            addr: Term::c(4),
-            val: Term::c(1),
-            width: Width::B32,
-        });
-        let m2 = Rc::new(SymMem::Store {
-            prev: m1,
-            addr: Term::c(8),
-            val: Term::c(2),
-            width: Width::B32,
-        });
-        let stores = m2.stores();
-        assert_eq!(stores.len(), 2);
-        assert!(stores[0].0.is_const(4) && stores[1].0.is_const(8));
+    fn store_chain_is_newest_first() {
+        let mem = SymMem::Init
+            .store(Term::c(4), Term::c(1), Width::B32)
+            .store(Term::c(8), Term::c(2), Width::B32);
+        let addrs: Vec<&Term> = mem.stores().map(|s| &s.addr).collect();
+        assert_eq!(addrs, [&Term::c(8), &Term::c(4)]);
+    }
+
+    /// The initial machine states and every immediate are leaves: a
+    /// leaf is two words, carries no pointer, and is cloned and dropped
+    /// without a reference count to touch.
+    #[test]
+    fn leaves_are_values() {
+        #[cfg(target_pointer_width = "64")]
+        assert!(std::mem::size_of::<Term>() <= 16);
+        assert!(Term::c(7).as_node().is_none());
+        assert!(Term::sym(Sym::Pc).as_node().is_none());
+        assert!(!std::mem::needs_drop::<Sym>());
     }
 }

@@ -6,11 +6,10 @@
 //! no crates.io access, so the strategies are hand-rolled samplers over
 //! the deterministic in-tree PRNG (`pdbt-rng`, aliased as `rand`).
 
-use pdbt_symexec::term::{BinOp, PredOp, Sym, Term, TermRef, UnOp};
+use pdbt_symexec::term::{BinOp, Node, PredOp, Sym, Term, UnOp};
 use pdbt_symexec::{eval, simplify, Assignment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::rc::Rc;
 
 fn cases() -> usize {
     std::env::var("FUZZ_CASES")
@@ -19,7 +18,7 @@ fn cases() -> usize {
         .unwrap_or(256)
 }
 
-fn leaf(rng: &mut StdRng) -> TermRef {
+fn leaf(rng: &mut StdRng) -> Term {
     match rng.gen_range(0..3) {
         0 => Term::c(rng.gen()),
         1 => Term::sym(Sym::Param(rng.gen_range(0u8..4))),
@@ -29,7 +28,7 @@ fn leaf(rng: &mut StdRng) -> TermRef {
 
 /// A random term of bounded depth (mirrors the old
 /// `leaf().prop_recursive(4, …)` strategy).
-fn term(rng: &mut StdRng, depth: usize) -> TermRef {
+fn term(rng: &mut StdRng, depth: usize) -> Term {
     if depth == 0 || rng.gen_bool(0.3) {
         return leaf(rng);
     }
@@ -77,7 +76,7 @@ fn term(rng: &mut StdRng, depth: usize) -> TermRef {
                 term(rng, depth - 1),
             )
         }
-        4 => Rc::new(Term::Ite(
+        4 => Term::node(Node::Ite(
             term(rng, depth - 1),
             term(rng, depth - 1),
             term(rng, depth - 1),
@@ -88,11 +87,11 @@ fn term(rng: &mut StdRng, depth: usize) -> TermRef {
                 term(rng, depth - 1),
                 term(rng, depth - 1),
             );
-            if rng.gen_bool(0.5) {
-                Rc::new(Term::CarryAdd(a, b, c))
+            Term::node(if rng.gen_bool(0.5) {
+                Node::CarryAdd(a, b, c)
             } else {
-                Rc::new(Term::BorrowSub(a, b, c))
-            }
+                Node::BorrowSub(a, b, c)
+            })
         }
     }
 }
@@ -144,7 +143,7 @@ fn constant_terms_fold_completely() {
         let y: u32 = rng.gen();
         for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Shr, BinOp::Ror] {
             let t = simplify(&Term::bin(op, Term::c(x), Term::c(y)));
-            assert!(matches!(&*t, Term::Const(_)), "{op:?} did not fold");
+            assert!(matches!(t, Term::Const(_)), "{op:?} did not fold");
         }
     }
 }
