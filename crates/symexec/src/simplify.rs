@@ -5,35 +5,33 @@
 //! matching sequences produced by the aligned guest/host evaluators
 //! normalize to structurally equal terms, which is the fast path of the
 //! equivalence checker.
+//!
+//! The rewriter *shares*: it rebuilds a node only where an operand came
+//! back different or a rule fired, and otherwise hands back the node it
+//! was given — the same `Rc`, no allocation. Normalizing a normal form
+//! is therefore free, and `simplify(&simplify(t))` is `simplify(t)` by
+//! pointer, not just by value.
 
 use crate::term::{BinOp, Node, PredOp, Sym, SymMem, Term, UnOp};
-use std::cmp::Ordering;
+use std::rc::Rc;
 
-/// A total structural order used to canonicalize commutative operands.
-fn term_order(a: &Term, b: &Term) -> Ordering {
-    rank(a)
-        .cmp(&rank(b))
-        .then_with(|| format!("{a}").cmp(&format!("{b}")))
+/// Whether normalization handed `old` back: the same leaf, or the same
+/// shared node. Equal nodes at different addresses count as changed —
+/// that only costs the allocation sharing would have saved.
+fn same(new: &Term, old: &Term) -> bool {
+    match (new, old) {
+        (Term::Node(n), Term::Node(o)) => Rc::ptr_eq(n, o),
+        (Term::Node(_), _) | (_, Term::Node(_)) => false,
+        _ => new == old,
+    }
 }
 
-fn rank(t: &Term) -> u8 {
-    let node = match t {
-        // Constants sort last so canonical forms look like `x + c`,
-        // which the constant-chain reassociation patterns rely on.
-        Term::Const(_) => return 11,
-        Term::Sym(_) => return 1,
-        Term::Node(n) => &**n,
-    };
-    match node {
-        Node::Un(..) => 2,
-        Node::Bin(..) => 3,
-        Node::Pred(..) => 4,
-        Node::CarryAdd(..) => 5,
-        Node::BorrowSub(..) => 6,
-        Node::OverflowAdd(..) => 7,
-        Node::OverflowSub(..) => 8,
-        Node::Ite(..) => 9,
-        Node::Read(..) => 10,
+/// [`same`] for memories.
+fn same_mem(new: &SymMem, old: &SymMem) -> bool {
+    match (new, old) {
+        (SymMem::Init, SymMem::Init) => true,
+        (SymMem::Store(n), SymMem::Store(o)) => Rc::ptr_eq(n, o),
+        _ => false,
     }
 }
 
@@ -53,8 +51,8 @@ pub fn simplify(t: &Term) -> Term {
         Term::Node(n) => &**n,
     };
     match node {
-        Node::Un(op, a) => {
-            let a = simplify(a);
+        Node::Un(op, a0) => {
+            let a = simplify(a0);
             if let Term::Const(v) = a {
                 return Term::c(op.eval(v));
             }
@@ -64,15 +62,18 @@ pub fn simplify(t: &Term) -> Term {
                     return x.clone();
                 }
             }
+            if same(&a, a0) {
+                return t.clone();
+            }
             Term::un(*op, a)
         }
-        Node::Bin(op, a, b) => {
-            let mut a = simplify(a);
-            let mut b = simplify(b);
+        Node::Bin(op, a0, b0) => {
+            let mut a = simplify(a0);
+            let mut b = simplify(b0);
             if let (Term::Const(x), Term::Const(y)) = (&a, &b) {
                 return Term::c(op.eval(*x, *y));
             }
-            if op.is_commutative() && term_order(&a, &b) == Ordering::Greater {
+            if op.is_commutative() && a > b {
                 std::mem::swap(&mut a, &mut b);
             }
             // Identities.
@@ -179,11 +180,14 @@ pub fn simplify(t: &Term) -> Term {
                     return simplify(&Term::bin(BinOp::Add, a, Term::c(c2.wrapping_neg())));
                 }
             }
+            if same(&a, a0) && same(&b, b0) {
+                return t.clone();
+            }
             Term::bin(*op, a, b)
         }
-        Node::Pred(op, a, b) => {
-            let a = simplify(a);
-            let b = simplify(b);
+        Node::Pred(op, a0, b0) => {
+            let a = simplify(a0);
+            let b = simplify(b0);
             if let (Term::Const(x), Term::Const(y)) = (&a, &b) {
                 return Term::c(u32::from(op.eval(*x, *y)));
             }
@@ -198,59 +202,75 @@ pub fn simplify(t: &Term) -> Term {
                     _ => {}
                 }
             }
+            if same(&a, a0) && same(&b, b0) {
+                return t.clone();
+            }
             Term::pred(*op, a, b)
         }
-        Node::CarryAdd(a, b, c) => {
-            let (a, b, c) = (simplify(a), simplify(b), simplify(c));
+        Node::CarryAdd(a0, b0, c0) => {
+            let (a, b, c) = (simplify(a0), simplify(b0), simplify(c0));
             if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let wide = u64::from(*x) + u64::from(*y) + u64::from(*z & 1);
                 return Term::c(u32::from(wide > u64::from(u32::MAX)));
             }
             let (a, b) = order_pair(a, b);
+            if same(&a, a0) && same(&b, b0) && same(&c, c0) {
+                return t.clone();
+            }
             Term::node(Node::CarryAdd(a, b, c))
         }
-        Node::BorrowSub(a, b, c) => {
-            let (a, b, c) = (simplify(a), simplify(b), simplify(c));
+        Node::BorrowSub(a0, b0, c0) => {
+            let (a, b, c) = (simplify(a0), simplify(b0), simplify(c0));
             if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let borrow = u64::from(*x) < u64::from(*y) + u64::from(*z & 1);
                 return Term::c(u32::from(borrow));
             }
+            if same(&a, a0) && same(&b, b0) && same(&c, c0) {
+                return t.clone();
+            }
             Term::node(Node::BorrowSub(a, b, c))
         }
-        Node::OverflowAdd(a, b, c) => {
-            let (a, b, c) = (simplify(a), simplify(b), simplify(c));
+        Node::OverflowAdd(a0, b0, c0) => {
+            let (a, b, c) = (simplify(a0), simplify(b0), simplify(c0));
             if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let r = x.wrapping_add(*y).wrapping_add(*z & 1);
                 let v = (!(x ^ y) & (x ^ r)) & 0x8000_0000 != 0;
                 return Term::c(u32::from(v));
             }
             let (a, b) = order_pair(a, b);
+            if same(&a, a0) && same(&b, b0) && same(&c, c0) {
+                return t.clone();
+            }
             Term::node(Node::OverflowAdd(a, b, c))
         }
-        Node::OverflowSub(a, b, c) => {
-            let (a, b, c) = (simplify(a), simplify(b), simplify(c));
+        Node::OverflowSub(a0, b0, c0) => {
+            let (a, b, c) = (simplify(a0), simplify(b0), simplify(c0));
             if let (Term::Const(x), Term::Const(y), Term::Const(z)) = (&a, &b, &c) {
                 let r = x.wrapping_sub(*y).wrapping_sub(*z & 1);
                 let v = ((x ^ y) & (x ^ r)) & 0x8000_0000 != 0;
                 return Term::c(u32::from(v));
             }
+            if same(&a, a0) && same(&b, b0) && same(&c, c0) {
+                return t.clone();
+            }
             Term::node(Node::OverflowSub(a, b, c))
         }
-        Node::Ite(c, t, e) => {
-            let c = simplify(c);
-            let t = simplify(t);
-            let e = simplify(e);
+        Node::Ite(c0, th0, el0) => {
+            let (c, th, el) = (simplify(c0), simplify(th0), simplify(el0));
             if let Term::Const(v) = c {
-                return if v != 0 { t } else { e };
+                return if v != 0 { th } else { el };
             }
-            if t == e {
-                return t;
+            if th == el {
+                return th;
             }
-            Term::node(Node::Ite(c, t, e))
+            if same(&c, c0) && same(&th, th0) && same(&el, el0) {
+                return t.clone();
+            }
+            Term::node(Node::Ite(c, th, el))
         }
-        Node::Read(mem, addr, width) => {
-            let addr = simplify(addr);
-            let mem = simplify_mem(mem);
+        Node::Read(mem0, addr0, width) => {
+            let addr = simplify(addr0);
+            let mem = simplify_mem(mem0);
             // Store-to-load forwarding for syntactically equal addresses
             // and widths (sound but incomplete: differing symbolic
             // addresses conservatively keep the read).
@@ -270,13 +290,17 @@ pub fn simplify(t: &Term) -> Term {
                     break;
                 }
             }
+            if same(&addr, addr0) && same_mem(&mem, mem0) {
+                return t.clone();
+            }
             Term::node(Node::Read(mem, addr, *width))
         }
     }
 }
 
+/// The two in canonical order ([`Term`]'s `Ord`).
 fn order_pair(a: Term, b: Term) -> (Term, Term) {
-    if term_order(&a, &b) == Ordering::Greater {
+    if a > b {
         (b, a)
     } else {
         (a, b)
@@ -299,15 +323,18 @@ fn is_boolean(t: &Term) -> bool {
     }
 }
 
-/// Normalizes a symbolic memory (simplifying store addresses/values).
+/// Normalizes a symbolic memory (simplifying store addresses/values),
+/// sharing every store nothing changed under.
 #[must_use]
 pub fn simplify_mem(m: &SymMem) -> SymMem {
-    match m {
-        SymMem::Init => SymMem::Init,
-        SymMem::Store(s) => {
-            simplify_mem(&s.prev).store(simplify(&s.addr), simplify(&s.val), s.width)
-        }
+    let SymMem::Store(s) = m else {
+        return SymMem::Init;
+    };
+    let (prev, addr, val) = (simplify_mem(&s.prev), simplify(&s.addr), simplify(&s.val));
+    if same_mem(&prev, &s.prev) && same(&addr, &s.addr) && same(&val, &s.val) {
+        return m.clone();
     }
+    prev.store(addr, val, s.width)
 }
 
 #[cfg(test)]
@@ -412,6 +439,36 @@ mod tests {
         assert_eq!(simplify(&t), p(0));
         let t = Term::node(Node::Ite(p(2), p(0), p(0)));
         assert_eq!(simplify(&t), p(0));
+    }
+
+    /// The canonical order tells apart what `Display` prints alike: two
+    /// reads of one address through different store chains.
+    #[test]
+    fn reads_through_different_chains_are_ordered() {
+        // A byte store to `p0` does not forward to a word read of `p0`,
+        // so the read after it keeps its chain.
+        let before = Term::node(Node::Read(SymMem::Init, p(0), Width::B32));
+        let stored = SymMem::Init.store(p(0), p(1), Width::B8);
+        let after = Term::node(Node::Read(stored, p(0), Width::B32));
+        assert_eq!(before.to_string(), after.to_string());
+        assert_ne!(before, after);
+        let ab = simplify(&Term::bin(BinOp::Add, before.clone(), after.clone()));
+        let ba = simplify(&Term::bin(BinOp::Add, after, before));
+        assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn a_normal_form_is_shared_not_rebuilt() {
+        let t = Term::bin(BinOp::Add, Term::bin(BinOp::Xor, p(1), p(0)), Term::c(4));
+        let once = simplify(&t);
+        let (Term::Node(a), Term::Node(b)) = (&once, &simplify(&once)) else {
+            panic!("an operation stays one");
+        };
+        assert!(Rc::ptr_eq(a, b));
+        // Only the operand that was out of order was rebuilt.
+        assert!(!same(&once, &t));
+        let ordered = Term::bin(BinOp::Add, Term::bin(BinOp::Xor, p(0), p(1)), Term::c(4));
+        assert!(same(&simplify(&ordered), &ordered));
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl fmt::Display for Sym {
 }
 
 /// A symbolic memory: the initial memory plus a chain of symbolic stores.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SymMem {
     /// The initial memory state (shared by guest and host — the DBT
     /// identity-maps guest memory).
@@ -68,8 +68,10 @@ pub enum SymMem {
     Store(Rc<Store>),
 }
 
-/// One symbolic store.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// One symbolic store. The fields are declared in the order the
+/// canonical term order compares two chains: newest store first —
+/// width, address, value — then the memory underneath.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Store {
     /// Store width.
     pub width: Width,
@@ -107,7 +109,16 @@ impl SymMem {
 }
 
 /// A 32-bit symbolic term.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// `Ord` is the *canonical operand order* the normalizer sorts
+/// commutative operands by — structural, total, `Equal` exactly when
+/// `==` — and the variants are declared in it: symbols, then operations
+/// (by [`Node`] variant, then operator, then operands left to right),
+/// then constants. Constants sorting last is what makes canonical sums
+/// look like `x + c`, which the normalizer's constant-chain
+/// reassociation relies on; the rest of the order only has to be total
+/// and agree with `==`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// A symbolic input.
     Sym(Sym),
@@ -118,7 +129,7 @@ pub enum Term {
 }
 
 /// An interior node: one operation over terms.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Node {
     /// A unary operation.
     Un(UnOp, Term),
@@ -349,17 +360,5 @@ mod tests {
             .store(Term::c(8), Term::c(2), Width::B32);
         let addrs: Vec<&Term> = mem.stores().map(|s| &s.addr).collect();
         assert_eq!(addrs, [&Term::c(8), &Term::c(4)]);
-    }
-
-    /// The initial machine states and every immediate are leaves: a
-    /// leaf is two words, carries no pointer, and is cloned and dropped
-    /// without a reference count to touch.
-    #[test]
-    fn leaves_are_values() {
-        #[cfg(target_pointer_width = "64")]
-        assert!(std::mem::size_of::<Term>() <= 16);
-        assert!(Term::c(7).as_node().is_none());
-        assert!(Term::sym(Sym::Pc).as_node().is_none());
-        assert!(!std::mem::needs_drop::<Sym>());
     }
 }

@@ -1,15 +1,19 @@
 //! Randomized tests for the normalizing rewriter: simplification
-//! preserves concrete meaning, is idempotent, and canonicalizes
-//! commutativity.
+//! preserves concrete meaning, is idempotent — by pointer, it shares
+//! what it does not rewrite — and canonicalizes commutativity by an
+//! order that is total and agrees with `==`.
 //!
 //! Originally written with `proptest`; the offline build environment has
 //! no crates.io access, so the strategies are hand-rolled samplers over
 //! the deterministic in-tree PRNG (`pdbt-rng`, aliased as `rand`).
 
-use pdbt_symexec::term::{BinOp, Node, PredOp, Sym, Term, UnOp};
+use pdbt_isa::Width;
+use pdbt_symexec::term::{BinOp, Node, PredOp, Sym, SymMem, Term, UnOp};
 use pdbt_symexec::{eval, simplify, Assignment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
+use std::rc::Rc;
 
 fn cases() -> usize {
     std::env::var("FUZZ_CASES")
@@ -32,7 +36,7 @@ fn term(rng: &mut StdRng, depth: usize) -> Term {
     if depth == 0 || rng.gen_bool(0.3) {
         return leaf(rng);
     }
-    match rng.gen_range(0..6) {
+    match rng.gen_range(0..7) {
         0 | 1 => {
             const OPS: [BinOp; 11] = [
                 BinOp::Add,
@@ -81,6 +85,23 @@ fn term(rng: &mut StdRng, depth: usize) -> Term {
             term(rng, depth - 1),
             term(rng, depth - 1),
         )),
+        5 => {
+            // A read through zero to two stores, over few enough
+            // addresses and widths that forwarding, the no-alias skip
+            // and same-address-different-chain reads all occur.
+            const WIDTHS: [Width; 3] = [Width::B8, Width::B16, Width::B32];
+            let addr = |rng: &mut StdRng| match rng.gen_range(0..4) {
+                0 => Term::c(0x100),
+                1 => Term::c(0x104),
+                _ => Term::sym(Sym::Param(rng.gen_range(0u8..2))),
+            };
+            let mut mem = SymMem::Init;
+            for _ in 0..rng.gen_range(0..3) {
+                let (a, v) = (addr(rng), term(rng, depth - 1));
+                mem = mem.store(a, v, WIDTHS[rng.gen_range(0..3)]);
+            }
+            Term::node(Node::Read(mem, addr(rng), WIDTHS[rng.gen_range(0..3)]))
+        }
         _ => {
             let (a, b, c) = (
                 term(rng, depth - 1),
@@ -110,14 +131,64 @@ fn simplify_preserves_meaning() {
     }
 }
 
+/// A normal form comes back as itself: an operation as the same shared
+/// node (nothing was allocated to normalize it again), a leaf as the
+/// same value.
 #[test]
-fn simplify_is_idempotent() {
+fn simplify_is_idempotent_by_pointer() {
     let mut rng = StdRng::seed_from_u64(0x51_02);
     for _ in 0..cases() {
         let t = term(&mut rng, 4);
         let once = simplify(&t);
         let twice = simplify(&once);
-        assert_eq!(once, twice);
+        match (&once, &twice) {
+            (Term::Node(a), Term::Node(b)) => assert!(Rc::ptr_eq(a, b), "{t}: {once} rebuilt"),
+            _ => assert_eq!(once, twice, "{t}"),
+        }
+    }
+}
+
+/// The canonical order is a total order over everything `==`
+/// distinguishes: antisymmetric, transitive, `Equal` exactly on equal
+/// terms — including terms that print alike.
+#[test]
+fn canonical_order_is_total_and_agrees_with_equality() {
+    let mut rng = StdRng::seed_from_u64(0x51_05);
+    for _ in 0..cases() {
+        // Shallow terms, so that equal and nearly equal triples occur.
+        let t = [(); 3].map(|()| term(&mut rng, 2));
+        for (x, y) in [(0, 1), (1, 2), (0, 2), (0, 0)] {
+            let (x, y) = (&t[x], &t[y]);
+            assert_eq!(x.cmp(y), y.cmp(x).reverse(), "{x} / {y}");
+            assert_eq!(x.cmp(y) == Ordering::Equal, x == y, "{x} / {y}");
+        }
+        for [i, j, k] in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            if t[i] <= t[j] && t[j] <= t[k] {
+                assert!(t[i] <= t[k], "{} <= {} <= {}", t[i], t[j], t[k]);
+            }
+        }
+        // Constants sort after everything else.
+        let k = Term::c(rng.gen());
+        assert!(matches!(t[0], Term::Const(_)) || t[0] < k, "{} / {k}", t[0]);
+    }
+}
+
+/// A leaf is a value: two words with the operation pointer, nothing to
+/// count, so cloning or dropping one touches no reference count.
+#[test]
+fn leaves_are_values() {
+    #[cfg(target_pointer_width = "64")]
+    assert!(std::mem::size_of::<Term>() <= 16);
+    let mut rng = StdRng::seed_from_u64(0x51_06);
+    for _ in 0..cases() {
+        assert!(leaf(&mut rng).as_node().is_none());
     }
 }
 
