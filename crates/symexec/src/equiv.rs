@@ -456,59 +456,33 @@ pub fn propose_mappings(guest_seq: &[GInst], host_seq: &[HInst], max: usize) -> 
         out_perms.push(Vec::new());
     }
     out_perms.dedup();
+    // Pairs keep guest scan order: live-ins and outs interleaved in the
+    // order guest registers first appear overall.
+    let mut ordered: Vec<GReg> = Vec::new();
+    for inst in guest_seq {
+        for r in inst.uses().into_iter().chain(inst.defs()) {
+            if r != GReg::Pc && !ordered.contains(&r) {
+                ordered.push(r);
+            }
+        }
+    }
     for lp in &livein_perms {
         for op in &out_perms {
             if op.len() < g_outs.len() {
                 continue;
             }
             let mut pairs: Vec<(GReg, HReg)> = Vec::new();
-            // Preserve guest scan order: interleave live-ins and outs in
-            // the order guest registers first appear overall.
-            let mut li = 0;
-            let mut oi = 0;
-            let mut ordered: Vec<GReg> = Vec::new();
-            for inst in guest_seq {
-                for r in inst.uses().into_iter().chain(inst.defs()) {
-                    if r != GReg::Pc && !ordered.contains(&r) {
-                        ordered.push(r);
-                    }
-                }
-            }
-            let mut ok = true;
-            for g in ordered {
-                if g_livein.contains(&g) {
-                    let idx = g_livein.iter().position(|x| *x == g).unwrap();
-                    let _ = li;
-                    li += 1;
-                    pairs.push((g, lp[idx]));
-                } else if g_outs.contains(&g) {
-                    let idx = g_outs.iter().position(|x| *x == g).unwrap();
-                    let _ = oi;
-                    oi += 1;
-                    match op.get(idx) {
-                        Some(h) => pairs.push((g, *h)),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
+            for g in &ordered {
+                if let Some(idx) = g_livein.iter().position(|x| x == g) {
+                    pairs.push((*g, lp[idx]));
+                } else if let Some(idx) = g_outs.iter().position(|x| x == g) {
+                    pairs.push((*g, op[idx]));
                 }
             }
             // A host register may serve only one parameter.
-            let mut seen: Vec<HReg> = Vec::new();
-            for (_, h) in &pairs {
-                if seen.contains(h) {
-                    ok = false;
-                    break;
-                }
-                seen.push(*h);
-            }
-            if ok
-                && !pairs.is_empty()
-                && !out.contains(&Mapping {
-                    pairs: pairs.clone(),
-                })
-            {
+            let distinct = (pairs.iter().enumerate())
+                .all(|(i, (_, h))| pairs[..i].iter().all(|(_, seen)| seen != h));
+            if distinct && !pairs.is_empty() && out.iter().all(|m| m.pairs != pairs) {
                 out.push(Mapping { pairs });
                 if out.len() >= max {
                     return out;
