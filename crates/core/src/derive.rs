@@ -12,8 +12,9 @@
 
 use crate::classify::{self, Subgroup};
 use crate::emit::emit_for;
-use crate::key::{ComboKey, ModeTag};
-use crate::ruleset::{verify_combo, Provenance, RuleEntry, RuleSet};
+use crate::key::{ComboKey, ModeTag, MAX_OPERANDS, MAX_REG_MENTIONS};
+use crate::ruleset::{verify_combo, KeyBuild, Provenance, RuleEntry, RuleSet};
+use pdbt_isa::InlineVec;
 use pdbt_isa_arm::{Op as GOp, Shape, ShiftKind};
 use pdbt_par::Pool;
 use pdbt_symexec::CheckOptions;
@@ -104,14 +105,15 @@ pub struct DeriveStats {
     pub instantiated: usize,
 }
 
+/// A dependence pattern: slot index per register mention.
+type Pattern = InlineVec<u8, MAX_REG_MENTIONS>;
+
 /// Restricted-growth strings: all canonical dependence patterns over
 /// `n` register positions (position 0 is always slot 0).
-fn patterns(n: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut cur = vec![0u8; n];
-    fn rec(cur: &mut Vec<u8>, i: usize, max: u8, out: &mut Vec<Vec<u8>>) {
+fn patterns(n: usize) -> Vec<Pattern> {
+    fn rec(cur: &mut Pattern, i: usize, max: u8, out: &mut Vec<Pattern>) {
         if i == cur.len() {
-            out.push(cur.clone());
+            out.push(*cur);
             return;
         }
         for v in 0..=max + 1 {
@@ -119,24 +121,25 @@ fn patterns(n: usize) -> Vec<Vec<u8>> {
             rec(cur, i + 1, max.max(v), out);
         }
     }
+    let mut cur =
+        Pattern::from_slice(&[0; MAX_REG_MENTIONS][..n]).expect("an arity a key can have");
     if n == 0 {
-        return vec![Vec::new()];
+        return vec![cur];
     }
+    let mut out = Vec::new();
     rec(&mut cur, 1, 0, &mut out);
     out
 }
 
 /// The flexible-operand mode variants for the addressing-mode dimension.
-fn flex_modes() -> Vec<ModeTag> {
-    vec![
-        ModeTag::Reg,
-        ModeTag::Imm,
-        ModeTag::Shifted(ShiftKind::Lsl),
-        ModeTag::Shifted(ShiftKind::Lsr),
-        ModeTag::Shifted(ShiftKind::Asr),
-        ModeTag::Shifted(ShiftKind::Ror),
-    ]
-}
+const FLEX_MODES: [ModeTag; 6] = [
+    ModeTag::Reg,
+    ModeTag::Imm,
+    ModeTag::Shifted(ShiftKind::Lsl),
+    ModeTag::Shifted(ShiftKind::Lsr),
+    ModeTag::Shifted(ShiftKind::Asr),
+    ModeTag::Shifted(ShiftKind::Ror),
+];
 
 /// Register-mention count of a mode vector (the dst/base positions are
 /// `Reg`; the flex position contributes 0 or 1).
@@ -155,36 +158,27 @@ fn reg_mentions(modes: &[ModeTag]) -> usize {
 /// Enumerates the combo universe of one opcode under the guidelines of
 /// §IV-B: the target operand is never an immediate, non-load/store
 /// operands never generalize to memory, load sources / store targets
-/// stay memory.
-fn combo_universe(op: GOp, s: bool) -> Vec<ComboKey> {
-    let mode_sets: Vec<Vec<ModeTag>> = match op.shape() {
-        Shape::Dp3 => flex_modes()
-            .into_iter()
-            .map(|m| vec![ModeTag::Reg, ModeTag::Reg, m])
-            .collect(),
-        Shape::Dp2 => flex_modes()
-            .into_iter()
-            .map(|m| vec![ModeTag::Reg, m])
-            .collect(),
-        Shape::Cmp2 => flex_modes()
-            .into_iter()
-            .map(|m| vec![ModeTag::Reg, m])
-            .collect(),
-        Shape::LdSt => vec![
-            vec![ModeTag::Reg, ModeTag::MemBaseImm],
-            vec![ModeTag::Reg, ModeTag::MemBaseReg],
-        ],
-        Shape::Mul3 => vec![vec![ModeTag::Reg, ModeTag::Reg, ModeTag::Reg]],
+/// stay memory. `patterns[n]` is [`patterns`]`(n)`: a derivation
+/// enumerates them once, not once per opcode and mode set.
+fn combo_universe(op: GOp, s: bool, patterns: &[Vec<Pattern>]) -> Vec<ComboKey> {
+    use ModeTag::{MemBaseImm, MemBaseReg, Reg};
+    // The fixed operand positions, then each mode of the last one.
+    let (fixed, last): (&[ModeTag], &[ModeTag]) = match op.shape() {
+        Shape::Dp3 => (&[Reg, Reg], &FLEX_MODES),
+        Shape::Dp2 | Shape::Cmp2 => (&[Reg], &FLEX_MODES),
+        Shape::LdSt => (&[Reg], &[MemBaseImm, MemBaseReg]),
+        Shape::Mul3 => (&[Reg, Reg], &[Reg]),
         _ => return Vec::new(),
     };
     let mut out = Vec::new();
-    for modes in mode_sets {
-        for pattern in patterns(reg_mentions(&modes)) {
+    for m in last {
+        let modes: InlineVec<ModeTag, MAX_OPERANDS> = fixed.iter().chain([m]).copied().collect();
+        for &reg_pattern in &patterns[reg_mentions(&modes)] {
             out.push(ComboKey {
                 op,
                 s,
-                modes: modes.iter().copied().collect(),
-                reg_pattern: pattern.into_iter().collect(),
+                modes,
+                reg_pattern,
             });
         }
     }
@@ -239,9 +233,11 @@ enum Outcome {
 /// a serial, deterministic order. Seeds: which subgroups have learned
 /// rules, and which operand signatures appear per subgroup (for the
 /// opcode-only stage). Everything is sorted so the candidate order does
-/// not depend on `HashMap` iteration order.
+/// not depend on `HashMap` iteration order. The maps are keyed by the
+/// operator's own rules, never by guest input, so they hash as the rule
+/// table does ([`KeyBuild`]).
 fn enumerate(learned: &RuleSet, cfg: DeriveConfig) -> Vec<Candidate> {
-    let mut subgroup_seeds: HashMap<Subgroup, Vec<ComboKey>> = HashMap::new();
+    let mut subgroup_seeds: HashMap<Subgroup, Vec<ComboKey>, KeyBuild> = HashMap::default();
     for (key, _) in learned.iter() {
         subgroup_seeds
             .entry(classify::subgroup_of(key.op))
@@ -251,8 +247,9 @@ fn enumerate(learned: &RuleSet, cfg: DeriveConfig) -> Vec<Candidate> {
     let mut groups: Vec<(Subgroup, Vec<ComboKey>)> = subgroup_seeds.into_iter().collect();
     groups.sort_by_key(|(sg, _)| *sg);
 
+    let by_arity: Vec<Vec<Pattern>> = (0..=MAX_REG_MENTIONS).map(patterns).collect();
     let mut candidates: Vec<Candidate> = Vec::new();
-    let mut index: HashMap<ComboKey, usize> = HashMap::new();
+    let mut index: HashMap<ComboKey, usize, KeyBuild> = HashMap::default();
     for (sg, seeds) in &mut groups {
         if !classify::is_parameterizable(*sg) {
             continue;
@@ -264,14 +261,14 @@ fn enumerate(learned: &RuleSet, cfg: DeriveConfig) -> Vec<Candidate> {
             // the ones whose host flags are *exactly* the guest's (the
             // baseline's flag-inclusive rules), while delegation also
             // admits inverted-carry relationships (§IV-D).
-            let s_variants: Vec<bool> = if op.supports_s() {
-                vec![false, true]
+            let s_variants: &[bool] = if op.supports_s() {
+                &[false, true]
             } else {
-                vec![false]
+                &[false]
             };
-            for s in s_variants {
+            for &s in s_variants {
                 let universe = if cfg.addrmode {
-                    combo_universe(op, s)
+                    combo_universe(op, s, &by_arity)
                 } else {
                     // Opcode dimension only: project the learned operand
                     // signatures of this subgroup onto the new opcode.
@@ -481,9 +478,9 @@ mod tests {
         assert_eq!(patterns(1), vec![vec![0]]);
         assert_eq!(patterns(2), vec![vec![0, 0], vec![0, 1]]);
         assert_eq!(patterns(3).len(), 5); // Bell(3)
-        assert!(patterns(3).contains(&vec![0, 1, 2]));
-        assert!(patterns(3).contains(&vec![0, 0, 1]));
-        assert!(patterns(3).contains(&vec![0, 1, 0]));
+        for p in [[0, 1, 2], [0, 0, 1], [0, 1, 0]] {
+            assert!(patterns(3).iter().any(|q| *q == p), "{p:?}");
+        }
     }
 
     /// Every candidate `derive(full)` enumerates from the one add rule,

@@ -313,17 +313,24 @@ pub fn parameterize_seq(insts: &[Inst]) -> Option<(Vec<ComboKey>, Instantiation)
 /// instantiation — the inverse of [`parameterize_seq`], used to build
 /// verification instances of learned and derived rules (paper §IV-C: "we
 /// first instantiate all possible derived rules from the parameterized
-/// rule, and verify each").
+/// rule, and verify each"). The instructions are appended to `out`, the
+/// caller's buffer (verification reuses one across its samples).
 ///
-/// Returns `None` if the slot/immediate counts do not fit the key.
+/// Returns `None`, leaving `out` as it found it, if the slot/immediate
+/// counts do not fit the key.
 #[must_use]
-pub fn reconstruct_seq(keys: &[ComboKey], inst: &Instantiation) -> Option<Vec<Inst>> {
+pub fn reconstruct_seq(keys: &[ComboKey], inst: &Instantiation, out: &mut Vec<Inst>) -> Option<()> {
+    let start = out.len();
     let mut imms = inst.imms.iter();
-    let out: Option<Vec<Inst>> = keys
-        .iter()
-        .map(|key| reconstruct_one(key, &inst.slots, &mut imms))
-        .collect();
-    out.filter(|_| imms.next().is_none())
+    let all = keys.iter().try_for_each(|key| {
+        out.push(reconstruct_one(key, &inst.slots, &mut imms)?);
+        Some(())
+    });
+    let fits = all.is_some() && imms.next().is_none();
+    if !fits {
+        out.truncate(start);
+    }
+    fits.then_some(())
 }
 
 /// Reconstructs one instruction, taking its immediates off `imms`.
@@ -394,6 +401,11 @@ pub fn seq_arity(keys: &[ComboKey]) -> (usize, usize) {
 mod tests {
     use super::*;
     use pdbt_isa_arm::builders::*;
+
+    fn rebuilt(keys: &[ComboKey], inst: &Instantiation) -> Option<Vec<Inst>> {
+        let mut out = Vec::new();
+        reconstruct_seq(keys, inst, &mut out).map(|()| out)
+    }
 
     #[test]
     fn rmw_and_distinct_have_different_keys() {
@@ -569,7 +581,7 @@ mod tests {
         ];
         for inst in cases {
             let p = parameterize(&inst).unwrap_or_else(|| panic!("parameterize {inst}"));
-            let back = reconstruct_seq(&[p.key], &p.inst);
+            let back = rebuilt(&[p.key], &p.inst);
             assert_eq!(back, Some(vec![inst.clone()]), "roundtrip of {inst}");
         }
     }
@@ -583,7 +595,7 @@ mod tests {
             slots: [Reg::R9, Reg::R10].into_iter().collect(),
             ..Instantiation::default()
         };
-        let inst = reconstruct_seq(&[p.key], &fresh).unwrap();
+        let inst = rebuilt(&[p.key], &fresh).unwrap();
         assert_eq!(inst, [add(Reg::R9, Reg::R9, Operand::Reg(Reg::R10))]);
     }
 
@@ -612,7 +624,7 @@ mod tests {
                 slots: slots.into_iter().collect(),
                 imms: imms.into_iter().collect(),
             };
-            reconstruct_seq(&keys, &inst)
+            rebuilt(&keys, &inst)
         };
         assert!(with(vec![Reg::R0], vec![1]).is_some());
         assert!(with(vec![], vec![1]).is_none(), "too few slots");
@@ -659,14 +671,14 @@ mod tests {
             ),
         ];
         let (keys, inst) = parameterize_seq(&seq).unwrap();
-        let back = reconstruct_seq(&keys, &inst).unwrap();
+        let back = rebuilt(&keys, &inst).unwrap();
         assert_eq!(back, seq);
         // Fresh registers and immediates instantiate the same shape.
         let fresh = Instantiation {
             slots: [Reg::R7, Reg::R8, Reg::R9].into_iter().collect(),
             imms: [1, 2, 4].into_iter().collect(),
         };
-        let derived = reconstruct_seq(&keys, &fresh).unwrap();
+        let derived = rebuilt(&keys, &fresh).unwrap();
         assert_eq!(derived[0], mov(Reg::R7, Operand::Imm(1)));
         assert_eq!(derived[1], add(Reg::R8, Reg::R7, Operand::Imm(2)));
         assert_eq!(

@@ -172,7 +172,7 @@ fn learn_candidate(
     let (flags, imm_constraint) = match verify_seq(&keys, &tmpl, cfg.check) {
         Ok(flags) => (flags, None),
         Err(_) if !concrete.imms.is_empty() => (
-            verify_at(&keys, &tmpl, [concrete.imms.to_vec()], cfg.check)
+            verify_at(&keys, &tmpl, [concrete.imms], cfg.check)
                 .map_err(|_| Reject::Verification)?,
             Some(concrete.imms.to_vec()),
         ),

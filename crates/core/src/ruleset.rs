@@ -8,9 +8,9 @@
 //! host instructions" (paper §V-A).
 
 use crate::classify::subgroup_of;
-use crate::key::{self, ComboKey, Instantiation, ModeTag, Scan};
+use crate::key::{self, ComboKey, Instantiation, ModeTag, Scan, MAX_WINDOW_IMMS};
 use crate::template::{instantiate, HostLoc, Template};
-use pdbt_isa::Flag;
+use pdbt_isa::{Flag, InlineVec};
 use pdbt_isa_arm::{Inst as GInst, Op as GOpc, Reg as GReg};
 use pdbt_isa_x86::{Inst as HInst, Reg as HReg};
 use pdbt_symexec::{check, CheckOptions, FlagEquiv, Mapping, Verdict};
@@ -54,31 +54,35 @@ impl RuleEntry {
     }
 }
 
-/// The canonical guest registers used for verification instances.
-#[must_use]
-pub fn canonical_guest_slots(n: usize) -> Vec<GReg> {
-    (0..n)
-        .map(|i| GReg::from_index(4 + i).expect("canonical guest slot"))
-        .collect()
-}
-
 /// The most parameter slots a rule can bind: the size of the canonical
-/// host register pool every rule is verified over.
+/// register pools every rule is verified over.
 pub(crate) const MAX_SLOTS: usize = 4;
+
+/// The canonical registers of a verification instance: slot `i` is
+/// `GUEST_POOL[i]` in the guest sequence and `HOST_POOL[i]` in the host's.
+const GUEST_POOL: [GReg; MAX_SLOTS] = [GReg::R4, GReg::R5, GReg::R6, GReg::R7];
+const HOST_POOL: [HReg; MAX_SLOTS] = [HReg::Ecx, HReg::Ebx, HReg::Esi, HReg::Edi];
 
 /// The canonical host registers used for verification instances.
 #[must_use]
 pub fn canonical_host_slots(n: usize) -> Vec<HReg> {
-    const POOL: [HReg; MAX_SLOTS] = [HReg::Ecx, HReg::Ebx, HReg::Esi, HReg::Edi];
-    POOL[..n].to_vec()
+    HOST_POOL[..n].to_vec()
 }
+
+/// The immediates of one verification instance, in scan order.
+pub type Imms = InlineVec<u32, MAX_WINDOW_IMMS>;
 
 /// Three sample immediate vectors for a key sequence, respecting slot
 /// roles (shift amounts must stay in 1–31, displacements small, generic
 /// immediates anywhere in the encodable range).
+///
+/// # Panics
+///
+/// If the keys bind more immediates than a window holds
+/// ([`MAX_WINDOW_IMMS`]).
 #[must_use]
-pub fn sample_imm_vectors(keys: &[ComboKey]) -> Vec<Vec<u32>> {
-    let sample = |s: usize| {
+pub fn sample_imm_vectors(keys: &[ComboKey]) -> [Imms; 3] {
+    [0, 1, 2].map(|s| {
         let modes = keys.iter().flat_map(|k| &k.modes);
         modes
             .filter_map(|m| match m {
@@ -88,8 +92,7 @@ pub fn sample_imm_vectors(keys: &[ComboKey]) -> Vec<Vec<u32>> {
                 _ => None,
             })
             .collect()
-    };
-    (0..3).map(sample).collect()
+    })
 }
 
 /// Verifies a `(key, template)` pair over canonical registers and the
@@ -121,13 +124,18 @@ pub fn verify_seq(
     template: &Template,
     opts: CheckOptions,
 ) -> Result<Vec<(Flag, FlagEquiv)>, String> {
+    let n_imms = key::seq_arity(keys).1;
+    if n_imms > MAX_WINDOW_IMMS {
+        return Err(format!("{n_imms} immediates exceed a window"));
+    }
     verify_at(keys, template, sample_imm_vectors(keys), opts)
 }
 
 /// Verifies a `(key sequence, template)` pair over canonical registers
 /// at each of the given immediate vectors, joining the per-sample flag
 /// reports (a flag whose relationship differs between samples is a
-/// `Mismatch`).
+/// `Mismatch`). Everything but the mapping is built inline or into a
+/// buffer the samples share: a derivation calls this once per candidate.
 ///
 /// # Errors
 ///
@@ -135,11 +143,13 @@ pub fn verify_seq(
 pub(crate) fn verify_at(
     keys: &[ComboKey],
     template: &Template,
-    imm_vectors: impl IntoIterator<Item = Vec<u32>>,
+    imm_vectors: impl IntoIterator<Item = Imms>,
     opts: CheckOptions,
 ) -> Result<Vec<(Flag, FlagEquiv)>, String> {
     let _span = pdbt_obs::span_with("verify", || {
-        let mut label = String::new();
+        // Sized for the keys' display forms: a traced build formats this
+        // once per candidate, and growing it would allocate three times.
+        let mut label = String::with_capacity(32 * keys.len());
         for (i, k) in keys.iter().enumerate() {
             let sep = if i == 0 { "" } else { " + " };
             let _ = write!(label, "{sep}{k}");
@@ -152,20 +162,19 @@ pub(crate) fn verify_at(
             "{n_slots} parameter slots exceed the canonical pool"
         ));
     }
-    let gslots = canonical_guest_slots(n_slots);
-    let hslots = canonical_host_slots(n_slots);
+    let (gslots, hslots) = (&GUEST_POOL[..n_slots], &HOST_POOL[..n_slots]);
     let mapping = Mapping::new(gslots.iter().copied().zip(hslots.iter().copied()).collect());
     let mut inst = Instantiation {
-        slots: gslots.into_iter().collect(),
+        slots: gslots.iter().copied().collect(),
         ..Instantiation::default()
     };
-    let locs: Vec<HostLoc> = hslots.iter().map(|h| HostLoc::Reg(*h)).collect();
+    let locs = HOST_POOL.map(HostLoc::Reg);
     let mut report: Option<Vec<(Flag, FlagEquiv)>> = None;
-    let mut host = Vec::new();
+    let (mut guest, mut host) = (Vec::new(), Vec::new());
     for imms in imm_vectors {
-        inst.imms = pdbt_isa::InlineVec::from_slice(&imms)
-            .ok_or_else(|| format!("{} immediates exceed a window", imms.len()))?;
-        let ginsts = key::reconstruct_seq(keys, &inst).ok_or_else(|| {
+        inst.imms = imms;
+        guest.clear();
+        key::reconstruct_seq(keys, &inst, &mut guest).ok_or_else(|| {
             let what = if keys.len() == 1 {
                 "key"
             } else {
@@ -174,18 +183,19 @@ pub(crate) fn verify_at(
             format!("{what} does not reconstruct")
         })?;
         host.clear();
-        instantiate(template, &locs, &inst.imms, &mut host).map_err(|e| e.to_string())?;
-        match check(&ginsts, &host, &mapping, opts) {
-            Verdict::Equivalent { flags } => {
-                report = Some(match report {
-                    None => flags,
-                    Some(prev) => prev
-                        .into_iter()
-                        .zip(flags)
-                        .map(|((f, a), (_, b))| (f, if a == b { a } else { FlagEquiv::Mismatch }))
-                        .collect(),
-                });
-            }
+        instantiate(template, &locs[..n_slots], &inst.imms, &mut host)
+            .map_err(|e| e.to_string())?;
+        match check(&guest, &host, &mapping, opts) {
+            Verdict::Equivalent { flags } => match &mut report {
+                None => report = Some(flags),
+                Some(joined) => {
+                    for ((_, a), (_, b)) in joined.iter_mut().zip(flags) {
+                        if *a != b {
+                            *a = FlagEquiv::Mismatch;
+                        }
+                    }
+                }
+            },
             Verdict::NotEquivalent { reason }
             | Verdict::Unproven { reason }
             | Verdict::Unsupported { reason } => return Err(reason),
@@ -221,7 +231,7 @@ pub struct Match<'a> {
 /// which are matched as learned.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    entries: HashMap<Vec<ComboKey>, Rule, BuildHasherDefault<KeyHasher>>,
+    entries: HashMap<Vec<ComboKey>, Rule, KeyBuild>,
     /// How many entries have a one-key sequence.
     one_key: usize,
     /// Longest key sequence, where the longest-first lookup starts.
@@ -264,7 +274,10 @@ fn rule_label(keys: &[ComboKey]) -> String {
 /// lands on every translated guest instruction ([`pdbt_isa::Memory`]'s
 /// page map makes the same trade).
 #[derive(Debug, Clone, Copy, Default)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
+
+/// Builds [`KeyHasher`]s, for any map keyed by the operator's own rules.
+pub(crate) type KeyBuild = BuildHasherDefault<KeyHasher>;
 
 impl KeyHasher {
     fn word(&mut self, w: u64) {

@@ -44,8 +44,9 @@ fn check_window(window: &[Inst]) {
     for len in 1..=valid {
         let head = &window[..len];
         // Each prefix view is the inverse image of the instructions…
-        let back = reconstruct_seq(scan.keys(len), &scan.instantiation(len));
-        assert_eq!(back.as_deref(), Some(head), "{window:?} at {len}");
+        let mut back = Vec::new();
+        let fits = reconstruct_seq(scan.keys(len), &scan.instantiation(len), &mut back);
+        assert_eq!(fits.map(|()| &back[..]), Some(head), "{window:?} at {len}");
         // …and a literal prefix: exactly what scanning only them gives.
         let alone = Scan::of(head, len);
         assert_eq!(alone.valid_len(), len);
