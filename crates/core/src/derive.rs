@@ -485,10 +485,9 @@ mod tests {
 
     /// Every candidate `derive(full)` enumerates from the one add rule,
     /// with what `emit_for` + `verify_combo` say of it — accepted or
-    /// not, and the flag report — held to a table generated before the
-    /// verifier's terms moved off the heap (`UPDATE_GOLDEN=1` rewrites
-    /// it). The full-scale goldens say *that* a verdict moved; this
-    /// says which key's.
+    /// not, and the flag report — held to the recorded table
+    /// (`UPDATE_GOLDEN=1` rewrites it). The full-scale goldens say
+    /// *that* a verdict moved; this says which key's.
     #[test]
     fn candidate_verdicts_match_the_recorded_table() {
         use std::fmt::Write as _;
