@@ -8,8 +8,12 @@ use pdbt::core::derive::{derive, DeriveConfig};
 use pdbt::core::RuleSet;
 use pdbt::runtime::{Engine, EngineConfig, Outcome, Report, RunSetup};
 use pdbt::workloads::{learn_suite, run_reference, suite, Scale, Workload};
+use pdbt_faults::{Plan, Site};
 use pdbt_isa_arm::{builders as g, Operand as O, Program, Reg};
 use pdbt_symexec::CheckOptions;
+use std::fmt::Write as _;
+
+mod common;
 
 /// An engine config with the dispatch fast path fully on and a low
 /// promotion threshold, so the tiny-suite loops actually form traces.
@@ -261,4 +265,115 @@ fn exec_spans_are_per_chain_segment_and_leave_room_for_translate_spans() {
             w.bench
         );
     }
+}
+
+/// One golden line: the dispatch counters and the two metrics they
+/// decide. `compiled_blocks`/`compile_ns` stay out, so the file reads
+/// the same under both backends.
+fn counts_line(tag: &str, r: &Report) -> String {
+    let d = &r.obs.dispatch;
+    format!(
+        "{tag}: jump_cache_hits={} jump_cache_misses={} chain_followed={} links_resolved={} \
+         traces_formed={} trace_execs={} invalidations={} blocks_executed={} guest_retired={}\n",
+        d.jump_cache_hits,
+        d.jump_cache_misses,
+        d.chain_followed,
+        d.links_resolved,
+        d.traces_formed,
+        d.trace_execs,
+        d.invalidations,
+        r.metrics.blocks_executed,
+        r.metrics.guest_retired,
+    )
+}
+
+/// Heads the golden's second section, which only a `--features faults`
+/// build can compute.
+const FAULTS_SECTION: &str = "# --features faults\n";
+
+/// Pins every dispatch *count*, not only the counter names: how a block
+/// is found, linked, promoted and invalidated decides these numbers, so
+/// a change to the session's bookkeeping that is meant to be invisible
+/// leaves `tests/golden/dispatch_counts.txt` untouched. The second
+/// section holds the only runs that drop a trace and follow a link into
+/// it — the `cache`-site plans of `tests/fault_matrix.rs`; a build
+/// without fault injection carries it over from the file as recorded.
+#[test]
+fn dispatch_counters_match_the_golden() {
+    let rules = tiny_rules();
+    let modes = [
+        ("chained+traces", EngineConfig::default()),
+        (
+            "traces=false",
+            EngineConfig {
+                traces: false,
+                ..EngineConfig::default()
+            },
+        ),
+        (
+            "chaining=false",
+            EngineConfig {
+                chaining: false,
+                ..EngineConfig::default()
+            },
+        ),
+    ];
+    let workloads = suite(Scale::tiny());
+    let mut got = String::new();
+    for w in &workloads {
+        for (mode, cfg) in modes {
+            for trace_threshold in [50, 2] {
+                let cfg = EngineConfig {
+                    trace_threshold,
+                    ..cfg
+                };
+                let tag = format!("{} {mode} threshold={trace_threshold}", w.bench);
+                got += &counts_line(&tag, &run_with(w, Some(&rules), cfg));
+            }
+        }
+    }
+    let prog = hot_loop_program();
+    for max_guest in [1, 7, 100, 1234, 2000] {
+        let mut setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+        setup.max_guest = max_guest;
+        let report = Engine::new(None, chained_cfg())
+            .run(&prog, &setup)
+            .expect("partial report");
+        got += &counts_line(&format!("hot_loop max_guest={max_guest}"), &report);
+    }
+    got += FAULTS_SECTION;
+    if pdbt_faults::ENABLED {
+        let w = &workloads[0];
+        for seed in [0xFA_01u64, 0xFA_02, 0xFA_03] {
+            for (mode, cfg) in [
+                (
+                    "chained threshold=2",
+                    EngineConfig {
+                        trace_threshold: 2,
+                        ..EngineConfig::default()
+                    },
+                ),
+                ("unchained", unchained_cfg()),
+            ] {
+                // Scoped to this thread, where the one-job engine runs:
+                // the other tests of this binary never see the plan.
+                let _plan = pdbt_faults::scoped(Some(Plan::single(Site::Cache, seed, 0.3)));
+                let report = run_with(w, Some(&rules), cfg);
+                assert!(report.resilience.degraded_blocks > 0, "{seed:#x}: vacuous");
+                let mut tag = format!("{} cache/{seed:#x}/0.3 {mode}", w.bench);
+                write!(tag, " degraded={}", report.resilience.degraded_blocks).unwrap();
+                got += &counts_line(&tag, &report);
+            }
+        }
+    } else {
+        let path = format!(
+            "{}/tests/golden/dispatch_counts.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let recorded = std::fs::read_to_string(path).unwrap_or_default();
+        if let Some((_, faults)) = recorded.split_once(FAULTS_SECTION) {
+            got += faults;
+        }
+    }
+    common::assert_golden(&got, "dispatch_counts.txt");
 }
