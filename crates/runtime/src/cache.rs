@@ -2,14 +2,15 @@
 //! (paper §V-B1), split across independently locked shards.
 //!
 //! The cache stores *pure translations* (`Arc<TranslatedBlock>`): the
-//! immutable, session-independent product of `translate_block`. The
-//! mutable dispatch state a session layers on top — chain links,
-//! hotness, edge counters, interned attribution ids — lives in
-//! [`CachedBlock`], which each session builds privately around the
-//! shared translation. That split is what lets one warm cache serve
-//! many concurrent sessions (`pdbt serve`) while every session's
-//! dispatch behaviour and report stay bit-identical to a run against a
-//! cold, exclusively owned engine.
+//! immutable, session-independent product of `translate_block`, the
+//! only thing sessions and prewarm workers share. What a session layers
+//! on top — interned attribution ids and compiled code in a
+//! [`CachedBlock`], chain links, hotness and edge counters in the block
+//! table slot that holds it — is private to the session and its one
+//! thread. That split is what lets one warm cache serve many concurrent
+//! sessions (`pdbt serve`) while every session's dispatch behaviour and
+//! report stay bit-identical to a run against a cold, exclusively owned
+//! engine.
 //!
 //! The access pattern is read-mostly — every block is translated once
 //! and then fetched on each session's first sight — so translations
@@ -23,63 +24,25 @@ use pdbt_isa::Addr;
 use pdbt_isa_x86::ThreadedCode;
 use pdbt_obs::RuleId;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU32;
-use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One shard: a locked address → translation map.
 type Shard = RwLock<HashMap<Addr, Arc<TranslatedBlock>>>;
 
-/// A lazily resolved chain link to a successor block. The target is
-/// held weakly — links never keep a block alive (the cache and the
-/// engine's trace table hold the strong references), and loops chain
-/// back to themselves without creating `Arc` cycles. The epoch stamps
-/// when the link was resolved: the engine bumps its epoch on every
-/// invalidation, staling all links at once without walking them.
-#[derive(Debug, Default)]
-pub struct LinkSlot {
-    /// The engine epoch the link was resolved in; stale links resolve
-    /// again.
-    pub epoch: u32,
-    /// The linked successor, if resolved.
-    pub target: Option<Weak<CachedBlock>>,
-}
-
-/// The chain links of a block's direct-branch exits: `taken` doubles as
-/// the single link of one-successor exits (unconditional branches,
-/// calls, fall-throughs).
-#[derive(Debug, Default)]
-pub struct ChainLinks {
-    /// Link for the branch-taken (or only) successor.
-    pub taken: Mutex<LinkSlot>,
-    /// Link for the fall-through successor of a conditional branch.
-    pub fall: Mutex<LinkSlot>,
-}
-
-/// A session's view of one translated block: the shared translation
-/// plus the session's pre-interned attribution ids — `(rule id,
-/// per-execution coverage)` pairs resolved once at adoption time so
-/// block executions only bump dense counters — and the mutable dispatch
-/// state of the hot path: chain links for its direct-branch exits, an
-/// execution counter for hot-trace promotion, and per-edge counters
-/// that pick the hotter side of a conditional when a trace is formed.
-/// All of this is per-session (two sessions sharing a translation never
-/// share chain state), so the counters use relaxed ordering — they are
-/// heuristics, and each session's executor is single-threaded; `Sync`
-/// is only needed because prewarm shares blocks across worker threads.
+/// The block a backend executes: the shared translation, the session's
+/// pre-interned attribution ids — `(rule id, per-execution coverage)`
+/// pairs resolved once at adoption time so block executions only bump
+/// dense counters — and the threaded code compiled from it. A session
+/// holds each one exactly once, in a slot of its block table
+/// (`session.rs`), which keeps the dispatch state (links, edge counts,
+/// hotness) beside it; nothing here is shared between sessions or
+/// threads.
 #[derive(Debug)]
 pub struct CachedBlock {
     /// The shared, immutable translation.
     pub block: Arc<TranslatedBlock>,
     /// Interned rule attributions (session-local ids).
     pub attr_ids: Vec<(RuleId, u32)>,
-    /// Chain links to successor blocks.
-    pub links: ChainLinks,
-    /// Completed executions, for hot-trace promotion.
-    pub hotness: AtomicU32,
-    /// Times the taken edge was followed.
-    pub taken_count: AtomicU32,
-    /// Times the fall-through edge was followed.
-    pub fall_count: AtomicU32,
     /// Threaded code, compiled lazily on the block's *first execute*
     /// (never at adopt/prewarm time, so the `compiled_blocks` counter
     /// stays deterministic across worker counts and warm boots — see
@@ -89,16 +52,12 @@ pub struct CachedBlock {
 }
 
 impl CachedBlock {
-    /// Wraps a translation with fresh (unresolved, cold) dispatch state.
+    /// Wraps a translation, not yet compiled.
     #[must_use]
     pub fn new(block: Arc<TranslatedBlock>, attr_ids: Vec<(RuleId, u32)>) -> CachedBlock {
         CachedBlock {
             block,
             attr_ids,
-            links: ChainLinks::default(),
-            hotness: AtomicU32::new(0),
-            taken_count: AtomicU32::new(0),
-            fall_count: AtomicU32::new(0),
             compiled: OnceLock::new(),
         }
     }

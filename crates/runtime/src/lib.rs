@@ -39,7 +39,7 @@ mod translate;
 pub use backend::{
     backend_for, BackendKind, BackendObs, HostBackend, ModelBackend, ThreadedBackend,
 };
-pub use cache::{CachedBlock, ChainLinks, LinkSlot, ShardedCache};
+pub use cache::{CachedBlock, ShardedCache};
 pub use engine::{
     Engine, EngineConfig, EngineError, Metrics, Outcome, Report, Resilience, RunObs, RunSetup,
     ENV_BASE,
