@@ -156,13 +156,6 @@ impl ShardedCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops every cached block.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.write().expect("cache shard poisoned").clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -217,8 +210,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &cache.get(0x1000).unwrap()));
         assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -10,8 +10,8 @@ use crate::backend::{anchor_numbers, backend_for, BackendKind, BackendObs};
 use crate::cache::{CachedBlock, ShardedCache};
 use crate::shared::SharedTranslationState;
 use crate::translate::{
-    collect_block, translate_block, translate_trace, BlockSuccs, CodeClass, DelegOutcome,
-    TranslateConfig, TranslateError, TranslatedBlock,
+    collect_block, translate_trace, BlockSuccs, CodeClass, DelegOutcome, TranslateConfig,
+    TranslateError, TranslatedBlock,
 };
 use pdbt_core::RuleSet;
 use pdbt_ir::env;
@@ -603,6 +603,22 @@ fn discover_block_starts(prog: &Program, max_block: usize) -> Vec<Addr> {
         .collect()
 }
 
+/// Folds one retired unit — a plain block, or one member of a
+/// superblock — into the dynamic attribution: its static per-rule
+/// coverage shares weighted by this execution, and its flag-delegation
+/// outcome.
+fn retire(obs: &mut RunObs, attrs: &[(RuleId, u32)], deleg: Option<DelegOutcome>) {
+    for (id, covered) in attrs {
+        obs.rules.covered(*id, u64::from(*covered));
+    }
+    if let Some(d) = deleg {
+        obs.deleg_depth.record(match d {
+            DelegOutcome::Delegated(depth) => u64::from(depth),
+            DelegOutcome::EnvFallback => Histogram::FALLBACK,
+        });
+    }
+}
+
 /// Host-instruction budget for a single block execution, derived from
 /// the remaining *guest* budget: a block is allowed a generous host
 /// ratio over the guest instructions it may still retire, plus slack —
@@ -835,12 +851,6 @@ impl Engine {
         self.shared.cache()
     }
 
-    /// The shared translation state this session runs against.
-    #[must_use]
-    pub fn shared(&self) -> &Arc<SharedTranslationState> {
-        &self.shared
-    }
-
     /// The accumulated degraded-mode counters.
     #[must_use]
     pub fn resilience(&self) -> &Resilience {
@@ -852,20 +862,6 @@ impl Engine {
     /// derivation quarantines).
     pub fn resilience_mut(&mut self) -> &mut Resilience {
         &mut self.resilience
-    }
-
-    /// Clears the session state (block table, metrics, observability)
-    /// *and* the shared code cache. Meant for exclusively owned engines
-    /// — a serve session never resets; the server's warm cache outlives
-    /// every session.
-    pub fn reset(&mut self) {
-        self.shared.cache().clear();
-        self.table = SessionTable::default();
-        self.metrics = Metrics::default();
-        self.obs = RunObs::default();
-        self.obs.cache = ShardCounters::with_shards(self.shared.cache().shard_count());
-        self.obs.pool = PoolCounters::with_workers(self.cfg.jobs);
-        self.resilience = Resilience::default();
     }
 
     /// Adopts a shared translation into this session at first
@@ -897,6 +893,15 @@ impl Engine {
         id
     }
 
+    /// Books a translation this session just paid for.
+    pub(crate) fn record_translate_ns(&mut self, ns: Option<u64>) {
+        if pdbt_obs::ENABLED {
+            if let Some(ns) = ns {
+                self.obs.translate_ns.record(ns);
+            }
+        }
+    }
+
     /// Resolves the plain block at `pc` for this session: session block
     /// table, then the shared cache, then the translator. The shard
     /// hit/miss counters record *session-local* sights (hit = seen
@@ -919,24 +924,10 @@ impl Engine {
             return Ok(id);
         }
         self.obs.cache.record_miss(shard);
-        let translation = match self.shared.cache().get(pc) {
-            Some(t) => t,
-            None => {
-                let t0 = pdbt_obs::now_ns();
-                let block = translate_block(prog, pc, self.shared.rules(), &self.cfg.translate)?;
-                if pdbt_obs::ENABLED {
-                    self.obs
-                        .translate_ns
-                        .record(pdbt_obs::now_ns().saturating_sub(t0));
-                }
-                self.shared.server().translate_calls.inc();
-                let (t, new) = self.shared.cache().insert(pc, block);
-                if new {
-                    self.shared.server().inserted.inc();
-                }
-                t
-            }
-        };
+        let (translation, ns) = self
+            .shared
+            .fetch_or_translate(prog, pc, &self.cfg.translate)?;
+        self.record_translate_ns(ns);
         // One probe per distinct pc per session, counted only for
         // successful resolutions — so the server counters stay
         // schedule-independent (see `ServerCounters`).
@@ -1111,11 +1102,7 @@ impl Engine {
                 let t0 = pdbt_obs::now_ns();
                 let translated =
                     translate_trace(prog, &members, self.shared.rules(), &self.cfg.translate);
-                if pdbt_obs::ENABLED {
-                    self.obs
-                        .translate_ns
-                        .record(pdbt_obs::now_ns().saturating_sub(t0));
-                }
+                self.record_translate_ns(Some(pdbt_obs::now_ns().saturating_sub(t0)));
                 let Ok(tb) = translated else {
                     return;
                 };
@@ -1220,35 +1207,15 @@ impl Engine {
             .collect();
         let shared = Arc::clone(&self.shared);
         let tcfg = self.cfg.translate;
-        let (resolved, util) = pool.map_util(&todo, |pc| {
-            if let Some(t) = shared.cache().get(*pc) {
-                return (Some(t), None);
-            }
-            let t0 = pdbt_obs::now_ns();
-            match translate_block(prog, *pc, shared.rules(), &tcfg) {
-                Ok(block) => {
-                    let ns = pdbt_obs::now_ns().saturating_sub(t0);
-                    shared.server().translate_calls.inc();
-                    let (t, new) = shared.cache().insert(*pc, block);
-                    if new {
-                        shared.server().inserted.inc();
-                    }
-                    (Some(t), Some(ns))
-                }
-                Err(_) => (None, None),
-            }
-        });
+        let (resolved, util) =
+            pool.map_util(&todo, |pc| shared.fetch_or_translate(prog, *pc, &tcfg).ok());
         self.obs.pool.record(&util);
         let mut cached = 0usize;
-        for (pc, (translation, ns)) in todo.into_iter().zip(resolved) {
-            let Some(translation) = translation else {
+        for (pc, resolved) in todo.into_iter().zip(resolved) {
+            let Some((translation, ns)) = resolved else {
                 continue;
             };
-            if pdbt_obs::ENABLED {
-                if let Some(ns) = ns {
-                    self.obs.translate_ns.record(ns);
-                }
-            }
+            self.record_translate_ns(ns);
             self.shared.server().probes.inc();
             self.adopt(pc, translation);
             cached += 1;
@@ -1378,17 +1345,7 @@ impl Engine {
                     // A plain block retires wholesale.
                     seg_guest += u64::from(block.guest_len);
                     seg_rule += u64::from(block.rule_covered);
-                    // Dynamic coverage attribution: static per-block
-                    // shares weighted by this execution.
-                    for (id, covered) in &cached.attr_ids {
-                        self.obs.rules.covered(*id, u64::from(*covered));
-                    }
-                    if let Some(d) = block.deleg {
-                        self.obs.deleg_depth.record(match d {
-                            DelegOutcome::Delegated(depth) => u64::from(depth),
-                            DelegOutcome::EnvFallback => Histogram::FALLBACK,
-                        });
-                    }
+                    retire(&mut self.obs, &cached.attr_ids, block.deleg);
                 } else {
                     // A superblock retires the member prefix that
                     // actually ran: a member retired iff its anchor —
@@ -1403,15 +1360,8 @@ impl Engine {
                         }
                         seg_guest += u64::from(m.guest_len);
                         seg_rule += u64::from(m.rule_covered);
-                        for (id, covered) in &cached.attr_ids[m.attr_range.0..m.attr_range.1] {
-                            self.obs.rules.covered(*id, u64::from(*covered));
-                        }
-                        if let Some(d) = m.deleg {
-                            self.obs.deleg_depth.record(match d {
-                                DelegOutcome::Delegated(depth) => u64::from(depth),
-                                DelegOutcome::EnvFallback => Histogram::FALLBACK,
-                            });
-                        }
+                        let attrs = &cached.attr_ids[m.attr_range.0..m.attr_range.1];
+                        retire(&mut self.obs, attrs, m.deleg);
                     }
                 }
                 if plain && self.cfg.traces && self.table.heat(cur, self.cfg.trace_threshold) {
@@ -1868,21 +1818,6 @@ mod engine_edge_tests {
             0x1000,
             vec![g::mov(Reg::R0, O::Imm(1)), g::svc(1), g::svc(0)],
         )
-    }
-
-    #[test]
-    fn reset_clears_cache_and_metrics() {
-        let prog = tiny_program();
-        let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
-        let mut engine = Engine::new(None, EngineConfig::default());
-        engine.run(&prog, &setup).unwrap();
-        assert!(engine.metrics().blocks_translated > 0);
-        engine.reset();
-        assert_eq!(engine.metrics().blocks_translated, 0);
-        assert_eq!(engine.metrics().guest_retired, 0);
-        // And it still runs after a reset.
-        let r = engine.run(&prog, &setup).unwrap();
-        assert_eq!(r.output, vec![1]);
     }
 
     #[test]

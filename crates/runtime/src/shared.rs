@@ -22,9 +22,10 @@
 //! fingerprint) or a session would execute another image's code.
 
 use crate::cache::ShardedCache;
-use crate::translate::TranslatedBlock;
+use crate::translate::{translate_block, TranslateConfig, TranslateError, TranslatedBlock};
 use pdbt_core::RuleSet;
 use pdbt_isa::Addr;
+use pdbt_isa_arm::Program;
 use pdbt_obs::{ArtifactCounters, ServerCounters, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -137,6 +138,33 @@ impl SharedTranslationState {
     #[must_use]
     pub fn cache(&self) -> &ShardedCache {
         &self.cache
+    }
+
+    /// The translation of the block at `pc`: the cached one, or one
+    /// made now and published through the deduplicating insert. Also
+    /// the nanoseconds the translator took, when this call ran it.
+    ///
+    /// # Errors
+    ///
+    /// What [`translate_block`] refuses; nothing is cached then.
+    pub fn fetch_or_translate(
+        &self,
+        prog: &Program,
+        pc: Addr,
+        cfg: &TranslateConfig,
+    ) -> Result<(Arc<TranslatedBlock>, Option<u64>), TranslateError> {
+        if let Some(t) = self.cache.get(pc) {
+            return Ok((t, None));
+        }
+        let t0 = pdbt_obs::now_ns();
+        let block = translate_block(prog, pc, self.rules(), cfg)?;
+        let ns = pdbt_obs::now_ns().saturating_sub(t0);
+        self.server.translate_calls.inc();
+        let (t, new) = self.cache.insert(pc, block);
+        if new {
+            self.server.inserted.inc();
+        }
+        Ok((t, Some(ns)))
     }
 
     /// The server-lifetime counters.
