@@ -690,6 +690,17 @@ struct Slot {
     trace_attempted: bool,
 }
 
+impl Slot {
+    /// Whether the block has `pc` as a direct-branch successor.
+    fn targets(&self, pc: Addr) -> bool {
+        match self.cached.block.succ {
+            BlockSuccs::One(t) => t == pc,
+            BlockSuccs::Two { taken, fall } => taken == pc || fall == pc,
+            BlockSuccs::None => false,
+        }
+    }
+}
+
 /// The session block table: every block this session adopted or formed,
 /// and every way the dispatcher finds one. All single-threaded — only
 /// the dispatcher touches it.
@@ -1174,12 +1185,7 @@ impl Engine {
         // through the dispatcher and its fault check.
         for &id in table.by_pc.values() {
             let slot = &mut table.slots[id.0 as usize];
-            let targets_pc = match slot.cached.block.succ {
-                BlockSuccs::One(t) => t == pc,
-                BlockSuccs::Two { taken, fall } => taken == pc || fall == pc,
-                BlockSuccs::None => false,
-            };
-            if targets_pc {
+            if slot.targets(pc) {
                 slot.links = [None; 2];
             }
         }
@@ -1480,7 +1486,7 @@ impl Engine {
     /// transparently.
     ///
     /// Returns the next guest pc, or `None` when the guest halted.
-    fn interpret_block(
+    pub(crate) fn interpret_block(
         &mut self,
         prog: &Program,
         pc: Addr,
@@ -2114,7 +2120,6 @@ mod engine_edge_tests {
 
 #[cfg(test)]
 mod session_tests {
-    use super::tests::setup;
     use super::*;
     use pdbt_isa_arm::builders as g;
     use pdbt_isa_arm::{Operand as O, Program, Reg};
@@ -2155,8 +2160,9 @@ mod session_tests {
             Some(shared) => Engine::with_shared(shared, cfg),
             None => Engine::new(None, cfg),
         };
+        let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
         for _ in 0..2 {
-            let report = engine.run(&two_loop_program(), &setup()).unwrap();
+            let report = engine.run(&two_loop_program(), &setup).unwrap();
             assert_eq!(report.outcome, Outcome::Completed);
         }
         assert!(engine.table.traces().count() >= 2, "both loops promoted");
@@ -2170,15 +2176,6 @@ mod session_tests {
     /// Every chain link of every slot, as stored.
     fn all_links(engine: &Engine) -> Vec<[Option<(BlockId, u32)>; 2]> {
         engine.table.slots.iter().map(|s| s.links).collect()
-    }
-
-    /// Whether the block in `slot` has `pc` as a static successor.
-    fn targets(slot: &Slot, pc: Addr) -> bool {
-        match slot.cached.block.succ {
-            BlockSuccs::One(t) => t == pc,
-            BlockSuccs::Two { taken, fall } => taken == pc || fall == pc,
-            BlockSuccs::None => false,
-        }
     }
 
     /// Poisoning a pc drops exactly the superblocks containing it and
@@ -2215,7 +2212,7 @@ mod session_tests {
                 Some((t, epoch))
                     if epoch == table.epoch
                         && doomed.contains(&t)
-                        && !targets(table.slot(id), pc) =>
+                        && !table.slot(id).targets(pc) =>
                 {
                     Some((id, edge, start_of(&engine, t)))
                 }
@@ -2224,7 +2221,7 @@ mod session_tests {
             .expect("a current link into a doomed superblock headed elsewhere");
         let mut links_after = all_links(&engine);
         for &id in table.by_pc.values() {
-            if targets(table.slot(id), pc) {
+            if table.slot(id).targets(pc) {
                 links_after[id.0 as usize] = [None; 2];
             }
         }
