@@ -33,6 +33,9 @@
 mod backend;
 mod cache;
 mod engine;
+mod fallback;
+mod report;
+mod session;
 mod shared;
 mod translate;
 
@@ -40,10 +43,8 @@ pub use backend::{
     backend_for, BackendKind, BackendObs, HostBackend, ModelBackend, ThreadedBackend,
 };
 pub use cache::{CachedBlock, ShardedCache};
-pub use engine::{
-    Engine, EngineConfig, EngineError, Metrics, Outcome, Report, Resilience, RunObs, RunSetup,
-    ENV_BASE,
-};
+pub use engine::{Engine, EngineConfig, EngineError, RunSetup, ENV_BASE};
+pub use report::{Metrics, Outcome, Report, Resilience, RunObs};
 pub use shared::SharedTranslationState;
 pub use translate::{
     collect_block, translate_block, translate_trace, BlockSuccs, CodeClass, DelegOutcome,

@@ -1611,7 +1611,7 @@ mod tests {
         )
     }
 
-    fn run_config(rules: Option<RuleSet>, delegation: bool) -> crate::engine::Report {
+    fn run_config(rules: Option<RuleSet>, delegation: bool) -> crate::Report {
         let mut cfg = EngineConfig::default();
         cfg.translate.flag_delegation = delegation;
         let mut engine = Engine::new(rules, cfg);
