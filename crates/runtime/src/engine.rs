@@ -14,7 +14,7 @@ use crate::cache::ShardedCache;
 use crate::report::{Metrics, Outcome, Report, Resilience, RunObs};
 use crate::session::SessionTable;
 use crate::shared::SharedTranslationState;
-use crate::translate::{collect_block, DelegOutcome, TranslateConfig, TranslateError};
+use crate::translate::{collect_block, DelegOutcome, TranslateConfig};
 use pdbt_core::RuleSet;
 use pdbt_ir::env;
 use pdbt_isa::{Addr, Cond, ExecError};
@@ -120,34 +120,23 @@ impl RunSetup {
     }
 }
 
-/// A runtime failure.
+/// Why a run could not start: translation failures degrade to the
+/// interpreter and a spent budget is an [`Outcome`], so only a fault
+/// while seeding guest memory or registers is an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// Translation failed.
-    Translate(TranslateError),
     /// Host execution failed.
     Exec(ExecError),
-    /// The guest instruction budget was exhausted.
-    Budget,
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::Translate(e) => write!(f, "{e}"),
-            EngineError::Exec(e) => write!(f, "execution error: {e}"),
-            EngineError::Budget => f.write_str("guest instruction budget exhausted"),
-        }
+        let EngineError::Exec(e) = self;
+        write!(f, "execution error: {e}")
     }
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<TranslateError> for EngineError {
-    fn from(e: TranslateError) -> EngineError {
-        EngineError::Translate(e)
-    }
-}
 
 impl From<ExecError> for EngineError {
     fn from(e: ExecError) -> EngineError {
@@ -426,28 +415,22 @@ impl Engine {
                     break Outcome::Deadline;
                 }
             }
-            let mut cur =
-                match self.resolve_entry(prog, pc, self.metrics.guest_retired, setup.max_guest) {
-                    Ok(cached) => cached,
-                    Err(EngineError::Translate(_)) => {
-                        // Degraded mode: interpret this one block and keep
-                        // translating from the next one. The block is
-                        // poisoned for chaining first, so no chain or
-                        // trace can re-enter it behind the dispatcher's
-                        // back.
-                        self.invalidate_for(pc);
-                        match self.interpret_block(prog, pc, &mut host) {
-                            Ok(Some(next)) => {
-                                pc = next;
-                                continue;
-                            }
-                            Ok(None) => break Outcome::Completed,
-                            Err(e) => break Outcome::Exec(e),
-                        }
+            let entry = self.resolve_entry(prog, pc, self.metrics.guest_retired, setup.max_guest);
+            let Ok(mut cur) = entry else {
+                // Degraded mode: interpret this one block and keep
+                // translating from the next one. The block is poisoned
+                // for chaining first, so no chain or trace can re-enter
+                // it behind the dispatcher's back.
+                self.invalidate_for(pc);
+                match self.interpret_block(prog, pc, &mut host) {
+                    Ok(Some(next)) => {
+                        pc = next;
+                        continue;
                     }
-                    Err(EngineError::Exec(e)) => break Outcome::Exec(e),
-                    Err(EngineError::Budget) => break Outcome::Budget,
-                };
+                    Ok(None) => break Outcome::Completed,
+                    Err(e) => break Outcome::Exec(e),
+                }
+            };
             // Chain segment: execute the resolved block, then follow
             // chain links inline for as long as they resolve. The
             // per-block scalar folds batch into locals and land in the
@@ -666,17 +649,6 @@ mod tests {
         assert!(report.metrics.host_by_class[CodeClass::QemuCore.index()] > 0);
     }
 
-    #[test]
-    fn budget_is_enforced() {
-        let prog = Program::new(0, vec![g::b(Cond::Al, 0)]);
-        let mut engine = Engine::new(None, EngineConfig::default());
-        let mut s = setup();
-        s.max_guest = 100;
-        let report = engine.run(&prog, &s).expect("partial report");
-        assert_eq!(report.outcome, Outcome::Budget);
-        assert!(report.metrics.guest_retired >= 100);
-    }
-
     /// The interpreter fallback must be architecturally transparent:
     /// driving a program block-by-block through `interpret_block` has
     /// to produce the same observable output as the translated run,
@@ -729,6 +701,7 @@ mod tests {
         s.max_guest = 100;
         let report = engine.run(&prog, &s).expect("partial report");
         assert_eq!(report.outcome, Outcome::Budget);
+        assert!(report.metrics.guest_retired >= 100, "the budget was spent");
         assert!(report.metrics.host_retired > 0, "host work retained");
         assert!(report.metrics.blocks_executed > 0);
         assert!(

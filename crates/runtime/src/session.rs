@@ -8,7 +8,7 @@
 //! [`BlockId`] and executes what [`SessionTable::cached`] returns.
 
 use crate::cache::CachedBlock;
-use crate::engine::{Engine, EngineError};
+use crate::engine::Engine;
 use crate::translate::{translate_trace, BlockSuccs, TranslateError, TranslatedBlock};
 use pdbt_isa::Addr;
 use pdbt_isa_arm::Program;
@@ -192,15 +192,15 @@ impl Engine {
     /// before in this session), so they are identical for a cold and a
     /// warm shared cache; the cross-session sharing shows up only in
     /// the server-lifetime counters.
-    fn block(&mut self, prog: &Program, pc: Addr) -> Result<BlockId, EngineError> {
+    fn block(&mut self, prog: &Program, pc: Addr) -> Result<BlockId, TranslateError> {
         // Fault site `cache`: keyed by pc so the same blocks fail on
         // every run with the same plan, cached or not. `run` degrades a
         // translation failure to the interpreter, so this exercises the
         // per-block fallback path.
         if pdbt_faults::hit(pdbt_faults::Site::Cache, u64::from(pc)) {
-            return Err(EngineError::Translate(TranslateError {
+            return Err(TranslateError {
                 detail: format!("injected fault: cache/translation failed at {pc:#x}"),
-            }));
+            });
         }
         let shard = self.shared.cache().shard_of(pc);
         if let Some(&id) = self.table.by_pc.get(&pc) {
@@ -240,7 +240,7 @@ impl Engine {
         pc: Addr,
         retired: u64,
         max_guest: u64,
-    ) -> Result<BlockId, EngineError> {
+    ) -> Result<BlockId, TranslateError> {
         if self.cfg.traces {
             let head = self.table.by_pc.get(&pc);
             if let Some(t) = head.and_then(|&head| self.table.slot(head).trace) {
@@ -264,7 +264,7 @@ impl Engine {
         pc: Addr,
         retired: u64,
         max_guest: u64,
-    ) -> Result<BlockId, EngineError> {
+    ) -> Result<BlockId, TranslateError> {
         if !self.cfg.chaining {
             return self.resolve_slow(prog, pc, retired, max_guest);
         }
@@ -435,21 +435,17 @@ impl Engine {
             return;
         }
         let table = &mut self.table;
-        let dropped: Vec<(BlockId, BlockId)> = table
-            .traces()
-            .filter(|(_, t)| {
-                let marks = &table.cached(*t).block.member_marks;
-                marks.iter().any(|m| m.start == pc)
-            })
-            .collect();
-        let mut dropped_heads = Vec::with_capacity(dropped.len());
-        for (head, trace) in dropped {
-            table.slot_mut(trace).live = false;
-            table.slot_mut(head).trace = None;
-            dropped_heads.push(table.cached(head).block.start);
+        let mut scrub = vec![pc];
+        for (head, trace) in table.traces().collect::<Vec<_>>() {
+            let marks = &table.cached(trace).block.member_marks;
+            if marks.iter().any(|m| m.start == pc) {
+                table.slot_mut(trace).live = false;
+                table.slot_mut(head).trace = None;
+                scrub.push(table.cached(head).block.start);
+            }
         }
         for entry in table.jump_cache.iter_mut() {
-            if entry.is_some_and(|(key, _)| key == pc || dropped_heads.contains(&key)) {
+            if entry.is_some_and(|(key, _)| scrub.contains(&key)) {
                 *entry = None;
             }
         }
@@ -485,7 +481,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineConfig, Outcome, RunSetup, SharedTranslationState};
+    use crate::{EngineConfig, Outcome, RunSetup};
     use pdbt_isa_arm::builders as g;
     use pdbt_isa_arm::{Operand as O, Program, Reg};
 
@@ -516,15 +512,12 @@ mod tests {
     /// An engine that ran [`two_loop_program`] twice: the first run
     /// promotes both loops, the rerun (no head is tried twice, so no
     /// epoch moves) leaves every link it followed current.
-    fn two_loop_engine(shared: Option<Arc<SharedTranslationState>>) -> Engine {
+    fn two_loop_engine() -> Engine {
         let cfg = EngineConfig {
             trace_threshold: 5,
             ..EngineConfig::default()
         };
-        let mut engine = match shared {
-            Some(shared) => Engine::with_shared(shared, cfg),
-            None => Engine::new(None, cfg),
-        };
+        let mut engine = Engine::new(None, cfg);
         let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
         for _ in 0..2 {
             let report = engine.run(&two_loop_program(), &setup).unwrap();
@@ -532,10 +525,6 @@ mod tests {
         }
         assert!(engine.table.traces().count() >= 2, "both loops promoted");
         engine
-    }
-
-    fn start_of(engine: &Engine, id: BlockId) -> Addr {
-        engine.table.cached(id).block.start
     }
 
     /// Every chain link of every slot, as stored.
@@ -547,123 +536,72 @@ mod tests {
     /// clears exactly the links of the plain blocks it succeeds. A link
     /// that was resolved to a dropped superblock lands on the plain
     /// block at its next follow, for one `links_resolved` tick; every
-    /// other link keeps its target and is followed without one; the
-    /// export omits what was dropped.
+    /// other link is followed as it stands; the export omits the drop.
     #[test]
     fn poisoning_a_pc_takes_only_what_leads_to_it() {
         let prog = two_loop_program();
-        let mut engine = two_loop_engine(None);
-        let pc = 0x101c; // B1: B2 heats first and heads loop B's superblock.
-        let table = &engine.table;
-        let contains_pc = |t: BlockId| {
-            let marks = &table.cached(t).block.member_marks;
-            marks.iter().any(|m| m.start == pc)
-        };
-        let doomed: Vec<BlockId> = table
-            .traces()
-            .filter_map(|(_, t)| contains_pc(t).then_some(t))
-            .collect();
-        let kept: Vec<BlockId> = table
-            .traces()
-            .filter_map(|(_, t)| (!contains_pc(t)).then_some(t))
-            .collect();
-        assert!(!doomed.is_empty() && !kept.is_empty(), "one loop of two");
-        // A plain block holding a current link to a doomed superblock.
-        let (holder, edge, into) = table
-            .by_pc
-            .values()
-            .flat_map(|&id| [(id, 0), (id, 1)])
-            .find_map(|(id, edge)| match table.slot(id).links[edge] {
-                Some((t, epoch))
-                    if epoch == table.epoch
-                        && doomed.contains(&t)
-                        && !table.slot(id).targets(pc) =>
-                {
-                    Some((id, edge, start_of(&engine, t)))
-                }
-                _ => None,
-            })
-            .expect("a current link into a doomed superblock headed elsewhere");
-        let mut links_after = all_links(&engine);
-        for &id in table.by_pc.values() {
-            if table.slot(id).targets(pc) {
-                links_after[id.0 as usize] = [None; 2];
-            }
-        }
-        assert_ne!(links_after, all_links(&engine), "the pc has predecessors");
-        let jump_cache_before = engine.table.jump_cache.clone();
+        let mut engine = two_loop_engine();
+        // Loop B has two superblocks, [B1, B2] and [B2, B1]; plain B1
+        // chains into the second, and only plain B2 leads to B1.
+        let (b1, b2) = (engine.table.by_pc[&0x101c], engine.table.by_pc[&0x1028]);
+        let trace = engine.table.slot(b2).trace.expect("loop B promoted");
+        let epoch = engine.table.epoch;
+        assert_eq!(engine.table.slot(b1).links[0], Some((trace, epoch)));
+        let mut links = all_links(&engine);
+        let jump_cache = engine.table.jump_cache.clone();
+        let mut exported = engine.export_traces();
         let invalidations = engine.obs.dispatch.invalidations;
+        let resolved = engine.obs.dispatch.links_resolved;
 
-        engine.invalidate_for(pc);
+        engine.invalidate_for(0x101c);
+        engine.invalidate_for(0x101c); // Already poisoned: not an invalidation.
 
         assert_eq!(engine.obs.dispatch.invalidations, invalidations + 1);
-        assert!(doomed.iter().all(|t| !engine.table.slot(*t).live));
-        let still: Vec<BlockId> = engine.table.traces().map(|(_, t)| t).collect();
-        assert_eq!(
-            still, kept,
-            "only the traces containing the pc were dropped"
+        assert!(
+            engine.table.poisoned.contains(&0x101c),
+            "barred from traces"
         );
-        assert_eq!(all_links(&engine), links_after, "links of its predecessors");
-        assert!(engine.table.poisoned.contains(&pc), "barred from traces");
-        let doomed_heads: Vec<Addr> = doomed
-            .iter()
-            .map(|t| engine.table.cached(*t).block.member_marks[0].start)
-            .collect();
-        for (before, after) in jump_cache_before.iter().zip(engine.table.jump_cache.iter()) {
-            let scrubbed = before.is_some_and(|(key, _)| key == pc || doomed_heads.contains(&key));
+        assert!(!engine.table.slot(trace).live);
+        assert_eq!(engine.table.traces().count(), exported.len() - 2);
+        links[b2.0 as usize] = [None; 2];
+        assert_eq!(all_links(&engine), links, "no other link was written");
+        for (before, after) in jump_cache.iter().zip(engine.table.jump_cache.iter()) {
+            let scrubbed = matches!(before, Some((0x101c | 0x1028, _)));
             assert_eq!(*after, if scrubbed { None } else { *before });
         }
-        let exported = engine.export_traces();
-        assert_eq!(exported.len(), kept.len());
-        assert!(exported.windows(2).all(|w| w[0].start < w[1].start));
-        assert!(exported.iter().all(|t| !doomed_heads.contains(&t.start)));
+        exported.retain(|t| !matches!(t.start, 0x101c | 0x1028));
+        assert!(!exported.is_empty() && exported.windows(2).all(|w| w[0].start < w[1].start));
+        assert_eq!(engine.export_traces(), exported);
 
         // The link into the dropped superblock: one re-resolution, to
-        // the plain block, then current again.
-        let resolved = engine.obs.dispatch.links_resolved;
-        let plain = engine.table.by_pc[&into];
-        assert_eq!(
-            engine.follow_link(&prog, holder, into, 0, u64::MAX),
-            Some(plain)
-        );
-        assert_eq!(engine.obs.dispatch.links_resolved, resolved + 1);
-        assert_eq!(
-            engine.table.slot(holder).links[edge].map(|l| l.0),
-            Some(plain)
-        );
-        assert_eq!(
-            engine.follow_link(&prog, holder, into, 0, u64::MAX),
-            Some(plain)
-        );
-        assert_eq!(engine.obs.dispatch.links_resolved, resolved + 1);
-        // Every other current link: followed as it stands.
-        let epoch = engine.table.epoch;
-        let current: Vec<(BlockId, BlockId)> = (0u32..)
-            .map(BlockId)
-            .zip(&links_after)
-            .filter(|(id, _)| *id != holder && engine.table.slot(*id).live)
-            .flat_map(|(id, links)| links.iter().flatten().map(move |l| (id, *l)))
-            .filter_map(|(id, (t, e))| (e == epoch && !doomed.contains(&t)).then_some((id, t)))
-            .collect();
-        assert!(!current.is_empty(), "loop A's chains are current");
-        for (id, target) in current {
-            let next = start_of(&engine, target);
-            assert_eq!(
-                engine.follow_link(&prog, id, next, 0, u64::MAX),
-                Some(target)
-            );
+        // plain B2, then current again.
+        for _ in 0..2 {
+            let next = engine.follow_link(&prog, b1, 0x1028, 0, u64::MAX);
+            assert_eq!(next, Some(b2));
+            assert_eq!(engine.obs.dispatch.links_resolved, resolved + 1);
         }
+        // Every other current link: followed as it stands.
+        let mut followed = 0;
+        for (id, links) in (0u32..).map(BlockId).zip(links) {
+            for (target, stamped) in links.into_iter().flatten() {
+                if stamped == epoch && engine.table.slot(target).live && engine.table.slot(id).live
+                {
+                    let next = engine.table.cached(target).block.start;
+                    let got = engine.follow_link(&prog, id, next, 0, u64::MAX);
+                    assert_eq!(got, Some(target));
+                    followed += 1;
+                }
+            }
+        }
+        assert!(followed > 0, "loop A's chains are current");
         assert_eq!(engine.obs.dispatch.links_resolved, resolved + 1);
-        // Poisoning is idempotent: a second call is not an invalidation.
-        engine.invalidate_for(pc);
-        assert_eq!(engine.obs.dispatch.invalidations, invalidations + 1);
     }
 
     /// An epoch bump empties the jump cache and stales every link by
     /// moving the epoch alone: no slot is written.
     #[test]
     fn an_epoch_bump_stales_every_link_without_touching_one() {
-        let mut engine = two_loop_engine(None);
+        let mut engine = two_loop_engine();
         let links_before = all_links(&engine);
         assert!(links_before.iter().flatten().flatten().count() > 0);
         assert!(engine.table.jump_cache.iter().any(Option::is_some));
@@ -676,21 +614,6 @@ mod tests {
             .flatten()
             .flatten()
             .all(|(_, stamped)| *stamped != epoch));
-    }
-
-    /// Two sessions over one shared state: invalidating in one session
-    /// leaves the other's superblocks untouched (the table is
-    /// session-private by construction).
-    #[test]
-    fn invalidation_in_one_session_spares_the_other() {
-        let shared = Arc::new(SharedTranslationState::new(None, 8));
-        let mut a = two_loop_engine(Some(shared.clone()));
-        let b = two_loop_engine(Some(shared));
-        let b_traces = b.table.traces().count();
-        a.invalidate_for(0x1004);
-        assert!(a.table.traces().count() < b_traces);
-        assert_eq!(b.table.traces().count(), b_traces);
-        assert!(b.table.poisoned.is_empty());
     }
 
     /// A session moves to the thread that runs it, and a chain link is
