@@ -39,6 +39,7 @@ use pdbt_isa_x86::{
 };
 use pdbt_obs::{DispatchCounters, ServerCounters};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Which host backend a session executes blocks with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,6 +70,29 @@ impl BackendKind {
             "threaded" => Some(BackendKind::Threaded),
             _ => None,
         }
+    }
+
+    /// The process default, read once: `PDBT_BACKEND` when set (how CI
+    /// runs the whole suite under the model oracle without plumbing a
+    /// flag through every test), else threaded.
+    ///
+    /// # Errors
+    ///
+    /// A value that names neither backend. Falling back would run the
+    /// wrong executor silently: `PDBT_BACKEND=modle cargo test` would be
+    /// a green `backend-matrix` leg that tested threaded twice.
+    pub fn from_env() -> Result<BackendKind, String> {
+        static FROM_ENV: OnceLock<Result<BackendKind, String>> = OnceLock::new();
+        let parse = || {
+            let Some(value) = std::env::var_os("PDBT_BACKEND") else {
+                return Ok(BackendKind::default());
+            };
+            value
+                .to_str()
+                .and_then(BackendKind::parse)
+                .ok_or_else(|| format!("bad PDBT_BACKEND: {value:?} (expected model or threaded)"))
+        };
+        FROM_ENV.get_or_init(parse).clone()
     }
 }
 

@@ -73,13 +73,9 @@ impl Default for EngineConfig {
             traces: true,
             trace_threshold: 50,
             record_telemetry: true,
-            // `PDBT_BACKEND` overrides the default so CI can run the
-            // whole suite under the model oracle without plumbing a
-            // flag through every test.
-            backend: std::env::var("PDBT_BACKEND")
-                .ok()
-                .and_then(|s| BackendKind::parse(&s))
-                .unwrap_or_default(),
+            // An unrecognised `PDBT_BACKEND` is refused, not defaulted;
+            // `pdbt` checks it first and exits 2 with the same text.
+            backend: BackendKind::from_env().unwrap_or_else(|e| panic!("{e}")),
         }
     }
 }

@@ -39,7 +39,8 @@
 //! uses the hardware parallelism.
 //!
 //! `--backend model|threaded` picks the host block executor (default
-//! `threaded`, overridable via the `PDBT_BACKEND` env var): `threaded`
+//! `threaded`, or what the `PDBT_BACKEND` env var names — any other
+//! value exits 2, as a misspelt flag does): `threaded`
 //! compiles each block once into direct-threaded code; `model` is the
 //! original re-interpreting oracle. Stripped reports are bit-identical
 //! between the two (see `tests/backend.rs`).
@@ -928,7 +929,8 @@ fn main() -> ExitCode {
     else {
         return usage();
     };
-    match Args::parse(usage, &raw[1..])
+    match BackendKind::from_env()
+        .and_then(|_| Args::parse(usage, &raw[1..]))
         .map_err(Fail::Usage)
         .and_then(|args| run(&args))
     {

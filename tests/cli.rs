@@ -44,6 +44,18 @@ fn mistakes_exit_2_naming_the_token_and_the_usage_line() {
         assert!(!std::path::Path::new(out).exists(), "{args:?} wrote {out}");
     }
 
+    // A misspelt `PDBT_BACKEND` is refused, not run on the default.
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_pdbt"))
+        .args(["run", prog])
+        .env("PDBT_BACKEND", "modle")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    for token in ["\"modle\"", "model or threaded", "usage: pdbt run "] {
+        assert!(stderr.contains(token), "{stderr}");
+    }
+
     // The same program runs once the line is right.
     let run = pdbt(&["run", prog, "--stats"]);
     assert_eq!(run.status.code(), Some(0));
