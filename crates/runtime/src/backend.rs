@@ -73,14 +73,12 @@ impl BackendKind {
     }
 
     /// The process default, read once: `PDBT_BACKEND` when set (how CI
-    /// runs the whole suite under the model oracle without plumbing a
-    /// flag through every test), else threaded.
+    /// runs the whole suite under the model oracle), else threaded.
     ///
     /// # Errors
     ///
-    /// A value that names neither backend. Falling back would run the
-    /// wrong executor silently: `PDBT_BACKEND=modle cargo test` would be
-    /// a green `backend-matrix` leg that tested threaded twice.
+    /// A value that names neither backend: falling back would make
+    /// `PDBT_BACKEND=modle cargo test` a green run of the wrong executor.
     pub fn from_env() -> Result<BackendKind, String> {
         static FROM_ENV: OnceLock<Result<BackendKind, String>> = OnceLock::new();
         let parse = || {
@@ -257,7 +255,7 @@ static MODEL: ModelBackend = ModelBackend;
 static THREADED: ThreadedBackend = ThreadedBackend;
 
 /// The backend singleton for a [`BackendKind`] (backends are
-/// stateless; all per-block state lives in the cache slots).
+/// stateless; a block's compiled code lives in its [`CachedBlock`]).
 #[must_use]
 pub fn backend_for(kind: BackendKind) -> &'static dyn HostBackend {
     match kind {

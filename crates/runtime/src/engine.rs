@@ -225,15 +225,14 @@ fn host_block_budget(max_guest: u64, retired: u64, guest_len: u32, code_len: usi
 /// The dynamic binary translator: one *session* over a (possibly
 /// shared) translation state.
 ///
-/// The engine no longer owns its rule set or code cache — those live in
-/// an [`SharedTranslationState`] it holds behind an `Arc`, so `pdbt
-/// serve` can run many concurrent sessions against one warm cache.
-/// Everything mutable — metrics, report counters, the jump cache, chain
-/// links, superblocks — is session-private: a session folds a shared
-/// translation's static footprint (blocks translated, host generated,
-/// attribution, lookup misses) into its own counters at first
-/// session-local sight, which keeps its report bit-identical to a cold
-/// single-engine run while the translation work is shared.
+/// Rules and the code cache live in the [`SharedTranslationState`]
+/// behind the `Arc`, so `pdbt serve` can run many concurrent sessions
+/// against one warm cache. Everything mutable — metrics, report
+/// counters, the block table — is session-private: a session folds a
+/// shared translation's static footprint (blocks translated, host
+/// generated, attribution, lookup misses) into its own counters at
+/// first session-local sight, which keeps its report bit-identical to a
+/// cold single-engine run while the translation work is shared.
 #[derive(Debug)]
 pub struct Engine {
     pub(crate) shared: Arc<SharedTranslationState>,
@@ -284,12 +283,6 @@ impl Engine {
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The accumulated observability state.
-    #[must_use]
-    pub fn obs(&self) -> &RunObs {
-        &self.obs
     }
 
     /// The (shared) code cache.
@@ -429,15 +422,11 @@ impl Engine {
             };
             // Chain segment: execute the resolved block, then follow
             // chain links inline for as long as they resolve. The
-            // per-block scalar folds batch into locals and land in the
+            // per-block scalar folds batch into a local and land in the
             // metrics once per segment, and the segment is the unit of
             // tracing: one span per dispatcher entry, no clock read
             // between chain links (unchained, a segment is one block).
-            let mut seg_guest = 0u64;
-            let mut seg_rule = 0u64;
-            let mut seg_host = 0u64;
-            let mut seg_class = [0u64; 4];
-            let mut seg_blocks = 0u64;
+            let mut seg = Metrics::default();
             let seg_span = pdbt_obs::span("exec_segment");
             let seg_outcome = loop {
                 let cached = self.table.cached(cur);
@@ -445,7 +434,7 @@ impl Engine {
                 let exec = {
                     let budget = host_block_budget(
                         setup.max_guest,
-                        self.metrics.guest_retired + seg_guest,
+                        self.metrics.guest_retired + seg.guest_retired,
                         block.guest_len,
                         block.code.len(),
                     );
@@ -462,17 +451,17 @@ impl Engine {
                     Ok(res) => res,
                     Err(e) => break Some(Outcome::Exec(e)),
                 };
-                for (sum, n) in seg_class.iter_mut().zip(tally.by_class) {
+                for (sum, n) in seg.host_by_class.iter_mut().zip(tally.by_class) {
                     *sum += n;
                 }
-                seg_blocks += 1;
-                seg_host += stats.executed;
+                seg.blocks_executed += 1;
+                seg.host_retired += stats.executed;
                 self.obs.block_host_len.record(stats.executed);
                 let plain = block.member_marks.is_empty();
                 if plain {
                     // A plain block retires wholesale.
-                    seg_guest += u64::from(block.guest_len);
-                    seg_rule += u64::from(block.rule_covered);
+                    seg.guest_retired += u64::from(block.guest_len);
+                    seg.rule_covered += u64::from(block.rule_covered);
                     retire(&mut self.obs, &cached.attr_ids, block.deleg);
                 } else {
                     // A superblock retires the member prefix that
@@ -486,8 +475,8 @@ impl Engine {
                         if !tally.anchor_ran(anchor) {
                             break;
                         }
-                        seg_guest += u64::from(m.guest_len);
-                        seg_rule += u64::from(m.rule_covered);
+                        seg.guest_retired += u64::from(m.guest_len);
+                        seg.rule_covered += u64::from(m.rule_covered);
                         let attrs = &cached.attr_ids[m.attr_range.0..m.attr_range.1];
                         retire(&mut self.obs, attrs, m.deleg);
                     }
@@ -503,7 +492,7 @@ impl Engine {
                 if !self.cfg.chaining {
                     break None;
                 }
-                let retired = self.metrics.guest_retired + seg_guest;
+                let retired = self.metrics.guest_retired + seg.guest_retired;
                 if retired >= setup.max_guest {
                     break Some(Outcome::Budget);
                 }
@@ -512,7 +501,7 @@ impl Engine {
                 // so the deadline is also polled inside the segment —
                 // throttled, since `Instant::now` is not free. No
                 // deadline, no clock reads: determinism is unaffected.
-                if seg_blocks.is_multiple_of(64) {
+                if seg.blocks_executed.is_multiple_of(64) {
                     if let Some(d) = setup.deadline {
                         if Instant::now() >= d {
                             break Some(Outcome::Deadline);
@@ -525,13 +514,7 @@ impl Engine {
                 }
             };
             drop(seg_span);
-            self.metrics.guest_retired += seg_guest;
-            self.metrics.rule_covered += seg_rule;
-            self.metrics.host_retired += seg_host;
-            for (sum, n) in self.metrics.host_by_class.iter_mut().zip(seg_class) {
-                *sum += n;
-            }
-            self.metrics.blocks_executed += seg_blocks;
+            self.metrics.merge(&seg);
             if let Some(outcome) = seg_outcome {
                 break outcome;
             }
@@ -979,7 +962,7 @@ mod engine_edge_tests {
         assert_eq!(n1, n4, "worker count cannot change what is discovered");
         assert_eq!(serial.cache().len(), par.cache().len());
         assert_eq!(serial.metrics(), par.metrics());
-        assert_eq!(par.obs().pool.total(), n4 as u64);
+        assert_eq!(par.obs.pool.total(), n4 as u64);
         // Prewarm is idempotent: everything is already cached.
         assert_eq!(par.prewarm(&prog), 0);
     }

@@ -1,11 +1,9 @@
-//! The session block table and the dispatcher that reads it.
-//!
-//! Every block a session adopted or formed sits once in
-//! [`SessionTable::slots`]; the `pc` map, the jump cache, chain links
-//! and a head's superblock all name it by index. This module is the one
+//! The session block table and the dispatcher that reads it: the one
 //! place that knows how a block is found, linked, heated, promoted and
-//! invalidated; the segment loop in `engine.rs` asks it for the next
-//! [`BlockId`] and executes what [`SessionTable::cached`] returns.
+//! invalidated. Every block a session adopted or formed sits once in
+//! [`SessionTable::slots`] and is named by index everywhere else; the
+//! segment loop in `engine.rs` asks for the next [`BlockId`] and
+//! executes what [`SessionTable::cached`] returns.
 
 use crate::cache::CachedBlock;
 use crate::engine::Engine;
@@ -28,9 +26,8 @@ fn jc_slot(pc: Addr) -> usize {
     ((pc >> 2) as usize) & (JC_SIZE - 1)
 }
 
-/// A block of this session: an index into [`SessionTable::slots`].
-/// Every reference the dispatcher keeps to a block — the `pc` map, the
-/// jump cache, chain links, a head's superblock — is one of these.
+/// A block of this session, as the `pc` map, the jump cache, chain
+/// links and a head's superblock name it: an index into the slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockId(u32);
 
@@ -72,8 +69,7 @@ impl Slot {
 }
 
 /// The session block table: every block this session adopted or formed,
-/// and every way the dispatcher finds one. All single-threaded — only
-/// the dispatcher touches it.
+/// and every way the dispatcher finds one.
 #[derive(Debug)]
 pub(crate) struct SessionTable {
     /// Plain blocks and superblocks, in adoption order; never shrinks,
@@ -219,14 +215,14 @@ impl Engine {
         Ok(self.adopt(pc, translation))
     }
 
-    /// Whether executing `b` in full keeps the run within the guest
+    /// Whether executing `id` in full keeps the run within the guest
     /// budget. Plain blocks always qualify — the dispatcher's per-block
     /// budget check already ran, and a partial final block is fine
     /// (matches the unchained engine). Superblocks retire in member
-    /// granularity, so they only run when the *whole* trace fits: that
-    /// implies every intermediate per-member budget check of the
-    /// unchained engine would have passed, keeping `guest_retired`
-    /// identical. Otherwise the dispatcher falls back to plain blocks.
+    /// granularity, so they only run when the *whole* trace fits: every
+    /// per-member budget check of the unchained engine would then have
+    /// passed, keeping `guest_retired` identical. Otherwise the
+    /// dispatcher falls back to plain blocks.
     fn budget_ok(&self, id: BlockId, retired: u64, max_guest: u64) -> bool {
         let b = &self.table.cached(id).block;
         b.member_marks.is_empty() || retired + u64::from(b.guest_len) <= max_guest
@@ -347,13 +343,8 @@ impl Engine {
             let slot = self.table.slot(cur);
             let next = match slot.cached.block.succ {
                 BlockSuccs::One(t) => t,
-                BlockSuccs::Two { taken, fall } => {
-                    if slot.edge[0] >= slot.edge[1] {
-                        taken
-                    } else {
-                        fall
-                    }
-                }
+                BlockSuccs::Two { taken, .. } if slot.edge[0] >= slot.edge[1] => taken,
+                BlockSuccs::Two { fall, .. } => fall,
                 BlockSuccs::None => break,
             };
             // Loop closure: stop extending when the trace would revisit
@@ -424,12 +415,11 @@ impl Engine {
     /// interpreter: drop only the superblocks actually containing it,
     /// scrub only the jump-cache slots holding it (or a dropped trace),
     /// clear only the chain links of plain blocks with `pc` as a
-    /// successor, and bar it from future traces. Unrelated chains,
-    /// traces and jump-cache entries survive — a poisoned pc in one
-    /// corner of the program (or one session of a shared server) must
-    /// not cold-start everything else. Links *into* a dropped trace
-    /// need no epoch bump: its slot is no longer `live`, so the next
-    /// follow re-resolves through the dispatcher.
+    /// successor, and bar it from future traces. Everything else
+    /// survives — a poisoned pc in one corner of the program must not
+    /// cold-start the rest. Links *into* a dropped trace need no epoch
+    /// bump: its slot is no longer `live`, so the next follow
+    /// re-resolves through the dispatcher.
     pub(crate) fn invalidate_for(&mut self, pc: Addr) {
         if !(self.cfg.chaining || self.cfg.traces) || !self.table.poisoned.insert(pc) {
             return;
@@ -602,18 +592,14 @@ mod tests {
     #[test]
     fn an_epoch_bump_stales_every_link_without_touching_one() {
         let mut engine = two_loop_engine();
-        let links_before = all_links(&engine);
-        assert!(links_before.iter().flatten().flatten().count() > 0);
+        let links = all_links(&engine);
+        assert!(links.iter().flatten().any(Option::is_some));
         assert!(engine.table.jump_cache.iter().any(Option::is_some));
         engine.bump_epoch();
         assert!(engine.table.jump_cache.iter().all(Option::is_none));
-        assert_eq!(all_links(&engine), links_before);
+        assert_eq!(all_links(&engine), links);
         let epoch = engine.table.epoch;
-        assert!(links_before
-            .iter()
-            .flatten()
-            .flatten()
-            .all(|(_, stamped)| *stamped != epoch));
+        assert!(links.iter().flatten().flatten().all(|l| l.1 != epoch));
     }
 
     /// A session moves to the thread that runs it, and a chain link is
