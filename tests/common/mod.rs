@@ -3,12 +3,14 @@
 //! `--report-json` document, `serve.rs` the PING/STATS payloads — a
 //! document's *schema* is the sorted set of its field paths in
 //! `rules[].label` style, structure only, no values), the three
-//! re-degraded training corpora of the determinism suites, and the
-//! loopback-daemon helpers of the serving suites.
+//! re-degraded training corpora of the determinism suites, the
+//! loopback-daemon helpers of the serving suites, and the seeded
+//! guest-program samplers of the differential and dispatch suites.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
 
+use pdbt::arm::{builders as g, Inst, MemAddr, Operand, Program, Reg, ShiftKind};
 use pdbt::compiler::{degrade, DegradeProfile};
 use pdbt::core::RuleSet;
 use pdbt::obs::json::Json;
@@ -16,7 +18,7 @@ use pdbt::runtime::{Engine, EngineConfig, Report};
 use pdbt::workloads::{build, learn_suite, suite, Benchmark, Scale};
 use pdbt_serve::{ServeConfig, ServeSummary, Server};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::process::{Command, Output};
@@ -146,4 +148,134 @@ pub fn assert_golden(got: &str, name: &str) {
         got, want,
         "{name} changed; review and refresh with UPDATE_GOLDEN=1"
     );
+}
+
+/// Base of the data region the generated programs address through `r1`.
+pub const DATA_BASE: u32 = 0x10_0000;
+
+/// Registers the generated body may use (r1 holds the data base).
+pub fn body_reg(rng: &mut StdRng) -> Reg {
+    Reg::from_index(rng.gen_range(4..12)).unwrap()
+}
+
+pub fn op2(rng: &mut StdRng) -> Operand {
+    match rng.gen_range(0..3) {
+        0 => Operand::Reg(body_reg(rng)),
+        1 => Operand::Imm(rng.gen_range(0u32..2048)),
+        _ => Operand::Shifted {
+            rm: body_reg(rng),
+            kind: ShiftKind::ALL[rng.gen_range(0..4)],
+            amount: rng.gen_range(1u8..32),
+        },
+    }
+}
+
+/// One safe straight-line instruction.
+pub fn body_inst(rng: &mut StdRng) -> Inst {
+    match rng.gen_range(0..14) {
+        0 => {
+            // Three-operand data processing (with optional S).
+            type B = fn(Reg, Reg, Operand) -> Inst;
+            const OPS: [B; 14] = [
+                g::add,
+                g::sub,
+                g::and,
+                g::orr,
+                g::eor,
+                g::bic,
+                g::rsb,
+                g::adc,
+                g::sbc,
+                g::rsc,
+                g::lsl,
+                g::lsr,
+                g::asr,
+                g::ror,
+            ];
+            let opi = rng.gen_range(0..14);
+            let inst = OPS[opi](body_reg(rng), body_reg(rng), op2(rng));
+            // Variable-amount flag-setting shifts and flag-setting
+            // carry-chain ops (adcs/sbcs/rscs) are outside the
+            // supported subset (the compiler never emits them).
+            if rng.gen_bool(0.5) && opi < 7 {
+                inst.with_s()
+            } else {
+                inst
+            }
+        }
+        1 => {
+            // Moves.
+            let i = g::mov(body_reg(rng), op2(rng));
+            if rng.gen_bool(0.5) {
+                i.with_s()
+            } else {
+                i
+            }
+        }
+        2 => g::mvn(body_reg(rng), op2(rng)),
+        // Compares.
+        3 => g::cmp(body_reg(rng), op2(rng)),
+        4 => g::tst(body_reg(rng), op2(rng)),
+        5 => g::cmn(body_reg(rng), op2(rng)),
+        6 => g::teq(body_reg(rng), op2(rng)),
+        // Multiplies and specials (the unlearnables must also run
+        // correctly through the QEMU path).
+        7 => g::mul(body_reg(rng), body_reg(rng), body_reg(rng)),
+        8 => g::mla(body_reg(rng), body_reg(rng), body_reg(rng), body_reg(rng)),
+        9 => g::clz(body_reg(rng), body_reg(rng)),
+        // Memory within the data region: [r1 + small offset].
+        10 => g::ldr(
+            body_reg(rng),
+            MemAddr::BaseImm {
+                base: Reg::R1,
+                offset: rng.gen_range(0i32..0x3f0) & !3,
+            },
+        ),
+        11 => g::str_(
+            body_reg(rng),
+            MemAddr::BaseImm {
+                base: Reg::R1,
+                offset: rng.gen_range(0i32..0x3f0) & !3,
+            },
+        ),
+        12 => g::ldrb(
+            body_reg(rng),
+            MemAddr::BaseImm {
+                base: Reg::R1,
+                offset: rng.gen_range(0i32..0x3f0),
+            },
+        ),
+        _ => g::strh(
+            body_reg(rng),
+            MemAddr::BaseImm {
+                base: Reg::R1,
+                offset: rng.gen_range(0i32..0x3f0) & !1,
+            },
+        ),
+    }
+}
+
+/// A looped program: the body runs `iters` times under a counter in
+/// `r2` (reserved; bodies only touch `r4..r11`), exercising the code
+/// cache, block chaining, delegated loop branches and repeated flag
+/// materialization.
+pub fn loop_program(body: Vec<Inst>, seeds: Vec<u32>, iters: u32) -> Program {
+    let mut insts = vec![
+        g::mov(Reg::R1, Operand::Imm(DATA_BASE >> 12)),
+        g::lsl(Reg::R1, Reg::R1, Operand::Imm(12)),
+        g::mov(Reg::R2, Operand::Imm(iters)),
+    ];
+    for (i, v) in seeds.iter().enumerate() {
+        insts.push(g::mov(Reg::from_index(4 + i).unwrap(), Operand::Imm(*v)));
+    }
+    let body_len = body.len() as i32;
+    insts.extend(body);
+    insts.push(g::sub(Reg::R2, Reg::R2, Operand::Imm(1)).with_s());
+    insts.push(g::b(pdbt_isa::Cond::Ne, -4 * (body_len + 1)));
+    for i in 4..12 {
+        insts.push(g::mov(Reg::R0, Operand::Reg(Reg::from_index(i).unwrap())));
+        insts.push(g::svc(1));
+    }
+    insts.push(g::svc(0));
+    Program::new(0x1000, insts)
 }

@@ -10,7 +10,8 @@
 //! no crates.io access, so the strategies are hand-rolled samplers over
 //! the deterministic in-tree PRNG (`pdbt-rng`, aliased as `rand`).
 
-use pdbt::arm::{builders as g, Inst, MemAddr, Operand, Program, Reg, ShiftKind};
+use common::{body_inst, body_reg, loop_program, op2, DATA_BASE};
+use pdbt::arm::{builders as g, Inst, Operand, Program, Reg};
 use pdbt::core::derive::{derive, DeriveConfig};
 use pdbt::core::RuleSet;
 use pdbt::runtime::{Engine, EngineConfig, RunSetup};
@@ -20,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
-const DATA_BASE: u32 = 0x10_0000;
+mod common;
 
 /// Honour FUZZ_CASES when set; default to a CI-friendly 48.
 fn cases() -> usize {
@@ -39,108 +40,6 @@ fn rules() -> &'static RuleSet {
         let (full, _) = derive(&learned, DeriveConfig::full(), CheckOptions::default());
         full
     })
-}
-
-/// Registers the generated body may use (r1 holds the data base).
-fn body_reg(rng: &mut StdRng) -> Reg {
-    Reg::from_index(rng.gen_range(4..12)).unwrap()
-}
-
-fn op2(rng: &mut StdRng) -> Operand {
-    match rng.gen_range(0..3) {
-        0 => Operand::Reg(body_reg(rng)),
-        1 => Operand::Imm(rng.gen_range(0u32..2048)),
-        _ => Operand::Shifted {
-            rm: body_reg(rng),
-            kind: ShiftKind::ALL[rng.gen_range(0..4)],
-            amount: rng.gen_range(1u8..32),
-        },
-    }
-}
-
-/// One safe straight-line instruction.
-fn body_inst(rng: &mut StdRng) -> Inst {
-    match rng.gen_range(0..14) {
-        0 => {
-            // Three-operand data processing (with optional S).
-            type B = fn(Reg, Reg, Operand) -> Inst;
-            const OPS: [B; 14] = [
-                g::add,
-                g::sub,
-                g::and,
-                g::orr,
-                g::eor,
-                g::bic,
-                g::rsb,
-                g::adc,
-                g::sbc,
-                g::rsc,
-                g::lsl,
-                g::lsr,
-                g::asr,
-                g::ror,
-            ];
-            let opi = rng.gen_range(0..14);
-            let inst = OPS[opi](body_reg(rng), body_reg(rng), op2(rng));
-            // Variable-amount flag-setting shifts and flag-setting
-            // carry-chain ops (adcs/sbcs/rscs) are outside the
-            // supported subset (the compiler never emits them).
-            if rng.gen_bool(0.5) && opi < 7 {
-                inst.with_s()
-            } else {
-                inst
-            }
-        }
-        1 => {
-            // Moves.
-            let i = g::mov(body_reg(rng), op2(rng));
-            if rng.gen_bool(0.5) {
-                i.with_s()
-            } else {
-                i
-            }
-        }
-        2 => g::mvn(body_reg(rng), op2(rng)),
-        // Compares.
-        3 => g::cmp(body_reg(rng), op2(rng)),
-        4 => g::tst(body_reg(rng), op2(rng)),
-        5 => g::cmn(body_reg(rng), op2(rng)),
-        6 => g::teq(body_reg(rng), op2(rng)),
-        // Multiplies and specials (the unlearnables must also run
-        // correctly through the QEMU path).
-        7 => g::mul(body_reg(rng), body_reg(rng), body_reg(rng)),
-        8 => g::mla(body_reg(rng), body_reg(rng), body_reg(rng), body_reg(rng)),
-        9 => g::clz(body_reg(rng), body_reg(rng)),
-        // Memory within the data region: [r1 + small offset].
-        10 => g::ldr(
-            body_reg(rng),
-            MemAddr::BaseImm {
-                base: Reg::R1,
-                offset: rng.gen_range(0i32..0x3f0) & !3,
-            },
-        ),
-        11 => g::str_(
-            body_reg(rng),
-            MemAddr::BaseImm {
-                base: Reg::R1,
-                offset: rng.gen_range(0i32..0x3f0) & !3,
-            },
-        ),
-        12 => g::ldrb(
-            body_reg(rng),
-            MemAddr::BaseImm {
-                base: Reg::R1,
-                offset: rng.gen_range(0i32..0x3f0),
-            },
-        ),
-        _ => g::strh(
-            body_reg(rng),
-            MemAddr::BaseImm {
-                base: Reg::R1,
-                offset: rng.gen_range(0i32..0x3f0) & !1,
-            },
-        ),
-    }
 }
 
 /// A body engineered to defeat condition-flag delegation: one flag
@@ -210,31 +109,6 @@ fn run_engine(prog: &Program, rules: Option<RuleSet>) -> Vec<u32> {
     let mut engine = Engine::new(rules, EngineConfig::default());
     let setup = RunSetup::basic(DATA_BASE, 0x1000, 0x8_0000, 0x1000);
     engine.run(prog, &setup).expect("engine run").output
-}
-
-/// A looped program: the body runs `iters` times under a counter in
-/// `r2` (reserved; bodies only touch `r4..r11`), exercising the code
-/// cache, block chaining, delegated loop branches and repeated flag
-/// materialization.
-fn loop_program(body: Vec<Inst>, seeds: Vec<u32>, iters: u32) -> Program {
-    let mut insts = vec![
-        g::mov(Reg::R1, Operand::Imm(DATA_BASE >> 12)),
-        g::lsl(Reg::R1, Reg::R1, Operand::Imm(12)),
-        g::mov(Reg::R2, Operand::Imm(iters)),
-    ];
-    for (i, v) in seeds.iter().enumerate() {
-        insts.push(g::mov(Reg::from_index(4 + i).unwrap(), Operand::Imm(*v)));
-    }
-    let body_len = body.len() as i32;
-    insts.extend(body);
-    insts.push(g::sub(Reg::R2, Reg::R2, Operand::Imm(1)).with_s());
-    insts.push(g::b(pdbt_isa::Cond::Ne, -4 * (body_len + 1)));
-    for i in 4..12 {
-        insts.push(g::mov(Reg::R0, Operand::Reg(Reg::from_index(i).unwrap())));
-        insts.push(g::svc(1));
-    }
-    insts.push(g::svc(0));
-    Program::new(0x1000, insts)
 }
 
 #[test]

@@ -11,6 +11,8 @@ use pdbt::workloads::{learn_suite, run_reference, suite, Scale, Workload};
 use pdbt_faults::{Plan, Site};
 use pdbt_isa_arm::{builders as g, Operand as O, Program, Reg};
 use pdbt_symexec::CheckOptions;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 mod common;
@@ -170,6 +172,51 @@ fn budget_truncation_is_identical_chained_and_unchained() {
             "budget {max_guest}: retirement diverged"
         );
         assert_eq!(a.output, b.output, "budget {max_guest}: output diverged");
+    }
+}
+
+/// Seeded loops through the corners the fixed programs miss: promotion
+/// thresholds low enough that superblocks form within an iteration or
+/// two, and budgets that cut the run off inside the loop. Chained and
+/// traced against unchained, on everything a guest can observe.
+/// `FUZZ_CASES` scales the loop (deep-fuzz CI runs 512).
+#[test]
+fn random_loops_truncate_identically_chained_and_unchained() {
+    let cases = std::env::var("FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    let rules = tiny_rules();
+    let run = |prog: &Program, cfg, max_guest| {
+        let mut setup = RunSetup::basic(common::DATA_BASE, 0x1000, 0x8_0000, 0x1000);
+        setup.max_guest = max_guest;
+        let mut engine = Engine::new(Some(rules.clone()), cfg);
+        let r = engine.run(prog, &setup).expect("partial report");
+        (r.output, r.outcome, r.metrics.guest_retired)
+    };
+    let mut rng = StdRng::seed_from_u64(0xD15_9A7C);
+    for case in 0..cases.unwrap_or(16) {
+        let body = (0..rng.gen_range(1..12))
+            .map(|_| common::body_inst(&mut rng))
+            .collect();
+        let seeds = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
+        let prog = common::loop_program(body, seeds, rng.gen_range(3u32..20));
+        let (_, outcome, full) = run(&prog, unchained_cfg(), u64::MAX);
+        assert_eq!(outcome, Outcome::Completed, "case {case}");
+        for trace_threshold in [1, 2, 5] {
+            let chained = EngineConfig {
+                trace_threshold,
+                ..EngineConfig::default()
+            };
+            for max_guest in [full / 4, full / 3, full / 2] {
+                let want = run(&prog, unchained_cfg(), max_guest);
+                assert_eq!(want.1, Outcome::Budget, "case {case}: not truncated");
+                assert_eq!(
+                    run(&prog, chained, max_guest),
+                    want,
+                    "case {case}, threshold {trace_threshold}, budget {max_guest}"
+                );
+            }
+        }
     }
 }
 
