@@ -136,10 +136,15 @@ pub fn assert_schema(paths: BTreeSet<String>, required: &[String], name: &str) {
     assert_golden(&got, name);
 }
 
+/// Where the golden file `tests/golden/<name>` lives.
+pub fn golden_path(name: &str) -> String {
+    format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
 /// Asserts `got` equals the golden file `tests/golden/<name>`;
 /// `UPDATE_GOLDEN=1` rewrites the file first.
 pub fn assert_golden(got: &str, name: &str) {
-    let golden_path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    let golden_path = golden_path(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(&golden_path, got).unwrap();
     }

@@ -13,7 +13,6 @@ use pdbt_isa_arm::{builders as g, Operand as O, Program, Reg};
 use pdbt_symexec::CheckOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 
 mod common;
 
@@ -407,16 +406,13 @@ fn dispatch_counters_match_the_golden() {
                 let _plan = pdbt_faults::scoped(Some(Plan::single(Site::Cache, seed, 0.3)));
                 let report = run_with(w, Some(&rules), cfg);
                 assert!(report.resilience.degraded_blocks > 0, "{seed:#x}: vacuous");
-                let mut tag = format!("{} cache/{seed:#x}/0.3 {mode}", w.bench);
-                write!(tag, " degraded={}", report.resilience.degraded_blocks).unwrap();
+                let degraded = report.resilience.degraded_blocks;
+                let tag = format!("{} cache/{seed:#x}/0.3 {mode} degraded={degraded}", w.bench);
                 got += &counts_line(&tag, &report);
             }
         }
     } else {
-        let path = format!(
-            "{}/tests/golden/dispatch_counts.txt",
-            env!("CARGO_MANIFEST_DIR")
-        );
+        let path = common::golden_path("dispatch_counts.txt");
         let recorded = std::fs::read_to_string(path).unwrap_or_default();
         if let Some((_, faults)) = recorded.split_once(FAULTS_SECTION) {
             got += faults;
