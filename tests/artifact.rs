@@ -162,26 +162,43 @@ fn seal_open_seal_is_a_byte_fixpoint() {
 }
 
 /// Translation identity, pinned: the sealed artifact of every workload
-/// under the paper's protocol (leave-one-out `para.` rules) and under no
-/// rules is held to the length and CRC recorded in
-/// `tests/golden/artifact_digests.txt`. A change that is not meant to
+/// under the paper's protocol (leave-one-out `para.` rules), under no
+/// rules, under the two undelegated rule sets (`w/o para.`, `addr-mode`)
+/// and under `para.` at trace threshold 2 (more and longer traces, flag
+/// producers in earlier members) is held to the length and CRC recorded
+/// in `tests/golden/artifact_digests.txt`. A change that is not meant to
 /// move a translated byte, a sealed rule or a trace must leave the file
 /// alone; one that is refreshes it with `UPDATE_GOLDEN=1` and reviews
 /// the diff.
 #[test]
 fn sealed_artifact_digests_match_the_golden() {
     let mut exp = Experiment::new(Scale::tiny());
+    let default = EngineConfig::default();
+    let mut undelegated = default;
+    undelegated.translate.flag_delegation = false;
+    let hot = EngineConfig {
+        trace_threshold: 2,
+        ..default
+    };
     let mut got = String::new();
     for (i, bench) in Benchmark::ALL.into_iter().enumerate() {
         let para = exp.rules_for(Config::Para, bench);
+        let wo_para = exp.rules_for(Config::WoPara, bench);
+        let addr_mode = exp.rules_for(Config::OpcodeAddr, bench);
         let w = &exp.suite[i];
         assert_eq!(w.bench, bench);
-        for (name, rules) in [("para", para.as_ref()), ("none", None)] {
+        for (name, rules, cfg) in [
+            ("para", para.as_ref(), default),
+            ("none", None, default),
+            ("wo-para", wo_para.as_ref(), undelegated),
+            ("addr-mode", addr_mode.as_ref(), undelegated),
+            ("para-t2", para.as_ref(), hot),
+        ] {
             let artifact = pdbt::artifact::compile(
                 &w.pair.guest.program,
                 rules,
                 &w.setup(),
-                EngineConfig::default(),
+                cfg,
                 &format!("{bench}/tiny"),
             )
             .unwrap_or_else(|e| panic!("{bench} {name}: {e}"));
