@@ -284,3 +284,99 @@ pub fn loop_program(body: Vec<Inst>, seeds: Vec<u32>, iters: u32) -> Program {
     insts.push(g::svc(0));
     Program::new(0x1000, insts)
 }
+
+/// How the member boundary between a flag producer and its consumer
+/// comes about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boundary {
+    /// The producer's block reaches the translator's length cap.
+    FallThrough,
+    /// An unconditional `b` to the next instruction.
+    B,
+    /// A `bl` to the next instruction (writes `lr`).
+    Bl,
+}
+
+/// One instruction that defines no guest flag: `transparent` ones also
+/// leave the host's alone (moves, loads, stores), the others lower to
+/// flag-clobbering host arithmetic.
+fn neutral_inst(rng: &mut StdRng, transparent: bool) -> Inst {
+    let word = MemAddr::BaseImm {
+        base: Reg::R1,
+        offset: rng.gen_range(0i32..0x3f0) & !3,
+    };
+    if transparent {
+        match rng.gen_range(0..4) {
+            0 => g::mov(body_reg(rng), Operand::Reg(body_reg(rng))),
+            1 => g::mov(body_reg(rng), Operand::Imm(rng.gen_range(0u32..2048))),
+            2 => g::ldr(body_reg(rng), word),
+            _ => g::str_(body_reg(rng), word),
+        }
+    } else {
+        type B = fn(Reg, Reg, Operand) -> Inst;
+        const OPS: [B; 6] = [g::add, g::sub, g::and, g::orr, g::eor, g::bic];
+        match rng.gen_range(0..8) {
+            0 => g::mul(body_reg(rng), body_reg(rng), body_reg(rng)),
+            1 => g::mvn(body_reg(rng), op2(rng)),
+            i => OPS[i - 2](body_reg(rng), body_reg(rng), op2(rng)),
+        }
+    }
+}
+
+/// A loop whose body holds one flag producer, `between` guest
+/// instructions that define no flags — a member boundary of the given
+/// kind among them — and a conditional branch on the producer's flags
+/// (optionally a second one, sharing the producer). `cap` is the
+/// translator's block-length cap, which [`Boundary::FallThrough`] pads
+/// the loop head's block up to. Each branch skips one `add r3, r3, #1`;
+/// `r3` is output with the body registers, so a branch decided from
+/// stale or clobbered flags changes what the program prints.
+pub fn boundary_program(rng: &mut StdRng, kind: Boundary, between: usize, cap: usize) -> Program {
+    let mut insts = vec![
+        g::mov(Reg::R1, Operand::Imm(DATA_BASE >> 12)),
+        g::lsl(Reg::R1, Reg::R1, Operand::Imm(12)),
+        g::mov(Reg::R2, Operand::Imm(rng.gen_range(3u32..9))),
+        g::mov(Reg::R3, Operand::Imm(0)),
+    ];
+    for i in 4..12 {
+        let seed = Operand::Imm(rng.gen_range(0u32..2048));
+        insts.push(g::mov(Reg::from_index(i).unwrap(), seed));
+    }
+    let head = insts.len();
+    let fillers = between - usize::from(kind != Boundary::FallThrough);
+    let before = rng.gen_range(0..=fillers);
+    let transparent = rng.gen_bool(0.5);
+    if kind == Boundary::FallThrough {
+        // The head's block is the padding, the producer and `before`.
+        insts.extend((0..cap - 1 - before).map(|_| body_inst(rng)));
+    }
+    type B = fn(Reg, Reg, Operand) -> Inst;
+    const SETTERS: [B; 7] = [g::add, g::sub, g::and, g::orr, g::eor, g::bic, g::rsb];
+    insts.push(match rng.gen_range(0..11) {
+        0 => g::cmp(body_reg(rng), op2(rng)),
+        1 => g::cmn(body_reg(rng), op2(rng)),
+        2 => g::tst(body_reg(rng), op2(rng)),
+        3 => g::teq(body_reg(rng), op2(rng)),
+        i => SETTERS[i - 4](body_reg(rng), body_reg(rng), op2(rng)).with_s(),
+    });
+    insts.extend((0..before).map(|_| neutral_inst(rng, transparent)));
+    match kind {
+        Boundary::FallThrough => {}
+        Boundary::B => insts.push(g::b(pdbt_isa::Cond::Al, 4)),
+        Boundary::Bl => insts.push(g::bl(4)),
+    }
+    insts.extend((before..fillers).map(|_| neutral_inst(rng, transparent)));
+    for _ in 0..rng.gen_range(1..3) {
+        insts.push(g::b(pdbt_isa::Cond::ALL[rng.gen_range(0..14)], 8));
+        insts.push(g::add(Reg::R3, Reg::R3, Operand::Imm(1)));
+    }
+    insts.push(g::sub(Reg::R2, Reg::R2, Operand::Imm(1)).with_s());
+    let back = insts.len() - head;
+    insts.push(g::b(pdbt_isa::Cond::Ne, -4 * back as i32));
+    for i in 3..12 {
+        insts.push(g::mov(Reg::R0, Operand::Reg(Reg::from_index(i).unwrap())));
+        insts.push(g::svc(1));
+    }
+    insts.push(g::svc(0));
+    Program::new(0x1000, insts)
+}

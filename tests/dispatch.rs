@@ -219,6 +219,88 @@ fn random_loops_truncate_identically_chained_and_unchained() {
     }
 }
 
+/// Flag producers and consumers on opposite sides of a member boundary:
+/// a producer 0, 1, `window - 1`, `window` and `window + 1` guest
+/// instructions before a conditional branch, with a block-cap
+/// fall-through, a `b` or a `bl` between them, so that the superblocks
+/// low thresholds form decide delegation across former block boundaries
+/// at and around the window's edge. Chained and traced against unchained
+/// and the reference interpreter on what a guest can observe; coverage
+/// may differ between the two engines only by the branches a superblock
+/// delegates across a boundary, so each must decompose its own exactly.
+/// `FUZZ_CASES` scales the loop (deep-fuzz CI runs 512).
+#[test]
+fn producers_across_member_boundaries_agree_chained_and_unchained() {
+    use common::Boundary;
+    // The translator's block-length cap (`MAX_BLOCK`); checked below.
+    const CAP: usize = 32;
+    let cases = std::env::var("FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    let rules = tiny_rules();
+    let window = EngineConfig::default().translate.window;
+    let setup = RunSetup::basic(common::DATA_BASE, 0x1000, 0x8_0000, 0x1000);
+    let run = |prog: &Program, cfg| {
+        let r = Engine::new(Some(rules.clone()), cfg)
+            .run(prog, &setup)
+            .expect("runs");
+        assert_eq!(r.obs.rules.total_covered(), r.metrics.rule_covered);
+        r
+    };
+    // What the rules themselves cover: everything but delegated branches.
+    let body_covered = |r: &Report| -> u64 {
+        let rows = r.obs.rules.rows().iter();
+        let delegated = rows.filter(|row| row.label.ends_with("(delegated)"));
+        r.metrics.rule_covered - delegated.map(|row| row.dyn_covered).sum::<u64>()
+    };
+    let mut rng = StdRng::seed_from_u64(0xB0_0DA7);
+    let (mut trace_execs, mut cross_delegated) = (0, 0);
+    for case in 0..cases.unwrap_or(16) {
+        let kind = [Boundary::FallThrough, Boundary::B, Boundary::Bl][case % 3];
+        let min = usize::from(kind != Boundary::FallThrough);
+        let between = [0, 1, window - 1, window, window + 1][rng.gen_range(0..5)].max(min);
+        let prog = common::boundary_program(&mut rng, kind, between, CAP);
+        let tag = format!("case {case} ({kind:?}, {between} between)");
+        if kind == Boundary::FallThrough {
+            let head = pdbt::runtime::collect_block(&prog, 0x1000 + 4 * 12, usize::MAX).unwrap();
+            assert!(
+                head.len() > CAP,
+                "{tag}: the cap does not cut the head block"
+            );
+        }
+
+        let mut cpu = pdbt_isa_arm::Cpu::new();
+        cpu.mem.map(common::DATA_BASE, 0x1000);
+        let stats = pdbt_isa_arm::run(&mut cpu, &prog, 100_000).expect("reference runs");
+        let unchained = run(&prog, unchained_cfg());
+        assert_eq!(unchained.outcome, Outcome::Completed, "{tag}");
+        assert_eq!(unchained.output, cpu.output, "{tag}: unchained output");
+        assert_eq!(unchained.metrics.guest_retired, stats.executed, "{tag}");
+        for trace_threshold in [1, 2] {
+            let chained = run(
+                &prog,
+                EngineConfig {
+                    trace_threshold,
+                    ..EngineConfig::default()
+                },
+            );
+            let tag = format!("{tag}, threshold {trace_threshold}");
+            assert_eq!(chained.outcome, Outcome::Completed, "{tag}");
+            assert_eq!(chained.output, cpu.output, "{tag}: chained output");
+            assert_eq!(chained.metrics.guest_retired, stats.executed, "{tag}");
+            trace_execs += chained.obs.dispatch.trace_execs;
+            assert_eq!(body_covered(&chained), body_covered(&unchained), "{tag}");
+            cross_delegated +=
+                u64::from(chained.metrics.rule_covered > unchained.metrics.rule_covered);
+        }
+    }
+    assert!(trace_execs > 0, "no superblock ran");
+    assert!(
+        cross_delegated > 0,
+        "no branch was delegated across a boundary"
+    );
+}
+
 /// The report JSON with the fields that legitimately depend on the
 /// worker count removed: wall-clock timing, which engine translated a
 /// block (lazy dispatch vs. prewarm changes static translation counts
