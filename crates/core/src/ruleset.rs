@@ -220,8 +220,6 @@ pub struct Match<'a> {
     pub subgroup: &'a Arc<str>,
     /// The matched instructions' concrete registers and immediates.
     pub inst: Instantiation,
-    /// Guest instructions the match consumes (`keys.len()`).
-    pub len: usize,
 }
 
 /// The rule hash table. A rule's key is a sequence of one or more combo
@@ -239,7 +237,7 @@ pub struct RuleSet {
     /// Dense entry counts indexed by the `(opcode, s)` of a rule's first
     /// key. Translation probes the store at every guest instruction; a
     /// zero bucket rejects the probe before anything is hashed (and, in
-    /// [`RuleSet::lookup`], before the allocating scan).
+    /// [`RuleSet::lookup`], before the window is scanned).
     op_index: Vec<u32>,
 }
 
@@ -433,7 +431,6 @@ impl RuleSet {
                 label: &rule.label,
                 subgroup: &rule.subgroup,
                 inst: scan.instantiation(len),
-                len,
             })
         })
     }

@@ -912,7 +912,10 @@ mod tests {
         let m = rules
             .lookup_scan(&Scan::of(&window, rules.max_len()), 2..=usize::MAX)
             .expect("the four-key rule matches");
-        assert_eq!((m.len, &m.inst.imms[..]), (MAX_WINDOW, &[0, 1, 2, 3][..]));
+        assert_eq!(
+            (m.keys.len(), &m.inst.imms[..]),
+            (MAX_WINDOW, &[0, 1, 2, 3][..])
+        );
     }
 
     /// Blocks whose keys do not bind what the block names: the strict

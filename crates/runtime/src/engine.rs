@@ -14,7 +14,7 @@ use crate::cache::ShardedCache;
 use crate::report::{Metrics, Outcome, Report, Resilience, RunObs};
 use crate::session::SessionTable;
 use crate::shared::SharedTranslationState;
-use crate::translate::{collect_block, DelegOutcome, TranslateConfig};
+use crate::translate::{collect_block, DelegOutcome, TranslateConfig, MAX_BLOCK};
 use pdbt_core::RuleSet;
 use pdbt_ir::env;
 use pdbt_isa::{Addr, Cond, ExecError};
@@ -145,7 +145,7 @@ impl From<ExecError> for EngineError {
 /// transfers (returns, computed jumps) contribute no static successors;
 /// the dispatcher translates those targets lazily when execution
 /// reaches them. The result is sorted (and so deterministic).
-fn discover_block_starts(prog: &Program, max_block: usize) -> Vec<Addr> {
+fn discover_block_starts(prog: &Program) -> Vec<Addr> {
     use std::collections::BTreeSet;
     let mut seen: BTreeSet<Addr> = BTreeSet::new();
     let mut frontier = vec![prog.base()];
@@ -153,7 +153,7 @@ fn discover_block_starts(prog: &Program, max_block: usize) -> Vec<Addr> {
         if !seen.insert(pc) {
             continue;
         }
-        let Ok(insts) = collect_block(prog, pc, max_block) else {
+        let Ok(insts) = collect_block(prog, pc, MAX_BLOCK) else {
             continue;
         };
         let (last_addr, last) = *insts.last().expect("non-empty block");
@@ -328,7 +328,7 @@ impl Engine {
     pub fn prewarm(&mut self, prog: &Program) -> usize {
         let pool = Pool::new(self.cfg.jobs);
         let _span = pdbt_obs::span_with("prewarm", || format!("jobs={}", pool.jobs()));
-        let todo: Vec<Addr> = discover_block_starts(prog, self.cfg.translate.max_block)
+        let todo: Vec<Addr> = discover_block_starts(prog)
             .into_iter()
             .filter(|pc| !self.table.contains(*pc))
             .collect();

@@ -1,6 +1,7 @@
 //! The interpreter fallback: what runs a block the translator could not.
 
 use crate::engine::{Engine, ENV_BASE};
+use crate::translate::MAX_BLOCK;
 use pdbt_ir::env;
 use pdbt_isa::{Addr, Control, ExecError, Flag};
 use pdbt_isa_arm::{step, Cpu as GuestCpu, FReg, Program, Reg as GReg, INST_SIZE};
@@ -50,7 +51,7 @@ impl Engine {
             std::mem::swap(&mut gc.mem, &mut host.mem);
             return Err(e);
         }
-        let (stepped, executed) = interpret_steps(&mut gc, prog, pc, self.cfg.translate.max_block);
+        let (stepped, executed) = interpret_steps(&mut gc, prog, pc, MAX_BLOCK);
         // Write the state back even when stepping faulted, so the
         // partial report reflects everything that retired.
         let mut store = || -> Result<(), ExecError> {

@@ -174,16 +174,18 @@ fn budget_truncation_is_identical_chained_and_unchained() {
     }
 }
 
+/// `FUZZ_CASES` scales the seeded loops below (deep-fuzz CI runs 512).
+fn fuzz_cases() -> usize {
+    let cases = std::env::var("FUZZ_CASES").ok();
+    cases.and_then(|v| v.parse().ok()).unwrap_or(16)
+}
+
 /// Seeded loops through the corners the fixed programs miss: promotion
 /// thresholds low enough that superblocks form within an iteration or
 /// two, and budgets that cut the run off inside the loop. Chained and
 /// traced against unchained, on everything a guest can observe.
-/// `FUZZ_CASES` scales the loop (deep-fuzz CI runs 512).
 #[test]
 fn random_loops_truncate_identically_chained_and_unchained() {
-    let cases = std::env::var("FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok());
     let rules = tiny_rules();
     let run = |prog: &Program, cfg, max_guest| {
         let mut setup = RunSetup::basic(common::DATA_BASE, 0x1000, 0x8_0000, 0x1000);
@@ -193,7 +195,7 @@ fn random_loops_truncate_identically_chained_and_unchained() {
         (r.output, r.outcome, r.metrics.guest_retired)
     };
     let mut rng = StdRng::seed_from_u64(0xD15_9A7C);
-    for case in 0..cases.unwrap_or(16) {
+    for case in 0..fuzz_cases() {
         let body = (0..rng.gen_range(1..12))
             .map(|_| common::body_inst(&mut rng))
             .collect();
@@ -228,15 +230,11 @@ fn random_loops_truncate_identically_chained_and_unchained() {
 /// and the reference interpreter on what a guest can observe; coverage
 /// may differ between the two engines only by the branches a superblock
 /// delegates across a boundary, so each must decompose its own exactly.
-/// `FUZZ_CASES` scales the loop (deep-fuzz CI runs 512).
 #[test]
 fn producers_across_member_boundaries_agree_chained_and_unchained() {
     use common::Boundary;
     // The translator's block-length cap (`MAX_BLOCK`); checked below.
     const CAP: usize = 32;
-    let cases = std::env::var("FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok());
     let rules = tiny_rules();
     let window = EngineConfig::default().translate.window;
     let setup = RunSetup::basic(common::DATA_BASE, 0x1000, 0x8_0000, 0x1000);
@@ -255,7 +253,7 @@ fn producers_across_member_boundaries_agree_chained_and_unchained() {
     };
     let mut rng = StdRng::seed_from_u64(0xB0_0DA7);
     let (mut trace_execs, mut cross_delegated) = (0, 0);
-    for case in 0..cases.unwrap_or(16) {
+    for case in 0..fuzz_cases() {
         let kind = [Boundary::FallThrough, Boundary::B, Boundary::Bl][case % 3];
         let min = usize::from(kind != Boundary::FallThrough);
         let between = [0, 1, window - 1, window, window + 1][rng.gen_range(0..5)].max(min);
