@@ -5,7 +5,7 @@
 
 use super::TranslateError;
 use pdbt_core::flags::can_materialize;
-use pdbt_core::key::Scan;
+use pdbt_core::key::{parameterize, Parameterized};
 use pdbt_core::{emit, template as rtemplate, HostLoc};
 use pdbt_ir::{env, lift, lift_omit, lower_branch_cond, lower_ops, IrOp, Lifted, RegMap};
 use pdbt_ir::{Terminator, Val};
@@ -157,11 +157,11 @@ pub(super) fn fold_producer(
         return None;
     }
     let report = folded_flag_report(inst).filter(|r| can_materialize(live, r))?;
-    let scan = Scan::of([inst], 1);
-    let template = emit::emit_for(scan.first()?)?;
-    let locs: Vec<HostLoc> = scan.slots(1).iter().map(|g| env_loc(*g)).collect();
+    let Parameterized { key, inst } = parameterize(inst)?;
+    let template = emit::emit_for(&key)?;
+    let locs: Vec<HostLoc> = inst.slots.iter().map(|g| env_loc(*g)).collect();
     let mut code = Vec::new();
-    rtemplate::instantiate(&template, &locs, scan.imms(1), &mut code).ok()?;
+    rtemplate::instantiate(&template, &locs, &inst.imms, &mut code).ok()?;
     Some((tcg_legalize(code), report))
 }
 

@@ -146,10 +146,7 @@ pub(super) fn select<'p, 'r>(
                 producer,
             }
         });
-        let terminal = match last.ends_block() {
-            true => Some(lift_terminal(last, last_addr)?),
-            false => None,
-        };
+        let terminal = (last.ends_block().then(|| lift_terminal(last, last_addr))).transpose()?;
         let mut member = Member {
             start: starts[m],
             range,

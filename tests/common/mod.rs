@@ -175,30 +175,32 @@ pub fn op2(rng: &mut StdRng) -> Operand {
     }
 }
 
+/// The three-operand data-processing builders; the first seven may take
+/// the S suffix (see [`body_inst`]).
+const ALU3: [fn(Reg, Reg, Operand) -> Inst; 14] = [
+    g::add,
+    g::sub,
+    g::and,
+    g::orr,
+    g::eor,
+    g::bic,
+    g::rsb,
+    g::adc,
+    g::sbc,
+    g::rsc,
+    g::lsl,
+    g::lsr,
+    g::asr,
+    g::ror,
+];
+
 /// One safe straight-line instruction.
 pub fn body_inst(rng: &mut StdRng) -> Inst {
     match rng.gen_range(0..14) {
         0 => {
             // Three-operand data processing (with optional S).
-            type B = fn(Reg, Reg, Operand) -> Inst;
-            const OPS: [B; 14] = [
-                g::add,
-                g::sub,
-                g::and,
-                g::orr,
-                g::eor,
-                g::bic,
-                g::rsb,
-                g::adc,
-                g::sbc,
-                g::rsc,
-                g::lsl,
-                g::lsr,
-                g::asr,
-                g::ror,
-            ];
             let opi = rng.gen_range(0..14);
-            let inst = OPS[opi](body_reg(rng), body_reg(rng), op2(rng));
+            let inst = ALU3[opi](body_reg(rng), body_reg(rng), op2(rng));
             // Variable-amount flag-setting shifts and flag-setting
             // carry-chain ops (adcs/sbcs/rscs) are outside the
             // supported subset (the compiler never emits them).
@@ -313,12 +315,10 @@ fn neutral_inst(rng: &mut StdRng, transparent: bool) -> Inst {
             _ => g::str_(body_reg(rng), word),
         }
     } else {
-        type B = fn(Reg, Reg, Operand) -> Inst;
-        const OPS: [B; 6] = [g::add, g::sub, g::and, g::orr, g::eor, g::bic];
         match rng.gen_range(0..8) {
             0 => g::mul(body_reg(rng), body_reg(rng), body_reg(rng)),
             1 => g::mvn(body_reg(rng), op2(rng)),
-            i => OPS[i - 2](body_reg(rng), body_reg(rng), op2(rng)),
+            i => ALU3[i - 2](body_reg(rng), body_reg(rng), op2(rng)),
         }
     }
 }
@@ -350,14 +350,12 @@ pub fn boundary_program(rng: &mut StdRng, kind: Boundary, between: usize, cap: u
         // The head's block is the padding, the producer and `before`.
         insts.extend((0..cap - 1 - before).map(|_| body_inst(rng)));
     }
-    type B = fn(Reg, Reg, Operand) -> Inst;
-    const SETTERS: [B; 7] = [g::add, g::sub, g::and, g::orr, g::eor, g::bic, g::rsb];
     insts.push(match rng.gen_range(0..11) {
         0 => g::cmp(body_reg(rng), op2(rng)),
         1 => g::cmn(body_reg(rng), op2(rng)),
         2 => g::tst(body_reg(rng), op2(rng)),
         3 => g::teq(body_reg(rng), op2(rng)),
-        i => SETTERS[i - 4](body_reg(rng), body_reg(rng), op2(rng)).with_s(),
+        i => ALU3[i - 4](body_reg(rng), body_reg(rng), op2(rng)).with_s(),
     });
     insts.extend((0..before).map(|_| neutral_inst(rng, transparent)));
     match kind {
