@@ -89,13 +89,27 @@ impl ArtifactVersion {
     }
 }
 
+/// The one text form of a fingerprint, in file names and on the wire:
+/// 16 hex digits (the JSON integers here are `i64`-backed).
+#[must_use]
+pub fn fingerprint_hex(fingerprint: u64) -> String {
+    format!("{fingerprint:016x}")
+}
+
+/// The `fingerprint` field of a wire document, parsed back from
+/// [`fingerprint_hex`]'s form.
+#[must_use]
+pub fn fingerprint_field(doc: &Json) -> Option<u64> {
+    u64::from_str_radix(doc.get("fingerprint")?.as_str()?, 16).ok()
+}
+
 /// The canonical file name of a sealed artifact: the guest-image
 /// fingerprint plus the generation, e.g. `00ab…cd-g3.pdba`. The
 /// generation lives in the name, not the sealed bytes, so the PDBA
 /// payload keeps its format version and seal-fixpoint property.
 #[must_use]
 pub fn artifact_file_name(fingerprint: u64, generation: u64) -> String {
-    format!("{fingerprint:016x}-g{generation}.pdba")
+    format!("{}-g{generation}.pdba", fingerprint_hex(fingerprint))
 }
 
 /// The generation encoded in an artifact file name (`…-g<N>.pdba`).
@@ -189,7 +203,9 @@ pub fn validate(bytes: &[u8], declared_fingerprint: u64) -> Result<Opened, (Stri
     if fp != declared_fingerprint {
         return Err((
             format!(
-                "artifact fingerprint {fp:016x} does not match the declared {declared_fingerprint:016x}"
+                "artifact fingerprint {} does not match the declared {}",
+                fingerprint_hex(fp),
+                fingerprint_hex(declared_fingerprint)
             ),
             0,
         ));
@@ -216,16 +232,12 @@ pub struct ArtifactAd {
 }
 
 impl ArtifactAd {
-    /// The JSON wire form. Fingerprints travel as 16-digit hex strings
-    /// (the JSON integers here are `i64`-backed); CRCs and generations
-    /// fit in integers.
+    /// The JSON wire form. Fingerprints travel as [`fingerprint_hex`]
+    /// strings; CRCs and generations fit in integers.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj([
-            (
-                "fingerprint",
-                Json::str(format!("{:016x}", self.fingerprint)),
-            ),
+            ("fingerprint", Json::str(fingerprint_hex(self.fingerprint))),
             ("generation", Json::from(self.version.generation)),
             (
                 "crcs",
@@ -244,11 +256,7 @@ impl ArtifactAd {
     ///
     /// A human-readable message naming the missing or malformed field.
     pub fn from_json(json: &Json) -> Result<ArtifactAd, String> {
-        let fingerprint = json
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("advert needs a hex `fingerprint`")?;
+        let fingerprint = fingerprint_field(json).ok_or("advert needs a hex `fingerprint`")?;
         let generation = json
             .get("generation")
             .and_then(Json::as_u64)

@@ -36,12 +36,13 @@
 //! ```
 
 mod client;
-pub mod fleet;
 pub mod loadgen;
 pub mod proto;
 mod server;
 
-pub use client::{ping, shutdown, stats, submit, ClientError};
-pub use fleet::{list_artifacts, pull_artifact, push_artifact, PulledArtifact};
+pub use client::{
+    list_artifacts, ping, pull_artifact, push_artifact, shutdown, stats, submit, ClientError,
+    PulledArtifact,
+};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use server::{ServeConfig, ServeSummary, Server};

@@ -280,3 +280,34 @@ fn refresh_tick_picks_up_partitions_that_appear_later() {
     assert_eq!(follower_h.join().unwrap().panicked, 0);
     assert_eq!(leader_h.join().unwrap().panicked, 0);
 }
+
+/// The transfer envelope at a live server: an offer whose bytes fail
+/// their declared CRC is refused and counted before the trust boundary
+/// sees it, and nothing is adopted.
+#[test]
+fn a_push_that_fails_its_crc_is_rejected_and_counted() {
+    use pdbt_serve::proto::{op, read_frame, write_frame};
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let bytes = b"not the bytes this header declares";
+    let header = Json::obj([
+        ("fingerprint", Json::str("00000000000000aa")),
+        ("generation", Json::from(1u64)),
+        ("bytes", Json::from(bytes.len())),
+        ("chunks", Json::from(1u64)),
+        ("crc32", Json::from(0u64)),
+        ("label", Json::str("bad-crc")),
+    ]);
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, op::ART_PUSH, header.to_string().as_bytes()).unwrap();
+    write_frame(&mut stream, op::ART_DATA, bytes).unwrap();
+    let reply = read_frame(&mut stream).expect("verdict");
+    assert_eq!(reply.opcode, op::ERROR, "{:?}", reply.payload_str());
+
+    let pong = ping(addr, T).expect("ping");
+    assert_eq!(fleet_field(&pong, "rejected"), 1);
+    assert_eq!(fleet_field(&pong, "adopted"), 0);
+    assert_eq!(pong.get("images").and_then(Json::as_u64), Some(0));
+
+    shutdown(addr, T).expect("shutdown");
+    assert_eq!(handle.join().unwrap().panicked, 0);
+}
