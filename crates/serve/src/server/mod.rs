@@ -9,9 +9,10 @@
 //! # Connection model
 //!
 //! One request frame per connection, answered by one response frame.
-//! The accept loop reads that first frame itself; the expensive work —
-//! building the workload, translating, running — happens on a queue
-//! worker, so slow sessions never block new connections. The control and replication lanes are
+//! The accept loop reads that first frame itself, under
+//! [`FIRST_FRAME_TIMEOUT`]; the expensive work — building the workload,
+//! translating, running — happens on a queue worker, so slow sessions
+//! never block new connections. The control and replication lanes are
 //! answered inline (they must work even when every worker is busy).
 //!
 //! # Shared-state partitioning
@@ -78,6 +79,11 @@ use std::time::{Duration, Instant};
 /// one read/write for at most this long, never the whole server. Peer
 /// replication calls run under it too.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The tighter bound on a connection's *first* frame, which the accept
+/// thread reads itself: a client that connects and says nothing holds
+/// up accept, PING and STATS for this long, not for [`SOCKET_TIMEOUT`].
+const FIRST_FRAME_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server construction knobs.
 #[derive(Debug)]
@@ -317,8 +323,8 @@ impl Server {
             // Transient accept failures (peer gone before accept) are
             // not fatal.
             let Ok(mut stream) = conn else { continue };
-            let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
             let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+            let _ = stream.set_read_timeout(Some(FIRST_FRAME_TIMEOUT));
             let frame = match proto::read_frame(&mut stream) {
                 Ok(f) => f,
                 Err(e) => {
@@ -326,6 +332,9 @@ impl Server {
                     continue;
                 }
             };
+            // Whatever else this connection carries (ART_PUSH
+            // continuations) may take the long bound per read.
+            let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
             match frame.opcode {
                 op::PING => {
                     respond(ctx, &mut stream, op::PONG, &control::status(ctx, queue));

@@ -319,3 +319,27 @@ fn fault_armed_and_deadline_requests_leave_neighbours_untouched() {
     assert_eq!(summary.requests, 4);
     assert_eq!(summary.panicked, 0);
 }
+
+/// A client that connects and says nothing costs the accept thread its
+/// first-frame bound, not the 30 s socket timeout: a ping queued behind
+/// it answers promptly, the silent socket is told why it was dropped,
+/// and the drain is clean.
+#[test]
+fn a_silent_client_does_not_stall_the_control_lane() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut silent = std::net::TcpStream::connect(addr).expect("connect");
+    let t0 = std::time::Instant::now();
+    ping(addr, T).expect("ping behind a silent client");
+    let waited = t0.elapsed();
+    assert!(waited < Duration::from_secs(5), "ping waited {waited:?}");
+
+    silent.set_read_timeout(Some(T)).unwrap();
+    let frame = pdbt_serve::proto::read_frame(&mut silent).expect("the silent socket's answer");
+    assert_eq!(frame.opcode, pdbt_serve::proto::op::ERROR);
+    let why = frame.payload_str().unwrap();
+    assert!(why.contains("bad frame:"), "{why}");
+
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (0, 0));
+}
