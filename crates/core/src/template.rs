@@ -10,7 +10,9 @@
 //! in-environment memory slot — and legalizes the result (mem-mem
 //! operand fixes, address materialization).
 
-use pdbt_isa_x86::{Cc, Inst as HInst, Mem, Op as HOp, Operand as HOperand, Operands, Reg as HReg};
+use pdbt_isa_x86::{
+    Cc, Inst as HInst, Mem, Op as HOp, Operand as HOperand, Operands, Reg as HReg, Shape,
+};
 use std::fmt;
 
 /// A template register reference.
@@ -207,10 +209,54 @@ pub fn extract(
     Ok(out)
 }
 
+/// What `t` does to scratch register `k` first: reads it (`Some(true)`),
+/// overwrites it unread (`Some(false)`), or leaves it alone. The operand
+/// roles are `Inst::uses` / `Inst::defs`'s, read off the template.
+fn first_touch(t: &TemplateInst, k: usize) -> Option<bool> {
+    let is = |r: TReg| matches!(r, TReg::Scratch(s) if s as usize % 2 == k);
+    let names = |o: &TOperand| matches!(o, TOperand::Reg(r) if is(*r));
+    let addresses = |o: &TOperand| match o {
+        TOperand::Mem(m) => m.base.is_some_and(is) || m.index.is_some_and(is),
+        _ => false,
+    };
+    let dst = t.operands.first().is_some_and(names);
+    let overwrites = matches!(t.op.shape(), Shape::Mov2 | Shape::RegMem | Shape::SetCc);
+    if matches!((t.op, k), (HOp::MulWide | HOp::Out, 0))
+        || t.operands.iter().any(addresses)
+        || t.operands.iter().skip(1).any(names)
+        || (dst && !overwrites)
+    {
+        Some(true)
+    } else if dst || t.op == HOp::MulWide {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Whether scratch `k` holds a value `rest` still wants: an instruction
+/// reads it before any overwrites it.
+fn live_into(rest: &[TemplateInst], k: usize) -> bool {
+    rest.iter().find_map(|t| first_touch(t, k)).unwrap_or(false)
+}
+
+/// The first scratch of `order` that is not `busy`; none is a template
+/// this instantiation cannot legalize.
+fn free_scratch(order: [usize; 2], busy: impl Fn(usize) -> bool) -> Result<HReg, TemplateError> {
+    match order.into_iter().find(|&k| !busy(k)) {
+        Some(k) => Ok(SCRATCH[k]),
+        None => terr("both scratch registers hold live values"),
+    }
+}
+
 /// Instantiation context: resolves slots to concrete host locations.
 struct Resolver<'a> {
     locs: &'a [HostLoc],
     imms: &'a [u32],
+    /// The instruction being resolved and the ones after it.
+    rest: &'a [TemplateInst],
+    /// Scratches holding an address this instruction materialized.
+    held: [bool; 2],
     /// The caller's buffer: materializations land in it ahead of the
     /// instruction whose operands need them.
     out: &'a mut Vec<HInst>,
@@ -243,11 +289,17 @@ impl Resolver<'_> {
     }
 
     /// Resolves a template register to a *register*, materializing an
-    /// in-memory slot through `scratch` if needed.
-    fn reg_strict(&mut self, t: TReg, scratch: HReg) -> Result<HReg, TemplateError> {
+    /// in-memory slot through a scratch if needed: `prefer`, unless it
+    /// holds another address of this instruction or a value this or a
+    /// later instruction reads.
+    fn reg_strict(&mut self, t: TReg, prefer: usize) -> Result<HReg, TemplateError> {
         match self.reg_operand(t)? {
             HOperand::Reg(r) => Ok(r),
             HOperand::Mem(m) => {
+                let (held, rest) = (self.held, self.rest);
+                let scratch =
+                    free_scratch([prefer, 1 - prefer], |k| held[k] || live_into(rest, k))?;
+                self.held[usize::from(scratch == SCRATCH[1])] = true;
                 self.out.push(pdbt_isa_x86::builders::mov(
                     HOperand::Reg(scratch),
                     HOperand::Mem(m),
@@ -264,11 +316,11 @@ impl Resolver<'_> {
             TOperand::Imm(i) => HOperand::Imm(self.imm(*i)?),
             TOperand::Mem(m) => {
                 let base = match m.base {
-                    Some(r) => Some(self.reg_strict(r, HReg::Edx)?),
+                    Some(r) => Some(self.reg_strict(r, 1)?),
                     None => None,
                 };
                 let index = match m.index {
-                    Some(r) => Some(self.reg_strict(r, HReg::Eax)?),
+                    Some(r) => Some(self.reg_strict(r, 0)?),
                     None => None,
                 };
                 HOperand::Mem(Mem {
@@ -312,8 +364,15 @@ fn append(
 ) -> Result<(), TemplateError> {
     use pdbt_isa_x86::builders as hb;
     out.reserve(template.len());
-    for t in template {
-        let mut r = Resolver { locs, imms, out };
+    for (i, t) in template.iter().enumerate() {
+        let (rest, later) = (&template[i..], &template[i + 1..]);
+        let mut r = Resolver {
+            locs,
+            imms,
+            rest,
+            held: [false; 2],
+            out,
+        };
         let mut operands = Operands::new();
         for o in &t.operands {
             let resolved = r.operand(o)?;
@@ -324,42 +383,43 @@ fn append(
             })?;
         }
         if let [dst, src] = &mut operands[..] {
-            // Legalize two-memory-operand combinations: load the source
-            // into a scratch register first. Template-derived code never
-            // keeps a live value in the chosen scratch across this
-            // boundary (see the crate tests that enforce it). Narrow
-            // moves have their own width-correct fixes below.
-            if matches!((&dst, &src), (HOperand::Mem(_), HOperand::Mem(_)))
-                && !matches!(t.op, HOp::MovB | HOp::MovW | HOp::MovzxB | HOp::MovzxW)
-            {
-                let uses_eax = t.operands.iter().any(|o| {
-                    matches!(o, TOperand::Reg(TReg::Scratch(0)))
-                        || matches!(
-                            o,
-                            TOperand::Mem(TMem {
-                                base: Some(TReg::Scratch(0)),
-                                ..
-                            })
-                        )
-                });
-                let scratch = if uses_eax { HReg::Edx } else { HReg::Eax };
-                out.push(hb::mov(HOperand::Reg(scratch), *src));
-                *src = HOperand::Reg(scratch);
-            }
-            // Narrow stores need a register source.
-            if matches!(t.op, HOp::MovB | HOp::MovW) && !matches!(src, HOperand::Reg(_)) {
-                out.push(hb::mov(HOperand::Reg(HReg::Eax), *src));
-                *src = HOperand::Reg(HReg::Eax);
+            // Two memory operands, or a narrow store from memory: load
+            // the source into a scratch register first (zero-extending
+            // loads have their own fix below).
+            let load_src = match t.op {
+                HOp::MovB | HOp::MovW => !matches!(src, HOperand::Reg(_)),
+                HOp::MovzxB | HOp::MovzxW => false,
+                _ => matches!((&dst, &src), (HOperand::Mem(_), HOperand::Mem(_))),
+            };
+            if load_src {
+                // The scratch must not hold the destination's address
+                // or a value a later instruction reads; the source's own
+                // address it may, the load reads before it writes.
+                let in_dst = dst.as_mem();
+                let busy = |k: usize| {
+                    in_dst.is_some_and(|m| m.uses().any(|r| r == SCRATCH[k])) || live_into(later, k)
+                };
+                // `eax` first, unless the template addresses off it.
+                let eax_based = |o: &TOperand| {
+                    let base = Some(TReg::Scratch(0));
+                    matches!(o, TOperand::Mem(m) if m.base == base)
+                };
+                let first = usize::from(t.operands.iter().any(eax_based));
+                let scratch = HOperand::Reg(free_scratch([first, 1 - first], busy)?);
+                out.push(hb::mov(scratch, *src));
+                *src = scratch;
             }
         }
         // Zero-extending loads need a register destination: load into
-        // `eax`, then move it to where the rule wants it.
-        let spill_to = match operands.first_mut() {
+        // a scratch nothing later reads, then move it to where the rule
+        // wants it.
+        let spill = match operands.first_mut() {
             Some(dst)
                 if matches!(t.op, HOp::MovzxB | HOp::MovzxW)
                     && !matches!(dst, HOperand::Reg(_)) =>
             {
-                Some(std::mem::replace(dst, HOperand::Reg(HReg::Eax)))
+                let scratch = HOperand::Reg(free_scratch([0, 1], |k| live_into(later, k))?);
+                Some((std::mem::replace(dst, scratch), scratch))
             }
             _ => None,
         };
@@ -372,8 +432,8 @@ fn append(
             detail: e.to_string(),
         })?;
         out.push(inst);
-        if let Some(final_dst) = spill_to {
-            out.push(hb::mov(final_dst, HOperand::Reg(HReg::Eax)));
+        if let Some((final_dst, scratch)) = spill {
+            out.push(hb::mov(final_dst, scratch));
         }
     }
     Ok(())
@@ -521,6 +581,40 @@ mod tests {
         assert_eq!(insts.len(), 2);
         assert_eq!(insts[0].op, HOp::MovzxB);
         assert_eq!(insts[1], hb::mov(env.into(), HReg::Eax.into()));
+    }
+
+    #[test]
+    fn legalization_spares_a_scratch_a_later_instruction_reads() {
+        // `sub r4, r8, r4, lsl #27` on environment slots: `eax` holds
+        // the shifted operand until the `subl`, so the mem-to-mem
+        // `movl S0, S1` in between has to go through `edx`.
+        let (eax, edx) = (HOperand::Reg(HReg::Eax), HOperand::Reg(HReg::Edx));
+        let mut host = vec![
+            hb::mov(eax, HReg::Esi.into()),
+            hb::shl(eax, HOperand::Imm(27)),
+            hb::mov(HReg::Ecx.into(), HReg::Ebx.into()),
+            hb::sub(HReg::Ecx.into(), eax),
+        ];
+        let slots = [(HReg::Ecx, 0), (HReg::Ebx, 1), (HReg::Esi, 2)];
+        let (r4, r8) = (Mem::base_disp(HReg::Ebp, 16), Mem::base_disp(HReg::Ebp, 32));
+        let locs = [HostLoc::Mem(r4), HostLoc::Mem(r8), HostLoc::Mem(r4)];
+        let t = extract(&host, &slot_map(&slots), &[27]).unwrap();
+        assert_eq!(
+            instantiate(&t, &locs, &[27]).unwrap(),
+            vec![
+                hb::mov(eax, r4.into()),
+                hb::shl(eax, HOperand::Imm(27)),
+                hb::mov(edx, r8.into()),
+                hb::mov(r4.into(), edx),
+                hb::sub(r4.into(), eax),
+            ]
+        );
+        // With `edx` live across the move as well there is no scratch
+        // left: a counted miss, not a miscompile.
+        host.insert(1, hb::mov(edx, HReg::Esi.into()));
+        host.push(hb::sub(HReg::Ecx.into(), edx));
+        let t = extract(&host, &slot_map(&slots), &[27]).unwrap();
+        assert!(instantiate(&t, &locs, &[27]).is_err());
     }
 
     #[test]
