@@ -235,16 +235,17 @@ fn first_touch(t: &TemplateInst, k: usize) -> Option<bool> {
 }
 
 /// Whether scratch `k` holds a value `rest` still wants: an instruction
-/// reads it before any overwrites it.
+/// reads it before any overwrites it. Only legalization asks.
+#[cold]
 fn live_into(rest: &[TemplateInst], k: usize) -> bool {
     rest.iter().find_map(|t| first_touch(t, k)).unwrap_or(false)
 }
 
-/// The first scratch of `order` that is not `busy`; none is a template
-/// this instantiation cannot legalize.
-fn free_scratch(order: [usize; 2], busy: impl Fn(usize) -> bool) -> Result<HReg, TemplateError> {
+/// The first scratch (an index into `SCRATCH`) of `order` that is not
+/// `busy`; none is a template this instantiation cannot legalize.
+fn free_scratch(order: [usize; 2], busy: impl Fn(usize) -> bool) -> Result<usize, TemplateError> {
     match order.into_iter().find(|&k| !busy(k)) {
-        Some(k) => Ok(SCRATCH[k]),
+        Some(k) => Ok(k),
         None => terr("both scratch registers hold live values"),
     }
 }
@@ -297,9 +298,9 @@ impl Resolver<'_> {
             HOperand::Reg(r) => Ok(r),
             HOperand::Mem(m) => {
                 let (held, rest) = (self.held, self.rest);
-                let scratch =
-                    free_scratch([prefer, 1 - prefer], |k| held[k] || live_into(rest, k))?;
-                self.held[usize::from(scratch == SCRATCH[1])] = true;
+                let k = free_scratch([prefer, 1 - prefer], |k| held[k] || live_into(rest, k))?;
+                self.held[k] = true;
+                let scratch = SCRATCH[k];
                 self.out.push(pdbt_isa_x86::builders::mov(
                     HOperand::Reg(scratch),
                     HOperand::Mem(m),
@@ -405,7 +406,7 @@ fn append(
                     matches!(o, TOperand::Mem(m) if m.base == base)
                 };
                 let first = usize::from(t.operands.iter().any(eax_based));
-                let scratch = HOperand::Reg(free_scratch([first, 1 - first], busy)?);
+                let scratch = HOperand::Reg(SCRATCH[free_scratch([first, 1 - first], busy)?]);
                 out.push(hb::mov(scratch, *src));
                 *src = scratch;
             }
@@ -418,7 +419,8 @@ fn append(
                 if matches!(t.op, HOp::MovzxB | HOp::MovzxW)
                     && !matches!(dst, HOperand::Reg(_)) =>
             {
-                let scratch = HOperand::Reg(free_scratch([0, 1], |k| live_into(later, k))?);
+                let scratch =
+                    HOperand::Reg(SCRATCH[free_scratch([0, 1], |k| live_into(later, k))?]);
                 Some((std::mem::replace(dst, scratch), scratch))
             }
             _ => None,

@@ -305,49 +305,45 @@ impl PulledArtifact {
                 why,
             });
         };
-        let refuse = |why: String| {
-            Err(Refused {
-                attempted: true,
-                why,
-            })
+        let label = header.get("label").and_then(Json::as_str).unwrap_or("?");
+        let mut read = || {
+            if total > MAX_ARTIFACT {
+                return Err(format!("{total} bytes declared (cap {MAX_ARTIFACT})"));
+            }
+            if chunks != chunk_count(total as usize) as u64 {
+                return Err(format!("{chunks} chunks declared for {total} bytes"));
+            }
+            let mut bytes = Vec::with_capacity(total as usize);
+            for _ in 0..chunks {
+                let frame = proto::read_frame(r).map_err(|e| format!("stream died: {e}"))?;
+                if frame.opcode != op::ART_DATA {
+                    let opcode = frame.opcode;
+                    return Err(format!(
+                        "continuation has opcode {opcode:#04x}, not ART_DATA"
+                    ));
+                }
+                let len = bytes.len() + frame.payload.len();
+                if frame.payload.len() > CHUNK || len > total as usize {
+                    return Err("oversized chunk".to_string());
+                }
+                bytes.extend_from_slice(&frame.payload);
+            }
+            if bytes.len() as u64 != total {
+                return Err(format!("{} bytes arrived of {total}", bytes.len()));
+            }
+            if u64::from(pdbt_artifact::bytes::crc32(&bytes)) != crc {
+                return Err("the bytes fail the declared CRC".to_string());
+            }
+            Ok(bytes)
         };
-        if total > MAX_ARTIFACT {
-            return refuse(format!("{total} bytes declared (cap {MAX_ARTIFACT})"));
-        }
-        if chunks != chunk_count(total as usize) as u64 {
-            return refuse(format!("{chunks} chunks declared for {total} bytes"));
-        }
-        let mut bytes = Vec::with_capacity(total as usize);
-        for _ in 0..chunks {
-            let frame = match proto::read_frame(r) {
-                Ok(f) => f,
-                Err(e) => return refuse(format!("stream died: {e}")),
-            };
-            if frame.opcode != op::ART_DATA {
-                return refuse(format!(
-                    "expected an ART_DATA continuation, got opcode {:#04x}",
-                    frame.opcode
-                ));
-            }
-            if frame.payload.len() > CHUNK || bytes.len() + frame.payload.len() > total as usize {
-                return refuse("oversized chunk".into());
-            }
-            bytes.extend_from_slice(&frame.payload);
-        }
-        if bytes.len() as u64 != total {
-            return refuse(format!("{} bytes arrived of {total}", bytes.len()));
-        }
-        if u64::from(pdbt_artifact::bytes::crc32(&bytes)) != crc {
-            return refuse("the bytes fail the declared CRC".into());
-        }
+        let bytes = read().map_err(|why| Refused {
+            attempted: true,
+            why,
+        })?;
         Ok(PulledArtifact {
             fingerprint,
             generation,
-            label: header
-                .get("label")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
+            label: label.to_string(),
             bytes,
         })
     }

@@ -25,25 +25,7 @@
 //! running the same image share its warm cache, while an unrelated
 //! image gets a fresh partition with a clone of the server's ruleset.
 //! Everything the server knows about an image is one `Partition` record
-//! in one fingerprint-keyed table, and both ways an artifact can enter
-//! (the boot scan of `--artifact-dir`, a peer transfer) build that
-//! record with `Partition::from_artifact`. Status counters aggregate
-//! across partitions.
-//!
-//! # Session isolation
-//!
-//! Each request runs a fresh [`pdbt_runtime::Engine`] borrowing its
-//! image's shared state with `jobs = 1`: concurrency comes from running
-//! many single-threaded sessions, not from fanning one session out.
-//! That keeps every per-request report bit-identical to a standalone
-//! single-engine run (the shared cache only removes duplicate
-//! *translation work*, never changes what a session observes — see
-//! `tests/determinism.rs` at the workspace root).
-//!
-//! Fault plans are request-scoped: a request carrying a `faults` spec
-//! arms injection on its worker thread only, and every other request is
-//! explicitly shielded, so one caller's chaos run cannot degrade a
-//! neighbour's session.
+//! in one fingerprint-keyed table; status counters aggregate across it.
 //!
 //! # Drain semantics
 //!

@@ -21,23 +21,24 @@ use std::time::{Duration, Instant};
 /// Answers an `ART_LIST`: one advertisement per sealable partition, in
 /// fingerprint order.
 pub(super) fn serve_list(ctx: &ServerCtx, stream: &mut TcpStream) {
-    let ads: Vec<ArtifactAd> = {
+    let ads: Vec<Json> = {
         let _plane = ctx.plane();
         let mut table = ctx.partitions();
         let sealable = table.iter_mut().filter_map(|(&fingerprint, p)| {
             let (sealed, version) = p.seal()?;
-            Some(ArtifactAd {
+            let ad = ArtifactAd {
                 fingerprint,
                 version,
                 blocks: p.state.cache().len() as u64,
                 traces: p.state.library_len() as u64,
                 bytes: sealed.len() as u64,
                 label: p.label.clone(),
-            })
+            };
+            Some(ad.to_json())
         });
         sealable.collect()
     };
-    let doc = Json::obj([("artifacts", Json::arr(ads.iter().map(ArtifactAd::to_json)))]);
+    let doc = Json::obj([("artifacts", Json::Arr(ads))]);
     respond(ctx, stream, op::RESULT, &doc);
 }
 
@@ -141,18 +142,11 @@ pub(super) fn adopt_artifact(
         Some(p) => (p.seal().map(|(_, v)| v), p.disk_generation),
         None => (None, None),
     };
-    if let Some(held) = held {
-        if held >= incoming {
-            ctx.fleet.rejected.inc();
-            return (
-                false,
-                format!(
-                    "stale: local generation {} is newer or equal",
-                    held.generation
-                ),
-                held.generation,
-            );
-        }
+    if let Some(held) = held.filter(|held| *held >= incoming) {
+        ctx.fleet.rejected.inc();
+        let generation = held.generation;
+        let stale = format!("stale: local generation {generation} is newer or equal");
+        return (false, stale, generation);
     }
     let sealed = Arc::new(bytes.to_vec());
     // Persist the adopted bytes so a restart boots warm from disk; a
@@ -230,13 +224,16 @@ pub(super) fn replicate_once(ctx: &ServerCtx) {
 /// fleet's ticks are deterministic per node but decorrelated across
 /// nodes. Returns at once without peers or an interval.
 pub(super) fn tick(ctx: &ServerCtx, seed: u64, stop: &AtomicBool) {
+    if ctx.cfg.peers.is_empty() {
+        return;
+    }
     let Some(interval) = ctx.cfg.replicate_interval else {
         return;
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut jittered = || Instant::now() + interval.mul_f64(0.5 + rng.gen::<f64>());
     let mut next = jittered();
-    while !(ctx.cfg.peers.is_empty() || stop.load(Ordering::Relaxed)) {
+    while !stop.load(Ordering::Relaxed) {
         if Instant::now() < next {
             std::thread::sleep(Duration::from_millis(50));
             continue;

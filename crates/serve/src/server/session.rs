@@ -1,7 +1,14 @@
-//! SUBMIT: a request's way from the accept loop onto a queue worker,
-//! through a fresh single-threaded [`Engine`] on its image's shared
-//! state, and back out as one response frame — plus the reply writers
-//! every lane answers through.
+//! SUBMIT: a request's way from the accept loop onto a queue worker and
+//! back out as one response frame — plus the reply writers every lane
+//! answers through.
+//!
+//! Each request runs a fresh [`Engine`] on its image's shared state with
+//! `jobs = 1`: concurrency comes from running many single-threaded
+//! sessions, which keeps every report bit-identical to a standalone run
+//! (the shared cache removes duplicate *translation work*, never changes
+//! what a session observes — `tests/determinism.rs`). A `faults` spec
+//! arms injection for that request's worker thread only; every other
+//! request is explicitly shielded.
 
 use super::partition::Partition;
 use super::ServerCtx;

@@ -288,18 +288,11 @@ fn refresh_tick_picks_up_partitions_that_appear_later() {
 fn a_push_that_fails_its_crc_is_rejected_and_counted() {
     use pdbt_serve::proto::{op, read_frame, write_frame};
     let (addr, handle) = spawn_server(ServeConfig::default());
-    let bytes = b"not the bytes this header declares";
-    let header = Json::obj([
-        ("fingerprint", Json::str("00000000000000aa")),
-        ("generation", Json::from(1u64)),
-        ("bytes", Json::from(bytes.len())),
-        ("chunks", Json::from(1u64)),
-        ("crc32", Json::from(0u64)),
-        ("label", Json::str("bad-crc")),
-    ]);
+    let header =
+        br#"{"fingerprint":"00000000000000aa","generation":1,"bytes":9,"chunks":1,"crc32":0}"#;
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    write_frame(&mut stream, op::ART_PUSH, header.to_string().as_bytes()).unwrap();
-    write_frame(&mut stream, op::ART_DATA, bytes).unwrap();
+    write_frame(&mut stream, op::ART_PUSH, header).unwrap();
+    write_frame(&mut stream, op::ART_DATA, b"nine long").unwrap();
     let reply = read_frame(&mut stream).expect("verdict");
     assert_eq!(reply.opcode, op::ERROR, "{:?}", reply.payload_str());
 
