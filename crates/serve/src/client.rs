@@ -360,10 +360,8 @@ mod tests {
         let mut rest = wire.as_slice();
         let header = proto::read_frame(&mut rest).expect("header frame");
         assert_eq!(header.opcode, op::ART_PUSH);
-        (
-            Json::parse(header.payload_str().unwrap()).unwrap(),
-            rest.to_vec(),
-        )
+        let doc = Json::parse(header.payload_str().unwrap()).unwrap();
+        (doc, rest.to_vec())
     }
 
     fn with(header: &Json, key: &str, value: Option<u64>) -> Json {

@@ -3,7 +3,7 @@
 //! A zero-dependency (`std::net`) TCP daemon that accepts guest-run
 //! requests over a length-prefixed, versioned binary protocol
 //! ([`proto`]) and multiplexes them onto a pool of session workers
-//! (`pdbt_par::TaskQueue`). All sessions share one
+//! (`pdbt_par::TaskQueue`). Sessions of one guest image share one
 //! [`pdbt_runtime::SharedTranslationState`] — ruleset plus warm code
 //! cache — so the first session translates a block and every later
 //! session reuses the translation, which is how the paper's

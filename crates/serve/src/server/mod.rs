@@ -20,12 +20,9 @@
 //! The code cache is keyed by guest pc, so two *different* guest
 //! programs (both loaded at `0x1000`) must never share one cache: a
 //! session would execute the other program's translation. The server
-//! therefore keeps one [`SharedTranslationState`] per distinct guest
-//! image (fingerprint of base address + instruction listing): sessions
-//! running the same image share its warm cache, while an unrelated
-//! image gets a fresh partition with a clone of the server's ruleset.
-//! Everything the server knows about an image is one `Partition` record
-//! in one fingerprint-keyed table; status counters aggregate across it.
+//! keeps one [`SharedTranslationState`] per guest image (fingerprint of
+//! base address + listing), inside the one `Partition` record of a
+//! fingerprint-keyed table; status counters aggregate across it.
 //!
 //! # Drain semantics
 //!
