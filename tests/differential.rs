@@ -16,6 +16,7 @@ use pdbt::core::derive::{derive, DeriveConfig};
 use pdbt::core::RuleSet;
 use pdbt::runtime::{Engine, EngineConfig, RunSetup};
 use pdbt::workloads::{learn_suite, Benchmark, Scale};
+use pdbt_isa::FlagSet;
 use pdbt_symexec::CheckOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,18 +112,62 @@ fn run_engine(prog: &Program, rules: Option<RuleSet>) -> Vec<u32> {
     engine.run(prog, &setup).expect("engine run").output
 }
 
+/// A random body with an optional conditional skip.
+fn random_program(rng: &mut StdRng) -> Program {
+    let body: Vec<Inst> = (0..rng.gen_range(1..24)).map(|_| body_inst(rng)).collect();
+    let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
+    let branch = rng
+        .gen_bool(0.5)
+        .then(|| (rng.gen_range(0usize..20), rng.gen_range(0..=u8::MAX)));
+    program(body, seeds, branch)
+}
+
+/// A [`flag_fallback_body`], three random instructions, and a
+/// conditional skip over them on the producer's flags.
+fn fallback_program(rng: &mut StdRng) -> Program {
+    let mut body = flag_fallback_body(rng);
+    let branch_at = body.len();
+    for _ in 0..3 {
+        body.push(body_inst(rng));
+    }
+    let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
+    let cond_idx = rng.gen_range(0..=u8::MAX);
+    program(body, seeds, Some((branch_at, cond_idx)))
+}
+
+/// A random body run under a loop counter.
+fn random_loop(rng: &mut StdRng) -> Program {
+    let body: Vec<Inst> = (0..rng.gen_range(1..12)).map(|_| body_inst(rng)).collect();
+    let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
+    let iters = rng.gen_range(1u32..20);
+    loop_program(body, seeds, iters)
+}
+
+/// Either of the two shapes above, for the liveness oracle.
+fn liveness_program(rng: &mut StdRng) -> Program {
+    let body: Vec<Inst> = (0..rng.gen_range(1..24)).map(|_| body_inst(rng)).collect();
+    let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
+    if rng.gen_bool(0.5) {
+        let branch = (rng.gen_range(0usize..20), rng.gen_range(0..=u8::MAX));
+        program(body, seeds, Some(branch))
+    } else {
+        loop_program(body, seeds, rng.gen_range(1u32..20))
+    }
+}
+
+/// The sampler streams of the tests below: seed and program builder.
+const SAMPLERS: [(u64, fn(&mut StdRng) -> Program); 4] = [
+    (0xD1FF01, random_program),
+    (0xD1FF03, fallback_program),
+    (0xD1FF02, random_loop),
+    (0xD1FF04, liveness_program),
+];
+
 #[test]
 fn random_programs_agree_across_translators() {
     let mut rng = StdRng::seed_from_u64(0xD1FF01);
     for _ in 0..cases() {
-        let body: Vec<Inst> = (0..rng.gen_range(1..24))
-            .map(|_| body_inst(&mut rng))
-            .collect();
-        let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
-        let branch = rng
-            .gen_bool(0.5)
-            .then(|| (rng.gen_range(0usize..20), rng.gen_range(0..=u8::MAX)));
-        let prog = program(body, seeds, branch);
+        let prog = random_program(&mut rng);
         let golden = run_reference(&prog);
         let qemu = run_engine(&prog, None);
         assert_eq!(&qemu, &golden, "qemu path diverged");
@@ -137,14 +182,7 @@ fn flag_fallback_blocks_agree_across_translators() {
     let mut rng = StdRng::seed_from_u64(0xD1FF03);
     let mut fallbacks = 0usize;
     for _ in 0..cases() {
-        let mut body = flag_fallback_body(&mut rng);
-        let branch_at = body.len();
-        for _ in 0..3 {
-            body.push(body_inst(&mut rng));
-        }
-        let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
-        let cond_idx = rng.gen_range(0..=u8::MAX);
-        let prog = program(body, seeds, Some((branch_at, cond_idx)));
+        let prog = fallback_program(&mut rng);
         let block = translate_block(&prog, 0x1000, Some(rules()), &TranslateConfig::default())
             .expect("block translates");
         if block.deleg == Some(DelegOutcome::EnvFallback) {
@@ -169,12 +207,7 @@ fn flag_fallback_blocks_agree_across_translators() {
 fn random_loops_agree_across_translators() {
     let mut rng = StdRng::seed_from_u64(0xD1FF02);
     for _ in 0..cases() {
-        let body: Vec<Inst> = (0..rng.gen_range(1..12))
-            .map(|_| body_inst(&mut rng))
-            .collect();
-        let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
-        let iters = rng.gen_range(1u32..20);
-        let prog = loop_program(body, seeds, iters);
+        let prog = random_loop(&mut rng);
         let golden = run_reference(&prog);
         let qemu = run_engine(&prog, None);
         assert_eq!(&qemu, &golden, "qemu path diverged");
@@ -253,17 +286,130 @@ fn flag_liveness_memo_matches_a_fresh_solve() {
     }
     let mut rng = StdRng::seed_from_u64(0xD1FF04);
     for case in 0..cases() {
-        let body: Vec<Inst> = (0..rng.gen_range(1..24))
-            .map(|_| body_inst(&mut rng))
-            .collect();
-        let seeds: Vec<u32> = (0..8).map(|_| rng.gen_range(0u32..2048)).collect();
-        let prog = if rng.gen_bool(0.5) {
-            let branch = (rng.gen_range(0usize..20), rng.gen_range(0..=u8::MAX));
-            program(body, seeds, Some(branch))
-        } else {
-            loop_program(body, seeds, rng.gen_range(1u32..20))
-        };
+        let prog = liveness_program(&mut rng);
         let setup = RunSetup::basic(DATA_BASE, 0x1000, 0x8_0000, 0x1000);
         check(&prog, &setup, &format!("random case {case}"));
     }
+}
+
+/// An instruction's form: opcode, `s`, condition, and per operand its
+/// shape, with registers named by first appearance (`pc` and `sp` by
+/// name) so that aliasing is part of the form, a register list by its
+/// length, an immediate as `#` (`#0` when zero, its value for `svc`).
+fn ir_form(inst: &Inst) -> String {
+    use pdbt::arm::{MemAddr, Op};
+    let mut seen: Vec<Reg> = Vec::new();
+    let mut reg = |r: Reg| match r {
+        Reg::Pc => "pc".to_string(),
+        Reg::Sp => "sp".to_string(),
+        r => {
+            if !seen.contains(&r) {
+                seen.push(r);
+            }
+            let i = seen.iter().position(|s| *s == r).unwrap();
+            char::from(b'a' + i as u8).to_string()
+        }
+    };
+    let shape: Vec<String> = inst
+        .operands
+        .iter()
+        .map(|o| match *o {
+            Operand::Reg(r) => reg(r),
+            Operand::Imm(v) if inst.op == Op::Svc => format!("#{v}"),
+            Operand::Imm(0) => "#0".into(),
+            Operand::Imm(_) => "#".into(),
+            Operand::Shifted { rm, .. } => format!("{} sh #", reg(rm)),
+            Operand::Mem(MemAddr::BaseImm { base, .. }) => format!("[{},#]", reg(base)),
+            Operand::Mem(MemAddr::BaseReg { base, index }) => {
+                format!("[{},{}]", reg(base), reg(index))
+            }
+            Operand::RegList(l) => {
+                let pc = if l.contains(Reg::Pc) { "+pc" } else { "" };
+                format!("{{{}{pc}}}", l.len())
+            }
+            Operand::Target(_) => "t".into(),
+            Operand::FReg(_) => "s".into(),
+        })
+        .collect();
+    let s = if inst.s { "s" } else { "" };
+    format!("{}{s}{} {}", inst.op, inst.cond, shape.join(","))
+}
+
+/// Host instructions the TCG model lowers `inst` at `addr` to, with the
+/// `omit` flags left unmaterialized, and the lifted IR; `Err` if it does
+/// not lift.
+fn ir_cost(inst: &Inst, addr: u32, omit: FlagSet) -> Result<(usize, String), String> {
+    use pdbt::ir::{lift_omit, lower_branch_cond, lower_ops, RegMap, Terminator};
+    let lifted = lift_omit(inst, addr, omit).map_err(|e| e.to_string())?;
+    let env = RegMap::all_env();
+    let mut host = lower_ops(&lifted.body, &env).len();
+    if let Some(Terminator::Br {
+        cond: Some((cc, a, b)),
+        ..
+    }) = lifted.term
+    {
+        host += lower_branch_cond(cc, a, b, &env).0.len();
+    }
+    Ok((host, format!("{lifted:?}")))
+}
+
+/// The TCG column of Fig 13 / Table II, pinned per instruction form: for
+/// the first instruction of each form in the suite (tiny, then full) and
+/// in the sampler streams above (48 programs each, whatever `FUZZ_CASES`
+/// says), the IR it lifts to and the host instructions `lower_ops` +
+/// `lower_branch_cond` make of it on the environment — under each flag
+/// omission the translator may ask for (none, all, each single flag) when
+/// the form defines flags. Then, per suite program, that count summed
+/// over its instructions. A lifter change must leave every count it
+/// moves no higher.
+#[test]
+fn ir_lift_matches_the_golden() {
+    use pdbt_isa::{Flag, FlagSet};
+    let mut programs: Vec<(String, Program)> = Vec::new();
+    for (scale, name) in [(Scale::tiny(), "tiny"), (Scale::full(), "full")] {
+        for w in pdbt::workloads::suite(scale) {
+            let label = format!("{}/{name}", w.bench.name());
+            programs.push((label, w.pair.guest.program));
+        }
+    }
+    let suite_len = programs.len();
+    for (seed, sample) in SAMPLERS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        programs.extend((0..48).map(|_| (String::new(), sample(&mut rng))));
+    }
+    let omits = [FlagSet::EMPTY, FlagSet::NZCV].into_iter();
+    let omits: Vec<FlagSet> = omits.chain(Flag::ALL.map(FlagSet::single)).collect();
+    let mut forms: Vec<String> = Vec::new();
+    let mut rows = String::new();
+    let mut totals = String::new();
+    for (p, (label, prog)) in programs.iter().enumerate() {
+        let mut total = 0;
+        for (i, inst) in prog.insts().iter().enumerate() {
+            let addr = prog.addr_of(i);
+            if p < suite_len {
+                total += ir_cost(inst, addr, FlagSet::EMPTY).map_or(0, |(n, _)| n);
+            }
+            let form = ir_form(inst);
+            if forms.contains(&form) {
+                continue;
+            }
+            let flags = if inst.flag_defs().is_empty() {
+                1
+            } else {
+                omits.len()
+            };
+            for omit in &omits[..flags] {
+                let row = match ir_cost(inst, addr, *omit) {
+                    Ok((n, ir)) => format!("{n} | {ir}"),
+                    Err(e) => format!("refused | {e}"),
+                };
+                rows += &format!("{form} | omit {omit} | {inst} | {row}\n");
+            }
+            forms.push(form);
+        }
+        if p < suite_len {
+            totals += &format!("program {label} | {} insts | {total}\n", prog.insts().len());
+        }
+    }
+    common::assert_golden(&(rows + &totals), "ir_lift.txt");
 }
