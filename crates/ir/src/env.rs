@@ -50,8 +50,11 @@ pub fn spill_offset(i: usize) -> i32 {
     160 + (i as i32) * 4
 }
 
-/// Total size of the environment block in bytes (with 16 spill slots).
-pub const ENV_SIZE: u32 = 160 + 16 * 4;
+/// Spill slots: the temporaries one lifted instruction may hold.
+pub const SPILL_SLOTS: usize = 16;
+
+/// Total size of the environment block in bytes.
+pub const ENV_SIZE: u32 = 160 + SPILL_SLOTS as u32 * 4;
 
 /// Host memory operand addressing guest register `r` (via `ebp`).
 #[must_use]

@@ -30,4 +30,4 @@ mod op;
 pub use env::{Loc, RegMap, ALLOCATABLE, SCRATCH};
 pub use lift::{lift, lift_omit, LiftError};
 pub use lower::{host_cc, lower_branch_cond, lower_ops};
-pub use op::{BinOp, Dst, FBinOp, IrCc, IrOp, Lifted, Terminator, Tmp, UnOp, Val};
+pub use op::{Dst, IrOp, Lifted, Terminator, Tmp, Val};

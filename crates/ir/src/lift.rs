@@ -1,15 +1,27 @@
-//! Guest → IR lifting.
+//! Guest → IR lifting: `pdbt_isa_arm::step`, instantiated at a machine
+//! that builds IR.
 //!
-//! Each guest instruction becomes straight-line IR plus an optional
-//! terminator. Flag side effects are materialized *eagerly* into the
-//! guest environment (`SetFlag`), matching how QEMU's ARM front end
-//! stores NF/ZF/CF/VF in the CPU state — this is exactly the per-flag
-//! work the learned-rule path avoids through condition-flag delegation.
+//! What an instruction does is `step`'s, written once for the reference
+//! interpreter, the verifier and this lifter. A word here is an
+//! [`Expr`], the expression `step` computes: constants fold as it is
+//! built, and nothing reaches the IR until an effect needs it — a
+//! register, flag, float-register or memory write, an output, a branch
+//! — when each operation becomes one temporary. Flag side effects are
+//! materialized *eagerly* into the guest environment (`SetFlag`) at
+//! their `set_flag`, matching how QEMU's ARM front end stores NF/ZF/CF/VF
+//! in the CPU state — exactly the per-flag work the learned-rule path
+//! avoids through condition-flag delegation — except the flags the
+//! caller proved dead, which are never built.
 
-use crate::op::{BinOp, Dst, FBinOp, IrCc, IrOp, Lifted, Terminator, Tmp, UnOp, Val};
-use pdbt_isa::{Addr, Cond, Flag, FlagSet};
-use pdbt_isa_arm::{Inst, MemAddr, Op, Operand, Reg, ShiftKind};
+use crate::env::SPILL_SLOTS;
+use crate::op::{Dst, IrOp, Lifted, Terminator, Tmp, Val};
+use pdbt_isa::{
+    Addr, BinOp, Cond, Control, Domain, ExecError, Flag, FlagSet, Machine, PredOp, UnOp, Width,
+};
+use pdbt_isa_arm::{step, FReg, Inst, Op, Operand, Reg};
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 /// An error raised when a guest instruction cannot be lifted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,241 +38,481 @@ impl fmt::Display for LiftError {
 
 impl std::error::Error for LiftError {}
 
-/// Incremental IR builder with temporary allocation.
-struct Builder {
+/// A malformed or undefined instruction does not lift.
+impl From<ExecError> for LiftError {
+    fn from(e: ExecError) -> LiftError {
+        let detail = e.to_string();
+        LiftError { detail }
+    }
+}
+
+/// A value `step` computed and the IR does not hold yet: leaves inline,
+/// each operation one shared node. A register or flag leaf is that
+/// location as the instruction found it.
+#[derive(Clone, PartialEq, Eq)]
+enum Expr {
+    Const(u32),
+    Reg(Reg),
+    FReg(FReg),
+    Flag(Flag),
+    Op(Rc<Node>),
+}
+
+#[derive(PartialEq, Eq)]
+enum Node {
+    Bin(BinOp, Expr, Expr),
+    Un(UnOp, Expr),
+    Pred(PredOp, Expr, Expr),
+    Load(Expr, Width),
+}
+
+fn node(n: Node) -> Expr {
+    Expr::Op(Rc::new(n))
+}
+
+/// `x + k` or `x - k` as `x` and the (wrapping) offset.
+fn offset(e: &Expr) -> Option<(&Expr, u32)> {
+    let Expr::Op(n) = e else { return None };
+    match &**n {
+        Node::Bin(BinOp::Add, x, Expr::Const(k)) => Some((x, *k)),
+        Node::Bin(BinOp::Sub, x, Expr::Const(k)) => Some((x, k.wrapping_neg())),
+        _ => None,
+    }
+}
+
+/// An integer comparison, which negates into another.
+fn comparison(e: &Expr) -> Option<(PredOp, &Expr, &Expr)> {
+    let Expr::Op(n) = e else { return None };
+    match &**n {
+        Node::Pred(op, a, b) if op.negate().is_some() => Some((*op, a, b)),
+        _ => None,
+    }
+}
+
+fn is_float(op: BinOp) -> bool {
+    matches!(op, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
+}
+
+/// `x + k`, written the way it reads: `x` itself for 0, and `x - 16`
+/// rather than `x + 0xfffffff0`.
+fn plus(x: Expr, k: u32) -> Expr {
+    match k as i32 {
+        0 => x,
+        k if k < 0 => node(Node::Bin(BinOp::Sub, x, Expr::Const(k.unsigned_abs()))),
+        _ => node(Node::Bin(BinOp::Add, x, Expr::Const(k))),
+    }
+}
+
+/// The IR-building domain. Truth values are 0/1 words; constants fold,
+/// and `(x ± j) ± k` is one offset — `push`'s `sp - 4` per register is
+/// `sp - 4k`, so every store addresses `sp` directly.
+impl Domain for Expr {
+    type W = Expr;
+    type B = Expr;
+
+    fn c(v: u32) -> Expr {
+        Expr::Const(v)
+    }
+    fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+        match (op, &a, &b) {
+            (_, Expr::Const(x), Expr::Const(y)) => Expr::Const(op.eval(*x, *y)),
+            (BinOp::Add | BinOp::Sub, _, Expr::Const(k)) => {
+                let k = if op == BinOp::Add {
+                    *k
+                } else {
+                    k.wrapping_neg()
+                };
+                let (x, j) = offset(&a).unwrap_or((&a, 0));
+                plus(x.clone(), j.wrapping_add(k))
+            }
+            _ => node(Node::Bin(op, a, b)),
+        }
+    }
+    fn un(op: UnOp, a: Expr) -> Expr {
+        match a {
+            Expr::Const(x) => Expr::Const(op.eval(x)),
+            a => node(Node::Un(op, a)),
+        }
+    }
+    fn pred(op: PredOp, a: Expr, b: Expr) -> Expr {
+        match (&a, &b) {
+            (Expr::Const(x), Expr::Const(y)) => Expr::Const(u32::from(op.eval(*x, *y))),
+            _ => node(Node::Pred(op, a, b)),
+        }
+    }
+    fn carry_add(a: Expr, b: Expr, cin: Expr) -> Expr {
+        let sum = Expr::bin(BinOp::Add, a.clone(), b);
+        let carry = Expr::pred(PredOp::Ltu, sum.clone(), a);
+        if cin == Expr::Const(0) {
+            return carry;
+        }
+        // Adding the carry in can wrap a sum that did not.
+        let total = Expr::bin(BinOp::Add, sum.clone(), cin);
+        Expr::logic(BinOp::Or, carry, Expr::pred(PredOp::Ltu, total, sum))
+    }
+    fn borrow_sub(a: Expr, b: Expr, bin: Expr) -> Expr {
+        let borrow = Expr::pred(PredOp::Ltu, a.clone(), b.clone());
+        if bin == Expr::Const(0) {
+            return borrow;
+        }
+        let diff = Expr::bin(BinOp::Sub, a, b);
+        Expr::logic(BinOp::Or, borrow, Expr::pred(PredOp::Ltu, diff, bin))
+    }
+    fn overflow_add(a: Expr, b: Expr, cin: Expr) -> Expr {
+        // The sign of `(a ^ r) & !(a ^ b)`: like-signed operands, a
+        // result signed otherwise.
+        let r = Expr::bin(BinOp::Add, Expr::bin(BinOp::Add, a.clone(), b.clone()), cin);
+        let like = Expr::un(UnOp::Not, Expr::bin(BinOp::Xor, a.clone(), b));
+        let v = Expr::bin(BinOp::And, Expr::bin(BinOp::Xor, a, r), like);
+        Expr::bin(BinOp::Shr, v, Expr::Const(31))
+    }
+    fn overflow_sub(a: Expr, b: Expr, bin: Expr) -> Expr {
+        // The sign of `(a ^ r) & (a ^ b)`.
+        let r = Expr::bin(BinOp::Sub, Expr::bin(BinOp::Sub, a.clone(), b.clone()), bin);
+        let unlike = Expr::bin(BinOp::Xor, a.clone(), b);
+        let v = Expr::bin(BinOp::And, Expr::bin(BinOp::Xor, a, r), unlike);
+        Expr::bin(BinOp::Shr, v, Expr::Const(31))
+    }
+    fn ite(c: Expr, t: Expr, e: Expr) -> Expr {
+        match c {
+            Expr::Const(0) => e,
+            Expr::Const(_) => t,
+            // `e ^ ((t ^ e) & -c)`: the mask is all ones where `c` holds.
+            c => {
+                let mask = Expr::un(UnOp::Neg, c);
+                let pick = Expr::bin(BinOp::And, Expr::bin(BinOp::Xor, t, e.clone()), mask);
+                Expr::bin(BinOp::Xor, e, pick)
+            }
+        }
+    }
+    fn word(b: Expr) -> Expr {
+        b
+    }
+    fn bit(w: Expr) -> Expr {
+        w
+    }
+    /// `Setc Eq x, 0` — or, for an integer comparison, its complement,
+    /// which a branch then takes as its own condition (`bne` is
+    /// `Eq z, 0`, a subtraction's carry `Geu a, b`).
+    fn not(a: Expr) -> Expr {
+        match comparison(&a) {
+            Some((op, x, y)) => Expr::pred(op.negate().expect("integer"), x.clone(), y.clone()),
+            None => Expr::pred(PredOp::Eq, a, Expr::Const(0)),
+        }
+    }
+}
+
+/// A location `step` reads and writes through the machine.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Loc {
+    Reg(Reg),
+    Flag(Flag),
+}
+
+impl Loc {
+    fn leaf(self) -> Expr {
+        match self {
+            Loc::Reg(r) => Expr::Reg(r),
+            Loc::Flag(f) => Expr::Flag(f),
+        }
+    }
+}
+
+/// What the lifter has emitted and what it knows about the instruction.
+#[derive(Default)]
+struct Emitter {
     ops: Vec<IrOp>,
-    next_tmp: u8,
-    /// Flags whose materialization the caller proved unnecessary
-    /// (dead, or folded into a following branch — TCG's flag-liveness
-    /// optimization).
-    omit: FlagSet,
+    /// What temporary `i` holds: each node is emitted once.
+    temps: Vec<Expr>,
+    /// Locations the instruction read as it found them.
+    read: Vec<Loc>,
+    /// The last value written to each location, and whether the write
+    /// waits for the end of the instruction.
+    writes: Vec<(Loc, Expr, bool)>,
+    /// Whether a load was built: no store may follow it.
+    loaded: bool,
+    cond: Option<(PredOp, Val, Val)>,
+    target: Option<Val>,
+    refused: Option<String>,
 }
 
-impl Builder {
-    fn new(omit: FlagSet) -> Builder {
-        Builder {
-            ops: Vec::new(),
-            next_tmp: 0,
-            omit,
+impl Emitter {
+    /// Fails the lift; the value is a placeholder.
+    fn refuse(&mut self, why: &str) -> Val {
+        self.refused.get_or_insert_with(|| why.to_string());
+        Val::Const(0)
+    }
+
+    /// The value of `loc`: the last write, or the location as the
+    /// instruction found it.
+    fn read(&mut self, loc: Loc) -> Expr {
+        if let Some((_, v, _)) = self.writes.iter().find(|w| w.0 == loc) {
+            return v.clone();
         }
+        if !self.read.contains(&loc) {
+            self.read.push(loc);
+        }
+        loc.leaf()
     }
 
-    fn tmp(&mut self) -> Tmp {
-        let t = Tmp(self.next_tmp);
-        self.next_tmp += 1;
-        t
+    /// Writes `v` to `loc` — at once, unless the instruction read `loc`:
+    /// a value built from the old contents may still be emitted, so the
+    /// write waits for [`Emitter::commit`].
+    fn write(&mut self, loc: Loc, v: Expr) {
+        self.writes.retain(|w| w.0 != loc);
+        if v == loc.leaf() {
+            return; // what it held
+        }
+        let waits = self.read.contains(&loc);
+        if !waits {
+            let s = self.val(&v);
+            self.emit_write(loc, s);
+        }
+        self.writes.push((loc, v, waits));
     }
 
-    fn push(&mut self, op: IrOp) {
-        self.ops.push(op);
-    }
-
-    fn bin(&mut self, op: BinOp, a: Val, b: Val) -> Val {
-        let d = self.tmp();
-        self.push(IrOp::Bin {
-            op,
-            d: Dst::Tmp(d),
-            a,
-            b,
+    fn emit_write(&mut self, loc: Loc, s: Val) {
+        self.ops.push(match loc {
+            Loc::Reg(r) => IrOp::Mov { d: Dst::Reg(r), s },
+            Loc::Flag(f) => IrOp::SetFlag { f, s },
         });
-        Val::Tmp(d)
     }
 
-    fn setc(&mut self, cc: IrCc, a: Val, b: Val) -> Val {
-        let d = self.tmp();
-        self.push(IrOp::Setc {
-            d: Dst::Tmp(d),
-            cc,
-            a,
-            b,
-        });
-        Val::Tmp(d)
-    }
-
-    fn get_flag(&mut self, f: Flag) -> Val {
-        let d = self.tmp();
-        self.push(IrOp::GetFlag { d: Dst::Tmp(d), f });
-        Val::Tmp(d)
-    }
-
-    fn set_flag(&mut self, f: Flag, s: Val) {
-        if !self.omit.contains(f) {
-            self.push(IrOp::SetFlag { f, s });
+    /// Emits the writes that waited. Every value is built before any of
+    /// them lands, so each sees the state the instruction started from;
+    /// they go last-first, which keeps `umlal`'s high half — built from
+    /// the low one — forwarded into its move.
+    fn commit(&mut self) {
+        let waiting: Vec<(Loc, Expr)> = (self.writes.iter().rev())
+            .filter(|w| w.2)
+            .map(|w| (w.0, w.1.clone()))
+            .collect();
+        let vals: Vec<Val> = waiting.iter().map(|(_, v)| self.val(v)).collect();
+        for ((loc, _), s) in waiting.into_iter().zip(vals) {
+            self.emit_write(loc, s);
         }
     }
 
-    fn set_nz(&mut self, result: Val) {
-        if !self.omit.contains(Flag::N) {
-            let n = self.setc(IrCc::Lts, result, Val::Const(0));
-            self.set_flag(Flag::N, n);
+    /// The IR value of `e`, emitting what it needs first: one temporary
+    /// per operation, numbered in emission order. A binary operation's
+    /// second operand is built first: the lowering reads it from wherever
+    /// it lies, but wants the first one forwarded in `eax`.
+    fn val(&mut self, e: &Expr) -> Val {
+        match e {
+            Expr::Const(c) => return Val::Const(*c),
+            Expr::Reg(r) => return Val::Reg(*r),
+            Expr::FReg(_) => return self.refuse("a float register as a word"),
+            Expr::Flag(_) | Expr::Op(_) => {}
         }
-        if !self.omit.contains(Flag::Z) {
-            let z = self.setc(IrCc::Eq, result, Val::Const(0));
-            self.set_flag(Flag::Z, z);
+        if let Some(i) = self.temps.iter().position(|t| t == e) {
+            return Val::Tmp(Tmp(i as u8));
         }
-    }
-
-    /// Overflow of `a + b = res` (invert `b` first for subtraction).
-    fn set_v_add(&mut self, a: Val, b: Val, res: Val) {
-        if self.omit.contains(Flag::V) {
-            return;
-        }
-        let t1 = self.bin(BinOp::Xor, a, res);
-        let t2 = self.bin(BinOp::Xor, a, b);
-        let t2n = {
-            let d = self.tmp();
-            self.push(IrOp::Un {
-                op: UnOp::Not,
-                d: Dst::Tmp(d),
-                a: t2,
-            });
-            Val::Tmp(d)
+        let op = match e {
+            Expr::Flag(f) => {
+                let (f, d) = (*f, self.fresh(e));
+                IrOp::GetFlag { d, f }
+            }
+            Expr::Op(n) => match &**n {
+                Node::Bin(op, a, b) if !is_float(*op) => {
+                    let (op, b, a) = (*op, self.val(b), self.val(a));
+                    let d = self.fresh(e);
+                    IrOp::Bin { op, d, a, b }
+                }
+                Node::Un(op, a) => {
+                    let (op, a) = (*op, self.val(a));
+                    let d = self.fresh(e);
+                    IrOp::Un { op, d, a }
+                }
+                Node::Pred(cc, a, b) if cc.negate().is_some() => {
+                    let (cc, b, a) = (*cc, self.val(b), self.val(a));
+                    let d = self.fresh(e);
+                    IrOp::Setc { d, cc, a, b }
+                }
+                Node::Load(addr, width) => {
+                    let ((addr, off), width) = (self.address(addr), *width);
+                    let d = self.fresh(e);
+                    IrOp::Load {
+                        d,
+                        addr,
+                        off,
+                        width,
+                    }
+                }
+                _ => return self.refuse("float arithmetic as a word"),
+            },
+            Expr::Const(_) | Expr::Reg(_) | Expr::FReg(_) => unreachable!("leaves returned above"),
         };
-        let t3 = self.bin(BinOp::And, t1, t2n);
-        let v = self.bin(BinOp::Shr, t3, Val::Const(31));
-        self.set_flag(Flag::V, v);
+        self.ops.push(op);
+        Val::Tmp(Tmp((self.temps.len() - 1) as u8))
     }
-}
 
-/// Reads a guest register as a value; `pc` reads as the ARM-pipeline
-/// `addr + 8` constant.
-fn reg_val(r: Reg, addr: Addr) -> Val {
-    if r.is_pc() {
-        Val::Const(addr.wrapping_add(8))
-    } else {
-        Val::Reg(r)
+    /// The next temporary, holding `e`.
+    fn fresh(&mut self, e: &Expr) -> Dst {
+        if self.temps.len() == SPILL_SLOTS {
+            self.refuse("more temporaries than spill slots");
+        }
+        self.temps.push(e.clone());
+        Dst::Tmp(Tmp((self.temps.len() - 1) as u8))
     }
-}
 
-fn shift_binop(kind: ShiftKind) -> BinOp {
-    match kind {
-        ShiftKind::Lsl => BinOp::Shl,
-        ShiftKind::Lsr => BinOp::Shr,
-        ShiftKind::Asr => BinOp::Sar,
-        ShiftKind::Ror => BinOp::Ror,
+    /// A memory address as the IR's `(base, offset)`.
+    fn address(&mut self, e: &Expr) -> (Val, i32) {
+        match offset(e) {
+            Some((base, k)) => (self.val(base), k as i32),
+            None => (self.val(e), 0),
+        }
     }
-}
 
-/// Evaluates a flexible second operand into a value.
-fn eval_op2(b: &mut Builder, op2: &Operand, addr: Addr) -> Result<Val, LiftError> {
-    match op2 {
-        Operand::Reg(r) => Ok(reg_val(*r, addr)),
-        Operand::Imm(v) => Ok(Val::Const(*v)),
-        Operand::Shifted { rm, kind, amount } => Ok(b.bin(
-            shift_binop(*kind),
-            reg_val(*rm, addr),
-            Val::Const(u32::from(*amount)),
-        )),
-        other => Err(LiftError {
-            detail: format!("operand {other} as op2"),
-        }),
-    }
-}
-
-/// Evaluates a memory operand into `(base value, constant offset)`.
-fn eval_mem(b: &mut Builder, mem: MemAddr, addr: Addr) -> (Val, i32) {
-    match mem {
-        MemAddr::BaseImm { base, offset } => (reg_val(base, addr), offset),
-        MemAddr::BaseReg { base, index } => {
-            let v = b.bin(BinOp::Add, reg_val(base, addr), reg_val(index, addr));
-            (v, 0)
+    /// A branch condition as the terminator's comparison: an integer
+    /// comparison is its own, anything else is compared with zero.
+    fn branch(&mut self, c: &Expr) -> (PredOp, Val, Val) {
+        match comparison(c) {
+            Some((op, a, b)) => (op, self.val(a), self.val(b)),
+            None => (PredOp::Ne, self.val(c), Val::Const(0)),
         }
     }
 }
 
-/// Writes `val` to guest register `rd`; writing `pc` produces an indirect
-/// branch terminator instead.
-fn write_reg(b: &mut Builder, rd: Reg, val: Val) -> Option<Terminator> {
-    if rd.is_pc() {
-        Some(Terminator::BrInd { target: val })
-    } else {
-        b.push(IrOp::Mov {
-            d: Dst::Reg(rd),
-            s: val,
-        });
-        None
+/// The IR-building [`Machine`]. Its reads take `&self`, so what it
+/// records sits behind a `RefCell`.
+struct Lifter {
+    /// The instruction's address: `pc` reads as `addr + 8`.
+    addr: Addr,
+    /// Flags whose writes the caller proved dead (or folded into an
+    /// adjacent branch — TCG's flag-liveness optimization).
+    omit: FlagSet,
+    ir: RefCell<Emitter>,
+}
+
+impl Machine for Lifter {
+    type W = Expr;
+    type B = Expr;
+    type D = Expr;
+    type Reg = Reg;
+    type FReg = FReg;
+    type Error = LiftError;
+
+    fn reg(&self, r: Reg) -> Expr {
+        if r.is_pc() {
+            return Expr::Const(self.addr.wrapping_add(8));
+        }
+        self.ir.borrow_mut().read(Loc::Reg(r))
+    }
+    fn set_reg(&mut self, r: Reg, v: Expr) {
+        self.ir.get_mut().write(Loc::Reg(r), v);
+    }
+    fn freg(&self, r: FReg) -> Expr {
+        Expr::FReg(r)
+    }
+    /// A float register is written by one IR op that reads its operands
+    /// first, so it needs no deferral.
+    fn set_freg(&mut self, d: FReg, v: Expr) {
+        let ir = self.ir.get_mut();
+        let op = match &v {
+            Expr::FReg(s) => Some(IrOp::FMov { d, s: *s }),
+            Expr::Op(n) => match &**n {
+                Node::Bin(op, Expr::FReg(a), Expr::FReg(b)) if is_float(*op) => {
+                    let (op, a, b) = (*op, *a, *b);
+                    Some(IrOp::FBin { op, d, a, b })
+                }
+                Node::Load(addr, Width::B32) => {
+                    let (addr, off) = ir.address(addr);
+                    Some(IrOp::FLoad { d, addr, off })
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        match op {
+            Some(op) => ir.ops.push(op),
+            None => _ = ir.refuse("a computed float-register value"),
+        }
+    }
+    fn flag(&self, f: Flag) -> Expr {
+        self.ir.borrow_mut().read(Loc::Flag(f))
+    }
+    fn set_flag(&mut self, f: Flag, v: Expr) {
+        if !self.omit.contains(f) {
+            self.ir.get_mut().write(Loc::Flag(f), v);
+        }
+    }
+    /// Emitted where its value is first needed.
+    fn load(&self, addr: Expr, width: Width) -> Result<Expr, LiftError> {
+        self.ir.borrow_mut().loaded = true;
+        Ok(node(Node::Load(addr, width)))
+    }
+    fn store(&mut self, addr: Expr, v: Expr, width: Width) -> Result<(), LiftError> {
+        let ir = self.ir.get_mut();
+        if ir.loaded {
+            ir.refuse("a store after a load");
+        }
+        let (addr, off) = ir.address(&addr);
+        let op = match v {
+            Expr::FReg(s) if width == Width::B32 => IrOp::FStore { s, addr, off },
+            v => {
+                let s = ir.val(&v);
+                IrOp::Store {
+                    s,
+                    addr,
+                    off,
+                    width,
+                }
+            }
+        };
+        ir.ops.push(op);
+        Ok(())
+    }
+    fn output(&mut self, v: Expr) {
+        let ir = self.ir.get_mut();
+        let s = ir.val(&v);
+        ir.ops.push(IrOp::Output { s });
+    }
+    /// The taken side: the condition becomes the terminator's.
+    fn decide(&self, cond: Expr) -> Result<bool, LiftError> {
+        let mut ir = self.ir.borrow_mut();
+        ir.cond = Some(ir.branch(&cond));
+        Ok(true)
+    }
+    /// A computed target makes the jump indirect; the address returned
+    /// for it is a placeholder.
+    fn target(&self, addr: Expr) -> Result<Addr, LiftError> {
+        if let Expr::Const(a) = addr {
+            return Ok(a);
+        }
+        let mut ir = self.ir.borrow_mut();
+        ir.target = Some(ir.val(&addr));
+        Ok(0)
     }
 }
 
-/// Builds the terminator for a conditional direct branch by evaluating
-/// the guest condition over the stored flags.
-fn cond_branch(b: &mut Builder, cond: Cond, taken: Addr, fallthrough: Addr) -> Terminator {
-    let c = |b: &mut Builder, f| b.get_flag(f);
-    let cond_val: Option<(IrCc, Val, Val)> = match cond {
-        Cond::Al => None,
-        Cond::Eq => Some((IrCc::Ne, c(b, Flag::Z), Val::Const(0))),
-        Cond::Ne => Some((IrCc::Eq, c(b, Flag::Z), Val::Const(0))),
-        Cond::Cs => Some((IrCc::Ne, c(b, Flag::C), Val::Const(0))),
-        Cond::Cc => Some((IrCc::Eq, c(b, Flag::C), Val::Const(0))),
-        Cond::Mi => Some((IrCc::Ne, c(b, Flag::N), Val::Const(0))),
-        Cond::Pl => Some((IrCc::Eq, c(b, Flag::N), Val::Const(0))),
-        Cond::Vs => Some((IrCc::Ne, c(b, Flag::V), Val::Const(0))),
-        Cond::Vc => Some((IrCc::Eq, c(b, Flag::V), Val::Const(0))),
-        Cond::Hi => {
-            // C && !Z
-            let cf = c(b, Flag::C);
-            let zf = c(b, Flag::Z);
-            let nz = b.setc(IrCc::Eq, zf, Val::Const(0));
-            let t = b.bin(BinOp::And, cf, nz);
-            Some((IrCc::Ne, t, Val::Const(0)))
+/// Declines `inst` if the lifter does, saying why; everything else is
+/// `step`'s to define. Lifting a refusal means deleting its line.
+fn refuse(inst: &Inst) -> Result<(), LiftError> {
+    let detail = match inst.op {
+        // Straight-line IR cannot skip an effect; only a branch's
+        // condition has somewhere to go (its terminator).
+        _ if inst.cond != Cond::Al && inst.op != Op::B => {
+            format!("conditional execution of non-branch `{inst}`")
         }
-        Cond::Ls => {
-            // !C || Z
-            let cf = c(b, Flag::C);
-            let zf = c(b, Flag::Z);
-            let nc = b.setc(IrCc::Eq, cf, Val::Const(0));
-            let t = b.bin(BinOp::Or, nc, zf);
-            Some((IrCc::Ne, t, Val::Const(0)))
-        }
-        Cond::Ge => {
-            let n = c(b, Flag::N);
-            let v = c(b, Flag::V);
-            let t = b.bin(BinOp::Xor, n, v);
-            Some((IrCc::Eq, t, Val::Const(0)))
-        }
-        Cond::Lt => {
-            let n = c(b, Flag::N);
-            let v = c(b, Flag::V);
-            let t = b.bin(BinOp::Xor, n, v);
-            Some((IrCc::Ne, t, Val::Const(0)))
-        }
-        Cond::Gt => {
-            // !Z && (N == V)
-            let n = c(b, Flag::N);
-            let v = c(b, Flag::V);
-            let eq = {
-                let x = b.bin(BinOp::Xor, n, v);
-                b.setc(IrCc::Eq, x, Val::Const(0))
-            };
-            let z = c(b, Flag::Z);
-            let nz = b.setc(IrCc::Eq, z, Val::Const(0));
-            let t = b.bin(BinOp::And, eq, nz);
-            Some((IrCc::Ne, t, Val::Const(0)))
-        }
-        Cond::Le => {
-            // Z || (N != V)
-            let n = c(b, Flag::N);
-            let v = c(b, Flag::V);
-            let ne = b.bin(BinOp::Xor, n, v);
-            let z = c(b, Flag::Z);
-            let t = b.bin(BinOp::Or, ne, z);
-            Some((IrCc::Ne, t, Val::Const(0)))
-        }
+        // `step` raises on an undefined system call; the IR has no trap.
+        Op::Svc => match inst.operands.first().and_then(Operand::as_imm) {
+            Some(0 | 1) => return Ok(()),
+            _ => format!("undefined `{inst}`"),
+        },
+        // The IR has no float predicate, and an unordered compare's
+        // flags need three.
+        Op::Vcmp => format!("float compare `{inst}`"),
+        _ => return Ok(()),
     };
-    Terminator::Br {
-        cond: cond_val,
-        taken,
-        fallthrough,
-    }
+    Err(LiftError { detail })
 }
 
 /// Lifts one guest instruction at `addr` into IR.
 ///
 /// # Errors
 ///
-/// [`LiftError`] for shapes outside the supported guest subset
-/// (conditional execution of non-branch instructions, flag-setting
-/// variable-amount shifts) — the synthetic compiler never emits these.
+/// [`LiftError`] for the shapes [`refuse`] lists — the synthetic
+/// compiler emits none of them — and for a malformed instruction.
 pub fn lift(inst: &Inst, addr: Addr) -> Result<Lifted, LiftError> {
     lift_omit(inst, addr, FlagSet::EMPTY)
 }
@@ -268,744 +520,408 @@ pub fn lift(inst: &Inst, addr: Addr) -> Result<Lifted, LiftError> {
 /// Like [`lift`], but skips materializing the given flags into the
 /// environment — TCG's flag-liveness optimization: the block translator
 /// passes the flags it proved dead (or folded into an adjacent
-/// conditional branch), and the dead flag computations are eliminated.
+/// conditional branch), and their computations are never built.
 ///
 /// # Errors
 ///
 /// See [`lift`].
 pub fn lift_omit(inst: &Inst, addr: Addr, omit: FlagSet) -> Result<Lifted, LiftError> {
-    if inst.cond != Cond::Al && inst.op != Op::B {
-        return Err(LiftError {
-            detail: format!("conditional execution of non-branch `{inst}`"),
-        });
+    refuse(inst)?;
+    let ir = RefCell::default();
+    let mut m = Lifter { addr, omit, ir };
+    let control = step(&mut m, inst)?;
+    let mut ir = m.ir.into_inner();
+    if let Some(Val::Reg(r)) = ir.target {
+        if ir.writes.iter().any(|w| w.0 == Loc::Reg(r) && w.2) {
+            ir.refuse("a jump through a register the instruction writes");
+        }
     }
-    let mut b = Builder::new(omit);
-    let next = addr.wrapping_add(4);
-    use Op::*;
-    let term: Option<Terminator> = match inst.op {
-        // ---- data processing ------------------------------------------------
-        And | Eor | Sub | Rsb | Add | Adc | Sbc | Rsc | Orr | Bic | Lsl | Lsr | Asr | Ror => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let rn = reg_val(inst.operands[1].as_reg().expect("validated"), addr);
-            let op2 = eval_op2(&mut b, &inst.operands[2], addr)?;
-            let res = match inst.op {
-                Add => b.bin(BinOp::Add, rn, op2),
-                Sub => b.bin(BinOp::Sub, rn, op2),
-                Rsb => b.bin(BinOp::Sub, op2, rn),
-                And => b.bin(BinOp::And, rn, op2),
-                Orr => b.bin(BinOp::Or, rn, op2),
-                Eor => b.bin(BinOp::Xor, rn, op2),
-                Bic => {
-                    let inv = {
-                        let d = b.tmp();
-                        b.push(IrOp::Un {
-                            op: UnOp::Not,
-                            d: Dst::Tmp(d),
-                            a: op2,
-                        });
-                        Val::Tmp(d)
-                    };
-                    b.bin(BinOp::And, rn, inv)
-                }
-                Adc => {
-                    let c = b.get_flag(Flag::C);
-                    let t = b.bin(BinOp::Add, rn, op2);
-                    b.bin(BinOp::Add, t, c)
-                }
-                Sbc => {
-                    let c = b.get_flag(Flag::C);
-                    let nb = b.setc(IrCc::Eq, c, Val::Const(0)); // 1 - C
-                    let t = b.bin(BinOp::Sub, rn, op2);
-                    b.bin(BinOp::Sub, t, nb)
-                }
-                Rsc => {
-                    let c = b.get_flag(Flag::C);
-                    let nb = b.setc(IrCc::Eq, c, Val::Const(0));
-                    let t = b.bin(BinOp::Sub, op2, rn);
-                    b.bin(BinOp::Sub, t, nb)
-                }
-                Lsl | Lsr | Asr | Ror => {
-                    let kind = match inst.op {
-                        Lsl => ShiftKind::Lsl,
-                        Lsr => ShiftKind::Lsr,
-                        Asr => ShiftKind::Asr,
-                        _ => ShiftKind::Ror,
-                    };
-                    let amt = b.bin(BinOp::And, op2, Val::Const(31));
-                    b.bin(shift_binop(kind), rn, amt)
-                }
-                _ => unreachable!(),
-            };
-            if inst.s {
-                match inst.op {
-                    Add => {
-                        b.set_nz(res);
-                        let c = b.setc(IrCc::Ltu, res, rn);
-                        b.set_flag(Flag::C, c);
-                        b.set_v_add(rn, op2, res);
-                    }
-                    Sub => {
-                        b.set_nz(res);
-                        let c = b.setc(IrCc::Geu, rn, op2);
-                        b.set_flag(Flag::C, c);
-                        let nb = {
-                            let d = b.tmp();
-                            b.push(IrOp::Un {
-                                op: UnOp::Not,
-                                d: Dst::Tmp(d),
-                                a: op2,
-                            });
-                            Val::Tmp(d)
-                        };
-                        b.set_v_add(rn, nb, res);
-                    }
-                    Rsb => {
-                        b.set_nz(res);
-                        let c = b.setc(IrCc::Geu, op2, rn);
-                        b.set_flag(Flag::C, c);
-                        let nb = {
-                            let d = b.tmp();
-                            b.push(IrOp::Un {
-                                op: UnOp::Not,
-                                d: Dst::Tmp(d),
-                                a: rn,
-                            });
-                            Val::Tmp(d)
-                        };
-                        b.set_v_add(op2, nb, res);
-                    }
-                    And | Orr | Eor | Bic => b.set_nz(res),
-                    Lsl | Lsr | Asr | Ror => {
-                        // Flag-setting shifts are supported only with a
-                        // constant, nonzero amount.
-                        let amount = match &inst.operands[2] {
-                            Operand::Imm(v) if *v >= 1 && *v <= 31 => *v,
-                            other => {
-                                return Err(LiftError {
-                                    detail: format!("flag-setting shift with amount `{other}`"),
-                                })
-                            }
-                        };
-                        b.set_nz(res);
-                        let carry = match inst.op {
-                            Lsl => {
-                                let t = b.bin(BinOp::Shr, rn, Val::Const(32 - amount));
-                                b.bin(BinOp::And, t, Val::Const(1))
-                            }
-                            Lsr | Ror => {
-                                let t = b.bin(BinOp::Shr, rn, Val::Const(amount - 1));
-                                b.bin(BinOp::And, t, Val::Const(1))
-                            }
-                            Asr => {
-                                let t = b.bin(BinOp::Sar, rn, Val::Const(amount - 1));
-                                b.bin(BinOp::And, t, Val::Const(1))
-                            }
-                            _ => unreachable!(),
-                        };
-                        b.set_flag(Flag::C, carry);
-                    }
-                    Adc | Sbc | Rsc => {
-                        return Err(LiftError {
-                            detail: format!("flag-setting carry-chain op `{inst}`"),
-                        })
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            write_reg(&mut b, rd, res)
-        }
-        Mov | Mvn => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let op2 = eval_op2(&mut b, &inst.operands[1], addr)?;
-            let res = if inst.op == Mvn {
-                let d = b.tmp();
-                b.push(IrOp::Un {
-                    op: UnOp::Not,
-                    d: Dst::Tmp(d),
-                    a: op2,
-                });
-                Val::Tmp(d)
-            } else {
-                op2
-            };
-            if inst.s {
-                b.set_nz(res);
-            }
-            write_reg(&mut b, rd, res)
-        }
-        Clz => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let rm = reg_val(inst.operands[1].as_reg().expect("validated"), addr);
-            let d = b.tmp();
-            b.push(IrOp::Un {
-                op: UnOp::Clz,
-                d: Dst::Tmp(d),
-                a: rm,
-            });
-            write_reg(&mut b, rd, Val::Tmp(d))
-        }
-        // ---- multiplies ------------------------------------------------------
-        Mul | Mla => {
-            let rd = inst.operands[0].as_reg().expect("validated");
-            let rm = reg_val(inst.operands[1].as_reg().expect("validated"), addr);
-            let rs = reg_val(inst.operands[2].as_reg().expect("validated"), addr);
-            let mut res = b.bin(BinOp::Mul, rm, rs);
-            if inst.op == Mla {
-                let ra = reg_val(inst.operands[3].as_reg().expect("validated"), addr);
-                res = b.bin(BinOp::Add, res, ra);
-            }
-            if inst.s {
-                b.set_nz(res);
-            }
-            write_reg(&mut b, rd, res)
-        }
-        Umull | Umlal => {
-            let rdlo = inst.operands[0].as_reg().expect("validated");
-            let rdhi = inst.operands[1].as_reg().expect("validated");
-            let rm = reg_val(inst.operands[2].as_reg().expect("validated"), addr);
-            let rs = reg_val(inst.operands[3].as_reg().expect("validated"), addr);
-            let lo = b.bin(BinOp::Mul, rm, rs);
-            let hi = b.bin(BinOp::MulhU, rm, rs);
-            let (lo, hi) = if inst.op == Umlal {
-                let new_lo = b.bin(BinOp::Add, Val::Reg(rdlo), lo);
-                let carry = b.setc(IrCc::Ltu, new_lo, Val::Reg(rdlo));
-                let h1 = b.bin(BinOp::Add, Val::Reg(rdhi), hi);
-                let h2 = b.bin(BinOp::Add, h1, carry);
-                (new_lo, h2)
-            } else {
-                (lo, hi)
-            };
-            b.push(IrOp::Mov {
-                d: Dst::Reg(rdlo),
-                s: lo,
-            });
-            b.push(IrOp::Mov {
-                d: Dst::Reg(rdhi),
-                s: hi,
-            });
-            None
-        }
-        // ---- compares ---------------------------------------------------------
-        Cmp | Cmn | Tst | Teq => {
-            let rn = reg_val(inst.operands[0].as_reg().expect("validated"), addr);
-            let op2 = eval_op2(&mut b, &inst.operands[1], addr)?;
-            match inst.op {
-                Cmp => {
-                    let res = b.bin(BinOp::Sub, rn, op2);
-                    b.set_nz(res);
-                    let c = b.setc(IrCc::Geu, rn, op2);
-                    b.set_flag(Flag::C, c);
-                    let nb = {
-                        let d = b.tmp();
-                        b.push(IrOp::Un {
-                            op: UnOp::Not,
-                            d: Dst::Tmp(d),
-                            a: op2,
-                        });
-                        Val::Tmp(d)
-                    };
-                    b.set_v_add(rn, nb, res);
-                }
-                Cmn => {
-                    let res = b.bin(BinOp::Add, rn, op2);
-                    b.set_nz(res);
-                    let c = b.setc(IrCc::Ltu, res, rn);
-                    b.set_flag(Flag::C, c);
-                    b.set_v_add(rn, op2, res);
-                }
-                Tst => {
-                    let res = b.bin(BinOp::And, rn, op2);
-                    b.set_nz(res);
-                }
-                Teq => {
-                    let res = b.bin(BinOp::Xor, rn, op2);
-                    b.set_nz(res);
-                }
-                _ => unreachable!(),
-            }
-            None
-        }
-        // ---- loads and stores ---------------------------------------------------
-        Ldr | Ldrb | Ldrh => {
-            let rt = inst.operands[0].as_reg().expect("validated");
-            let (base, off) = eval_mem(&mut b, inst.operands[1].as_mem().expect("validated"), addr);
-            let width = inst.op.access_width().expect("load width");
-            let d = b.tmp();
-            b.push(IrOp::Load {
-                d: Dst::Tmp(d),
-                addr: base,
-                off,
-                width,
-            });
-            write_reg(&mut b, rt, Val::Tmp(d))
-        }
-        Str | Strb | Strh => {
-            let rt = reg_val(inst.operands[0].as_reg().expect("validated"), addr);
-            let (base, off) = eval_mem(&mut b, inst.operands[1].as_mem().expect("validated"), addr);
-            let width = inst.op.access_width().expect("store width");
-            b.push(IrOp::Store {
-                s: rt,
-                addr: base,
-                off,
-                width,
-            });
-            None
-        }
-        // ---- stack ------------------------------------------------------------------
-        Push => {
-            let list = inst.reg_list().expect("validated");
-            let regs: Vec<Reg> = list.iter().collect();
-            let total = (regs.len() as u32) * 4;
-            let base = b.bin(BinOp::Sub, Val::Reg(Reg::Sp), Val::Const(total));
-            for (i, r) in regs.iter().enumerate() {
-                b.push(IrOp::Store {
-                    s: reg_val(*r, addr),
-                    addr: base,
-                    off: (i as i32) * 4,
-                    width: pdbt_isa::Width::B32,
-                });
-            }
-            b.push(IrOp::Mov {
-                d: Dst::Reg(Reg::Sp),
-                s: base,
-            });
-            None
-        }
-        Pop => {
-            let list = inst.reg_list().expect("validated");
-            let regs: Vec<Reg> = list.iter().collect();
-            let mut jump: Option<Val> = None;
-            let old_sp = b.tmp();
-            b.push(IrOp::Mov {
-                d: Dst::Tmp(old_sp),
-                s: Val::Reg(Reg::Sp),
-            });
-            for (i, r) in regs.iter().enumerate() {
-                let d = b.tmp();
-                b.push(IrOp::Load {
-                    d: Dst::Tmp(d),
-                    addr: Val::Tmp(old_sp),
-                    off: (i as i32) * 4,
-                    width: pdbt_isa::Width::B32,
-                });
-                if r.is_pc() {
-                    jump = Some(Val::Tmp(d));
-                } else {
-                    b.push(IrOp::Mov {
-                        d: Dst::Reg(*r),
-                        s: Val::Tmp(d),
-                    });
-                }
-            }
-            let new_sp = b.bin(
-                BinOp::Add,
-                Val::Tmp(old_sp),
-                Val::Const((regs.len() as u32) * 4),
-            );
-            b.push(IrOp::Mov {
-                d: Dst::Reg(Reg::Sp),
-                s: new_sp,
-            });
-            jump.map(|target| Terminator::BrInd { target })
-        }
-        // ---- branches ---------------------------------------------------------------
-        B => {
-            let Operand::Target(d) = inst.operands[0] else {
-                unreachable!("validated")
-            };
-            let taken = addr.wrapping_add(d as u32);
-            Some(cond_branch(&mut b, inst.cond, taken, next))
-        }
-        Bl => {
-            let Operand::Target(d) = inst.operands[0] else {
-                unreachable!("validated")
-            };
-            b.push(IrOp::Mov {
-                d: Dst::Reg(Reg::Lr),
-                s: Val::Const(next),
-            });
-            Some(Terminator::Br {
-                cond: None,
-                taken: addr.wrapping_add(d as u32),
-                fallthrough: next,
-            })
-        }
-        Bx => {
-            let rm = reg_val(inst.operands[0].as_reg().expect("validated"), addr);
-            Some(Terminator::BrInd { target: rm })
-        }
-        Svc => {
-            let imm = inst.operands[0].as_imm().expect("validated");
-            match imm {
-                0 => Some(Terminator::Exit),
-                1 => {
-                    b.push(IrOp::Output {
-                        s: Val::Reg(Reg::R0),
-                    });
-                    None
-                }
-                other => {
-                    return Err(LiftError {
-                        detail: format!("svc #{other}"),
-                    })
-                }
-            }
-        }
-        // ---- floating point ------------------------------------------------------------
-        Vadd | Vsub | Vmul | Vdiv => {
-            let (Operand::FReg(sd), Operand::FReg(sn), Operand::FReg(sm)) =
-                (inst.operands[0], inst.operands[1], inst.operands[2])
-            else {
-                unreachable!("validated")
-            };
-            let op = match inst.op {
-                Vadd => FBinOp::Add,
-                Vsub => FBinOp::Sub,
-                Vmul => FBinOp::Mul,
-                _ => FBinOp::Div,
-            };
-            b.push(IrOp::FBin {
-                op,
-                d: sd,
-                a: sn,
-                b: sm,
-            });
-            None
-        }
-        Vmov => {
-            let (Operand::FReg(sd), Operand::FReg(sm)) = (inst.operands[0], inst.operands[1])
-            else {
-                unreachable!("validated")
-            };
-            b.push(IrOp::FMov { d: sd, s: sm });
-            None
-        }
-        Vcmp => {
-            let (Operand::FReg(sd), Operand::FReg(sm)) = (inst.operands[0], inst.operands[1])
-            else {
-                unreachable!("validated")
-            };
-            b.push(IrOp::FCmpFlags { a: sd, b: sm });
-            None
-        }
-        Vldr => {
-            let Operand::FReg(sd) = inst.operands[0] else {
-                unreachable!("validated")
-            };
-            let (base, off) = eval_mem(&mut b, inst.operands[1].as_mem().expect("validated"), addr);
-            b.push(IrOp::FLoad {
-                d: sd,
-                addr: base,
-                off,
-            });
-            None
-        }
-        Vstr => {
-            let Operand::FReg(sd) = inst.operands[0] else {
-                unreachable!("validated")
-            };
-            let (base, off) = eval_mem(&mut b, inst.operands[1].as_mem().expect("validated"), addr);
-            b.push(IrOp::FStore {
-                s: sd,
-                addr: base,
-                off,
-            });
-            None
-        }
+    ir.commit();
+    if let Some(detail) = ir.refused {
+        return Err(LiftError { detail });
+    }
+    let term = match control {
+        Control::Next => None,
+        Control::Halt => Some(Terminator::Exit),
+        Control::Jump(taken) | Control::Call { target: taken, .. } => Some(match ir.target {
+            Some(target) => Terminator::BrInd { target },
+            None => Terminator::Br {
+                cond: ir.cond,
+                taken,
+                fallthrough: addr.wrapping_add(4),
+            },
+        }),
     };
-    let body = eliminate_dead(b.ops, term.as_ref());
-    Ok(match term {
-        Some(t) => Lifted::terminated(body, t),
-        None => Lifted::body(body),
-    })
-}
-
-/// Removes pure IR operations whose temporary results are never read
-/// (downstream or by the terminator).
-fn eliminate_dead(ops: Vec<IrOp>, term: Option<&Terminator>) -> Vec<IrOp> {
-    let mut live = [false; 64];
-    let mark = |v: &Val, live: &mut [bool; 64]| {
-        if let Val::Tmp(t) = v {
-            live[t.0 as usize] = true;
-        }
-    };
-    if let Some(Terminator::Br {
-        cond: Some((_, a, b)),
-        ..
-    }) = term
-    {
-        mark(a, &mut live);
-        mark(b, &mut live);
-    }
-    if let Some(Terminator::BrInd { target }) = term {
-        mark(target, &mut live);
-    }
-    let mut keep = vec![true; ops.len()];
-    for (i, op) in ops.iter().enumerate().rev() {
-        let (dst, pure) = match op {
-            IrOp::Mov { d, .. }
-            | IrOp::Bin { d, .. }
-            | IrOp::Un { d, .. }
-            | IrOp::Setc { d, .. }
-            | IrOp::GetFlag { d, .. } => (Some(*d), true),
-            IrOp::Load { d, .. } => (Some(*d), true),
-            _ => (None, false),
-        };
-        let dead = match (dst, pure) {
-            (Some(Dst::Tmp(t)), true) => !live[t.0 as usize],
-            _ => false,
-        };
-        if dead {
-            keep[i] = false;
-            continue;
-        }
-        // This op survives: its sources become live.
-        match op {
-            IrOp::Mov { s, .. } | IrOp::SetFlag { s, .. } | IrOp::Output { s } => {
-                mark(s, &mut live)
-            }
-            IrOp::Bin { a, b, .. } | IrOp::Setc { a, b, .. } => {
-                mark(a, &mut live);
-                mark(b, &mut live);
-            }
-            IrOp::Un { a, .. } => mark(a, &mut live),
-            IrOp::Load { addr, .. } | IrOp::FLoad { addr, .. } => mark(addr, &mut live),
-            IrOp::Store { s, addr, .. } => {
-                mark(s, &mut live);
-                mark(addr, &mut live);
-            }
-            IrOp::FStore { addr, .. } => mark(addr, &mut live),
-            IrOp::GetFlag { .. }
-            | IrOp::FBin { .. }
-            | IrOp::FMov { .. }
-            | IrOp::FCmpFlags { .. } => {}
-        }
-    }
-    ops.into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(op, _)| op)
-        .collect()
+    Ok(Lifted { body: ir.ops, term })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdbt_isa_arm::builders::*;
-    use pdbt_isa_arm::{MemAddr, Operand};
+    use crate::env::{self, RegMap};
+    use crate::{lower_branch_cond, lower_ops};
+    use pdbt_isa_arm::{builders as g, Cpu, MemAddr, RegList, ShiftKind};
+    use pdbt_isa_x86::{builders as hb, Cpu as HCpu, Operand as HOp, Reg as HReg};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
+    /// Every shape the lifter declines, with its reason.
     #[test]
-    fn plain_add_is_small() {
-        let l = lift(&add(Reg::R0, Reg::R1, Operand::Reg(Reg::R2)), 0x1000).unwrap();
-        assert!(l.term.is_none());
-        // bin + mov into rd.
-        assert_eq!(l.body.len(), 2);
+    fn the_refusal_list() {
+        let refused = [
+            (
+                g::mov(Reg::R0, Operand::Imm(1)).with_cond(Cond::Eq),
+                "conditional execution of non-branch `moveq r0, #1`",
+            ),
+            (g::svc(7), "undefined `svc #7`"),
+            (
+                g::vcmp(FReg::new(2), FReg::new(2)),
+                "float compare `vcmp.f32 s2, s2`",
+            ),
+        ];
+        for (inst, why) in refused {
+            assert_eq!(lift(&inst, 0).unwrap_err().detail, why);
+        }
     }
 
-    #[test]
-    fn adds_materializes_all_four_flags() {
-        let l = lift(&add(Reg::R0, Reg::R1, Operand::Imm(1)).with_s(), 0x1000).unwrap();
-        let set_flags: Vec<Flag> = l
-            .body
-            .iter()
-            .filter_map(|op| match op {
-                IrOp::SetFlag { f, .. } => Some(*f),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(set_flags, vec![Flag::N, Flag::Z, Flag::C, Flag::V]);
-        // The eager flag materialization is the expansion the paper's
-        // delegation avoids: ≥10 IR ops for one guest adds.
-        assert!(l.body.len() >= 10, "adds lifted to {} ops", l.body.len());
+    fn cases() -> usize {
+        std::env::var("FUZZ_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256)
     }
 
-    #[test]
-    fn logical_s_sets_only_nz() {
-        let l = lift(&and(Reg::R0, Reg::R1, Operand::Imm(3)).with_s(), 0).unwrap();
-        let set: Vec<Flag> = l
-            .body
-            .iter()
-            .filter_map(|op| match op {
-                IrOp::SetFlag { f, .. } => Some(*f),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(set, vec![Flag::N, Flag::Z]);
+    /// Data region; the instruction sits at its middle, so `pc`-relative
+    /// and register-based accesses within ±256 bytes all land in it.
+    const DATA: u32 = 0x10_0000;
+    const AT: u32 = DATA + 0x1000;
+    const STACK: u32 = 0x20_0000;
+    const REGIONS: [(u32, u32); 2] = [(DATA, 0x2000), (STACK, 0x1000)];
+
+    /// Float register seeds: NaNs, both infinities, both zeros, and two
+    /// ordinary values.
+    const FLOATS: [u32; 8] = [
+        0x7fc0_0000,
+        0xffc0_0001,
+        0x7f80_0000,
+        0xff80_0000,
+        0x8000_0000,
+        0x0000_0000,
+        0x3f80_0000,
+        0xc020_0000,
+    ];
+
+    /// Register seeds where carries, borrows, overflows and shift
+    /// amounts change.
+    const EDGES: [u32; 9] = [
+        0,
+        1,
+        2,
+        31,
+        32,
+        0x7fff_ffff,
+        0x8000_0000,
+        0xffff_fffe,
+        0xffff_ffff,
+    ];
+
+    fn reg(rng: &mut StdRng) -> Reg {
+        Reg::from_index(rng.gen_range(0..16)).unwrap()
     }
 
-    #[test]
-    fn pc_reads_as_plus_8_constant() {
-        let l = lift(&add(Reg::R0, Reg::Pc, Operand::Imm(4)), 0x2000).unwrap();
-        assert!(l.body.iter().any(|op| matches!(
-            op,
-            IrOp::Bin {
-                a: Val::Const(0x2008),
-                ..
+    fn not_pc(rng: &mut StdRng) -> Reg {
+        Reg::from_index(rng.gen_range(0..15)).unwrap()
+    }
+
+    fn freg(rng: &mut StdRng) -> FReg {
+        FReg::new(rng.gen_range(0..16))
+    }
+
+    fn flex(rng: &mut StdRng) -> Operand {
+        match rng.gen_range(0..4) {
+            0 => Operand::Reg(reg(rng)),
+            1 => Operand::Imm(rng.gen_range(0..40)),
+            2 => Operand::Imm(rng.gen_range(0..=2047)),
+            _ => Operand::Shifted {
+                rm: reg(rng),
+                kind: ShiftKind::ALL[rng.gen_range(0..4)],
+                amount: rng.gen_range(1..32),
+            },
+        }
+    }
+
+    fn mem(rng: &mut StdRng) -> Operand {
+        Operand::Mem(if rng.gen_bool(0.5) {
+            let offset = rng.gen_range(-0x100..0x100);
+            MemAddr::BaseImm {
+                base: reg(rng),
+                offset,
             }
-        )));
+        } else {
+            let (base, index) = (reg(rng), not_pc(rng));
+            MemAddr::BaseReg { base, index }
+        })
     }
 
-    #[test]
-    fn conditional_branch_reads_flags() {
-        let l = lift(&b(Cond::Ge, 16), 0x1000).unwrap();
-        assert!(matches!(
-            l.term,
-            Some(Terminator::Br {
-                taken: 0x1010,
-                fallthrough: 0x1004,
-                cond: Some(_)
-            })
-        ));
-        assert!(l
-            .body
-            .iter()
-            .any(|op| matches!(op, IrOp::GetFlag { f: Flag::N, .. })));
-        assert!(l
-            .body
-            .iter()
-            .any(|op| matches!(op, IrOp::GetFlag { f: Flag::V, .. })));
+    /// One instruction of any opcode, condition, `s` and operand shape,
+    /// `pc` operands and the forms the compiler never emits included.
+    fn sample(rng: &mut StdRng) -> Inst {
+        use pdbt_isa_arm::Shape;
+        let op = Op::ALL[rng.gen_range(0..Op::ALL.len())];
+        let operands = match op.shape() {
+            Shape::Dp3 => vec![Operand::Reg(reg(rng)), Operand::Reg(reg(rng)), flex(rng)],
+            Shape::Dp2 => vec![Operand::Reg(reg(rng)), flex(rng)],
+            Shape::Cmp2 => vec![Operand::Reg(reg(rng)), flex(rng)],
+            Shape::Unary2 => vec![Operand::Reg(reg(rng)), Operand::Reg(reg(rng))],
+            Shape::Mul3 => (0..3).map(|_| Operand::Reg(reg(rng))).collect(),
+            Shape::Mul4 => (0..4).map(|_| Operand::Reg(reg(rng))).collect(),
+            Shape::LdSt => vec![Operand::Reg(reg(rng)), mem(rng)],
+            Shape::Stack => {
+                let mut list: RegList = (0..15)
+                    .filter(|i| *i != Reg::Sp.index() && rng.gen_bool(0.3))
+                    .map(|i| Reg::from_index(i).unwrap())
+                    .collect();
+                if list.is_empty() || rng.gen_bool(0.3) {
+                    list.insert(Reg::Pc);
+                }
+                vec![Operand::RegList(list)]
+            }
+            Shape::Branch => vec![Operand::Target(4 * rng.gen_range(-64..64))],
+            Shape::BranchReg => vec![Operand::Reg(reg(rng))],
+            Shape::Sys => vec![Operand::Imm(rng.gen_range(0..3))],
+            Shape::Vfp3 => (0..3).map(|_| Operand::FReg(freg(rng))).collect(),
+            Shape::Vfp2 => vec![Operand::FReg(freg(rng)), Operand::FReg(freg(rng))],
+            Shape::VfpLdSt => vec![Operand::FReg(freg(rng)), mem(rng)],
+        };
+        let s = op.supports_s() && rng.gen_bool(0.5);
+        let cond = match rng.gen_range(0..4) {
+            0 => Cond::ALL[rng.gen_range(0..14)],
+            _ => Cond::Al,
+        };
+        let inst = Inst {
+            op,
+            s,
+            cond,
+            operands,
+        };
+        inst.validate()
+            .expect("sampled instructions are well formed");
+        inst
     }
 
-    #[test]
-    fn unconditional_branch_has_no_cond() {
-        let l = lift(&b(Cond::Al, -8), 0x1000).unwrap();
-        assert_eq!(
-            l.term,
+    /// The two machines the instruction runs on, from one random state
+    /// in which its memory operand addresses the data region and `sp`
+    /// the stack.
+    fn machines(rng: &mut StdRng, inst: &Inst) -> (Cpu, HCpu) {
+        let mut regs: [u32; 16] = std::array::from_fn(|_| match rng.gen_range(0..2) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())],
+            _ => rng.gen(),
+        });
+        regs[Reg::Sp.index()] = STACK + 0x800;
+        regs[Reg::Pc.index()] = AT;
+        if let Some(mem) = inst.operands.iter().find_map(Operand::as_mem) {
+            match mem {
+                MemAddr::BaseImm { base, .. } => regs[base.index()] = AT,
+                MemAddr::BaseReg { base, index } if base == index => regs[base.index()] = AT / 2,
+                MemAddr::BaseReg { base, index } => {
+                    regs[base.index()] = AT;
+                    regs[index.index()] = rng.gen_range(0..0x100);
+                }
+            }
+        }
+        let mut cpu = Cpu::new();
+        let mut host = HCpu::new();
+        host.mem.map(0, env::ENV_SIZE);
+        host.write(HReg::Ebp, 0);
+        for (base, size) in REGIONS {
+            cpu.mem.map(base, size);
+            host.mem.map(base, size);
+            for a in (base..base + size).step_by(4) {
+                let v = rng.gen();
+                cpu.mem.store32(a, v).unwrap();
+                host.mem.store32(a, v).unwrap();
+            }
+        }
+        let env = |off: i32| off as u32;
+        for r in Reg::ALL {
+            cpu.write(r, regs[r.index()]);
+            host.mem
+                .store32(env(env::reg_offset(r)), regs[r.index()])
+                .unwrap();
+        }
+        for f in Flag::ALL {
+            let v = rng.gen_bool(0.5);
+            cpu.flags.set(f, v);
+            host.mem
+                .store32(env(env::flag_offset(f)), u32::from(v))
+                .unwrap();
+        }
+        for i in 0..16 {
+            let bits = if rng.gen_bool(0.75) {
+                FLOATS[rng.gen_range(0..FLOATS.len())]
+            } else {
+                rng.gen()
+            };
+            cpu.write_f(FReg::new(i), f32::from_bits(bits));
+            let slot = env(env::freg_offset(FReg::new(i)));
+            host.mem
+                .store32(slot, cpu.read_f(FReg::new(i)).to_bits())
+                .unwrap();
+        }
+        (cpu, host)
+    }
+
+    /// Which NaN an operation on NaNs returns is not the lifter's to fix.
+    fn same_float(a: u32, b: u32) -> bool {
+        a == b || (f32::from_bits(a).is_nan() && f32::from_bits(b).is_nan())
+    }
+
+    /// Runs `inst` both ways from one state — `lift_omit` → `lower_ops`
+    /// (and the branch compare) on the x86 model, and `step::<Cpu>` —
+    /// and asserts that registers, memory, output, the flags not omitted
+    /// and where control goes agree. `false` if it does not lift, which
+    /// only a listed refusal may do.
+    fn agree(inst: &Inst, omit: FlagSet, (mut cpu, mut host): (Cpu, HCpu), what: &str) -> bool {
+        let (ctl, l) = match (
+            pdbt_isa_arm::step(&mut cpu, inst),
+            lift_omit(inst, AT, omit),
+        ) {
+            (Ok(ctl), Ok(l)) => (ctl, l),
+            (_, Err(e)) => {
+                assert!(refuse(inst).is_err(), "{what}: {e} is not a listed refusal");
+                return false;
+            }
+            (Err(e), Ok(_)) => panic!("{what}: lifted, but the interpreter raised {e}"),
+        };
+        let map = RegMap::all_env();
+        let mut code = lower_ops(&l.body, &map);
+        if let Some(Terminator::Br {
+            cond: Some((cc, a, b)),
+            ..
+        }) = l.term
+        {
+            let (cmp, hcc) = lower_branch_cond(cc, a, b, &map);
+            code.extend(cmp);
+            code.push(hb::setcc(hcc, HOp::Reg(HReg::Eax)));
+        }
+        pdbt_isa_x86::exec_block(&mut host, &code, 10_000).expect(what);
+        let slot = |off: i32| host.mem.load32(off as u32).unwrap();
+        for r in Reg::ALL {
+            let want = cpu.regs[r.index()];
+            assert_eq!(slot(env::reg_offset(r)), want, "{what}: {r}");
+        }
+        for f in Flag::ALL.into_iter().filter(|f| !omit.contains(*f)) {
+            let got = slot(env::flag_offset(f)) != 0;
+            assert_eq!(got, cpu.flags.get(f), "{what}: flag {f}");
+        }
+        for i in 0..16 {
+            let (got, want) = (slot(env::freg_offset(FReg::new(i))), cpu.fregs[i as usize]);
+            assert!(same_float(got, want.to_bits()), "{what}: s{i}");
+        }
+        for (base, size) in REGIONS {
+            for a in (base..base + size).step_by(4) {
+                let (got, want) = (host.mem.load32(a), cpu.mem.load32(a));
+                assert_eq!(got, want, "{what}: memory at {a:#x}");
+            }
+        }
+        assert_eq!(host.output, cpu.output, "{what}: output");
+        let went = match l.term {
+            None => Control::Next,
+            Some(Terminator::Exit) => Control::Halt,
             Some(Terminator::Br {
-                cond: None,
-                taken: 0xff8,
-                fallthrough: 0x1004
-            })
+                cond,
+                taken,
+                fallthrough,
+            }) => match ctl {
+                // A call's link-register write is in the body.
+                Control::Call { link, .. } => Control::Call {
+                    target: taken,
+                    link,
+                },
+                _ if cond.is_none() || host.read(HReg::Eax) == 1 => Control::Jump(taken),
+                _ => Control::Jump(fallthrough),
+            },
+            Some(Terminator::BrInd { target }) => Control::Jump(match target {
+                Val::Reg(r) => slot(env::reg_offset(r)),
+                Val::Tmp(t) => slot(env::spill_offset(t.0 as usize)),
+                Val::Const(c) => c,
+            }),
+        };
+        // A branch not taken, or a block end that falls through.
+        let next = |ctl| match ctl {
+            Control::Next if inst.ends_block() => Control::Jump(AT + 4),
+            ctl => ctl,
+        };
+        assert_eq!(next(went), next(ctl), "{what}: control");
+        true
+    }
+
+    /// Random instructions, each from its own random state. The
+    /// translator omits flags of body instructions only: a terminal's
+    /// target or condition is read after its body, from where
+    /// `lower_ops` spilled it.
+    #[test]
+    fn lifted_instructions_match_the_interpreter() {
+        let mut rng = StdRng::seed_from_u64(0x11F7_0001);
+        let mut lifted = 0;
+        for case in 0..cases() {
+            let inst = sample(&mut rng);
+            let omit = Flag::ALL
+                .into_iter()
+                .filter(|_| !inst.ends_block() && rng.gen_bool(0.3))
+                .fold(FlagSet::EMPTY, |set, f| set | FlagSet::single(f));
+            let machines = machines(&mut rng, &inst);
+            let what = format!("case {case}: `{inst}` omitting {omit}");
+            lifted += usize::from(agree(&inst, omit, machines, &what));
+        }
+        assert!(
+            lifted * 2 > cases(),
+            "only {lifted} of {} cases lifted",
+            cases()
         );
-        assert!(l.body.is_empty());
     }
 
+    /// Every flag-setting arithmetic and register-amount shift on every
+    /// pair of edge values, with either carry in: where carries, borrows,
+    /// overflows and shifter carry-outs change, which random words
+    /// seldom reach.
     #[test]
-    fn bl_links_and_branches() {
-        let l = lift(&bl(0x100), 0x1000).unwrap();
-        assert!(l.body.iter().any(|op| matches!(
-            op,
-            IrOp::Mov {
-                d: Dst::Reg(Reg::Lr),
-                s: Val::Const(0x1004)
+    fn flag_arithmetic_matches_on_edge_values() {
+        type Dp = fn(Reg, Reg, Operand) -> Inst;
+        let dp: [Dp; 10] = [
+            g::add,
+            g::adc,
+            g::sub,
+            g::sbc,
+            g::rsb,
+            g::rsc,
+            g::lsl,
+            g::lsr,
+            g::asr,
+            g::ror,
+        ];
+        let (a, b) = (Reg::R1, Reg::R2);
+        let insts = (dp.iter().map(|op| op(Reg::R0, a, Operand::Reg(b)).with_s()))
+            .chain([g::cmp(a, Operand::Reg(b)), g::cmn(a, Operand::Reg(b))]);
+        let mut rng = StdRng::seed_from_u64(0x11F7_0002);
+        for inst in insts {
+            for (x, y, c) in EDGES
+                .iter()
+                .flat_map(|x| EDGES.map(|y| (*x, y)))
+                .flat_map(|(x, y)| [(x, y, false), (x, y, true)])
+            {
+                let (mut cpu, mut host) = machines(&mut rng, &inst);
+                for (r, v) in [(a, x), (b, y)] {
+                    cpu.write(r, v);
+                    host.mem.store32(env::reg_offset(r) as u32, v).unwrap();
+                }
+                cpu.flags.set(Flag::C, c);
+                host.mem
+                    .store32(env::flag_offset(Flag::C) as u32, u32::from(c))
+                    .unwrap();
+                let what = format!("`{inst}` on {x:#x}, {y:#x}, carry {c}");
+                assert!(agree(&inst, FlagSet::EMPTY, (cpu, host), &what), "{what}");
             }
-        )));
-        assert!(matches!(l.term, Some(Terminator::Br { taken: 0x1100, .. })));
-    }
-
-    #[test]
-    fn mov_pc_is_indirect_branch() {
-        let l = lift(&mov(Reg::Pc, Operand::Reg(Reg::Lr)), 0).unwrap();
-        assert!(matches!(
-            l.term,
-            Some(Terminator::BrInd {
-                target: Val::Reg(Reg::Lr)
-            })
-        ));
-    }
-
-    #[test]
-    fn pop_pc_is_indirect_branch() {
-        let l = lift(&pop([Reg::R4, Reg::Pc]), 0).unwrap();
-        assert!(matches!(l.term, Some(Terminator::BrInd { .. })));
-        // r4 loaded, sp adjusted.
-        assert!(l.body.iter().any(|op| matches!(
-            op,
-            IrOp::Mov {
-                d: Dst::Reg(Reg::R4),
-                ..
-            }
-        )));
-        assert!(l.body.iter().any(|op| matches!(
-            op,
-            IrOp::Mov {
-                d: Dst::Reg(Reg::Sp),
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn svc_semantics() {
-        assert!(matches!(
-            lift(&svc(0), 0).unwrap().term,
-            Some(Terminator::Exit)
-        ));
-        let l = lift(&svc(1), 0).unwrap();
-        assert!(l.term.is_none());
-        assert!(matches!(
-            l.body[0],
-            IrOp::Output {
-                s: Val::Reg(Reg::R0)
-            }
-        ));
-    }
-
-    #[test]
-    fn unsupported_shapes_error() {
-        assert!(lift(&mov(Reg::R0, Operand::Imm(1)).with_cond(Cond::Eq), 0).is_err());
-        assert!(lift(&lsl(Reg::R0, Reg::R1, Operand::Reg(Reg::R2)).with_s(), 0).is_err());
-        assert!(lift(&adc(Reg::R0, Reg::R1, Operand::Imm(0)).with_s(), 0).is_err());
-    }
-
-    #[test]
-    fn memory_modes() {
-        let l = lift(
-            &ldr(
-                Reg::R0,
-                MemAddr::BaseImm {
-                    base: Reg::R1,
-                    offset: 8,
-                },
-            ),
-            0,
-        )
-        .unwrap();
-        assert!(l.body.iter().any(|op| matches!(
-            op,
-            IrOp::Load {
-                addr: Val::Reg(Reg::R1),
-                off: 8,
-                ..
-            }
-        )));
-        let l = lift(
-            &str_(
-                Reg::R0,
-                MemAddr::BaseReg {
-                    base: Reg::R1,
-                    index: Reg::R2,
-                },
-            ),
-            0,
-        )
-        .unwrap();
-        // base+index computed by an add, then stored with offset 0.
-        assert!(l
-            .body
-            .iter()
-            .any(|op| matches!(op, IrOp::Bin { op: BinOp::Add, .. })));
-        assert!(l
-            .body
-            .iter()
-            .any(|op| matches!(op, IrOp::Store { off: 0, .. })));
-    }
-
-    #[test]
-    fn umlal_accumulates_with_carry() {
-        let l = lift(&umlal(Reg::R0, Reg::R1, Reg::R2, Reg::R3), 0).unwrap();
-        // mul, mulhu, add-lo, carry setc, two hi adds, two final movs.
-        assert!(l.body.len() >= 8);
-        assert!(l.body.iter().any(|op| matches!(
-            op,
-            IrOp::Bin {
-                op: BinOp::MulhU,
-                ..
-            }
-        )));
-        assert!(l
-            .body
-            .iter()
-            .any(|op| matches!(op, IrOp::Setc { cc: IrCc::Ltu, .. })));
+        }
     }
 }

@@ -7,29 +7,31 @@
 //! or an in-environment memory operand.
 
 use crate::env::{self, RegMap};
-use crate::op::{BinOp, Dst, FBinOp, IrCc, IrOp, Tmp, UnOp, Val};
-use pdbt_isa::{Flag, Width};
+use crate::op::{Dst, IrOp, Tmp, Val};
+use pdbt_isa::{BinOp, PredOp, UnOp, Width};
 use pdbt_isa_x86::builders as hb;
 use pdbt_isa_x86::{Cc, Inst as HInst, Mem, Operand as HOp, Reg as HReg, Xmm};
 
 const SCRATCH_A: HReg = HReg::Eax;
 const SCRATCH_B: HReg = HReg::Edx;
 
-/// Maps an IR comparison to the host condition that holds after
-/// `cmpl a, b`.
+/// Maps an integer predicate to the host condition that holds after
+/// `cmpl a, b`. The IR has no float predicate: the lifter refuses what
+/// would need one.
 #[must_use]
-pub fn host_cc(cc: IrCc) -> Cc {
+pub fn host_cc(cc: PredOp) -> Cc {
     match cc {
-        IrCc::Eq => Cc::E,
-        IrCc::Ne => Cc::Ne,
-        IrCc::Ltu => Cc::B,
-        IrCc::Leu => Cc::Be,
-        IrCc::Gtu => Cc::A,
-        IrCc::Geu => Cc::Ae,
-        IrCc::Lts => Cc::L,
-        IrCc::Les => Cc::Le,
-        IrCc::Gts => Cc::G,
-        IrCc::Ges => Cc::Ge,
+        PredOp::Eq => Cc::E,
+        PredOp::Ne => Cc::Ne,
+        PredOp::Ltu => Cc::B,
+        PredOp::Leu => Cc::Be,
+        PredOp::Gtu => Cc::A,
+        PredOp::Geu => Cc::Ae,
+        PredOp::Lts => Cc::L,
+        PredOp::Les => Cc::Le,
+        PredOp::Gts => Cc::G,
+        PredOp::Ges => Cc::Ge,
+        PredOp::FLt | PredOp::FEq | PredOp::FGe => unreachable!("float predicate {cc:?} in IR"),
     }
 }
 
@@ -156,10 +158,7 @@ fn tmp_reads(ops: &[IrOp]) -> Vec<Vec<usize>> {
             }
             IrOp::FStore { addr, .. } => note(addr, i, &mut reads),
             IrOp::Output { s } => note(s, i, &mut reads),
-            IrOp::GetFlag { .. }
-            | IrOp::FBin { .. }
-            | IrOp::FMov { .. }
-            | IrOp::FCmpFlags { .. } => {}
+            IrOp::GetFlag { .. } | IrOp::FBin { .. } | IrOp::FMov { .. } => {}
         }
     }
     reads
@@ -177,7 +176,9 @@ fn alu_builder(op: BinOp) -> fn(HOp, HOp) -> HInst {
         BinOp::Sar => hb::sar,
         BinOp::Ror => hb::ror,
         BinOp::Mul => hb::imul,
-        BinOp::MulhU => unreachable!("handled separately"),
+        BinOp::MulhU | BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => {
+            unreachable!("{op:?} is lowered separately")
+        }
     }
 }
 
@@ -343,10 +344,11 @@ fn lower_op(ctx: &mut Ctx<'_>, op: &IrOp, i: usize) {
             ));
             let src = HOp::Mem(env::freg_mem(*b));
             let alu = match op {
-                FBinOp::Add => hb::addss(Xmm::new(0), src),
-                FBinOp::Sub => hb::subss(Xmm::new(0), src),
-                FBinOp::Mul => hb::mulss(Xmm::new(0), src),
-                FBinOp::Div => hb::divss(Xmm::new(0), src),
+                BinOp::FAdd => hb::addss(Xmm::new(0), src),
+                BinOp::FSub => hb::subss(Xmm::new(0), src),
+                BinOp::FMul => hb::mulss(Xmm::new(0), src),
+                BinOp::FDiv => hb::divss(Xmm::new(0), src),
+                _ => unreachable!("{op:?} is not a float operator"),
             };
             ctx.emit(alu);
             ctx.emit(hb::movss(
@@ -363,32 +365,6 @@ fn lower_op(ctx: &mut Ctx<'_>, op: &IrOp, i: usize) {
                 HOp::Mem(env::freg_mem(*d)),
                 HOp::Xmm(Xmm::new(0)),
             ));
-        }
-        IrOp::FCmpFlags { a, b } => {
-            ctx.emit(hb::movss(
-                HOp::Xmm(Xmm::new(0)),
-                HOp::Mem(env::freg_mem(*a)),
-            ));
-            ctx.emit(hb::ucomiss(Xmm::new(0), HOp::Mem(env::freg_mem(*b))));
-            // ARM FP flags: N = a<b, Z = a==b, C = a>=b, V = 0 (ordered
-            // inputs; the synthetic workloads do not produce NaNs).
-            ctx.emit(hb::setcc(Cc::B, HOp::Reg(SCRATCH_A)));
-            ctx.emit(hb::mov(
-                HOp::Mem(env::flag_mem(Flag::N)),
-                HOp::Reg(SCRATCH_A),
-            ));
-            ctx.emit(hb::setcc(Cc::E, HOp::Reg(SCRATCH_A)));
-            ctx.emit(hb::mov(
-                HOp::Mem(env::flag_mem(Flag::Z)),
-                HOp::Reg(SCRATCH_A),
-            ));
-            ctx.emit(hb::setcc(Cc::Ae, HOp::Reg(SCRATCH_A)));
-            ctx.emit(hb::mov(
-                HOp::Mem(env::flag_mem(Flag::C)),
-                HOp::Reg(SCRATCH_A),
-            ));
-            ctx.emit(hb::mov(HOp::Mem(env::flag_mem(Flag::V)), HOp::Imm(0)));
-            ctx.fwd = None;
         }
         IrOp::FLoad { d, addr, off } => {
             let mem = ctx.mem_operand(*addr, *off);
@@ -432,7 +408,7 @@ pub fn lower_ops(ops: &[IrOp], map: &RegMap) -> Vec<HInst> {
 /// Lowers a branch condition `(cc, a, b)`: emits the compare and returns
 /// the host condition the caller's stub should branch on.
 #[must_use]
-pub fn lower_branch_cond(cc: IrCc, a: Val, b: Val, map: &RegMap) -> (Vec<HInst>, Cc) {
+pub fn lower_branch_cond(cc: PredOp, a: Val, b: Val, map: &RegMap) -> (Vec<HInst>, Cc) {
     let mut ctx = Ctx {
         map,
         out: Vec::new(),
@@ -449,6 +425,7 @@ pub fn lower_branch_cond(cc: IrCc, a: Val, b: Val, map: &RegMap) -> (Vec<HInst>,
 mod tests {
     use super::*;
     use crate::lift::lift;
+    use pdbt_isa::Flag;
     use pdbt_isa_arm::builders::*;
     use pdbt_isa_arm::{Operand, Reg as GReg};
 
@@ -547,7 +524,8 @@ mod tests {
 
     #[test]
     fn branch_cond_lowering() {
-        let (insts, cc) = lower_branch_cond(IrCc::Ne, Val::Tmp(Tmp(0)), Val::Const(0), &all_env());
+        let (insts, cc) =
+            lower_branch_cond(PredOp::Ne, Val::Tmp(Tmp(0)), Val::Const(0), &all_env());
         assert_eq!(cc, Cc::Ne);
         assert!(insts.iter().any(|i| i.op == pdbt_isa_x86::Op::Cmp));
     }

@@ -5,19 +5,12 @@
 //! expansion is QEMU's "multiplying effect" (paper §II-A), which the
 //! learned rules avoid by translating guest → host directly.
 
-use pdbt_isa::{Addr, Flag, Width};
+use pdbt_isa::{Addr, BinOp, Flag, PredOp, UnOp, Width};
 use pdbt_isa_arm::{FReg, Reg as GReg};
-use std::fmt;
 
 /// An IR temporary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tmp(pub u8);
-
-impl fmt::Display for Tmp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
-    }
-}
 
 /// A value read by an IR operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,34 +23,6 @@ pub enum Val {
     Const(u32),
 }
 
-impl fmt::Display for Val {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Val::Reg(r) => write!(f, "{r}"),
-            Val::Tmp(t) => write!(f, "{t}"),
-            Val::Const(c) => write!(f, "{c:#x}"),
-        }
-    }
-}
-
-impl From<GReg> for Val {
-    fn from(r: GReg) -> Val {
-        Val::Reg(r)
-    }
-}
-
-impl From<Tmp> for Val {
-    fn from(t: Tmp) -> Val {
-        Val::Tmp(t)
-    }
-}
-
-impl From<u32> for Val {
-    fn from(c: u32) -> Val {
-        Val::Const(c)
-    }
-}
-
 /// A location written by an IR operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dst {
@@ -65,146 +30,6 @@ pub enum Dst {
     Reg(GReg),
     /// An IR temporary.
     Tmp(Tmp),
-}
-
-impl Dst {
-    /// This destination read as a value.
-    #[must_use]
-    pub fn as_val(self) -> Val {
-        match self {
-            Dst::Reg(r) => Val::Reg(r),
-            Dst::Tmp(t) => Val::Tmp(t),
-        }
-    }
-}
-
-impl fmt::Display for Dst {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Dst::Reg(r) => write!(f, "{r}"),
-            Dst::Tmp(t) => write!(f, "{t}"),
-        }
-    }
-}
-
-/// Binary IR operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum BinOp {
-    Add,
-    Sub,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    Sar,
-    Ror,
-    Mul,
-    /// Upper 32 bits of the unsigned 64-bit product.
-    MulhU,
-}
-
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Shr => "shr",
-            BinOp::Sar => "sar",
-            BinOp::Ror => "ror",
-            BinOp::Mul => "mul",
-            BinOp::MulhU => "mulhu",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Unary IR operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum UnOp {
-    Not,
-    Neg,
-    Clz,
-}
-
-impl fmt::Display for UnOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            UnOp::Not => "not",
-            UnOp::Neg => "neg",
-            UnOp::Clz => "clz",
-        })
-    }
-}
-
-/// IR comparison conditions (operate on values, not flags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum IrCc {
-    Eq,
-    Ne,
-    Ltu,
-    Leu,
-    Gtu,
-    Geu,
-    Lts,
-    Les,
-    Gts,
-    Ges,
-}
-
-impl IrCc {
-    /// Evaluates the comparison on concrete values.
-    #[must_use]
-    pub fn eval(self, a: u32, b: u32) -> bool {
-        let (sa, sb) = (a as i32, b as i32);
-        match self {
-            IrCc::Eq => a == b,
-            IrCc::Ne => a != b,
-            IrCc::Ltu => a < b,
-            IrCc::Leu => a <= b,
-            IrCc::Gtu => a > b,
-            IrCc::Geu => a >= b,
-            IrCc::Lts => sa < sb,
-            IrCc::Les => sa <= sb,
-            IrCc::Gts => sa > sb,
-            IrCc::Ges => sa >= sb,
-        }
-    }
-}
-
-impl fmt::Display for IrCc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            IrCc::Eq => "eq",
-            IrCc::Ne => "ne",
-            IrCc::Ltu => "ltu",
-            IrCc::Leu => "leu",
-            IrCc::Gtu => "gtu",
-            IrCc::Geu => "geu",
-            IrCc::Lts => "lts",
-            IrCc::Les => "les",
-            IrCc::Gts => "gts",
-            IrCc::Ges => "ges",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Float binary IR operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum FBinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
 }
 
 /// One IR operation (non-terminal).
@@ -217,8 +42,8 @@ pub enum IrOp {
     Bin { op: BinOp, d: Dst, a: Val, b: Val },
     /// `d = <op> a`
     Un { op: UnOp, d: Dst, a: Val },
-    /// `d = (a <cc> b) ? 1 : 0`
-    Setc { d: Dst, cc: IrCc, a: Val, b: Val },
+    /// `d = (a <cc> b) ? 1 : 0`, for an integer predicate
+    Setc { d: Dst, cc: PredOp, a: Val, b: Val },
     /// `d = guest_flag(f)` as 0/1
     GetFlag { d: Dst, f: Flag },
     /// `guest_flag(f) = (s != 0)`
@@ -237,17 +62,15 @@ pub enum IrOp {
         off: i32,
         width: Width,
     },
-    /// `fd = fa <op> fb`
+    /// `fd = fa <op> fb`, for a float operator
     FBin {
-        op: FBinOp,
+        op: BinOp,
         d: FReg,
         a: FReg,
         b: FReg,
     },
     /// `fd = fs`
     FMov { d: FReg, s: FReg },
-    /// Sets guest flags from an ARM-style float compare of `a ? b`.
-    FCmpFlags { a: FReg, b: FReg },
     /// `fd = mem[a + off]` (bit pattern)
     FLoad { d: FReg, addr: Val, off: i32 },
     /// `mem[a + off] = fs`
@@ -262,8 +85,9 @@ pub enum Terminator {
     /// Conditional or unconditional direct branch. `cond == None` means
     /// always taken.
     Br {
-        /// Branch condition over IR values, if any.
-        cond: Option<(IrCc, Val, Val)>,
+        /// Branch condition over IR values (an integer predicate), if
+        /// any.
+        cond: Option<(PredOp, Val, Val)>,
         /// Guest address when taken.
         taken: Addr,
         /// Guest address when not taken.
@@ -285,51 +109,4 @@ pub struct Lifted {
     pub body: Vec<IrOp>,
     /// Control transfer, if the instruction ends the block.
     pub term: Option<Terminator>,
-}
-
-impl Lifted {
-    /// A pure straight-line lifting.
-    #[must_use]
-    pub fn body(body: Vec<IrOp>) -> Lifted {
-        Lifted { body, term: None }
-    }
-
-    /// A lifting that ends the block.
-    #[must_use]
-    pub fn terminated(body: Vec<IrOp>, term: Terminator) -> Lifted {
-        Lifted {
-            body,
-            term: Some(term),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ircc_eval_signed_vs_unsigned() {
-        assert!(IrCc::Ltu.eval(1, u32::MAX));
-        assert!(!IrCc::Lts.eval(1, u32::MAX));
-        assert!(IrCc::Lts.eval(u32::MAX, 1)); // -1 < 1 signed
-        assert!(IrCc::Geu.eval(5, 5));
-        assert!(IrCc::Eq.eval(7, 7));
-        assert!(IrCc::Gts.eval(3, u32::MAX));
-    }
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(Tmp(3).to_string(), "t3");
-        assert_eq!(Val::Const(255).to_string(), "0xff");
-        assert_eq!(Val::Reg(GReg::R2).to_string(), "r2");
-        assert_eq!(BinOp::MulhU.to_string(), "mulhu");
-        assert_eq!(IrCc::Ges.to_string(), "ges");
-    }
-
-    #[test]
-    fn dst_as_val() {
-        assert_eq!(Dst::Reg(GReg::R1).as_val(), Val::Reg(GReg::R1));
-        assert_eq!(Dst::Tmp(Tmp(0)).as_val(), Val::Tmp(Tmp(0)));
-    }
 }

@@ -116,6 +116,26 @@ pub enum PredOp {
 }
 
 impl PredOp {
+    /// The complement of an integer predicate: `!(a op b)` is
+    /// `a op' b`. `None` for a float predicate, whose complement also
+    /// holds on an unordered pair.
+    #[must_use]
+    pub fn negate(self) -> Option<PredOp> {
+        Some(match self {
+            PredOp::Eq => PredOp::Ne,
+            PredOp::Ne => PredOp::Eq,
+            PredOp::Ltu => PredOp::Geu,
+            PredOp::Geu => PredOp::Ltu,
+            PredOp::Lts => PredOp::Ges,
+            PredOp::Ges => PredOp::Lts,
+            PredOp::Gts => PredOp::Les,
+            PredOp::Les => PredOp::Gts,
+            PredOp::Gtu => PredOp::Leu,
+            PredOp::Leu => PredOp::Gtu,
+            PredOp::FLt | PredOp::FEq | PredOp::FGe => return None,
+        })
+    }
+
     /// Concrete evaluation. The float predicates are all false on an
     /// unordered pair (either side NaN).
     #[must_use]
@@ -454,5 +474,18 @@ mod tests {
         let (one, nan) = (1.0f32.to_bits(), f32::NAN.to_bits());
         assert!(!Concrete::unordered(&one, &one));
         assert!(Concrete::unordered(&nan, &one) && Concrete::unordered(&one, &nan));
+    }
+
+    #[test]
+    fn negate_is_the_complement_of_an_integer_predicate() {
+        use PredOp::*;
+        let words = [0, 1, 0x7fff_ffff, 0x8000_0000, u32::MAX];
+        for op in [Eq, Ne, Ltu, Geu, Lts, Ges, Gts, Les, Gtu, Leu] {
+            let not = op.negate().expect("integer predicate");
+            for (a, b) in words.iter().flat_map(|a| words.map(|b| (*a, b))) {
+                assert_eq!(not.eval(a, b), !op.eval(a, b), "{op:?} {a:#x} {b:#x}");
+            }
+        }
+        assert_eq!(FEq.negate(), None, "NaN makes both sides false");
     }
 }

@@ -155,8 +155,10 @@ fn liveness_program(rng: &mut StdRng) -> Program {
     }
 }
 
+type Sampler = fn(&mut StdRng) -> Program;
+
 /// The sampler streams of the tests below: seed and program builder.
-const SAMPLERS: [(u64, fn(&mut StdRng) -> Program); 4] = [
+const SAMPLERS: [(u64, Sampler); 4] = [
     (0xD1FF01, random_program),
     (0xD1FF03, fallback_program),
     (0xD1FF02, random_loop),
@@ -213,6 +215,31 @@ fn random_loops_agree_across_translators() {
         assert_eq!(&qemu, &golden, "qemu path diverged");
         let para = run_engine(&prog, Some(rules().clone()));
         assert_eq!(&para, &golden, "parameterized path diverged");
+    }
+}
+
+/// `vcmp` of a NaN with itself is unordered: N=0 Z=0 C=1 V=1, so `bvc`
+/// falls through and the program prints 1. The TCG path once lowered
+/// the compare as if NaNs did not occur (V=0) and printed 0.
+#[test]
+fn unordered_vcmp_agrees_on_the_tcg_path() {
+    use pdbt::runtime::BackendKind;
+    let listing = "mov r0, #0\nvdiv.f32 s2, s0, s1\nvcmp.f32 s2, s2\nbvc .+8\n\
+                   mov r0, #1\nsvc #1\nsvc #0\n";
+    let insts = pdbt::arm::parse_listing(listing).expect("listing parses");
+    let prog = Program::new(0x1000, insts);
+    let golden = run_reference(&prog);
+    assert_eq!(golden, vec![1], "0/0 is NaN, and NaN is unordered");
+    for backend in [BackendKind::Model, BackendKind::Threaded] {
+        let cfg = EngineConfig {
+            backend,
+            ..EngineConfig::default()
+        };
+        let setup = RunSetup::basic(DATA_BASE, 0x1000, 0x8_0000, 0x1000);
+        let out = Engine::new(None, cfg)
+            .run(&prog, &setup)
+            .expect("engine run");
+        assert_eq!(out.output, golden, "{backend:?}");
     }
 }
 
