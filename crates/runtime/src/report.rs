@@ -270,10 +270,16 @@ pub struct Report {
 impl Report {
     /// What [`Report::stripped`] drops: the one section that describes
     /// the shared state rather than the session (`server`, snapshotted
-    /// at a wall-clock-dependent point under concurrency) and the two
-    /// wall-clock measurements.
-    pub const STRIPPED: [&'static str; 3] =
-        ["server", "histograms.translate_ns", "dispatch.compile_ns"];
+    /// at a wall-clock-dependent point under concurrency), the two
+    /// wall-clock measurements, and `pool` — which prewarm worker ran
+    /// which task is a work-stealing schedule, and warm tasks that
+    /// complete instantly shift it.
+    pub const STRIPPED: [&'static str; 4] = [
+        "server",
+        "histograms.translate_ns",
+        "dispatch.compile_ns",
+        "pool",
+    ];
 
     /// The stripped report — the definition of the determinism
     /// invariant: for one guest, rule set and configuration, this

@@ -19,7 +19,7 @@ use common::{assert_golden, learned_for, mcf_request, spawn_server, stripped, SE
 use pdbt::artifact::bytes::crc32;
 use pdbt::artifact::{open_salvage, seal, warm_state};
 use pdbt::obs::json::Json;
-use pdbt::runtime::{Engine, EngineConfig, Report, RunSetup};
+use pdbt::runtime::{Engine, EngineConfig, RunSetup};
 use pdbt::workloads::{build, suite, Benchmark, Config, Experiment, Scale};
 use pdbt_serve::{ping, shutdown, submit, ServeConfig};
 use rand::rngs::StdRng;
@@ -32,16 +32,6 @@ fn cases() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(24)
-}
-
-/// On top of the stripped report (whose dropped `server` section
-/// carries the artifact boot counters, which legitimately differ
-/// between a cold and a warm engine) this suite ignores `pool`: which
-/// worker ran each prewarm task is a work-stealing schedule that shifts
-/// when warm tasks complete instantly. Everything else must be
-/// bit-identical.
-fn stripped_report(report: &Report) -> String {
-    stripped(&report.to_json(), &["pool"])
 }
 
 /// The stable fingerprint of a known program is pinned: this exact
@@ -107,8 +97,8 @@ fn artifact_boot_is_bit_identical_to_cold_runs() {
                 "seed {seed:#x} jobs {jobs}: guest output diverged"
             );
             assert_eq!(
-                stripped_report(&warm),
-                stripped_report(&cold),
+                stripped(&warm.to_json()),
+                stripped(&cold.to_json()),
                 "seed {seed:#x} jobs {jobs}: warm report diverged from cold"
             );
             // The warm session did zero live translation work.
@@ -253,8 +243,8 @@ fn randomized_programs_roundtrip_and_boot_identically() {
             .expect("warm run");
         assert_eq!(warm.output, cold.output, "case {case}");
         assert_eq!(
-            stripped_report(&warm),
-            stripped_report(&cold),
+            stripped(&warm.to_json()),
+            stripped(&cold.to_json()),
             "case {case}: warm report diverged"
         );
         assert_eq!(warm.server.translate_calls, 0, "case {case}");
@@ -309,8 +299,8 @@ fn concurrent_serve_sessions_off_one_artifact_match_the_cold_oracle() {
         );
         let report = resp.get("report").expect("report");
         assert_eq!(
-            stripped(report, &["pool"]),
-            stripped(&oracle_json, &["pool"]),
+            stripped(report),
+            stripped(&oracle_json),
             "a warm session diverged from the sequential cold oracle"
         );
     }

@@ -61,14 +61,12 @@ fn run_with(rules: &RuleSet, jobs: usize, backend: BackendKind) -> Report {
     engine.run(&w.pair.guest.program, &w.setup()).expect("run")
 }
 
-/// The stripped report minus `pool` (work-stealing task distribution
-/// is scheduling noise under `--jobs 4`) and the two fields that *name*
-/// the backend — `dispatch.backend` and `dispatch.compiled_blocks`
-/// (always zero under the model). Everything else must be
-/// bit-identical.
+/// The stripped report minus the two fields that *name* the backend —
+/// `dispatch.backend` and `dispatch.compiled_blocks` (always zero under
+/// the model). Everything else must be bit-identical.
 fn stripped_cross_backend(report: &Report) -> String {
     let mut doc = Report::stripped(&report.to_json());
-    for path in ["pool", "dispatch.backend", "dispatch.compiled_blocks"] {
+    for path in ["dispatch.backend", "dispatch.compiled_blocks"] {
         doc.remove_path(path);
     }
     doc.to_string()

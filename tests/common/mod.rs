@@ -53,15 +53,10 @@ pub fn learned_for(seed: u64) -> RuleSet {
     learn_suite(&suite, None)
 }
 
-/// The stripped report ([`Report::stripped`]) minus the `also` paths a
-/// suite has its own reason to ignore; everything left must be
-/// bit-identical between the runs it compares.
-pub fn stripped(doc: &Json, also: &[&str]) -> String {
-    let mut doc = Report::stripped(doc);
-    for path in also {
-        doc.remove_path(path);
-    }
-    doc.to_string()
+/// The stripped report ([`Report::stripped`]) as text: it must be
+/// bit-identical between the runs a suite compares.
+pub fn stripped(doc: &Json) -> String {
+    Report::stripped(doc).to_string()
 }
 
 /// Socket timeout for every client call; far above any tiny-scale run.

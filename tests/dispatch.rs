@@ -299,15 +299,14 @@ fn producers_across_member_boundaries_agree_chained_and_unchained() {
     );
 }
 
-/// The report JSON with the fields that legitimately depend on the
-/// worker count removed: wall-clock timing, which engine translated a
-/// block (lazy dispatch vs. prewarm changes static translation counts
-/// and cache/pool traffic) — everything *dynamic* must be bit-identical.
+/// The stripped report with the fields that legitimately depend on the
+/// worker count removed: which engine translated a block (lazy dispatch
+/// vs. prewarm changes static translation counts and cache traffic) —
+/// everything *dynamic* must be bit-identical.
 fn strip_jobs_dependent(report: &Report) -> String {
     let mut doc = Report::stripped(&report.to_json());
     for path in [
         "cache",
-        "pool",
         "rules",
         "lookup_misses",
         "metrics.blocks_translated",

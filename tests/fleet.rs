@@ -19,12 +19,6 @@ use pdbt_serve::{ping, push_artifact, shutdown, submit, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// On top of the stripped report these suites ignore `pool`: the
-/// work-stealing schedule shifts when warm tasks complete instantly.
-/// Everything else must be bit-identical between a replicated warm
-/// session and a cold run.
-const POOL: &[&str] = &["pool"];
-
 fn fleet_field(pong: &Json, name: &str) -> u64 {
     pong.get("fleet")
         .and_then(|f| f.get(name))
@@ -80,8 +74,8 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
         Some("completed")
     );
     assert_eq!(
-        stripped(first.get("report").expect("report"), POOL),
-        stripped(&oracle_json, POOL),
+        stripped(first.get("report").expect("report")),
+        stripped(&oracle_json),
         "the follower's first request diverged from the sequential cold oracle"
     );
 
@@ -152,10 +146,7 @@ fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
         .run(&w.pair.guest.program, &w.setup())
         .expect("warm run");
     assert_eq!(warm.server.translate_calls, 0);
-    assert_eq!(
-        stripped(&warm.to_json(), POOL),
-        stripped(&cold.to_json(), POOL)
-    );
+    assert_eq!(stripped(&warm.to_json()), stripped(&cold.to_json()));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

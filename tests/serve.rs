@@ -68,8 +68,8 @@ fn eight_concurrent_sessions_are_bit_identical_to_sequential_runs() {
             "session did not complete: {resp}"
         );
         assert_eq!(
-            stripped(report_of(resp), &[]),
-            stripped(&oracle_json, &[]),
+            stripped(report_of(resp)),
+            stripped(&oracle_json),
             "a warm concurrent session's report diverged from the cold oracle"
         );
     }
@@ -93,7 +93,7 @@ fn eight_concurrent_sessions_are_bit_identical_to_sequential_runs() {
     let calls_before = field("translate_calls");
     assert!(calls_before >= blocks, "cold sessions translated nothing");
     let warm = submit(addr, &mcf_request(8), T).expect("warm submit");
-    assert_eq!(stripped(report_of(&warm), &[]), stripped(&oracle_json, &[]));
+    assert_eq!(stripped(report_of(&warm)), stripped(&oracle_json));
     let pong = ping(addr, T).expect("ping");
     let calls_after = pong
         .get("server")
@@ -287,8 +287,8 @@ fn fault_armed_and_deadline_requests_leave_neighbours_untouched() {
             Some("completed")
         );
         assert_eq!(
-            stripped(report_of(resp), &[]),
-            stripped(&oracle_json, &[]),
+            stripped(report_of(resp)),
+            stripped(&oracle_json),
             "a clean session was perturbed by a fault-armed neighbour"
         );
     }
