@@ -391,7 +391,7 @@ fn ir_cost(inst: &Inst, addr: u32, omit: FlagSet) -> Result<(usize, String), Str
 /// moves no higher.
 #[test]
 fn ir_lift_matches_the_golden() {
-    use pdbt_isa::{Flag, FlagSet};
+    use pdbt_isa::Flag;
     let mut programs: Vec<(String, Program)> = Vec::new();
     for (scale, name) in [(Scale::tiny(), "tiny"), (Scale::full(), "full")] {
         for w in pdbt::workloads::suite(scale) {
