@@ -1434,4 +1434,201 @@ mod tests {
     fn the_handler_return_fits_a_register() {
         assert!(std::mem::size_of::<HRes>() <= 8);
     }
+
+    use crate::operand::{Cc, Mem};
+    use pdbt_isa::Flags;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// States per bound shape: an eighth of `FUZZ_CASES` (default 64),
+    /// since there are ≈ 370 shapes.
+    fn cases() -> usize {
+        let fuzz: usize = std::env::var("FUZZ_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        (fuzz / 8).max(4)
+    }
+
+    /// Test-local operand kinds beside the integer shape codes.
+    const XMM: u8 = 0xf0;
+    const TARGET: u8 = 0xf1;
+
+    /// Register operands. `ebp` and `edi` are kept as the memory base
+    /// and index and `esp` as the stack, so most accesses land mapped.
+    const REGS: [Reg; 5] = [Reg::Eax, Reg::Ecx, Reg::Edx, Reg::Ebx, Reg::Esi];
+
+    /// Where carries, borrows, overflows and shift amounts change.
+    const EDGES: [u32; 9] = [
+        0,
+        1,
+        2,
+        31,
+        32,
+        0x7fff_ffff,
+        0x8000_0000,
+        0xffff_fffe,
+        0xffff_ffff,
+    ];
+
+    /// NaNs, both infinities, both zeros and two ordinary values.
+    const FLOATS: [u32; 8] = [
+        0x7fc0_0000,
+        0xffc0_0001,
+        0x7f80_0000,
+        0xff80_0000,
+        0x8000_0000,
+        0x0000_0000,
+        0x3f80_0000,
+        0xc020_0000,
+    ];
+
+    /// Every (op, operand kinds) the compiler binds to a specialized
+    /// handler: the `sel_ds!` / `sel_s!` / `sel_d!` families at each
+    /// shape they take, `lea`, `movss` and the SSE ops at each memory
+    /// shape, and the operand-free and jump forms.
+    fn bound_shapes() -> Vec<(Op, Vec<u8>)> {
+        use Op::*;
+        const MEM: [u8; 4] = [C_ABS, C_MB, C_MBI, C_MI];
+        let srcs = [C_REG, C_IMM, C_ABS, C_MB, C_MBI, C_MI];
+        let dsts = [C_REG, C_ABS, C_MB, C_MBI, C_MI];
+        let mut out = Vec::new();
+        let two = [
+            Mov, MovB, MovW, MovzxB, MovzxW, Add, Adc, Sub, Sbb, Cmp, And, Or, Xor, Test, Imul,
+            Shl, Shr, Sar, Ror, Bsr,
+        ];
+        for op in two {
+            for d in dsts {
+                for s in srcs {
+                    if d == C_REG || matches!(s, C_REG | C_IMM) {
+                        out.push((op, vec![d, s]));
+                    }
+                }
+            }
+        }
+        for op in [MulWide, Push, Jmp] {
+            out.extend(srcs.map(|s| (op, vec![s])));
+        }
+        for op in [Not, Neg, Pop, Setcc] {
+            out.extend(dsts.map(|d| (op, vec![d])));
+        }
+        for m in MEM {
+            out.push((Lea, vec![C_REG, m]));
+            out.push((Movss, vec![XMM, m]));
+            out.push((Movss, vec![m, XMM]));
+        }
+        out.push((Movss, vec![XMM, XMM]));
+        for op in [Addss, Subss, Mulss, Divss, Ucomiss] {
+            for s in [XMM, C_ABS, C_MB, C_MBI, C_MI] {
+                out.push((op, vec![XMM, s]));
+            }
+        }
+        out.push((Jmp, vec![TARGET]));
+        out.push((Jcc, vec![TARGET]));
+        out.push((Call, vec![C_IMM]));
+        for op in [Ret, Out, Hlt] {
+            out.push((op, vec![]));
+        }
+        out
+    }
+
+    /// An operand of kind `k`. Memory goes through `ebp` (base) and
+    /// `edi` (index) with a nonzero displacement; `far` puts every
+    /// memory shape's address in unmapped memory (the caller points
+    /// `ebp` there too).
+    fn operand(k: u8, far: bool, rng: &mut StdRng) -> Operand {
+        let disp = rng.gen_range(1i32..0x100);
+        let region = if far { 0x4_0000 } else { 0x1_0000 };
+        match k {
+            C_REG => REGS[rng.gen_range(0..REGS.len())].into(),
+            C_IMM if rng.gen::<bool>() => Operand::Imm(EDGES[rng.gen_range(0..EDGES.len())] as i32),
+            C_IMM => Operand::Imm(rng.gen::<u32>() as i32),
+            C_ABS => Mem::abs(region + disp).into(),
+            C_MB => Mem::base_disp(Reg::Ebp, disp).into(),
+            C_MBI => Mem {
+                base: Some(Reg::Ebp),
+                index: Some(Reg::Edi),
+                disp,
+            }
+            .into(),
+            C_MI => Mem {
+                base: None,
+                index: Some(Reg::Edi),
+                disp: region + disp,
+            }
+            .into(),
+            XMM => Xmm::new(rng.gen_range(0u8..8)).into(),
+            _ => Operand::Target(rng.gen_range(-1i32..3)),
+        }
+    }
+
+    /// A seeded machine state: registers (edge values or random), flags,
+    /// xmm bits (NaN and infinities included) and random bytes where
+    /// `operand`'s addresses and the stack top land.
+    fn random_state(far: bool, rng: &mut StdRng) -> impl Fn(&mut Cpu) {
+        let regs: [u32; 8] = std::array::from_fn(|_| match rng.gen_range(0..3) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())],
+            _ => rng.gen(),
+        });
+        let xmm: [u32; 8] = std::array::from_fn(|_| match rng.gen_range(0..2) {
+            0 => FLOATS[rng.gen_range(0..FLOATS.len())],
+            _ => rng.gen(),
+        });
+        let flags = Flags {
+            n: rng.gen(),
+            z: rng.gen(),
+            c: rng.gen(),
+            v: rng.gen(),
+        };
+        let ebp = if far { 0x4_0000 } else { 0x1_0000 } + rng.gen_range(0u32..0x400);
+        let edi = rng.gen_range(0u32..0x400);
+        let bytes: Vec<u8> = (0..0xa20 / 8)
+            .flat_map(|_| rng.gen::<u64>().to_le_bytes())
+            .collect();
+        move |c: &mut Cpu| {
+            for (r, v) in Reg::ALL.into_iter().zip(regs) {
+                c.write(r, v);
+            }
+            c.write(Reg::Ebp, ebp);
+            c.write(Reg::Edi, edi);
+            c.write(Reg::Esp, 0x8_0800);
+            c.xmm = xmm.map(f32::from_bits);
+            c.flags = flags;
+            c.mem.write_bytes(0x1_0000, &bytes[..0xa00]).unwrap();
+            c.mem.write_bytes(0x8_07f0, &bytes[0xa00..]).unwrap();
+        }
+    }
+
+    /// Every specialization the compiler binds runs against the model
+    /// from seeded random states, and every memory shape again at a
+    /// faulting address. Each one must compile to a specialized handler,
+    /// or the comparison would only be testing the fallback.
+    #[test]
+    fn every_bound_specialization_matches_the_model() {
+        let mut rng = StdRng::seed_from_u64(0x7412_ead0);
+        for (op, kinds) in bound_shapes() {
+            let has_mem = kinds.iter().any(|k| matches!(*k, C_ABS..=C_MI));
+            for case in 0..cases() {
+                let far = has_mem && case % 4 == 3;
+                let inst = Inst {
+                    op,
+                    cc: matches!(op, Op::Jcc | Op::Setcc).then(|| Cc::ALL[case % Cc::ALL.len()]),
+                    operands: kinds.iter().map(|k| operand(*k, far, &mut rng)).collect(),
+                };
+                let block = [inst, out()];
+                assert_eq!(compile_block(&block).slow_ops(), 0, "{}", block[0]);
+                check(&block, random_state(far, &mut rng));
+            }
+        }
+        let mem_to_mem = Inst {
+            op: Op::Mov,
+            cc: None,
+            operands: [Mem::base(Reg::Ebp).into(), Mem::abs(0x1_0000).into()]
+                .into_iter()
+                .collect(),
+        };
+        assert_eq!(compile_block(&[mem_to_mem]).slow_ops(), 1);
+        let fast = mov(Reg::Eax.into(), Operand::Imm(1));
+        assert_eq!(compile_block(&[fast]).slow_ops(), 0);
+    }
 }
