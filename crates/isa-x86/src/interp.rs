@@ -126,16 +126,38 @@ impl Machine for Cpu {
     }
 }
 
-/// The flags of an arithmetic result, for the threaded handlers (which
-/// assign `Cpu::flags` whole where [`step`] writes flag by flag).
-#[inline]
-pub(crate) fn flags_of(result: u32, c: bool, v: bool) -> Flags {
-    let (n, z) = Concrete::nz(&result);
-    Flags { n, z, c, v }
-}
-
 fn malformed<E: From<ExecError>>(detail: String) -> E {
     ExecError::MalformedInstruction { detail }.into()
+}
+
+/// How [`step`]'s body reaches an instruction's operands. Operand `i`
+/// is read or written as an integer at a width, as a float, or taken as
+/// an address; beside the operands an instruction carries a condition,
+/// a relative displacement and its own text for a malformed-instruction
+/// error.
+///
+/// Two implementations: [`Inst`], which matches on the operand at each
+/// access, and the threaded backend's op at the operand shapes it was
+/// compiled for, which reads pre-resolved fields and leaves no `match`
+/// once monomorphized.
+pub(crate) trait Access<M: Machine<Reg = Reg, FReg = Xmm>> {
+    /// Operand `i` as an integer; memory loads `width` bits.
+    fn int(&self, m: &M, i: usize, width: Width) -> Result<M::W, M::Error>;
+    /// Writes integer operand `i`; memory stores `width` bits, a
+    /// register takes all 32.
+    fn set_int(&self, m: &mut M, i: usize, v: M::W, width: Width) -> Result<(), M::Error>;
+    /// The address of memory operand `i`.
+    fn ea(&self, m: &M, i: usize) -> Result<M::W, M::Error>;
+    /// Operand `i` as a float: an `xmm` register or 32 bits of memory.
+    fn float(&self, m: &M, i: usize) -> Result<M::W, M::Error>;
+    /// Writes float operand `i`.
+    fn set_float(&self, m: &mut M, i: usize, v: M::W) -> Result<(), M::Error>;
+    /// Whether the instruction's condition holds.
+    fn cond(&self, m: &M) -> M::B;
+    /// Operand 0's jump displacement, if it is one.
+    fn rel(&self) -> Option<i32>;
+    /// The instruction's text.
+    fn text(&self) -> String;
 }
 
 fn mem_addr<M: Machine<Reg = Reg>>(m: &M, mem: Mem) -> M::W {
@@ -149,51 +171,74 @@ fn mem_addr<M: Machine<Reg = Reg>>(m: &M, mem: Mem) -> M::W {
     a
 }
 
-fn read_operand<M: Machine<Reg = Reg>>(m: &M, o: &Operand, width: Width) -> Result<M::W, M::Error> {
-    match o {
-        Operand::Reg(r) => Ok(m.reg(*r)),
-        Operand::Imm(v) => Ok(M::D::c(*v as u32)),
-        Operand::Mem(mem) => m.load(mem_addr(m, *mem), width),
-        Operand::Xmm(_) | Operand::Target(_) => {
-            Err(malformed(format!("{o} is not an integer source")))
+impl<M: Machine<Reg = Reg, FReg = Xmm>> Access<M> for Inst {
+    #[inline]
+    fn int(&self, m: &M, i: usize, width: Width) -> Result<M::W, M::Error> {
+        match &self.operands[i] {
+            Operand::Reg(r) => Ok(m.reg(*r)),
+            Operand::Imm(v) => Ok(M::D::c(*v as u32)),
+            Operand::Mem(mem) => m.load(mem_addr(m, *mem), width),
+            o => Err(malformed(format!("{o} is not an integer source"))),
         }
     }
-}
 
-fn write_operand<M: Machine<Reg = Reg>>(
-    m: &mut M,
-    o: &Operand,
-    v: M::W,
-    width: Width,
-) -> Result<(), M::Error> {
-    match o {
-        Operand::Reg(r) => {
-            m.set_reg(*r, v);
-            Ok(())
+    #[inline]
+    fn set_int(&self, m: &mut M, i: usize, v: M::W, width: Width) -> Result<(), M::Error> {
+        match &self.operands[i] {
+            Operand::Reg(r) => {
+                m.set_reg(*r, v);
+                Ok(())
+            }
+            Operand::Mem(mem) => m.store(mem_addr(m, *mem), v, width),
+            o => Err(malformed(format!("{o} is not a writable destination"))),
         }
-        Operand::Mem(mem) => m.store(mem_addr(m, *mem), v, width),
-        other => Err(malformed(format!("{other} is not a writable destination"))),
     }
-}
 
-/// A scalar-float source: an `xmm` register or 32 bits of memory.
-fn read_f<M: Machine<Reg = Reg, FReg = Xmm>>(m: &M, o: &Operand) -> Result<M::W, M::Error> {
-    match o {
-        Operand::Xmm(x) => Ok(m.freg(*x)),
-        Operand::Mem(mem) => m.load(mem_addr(m, *mem), Width::B32),
-        other => Err(malformed(format!("{other} is not a float source"))),
+    #[inline]
+    fn ea(&self, m: &M, i: usize) -> Result<M::W, M::Error> {
+        match &self.operands[i] {
+            Operand::Mem(mem) => Ok(mem_addr(m, *mem)),
+            o => Err(malformed(format!("{o} is not a memory operand"))),
+        }
     }
-}
 
-/// The operands of `op xmm, xmm/m32`: the register and both values.
-fn sse_operands<M: Machine<Reg = Reg, FReg = Xmm>>(
-    m: &M,
-    ops: &[Operand],
-) -> Result<(Xmm, M::W, M::W), M::Error> {
-    let Operand::Xmm(x) = ops[0] else {
-        unreachable!("validated")
-    };
-    Ok((x, m.freg(x), read_f(m, &ops[1])?))
+    #[inline]
+    fn float(&self, m: &M, i: usize) -> Result<M::W, M::Error> {
+        match &self.operands[i] {
+            Operand::Xmm(x) => Ok(m.freg(*x)),
+            Operand::Mem(mem) => m.load(mem_addr(m, *mem), Width::B32),
+            o => Err(malformed(format!("{o} is not a float source"))),
+        }
+    }
+
+    #[inline]
+    fn set_float(&self, m: &mut M, i: usize, v: M::W) -> Result<(), M::Error> {
+        match &self.operands[i] {
+            Operand::Xmm(x) => {
+                m.set_freg(*x, v);
+                Ok(())
+            }
+            Operand::Mem(mem) => m.store(mem_addr(m, *mem), v, Width::B32),
+            o => Err(malformed(format!("{o} is not a float destination"))),
+        }
+    }
+
+    #[inline]
+    fn cond(&self, m: &M) -> M::B {
+        self.cc.expect("validated").holds::<M::D>(|f| m.flag(f))
+    }
+
+    #[inline]
+    fn rel(&self) -> Option<i32> {
+        match self.operands[0] {
+            Operand::Target(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    fn text(&self) -> String {
+        self.to_string()
+    }
 }
 
 /// The result of stepping one instruction inside a block.
@@ -208,9 +253,10 @@ pub enum Step {
 }
 
 /// Executes one host instruction on `m`: the host ISA's semantics,
-/// written once. At [`Cpu`] this is the model backend (and the threaded
-/// backend's fallback and oracle); at the verifier's symbolic state it
-/// is the host half of the equivalence checker.
+/// written once. At [`Cpu`] this is the model backend and the threaded
+/// backend's fallback; at the verifier's symbolic state it is the host
+/// half of the equivalence checker. The threaded backend's handlers are
+/// the same body read through pre-resolved operands.
 ///
 /// # Errors
 ///
@@ -218,117 +264,126 @@ pub enum Step {
 /// the machine's memory raises; whatever it raises when asked to decide
 /// a condition or resolve a jump target it cannot.
 pub fn step<M: Machine<Reg = Reg, FReg = Xmm>>(m: &mut M, inst: &Inst) -> Result<Step, M::Error> {
+    exec(m, inst.op, inst)
+}
+
+/// [`step`]'s body: opcode `op` with its operands read through `a`.
+/// Inlined everywhere, so an instantiation at a constant `op` and a
+/// shape-resolved `a` keeps only that arm's straight-line code.
+#[inline(always)]
+pub(crate) fn exec<M: Machine<Reg = Reg, FReg = Xmm>, A: Access<M>>(
+    m: &mut M,
+    op: Op,
+    a: &A,
+) -> Result<Step, M::Error> {
     use Op::*;
     use Width::B32;
-    let ops = &inst.operands;
-    match inst.op {
+    match op {
         Mov | MovB | MovW | MovzxB | MovzxW => {
             // A narrow store narrows the write, a widening load the read.
-            let (from, to) = match inst.op {
-                MovB | MovW => (B32, inst.op.access_width()),
-                _ => (inst.op.access_width(), B32),
+            let (from, to) = match op {
+                MovB | MovW => (B32, op.access_width()),
+                _ => (op.access_width(), B32),
             };
-            let v = read_operand(m, &ops[1], from)?;
-            write_operand(m, &ops[0], v, to)?;
+            let v = a.int(m, 1, from)?;
+            a.set_int(m, 0, v, to)?;
         }
         Lea => {
-            let mem = ops[1]
-                .as_mem()
-                .ok_or_else(|| malformed("lea needs a memory source".into()))?;
-            write_operand(m, &ops[0], mem_addr(m, mem), B32)?;
+            let ea = a.ea(m, 1)?;
+            a.set_int(m, 0, ea, B32)?;
         }
         Add | Adc | Sub | Sbb | Cmp => {
-            let a = read_operand(m, &ops[0], B32)?;
-            let b = read_operand(m, &ops[1], B32)?;
+            let x = a.int(m, 0, B32)?;
+            let y = a.int(m, 1, B32)?;
             // CF after a subtraction is the borrow itself.
-            let (res, c, v) = match inst.op {
-                Add => M::D::add_with_carry(a, b, None),
-                Adc => M::D::add_with_carry(a, b, Some(m.flag(Flag::C))),
-                Sbb => M::D::sub_with_borrow(a, b, Some(m.flag(Flag::C))),
-                _ => M::D::sub_with_borrow(a, b, None),
+            let (res, c, v) = match op {
+                Add => M::D::add_with_carry(x, y, None),
+                Adc => M::D::add_with_carry(x, y, Some(m.flag(Flag::C))),
+                Sbb => M::D::sub_with_borrow(x, y, Some(m.flag(Flag::C))),
+                _ => M::D::sub_with_borrow(x, y, None),
             };
             m.set_nz(&res);
             m.set_flag(Flag::C, c);
             m.set_flag(Flag::V, v);
-            if inst.op != Cmp {
-                write_operand(m, &ops[0], res, B32)?;
+            if op != Cmp {
+                a.set_int(m, 0, res, B32)?;
             }
         }
         And | Or | Xor | Test => {
-            let a = read_operand(m, &ops[0], B32)?;
-            let b = read_operand(m, &ops[1], B32)?;
-            let op = match inst.op {
+            let x = a.int(m, 0, B32)?;
+            let y = a.int(m, 1, B32)?;
+            let bop = match op {
                 Or => BinOp::Or,
                 Xor => BinOp::Xor,
                 _ => BinOp::And,
             };
-            let res = M::D::bin(op, a, b);
+            let res = M::D::bin(bop, x, y);
             m.set_nz(&res);
             m.set_flag(Flag::C, M::D::bit(M::D::c(0)));
             m.set_flag(Flag::V, M::D::bit(M::D::c(0)));
-            if inst.op != Test {
-                write_operand(m, &ops[0], res, B32)?;
+            if op != Test {
+                a.set_int(m, 0, res, B32)?;
             }
         }
         Imul => {
-            let a = read_operand(m, &ops[0], B32)?;
-            let b = read_operand(m, &ops[1], B32)?;
+            let x = a.int(m, 0, B32)?;
+            let y = a.int(m, 1, B32)?;
             // Flags are modelled as undefined (left unchanged).
-            write_operand(m, &ops[0], M::D::bin(BinOp::Mul, a, b), B32)?;
+            a.set_int(m, 0, M::D::bin(BinOp::Mul, x, y), B32)?;
         }
         MulWide => {
-            let a = m.reg(Reg::Eax);
-            let b = read_operand(m, &ops[0], B32)?;
-            m.set_reg(Reg::Eax, M::D::bin(BinOp::Mul, a.clone(), b.clone()));
-            m.set_reg(Reg::Edx, M::D::bin(BinOp::MulhU, a, b));
+            let x = m.reg(Reg::Eax);
+            let y = a.int(m, 0, B32)?;
+            m.set_reg(Reg::Eax, M::D::bin(BinOp::Mul, x.clone(), y.clone()));
+            m.set_reg(Reg::Edx, M::D::bin(BinOp::MulhU, x, y));
         }
         Shl | Shr | Sar | Ror => {
-            let op = match inst.op {
+            let bop = match op {
                 Shl => BinOp::Shl,
                 Shr => BinOp::Shr,
                 Sar => BinOp::Sar,
                 _ => BinOp::Ror,
             };
-            let a = read_operand(m, &ops[0], B32)?;
-            let amount = M::D::bin(BinOp::And, read_operand(m, &ops[1], B32)?, M::D::c(31));
-            let res = M::D::bin(op, a.clone(), amount.clone());
+            let x = a.int(m, 0, B32)?;
+            let amount = M::D::bin(BinOp::And, a.int(m, 1, B32)?, M::D::c(31));
+            let res = M::D::bin(bop, x.clone(), amount.clone());
             // A zero (masked) amount leaves every flag unchanged; the
             // destination is rewritten either way.
             let moved = M::D::pred(PredOp::Ne, amount.clone(), M::D::c(0));
-            if inst.op != Ror {
+            if op != Ror {
                 let (n, z) = M::D::nz(&res);
                 m.set_flag_if(&moved, Flag::N, n);
                 m.set_flag_if(&moved, Flag::Z, z);
             }
-            let at = M::D::carry_distance(op, amount);
-            m.set_flag_if(&moved, Flag::C, M::D::shift_carry(op, a, at));
-            write_operand(m, &ops[0], res, B32)?;
+            let at = M::D::carry_distance(bop, amount);
+            m.set_flag_if(&moved, Flag::C, M::D::shift_carry(bop, x, at));
+            a.set_int(m, 0, res, B32)?;
         }
         Not => {
-            let a = read_operand(m, &ops[0], B32)?;
-            write_operand(m, &ops[0], M::D::un(UnOp::Not, a), B32)?;
+            let x = a.int(m, 0, B32)?;
+            a.set_int(m, 0, M::D::un(UnOp::Not, x), B32)?;
         }
         Neg => {
-            let a = read_operand(m, &ops[0], B32)?;
-            let (_, c, v) = M::D::sub_with_borrow(M::D::c(0), a.clone(), None);
-            let res = M::D::un(UnOp::Neg, a);
+            let x = a.int(m, 0, B32)?;
+            let (_, c, v) = M::D::sub_with_borrow(M::D::c(0), x.clone(), None);
+            let res = M::D::un(UnOp::Neg, x);
             m.set_nz(&res);
             m.set_flag(Flag::C, c);
             m.set_flag(Flag::V, v);
-            write_operand(m, &ops[0], res, B32)?;
+            a.set_int(m, 0, res, B32)?;
         }
         Bsr => {
-            let src = read_operand(m, &ops[1], B32)?;
+            let src = a.int(m, 1, B32)?;
             let zero = M::D::pred(PredOp::Eq, src.clone(), M::D::c(0));
             m.set_flag(Flag::Z, zero.clone());
             // The destination is untouched when the source is zero.
             if !m.decide(zero)? {
                 let top = M::D::bin(BinOp::Sub, M::D::c(31), M::D::un(UnOp::Clz, src));
-                write_operand(m, &ops[0], top, B32)?;
+                a.set_int(m, 0, top, B32)?;
             }
         }
         Push => {
-            let v = read_operand(m, &ops[0], B32)?;
+            let v = a.int(m, 0, B32)?;
             let sp = M::D::bin(BinOp::Sub, m.reg(Reg::Esp), M::D::c(4));
             m.store(sp.clone(), v, B32)?;
             m.set_reg(Reg::Esp, sp);
@@ -337,58 +392,54 @@ pub fn step<M: Machine<Reg = Reg, FReg = Xmm>>(m: &mut M, inst: &Inst) -> Result
             let sp = m.reg(Reg::Esp);
             let v = m.load(sp.clone(), B32)?;
             m.set_reg(Reg::Esp, M::D::bin(BinOp::Add, sp, M::D::c(4)));
-            write_operand(m, &ops[0], v, B32)?;
+            a.set_int(m, 0, v, B32)?;
         }
-        Jmp => match ops[0] {
-            Operand::Target(d) => return Ok(Step::Rel(d)),
-            _ => {
-                let v = read_operand(m, &ops[0], B32)?;
-                return Ok(Step::Exit(BlockExit::Jumped(m.target(v)?)));
+        Jmp => {
+            if let Some(d) = a.rel() {
+                return Ok(Step::Rel(d));
             }
-        },
+            let v = a.int(m, 0, B32)?;
+            return Ok(Step::Exit(BlockExit::Jumped(m.target(v)?)));
+        }
         Jcc => {
-            let Operand::Target(d) = ops[0] else {
-                unreachable!("validated")
-            };
-            if m.decide(inst.cc.expect("validated").holds::<M::D>(|f| m.flag(f)))? {
+            let d = a.rel().expect("validated");
+            if m.decide(a.cond(m))? {
                 return Ok(Step::Rel(d));
             }
         }
         Call | Ret => {
-            let detail = format!("{} inside a translation block", inst.op);
+            let detail = format!("{op} inside a translation block");
             return Err(ExecError::Undefined { detail }.into());
         }
         Setcc => {
-            let holds = inst.cc.expect("validated").holds::<M::D>(|f| m.flag(f));
-            write_operand(m, &ops[0], M::D::word(holds), B32)?;
+            let holds = a.cond(m);
+            a.set_int(m, 0, M::D::word(holds), B32)?;
         }
         Out => m.output(m.reg(Reg::Eax)),
         Hlt => return Ok(Step::Exit(BlockExit::Halted)),
         Movss => {
-            let v = read_f(m, &ops[1]).map_err(|_| malformed(format!("{inst}")))?;
-            match &ops[0] {
-                Operand::Xmm(x) => m.set_freg(*x, v),
-                Operand::Mem(mem) => m.store(mem_addr(m, *mem), v, B32)?,
-                other => return Err(malformed(format!("movss destination {other}"))),
-            }
+            let v = a.float(m, 1).map_err(|_| malformed(a.text()))?;
+            a.set_float(m, 0, v)?;
         }
         Addss | Subss | Mulss | Divss => {
-            let op = match inst.op {
+            let bop = match op {
                 Addss => BinOp::FAdd,
                 Subss => BinOp::FSub,
                 Mulss => BinOp::FMul,
                 _ => BinOp::FDiv,
             };
-            let (x, a, b) = sse_operands(m, ops)?;
-            m.set_freg(x, M::D::bin(op, a, b));
+            let x = a.float(m, 0)?;
+            let y = a.float(m, 1)?;
+            a.set_float(m, 0, M::D::bin(bop, x, y))?;
         }
         Ucomiss => {
             // ZF = equal, CF = less, both also set when the comparison
             // is unordered; SF = OF = 0.
-            let (_, a, b) = sse_operands(m, ops)?;
-            let nan = M::D::unordered(&a, &b);
-            let eq = M::D::pred(PredOp::FEq, a.clone(), b.clone());
-            let lt = M::D::pred(PredOp::FLt, a, b);
+            let x = a.float(m, 0)?;
+            let y = a.float(m, 1)?;
+            let nan = M::D::unordered(&x, &y);
+            let eq = M::D::pred(PredOp::FEq, x.clone(), y.clone());
+            let lt = M::D::pred(PredOp::FLt, x, y);
             m.set_flag(Flag::Z, M::D::logic(BinOp::Or, nan.clone(), eq));
             m.set_flag(Flag::C, M::D::logic(BinOp::Or, nan, lt));
             m.set_flag(Flag::N, M::D::bit(M::D::c(0)));

@@ -2,40 +2,38 @@
 //! `--backend threaded`.
 //!
 //! [`compile_block`] lowers a block of [`Inst`]s **once** into a dense
-//! array of [`TOp`]s — per-op fn pointers specialized (via const
-//! generics) over the operand shapes the translator actually emits,
-//! with register indices, immediates, displacements and condition
-//! predicates pre-resolved. [`exec_threaded`] then runs the block as a
-//! tight loop over those fn pointers: no `Inst` re-decode, no operand
-//! `match`, no width dispatch on the hot path.
+//! array of [`TOp`]s — a handler per op, with register indices,
+//! immediates, displacements and condition predicates pre-resolved.
+//! [`exec_threaded`] then runs the block as a tight loop over those
+//! handlers: no `Inst` re-decode, no operand `match`, no width dispatch
+//! on the hot path.
 //!
-//! Retire accounting happens inside that loop. Each op carries an
+//! A handler is [`step`](crate::step)'s own body, monomorphized at the
+//! [`Cpu`], the opcode and the operand shapes the op was bound at, and
+//! reading its operands through `Bound` — the second implementation
+//! of the operand-access trait `step` reads an `&Inst` through. At a
+//! constant opcode and shape the opcode `match` and every operand
+//! `match` fold away. An op with no specialization (a mem→mem move, a
+//! malformed operand list) runs `step` on its original instruction,
+//! kept in a side table: `h_slow` is the one handler that goes through
+//! `&Inst`.
+//!
+//! Retire accounting happens inside the loop. Each op carries an
 //! [`OpTag`] — a caller-defined cost class and an optional anchor
 //! number — and every retire bumps a [`RetireTally`] (per-class counts
 //! plus a mask of the anchors that ran), so a dispatcher learns what an
 //! execution cost without a per-op count buffer to clear before and
 //! fold after. [`exec_threaded_into`] is the same loop recording per-op
-//! counts instead, for differential tests against the model.
-//!
-//! The contract with the model interpreter (`crate::interp`) is
-//! **bit-identity**: same architectural effects, same retire counts,
-//! same errors (including error `detail` strings, pre-formatted at
-//! compile time into a side table), same budget/`BadPc` ordering.
-//! Operand shapes the translator never produces (e.g. mem→mem moves)
-//! fall back to the model's own `step` through a side table of the
-//! original instructions, so the equivalence holds for *every* input,
-//! not just the common ones. The lockdown lives in the unit tests here
-//! and in the cross-backend suites (`tests/backend.rs`).
+//! counts instead, for differential tests against the model, whose
+//! budget and `BadPc` ordering the loop mirrors.
 
-use crate::inst::{Inst, Op};
-use crate::interp::{self, BlockExit, Cpu, ExecStats, Step};
-use crate::operand::{Cc, Mem, Operand};
-use crate::reg::Reg;
-use pdbt_isa::{BinOp, Concrete, Domain, ExecError, Flags, Width};
+use crate::inst::{Inst, Op, MAX_OPERANDS};
+use crate::interp::{self, Access, BlockExit, Cpu, ExecStats, Step};
+use crate::operand::{Cc, Operand};
+use pdbt_isa::{ExecError, Flags, Width};
 
-/// Operand-shape codes: the const-generic parameters the handlers are
-/// specialized over. `C_REG` doubles as "xmm register" for the SSE
-/// handlers (the index lives in the same `TOp` slot).
+/// Operand-shape codes: the const-generic parameters a handler is
+/// specialized over, one per operand.
 const C_REG: u8 = 0;
 const C_IMM: u8 = 1;
 /// `[disp]`
@@ -46,44 +44,25 @@ const C_MB: u8 = 3;
 const C_MBI: u8 = 4;
 /// `[index + disp]`
 const C_MI: u8 = 5;
-
-/// ALU kinds for the `h_arith` family.
-const A_ADD: u8 = 0;
-const A_ADC: u8 = 1;
-const A_SUB: u8 = 2;
-const A_SBB: u8 = 3;
-const A_CMP: u8 = 4;
-
-/// Logic kinds for the `h_logic` family.
-const L_AND: u8 = 0;
-const L_OR: u8 = 1;
-const L_XOR: u8 = 2;
-const L_TEST: u8 = 3;
-
-/// Shift kinds for the `h_shift` family.
-const K_SHL: u8 = 0;
-const K_SHR: u8 = 1;
-const K_SAR: u8 = 2;
-const K_ROR: u8 = 3;
-
-/// Scalar-float kinds for the `h_ssebin` family.
-const F_ADD: u8 = 0;
-const F_SUB: u8 = 1;
-const F_MUL: u8 = 2;
-const F_DIV: u8 = 3;
+/// An `xmm` register.
+const C_XMM: u8 = 6;
+/// A jump displacement.
+const C_REL: u8 = 7;
+/// No operand.
+const C_NONE: u8 = 8;
 
 /// One pre-compiled op: a handler plus its pre-resolved operands. The
 /// handler returns an [`HRes`] — the step, in a register — and parks
 /// its error, if any, out of band.
 ///
-/// Field meaning depends on the handler the compiler bound: `a`/`b`
-/// are destination/source register (or xmm) indices, `mb`/`mi`/`disp`
-/// describe the (at most one) memory operand, `imm` holds an immediate
-/// or a relative jump displacement, `cc` is the pre-bound condition
-/// predicate, and `aux` indexes the `texts` side table (an `h_slow`
-/// op indexes `slow` through `imm`, which it has no other use for and
-/// which cannot overflow). `tag` is the op's retire accounting. With
-/// the two tag bytes the struct is 32 bytes, no padding.
+/// `a`/`b` are operand 0's and operand 1's register (or xmm) index,
+/// `mb`/`mi`/`disp` describe the (at most one) memory operand, `imm`
+/// holds an immediate or a relative jump displacement, `cc` is the
+/// pre-bound condition predicate, and `aux` indexes the `texts` side
+/// table (an `h_slow` op indexes `slow` through `imm`, which it has no
+/// other use for and which cannot overflow). `tag` is the op's retire
+/// accounting. With the two tag bytes the struct is 32 bytes, no
+/// padding.
 #[derive(Clone, Copy)]
 pub struct TOp {
     exec: ExecFn,
@@ -176,10 +155,10 @@ fn park(fault: &mut Fault, e: ExecError) -> Parked {
     Parked
 }
 
-/// A block compiled to threaded code, plus its side tables:
-/// pre-formatted error texts (so error details stay bit-identical to
-/// the model without formatting on the hot path) and the original
-/// instructions for shapes routed through the model fallback.
+/// A block compiled to threaded code, plus its side tables: the text of
+/// each `movss` load, which the model reports a fault of as that text,
+/// and the original instructions of ops routed through the model
+/// fallback.
 pub struct ThreadedCode {
     ops: Box<[TOp]>,
     texts: Box<[Box<str>]>,
@@ -239,713 +218,267 @@ fn cc_fn(cc: Cc) -> fn(Flags) -> bool {
     }
 }
 
-#[inline(always)]
-fn width_of(w: u8) -> Width {
-    match w {
-        8 => Width::B8,
-        16 => Width::B16,
-        _ => Width::B32,
-    }
+/// An op read at the shapes it was bound at: operand 0 has shape `D`,
+/// operand 1 shape `S`. At constant shapes each access is a field read,
+/// a register read or one memory access.
+struct Bound<'a, const D: u8, const S: u8> {
+    t: &'a TOp,
+    code: &'a ThreadedCode,
 }
 
-/// Effective address of the op's memory operand, shape-specialized so
-/// the absent-component branches compile out.
-#[inline(always)]
-fn maddr<const K: u8>(t: &TOp, cpu: &Cpu) -> u32 {
-    let mut a = t.disp;
-    if K == C_MB || K == C_MBI {
-        a = a.wrapping_add(cpu.regs[t.mb as usize]);
-    }
-    if K == C_MI || K == C_MBI {
-        a = a.wrapping_add(cpu.regs[t.mi as usize]);
-    }
-    a
-}
-
-/// 32-bit source read (register / immediate / memory).
-#[inline(always)]
-fn rd<const S: u8>(t: &TOp, cpu: &Cpu, f: &mut Fault) -> Result<u32, Parked> {
-    match S {
-        C_REG => Ok(cpu.regs[t.b as usize]),
-        C_IMM => Ok(t.imm),
-        _ => cpu
-            .mem
-            .load(maddr::<S>(t, cpu), Width::B32)
-            .map_err(|e| park(f, e)),
-    }
-}
-
-/// 32-bit destination read (register / memory).
-#[inline(always)]
-fn rd_dst<const D: u8>(t: &TOp, cpu: &Cpu, f: &mut Fault) -> Result<u32, Parked> {
-    if D == C_REG {
-        Ok(cpu.regs[t.a as usize])
-    } else {
-        cpu.mem
-            .load(maddr::<D>(t, cpu), Width::B32)
-            .map_err(|e| park(f, e))
-    }
-}
-
-/// 32-bit destination write (register / memory). Memory destinations
-/// recompute the address at write time, exactly like the model's
-/// `write_operand`.
-#[inline(always)]
-fn wr_dst<const D: u8>(t: &TOp, cpu: &mut Cpu, v: u32, f: &mut Fault) -> Result<(), Parked> {
-    if D == C_REG {
-        cpu.regs[t.a as usize] = v;
-        Ok(())
-    } else {
-        cpu.mem
-            .store(maddr::<D>(t, cpu), v, Width::B32)
-            .map_err(|e| park(f, e))
-    }
-}
-
-// --- handlers ---------------------------------------------------------
-
-fn h_mov<const D: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let v = rd::<S>(t, cpu, f)?;
-    wr_dst::<D>(t, cpu, v, f)?;
-    Ok(Step::Next)
-}
-
-/// `MovB`/`MovW`: full-width source read, width-narrowed store. A
-/// register destination still takes the full 32-bit write (the model's
-/// `write_operand` ignores width for registers).
-fn h_narrow<const W: u8, const D: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let v = rd::<S>(t, cpu, f)?;
-    if D == C_REG {
-        cpu.regs[t.a as usize] = v;
-    } else {
-        cpu.mem
-            .store(maddr::<D>(t, cpu), v, width_of(W))
-            .map_err(|e| park(f, e))?;
-    }
-    Ok(Step::Next)
-}
-
-/// `MovzxB`/`MovzxW`: width only narrows *memory* source loads — a
-/// register source reads all 32 bits, exactly like the model.
-fn h_movzx<const W: u8, const D: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let v = match S {
-        C_REG => cpu.regs[t.b as usize],
-        C_IMM => t.imm,
-        _ => cpu
-            .mem
-            .load(maddr::<S>(t, cpu), width_of(W))
-            .map_err(|e| park(f, e))?,
-    };
-    wr_dst::<D>(t, cpu, v, f)?;
-    Ok(Step::Next)
-}
-
-fn h_lea<const M: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
-    let a = maddr::<M>(t, cpu);
-    cpu.regs[t.a as usize] = a;
-    Ok(Step::Next)
-}
-
-fn h_arith<const K: u8, const D: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let a = rd_dst::<D>(t, cpu, f)?;
-    let b = rd::<S>(t, cpu, f)?;
-    let carry = cpu.flags.c;
-    let (r, c, v) = match K {
-        A_ADD => Concrete::add_with_carry(a, b, None),
-        A_ADC => Concrete::add_with_carry(a, b, Some(carry)),
-        A_SBB => Concrete::sub_with_borrow(a, b, Some(carry)),
-        _ => Concrete::sub_with_borrow(a, b, None),
-    };
-    cpu.flags = interp::flags_of(r, c, v);
-    if K != A_CMP {
-        wr_dst::<D>(t, cpu, r, f)?;
-    }
-    Ok(Step::Next)
-}
-
-fn h_logic<const K: u8, const D: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let a = rd_dst::<D>(t, cpu, f)?;
-    let b = rd::<S>(t, cpu, f)?;
-    let r = match K {
-        L_OR => a | b,
-        L_XOR => a ^ b,
-        _ => a & b,
-    };
-    cpu.flags = interp::flags_of(r, false, false);
-    if K != L_TEST {
-        wr_dst::<D>(t, cpu, r, f)?;
-    }
-    Ok(Step::Next)
-}
-
-fn h_imul<const D: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let a = rd_dst::<D>(t, cpu, f)?;
-    let b = rd::<S>(t, cpu, f)?;
-    wr_dst::<D>(t, cpu, a.wrapping_mul(b), f)?;
-    Ok(Step::Next)
-}
-
-fn h_mulwide<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let a = cpu.regs[Reg::Eax.index()];
-    let b = rd::<S>(t, cpu, f)?;
-    let wide = u64::from(a) * u64::from(b);
-    cpu.regs[Reg::Eax.index()] = wide as u32;
-    cpu.regs[Reg::Edx.index()] = (wide >> 32) as u32;
-    Ok(Step::Next)
-}
-
-fn h_shift<const K: u8, const D: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let a = rd_dst::<D>(t, cpu, f)?;
-    let amt = rd::<S>(t, cpu, f)? & 31;
-    if amt == 0 {
-        wr_dst::<D>(t, cpu, a, f)?;
-    } else {
-        let op = match K {
-            K_SHL => BinOp::Shl,
-            K_SHR => BinOp::Shr,
-            K_SAR => BinOp::Sar,
-            _ => BinOp::Ror,
-        };
-        let r = op.eval(a, amt);
-        let c = Concrete::shift_carry(op, a, Concrete::carry_distance(op, amt));
-        if K == K_ROR {
-            cpu.flags.c = c;
+impl<const D: u8, const S: u8> Bound<'_, D, S> {
+    /// Operand `i`'s shape and register (or xmm) index.
+    #[inline(always)]
+    fn at(&self, i: usize) -> (u8, usize) {
+        if i == 0 {
+            (D, usize::from(self.t.a))
         } else {
-            cpu.flags = interp::flags_of(r, c, cpu.flags.v);
+            (S, usize::from(self.t.b))
         }
-        wr_dst::<D>(t, cpu, r, f)?;
     }
-    Ok(Step::Next)
+
+    /// The memory operand's address at shape `k`; the absent components
+    /// compile out.
+    #[inline(always)]
+    fn addr(&self, cpu: &Cpu, k: u8) -> u32 {
+        let mut a = self.t.disp;
+        if k == C_MB || k == C_MBI {
+            a = a.wrapping_add(cpu.regs[usize::from(self.t.mb)]);
+        }
+        if k == C_MI || k == C_MBI {
+            a = a.wrapping_add(cpu.regs[usize::from(self.t.mi)]);
+        }
+        a
+    }
 }
 
-fn h_not<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let a = rd_dst::<D>(t, cpu, f)?;
-    wr_dst::<D>(t, cpu, !a, f)?;
-    Ok(Step::Next)
+/// Selection binds no immediate, displacement or absent operand where
+/// the body writes one, and no register where it reads a float, so the
+/// fall-through arms are memory.
+impl<const D: u8, const S: u8> Access<Cpu> for Bound<'_, D, S> {
+    #[inline(always)]
+    fn int(&self, cpu: &Cpu, i: usize, width: Width) -> Result<u32, ExecError> {
+        match self.at(i) {
+            (C_REG, r) => Ok(cpu.regs[r]),
+            (C_IMM, _) => Ok(self.t.imm),
+            (k, _) => cpu.mem.load(self.addr(cpu, k), width),
+        }
+    }
+
+    #[inline(always)]
+    fn set_int(&self, cpu: &mut Cpu, i: usize, v: u32, width: Width) -> Result<(), ExecError> {
+        match self.at(i) {
+            (C_REG, r) => {
+                cpu.regs[r] = v;
+                Ok(())
+            }
+            (k, _) => cpu.mem.store(self.addr(cpu, k), v, width),
+        }
+    }
+
+    #[inline(always)]
+    fn ea(&self, cpu: &Cpu, i: usize) -> Result<u32, ExecError> {
+        Ok(self.addr(cpu, self.at(i).0))
+    }
+
+    #[inline(always)]
+    fn float(&self, cpu: &Cpu, i: usize) -> Result<u32, ExecError> {
+        match self.at(i) {
+            (C_XMM, x) => Ok(cpu.xmm[x].to_bits()),
+            (k, _) => cpu.mem.load32(self.addr(cpu, k)),
+        }
+    }
+
+    #[inline(always)]
+    fn set_float(&self, cpu: &mut Cpu, i: usize, v: u32) -> Result<(), ExecError> {
+        match self.at(i) {
+            (C_XMM, x) => {
+                cpu.xmm[x] = f32::from_bits(v);
+                Ok(())
+            }
+            (k, _) => cpu.mem.store32(self.addr(cpu, k), v),
+        }
+    }
+
+    #[inline(always)]
+    fn cond(&self, cpu: &Cpu) -> bool {
+        (self.t.cc)(cpu.flags)
+    }
+
+    #[inline(always)]
+    fn rel(&self) -> Option<i32> {
+        (D == C_REL).then_some(self.t.imm as i32)
+    }
+
+    fn text(&self) -> String {
+        self.code.texts[usize::from(self.t.aux)].to_string()
+    }
 }
 
-fn h_neg<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let a = rd_dst::<D>(t, cpu, f)?;
-    let (r, c, v) = Concrete::sub_with_borrow(0, a, None);
-    cpu.flags = interp::flags_of(r, c, v);
-    wr_dst::<D>(t, cpu, r, f)?;
-    Ok(Step::Next)
-}
-
-fn h_bsr<const D: u8, const S: u8>(
+/// The handler of opcode `O` (an [`Op`]'s discriminant) at operand
+/// shapes `D`, `S`: `step`'s body at those constants.
+fn h<const O: u8, const D: u8, const S: u8>(
     t: &TOp,
-    _c: &ThreadedCode,
+    code: &ThreadedCode,
     cpu: &mut Cpu,
     f: &mut Fault,
 ) -> HRes {
-    let src = rd::<S>(t, cpu, f)?;
-    if src == 0 {
-        cpu.flags.z = true;
-    } else {
-        cpu.flags.z = false;
-        wr_dst::<D>(t, cpu, 31 - src.leading_zeros(), f)?;
-    }
-    Ok(Step::Next)
+    let op = Op::ALL[usize::from(O)];
+    interp::exec(cpu, op, &Bound::<D, S> { t, code }).map_err(|e| park(f, e))
 }
 
-fn h_push<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let v = rd::<S>(t, cpu, f)?;
-    let sp = cpu.regs[Reg::Esp.index()].wrapping_sub(4);
-    cpu.mem.store32(sp, v).map_err(|e| park(f, e))?;
-    cpu.regs[Reg::Esp.index()] = sp;
-    Ok(Step::Next)
-}
-
-/// `Esp` is bumped *before* the destination write, like the model, so
-/// a memory destination addressing through `esp` sees the new value.
-fn h_pop<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let sp = cpu.regs[Reg::Esp.index()];
-    let v = cpu.mem.load32(sp).map_err(|e| park(f, e))?;
-    cpu.regs[Reg::Esp.index()] = sp.wrapping_add(4);
-    wr_dst::<D>(t, cpu, v, f)?;
-    Ok(Step::Next)
-}
-
-fn h_jmp_rel(t: &TOp, _c: &ThreadedCode, _cpu: &mut Cpu, _f: &mut Fault) -> HRes {
-    Ok(Step::Rel(t.imm as i32))
-}
-
-fn h_jmp_exit<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let v = rd::<S>(t, cpu, f)?;
-    Ok(Step::Exit(BlockExit::Jumped(v)))
-}
-
-fn h_jcc(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
-    if (t.cc)(cpu.flags) {
-        Ok(Step::Rel(t.imm as i32))
-    } else {
-        Ok(Step::Next)
-    }
-}
-
-fn h_setcc<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let v = u32::from((t.cc)(cpu.flags));
-    wr_dst::<D>(t, cpu, v, f)?;
-    Ok(Step::Next)
-}
-
-fn h_out(_t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
-    let v = cpu.regs[Reg::Eax.index()];
-    cpu.output.push(v);
-    Ok(Step::Next)
-}
-
-fn h_hlt(_t: &TOp, _c: &ThreadedCode, _cpu: &mut Cpu, _f: &mut Fault) -> HRes {
-    Ok(Step::Exit(BlockExit::Halted))
-}
-
-/// `call`/`ret`: always undefined inside a block; the detail string is
-/// pre-formatted so it matches the model byte-for-byte.
-fn h_undef(t: &TOp, c: &ThreadedCode, _cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let e = ExecError::Undefined {
-        detail: c.texts[t.aux as usize].to_string(),
-    };
-    Err(park(f, e))
-}
-
-fn h_movss_xx(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, _f: &mut Fault) -> HRes {
-    cpu.xmm[t.a as usize] = cpu.xmm[t.b as usize];
-    Ok(Step::Next)
-}
-
-/// `movss xmm, [mem]`: the model remaps *any* source-read error
-/// (including memory faults) to `MalformedInstruction` carrying the
-/// instruction's display text — reproduced from the side table.
-fn h_movss_xm<const S: u8>(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let bits = cpu.mem.load32(maddr::<S>(t, cpu)).map_err(|_| {
-        let e = ExecError::MalformedInstruction {
-            detail: c.texts[t.aux as usize].to_string(),
-        };
-        park(f, e)
-    })?;
-    cpu.xmm[t.a as usize] = f32::from_bits(bits);
-    Ok(Step::Next)
-}
-
-/// `movss [mem], xmm`: the store error propagates unmapped (the
-/// model's remap covers only the source read).
-fn h_movss_mx<const D: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let v = cpu.xmm[t.b as usize];
-    cpu.mem
-        .store32(maddr::<D>(t, cpu), v.to_bits())
-        .map_err(|e| park(f, e))?;
-    Ok(Step::Next)
-}
-
-#[inline(always)]
-fn rd_f<const S: u8>(t: &TOp, cpu: &Cpu, f: &mut Fault) -> Result<f32, Parked> {
-    if S == C_REG {
-        Ok(cpu.xmm[t.b as usize])
-    } else {
-        match cpu.mem.load32(maddr::<S>(t, cpu)) {
-            Ok(bits) => Ok(f32::from_bits(bits)),
-            Err(e) => Err(park(f, e)),
-        }
-    }
-}
-
-fn h_ssebin<const K: u8, const S: u8>(
-    t: &TOp,
-    _c: &ThreadedCode,
-    cpu: &mut Cpu,
-    f: &mut Fault,
-) -> HRes {
-    let a = cpu.xmm[t.a as usize];
-    let b = rd_f::<S>(t, cpu, f)?;
-    let r = match K {
-        F_ADD => a + b,
-        F_SUB => a - b,
-        F_MUL => a * b,
-        _ => a / b,
-    };
-    cpu.xmm[t.a as usize] = r;
-    Ok(Step::Next)
-}
-
-fn h_ucomiss<const S: u8>(t: &TOp, _c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
-    let a = cpu.xmm[t.a as usize];
-    let b = rd_f::<S>(t, cpu, f)?;
-    let unordered = a.is_nan() || b.is_nan();
-    cpu.flags = Flags {
-        z: unordered || a == b,
-        c: unordered || a < b,
-        n: false,
-        v: false,
-    };
-    Ok(Step::Next)
-}
-
-/// Fallback: run the original instruction through the model's `step`.
-/// Bit-identical by construction; only shapes the translator never
-/// emits land here.
+/// The fallback: `step` on the original instruction, for the ops no
+/// specialization was bound for.
 fn h_slow(t: &TOp, c: &ThreadedCode, cpu: &mut Cpu, f: &mut Fault) -> HRes {
     interp::step(cpu, &c.slow[t.imm as usize]).map_err(|e| park(f, e))
 }
 
 // --- compiler ---------------------------------------------------------
 
-/// Selects a `<.., D, S>` specialization for a (dst, src) shape pair.
-/// Shapes outside the table (notably mem→mem, which would need two
-/// memory operands in one `TOp`) return `None` → model fallback.
-macro_rules! sel_ds {
-    ($f:ident, [$($k:expr),*], $d:expr, $s:expr) => {
+/// `h::<O, d, s>` for each listed (`d`, `s`) shape pair, `None` for the
+/// rest.
+macro_rules! shapes {
+    ($o:ident, $d:expr, $s:expr; $(($dd:ident, $ss:ident))*) => {
         match ($d, $s) {
-            (C_REG, C_REG) => Some($f::<$({$k},)* C_REG, C_REG> as ExecFn),
-            (C_REG, C_IMM) => Some($f::<$({$k},)* C_REG, C_IMM> as ExecFn),
-            (C_REG, C_ABS) => Some($f::<$({$k},)* C_REG, C_ABS> as ExecFn),
-            (C_REG, C_MB) => Some($f::<$({$k},)* C_REG, C_MB> as ExecFn),
-            (C_REG, C_MBI) => Some($f::<$({$k},)* C_REG, C_MBI> as ExecFn),
-            (C_REG, C_MI) => Some($f::<$({$k},)* C_REG, C_MI> as ExecFn),
-            (C_ABS, C_REG) => Some($f::<$({$k},)* C_ABS, C_REG> as ExecFn),
-            (C_ABS, C_IMM) => Some($f::<$({$k},)* C_ABS, C_IMM> as ExecFn),
-            (C_MB, C_REG) => Some($f::<$({$k},)* C_MB, C_REG> as ExecFn),
-            (C_MB, C_IMM) => Some($f::<$({$k},)* C_MB, C_IMM> as ExecFn),
-            (C_MBI, C_REG) => Some($f::<$({$k},)* C_MBI, C_REG> as ExecFn),
-            (C_MBI, C_IMM) => Some($f::<$({$k},)* C_MBI, C_IMM> as ExecFn),
-            (C_MI, C_REG) => Some($f::<$({$k},)* C_MI, C_REG> as ExecFn),
-            (C_MI, C_IMM) => Some($f::<$({$k},)* C_MI, C_IMM> as ExecFn),
+            $(($dd, $ss) => Some(h::<$o, $dd, $ss> as ExecFn),)*
             _ => None,
         }
     };
 }
 
-/// Selects a `<.., S>` specialization for a lone source shape.
-macro_rules! sel_s {
-    ($f:ident, [$($k:expr),*], $s:expr) => {
-        match $s {
-            C_REG => Some($f::<$({$k},)* C_REG> as ExecFn),
-            C_IMM => Some($f::<$({$k},)* C_IMM> as ExecFn),
-            C_ABS => Some($f::<$({$k},)* C_ABS> as ExecFn),
-            C_MB => Some($f::<$({$k},)* C_MB> as ExecFn),
-            C_MBI => Some($f::<$({$k},)* C_MBI> as ExecFn),
-            C_MI => Some($f::<$({$k},)* C_MI> as ExecFn),
-            _ => None,
-        }
-    };
+/// A register or memory destination and a register, immediate or
+/// memory source, not both memory.
+fn dst_src<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    shapes!(O, d, s;
+        (C_REG, C_REG) (C_REG, C_IMM) (C_REG, C_ABS) (C_REG, C_MB) (C_REG, C_MBI) (C_REG, C_MI)
+        (C_ABS, C_REG) (C_ABS, C_IMM) (C_MB, C_REG) (C_MB, C_IMM)
+        (C_MBI, C_REG) (C_MBI, C_IMM) (C_MI, C_REG) (C_MI, C_IMM))
 }
 
-/// Selects a `<.., D>` specialization for a lone destination shape
-/// (no immediate destinations).
-macro_rules! sel_d {
-    ($f:ident, [$($k:expr),*], $d:expr) => {
-        match $d {
-            C_REG => Some($f::<$({$k},)* C_REG> as ExecFn),
-            C_ABS => Some($f::<$({$k},)* C_ABS> as ExecFn),
-            C_MB => Some($f::<$({$k},)* C_MB> as ExecFn),
-            C_MBI => Some($f::<$({$k},)* C_MBI> as ExecFn),
-            C_MI => Some($f::<$({$k},)* C_MI> as ExecFn),
-            _ => None,
-        }
-    };
+/// A lone register or memory operand.
+fn dst<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    shapes!(O, d, s;
+        (C_REG, C_NONE) (C_ABS, C_NONE) (C_MB, C_NONE) (C_MBI, C_NONE) (C_MI, C_NONE))
 }
 
-fn mem_shape(m: Mem) -> (u8, u8, u8) {
-    match (m.base, m.index) {
-        (Some(b), Some(i)) => (C_MBI, b.index() as u8, i.index() as u8),
-        (Some(b), None) => (C_MB, b.index() as u8, 0),
-        (None, Some(i)) => (C_MI, 0, i.index() as u8),
-        (None, None) => (C_ABS, 0, 0),
-    }
+/// A lone source: a register, memory or an immediate.
+fn src<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    shapes!(O, d, s;
+        (C_REG, C_NONE) (C_IMM, C_NONE) (C_ABS, C_NONE) (C_MB, C_NONE) (C_MBI, C_NONE)
+        (C_MI, C_NONE))
 }
 
-/// Binds an integer *destination* operand into `t`, returning its
-/// shape code; `None` for operands that can't be an integer dst, or a
-/// second memory operand (`mem_used`).
-fn bind_dst(t: &mut TOp, o: &Operand, mem_used: &mut bool) -> Option<u8> {
-    match o {
-        Operand::Reg(r) => {
-            t.a = r.index() as u8;
-            Some(C_REG)
-        }
-        Operand::Mem(m) => {
-            if *mem_used {
-                return None;
+/// A jump within the block.
+fn rel<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    shapes!(O, d, s; (C_REL, C_NONE))
+}
+
+/// `jmp`: within the block, or out of it to a source's value.
+fn jmp<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    rel::<O>(d, s).or_else(|| src::<O>(d, s))
+}
+
+/// A register given a memory operand's address.
+fn reg_addr<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    shapes!(O, d, s; (C_REG, C_ABS) (C_REG, C_MB) (C_REG, C_MBI) (C_REG, C_MI))
+}
+
+/// `op xmm, xmm/m32`.
+fn sse<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    shapes!(O, d, s;
+        (C_XMM, C_XMM) (C_XMM, C_ABS) (C_XMM, C_MB) (C_XMM, C_MBI) (C_XMM, C_MI))
+}
+
+/// `movss`: `sse`'s shapes and the stores back.
+fn sse_mov<const O: u8>(d: u8, s: u8) -> Option<ExecFn> {
+    shapes!(O, d, s;
+        (C_XMM, C_XMM) (C_XMM, C_ABS) (C_XMM, C_MB) (C_XMM, C_MBI) (C_XMM, C_MI)
+        (C_ABS, C_XMM) (C_MB, C_XMM) (C_MBI, C_XMM) (C_MI, C_XMM))
+}
+
+/// An op whose body reads no operand.
+fn bare<const O: u8>(_: u8, _: u8) -> Option<ExecFn> {
+    Some(h::<O, C_NONE, C_NONE>)
+}
+
+/// The handler of `op` at operand shapes (`d`, `s`), if it has one.
+fn select(op: Op, d: u8, s: u8) -> Option<ExecFn> {
+    macro_rules! by_family {
+        ($($family:ident: $($op:ident)|+;)*) => {
+            match op {
+                $($(Op::$op => $family::<{ Op::$op as u8 }>(d, s),)+)*
             }
-            *mem_used = true;
-            let (code, mb, mi) = mem_shape(*m);
-            t.mb = mb;
-            t.mi = mi;
-            t.disp = m.disp as u32;
-            Some(code)
-        }
-        _ => None,
+        };
+    }
+    by_family! {
+        dst_src: Mov | MovB | MovW | MovzxB | MovzxW | Add | Adc | Sub | Sbb | And | Or | Xor
+            | Imul | Shl | Shr | Sar | Ror | Bsr | Cmp | Test;
+        reg_addr: Lea;
+        dst: Not | Neg | Pop | Setcc;
+        src: MulWide | Push;
+        jmp: Jmp;
+        rel: Jcc;
+        bare: Call | Ret | Out | Hlt;
+        sse_mov: Movss;
+        sse: Addss | Subss | Mulss | Divss | Ucomiss;
     }
 }
 
-/// Binds an integer *source* operand into `t` (register, immediate,
-/// or the single memory operand).
-fn bind_src(t: &mut TOp, o: &Operand, mem_used: &mut bool) -> Option<u8> {
-    match o {
+/// Binds operand `i` into `t` and returns its shape code; `None` for a
+/// second memory operand, which a `TOp` has no room for.
+fn bind(t: &mut TOp, i: usize, o: &Operand, mem_used: &mut bool) -> Option<u8> {
+    let reg = if i == 0 { &mut t.a } else { &mut t.b };
+    Some(match *o {
         Operand::Reg(r) => {
-            t.b = r.index() as u8;
-            Some(C_REG)
+            *reg = r.index() as u8;
+            C_REG
+        }
+        Operand::Xmm(x) => {
+            *reg = x.index() as u8;
+            C_XMM
         }
         Operand::Imm(v) => {
-            t.imm = *v as u32;
-            Some(C_IMM)
+            t.imm = v as u32;
+            C_IMM
+        }
+        Operand::Target(d) => {
+            t.imm = d as u32;
+            C_REL
         }
         Operand::Mem(m) => {
-            if *mem_used {
+            if std::mem::replace(mem_used, true) {
                 return None;
             }
-            *mem_used = true;
-            let (code, mb, mi) = mem_shape(*m);
-            t.mb = mb;
-            t.mi = mi;
+            t.mb = m.base.map_or(0, |r| r.index() as u8);
+            t.mi = m.index.map_or(0, |r| r.index() as u8);
             t.disp = m.disp as u32;
-            Some(code)
+            match (m.base, m.index) {
+                (Some(_), Some(_)) => C_MBI,
+                (Some(_), None) => C_MB,
+                (None, Some(_)) => C_MI,
+                (None, None) => C_ABS,
+            }
         }
-        _ => None,
-    }
+    })
 }
 
-/// Tries to compile one instruction to a specialized handler, filling
-/// `t`'s operand fields. `None` routes the instruction to `h_slow`.
-#[allow(clippy::too_many_lines)]
+/// Binds `inst`'s operands into `t` and picks its handler; `None`
+/// routes the instruction to `h_slow`.
 fn fast_op(inst: &Inst, t: &mut TOp, texts: &mut Vec<Box<str>>) -> Option<ExecFn> {
-    use Op::*;
-    let ops = &inst.operands;
     let mut mem = false;
-    match inst.op {
-        Mov => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            sel_ds!(h_mov, [], d, s)
-        }
-        MovB => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            sel_ds!(h_narrow, [8], d, s)
-        }
-        MovW => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            sel_ds!(h_narrow, [16], d, s)
-        }
-        MovzxB => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            sel_ds!(h_movzx, [8], d, s)
-        }
-        MovzxW => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            sel_ds!(h_movzx, [16], d, s)
-        }
-        Lea => {
-            // Destination must be a register: the memory fields carry
-            // the *source* address expression.
-            let Operand::Reg(r) = ops.first()? else {
-                return None;
-            };
-            t.a = r.index() as u8;
-            let m = ops.get(1)?.as_mem()?;
-            let (code, mb, mi) = mem_shape(m);
-            t.mb = mb;
-            t.mi = mi;
-            t.disp = m.disp as u32;
-            match code {
-                C_ABS => Some(h_lea::<C_ABS> as ExecFn),
-                C_MB => Some(h_lea::<C_MB> as ExecFn),
-                C_MBI => Some(h_lea::<C_MBI> as ExecFn),
-                _ => Some(h_lea::<C_MI> as ExecFn),
-            }
-        }
-        Add | Adc | Sub | Sbb | Cmp => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            match inst.op {
-                Add => sel_ds!(h_arith, [A_ADD], d, s),
-                Adc => sel_ds!(h_arith, [A_ADC], d, s),
-                Sub => sel_ds!(h_arith, [A_SUB], d, s),
-                Sbb => sel_ds!(h_arith, [A_SBB], d, s),
-                _ => sel_ds!(h_arith, [A_CMP], d, s),
-            }
-        }
-        And | Or | Xor | Test => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            match inst.op {
-                And => sel_ds!(h_logic, [L_AND], d, s),
-                Or => sel_ds!(h_logic, [L_OR], d, s),
-                Xor => sel_ds!(h_logic, [L_XOR], d, s),
-                _ => sel_ds!(h_logic, [L_TEST], d, s),
-            }
-        }
-        Imul => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            sel_ds!(h_imul, [], d, s)
-        }
-        MulWide => {
-            let s = bind_src(t, ops.first()?, &mut mem)?;
-            sel_s!(h_mulwide, [], s)
-        }
-        Shl | Shr | Sar | Ror => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            match inst.op {
-                Shl => sel_ds!(h_shift, [K_SHL], d, s),
-                Shr => sel_ds!(h_shift, [K_SHR], d, s),
-                Sar => sel_ds!(h_shift, [K_SAR], d, s),
-                _ => sel_ds!(h_shift, [K_ROR], d, s),
-            }
-        }
-        Not => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            sel_d!(h_not, [], d)
-        }
-        Neg => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            sel_d!(h_neg, [], d)
-        }
-        Bsr => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            let s = bind_src(t, ops.get(1)?, &mut mem)?;
-            sel_ds!(h_bsr, [], d, s)
-        }
-        Push => {
-            let s = bind_src(t, ops.first()?, &mut mem)?;
-            sel_s!(h_push, [], s)
-        }
-        Pop => {
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            sel_d!(h_pop, [], d)
-        }
-        Jmp => match ops.first()? {
-            Operand::Target(d) => {
-                t.imm = *d as u32;
-                Some(h_jmp_rel as ExecFn)
-            }
-            o => {
-                let s = bind_src(t, o, &mut mem)?;
-                sel_s!(h_jmp_exit, [], s)
-            }
-        },
-        Jcc => {
-            let Operand::Target(d) = ops.first()? else {
-                return None;
-            };
-            t.imm = *d as u32;
-            t.cc = cc_fn(inst.cc?);
-            Some(h_jcc as ExecFn)
-        }
-        Setcc => {
-            t.cc = cc_fn(inst.cc?);
-            let d = bind_dst(t, ops.first()?, &mut mem)?;
-            sel_d!(h_setcc, [], d)
-        }
-        Out => Some(h_out as ExecFn),
-        Hlt => Some(h_hlt as ExecFn),
-        Call | Ret => {
-            t.aux = u16::try_from(texts.len()).ok()?;
-            texts.push(format!("{} inside a translation block", inst.op).into_boxed_str());
-            Some(h_undef as ExecFn)
-        }
-        Movss => match (ops.first()?, ops.get(1)?) {
-            (Operand::Xmm(x), Operand::Xmm(y)) => {
-                t.a = x.index() as u8;
-                t.b = y.index() as u8;
-                Some(h_movss_xx as ExecFn)
-            }
-            (Operand::Xmm(x), Operand::Mem(m)) => {
-                t.a = x.index() as u8;
-                let (code, mb, mi) = mem_shape(*m);
-                t.mb = mb;
-                t.mi = mi;
-                t.disp = m.disp as u32;
-                t.aux = u16::try_from(texts.len()).ok()?;
-                texts.push(format!("{inst}").into_boxed_str());
-                match code {
-                    C_ABS => Some(h_movss_xm::<C_ABS> as ExecFn),
-                    C_MB => Some(h_movss_xm::<C_MB> as ExecFn),
-                    C_MBI => Some(h_movss_xm::<C_MBI> as ExecFn),
-                    _ => Some(h_movss_xm::<C_MI> as ExecFn),
-                }
-            }
-            (Operand::Mem(m), Operand::Xmm(y)) => {
-                t.b = y.index() as u8;
-                let (code, mb, mi) = mem_shape(*m);
-                t.mb = mb;
-                t.mi = mi;
-                t.disp = m.disp as u32;
-                match code {
-                    C_ABS => Some(h_movss_mx::<C_ABS> as ExecFn),
-                    C_MB => Some(h_movss_mx::<C_MB> as ExecFn),
-                    C_MBI => Some(h_movss_mx::<C_MBI> as ExecFn),
-                    _ => Some(h_movss_mx::<C_MI> as ExecFn),
-                }
-            }
-            _ => None,
-        },
-        Addss | Subss | Mulss | Divss | Ucomiss => {
-            let Operand::Xmm(x) = ops.first()? else {
-                return None;
-            };
-            t.a = x.index() as u8;
-            let s = match ops.get(1)? {
-                Operand::Xmm(y) => {
-                    t.b = y.index() as u8;
-                    C_REG
-                }
-                Operand::Mem(m) => {
-                    let (code, mb, mi) = mem_shape(*m);
-                    t.mb = mb;
-                    t.mi = mi;
-                    t.disp = m.disp as u32;
-                    code
-                }
-                _ => return None,
-            };
-            match inst.op {
-                Addss => sel_s!(h_ssebin, [F_ADD], s),
-                Subss => sel_s!(h_ssebin, [F_SUB], s),
-                Mulss => sel_s!(h_ssebin, [F_MUL], s),
-                Divss => sel_s!(h_ssebin, [F_DIV], s),
-                _ => sel_s!(h_ucomiss, [], s),
-            }
-        }
+    let mut shape = [C_NONE; MAX_OPERANDS];
+    for (i, o) in inst.operands.iter().enumerate() {
+        shape[i] = bind(t, i, o, &mut mem)?;
     }
+    if matches!(inst.op, Op::Jcc | Op::Setcc) {
+        t.cc = cc_fn(inst.cc?);
+    }
+    let exec = select(inst.op, shape[0], shape[1])?;
+    if inst.op == Op::Movss && (C_ABS..=C_MI).contains(&shape[1]) {
+        t.aux = u16::try_from(texts.len()).ok()?;
+        texts.push(inst.to_string().into_boxed_str());
+    }
+    Some(exec)
 }
 
 /// Compiles a block of host instructions into threaded code, every op
@@ -965,7 +498,7 @@ pub fn compile_block_tagged(insts: &[Inst], tags: &[OpTag]) -> ThreadedCode {
     let mut slow: Vec<Inst> = Vec::new();
     for (i, inst) in insts.iter().enumerate() {
         let mut t = TOp {
-            exec: h_hlt,
+            exec: h_slow,
             a: 0,
             b: 0,
             mb: 0,
@@ -1435,8 +968,8 @@ mod tests {
         assert!(std::mem::size_of::<HRes>() <= 8);
     }
 
-    use crate::operand::{Cc, Mem};
-    use pdbt_isa::Flags;
+    use crate::operand::Mem;
+    use crate::reg::Reg;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
