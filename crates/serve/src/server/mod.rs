@@ -9,7 +9,7 @@
 //! # Connection model
 //!
 //! One request frame per connection, answered by one response frame.
-//! The accept loop reads that first frame itself, under
+//! The accept loop reads that first frame itself, whole, within
 //! [`FIRST_FRAME_TIMEOUT`]; the expensive work — building the workload,
 //! translating, running — happens on a queue worker, so slow sessions
 //! never block new connections. The control and replication lanes are
@@ -47,8 +47,8 @@ use pdbt_runtime::{BackendKind, EngineConfig};
 use pdbt_workloads::Workload;
 use session::{respond, respond_error};
 use std::collections::{BTreeMap, HashMap};
-use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::io::{self, Read};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -60,9 +60,26 @@ use std::time::{Duration, Instant};
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The tighter bound on a connection's *first* frame, which the accept
-/// thread reads itself: a client that connects and says nothing holds
-/// up accept, PING and STATS for this long, not for [`SOCKET_TIMEOUT`].
+/// thread reads itself: a client that connects and says nothing, or
+/// trickles its frame, holds up accept, PING and STATS for this long,
+/// not for [`SOCKET_TIMEOUT`].
 const FIRST_FRAME_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A stream read under one deadline for all its reads: each read may
+/// wait only for what is left, so a peer sending a byte at a time
+/// cannot restart the clock with every byte.
+struct Deadline<'a>(&'a TcpStream, Instant);
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.1.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.0.set_read_timeout(Some(left))?;
+        self.0.read(buf)
+    }
+}
 
 /// Server construction knobs.
 #[derive(Debug)]
@@ -303,8 +320,8 @@ impl Server {
             // not fatal.
             let Ok(mut stream) = conn else { continue };
             let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-            let _ = stream.set_read_timeout(Some(FIRST_FRAME_TIMEOUT));
-            let frame = match proto::read_frame(&mut stream) {
+            let until = Instant::now() + FIRST_FRAME_TIMEOUT;
+            let frame = match proto::read_frame(&mut Deadline(&stream, until)) {
                 Ok(f) => f,
                 Err(e) => {
                     respond_error(ctx, &mut stream, None, &format!("bad frame: {e}"));

@@ -13,8 +13,10 @@ use common::{
 use pdbt::obs::json::Json;
 use pdbt::obs::{FleetSnapshot, ServerSnapshot};
 use pdbt_serve::{ping, shutdown, stats, submit, ServeConfig};
+use std::io::Write;
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// A STATS snapshot taken once the daemon has folded `served` requests
 /// into its telemetry plane. A worker records a request (and leaves
@@ -320,26 +322,60 @@ fn fault_armed_and_deadline_requests_leave_neighbours_untouched() {
     assert_eq!(summary.panicked, 0);
 }
 
-/// A client that connects and says nothing costs the accept thread its
-/// first-frame bound, not the 30 s socket timeout: a ping queued behind
-/// it answers promptly, the silent socket is told why it was dropped,
-/// and the drain is clean.
+/// A client that connects and says nothing, or sends its first frame a
+/// byte at a time, costs the accept thread its first-frame bound, not
+/// the 30 s socket timeout: a ping queued behind it answers promptly,
+/// the silent socket is told why it was dropped, and the drain is
+/// clean.
 #[test]
 fn a_silent_client_does_not_stall_the_control_lane() {
-    let (addr, handle) = spawn_server(ServeConfig::default());
-    let mut silent = std::net::TcpStream::connect(addr).expect("connect");
-    let t0 = std::time::Instant::now();
-    ping(addr, T).expect("ping behind a silent client");
-    let waited = t0.elapsed();
-    assert!(waited < Duration::from_secs(5), "ping waited {waited:?}");
+    // A header announcing a 1 KiB payload, trickled one byte every
+    // 400 ms for up to 6 s: each byte arrives inside a per-read timeout.
+    let mut frame = Vec::new();
+    pdbt_serve::proto::write_frame(&mut frame, pdbt_serve::proto::op::SUBMIT, &[b' '; 1024])
+        .unwrap();
+    for trickle in [false, true] {
+        let (addr, handle) = spawn_server(ServeConfig::default());
+        let mut client = std::net::TcpStream::connect(addr).expect("connect");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            if trickle {
+                let mut w = client.try_clone().unwrap();
+                let (frame, stop) = (&frame, &stop);
+                s.spawn(move || {
+                    let t0 = Instant::now();
+                    for b in frame {
+                        let done =
+                            stop.load(Ordering::Relaxed) || t0.elapsed() > Duration::from_secs(6);
+                        if done || w.write_all(&[*b]).is_err() {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(400));
+                    }
+                });
+            }
+            let t0 = Instant::now();
+            ping(addr, T).expect("ping behind a stalled client");
+            let waited = t0.elapsed();
+            stop.store(true, Ordering::Relaxed);
+            assert!(
+                waited < Duration::from_millis(2500),
+                "trickle {trickle}: ping waited {waited:?}"
+            );
+        });
 
-    silent.set_read_timeout(Some(T)).unwrap();
-    let frame = pdbt_serve::proto::read_frame(&mut silent).expect("the silent socket's answer");
-    assert_eq!(frame.opcode, pdbt_serve::proto::op::ERROR);
-    let why = frame.payload_str().unwrap();
-    assert!(why.contains("bad frame:"), "{why}");
+        // A trickled socket the server closed on unread bytes is reset,
+        // which can discard its answer; the silent one must get it.
+        if !trickle {
+            client.set_read_timeout(Some(T)).unwrap();
+            let frame = pdbt_serve::proto::read_frame(&mut client).expect("the silent answer");
+            assert_eq!(frame.opcode, pdbt_serve::proto::op::ERROR);
+            let why = frame.payload_str().unwrap();
+            assert!(why.contains("bad frame:"), "{why}");
+        }
 
-    shutdown(addr, T).expect("shutdown");
-    let summary = handle.join().unwrap();
-    assert_eq!((summary.requests, summary.panicked), (0, 0));
+        shutdown(addr, T).expect("shutdown");
+        let summary = handle.join().unwrap();
+        assert_eq!((summary.requests, summary.panicked), (0, 0));
+    }
 }
