@@ -104,6 +104,14 @@ impl Machine for Cpu {
     fn set_flag(&mut self, f: Flag, v: bool) {
         self.flags.set(f, v);
     }
+    /// A branch where the provided method selects, so a shift's flags
+    /// do not wait on the previous instruction's.
+    #[inline]
+    fn set_flag_if(&mut self, cond: &bool, f: Flag, v: bool) {
+        if *cond {
+            self.flags.set(f, v);
+        }
+    }
     #[inline]
     fn load(&self, addr: u32, width: Width) -> Result<u32, ExecError> {
         self.mem.load(addr, width)

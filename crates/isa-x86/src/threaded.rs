@@ -316,7 +316,9 @@ impl<const D: u8, const S: u8> Access<Cpu> for Bound<'_, D, S> {
 }
 
 /// The handler of opcode `O` (an [`Op`]'s discriminant) at operand
-/// shapes `D`, `S`: `step`'s body at those constants.
+/// shapes `D`, `S`: `step`'s body at those constants. `Op::ALL` is in
+/// declaration order, so indexing it by the discriminant gives the
+/// opcode back.
 fn h<const O: u8, const D: u8, const S: u8>(
     t: &TOp,
     code: &ThreadedCode,

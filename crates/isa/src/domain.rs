@@ -322,7 +322,10 @@ impl Domain for Concrete {
     }
     #[inline]
     fn carry_add(a: u32, b: u32, cin: bool) -> bool {
-        u64::from(a) + u64::from(b) + u64::from(cin) > u64::from(u32::MAX)
+        // At most one of the two additions carries; spelled as
+        // overflowing adds, the carry is the `add`'s own flag.
+        let (sum, c1) = a.overflowing_add(b);
+        c1 | sum.overflowing_add(u32::from(cin)).1
     }
     #[inline]
     fn borrow_sub(a: u32, b: u32, bin: bool) -> bool {
