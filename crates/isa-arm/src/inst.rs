@@ -599,6 +599,8 @@ impl Inst {
                 }
             }
             BranchReg => of(&self.operands[..1]),
+            // `svc #1` emits r0.
+            Sys if self.operands[0].as_imm() == Some(1) => f(Reg::R0),
             Branch | Sys | Vfp3 | Vfp2 => {}
         }
     }
@@ -844,6 +846,12 @@ mod tests {
         let i = umull(Reg::R0, Reg::R1, Reg::R2, Reg::R3);
         assert_eq!(i.defs(), vec![Reg::R0, Reg::R1]);
         assert_eq!(i.uses(), vec![Reg::R2, Reg::R3]);
+    }
+
+    #[test]
+    fn svc_1_reads_the_register_it_emits() {
+        assert_eq!(svc(1).uses(), vec![Reg::R0]);
+        assert!(svc(0).uses().is_empty());
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Host instruction set: opcodes, shape validation, and classification
 //! metadata for the host side of parameterized rules.
 
-#[cfg(test)]
-use crate::operand::Mem;
-use crate::operand::{Cc, Operand};
+use crate::operand::{Cc, Mem, Operand};
 use crate::reg::Reg;
 use pdbt_isa::{DataType, EncodingFormat, ExecError, FlagSet, InlineVec, OpCategory, Width};
 use std::fmt;
@@ -501,7 +499,11 @@ impl Inst {
                     v.extend(self.operands[0].uses());
                     v
                 }
-                Op::Pop => vec![Reg::Esp],
+                Op::Pop => {
+                    let mut v = vec![Reg::Esp];
+                    v.extend(self.operands[0].as_mem().into_iter().flat_map(Mem::uses));
+                    v
+                }
                 _ => self.operands[0].uses(),
             },
             Branch => self.operands[0].uses(),
@@ -510,7 +512,7 @@ impl Inst {
                 Op::Out => vec![Reg::Eax],
                 _ => vec![],
             },
-            SetCc => vec![],
+            SetCc => self.operands[0].as_mem().into_iter().flat_map(Mem::uses).collect(),
             Sse2Op | SseMov => {
                 let mut v = vec![];
                 for o in &self.operands {
@@ -648,6 +650,10 @@ mod tests {
         assert_eq!(i.uses(), vec![Reg::Eax, Reg::Ecx]);
         let i = cmp(Reg::Eax.into(), Operand::Imm(0));
         assert!(i.defs().is_empty());
+        // A memory destination's address registers are read.
+        let slot = Mem::base_disp(Reg::Ebx, 4);
+        assert_eq!(pop(slot.into()).uses(), vec![Reg::Esp, Reg::Ebx]);
+        assert_eq!(setcc(Cc::E, slot.into()).uses(), vec![Reg::Ebx]);
     }
 
     #[test]
