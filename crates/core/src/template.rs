@@ -10,9 +10,7 @@
 //! in-environment memory slot — and legalizes the result (mem-mem
 //! operand fixes, address materialization).
 
-use pdbt_isa_x86::{
-    Cc, Inst as HInst, Mem, Op as HOp, Operand as HOperand, Operands, Reg as HReg, Shape,
-};
+use pdbt_isa_x86::{Cc, Inst as HInst, Mem, Op as HOp, Operand as HOperand, Operands, Reg as HReg};
 use std::fmt;
 
 /// A template register reference.
@@ -210,28 +208,29 @@ pub fn extract(
 }
 
 /// What `t` does to scratch register `k` first: reads it (`Some(true)`),
-/// overwrites it unread (`Some(false)`), or leaves it alone. The operand
-/// roles are `Inst::uses` / `Inst::defs`'s, read off the template.
+/// overwrites it unread (`Some(false)`), or leaves it alone — the
+/// effects of `t` with scratch `k` standing for itself and every other
+/// register for one that is no scratch.
 fn first_touch(t: &TemplateInst, k: usize) -> Option<bool> {
-    let is = |r: TReg| matches!(r, TReg::Scratch(s) if s as usize % 2 == k);
-    let names = |o: &TOperand| matches!(o, TOperand::Reg(r) if is(*r));
-    let addresses = |o: &TOperand| match o {
-        TOperand::Mem(m) => m.base.is_some_and(is) || m.index.is_some_and(is),
-        _ => false,
+    let reg = |r: TReg| match r {
+        TReg::Scratch(s) if usize::from(s) % 2 == k => SCRATCH[k],
+        _ => HReg::Ebx,
     };
-    let dst = t.operands.first().is_some_and(names);
-    let overwrites = matches!(t.op.shape(), Shape::Mov2 | Shape::RegMem | Shape::SetCc);
-    if matches!((t.op, k), (HOp::MulWide | HOp::Out, 0))
-        || t.operands.iter().any(addresses)
-        || t.operands.iter().skip(1).any(names)
-        || (dst && !overwrites)
-    {
-        Some(true)
-    } else if dst || t.op == HOp::MulWide {
-        Some(false)
-    } else {
-        None
-    }
+    let operand = |o: &TOperand| match *o {
+        TOperand::Reg(r) => HOperand::Reg(reg(r)),
+        TOperand::Imm(_) => HOperand::Imm(0),
+        TOperand::Mem(m) => HOperand::Mem(Mem {
+            base: m.base.map(reg),
+            index: m.index.map(reg),
+            disp: 0,
+        }),
+    };
+    let operands: Vec<HOperand> = t.operands.iter().map(operand).collect();
+    let (op, cc) = (t.op, t.cc);
+    let operands = Operands::from_slice(&operands)?;
+    let fx = HInst { op, cc, operands }.effects();
+    let scratch = &SCRATCH[k];
+    (fx.uses.contains(scratch) || fx.defs.contains(scratch)).then(|| fx.uses.contains(scratch))
 }
 
 /// Whether scratch `k` holds a value `rest` still wants: an instruction

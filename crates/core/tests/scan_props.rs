@@ -7,7 +7,7 @@
 //! salted with each rejecting shape. `FUZZ_CASES` scales the random half.
 //!
 //! Also here, because the same programs feed it: the register lists
-//! `Inst::uses`/`defs` hand the translator, pinned element for element.
+//! `Inst::effects` hands the translator, pinned element for element.
 
 use pdbt_core::key::{parameterize, reconstruct_seq, ComboKey, ModeTag, Scan};
 use pdbt_isa::Cond;
@@ -191,7 +191,7 @@ fn inline_keys_compare_order_and_hash_as_their_slices() {
     }
 }
 
-/// `uses()`/`defs()` order is load-bearing — register allocation breaks
+/// `uses`/`defs` order is load-bearing — register allocation breaks
 /// frequency ties by first appearance — and the translation goldens
 /// cannot say which list moved. Each line of the golden is a function
 /// of the instruction's text, so the distinct instructions of the twelve
@@ -203,10 +203,11 @@ fn uses_and_defs_list_registers_in_the_recorded_order() {
     let mut lines = std::collections::BTreeSet::new();
     for w in suite(Scale::tiny()) {
         for inst in w.pair.guest.program.insts() {
+            let fx = inst.effects();
             lines.insert(format!(
                 "{inst} | uses {:?} | defs {:?}\n",
-                &inst.uses()[..],
-                &inst.defs()[..]
+                &fx.uses[..],
+                &fx.defs[..]
             ));
         }
     }

@@ -849,7 +849,7 @@ mod tests {
         };
         // A branch not taken, or a block end that falls through.
         let next = |ctl| match ctl {
-            Control::Next if inst.ends_block() => Control::Jump(AT + 4),
+            Control::Next if inst.is_branch() => Control::Jump(AT + 4),
             ctl => ctl,
         };
         assert_eq!(next(went), next(ctl), "{what}: control");
@@ -868,7 +868,7 @@ mod tests {
             let inst = sample(&mut rng);
             let omit = Flag::ALL
                 .into_iter()
-                .filter(|_| !inst.ends_block() && rng.gen_bool(0.3))
+                .filter(|_| !inst.is_branch() && rng.gen_bool(0.3))
                 .fold(FlagSet::EMPTY, |set, f| set | FlagSet::single(f));
             let machines = machines(&mut rng, &inst);
             let what = format!("case {case}: `{inst}` omitting {omit}");

@@ -3,8 +3,9 @@
 //! parameterization framework consumes.
 
 use crate::operand::{MemAddr, Operand};
-use crate::reg::{Reg, RegList, RegVec};
-use pdbt_isa::{Addr, Cond, DataType, EncodingFormat, ExecError, FlagSet, OpCategory, Width};
+use crate::reg::{Reg, RegList};
+use pdbt_isa::effects::{self, Effects};
+use pdbt_isa::{Addr, Cond, DataType, EncodingFormat, ExecError, OpCategory, Width};
 use std::fmt;
 
 /// A guest opcode.
@@ -256,41 +257,6 @@ impl Op {
         )
     }
 
-    /// Flags this opcode *always* sets (compares), ignoring the `s` bit.
-    #[must_use]
-    pub fn intrinsic_flag_defs(self) -> FlagSet {
-        use Op::*;
-        match self {
-            Cmp | Cmn => FlagSet::NZCV,
-            Tst | Teq => FlagSet::NZ,
-            Vcmp => FlagSet::NZCV,
-            _ => FlagSet::EMPTY,
-        }
-    }
-
-    /// Flags set when the `s` suffix is present.
-    #[must_use]
-    pub fn s_flag_defs(self) -> FlagSet {
-        use Op::*;
-        match self {
-            Add | Adc | Sub | Sbc | Rsb | Rsc => FlagSet::NZCV,
-            And | Orr | Eor | Bic | Mov | Mvn => FlagSet::NZ,
-            Lsl | Lsr | Asr | Ror => FlagSet::NZC,
-            Mul | Mla => FlagSet::NZ,
-            _ => FlagSet::EMPTY,
-        }
-    }
-
-    /// Flags this opcode reads (beyond any condition predicate).
-    #[must_use]
-    pub fn flag_uses(self) -> FlagSet {
-        use pdbt_isa::Flag;
-        match self {
-            Op::Adc | Op::Sbc | Op::Rsc => FlagSet::single(Flag::C),
-            _ => FlagSet::EMPTY,
-        }
-    }
-
     /// Whether the two source operands commute (paper §IV-C1: `add` is
     /// commutative, `sub` is not; the verifier drops swapped derivations
     /// for non-commutative opcodes).
@@ -329,12 +295,6 @@ impl Op {
             Ldrb | Strb => Some(Width::B8),
             _ => None,
         }
-    }
-
-    /// Whether this is a load (memory → register).
-    #[must_use]
-    pub fn is_load(self) -> bool {
-        matches!(self, Op::Ldr | Op::Ldrb | Op::Ldrh | Op::Vldr | Op::Pop)
     }
 
     /// Whether this is a store (register → memory).
@@ -473,6 +433,7 @@ impl Inst {
     /// # Errors
     ///
     /// Returns [`ExecError::MalformedInstruction`] on any shape violation.
+    #[inline] // into each `step` instantiation: the interpreter's and the recorder's
     pub fn validate(&self) -> Result<(), ExecError> {
         let bad = |detail: String| Err(ExecError::MalformedInstruction { detail });
         let ops = &self.operands;
@@ -528,116 +489,14 @@ impl Inst {
         Ok(())
     }
 
-    /// Calls `f` with each general-purpose register this instruction
-    /// writes, in [`Inst::defs`] order.
-    #[inline]
-    fn each_def(&self, mut f: impl FnMut(Reg)) {
-        use Shape::*;
-        let mut plain = |o: &Operand| o.as_reg().into_iter().for_each(&mut f);
-        match self.op.shape() {
-            Dp3 | Dp2 | Unary2 | Mul3 => plain(&self.operands[0]),
-            Mul4 => match self.op {
-                // mla rd, rm, rs, ra → writes rd. umull/umlal write lo and hi.
-                Op::Mla => plain(&self.operands[0]),
-                _ => self.operands[..2].iter().for_each(plain),
-            },
-            LdSt if self.op.is_load() => plain(&self.operands[0]),
-            Stack => {
-                f(Reg::Sp);
-                if let (Op::Pop, Operand::RegList(l)) = (self.op, self.operands[0]) {
-                    l.iter().for_each(&mut f);
-                }
-            }
-            LdSt | Cmp2 | Branch | BranchReg | Sys | Vfp3 | Vfp2 | VfpLdSt => {}
-        }
-        if self.op == Op::Bl {
-            f(Reg::Lr);
-        }
-    }
-
-    /// The general-purpose registers written by this instruction.
+    /// The registers and flags this instruction may read and write:
+    /// [`crate::step`] stepped at [`pdbt_isa::effects::Recorder`], both
+    /// ways where it is predicated. `pc` counts only where an operand
+    /// names it.
     #[must_use]
-    pub fn defs(&self) -> RegVec {
-        let mut out = RegVec::new();
-        self.each_def(|r| out.push(r));
-        out
-    }
-
-    /// Whether `pc` is among [`Inst::defs`], asked without listing them:
-    /// block collection asks it of every instruction it fetches.
-    fn writes_pc(&self) -> bool {
-        let mut hit = false;
-        self.each_def(|r| hit |= r.is_pc());
-        hit
-    }
-
-    /// Calls `f` with each general-purpose register this instruction
-    /// reads, in operand order, repeats included.
-    #[inline]
-    fn each_use(&self, mut f: impl FnMut(Reg)) {
-        use Shape::*;
-        let mut of = |operands: &[Operand]| operands.iter().for_each(|o| o.each_use(&mut f));
-        match self.op.shape() {
-            Dp3 | Mul3 => of(&self.operands[1..]),
-            Dp2 | Unary2 | VfpLdSt => of(&self.operands[1..2]),
-            Mul4 => match self.op {
-                Op::Mla => of(&self.operands[1..]),
-                Op::Umlal => of(&self.operands),
-                _ => of(&self.operands[2..]),
-            },
-            Cmp2 => of(&self.operands),
-            LdSt => {
-                of(&self.operands[1..2]);
-                if self.op.is_store() {
-                    of(&self.operands[..1]);
-                }
-            }
-            Stack => {
-                f(Reg::Sp);
-                if let (Op::Push, Operand::RegList(l)) = (self.op, self.operands[0]) {
-                    l.iter().for_each(f);
-                }
-            }
-            BranchReg => of(&self.operands[..1]),
-            // `svc #1` emits r0.
-            Sys if self.operands[0].as_imm() == Some(1) => f(Reg::R0),
-            Branch | Sys | Vfp3 | Vfp2 => {}
-        }
-    }
-
-    /// The general-purpose registers read by this instruction, in operand
-    /// order (register allocation breaks frequency ties by it); a register
-    /// read twice in a row is listed once.
-    #[must_use]
-    pub fn uses(&self) -> RegVec {
-        let mut out = RegVec::new();
-        self.each_use(|r| {
-            if out.last() != Some(&r) {
-                out.push(r);
-            }
-        });
-        out
-    }
-
-    /// Flags defined by this instruction.
-    #[must_use]
-    pub fn flag_defs(&self) -> FlagSet {
-        let mut set = self.op.intrinsic_flag_defs();
-        if self.s {
-            set |= self.op.s_flag_defs();
-        }
-        set
-    }
-
-    /// Flags read by this instruction (carry-in opcodes and the condition
-    /// predicate).
-    #[must_use]
-    pub fn flag_uses(&self) -> FlagSet {
-        let mut set = self.op.flag_uses();
-        if self.cond != Cond::Al {
-            set |= FlagSet::NZCV;
-        }
-        set
+    pub fn effects(&self) -> Effects<Reg> {
+        let names_pc = self.operands.iter().any(Operand::names_pc);
+        effects::record(Some((Reg::Pc, names_pc)), |m| crate::step(m, self))
     }
 
     /// Whether control flow may leave the fall-through path
@@ -646,7 +505,14 @@ impl Inst {
     pub fn is_branch(&self) -> bool {
         matches!(self.op, Op::B | Op::Bl | Op::Bx)
             || (self.op == Op::Svc && self.operands[0].as_imm() == Some(0))
-            || self.writes_pc()
+            // Only an instruction that names `pc` as a register or in a
+            // list can write it, so block collection, which asks of every
+            // instruction it fetches, steps only those.
+            || (self.operands.iter().any(|o| match o {
+                Operand::Reg(r) => r.is_pc(),
+                Operand::RegList(l) => l.contains(Reg::Pc),
+                _ => false,
+            }) && self.effects().defs.contains(&Reg::Pc))
     }
 
     /// The target of a direct branch (`b`/`bl`) at `addr`; `None` for
@@ -657,13 +523,6 @@ impl Inst {
             (Op::B | Op::Bl, Some(Operand::Target(d))) => Some(addr.wrapping_add(*d as u32)),
             _ => None,
         }
-    }
-
-    /// Whether this instruction ends a basic block for translation
-    /// purposes.
-    #[must_use]
-    pub fn ends_block(&self) -> bool {
-        self.is_branch()
     }
 
     /// The push/pop register list, if any.
@@ -804,76 +663,30 @@ mod tests {
         assert!(bad.is_err());
     }
 
-    #[test]
-    fn defs_uses_dataproc() {
-        let i = add(Reg::R0, Reg::R1, Operand::Reg(Reg::R2));
-        assert_eq!(i.defs(), vec![Reg::R0]);
-        assert_eq!(i.uses(), vec![Reg::R1, Reg::R2]);
-    }
-
-    #[test]
-    fn defs_uses_memory() {
-        let i = str_(
-            Reg::R0,
-            MemAddr::BaseReg {
-                base: Reg::R1,
-                index: Reg::R2,
-            },
-        );
-        assert!(i.defs().is_empty());
-        assert_eq!(i.uses(), vec![Reg::R1, Reg::R2, Reg::R0]);
-        let i = ldr(
-            Reg::R0,
-            MemAddr::BaseImm {
-                base: Reg::R1,
-                offset: 4,
-            },
-        );
-        assert_eq!(i.defs(), vec![Reg::R0]);
-        assert_eq!(i.uses(), vec![Reg::R1]);
-    }
-
-    #[test]
-    fn defs_uses_stack_and_mul() {
-        let i = push([Reg::R4, Reg::Lr]);
-        assert_eq!(i.defs(), vec![Reg::Sp]);
-        assert!(i.uses().contains(&Reg::R4) && i.uses().contains(&Reg::Sp));
-        let i = pop([Reg::R4, Reg::Pc]);
-        assert!(i.defs().contains(&Reg::Pc) && i.defs().contains(&Reg::Sp));
-        let i = mla(Reg::R0, Reg::R1, Reg::R2, Reg::R3);
-        assert_eq!(i.defs(), vec![Reg::R0]);
-        assert_eq!(i.uses(), vec![Reg::R1, Reg::R2, Reg::R3]);
-        let i = umull(Reg::R0, Reg::R1, Reg::R2, Reg::R3);
-        assert_eq!(i.defs(), vec![Reg::R0, Reg::R1]);
-        assert_eq!(i.uses(), vec![Reg::R2, Reg::R3]);
+    /// `(uses, defs)`.
+    fn regs(i: &Inst) -> (Vec<Reg>, Vec<Reg>) {
+        let fx = i.effects();
+        (fx.uses.to_vec(), fx.defs.to_vec())
     }
 
     #[test]
     fn svc_1_reads_the_register_it_emits() {
-        assert_eq!(svc(1).uses(), vec![Reg::R0]);
-        assert!(svc(0).uses().is_empty());
+        assert_eq!(regs(&svc(1)), (vec![Reg::R0], vec![]));
+        assert_eq!(regs(&svc(0)), (vec![], vec![]));
     }
 
     #[test]
-    fn flags_metadata() {
-        assert_eq!(
-            add(Reg::R0, Reg::R0, Operand::Imm(1)).flag_defs(),
-            FlagSet::EMPTY
-        );
-        assert_eq!(
-            add(Reg::R0, Reg::R0, Operand::Imm(1)).with_s().flag_defs(),
-            FlagSet::NZCV
-        );
-        assert_eq!(
-            and(Reg::R0, Reg::R0, Operand::Imm(1)).with_s().flag_defs(),
-            FlagSet::NZ
-        );
-        assert_eq!(cmp(Reg::R0, Operand::Imm(0)).flag_defs(), FlagSet::NZCV);
-        assert!(!adc(Reg::R0, Reg::R0, Operand::Imm(0))
-            .flag_uses()
-            .is_empty());
-        assert_eq!(b(Cond::Eq, 8).flag_uses(), FlagSet::NZCV);
-        assert_eq!(b(Cond::Al, 8).flag_uses(), FlagSet::EMPTY);
+    fn pc_is_an_effect_only_where_an_operand_names_it() {
+        use Reg::*;
+        assert_eq!(regs(&b(Cond::Al, 8)), (vec![], vec![]));
+        assert_eq!(regs(&bl(8)), (vec![], vec![Lr]));
+        assert_eq!(regs(&bx(Lr)), (vec![Lr], vec![]));
+        assert_eq!(regs(&mov(Pc, Operand::Reg(Lr))), (vec![Lr], vec![Pc]));
+        let at = MemAddr::BaseImm {
+            base: Pc,
+            offset: 8,
+        };
+        assert_eq!(regs(&ldr(R0, at)), (vec![Pc], vec![R0]));
     }
 
     #[test]

@@ -184,13 +184,15 @@ pub fn step<M: Machine<Reg = Reg, FReg = FReg>>(
         }
         Umull | Umlal => {
             let (rdlo, rdhi) = (reg_at(inst, 0), reg_at(inst, 1));
+            // `umlal` reads the pair it accumulates into first.
+            let acc = (inst.op == Umlal).then(|| (m.reg(rdlo), m.reg(rdhi)));
             let (a, b) = (m.reg(reg_at(inst, 2)), m.reg(reg_at(inst, 3)));
             let mut lo = M::D::bin(BinOp::Mul, a.clone(), b.clone());
             let mut hi = M::D::bin(BinOp::MulhU, a, b);
-            if inst.op == Umlal {
-                let (sum, carry, _) = M::D::add_with_carry(m.reg(rdlo), lo, None);
+            if let Some((acc_lo, acc_hi)) = acc {
+                let (sum, carry, _) = M::D::add_with_carry(acc_lo, lo, None);
                 lo = sum;
-                hi = M::D::bin(BinOp::Add, m.reg(rdhi), hi);
+                hi = M::D::bin(BinOp::Add, acc_hi, hi);
                 hi = M::D::bin(BinOp::Add, hi, M::D::word(carry));
             }
             m.set_reg(rdlo, lo);
@@ -212,11 +214,16 @@ pub fn step<M: Machine<Reg = Reg, FReg = FReg>>(
         Push => {
             let list = inst.reg_list().expect("validated");
             let mut sp = m.reg(Reg::Sp);
-            // Store in descending address order: highest-numbered register
-            // at the highest address.
-            for r in list.iter().collect::<Vec<_>>().into_iter().rev() {
+            // Read the list in ascending order, then store it in
+            // descending address order: highest-numbered register at the
+            // highest address.
+            let mut values: [Option<M::W>; 16] = Default::default();
+            for r in list.iter() {
+                values[r.index()] = Some(m.reg(r));
+            }
+            for v in values.into_iter().rev().flatten() {
                 sp = M::D::bin(BinOp::Sub, sp, M::D::c(4));
-                m.store(sp.clone(), m.reg(r), Width::B32)?;
+                m.store(sp.clone(), v, Width::B32)?;
             }
             m.set_reg(Reg::Sp, sp);
             Ok(Control::Next)

@@ -53,5 +53,5 @@ pub use interp::step;
 pub use operand::{MemAddr, Operand, ShiftKind};
 pub use parse::{parse_listing, ParseError};
 pub use program::{run, FlagLiveness, Program, RunStats, INST_SIZE};
-pub use reg::{FReg, Reg, RegList, RegVec};
+pub use reg::{FReg, Reg, RegList};
 pub use state::Cpu;

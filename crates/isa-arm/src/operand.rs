@@ -2,7 +2,7 @@
 //! shifted register), memory addressing modes, and the uniform operand
 //! type the parameterization framework manipulates.
 
-use crate::reg::{FReg, Reg, RegList, RegVec};
+use crate::reg::{FReg, Reg, RegList};
 use pdbt_isa::AddrModeKind;
 use std::fmt;
 
@@ -72,23 +72,6 @@ pub enum MemAddr {
     },
 }
 
-impl MemAddr {
-    /// Registers the address computation reads.
-    pub fn uses(self) -> impl Iterator<Item = Reg> {
-        let (a, b) = match self {
-            MemAddr::BaseImm { base, .. } => (base, None),
-            MemAddr::BaseReg { base, index } => (base, Some(index)),
-        };
-        std::iter::once(a).chain(b)
-    }
-
-    /// Whether the address uses the program counter.
-    #[must_use]
-    pub fn uses_pc(self) -> bool {
-        self.uses().any(Reg::is_pc)
-    }
-}
-
 impl fmt::Display for MemAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -145,32 +128,17 @@ impl Operand {
         }
     }
 
-    /// Calls `f` with each general-purpose register this operand reads,
-    /// in order.
-    #[inline]
-    pub(crate) fn each_use(&self, mut f: impl FnMut(Reg)) {
-        match self {
-            Operand::Reg(r) | Operand::Shifted { rm: r, .. } => f(*r),
-            Operand::Mem(m) => m.uses().for_each(f),
-            Operand::RegList(l) => l.iter().for_each(f),
-            Operand::Imm(_) | Operand::FReg(_) | Operand::Target(_) => {}
+    /// Whether the operand names the program counter.
+    #[must_use]
+    pub fn names_pc(&self) -> bool {
+        match *self {
+            Operand::Reg(r)
+            | Operand::Shifted { rm: r, .. }
+            | Operand::Mem(MemAddr::BaseImm { base: r, .. }) => r.is_pc(),
+            Operand::Mem(MemAddr::BaseReg { base, index }) => base.is_pc() || index.is_pc(),
+            Operand::RegList(l) => l.contains(Reg::Pc),
+            Operand::Imm(_) | Operand::FReg(_) | Operand::Target(_) => false,
         }
-    }
-
-    /// The general-purpose registers this operand reads.
-    #[must_use]
-    pub fn uses(&self) -> RegVec {
-        let mut out = RegVec::new();
-        self.each_use(|r| out.push(r));
-        out
-    }
-
-    /// Whether the operand mentions the program counter.
-    #[must_use]
-    pub fn uses_pc(&self) -> bool {
-        let mut hit = false;
-        self.each_use(|r| hit |= r.is_pc());
-        hit
     }
 
     /// Convenience accessor: the register, if this is a plain register.
@@ -259,18 +227,18 @@ mod tests {
     }
 
     #[test]
-    fn memaddr_uses_and_pc() {
-        let m = MemAddr::BaseImm {
+    fn names_pc_in_any_register_position() {
+        let at_pc = MemAddr::BaseImm {
             base: Reg::Pc,
             offset: 16,
         };
-        assert!(m.uses_pc());
+        assert!(Operand::Mem(at_pc).names_pc());
+        assert!(Operand::RegList([Reg::R4, Reg::Pc].into_iter().collect()).names_pc());
         let m = MemAddr::BaseReg {
             base: Reg::R1,
             index: Reg::R2,
         };
-        assert_eq!(m.uses().collect::<Vec<_>>(), vec![Reg::R1, Reg::R2]);
-        assert!(!m.uses_pc());
+        assert!(!Operand::Mem(m).names_pc());
     }
 
     #[test]

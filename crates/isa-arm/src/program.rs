@@ -12,7 +12,7 @@
 use crate::inst::{Inst, Op};
 use crate::interp;
 use crate::state::Cpu;
-use pdbt_isa::{cond_flag_uses, Addr, Cond, Control, ExecError, FlagSet};
+use pdbt_isa::{Addr, Cond, Control, ExecError, FlagSet};
 use std::sync::{Arc, OnceLock};
 
 /// Size of one encoded guest instruction in bytes.
@@ -162,15 +162,14 @@ impl Program {
     pub fn flag_live_out_at(&self, addr: Addr) -> FlagSet {
         let live = self.flag_liveness();
         self.index_of(addr).map_or(FlagSet::NZCV, |i| {
-            self.flag_flow(i, &live.live_in, live.ret_live).1
+            self.live_out(i, &live.live_in, live.ret_live)
         })
     }
 
-    /// The flags instruction `i` reads itself, and the flags live out
-    /// of it given the live-in sets and the return join so far: one
-    /// definition of the static successors, for the solver and for
-    /// [`Program::flag_live_out_at`].
-    fn flag_flow(&self, i: usize, live_in: &[FlagSet], ret_live: FlagSet) -> (FlagSet, FlagSet) {
+    /// The flags live out of instruction `i` given the live-in sets and
+    /// the return join so far: one definition of the static successors,
+    /// for the solver and for [`Program::flag_live_out_at`].
+    fn live_out(&self, i: usize, live_in: &[FlagSet], ret_live: FlagSet) -> FlagSet {
         let inst = &self.insts[i];
         let at = |j: Option<usize>| j.map_or(FlagSet::NZCV, |j| live_in[j]);
         let fall = || at((i + 1 < live_in.len()).then_some(i + 1));
@@ -180,14 +179,13 @@ impl Program {
                 .and_then(|t| self.index_of(t)))
         };
         match inst.op {
-            Op::B if inst.cond == Cond::Al => (FlagSet::EMPTY, target()),
-            Op::B => (cond_flag_uses(inst.cond), target() | fall()),
-            // The callee's entry, plus (conservatively) the return
-            // continuation.
-            Op::Bl => (FlagSet::EMPTY, target() | fall()),
-            Op::Svc if inst.operands[0].as_imm() == Some(0) => (FlagSet::EMPTY, FlagSet::EMPTY),
-            _ if inst.is_branch() => (inst.flag_uses(), ret_live),
-            _ => (inst.flag_uses(), fall()),
+            Op::B if inst.cond == Cond::Al => target(),
+            // A conditional branch, or a call: the callee's entry, plus
+            // (conservatively) the return continuation.
+            Op::B | Op::Bl => target() | fall(),
+            Op::Svc if inst.operands[0].as_imm() == Some(0) => FlagSet::EMPTY,
+            _ if inst.is_branch() => ret_live,
+            _ => fall(),
         }
     }
 
@@ -196,6 +194,14 @@ impl Program {
         SOLVES.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let insts = &self.insts;
         let n = insts.len();
+        // What each instruction reads and writes does not change between
+        // sweeps: step each once, here.
+        let flags: Vec<(FlagSet, FlagSet)> = (insts.iter())
+            .map(|inst| {
+                let fx = inst.effects();
+                (fx.flag_uses, fx.flag_defs)
+            })
+            .collect();
         let mut live_in = vec![FlagSet::EMPTY; n];
         loop {
             let mut changed = false;
@@ -206,8 +212,8 @@ impl Program {
                 }
             }
             for i in (0..n).rev() {
-                let (uses, out) = self.flag_flow(i, &live_in, ret_live);
-                let new = uses | (out - insts[i].flag_defs());
+                let (uses, defs) = flags[i];
+                let new = uses | (self.live_out(i, &live_in, ret_live) - defs);
                 if new != live_in[i] {
                     live_in[i] = new;
                     changed = true;

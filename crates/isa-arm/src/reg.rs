@@ -106,11 +106,6 @@ impl FromStr for Reg {
     }
 }
 
-/// The registers an instruction or operand reads or writes, in operand
-/// order and by value. The longest is a sixteen-register `push`/`pop`
-/// list next to `sp`.
-pub type RegVec = pdbt_isa::InlineVec<Reg, 17>;
-
 /// A guest single-precision floating-point register (`s0`–`s15`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FReg(u8);

@@ -1,9 +1,12 @@
 //! Host instruction set: opcodes, shape validation, and classification
 //! metadata for the host side of parameterized rules.
 
-use crate::operand::{Cc, Mem, Operand};
+#[cfg(test)]
+use crate::operand::Mem;
+use crate::operand::{Cc, Operand};
 use crate::reg::Reg;
-use pdbt_isa::{DataType, EncodingFormat, ExecError, FlagSet, InlineVec, OpCategory, Width};
+use pdbt_isa::effects::{self, Effects};
+use pdbt_isa::{DataType, EncodingFormat, ExecError, InlineVec, OpCategory, Width};
 use std::fmt;
 
 /// A host opcode.
@@ -204,34 +207,6 @@ impl Op {
             self,
             Add | Adc | And | Or | Xor | Imul | Test | Addss | Mulss
         )
-    }
-
-    /// Flags defined by this opcode (x86 semantics; `c` is CF with borrow
-    /// polarity after subtraction).
-    #[must_use]
-    pub fn flag_defs(self) -> FlagSet {
-        use pdbt_isa::Flag;
-        use Op::*;
-        match self {
-            Add | Adc | Sub | Sbb | Neg | Cmp => FlagSet::NZCV,
-            And | Or | Xor | Test => FlagSet::NZCV, // CF=OF=0, SF/ZF live
-            Shl | Shr | Sar => FlagSet::NZC,
-            Ror => FlagSet::single(Flag::C),
-            Bsr => FlagSet::single(Flag::Z),
-            Ucomiss => FlagSet::NZCV, // ZF/CF live, SF=OF=0
-            _ => FlagSet::EMPTY,
-        }
-    }
-
-    /// Flags read by this opcode.
-    #[must_use]
-    pub fn flag_uses(self) -> FlagSet {
-        use pdbt_isa::Flag;
-        match self {
-            Op::Adc | Op::Sbb => FlagSet::single(Flag::C),
-            Op::Jcc | Op::Setcc => FlagSet::NZCV,
-            _ => FlagSet::EMPTY,
-        }
     }
 
     /// Memory access width for narrow moves.
@@ -441,102 +416,13 @@ impl Inst {
         }
     }
 
-    /// Host registers written.
-    pub fn defs(&self) -> Vec<Reg> {
-        use Shape::*;
-        match self.op.shape() {
-            Alu2 if matches!(self.op, Op::Cmp | Op::Test) => vec![],
-            Alu2 | Mov2 | RegMem | SetCc => self.operands[0].as_reg().into_iter().collect(),
-            Unary => match self.op {
-                Op::MulWide => vec![Reg::Eax, Reg::Edx],
-                Op::Push => vec![Reg::Esp],
-                Op::Pop => {
-                    let mut v = vec![Reg::Esp];
-                    v.extend(self.operands[0].as_reg());
-                    v
-                }
-                _ => self.operands[0].as_reg().into_iter().collect(),
-            },
-            NarrowStore | Branch | CondBranch | Nullary | Sse2Op | SseMov => match self.op {
-                Op::Call => vec![Reg::Esp],
-                Op::Ret => vec![Reg::Esp],
-                _ => vec![],
-            },
-        }
-    }
-
-    /// Host registers read.
-    pub fn uses(&self) -> Vec<Reg> {
-        use Shape::*;
-        let mut v: Vec<Reg> = match self.op.shape() {
-            Alu2 => {
-                // dst is read-modify-write except for mov-like ops.
-                let mut v = self.operands[0].uses();
-                v.extend(self.operands[1].uses());
-                v
-            }
-            Mov2 => {
-                let mut v = self.operands[1].uses();
-                if let Some(m) = self.operands[0].as_mem() {
-                    v.extend(m.uses());
-                }
-                v
-            }
-            NarrowStore => {
-                let mut v = self.operands[0].uses();
-                v.extend(self.operands[1].uses());
-                v
-            }
-            RegMem => self.operands[1].uses(),
-            Unary => match self.op {
-                Op::MulWide => {
-                    let mut v = vec![Reg::Eax];
-                    v.extend(self.operands[0].uses());
-                    v
-                }
-                Op::Push => {
-                    let mut v = vec![Reg::Esp];
-                    v.extend(self.operands[0].uses());
-                    v
-                }
-                Op::Pop => {
-                    let mut v = vec![Reg::Esp];
-                    v.extend(self.operands[0].as_mem().into_iter().flat_map(Mem::uses));
-                    v
-                }
-                _ => self.operands[0].uses(),
-            },
-            Branch => self.operands[0].uses(),
-            CondBranch | Nullary => match self.op {
-                Op::Ret => vec![Reg::Esp],
-                Op::Out => vec![Reg::Eax],
-                _ => vec![],
-            },
-            SetCc => self.operands[0].as_mem().into_iter().flat_map(Mem::uses).collect(),
-            Sse2Op | SseMov => {
-                let mut v = vec![];
-                for o in &self.operands {
-                    if let Some(m) = o.as_mem() {
-                        v.extend(m.uses());
-                    }
-                }
-                v
-            }
-        };
-        v.dedup();
-        v
-    }
-
-    /// Flags defined.
+    /// The registers and flags this instruction may read and write:
+    /// [`crate::step`] stepped at [`pdbt_isa::effects::Recorder`], both
+    /// ways where it decides a condition. `call` and `ret`, which `step`
+    /// refuses, have none.
     #[must_use]
-    pub fn flag_defs(&self) -> FlagSet {
-        self.op.flag_defs()
-    }
-
-    /// Flags read.
-    #[must_use]
-    pub fn flag_uses(&self) -> FlagSet {
-        self.op.flag_uses()
+    pub fn effects(&self) -> Effects<Reg> {
+        effects::record(None, |m| crate::step(m, self))
     }
 }
 
@@ -638,22 +524,10 @@ mod tests {
     }
 
     #[test]
-    fn defs_uses() {
-        let i = add(Reg::Eax.into(), Reg::Ecx.into());
-        assert_eq!(i.defs(), vec![Reg::Eax]);
-        assert_eq!(i.uses(), vec![Reg::Eax, Reg::Ecx]);
-        let i = mov(Mem::base_disp(Reg::Ebp, 8).into(), Reg::Edx.into());
-        assert!(i.defs().is_empty());
-        assert_eq!(i.uses(), vec![Reg::Edx, Reg::Ebp]);
-        let i = mul_wide(Reg::Ecx.into());
-        assert_eq!(i.defs(), vec![Reg::Eax, Reg::Edx]);
-        assert_eq!(i.uses(), vec![Reg::Eax, Reg::Ecx]);
-        let i = cmp(Reg::Eax.into(), Operand::Imm(0));
-        assert!(i.defs().is_empty());
-        // A memory destination's address registers are read.
+    fn memory_destinations_read_their_address() {
         let slot = Mem::base_disp(Reg::Ebx, 4);
-        assert_eq!(pop(slot.into()).uses(), vec![Reg::Esp, Reg::Ebx]);
-        assert_eq!(setcc(Cc::E, slot.into()).uses(), vec![Reg::Ebx]);
+        assert_eq!(pop(slot.into()).effects().uses, [Reg::Esp, Reg::Ebx]);
+        assert_eq!(setcc(Cc::E, slot.into()).effects().uses, [Reg::Ebx]);
     }
 
     #[test]
@@ -672,18 +546,6 @@ mod tests {
         assert_eq!(
             addss(Xmm::new(0), Xmm::new(1).into()).to_string(),
             "addss xmm0, xmm1"
-        );
-    }
-
-    #[test]
-    fn flags_metadata() {
-        assert_eq!(Op::Add.flag_defs(), FlagSet::NZCV);
-        assert_eq!(Op::Mov.flag_defs(), FlagSet::EMPTY);
-        assert!(Op::Adc.flag_uses().contains(pdbt_isa::Flag::C));
-        assert_eq!(Op::Jcc.flag_uses(), FlagSet::NZCV);
-        assert!(
-            Op::Imul.flag_defs().is_empty(),
-            "imul flags are modelled as undefined"
         );
     }
 }

@@ -391,8 +391,8 @@ pub(crate) fn exec<M: Machine<Reg = Reg, FReg = Xmm>, A: Access<M>>(
             }
         }
         Push => {
-            let v = a.int(m, 0, B32)?;
             let sp = M::D::bin(BinOp::Sub, m.reg(Reg::Esp), M::D::c(4));
+            let v = a.int(m, 0, B32)?;
             m.store(sp.clone(), v, B32)?;
             m.set_reg(Reg::Esp, sp);
         }

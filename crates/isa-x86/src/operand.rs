@@ -125,15 +125,6 @@ impl Operand {
         }
     }
 
-    /// Registers this operand reads when used as a *source*.
-    pub fn uses(&self) -> Vec<Reg> {
-        match self {
-            Operand::Reg(r) => vec![*r],
-            Operand::Mem(m) => m.uses().collect(),
-            _ => vec![],
-        }
-    }
-
     /// The register, if this is a plain register.
     #[must_use]
     pub fn as_reg(&self) -> Option<Reg> {

@@ -9,9 +9,10 @@ use std::str::FromStr;
 /// By the DBT's convention (see `pdbt-runtime`), `ebp` holds the guest
 /// environment pointer (the in-memory guest register array) and `esp` the
 /// host stack pointer; the remaining six are allocatable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[allow(missing_docs)]
 pub enum Reg {
+    #[default]
     Eax,
     Ecx,
     Edx,

@@ -6,6 +6,7 @@
 //! crate maps codes to x86 mnemonic suffixes itself.
 
 use crate::domain::{BinOp, Concrete, Domain};
+use crate::effects::Valueless;
 use crate::flags::{Flag, FlagSet, Flags};
 use std::fmt;
 
@@ -131,20 +132,12 @@ impl Cond {
     }
 }
 
-/// The flags a condition code reads.
+/// The flags a condition code reads: the ones [`Cond::holds`] asks for.
 #[must_use]
 pub fn cond_flag_uses(cond: Cond) -> FlagSet {
-    use Flag::*;
-    match cond {
-        Cond::Eq | Cond::Ne => FlagSet::single(Z),
-        Cond::Cs | Cond::Cc => FlagSet::single(C),
-        Cond::Mi | Cond::Pl => FlagSet::single(N),
-        Cond::Vs | Cond::Vc => FlagSet::single(V),
-        Cond::Hi | Cond::Ls => FlagSet::single(C) | FlagSet::single(Z),
-        Cond::Ge | Cond::Lt => FlagSet::single(N) | FlagSet::single(V),
-        Cond::Gt | Cond::Le => FlagSet::single(N) | FlagSet::single(V) | FlagSet::single(Z),
-        Cond::Al => FlagSet::EMPTY,
-    }
+    let mut read = FlagSet::EMPTY;
+    cond.holds::<Valueless>(|f| read |= FlagSet::single(f));
+    read
 }
 
 impl fmt::Display for Cond {

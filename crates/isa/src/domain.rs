@@ -163,13 +163,15 @@ impl PredOp {
 /// A value domain: what a 32-bit word and a one-bit truth value are,
 /// and how the operator vocabulary acts on them.
 ///
-/// There are exactly two implementations. [`Concrete`] computes: every
-/// method *is* the `eval` of its operator. The verifier's term algebra
-/// (`pdbt_symexec::Term`) records: every method builds the node of that
-/// name. The contract between them is what makes the verifier
-/// trustworthy — for any assignment of the symbols, **evaluating the
-/// symbolic result under the assignment equals the concrete result
-/// computed from the assigned values**. Because each ISA's `step` is
+/// [`Concrete`] computes: every method *is* the `eval` of its operator.
+/// The verifier's term algebra (`pdbt_symexec::Term`) records: every
+/// method builds the node of that name. (The IR lifter's `Expr` builds
+/// IR; [`crate::effects::Valueless`] has no values at all, so stepping
+/// over it leaves only the machine calls.) The contract between the
+/// first two is what makes the verifier trustworthy — for any
+/// assignment of the symbols, **evaluating the symbolic result under
+/// the assignment equals the concrete result computed from the assigned
+/// values**. Because each ISA's `step` is
 /// one body instantiated at both, the property holds for whole
 /// instructions as soon as it holds for these methods, and
 /// `crates/symexec/tests/proptest_machines.rs` checks it end to end.

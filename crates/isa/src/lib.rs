@@ -9,6 +9,7 @@
 
 mod cond;
 mod domain;
+pub mod effects;
 mod error;
 mod flags;
 mod inline;
@@ -17,6 +18,7 @@ mod operand;
 
 pub use cond::{cond_flag_uses, Cond};
 pub use domain::{BinOp, Concrete, Domain, Machine, PredOp, UnOp};
+pub use effects::Effects;
 pub use error::ExecError;
 pub use flags::{Flag, FlagSet, Flags};
 pub use inline::{CapacityError, InlineVec};

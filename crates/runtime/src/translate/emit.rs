@@ -173,11 +173,11 @@ pub(super) fn emit(
     let (mut touched, mut written) = ([false; 16], [false; 16]);
     for seg in &planned.segments {
         if let Path::Rule { .. } = seg.path {
-            for (_, inst) in &planned.insts[seg.guest.clone()] {
-                for g in inst.uses().into_iter().chain(inst.defs()) {
+            for fx in &planned.effects[seg.guest.clone()] {
+                for g in fx.uses.iter().chain(&fx.defs) {
                     touched[g.index()] = true;
                 }
-                for g in inst.defs() {
+                for g in &fx.defs {
                     written[g.index()] = true;
                 }
             }

@@ -121,14 +121,11 @@ pub(super) fn lower_inst(
 /// flag producer with its environment materialization omitted: the last
 /// flag-setting host instruction is the counterpart ALU op, whose flag
 /// semantics relative to the guest's are fixed per opcode class — one
-/// entry per flag the class defines (a test holds the tables to
-/// `flag_defs`).
-fn folded_flag_report(inst: &GInst) -> Option<&'static FlagReport> {
+/// entry per flag the class defines (a test holds the tables to the
+/// flag-setting forms' effects).
+fn folded_flag_report(op: GOp) -> Option<&'static FlagReport> {
     use Flag::{C, N, V, Z};
-    if inst.flag_defs().is_empty() {
-        return None;
-    }
-    Some(match inst.op {
+    Some(match op {
         // Subtraction class: host CF is the borrow, guest C is its
         // inverse.
         GOp::Sub | GOp::Rsb | GOp::Cmp => &[(N, Exact), (Z, Exact), (C, Inverted), (V, Exact)],
@@ -153,10 +150,11 @@ pub(super) fn fold_producer(
     inst: &GInst,
     live: FlagSet,
 ) -> Option<(Vec<HInst>, &'static FlagReport)> {
+    // `live` is part of what `inst` defines: empty, nothing is folded.
     if live.is_empty() {
         return None;
     }
-    let report = folded_flag_report(inst).filter(|r| can_materialize(live, r))?;
+    let report = folded_flag_report(inst.op).filter(|r| can_materialize(live, r))?;
     let Parameterized { key, inst } = parameterize(inst)?;
     let template = emit::emit_for(&key)?;
     let locs: Vec<HostLoc> = inst.slots.iter().map(|g| env_loc(*g)).collect();
@@ -236,12 +234,11 @@ mod tests {
         let setters = alu.iter().map(|op| op(r, r, o).with_s());
         let compares = [g::cmp(r, o), g::cmn(r, o), g::tst(r, o), g::teq(r, o)];
         for inst in setters.chain(compares) {
-            let report = folded_flag_report(&inst).expect("foldable");
+            let report = folded_flag_report(inst.op).expect("foldable");
             let flags = report.iter().map(|(f, _)| FlagSet::single(*f));
             let flags = flags.fold(FlagSet::EMPTY, |set, f| set | f);
-            assert_eq!(flags, inst.flag_defs(), "{inst}");
+            assert_eq!(flags, inst.effects().flag_defs, "{inst}");
         }
-        assert!(folded_flag_report(&g::add(r, r, o)).is_none(), "no flags");
-        assert!(folded_flag_report(&g::mov(r, o).with_s()).is_none());
+        assert!(folded_flag_report(GOp::Mov).is_none());
     }
 }

@@ -245,7 +245,7 @@ fn collect_block_into<'p>(
             detail: format!("fetch {pc:#x}: {e}"),
         })?;
         out.push((pc, inst));
-        if inst.ends_block() || out.len() - first >= max {
+        if inst.is_branch() || out.len() - first >= max {
             return Ok(());
         }
         pc += INST_SIZE;
@@ -322,7 +322,7 @@ fn translate_members(
     rules: Option<&RuleSet>,
     cfg: &TranslateConfig,
 ) -> Result<TranslatedBlock, TranslateError> {
-    let (insts, mut members) = select::select(prog, members, rules)?;
-    let planned = plan::plan(prog, &insts, &mut members, rules, cfg)?;
+    let (insts, effects, mut members) = select::select(prog, members, rules)?;
+    let planned = plan::plan(prog, &insts, &effects, &mut members, rules, cfg)?;
     emit::emit(&members, planned)
 }

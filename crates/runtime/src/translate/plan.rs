@@ -11,14 +11,14 @@
 //! into the environment.
 
 use super::lower::{self, FlagReport};
-use super::select::{BranchSite, Insts, Member, SideExit};
+use super::select::{BranchSite, InstEffects, Insts, Member, SideExit};
 use super::{DelegOutcome, RuleAttribution, TranslateConfig, TranslateError};
 use pdbt_core::classify::subgroup_of;
 use pdbt_core::flags::{can_materialize, cond_flag_uses, delegated_cc};
 use pdbt_core::{template as rtemplate, HostLoc, Match, RuleSet};
 use pdbt_ir::{env, RegMap};
-use pdbt_isa::{Cond, FlagSet, InlineVec};
-use pdbt_isa_arm::{Inst as GInst, Op as GOp, Program, Reg as GReg, INST_SIZE};
+use pdbt_isa::{Cond, Effects, FlagSet, InlineVec};
+use pdbt_isa_arm::{Op as GOp, Program, Reg as GReg, INST_SIZE};
 use pdbt_isa_x86::{Cc, Inst as HInst};
 use pdbt_symexec::FlagEquiv;
 use std::ops::Range;
@@ -77,6 +77,7 @@ pub(super) struct MemberPlan {
 /// emission reads beside the members' [`MemberPlan`]s.
 pub(super) struct Plan<'a, 'r> {
     pub insts: &'a Insts<'a>,
+    pub effects: &'a InstEffects,
     live_after: Vec<FlagSet>,
     rules: Option<&'r RuleSet>,
     cfg: &'a TranslateConfig,
@@ -97,15 +98,15 @@ pub(super) struct Plan<'a, 'r> {
     pub lookup_misses: Vec<String>,
 }
 
-/// Guest registers in most-frequent-first order across `insts`, ties
-/// broken by first appearance. Counting goes through a fixed array
-/// indexed by [`GReg::index`] so the scan is O(operands), not
-/// O(operands × distinct regs).
-fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> InlineVec<GReg, 16> {
+/// Guest registers in most-frequent-first order across the sequence's
+/// register effects, ties broken by first appearance. Counting goes
+/// through a fixed array indexed by [`GReg::index`] so the scan is
+/// O(operands), not O(operands × distinct regs).
+fn reg_frequency_order(effects: &[Effects<GReg>]) -> InlineVec<GReg, 16> {
     let mut counts = [0usize; 16];
     let mut order = InlineVec::new();
-    for inst in insts {
-        for r in inst.uses().into_iter().chain(inst.defs()) {
+    for fx in effects {
+        for &r in fx.uses.iter().chain(&fx.defs) {
             if counts[r.index()] == 0 {
                 order.push(r);
             }
@@ -123,7 +124,12 @@ fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> InlineVec<
 /// (cross-block liveness): interior conditional branches join their
 /// off-trace side's live-ins, so a producer's flags stay live exactly as
 /// long as any on- or off-trace consumer can still read them.
-fn live_after(prog: &Program, insts: &Insts<'_>, members: &[Member<'_>]) -> Vec<FlagSet> {
+fn live_after(
+    prog: &Program,
+    insts: &Insts<'_>,
+    effects: &[Effects<GReg>],
+    members: &[Member<'_>],
+) -> Vec<FlagSet> {
     let mut out = vec![FlagSet::EMPTY; insts.len()];
     let (last_addr, _) = *insts.last().expect("non-empty block");
     let mut live = prog.flag_live_out_at(last_addr);
@@ -140,12 +146,7 @@ fn live_after(prog: &Program, insts: &Insts<'_>, members: &[Member<'_>]) -> Vec<
                 }
             }
             out[t] = live;
-            // Conditional branches read exactly their condition's flags.
-            let uses = match &member.branch {
-                Some(bs) if t + 1 == member.range.end => cond_flag_uses(bs.cond),
-                _ => inst.flag_uses(),
-            };
-            live = (live - inst.flag_defs()) | uses;
+            live = (live - effects[t].flag_defs) | effects[t].flag_uses;
         }
     }
     out
@@ -244,7 +245,7 @@ impl<'r> Plan<'_, 'r> {
         m: &Match<'r>,
         i: usize,
     ) -> Option<(usize, FlagSet)> {
-        let live_defs_at = |j: usize| self.insts[j].1.flag_defs() & self.live_after[j];
+        let live_defs_at = |j: usize| self.effects[j].flag_defs & self.live_after[j];
         let produces = |j: usize| {
             let feeds = |bs: &BranchSite| bs.producer == Some(j);
             members
@@ -320,13 +321,14 @@ impl<'r> Plan<'_, 'r> {
             // TCG-style flag handling: dead flags are never materialized,
             // and a producer whose live flags are recoverable from the host
             // ALU flags defers materialization (compare/branch folding).
-            let live_defs = inst.flag_defs() & self.live_after[i];
+            let defs = self.effects[i].flag_defs;
+            let live_defs = defs & self.live_after[i];
             match lower::fold_producer(inst, live_defs) {
                 Some((code, report)) => {
                     self.push_qemu_segment(i..i + 1, code, Some((report, live_defs)));
                 }
                 None => {
-                    let dead = inst.flag_defs() - live_defs;
+                    let dead = defs - live_defs;
                     let code = lower::lower_inst(inst, addr, dead)?;
                     self.push_qemu_segment(i..i + 1, code, None);
                 }
@@ -362,7 +364,7 @@ impl<'r> Plan<'_, 'r> {
         // syncs and materialization code are flag-preserving moves).
         let clean = self.code[seg.code.end..]
             .iter()
-            .all(|h| h.flag_defs().is_empty());
+            .all(|h| h.effects().flag_defs.is_empty());
         if !clean {
             return None;
         }
@@ -448,6 +450,7 @@ impl<'r> Plan<'_, 'r> {
 pub(super) fn plan<'a, 'r>(
     prog: &Program,
     insts: &'a Insts<'a>,
+    effects: &'a InstEffects,
     members: &mut [Member<'r>],
     rules: Option<&'r RuleSet>,
     cfg: &'a TranslateConfig,
@@ -461,7 +464,8 @@ pub(super) fn plan<'a, 'r>(
     let n = insts.len();
     let mut plan = Plan {
         insts,
-        live_after: live_after(prog, insts, members),
+        effects,
+        live_after: live_after(prog, insts, effects, members),
         rules,
         cfg,
         use_cache,
@@ -469,7 +473,7 @@ pub(super) fn plan<'a, 'r>(
         code: Vec::with_capacity(2 * n),
         segments: Vec::with_capacity(n),
         // Register-frequency allocation over the whole sequence.
-        map: RegMap::allocate(&reg_frequency_order(insts.iter().map(|(_, i)| *i))),
+        map: RegMap::allocate(&reg_frequency_order(effects)),
         attributions: Vec::with_capacity(n),
         lookup_misses: Vec::new(),
     };

@@ -7,12 +7,11 @@
 use super::lower::lift_terminal;
 use super::plan::MemberPlan;
 use super::{collect_block_into, TranslateError, MAX_BLOCK};
-use pdbt_core::flags::cond_flag_uses;
 use pdbt_core::key::Scan;
 use pdbt_core::{Match, RuleSet};
 use pdbt_ir::Lifted;
-use pdbt_isa::{Addr, Cond};
-use pdbt_isa_arm::{Inst as GInst, Op as GOp, Program, INST_SIZE};
+use pdbt_isa::{Addr, Cond, Effects};
+use pdbt_isa_arm::{Inst as GInst, Op as GOp, Program, Reg as GReg, INST_SIZE};
 use std::ops::Range;
 
 /// An interior member's conditional side exit: one direction of its
@@ -72,6 +71,10 @@ impl Member<'_> {
 /// The members' instructions back to back, in execution order.
 pub(super) type Insts<'p> = Vec<(Addr, &'p GInst)>;
 
+/// What each of those instructions reads and writes, stepped once per
+/// translation for every pass that asks.
+pub(super) type InstEffects = Vec<Effects<GReg>>;
+
 /// How member `m` (ending in `last` at `last_addr`) reaches `next`: its
 /// side exit if the way there is one direction of a conditional branch.
 fn connect(
@@ -94,7 +97,7 @@ fn connect(
         }
         GOp::Bl => Some(next) == taken,
         // Indirect transfers and halts have no static successor.
-        _ if last.ends_block() => false,
+        _ if last.is_branch() => false,
         // Max-length member: falls through.
         _ => next == fall,
     };
@@ -107,13 +110,13 @@ fn connect(
     }
 }
 
-/// Collects the members starting at `starts` and checks that each
-/// continues at the next.
+/// Collects the members starting at `starts`, with their instructions'
+/// effects, and checks that each continues at the next.
 pub(super) fn select<'p, 'r>(
     prog: &'p Program,
     starts: &[Addr],
     rules: Option<&'r RuleSet>,
-) -> Result<(Insts<'p>, Vec<Member<'r>>), TranslateError> {
+) -> Result<(Insts<'p>, InstEffects, Vec<Member<'r>>), TranslateError> {
     if starts.is_empty() {
         return Err(TranslateError {
             detail: "nothing to translate: no members".into(),
@@ -126,6 +129,7 @@ pub(super) fn select<'p, 'r>(
         collect_block_into(prog, start, MAX_BLOCK, &mut insts)?;
         ranges.push(first..insts.len());
     }
+    let effects: InstEffects = insts.iter().map(|(_, inst)| inst.effects()).collect();
     let mut members = Vec::with_capacity(starts.len());
     for (m, range) in ranges.into_iter().enumerate() {
         let t = range.end - 1;
@@ -139,14 +143,14 @@ pub(super) fn select<'p, 'r>(
         // define no flags, so the backward scan crosses them
         // transparently).
         let branch = (last.op == GOp::B && last.cond != Cond::Al).then(|| {
-            let uses = cond_flag_uses(last.cond);
-            let producer = (0..t).rfind(|&p| insts[p].1.flag_defs().intersects(uses));
+            let uses = effects[t].flag_uses;
+            let producer = (0..t).rfind(|&p| effects[p].flag_defs.intersects(uses));
             BranchSite {
                 cond: last.cond,
                 producer,
             }
         });
-        let terminal = (last.ends_block().then(|| lift_terminal(last, last_addr))).transpose()?;
+        let terminal = (last.is_branch().then(|| lift_terminal(last, last_addr))).transpose()?;
         let mut member = Member {
             start: starts[m],
             range,
@@ -171,5 +175,5 @@ pub(super) fn select<'p, 'r>(
         }
         members.push(member);
     }
-    Ok((insts, members))
+    Ok((insts, effects, members))
 }

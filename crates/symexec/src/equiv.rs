@@ -342,12 +342,8 @@ pub fn check(
     }
 
     // 5. Classify flags the guest sequence defines.
-    let mut flag_defs = pdbt_isa::FlagSet::EMPTY;
-    for inst in guest_seq {
-        flag_defs |= inst.flag_defs();
-    }
     let mut flags = Vec::new();
-    for f in flag_defs.iter() {
+    for f in gst.flags_written.iter() {
         let ng = simp!("flag normalization", &gst.flag(f));
         let nh = simp!("flag normalization", &hst.flag(f));
         let verdict = if ng == nh {
@@ -388,18 +384,26 @@ pub fn check(
 /// original system's mapping inference during symbolic matching.
 #[must_use]
 pub fn propose_mappings(guest_seq: &[GInst], host_seq: &[HInst], max: usize) -> Vec<Mapping> {
-    // Guest live-ins and defs.
+    // Guest live-ins and defs, and every guest register in the order it
+    // first appears.
     let mut g_livein: Vec<GReg> = Vec::new();
     let mut g_written: Vec<GReg> = Vec::new();
+    let mut ordered: Vec<GReg> = Vec::new();
     for inst in guest_seq {
-        for r in inst.uses() {
-            if r != GReg::Pc && !g_written.contains(&r) && !g_livein.contains(&r) {
+        let fx = inst.effects();
+        for &r in fx.uses.iter().filter(|r| !r.is_pc()) {
+            if !g_written.contains(&r) && !g_livein.contains(&r) {
                 g_livein.push(r);
             }
         }
-        for r in inst.defs() {
-            if r != GReg::Pc && !g_written.contains(&r) {
+        for &r in fx.defs.iter().filter(|r| !r.is_pc()) {
+            if !g_written.contains(&r) {
                 g_written.push(r);
+            }
+        }
+        for &r in fx.uses.iter().chain(&fx.defs).filter(|r| !r.is_pc()) {
+            if !ordered.contains(&r) {
+                ordered.push(r);
             }
         }
     }
@@ -414,13 +418,14 @@ pub fn propose_mappings(guest_seq: &[GInst], host_seq: &[HInst], max: usize) -> 
     let mut h_livein: Vec<HReg> = Vec::new();
     let mut h_written: Vec<HReg> = Vec::new();
     for inst in host_seq {
-        for r in inst.uses() {
-            if !excluded(r) && !h_written.contains(&r) && !h_livein.contains(&r) {
+        let fx = inst.effects();
+        for &r in fx.uses.iter().filter(|r| !excluded(**r)) {
+            if !h_written.contains(&r) && !h_livein.contains(&r) {
                 h_livein.push(r);
             }
         }
-        for r in inst.defs() {
-            if !excluded(r) && !h_written.contains(&r) {
+        for &r in fx.defs.iter().filter(|r| !excluded(**r)) {
+            if !h_written.contains(&r) {
                 h_written.push(r);
             }
         }
@@ -458,14 +463,6 @@ pub fn propose_mappings(guest_seq: &[GInst], host_seq: &[HInst], max: usize) -> 
     out_perms.dedup();
     // Pairs keep guest scan order: live-ins and outs interleaved in the
     // order guest registers first appear overall.
-    let mut ordered: Vec<GReg> = Vec::new();
-    for inst in guest_seq {
-        for r in inst.uses().into_iter().chain(inst.defs()) {
-            if r != GReg::Pc && !ordered.contains(&r) {
-                ordered.push(r);
-            }
-        }
-    }
     for lp in &livein_perms {
         for op in &out_perms {
             if op.len() < g_outs.len() {

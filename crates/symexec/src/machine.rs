@@ -16,7 +16,7 @@
 //! [`State`]: guest::State
 
 use crate::term::{BinOp, Node, Sym, SymMem, Term};
-use pdbt_isa::{Addr, ExecError, Flag, Machine, Width};
+use pdbt_isa::{Addr, ExecError, Flag, FlagSet, Machine, Width};
 
 /// An error raised when a sequence cannot be evaluated symbolically.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +46,7 @@ fn unsupported<T>(detail: impl Into<String>) -> Result<T, SymExecError> {
     Err(SymExecError { detail })
 }
 
-/// The [`Machine`] methods both states implement alike: flags, the
+/// The [`Machine`] methods both states implement alike: flag reads, the
 /// store chain, the output list, and the two questions a symbolic
 /// machine cannot answer.
 macro_rules! symbolic_machine_common {
@@ -58,9 +58,6 @@ macro_rules! symbolic_machine_common {
 
         fn flag(&self, f: Flag) -> Term {
             self.flags[f as usize].clone()
-        }
-        fn set_flag(&mut self, f: Flag, v: Term) {
-            self.flags[f as usize] = v;
         }
         fn load(&self, addr: Term, width: Width) -> Result<Term, SymExecError> {
             Ok(Term::node(Node::Read(self.mem.clone(), addr, width)))
@@ -97,6 +94,9 @@ pub mod guest {
         pub regs: [Term; 16],
         /// N, Z, C, V flag terms (0/1-valued).
         pub flags: [Term; 4],
+        /// The flags the instructions run so far wrote: what `check`
+        /// classifies.
+        pub flags_written: FlagSet,
         /// Float registers (bit patterns).
         pub fregs: [Term; 16],
         /// Symbolic memory.
@@ -114,6 +114,7 @@ pub mod guest {
             State {
                 regs: std::array::from_fn(|i| init(Reg::from_index(i).unwrap())),
                 flags: std::array::from_fn(|i| Term::sym(Sym::Flag(i as u8))),
+                flags_written: FlagSet::EMPTY,
                 fregs: std::array::from_fn(|i| Term::sym(Sym::Free(0x80 + i as u16))),
                 mem: SymMem::Init,
                 output: Vec::new(),
@@ -136,6 +137,10 @@ pub mod guest {
         }
         fn set_reg(&mut self, r: Reg, v: Term) {
             self.regs[r.index()] = v;
+        }
+        fn set_flag(&mut self, f: Flag, v: Term) {
+            self.flags[f as usize] = v;
+            self.flags_written |= FlagSet::single(f);
         }
         fn freg(&self, r: FReg) -> Term {
             self.fregs[r.index()].clone()
@@ -167,9 +172,9 @@ pub mod guest {
             }
             Adc | Sbc | Rsc if inst.s => unsupported("flag-setting carry-chain op"),
             // Only an instruction that names `pc` as a register can define
-            // it; `defs` allocates, so ask it last.
+            // it; stepping costs more than looking, so ask it last.
             _ if inst.operands.contains(&Operand::Reg(Reg::Pc))
-                && inst.defs().contains(&Reg::Pc) =>
+                && inst.effects().defs.contains(&Reg::Pc) =>
             {
                 unsupported("write to pc")
             }
@@ -247,6 +252,9 @@ pub mod host {
         }
         fn set_reg(&mut self, r: Reg, v: Term) {
             self.regs[r.index()] = v;
+        }
+        fn set_flag(&mut self, f: Flag, v: Term) {
+            self.flags[f as usize] = v;
         }
         fn freg(&self, x: Xmm) -> Term {
             self.xmm[x.index()].clone()

@@ -468,3 +468,214 @@ fn host_symbolic_matches_executor() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Effects against the interpreters
+// ---------------------------------------------------------------------------
+
+/// What a step is seen to do: its result, the registers and flags it
+/// leaves, and everything else — float registers, the memory around
+/// `MEM_BASE`, the output — as words.
+#[derive(Debug, Clone, PartialEq)]
+struct Seen {
+    result: String,
+    regs: Vec<u32>,
+    flags: [bool; 4],
+    rest: Vec<u32>,
+}
+
+/// Where effects' states keep memory: `MEM_BASE` ± 2 KiB.
+const AROUND: (u32, u32) = (MEM_BASE - 0x800, 0x1000);
+
+fn memory(seed: u64) -> pdbt_isa::Memory {
+    let mut mem = pdbt_isa::Memory::new();
+    mem.map(AROUND.0, AROUND.1);
+    let mut fill = StdRng::seed_from_u64(seed);
+    let bytes: Vec<u8> = (0..AROUND.1).map(|_| fill.next_u32() as u8).collect();
+    mem.write_bytes(AROUND.0, &bytes).unwrap();
+    mem
+}
+
+fn seen(
+    result: String,
+    regs: &[u32],
+    flags: pdbt_isa::Flags,
+    fregs: impl Iterator<Item = u32>,
+    mem: &pdbt_isa::Memory,
+    output: &[u32],
+) -> Seen {
+    let bytes = mem.read_bytes(AROUND.0, AROUND.1).unwrap();
+    let words = bytes
+        .chunks(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()));
+    Seen {
+        result,
+        regs: regs.to_vec(),
+        flags: Flag::ALL.map(|f| flags.get(f)),
+        rest: fregs.chain(words).chain(output.iter().copied()).collect(),
+    }
+}
+
+/// A register value: an address near `MEM_BASE`, a small number (zero,
+/// a shift amount), or anything.
+fn value(rng: &mut StdRng) -> u32 {
+    match rng.gen_range(0..3) {
+        0 => MEM_BASE + (rng.gen_range(0u32..0x100) & !3),
+        1 => rng.gen_range(0u32..40),
+        _ => rng.next_u32(),
+    }
+}
+
+/// Holds one instruction's effects — `uses` and `defs` as register
+/// masks — to `run`, which steps it from registers and flags. From a
+/// random state, stepping changes no register outside `defs` and no flag
+/// outside `flag_defs`. Perturbing one register outside `uses`, or one
+/// flag outside `flag_uses`, moves nothing else the step is seen to do;
+/// the perturbed register itself is overwritten alike or carried.
+fn judge(
+    what: &dyn std::fmt::Display,
+    (uses, defs): (u32, u32),
+    (flag_uses, flag_defs): (pdbt_isa::FlagSet, pdbt_isa::FlagSet),
+    run: impl Fn(&[u32], [bool; 4]) -> Seen,
+    rng: &mut StdRng,
+) {
+    let regs: &[u32] = &(0..16).map(|_| value(rng)).collect::<Vec<_>>()[..];
+    let flags: [bool; 4] = std::array::from_fn(|_| rng.gen_bool(0.5));
+    let base = run(regs, flags);
+    let regs = &regs[..base.regs.len()];
+    for r in 0..regs.len() {
+        assert!(
+            defs >> r & 1 == 1 || base.regs[r] == regs[r],
+            "`{what}` wrote register {r}, outside its defs"
+        );
+        if uses >> r & 1 == 1 {
+            continue;
+        }
+        let mask = rng.next_u32() | 1;
+        let mut from = regs.to_vec();
+        from[r] ^= mask;
+        let mut got = run(&from, flags);
+        let (now, was) = (got.regs[r], base.regs[r]);
+        assert!(
+            now == was || now == was ^ mask,
+            "`{what}` read register {r}"
+        );
+        got.regs[r] = was;
+        assert_eq!(got, base, "`{what}` read register {r}, outside its uses");
+    }
+    for (i, f) in Flag::ALL.into_iter().enumerate() {
+        assert!(
+            flag_defs.contains(f) || base.flags[i] == flags[i],
+            "`{what}` wrote flag {f}, outside its flag defs"
+        );
+        if flag_uses.contains(f) {
+            continue;
+        }
+        let mut from = flags;
+        from[i] = !from[i];
+        let mut got = run(regs, from);
+        got.flags[i] = base.flags[i];
+        assert_eq!(got, base, "`{what}` read flag {f}, outside its flag uses");
+    }
+}
+
+/// `Inst::effects` against `step::<Cpu>`, for random encodings — every
+/// opcode, shape, `s` and condition, `pc` anywhere. `pc` is a register
+/// effect only where an operand names it, and then a jump writes it;
+/// elsewhere it is the instruction's own address, left aside.
+#[test]
+fn guest_effects_are_sound_against_the_interpreter() {
+    use pdbt_isa::Control;
+    use pdbt_isa_arm::{decode, Cpu, FReg, Op, Operand, Reg};
+    let mut rng = StdRng::seed_from_u64(0x6E_03);
+    for _ in 0..cases() * 8 {
+        let word = rng.next_u32();
+        let Some(mut inst) = decode(word).ok().filter(|i| i.validate().is_ok()) else {
+            continue;
+        };
+        if let (Op::Svc, Operand::Imm(n)) = (inst.op, &mut inst.operands[0]) {
+            *n %= 3; // mostly the defined `svc #0` and `svc #1`
+        }
+        let fx = inst.effects();
+        let names_pc = inst.operands.iter().any(Operand::names_pc);
+        let aside = if names_pc { 0 } else { 1 << Reg::Pc.index() };
+        let mask = |rs: &[Reg]| rs.iter().fold(aside, |m, r| m | 1 << r.index());
+        let seed = rng.next_u64();
+        let run = |regs: &[u32], flags: [bool; 4]| {
+            let mut cpu = Cpu::new();
+            cpu.mem = memory(seed);
+            cpu.regs.copy_from_slice(regs);
+            for (i, f) in Flag::ALL.into_iter().enumerate() {
+                cpu.flags.set(f, flags[i]);
+            }
+            for i in 0..16 {
+                cpu.write_f(FReg::new(i as u8), f32::from_bits(FLOAT_SEEDS[i % 12]));
+            }
+            let control = pdbt_isa_arm::step(&mut cpu, &inst);
+            if names_pc && matches!(control, Ok(Control::Jump(_) | Control::Call { .. })) {
+                assert!(fx.defs.contains(&Reg::Pc), "`{inst}` jumps but lacks pc");
+            }
+            let fregs = cpu.fregs.map(f32::to_bits).into_iter();
+            let out = format!("{control:?}");
+            seen(out, &cpu.regs, cpu.flags, fregs, &cpu.mem, &cpu.output)
+        };
+        let regs = (mask(&fx.uses), mask(&fx.defs));
+        judge(&inst, regs, (fx.flag_uses, fx.flag_defs), run, &mut rng);
+    }
+}
+
+/// The same for `pdbt_isa_x86::Inst::effects`, on random operands of
+/// every opcode that its shape check accepts.
+#[test]
+fn host_effects_are_sound_against_the_interpreter() {
+    use pdbt_isa_x86::{Cc, Cpu, Inst, Mem, Op, Operand, Reg, Shape, Xmm};
+    let mut rng = StdRng::seed_from_u64(0x6E_04);
+    let reg = |rng: &mut StdRng| Reg::ALL[rng.gen_range(0..8)];
+    for _ in 0..cases() * 8 {
+        let op = Op::ALL[rng.gen_range(0..Op::ALL.len())];
+        let n = match op.shape() {
+            Shape::Nullary => 0,
+            Shape::Unary | Shape::Branch | Shape::CondBranch | Shape::SetCc => 1,
+            _ => 2,
+        };
+        let operands: Vec<Operand> = (0..n)
+            .map(|_| match rng.gen_range(0..6) {
+                0 | 1 => Operand::Reg(reg(&mut rng)),
+                2 => Operand::Imm(rng.gen_range(-64i32..64)),
+                3 => Operand::Mem(Mem {
+                    base: rng.gen_bool(0.9).then(|| reg(&mut rng)),
+                    index: rng.gen_bool(0.3).then(|| reg(&mut rng)),
+                    disp: rng.gen_range(-64i32..64),
+                }),
+                4 => Operand::Xmm(Xmm::new(rng.gen_range(0..8))),
+                _ => Operand::Target(rng.gen_range(-2i32..3)),
+            })
+            .collect();
+        let inst = match op.shape() {
+            Shape::CondBranch | Shape::SetCc => {
+                Inst::new_cc(op, Cc::ALL[rng.gen_range(0..Cc::ALL.len())], operands)
+            }
+            _ => Inst::new(op, operands),
+        };
+        let Ok(inst) = inst else { continue };
+        let fx = inst.effects();
+        let mask = |rs: &[Reg]| rs.iter().fold(0, |m, r| m | 1 << r.index());
+        let seed = rng.next_u64();
+        let run = |regs: &[u32], flags: [bool; 4]| {
+            let mut cpu = Cpu::new();
+            cpu.mem = memory(seed);
+            cpu.regs.copy_from_slice(&regs[..8]);
+            for (i, f) in Flag::ALL.into_iter().enumerate() {
+                cpu.flags.set(f, flags[i]);
+            }
+            for (i, bits) in FLOAT_SEEDS[..8].iter().enumerate() {
+                cpu.write_x(Xmm::new(i as u8), f32::from_bits(*bits));
+            }
+            let out = format!("{:?}", pdbt_isa_x86::step(&mut cpu, &inst));
+            let fregs = cpu.xmm.map(f32::to_bits).into_iter();
+            seen(out, &cpu.regs, cpu.flags, fregs, &cpu.mem, &cpu.output)
+        };
+        let regs = (mask(&fx.uses), mask(&fx.defs));
+        judge(&inst, regs, (fx.flag_uses, fx.flag_defs), run, &mut rng);
+    }
+}

@@ -269,15 +269,16 @@ fn fresh_flag_liveins(prog: &Program) -> (Vec<pdbt_isa::FlagSet>, pdbt_isa::Flag
                 let fall = at((i + 1 < n).then_some(i + 1));
                 let target = || at(index_of(inst.direct_target(prog.addr_of(i)).unwrap()));
                 let halts = inst.op == Op::Svc && inst.operands[0].as_imm() == Some(0);
+                let fx = inst.effects();
                 let (uses, out) = match inst.op {
                     Op::B if inst.cond == Cond::Al => (FlagSet::EMPTY, target()),
                     Op::B => (cond_flag_uses(inst.cond), target() | fall),
                     Op::Bl => (FlagSet::EMPTY, target() | fall),
                     _ if halts => (FlagSet::EMPTY, FlagSet::EMPTY),
-                    _ if inst.is_branch() => (inst.flag_uses(), ret),
-                    _ => (inst.flag_uses(), fall),
+                    _ if inst.is_branch() => (fx.flag_uses, ret),
+                    _ => (fx.flag_uses, fall),
                 };
-                uses | (out - inst.flag_defs())
+                uses | (out - fx.flag_defs)
             })
             .collect();
         if next == live && next_ret == ret {
@@ -420,7 +421,7 @@ fn ir_lift_matches_the_golden() {
             if forms.contains(&form) {
                 continue;
             }
-            let flags = if inst.flag_defs().is_empty() {
+            let flags = if inst.effects().flag_defs.is_empty() {
                 1
             } else {
                 omits.len()
