@@ -70,10 +70,11 @@ fn blocks_before(text: &str, cut: usize) -> String {
     let mut block = String::new();
     let mut pos = 0;
     for line in text.lines() {
-        let end = pos + line.len() + 1; // '\n'
-        if end > cut {
+        // A line the cut leaves whole counts, its '\n' cut off or not.
+        if pos + line.len() > cut {
             break;
         }
+        let end = pos + line.len() + 1; // '\n'
         block.push_str(line);
         block.push('\n');
         if line.trim_end() == "end" || line.starts_with('#') || line.trim().is_empty() {
