@@ -8,8 +8,7 @@
 //! needed; otherwise the flags are materialized into the guest
 //! environment.
 
-pub use pdbt_isa::cond_flag_uses;
-use pdbt_isa::{Cond, Flag, FlagSet};
+use pdbt_isa::{cond_flag_uses, Cond, Flag, FlagSet};
 use pdbt_isa_x86::{CarrySense, Cc};
 use pdbt_symexec::FlagEquiv;
 

@@ -508,11 +508,9 @@ impl Inst {
             // Only an instruction that names `pc` as a register or in a
             // list can write it, so block collection, which asks of every
             // instruction it fetches, steps only those.
-            || (self.operands.iter().any(|o| match o {
-                Operand::Reg(r) => r.is_pc(),
-                Operand::RegList(l) => l.contains(Reg::Pc),
-                _ => false,
-            }) && self.effects().defs.contains(&Reg::Pc))
+            || ((self.operands.contains(&Operand::Reg(Reg::Pc))
+                || self.reg_list().is_some_and(|l| l.contains(Reg::Pc)))
+                && self.effects().defs.contains(&Reg::Pc))
     }
 
     /// The target of a direct branch (`b`/`bl`) at `addr`; `None` for

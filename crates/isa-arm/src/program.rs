@@ -195,11 +195,17 @@ impl Program {
         let insts = &self.insts;
         let n = insts.len();
         // What each instruction reads and writes does not change between
-        // sweeps: step each once, here.
+        // sweeps: step each once, here. A predicated instruction's writes
+        // may not happen, so they kill nothing.
         let flags: Vec<(FlagSet, FlagSet)> = (insts.iter())
             .map(|inst| {
                 let fx = inst.effects();
-                (fx.flag_uses, fx.flag_defs)
+                let kills = if inst.cond == Cond::Al {
+                    fx.flag_defs
+                } else {
+                    FlagSet::EMPTY
+                };
+                (fx.flag_uses, kills)
             })
             .collect();
         let mut live_in = vec![FlagSet::EMPTY; n];
@@ -212,8 +218,8 @@ impl Program {
                 }
             }
             for i in (0..n).rev() {
-                let (uses, defs) = flags[i];
-                let new = uses | (self.live_out(i, &live_in, ret_live) - defs);
+                let (uses, kills) = flags[i];
+                let new = uses | (self.live_out(i, &live_in, ret_live) - kills);
                 if new != live_in[i] {
                     live_in[i] = new;
                     changed = true;
@@ -473,6 +479,20 @@ mod tests {
         for addr in [0xffc, 0x1020, 0x1006] {
             assert_eq!(p.flag_live_in_at(addr), FlagSet::NZCV, "{addr:#x}");
         }
+    }
+
+    #[test]
+    fn a_predicated_flag_setter_reads_its_condition_and_kills_nothing() {
+        use pdbt_isa::Flag;
+        let _serial = SOLVES_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let adds_eq = add(Reg::R1, Reg::R1, Operand::Imm(1))
+            .with_s()
+            .with_cond(Cond::Eq);
+        let p = Program::new(0, vec![adds_eq, b(Cond::Cs, 4), svc(0)]);
+        // When Z is clear the `adds` does not run, and `bcs` reads the C
+        // it found.
+        let c_and_z = FlagSet::single(Flag::C) | FlagSet::single(Flag::Z);
+        assert_eq!(p.flag_liveness().live_in()[0], c_and_z);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use super::lower::{self, FlagReport};
 use super::select::{BranchSite, InstEffects, Insts, Member, SideExit};
 use super::{DelegOutcome, RuleAttribution, TranslateConfig, TranslateError};
 use pdbt_core::classify::subgroup_of;
-use pdbt_core::flags::{can_materialize, cond_flag_uses, delegated_cc};
+use pdbt_core::flags::{can_materialize, delegated_cc};
 use pdbt_core::{template as rtemplate, HostLoc, Match, RuleSet};
 use pdbt_ir::{env, RegMap};
 use pdbt_isa::{Cond, Effects, FlagSet, InlineVec};
@@ -370,7 +370,7 @@ impl<'r> Plan<'_, 'r> {
         }
         // Flags the branch consumes can skip the environment — unless a
         // successor, an earlier side exit, or another consumer reads them.
-        let skip = cond_flag_uses(bs.cond) - (self.live_after[t] | seg.protected);
+        let skip = self.effects[t].flag_uses - (self.live_after[t] | seg.protected);
         seg.needs_mat = seg.needs_mat - skip;
         seg.protected |= off_live;
         Some(Delegation {

@@ -71,8 +71,7 @@ impl Member<'_> {
 /// The members' instructions back to back, in execution order.
 pub(super) type Insts<'p> = Vec<(Addr, &'p GInst)>;
 
-/// What each of those instructions reads and writes, stepped once per
-/// translation for every pass that asks.
+/// Their effects, stepped once for every pass that asks.
 pub(super) type InstEffects = Vec<Effects<GReg>>;
 
 /// How member `m` (ending in `last` at `last_addr`) reaches `next`: its

@@ -539,9 +539,9 @@ fn judge(
     run: impl Fn(&[u32], [bool; 4]) -> Seen,
     rng: &mut StdRng,
 ) {
-    let regs: &[u32] = &(0..16).map(|_| value(rng)).collect::<Vec<_>>()[..];
+    let regs: Vec<u32> = (0..16).map(|_| value(rng)).collect();
     let flags: [bool; 4] = std::array::from_fn(|_| rng.gen_bool(0.5));
-    let base = run(regs, flags);
+    let base = run(&regs, flags);
     let regs = &regs[..base.regs.len()];
     for r in 0..regs.len() {
         assert!(

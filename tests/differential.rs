@@ -278,7 +278,13 @@ fn fresh_flag_liveins(prog: &Program) -> (Vec<pdbt_isa::FlagSet>, pdbt_isa::Flag
                     _ if inst.is_branch() => (fx.flag_uses, ret),
                     _ => (fx.flag_uses, fall),
                 };
-                uses | (out - fx.flag_defs)
+                // A predicated instruction's writes may not happen.
+                let kills = if inst.cond == Cond::Al {
+                    fx.flag_defs
+                } else {
+                    FlagSet::EMPTY
+                };
+                uses | (out - kills)
             })
             .collect();
         if next == live && next_ret == ret {
