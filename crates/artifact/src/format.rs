@@ -16,7 +16,7 @@
 //!
 //! Section offsets are relative to the payload area and the table is
 //! written in the fixed section order META, GIMG, RULE, BLKS, TRCE —
-//! sealing is canonical (blocks sorted by address, traces by head), so
+//! sealing is canonical (blocks sorted by address, traces by members), so
 //! `seal(open(seal(a)))` is byte-identical to `seal(a)`.
 //!
 //! ## Salvage semantics
@@ -66,8 +66,8 @@ pub struct Artifact {
     pub rules: Option<RuleSet>,
     /// Pre-translated blocks (sorted by guest address when sealed).
     pub blocks: Vec<TranslatedBlock>,
-    /// Superblock traces (sorted by head address when sealed); member
-    /// lists are recoverable from each trace's `member_marks`.
+    /// Superblock traces (sorted by member list when sealed), each
+    /// member list recoverable from the trace's `member_marks`.
     pub traces: Vec<TranslatedBlock>,
 }
 
@@ -156,8 +156,9 @@ struct TableEntry {
 }
 
 /// Seals an artifact into PDBA bytes. Canonical: sections are written
-/// in fixed order, blocks sorted by guest address, traces by head
-/// address — sealing the same content twice yields identical bytes.
+/// in fixed order, blocks sorted by guest address, traces by head and
+/// then member starts (a trace table can hold two traces with one
+/// head) — the same content in any order seals to identical bytes.
 #[must_use]
 pub fn seal(artifact: &Artifact) -> Vec<u8> {
     let mut meta = Writer::new();
@@ -191,8 +192,9 @@ pub fn seal(artifact: &Artifact) -> Vec<u8> {
     }
 
     let mut trce = Writer::new();
+    let members = |t: &TranslatedBlock| t.member_marks.iter().map(|m| m.start).collect::<Vec<_>>();
     let mut sorted_traces: Vec<&TranslatedBlock> = artifact.traces.iter().collect();
-    sorted_traces.sort_by_key(|t| t.start);
+    sorted_traces.sort_by_cached_key(|t| (t.start, members(t)));
     trce.u32(sorted_traces.len() as u32);
     for t in sorted_traces {
         write_block(&mut trce, t);

@@ -2,7 +2,7 @@
 //!
 //! This crate turns the in-memory products of a training/translation
 //! run — the ruleset, the sharded code cache, and the superblock trace
-//! library — into a single sealed, versioned, checksummed file (the
+//! table — into a single sealed, versioned, checksummed file (the
 //! **PDBA** format), and turns such a file back into a warm
 //! [`SharedTranslationState`] that a serving daemon can answer its
 //! first request from with *zero* translate calls.
@@ -15,8 +15,9 @@
 //!   and the salvage loader ([`open_salvage`]) that quarantines exactly
 //!   the damaged section and keeps the rest.
 //!
-//! Plus two pipeline helpers: [`compile`] (train → translate → capture)
-//! and [`warm_state`] (opened artifact → warm shared state).
+//! Plus three pipeline helpers: [`capture`] (shared state → artifact),
+//! [`compile`] (translate → verify → capture) and [`warm_state`]
+//! (opened artifact → warm shared state).
 //!
 //! # Example
 //!
@@ -58,6 +59,7 @@ use pdbt_core::RuleSet;
 use pdbt_isa_arm::Program;
 use pdbt_obs::ArtifactCounters;
 use pdbt_runtime::{Engine, EngineConfig, RunSetup, SharedTranslationState};
+use std::sync::Arc;
 
 /// Runs the full translate pipeline over a guest image and captures
 /// everything a warm boot needs: the translated blocks (prewarm covers
@@ -77,30 +79,35 @@ pub fn compile(
     cfg: EngineConfig,
     label: &str,
 ) -> Result<Artifact, String> {
-    let mut engine = Engine::new(rules.cloned(), cfg);
+    let state = SharedTranslationState::new(rules.cloned(), cfg.cache_shards);
+    let state = Arc::new(state);
+    let mut engine = Engine::with_shared(Arc::clone(&state), cfg);
     engine.prewarm(prog);
     engine
         .run(prog, setup)
         .map_err(|e| format!("verification run failed: {e}"))?;
-    let blocks = engine
-        .cache()
-        .snapshot()
-        .into_iter()
-        .map(|(_, b)| (*b).clone())
-        .collect();
-    let traces = engine.export_traces();
-    Ok(Artifact {
+    Ok(capture(label, prog, &state))
+}
+
+/// Captures a translation state as an artifact: the shared code cache
+/// becomes the blocks, the trace table the traces, and the state's
+/// ruleset the rules. The one capture path behind [`compile`] and a
+/// serving daemon's re-seal of a live partition.
+#[must_use]
+pub fn capture(label: &str, program: &Program, state: &SharedTranslationState) -> Artifact {
+    let blocks = state.cache().snapshot();
+    Artifact {
         label: label.to_string(),
-        program: prog.clone(),
-        rules: rules.cloned(),
-        blocks,
-        traces,
-    })
+        program: program.clone(),
+        rules: state.rules().cloned(),
+        blocks: blocks.into_iter().map(|(_, b)| (*b).clone()).collect(),
+        traces: state.traces(),
+    }
 }
 
 /// Builds a warm [`SharedTranslationState`] from an opened artifact:
 /// the code cache is rehydrated from the BLKS section, the trace
-/// library from TRCE, and the ruleset from RULE (falling back to
+/// table from TRCE, and the ruleset from RULE (falling back to
 /// `fallback_rules` when the artifact carries none or the section was
 /// quarantined). The partition key is the guest-image fingerprint.
 #[must_use]
@@ -167,6 +174,41 @@ mod tests {
         assert_eq!(opened.artifact.fingerprint(), artifact.fingerprint());
         // Re-sealing the opened artifact must reproduce the bytes.
         assert_eq!(seal(&opened.artifact), bytes);
+    }
+
+    /// Two traces with one head — the taken and the fall-through side
+    /// of its branch — seal to the same bytes in either input order.
+    #[test]
+    fn traces_with_one_head_seal_in_a_total_order() {
+        use pdbt_runtime::{translate_trace, TranslateConfig};
+        let prog = Program::new(
+            0x1000,
+            vec![
+                g::sub(Reg::R0, Reg::R0, O::Imm(1)).with_s(), // 0x1000: head
+                g::b(pdbt_isa::Cond::Ne, 8),                  // 0x1004 -> 0x100c
+                g::add(Reg::R1, Reg::R1, O::Imm(1)),          // 0x1008: fall
+                g::add(Reg::R2, Reg::R2, O::Imm(1)),          // 0x100c: taken
+                g::svc(0),
+            ],
+        );
+        let trace = |second| {
+            translate_trace(&prog, &[0x1000, second], None, &TranslateConfig::default()).unwrap()
+        };
+        let (fall, taken) = (trace(0x1008), trace(0x100c));
+        let sealed = |traces| {
+            seal(&Artifact {
+                label: "one head".to_string(),
+                program: prog.clone(),
+                rules: None,
+                blocks: Vec::new(),
+                traces,
+            })
+        };
+        let forward = sealed(vec![fall.clone(), taken.clone()]);
+        assert!(
+            forward == sealed(vec![taken, fall]),
+            "input order reached TRCE"
+        );
     }
 
     #[test]

@@ -399,9 +399,6 @@ impl RuleSet {
     /// hash, check immediate constraints (paper §IV-D rule application).
     #[must_use]
     pub fn lookup(&self, inst: &GInst) -> Option<Match<'_>> {
-        if !self.op_present(inst.op, inst.s) {
-            return None;
-        }
         self.lookup_scan(&Scan::of([inst], 1), 1..=1)
     }
 

@@ -21,10 +21,6 @@
 //!   are preserved.
 //! * [`dedupe_newest`] — the boot-scan rule: one artifact per
 //!   fingerprint, newest version wins, losers are counted.
-//! * [`seal_live`] — drain write-back: re-seal a live
-//!   [`SharedTranslationState`] through the same canonical writer
-//!   `pdbt compile` uses, so a written-back artifact is a byte-level
-//!   seal fixpoint like any other.
 //! * [`validate`] — the wire trust boundary: a transferred artifact is
 //!   adopted only if it opens with *zero* quarantined sections and its
 //!   content fingerprint matches the declared one. The wire is
@@ -32,10 +28,8 @@
 //!   a damaged transfer can always be re-pulled, so there is no reason
 //!   to adopt a partial copy over a healthy partition.
 
-use pdbt_artifact::{open_salvage, seal, section_table, Artifact, ArtifactError, Opened};
-use pdbt_isa_arm::Program;
+use pdbt_artifact::{open_salvage, section_table, ArtifactError, Opened};
 use pdbt_obs::json::Json;
-use pdbt_runtime::SharedTranslationState;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -151,29 +145,6 @@ pub fn dedupe_newest<T>(
         best.into_iter().map(|(fp, (v, t))| (fp, v, t)).collect(),
         rejected,
     )
-}
-
-/// Re-seals a live translation state through the canonical artifact
-/// writer: the partition's shared code cache becomes BLKS, its boot
-/// trace library becomes TRCE, and its ruleset RULE. Because `seal` is
-/// canonical (blocks sorted by address, traces by head), the result is
-/// a byte-level seal fixpoint exactly like a `pdbt compile` product —
-/// this is the drain write-back path.
-#[must_use]
-pub fn seal_live(label: &str, program: &Program, state: &SharedTranslationState) -> Vec<u8> {
-    let blocks = state
-        .cache()
-        .snapshot()
-        .into_iter()
-        .map(|(_, b)| (*b).clone())
-        .collect();
-    seal(&Artifact {
-        label: label.to_string(),
-        program: program.clone(),
-        rules: state.rules().cloned(),
-        blocks,
-        traces: state.library_traces(),
-    })
 }
 
 /// The wire trust boundary: opens a transferred artifact and accepts
@@ -293,8 +264,8 @@ impl ArtifactAd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdbt_artifact::compile;
-    use pdbt_isa_arm::{builders as g, Operand as O, Reg};
+    use pdbt_artifact::{compile, seal};
+    use pdbt_isa_arm::{builders as g, Operand as O, Program, Reg};
     use pdbt_runtime::{EngineConfig, RunSetup};
     use std::path::PathBuf;
 

@@ -546,7 +546,7 @@ counter_family! {
         /// Pre-translated blocks rehydrated into the shared cache at
         /// boot.
         loaded_blocks,
-        /// Superblock traces loaded into the trace library at boot.
+        /// Superblock traces loaded into the trace table at boot.
         loaded_traces,
         /// Rules carried by the artifact's embedded ruleset (0 when the
         /// artifact had no RULE section or it was quarantined).
@@ -554,14 +554,14 @@ counter_family! {
         /// Artifact sections whose checksum or parse failed and were
         /// quarantined at load (the rest of the artifact still boots).
         quarantined_sections,
-        /// Trace formations served from the loaded library instead of a
-        /// fresh `translate_trace` call.
+        /// Trace formations served from the shared trace table — a
+        /// boot artifact's trace or one an earlier session published —
+        /// instead of a fresh `translate_trace` call.
         trace_hits,
     }
     /// Translation-artifact counters of one shared state: what a sealed
     /// `.pdba` artifact contributed at boot (set once, at load) plus
-    /// the live superblock-library hits. A cold state carries the
-    /// all-zero default.
+    /// the trace-table hits. A fresh state starts all-zero.
     atomic pub struct ArtifactCounters;
 }
 

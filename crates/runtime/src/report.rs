@@ -125,7 +125,7 @@ pub struct RunObs {
     pub rules: RuleCounters,
     /// Translation latency in nanoseconds: one sample per block this
     /// session translated and one per trace it translated (a trace taken
-    /// from an artifact's library is not translated, so not timed). Its
+    /// from the shared trace table is not translated, so not timed). Its
     /// sum is the `translate` phase. Stays empty when the `obs` feature
     /// is disabled (no clock).
     pub translate_ns: Histogram,
@@ -257,8 +257,8 @@ pub struct Report {
     /// section, so it is stripped by the same determinism discipline.
     pub telemetry: TelemetrySnapshot,
     /// Translation-artifact counters of the shared state: what a
-    /// sealed artifact contributed at boot and how often the loaded
-    /// superblock library was hit. All-zero for a cold state. Reported
+    /// sealed artifact contributed at boot and how often a trace was
+    /// served from the shared table. All-zero for a fresh state. Reported
     /// inside the `server` JSON section (stripped with it).
     pub artifact: ArtifactSnapshot,
     /// Name of the host backend that executed the run (`"model"` or

@@ -7,7 +7,7 @@
 
 use crate::cache::CachedBlock;
 use crate::engine::Engine;
-use crate::translate::{translate_trace, BlockSuccs, TranslateError, TranslatedBlock};
+use crate::translate::{BlockSuccs, TranslateError, TranslatedBlock};
 use pdbt_isa::Addr;
 use pdbt_isa_arm::Program;
 use pdbt_obs::RuleId;
@@ -330,10 +330,10 @@ impl Engine {
 
     /// Attempts to promote the hot chain headed at `head` into a
     /// superblock: walks the static successor links (picking the hotter
-    /// edge of conditionals), retranslates the member sequence as one
-    /// trace, and gives it a slot the head points to. Each head is
-    /// attempted once; failures (short chains, indirect exits,
-    /// unsupported shapes) are permanent no-ops.
+    /// edge of conditionals), takes the member sequence's translation
+    /// as one trace from the shared trace table, and gives it a slot
+    /// the head points to. Each head is attempted once; failures (short
+    /// chains, indirect exits, unsupported shapes) are permanent no-ops.
     pub(crate) fn form_trace(&mut self, prog: &Program, head: BlockId) {
         const MAX_MEMBERS: usize = 8;
         self.table.slot_mut(head).trace_attempted = true;
@@ -360,36 +360,21 @@ impl Engine {
         if members.len() < 2 {
             return;
         }
-        // The boot artifact's superblock library is consulted *after*
-        // member selection: on an exact member-list match the stored
-        // translation is reused (translation is deterministic, so it
-        // equals what `translate_trace` would produce and the stripped
-        // report stays bit-identical to a cold run); any other member
-        // choice simply misses and retranslates.
-        let tb = match self.shared.library_trace(&members) {
-            Some(t) => {
-                self.shared.artifact().trace_hits.inc();
-                t
-            }
-            None => {
-                // Timed like `block`'s translation: a trace is translated
-                // work, and most of a cold run's at that.
-                let t0 = pdbt_obs::now_ns();
-                let translated =
-                    translate_trace(prog, &members, self.shared.rules(), &self.cfg.translate);
-                self.record_translate_ns(Some(pdbt_obs::now_ns().saturating_sub(t0)));
-                let Ok(tb) = translated else {
-                    return;
-                };
-                Arc::new(tb)
-            }
+        // The shared trace table is consulted *after* member selection:
+        // an exact member-list match reuses the stored translation,
+        // which equals what `translate_trace` would produce, so the
+        // stripped report stays bit-identical to a cold run.
+        let Ok((tb, ns)) =
+            self.shared
+                .fetch_or_translate_trace(prog, &members, &self.cfg.translate)
+        else {
+            return;
         };
+        self.record_translate_ns(ns);
         // Intern attribution ids only — no static `hit` and no miss
         // recording: the members' own translations already counted
         // them, and a superblock must not perturb the static rule
-        // counters relative to the unchained engine. Superblocks are
-        // session-local (member choice follows session edge counters),
-        // so the trace translation stays out of the shared cache.
+        // counters relative to the unchained engine.
         let attr_ids: Vec<(RuleId, u32)> = tb
             .attributions
             .iter()
@@ -454,8 +439,7 @@ impl Engine {
     /// A copy of every superblock this session formed, sorted by head
     /// address — the canonical order translation artifacts persist them
     /// in. The member list of each trace is recoverable from its
-    /// `member_marks`, which is how an artifact loader keys the
-    /// library.
+    /// `member_marks`, which is how the shared trace table keys it.
     #[must_use]
     pub fn export_traces(&self) -> Vec<TranslatedBlock> {
         let mut traces: Vec<TranslatedBlock> = self

@@ -1,6 +1,7 @@
 //! Cross-session translation state: the ruleset, the sharded code
-//! cache of pure translations, and the server-lifetime counters, held
-//! behind one `Arc` so many engines (sessions) can share them.
+//! cache of pure translations, the superblock table, and the
+//! server-lifetime counters, held behind one `Arc` so many engines
+//! (sessions) can share them.
 //!
 //! This is the ownership split behind `pdbt serve`: translating a block
 //! is the expensive, *session-independent* work — the paper's
@@ -22,13 +23,19 @@
 //! fingerprint) or a session would execute another image's code.
 
 use crate::cache::ShardedCache;
-use crate::translate::{translate_block, TranslateConfig, TranslateError, TranslatedBlock};
+use crate::translate::{
+    translate_block, translate_trace, TranslateConfig, TranslateError, TranslatedBlock,
+};
 use pdbt_core::RuleSet;
 use pdbt_isa::Addr;
 use pdbt_isa_arm::Program;
 use pdbt_obs::{ArtifactCounters, ServerCounters, Telemetry};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Superblocks by member list. Ordered, so the table iterates by head
+/// and then member starts — the order an artifact seals them in.
+type TraceTable = BTreeMap<Vec<Addr>, Arc<TranslatedBlock>>;
 
 /// The translation state shared by every session of one server (or
 /// owned exclusively by a standalone engine — `Engine::new` wraps one
@@ -52,16 +59,16 @@ pub struct SharedTranslationState {
     /// server sizes this to its worker count and stamps the partition
     /// fingerprint.
     telemetry: Telemetry,
-    /// The superblock library rehydrated from a translation artifact,
-    /// keyed by the full member list. Immutable after boot: a session
-    /// forming a trace with exactly these members reuses the stored
-    /// translation instead of calling `translate_trace` — translation
-    /// is deterministic, so the result is identical and the session's
-    /// stripped report stays bit-for-bit what a cold run produces.
-    /// Traces a session forms live never enter this map (member choice
-    /// follows session-local edge counters).
-    traces: HashMap<Vec<Addr>, Arc<TranslatedBlock>>,
-    /// What the artifact contributed at boot, plus live library hits.
+    /// The superblock table, keyed by the full member list: the traces
+    /// a boot artifact carried plus every trace a session has formed
+    /// since. A session forming a trace with exactly these members
+    /// reuses the stored translation instead of calling
+    /// `translate_trace` — translation is deterministic, so the result
+    /// is identical and the session's stripped report stays bit-for-bit
+    /// what a cold run produces. The key is the whole list, not the
+    /// head: member choice follows session-local edge counters.
+    traces: Mutex<TraceTable>,
+    /// What the artifact contributed at boot, plus trace hits.
     /// All-zero for a cold state.
     artifact: ArtifactCounters,
 }
@@ -90,14 +97,14 @@ impl SharedTranslationState {
             cache: ShardedCache::new(cache_shards),
             server: ServerCounters::default(),
             telemetry: Telemetry::with_partition(slots, partition),
-            traces: HashMap::new(),
+            traces: Mutex::default(),
             artifact: ArtifactCounters::default(),
         }
     }
 
     /// A state pre-warmed from a translation artifact: `blocks` are
-    /// installed directly into the shared cache and `traces` become the
-    /// superblock library, before any session attaches. Warm installs
+    /// installed directly into the shared cache and `traces` into the
+    /// trace table, before any session attaches. Warm installs
     /// deliberately skip the `inserted`/`translate_calls` server
     /// counters — those count *live* translation work, so an
     /// artifact-booted daemon's first request reports pure cache hits
@@ -117,13 +124,9 @@ impl SharedTranslationState {
         for block in blocks {
             state.cache.insert(block.start, block);
         }
-        state.traces = traces
-            .into_iter()
-            .map(|t| {
-                let members: Vec<Addr> = t.member_marks.iter().map(|m| m.start).collect();
-                (members, Arc::new(t))
-            })
-            .collect();
+        for trace in traces {
+            state.publish_trace(trace);
+        }
         state.artifact = counters;
         state
     }
@@ -167,6 +170,55 @@ impl SharedTranslationState {
         Ok((t, Some(ns)))
     }
 
+    /// The translation of the superblock with exactly these members:
+    /// the one in the trace table (a `trace_hits` tick), or one made
+    /// now and published through the deduplicating insert. Also the
+    /// nanoseconds the translator took, when this call ran it.
+    ///
+    /// # Errors
+    ///
+    /// What [`translate_trace`] refuses; nothing is published then.
+    pub fn fetch_or_translate_trace(
+        &self,
+        prog: &Program,
+        members: &[Addr],
+        cfg: &TranslateConfig,
+    ) -> Result<(Arc<TranslatedBlock>, Option<u64>), TranslateError> {
+        if let Some(t) = self.trace_table().get(members) {
+            self.artifact.trace_hits.inc();
+            return Ok((Arc::clone(t), None));
+        }
+        let t0 = pdbt_obs::now_ns();
+        let trace = translate_trace(prog, members, self.rules(), cfg)?;
+        let ns = pdbt_obs::now_ns().saturating_sub(t0);
+        Ok((self.publish_trace(trace), Some(ns)))
+    }
+
+    /// Inserts a superblock under its member list unless one is there
+    /// already (sessions racing to one trace); returns the one kept.
+    fn publish_trace(&self, trace: TranslatedBlock) -> Arc<TranslatedBlock> {
+        let members = trace.member_marks.iter().map(|m| m.start).collect();
+        let mut table = self.trace_table();
+        Arc::clone(table.entry(members).or_insert_with(|| Arc::new(trace)))
+    }
+
+    fn trace_table(&self) -> MutexGuard<'_, TraceTable> {
+        self.traces.lock().expect("trace table poisoned")
+    }
+
+    /// How many blocks and traces the state holds. Both only grow.
+    #[must_use]
+    pub fn sizes(&self) -> (usize, usize) {
+        (self.cache.len(), self.trace_table().len())
+    }
+
+    /// A clone of every superblock in the trace table, for sealing this
+    /// state into an artifact, by head and then member starts.
+    #[must_use]
+    pub fn traces(&self) -> Vec<TranslatedBlock> {
+        self.trace_table().values().map(|t| (**t).clone()).collect()
+    }
+
     /// The server-lifetime counters.
     #[must_use]
     pub fn server(&self) -> &ServerCounters {
@@ -177,27 +229,6 @@ impl SharedTranslationState {
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The library translation for a superblock with exactly these
-    /// members, if the boot artifact carried one.
-    #[must_use]
-    pub fn library_trace(&self, members: &[Addr]) -> Option<Arc<TranslatedBlock>> {
-        self.traces.get(members).cloned()
-    }
-
-    /// Superblocks in the boot library.
-    #[must_use]
-    pub fn library_len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// A clone of every library superblock, for re-sealing this state
-    /// into an artifact (drain write-back). Order is unspecified; the
-    /// canonical artifact writer sorts.
-    #[must_use]
-    pub fn library_traces(&self) -> Vec<TranslatedBlock> {
-        self.traces.values().map(|t| (**t).clone()).collect()
     }
 
     /// The artifact counters.

@@ -30,8 +30,8 @@ impl Totals {
         self.images += 1;
     }
 
-    /// The `artifacts` section: the boot tally plus the live
-    /// trace-library hits.
+    /// The `artifacts` section: the boot tally plus the trace-table
+    /// hits.
     fn artifacts_json(&self, ctx: &ServerCtx) -> Json {
         let trace_hits = [("trace_hits", Json::from(self.trace_hits))];
         Json::obj(ctx.artifacts.snapshot().json_pairs().chain(trace_hits))

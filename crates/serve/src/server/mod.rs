@@ -98,7 +98,7 @@ pub struct ServeConfig {
     pub flight_path: Option<PathBuf>,
     /// A directory of sealed `.pdba` translation artifacts to warm-boot
     /// from: every loadable artifact pre-creates its guest image's
-    /// partition with the artifact's code cache, trace library, and
+    /// partition with the artifact's code cache, trace table, and
     /// (when present) ruleset, so the first request for that image
     /// translates nothing. Artifacts that fail to load — wrong version,
     /// damaged header, fingerprint mismatch — are counted and skipped;

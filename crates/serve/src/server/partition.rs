@@ -5,7 +5,7 @@
 
 use super::{ServeConfig, ServerCtx};
 use pdbt_core::RuleSet;
-use pdbt_fleet::{artifact_file_name, dedupe_newest, parse_generation, seal_live, ArtifactVersion};
+use pdbt_fleet::{artifact_file_name, dedupe_newest, parse_generation, ArtifactVersion};
 use pdbt_runtime::{EngineConfig, SharedTranslationState};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 pdbt_obs::counter_family! {
     /// A point-in-time copy of [`ArtifactBoot`]: the `artifacts`
-    /// PING/STATS section, next to the live trace-library hits summed
-    /// over partitions.
+    /// PING/STATS section, next to the trace-table hits summed over
+    /// partitions.
     pub(super) struct ArtifactTally {
         /// Artifacts that loaded and warmed a partition.
         loaded,
@@ -46,13 +46,13 @@ pub(super) struct Partition {
     program: pdbt_isa_arm::Program,
     /// Version of `sealed`, or of the next seal's predecessor.
     pub(super) version: ArtifactVersion,
-    /// The current sealed bytes, lazily refreshed when the live cache
+    /// The current sealed bytes, lazily refreshed when the live state
     /// outgrows them (`None` until the partition is first sealed).
     pub(super) sealed: Option<Arc<Vec<u8>>>,
-    /// How many blocks `sealed` captured — the staleness check: the
-    /// shared cache only ever grows and blocks are immutable, so a
-    /// length match means the sealed bytes are current.
-    pub(super) sealed_blocks: usize,
+    /// How many blocks and traces `sealed` captured — the staleness
+    /// check: both only ever grow and their entries are immutable, so
+    /// a match with [`SharedTranslationState::sizes`] means current.
+    pub(super) sealed_sizes: (usize, usize),
     /// The generation the artifact dir holds for this image (`None` =
     /// not on disk); drain write-back only writes when it has moved
     /// past this.
@@ -81,7 +81,7 @@ impl Partition {
             program: program.clone(),
             version: ArtifactVersion::default(),
             sealed: None,
-            sealed_blocks: 0,
+            sealed_sizes: (0, 0),
             disk_generation: None,
         }
     }
@@ -110,6 +110,7 @@ impl Partition {
         let state =
             pdbt_artifact::warm_state(opened, rules, EngineConfig::default().cache_shards, slots);
         Partition {
+            sealed_sizes: state.sizes(),
             state: Arc::new(state),
             label,
             program: opened.artifact.program.clone(),
@@ -118,25 +119,25 @@ impl Partition {
             // advertising: leave `sealed` empty so the first peer
             // interaction re-seals clean content from live state.
             sealed: opened.quarantined.is_empty().then_some(bytes),
-            sealed_blocks: opened.artifact.blocks.len(),
             disk_generation,
         }
     }
 
     /// The current sealed bytes and version, re-sealing lazily when
-    /// the live cache has outgrown the last seal. Every content change
-    /// bumps the generation by one, so this node's advertised versions
-    /// are monotone — the property the fleet's newest-wins convergence
-    /// rests on. Returns `None` when there is nothing to advertise
-    /// (empty cache, never sealed). Callers hold `ctx.replication`.
+    /// the live cache or trace table has outgrown the last seal. Every
+    /// content change bumps the generation by one, so this node's
+    /// advertised versions are monotone — the property the fleet's
+    /// newest-wins convergence rests on. Returns `None` when there is
+    /// nothing to advertise (empty cache, never sealed). Callers hold
+    /// `ctx.replication`.
     pub(super) fn seal(&mut self) -> Option<(Arc<Vec<u8>>, ArtifactVersion)> {
-        let live_blocks = self.state.cache().len();
+        let (blocks, traces) = self.state.sizes();
         if let Some(sealed) = &self.sealed {
-            if self.sealed_blocks == live_blocks {
+            if self.sealed_sizes == (blocks, traces) {
                 return Some((Arc::clone(sealed), self.version));
             }
         }
-        if live_blocks == 0 && self.sealed.is_none() {
+        if blocks == 0 && self.sealed.is_none() {
             return None;
         }
         let generation = if self.sealed.is_some() {
@@ -147,12 +148,13 @@ impl Partition {
             // file's generation taken), else start at 0.
             self.disk_generation.map_or(0, |g| g + 1)
         };
-        let bytes = seal_live(&self.label, &self.program, &self.state);
+        let artifact = pdbt_artifact::capture(&self.label, &self.program, &self.state);
+        let bytes = pdbt_artifact::seal(&artifact);
         let version = ArtifactVersion::of_bytes(generation, &bytes)
             .expect("a self-sealed artifact always parses");
         let sealed = Arc::new(bytes);
         self.sealed = Some(Arc::clone(&sealed));
-        self.sealed_blocks = live_blocks;
+        self.sealed_sizes = (artifact.blocks.len(), artifact.traces.len());
         self.version = version;
         Some((sealed, version))
     }

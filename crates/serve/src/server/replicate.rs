@@ -26,11 +26,12 @@ pub(super) fn serve_list(ctx: &ServerCtx, stream: &mut TcpStream) {
         let mut table = ctx.partitions();
         let sealable = table.iter_mut().filter_map(|(&fingerprint, p)| {
             let (sealed, version) = p.seal()?;
+            let (blocks, traces) = p.state.sizes();
             let ad = ArtifactAd {
                 fingerprint,
                 version,
-                blocks: p.state.cache().len() as u64,
-                traces: p.state.library_len() as u64,
+                blocks: blocks as u64,
+                traces: traces as u64,
                 bytes: sealed.len() as u64,
                 label: p.label.clone(),
             };

@@ -4,8 +4,8 @@ use super::partition::load_artifacts;
 use super::replicate::adopt_artifact;
 use super::*;
 use crate::client;
-use pdbt_fleet::artifact_file_name;
-use pdbt_runtime::RunSetup;
+use pdbt_fleet::{artifact_file_name, ArtifactVersion};
+use pdbt_runtime::{Engine, RunSetup};
 
 /// One guest both unit tests run: prints 42, exits.
 const GUEST: &str = "mov r0, #41\nadd r0, r0, #1\nsvc #1\nsvc #0\n";
@@ -203,12 +203,51 @@ fn boot_scan_and_wire_adoption_install_the_same_partition() {
     assert_eq!(scanned.label, "inline-guest");
     assert_eq!(wired.label, scanned.label);
     assert_eq!(wired.version, scanned.version);
-    assert_eq!(wired.sealed_blocks, scanned.sealed_blocks);
+    assert_eq!(wired.sealed_sizes, scanned.sealed_sizes);
     assert_eq!(wired.sealed, scanned.sealed);
     // Only where the bytes live differs: on disk vs memory-only.
     assert_eq!(scanned.disk_generation, Some(3));
     assert_eq!(wired.disk_generation, None);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_new_trace_re_seals_and_a_trace_hit_does_not() {
+    // A loop whose body is two blocks, so it forms traces; the boot
+    // artifact lacks one of them.
+    const LOOP: &str = "mov r0, #80\nsubs r0, r0, #1\nb .+8\nsvc #0\n\
+                        add r1, r1, #1\nbne .-16\nmov r0, r1\nsvc #1\nsvc #0\n";
+    let prog = pdbt_isa_arm::Program::new(0x1000, pdbt_isa_arm::parse_listing(LOOP).unwrap());
+    let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+    let mut artifact = pdbt_artifact::compile(&prog, None, &setup, EngineConfig::default(), "loop")
+        .expect("compile");
+    let traces = artifact.traces.len();
+    assert!(traces > 0, "the loop forms a trace");
+    artifact.traces.pop();
+    let bytes = Arc::new(pdbt_artifact::seal(&artifact));
+    let opened = pdbt_artifact::open_salvage(&bytes).unwrap();
+    let version = ArtifactVersion::of_bytes(3, &bytes).unwrap();
+    let mut p = Partition::from_artifact(&opened, String::new, None, 1, version, bytes, Some(3));
+    let blocks = p.state.cache().len();
+    let run = |p: &Partition| {
+        let mut engine = Engine::with_shared(Arc::clone(&p.state), EngineConfig::default());
+        engine.run(&prog, &setup).unwrap().artifact.trace_hits as usize
+    };
+
+    // The only growth is the trace the artifact lacked: re-sealed at
+    // the next generation, with it.
+    assert_eq!(run(&p), traces - 1);
+    assert_eq!(p.state.sizes(), (blocks, traces));
+    let (sealed, grown) = p.seal().expect("sealable");
+    assert_eq!(grown.generation, 4);
+    let reopened = pdbt_artifact::open_salvage(&sealed).unwrap();
+    assert_eq!(reopened.artifact.traces.len(), traces);
+
+    // A session that only hits traces leaves the seal as it was.
+    assert_eq!(run(&p), 2 * traces - 1);
+    let (again, version) = p.seal().expect("sealable");
+    assert_eq!(version, grown);
+    assert!(Arc::ptr_eq(&again, &sealed));
 }
 
 #[test]

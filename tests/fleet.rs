@@ -33,16 +33,24 @@ fn server_field(pong: &Json, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("server.{name} missing in {pong}"))
 }
 
+fn artifacts_field(pong: &Json, name: &str) -> u64 {
+    pong.get("artifacts")
+        .and_then(|a| a.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("artifacts.{name} missing in {pong}"))
+}
+
 /// The capstone: warm a leader with one run, boot a follower with
 /// `--peer leader`, and lock down that the follower's *first* request
-/// does zero live translation and reports bit-identically to a
-/// sequential cold run.
+/// does zero live translation — no block, no trace — and reports
+/// bit-identically to a sequential cold run.
 #[test]
 fn follower_first_request_is_translate_free_and_bit_identical() {
     let oracle = oracle_run();
     let oracle_json = oracle.to_json();
     let blocks = oracle.metrics.blocks_translated;
-    assert!(blocks > 0, "vacuous oracle");
+    let traces = oracle.obs.dispatch.traces_formed;
+    assert!(blocks > 0 && traces > 0, "vacuous oracle");
 
     let (leader, leader_h) = spawn_server(ServeConfig {
         jobs: 2,
@@ -79,14 +87,15 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
         "the follower's first request diverged from the sequential cold oracle"
     );
 
-    // Zero live translation on the follower: every block came over the
-    // wire, every probe was a warm hit.
+    // Zero live translation on the follower: every block and every
+    // trace came over the wire, every probe was a warm hit.
     let pong = ping(follower, T).expect("follower ping");
     assert_eq!(server_field(&pong, "sessions"), 1);
     assert_eq!(server_field(&pong, "translate_calls"), 0);
     assert_eq!(server_field(&pong, "inserted"), 0);
     assert_eq!(server_field(&pong, "hits"), blocks);
     assert_eq!(server_field(&pong, "reply_errors"), 0);
+    assert_eq!(artifacts_field(&pong, "trace_hits"), traces);
 
     // The leader counted the serve side of the transfer.
     let pong = ping(leader, T).expect("leader ping");
@@ -99,12 +108,16 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
 }
 
 /// Drain write-back: a partition grown live (no artifact on disk) is
-/// sealed to `--artifact-dir` as generation 0, the file is a byte
-/// fixpoint under `seal(open(…))`, and warm-booting it reproduces the
-/// cold run exactly — the write-back path is `pdbt compile` by other
+/// sealed to `--artifact-dir` as generation 0 with the traces its
+/// session formed, the file is a byte fixpoint under `seal(open(…))`,
+/// and warm-booting it reproduces the cold run exactly, every trace
+/// taken from the file — the write-back path is `pdbt compile` by other
 /// means.
 #[test]
 fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
+    let cold = oracle_run();
+    let traces = cold.obs.dispatch.traces_formed;
+    assert!(traces > 0, "vacuous oracle");
     let dir = std::env::temp_dir().join(format!("pdbt-fleet-wb-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -132,20 +145,22 @@ fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
     let opened = open_salvage(&bytes).expect("write-back artifact opens");
     assert!(opened.quarantined.is_empty(), "write-back sealed damage");
     assert_eq!(opened.artifact.fingerprint(), fp);
+    assert_eq!(opened.artifact.traces.len() as u64, traces);
     assert_eq!(
         seal(&opened.artifact),
         bytes,
         "write-back artifact is not a seal fixpoint"
     );
 
-    // And it is complete: a warm boot off it does zero translation and
-    // matches a cold run bit-for-bit.
-    let cold = oracle_run();
+    // And it is complete: a warm boot off it does zero translation,
+    // forms every trace from the file, and matches a cold run
+    // bit-for-bit.
     let shared = Arc::new(warm_state(&opened, None, 8, 1));
     let warm = Engine::with_shared(shared, EngineConfig::default())
         .run(&w.pair.guest.program, &w.setup())
         .expect("warm run");
     assert_eq!(warm.server.translate_calls, 0);
+    assert_eq!(warm.artifact.trace_hits, traces);
     assert_eq!(stripped(&warm.to_json()), stripped(&cold.to_json()));
 
     let _ = std::fs::remove_dir_all(&dir);
