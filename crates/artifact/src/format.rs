@@ -156,9 +156,9 @@ struct TableEntry {
 }
 
 /// Seals an artifact into PDBA bytes. Canonical: sections are written
-/// in fixed order, blocks sorted by guest address, traces by head and
-/// then member starts (a trace table can hold two traces with one
-/// head) — the same content in any order seals to identical bytes.
+/// in fixed order, blocks sorted by guest address, traces by member list
+/// (a trace table can hold two traces with one head) — the same content
+/// in any order seals to identical bytes.
 #[must_use]
 pub fn seal(artifact: &Artifact) -> Vec<u8> {
     let mut meta = Writer::new();
@@ -192,9 +192,9 @@ pub fn seal(artifact: &Artifact) -> Vec<u8> {
     }
 
     let mut trce = Writer::new();
-    let members = |t: &TranslatedBlock| t.member_marks.iter().map(|m| m.start).collect::<Vec<_>>();
+    let members = |t: &&TranslatedBlock| t.member_marks.iter().map(|m| m.start).collect::<Vec<_>>();
     let mut sorted_traces: Vec<&TranslatedBlock> = artifact.traces.iter().collect();
-    sorted_traces.sort_by_cached_key(|t| (t.start, members(t)));
+    sorted_traces.sort_by_cached_key(members);
     trce.u32(sorted_traces.len() as u32);
     for t in sorted_traces {
         write_block(&mut trce, t);

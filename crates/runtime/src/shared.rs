@@ -33,8 +33,8 @@ use pdbt_obs::{ArtifactCounters, ServerCounters, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Superblocks by member list. Ordered, so the table iterates by head
-/// and then member starts — the order an artifact seals them in.
+/// Superblocks by member list. Ordered, so the table iterates by member
+/// list — the order an artifact seals them in.
 type TraceTable = BTreeMap<Vec<Addr>, Arc<TranslatedBlock>>;
 
 /// The translation state shared by every session of one server (or
@@ -213,7 +213,7 @@ impl SharedTranslationState {
     }
 
     /// A clone of every superblock in the trace table, for sealing this
-    /// state into an artifact, by head and then member starts.
+    /// state into an artifact, by member list.
     #[must_use]
     pub fn traces(&self) -> Vec<TranslatedBlock> {
         self.trace_table().values().map(|t| (**t).clone()).collect()

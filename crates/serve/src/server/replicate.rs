@@ -26,7 +26,7 @@ pub(super) fn serve_list(ctx: &ServerCtx, stream: &mut TcpStream) {
         let mut table = ctx.partitions();
         let sealable = table.iter_mut().filter_map(|(&fingerprint, p)| {
             let (sealed, version) = p.seal()?;
-            let (blocks, traces) = p.state.sizes();
+            let (blocks, traces) = p.sealed_sizes;
             let ad = ArtifactAd {
                 fingerprint,
                 version,
