@@ -263,21 +263,22 @@ impl Telemetry {
         &self.flight
     }
 
+    /// The latency rollup. The flight tail is read on its own
+    /// ([`Telemetry::flight`]): only STATS and the drain dump show it,
+    /// so a run report does not copy the ring.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             partition: self.partition,
             latency: self.latency.snapshot(),
-            flight: self.flight.tail(),
         }
     }
 }
 
-/// A point-in-time copy of one telemetry plane.
+/// A point-in-time copy of one telemetry plane's latency histograms.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySnapshot {
     pub partition: u64,
     pub latency: LatencyHists,
-    pub flight: Vec<RequestSummary>,
 }
 
 impl TelemetrySnapshot {
@@ -308,16 +309,6 @@ impl TelemetrySnapshot {
         counters.into_iter().chain([
             ("partition", Json::str(format!("{:016x}", self.partition))),
             ("latency", latency),
-        ])
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("latency", self.latency.to_json()),
-            (
-                "flight",
-                Json::Arr(self.flight.iter().map(|s| s.to_json()).collect()),
-            ),
         ])
     }
 }
@@ -372,23 +363,13 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_seq_is_monotone_and_snapshot_carries_both_planes() {
+    fn telemetry_seq_is_monotone_and_record_feeds_both_planes() {
         let t = Telemetry::new(2);
         assert_eq!(t.next_seq(), 1);
         assert_eq!(t.next_seq(), 2);
         t.record(0, summary(1, 100_000));
         t.record(1, summary(2, 200_000));
-        let snap = t.snapshot();
-        assert_eq!(snap.latency.request_ns.count(), 2);
-        assert_eq!(snap.flight.len(), 2);
-        let doc = snap.to_json();
-        assert!(doc
-            .get("latency")
-            .and_then(|l| l.get("request_ns"))
-            .is_some());
-        assert_eq!(
-            doc.get("flight").and_then(Json::as_arr).map(|a| a.len()),
-            Some(2)
-        );
+        assert_eq!(t.snapshot().latency.request_ns.count(), 2);
+        assert_eq!(t.flight().tail().len(), 2);
     }
 }

@@ -251,8 +251,9 @@ pub struct Report {
     /// determinism comparisons strip this section (like
     /// `histograms.translate_ns`).
     pub server: ServerSnapshot,
-    /// Serving-plane telemetry snapshot (request latency histograms and
-    /// the flight-recorder tail) from the same shared state, taken at
+    /// Serving-plane telemetry snapshot (request latency histograms; a
+    /// report describes its own session, so it carries no other
+    /// request's flight-recorder entry) from the same shared state, taken at
     /// the same point as `server`. Reported inside the `server` JSON
     /// section, so it is stripped by the same determinism discipline.
     pub telemetry: TelemetrySnapshot,
@@ -397,10 +398,6 @@ impl Report {
                             ),
                         ),
                         ("latency", self.telemetry.latency.to_json()),
-                        (
-                            "flight",
-                            Json::arr(self.telemetry.flight.iter().map(|s| s.to_json())),
-                        ),
                         // A standalone engine sees exactly one partition:
                         // the shared state it ran against. `pdbt serve`
                         // exposes the full multi-image view through the

@@ -101,7 +101,7 @@ pub(super) fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
             ("trace_hits", Json::from(art.trace_hits)),
         ])));
         global.merge(&tele.latency);
-        flight.extend(tele.flight);
+        flight.extend(state.telemetry().flight().tail());
     }
     // The merged flight tail reads chronologically across partitions.
     flight.sort_by_key(|s| s.seq);

@@ -110,7 +110,6 @@ fn stats_payload() -> Json {
     let tele = TelemetrySnapshot {
         partition: 0x0123_4567_89ab_cdef,
         latency,
-        ..TelemetrySnapshot::default()
     };
     let server = ServerSnapshot {
         probes: 41,
