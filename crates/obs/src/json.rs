@@ -2,8 +2,9 @@
 //! recursive-descent parser. Enough for run reports, JSON-lines stats
 //! and the Chrome trace exporter — not a general-purpose library.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON value. Objects use a `BTreeMap` so output key order is
 /// deterministic.
@@ -18,21 +19,55 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` as a JSON string literal, quotes included. Runs with
+/// nothing to escape are copied as they are; only `"`, `\\` and the
+/// control characters are rewritten.
+///
+/// # Errors
+///
+/// Whatever `out` reports (never, for a `String`).
+pub fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary.
+        out.write_str(&s[run..i])?;
+        if short.is_empty() {
+            out.write_str("\\u00")?;
+            out.write_char(char::from(HEX[usize::from(b >> 4)]))?;
+            out.write_char(char::from(HEX[usize::from(b & 0xf)]))?;
+        } else {
+            out.write_str(short)?;
         }
+        run = i + 1;
     }
-    out
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Passes writes through and notes whether a `.` went by: how the
+/// float writer tells an integral float's text without looking back
+/// at the output.
+struct DotSeen<'a, W> {
+    out: &'a mut W,
+    dot: bool,
+}
+
+impl<W: fmt::Write> fmt::Write for DotSeen<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.dot |= s.contains('.');
+        self.out.write_str(s)
+    }
 }
 
 impl Json {
@@ -118,68 +153,79 @@ impl Json {
 
     // -- writing ------------------------------------------------------
 
+    /// Appends the document's text to `out`.
     pub fn write(&self, out: &mut String) {
+        self.write_to(out).expect("writing to a String cannot fail");
+    }
+
+    /// Writes the document's text: numbers through `fmt`, strings
+    /// through [`write_string`], with no intermediate allocation.
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    out.push_str(&format!("{x}"));
-                    // `{}` prints integral floats without a dot; keep
-                    // the value a float on re-parse.
-                    if !out.ends_with(|c: char| c == '.' || c.is_ascii_alphabetic())
-                        && !x.fract().is_normal()
-                        && !format!("{x}").contains(['.', 'e', 'E'])
-                    {
-                        out.push_str(".0");
-                    }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => write!(out, "{n}"),
+            Json::Float(x) if x.is_finite() => {
+                let mut text = DotSeen {
+                    out: &mut *out,
+                    dot: false,
+                };
+                write!(text, "{x}")?;
+                // `{}` prints integral floats without a dot (and never
+                // with an exponent); keep the value a float on re-parse.
+                if text.dot {
+                    Ok(())
                 } else {
-                    out.push_str("null");
+                    out.write_str(".0")
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&esc(s));
-                out.push('"');
-            }
+            Json::Float(_) => out.write_str("null"),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(v) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in v.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(m) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in m.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    out.push('"');
-                    out.push_str(&esc(k));
-                    out.push_str("\":");
-                    v.write(out);
+                    write_string(out, k)?;
+                    out.write_char(':')?;
+                    v.write_to(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 
     // -- parsing ------------------------------------------------------
 
+    /// Parses one document. Nesting deeper than [`MAX_DEPTH`] is an
+    /// error, not a stack overflow.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input, with the byte offset where it went wrong.
     pub fn parse(s: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
-            bytes: s.as_bytes(),
+            src: s,
             pos: 0,
+            depth: 0,
+            items: Vec::new(),
+            pairs: Vec::new(),
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != s.len() {
             return Err(p.err("trailing input"));
         }
         Ok(v)
@@ -188,9 +234,7 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
+        self.write_to(f)
     }
 }
 
@@ -252,9 +296,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so without a bound a payload of
+/// `[`s overflows the stack, an abort no caller can catch. The deepest
+/// document this tool writes, a RESULT, nests six levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+    /// Elements of the open arrays, innermost last: an array takes its
+    /// run off the top when it closes, so its `Vec` is allocated once,
+    /// at its final length.
+    items: Vec<Json>,
+    /// The same for the open objects' members: an object's map is
+    /// built once, from its whole run.
+    pairs: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -263,7 +322,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -282,7 +341,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -292,9 +351,20 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
             Some(b'n') if self.literal("null") => Ok(Json::Null),
@@ -305,26 +375,28 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
-        let mut m = BTreeMap::new();
+        let base = self.pairs.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(m));
+            return Ok(Json::Obj(BTreeMap::new()));
         }
         loop {
             self.skip_ws();
-            let k = self.string()?;
+            let k = self.string()?.into_owned();
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
-            m.insert(k, v);
+            self.pairs.push((k, v));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(m));
+                    // One stable sort and a bulk build: a duplicate key
+                    // keeps its last value, as `insert` would.
+                    return Ok(Json::Obj(self.pairs.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -333,80 +405,105 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Json, ParseError> {
         self.expect(b'[')?;
-        let mut v = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(v));
+            return Ok(Json::Arr(Vec::new()));
         }
         loop {
             self.skip_ws();
-            v.push(self.value()?);
+            let v = self.value()?;
+            self.items.push(v);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(v));
+                    return Ok(Json::Arr(self.items.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string token: a slice of the input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let src = self.src;
+        let mut owned: Option<String> = None;
+        // Start of the run not yet copied to `owned`. Runs end at ASCII
+        // bytes, so every slice below is on char boundaries.
+        let mut run = self.pos;
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
+                    let tail = &src[run..self.pos];
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(&src[run..self.pos]);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("bad \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs unsupported; report
-                            // losslessly as the replacement char.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
+                    s.push(self.escape()?);
+                    run = self.pos;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let ch_len = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if b >> 5 == 0b110 => 2,
-                        b if b >> 4 == 0b1110 => 3,
-                        _ => 4,
-                    };
-                    s.push_str(std::str::from_utf8(&rest[..ch_len]).unwrap());
-                    self.pos += ch_len;
-                }
+                Some(_) => self.pos += 1,
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the `\`.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => return self.unicode_escape(),
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// `\uXXXX`, with `pos` at the `u`. A high surrogate followed by a
+    /// low one in the next escape is one character — how JSON writers
+    /// (Python's `json.dumps`, for one) spell anything past U+FFFF. A
+    /// surrogate without its partner reads as U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let high = self
+            .hex4(self.pos)
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 5;
+        let mut code = high;
+        if (0xd800..0xdc00).contains(&high) && self.src.as_bytes()[self.pos..].starts_with(b"\\u") {
+            if let Some(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 1) {
+                code = 0x1_0000 + ((high - 0xd800) << 10) + (low - 0xdc00);
+                self.pos += 6;
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits after the `u` at `at`, if they are there.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.src.get(at + 1..at + 5)?;
+        digits
+            .chars()
+            .try_fold(0, |code, c| Some(code << 4 | c.to_digit(16)?))
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -435,8 +532,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        // Every byte the token spans is ASCII.
+        let text = &self.src[start..self.pos];
         if float {
             text.parse()
                 .map(Json::Float)
@@ -534,5 +631,55 @@ mod tests {
             v.get("a").and_then(|a| a.as_arr()).map(|a| a.len()),
             Some(2)
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nest = |n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+            assert!(
+                Json::parse(&nest(MAX_DEPTH)).is_ok(),
+                "{open}: the bound parses"
+            );
+            let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.msg, "nesting too deep", "{open}: bound + 1 errors");
+        }
+        // Depth is nesting, not the number of containers seen.
+        let siblings = "[[]]".repeat(1_000);
+        assert!(Json::parse(&format!("[{}]", siblings.replace("][", "],["))).is_ok());
+        // What once overflowed the stack is one error.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        // Python's `json.dumps("😀")`.
+        assert_eq!(Json::parse(r#""\ud83d\ude00""#).unwrap(), Json::str("😀"));
+        assert_eq!(
+            Json::parse(r#""a\uD834\uDD1Eb""#).unwrap(),
+            Json::str("a𝄞b")
+        );
+        // A surrogate without its partner is U+FFFD; whatever follows a
+        // lone high surrogate is read on its own.
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), Json::str(want), "{text}");
+        }
+        for bad in [r#""\ud83d\u""#, r#""\u12""#, r#""\u+123""#, r#""\u12é4""#] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn strings_with_and_without_escapes_parse_alike() {
+        for text in ["plain", "ünï\u{1f600}", "", "tab\there", "end\\"] {
+            let doc = Json::str(text);
+            assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+        }
     }
 }

@@ -187,7 +187,8 @@ pub use imp::{drain_events, now_ns, scoped, span, ScopeGuard, SpanGuard};
 /// track — unscoped events land on pid 1 — so multi-session daemon
 /// traces no longer interleave on a single row.
 pub fn export_chrome_trace(events: &[Event]) -> String {
-    use crate::json::esc;
+    use crate::json::write_string;
+    use std::fmt::Write;
     let mut out = String::with_capacity(events.len() * 96 + 32);
     out.push_str("{\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
@@ -195,16 +196,21 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
             out.push(',');
         }
         let pid = if e.scope == 0 { 1 } else { e.scope };
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{pid},\"ts\":{}.{:03},\"dur\":{}.{:03}",
-            esc(e.name),
+        out.push_str("{\"name\":");
+        // Writing into a `String` cannot fail.
+        let _ = write_string(&mut out, e.name);
+        let _ = write!(
+            out,
+            ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{pid},\"ts\":{}.{:03},\"dur\":{}.{:03}",
             e.start_ns / 1_000,
             e.start_ns % 1_000,
             e.dur_ns / 1_000,
             e.dur_ns % 1_000,
-        ));
+        );
         if let Some(d) = &e.detail {
-            out.push_str(&format!(",\"args\":{{\"detail\":\"{}\"}}", esc(d)));
+            out.push_str(",\"args\":{\"detail\":");
+            let _ = write_string(&mut out, d);
+            out.push('}');
         }
         out.push('}');
     }
