@@ -379,3 +379,24 @@ fn a_silent_client_does_not_stall_the_control_lane() {
         assert_eq!((summary.requests, summary.panicked), (0, 0));
     }
 }
+
+/// The accept thread parses every SUBMIT payload itself, so a payload
+/// nested past the parser's depth bound (`pdbt_obs::json::MAX_DEPTH`)
+/// must come back as an ERROR frame: unbounded recursion would overflow
+/// the accept thread's stack, an abort that takes the daemon down.
+#[test]
+fn a_deeply_nested_submit_is_an_error_not_a_crash() {
+    use pdbt_serve::proto::{op, read_frame, write_frame};
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut client = std::net::TcpStream::connect(addr).expect("connect");
+    client.set_read_timeout(Some(T)).unwrap();
+    write_frame(&mut client, op::SUBMIT, &vec![b'['; 1 << 20]).unwrap();
+    let frame = read_frame(&mut client).expect("an answer");
+    assert_eq!(frame.opcode, op::ERROR);
+    let why = frame.payload_str().unwrap();
+    assert!(why.contains("not valid JSON"), "{why}");
+    ping(addr, T).expect("the daemon still answers");
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (1, 0));
+}
