@@ -26,7 +26,7 @@ pub enum Json {
 /// # Errors
 ///
 /// Whatever `out` reports (never, for a `String`).
-pub fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+pub(crate) fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.write_char('"')?;
     let mut run = 0;

@@ -197,19 +197,19 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
         }
         let pid = if e.scope == 0 { 1 } else { e.scope };
         out.push_str("{\"name\":");
-        // Writing into a `String` cannot fail.
-        let _ = write_string(&mut out, e.name);
-        let _ = write!(
+        write_string(&mut out, e.name).expect("writing to a String cannot fail");
+        write!(
             out,
             ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{pid},\"ts\":{}.{:03},\"dur\":{}.{:03}",
             e.start_ns / 1_000,
             e.start_ns % 1_000,
             e.dur_ns / 1_000,
             e.dur_ns % 1_000,
-        );
+        )
+        .expect("writing to a String cannot fail");
         if let Some(d) = &e.detail {
             out.push_str(",\"args\":{\"detail\":");
-            let _ = write_string(&mut out, d);
+            write_string(&mut out, d).expect("writing to a String cannot fail");
             out.push('}');
         }
         out.push('}');
