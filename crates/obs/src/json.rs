@@ -1,6 +1,12 @@
 //! Minimal serde-free JSON: a value tree with a writer and a
 //! recursive-descent parser. Enough for run reports, JSON-lines stats
 //! and the Chrome trace exporter — not a general-purpose library.
+//!
+//! Every RESULT frame is written and parsed here, so neither side
+//! allocates per value: the writer appends to one buffer (numbers
+//! through `fmt`, strings copied run by run between escapes), and the
+//! parser slices string and number tokens out of the input and builds
+//! each array and object once, at its final size.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
