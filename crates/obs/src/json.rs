@@ -10,7 +10,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// A JSON value. Objects use a `BTreeMap` so output key order is
 /// deterministic.
@@ -59,21 +59,6 @@ pub(crate) fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     }
     out.write_str(&s[run..])?;
     out.write_char('"')
-}
-
-/// Passes writes through and notes whether a `.` went by: how the
-/// float writer tells an integral float's text without looking back
-/// at the output.
-struct DotSeen<'a, W> {
-    out: &'a mut W,
-    dot: bool,
-}
-
-impl<W: fmt::Write> fmt::Write for DotSeen<'_, W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.dot |= s.contains('.');
-        self.out.write_str(s)
-    }
 }
 
 impl Json {
@@ -172,17 +157,13 @@ impl Json {
             Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Int(n) => write!(out, "{n}"),
             Json::Float(x) if x.is_finite() => {
-                let mut text = DotSeen {
-                    out: &mut *out,
-                    dot: false,
-                };
-                write!(text, "{x}")?;
-                // `{}` prints integral floats without a dot (and never
+                write!(out, "{x}")?;
+                // `{}` prints an integral float without a dot (and never
                 // with an exponent); keep the value a float on re-parse.
-                if text.dot {
-                    Ok(())
-                } else {
+                if x.fract() == 0.0 {
                     out.write_str(".0")
+                } else {
+                    Ok(())
                 }
             }
             Json::Float(_) => out.write_str("null"),
