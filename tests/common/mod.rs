@@ -12,6 +12,7 @@
 
 use pdbt::arm::{builders as g, Inst, MemAddr, Operand, Program, Reg, ShiftKind};
 use pdbt::compiler::{degrade, DegradeProfile};
+use pdbt::core::classify::{self, HostCounterpart};
 use pdbt::core::RuleSet;
 use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig, Report};
@@ -148,6 +149,40 @@ pub fn assert_golden(got: &str, name: &str) {
         got, want,
         "{name} changed; review and refresh with UPDATE_GOLDEN=1"
     );
+}
+
+/// The text of `tests/golden/counterparts.txt`: every guest opcode's
+/// host counterpart as `counterpart` gives it (`-` for none), then every
+/// subgroup with its members and whether it is parameterizable.
+pub fn counterparts_text(counterpart: impl Fn(pdbt::arm::Op) -> Option<HostCounterpart>) -> String {
+    let mut out = String::new();
+    for op in pdbt::arm::Op::ALL {
+        let row = match counterpart(op) {
+            Some(HostCounterpart {
+                hop,
+                transform: Some(t),
+            }) => format!("{hop:?} {t:?}"),
+            Some(HostCounterpart {
+                hop,
+                transform: None,
+            }) => format!("{hop:?}"),
+            None => "-".to_string(),
+        };
+        out.push_str(&format!("{op} -> {row}\n"));
+    }
+    for sg in classify::all_subgroups() {
+        let members: Vec<String> = classify::members(sg)
+            .iter()
+            .map(|m| m.to_string())
+            .collect();
+        let para = if classify::is_parameterizable(sg) {
+            "parameterizable"
+        } else {
+            "-"
+        };
+        out.push_str(&format!("{sg} [{}] {para}\n", members.join(" ")));
+    }
+    out
 }
 
 /// Base of the data region the generated programs address through `r1`.

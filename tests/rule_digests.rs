@@ -6,14 +6,19 @@
 //! workload build; `artifact_digests.txt` pins the tiny suite only and
 //! `experiments.txt` pins counts.
 //!
+//! The table those derivations read — each guest opcode's host
+//! counterpart, each subgroup's members and whether it parameterizes —
+//! is pinned beside them in `tests/golden/counterparts.txt`.
+//!
 //! A change that is not meant to move a verdict, a flag report or a
-//! template must leave the file alone; one that is refreshes it with
+//! template must leave both files alone; one that is refreshes them with
 //! `UPDATE_GOLDEN=1 cargo test --test rule_digests` and reviews the
 //! diff.
 
 mod common;
 
-use common::assert_golden;
+use common::{assert_golden, counterparts_text};
+use pdbt::core::classify::host_counterpart;
 use pdbt::core::store_io::save_rules;
 use pdbt::workloads::{Benchmark, Config, Experiment, Scale};
 
@@ -34,4 +39,9 @@ fn leave_one_out_rule_sets_match_the_golden() {
         }
     }
     assert_golden(&got, "rule_digests.txt");
+}
+
+#[test]
+fn counterpart_table_matches_the_golden() {
+    assert_golden(&counterparts_text(host_counterpart), "counterparts.txt");
 }
