@@ -3,14 +3,21 @@
 //! Instructions are classified first by data type, then by encoding
 //! format and operation category. All instructions in a subgroup share
 //! one pseudo opcode and parameterize against each other; each guest
-//! subgroup has a corresponding set of host opcodes reached through the
-//! per-opcode *host counterpart* table (with the operand transform that
-//! turns a complex opcode into its simple partner, §IV-C1).
+//! opcode reaches host code through its *host counterpart* — a host
+//! opcode plus the operand transform that turns a complex opcode into
+//! its simple partner (§IV-C1) — which is not tabled but proved: the
+//! cheapest candidate the verifier accepts.
 
+use crate::derive::canonical_key;
+use crate::emit::emit_with;
+use crate::ruleset::verify_combo;
+use crate::template::Template;
 use pdbt_isa::{DataType, EncodingFormat, OpCategory};
 use pdbt_isa_arm::{Op as GOp, OperandTransform, Shape};
 use pdbt_isa_x86::Op as HOp;
+use pdbt_symexec::{CheckOptions, FlagEquiv};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A classification subgroup: (data type, encoding format, operation
 /// category, operand shape). The shape component enforces the "same
@@ -99,24 +106,19 @@ pub fn members(sg: Subgroup) -> Vec<GOp> {
         .collect()
 }
 
-/// Whether the subgroup participates in parameterization at all
-/// (`Other`-category subgroups — branches, stack, system — do not).
+/// Whether the subgroup participates in parameterization at all: some
+/// member has a host counterpart. Branches, stack and system ops, `clz`,
+/// the four-operand multiplies and floating point have none.
 #[must_use]
 pub fn is_parameterizable(sg: Subgroup) -> bool {
-    sg.category.is_parameterizable()
-        // The paper's seven unlearnable instructions fall in subgroups the
-        // framework cannot reach: mla/umull/umlal (no single-instruction
-        // host counterpart + distinct shape) and clz (misc format).
-        && sg.shape_tag != shape_tag(Shape::Mul4)
-        && sg.shape_tag != shape_tag(Shape::Unary2)
-        // Floating point is classified but not parameterized in this
-        // reproduction (SPEC CINT workloads are integer; see DESIGN.md).
-        && sg.data_type == DataType::Int
+    members(sg)
+        .into_iter()
+        .any(|op| host_counterpart(op).is_some())
 }
 
 /// How a guest opcode reaches host code: its host opcode, plus the
 /// operand transform (if the guest opcode is the *complex* member of a
-/// pair) that auxiliary host instructions must implement.
+/// pair, §IV-C1) that auxiliary host instructions implement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostCounterpart {
     /// The core host opcode.
@@ -125,67 +127,50 @@ pub struct HostCounterpart {
     pub transform: Option<OperandTransform>,
 }
 
-/// The host counterpart of a guest opcode, when a single-core-op
-/// correspondence exists. The paper's unlearnables (`mla`, `umull`,
-/// `umlal`, `clz`) return `None`.
+/// The host counterpart of a guest opcode, when one is proved: the
+/// table [`search_counterparts`] derives, computed once per process.
 #[must_use]
 pub fn host_counterpart(op: GOp) -> Option<HostCounterpart> {
-    use GOp as G;
-    let direct = |hop| {
-        Some(HostCounterpart {
-            hop,
-            transform: None,
+    static TABLE: OnceLock<Vec<Option<HostCounterpart>>> = OnceLock::new();
+    TABLE.get_or_init(search_counterparts)[usize::from(op.index())]
+}
+
+/// The search behind [`host_counterpart`], uncached, indexed by
+/// [`GOp::index`]. For each guest opcode it emits every (host opcode,
+/// transform) candidate at the opcode's canonical key, orders them by
+/// template length, then host opcode, then transform, and keeps the
+/// first that verifies with no mismatched flag — the length-1 case of
+/// cost-ordered rewrite-rule synthesis. It runs shielded from any armed
+/// fault plan, which could otherwise drop a counterpart for good.
+#[must_use]
+pub fn search_counterparts() -> Vec<Option<HostCounterpart>> {
+    let _shield = pdbt_faults::scoped(None);
+    GOp::ALL.into_iter().map(search).collect()
+}
+
+fn search(op: GOp) -> Option<HostCounterpart> {
+    use OperandTransform as T;
+    let key = canonical_key(op)?;
+    let transforms = [
+        None,
+        Some(T::InvertLastSource),
+        Some(T::NegateLastSource),
+        Some(T::SwapSources),
+    ];
+    let mut candidates: Vec<(Template, HostCounterpart)> = HOp::ALL
+        .into_iter()
+        .flat_map(|hop| transforms.map(|transform| HostCounterpart { hop, transform }))
+        .filter_map(|c| Some((emit_with(&key, c)?, c)))
+        .collect();
+    // Stable: equal lengths keep the host-opcode, then transform order.
+    candidates.sort_by_key(|(t, _)| t.len());
+    candidates
+        .into_iter()
+        .find(|(t, _)| {
+            verify_combo(&key, t, CheckOptions::default())
+                .is_ok_and(|flags| flags.iter().all(|(_, e)| *e != FlagEquiv::Mismatch))
         })
-    };
-    let complex = |hop, t| {
-        Some(HostCounterpart {
-            hop,
-            transform: Some(t),
-        })
-    };
-    match op {
-        G::Add => direct(HOp::Add),
-        G::Adc => direct(HOp::Adc),
-        G::Sub => direct(HOp::Sub),
-        G::Sbc => direct(HOp::Sbb),
-        G::And => direct(HOp::And),
-        G::Orr => direct(HOp::Or),
-        G::Eor => direct(HOp::Xor),
-        G::Mul => direct(HOp::Imul),
-        G::Lsl => direct(HOp::Shl),
-        G::Lsr => direct(HOp::Shr),
-        G::Asr => direct(HOp::Sar),
-        G::Ror => direct(HOp::Ror),
-        // Complex pairs (paper §IV-C1, Fig 7).
-        G::Bic => complex(HOp::And, OperandTransform::InvertLastSource),
-        G::Rsb => complex(HOp::Sub, OperandTransform::SwapSources),
-        G::Rsc => complex(HOp::Sbb, OperandTransform::SwapSources),
-        G::Mvn => complex(HOp::Mov, OperandTransform::InvertLastSource),
-        G::Mov => direct(HOp::Mov),
-        // Compares.
-        G::Cmp => direct(HOp::Cmp),
-        G::Cmn => complex(HOp::Cmp, OperandTransform::NegateLastSource),
-        G::Tst => direct(HOp::Test),
-        G::Teq => complex(HOp::Test, OperandTransform::InvertLastSource), // via xor-like aux
-        // Loads and stores.
-        G::Ldr => direct(HOp::Mov),
-        G::Ldrb => direct(HOp::MovzxB),
-        G::Ldrh => direct(HOp::MovzxW),
-        G::Str => direct(HOp::Mov),
-        G::Strb => direct(HOp::MovB),
-        G::Strh => direct(HOp::MovW),
-        // No single host counterpart (the paper's unlearnables) or
-        // outside the integer parameterization universe.
-        G::Mla | G::Umull | G::Umlal | G::Clz => None,
-        G::Push | G::Pop | G::B | G::Bl | G::Bx | G::Svc => None,
-        G::Vadd => direct(HOp::Addss),
-        G::Vsub => direct(HOp::Subss),
-        G::Vmul => direct(HOp::Mulss),
-        G::Vdiv => direct(HOp::Divss),
-        G::Vmov => direct(HOp::Movss),
-        G::Vcmp => direct(HOp::Ucomiss),
-        G::Vldr | G::Vstr => direct(HOp::Movss),
-    }
+        .map(|(_, c)| c)
 }
 
 #[cfg(test)]
@@ -253,23 +238,5 @@ mod tests {
         for op in GOp::ALL {
             assert!(pseudo_op(subgroup_of(op)) < all.len());
         }
-    }
-
-    #[test]
-    fn counterparts() {
-        use pdbt_isa_arm::OperandTransform as T;
-        assert_eq!(host_counterpart(GOp::Add).unwrap().hop, HOp::Add);
-        assert_eq!(host_counterpart(GOp::Eor).unwrap().hop, HOp::Xor);
-        let bic = host_counterpart(GOp::Bic).unwrap();
-        assert_eq!(
-            (bic.hop, bic.transform),
-            (HOp::And, Some(T::InvertLastSource))
-        );
-        let rsb = host_counterpart(GOp::Rsb).unwrap();
-        assert_eq!((rsb.hop, rsb.transform), (HOp::Sub, Some(T::SwapSources)));
-        assert!(host_counterpart(GOp::Mla).is_none());
-        assert!(host_counterpart(GOp::Clz).is_none());
-        assert!(host_counterpart(GOp::B).is_none());
-        assert_eq!(host_counterpart(GOp::Ldrb).unwrap().hop, HOp::MovzxB);
     }
 }

@@ -161,14 +161,8 @@ fn reg_mentions(modes: &[ModeTag]) -> usize {
 /// stay memory. `patterns[n]` is [`patterns`]`(n)`: a derivation
 /// enumerates them once, not once per opcode and mode set.
 fn combo_universe(op: GOp, s: bool, patterns: &[Vec<Pattern>]) -> Vec<ComboKey> {
-    use ModeTag::{MemBaseImm, MemBaseReg, Reg};
-    // The fixed operand positions, then each mode of the last one.
-    let (fixed, last): (&[ModeTag], &[ModeTag]) = match op.shape() {
-        Shape::Dp3 => (&[Reg, Reg], &FLEX_MODES),
-        Shape::Dp2 | Shape::Cmp2 => (&[Reg], &FLEX_MODES),
-        Shape::LdSt => (&[Reg], &[MemBaseImm, MemBaseReg]),
-        Shape::Mul3 => (&[Reg, Reg], &[Reg]),
-        _ => return Vec::new(),
+    let Some((fixed, last)) = operand_modes(op) else {
+        return Vec::new();
     };
     let mut out = Vec::new();
     for m in last {
@@ -183,6 +177,39 @@ fn combo_universe(op: GOp, s: bool, patterns: &[Vec<Pattern>]) -> Vec<ComboKey> 
         }
     }
     out
+}
+
+/// The modes an opcode's keys take: the fixed operand positions, then
+/// each mode of the last one. `None` outside the shapes a template is
+/// emitted for.
+fn operand_modes(op: GOp) -> Option<(&'static [ModeTag], &'static [ModeTag])> {
+    use ModeTag::{MemBaseImm, MemBaseReg, Reg};
+    Some(match op.shape() {
+        Shape::Dp3 => (&[Reg, Reg], &FLEX_MODES),
+        Shape::Dp2 | Shape::Cmp2 => (&[Reg], &FLEX_MODES),
+        Shape::LdSt => (&[Reg], &[MemBaseImm, MemBaseReg]),
+        Shape::Mul3 => (&[Reg, Reg], &[Reg]),
+        _ => return None,
+    })
+}
+
+/// An opcode's canonical key: every operand a register (`[base, index]`
+/// for memory), every register mention its own slot, `s` clear. Every
+/// other key of the opcode specializes this one.
+#[must_use]
+pub(crate) fn canonical_key(op: GOp) -> Option<ComboKey> {
+    let (fixed, last) = operand_modes(op)?;
+    let last = last
+        .iter()
+        .find(|m| matches!(m, ModeTag::Reg | ModeTag::MemBaseReg))?;
+    let modes: InlineVec<ModeTag, MAX_OPERANDS> = fixed.iter().chain([last]).copied().collect();
+    let reg_pattern = (0..reg_mentions(&modes) as u8).collect();
+    Some(ComboKey {
+        op,
+        s: false,
+        modes,
+        reg_pattern,
+    })
 }
 
 /// The operand signature of a key (everything except the opcode), used

@@ -257,34 +257,6 @@ impl Op {
         )
     }
 
-    /// Whether the two source operands commute (paper §IV-C1: `add` is
-    /// commutative, `sub` is not; the verifier drops swapped derivations
-    /// for non-commutative opcodes).
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        use Op::*;
-        matches!(
-            self,
-            And | Eor | Add | Adc | Orr | Mul | Cmn | Tst | Teq | Vadd | Vmul
-        )
-    }
-
-    /// The "simple" partner of a complex opcode, with the transformation
-    /// the complex one applies to its last source operand (paper §IV-C1,
-    /// Fig 7: `bic` is `and` with an inverted operand; `mvn` is `mov` with
-    /// an inverted operand; `rsb` is `sub` with swapped sources).
-    #[must_use]
-    pub fn complex_pair(self) -> Option<(Op, OperandTransform)> {
-        match self {
-            Op::Bic => Some((Op::And, OperandTransform::InvertLastSource)),
-            Op::Mvn => Some((Op::Mov, OperandTransform::InvertLastSource)),
-            Op::Rsb => Some((Op::Sub, OperandTransform::SwapSources)),
-            Op::Rsc => Some((Op::Sbc, OperandTransform::SwapSources)),
-            Op::Cmn => Some((Op::Cmp, OperandTransform::NegateLastSource)),
-            _ => None,
-        }
-    }
-
     /// Memory access width for load/store opcodes.
     #[must_use]
     pub fn access_width(self) -> Option<Width> {
@@ -364,7 +336,8 @@ impl fmt::Display for Op {
 }
 
 /// How a complex opcode transforms its operands relative to its simple
-/// partner (see [`Op::complex_pair`]).
+/// partner (paper §IV-C1, Fig 7: `bic` is `and` with an inverted operand,
+/// `rsb` is `sub` with swapped sources).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperandTransform {
     /// The last source operand is bitwise-inverted before use.
@@ -580,32 +553,6 @@ mod tests {
         assert_eq!(Op::Add.format(), EncodingFormat::GuestDp);
         assert_eq!(Op::Mul.format(), EncodingFormat::GuestMul);
         assert_eq!(Op::Clz.format(), EncodingFormat::GuestMisc);
-    }
-
-    #[test]
-    fn commutativity() {
-        assert!(Op::Add.is_commutative());
-        assert!(Op::Eor.is_commutative());
-        assert!(!Op::Sub.is_commutative());
-        assert!(!Op::Bic.is_commutative());
-        assert!(!Op::Lsl.is_commutative());
-    }
-
-    #[test]
-    fn complex_pairs() {
-        assert_eq!(
-            Op::Bic.complex_pair(),
-            Some((Op::And, OperandTransform::InvertLastSource))
-        );
-        assert_eq!(
-            Op::Mvn.complex_pair(),
-            Some((Op::Mov, OperandTransform::InvertLastSource))
-        );
-        assert_eq!(
-            Op::Rsb.complex_pair(),
-            Some((Op::Sub, OperandTransform::SwapSources))
-        );
-        assert_eq!(Op::Add.complex_pair(), None);
     }
 
     #[test]

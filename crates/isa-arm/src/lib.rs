@@ -1,9 +1,8 @@
 //! The guest machine model: an ARM-flavoured 32-bit RISC ISA.
 //!
 //! This crate is the guest side of the DBT: instruction definitions with
-//! the classification metadata the parameterizer needs ([`Op::category`],
-//! [`Op::format`], [`Op::data_type`], [`Op::is_commutative`],
-//! [`Op::complex_pair`]), a reference interpreter ([`step`], [`run`]),
+//! the classification axes the parameterizer needs ([`Op::category`],
+//! [`Op::format`], [`Op::data_type`]), a reference interpreter ([`step`], [`run`]),
 //! a fixed-width binary encoding ([`encode`]/[`decode`]), and a tiny
 //! assembler ([`parse_listing`]).
 //!

@@ -1,12 +1,11 @@
-//! Host instruction set: opcodes, shape validation, and classification
-//! metadata for the host side of parameterized rules.
+//! Host instruction set: opcodes, shape validation, and effects.
 
 #[cfg(test)]
 use crate::operand::Mem;
 use crate::operand::{Cc, Operand};
 use crate::reg::Reg;
 use pdbt_isa::effects::{self, Effects};
-use pdbt_isa::{DataType, EncodingFormat, ExecError, InlineVec, OpCategory, Width};
+use pdbt_isa::{ExecError, InlineVec, Width};
 use std::fmt;
 
 /// A host opcode.
@@ -171,42 +170,6 @@ impl Op {
             Movss => Shape::SseMov,
             Addss | Subss | Mulss | Divss | Ucomiss => Shape::Sse2Op,
         }
-    }
-
-    /// Data type for host-side subgroup classification.
-    #[must_use]
-    pub fn data_type(self) -> DataType {
-        use Op::*;
-        match self {
-            Movss | Addss | Subss | Mulss | Divss | Ucomiss => DataType::Float,
-            _ => DataType::Int,
-        }
-    }
-
-    /// Encoding format for host-side subgroup classification.
-    #[must_use]
-    pub fn format(self) -> EncodingFormat {
-        use Op::*;
-        match self {
-            Add | Adc | Sub | Sbb | And | Or | Xor | Imul | Shl | Shr | Sar | Ror | Cmp | Test => {
-                EncodingFormat::HostAlu
-            }
-            Mov | MovB | MovW | MovzxB | MovzxW | Lea => EncodingFormat::HostMov,
-            Not | Neg | MulWide | Bsr | Setcc => EncodingFormat::HostUnary,
-            Jmp | Jcc | Call | Ret => EncodingFormat::HostBranch,
-            Push | Pop | Out | Hlt => EncodingFormat::HostMisc,
-            Movss | Addss | Subss | Mulss | Divss | Ucomiss => EncodingFormat::HostSse,
-        }
-    }
-
-    /// Whether the two ALU sources commute (`add`, `and`, …).
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        use Op::*;
-        matches!(
-            self,
-            Add | Adc | And | Or | Xor | Imul | Test | Addss | Mulss
-        )
     }
 
     /// Memory access width for narrow moves.
@@ -393,29 +356,6 @@ impl Inst {
         Ok(())
     }
 
-    /// Operation category for host-side subgroup classification. For
-    /// `mov` the category depends on the operand direction, mirroring the
-    /// guest's `ldr`/`str`/`mov` split.
-    #[must_use]
-    pub fn category(&self) -> OpCategory {
-        use Op::*;
-        match self.op {
-            Mov | Movss => {
-                if self.operands[0].as_mem().is_some() {
-                    OpCategory::StoreToMem
-                } else {
-                    OpCategory::LoadToReg
-                }
-            }
-            MovB | MovW => OpCategory::StoreToMem,
-            MovzxB | MovzxW | Lea | Pop => OpCategory::LoadToReg,
-            Add | Adc | Sub | Sbb | And | Or | Xor | Imul | Shl | Shr | Sar | Ror | Not | Neg
-            | MulWide | Bsr | Addss | Subss | Mulss | Divss => OpCategory::ArithLogic,
-            Cmp | Test | Ucomiss => OpCategory::Compare,
-            Push | Jmp | Jcc | Call | Ret | Setcc | Out | Hlt => OpCategory::Other,
-        }
-    }
-
     /// The registers and flags this instruction may read and write:
     /// [`crate::step`] stepped at [`pdbt_isa::effects::Recorder`], both
     /// ways where it decides a condition. `call` and `ret`, which `step`
@@ -428,9 +368,9 @@ impl Inst {
 
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.op {
-            Op::Jcc | Op::Setcc => write!(f, "{}{}", self.op, self.cc.expect("validated cc"))?,
-            _ => write!(f, "{}", self.op)?,
+        write!(f, "{}", self.op)?;
+        if let Some(cc) = self.cc {
+            write!(f, "{cc}")?;
         }
         let mut first = true;
         for o in &self.operands {
@@ -497,30 +437,8 @@ mod tests {
         // A third operand is a shape error, not a panic.
         let three = [Reg::Eax.into(), Reg::Ecx.into(), Operand::Imm(1)];
         assert!(Inst::new(Op::Add, three).is_err());
-    }
-
-    #[test]
-    fn mov_category_depends_on_direction() {
-        assert_eq!(
-            mov(Reg::Eax.into(), Mem::base(Reg::Ebp).into()).category(),
-            OpCategory::LoadToReg
-        );
-        assert_eq!(
-            mov(Mem::base(Reg::Ebp).into(), Reg::Eax.into()).category(),
-            OpCategory::StoreToMem
-        );
-        assert_eq!(
-            mov(Reg::Eax.into(), Operand::Imm(3)).category(),
-            OpCategory::LoadToReg
-        );
-        assert_eq!(
-            add(Reg::Eax.into(), Operand::Imm(3)).category(),
-            OpCategory::ArithLogic
-        );
-        assert_eq!(
-            cmp(Reg::Eax.into(), Operand::Imm(3)).category(),
-            OpCategory::Compare
-        );
+        // So is a conditional opcode with neither its shape nor a cc.
+        assert!(Inst::new(Op::Jcc, [Reg::Eax.into(), Reg::Ecx.into()]).is_err());
     }
 
     #[test]

@@ -232,8 +232,7 @@ impl fmt::Display for DataType {
 }
 
 /// Operation category (paper §IV-A, second classification guideline): the
-/// five ARM subgroups of the paper, shared by the host model so that each
-/// guest subgroup has a corresponding host subgroup.
+/// five ARM subgroups of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpCategory {
     /// Arithmetic and logic (`add`, `and`, `sub`, …).
@@ -246,22 +245,6 @@ pub enum OpCategory {
     Compare,
     /// Everything else (`b`, `push`, `pop`, …) — not parameterizable.
     Other,
-}
-
-impl OpCategory {
-    /// The categories the parameterization framework operates on.
-    pub const PARAMETERIZABLE: [OpCategory; 4] = [
-        OpCategory::ArithLogic,
-        OpCategory::LoadToReg,
-        OpCategory::StoreToMem,
-        OpCategory::Compare,
-    ];
-
-    /// Whether rules of this category may be parameterized at all.
-    #[must_use]
-    pub fn is_parameterizable(self) -> bool {
-        !matches!(self, OpCategory::Other)
-    }
 }
 
 impl fmt::Display for OpCategory {
@@ -292,18 +275,6 @@ pub enum EncodingFormat {
     GuestVfp,
     /// Guest miscellaneous format (`push`/`pop`/`svc`/`clz`).
     GuestMisc,
-    /// Host two-operand ALU format.
-    HostAlu,
-    /// Host move/load/store format.
-    HostMov,
-    /// Host unary format (`not`, `neg`, `setcc`).
-    HostUnary,
-    /// Host branch/call format.
-    HostBranch,
-    /// Host floating-point (scalar SSE-like) format.
-    HostSse,
-    /// Host miscellaneous format.
-    HostMisc,
 }
 
 impl fmt::Display for EncodingFormat {
@@ -315,12 +286,6 @@ impl fmt::Display for EncodingFormat {
             EncodingFormat::GuestBranch => "g-br",
             EncodingFormat::GuestVfp => "g-vfp",
             EncodingFormat::GuestMisc => "g-misc",
-            EncodingFormat::HostAlu => "h-alu",
-            EncodingFormat::HostMov => "h-mov",
-            EncodingFormat::HostUnary => "h-unary",
-            EncodingFormat::HostBranch => "h-br",
-            EncodingFormat::HostSse => "h-sse",
-            EncodingFormat::HostMisc => "h-misc",
         };
         f.write_str(s)
     }
@@ -368,12 +333,5 @@ mod tests {
             s.iter().collect::<Vec<_>>(),
             vec![AddrModeKind::Reg, AddrModeKind::Mem]
         );
-    }
-
-    #[test]
-    fn categories() {
-        assert!(OpCategory::ArithLogic.is_parameterizable());
-        assert!(!OpCategory::Other.is_parameterizable());
-        assert_eq!(OpCategory::PARAMETERIZABLE.len(), 4);
     }
 }

@@ -2,9 +2,10 @@
 //! back out as one response frame — plus the reply writers every lane
 //! answers through.
 //!
-//! Each request runs a fresh [`Engine`] on its image's shared state with
-//! `jobs = 1`: concurrency comes from running many single-threaded
-//! sessions, which keeps every report bit-identical to a standalone run
+//! Each request runs a fresh [`Engine`] on its image's shared state (a
+//! `no_delegation` one on a private cold state) with `jobs = 1`:
+//! concurrency comes from running many single-threaded sessions, which
+//! keeps every report bit-identical to a standalone run
 //! (the shared cache removes duplicate *translation work*, never changes
 //! what a session observes — `tests/determinism.rs`). A `faults` spec
 //! arms injection for that request's worker thread only; every other
@@ -184,10 +185,8 @@ fn run_request(
         backend: ctx.cfg.backend,
         ..EngineConfig::default()
     };
-    cfg.translate.flag_delegation = !req
-        .get("no_delegation")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
+    let no_delegation = req.get("no_delegation").and_then(Json::as_bool) == Some(true);
+    cfg.translate.flag_delegation = !no_delegation;
     // The partition key is *persisted* — sealed into PDBA artifacts and
     // matched against them at boot — which `Program::fingerprint`'s
     // process- and platform-stable hash is there for. The partition is
@@ -203,7 +202,17 @@ fn run_request(
     // explicitly shielded from any process-global plan. Installed after
     // workload resolution so corpus builds are never degraded.
     let _guard = pdbt_faults::scoped(plan);
-    let report = Engine::with_shared(Arc::clone(&shared), cfg)
+    // A partition's blocks and traces are translated under the default
+    // config, so a `no_delegation` session runs on a private cold state
+    // with the partition's rules: it reads nothing from the partition and
+    // publishes nothing to it. Its summary still lands in the
+    // partition's telemetry.
+    let mut engine = if no_delegation {
+        Engine::new(shared.rules().cloned(), cfg)
+    } else {
+        Engine::with_shared(Arc::clone(&shared), cfg)
+    };
+    let report = engine
         .run(guest.program(), &setup)
         .map_err(|e| e.to_string())?;
     let mut summary = RequestSummary {

@@ -11,6 +11,10 @@
 
 #![cfg(feature = "faults")]
 
+mod common;
+
+use common::{assert_golden, counterparts_text};
+use pdbt::core::classify::search_counterparts;
 use pdbt::core::derive::{derive_jobs, DeriveConfig};
 use pdbt::core::{load_rules_salvage, save_rules, RuleSet};
 use pdbt::runtime::{Engine, EngineConfig, Outcome};
@@ -275,4 +279,18 @@ fn quarantined_derivation_is_bit_identical_serial_and_parallel() {
             pdbt_faults::configure(None);
         }
     });
+}
+
+/// The host-counterpart search runs shielded: with every `symexec`
+/// check armed to fail, the uncached search still proves the table the
+/// golden holds, so no counterpart is lost for the rest of the process.
+#[test]
+fn an_armed_checker_cannot_drop_a_counterpart() {
+    let _guard = PLAN.lock().unwrap();
+    pdbt_faults::configure(Some(Plan::single(Site::Symexec, SEEDS[0], 1.0)));
+    assert!(pdbt_faults::hit(Site::Symexec, 0), "the plan is armed");
+    let table = search_counterparts();
+    let got = counterparts_text(|op| table[usize::from(op.index())]);
+    pdbt_faults::configure(None);
+    assert_golden(&got, "counterparts.txt");
 }

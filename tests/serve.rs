@@ -12,6 +12,8 @@ use common::{
 };
 use pdbt::obs::json::Json;
 use pdbt::obs::{FleetSnapshot, ServerSnapshot};
+use pdbt::runtime::{Engine, EngineConfig};
+use pdbt::workloads::{build, Benchmark, Scale};
 use pdbt_serve::{ping, shutdown, stats, submit, ServeConfig};
 use std::io::Write;
 use std::net::SocketAddr;
@@ -399,4 +401,53 @@ fn a_deeply_nested_submit_is_an_error_not_a_crash() {
     shutdown(addr, T).expect("shutdown");
     let summary = handle.join().unwrap();
     assert_eq!((summary.requests, summary.panicked), (1, 0));
+}
+
+/// One image, two translate configs, one daemon: SUBMITs alternating
+/// between the default and `no_delegation` must each report exactly
+/// what a cold run of their own config reports. The shared code cache
+/// and trace table assume one config per image, so a request of the
+/// other config must not read from them, nor publish into them.
+#[test]
+fn alternating_translate_configs_on_one_image_match_cold_runs() {
+    let rules = pdbt::workloads::learn_suite(&pdbt::workloads::suite(Scale::tiny()), None);
+    let w = build(Benchmark::Mcf, Scale::tiny());
+    let cold = |flag_delegation: bool| {
+        let mut cfg = EngineConfig::default();
+        cfg.translate.flag_delegation = flag_delegation;
+        let report = Engine::new(Some(rules.clone()), cfg)
+            .run(&w.pair.guest.program, &w.setup())
+            .expect("cold run");
+        stripped(&report.to_json())
+    };
+    let (with, without) = (cold(true), cold(false));
+    assert_ne!(with, without, "the two configs must be told apart");
+
+    let (addr, handle) = spawn_server(ServeConfig {
+        rules: Some(rules.clone()),
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    for i in 0..4u64 {
+        let no_delegation = i % 2 == 1;
+        let mut req = mcf_request(i);
+        if let Json::Obj(m) = &mut req {
+            m.insert("no_delegation".into(), Json::from(no_delegation));
+        }
+        let resp = submit(addr, &req, T).expect("submit");
+        let want = if no_delegation { &without } else { &with };
+        assert_eq!(
+            &stripped(report_of(&resp)),
+            want,
+            "request {i} (no_delegation = {no_delegation}) diverged from its cold run"
+        );
+    }
+    // Every request's summary is in STATS, but only the default-config
+    // sessions attached to the image's partition.
+    let snap = settled_stats(addr, 4);
+    let srv = snap.get("server").expect("server section");
+    assert_eq!(srv.get("sessions").and_then(Json::as_u64), Some(2));
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (4, 0));
 }
