@@ -14,6 +14,8 @@
 //! Hand-rolled seeded fuzz loops over the in-tree PRNG (`pdbt-rng`,
 //! aliased as `rand`) — the offline build has no proptest.
 
+mod common;
+
 use pdbt::artifact::{open_salvage, seal, section_table, warm_state};
 use pdbt::core::{load_rules, load_rules_salvage, save_rules};
 use pdbt::runtime::{Engine, EngineConfig, RunSetup};
@@ -212,6 +214,107 @@ fn targeted_corruption_quarantines_exactly_the_mutated_entry() {
             assert_eq!(save_rules(&rules), save_rules(&expect));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Rule-store verdicts, pinned
+// ---------------------------------------------------------------------
+
+/// Heads the verdict golden's second section, which only a `--features
+/// faults` build can compute.
+const STORE_FAULTS_SECTION: &str = "# --features faults\n";
+
+/// What both loaders make of one store: the strict verdict (rule count
+/// and digest of the re-saved set, or the error's line and detail), the
+/// salvaged set's count and digest, and every quarantine in order.
+fn store_verdict(tag: &str, text: &str) -> String {
+    let digest = |rules: &pdbt::core::RuleSet| {
+        let count = rules.len() + rules.seq_len();
+        let digest = pdbt_faults::key_of(save_rules(rules).as_bytes());
+        format!("{count} {digest:016x}")
+    };
+    let strict = match load_rules(text) {
+        Ok(rules) => format!("ok {}", digest(&rules)),
+        Err(e) => format!("err {} {}", e.line, e.detail),
+    };
+    let (rules, quarantined) = load_rules_salvage(text);
+    let mut out = format!("{tag}\n  strict {strict}\n  salvage {}\n", digest(&rules));
+    for q in quarantined {
+        out += &format!("  q {} {}\n", q.line, q.reason);
+    }
+    out
+}
+
+/// One seeded mutation of `text`, of the three classes the fuzz loops
+/// above generate: a cut, one to three bit flips, a line splice.
+fn mutate_store(class: usize, text: &str, rng: &mut StdRng) -> String {
+    match class {
+        0 => text[..rng.gen_range(0..text.len())].to_string(),
+        1 => {
+            let mut bytes = text.as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..4u8) {
+                let i = rng.gen_range(0..bytes.len());
+                bytes[i] ^= 1 << rng.gen_range(0..8u8);
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        _ => {
+            let mut lines: Vec<&str> = text.lines().collect();
+            let i = rng.gen_range(0..lines.len());
+            match rng.gen_range(0..3u8) {
+                0 => {
+                    let line = lines[i];
+                    lines.insert(i, line);
+                }
+                1 => drop(lines.remove(i)),
+                _ => {
+                    let j = rng.gen_range(0..lines.len());
+                    lines.swap(i, j);
+                }
+            }
+            lines.join("\n")
+        }
+    }
+}
+
+/// Pins what `load_rules` and `load_rules_salvage` make of the
+/// tiny-suite store and of a fixed seeded set of its truncations, bit
+/// flips and splices — accepted sets by digest, errors and quarantines
+/// by line and reason — to `tests/golden/store_verdicts.txt`. A parser
+/// change that is meant to be invisible leaves the file untouched. The
+/// second section holds `store`-site fault plans over the healthy
+/// store, so the order of the salvage loader's fault hits is pinned too;
+/// a build without fault injection carries it over from the file.
+#[test]
+fn store_verdicts_match_the_golden() {
+    let text = healthy_store();
+    let mut got = store_verdict("healthy", &text);
+    for (class, name) in ["cut", "flip", "splice"].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x57_0e_10 + class as u64);
+        for case in 0..32 {
+            got += &store_verdict(
+                &format!("{name} {case}"),
+                &mutate_store(class, &text, &mut rng),
+            );
+        }
+    }
+    got += STORE_FAULTS_SECTION;
+    if pdbt_faults::ENABLED {
+        for seed in [0x5F_01u64, 0x5F_02, 0x5F_03] {
+            let plan = pdbt_faults::Plan::single(pdbt_faults::Site::Store, seed, 0.25);
+            let _plan = pdbt_faults::scoped(Some(plan));
+            got += &store_verdict(&format!("store/{seed:#x}/0.25"), &text);
+        }
+    } else {
+        let recorded = std::fs::read_to_string(common::golden_path("store_verdicts.txt"));
+        if let Some((_, faults)) = recorded
+            .unwrap_or_default()
+            .split_once(STORE_FAULTS_SECTION)
+        {
+            got += faults;
+        }
+    }
+    common::assert_golden(&got, "store_verdicts.txt");
 }
 
 // ---------------------------------------------------------------------
