@@ -89,8 +89,10 @@ pub struct QuarantinedSection {
     pub reason: String,
 }
 
-/// A successfully opened artifact plus its quarantine log.
-#[derive(Debug)]
+/// A successfully opened artifact plus its quarantine log and what the
+/// open computed on the way: the image fingerprint and every section's
+/// checksum.
+#[derive(Debug, Clone)]
 pub struct Opened {
     /// The salvaged artifact (quarantined sections emptied).
     pub artifact: Artifact,
@@ -98,6 +100,21 @@ pub struct Opened {
     pub toolchain: String,
     /// Sections dropped by the salvage loader.
     pub quarantined: Vec<QuarantinedSection>,
+    /// The guest-image fingerprint: the header's, which the open checked
+    /// against the image present (`artifact.fingerprint()`).
+    pub fingerprint: u64,
+    /// The CRC-32 of each section payload as present in the file, in
+    /// [`SECTIONS`] order; 0 for a section whose range runs past the end
+    /// of the file. These are the open's one checksum pass, so a caller
+    /// that orders artifacts by content need not hash the bytes again.
+    pub crcs: [u32; 5],
+}
+
+/// What [`crate::warm_state`] takes from a borrowed artifact: a copy.
+impl From<&Opened> for Opened {
+    fn from(opened: &Opened) -> Opened {
+        opened.clone()
+    }
 }
 
 /// A whole-artifact rejection: nothing salvageable.
@@ -301,32 +318,36 @@ pub fn section_table(bytes: &[u8]) -> Result<Vec<(String, Range<usize>)>, Artifa
 pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
     let (fingerprint, toolchain, table, payload_start) = parse_header(bytes)?;
     let mut quarantined = Vec::new();
+    // The one checksum pass: every section's payload as present, 0 where
+    // truncation cut its range short.
+    let payload =
+        |e: &TableEntry| bytes.get(payload_start + e.offset..payload_start + e.offset + e.len);
+    let crcs: [u32; 5] = std::array::from_fn(|i| payload(&table[i]).map_or(0, crc32));
     // A section is healthy iff its range lies within the file AND its
-    // CRC matches. Truncation cuts trailing sections' ranges short.
-    let section = |e: &TableEntry| -> Result<&[u8], String> {
-        let start = payload_start + e.offset;
-        let end = start + e.len;
-        if end > bytes.len() {
+    // CRC matches.
+    let section = |i: usize| -> Result<&[u8], String> {
+        let e = &table[i];
+        let Some(payload) = payload(e) else {
+            let end = payload_start + e.offset + e.len;
             return Err(format!(
                 "section runs past end of file ({end} > {})",
                 bytes.len()
             ));
-        }
-        let payload = &bytes[start..end];
-        if crc32(payload) != e.crc {
+        };
+        if crcs[i] != e.crc {
             return Err("section checksum mismatch".to_string());
         }
         Ok(payload)
     };
 
     // GIMG is part of the trust boundary: no image, no artifact.
-    let gimg = section(&table[1]).map_err(ArtifactError::BadImage)?;
+    let gimg = section(1).map_err(ArtifactError::BadImage)?;
     let program = {
         let mut r = Reader::new(gimg);
         let mut parse = || -> Result<Program, CodecError> {
             let base = r.u32()?;
-            let listing = r.str()?;
-            let insts = parse_listing(&listing)
+            let listing = r.str_ref()?;
+            let insts = parse_listing(listing)
                 .map_err(|e| CodecError(format!("guest listing does not assemble: {e}")))?;
             Ok(Program::new(base, insts))
         };
@@ -348,7 +369,7 @@ pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
     };
 
     // META: label. Damage falls back to an empty label.
-    let label = match section(&table[0]) {
+    let label = match section(0) {
         Ok(payload) => {
             let mut r = Reader::new(payload);
             match r.str().and_then(|s| r.finish().map(|()| s)) {
@@ -367,7 +388,7 @@ pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
 
     // RULE: the embedded ruleset. Damage falls back to no rules (the
     // loader's caller supplies its own).
-    let rules = match section(&table[2]) {
+    let rules = match section(2) {
         Ok(payload) => {
             let mut r = Reader::new(payload);
             let mut parse = || -> Result<Option<RuleSet>, CodecError> {
@@ -375,9 +396,9 @@ pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
                 let rules = match present {
                     0 => None,
                     1 => {
-                        let text = r.str()?;
+                        let text = r.str_ref()?;
                         Some(
-                            load_rules(&text)
+                            load_rules(text)
                                 .map_err(|e| CodecError(format!("embedded ruleset: {e}")))?,
                         )
                     }
@@ -403,7 +424,7 @@ pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
     // BLKS / TRCE: pre-translated code. Damage falls back to cold
     // translation.
     let mut read_blocks = |idx: usize, tag: &str| -> Vec<TranslatedBlock> {
-        match section(&table[idx]) {
+        match section(idx) {
             Ok(payload) => {
                 let mut r = Reader::new(payload);
                 let mut parse = || -> Result<Vec<TranslatedBlock>, CodecError> {
@@ -442,5 +463,7 @@ pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
         },
         toolchain,
         quarantined,
+        fingerprint,
+        crcs,
     })
 }

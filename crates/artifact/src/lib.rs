@@ -110,30 +110,37 @@ pub fn capture(label: &str, program: &Program, state: &SharedTranslationState) -
 /// table from TRCE, and the ruleset from RULE (falling back to
 /// `fallback_rules` when the artifact carries none or the section was
 /// quarantined). The partition key is the guest-image fingerprint.
+///
+/// An [`Opened`] passed by value moves its rules, blocks and traces into
+/// the state; a borrowed one is cloned first.
 #[must_use]
 pub fn warm_state(
-    opened: &Opened,
+    opened: impl Into<Opened>,
     fallback_rules: Option<&RuleSet>,
     cache_shards: usize,
     slots: usize,
 ) -> SharedTranslationState {
-    let a = &opened.artifact;
-    let loaded_rules = a.rules.as_ref().map_or(0, |r| r.len() + r.seq_len());
+    let Opened {
+        artifact,
+        quarantined,
+        fingerprint,
+        ..
+    } = opened.into();
+    let loaded_rules = artifact.rules.as_ref().map_or(0, |r| r.len() + r.seq_len());
     let counters = ArtifactCounters {
-        loaded_blocks: (a.blocks.len() as u64).into(),
-        loaded_traces: (a.traces.len() as u64).into(),
+        loaded_blocks: (artifact.blocks.len() as u64).into(),
+        loaded_traces: (artifact.traces.len() as u64).into(),
         loaded_rules: (loaded_rules as u64).into(),
-        quarantined_sections: (opened.quarantined.len() as u64).into(),
+        quarantined_sections: (quarantined.len() as u64).into(),
         trace_hits: 0.into(),
     };
-    let rules = a.rules.clone().or_else(|| fallback_rules.cloned());
     SharedTranslationState::warm(
-        rules,
+        artifact.rules.or_else(|| fallback_rules.cloned()),
         cache_shards,
         slots,
-        a.fingerprint(),
-        a.blocks.clone(),
-        a.traces.clone(),
+        fingerprint,
+        artifact.blocks,
+        artifact.traces,
         counters,
     )
 }

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::RangeInclusive;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How a rule entered the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -212,11 +212,12 @@ pub struct Match<'a> {
     /// The rule.
     pub entry: &'a RuleEntry,
     /// The rule's attribution label for observability: its key's display
-    /// form, `seq[k1 + k2]` for a multi-key rule. Formatted once, when
-    /// the rule was inserted; every application shares it.
+    /// form, `seq[k1 + k2]` for a multi-key rule. Formatted once, at the
+    /// rule's first match — loading a rule file formats none — and every
+    /// application shares it.
     pub label: &'a Arc<str>,
     /// Instruction-class subgroup of the rule's root opcode (`Int/Dp/Alu`
-    /// style), formatted once like the label.
+    /// style), formatted once per opcode and shared by its rules.
     pub subgroup: &'a Arc<str>,
     /// The matched instructions' concrete registers and immediates.
     pub inst: Instantiation,
@@ -229,7 +230,10 @@ pub struct Match<'a> {
 /// which are matched as learned.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    entries: HashMap<Vec<ComboKey>, Rule, KeyBuild>,
+    /// Shared until written: cloning a set — every session state, cold
+    /// partition and warm boot takes a copy of one — counts a reference,
+    /// and the first insert into a shared table copies it.
+    entries: Arc<HashMap<Vec<ComboKey>, Rule, KeyBuild>>,
     /// How many entries have a one-key sequence.
     one_key: usize,
     /// Longest key sequence, where the longest-first lookup starts.
@@ -248,20 +252,35 @@ pub struct RuleSet {
 #[derive(Debug, Clone)]
 struct Rule {
     entry: RuleEntry,
-    label: Arc<str>,
+    label: OnceLock<Arc<str>>,
     subgroup: Arc<str>,
 }
 
 /// A rule's attribution label: its key's display form, `seq[k1 + k2]`
 /// for a multi-key rule.
-fn rule_label(keys: &[ComboKey]) -> String {
+fn rule_label(keys: &[ComboKey]) -> Arc<str> {
     match keys {
-        [key] => key.to_string(),
+        [key] => key.to_string().into(),
         _ => {
             let shown: Vec<String> = keys.iter().map(ComboKey::to_string).collect();
-            format!("seq[{}]", shown.join(" + "))
+            format!("seq[{}]", shown.join(" + ")).into()
         }
     }
+}
+
+/// The subgroup label of a rule's root opcode. There are a few dozen
+/// opcodes and each has one subgroup, so the labels are formatted once
+/// per process and every rule shares its opcode's.
+fn subgroup_label(op: GOpc) -> Arc<str> {
+    static LABELS: OnceLock<Vec<Arc<str>>> = OnceLock::new();
+    let labels = LABELS.get_or_init(|| {
+        let mut labels = vec![Arc::from(""); GOpc::ALL.len()];
+        for op in GOpc::ALL {
+            labels[op as usize] = subgroup_of(op).to_string().into();
+        }
+        labels
+    });
+    Arc::clone(&labels[op as usize])
 }
 
 /// The rule table's hasher: rotate, xor, multiply per word. The table's
@@ -350,8 +369,8 @@ impl RuleSet {
     pub fn insert(&mut self, keys: Vec<ComboKey>, entry: RuleEntry) -> bool {
         let rule = Rule {
             entry,
-            label: rule_label(&keys).into(),
-            subgroup: subgroup_of(keys[0].op).to_string().into(),
+            label: OnceLock::new(),
+            subgroup: subgroup_label(keys[0].op),
         };
         self.insert_rule(keys, rule)
     }
@@ -359,7 +378,7 @@ impl RuleSet {
     fn insert_rule(&mut self, keys: Vec<ComboKey>, rule: Rule) -> bool {
         use std::collections::hash_map::Entry;
         let (bucket, len) = (op_bucket(keys[0].op, keys[0].s), keys.len());
-        match self.entries.entry(keys) {
+        match Arc::make_mut(&mut self.entries).entry(keys) {
             Entry::Occupied(_) => false,
             Entry::Vacant(v) => {
                 v.insert(rule);
@@ -425,7 +444,7 @@ impl RuleSet {
             Some(Match {
                 keys,
                 entry: &rule.entry,
-                label: &rule.label,
+                label: rule.label.get_or_init(|| rule_label(keys)),
                 subgroup: &rule.subgroup,
                 inst: scan.instantiation(len),
             })
@@ -467,8 +486,8 @@ impl RuleSet {
     /// Merges another rule set into this one (existing keys win);
     /// returns how many entries were newly added.
     pub fn merge(&mut self, other: RuleSet) -> usize {
-        other
-            .entries
+        let entries = Arc::try_unwrap(other.entries).unwrap_or_else(|shared| (*shared).clone());
+        entries
             .into_iter()
             .map(|(keys, rule)| usize::from(self.insert_rule(keys, rule)))
             .sum()

@@ -20,6 +20,7 @@ use pdbt_isa_arm::{Op as GOp, ShiftKind};
 use pdbt_isa_x86::{Cc, Op as HOp};
 use pdbt_symexec::FlagEquiv;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A parse error with its line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,6 +153,71 @@ fn operand_text(o: &TOperand) -> String {
     }
 }
 
+/// `text.split(sep)` by a plain byte scan. A store's fields are a few
+/// bytes long, and loading one splits hundreds of thousands of them:
+/// at that length `str::split`'s searcher set-up, or a `memcmp` call
+/// per position, costs more than the scan. Separators are ASCII, so
+/// every cut is a character boundary.
+fn split<'a>(text: &'a str, sep: &'static str) -> impl Iterator<Item = &'a str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let at = s
+            .as_bytes()
+            .windows(sep.len())
+            .position(|w| w.iter().eq(sep.as_bytes()));
+        rest = at.map(|i| &s[i + sep.len()..]);
+        Some(at.map_or(s, |i| &s[..i]))
+    })
+}
+
+/// `text.split_once(sep)` by the same byte scan as [`split`].
+fn split_once(text: &str, sep: u8) -> Option<(&str, &str)> {
+    let i = text.bytes().position(|b| b == sep)?;
+    Some((&text[..i], &text[i + 1..]))
+}
+
+/// A mnemonic as a sortable word: its bytes packed into an integer, and
+/// its length (so trailing NULs cannot alias). `None` past eight bytes,
+/// longer than any mnemonic.
+fn mnemonic_key(name: &str) -> Option<(u64, usize)> {
+    let word = name
+        .bytes()
+        .rev()
+        .fold(0, |word, b| word << 8 | u64::from(b));
+    (name.len() <= 8).then_some((word, name.len()))
+}
+
+/// Finds `name` in a table of ops sorted by [`mnemonic_key`], built on
+/// first use: a store names an opcode on every line, and comparing
+/// words is cheaper than a string comparison per probe.
+fn by_mnemonic<T: Copy>(
+    table: &'static OnceLock<Vec<((u64, usize), T)>>,
+    all: &[T],
+    mnemonic: fn(T) -> &'static str,
+    name: &str,
+) -> Option<T> {
+    let sorted = table.get_or_init(|| {
+        let key = |op| mnemonic_key(mnemonic(op)).expect("mnemonics fit a word");
+        let mut sorted: Vec<_> = all.iter().map(|&op| (key(op), op)).collect();
+        sorted.sort_unstable_by_key(|(key, _)| *key);
+        sorted
+    });
+    let key = mnemonic_key(name)?;
+    let i = sorted.binary_search_by_key(&key, |(key, _)| *key).ok()?;
+    Some(sorted[i].1)
+}
+
+fn guest_op(name: &str) -> Option<GOp> {
+    static TABLE: OnceLock<Vec<((u64, usize), GOp)>> = OnceLock::new();
+    by_mnemonic(&TABLE, &GOp::ALL, GOp::mnemonic, name)
+}
+
+fn host_op(name: &str) -> Option<HOp> {
+    static TABLE: OnceLock<Vec<((u64, usize), HOp)>> = OnceLock::new();
+    by_mnemonic(&TABLE, &HOp::ALL, HOp::mnemonic, name)
+}
+
 fn parse_treg(s: &str) -> Option<TReg> {
     match s {
         "eax" => Some(TReg::Scratch(0)),
@@ -172,8 +238,8 @@ fn parse_operand(s: &str) -> Option<TOperand> {
         return parse_timm(imm).map(TOperand::Imm);
     }
     if let Some(body) = s.strip_prefix('[').and_then(|t| t.strip_suffix(']')) {
-        let (regs, disp) = body.split_once(':')?;
-        let (base, index) = match regs.split_once('+') {
+        let (regs, disp) = split_once(body, b':')?;
+        let (base, index) = match split_once(regs, b'+') {
             Some((b, i)) => (
                 if b.is_empty() {
                     None
@@ -214,28 +280,25 @@ fn template_inst_text(t: &TemplateInst) -> String {
 }
 
 fn parse_template_inst(line: &str) -> Option<TemplateInst> {
-    let (head, rest) = match line.find(' ') {
-        Some(i) => (&line[..i], line[i + 1..].trim()),
+    let (head, rest) = match split_once(line, b' ') {
+        Some((head, rest)) => (head, rest.trim()),
         None => (line, ""),
     };
-    let (mnemonic, cc) = match head.split_once('.') {
+    let (mnemonic, cc) = match split_once(head, b'.') {
         Some((m, c)) => {
-            let cc = Cc::ALL.iter().find(|x| x.to_string() == c)?;
-            (m, Some(*cc))
+            let cc = Cc::ALL.into_iter().find(|x| x.suffix() == c)?;
+            (m, Some(cc))
         }
         None => (head, None),
     };
-    let op = HOp::ALL.into_iter().find(|o| o.mnemonic() == mnemonic)?;
-    let operands: Option<Vec<TOperand>> = if rest.is_empty() {
-        Some(Vec::new())
-    } else {
-        rest.split(", ").map(parse_operand).collect()
-    };
-    Some(TemplateInst {
-        op,
-        cc,
-        operands: operands?,
-    })
+    let op = host_op(mnemonic)?;
+    let mut operands = Vec::new();
+    if !rest.is_empty() {
+        for operand in split(rest, ", ") {
+            operands.push(parse_operand(operand)?);
+        }
+    }
+    Some(TemplateInst { op, cc, operands })
 }
 
 fn key_text(key: &ComboKey) -> String {
@@ -254,29 +317,27 @@ fn key_text(key: &ComboKey) -> String {
 /// a defect of the block, not of the line: the key comes back cut at
 /// its capacity together with the complaint, which [`Block::defect`]
 /// raises at the block's `end` — so the cut key is never inserted.
-fn parse_key(text: &str, line: usize) -> Result<(ComboKey, Option<String>), StoreError> {
-    let err = |detail: String| StoreError {
-        line: line + 1,
-        detail,
-    };
+fn parse_key<'a>(
+    fields: impl Iterator<Item = &'a str>,
+    line: usize,
+) -> Result<(ComboKey, Option<String>), StoreError> {
+    let err = |detail| line_err(line, detail);
     let mut op = None;
     let mut key = ComboKey::default();
     let mut overflow = None;
-    for (i, field) in text.split('|').enumerate() {
+    for (i, field) in fields.enumerate() {
         if i == 0 {
-            op = GOp::ALL.into_iter().find(|o| o.mnemonic() == field);
+            op = guest_op(field);
             if op.is_none() {
                 return Err(err(format!("unknown opcode `{field}`")));
             }
             continue;
         }
-        let (k, v) = field
-            .split_once('=')
-            .ok_or_else(|| err(format!("bad field `{field}`")))?;
+        let (k, v) = split_once(field, b'=').ok_or_else(|| err(format!("bad field `{field}`")))?;
         match k {
             "s" => key.s = v == "1",
             "modes" => {
-                for m in v.split(',').filter(|m| !m.is_empty()) {
+                for m in split(v, ",").filter(|m| !m.is_empty()) {
                     let mode = parse_mode(m).ok_or_else(|| err(format!("bad mode `{m}`")))?;
                     if key.modes.try_push(mode).is_err() {
                         overflow = Some(format!(
@@ -286,7 +347,7 @@ fn parse_key(text: &str, line: usize) -> Result<(ComboKey, Option<String>), Stor
                 }
             }
             "pat" => {
-                for p in v.split(',').filter(|p| !p.is_empty()) {
+                for p in split(v, ",").filter(|p| !p.is_empty()) {
                     let slot = p.parse().map_err(|_| err(format!("bad pattern `{p}`")))?;
                     if key.reg_pattern.try_push(slot).is_err() {
                         overflow = Some(format!(
@@ -360,6 +421,19 @@ pub fn save_rules(rules: &RuleSet) -> String {
     out
 }
 
+/// Whether a (trimmed) line opens a rule block.
+fn is_header(line: &str) -> bool {
+    line.starts_with("rule ") || line.starts_with("seq ")
+}
+
+/// A [`StoreError`] at 0-based line `no`.
+fn line_err(no: usize, detail: String) -> StoreError {
+    StoreError {
+        line: no + 1,
+        detail,
+    }
+}
+
 /// A rule block being parsed: its keys so far, its entry so far,
 /// whether a `seq` header opened it (body lines are then `g`/`h`-tagged),
 /// and the first key list found longer than a key holds.
@@ -371,6 +445,41 @@ struct Block {
 }
 
 impl Block {
+    /// Opens a block at its (trimmed) header line `no`. A `rule` header
+    /// is the key's four fields, then the entry metadata a `seq` header
+    /// consists of.
+    fn open(no: usize, line: &str) -> Result<Block, StoreError> {
+        let (tagged, header) = match line.strip_prefix("rule ") {
+            Some(header) => (false, header),
+            None => (true, &line["seq ".len()..]),
+        };
+        let mut fields = split(header, "|");
+        let (keys, overflow) = if tagged {
+            (Vec::new(), None)
+        } else {
+            if header.bytes().filter(|&b| b == b'|').count() < 6 {
+                return Err(line_err(no, "truncated rule header".into()));
+            }
+            let (key, overflow) = parse_key(fields.by_ref().take(4), no)?;
+            (vec![key], overflow)
+        };
+        Ok(Block {
+            keys,
+            entry: parse_entry_meta(fields, no)?,
+            tagged,
+            overflow,
+        })
+    }
+
+    /// Closes the block at its `end` line `no`: the rule, or the block's
+    /// defect reported at that line.
+    fn close(self, no: usize) -> Result<(Vec<ComboKey>, RuleEntry), StoreError> {
+        match self.defect() {
+            Some(defect) => Err(line_err(no, defect)),
+            None => Ok((self.keys, self.entry)),
+        }
+    }
+
     /// What is wrong with a finished block, if anything. Stores are
     /// outside input: beyond shape, a block must bind what its template
     /// and immediate constraint name — otherwise the rule would never
@@ -434,6 +543,33 @@ impl Block {
     }
 }
 
+/// Parses one (trimmed) body line at `no` — neither blank, a comment, a
+/// header nor `end` — into the open block, if any. The body of a `seq`
+/// block is tagged — `g` lines are keys, `h` lines template
+/// instructions — a `rule` block's is bare template instructions.
+fn parse_body(pending: Option<&mut Block>, no: usize, line: &str) -> Result<(), StoreError> {
+    let tag = ["g ", "h "].into_iter().find(|t| line.starts_with(t));
+    let (block, text) = match (pending, tag) {
+        (Some(block), Some("g ")) if block.tagged => {
+            let (key, overflow) = parse_key(split(line[2..].trim(), "|"), no)?;
+            block.keys.push(key);
+            block.overflow = block.overflow.take().or(overflow);
+            return Ok(());
+        }
+        (Some(block), Some(_)) if block.tagged => (block, &line[2..]),
+        (_, Some(tag)) => {
+            let tag = tag.trim();
+            return Err(line_err(no, format!("`{tag}` line outside a seq block")));
+        }
+        (Some(block), None) if !block.tagged => (block, line),
+        _ => return Err(line_err(no, format!("unexpected line `{line}`"))),
+    };
+    let t = parse_template_inst(text.trim())
+        .ok_or_else(|| line_err(no, format!("bad template instruction `{text}`")))?;
+    block.entry.template.push(t);
+    Ok(())
+}
+
 /// Parses a rule set from the text format.
 ///
 /// # Errors
@@ -442,76 +578,33 @@ impl Block {
 /// block (empty template, arity its keys do not bind) is reported at the
 /// block's `end` line.
 pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
-    let err = |line: usize, detail: String| StoreError {
-        line: line + 1,
-        detail,
-    };
     let mut out = RuleSet::new();
     let mut pending: Option<Block> = None;
+    let mut lines = 0;
     for (no, raw) in text.lines().enumerate() {
+        lines = no + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let rule_header = line.strip_prefix("rule ");
-        if let Some(header) = rule_header.or_else(|| line.strip_prefix("seq ")) {
+        if is_header(line) {
             if pending.is_some() {
-                return Err(err(no, "rule block not closed with `end`".into()));
+                return Err(line_err(no, "rule block not closed with `end`".into()));
             }
-            // A `rule` header is the key's four fields, then the entry
-            // metadata a `seq` header consists of.
-            let (keys, overflow, meta) = if rule_header.is_some() {
-                let fields: Vec<&str> = header.split('|').collect();
-                if fields.len() < 7 {
-                    return Err(err(no, "truncated rule header".into()));
-                }
-                let (key, overflow) = parse_key(&fields[..4].join("|"), no)?;
-                (vec![key], overflow, fields[4..].join("|"))
-            } else {
-                (Vec::new(), None, header.to_string())
-            };
-            pending = Some(Block {
-                keys,
-                entry: parse_entry_meta(&meta, no)?,
-                tagged: rule_header.is_none(),
-                overflow,
-            });
+            pending = Some(Block::open(no, line)?);
         } else if line == "end" {
             let block = pending
                 .take()
-                .ok_or_else(|| err(no, "`end` without a rule".into()))?;
-            if let Some(defect) = block.defect() {
-                return Err(err(no, defect));
-            }
-            out.insert(block.keys, block.entry);
+                .ok_or_else(|| line_err(no, "`end` without a rule".into()))?;
+            let (keys, entry) = block.close(no)?;
+            out.insert(keys, entry);
         } else {
-            // The body of a `seq` block is tagged — `g` lines are keys,
-            // `h` lines template instructions — a `rule` block's is bare
-            // template instructions.
-            let tag = ["g ", "h "].into_iter().find(|t| line.starts_with(t));
-            let (block, text) = match (pending.as_mut(), tag) {
-                (Some(block), Some("g ")) if block.tagged => {
-                    let (key, overflow) = parse_key(line[2..].trim(), no)?;
-                    block.keys.push(key);
-                    block.overflow = block.overflow.take().or(overflow);
-                    continue;
-                }
-                (Some(block), Some(_)) if block.tagged => (block, &line[2..]),
-                (_, Some(tag)) => {
-                    let tag = tag.trim();
-                    return Err(err(no, format!("`{tag}` line outside a seq block")));
-                }
-                (Some(block), None) if !block.tagged => (block, line),
-                _ => return Err(err(no, format!("unexpected line `{line}`"))),
-            };
-            let t = parse_template_inst(text.trim())
-                .ok_or_else(|| err(no, format!("bad template instruction `{text}`")))?;
-            block.entry.template.push(t);
+            parse_body(pending.as_mut(), no, line)?;
         }
     }
     if pending.is_some() {
         return Err(StoreError {
-            line: text.lines().count(),
+            line: lines,
             detail: "unterminated rule".into(),
         });
     }
@@ -543,91 +636,67 @@ pub struct QuarantinedRule {
 pub fn load_rules_salvage(text: &str) -> (RuleSet, Vec<QuarantinedRule>) {
     let mut out = RuleSet::new();
     let mut quarantined = Vec::new();
-    // Block collector: `start` is the 0-based header line of the block
-    // being collected, `block` its raw lines (header included).
-    let mut start: Option<usize> = None;
-    let mut block: Vec<&str> = Vec::new();
-    let finish = |start: usize,
-                  block: &[&str],
-                  out: &mut RuleSet,
-                  quarantined: &mut Vec<QuarantinedRule>| {
-        if pdbt_faults::hit_with(pdbt_faults::Site::Store, || start as u64 + 1) {
-            quarantined.push(QuarantinedRule {
-                line: start + 1,
-                reason: "injected fault: store entry corrupted".into(),
-            });
-            return;
-        }
-        // Each block reuses the strict parser, so salvage and strict
-        // semantics can never drift; error lines are block-relative and
-        // rebased onto the block's position in the file.
-        match load_rules(&block.join("\n")) {
-            Ok(rules) => {
-                out.merge(rules);
-            }
-            Err(e) => quarantined.push(QuarantinedRule {
-                line: start + e.line,
-                reason: e.detail,
-            }),
-        }
+    let mut quarantine = |line: usize, reason: String| {
+        quarantined.push(QuarantinedRule { line, reason });
     };
+    // The block being collected: its 0-based header line, and the block
+    // so far or the error of its first bad line. Blocks go through the
+    // strict loader's own steps, so the two can never drift.
+    let mut open: Option<(usize, Result<Block, StoreError>)> = None;
     for (no, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        let is_header = line.starts_with("rule ") || line.starts_with("seq ");
-        match start {
-            Some(s) if is_header => {
-                // A new header before `end`: the open block is
-                // unterminated. Quarantine it and start fresh.
-                quarantined.push(QuarantinedRule {
-                    line: s + 1,
-                    reason: "rule block not closed with `end`".into(),
-                });
-                start = Some(no);
-                block = vec![raw];
+        if is_header(line) {
+            // A new header before `end`: the open block is
+            // unterminated. Quarantine it and start fresh.
+            if let Some((s, _)) = open.take() {
+                quarantine(s + 1, "rule block not closed with `end`".into());
             }
-            Some(s) => {
-                block.push(raw);
-                if line == "end" {
-                    finish(s, &block, &mut out, &mut quarantined);
-                    start = None;
-                    block.clear();
+            open = Some((no, Block::open(no, line)));
+            continue;
+        }
+        let Some((start, parsed)) = open.as_mut() else {
+            if !line.is_empty() && !line.starts_with('#') {
+                quarantine(no + 1, format!("unexpected line `{line}`"));
+            }
+            continue;
+        };
+        if line == "end" {
+            let start = *start;
+            let (_, parsed) = open.take().expect("a block is open");
+            if pdbt_faults::hit_with(pdbt_faults::Site::Store, || start as u64 + 1) {
+                quarantine(start + 1, "injected fault: store entry corrupted".into());
+                continue;
+            }
+            match parsed.and_then(|block| block.close(no)) {
+                Ok((keys, entry)) => {
+                    out.insert(keys, entry);
                 }
+                Err(e) => quarantine(e.line, e.detail),
             }
-            None if is_header => {
-                start = Some(no);
-                block = vec![raw];
-            }
-            None => {
-                if !line.is_empty() && !line.starts_with('#') {
-                    quarantined.push(QuarantinedRule {
-                        line: no + 1,
-                        reason: format!("unexpected line `{line}`"),
-                    });
-                }
+        } else if line.is_empty() || line.starts_with('#') {
+            continue;
+        } else if let Ok(block) = parsed {
+            if let Err(e) = parse_body(Some(block), no, line) {
+                *parsed = Err(e);
             }
         }
     }
-    if let Some(s) = start {
-        quarantined.push(QuarantinedRule {
-            line: s + 1,
-            reason: "unterminated rule".into(),
-        });
+    if let Some((s, _)) = open {
+        quarantine(s + 1, "unterminated rule".into());
     }
     (out, quarantined)
 }
 
-fn parse_entry_meta(text: &str, line: usize) -> Result<RuleEntry, StoreError> {
-    let err = |detail: String| StoreError {
-        line: line + 1,
-        detail,
-    };
+fn parse_entry_meta<'a>(
+    fields: impl Iterator<Item = &'a str>,
+    line: usize,
+) -> Result<RuleEntry, StoreError> {
+    let err = |detail| line_err(line, detail);
     let mut prov = Provenance::Learned;
     let mut flags = Vec::new();
     let mut imms = None;
-    for field in text.split('|') {
-        let (k, v) = field
-            .split_once('=')
-            .ok_or_else(|| err(format!("bad field `{field}`")))?;
+    for field in fields {
+        let (k, v) = split_once(field, b'=').ok_or_else(|| err(format!("bad field `{field}`")))?;
         match k {
             "prov" => {
                 prov = v
@@ -637,7 +706,7 @@ fn parse_entry_meta(text: &str, line: usize) -> Result<RuleEntry, StoreError> {
                     .ok_or_else(|| err(format!("bad provenance `{v}`")))?;
             }
             "flags" => {
-                for pair in v.split(',').filter(|p| !p.is_empty()) {
+                for pair in split(v, ",").filter(|p| !p.is_empty()) {
                     let mut cs = pair.chars();
                     let f = cs
                         .next()
@@ -654,7 +723,7 @@ fn parse_entry_meta(text: &str, line: usize) -> Result<RuleEntry, StoreError> {
                 imms = if v == "*" {
                     None
                 } else {
-                    let vals: Result<Vec<u32>, _> = v.split(',').map(str::parse).collect();
+                    let vals: Result<Vec<u32>, _> = split(v, ",").map(str::parse).collect();
                     Some(vals.map_err(|_| err(format!("bad imms `{v}`")))?)
                 };
             }
@@ -1023,6 +1092,32 @@ mod tests {
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].line, 1);
         assert!(quarantined[0].reason.contains("not closed"));
+    }
+
+    /// The byte-scan splitters and the sorted mnemonic tables answer as
+    /// `str::split`, `str::split_once` and a linear search would.
+    #[test]
+    fn byte_splits_and_mnemonic_tables_match_std() {
+        for text in ["", "a", "a|b", "|a||", "a, b,c, ,", ", ", "x,  y", "é|ü, x"] {
+            for sep in ["|", ",", ", "] {
+                let std: Vec<&str> = text.split(sep).collect();
+                assert_eq!(
+                    split(text, sep).collect::<Vec<_>>(),
+                    std,
+                    "{text:?} by {sep:?}"
+                );
+            }
+            assert_eq!(split_once(text, b'|'), text.split_once('|'), "{text:?}");
+        }
+        for op in GOp::ALL {
+            assert_eq!(guest_op(op.mnemonic()), Some(op));
+        }
+        for op in HOp::ALL {
+            assert_eq!(host_op(op.mnemonic()), Some(op));
+        }
+        for name in ["", "movl\0", "movlmovlx", "MOVL"] {
+            assert_eq!(host_op(name), None, "{name:?}");
+        }
     }
 
     #[test]

@@ -66,10 +66,21 @@ pub struct ArtifactVersion {
 }
 
 impl ArtifactVersion {
+    /// The version of an opened artifact: the given generation (carried
+    /// out-of-band, see [`parse_generation`]) plus the section CRCs its
+    /// open computed — the values [`ArtifactVersion::of_bytes`] would
+    /// compute again from the same bytes.
+    #[must_use]
+    pub fn of_opened(generation: u64, opened: &Opened) -> ArtifactVersion {
+        ArtifactVersion {
+            generation,
+            crcs: opened.crcs,
+        }
+    }
+
     /// Computes the version of a sealed artifact: the given generation
-    /// (carried out-of-band, see [`parse_generation`]) plus the
-    /// section CRCs read straight from the byte ranges the header
-    /// declares.
+    /// plus the CRC of each section's bytes, over the ranges the header
+    /// declares (0 for a range past the end of the file).
     ///
     /// # Errors
     ///
@@ -308,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn of_bytes_reads_the_sealed_section_crcs() {
+    fn of_bytes_computes_each_section_crc() {
         let bytes = sealed_fixture();
         let v = ArtifactVersion::of_bytes(3, &bytes).unwrap();
         assert_eq!(v.generation, 3);
@@ -324,6 +335,36 @@ mod tests {
         // And the version is insensitive to anything but content.
         assert_eq!(v, ArtifactVersion::of_bytes(3, &bytes).unwrap());
         assert!(ArtifactVersion::of_bytes(0, b"junk").is_err());
+    }
+
+    /// The boot scan and wire adoption take an artifact's version from
+    /// its open instead of hashing its bytes a second time: the CRCs the
+    /// open returns are the ones `of_bytes` computes, healthy, truncated
+    /// (sections past the end count 0) and bit-flipped alike.
+    #[test]
+    fn opened_crcs_equal_of_bytes() {
+        let bytes = sealed_fixture();
+        let table = section_table(&bytes).unwrap();
+        let mid_blks = (table[3].1.start + table[3].1.end) / 2;
+        let mut flipped = bytes.clone();
+        flipped[table[2].1.start] ^= 0x10;
+        let cases = [
+            ("healthy", bytes.clone(), 0),
+            ("truncated", bytes[..mid_blks].to_vec(), 2),
+            ("flipped", flipped, 1),
+        ];
+        for (name, case, quarantined) in cases {
+            let opened = open_salvage(&case).unwrap();
+            assert_eq!(opened.quarantined.len(), quarantined, "{name}");
+            assert_eq!(
+                ArtifactVersion::of_opened(5, &opened),
+                ArtifactVersion::of_bytes(5, &case).unwrap(),
+                "{name}"
+            );
+        }
+        let truncated = open_salvage(&bytes[..mid_blks]).unwrap();
+        assert_eq!(truncated.crcs[3..], [0, 0], "sections past the end");
+        assert!(truncated.crcs[..3].iter().all(|&c| c != 0));
     }
 
     #[test]

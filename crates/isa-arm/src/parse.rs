@@ -9,6 +9,7 @@ use crate::operand::{MemAddr, Operand, ShiftKind};
 use crate::reg::{FReg, Reg, RegList};
 use pdbt_isa::Cond;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 /// An assembler parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,30 +33,25 @@ fn err<T>(detail: impl Into<String>) -> Result<T, ParseError> {
 }
 
 /// Splits the operand text on top-level commas (commas inside `[...]` and
-/// `{...}` do not split).
-fn split_operands(s: &str) -> Vec<String> {
+/// `{...}` do not split), each piece trimmed.
+fn split_operands(s: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut depth = 0usize;
-    let mut cur = String::new();
-    for ch in s.chars() {
-        match ch {
-            '[' | '{' => {
-                depth += 1;
-                cur.push(ch);
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        match b {
+            b'[' | b'{' => depth += 1,
+            b']' | b'}' => depth = depth.saturating_sub(1),
+            b',' if depth == 0 => {
+                out.push(s[start..i].trim());
+                start = i + 1;
             }
-            ']' | '}' => {
-                depth = depth.saturating_sub(1);
-                cur.push(ch);
-            }
-            ',' if depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => cur.push(ch),
+            _ => {}
         }
     }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
+    let last = s[start..].trim();
+    if !last.is_empty() {
+        out.push(last);
     }
     out
 }
@@ -84,18 +80,18 @@ fn parse_mem(s: &str) -> Result<MemAddr, ParseError> {
         .ok_or_else(|| ParseError {
             detail: format!("bad memory operand `{s}`"),
         })?;
-    let parts: Vec<&str> = inner.split(',').map(str::trim).collect();
-    let base = Reg::from_str(parts[0]).map_err(|e| ParseError { detail: e })?;
-    match parts.len() {
-        1 => Ok(MemAddr::BaseImm { base, offset: 0 }),
-        2 => {
-            if parts[1].starts_with('#') {
+    let mut parts = inner.split(',').map(str::trim);
+    let base = Reg::from_str(parts.next().unwrap_or("")).map_err(|e| ParseError { detail: e })?;
+    match (parts.next(), parts.next()) {
+        (None, _) => Ok(MemAddr::BaseImm { base, offset: 0 }),
+        (Some(second), None) => {
+            if second.starts_with('#') {
                 Ok(MemAddr::BaseImm {
                     base,
-                    offset: parse_imm(parts[1])? as i32,
+                    offset: parse_imm(second)? as i32,
                 })
             } else {
-                let index = Reg::from_str(parts[1]).map_err(|e| ParseError { detail: e })?;
+                let index = Reg::from_str(second).map_err(|e| ParseError { detail: e })?;
                 Ok(MemAddr::BaseReg { base, index })
             }
         }
@@ -162,9 +158,14 @@ fn try_glue_shift(a: &str, b: &str) -> Option<Operand> {
 
 /// Splits a mnemonic into `(opcode, s, cond)`.
 fn parse_mnemonic(m: &str) -> Result<(Op, bool, Cond), ParseError> {
-    // Longest-match opcode first, then optional `s`, then optional cond.
-    let mut candidates: Vec<&Op> = Op::ALL.iter().collect();
-    candidates.sort_by_key(|o| std::cmp::Reverse(o.mnemonic().len()));
+    // Longest-match opcode first (ties in `Op::ALL` order), then optional
+    // `s`, then optional cond.
+    static LONGEST_FIRST: OnceLock<Vec<Op>> = OnceLock::new();
+    let candidates = LONGEST_FIRST.get_or_init(|| {
+        let mut ops = Op::ALL.to_vec();
+        ops.sort_by_key(|o| std::cmp::Reverse(o.mnemonic().len()));
+        ops
+    });
     for op in candidates {
         if let Some(rest) = m.strip_prefix(op.mnemonic()) {
             let (s, rest) = if op.supports_s() && rest.starts_with('s') {
@@ -177,7 +178,7 @@ fn parse_mnemonic(m: &str) -> Result<(Op, bool, Cond), ParseError> {
             let cond = if rest.is_empty() {
                 Cond::Al
             } else {
-                match Cond::ALL.iter().find(|c| c.to_string() == rest) {
+                match Cond::ALL.iter().find(|c| c.suffix() == rest) {
                     Some(c) => *c,
                     None => continue,
                 }
@@ -203,13 +204,13 @@ impl FromStr for Inst {
         let mut i = 0;
         while i < pieces.len() {
             if i + 1 < pieces.len() {
-                if let Some(glued) = try_glue_shift(&pieces[i], &pieces[i + 1]) {
+                if let Some(glued) = try_glue_shift(pieces[i], pieces[i + 1]) {
                     operands.push(glued);
                     i += 2;
                     continue;
                 }
             }
-            operands.push(parse_operand(&pieces[i])?);
+            operands.push(parse_operand(pieces[i])?);
             i += 1;
         }
         let mut inst = Inst::new(op, operands).map_err(|e| ParseError {

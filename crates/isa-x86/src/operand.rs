@@ -285,6 +285,27 @@ impl Cc {
         }
     }
 
+    /// The condition's mnemonic suffix (`e` in `sete`), its display form.
+    #[must_use]
+    pub fn suffix(self) -> &'static str {
+        match self {
+            Cc::E => "e",
+            Cc::Ne => "ne",
+            Cc::B => "b",
+            Cc::Ae => "ae",
+            Cc::A => "a",
+            Cc::Be => "be",
+            Cc::S => "s",
+            Cc::Ns => "ns",
+            Cc::O => "o",
+            Cc::No => "no",
+            Cc::Ge => "ge",
+            Cc::L => "l",
+            Cc::G => "g",
+            Cc::Le => "le",
+        }
+    }
+
     /// Evaluates against host flags (`n`=SF, `z`=ZF, `c`=CF, `v`=OF).
     #[must_use]
     #[inline]
@@ -384,23 +405,7 @@ impl Cc {
 
 impl fmt::Display for Cc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Cc::E => "e",
-            Cc::Ne => "ne",
-            Cc::B => "b",
-            Cc::Ae => "ae",
-            Cc::A => "a",
-            Cc::Be => "be",
-            Cc::S => "s",
-            Cc::Ns => "ns",
-            Cc::O => "o",
-            Cc::No => "no",
-            Cc::Ge => "ge",
-            Cc::L => "l",
-            Cc::G => "g",
-            Cc::Le => "le",
-        };
-        f.write_str(s)
+        f.write_str(self.suffix())
     }
 }
 

@@ -65,6 +65,29 @@ impl Cond {
         Cond::Al,
     ];
 
+    /// The condition's mnemonic suffix (`eq` in `beq`), its display
+    /// form; empty for `al`.
+    #[must_use]
+    pub fn suffix(self) -> &'static str {
+        match self {
+            Cond::Eq => "eq",
+            Cond::Ne => "ne",
+            Cond::Cs => "cs",
+            Cond::Cc => "cc",
+            Cond::Mi => "mi",
+            Cond::Pl => "pl",
+            Cond::Vs => "vs",
+            Cond::Vc => "vc",
+            Cond::Hi => "hi",
+            Cond::Ls => "ls",
+            Cond::Ge => "ge",
+            Cond::Lt => "lt",
+            Cond::Gt => "gt",
+            Cond::Le => "le",
+            Cond::Al => "",
+        }
+    }
+
     /// The condition as a truth value of domain `D`, reading flags
     /// through `flag`.
     #[inline]
@@ -142,24 +165,7 @@ pub fn cond_flag_uses(cond: Cond) -> FlagSet {
 
 impl fmt::Display for Cond {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Cond::Eq => "eq",
-            Cond::Ne => "ne",
-            Cond::Cs => "cs",
-            Cond::Cc => "cc",
-            Cond::Mi => "mi",
-            Cond::Pl => "pl",
-            Cond::Vs => "vs",
-            Cond::Vc => "vc",
-            Cond::Hi => "hi",
-            Cond::Ls => "ls",
-            Cond::Ge => "ge",
-            Cond::Lt => "lt",
-            Cond::Gt => "gt",
-            Cond::Le => "le",
-            Cond::Al => "",
-        };
-        f.write_str(s)
+        f.write_str(self.suffix())
     }
 }
 

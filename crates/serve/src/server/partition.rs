@@ -4,6 +4,7 @@
 //! and the drain write-back.
 
 use super::{ServeConfig, ServerCtx};
+use pdbt_artifact::Opened;
 use pdbt_core::RuleSet;
 use pdbt_fleet::{artifact_file_name, dedupe_newest, parse_generation, ArtifactVersion};
 use pdbt_runtime::{EngineConfig, SharedTranslationState};
@@ -90,11 +91,12 @@ impl Partition {
     /// adoption: label (the artifact's own, else the caller's
     /// fallback), then `warm_state` — no counter pollution, so sessions
     /// on the new state report translate-free warm runs — then the
-    /// record. When the artifact carries no ruleset, or its RULE section
-    /// was quarantined, the partition falls back to the server's own
+    /// record. Everything the artifact holds moves into the partition.
+    /// When the artifact carries no ruleset, or its RULE section was
+    /// quarantined, the partition falls back to the server's own
     /// `rules`, exactly as a cold partition would.
     pub(super) fn from_artifact(
-        opened: &pdbt_artifact::Opened,
+        mut opened: Opened,
         fallback_label: impl FnOnce() -> String,
         rules: Option<&RuleSet>,
         slots: usize,
@@ -102,23 +104,26 @@ impl Partition {
         bytes: Arc<Vec<u8>>,
         disk_generation: Option<u64>,
     ) -> Partition {
-        let label = if opened.artifact.label.is_empty() {
-            fallback_label()
-        } else {
-            opened.artifact.label.clone()
+        let label = match std::mem::take(&mut opened.artifact.label) {
+            label if label.is_empty() => fallback_label(),
+            label => label,
         };
+        // The state is keyed by the fingerprint the open checked, so the
+        // image itself can move into the record.
+        let program = std::mem::take(&mut opened.artifact.program);
+        // A salvaged (partially quarantined) file is not worth
+        // advertising: leave `sealed` empty so the first peer
+        // interaction re-seals clean content from live state.
+        let sealed = opened.quarantined.is_empty().then_some(bytes);
         let state =
             pdbt_artifact::warm_state(opened, rules, EngineConfig::default().cache_shards, slots);
         Partition {
             sealed_sizes: state.sizes(),
             state: Arc::new(state),
             label,
-            program: opened.artifact.program.clone(),
+            program,
             version,
-            // A salvaged (partially quarantined) file is not worth
-            // advertising: leave `sealed` empty so the first peer
-            // interaction re-seals clean content from live state.
-            sealed: opened.quarantined.is_empty().then_some(bytes),
+            sealed,
             disk_generation,
         }
     }
@@ -202,8 +207,7 @@ pub(super) fn load_artifacts(dir: &Path, rules: Option<&RuleSet>, slots: usize) 
             .and_then(|bytes| {
                 let reject = |e| format!("rejected: {e}");
                 let opened = pdbt_artifact::open_salvage(&bytes).map_err(reject)?;
-                let generation = parse_generation(&path);
-                let version = ArtifactVersion::of_bytes(generation, &bytes).map_err(reject)?;
+                let version = ArtifactVersion::of_opened(parse_generation(&path), &opened);
                 Ok((bytes, opened, version))
             });
         let (bytes, opened, version) = match parsed {
@@ -214,7 +218,7 @@ pub(super) fn load_artifacts(dir: &Path, rules: Option<&RuleSet>, slots: usize) 
                 continue;
             }
         };
-        let fingerprint = opened.artifact.fingerprint();
+        let fingerprint = opened.fingerprint;
         candidates.push((fingerprint, version, (path, bytes, opened)));
     }
     let (winners, shadowed) = dedupe_newest(candidates);
@@ -244,7 +248,7 @@ pub(super) fn load_artifacts(dir: &Path, rules: Option<&RuleSet>, slots: usize) 
             )
         };
         let partition = Partition::from_artifact(
-            &opened,
+            opened,
             file_stem,
             rules,
             slots,

@@ -92,7 +92,7 @@ pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
     ctx.fleet.bytes.add(offer.bytes.len() as u64);
     let _plane = ctx.plane();
     let (adopted, reason, current) =
-        adopt_artifact(ctx, &offer.bytes, offer.generation, offer.fingerprint);
+        adopt_artifact(ctx, offer.bytes, offer.generation, offer.fingerprint);
     let verdict = Json::obj([
         ("fingerprint", Json::str(fingerprint_hex(offer.fingerprint))),
         ("adopted", Json::from(adopted)),
@@ -114,11 +114,11 @@ pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
 /// Caller holds `ctx.replication`.
 pub(super) fn adopt_artifact(
     ctx: &ServerCtx,
-    bytes: &[u8],
+    bytes: Vec<u8>,
     generation: u64,
     fp: u64,
 ) -> (bool, String, u64) {
-    let opened = match validate(bytes, fp) {
+    let opened = match validate(&bytes, fp) {
         Ok(o) => o,
         Err((reason, quarantined)) => {
             // Quarantines are counted where disk-scan damage already
@@ -134,8 +134,7 @@ pub(super) fn adopt_artifact(
             return (false, reason, local);
         }
     };
-    let incoming =
-        ArtifactVersion::of_bytes(generation, bytes).expect("an artifact that opened still parses");
+    let incoming = ArtifactVersion::of_opened(generation, &opened);
     // Materialize the local version before comparing: live growth is
     // sealed (and its generation bumped) first, so an offer can never
     // overwrite translations the incoming artifact lacks.
@@ -149,7 +148,7 @@ pub(super) fn adopt_artifact(
         let stale = format!("stale: local generation {generation} is newer or equal");
         return (false, stale, generation);
     }
-    let sealed = Arc::new(bytes.to_vec());
+    let sealed = Arc::new(bytes);
     // Persist the adopted bytes so a restart boots warm from disk; a
     // write failure demotes this to memory-only adoption (the drain
     // write-back will retry).
@@ -161,7 +160,7 @@ pub(super) fn adopt_artifact(
     });
     let disk_generation = persisted.map_or(prior_disk, |()| Some(generation));
     let partition = Partition::from_artifact(
-        &opened,
+        opened,
         || fingerprint_hex(fp),
         ctx.cfg.rules.as_ref(),
         ctx.cfg.jobs,
@@ -212,7 +211,7 @@ pub(super) fn replicate_once(ctx: &ServerCtx) {
             ctx.fleet.bytes.add(pulled.bytes.len() as u64);
             let _plane = ctx.plane();
             let (adopted, reason, _) =
-                adopt_artifact(ctx, &pulled.bytes, pulled.generation, ad.fingerprint);
+                adopt_artifact(ctx, pulled.bytes, pulled.generation, ad.fingerprint);
             if !adopted {
                 eprintln!("pdbt-serve: pulled artifact {name} from {peer} not adopted: {reason}");
             }

@@ -194,7 +194,7 @@ fn boot_scan_and_wire_adoption_install_the_same_partition() {
     let scanned = &scan.partitions[&fp];
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let (adopted, reason, generation) = adopt_artifact(&server.ctx, &bytes, 3, fp);
+    let (adopted, reason, generation) = adopt_artifact(&server.ctx, bytes, 3, fp);
     assert!(adopted, "{reason}");
     assert_eq!(generation, 3);
     let table = server.ctx.partitions();
@@ -226,8 +226,8 @@ fn a_new_trace_re_seals_and_a_trace_hit_does_not() {
     artifact.traces.pop();
     let bytes = Arc::new(pdbt_artifact::seal(&artifact));
     let opened = pdbt_artifact::open_salvage(&bytes).unwrap();
-    let version = ArtifactVersion::of_bytes(3, &bytes).unwrap();
-    let mut p = Partition::from_artifact(&opened, String::new, None, 1, version, bytes, Some(3));
+    let version = ArtifactVersion::of_opened(3, &opened);
+    let mut p = Partition::from_artifact(opened, String::new, None, 1, version, bytes, Some(3));
     let blocks = p.state.cache().len();
     let run = |p: &Partition| {
         let mut engine = Engine::with_shared(Arc::clone(&p.state), EngineConfig::default());
