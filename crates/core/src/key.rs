@@ -104,13 +104,20 @@ impl Default for ComboKey {
 
 impl fmt::Display for ComboKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.op, if self.s { "s" } else { "" })?;
-        for m in &self.modes {
-            write!(f, " {m}")?;
+        f.write_str(self.op.mnemonic())?;
+        if self.s {
+            f.write_str("s")?;
         }
-        write!(f, " /")?;
-        for p in &self.reg_pattern {
-            write!(f, "{p}")?;
+        for m in &self.modes {
+            f.write_str(" ")?;
+            fmt::Display::fmt(m, f)?;
+        }
+        f.write_str(" /")?;
+        for &p in &self.reg_pattern {
+            match char::from_digit(u32::from(p), 10) {
+                Some(digit) => fmt::Write::write_char(f, digit)?,
+                None => write!(f, "{p}")?,
+            }
         }
         Ok(())
     }

@@ -212,9 +212,8 @@ pub struct Match<'a> {
     /// The rule.
     pub entry: &'a RuleEntry,
     /// The rule's attribution label for observability: its key's display
-    /// form, `seq[k1 + k2]` for a multi-key rule. Formatted once, at the
-    /// rule's first match — loading a rule file formats none — and every
-    /// application shares it.
+    /// form, `seq[k1 + k2]` for a multi-key rule. Formatted once, when
+    /// the rule was inserted; every application shares it.
     pub label: &'a Arc<str>,
     /// Instruction-class subgroup of the rule's root opcode (`Int/Dp/Alu`
     /// style), formatted once per opcode and shared by its rules.
@@ -252,19 +251,56 @@ pub struct RuleSet {
 #[derive(Debug, Clone)]
 struct Rule {
     entry: RuleEntry,
-    label: OnceLock<Arc<str>>,
+    label: Arc<str>,
     subgroup: Arc<str>,
 }
 
 /// A rule's attribution label: its key's display form, `seq[k1 + k2]`
-/// for a multi-key rule.
+/// for a multi-key rule. Formatted on the stack, so the `Arc` is the
+/// label's one allocation.
 fn rule_label(keys: &[ComboKey]) -> Arc<str> {
+    let mut label = LabelBuf {
+        bytes: [0; 160],
+        len: 0,
+    };
+    if write_label(&mut label, keys).is_ok() {
+        let written = std::str::from_utf8(&label.bytes[..label.len]);
+        return written.expect("written as whole strs").into();
+    }
+    // Longer than any key sequence a window holds: format on the heap.
+    let mut label = String::new();
+    let _ = write_label(&mut label, keys);
+    label.into()
+}
+
+fn write_label(out: &mut impl std::fmt::Write, keys: &[ComboKey]) -> std::fmt::Result {
     match keys {
-        [key] => key.to_string().into(),
+        [key] => write!(out, "{key}"),
         _ => {
-            let shown: Vec<String> = keys.iter().map(ComboKey::to_string).collect();
-            format!("seq[{}]", shown.join(" + ")).into()
+            out.write_str("seq[")?;
+            for (i, key) in keys.iter().enumerate() {
+                let sep = if i == 0 { "" } else { " + " };
+                write!(out, "{sep}{key}")?;
+            }
+            out.write_str("]")
         }
+    }
+}
+
+/// A fixed stack buffer a label is formatted into; writing past its end
+/// fails.
+struct LabelBuf {
+    bytes: [u8; 160],
+    len: usize,
+}
+
+impl std::fmt::Write for LabelBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        let dst = self.bytes.get_mut(self.len..end).ok_or(std::fmt::Error)?;
+        dst.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -369,7 +405,7 @@ impl RuleSet {
     pub fn insert(&mut self, keys: Vec<ComboKey>, entry: RuleEntry) -> bool {
         let rule = Rule {
             entry,
-            label: OnceLock::new(),
+            label: rule_label(&keys),
             subgroup: subgroup_label(keys[0].op),
         };
         self.insert_rule(keys, rule)
@@ -444,7 +480,7 @@ impl RuleSet {
             Some(Match {
                 keys,
                 entry: &rule.entry,
-                label: rule.label.get_or_init(|| rule_label(keys)),
+                label: &rule.label,
                 subgroup: &rule.subgroup,
                 inst: scan.instantiation(len),
             })

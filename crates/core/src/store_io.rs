@@ -159,16 +159,23 @@ fn operand_text(o: &TOperand) -> String {
 /// per position, costs more than the scan. Separators are ASCII, so
 /// every cut is a character boundary.
 fn split<'a>(text: &'a str, sep: &'static str) -> impl Iterator<Item = &'a str> {
+    let (&first, tail) = sep.as_bytes().split_first().expect("a separator");
     let mut rest = Some(text);
     std::iter::from_fn(move || {
         let s = rest?;
-        let at = s
-            .as_bytes()
-            .windows(sep.len())
-            .position(|w| w.iter().eq(sep.as_bytes()));
+        let b = s.as_bytes();
+        let at =
+            (0..b.len()).find(|&i| b[i] == first && b[i + 1..].iter().take(tail.len()).eq(tail));
         rest = at.map(|i| &s[i + sep.len()..]);
         Some(at.map_or(s, |i| &s[..i]))
     })
+}
+
+/// `text.lines()` by the same byte scan as [`split`], except that a line
+/// keeps a `\r` before its `\n` and an empty text is one blank line:
+/// both loaders trim every line and skip blank ones.
+fn lines(text: &str) -> impl Iterator<Item = &str> {
+    split(text.strip_suffix('\n').unwrap_or(text), "\n")
 }
 
 /// `text.split_once(sep)` by the same byte scan as [`split`].
@@ -177,22 +184,19 @@ fn split_once(text: &str, sep: u8) -> Option<(&str, &str)> {
     Some((&text[..i], &text[i + 1..]))
 }
 
-/// A mnemonic as a sortable word: its bytes packed into an integer, and
-/// its length (so trailing NULs cannot alias). `None` past eight bytes,
-/// longer than any mnemonic.
-fn mnemonic_key(name: &str) -> Option<(u64, usize)> {
-    let word = name
-        .bytes()
-        .rev()
-        .fold(0, |word, b| word << 8 | u64::from(b));
-    (name.len() <= 8).then_some((word, name.len()))
+/// A mnemonic as one sortable word: its bytes under a marker byte that
+/// holds its length, so trailing NULs cannot alias. `None` past fifteen
+/// bytes, longer than any mnemonic.
+fn mnemonic_key(name: &str) -> Option<u128> {
+    let marked = |word: u128, b: u8| word << 8 | u128::from(b);
+    (name.len() < 16).then(|| name.bytes().rev().fold(name.len() as u128, marked))
 }
 
 /// Finds `name` in a table of ops sorted by [`mnemonic_key`], built on
 /// first use: a store names an opcode on every line, and comparing
 /// words is cheaper than a string comparison per probe.
 fn by_mnemonic<T: Copy>(
-    table: &'static OnceLock<Vec<((u64, usize), T)>>,
+    table: &'static OnceLock<Vec<(u128, T)>>,
     all: &[T],
     mnemonic: fn(T) -> &'static str,
     name: &str,
@@ -209,12 +213,12 @@ fn by_mnemonic<T: Copy>(
 }
 
 fn guest_op(name: &str) -> Option<GOp> {
-    static TABLE: OnceLock<Vec<((u64, usize), GOp)>> = OnceLock::new();
+    static TABLE: OnceLock<Vec<(u128, GOp)>> = OnceLock::new();
     by_mnemonic(&TABLE, &GOp::ALL, GOp::mnemonic, name)
 }
 
 fn host_op(name: &str) -> Option<HOp> {
-    static TABLE: OnceLock<Vec<((u64, usize), HOp)>> = OnceLock::new();
+    static TABLE: OnceLock<Vec<(u128, HOp)>> = OnceLock::new();
     by_mnemonic(&TABLE, &HOp::ALL, HOp::mnemonic, name)
 }
 
@@ -294,6 +298,8 @@ fn parse_template_inst(line: &str) -> Option<TemplateInst> {
     let op = host_op(mnemonic)?;
     let mut operands = Vec::new();
     if !rest.is_empty() {
+        // Host instructions take at most two operands.
+        operands.reserve_exact(2);
         for operand in split(rest, ", ") {
             operands.push(parse_operand(operand)?);
         }
@@ -580,9 +586,9 @@ fn parse_body(pending: Option<&mut Block>, no: usize, line: &str) -> Result<(), 
 pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
     let mut out = RuleSet::new();
     let mut pending: Option<Block> = None;
-    let mut lines = 0;
-    for (no, raw) in text.lines().enumerate() {
-        lines = no + 1;
+    let mut count = 0;
+    for (no, raw) in lines(text).enumerate() {
+        count = no + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -604,7 +610,7 @@ pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
     }
     if pending.is_some() {
         return Err(StoreError {
-            line: lines,
+            line: count,
             detail: "unterminated rule".into(),
         });
     }
@@ -643,7 +649,7 @@ pub fn load_rules_salvage(text: &str) -> (RuleSet, Vec<QuarantinedRule>) {
     // so far or the error of its first bad line. Blocks go through the
     // strict loader's own steps, so the two can never drift.
     let mut open: Option<(usize, Result<Block, StoreError>)> = None;
-    for (no, raw) in text.lines().enumerate() {
+    for (no, raw) in lines(text).enumerate() {
         let line = raw.trim();
         if is_header(line) {
             // A new header before `end`: the open block is
@@ -1115,7 +1121,7 @@ mod tests {
         for op in HOp::ALL {
             assert_eq!(host_op(op.mnemonic()), Some(op));
         }
-        for name in ["", "movl\0", "movlmovlx", "MOVL"] {
+        for name in ["", "movl\0", "movlmovlmovlmovlx", "MOVL"] {
             assert_eq!(host_op(name), None, "{name:?}");
         }
     }
