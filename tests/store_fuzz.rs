@@ -226,7 +226,8 @@ const STORE_FAULTS_SECTION: &str = "# --features faults\n";
 
 /// What both loaders make of one store: the strict verdict (rule count
 /// and digest of the re-saved set, or the error's line and detail), the
-/// salvaged set's count and digest, and every quarantine in order.
+/// salvaged set's count and digest, and every quarantine in order. Texts
+/// quoted from a mutated store are escaped, so the golden stays text.
 fn store_verdict(tag: &str, text: &str) -> String {
     let digest = |rules: &pdbt::core::RuleSet| {
         let count = rules.len() + rules.seq_len();
@@ -235,12 +236,12 @@ fn store_verdict(tag: &str, text: &str) -> String {
     };
     let strict = match load_rules(text) {
         Ok(rules) => format!("ok {}", digest(&rules)),
-        Err(e) => format!("err {} {}", e.line, e.detail),
+        Err(e) => format!("err {} {}", e.line, e.detail.escape_debug()),
     };
     let (rules, quarantined) = load_rules_salvage(text);
     let mut out = format!("{tag}\n  strict {strict}\n  salvage {}\n", digest(&rules));
     for q in quarantined {
-        out += &format!("  q {} {}\n", q.line, q.reason);
+        out += &format!("  q {} {}\n", q.line, q.reason.escape_debug());
     }
     out
 }
