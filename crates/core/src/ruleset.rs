@@ -267,7 +267,7 @@ fn rule_label(keys: &[ComboKey]) -> Arc<str> {
         let written = std::str::from_utf8(&label.bytes[..label.len]);
         return written.expect("written as whole strs").into();
     }
-    // Longer than any key sequence a window holds: format on the heap.
+    // A label past the buffer (a long sequence rule): format on the heap.
     let mut label = String::new();
     let _ = write_label(&mut label, keys);
     label.into()
@@ -633,6 +633,30 @@ mod tests {
         assert!(rs
             .lookup(&g::add(GReg::R4, GReg::R4, GOp::Imm(6)))
             .is_none());
+    }
+
+    /// A label that fits the stack buffer and one that does not come out
+    /// as the key's display form, `seq[k1 + k2 …]` for a sequence.
+    #[test]
+    fn labels_are_the_keys_display_form_at_any_length() {
+        let key = ComboKey {
+            op: GOpc::Umlal,
+            s: true,
+            modes: [ModeTag::Shifted(pdbt_isa_arm::ShiftKind::Ror); 4]
+                .into_iter()
+                .collect(),
+            reg_pattern: [0, 1, 2, 3].into_iter().collect(),
+        };
+        let keys = [key; 4];
+        let shown: Vec<String> = keys.iter().map(ComboKey::to_string).collect();
+        let seq = format!("seq[{}]", shown.join(" + "));
+        assert!(seq.len() > 160, "past the stack buffer: {seq}");
+        assert_eq!(*rule_label(&keys), *seq);
+        assert_eq!(
+            *rule_label(&keys[..2]),
+            format!("seq[{} + {}]", shown[0], shown[1])
+        );
+        assert_eq!(*rule_label(&keys[..1]), *shown[0]);
     }
 
     #[test]
