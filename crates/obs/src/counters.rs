@@ -12,7 +12,7 @@
 //!   Summed over all rules this equals the engine's `rule_covered`
 //!   metric, so coverage decomposes exactly into per-rule shares.
 
-use crate::json::Json;
+use crate::json::Emit;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -313,6 +313,18 @@ impl From<u64> for Counter {
     }
 }
 
+/// Counters as object members, `fields[i]` keyed to `values[i]`, except
+/// the keys in `skip`: what `counter_family!`'s `emit_fields` and the
+/// sections that leave out part of a family write through.
+pub fn emit_counters<E: Emit>(out: &mut E, fields: &[&str], values: &[u64], skip: &[&str]) {
+    for (key, &value) in fields.iter().zip(values) {
+        if !skip.contains(key) {
+            out.key(key);
+            out.uint(value);
+        }
+    }
+}
+
 /// Declares a counter family from one table: each line is a doc
 /// comment and a name, and the name is at once the `pub u64` field, the
 /// entry in `FIELDS` and the JSON key.
@@ -334,9 +346,9 @@ impl From<u64> for Counter {
 /// * `values()` / `values_mut()` — the fields in that order, for code
 ///   that must treat every counter alike (the merge-law tests);
 /// * `merge(&other)` — field-wise sum;
-/// * `json_pairs()` / `to_json()` — one `(name, value)` pair per line,
-///   allocation-free until collected into a [`Json`](crate::json::Json)
-///   object.
+/// * `emit_fields(out)` — one member per line, into an object a
+///   section has open, and [`ToJson`](crate::json::ToJson): the family
+///   as a flat object, streamed as text or built as a tree.
 ///
 /// A trailing `atomic pub struct Twin;` adds the shared twin — the same
 /// names as `pub` [`Counter`] fields, bumped concurrently through
@@ -344,7 +356,7 @@ impl From<u64> for Counter {
 ///
 /// A trailing `also { name: [u64; N] = op, }` block adds array fields
 /// that `merge` folds element-wise with `op` (a `fn(u64, u64) -> u64`);
-/// they are not in `FIELDS` and their JSON is written by hand.
+/// they are not in `FIELDS` and their members are written by hand.
 ///
 /// What stays hand-written, beside the invocation: anything derived
 /// from the counters (`hits`, `hit_rate`, `warm`, coverage ratios), the
@@ -397,19 +409,18 @@ macro_rules! counter_family {
                 )+)?
             }
 
-            /// One `(name, value)` pair per counter.
-            pub fn json_pairs(&self) -> impl Iterator<Item = (&'static str, $crate::json::Json)> {
-                Self::FIELDS
-                    .iter()
-                    .copied()
-                    .zip(self.values())
-                    .map(|(k, v)| (k, $crate::json::Json::from(v)))
+            /// One member per counter, into the object `out` has open.
+            pub fn emit_fields<E: $crate::json::Emit>(&self, out: &mut E) {
+                $crate::counters::emit_counters(out, Self::FIELDS, &self.values(), &[]);
             }
+        }
 
-            /// The family as a flat JSON object.
-            #[must_use]
-            pub fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::obj(self.json_pairs())
+        /// The family as a flat JSON object.
+        impl $crate::json::ToJson for $name {
+            fn emit<E: $crate::json::Emit>(&self, out: &mut E) {
+                out.begin_obj();
+                self.emit_fields(out);
+                out.end_obj();
             }
         }
     };
@@ -529,13 +540,17 @@ impl ServerSnapshot {
         self.hits() as f64 / self.probes as f64
     }
 
-    /// The `server` section's counter keys: the table plus the derived
-    /// `hits` and `hit_rate`.
-    pub fn section_pairs(&self) -> impl Iterator<Item = (&'static str, Json)> {
-        self.json_pairs().chain([
-            ("hits", Json::from(self.hits())),
-            ("hit_rate", Json::from(self.hit_rate())),
-        ])
+    /// The `server` section's counter members, into the object `out`
+    /// has open: the table plus the derived `hits` and `hit_rate`, less
+    /// the keys in `skip`.
+    pub fn emit_section<E: Emit>(&self, out: &mut E, skip: &[&str]) {
+        emit_counters(out, Self::FIELDS, &self.values(), skip);
+        if !skip.contains(&"hit_rate") {
+            out.field("hit_rate", &self.hit_rate());
+        }
+        if !skip.contains(&"hits") {
+            out.field("hits", &self.hits());
+        }
     }
 }
 
@@ -622,6 +637,7 @@ impl fmt::Display for RuleCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
 
     #[test]
     fn interning_is_stable_and_counts_accumulate() {
@@ -751,6 +767,9 @@ mod tests {
         assert_eq!(a.values(), [11, 22]);
         assert_eq!(a.peak, [5, 4], "`also` arrays fold with their own op");
         assert_eq!(a.to_json().to_string(), r#"{"first":11,"second":22}"#);
+        let mut text = Vec::new();
+        a.write_json(&mut text);
+        assert_eq!(text, br#"{"first":11,"second":22}"#);
         for v in a.values_mut() {
             *v = 7;
         }

@@ -6,7 +6,7 @@
 //! merging is element-wise, so per-shard histograms can be folded into
 //! a run-level one.
 
-use crate::json::Json;
+use crate::json::{Emit, ToJson};
 use std::fmt;
 
 /// Upper bounds (ns, inclusive) for translate-latency style
@@ -236,29 +236,6 @@ impl Histogram {
         self.percentile(0.99)
     }
 
-    /// The report-ready JSON object: bucket shape, totals, and the
-    /// interpolated p50/p95/p99 quantiles.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "bounds",
-                Json::Arr(self.bounds.iter().map(|&b| Json::from(b)).collect()),
-            ),
-            (
-                "counts",
-                Json::Arr(self.counts.iter().map(|&c| Json::from(c)).collect()),
-            ),
-            ("count", Json::from(self.count)),
-            ("sum", Json::from(self.sum)),
-            ("min", Json::from(self.min())),
-            ("max", Json::from(self.max)),
-            ("mean", Json::from(self.mean())),
-            ("p50", Json::from(self.p50())),
-            ("p95", Json::from(self.p95())),
-            ("p99", Json::from(self.p99())),
-        ])
-    }
-
     /// Bucket rows as `(label, count)`, catch-all last.
     pub fn buckets(&self) -> Vec<(String, u64)> {
         let mut rows = Vec::with_capacity(self.counts.len());
@@ -284,6 +261,27 @@ impl Histogram {
     }
 }
 
+/// The report-ready object: bucket shape, totals, and the interpolated
+/// p50/p95/p99 quantiles.
+impl ToJson for Histogram {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.begin_obj();
+        out.key("bounds");
+        out.arr(self.bounds);
+        out.field("count", &self.count);
+        out.key("counts");
+        out.arr(&self.counts);
+        out.field("max", &self.max);
+        out.field("mean", &self.mean());
+        out.field("min", &self.min());
+        out.field("p50", &self.p50());
+        out.field("p95", &self.p95());
+        out.field("p99", &self.p99());
+        out.field("sum", &self.sum);
+        out.end_obj();
+    }
+}
+
 impl fmt::Display for Histogram {
     /// A compact ASCII bar chart, one bucket per line.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -306,6 +304,7 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn bucketing_respects_inclusive_bounds() {

@@ -1,16 +1,26 @@
 //! Minimal serde-free JSON: a value tree with a writer and a
-//! recursive-descent parser. Enough for run reports, JSON-lines stats
+//! recursive-descent parser, and [`Emit`] — the one way a report
+//! section says its fields. Enough for run reports, JSON-lines stats
 //! and the Chrome trace exporter — not a general-purpose library.
 //!
-//! Every RESULT frame is written and parsed here, so neither side
-//! allocates per value: the writer appends to one buffer (numbers
-//! through `fmt`, strings copied run by run between escapes), and the
-//! parser slices string and number tokens out of the input and builds
-//! each array and object once, at its final size.
+//! A section ([`ToJson`]) writes itself once, as a sequence of
+//! begin/end, key and scalar events, into either sink: [`TextWriter`]
+//! appends the text to a byte buffer (the daemon streams every reply
+//! frame's payload straight into the frame this way), and
+//! [`TreeBuilder`] assembles a [`Json`] tree (`Report::to_json`, tests,
+//! the CLI). The two agree byte for byte: the text writer puts each
+//! object's members in key order, as the tree's `BTreeMap` keeps them,
+//! and both spell numbers and strings through the same three functions
+//! (`write_int`, `write_float`, `write_string`).
+//!
+//! Every reply the client reads is parsed here, without allocating per
+//! value: the parser slices string and number tokens out of the input
+//! and builds each array and object once, at its final size.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A JSON value. Objects use a `BTreeMap` so output key order is
 /// deterministic.
@@ -25,40 +35,73 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
-/// Writes `s` as a JSON string literal, quotes included. Runs with
-/// nothing to escape are copied as they are; only `"`, `\\` and the
-/// control characters are rewritten.
-///
-/// # Errors
-///
-/// Whatever `out` reports (never, for a `String`).
-pub(crate) fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+/// Appends `s` as a JSON string literal, quotes included. Runs with
+/// nothing to escape are copied whole; only `"`, `\\` and the control
+/// characters are rewritten.
+pub(crate) fn write_string(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.write_char('"')?;
+    let bytes = s.as_bytes();
+    out.reserve(bytes.len() + 2);
+    out.push(b'"');
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let short = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        // `b` is ASCII, so `i` is a char boundary.
-        out.write_str(&s[run..i])?;
-        if short.is_empty() {
-            out.write_str("\\u00")?;
-            out.write_char(char::from(HEX[usize::from(b >> 4)]))?;
-            out.write_char(char::from(HEX[usize::from(b & 0xf)]))?;
-        } else {
-            out.write_str(short)?;
+    while let Some(skip) = bytes[run..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        let at = run + skip;
+        out.extend_from_slice(&bytes[run..at]);
+        let b = bytes[at];
+        match b {
+            b'"' | b'\\' => out.extend_from_slice(&[b'\\', b]),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => {
+                let (hi, lo) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]);
+                out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hi, lo]);
+            }
         }
-        run = i + 1;
+        run = at + 1;
     }
-    out.write_str(&s[run..])?;
-    out.write_char('"')
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
+}
+
+/// Appends `n` in decimal, digit by digit from a stack buffer: an
+/// integer never goes through the `fmt` machinery.
+fn write_int(out: &mut Vec<u8>, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push(b'-');
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends a float: the shortest text that reads back as the same
+/// value, with `.0` on an integral one (so it stays a float on
+/// re-parse) and `null` for a non-finite one.
+fn write_float(out: &mut Vec<u8>, x: f64) {
+    use std::io::Write;
+    if !x.is_finite() {
+        out.extend_from_slice(b"null");
+        return;
+    }
+    // `{}` prints an integral float without a dot and never with an
+    // exponent.
+    write!(out, "{x}").expect("writing to a Vec cannot fail");
+    if x.fract() == 0.0 {
+        out.extend_from_slice(b".0");
+    }
 }
 
 impl Json {
@@ -144,51 +187,36 @@ impl Json {
 
     // -- writing ------------------------------------------------------
 
-    /// Appends the document's text to `out`.
-    pub fn write(&self, out: &mut String) {
-        self.write_to(out).expect("writing to a String cannot fail");
-    }
-
-    /// Writes the document's text: numbers through `fmt`, strings
-    /// through [`write_string`], with no intermediate allocation.
-    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    /// Appends the document's text to `out`, through the spelling
+    /// functions the [`TextWriter`] shares.
+    pub fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.write_str("null"),
-            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => write!(out, "{n}"),
-            Json::Float(x) if x.is_finite() => {
-                write!(out, "{x}")?;
-                // `{}` prints an integral float without a dot (and never
-                // with an exponent); keep the value a float on re-parse.
-                if x.fract() == 0.0 {
-                    out.write_str(".0")
-                } else {
-                    Ok(())
-                }
-            }
-            Json::Float(_) => out.write_str("null"),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::Int(n) => write_int(out, *n),
+            Json::Float(x) => write_float(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(v) => {
-                out.write_char('[')?;
+                out.push(b'[');
                 for (i, item) in v.iter().enumerate() {
                     if i > 0 {
-                        out.write_char(',')?;
+                        out.push(b',');
                     }
-                    item.write_to(out)?;
+                    item.write(out);
                 }
-                out.write_char(']')
+                out.push(b']');
             }
             Json::Obj(m) => {
-                out.write_char('{')?;
+                out.push(b'{');
                 for (i, (k, v)) in m.iter().enumerate() {
                     if i > 0 {
-                        out.write_char(',')?;
+                        out.push(b',');
                     }
-                    write_string(out, k)?;
-                    out.write_char(':')?;
-                    v.write_to(out)?;
+                    write_string(out, k);
+                    out.push(b':');
+                    v.write(out);
                 }
-                out.write_char('}')
+                out.push(b'}');
             }
         }
     }
@@ -220,8 +248,11 @@ impl Json {
 }
 
 impl fmt::Display for Json {
+    /// Renders into a byte buffer, then hands the formatter one string.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_to(f)
+        let mut text = Vec::new();
+        self.write(&mut text);
+        f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -241,7 +272,7 @@ impl From<i64> for Json {
 
 impl From<usize> for Json {
     fn from(n: usize) -> Json {
-        Json::Int(n as i64)
+        Json::from(n as u64)
     }
 }
 
@@ -266,6 +297,449 @@ impl From<&str> for Json {
 impl From<String> for Json {
     fn from(s: String) -> Json {
         Json::Str(s)
+    }
+}
+
+/// The events a JSON document is written as: what every report section
+/// says its fields through ([`ToJson::emit`]), and what both sinks —
+/// [`TextWriter`] and [`TreeBuilder`] — take in.
+///
+/// A document is one value; a value is a scalar or a container; inside
+/// an object every value follows its [`key`](Emit::key). A key may
+/// repeat — the last value wins, as in a `BTreeMap` — and members may
+/// come in any order: both sinks put them in key order.
+pub trait Emit {
+    fn begin_obj(&mut self);
+    fn end_obj(&mut self);
+    fn begin_arr(&mut self);
+    fn end_arr(&mut self);
+    /// The key of the object member whose value comes next.
+    fn key(&mut self, key: &str);
+    fn null(&mut self);
+    fn bool(&mut self, b: bool);
+    fn int(&mut self, n: i64);
+    /// A non-finite float is written as `null`.
+    fn float(&mut self, x: f64);
+    fn str(&mut self, s: &str);
+
+    /// Saturates at `i64::MAX`, like `Json::from(u64)`.
+    fn uint(&mut self, n: u64) {
+        self.int(i64::try_from(n).unwrap_or(i64::MAX));
+    }
+
+    /// One object member: the key, then the value.
+    fn field<V: ToJson + ?Sized>(&mut self, key: &str, value: &V)
+    where
+        Self: Sized,
+    {
+        self.key(key);
+        value.emit(self);
+    }
+
+    /// An array of `items`, in order.
+    fn arr<I>(&mut self, items: I)
+    where
+        Self: Sized,
+        I: IntoIterator,
+        I::Item: ToJson,
+    {
+        self.begin_arr();
+        for item in items {
+            item.emit(self);
+        }
+        self.end_arr();
+    }
+}
+
+/// A value that writes itself as JSON events: the one definition of a
+/// report section's fields, rendered as text or as a tree from the same
+/// code.
+pub trait ToJson {
+    fn emit<E: Emit>(&self, out: &mut E);
+
+    /// The value as a [`Json`] tree.
+    fn to_json(&self) -> Json {
+        let mut tree = TreeBuilder::default();
+        self.emit(&mut tree);
+        tree.finish()
+    }
+
+    /// Appends the value's text to `out`: byte for byte
+    /// `self.to_json().to_string()`, without the tree.
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.emit(&mut TextWriter::new(out));
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        (**self).emit(out);
+    }
+}
+
+impl ToJson for bool {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.bool(*self);
+    }
+}
+
+impl ToJson for i64 {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.int(*self);
+    }
+}
+
+impl ToJson for u64 {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.uint(*self);
+    }
+}
+
+impl ToJson for usize {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.uint(*self as u64);
+    }
+}
+
+impl ToJson for f64 {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.float(*self);
+    }
+}
+
+impl ToJson for str {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.str(self);
+    }
+}
+
+impl ToJson for String {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.str(self);
+    }
+}
+
+impl ToJson for Json {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        match self {
+            Json::Null => out.null(),
+            Json::Bool(b) => out.bool(*b),
+            Json::Int(n) => out.int(*n),
+            Json::Float(x) => out.float(*x),
+            Json::Str(s) => out.str(s),
+            Json::Arr(items) => out.arr(items),
+            Json::Obj(members) => {
+                out.begin_obj();
+                for (k, v) in members {
+                    out.field(k, v);
+                }
+                out.end_obj();
+            }
+        }
+    }
+}
+
+/// The [`Emit`] sink that assembles a [`Json`] tree. An object's map is
+/// filled as its members arrive; array elements wait on one shared run,
+/// as in the parser, so each array is built once, at its final size.
+#[derive(Debug)]
+pub struct TreeBuilder {
+    /// The open containers, innermost last, each with the key it will
+    /// be stored under.
+    open: Vec<(Option<String>, Node)>,
+    /// The key of the member whose value comes next.
+    key: Option<String>,
+    /// Elements of the open arrays, innermost last.
+    items: Vec<Json>,
+    root: Option<Json>,
+}
+
+impl Default for TreeBuilder {
+    /// Sized so that building a run report never regrows the stacks.
+    fn default() -> TreeBuilder {
+        TreeBuilder {
+            open: Vec::with_capacity(8),
+            key: None,
+            items: Vec::with_capacity(64),
+            root: None,
+        }
+    }
+}
+
+/// A container open in a [`TreeBuilder`].
+#[derive(Debug)]
+enum Node {
+    /// Where its elements start in `items`.
+    Arr(usize),
+    Obj(BTreeMap<String, Json>),
+}
+
+impl TreeBuilder {
+    /// The document (`null` if nothing was emitted).
+    #[must_use]
+    pub fn finish(self) -> Json {
+        debug_assert!(self.open.is_empty(), "a container left open");
+        self.root.unwrap_or(Json::Null)
+    }
+
+    fn put(&mut self, value: Json) {
+        match self.open.last_mut() {
+            None => self.root = Some(value),
+            // A repeated key keeps its last value.
+            Some((_, Node::Obj(map))) => {
+                let key = self
+                    .key
+                    .take()
+                    .expect("an object member's value follows its key");
+                map.insert(key, value);
+            }
+            Some((_, Node::Arr(_))) => self.items.push(value),
+        }
+    }
+}
+
+impl Emit for TreeBuilder {
+    fn begin_obj(&mut self) {
+        self.open
+            .push((self.key.take(), Node::Obj(BTreeMap::new())));
+    }
+
+    fn end_obj(&mut self) {
+        let Some((key, Node::Obj(map))) = self.open.pop() else {
+            panic!("end_obj closes an object");
+        };
+        self.key = key;
+        self.put(Json::Obj(map));
+    }
+
+    fn begin_arr(&mut self) {
+        self.open
+            .push((self.key.take(), Node::Arr(self.items.len())));
+    }
+
+    fn end_arr(&mut self) {
+        let Some((key, Node::Arr(base))) = self.open.pop() else {
+            panic!("end_arr closes an array");
+        };
+        let value = Json::Arr(self.items.drain(base..).collect());
+        self.key = key;
+        self.put(value);
+    }
+
+    fn key(&mut self, key: &str) {
+        self.key = Some(key.to_string());
+    }
+
+    fn null(&mut self) {
+        self.put(Json::Null);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.put(Json::Bool(b));
+    }
+
+    fn int(&mut self, n: i64) {
+        self.put(Json::Int(n));
+    }
+
+    fn float(&mut self, x: f64) {
+        self.put(Json::Float(x));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.put(Json::Str(s.to_string()));
+    }
+}
+
+/// A container open in a [`TextWriter`].
+enum Open {
+    Arr {
+        empty: bool,
+    },
+    Obj {
+        /// Where its members start in `members`, and their keys in
+        /// `keys`.
+        members: usize,
+        keys: usize,
+        /// Whether every key so far was greater than the one before.
+        sorted: bool,
+    },
+}
+
+/// A member of an object open in a [`TextWriter`].
+struct Member {
+    /// Its text in `out`, from its key's opening quote to the end of its
+    /// value (set when the next member starts or the object closes).
+    text: Range<usize>,
+    /// Its key, unescaped, in `keys`.
+    key: Range<usize>,
+}
+
+/// The [`Emit`] sink that appends JSON text to a byte buffer: what the
+/// daemon streams a reply frame's payload through, straight after the
+/// header.
+///
+/// Its bytes are the tree's (`Json`'s `Display`) for the same events. A
+/// member is written where it arrives; when its object closes, members
+/// that came out of key order are put in it, a repeated key keeping
+/// its last value. Members that arrive in order cost one key compare
+/// each; an object that needs it costs one sort of its members and one
+/// copy of its text, through the buffer's own spare room.
+pub struct TextWriter<'a> {
+    out: &'a mut Vec<u8>,
+    open: Vec<Open>,
+    /// The members of every open object, innermost last.
+    members: Vec<Member>,
+    /// The open objects' keys, unescaped, end to end.
+    keys: String,
+}
+
+impl<'a> TextWriter<'a> {
+    /// Sized so that writing a run report never regrows the stacks.
+    pub fn new(out: &'a mut Vec<u8>) -> TextWriter<'a> {
+        TextWriter {
+            out,
+            open: Vec::with_capacity(8),
+            members: Vec::with_capacity(32),
+            keys: String::with_capacity(256),
+        }
+    }
+
+    /// Before a value: the comma between array elements.
+    fn value(&mut self) {
+        if let Some(Open::Arr { empty }) = self.open.last_mut() {
+            if !*empty {
+                self.out.push(b',');
+            }
+            *empty = false;
+        }
+    }
+
+    /// Rewrites the members from `base` on in key order, dropping all
+    /// but the last of a repeated key. The object's text is copied past
+    /// its end and its members copied back from there.
+    fn sort_members(&mut self, base: usize) {
+        let TextWriter {
+            out, members, keys, ..
+        } = self;
+        let run = &mut members[base..];
+        let start = run[0].text.start;
+        // Stable, so a repeated key's members stay in arrival order.
+        run.sort_by(|a, b| keys[a.key.clone()].cmp(&keys[b.key.clone()]));
+        let copy = out.len();
+        out.extend_from_within(start..copy);
+        let mut at = start;
+        for (n, m) in run.iter().enumerate() {
+            if run
+                .get(n + 1)
+                .is_some_and(|next| keys[next.key.clone()] == keys[m.key.clone()])
+            {
+                continue;
+            }
+            if at > start {
+                out[at] = b',';
+                at += 1;
+            }
+            let from = m.text.start - start + copy..m.text.end - start + copy;
+            out.copy_within(from.clone(), at);
+            at += from.len();
+        }
+        out.truncate(at);
+    }
+}
+
+impl Emit for TextWriter<'_> {
+    fn begin_obj(&mut self) {
+        self.value();
+        self.open.push(Open::Obj {
+            members: self.members.len(),
+            keys: self.keys.len(),
+            sorted: true,
+        });
+        self.out.push(b'{');
+    }
+
+    fn end_obj(&mut self) {
+        let Some(Open::Obj {
+            members,
+            keys,
+            sorted,
+        }) = self.open.pop()
+        else {
+            panic!("end_obj closes an object");
+        };
+        if let Some(last) = self.members[members..].last_mut() {
+            last.text.end = self.out.len();
+            if !sorted {
+                self.sort_members(members);
+            }
+        }
+        self.members.truncate(members);
+        self.keys.truncate(keys);
+        self.out.push(b'}');
+    }
+
+    fn begin_arr(&mut self) {
+        self.value();
+        self.open.push(Open::Arr { empty: true });
+        self.out.push(b'[');
+    }
+
+    fn end_arr(&mut self) {
+        let Some(Open::Arr { .. }) = self.open.pop() else {
+            panic!("end_arr closes an array");
+        };
+        self.out.push(b']');
+    }
+
+    fn key(&mut self, key: &str) {
+        let Some(Open::Obj {
+            members, sorted, ..
+        }) = self.open.last_mut()
+        else {
+            panic!("a key belongs inside an object");
+        };
+        if let Some(prev) = self.members[*members..].last_mut() {
+            prev.text.end = self.out.len();
+            // Byte order is `str` order; short keys compare inline.
+            *sorted &= key.bytes().gt(self.keys[prev.key.clone()].bytes());
+            self.out.push(b',');
+        }
+        let at = self.keys.len();
+        self.keys.push_str(key);
+        let start = self.out.len();
+        self.members.push(Member {
+            text: start..start,
+            key: at..self.keys.len(),
+        });
+        write_string(self.out, key);
+        self.out.push(b':');
+    }
+
+    fn null(&mut self) {
+        self.value();
+        self.out.extend_from_slice(b"null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.value();
+        self.out
+            .extend_from_slice(if b { b"true" as &[u8] } else { b"false" });
+    }
+
+    fn int(&mut self, n: i64) {
+        self.value();
+        write_int(self.out, n);
+    }
+
+    fn float(&mut self, x: f64) {
+        self.value();
+        write_float(self.out, x);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.value();
+        write_string(self.out, s);
     }
 }
 
@@ -659,6 +1133,51 @@ mod tests {
         }
         for bad in [r#""\ud83d\u""#, r#""\u12""#, r#""\u+123""#, r#""\u12é4""#] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn the_text_writer_prints_what_the_tree_prints() {
+        // Members out of order, a repeated key (last wins), nesting
+        // under an unsorted member, and arrays of every scalar.
+        fn events<E: Emit>(out: &mut E) {
+            out.begin_obj();
+            out.field("z", &1u64);
+            out.key("m");
+            out.begin_obj();
+            out.field("b", "x\"y");
+            out.field("a", &f64::NAN);
+            out.field("b", &2.5);
+            out.end_obj();
+            out.field("a", &Json::Null);
+            out.key("arr");
+            out.arr([
+                Json::Bool(true),
+                Json::Int(-7),
+                Json::str("é"),
+                Json::arr([]),
+            ]);
+            out.field("z", &u64::MAX);
+            out.key("");
+            out.begin_obj();
+            out.end_obj();
+            out.end_obj();
+        }
+        let mut tree = TreeBuilder::default();
+        events(&mut tree);
+        let mut text = Vec::new();
+        events(&mut TextWriter::new(&mut text));
+        let want = r#"{"":{},"a":null,"arr":[true,-7,"é",[]],"m":{"a":null,"b":2.5},"z":9223372036854775807}"#;
+        assert_eq!(tree.finish().to_string(), want);
+        assert_eq!(String::from_utf8(text).unwrap(), want);
+    }
+
+    #[test]
+    fn integers_spell_as_fmt_does() {
+        for n in [0, 1, -1, 9, 10, -10, 1234567890, i64::MIN, i64::MAX] {
+            let mut s = Vec::new();
+            write_int(&mut s, n);
+            assert_eq!(s, n.to_string().as_bytes());
         }
     }
 

@@ -18,7 +18,7 @@
 
 use crate::counters::ServerSnapshot;
 use crate::hist::Histogram;
-use crate::json::Json;
+use crate::json::{Emit, ToJson};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -46,15 +46,17 @@ impl PhaseNs {
             .saturating_add(self.execute)
             .saturating_add(self.reply)
     }
+}
 
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("queue_ns", Json::from(self.queue)),
-            ("translate_ns", Json::from(self.translate)),
-            ("execute_ns", Json::from(self.execute)),
-            ("reply_ns", Json::from(self.reply)),
-            ("total_ns", Json::from(self.total())),
-        ])
+impl ToJson for PhaseNs {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.begin_obj();
+        out.field("execute_ns", &self.execute);
+        out.field("queue_ns", &self.queue);
+        out.field("reply_ns", &self.reply);
+        out.field("total_ns", &self.total());
+        out.field("translate_ns", &self.translate);
+        out.end_obj();
     }
 }
 
@@ -80,19 +82,24 @@ pub struct RequestSummary {
     pub fault_sites: String,
 }
 
-impl RequestSummary {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("seq", Json::from(self.seq)),
-            ("id", Json::from(self.id)),
-            ("partition", Json::str(format!("{:016x}", self.partition))),
-            ("outcome", Json::str(&self.outcome)),
-            ("phases", self.phases.to_json()),
-            ("reply_bytes", Json::from(self.reply_bytes)),
-            ("injected", Json::from(self.injected)),
-            ("fault_sites", Json::str(&self.fault_sites)),
-        ])
+impl ToJson for RequestSummary {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.begin_obj();
+        out.field("fault_sites", &self.fault_sites);
+        out.field("id", &self.id);
+        out.field("injected", &self.injected);
+        out.field("outcome", &self.outcome);
+        out.field("partition", &hex16(self.partition));
+        out.field("phases", &self.phases);
+        out.field("reply_bytes", &self.reply_bytes);
+        out.field("seq", &self.seq);
+        out.end_obj();
     }
+}
+
+/// A partition fingerprint as its JSON spells it: 16 hex digits.
+fn hex16(fingerprint: u64) -> String {
+    format!("{fingerprint:016x}")
 }
 
 /// The latency histogram set kept per worker slot (and produced,
@@ -127,13 +134,15 @@ impl LatencyHists {
         self.queue_ns.merge(&other.queue_ns);
         self.reply_bytes.merge(&other.reply_bytes);
     }
+}
 
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("request_ns", self.request_ns.to_json()),
-            ("queue_ns", self.queue_ns.to_json()),
-            ("reply_bytes", self.reply_bytes.to_json()),
-        ])
+impl ToJson for LatencyHists {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.begin_obj();
+        out.field("queue_ns", &self.queue_ns);
+        out.field("reply_bytes", &self.reply_bytes);
+        out.field("request_ns", &self.request_ns);
+        out.end_obj();
     }
 }
 
@@ -282,34 +291,23 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// One `partitions[]` row, the shape the run report (a standalone
-    /// engine's single partition) and the daemon's STATS payload share:
-    /// the fingerprint, the partition's `server` counters and its
-    /// request-latency rollup.
-    pub fn partition_pairs(
-        &self,
-        server: &ServerSnapshot,
-    ) -> impl Iterator<Item = (&'static str, Json)> {
+    /// One `partitions[]` row's members, into the object `out` has
+    /// open — the shape the run report (a standalone engine's single
+    /// partition) and the daemon's STATS payload share: the
+    /// fingerprint, the partition's `server` counters and its
+    /// request-latency rollup. Duplicate translation work
+    /// (`translate_calls`) is reported server-wide only.
+    pub fn emit_partition_fields<E: Emit>(&self, out: &mut E, server: &ServerSnapshot) {
+        server.emit_section(out, &["translate_calls"]);
         let requests = &self.latency.request_ns;
-        let latency = Json::obj([
-            ("count", Json::from(requests.count())),
-            ("p50", Json::from(requests.p50())),
-            ("p95", Json::from(requests.p95())),
-            ("p99", Json::from(requests.p99())),
-        ]);
-        // Duplicate translation work is reported server-wide only. The
-        // survivors pass through a fixed-size array so the row keeps an
-        // exact size hint (one allocation when collected, like a
-        // literal), which `filter` alone would lose.
-        let mut kept = server
-            .section_pairs()
-            .filter(|(key, _)| *key != "translate_calls");
-        let counters: [_; ServerSnapshot::FIELDS.len() + 1] =
-            std::array::from_fn(|_| kept.next().expect("the section minus one key"));
-        counters.into_iter().chain([
-            ("partition", Json::str(format!("{:016x}", self.partition))),
-            ("latency", latency),
-        ])
+        out.key("latency");
+        out.begin_obj();
+        out.field("count", &requests.count());
+        out.field("p50", &requests.p50());
+        out.field("p95", &requests.p95());
+        out.field("p99", &requests.p99());
+        out.end_obj();
+        out.field("partition", &hex16(self.partition));
     }
 }
 

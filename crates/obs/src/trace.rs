@@ -188,16 +188,16 @@ pub use imp::{drain_events, now_ns, scoped, span, ScopeGuard, SpanGuard};
 /// traces no longer interleave on a single row.
 pub fn export_chrome_trace(events: &[Event]) -> String {
     use crate::json::write_string;
-    use std::fmt::Write;
-    let mut out = String::with_capacity(events.len() * 96 + 32);
-    out.push_str("{\"traceEvents\":[");
+    use std::io::Write;
+    let mut out = Vec::with_capacity(events.len() * 96 + 32);
+    out.extend_from_slice(b"{\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         let pid = if e.scope == 0 { 1 } else { e.scope };
-        out.push_str("{\"name\":");
-        write_string(&mut out, e.name).expect("writing to a String cannot fail");
+        out.extend_from_slice(b"{\"name\":");
+        write_string(&mut out, e.name);
         write!(
             out,
             ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{pid},\"ts\":{}.{:03},\"dur\":{}.{:03}",
@@ -206,16 +206,16 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
             e.dur_ns / 1_000,
             e.dur_ns % 1_000,
         )
-        .expect("writing to a String cannot fail");
+        .expect("writing to a Vec cannot fail");
         if let Some(d) = &e.detail {
-            out.push_str(",\"args\":{\"detail\":");
-            write_string(&mut out, d).expect("writing to a String cannot fail");
-            out.push('}');
+            out.extend_from_slice(b",\"args\":{\"detail\":");
+            write_string(&mut out, d);
+            out.push(b'}');
         }
-        out.push('}');
+        out.push(b'}');
     }
-    out.push_str("]}");
-    out
+    out.extend_from_slice(b"]}");
+    String::from_utf8(out).expect("names and details are UTF-8")
 }
 
 #[cfg(test)]

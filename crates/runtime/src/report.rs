@@ -5,7 +5,7 @@
 
 use crate::translate::CodeClass;
 use pdbt_isa::ExecError;
-use pdbt_obs::json::Json;
+use pdbt_obs::json::{Emit, Json, ToJson};
 use pdbt_obs::{
     ArtifactSnapshot, DispatchCounters, Histogram, PoolCounters, RuleCounters, ServerSnapshot,
     ShardCounters, TelemetrySnapshot,
@@ -297,126 +297,145 @@ impl Report {
         doc
     }
 
-    /// The machine-readable run report (`pdbt run --report-json`).
-    /// Counter families render themselves (`json_pairs`, keyed by their
-    /// table); only derived values, arrays and non-counter sections are
-    /// spelled out here.
+    /// The machine-readable run report (`pdbt run --report-json`) as a
+    /// tree: [`ToJson::to_json`], callable without the trait in scope.
     #[must_use]
     pub fn to_json(&self) -> Json {
+        ToJson::to_json(self)
+    }
+}
+
+/// The run report, written once for both sinks: a RESULT frame streams
+/// it as text, `to_json` builds the tree. Counter families write their
+/// own members (`emit_fields`, keyed by their table); only derived
+/// values, arrays and non-counter sections are spelled out here, each
+/// object's members in key order — the order the text comes out in.
+impl ToJson for Report {
+    fn emit<E: Emit>(&self, out: &mut E) {
         let m = &self.metrics;
         let r = &self.resilience;
         let obs = &self.obs;
-        let counts = |ns: &[u64]| Json::arr(ns.iter().map(|&n| Json::from(n)));
-        let host_by_class = [
-            ("rule_core", CodeClass::RuleCore),
-            ("qemu_core", CodeClass::QemuCore),
-            ("data_transfer", CodeClass::DataTransfer),
+        out.begin_obj();
+
+        out.key("cache");
+        out.begin_obj();
+        out.field("hit_rate", &obs.cache.hit_rate());
+        out.key("hits");
+        out.arr(obs.cache.hits());
+        out.key("misses");
+        out.arr(obs.cache.misses());
+        out.field("shards", &obs.cache.shards());
+        out.field("total_hits", &obs.cache.total_hits());
+        out.field("total_misses", &obs.cache.total_misses());
+        out.end_obj();
+
+        out.key("coverage_by_subgroup");
+        out.begin_arr();
+        for (subgroup, n) in obs.rules.coverage_by_subgroup() {
+            out.begin_obj();
+            out.field("dyn_covered", &n);
+            out.field("subgroup", &subgroup);
+            out.end_obj();
+        }
+        out.end_arr();
+
+        out.key("dispatch");
+        out.begin_obj();
+        obs.dispatch.emit_fields(out);
+        out.field("backend", self.backend);
+        out.end_obj();
+
+        out.key("histograms");
+        out.begin_obj();
+        out.field("block_host_len", &obs.block_host_len);
+        out.field("deleg_depth", &obs.deleg_depth);
+        out.field("translate_ns", &obs.translate_ns);
+        out.end_obj();
+
+        out.key("lookup_misses");
+        out.begin_arr();
+        for (label, n) in obs.rules.misses() {
+            out.begin_obj();
+            out.field("count", &n);
+            out.field("label", label);
+            out.end_obj();
+        }
+        out.end_arr();
+
+        out.key("metrics");
+        out.begin_obj();
+        m.emit_fields(out);
+        out.field("coverage", &m.coverage());
+        out.field("host_executed", &m.host_executed());
+        out.field("total_ratio", &m.total_ratio());
+        out.key("host_by_class");
+        out.begin_obj();
+        for (key, class) in [
             ("control", CodeClass::Control),
-        ]
-        .map(|(key, class)| (key, Json::from(m.host_by_class[class.index()])));
-        let injected =
-            pdbt_faults::Site::ALL.map(|s| (s.name(), Json::from(r.injected[s.index()])));
-        Json::obj([
-            ("outcome", Json::str(self.outcome.label())),
-            (
-                "metrics",
-                Json::obj(m.json_pairs().chain([
-                    ("coverage", Json::from(m.coverage())),
-                    ("host_executed", Json::from(m.host_executed())),
-                    ("total_ratio", Json::from(m.total_ratio())),
-                    ("host_by_class", Json::obj(host_by_class)),
-                ])),
-            ),
-            (
-                "rules",
-                Json::arr(obs.rules.rows_by_coverage().into_iter().map(|r| {
-                    Json::obj([
-                        ("label", Json::str(&r.label)),
-                        ("subgroup", Json::str(&r.subgroup)),
-                        ("static_hits", Json::from(r.static_hits)),
-                        ("dyn_covered", Json::from(r.dyn_covered)),
-                    ])
-                })),
-            ),
-            (
-                "lookup_misses",
-                Json::arr(obs.rules.misses().into_iter().map(|(label, n)| {
-                    Json::obj([("label", Json::str(label)), ("count", Json::from(n))])
-                })),
-            ),
-            (
-                "coverage_by_subgroup",
-                Json::arr(obs.rules.coverage_by_subgroup().into_iter().map(|(sg, n)| {
-                    Json::obj([("subgroup", Json::str(sg)), ("dyn_covered", Json::from(n))])
-                })),
-            ),
-            (
-                "histograms",
-                Json::obj([
-                    ("translate_ns", obs.translate_ns.to_json()),
-                    ("block_host_len", obs.block_host_len.to_json()),
-                    ("deleg_depth", obs.deleg_depth.to_json()),
-                ]),
-            ),
-            (
-                "cache",
-                Json::obj([
-                    ("shards", Json::from(obs.cache.shards())),
-                    ("hits", counts(obs.cache.hits())),
-                    ("misses", counts(obs.cache.misses())),
-                    ("total_hits", Json::from(obs.cache.total_hits())),
-                    ("total_misses", Json::from(obs.cache.total_misses())),
-                    ("hit_rate", Json::from(obs.cache.hit_rate())),
-                ]),
-            ),
-            (
-                "pool",
-                Json::obj([
-                    ("workers", Json::from(obs.pool.workers())),
-                    ("tasks", counts(obs.pool.tasks())),
-                    ("total", Json::from(obs.pool.total())),
-                ]),
-            ),
-            (
-                "dispatch",
-                Json::obj(
-                    obs.dispatch
-                        .json_pairs()
-                        .chain([("backend", Json::str(self.backend))]),
-                ),
-            ),
-            (
-                "server",
-                Json::obj(
-                    self.server.section_pairs().chain([
-                        (
-                            "artifact",
-                            Json::obj(
-                                self.artifact
-                                    .json_pairs()
-                                    .chain([("warm", Json::from(self.artifact.warm()))]),
-                            ),
-                        ),
-                        ("latency", self.telemetry.latency.to_json()),
-                        // A standalone engine sees exactly one partition:
-                        // the shared state it ran against. `pdbt serve`
-                        // exposes the full multi-image view through the
-                        // same rows in its STATS payload.
-                        (
-                            "partitions",
-                            Json::arr([Json::obj(self.telemetry.partition_pairs(&self.server))]),
-                        ),
-                    ]),
-                ),
-            ),
-            (
-                "resilience",
-                Json::obj(r.json_pairs().chain([("injected", Json::obj(injected))])),
-            ),
-            (
-                "output",
-                Json::arr(self.output.iter().map(|&w| Json::from(u64::from(w)))),
-            ),
-        ])
+            ("data_transfer", CodeClass::DataTransfer),
+            ("qemu_core", CodeClass::QemuCore),
+            ("rule_core", CodeClass::RuleCore),
+        ] {
+            out.field(key, &m.host_by_class[class.index()]);
+        }
+        out.end_obj();
+        out.end_obj();
+
+        out.field("outcome", self.outcome.label());
+        out.key("output");
+        out.arr(self.output.iter().map(|&w| u64::from(w)));
+
+        out.key("pool");
+        out.begin_obj();
+        out.key("tasks");
+        out.arr(obs.pool.tasks());
+        out.field("total", &obs.pool.total());
+        out.field("workers", &obs.pool.workers());
+        out.end_obj();
+
+        out.key("resilience");
+        out.begin_obj();
+        r.emit_fields(out);
+        out.key("injected");
+        out.begin_obj();
+        for site in pdbt_faults::Site::ALL {
+            out.field(site.name(), &r.injected[site.index()]);
+        }
+        out.end_obj();
+        out.end_obj();
+
+        out.key("rules");
+        out.begin_arr();
+        for row in obs.rules.rows_by_coverage() {
+            out.begin_obj();
+            out.field("dyn_covered", &row.dyn_covered);
+            out.field("label", &row.label);
+            out.field("static_hits", &row.static_hits);
+            out.field("subgroup", &row.subgroup);
+            out.end_obj();
+        }
+        out.end_arr();
+
+        out.key("server");
+        out.begin_obj();
+        self.server.emit_section(out, &[]);
+        out.key("artifact");
+        out.begin_obj();
+        self.artifact.emit_fields(out);
+        out.field("warm", &self.artifact.warm());
+        out.end_obj();
+        out.field("latency", &self.telemetry.latency);
+        // A standalone engine sees exactly one partition: the shared
+        // state it ran against. `pdbt serve` exposes the full
+        // multi-image view through the same rows in its STATS payload.
+        out.key("partitions");
+        out.begin_arr();
+        out.begin_obj();
+        self.telemetry.emit_partition_fields(out, &self.server);
+        out.end_obj();
+        out.end_arr();
+        out.end_obj();
+
+        out.end_obj();
     }
 }

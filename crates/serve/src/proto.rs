@@ -29,7 +29,7 @@
 //! artifact larger than [`MAX_PAYLOAD`] can still cross the wire.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"PDBT";
@@ -155,29 +155,67 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame and flushes the stream.
-///
-/// # Errors
-///
-/// Forwarded i/o errors.
-///
-/// # Panics
-///
-/// If `payload` exceeds [`MAX_PAYLOAD`] — a caller bug, not a peer
-/// condition.
-pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    assert!(
-        payload.len() <= MAX_PAYLOAD as usize,
-        "frame payload exceeds MAX_PAYLOAD"
-    );
+/// A frame header announcing `len` payload bytes.
+fn header(opcode: u8, len: u32) -> [u8; HEADER_LEN] {
     let mut hdr = [0u8; HEADER_LEN];
     hdr[..4].copy_from_slice(&MAGIC);
     hdr[4] = VERSION;
     hdr[5] = opcode;
-    hdr[8..12].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&hdr)?;
-    w.write_all(payload)?;
+    hdr[8..12].copy_from_slice(&len.to_be_bytes());
+    hdr
+}
+
+/// Writes one frame — header and payload in one vectored write, so the
+/// payload is not copied — and flushes the stream.
+///
+/// # Errors
+///
+/// Forwarded i/o errors; `InvalidInput` if `payload` exceeds
+/// [`MAX_PAYLOAD`] (nothing is written then).
+pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_PAYLOAD)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, too_large(payload.len())))?;
+    let hdr = header(opcode, len);
+    let mut bufs = [IoSlice::new(&hdr), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
+}
+
+/// Starts a frame in `buf`: the header, its length still zero. Append
+/// the payload after it, then [`finish_frame`].
+pub fn begin_frame(buf: &mut Vec<u8>, opcode: u8) {
+    buf.extend_from_slice(&header(opcode, 0));
+}
+
+/// Patches the payload length into the frame `buf` holds, which is
+/// then ready to send in one write.
+///
+/// # Errors
+///
+/// The payload length, if it exceeds [`MAX_PAYLOAD`].
+pub fn finish_frame(buf: &mut [u8]) -> Result<(), usize> {
+    let len = buf.len() - HEADER_LEN;
+    let wire = u32::try_from(len)
+        .ok()
+        .filter(|&n| n <= MAX_PAYLOAD)
+        .ok_or(len)?;
+    buf[8..12].copy_from_slice(&wire.to_be_bytes());
+    Ok(())
+}
+
+/// What refusing an oversized payload says.
+pub fn too_large(len: usize) -> String {
+    format!("payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte frame cap")
 }
 
 /// Reads one frame, validating magic, version, and payload length
@@ -251,6 +289,109 @@ mod tests {
             read_frame(&mut bad.as_slice()),
             Err(FrameError::TooLarge(_))
         ));
+    }
+
+    /// A writer that counts its write calls, takes at most `cap` bytes
+    /// per call (as a socket may), and notes where each slice it was
+    /// handed lives.
+    struct Counting {
+        cap: usize,
+        calls: usize,
+        wrote: Vec<u8>,
+        slices: Vec<std::ops::Range<usize>>,
+    }
+
+    impl Counting {
+        fn new(cap: usize) -> Counting {
+            Counting {
+                cap,
+                calls: 0,
+                wrote: Vec::new(),
+                slices: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cap;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                let at = buf.as_ptr() as usize;
+                self.slices.push(at..at + take);
+                self.wrote.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.cap - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_small_frame_is_one_write() {
+        for len in [0, 1, 2_761, 64 * 1024] {
+            let payload = vec![b'x'; len];
+            let mut w = Counting::new(usize::MAX);
+            write_frame(&mut w, op::SUBMIT, &payload).unwrap();
+            assert_eq!(w.calls, 1, "{len}-byte payload");
+            let frame = read_frame(&mut w.wrote.as_slice()).unwrap();
+            assert_eq!(frame.payload, payload);
+        }
+        // A frame assembled in place leaves in one write too.
+        let mut buf = Vec::new();
+        begin_frame(&mut buf, op::RESULT);
+        buf.extend_from_slice(b"{\"ok\":true}");
+        finish_frame(&mut buf).unwrap();
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            (frame.opcode, frame.payload_str().unwrap()),
+            (op::RESULT, "{\"ok\":true}")
+        );
+    }
+
+    #[test]
+    fn a_bulk_payload_goes_out_uncopied() {
+        let payload: Vec<u8> = (0..3 * 1024 * 1024 + 7)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        let span = payload.as_ptr() as usize..payload.as_ptr() as usize + payload.len();
+        // Short writes, as a socket with a full send buffer makes them.
+        let mut w = Counting::new(1 << 20);
+        write_frame(&mut w, op::ART_DATA, &payload).unwrap();
+        assert!(w.calls > 1);
+        // Every payload byte reached the writer as a piece of the
+        // caller's buffer, not of a copy.
+        let handed: usize = w
+            .slices
+            .iter()
+            .filter(|r| span.start <= r.start && r.end <= span.end)
+            .map(ExactSizeIterator::len)
+            .sum();
+        assert_eq!(handed, payload.len());
+        let frame = read_frame(&mut w.wrote.as_slice()).unwrap();
+        assert_eq!(frame.opcode, op::ART_DATA);
+        assert!(frame.payload == payload, "bytes differ");
+    }
+
+    #[test]
+    fn an_oversized_payload_is_refused_before_writing() {
+        let payload = vec![0u8; MAX_PAYLOAD as usize + 1];
+        let mut w = Counting::new(usize::MAX);
+        let err = write_frame(&mut w, op::RESULT, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.calls, 0);
+        let mut buf = Vec::new();
+        begin_frame(&mut buf, op::RESULT);
+        buf.extend_from_slice(&payload);
+        assert_eq!(finish_frame(&mut buf), Err(payload.len()));
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! The control lane: the PING and STATS payloads. Both are built inline
-//! by the accept loop — everything they read is atomic, behind a
+//! The control lane: the PING and STATS payloads. Both are written
+//! inline by the accept loop — everything they read is atomic, behind a
 //! short-lived lock, or merged from per-worker histograms in index
-//! order — so a probe never waits on a running session.
+//! order — so a probe never waits on a running session. Each is a
+//! [`ToJson`] section that reads the server as it is written: streamed
+//! into its reply frame, or built as a tree by the tests.
 
 use super::ServerCtx;
 use crate::proto;
-use pdbt_obs::json::Json;
+use pdbt_obs::json::{Emit, ToJson};
 use pdbt_obs::{LatencyHists, RequestSummary};
 use pdbt_par::TaskQueue;
 use pdbt_runtime::SharedTranslationState;
@@ -32,114 +34,139 @@ impl Totals {
 
     /// The `artifacts` section: the boot tally plus the trace-table
     /// hits.
-    fn artifacts_json(&self, ctx: &ServerCtx) -> Json {
-        let trace_hits = [("trace_hits", Json::from(self.trace_hits))];
-        Json::obj(ctx.artifacts.snapshot().json_pairs().chain(trace_hits))
+    fn emit_artifacts<E: Emit>(&self, ctx: &ServerCtx, out: &mut E) {
+        out.key("artifacts");
+        out.begin_obj();
+        ctx.artifacts.snapshot().emit_fields(out);
+        out.field("trace_hits", &self.trace_hits);
+        out.end_obj();
     }
 }
 
 /// The PING payload: protocol version, queue occupancy, and the
 /// server-lifetime counters summed across guest-image partitions.
-pub(super) fn status(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
-    let mut totals = Totals::default();
-    for p in ctx.partitions().values() {
-        totals.add(&p.state, &p.state.server().snapshot());
+pub(super) struct Status<'a>(pub(super) &'a ServerCtx, pub(super) &'a TaskQueue);
+
+impl ToJson for Status<'_> {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        let Status(ctx, queue) = *self;
+        let mut totals = Totals::default();
+        for p in ctx.partitions().values() {
+            totals.add(&p.state, &p.state.server().snapshot());
+        }
+        out.begin_obj();
+        totals.emit_artifacts(ctx, out);
+        out.field("cached_blocks", &totals.cached_blocks);
+        out.field("faults_enabled", &pdbt_faults::ENABLED);
+        out.field("fleet", &ctx.fleet.snapshot());
+        out.field("images", &totals.images);
+        out.field("jobs", &queue.jobs());
+        out.field("outstanding", &queue.outstanding());
+        out.key("server");
+        out.begin_obj();
+        // The liveness probe carries the translation-sharing counters
+        // only; STATS has the full section.
+        totals
+            .server
+            .emit_section(out, &["compiled_blocks", "hit_rate"]);
+        out.field("reply_errors", &ctx.reply_errors.load(Ordering::Relaxed));
+        out.end_obj();
+        out.field("version", &u64::from(proto::VERSION));
+        out.end_obj();
     }
-    let reply_errors = Json::from(ctx.reply_errors.load(Ordering::Relaxed));
-    Json::obj([
-        ("version", Json::from(u64::from(proto::VERSION))),
-        ("jobs", Json::from(queue.jobs())),
-        ("outstanding", Json::from(queue.outstanding())),
-        ("faults_enabled", Json::from(pdbt_faults::ENABLED)),
-        ("images", Json::from(totals.images)),
-        ("cached_blocks", Json::from(totals.cached_blocks)),
-        ("artifacts", totals.artifacts_json(ctx)),
-        ("fleet", ctx.fleet.snapshot().to_json()),
-        (
-            "server",
-            Json::obj(
-                totals
-                    .server
-                    .section_pairs()
-                    // The liveness probe carries the translation-sharing
-                    // counters only; STATS has the full section.
-                    .filter(|(key, _)| !matches!(*key, "compiled_blocks" | "hit_rate"))
-                    .chain([("reply_errors", reply_errors)]),
-            ),
-        ),
-    ])
 }
 
-/// The live-telemetry snapshot behind the `STATS` frame.
-pub(super) fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
-    let stats_seq = ctx.stats_seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let uptime_ns = ctx.started.elapsed().as_nanos() as u64;
-    // In fingerprint order, as the table iterates: deterministic
-    // payload order.
-    let states: Vec<(String, Arc<SharedTranslationState>)> = ctx
-        .partitions()
-        .values()
-        .map(|p| (p.label.clone(), Arc::clone(&p.state)))
-        .collect();
-    let load = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));
-    let per_worker = |values: Vec<u64>| Json::arr(values.into_iter().map(Json::from));
+/// The live-telemetry snapshot behind the `STATS` frame (and the
+/// flight dump on drain), under the `stats_seq` it claimed.
+pub(super) struct Stats<'a> {
+    ctx: &'a ServerCtx,
+    queue: &'a TaskQueue,
+    stats_seq: u64,
+    uptime_ns: u64,
+}
 
-    let mut totals = Totals::default();
-    let mut global = LatencyHists::default();
-    let mut flight: Vec<RequestSummary> = Vec::new();
-    let mut partitions = Vec::with_capacity(states.len());
-    for (label, state) in &states {
-        let snap = state.server().snapshot();
-        let tele = state.telemetry().snapshot();
-        let art = state.artifact().snapshot();
-        totals.add(state, &snap);
-        partitions.push(Json::obj(tele.partition_pairs(&snap).chain([
-            ("label", Json::str(label.as_str())),
-            ("cached_blocks", Json::from(state.cache().len())),
-            ("warm", Json::from(art.warm())),
-            ("loaded_blocks", Json::from(art.loaded_blocks)),
-            ("trace_hits", Json::from(art.trace_hits)),
-        ])));
-        global.merge(&tele.latency);
-        flight.extend(state.telemetry().flight().tail());
+impl<'a> Stats<'a> {
+    pub(super) fn new(ctx: &'a ServerCtx, queue: &'a TaskQueue) -> Stats<'a> {
+        Stats {
+            ctx,
+            queue,
+            stats_seq: ctx.stats_seq.fetch_add(1, Ordering::Relaxed) + 1,
+            uptime_ns: ctx.started.elapsed().as_nanos() as u64,
+        }
     }
-    // The merged flight tail reads chronologically across partitions.
-    flight.sort_by_key(|s| s.seq);
-    let tail_from = flight
-        .len()
-        .saturating_sub(pdbt_obs::FlightRecorder::CAPACITY);
-    Json::obj([
-        ("stats_seq", Json::from(stats_seq)),
-        ("version", Json::from(u64::from(proto::VERSION))),
-        ("uptime_ns", Json::from(uptime_ns)),
-        ("jobs", Json::from(ctx.cfg.jobs)),
-        ("backend", Json::str(ctx.cfg.backend.name())),
-        ("outstanding", Json::from(queue.outstanding())),
-        (
-            "sessions",
-            Json::obj([
-                ("served", load(&ctx.served)),
-                ("active", load(&ctx.active)),
-                ("panicked", Json::from(queue.panicked())),
-                ("reply_errors", load(&ctx.reply_errors)),
-            ]),
-        ),
-        (
-            "pool",
-            Json::obj([
-                ("high_water", Json::from(queue.high_water())),
-                ("completed", per_worker(queue.utilization())),
-                ("busy_ns", per_worker(queue.busy_ns())),
-            ]),
-        ),
-        ("server", Json::obj(totals.server.section_pairs())),
-        ("artifacts", totals.artifacts_json(ctx)),
-        ("fleet", ctx.fleet.snapshot().to_json()),
-        ("latency", global.to_json()),
-        ("partitions", Json::Arr(partitions)),
-        (
-            "flight",
-            Json::arr(flight[tail_from..].iter().map(RequestSummary::to_json)),
-        ),
-    ])
+}
+
+impl ToJson for Stats<'_> {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        let (ctx, queue) = (self.ctx, self.queue);
+        // In fingerprint order, as the table iterates: deterministic
+        // payload order.
+        let states: Vec<(String, Arc<SharedTranslationState>)> = ctx
+            .partitions()
+            .values()
+            .map(|p| (p.label.clone(), Arc::clone(&p.state)))
+            .collect();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+
+        let mut totals = Totals::default();
+        let mut global = LatencyHists::default();
+        let mut flight: Vec<RequestSummary> = Vec::new();
+        out.begin_obj();
+        out.key("partitions");
+        out.begin_arr();
+        for (label, state) in &states {
+            let snap = state.server().snapshot();
+            let tele = state.telemetry().snapshot();
+            let art = state.artifact().snapshot();
+            totals.add(state, &snap);
+            out.begin_obj();
+            tele.emit_partition_fields(out, &snap);
+            out.field("label", label);
+            out.field("cached_blocks", &state.cache().len());
+            out.field("warm", &art.warm());
+            out.field("loaded_blocks", &art.loaded_blocks);
+            out.field("trace_hits", &art.trace_hits);
+            out.end_obj();
+            global.merge(&tele.latency);
+            flight.extend(state.telemetry().flight().tail());
+        }
+        out.end_arr();
+        // The merged flight tail reads chronologically across
+        // partitions.
+        flight.sort_by_key(|s| s.seq);
+        let tail_from = flight
+            .len()
+            .saturating_sub(pdbt_obs::FlightRecorder::CAPACITY);
+        out.key("flight");
+        out.arr(&flight[tail_from..]);
+        out.field("latency", &global);
+        out.field("stats_seq", &self.stats_seq);
+        out.field("version", &u64::from(proto::VERSION));
+        out.field("uptime_ns", &self.uptime_ns);
+        out.field("jobs", &ctx.cfg.jobs);
+        out.field("backend", ctx.cfg.backend.name());
+        out.field("outstanding", &queue.outstanding());
+        out.key("sessions");
+        out.begin_obj();
+        out.field("served", &load(&ctx.served));
+        out.field("active", &load(&ctx.active));
+        out.field("panicked", &queue.panicked());
+        out.field("reply_errors", &load(&ctx.reply_errors));
+        out.end_obj();
+        out.key("pool");
+        out.begin_obj();
+        out.field("high_water", &queue.high_water());
+        out.key("completed");
+        out.arr(queue.utilization());
+        out.key("busy_ns");
+        out.arr(queue.busy_ns());
+        out.end_obj();
+        out.key("server");
+        out.begin_obj();
+        totals.server.emit_section(out, &[]);
+        out.end_obj();
+        totals.emit_artifacts(ctx, out);
+        out.field("fleet", &ctx.fleet.snapshot());
+        out.end_obj();
+    }
 }

@@ -41,7 +41,7 @@ mod session;
 use crate::proto::{self, op};
 use partition::{ArtifactBoot, BootScan, Partition};
 use pdbt_core::RuleSet;
-use pdbt_obs::json::Json;
+use pdbt_obs::json::{Json, ToJson};
 use pdbt_par::TaskQueue;
 use pdbt_runtime::{BackendKind, EngineConfig};
 use pdbt_workloads::Workload;
@@ -188,7 +188,8 @@ struct ServerCtx {
     /// Replication-plane counters (pulled/pushed/adopted/rejected/
     /// written_back/bytes), surfaced as the `fleet` PING/STATS section.
     fleet: pdbt_obs::FleetCounters,
-    /// Response frames that failed to write back to their client.
+    /// Response frames that failed to write back to their client, or
+    /// outgrew the frame cap and were answered with an `ERROR` instead.
     /// Nonzero means clients are vanishing mid-reply (or worse, the
     /// server is wedged writing) — the happy-path tests pin it to 0.
     reply_errors: AtomicU64,
@@ -294,8 +295,10 @@ impl Server {
         // prompted by panicked sessions) don't require rerunning the
         // traffic.
         if let Some(path) = &ctx.cfg.flight_path {
-            let doc = control::stats(ctx, &self.queue);
-            if let Err(e) = std::fs::write(path, doc.to_string() + "\n") {
+            let mut doc = Vec::new();
+            control::Stats::new(ctx, &self.queue).write_json(&mut doc);
+            doc.push(b'\n');
+            if let Err(e) = std::fs::write(path, doc) {
                 eprintln!("pdbt-serve: flight dump to {} failed: {e}", path.display());
             }
         }
@@ -333,10 +336,10 @@ impl Server {
             let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
             match frame.opcode {
                 op::PING => {
-                    respond(ctx, &mut stream, op::PONG, &control::status(ctx, queue));
+                    respond(ctx, &mut stream, op::PONG, &control::Status(ctx, queue));
                 }
                 op::STATS => {
-                    respond(ctx, &mut stream, op::PONG, &control::stats(ctx, queue));
+                    respond(ctx, &mut stream, op::PONG, &control::Stats::new(ctx, queue));
                 }
                 op::ART_LIST => replicate::serve_list(ctx, &mut stream),
                 op::ART_PULL => replicate::serve_pull(ctx, &frame, &mut stream),

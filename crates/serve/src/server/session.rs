@@ -14,13 +14,14 @@
 use super::partition::Partition;
 use super::ServerCtx;
 use crate::proto::{self, op};
-use pdbt_obs::json::Json;
+use pdbt_obs::json::{Emit, Json, ToJson};
 use pdbt_obs::RequestSummary;
 use pdbt_par::TaskQueue;
-use pdbt_runtime::{Engine, EngineConfig, RunSetup, SharedTranslationState};
+use pdbt_runtime::{Engine, EngineConfig, Report, RunSetup, SharedTranslationState};
 use pdbt_workloads::{build, Benchmark, Scale, Workload};
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,22 +30,43 @@ pub(super) fn payload_json(frame: &proto::Frame) -> Option<Json> {
     frame.payload_str().ok().and_then(|s| Json::parse(s).ok())
 }
 
-/// Writes a response frame and returns its payload size. A send failure
-/// is the client's loss, not the server's problem (the session already
-/// ran) — but it is counted (`reply_errors`), because a fleet where
-/// replies silently vanish looks healthy from every other counter.
-pub(super) fn respond(ctx: &ServerCtx, stream: &mut TcpStream, opcode: u8, payload: &Json) -> u64 {
-    let payload = payload.to_string();
-    if proto::write_frame(stream, opcode, payload.as_bytes()).is_err() {
+/// Writes a response frame and returns its payload size. The payload
+/// is streamed straight into the frame's buffer after a reserved
+/// header, the length patched in, and the frame sent in one write.
+///
+/// A send failure is the client's loss, not the server's problem (the
+/// session already ran) — but it is counted (`reply_errors`), because a
+/// fleet where replies silently vanish looks healthy from every other
+/// counter. So is a payload past the frame cap, which the client gets
+/// told about in an `ERROR` frame naming its size.
+pub(super) fn respond(
+    ctx: &ServerCtx,
+    stream: &mut TcpStream,
+    opcode: u8,
+    payload: &impl ToJson,
+) -> u64 {
+    let mut frame = Vec::with_capacity(4096);
+    proto::begin_frame(&mut frame, opcode);
+    payload.write_json(&mut frame);
+    if let Err(len) = proto::finish_frame(&mut frame) {
+        ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
+        let msg = format!("reply {}", proto::too_large(len));
+        return respond(ctx, stream, op::ERROR, &error_doc(None, &msg));
+    }
+    if stream.write_all(&frame).is_err() {
         ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
     }
-    payload.len() as u64
+    (frame.len() - proto::HEADER_LEN) as u64
+}
+
+/// An `ERROR` frame's payload.
+fn error_doc(id: Option<u64>, msg: &str) -> Json {
+    let id = id.map(|id| ("id", Json::from(id)));
+    Json::obj([("error", Json::str(msg))].into_iter().chain(id))
 }
 
 pub(super) fn respond_error(ctx: &ServerCtx, stream: &mut TcpStream, id: Option<u64>, msg: &str) {
-    let id = id.map(|id| ("id", Json::from(id)));
-    let doc = Json::obj([("error", Json::str(msg))].into_iter().chain(id));
-    respond(ctx, stream, op::ERROR, &doc);
+    respond(ctx, stream, op::ERROR, &error_doc(id, msg));
 }
 
 /// The accept-side half of a SUBMIT: parse the request, stamp it, and
@@ -73,22 +95,39 @@ pub(super) fn submit(
     }
 }
 
+/// Holds `active` raised for as long as a session runs, on every path
+/// out of it.
+struct Active<'a>(&'a AtomicU64);
+
+impl<'a> Active<'a> {
+    fn enter(active: &'a AtomicU64) -> Active<'a> {
+        active.fetch_add(1, Ordering::Relaxed);
+        Active(active)
+    }
+}
+
+impl Drop for Active<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// The worker-side request lifecycle: stamp dequeue, run the session
-/// under a request-scoped trace id, write the reply, then fold the
-/// phase latencies into the partition's telemetry plane at this
-/// worker's slot.
+/// under a request-scoped trace id, render and write the reply, then
+/// fold the phase latencies into the partition's telemetry plane at
+/// this worker's slot.
 fn serve_request(ctx: &ServerCtx, req: Json, stream: &mut TcpStream, seq: u64, accept_ns: u64) {
     let dequeue_ns = pdbt_obs::now_ns();
-    ctx.active.fetch_add(1, Ordering::Relaxed);
+    let _active = Active::enter(&ctx.active);
     // Tag every span this session opens (translate, exec, ...) with
     // the request sequence, so multi-session Chrome traces separate
     // into one track per request.
     let _scope = pdbt_obs::scoped(seq);
     let id = req.get("id").and_then(Json::as_u64);
     match run_request(ctx, &req) {
-        Ok((resp, shared, mut summary)) => {
+        Ok((reply, shared, mut summary)) => {
             let run_done_ns = pdbt_obs::now_ns();
-            summary.reply_bytes = respond(ctx, stream, op::RESULT, &resp);
+            summary.reply_bytes = respond(ctx, stream, op::RESULT, &reply);
             let reply_done_ns = pdbt_obs::now_ns();
             summary.seq = seq;
             summary.phases.queue = dequeue_ns.saturating_sub(accept_ns);
@@ -103,7 +142,26 @@ fn serve_request(ctx: &ServerCtx, req: Json, stream: &mut TcpStream, seq: u64, a
             respond_error(ctx, stream, id, &e);
         }
     }
-    ctx.active.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// A RESULT payload: the request's id and guest, and the run's report,
+/// rendered in the reply phase.
+pub(super) struct Reply {
+    id: u64,
+    workload: String,
+    report: Report,
+}
+
+impl ToJson for Reply {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        out.begin_obj();
+        out.field("faults_enabled", &pdbt_faults::ENABLED);
+        out.field("id", &self.id);
+        out.field("outcome", self.report.outcome.label());
+        out.field("report", &self.report);
+        out.field("workload", &self.workload);
+        out.end_obj();
+    }
 }
 
 /// The guest a request resolved to: a memoized benchmark corpus or an
@@ -154,10 +212,10 @@ fn resolve_guest(ctx: &ServerCtx, req: &Json) -> Result<(Guest, RunSetup, String
 /// payload, the partition the session ran against, and what the flight
 /// recorder keeps of it — [`serve_request`] adds the sequence number and
 /// the phase stamps only it can measure.
-fn run_request(
+pub(super) fn run_request(
     ctx: &ServerCtx,
     req: &Json,
-) -> Result<(Json, Arc<SharedTranslationState>, RequestSummary), String> {
+) -> Result<(Reply, Arc<SharedTranslationState>, RequestSummary), String> {
     let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
     let (guest, mut setup, label) = resolve_guest(ctx, req)?;
     if let Some(mg) = req.get("max_guest").and_then(Json::as_u64) {
@@ -225,12 +283,10 @@ fn run_request(
     };
     // Time inside the translator, from the session's own histogram.
     summary.phases.translate = report.obs.translate_ns.sum();
-    let resp = Json::obj([
-        ("id", Json::from(id)),
-        ("workload", Json::str(label)),
-        ("outcome", Json::str(report.outcome.label())),
-        ("faults_enabled", Json::from(pdbt_faults::ENABLED)),
-        ("report", report.to_json()),
-    ]);
-    Ok((resp, shared, summary))
+    let reply = Reply {
+        id,
+        workload: label,
+        report,
+    };
+    Ok((reply, shared, summary))
 }

@@ -264,3 +264,36 @@ fn expired_deadline_reports_a_deadline_outcome() {
     client::shutdown(addr, t).expect("shutdown");
     handle.join().unwrap();
 }
+
+#[test]
+fn replies_stream_as_their_trees() {
+    // The RESULT, PING and STATS sections, each written once: what a
+    // frame streams is what the tree of the same snapshot prints.
+    fn assert_same(doc: &impl ToJson, what: &str) {
+        let mut streamed = Vec::new();
+        doc.write_json(&mut streamed);
+        assert_eq!(
+            String::from_utf8(streamed).unwrap(),
+            doc.to_json().to_string(),
+            "{what}"
+        );
+    }
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let ctx = &server.ctx;
+    for (i, program) in [GUEST, GUEST, "mov r0, #9\nmul r0, r0, r0\nsvc #1\nsvc #0\n"]
+        .into_iter()
+        .enumerate()
+    {
+        let req = Json::obj([
+            ("id", Json::from(i as u64)),
+            ("program", Json::str(program)),
+        ]);
+        let (reply, shared, mut summary) = session::run_request(ctx, &req).expect("runs");
+        assert_same(&reply, "RESULT");
+        summary.seq = i as u64 + 1;
+        summary.reply_bytes = 100 + i as u64;
+        shared.telemetry().record(0, summary);
+    }
+    assert_same(&control::Status(ctx, &server.queue), "PING");
+    assert_same(&control::Stats::new(ctx, &server.queue), "STATS");
+}

@@ -408,3 +408,17 @@ pub fn boundary_program(rng: &mut StdRng, kind: Boundary, between: usize, cap: u
     insts.push(g::svc(0));
     Program::new(0x1000, insts)
 }
+
+/// A short random string from the JSON writer's corners: control
+/// bytes, quotes, backslashes, non-ASCII and astral text.
+pub fn random_string(rng: &mut StdRng) -> String {
+    let len = rng.gen_range(0..12usize);
+    (0..len)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => char::from(rng.gen_range(0..0x20u8)),
+            1 => ['"', '\\', '/', 'é', '😀', '\u{7f}'][rng.gen_range(0..6usize)],
+            2 => char::from_u32(rng.gen_range(0x80..0x11_0000u32)).unwrap_or('\u{fffd}'),
+            _ => char::from(rng.gen_range(0x20..0x7fu8)),
+        })
+        .collect()
+}

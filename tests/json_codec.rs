@@ -3,8 +3,10 @@
 //! round-trip property.
 //!
 //! Every report, PING/STATS payload, RESULT frame and artifact header
-//! this tool emits goes through one writer, so a codec change that moves
-//! a byte moves every consumer's input. The golden covers a fixed
+//! this tool emits is spelled by these functions — through the tree's
+//! writer or the streaming one (`tests/json_stream.rs` holds the two
+//! equal) — so a codec change that moves a byte moves every consumer's
+//! input. The golden covers a fixed
 //! corpus: the stripped run report of `report_schema.rs`'s guest, a
 //! STATS-shaped payload, and hand-written edge documents (float and
 //! integer extremes, every control character, non-ASCII text, empty and
@@ -19,10 +21,10 @@
 
 mod common;
 
-use common::assert_golden;
+use common::{assert_golden, random_string};
 use pdbt::arm::{parse_listing, Program};
 use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::obs::json::Json;
+use pdbt::obs::json::{Emit, Json, ToJson, TreeBuilder};
 use pdbt::obs::{LatencyHists, PhaseNs, RequestSummary, ServerSnapshot, TelemetrySnapshot};
 use pdbt::runtime::{BackendKind, Engine, EngineConfig, Report, RunSetup};
 use pdbt::workloads::{learn_suite, suite, Scale};
@@ -118,24 +120,28 @@ fn stats_payload() -> Json {
         sessions: 5,
         compiled_blocks: 9,
     };
-    Json::obj([
-        ("stats_seq", Json::from(3u64)),
-        ("uptime_ns", Json::from(1_234_567_890u64)),
-        ("backend", Json::str("threaded")),
-        ("server", Json::obj(server.section_pairs())),
-        ("latency", tele.latency.to_json()),
-        (
-            "partitions",
-            Json::arr([Json::obj(tele.partition_pairs(&server).chain([
-                ("label", Json::str("mcf/tiny")),
-                ("warm", Json::from(false)),
-            ]))]),
-        ),
-        (
-            "flight",
-            Json::arr(summaries.iter().map(RequestSummary::to_json)),
-        ),
-    ])
+    let mut out = TreeBuilder::default();
+    out.begin_obj();
+    out.field("stats_seq", &3u64);
+    out.field("uptime_ns", &1_234_567_890u64);
+    out.field("backend", "threaded");
+    out.key("server");
+    out.begin_obj();
+    server.emit_section(&mut out, &[]);
+    out.end_obj();
+    out.field("latency", &tele.latency);
+    out.key("partitions");
+    out.begin_arr();
+    out.begin_obj();
+    tele.emit_partition_fields(&mut out, &server);
+    out.field("label", "mcf/tiny");
+    out.field("warm", &false);
+    out.end_obj();
+    out.end_arr();
+    out.key("flight");
+    out.arr(&summaries);
+    out.end_obj();
+    out.finish()
 }
 
 /// Hand-written documents at the writer's edges.
@@ -196,13 +202,17 @@ fn writer_bytes_match_the_golden() {
     for (name, doc) in &corpus {
         let text = doc.to_string();
         // `Display` and `write` into a non-empty buffer agree.
-        let mut appended = String::from("x");
+        let mut appended = b"x".to_vec();
         doc.write(&mut appended);
         assert_eq!(
             appended[1..],
-            text,
+            *text.as_bytes(),
             "{name}: write appends what Display prints"
         );
+        // And the text writer, fed the tree's events, prints the same.
+        let mut streamed = Vec::new();
+        doc.write_json(&mut streamed);
+        assert_eq!(streamed, text.as_bytes(), "{name}: streamed text");
         got.push_str(&format!("{name}\t{text}\n"));
     }
     assert_golden(&got, "json_codec.txt");
@@ -225,18 +235,6 @@ fn every_golden_line_is_a_write_fixpoint() {
 fn a_duplicate_key_keeps_its_last_value() {
     let doc = Json::parse(r#"{"a":1,"b":{"x":[],"x":2},"a":3}"#).unwrap();
     assert_eq!(doc.to_string(), r#"{"a":3,"b":{"x":2}}"#);
-}
-
-fn random_string(rng: &mut StdRng) -> String {
-    let len = rng.gen_range(0..12usize);
-    (0..len)
-        .map(|_| match rng.gen_range(0..4u32) {
-            0 => char::from(rng.gen_range(0..0x20u8)),
-            1 => ['"', '\\', '/', 'é', '😀', '\u{7f}'][rng.gen_range(0..6usize)],
-            2 => char::from_u32(rng.gen_range(0x80..0x11_0000u32)).unwrap_or('\u{fffd}'),
-            _ => char::from(rng.gen_range(0x20..0x7fu8)),
-        })
-        .collect()
 }
 
 fn random_float(rng: &mut StdRng) -> f64 {

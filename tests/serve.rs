@@ -451,3 +451,35 @@ fn alternating_translate_configs_on_one_image_match_cold_runs() {
     let summary = handle.join().unwrap();
     assert_eq!((summary.requests, summary.panicked), (4, 0));
 }
+
+/// A RESULT past the frame cap (`proto::MAX_PAYLOAD`, 16 MiB): this
+/// guest prints `4294967295` every two instructions, ≈ 22 MB of report.
+/// The client is told the size in an ERROR frame, the daemon counts a
+/// reply error, and the session neither panics its worker nor stays
+/// `active`.
+#[test]
+fn an_oversized_result_is_an_error_frame_not_a_panic() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    let req = Json::obj([
+        ("id", Json::from(9u64)),
+        ("program", Json::str("mvn r0, #0\nsvc #1\nb .-4\n")),
+        ("max_guest", Json::from(4_000_000u64)),
+    ]);
+    match submit(addr, &req, T) {
+        Err(pdbt_serve::ClientError::Remote(why)) => {
+            assert!(why.contains("bytes exceeds the 16777216-byte"), "{why}");
+        }
+        other => panic!("want an ERROR frame naming the size, got {other:?}"),
+    }
+    let snap = settled_stats(addr, 1);
+    let sessions = |key: &str| snap.get("sessions")?.get(key)?.as_u64();
+    assert_eq!(sessions("active"), Some(0));
+    assert_eq!(sessions("panicked"), Some(0));
+    assert_eq!(sessions("reply_errors"), Some(1));
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (1, 0));
+}
