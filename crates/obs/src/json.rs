@@ -383,12 +383,6 @@ impl ToJson for bool {
     }
 }
 
-impl ToJson for i64 {
-    fn emit<E: Emit>(&self, out: &mut E) {
-        out.int(*self);
-    }
-}
-
 impl ToJson for u64 {
     fn emit<E: Emit>(&self, out: &mut E) {
         out.uint(*self);

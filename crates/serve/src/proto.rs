@@ -165,6 +165,18 @@ fn header(opcode: u8, len: u32) -> [u8; HEADER_LEN] {
     hdr
 }
 
+/// The header's length field for a `len`-byte payload.
+///
+/// # Errors
+///
+/// [`FrameError::TooLarge`] past [`MAX_PAYLOAD`].
+fn wire_len(len: usize) -> Result<u32, FrameError> {
+    match u32::try_from(len).unwrap_or(u32::MAX) {
+        n if n <= MAX_PAYLOAD => Ok(n),
+        n => Err(FrameError::TooLarge(n)),
+    }
+}
+
 /// Writes one frame — header and payload in one vectored write, so the
 /// payload is not copied — and flushes the stream.
 ///
@@ -173,10 +185,8 @@ fn header(opcode: u8, len: u32) -> [u8; HEADER_LEN] {
 /// Forwarded i/o errors; `InvalidInput` if `payload` exceeds
 /// [`MAX_PAYLOAD`] (nothing is written then).
 pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&len| len <= MAX_PAYLOAD)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, too_large(payload.len())))?;
+    let len =
+        wire_len(payload.len()).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let hdr = header(opcode, len);
     let mut bufs = [IoSlice::new(&hdr), IoSlice::new(payload)];
     let mut bufs = &mut bufs[..];
@@ -193,7 +203,7 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result
 
 /// Starts a frame in `buf`: the header, its length still zero. Append
 /// the payload after it, then [`finish_frame`].
-pub fn begin_frame(buf: &mut Vec<u8>, opcode: u8) {
+pub(crate) fn begin_frame(buf: &mut Vec<u8>, opcode: u8) {
     buf.extend_from_slice(&header(opcode, 0));
 }
 
@@ -202,20 +212,11 @@ pub fn begin_frame(buf: &mut Vec<u8>, opcode: u8) {
 ///
 /// # Errors
 ///
-/// The payload length, if it exceeds [`MAX_PAYLOAD`].
-pub fn finish_frame(buf: &mut [u8]) -> Result<(), usize> {
-    let len = buf.len() - HEADER_LEN;
-    let wire = u32::try_from(len)
-        .ok()
-        .filter(|&n| n <= MAX_PAYLOAD)
-        .ok_or(len)?;
-    buf[8..12].copy_from_slice(&wire.to_be_bytes());
+/// [`FrameError::TooLarge`] past [`MAX_PAYLOAD`].
+pub(crate) fn finish_frame(buf: &mut [u8]) -> Result<(), FrameError> {
+    let len = wire_len(buf.len() - HEADER_LEN)?;
+    buf[8..12].copy_from_slice(&len.to_be_bytes());
     Ok(())
-}
-
-/// What refusing an oversized payload says.
-pub fn too_large(len: usize) -> String {
-    format!("payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte frame cap")
 }
 
 /// Reads one frame, validating magic, version, and payload length
@@ -391,7 +392,10 @@ mod tests {
         let mut buf = Vec::new();
         begin_frame(&mut buf, op::RESULT);
         buf.extend_from_slice(&payload);
-        assert_eq!(finish_frame(&mut buf), Err(payload.len()));
+        assert!(matches!(
+            finish_frame(&mut buf),
+            Err(FrameError::TooLarge(n)) if n == MAX_PAYLOAD + 1
+        ));
     }
 
     #[test]

@@ -48,9 +48,9 @@ pub(super) fn respond(
     let mut frame = Vec::with_capacity(4096);
     proto::begin_frame(&mut frame, opcode);
     payload.write_json(&mut frame);
-    if let Err(len) = proto::finish_frame(&mut frame) {
+    if let Err(e) = proto::finish_frame(&mut frame) {
         ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
-        let msg = format!("reply {}", proto::too_large(len));
+        let msg = format!("reply {e}");
         return respond(ctx, stream, op::ERROR, &error_doc(None, &msg));
     }
     if stream.write_all(&frame).is_err() {

@@ -470,7 +470,7 @@ fn an_oversized_result_is_an_error_frame_not_a_panic() {
     ]);
     match submit(addr, &req, T) {
         Err(pdbt_serve::ClientError::Remote(why)) => {
-            assert!(why.contains("bytes exceeds the 16777216-byte"), "{why}");
+            assert!(why.contains("exceeds the 16777216-byte cap"), "{why}");
         }
         other => panic!("want an ERROR frame naming the size, got {other:?}"),
     }
