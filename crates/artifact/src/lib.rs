@@ -40,10 +40,10 @@
 //! let opened = open_salvage(&bytes).unwrap();
 //! assert!(opened.quarantined.is_empty());
 //! let shared = std::sync::Arc::new(warm_state(&opened, None, 8, 4));
-//! let mut engine = Engine::with_shared(shared, EngineConfig::default());
+//! let mut engine = Engine::with_shared(shared.clone(), EngineConfig::default());
 //! let report = engine.run(&prog, &setup).unwrap();
 //! assert_eq!(report.output, vec![42]);
-//! assert_eq!(report.server.translate_calls, 0); // fully warm
+//! assert_eq!(shared.server().snapshot().translate_calls, 0); // fully warm
 //! ```
 
 pub mod bytes;
@@ -229,12 +229,13 @@ mod tests {
 
         let opened = open_salvage(&seal(&artifact)).unwrap();
         let shared = std::sync::Arc::new(warm_state(&opened, None, 8, 4));
-        let mut engine = Engine::with_shared(shared, EngineConfig::default());
+        let mut engine = Engine::with_shared(shared.clone(), EngineConfig::default());
         let warm = engine.run(&prog, &setup).unwrap();
         assert_eq!(warm.output, cold.output);
-        assert_eq!(warm.server.translate_calls, 0);
-        assert_eq!(warm.server.inserted, 0);
-        assert!(warm.artifact.warm());
-        assert_eq!(warm.artifact.loaded_blocks, artifact.blocks.len() as u64);
+        let (server, loaded) = (shared.server().snapshot(), shared.artifact().snapshot());
+        assert_eq!(server.translate_calls, 0);
+        assert_eq!(server.inserted, 0);
+        assert!(loaded.warm());
+        assert_eq!(loaded.loaded_blocks, artifact.blocks.len() as u64);
     }
 }

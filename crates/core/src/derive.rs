@@ -150,7 +150,7 @@ fn reg_mentions(modes: &[ModeTag]) -> usize {
             ModeTag::Reg | ModeTag::Shifted(_) => 1,
             ModeTag::MemBaseImm => 1,
             ModeTag::MemBaseReg => 2,
-            ModeTag::Imm | ModeTag::Opaque => 0,
+            ModeTag::Imm => 0,
         })
         .sum()
 }

@@ -48,8 +48,6 @@ pub enum ModeTag {
     MemBaseImm,
     /// `[base, index]` memory.
     MemBaseReg,
-    /// A branch target / register list — not parameterizable.
-    Opaque,
 }
 
 impl fmt::Display for ModeTag {
@@ -60,7 +58,6 @@ impl fmt::Display for ModeTag {
             ModeTag::Shifted(k) => write!(f, "sreg-{k}"),
             ModeTag::MemBaseImm => f.write_str("mem-bi"),
             ModeTag::MemBaseReg => f.write_str("mem-br"),
-            ModeTag::Opaque => f.write_str("opaque"),
         }
     }
 }
@@ -375,7 +372,6 @@ fn reconstruct_one(
                 let index = next_reg()?;
                 Operand::Mem(MemAddr::BaseReg { base, index })
             }
-            ModeTag::Opaque => return None,
         };
         operands.push(o);
     }

@@ -46,7 +46,6 @@ fn mode_name(m: &ModeTag) -> String {
         ModeTag::Shifted(k) => format!("s{k}"),
         ModeTag::MemBaseImm => "mbi".into(),
         ModeTag::MemBaseReg => "mbr".into(),
-        ModeTag::Opaque => "opaque".into(),
     }
 }
 

@@ -181,7 +181,7 @@ fn inline_keys_compare_order_and_hash_as_their_slices() {
         // A shorter list that once was longer keeps stale elements past
         // its length: they must not show either.
         let mut shrunk = *a;
-        while shrunk.modes.try_push(ModeTag::Opaque).is_ok() {}
+        while shrunk.modes.try_push(ModeTag::MemBaseReg).is_ok() {}
         shrunk.modes.truncate(modes.len());
         assert_eq!((shrunk, hash_of(shrunk)), (*a, hash_of(a)), "{a}");
         for b in &keys {

@@ -492,7 +492,7 @@ counter_family! {
 
 counter_family! {
     /// A point-in-time copy of [`ServerCounters`], the counters of the
-    /// report's `server` section.
+    /// `server` section of PING and STATS.
     pub struct ServerSnapshot {
         /// Session-first-sight probes of the shared cache (one per
         /// distinct pc per session).
@@ -555,8 +555,8 @@ impl ServerSnapshot {
 }
 
 counter_family! {
-    /// A point-in-time copy of [`ArtifactCounters`], reported as
-    /// `server.artifact`.
+    /// A point-in-time copy of [`ArtifactCounters`], read into the
+    /// `partitions[]` rows of STATS.
     pub struct ArtifactSnapshot {
         /// Pre-translated blocks rehydrated into the shared cache at
         /// boot.

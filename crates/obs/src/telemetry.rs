@@ -273,8 +273,7 @@ impl Telemetry {
     }
 
     /// The latency rollup. The flight tail is read on its own
-    /// ([`Telemetry::flight`]): only STATS and the drain dump show it,
-    /// so a run report does not copy the ring.
+    /// ([`Telemetry::flight`]): only STATS and the drain dump show it.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             partition: self.partition,
@@ -291,11 +290,9 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// One `partitions[]` row's members, into the object `out` has
-    /// open — the shape the run report (a standalone engine's single
-    /// partition) and the daemon's STATS payload share: the
-    /// fingerprint, the partition's `server` counters and its
-    /// request-latency rollup. Duplicate translation work
+    /// One STATS `partitions[]` row's members, into the object `out`
+    /// has open: the fingerprint, the partition's `server` counters and
+    /// its request-latency rollup. Duplicate translation work
     /// (`translate_calls`) is reported server-wide only.
     pub fn emit_partition_fields<E: Emit>(&self, out: &mut E, server: &ServerSnapshot) {
         server.emit_section(out, &["translate_calls"]);

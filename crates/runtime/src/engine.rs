@@ -52,8 +52,8 @@ pub struct EngineConfig {
     pub trace_threshold: u32,
     /// Record a request summary (translate/execute phase latencies)
     /// into the shared state's telemetry plane at the end of each run.
-    /// On for standalone engines — the one-session-server view — and
-    /// turned off by `pdbt-serve`, which stamps the full request
+    /// On for standalone engines (read from the state, not the report)
+    /// and turned off by `pdbt-serve`, which stamps the full request
     /// lifecycle (queue wait, reply write) itself and must not record
     /// each request twice.
     pub record_telemetry: bool,
@@ -559,9 +559,6 @@ impl Engine {
             obs: self.obs.clone(),
             outcome,
             resilience: self.resilience.clone(),
-            server: self.shared.server().snapshot(),
-            telemetry: self.shared.telemetry().snapshot(),
-            artifact: self.shared.artifact().snapshot(),
             backend: self.cfg.backend.name(),
         })
     }
@@ -1049,14 +1046,8 @@ mod engine_edge_tests {
         assert_eq!(snap.inserted, a.metrics.blocks_translated);
         assert_eq!(snap.probes, 2 * a.metrics.blocks_translated);
         assert_eq!(snap.hits(), a.metrics.blocks_translated);
-        // The report carries the server section.
-        let doc = pdbt_obs::json::Json::parse(&b.to_json().to_string()).unwrap();
-        let server = doc.get("server").expect("server section");
-        assert_eq!(server.get("sessions").and_then(|v| v.as_u64()), Some(2));
-        assert_eq!(
-            server.get("hits").and_then(|v| v.as_u64()),
-            Some(snap.hits())
-        );
+        // The report describes its own session, not the shared state.
+        assert!(b.to_json().get("server").is_none());
     }
 
     #[test]

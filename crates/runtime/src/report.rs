@@ -6,10 +6,7 @@
 use crate::translate::CodeClass;
 use pdbt_isa::ExecError;
 use pdbt_obs::json::{Emit, Json, ToJson};
-use pdbt_obs::{
-    ArtifactSnapshot, DispatchCounters, Histogram, PoolCounters, RuleCounters, ServerSnapshot,
-    ShardCounters, TelemetrySnapshot,
-};
+use pdbt_obs::{DispatchCounters, Histogram, PoolCounters, RuleCounters, ShardCounters};
 use std::fmt;
 
 pdbt_obs::counter_family! {
@@ -243,25 +240,6 @@ pub struct Report {
     pub outcome: Outcome,
     /// Degraded-mode counters.
     pub resilience: Resilience,
-    /// Server-lifetime shared-translation counters, snapshotted when
-    /// the report was built. For a standalone engine this describes its
-    /// own private state (`sessions: 1`, `hits: 0`); under `pdbt serve`
-    /// it shows the cross-session sharing this run benefited from. The
-    /// snapshot point is wall-clock-dependent under concurrency, so
-    /// determinism comparisons strip this section (like
-    /// `histograms.translate_ns`).
-    pub server: ServerSnapshot,
-    /// Serving-plane telemetry snapshot (request latency histograms; a
-    /// report describes its own session, so it carries no other
-    /// request's flight-recorder entry) from the same shared state, taken at
-    /// the same point as `server`. Reported inside the `server` JSON
-    /// section, so it is stripped by the same determinism discipline.
-    pub telemetry: TelemetrySnapshot,
-    /// Translation-artifact counters of the shared state: what a
-    /// sealed artifact contributed at boot and how often a trace was
-    /// served from the shared table. All-zero for a fresh state. Reported
-    /// inside the `server` JSON section (stripped with it).
-    pub artifact: ArtifactSnapshot,
     /// Name of the host backend that executed the run (`"model"` or
     /// `"threaded"`; empty on a default-constructed report). Reported
     /// as `dispatch.backend`.
@@ -269,18 +247,12 @@ pub struct Report {
 }
 
 impl Report {
-    /// What [`Report::stripped`] drops: the one section that describes
-    /// the shared state rather than the session (`server`, snapshotted
-    /// at a wall-clock-dependent point under concurrency), the two
-    /// wall-clock measurements, and `pool` — which prewarm worker ran
-    /// which task is a work-stealing schedule, and warm tasks that
-    /// complete instantly shift it.
-    pub const STRIPPED: [&'static str; 4] = [
-        "server",
-        "histograms.translate_ns",
-        "dispatch.compile_ns",
-        "pool",
-    ];
+    /// What [`Report::stripped`] drops: the two wall-clock measurements,
+    /// and `pool` — which prewarm worker ran which task is a
+    /// work-stealing schedule, and warm tasks that complete instantly
+    /// shift it.
+    pub const STRIPPED: [&'static str; 3] =
+        ["histograms.translate_ns", "dispatch.compile_ns", "pool"];
 
     /// The stripped report — the definition of the determinism
     /// invariant: for one guest, rule set and configuration, this
@@ -415,26 +387,6 @@ impl ToJson for Report {
             out.end_obj();
         }
         out.end_arr();
-
-        out.key("server");
-        out.begin_obj();
-        self.server.emit_section(out, &[]);
-        out.key("artifact");
-        out.begin_obj();
-        self.artifact.emit_fields(out);
-        out.field("warm", &self.artifact.warm());
-        out.end_obj();
-        out.field("latency", &self.telemetry.latency);
-        // A standalone engine sees exactly one partition: the shared
-        // state it ran against. `pdbt serve` exposes the full
-        // multi-image view through the same rows in its STATS payload.
-        out.key("partitions");
-        out.begin_arr();
-        out.begin_obj();
-        self.telemetry.emit_partition_fields(out, &self.server);
-        out.end_obj();
-        out.end_arr();
-        out.end_obj();
 
         out.end_obj();
     }

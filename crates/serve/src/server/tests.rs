@@ -231,7 +231,8 @@ fn a_new_trace_re_seals_and_a_trace_hit_does_not() {
     let blocks = p.state.cache().len();
     let run = |p: &Partition| {
         let mut engine = Engine::with_shared(Arc::clone(&p.state), EngineConfig::default());
-        engine.run(&prog, &setup).unwrap().artifact.trace_hits as usize
+        engine.run(&prog, &setup).unwrap();
+        p.state.artifact().snapshot().trace_hits as usize
     };
 
     // The only growth is the trace the artifact lacked: re-sealed at

@@ -69,6 +69,7 @@ use pdbt::core::derive::{derive_jobs, DeriveConfig};
 use pdbt::core::{load_rules_salvage, save_rules, RuleSet};
 use pdbt::obs::json::Json;
 use pdbt::obs::trace::export_chrome_trace;
+use pdbt::obs::DispatchCounters;
 use pdbt::runtime::{
     translate_block, BackendKind, CodeClass, Engine, EngineConfig, RunSetup, TranslateConfig,
 };
@@ -532,25 +533,11 @@ fn cmd_stats(args: &Args) -> Result<(), Fail> {
         "\nflag-delegation window depth (catch-all = env fallback)\n{}",
         report.obs.deleg_depth
     );
-    let d = &report.obs.dispatch;
     println!("\ndispatch (backend: {})", report.backend);
-    println!(
-        "  threaded compile  {:>12} blocks, {} ns",
-        d.compiled_blocks, d.compile_ns
-    );
-    println!(
-        "  jump cache        {:>12} hits, {} misses",
-        d.jump_cache_hits, d.jump_cache_misses
-    );
-    println!(
-        "  chaining          {:>12} followed, {} links resolved",
-        d.chain_followed, d.links_resolved
-    );
-    println!(
-        "  traces            {:>12} formed, {} superblock executions",
-        d.traces_formed, d.trace_execs
-    );
-    println!("  invalidations     {:>12}", d.invalidations);
+    let d = &report.obs.dispatch;
+    for (name, n) in DispatchCounters::FIELDS.iter().zip(d.values()) {
+        println!("  {name:<22} {n:>12}");
+    }
     let res = &report.resilience;
     if *res != Resilience::default() || report.outcome != Outcome::Completed {
         println!("\nresilience (outcome: {})", report.outcome.label());

@@ -19,7 +19,7 @@ use common::{assert_golden, learned_for, mcf_request, spawn_server, stripped, SE
 use pdbt::artifact::bytes::crc32;
 use pdbt::artifact::{open_salvage, seal, warm_state};
 use pdbt::obs::json::Json;
-use pdbt::runtime::{Engine, EngineConfig, RunSetup};
+use pdbt::runtime::{Engine, EngineConfig, RunSetup, SharedTranslationState};
 use pdbt::workloads::{build, suite, Benchmark, Config, Experiment, Scale};
 use pdbt_serve::{ping, shutdown, submit, ServeConfig};
 use rand::rngs::StdRng;
@@ -81,13 +81,17 @@ fn artifact_boot_is_bit_identical_to_cold_runs() {
                 jobs,
                 ..EngineConfig::default()
             };
-            let mut cold_engine = Engine::new(Some(rules.clone()), cfg);
+            let cold_state = Arc::new(SharedTranslationState::new(
+                Some(rules.clone()),
+                cfg.cache_shards,
+            ));
+            let mut cold_engine = Engine::with_shared(cold_state.clone(), cfg);
             let cold = cold_engine
                 .run(&w.pair.guest.program, &w.setup())
                 .expect("cold run");
 
             let shared = Arc::new(warm_state(&opened, None, 8, jobs));
-            let mut warm_engine = Engine::with_shared(shared, cfg);
+            let mut warm_engine = Engine::with_shared(shared.clone(), cfg);
             let warm = warm_engine
                 .run(&w.pair.guest.program, &w.setup())
                 .expect("warm run");
@@ -102,10 +106,11 @@ fn artifact_boot_is_bit_identical_to_cold_runs() {
                 "seed {seed:#x} jobs {jobs}: warm report diverged from cold"
             );
             // The warm session did zero live translation work.
-            assert_eq!(warm.server.translate_calls, 0, "seed {seed:#x} jobs {jobs}");
-            assert_eq!(warm.server.inserted, 0, "seed {seed:#x} jobs {jobs}");
-            assert!(warm.artifact.warm());
-            assert!(!cold.artifact.warm());
+            let server = shared.server().snapshot();
+            assert_eq!(server.translate_calls, 0, "seed {seed:#x} jobs {jobs}");
+            assert_eq!(server.inserted, 0, "seed {seed:#x} jobs {jobs}");
+            assert!(shared.artifact().snapshot().warm());
+            assert!(!cold_state.artifact().snapshot().warm());
         }
     }
 }
@@ -238,7 +243,7 @@ fn randomized_programs_roundtrip_and_boot_identically() {
             .run(&prog, &setup)
             .expect("cold run");
         let shared = Arc::new(warm_state(&opened, None, 8, 1));
-        let warm = Engine::with_shared(shared, EngineConfig::default())
+        let warm = Engine::with_shared(shared.clone(), EngineConfig::default())
             .run(&prog, &setup)
             .expect("warm run");
         assert_eq!(warm.output, cold.output, "case {case}");
@@ -247,7 +252,8 @@ fn randomized_programs_roundtrip_and_boot_identically() {
             stripped(&cold.to_json()),
             "case {case}: warm report diverged"
         );
-        assert_eq!(warm.server.translate_calls, 0, "case {case}");
+        let translated = shared.server().snapshot().translate_calls;
+        assert_eq!(translated, 0, "case {case}");
     }
 }
 

@@ -2,11 +2,13 @@
 //! flag, a value flag without its value, an unknown scale, benchmark or
 //! experiment name each exit 2, naming the offending token and printing
 //! that subcommand's usage line — instead of training at the wrong
-//! scale or running without the rules that were asked for.
+//! scale or running without the rules that were asked for. What it
+//! does understand, `pdbt stats` prints from the counter tables.
 
 mod common;
 
 use common::pdbt;
+use pdbt::obs::DispatchCounters;
 use pdbt::workloads::{Experiment, Scale, EXPERIMENTS};
 
 #[test]
@@ -75,4 +77,23 @@ fn experiments_prints_the_named_views_in_the_order_asked() {
         view(&mut exp, &mut want).unwrap();
     }
     assert_eq!(run.stdout, want);
+}
+
+#[test]
+fn stats_prints_every_dispatch_counter() {
+    let dir = std::env::temp_dir().join(format!("pdbt-cli-stats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prog = dir.join("p.s");
+    std::fs::write(&prog, "mov r0, #1\nsvc #1\nsvc #0\n").unwrap();
+    let run = pdbt(&["stats", prog.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(run.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    for name in DispatchCounters::FIELDS {
+        let printed = stdout.lines().any(|line| {
+            let mut words = line.split_whitespace();
+            words.next() == Some(name) && words.next().is_some_and(|n| n.parse::<u64>().is_ok())
+        });
+        assert!(printed, "no `{name}` row in:\n{stdout}");
+    }
 }

@@ -29,10 +29,8 @@ fn run_fixed(rules: &RuleSet) -> Report {
     engine.run(&w.pair.guest.program, &w.setup()).expect("run")
 }
 
-/// The stripped report: the `server` section it drops describes the
-/// shared state a session ran against (sessions, warm hits), which
-/// legitimately differs between a cold standalone run and a warm shared
-/// session. Everything else — metrics, attribution, dispatch,
+/// The stripped report: it drops the wall-clock fields and the prewarm
+/// schedule. Everything else — metrics, attribution, dispatch,
 /// resilience — must be bit-identical.
 fn comparable_json(report: &Report) -> String {
     Report::stripped(&report.to_json()).to_string()

@@ -156,11 +156,11 @@ fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
     // forms every trace from the file, and matches a cold run
     // bit-for-bit.
     let shared = Arc::new(warm_state(&opened, None, 8, 1));
-    let warm = Engine::with_shared(shared, EngineConfig::default())
+    let warm = Engine::with_shared(shared.clone(), EngineConfig::default())
         .run(&w.pair.guest.program, &w.setup())
         .expect("warm run");
-    assert_eq!(warm.server.translate_calls, 0);
-    assert_eq!(warm.artifact.trace_hits, traces);
+    assert_eq!(shared.server().snapshot().translate_calls, 0);
+    assert_eq!(shared.artifact().snapshot().trace_hits, traces);
     assert_eq!(stripped(&warm.to_json()), stripped(&cold.to_json()));
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,8 +9,9 @@
 //! an exhausted budget, a fault-armed run), the frames of a live daemon
 //! (an inline session's RESULT, PING, STATS: each must be the canonical
 //! text of the document it holds), seeded report contents whose labels
-//! hold quotes, backslashes, control bytes and non-ASCII text, and
-//! seeded event sequences with members out of order and repeated keys.
+//! hold quotes, backslashes, control bytes and non-ASCII text, seeded
+//! shared-state sections as STATS writes them, and seeded event
+//! sequences with members out of order and repeated keys.
 //! `FUZZ_CASES` scales the seeded parts. The daemon's own PING / STATS /
 //! RESULT sections are held in-process by the server's unit tests.
 
@@ -18,7 +19,9 @@ mod common;
 
 use common::{random_string, spawn_server, T};
 use pdbt::obs::json::{Emit, Json, TextWriter, ToJson, TreeBuilder};
-use pdbt::obs::{Histogram, PhaseNs, RequestSummary, RuleCounters, TelemetrySnapshot};
+use pdbt::obs::{
+    Histogram, PhaseNs, RequestSummary, RuleCounters, ServerSnapshot, TelemetrySnapshot,
+};
 use pdbt::runtime::{Engine, EngineConfig, Outcome, Report};
 use pdbt::workloads::{learn_suite, suite, Scale};
 use pdbt_faults::{Plan, Site};
@@ -145,15 +148,19 @@ fn random_summary(rng: &mut StdRng) -> RequestSummary {
     }
 }
 
+/// A counter across the whole `u64` range, mostly small.
+fn big(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..4u32) {
+        0 => rng.gen(),
+        _ => rng.gen_range(0..100_000u64),
+    }
+}
+
 /// A report whose every section holds seeded contents: labels from the
 /// writer's escape corners, counters across the whole `u64` range
 /// (past `i64::MAX` they saturate), sparse and dense histograms.
 fn random_report(rng: &mut StdRng) -> Report {
     let mut report = Report::default();
-    let big = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
-        0 => rng.gen(),
-        _ => rng.gen_range(0..100_000u64),
-    };
     for v in report.metrics.values_mut() {
         *v = big(rng);
     }
@@ -190,20 +197,6 @@ fn random_report(rng: &mut StdRng) -> Report {
         *v = big(rng);
     }
     report.resilience.injected = [(); pdbt_faults::SITE_COUNT].map(|()| rng.gen_range(0..9));
-    for v in report.server.values_mut() {
-        *v = big(rng);
-    }
-    for v in report.artifact.values_mut() {
-        *v = rng.gen_range(0..3);
-    }
-    let mut telemetry = TelemetrySnapshot {
-        partition: rng.gen(),
-        ..TelemetrySnapshot::default()
-    };
-    for _ in 0..rng.gen_range(0..6u32) {
-        telemetry.latency.record(&random_summary(rng));
-    }
-    report.telemetry = telemetry;
     report.output = (0..rng.gen_range(0..10u32)).map(|_| rng.gen()).collect();
     report.outcome =
         [Outcome::Completed, Outcome::Budget, Outcome::Deadline][rng.gen_range(0..3usize)].clone();
@@ -220,6 +213,8 @@ fn seeded_report_contents_stream_as_their_trees() {
             .map(|_| random_summary(&mut rng))
             .collect();
         assert_streams_as_its_tree(&Flight(flight), &format!("flight case {case}"));
+        let shared = random_shared(&mut rng);
+        assert_streams_as_its_tree(&shared, &format!("shared case {case}"));
     }
 }
 
@@ -230,6 +225,44 @@ impl ToJson for Flight {
     fn emit<E: Emit>(&self, out: &mut E) {
         out.arr(&self.0);
     }
+}
+
+/// One partition's shared state, in the pieces STATS writes it with: a
+/// `partitions[]` row, the latency rollup and the `server` section.
+struct Shared(ServerSnapshot, TelemetrySnapshot);
+
+impl ToJson for Shared {
+    fn emit<E: Emit>(&self, out: &mut E) {
+        let Shared(server, telemetry) = self;
+        out.begin_obj();
+        out.field("latency", &telemetry.latency);
+        out.key("partitions");
+        out.begin_arr();
+        out.begin_obj();
+        telemetry.emit_partition_fields(out, server);
+        out.end_obj();
+        out.end_arr();
+        out.key("server");
+        out.begin_obj();
+        server.emit_section(out, &[]);
+        out.end_obj();
+        out.end_obj();
+    }
+}
+
+fn random_shared(rng: &mut StdRng) -> Shared {
+    let mut server = ServerSnapshot::default();
+    for v in server.values_mut() {
+        *v = big(rng);
+    }
+    let mut telemetry = TelemetrySnapshot {
+        partition: rng.gen(),
+        ..TelemetrySnapshot::default()
+    };
+    for _ in 0..rng.gen_range(0..6u32) {
+        telemetry.latency.record(&random_summary(rng));
+    }
+    Shared(server, telemetry)
 }
 
 /// Seeded events: objects whose members arrive in any order, with keys

@@ -21,8 +21,8 @@ mod common;
 
 use common::{assert_schema, family_paths, pdbt, schema_paths};
 use pdbt::obs::json::Json;
-use pdbt::obs::{ArtifactSnapshot, DispatchCounters, ServerSnapshot};
-use pdbt::runtime::{Metrics, Resilience};
+use pdbt::obs::DispatchCounters;
+use pdbt::runtime::{Metrics, Report, Resilience};
 use std::collections::BTreeSet;
 
 /// A guest that exercises every report section: rule-covered ALU work,
@@ -76,28 +76,28 @@ fn report_json_schema_matches_golden() {
     // when zero: consumers poll `outcome` and the `resilience` counters
     // to tell a complete report from a partial one, dashboards
     // distinguish "chaining never engaged" from "flag off" by
-    // present-and-zero vs. absent, and a standalone run exposes the
-    // same `server` interface as a `pdbt serve` response (it is simply
-    // a one-session server). The paths come from the tables, so a new
-    // counter is required here without editing this list.
-    let partition_row: Vec<&str> = ServerSnapshot::FIELDS
-        .iter()
-        .copied()
-        .filter(|f| *f != "translate_calls")
-        .collect();
+    // present-and-zero vs. absent. The paths come from the tables, so a
+    // new counter is required here without editing this list.
     let required = [
         family_paths("metrics", Metrics::FIELDS),
         family_paths("resilience", Resilience::FIELDS),
         family_paths("dispatch", DispatchCounters::FIELDS),
-        family_paths("server", ServerSnapshot::FIELDS),
-        family_paths("server.partitions[]", &partition_row),
-        family_paths("server.artifact", ArtifactSnapshot::FIELDS),
         family_paths(
             "resilience.injected",
             &pdbt_faults::Site::ALL.map(|s| s.name()),
         ),
     ]
     .concat();
+    // Every path `Report::stripped` drops names a field, itself or as
+    // the prefix of its rows: a renamed field fails here instead of
+    // silently staying in the stripped report.
+    for strip in Report::STRIPPED {
+        let names = |row: &String| {
+            row.strip_prefix(strip)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with(['.', '[']))
+        };
+        assert!(paths.iter().any(names), "`{strip}` names no report field");
+    }
     assert_schema(paths, &required, "report_schema.txt");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -8,13 +8,15 @@
 mod common;
 
 use common::{
-    assert_schema, family_paths, mcf_request, oracle_run, schema_paths, spawn_server, stripped, T,
+    assert_schema, family_paths, golden_path, mcf_request, oracle_run, schema_paths, spawn_server,
+    stripped, T,
 };
 use pdbt::obs::json::Json;
 use pdbt::obs::{FleetSnapshot, ServerSnapshot};
 use pdbt::runtime::{Engine, EngineConfig};
 use pdbt::workloads::{build, Benchmark, Scale};
 use pdbt_serve::{ping, shutdown, stats, submit, ServeConfig};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,15 +118,17 @@ fn eight_concurrent_sessions_are_bit_identical_to_sequential_runs() {
 /// `stats.*` paths in `tests/golden/stats_schema.txt`. Operators' probes
 /// and `pdbt submit --stats` key on these names; the `server`, `fleet`
 /// and `partitions[]` sections are rendered from the counter tables,
-/// so their required paths come from the same tables.
+/// so their required paths come from the same tables. The RESULT's
+/// report has the top-level sections of a standalone one
+/// (`report_schema.txt`), no shared-state section added.
 #[test]
 fn ping_and_stats_key_sets_match_golden() {
     let (addr, handle) = spawn_server(ServeConfig {
         jobs: 2,
         ..ServeConfig::default()
     });
-    submit(addr, &mcf_request(1), T).expect("submit");
-    let mut paths = std::collections::BTreeSet::new();
+    let resp = submit(addr, &mcf_request(1), T).expect("submit");
+    let mut paths = BTreeSet::new();
     schema_paths(&ping(addr, T).expect("ping"), "ping", &mut paths);
     let snap = settled_stats(addr, 1);
     schema_paths(&snap, "stats", &mut paths);
@@ -144,6 +148,16 @@ fn ping_and_stats_key_sets_match_golden() {
     ]
     .concat();
     assert_schema(paths, &required, "stats_schema.txt");
+
+    let Json::Obj(report) = report_of(&resp) else {
+        panic!("the report is not an object")
+    };
+    let golden = std::fs::read_to_string(golden_path("report_schema.txt")).unwrap();
+    let standalone: BTreeSet<&str> = golden
+        .lines()
+        .map(|row| row.split(['.', '[']).next().unwrap())
+        .collect();
+    assert!(report.keys().eq(standalone), "{:?}", report.keys());
 }
 
 #[test]

@@ -366,17 +366,18 @@ fn sealed_fixture() -> &'static (Vec<u8>, Vec<u32>) {
 
 /// Boots an engine from an opened artifact and checks the guest output
 /// is bit-identical to the reference interpreter, with the quarantine
-/// count surfaced in the report.
+/// count surfaced in the booted state's artifact counters.
 fn boot_and_check(opened: &pdbt::artifact::Opened, golden: &[u32]) {
     let expected_quarantined = opened.quarantined.len() as u64;
     let shared = std::sync::Arc::new(warm_state(opened, None, 8, 1));
-    let mut engine = Engine::with_shared(shared, EngineConfig::default());
+    let mut engine = Engine::with_shared(shared.clone(), EngineConfig::default());
     let report = engine
         .run(&fuzz_program(), &fuzz_setup())
         .expect("degraded boot still runs");
     let out: Vec<u32> = report.output.clone();
     assert_eq!(out, golden, "degraded artifact boot diverged from oracle");
-    assert_eq!(report.artifact.quarantined_sections, expected_quarantined);
+    let quarantined = shared.artifact().snapshot().quarantined_sections;
+    assert_eq!(quarantined, expected_quarantined);
 }
 
 /// `open_salvage` never panics on arbitrary prefixes; when a prefix
