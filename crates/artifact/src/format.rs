@@ -34,7 +34,7 @@
 
 use crate::bytes::{crc32, CodecError, Reader, Writer};
 use crate::codec::{read_block, write_block};
-use pdbt_core::{load_rules, save_rules, RuleSet};
+use pdbt_core::{load_rules, load_rules_cached, save_rules, RuleCache, RuleSet};
 use pdbt_isa_arm::{parse_listing, Program};
 use pdbt_runtime::TranslatedBlock;
 use std::fmt;
@@ -316,6 +316,23 @@ pub fn section_table(bytes: &[u8]) -> Result<Vec<(String, Range<usize>)>, Artifa
 /// guest image, fingerprint); per-section damage lands in
 /// [`Opened::quarantined`] instead.
 pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
+    open(bytes, None)
+}
+
+/// [`open_salvage`] for one of a batch of artifacts: the RULE section
+/// is loaded through the batch's `cache` ([`load_rules_cached`]), so a
+/// rule block an earlier artifact carried is not parsed again and the
+/// two rule sets share its body. The artifact, its quarantines and its
+/// errors are what [`open_salvage`] returns for the same bytes.
+///
+/// # Errors
+///
+/// As [`open_salvage`].
+pub fn open_salvage_cached(bytes: &[u8], cache: &mut RuleCache) -> Result<Opened, ArtifactError> {
+    open(bytes, Some(cache))
+}
+
+fn open(bytes: &[u8], mut cache: Option<&mut RuleCache>) -> Result<Opened, ArtifactError> {
     let (fingerprint, toolchain, table, payload_start) = parse_header(bytes)?;
     let mut quarantined = Vec::new();
     // The one checksum pass: every section's payload as present, 0 where
@@ -397,10 +414,11 @@ pub fn open_salvage(bytes: &[u8]) -> Result<Opened, ArtifactError> {
                     0 => None,
                     1 => {
                         let text = r.str_ref()?;
-                        Some(
-                            load_rules(text)
-                                .map_err(|e| CodecError(format!("embedded ruleset: {e}")))?,
-                        )
+                        let loaded = match cache.as_deref_mut() {
+                            Some(cache) => load_rules_cached(text, cache),
+                            None => load_rules(text),
+                        };
+                        Some(loaded.map_err(|e| CodecError(format!("embedded ruleset: {e}")))?)
                     }
                     t => return Err(CodecError(format!("bad ruleset presence tag {t}"))),
                 };

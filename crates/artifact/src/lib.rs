@@ -51,10 +51,12 @@ pub mod codec;
 pub mod format;
 
 pub use format::{
-    open_salvage, seal, section_table, Artifact, ArtifactError, Opened, QuarantinedSection,
-    FORMAT_VERSION, MAGIC, SECTIONS, TOOLCHAIN,
+    open_salvage, open_salvage_cached, seal, section_table, Artifact, ArtifactError, Opened,
+    QuarantinedSection, FORMAT_VERSION, MAGIC, SECTIONS, TOOLCHAIN,
 };
 
+/// The cache [`open_salvage_cached`] shares rule blocks through.
+pub use pdbt_core::RuleCache;
 use pdbt_core::RuleSet;
 use pdbt_isa_arm::Program;
 use pdbt_obs::ArtifactCounters;

@@ -60,5 +60,8 @@ pub use derive::{derive as parameterize_rules, derive_jobs, DeriveConfig, Derive
 pub use key::{parameterize, ComboKey, Instantiation, ModeTag, Parameterized};
 pub use learning::{learn_into, FunnelStats, LearnConfig, Reject};
 pub use ruleset::{Match, Provenance, RuleEntry, RuleSet};
-pub use store_io::{load_rules, load_rules_salvage, save_rules, QuarantinedRule, StoreError};
+pub use store_io::{
+    load_rules, load_rules_cached, load_rules_salvage, save_rules, QuarantinedRule, RuleCache,
+    StoreError,
+};
 pub use template::{HostLoc, Template, TemplateError, TemplateInst};

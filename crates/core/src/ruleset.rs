@@ -8,15 +8,16 @@
 //! host instructions" (paper §V-A).
 
 use crate::classify::subgroup_of;
-use crate::key::{self, ComboKey, Instantiation, ModeTag, Scan, MAX_WINDOW_IMMS};
+use crate::key::{self, ComboKey, Instantiation, ModeTag, Scan, MAX_WINDOW, MAX_WINDOW_IMMS};
 use crate::template::{instantiate, HostLoc, Template};
 use pdbt_isa::{Flag, InlineVec};
 use pdbt_isa_arm::{Inst as GInst, Op as GOpc, Reg as GReg};
 use pdbt_isa_x86::{Inst as HInst, Reg as HReg};
 use pdbt_symexec::{check, CheckOptions, FlagEquiv, Mapping, Verdict};
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
 
@@ -231,8 +232,10 @@ pub struct Match<'a> {
 pub struct RuleSet {
     /// Shared until written: cloning a set — every session state, cold
     /// partition and warm boot takes a copy of one — counts a reference,
-    /// and the first insert into a shared table copies it.
-    entries: Arc<HashMap<Vec<ComboKey>, Rule, KeyBuild>>,
+    /// and the first insert into a shared table copies it. The rules in
+    /// it are shared too ([`SharedRule`]), so that copy, and a set loaded
+    /// from a block another set already parsed, count references.
+    entries: Arc<HashSet<SharedRule, KeyBuild>>,
     /// How many entries have a one-key sequence.
     one_key: usize,
     /// Longest key sequence, where the longest-first lookup starts.
@@ -244,16 +247,64 @@ pub struct RuleSet {
     op_index: Vec<u32>,
 }
 
-/// What the table holds per key: the rule, and the two strings every
-/// application of it is attributed under. The set owns them so that the
-/// translator hands out a reference count, not a freshly formatted
-/// `String`, per rule application.
-#[derive(Debug, Clone)]
+/// What the table holds per key: the key sequence, the rule, and the two
+/// strings every application of it is attributed under. The set owns
+/// them so that the translator hands out a reference count, not a
+/// freshly formatted `String`, per rule application. Laid out in this
+/// order so that the keys a lookup compares and the entry its match
+/// reads next share cache lines.
+#[derive(Debug)]
+#[repr(C)]
 struct Rule {
+    keys: InlineVec<ComboKey, MAX_WINDOW>,
     entry: RuleEntry,
     label: Arc<str>,
     subgroup: Arc<str>,
 }
+
+/// One rule as sets hold it: behind an `Arc`, so sets that hold the same
+/// rule — the partitions a daemon boots from artifacts whose rule sets
+/// overlap — share one parsed copy, and inserting it into another set
+/// counts a reference. It hashes, compares and borrows as its key
+/// sequence, so a set of them is the table from keys to rules.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedRule(Arc<Rule>);
+
+impl SharedRule {
+    /// The rule for `keys`, its label and subgroup formatted here.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` is empty or longer than a [`MAX_WINDOW`] window.
+    pub(crate) fn new(keys: &[ComboKey], entry: RuleEntry) -> SharedRule {
+        SharedRule(Arc::new(Rule {
+            keys: keys.iter().copied().collect(),
+            label: rule_label(keys),
+            subgroup: subgroup_label(keys[0].op),
+            entry,
+        }))
+    }
+}
+
+impl Borrow<[ComboKey]> for SharedRule {
+    fn borrow(&self) -> &[ComboKey] {
+        &self.0.keys
+    }
+}
+
+impl Hash for SharedRule {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.keys.hash(state);
+    }
+}
+
+impl PartialEq for SharedRule {
+    fn eq(&self, other: &SharedRule) -> bool {
+        self.0.keys == other.0.keys
+    }
+}
+
+impl Eq for SharedRule {}
 
 /// A rule's attribution label: its key's display form, `seq[k1 + k2]`
 /// for a multi-key rule. Formatted on the stack, so the `Arc` is the
@@ -401,32 +452,27 @@ impl RuleSet {
     ///
     /// # Panics
     ///
-    /// If `keys` is empty.
+    /// If `keys` is empty or longer than a [`MAX_WINDOW`] window, the
+    /// longest sequence a rule is matched over.
     pub fn insert(&mut self, keys: Vec<ComboKey>, entry: RuleEntry) -> bool {
-        let rule = Rule {
-            entry,
-            label: rule_label(&keys),
-            subgroup: subgroup_label(keys[0].op),
-        };
-        self.insert_rule(keys, rule)
+        self.insert_shared(SharedRule::new(&keys, entry))
     }
 
-    fn insert_rule(&mut self, keys: Vec<ComboKey>, rule: Rule) -> bool {
-        use std::collections::hash_map::Entry;
+    /// Inserts a rule other sets may hold too, as [`RuleSet::insert`]
+    /// does.
+    pub(crate) fn insert_shared(&mut self, rule: SharedRule) -> bool {
+        let keys = &rule.0.keys;
         let (bucket, len) = (op_bucket(keys[0].op, keys[0].s), keys.len());
-        match Arc::make_mut(&mut self.entries).entry(keys) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(rule);
-                if self.op_index.is_empty() {
-                    self.op_index = vec![0; GOpc::ALL.len() * 2];
-                }
-                self.op_index[bucket] += 1;
-                self.one_key += usize::from(len == 1);
-                self.max_len = self.max_len.max(len);
-                true
-            }
+        if !Arc::make_mut(&mut self.entries).insert(rule) {
+            return false;
         }
+        if self.op_index.is_empty() {
+            self.op_index = vec![0; GOpc::ALL.len() * 2];
+        }
+        self.op_index[bucket] += 1;
+        self.one_key += usize::from(len == 1);
+        self.max_len = self.max_len.max(len);
+        true
     }
 
     /// Whether any rule's key starts with this `(opcode, s)` pair.
@@ -440,14 +486,14 @@ impl RuleSet {
     /// Whether a one-key rule is present.
     #[must_use]
     pub fn contains(&self, key: &ComboKey) -> bool {
-        self.entries.contains_key(std::slice::from_ref(key))
+        self.entries.contains(std::slice::from_ref(key))
     }
 
     /// The entry of a one-key rule.
     #[must_use]
     pub fn get(&self, key: &ComboKey) -> Option<&RuleEntry> {
         let rule = self.entries.get(std::slice::from_ref(key))?;
-        Some(&rule.entry)
+        Some(&rule.0.entry)
     }
 
     /// Looks up the one-key rule for a guest instruction: parameterize,
@@ -471,14 +517,14 @@ impl RuleSet {
         }
         let longest = (*lens.end()).min(self.max_len).min(scan.valid_len());
         (*lens.start()..=longest).rev().find_map(|len| {
-            let (keys, rule) = self.entries.get_key_value(scan.keys(len))?;
+            let rule = &self.entries.get(scan.keys(len))?.0;
             if let Some(required) = &rule.entry.imm_constraint {
                 if required[..] != *scan.imms(len) {
                     return None;
                 }
             }
             Some(Match {
-                keys,
+                keys: &rule.keys,
                 entry: &rule.entry,
                 label: &rule.label,
                 subgroup: &rule.subgroup,
@@ -516,7 +562,7 @@ impl RuleSet {
     pub fn entries(&self) -> impl Iterator<Item = (&[ComboKey], &RuleEntry)> {
         self.entries
             .iter()
-            .map(|(keys, rule)| (&keys[..], &rule.entry))
+            .map(|rule| (&rule.0.keys[..], &rule.0.entry))
     }
 
     /// Merges another rule set into this one (existing keys win);
@@ -525,7 +571,7 @@ impl RuleSet {
         let entries = Arc::try_unwrap(other.entries).unwrap_or_else(|shared| (*shared).clone());
         entries
             .into_iter()
-            .map(|(keys, rule)| usize::from(self.insert_rule(keys, rule)))
+            .map(|rule| usize::from(self.insert_shared(rule)))
             .sum()
     }
 }

@@ -13,12 +13,13 @@
 //! ```
 
 use crate::key::{seq_arity, ComboKey, ModeTag, MAX_OPERANDS, MAX_REG_MENTIONS, MAX_WINDOW};
-use crate::ruleset::{Provenance, RuleEntry, RuleSet, MAX_SLOTS};
+use crate::ruleset::{Provenance, RuleEntry, RuleSet, SharedRule, MAX_SLOTS};
 use crate::template::{TImm, TMem, TOperand, TReg, TemplateInst};
-use pdbt_isa::Flag;
+use pdbt_isa::{Flag, InlineVec};
 use pdbt_isa_arm::{Op as GOp, ShiftKind};
 use pdbt_isa_x86::{Cc, Op as HOp};
 use pdbt_symexec::FlagEquiv;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -173,8 +174,32 @@ fn split<'a>(text: &'a str, sep: &'static str) -> impl Iterator<Item = &'a str> 
 /// `text.lines()` by the same byte scan as [`split`], except that a line
 /// keeps a `\r` before its `\n` and an empty text is one blank line:
 /// both loaders trim every line and skip blank ones.
-fn lines(text: &str) -> impl Iterator<Item = &str> {
-    split(text.strip_suffix('\n').unwrap_or(text), "\n")
+fn lines(text: &str) -> Lines<'_> {
+    Lines(Some(text.strip_suffix('\n').unwrap_or(text)))
+}
+
+/// The iterator [`lines`] returns: what is left of the text, `None` once
+/// its last line is out. [`Lines::rest`] lets a loader name the bytes a
+/// block spans, and a copy of the walk look ahead.
+#[derive(Clone)]
+struct Lines<'a>(Option<&'a str>);
+
+impl<'a> Lines<'a> {
+    /// The text from the next line on, without the final `\n`.
+    fn rest(&self) -> &'a str {
+        self.0.unwrap_or_default()
+    }
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0?;
+        let (line, tail) = split_once(rest, b'\n').map_or((rest, None), |(l, t)| (l, Some(t)));
+        self.0 = tail;
+        Some(line)
+    }
 }
 
 /// `text.split_once(sep)` by the same byte scan as [`split`].
@@ -439,11 +464,13 @@ fn line_err(no: usize, detail: String) -> StoreError {
     }
 }
 
-/// A rule block being parsed: its keys so far, its entry so far,
-/// whether a `seq` header opened it (body lines are then `g`/`h`-tagged),
-/// and the first key list found longer than a key holds.
+/// A rule block being parsed: its keys so far (as many as a window
+/// holds) and how many it listed, its entry so far, whether a `seq`
+/// header opened it (body lines are then `g`/`h`-tagged), and the first
+/// key list found longer than a key holds.
 struct Block {
-    keys: Vec<ComboKey>,
+    keys: InlineVec<ComboKey, MAX_WINDOW>,
+    listed: usize,
     entry: RuleEntry,
     tagged: bool,
     overflow: Option<String>,
@@ -460,15 +487,16 @@ impl Block {
         };
         let mut fields = split(header, "|");
         let (keys, overflow) = if tagged {
-            (Vec::new(), None)
+            (InlineVec::new(), None)
         } else {
             if header.bytes().filter(|&b| b == b'|').count() < 6 {
                 return Err(line_err(no, "truncated rule header".into()));
             }
             let (key, overflow) = parse_key(fields.by_ref().take(4), no)?;
-            (vec![key], overflow)
+            ([key].into_iter().collect(), overflow)
         };
         Ok(Block {
+            listed: keys.len(),
             keys,
             entry: parse_entry_meta(fields, no)?,
             tagged,
@@ -476,12 +504,18 @@ impl Block {
         })
     }
 
+    /// Lists one more key; past a window's worth, only the count grows.
+    fn push_key(&mut self, key: ComboKey) {
+        let _ = self.keys.try_push(key);
+        self.listed += 1;
+    }
+
     /// Closes the block at its `end` line `no`: the rule, or the block's
     /// defect reported at that line.
-    fn close(self, no: usize) -> Result<(Vec<ComboKey>, RuleEntry), StoreError> {
+    fn close(self, no: usize) -> Result<SharedRule, StoreError> {
         match self.defect() {
             Some(defect) => Err(line_err(no, defect)),
-            None => Ok((self.keys, self.entry)),
+            None => Ok(SharedRule::new(&self.keys, self.entry)),
         }
     }
 
@@ -495,10 +529,10 @@ impl Block {
         if let Some(overflow) = &self.overflow {
             return Some(overflow.clone());
         }
-        if self.keys.len() > MAX_WINDOW {
+        if self.listed > MAX_WINDOW {
             return Some(format!(
                 "{} keys exceed the {MAX_WINDOW}-instruction window a rule is matched in",
-                self.keys.len()
+                self.listed
             ));
         }
         if self.tagged && (self.keys.len() < 2 || self.entry.template.is_empty()) {
@@ -557,7 +591,7 @@ fn parse_body(pending: Option<&mut Block>, no: usize, line: &str) -> Result<(), 
     let (block, text) = match (pending, tag) {
         (Some(block), Some("g ")) if block.tagged => {
             let (key, overflow) = parse_key(split(line[2..].trim(), "|"), no)?;
-            block.keys.push(key);
+            block.push_key(key);
             block.overflow = block.overflow.take().or(overflow);
             return Ok(());
         }
@@ -583,11 +617,92 @@ fn parse_body(pending: Option<&mut Block>, no: usize, line: &str) -> Result<(), 
 /// block (empty template, arity its keys do not bind) is reported at the
 /// block's `end` line.
 pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
+    load_strict(text, None)
+}
+
+/// The rule blocks loads through it ([`load_rules_cached`]) have parsed
+/// cleanly, by their exact bytes, each with the rule it parsed to. Rule
+/// sets that overlap — the leave-one-out sets a daemon's artifacts carry
+/// — then parse each distinct block once, and every set that loads it
+/// shares the one parsed body. A cache grows with the distinct clean
+/// blocks of what was loaded through it and nothing else; it is meant to
+/// live for one batch of loads.
+#[derive(Debug, Default)]
+pub struct RuleCache {
+    /// The default hasher: blocks come from disk and from peers.
+    blocks: HashMap<Box<str>, SharedRule>,
+    shared: u64,
+}
+
+impl RuleCache {
+    /// An empty cache.
+    #[must_use]
+    pub fn new() -> RuleCache {
+        RuleCache::default()
+    }
+
+    /// How many blocks loads took from the cache instead of parsing.
+    #[must_use]
+    pub fn shared(&self) -> u64 {
+        self.shared
+    }
+
+    /// The rule of the recorded block that opens `at`, if one has exactly
+    /// its bytes: the header through the first `end` line after it, the
+    /// line the parser closes a block at. `ahead` starts after the header
+    /// and, on a hit, ends past the block; the hit returns how many lines
+    /// that is. A header before any `end` is a block the parser refuses,
+    /// and no hit.
+    fn hit(&mut self, at: &str, ahead: &mut Lines<'_>) -> Option<(SharedRule, usize)> {
+        if self.blocks.is_empty() {
+            return None;
+        }
+        let mut lines = 0;
+        let len = loop {
+            let from = ahead.rest();
+            let line = ahead.next()?;
+            lines += 1;
+            match line.trim() {
+                "end" => break at.len() - from.len() + line.len(),
+                l if is_header(l) => return None,
+                _ => {}
+            }
+        };
+        let rule = self.blocks.get(&at[..len])?.clone();
+        self.shared += 1;
+        Some((rule, lines))
+    }
+}
+
+/// [`load_rules`] through a [`RuleCache`]: a block whose exact bytes the
+/// cache holds is inserted as the rule it parsed to before; any other
+/// block is parsed as [`load_rules`] parses it and, once it closes
+/// cleanly, recorded. The set, or the error, is what [`load_rules`]
+/// returns for the same text: a damaged block never matches a clean
+/// one's bytes, so it takes the parser's path and fails where it would.
+///
+/// # Errors
+///
+/// As [`load_rules`].
+pub fn load_rules_cached(text: &str, cache: &mut RuleCache) -> Result<RuleSet, StoreError> {
+    load_strict(text, Some(cache))
+}
+
+/// The strict loader, with a cache or without: without one it hashes and
+/// copies nothing.
+fn load_strict(text: &str, mut cache: Option<&mut RuleCache>) -> Result<RuleSet, StoreError> {
     let mut out = RuleSet::new();
-    let mut pending: Option<Block> = None;
-    let mut count = 0;
-    for (no, raw) in lines(text).enumerate() {
-        count = no + 1;
+    // The open block: the text from its header line on, and the block so
+    // far.
+    let mut pending: Option<(&str, Block)> = None;
+    let mut walk = lines(text);
+    // The 0-based number of the line `walk` yields next.
+    let mut next = 0;
+    loop {
+        let at = walk.rest();
+        let Some(raw) = walk.next() else { break };
+        let no = next;
+        next += 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -596,20 +711,32 @@ pub fn load_rules(text: &str) -> Result<RuleSet, StoreError> {
             if pending.is_some() {
                 return Err(line_err(no, "rule block not closed with `end`".into()));
             }
-            pending = Some(Block::open(no, line)?);
+            if let Some(cache) = cache.as_deref_mut() {
+                let mut ahead = walk.clone();
+                if let Some((rule, lines)) = cache.hit(at, &mut ahead) {
+                    out.insert_shared(rule);
+                    (walk, next) = (ahead, next + lines);
+                    continue;
+                }
+            }
+            pending = Some((at, Block::open(no, line)?));
         } else if line == "end" {
-            let block = pending
+            let (header_at, block) = pending
                 .take()
                 .ok_or_else(|| line_err(no, "`end` without a rule".into()))?;
-            let (keys, entry) = block.close(no)?;
-            out.insert(keys, entry);
+            let rule = block.close(no)?;
+            if let Some(cache) = cache.as_deref_mut() {
+                let block = &header_at[..header_at.len() - at.len() + raw.len()];
+                cache.blocks.insert(block.into(), rule.clone());
+            }
+            out.insert_shared(rule);
         } else {
-            parse_body(pending.as_mut(), no, line)?;
+            parse_body(pending.as_mut().map(|(_, block)| block), no, line)?;
         }
     }
     if pending.is_some() {
         return Err(StoreError {
-            line: count,
+            line: next,
             detail: "unterminated rule".into(),
         });
     }
@@ -673,8 +800,8 @@ pub fn load_rules_salvage(text: &str) -> (RuleSet, Vec<QuarantinedRule>) {
                 continue;
             }
             match parsed.and_then(|block| block.close(no)) {
-                Ok((keys, entry)) => {
-                    out.insert(keys, entry);
+                Ok(rule) => {
+                    out.insert_shared(rule);
                 }
                 Err(e) => quarantine(e.line, e.detail),
             }

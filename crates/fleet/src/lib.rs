@@ -28,7 +28,7 @@
 //!   a damaged transfer can always be re-pulled, so there is no reason
 //!   to adopt a partial copy over a healthy partition.
 
-use pdbt_artifact::{open_salvage, section_table, ArtifactError, Opened};
+use pdbt_artifact::{open_salvage_cached, section_table, ArtifactError, Opened, RuleCache};
 use pdbt_obs::json::Json;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -163,15 +163,22 @@ pub fn dedupe_newest<T>(
 /// and (c) the content fingerprint matches what the sender declared.
 /// Stricter than the disk scan's salvage semantics on purpose — a
 /// partial artifact over the wire is a failed transfer, not a
-/// best-effort boot source.
+/// best-effort boot source. The artifact opens through `cache`, the
+/// rule blocks of the transfers before it in the same pass
+/// ([`open_salvage_cached`]).
 ///
 /// # Errors
 ///
 /// A human-readable reason, plus how many sections the transfer had
 /// quarantined (0 unless that is the reason). The caller counts the
 /// reject, and the quarantines where disk-scan damage is counted.
-pub fn validate(bytes: &[u8], declared_fingerprint: u64) -> Result<Opened, (String, usize)> {
-    let opened = open_salvage(bytes).map_err(|e| (format!("artifact rejected: {e}"), 0))?;
+pub fn validate(
+    bytes: &[u8],
+    declared_fingerprint: u64,
+    cache: &mut RuleCache,
+) -> Result<Opened, (String, usize)> {
+    let opened =
+        open_salvage_cached(bytes, cache).map_err(|e| (format!("artifact rejected: {e}"), 0))?;
     if let Some(q) = opened.quarantined.first() {
         return Err((
             format!(
@@ -275,7 +282,7 @@ impl ArtifactAd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdbt_artifact::{compile, seal};
+    use pdbt_artifact::{compile, open_salvage, seal};
     use pdbt_isa_arm::{builders as g, Operand as O, Program, Reg};
     use pdbt_runtime::{EngineConfig, RunSetup};
     use std::path::PathBuf;
@@ -410,18 +417,23 @@ mod tests {
     #[test]
     fn validate_rejects_damage_and_fingerprint_lies() {
         let bytes = sealed_fixture();
-        let opened = validate(&bytes, open_salvage(&bytes).unwrap().artifact.fingerprint())
-            .expect("healthy artifact validates");
+        let cache = &mut RuleCache::new();
+        let opened = validate(
+            &bytes,
+            open_salvage(&bytes).unwrap().artifact.fingerprint(),
+            cache,
+        )
+        .expect("healthy artifact validates");
         let fp = opened.artifact.fingerprint();
         // Declared fingerprint must match content.
-        assert!(validate(&bytes, fp ^ 1).is_err());
+        assert!(validate(&bytes, fp ^ 1, cache).is_err());
         // A quarantinable section is a wire reject, not a salvage.
         let mut mutated = bytes.clone();
         let last = mutated.len() - 1;
         mutated[last] ^= 0xFF;
         assert!(open_salvage(&mutated).is_ok(), "disk scan would salvage");
-        assert!(validate(&mutated, fp).is_err(), "wire rejects");
-        assert!(validate(b"junk", fp).is_err());
+        assert!(validate(&mutated, fp, cache).is_err(), "wire rejects");
+        assert!(validate(b"junk", fp, cache).is_err());
     }
 
     #[test]

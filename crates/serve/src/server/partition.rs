@@ -4,11 +4,14 @@
 //! and the drain write-back.
 
 use super::{ServeConfig, ServerCtx};
-use pdbt_artifact::Opened;
+use pdbt_artifact::{Opened, RuleCache};
 use pdbt_core::RuleSet;
-use pdbt_fleet::{artifact_file_name, dedupe_newest, parse_generation, ArtifactVersion};
+use pdbt_fleet::{
+    artifact_file_name, dedupe_newest, parse_generation, ArtifactVersion, MAX_ARTIFACT,
+};
 use pdbt_runtime::{EngineConfig, SharedTranslationState};
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -25,6 +28,10 @@ pdbt_obs::counter_family! {
         rejected,
         /// Sections quarantined inside scanned or transferred artifacts.
         sections_quarantined,
+        /// Rule blocks a boot scan or replication pass took from its
+        /// cache of the blocks its earlier artifacts carried, instead of
+        /// parsing them again.
+        rules_shared,
     }
     /// The artifact warm-boot tally. All-zero when the server boots
     /// cold (no `--artifact-dir`); `sections_quarantined` also moves at
@@ -173,16 +180,19 @@ pub(super) struct BootScan {
 }
 
 /// The bind-time artifact scan: every `*.pdba` file in `dir` (sorted by
-/// name for deterministic scan order) is opened in salvage mode; the
-/// survivors are deduplicated by guest-image fingerprint keeping the
-/// *newest* [`ArtifactVersion`] (file-name generation, section CRCs as
-/// the tie-break — never scan order), and each winner pre-creates its
-/// image's translation-state partition. Shadowed duplicates are
-/// counted as rejects, not silently dropped.
+/// name for deterministic scan order) is opened in salvage mode, all
+/// through one [`RuleCache`] so a rule block several artifacts carry is
+/// parsed once and its body shared; the survivors are deduplicated by
+/// guest-image fingerprint keeping the *newest* [`ArtifactVersion`]
+/// (file-name generation, section CRCs as the tie-break — never scan
+/// order), and each winner pre-creates its image's translation-state
+/// partition. Shadowed duplicates are counted as rejects, not silently
+/// dropped.
 ///
-/// Failure is never fatal and never aborts the scan: an unreadable or
-/// rejected artifact is counted and logged, and that image simply boots
-/// cold when its first request arrives.
+/// Failure is never fatal and never aborts the scan: an unreadable,
+/// oversized (past [`MAX_ARTIFACT`], the wire's cap) or rejected
+/// artifact is counted and logged, and that image simply boots cold
+/// when its first request arrives.
 pub(super) fn load_artifacts(dir: &Path, rules: Option<&RuleSet>, slots: usize) -> BootScan {
     let mut scan = BootScan::default();
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
@@ -201,15 +211,14 @@ pub(super) fn load_artifacts(dir: &Path, rules: Option<&RuleSet>, slots: usize) 
     };
     paths.sort();
     let mut candidates = Vec::new();
+    let mut cache = RuleCache::new();
     for path in paths {
-        let parsed = std::fs::read(&path)
-            .map_err(|e| format!("unreadable: {e}"))
-            .and_then(|bytes| {
-                let reject = |e| format!("rejected: {e}");
-                let opened = pdbt_artifact::open_salvage(&bytes).map_err(reject)?;
-                let version = ArtifactVersion::of_opened(parse_generation(&path), &opened);
-                Ok((bytes, opened, version))
-            });
+        let parsed = read_capped(&path).and_then(|bytes| {
+            let reject = |e| format!("rejected: {e}");
+            let opened = pdbt_artifact::open_salvage_cached(&bytes, &mut cache).map_err(reject)?;
+            let version = ArtifactVersion::of_opened(parse_generation(&path), &opened);
+            Ok((bytes, opened, version))
+        });
         let (bytes, opened, version) = match parsed {
             Ok(p) => p,
             Err(why) => {
@@ -221,6 +230,9 @@ pub(super) fn load_artifacts(dir: &Path, rules: Option<&RuleSet>, slots: usize) 
         let fingerprint = opened.fingerprint;
         candidates.push((fingerprint, version, (path, bytes, opened)));
     }
+    // Every block is parsed: the copies the cache keyed them by go now.
+    scan.boot.rules_shared.add(cache.shared());
+    drop(cache);
     let (winners, shadowed) = dedupe_newest(candidates);
     if shadowed > 0 {
         eprintln!(
@@ -260,6 +272,24 @@ pub(super) fn load_artifacts(dir: &Path, rules: Option<&RuleSet>, slots: usize) 
         scan.boot.loaded.inc();
     }
     scan
+}
+
+/// Reads an artifact file whole, unless its length is past
+/// [`MAX_ARTIFACT`]: the disk is held to the wire's cap, and an
+/// oversized file is refused before a byte of it is read. No more than
+/// that length is read, should the file grow meanwhile.
+fn read_capped(path: &Path) -> Result<Vec<u8>, String> {
+    let unreadable = |e: std::io::Error| format!("unreadable: {e}");
+    let file = std::fs::File::open(path).map_err(unreadable)?;
+    let len = file.metadata().map_err(unreadable)?.len();
+    if len > MAX_ARTIFACT {
+        return Err(format!(
+            "rejected: {len} bytes, past the {MAX_ARTIFACT}-byte artifact cap"
+        ));
+    }
+    let mut bytes = Vec::with_capacity(len as usize);
+    file.take(len).read_to_end(&mut bytes).map_err(unreadable)?;
+    Ok(bytes)
 }
 
 /// Drain write-back: every partition whose current seal has moved past

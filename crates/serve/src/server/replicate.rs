@@ -8,6 +8,7 @@ use super::session::{payload_json, respond, respond_error};
 use super::{ServerCtx, SOCKET_TIMEOUT};
 use crate::client::{self, PulledArtifact};
 use crate::proto::{self, op};
+use pdbt_artifact::RuleCache;
 use pdbt_fleet::{
     artifact_file_name, fingerprint_field, fingerprint_hex, validate, ArtifactAd, ArtifactVersion,
 };
@@ -91,8 +92,13 @@ pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
     };
     ctx.fleet.bytes.add(offer.bytes.len() as u64);
     let _plane = ctx.plane();
-    let (adopted, reason, current) =
-        adopt_artifact(ctx, offer.bytes, offer.generation, offer.fingerprint);
+    let (adopted, reason, current) = adopt_artifact(
+        ctx,
+        offer.bytes,
+        offer.generation,
+        offer.fingerprint,
+        &mut RuleCache::new(),
+    );
     let verdict = Json::obj([
         ("fingerprint", Json::str(fingerprint_hex(offer.fingerprint))),
         ("adopted", Json::from(adopted)),
@@ -103,7 +109,8 @@ pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
 }
 
 /// The adoption decision for a transferred artifact whose envelope
-/// held: the wire trust boundary ([`validate`]), then the version order
+/// held: the wire trust boundary ([`validate`], opening through the
+/// caller's `cache` of the pass's rule blocks), then the version order
 /// against the locally *materialized* version — the local side seals
 /// its live growth first, so the comparison is deterministic no matter
 /// when the offer arrives. On adoption the partition is replaced by
@@ -117,8 +124,9 @@ pub(super) fn adopt_artifact(
     bytes: Vec<u8>,
     generation: u64,
     fp: u64,
+    cache: &mut RuleCache,
 ) -> (bool, String, u64) {
-    let opened = match validate(&bytes, fp) {
+    let opened = match validate(&bytes, fp, cache) {
         Ok(o) => o,
         Err((reason, quarantined)) => {
             // Quarantines are counted where disk-scan damage already
@@ -175,9 +183,11 @@ pub(super) fn adopt_artifact(
 
 /// One replication pass: ask every peer for its advertisements, pull
 /// whatever is missing here or newer than what this node holds, and
-/// run each pull through the adoption decision. Peer failures are
-/// logged and skipped — replication is opportunistic, never fatal.
+/// run each pull through the adoption decision — every pull of the pass
+/// opening through one [`RuleCache`]. Peer failures are logged and
+/// skipped — replication is opportunistic, never fatal.
 pub(super) fn replicate_once(ctx: &ServerCtx) {
+    let mut cache = RuleCache::new();
     for peer in &ctx.cfg.peers {
         let ads = match client::list_artifacts(peer.as_str(), SOCKET_TIMEOUT) {
             Ok(ads) => ads,
@@ -210,13 +220,19 @@ pub(super) fn replicate_once(ctx: &ServerCtx) {
             ctx.fleet.pulled.inc();
             ctx.fleet.bytes.add(pulled.bytes.len() as u64);
             let _plane = ctx.plane();
-            let (adopted, reason, _) =
-                adopt_artifact(ctx, pulled.bytes, pulled.generation, ad.fingerprint);
+            let (adopted, reason, _) = adopt_artifact(
+                ctx,
+                pulled.bytes,
+                pulled.generation,
+                ad.fingerprint,
+                &mut cache,
+            );
             if !adopted {
                 eprintln!("pdbt-serve: pulled artifact {name} from {peer} not adopted: {reason}");
             }
         }
     }
+    ctx.artifacts.rules_shared.add(cache.shared());
 }
 
 /// The refresh tick: re-runs [`replicate_once`] on a jittered period

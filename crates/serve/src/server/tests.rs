@@ -4,8 +4,11 @@ use super::partition::load_artifacts;
 use super::replicate::adopt_artifact;
 use super::*;
 use crate::client;
-use pdbt_fleet::{artifact_file_name, ArtifactVersion};
+use pdbt_artifact::RuleCache;
+use pdbt_fleet::{artifact_file_name, ArtifactVersion, MAX_ARTIFACT};
 use pdbt_runtime::{Engine, RunSetup};
+use pdbt_workloads::{Benchmark, Config, Experiment, Scale};
+use std::collections::HashSet;
 
 /// One guest both unit tests run: prints 42, exits.
 const GUEST: &str = "mov r0, #41\nadd r0, r0, #1\nsvc #1\nsvc #0\n";
@@ -194,7 +197,8 @@ fn boot_scan_and_wire_adoption_install_the_same_partition() {
     let scanned = &scan.partitions[&fp];
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let (adopted, reason, generation) = adopt_artifact(&server.ctx, bytes, 3, fp);
+    let (adopted, reason, generation) =
+        adopt_artifact(&server.ctx, bytes, 3, fp, &mut RuleCache::new());
     assert!(adopted, "{reason}");
     assert_eq!(generation, 3);
     let table = server.ctx.partitions();
@@ -208,6 +212,97 @@ fn boot_scan_and_wire_adoption_install_the_same_partition() {
     // Only where the bytes live differs: on disk vs memory-only.
     assert_eq!(scanned.disk_generation, Some(3));
     assert_eq!(wired.disk_generation, None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A scratch directory of its own per test, emptied first.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pdbt-serve-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// An artifact file past the wire's cap is refused before it is read:
+/// counted as a reject, never opened. The file is a valid artifact
+/// stretched (sparsely) one byte past the cap, which the salvage open
+/// would accept — its sections all lie inside it.
+#[test]
+fn oversized_artifact_files_are_rejected_unread() {
+    let prog = pdbt_isa_arm::Program::new(0x1000, pdbt_isa_arm::parse_listing(GUEST).unwrap());
+    let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+    let artifact = pdbt_artifact::compile(&prog, None, &setup, EngineConfig::default(), "big")
+        .expect("compile");
+    let dir = scratch_dir("oversized");
+    let path = dir.join(artifact_file_name(prog.fingerprint(), 0));
+    std::fs::write(&path, pdbt_artifact::seal(&artifact)).unwrap();
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(MAX_ARTIFACT + 1).unwrap();
+    drop(file);
+
+    let scan = load_artifacts(&dir, None, 1);
+    let boot = scan.boot.snapshot();
+    assert_eq!((boot.loaded, boot.rejected), (0, 1));
+    assert!(scan.partitions.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The tiny suite sealed under the paper's protocol — each workload's
+/// blocks under its leave-one-out `para.` rules — as fingerprint, bytes
+/// and the RULE section's text.
+fn tiny_suite_artifacts() -> Vec<(u64, Vec<u8>, String)> {
+    let mut exp = Experiment::new(Scale::tiny());
+    let mut out = Vec::new();
+    for (i, bench) in Benchmark::ALL.into_iter().enumerate() {
+        let rules = exp.rules_for(Config::Para, bench).expect("para. has rules");
+        let w = &exp.suite[i];
+        let artifact = pdbt_artifact::compile(
+            &w.pair.guest.program,
+            Some(&rules),
+            &w.setup(),
+            EngineConfig::default(),
+            &format!("{bench}/tiny"),
+        )
+        .expect("compile");
+        let bytes = pdbt_artifact::seal(&artifact);
+        out.push((artifact.fingerprint(), bytes, pdbt_core::save_rules(&rules)));
+    }
+    out
+}
+
+/// A boot scan over the tiny suite's artifacts parses each distinct rule
+/// block once: the scan counts every other block as shared, and each
+/// partition's rules still save to exactly its artifact's RULE text.
+#[test]
+fn a_boot_scan_parses_each_distinct_rule_block_once() {
+    let artifacts = tiny_suite_artifacts();
+    let dir = scratch_dir("shared-rules");
+    let mut blocks = Vec::new();
+    for (fp, bytes, text) in &artifacts {
+        std::fs::write(dir.join(artifact_file_name(*fp, 0)), bytes).unwrap();
+        let mut block = String::new();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            block += line;
+            block.push('\n');
+            if line == "end" {
+                blocks.push(std::mem::take(&mut block));
+            }
+        }
+    }
+    let distinct: HashSet<&String> = blocks.iter().collect();
+    assert!(distinct.len() < blocks.len(), "the sets overlap");
+
+    let scan = load_artifacts(&dir, None, 1);
+    let boot = scan.boot.snapshot();
+    assert_eq!(boot.loaded, artifacts.len() as u64);
+    assert_eq!(boot.rules_shared, (blocks.len() - distinct.len()) as u64);
+    for (fp, _, text) in &artifacts {
+        let rules = scan.partitions[fp]
+            .state
+            .rules()
+            .expect("the artifact's rules");
+        assert_eq!(pdbt_core::save_rules(rules), *text);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,11 +10,13 @@
 mod common;
 
 use common::{mcf_request, oracle_run, spawn_server, stripped, T};
-use pdbt::artifact::{open_salvage, seal, warm_state};
+use pdbt::artifact::{
+    open_salvage, open_salvage_cached, seal, section_table, warm_state, RuleCache,
+};
 use pdbt::fleet::artifact_file_name;
 use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig};
-use pdbt::workloads::{build, Benchmark, Scale};
+use pdbt::workloads::{build, Benchmark, Config, Experiment, Scale};
 use pdbt_serve::{ping, push_artifact, shutdown, submit, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,12 +109,32 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
     assert_eq!(leader_h.join().unwrap().panicked, 0);
 }
 
+/// The RULE section of a sealed artifact, as sealed.
+fn rule_section(bytes: &[u8]) -> &[u8] {
+    let table = section_table(bytes).expect("a sealed artifact parses");
+    let (_, range) = table
+        .into_iter()
+        .find(|(tag, _)| tag == "RULE")
+        .expect("RULE");
+    &bytes[range]
+}
+
 /// Drain write-back: a partition grown live (no artifact on disk) is
 /// sealed to `--artifact-dir` as generation 0 with the traces its
 /// session formed, the file is a byte fixpoint under `seal(open(…))`,
 /// and warm-booting it reproduces the cold run exactly, every trace
 /// taken from the file — the write-back path is `pdbt compile` by other
 /// means.
+///
+/// Then the same for partitions booted from artifacts, whose rule sets
+/// share most of their blocks: a leader over the tiny suite's twelve
+/// (leave-one-out `para.` rules, the entry block and the traces left out
+/// so that each first request grows its partition) and a follower that pulled them. Each
+/// daemon opened its twelve through one rule cache, so its partitions
+/// share rule bodies; that sharing must not show. Every first request
+/// matches its cold run, every partition writes back exactly its
+/// artifact's RULE section, and every write-back, opened through one
+/// cache, re-seals to itself.
 #[test]
 fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
     let cold = oracle_run();
@@ -162,8 +184,95 @@ fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
     assert_eq!(shared.server().snapshot().translate_calls, 0);
     assert_eq!(shared.artifact().snapshot().trace_hits, traces);
     assert_eq!(stripped(&warm.to_json()), stripped(&cold.to_json()));
-
     let _ = std::fs::remove_dir_all(&dir);
+
+    // Partitions booted from the tiny suite's artifacts, on a leader and
+    // on a follower that pulled them.
+    let dirs = ["leader", "follower"].map(|name| {
+        let dir = std::env::temp_dir().join(format!("pdbt-fleet-wb-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    });
+    let mut exp = Experiment::new(Scale::tiny());
+    let mut images = Vec::new();
+    for (i, bench) in Benchmark::ALL.into_iter().enumerate() {
+        let rules = exp.rules_for(Config::Para, bench).expect("para. has rules");
+        let w = &exp.suite[i];
+        let (prog, setup) = (&w.pair.guest.program, w.setup());
+        let cfg = EngineConfig::default();
+        let mut artifact =
+            pdbt::artifact::compile(prog, Some(&rules), &setup, cfg, &format!("{bench}/tiny"))
+                .expect("compile");
+        // The entry block and the traces are translated live.
+        let blocks = artifact.blocks.len();
+        artifact.blocks.retain(|b| b.start != prog.base());
+        assert_eq!(artifact.blocks.len() + 1, blocks, "{bench}: no entry block");
+        artifact.traces.clear();
+        let bytes = seal(&artifact);
+        let fp = artifact.fingerprint();
+        std::fs::write(dirs[0].join(artifact_file_name(fp, 0)), &bytes).unwrap();
+        let cold = Engine::new(Some(rules), cfg)
+            .run(prog, &setup)
+            .expect("cold run");
+        let rules = rule_section(&bytes).to_vec();
+        images.push((bench, fp, rules, stripped(&cold.to_json())));
+    }
+    let (leader, leader_h) = spawn_server(ServeConfig {
+        jobs: 1,
+        artifact_dir: Some(dirs[0].clone()),
+        ..ServeConfig::default()
+    });
+    let (follower, follower_h) = spawn_server(ServeConfig {
+        jobs: 1,
+        artifact_dir: Some(dirs[1].clone()),
+        peers: vec![leader.to_string()],
+        ..ServeConfig::default()
+    });
+    let pong = ping(follower, T).expect("follower ping");
+    assert_eq!(fleet_field(&pong, "adopted"), images.len() as u64);
+    for (addr, name) in [(leader, "leader"), (follower, "follower")] {
+        for (id, (bench, _, _, cold)) in images.iter().enumerate() {
+            let request = Json::obj([
+                ("id", Json::from(id as u64)),
+                ("workload", Json::str(bench.name())),
+                ("scale", Json::str("tiny")),
+            ]);
+            let resp = submit(addr, &request, T).expect("first request");
+            let report = resp.get("report").expect("report");
+            assert_eq!(
+                stripped(report),
+                *cold,
+                "{name} {bench}: diverged from cold"
+            );
+        }
+    }
+    shutdown(follower, T).expect("follower shutdown");
+    shutdown(leader, T).expect("leader shutdown");
+    assert_eq!(follower_h.join().unwrap().panicked, 0);
+    assert_eq!(leader_h.join().unwrap().panicked, 0);
+    for (dir, name) in dirs.iter().zip(["leader", "follower"]) {
+        let mut cache = RuleCache::new();
+        for (bench, fp, rules, _) in &images {
+            let path = dir.join(artifact_file_name(*fp, 1));
+            let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+                panic!("{name} {bench}: no write-back {}: {e}", path.display())
+            });
+            assert_eq!(rule_section(&bytes), rules, "{name} {bench}: rules moved");
+            let opened = open_salvage_cached(&bytes, &mut cache).expect("write-back opens");
+            assert!(opened.quarantined.is_empty(), "{name} {bench}");
+            assert_eq!(
+                seal(&opened.artifact),
+                bytes,
+                "{name} {bench}: not a fixpoint"
+            );
+        }
+        assert!(
+            cache.shared() > 0,
+            "{name}: the write-backs share no rule block"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// ART_PUSH obeys the generation order: a fresh offer is adopted (and

@@ -17,9 +17,9 @@
 mod common;
 
 use pdbt::artifact::{open_salvage, seal, section_table, warm_state};
-use pdbt::core::{load_rules, load_rules_salvage, save_rules};
+use pdbt::core::{load_rules, load_rules_cached, load_rules_salvage, save_rules, RuleCache};
 use pdbt::runtime::{Engine, EngineConfig, RunSetup};
-use pdbt::workloads::{learn_suite, suite, Scale};
+use pdbt::workloads::{learn_suite, suite, Benchmark, Scale};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -316,6 +316,38 @@ fn store_verdicts_match_the_golden() {
         }
     }
     common::assert_golden(&got, "store_verdicts.txt");
+}
+
+/// A warm cache never changes a verdict: every seeded cut, bit flip and
+/// splice of the store loads through a cache that already holds the
+/// clean store's blocks and a leave-one-out set's to exactly what it
+/// loads to cold — the same rules, or the same error line and detail.
+/// The cache also keeps whatever clean blocks the mutations before
+/// carried. A cache that matched a block on less than its exact bytes
+/// would hand a damaged block the clean block's rule.
+#[test]
+fn a_warm_rule_cache_never_changes_a_verdict() {
+    let text = healthy_store();
+    let loo = save_rules(&learn_suite(&suite(Scale::tiny()), Some(Benchmark::Mcf)));
+    let mut cache = RuleCache::new();
+    for warm in [&text, &loo] {
+        load_rules_cached(warm, &mut cache).expect("a saved set loads");
+    }
+    assert!(cache.shared() > 0, "the two sets share blocks");
+    let verdict = |loaded: Result<pdbt::core::RuleSet, pdbt::core::StoreError>| {
+        loaded.map(|rules| save_rules(&rules))
+    };
+    for (class, name) in ["cut", "flip", "splice"].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x57_0e_20 + class as u64);
+        for case in 0..cases() {
+            let mutated = mutate_store(class, &text, &mut rng);
+            assert_eq!(
+                verdict(load_rules_cached(&mutated, &mut cache)),
+                verdict(load_rules(&mutated)),
+                "{name} {case}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -619,7 +651,11 @@ fn wire_delivered_corruption_is_rejected_and_serving_stays_golden() {
     // seal, and any post-pull mutation fails client-side validation.
     let pulled = pdbt_serve::pull_artifact(addr, fp, T).expect("pull");
     assert_eq!(&pulled.bytes, bytes, "pulled artifact is not bit-identical");
-    pdbt::fleet::validate(&pulled.bytes, fp).expect("pristine pull validates");
+    // One cache for the pristine pull and every mutation after it, as a
+    // replication pass opens its pulls: the blocks it holds must not
+    // let damage through.
+    let cache = &mut pdbt::artifact::RuleCache::new();
+    pdbt::fleet::validate(&pulled.bytes, fp, cache).expect("pristine pull validates");
     for _ in 0..8 {
         let mut mutated = pulled.bytes.clone();
         let i = rng.gen_range(0..mutated.len());
@@ -628,7 +664,7 @@ fn wire_delivered_corruption_is_rejected_and_serving_stays_golden() {
             continue;
         }
         assert!(
-            pdbt::fleet::validate(&mutated, fp).is_err()
+            pdbt::fleet::validate(&mutated, fp, cache).is_err()
                 || open_salvage(&mutated)
                     .map(|o| seal(&o.artifact) == *bytes)
                     .unwrap_or(false),
