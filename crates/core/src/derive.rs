@@ -282,6 +282,12 @@ fn enumerate(learned: &RuleSet, cfg: DeriveConfig) -> Vec<Candidate> {
             continue;
         }
         seeds.sort();
+        // A derived key whose operand shape some seed has is an opcode
+        // derivation; any other shape is an addressing-mode one.
+        let seed_shapes: HashSet<_, KeyBuild> = seeds
+            .iter()
+            .map(|k| (k.s, k.modes, k.reg_pattern))
+            .collect();
         for op in classify::members(*sg) {
             // Flag-setting variants are always enumerated; without
             // delegation, the post-verification filter below keeps only
@@ -318,15 +324,12 @@ fn enumerate(learned: &RuleSet, cfg: DeriveConfig) -> Vec<Candidate> {
                             // only repeat within one subgroup: the
                             // provenance decision is safe to make on the
                             // first visit.
-                            let provenance = if seeds.iter().any(|k| {
-                                k.modes == key.modes
-                                    && k.reg_pattern == key.reg_pattern
-                                    && k.s == key.s
-                            }) {
-                                Provenance::OpcodeDerived
-                            } else {
-                                Provenance::AddrModeDerived
-                            };
+                            let provenance =
+                                if seed_shapes.contains(&(key.s, key.modes, key.reg_pattern)) {
+                                    Provenance::OpcodeDerived
+                                } else {
+                                    Provenance::AddrModeDerived
+                                };
                             v.insert(candidates.len());
                             candidates.push(Candidate {
                                 key,

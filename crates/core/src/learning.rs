@@ -8,12 +8,13 @@
 //! the funnel of Table I.
 
 use crate::key::{self, ComboKey};
-use crate::ruleset::{verify_at, verify_seq, Provenance, RuleEntry, RuleSet};
-use crate::template;
+use crate::ruleset::{verify_at, verify_seq, Imms, KeyBuild, Provenance, RuleEntry, RuleSet};
+use crate::template::{self, Template};
 use pdbt_compiler::{CompiledPair, DebugEntry};
+use pdbt_isa::Flag;
 use pdbt_isa_arm::{Inst as GInst, Op as GOp};
 use pdbt_isa_x86::Inst as HInst;
-use pdbt_symexec::{check, propose_mappings, CheckOptions};
+use pdbt_symexec::{check, propose_mappings, CheckOptions, FlagEquiv};
 use std::collections::HashMap;
 
 /// Why a candidate was rejected (reported per benchmark; the categories
@@ -99,6 +100,15 @@ pub fn is_unlearnable(op: GOp) -> bool {
     )
 }
 
+/// The canonical re-checks one [`learn_into`] call has made, keyed by
+/// what they verified: the keys, the template and, for a rule pinned to
+/// its learned immediates, those. The value is the flag report, `None`
+/// for a rejection. A re-check is a function of its key under the call's
+/// one [`CheckOptions`], so a candidate that re-learns a verified pair
+/// reads its verdict here.
+type Verified =
+    HashMap<(Vec<ComboKey>, Template, Option<Imms>), Option<Vec<(Flag, FlagEquiv)>>, KeyBuild>;
+
 /// Tries to learn one candidate pair: a rule whose key has one
 /// [`ComboKey`] per guest instruction (paper §V-D: the multi-instruction
 /// ones are learned but never parameterized).
@@ -106,6 +116,7 @@ fn learn_candidate(
     guest: &[GInst],
     host: &[HInst],
     cfg: LearnConfig,
+    verified: &mut Verified,
 ) -> Result<(Vec<ComboKey>, RuleEntry), Reject> {
     // Line tables attribute a conditional statement's compare and its
     // branch to the same line; the compare is learnable even though the
@@ -169,14 +180,21 @@ fn learn_candidate(
     // Canonical re-verification also validates immediate generalization;
     // when it fails, re-verify canonically at the learned immediates
     // only and keep the rule pinned to them (a constrained rule, §IV-C).
-    let (flags, imm_constraint) = match verify_seq(&keys, &tmpl, cfg.check) {
-        Ok(flags) => (flags, None),
-        Err(_) if !concrete.imms.is_empty() => (
-            verify_at(&keys, &tmpl, [concrete.imms], cfg.check)
-                .map_err(|_| Reject::Verification)?,
+    let canonical = verified
+        .entry((keys.clone(), tmpl.clone(), None))
+        .or_insert_with(|| verify_seq(&keys, &tmpl, cfg.check).ok())
+        .clone();
+    let (flags, imm_constraint) = match canonical {
+        Some(flags) => (flags, None),
+        None if !concrete.imms.is_empty() => (
+            verified
+                .entry((keys.clone(), tmpl.clone(), Some(concrete.imms)))
+                .or_insert_with(|| verify_at(&keys, &tmpl, [concrete.imms], cfg.check).ok())
+                .clone()
+                .ok_or(Reject::Verification)?,
             Some(concrete.imms.to_vec()),
         ),
-        Err(_) => return Err(Reject::Verification),
+        None => return Err(Reject::Verification),
     };
     Ok((
         keys,
@@ -203,6 +221,7 @@ pub fn learn_into(
         candidates: debug.len(),
         ..FunnelStats::default()
     };
+    let mut verified = Verified::default();
     for entry in debug {
         // Skewed line tables can point past the section ends; such
         // entries are unusable candidates (§II-B's "lose the
@@ -213,7 +232,7 @@ pub fn learn_into(
         }
         let guest = &pair.guest.program.insts()[entry.guest.clone()];
         let host = &pair.host.insts[entry.host.clone()];
-        match learn_candidate(guest, host, cfg) {
+        match learn_candidate(guest, host, cfg, &mut verified) {
             Ok((keys, rule)) => {
                 stats.learned += 1;
                 if rules.insert(keys, rule) {
@@ -459,7 +478,13 @@ mod tests {
             h::add(HReg::Esi.into(), HO::Imm(-5)),
             h::add(HReg::Edi.into(), HReg::Esi.into()),
         ];
-        let (keys, rule) = learn_candidate(&guest, &host, LearnConfig::default()).expect("learned");
+        let (keys, rule) = learn_candidate(
+            &guest,
+            &host,
+            LearnConfig::default(),
+            &mut Verified::default(),
+        )
+        .expect("learned");
         assert_eq!(keys.len(), 2);
         assert_eq!(rule.imm_constraint, Some(vec![5]));
         assert_eq!(
@@ -497,8 +522,119 @@ mod tests {
             "the concrete pair verifies under a proposed mapping"
         );
         assert_eq!(
-            learn_candidate(&guest, &host, LearnConfig::default()).map(|(keys, _)| keys),
+            learn_candidate(
+                &guest,
+                &host,
+                LearnConfig::default(),
+                &mut Verified::default()
+            )
+            .map(|(keys, _)| keys),
             Err(Reject::Verification)
+        );
+    }
+
+    /// Learns each tiny-suite workload's debug map, and the same map with
+    /// every entry listed twice, into fresh sets. The second pass
+    /// re-learns every candidate of the first under the same mapping
+    /// search, so its canonical re-checks are all replays: it must reject
+    /// what the first pass rejected, learn what it learned, and add
+    /// nothing.
+    #[test]
+    fn doubled_debug_maps_learn_the_single_maps_rules() {
+        use crate::store_io::save_rules;
+        use pdbt_workloads::{suite, Scale};
+        for w in &suite(Scale::tiny()) {
+            let doubled: Vec<DebugEntry> = w.debug.iter().chain(&w.debug).cloned().collect();
+            let (mut once, mut twice) = (RuleSet::new(), RuleSet::new());
+            let single = learn_into(&mut once, &w.pair, &w.debug, LearnConfig::default());
+            let double = learn_into(&mut twice, &w.pair, &doubled, LearnConfig::default());
+            let bench = w.bench;
+            assert!(single.unique > 0, "{bench:?}: {single:?}");
+            assert_eq!(save_rules(&once), save_rules(&twice), "{bench:?}");
+            assert_eq!(double.statements, single.statements, "{bench:?}");
+            assert_eq!(double.candidates, 2 * single.candidates, "{bench:?}");
+            assert_eq!(double.learned, 2 * single.learned, "{bench:?}");
+            assert_eq!(double.unique, single.unique, "{bench:?}");
+            let count = |s: &FunnelStats, r| s.rejects.get(&r).copied().unwrap_or(0);
+            for r in [
+                Reject::Unlearnable,
+                Reject::Sequence,
+                Reject::NoMapping,
+                Reject::Verification,
+                Reject::Template,
+            ] {
+                assert_eq!(count(&double, r), 2 * count(&single, r), "{bench:?} {r:?}");
+            }
+            assert_eq!(
+                count(&double, Reject::Duplicate),
+                count(&single, Reject::Duplicate) + single.learned,
+                "{bench:?}"
+            );
+        }
+    }
+
+    /// Learns every in-range candidate of each tiny-suite debug map twice:
+    /// once with a fresh [`Verified`] map, so every re-check runs, and once
+    /// through one map shared by the workload's candidates, as
+    /// [`learn_into`] does. The results must be equal, and the shared map
+    /// must have answered some candidate without a new check. A last group
+    /// learns one key with two templates, one that generalizes over the
+    /// immediate and one pinned to it. Returns the symexec faults injected.
+    fn assert_shared_verdicts_match_fresh_checks() -> u64 {
+        use pdbt_faults::Site;
+        use pdbt_isa_arm::builders as g;
+        use pdbt_isa_arm::{Operand as O, Reg};
+        use pdbt_isa_x86::builders as h;
+        use pdbt_isa_x86::{Operand as HO, Reg as HReg};
+        use pdbt_workloads::{suite, Scale};
+        let mut groups: Vec<Vec<(Vec<GInst>, Vec<HInst>)>> = suite(Scale::tiny())
+            .iter()
+            .map(|w| {
+                let (guest, host) = (w.pair.guest.program.insts(), &w.pair.host.insts);
+                let in_range =
+                    |e: &DebugEntry| Some((guest.get(e.guest.clone())?, host.get(e.host.clone())?));
+                let pairs = w.debug.iter().filter_map(in_range);
+                pairs.map(|(g, h)| (g.to_vec(), h.to_vec())).collect()
+            })
+            .collect();
+        let guest = vec![g::sub(Reg::R6, Reg::R6, O::Imm(5))];
+        let pinned = (guest.clone(), vec![h::add(HReg::Esi.into(), HO::Imm(-5))]);
+        let general = (guest, vec![h::sub(HReg::Esi.into(), HO::Imm(5))]);
+        groups.push(vec![pinned.clone(), general, pinned]);
+        let injected = || pdbt_faults::scoped_injected()[Site::Symexec.index()];
+        let (before, mut replays) = (injected(), 0);
+        for group in &groups {
+            let mut shared = Verified::default();
+            for (g, h) in group {
+                let cfg = LearnConfig::default();
+                let fresh = learn_candidate(g, h, cfg, &mut Verified::default());
+                let checks = shared.len();
+                let replayed = learn_candidate(g, h, cfg, &mut shared);
+                assert_eq!(replayed, fresh, "{g:?} -> {h:?}");
+                if shared.len() == checks && matches!(fresh, Ok(_) | Err(Reject::Verification)) {
+                    replays += 1;
+                }
+            }
+        }
+        assert!(replays > 0, "no candidate read a recorded verdict");
+        injected() - before
+    }
+
+    #[test]
+    fn shared_verdicts_match_fresh_checks() {
+        assert_shared_verdicts_match_fresh_checks();
+    }
+
+    /// Under a `symexec` fault plan a re-check may be injected to fail;
+    /// a replayed verdict must be the one a fresh check injects.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn shared_verdicts_replay_injected_faults() {
+        use pdbt_faults::{Plan, Site};
+        let _plan = pdbt_faults::scoped(Some(Plan::single(Site::Symexec, 0xFA_37, 0.2)));
+        assert!(
+            assert_shared_verdicts_match_fresh_checks() > 0,
+            "the plan never fired"
         );
     }
 

@@ -820,6 +820,76 @@ mod tests {
         assert!(check(&guest_seq, &host_seq, &mapping, opts()).is_equivalent());
     }
 
+    /// The least fuel at which `check` accepts a pair: what verifying it
+    /// costs. Acceptance is monotone in fuel, so a bisection finds it.
+    fn least_fuel(guest_seq: &[GInst], host_seq: &[HInst], mapping: &Mapping) -> u64 {
+        let accepts = |fuel| {
+            check(
+                guest_seq,
+                host_seq,
+                mapping,
+                CheckOptions { fuel, ..opts() },
+            )
+            .is_equivalent()
+        };
+        let (mut lo, mut hi) = (0, opts().fuel);
+        assert!(accepts(hi), "the pair verifies at the default fuel");
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if accepts(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// What a verification charges is part of its verdict: a budget just
+    /// under it rejects. These pin the charge of a plain register pair, a
+    /// flag-setting pair whose carry is inverted, and a pair whose host
+    /// side goes through a scratch register.
+    #[test]
+    fn verification_charges_are_pinned() {
+        let plain = least_fuel(
+            &[g::add(GReg::R0, GReg::R0, GOp::Reg(GReg::R1))],
+            &[h::add(HReg::Ecx.into(), HReg::Ebx.into())],
+            &m(&[(GReg::R0, HReg::Ecx), (GReg::R1, HReg::Ebx)]),
+        );
+        let subs_guest = [g::sub(GReg::R0, GReg::R0, GOp::Reg(GReg::R1)).with_s()];
+        let subs_host = [h::sub(HReg::Ecx.into(), HReg::Ebx.into())];
+        let subs_mapping = m(&[(GReg::R0, HReg::Ecx), (GReg::R1, HReg::Ebx)]);
+        let Verdict::Equivalent { flags } = check(&subs_guest, &subs_host, &subs_mapping, opts())
+        else {
+            panic!("subs verifies");
+        };
+        assert!(flags.contains(&(Flag::C, FlagEquiv::Inverted)), "{flags:?}");
+        let subs = least_fuel(&subs_guest, &subs_host, &subs_mapping);
+        let shifted = least_fuel(
+            &[g::add(
+                GReg::R0,
+                GReg::R1,
+                GOp::Shifted {
+                    rm: GReg::R2,
+                    kind: pdbt_isa_arm::ShiftKind::Lsl,
+                    amount: 2,
+                },
+            )],
+            &[
+                h::mov(HReg::Eax.into(), HReg::Esi.into()),
+                h::shl(HReg::Eax.into(), HOp::Imm(2)),
+                h::mov(HReg::Ecx.into(), HReg::Ebx.into()),
+                h::add(HReg::Ecx.into(), HReg::Eax.into()),
+            ],
+            &m(&[
+                (GReg::R0, HReg::Ecx),
+                (GReg::R1, HReg::Ebx),
+                (GReg::R2, HReg::Esi),
+            ]),
+        );
+        assert_eq!((plain, subs, shifted), (23, 67, 33));
+    }
+
     #[test]
     fn propose_mappings_positional_first() {
         let guest_seq = [g::add(GReg::R0, GReg::R0, GOp::Reg(GReg::R1))];
