@@ -28,7 +28,9 @@
 //!   a damaged transfer can always be re-pulled, so there is no reason
 //!   to adopt a partial copy over a healthy partition.
 
-use pdbt_artifact::{open_salvage_cached, section_table, ArtifactError, Opened, RuleCache};
+use pdbt_artifact::{
+    open_salvage, open_salvage_cached, section_table, ArtifactError, Opened, RuleCache,
+};
 use pdbt_obs::json::Json;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -163,9 +165,10 @@ pub fn dedupe_newest<T>(
 /// and (c) the content fingerprint matches what the sender declared.
 /// Stricter than the disk scan's salvage semantics on purpose — a
 /// partial artifact over the wire is a failed transfer, not a
-/// best-effort boot source. The artifact opens through `cache`, the
-/// rule blocks of the transfers before it in the same pass
-/// ([`open_salvage_cached`]).
+/// best-effort boot source. Within a batch of transfers (a pull pass,
+/// `pdbt sync`) the artifact opens through the batch's `cache`, the rule
+/// blocks of the transfers before it ([`open_salvage_cached`]); a lone
+/// transfer passes `None` and opens uncached ([`open_salvage`]).
 ///
 /// # Errors
 ///
@@ -175,10 +178,13 @@ pub fn dedupe_newest<T>(
 pub fn validate(
     bytes: &[u8],
     declared_fingerprint: u64,
-    cache: &mut RuleCache,
+    cache: Option<&mut RuleCache>,
 ) -> Result<Opened, (String, usize)> {
-    let opened =
-        open_salvage_cached(bytes, cache).map_err(|e| (format!("artifact rejected: {e}"), 0))?;
+    let opened = match cache {
+        Some(cache) => open_salvage_cached(bytes, cache),
+        None => open_salvage(bytes),
+    };
+    let opened = opened.map_err(|e| (format!("artifact rejected: {e}"), 0))?;
     if let Some(q) = opened.quarantined.first() {
         return Err((
             format!(
@@ -417,23 +423,23 @@ mod tests {
     #[test]
     fn validate_rejects_damage_and_fingerprint_lies() {
         let bytes = sealed_fixture();
-        let cache = &mut RuleCache::new();
-        let opened = validate(
-            &bytes,
-            open_salvage(&bytes).unwrap().artifact.fingerprint(),
-            cache,
-        )
-        .expect("healthy artifact validates");
-        let fp = opened.artifact.fingerprint();
-        // Declared fingerprint must match content.
-        assert!(validate(&bytes, fp ^ 1, cache).is_err());
-        // A quarantinable section is a wire reject, not a salvage.
         let mut mutated = bytes.clone();
         let last = mutated.len() - 1;
         mutated[last] ^= 0xFF;
         assert!(open_salvage(&mutated).is_ok(), "disk scan would salvage");
-        assert!(validate(&mutated, fp, cache).is_err(), "wire rejects");
-        assert!(validate(b"junk", fp, cache).is_err());
+        // Through a batch's cache or alone, the same verdicts.
+        for cached in [true, false] {
+            let mut cache = RuleCache::new();
+            let mut check = |bytes: &[u8], fp| validate(bytes, fp, cached.then_some(&mut cache));
+            let fp = open_salvage(&bytes).unwrap().artifact.fingerprint();
+            let opened = check(&bytes, fp).expect("healthy artifact validates");
+            assert_eq!(opened.artifact.fingerprint(), fp);
+            // Declared fingerprint must match content.
+            assert!(check(&bytes, fp ^ 1).is_err());
+            // A quarantinable section is a wire reject, not a salvage.
+            assert!(check(&mutated, fp).is_err(), "wire rejects");
+            assert!(check(b"junk", fp).is_err());
+        }
     }
 
     #[test]

@@ -1,6 +1,16 @@
-//! The client side: connect, send one request frame, read one response
-//! frame. Used by `pdbt submit`, `pdbt sync`, a `--peer` daemon's pull
-//! pass and the integration tests.
+//! The client side: send one request frame, read one response frame.
+//! Used by `pdbt submit`, `pdbt sync`, a `--peer` daemon's pull pass,
+//! `pdbt loadgen` and the integration tests.
+//!
+//! Every call but [`submit`] opens a fresh connection and closes it after
+//! the reply. [`submit`] asks to keep its connection
+//! ([`flag::KEEP`](proto::flag::KEEP)) and each thread keeps the last
+//! one the server agreed to keep, so a thread's SUBMITs to one daemon
+//! share a connection. It sends a request on a kept connection only
+//! while that is safe: the daemon reads the next SUBMIT within
+//! `FIRST_FRAME_TIMEOUT` of its RESULT, so the connection is reused only
+//! within half of that, and only when a non-blocking peek finds it
+//! open. Otherwise it connects fresh. A request is never sent twice.
 //!
 //! The one multi-frame exchange lives here too. An artifact transfer is
 //! a JSON header frame (`fingerprint`, `generation`, `bytes`, `chunks`,
@@ -11,15 +21,16 @@
 //! [`PulledArtifact::send`] on one side of the socket and
 //! [`PulledArtifact::recv`] on the other.
 
-use crate::proto::{self, op, FrameError};
+use crate::proto::{self, flag, op, FrameError, FIRST_FRAME_TIMEOUT};
 use pdbt_fleet::{
     chunk_count, fingerprint_field, fingerprint_hex, ArtifactAd, CHUNK, MAX_ARTIFACT,
 };
 use pdbt_obs::json::Json;
+use std::cell::RefCell;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -70,7 +81,11 @@ fn connect(addr: impl ToSocketAddrs, timeout: Duration) -> Result<TcpStream, Cli
 /// Reads a response frame that must be `want` with a JSON payload;
 /// turns `ERROR` frames into [`ClientError::Remote`].
 fn read_json(stream: &mut impl Read, want: u8) -> Result<Json, ClientError> {
-    let frame = proto::read_frame(stream)?;
+    reply_json(&proto::read_frame(stream)?, want)
+}
+
+/// [`read_json`] for a frame already read.
+fn reply_json(frame: &proto::Frame, want: u8) -> Result<Json, ClientError> {
     let text = frame
         .payload_str()
         .map_err(|_| ClientError::Protocol("response payload is not UTF-8".into()))?;
@@ -105,8 +120,42 @@ fn roundtrip(
     read_json(&mut stream, want)
 }
 
+/// A connection the daemon promised to read another SUBMIT on.
+struct Kept {
+    stream: TcpStream,
+    peer: SocketAddr,
+    /// When its last RESULT arrived.
+    at: Instant,
+}
+
+impl Kept {
+    /// Whether the next SUBMIT to one of `addrs` may go out on it.
+    fn reusable(&self, addrs: &[SocketAddr]) -> bool {
+        addrs.contains(&self.peer)
+            && self.at.elapsed() < FIRST_FRAME_TIMEOUT / 2
+            && open(&self.stream)
+    }
+}
+
+/// Whether a non-blocking peek finds `stream` open with nothing unread:
+/// a daemon that closed it (its bound passed, or it drained) shows EOF.
+fn open(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let idle = matches!(stream.peek(&mut [0u8]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+    stream.set_nonblocking(false).is_ok() && idle
+}
+
+thread_local! {
+    /// This thread's kept SUBMIT connection.
+    static KEPT: RefCell<Option<Kept>> = const { RefCell::new(None) };
+}
+
 /// Submits a run request and returns the RESULT payload (`id`,
-/// `workload`, `outcome`, `report`).
+/// `workload`, `outcome`, `report`). Reuses this thread's kept
+/// connection to the same daemon when it is safe to (see the module
+/// docs), and keeps this one when the RESULT says the daemon will.
 ///
 /// The timeout bounds each socket operation; pick one comfortably
 /// above the request's `deadline_ms` or the session will outlive the
@@ -120,8 +169,29 @@ pub fn submit(
     request: &Json,
     timeout: Duration,
 ) -> Result<Json, ClientError> {
+    let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+    let kept = KEPT.with_borrow_mut(Option::take);
+    let (mut stream, peer) = match kept.filter(|k| k.reusable(&addrs)) {
+        Some(k) => {
+            k.stream.set_read_timeout(Some(timeout))?;
+            k.stream.set_write_timeout(Some(timeout))?;
+            (k.stream, k.peer)
+        }
+        None => {
+            let stream = connect(&addrs[..], timeout)?;
+            let peer = stream.peer_addr()?;
+            (stream, peer)
+        }
+    };
     let payload = request.to_string();
-    roundtrip(addr, op::SUBMIT, payload.as_bytes(), op::RESULT, timeout)
+    proto::write_flagged_frame(&mut stream, op::SUBMIT, flag::KEEP, payload.as_bytes())?;
+    let frame = proto::read_frame(&mut stream)?;
+    let reply = reply_json(&frame, op::RESULT)?;
+    if frame.keep() {
+        let at = Instant::now();
+        KEPT.with_borrow_mut(|slot| *slot = Some(Kept { stream, peer, at }));
+    }
+    Ok(reply)
 }
 
 /// Pings the server, returning its status payload (protocol version,

@@ -8,7 +8,8 @@
 //!      0     4  magic  "PDBT"
 //!      4     1  version (currently 1)
 //!      5     1  opcode
-//!      6     2  reserved (zero)
+//!      6     1  flags (see `flag`; zero otherwise)
+//!      7     1  reserved (zero)
 //!      8     4  payload length, big-endian
 //!     12     n  payload (UTF-8 JSON; empty for PING/SHUTDOWN)
 //! ```
@@ -22,14 +23,22 @@
 //! Request opcodes come from the client (`SUBMIT`, `PING`,
 //! `SHUTDOWN`, `STATS`, and the fleet's `ART_LIST`/`ART_PULL`/
 //! `ART_PUSH`); response opcodes have the top bit set (`RESULT`,
-//! `ERROR`, `PONG`). One request frame per connection, answered by
-//! exactly one response frame — except artifact transfers, which
-//! follow their JSON header frame with a counted run of raw
-//! [`op::ART_DATA`] chunk frames on the same connection, so a sealed
-//! artifact larger than [`MAX_PAYLOAD`] can still cross the wire.
+//! `ERROR`, `PONG`). Each request frame is answered by exactly one
+//! response frame, and a connection carries one exchange, with two
+//! exceptions. Artifact transfers follow their JSON header frame with
+//! a counted run of raw [`op::ART_DATA`] chunk frames on the same
+//! connection, so a sealed artifact larger than [`MAX_PAYLOAD`] can
+//! still cross the wire. And a connection may carry several SUBMITs:
+//! a SUBMIT with [`flag::KEEP`] asks to keep the connection, and a
+//! RESULT with it promises the server reads one more frame there,
+//! which must be a SUBMIT arriving whole within 1 s
+//! (`FIRST_FRAME_TIMEOUT`) of the RESULT. Without the bit on both
+//! sides the connection closes after the reply, as every `ERROR` and
+//! every other exchange does.
 
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
+use std::time::Duration;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"PDBT";
@@ -43,6 +52,20 @@ pub const HEADER_LEN: usize = 12;
 /// Upper bound on a frame payload; larger lengths are rejected before
 /// allocating.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+
+/// The bound on a connection's first frame, and on each later SUBMIT of
+/// a kept connection counted from the RESULT before it. The server
+/// reads the whole frame under it; a client reuses a kept connection
+/// only within half of it.
+pub(crate) const FIRST_FRAME_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Header flag bits (offset 6).
+pub mod flag {
+    /// On a `SUBMIT`: the client will send its next SUBMIT on this
+    /// connection. On the `RESULT` answering it: the server reads one
+    /// more frame on this connection.
+    pub const KEEP: u8 = 0x01;
+}
 
 /// Frame opcodes. Requests are < 0x80, responses have the top bit set.
 pub mod op {
@@ -98,11 +121,19 @@ pub mod op {
 pub struct Frame {
     /// The frame's opcode (see [`op`]).
     pub opcode: u8,
+    /// The header's flag bits (see [`flag`]).
+    pub flags: u8,
     /// The raw payload bytes.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
+    /// Whether the header carries [`flag::KEEP`].
+    #[must_use]
+    pub fn keep(&self) -> bool {
+        self.flags & flag::KEEP != 0
+    }
+
     /// The payload as UTF-8 text.
     ///
     /// # Errors
@@ -156,11 +187,12 @@ impl From<io::Error> for FrameError {
 }
 
 /// A frame header announcing `len` payload bytes.
-fn header(opcode: u8, len: u32) -> [u8; HEADER_LEN] {
+fn header(opcode: u8, flags: u8, len: u32) -> [u8; HEADER_LEN] {
     let mut hdr = [0u8; HEADER_LEN];
     hdr[..4].copy_from_slice(&MAGIC);
     hdr[4] = VERSION;
     hdr[5] = opcode;
+    hdr[6] = flags;
     hdr[8..12].copy_from_slice(&len.to_be_bytes());
     hdr
 }
@@ -185,9 +217,23 @@ fn wire_len(len: usize) -> Result<u32, FrameError> {
 /// Forwarded i/o errors; `InvalidInput` if `payload` exceeds
 /// [`MAX_PAYLOAD`] (nothing is written then).
 pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
+    write_flagged_frame(w, opcode, 0, payload)
+}
+
+/// [`write_frame`] with the header's `flags` set (see [`flag`]).
+///
+/// # Errors
+///
+/// As [`write_frame`].
+pub fn write_flagged_frame(
+    w: &mut impl Write,
+    opcode: u8,
+    flags: u8,
+    payload: &[u8],
+) -> io::Result<()> {
     let len =
         wire_len(payload.len()).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let hdr = header(opcode, len);
+    let hdr = header(opcode, flags, len);
     let mut bufs = [IoSlice::new(&hdr), IoSlice::new(payload)];
     let mut bufs = &mut bufs[..];
     while !bufs.is_empty() {
@@ -203,8 +249,8 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result
 
 /// Starts a frame in `buf`: the header, its length still zero. Append
 /// the payload after it, then [`finish_frame`].
-pub(crate) fn begin_frame(buf: &mut Vec<u8>, opcode: u8) {
-    buf.extend_from_slice(&header(opcode, 0));
+pub(crate) fn begin_frame(buf: &mut Vec<u8>, opcode: u8, flags: u8) {
+    buf.extend_from_slice(&header(opcode, flags, 0));
 }
 
 /// Patches the payload length into the frame `buf` holds, which is
@@ -242,6 +288,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     r.read_exact(&mut payload)?;
     Ok(Frame {
         opcode: hdr[5],
+        flags: hdr[6],
         payload,
     })
 }
@@ -255,6 +302,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, op::SUBMIT, b"{\"id\":1}").unwrap();
         write_frame(&mut buf, op::PING, b"").unwrap();
+        write_flagged_frame(&mut buf, op::SUBMIT, flag::KEEP, b"{}").unwrap();
         let mut r = buf.as_slice();
         let a = read_frame(&mut r).unwrap();
         assert_eq!(a.opcode, op::SUBMIT);
@@ -262,6 +310,9 @@ mod tests {
         let b = read_frame(&mut r).unwrap();
         assert_eq!(b.opcode, op::PING);
         assert!(b.payload.is_empty());
+        let c = read_frame(&mut r).unwrap();
+        assert_eq!((c.opcode, c.flags), (op::SUBMIT, flag::KEEP));
+        assert!(c.keep() && !a.keep() && !b.keep());
         assert!(r.is_empty(), "no trailing bytes");
     }
 
@@ -348,7 +399,7 @@ mod tests {
         }
         // A frame assembled in place leaves in one write too.
         let mut buf = Vec::new();
-        begin_frame(&mut buf, op::RESULT);
+        begin_frame(&mut buf, op::RESULT, 0);
         buf.extend_from_slice(b"{\"ok\":true}");
         finish_frame(&mut buf).unwrap();
         let frame = read_frame(&mut buf.as_slice()).unwrap();
@@ -390,7 +441,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(w.calls, 0);
         let mut buf = Vec::new();
-        begin_frame(&mut buf, op::RESULT);
+        begin_frame(&mut buf, op::RESULT, 0);
         buf.extend_from_slice(&payload);
         assert!(matches!(
             finish_frame(&mut buf),

@@ -78,6 +78,13 @@ impl ToJson for Status<'_> {
 
 /// The live-telemetry snapshot behind the `STATS` frame (and the
 /// flight dump on drain), under the `stats_seq` it claimed.
+///
+/// `sessions.served` counts SUBMIT frames, `sessions.kept` those of
+/// them that arrived on an already-used connection, and `sessions.held`
+/// the connections workers hold idle right now. The queue's figures —
+/// `outstanding`, `pool.completed`, `pool.busy_ns` — count tasks, and a
+/// SUBMIT task is a connection: every request on it, and the idle holds
+/// between them.
 pub(super) struct Stats<'a> {
     ctx: &'a ServerCtx,
     queue: &'a TaskQueue,
@@ -149,7 +156,9 @@ impl ToJson for Stats<'_> {
         out.key("sessions");
         out.begin_obj();
         out.field("served", &load(&ctx.served));
+        out.field("kept", &load(&ctx.kept));
         out.field("active", &load(&ctx.active));
+        out.field("held", &ctx.held.count());
         out.field("panicked", &queue.panicked());
         out.field("reply_errors", &load(&ctx.reply_errors));
         out.end_obj();

@@ -8,12 +8,18 @@
 //!
 //! # Connection model
 //!
-//! One request frame per connection, answered by one response frame.
-//! The accept loop reads that first frame itself, whole, within
-//! [`FIRST_FRAME_TIMEOUT`]; the expensive work — building the workload,
-//! translating, running — happens on a queue worker, so slow sessions
-//! never block new connections. The control and replication lanes are
-//! answered inline (they must work even when every worker is busy).
+//! The accept loop reads a connection's first frame itself, whole,
+//! within [`FIRST_FRAME_TIMEOUT`]; the expensive work — building the
+//! workload, translating, running — happens on a queue worker, so slow
+//! sessions never block new connections. The control and replication
+//! lanes are answered inline (they must work even when every worker is
+//! busy), one exchange per connection. A SUBMIT connection may carry
+//! several SUBMITs: when the request and its RESULT both carry
+//! [`flag::KEEP`](proto::flag::KEEP), the worker that answered keeps the
+//! stream and reads the next SUBMIT itself, under the same bound from
+//! its reply. Anything else — another opcode, a late or partial frame,
+//! an `ERROR` — closes it. Workers hold idle connections only while
+//! fewer than `jobs − 1` others do, so one always serves the queue.
 //!
 //! # Shared-state partitioning
 //!
@@ -26,10 +32,11 @@
 //!
 //! # Drain semantics
 //!
-//! `SHUTDOWN` is acknowledged immediately, then the accept loop stops
-//! and the queue is drained: already-accepted requests finish and send
-//! their responses; connections arriving after the acknowledgement are
-//! refused by the closed listener.
+//! `SHUTDOWN` is acknowledged immediately, then the accept loop stops,
+//! every connection a worker holds idle is shut, and the queue is
+//! drained: already-accepted requests finish and send their responses;
+//! connections arriving after the acknowledgement are refused by the
+//! closed listener.
 //!
 //! [`SharedTranslationState`]: pdbt_runtime::SharedTranslationState
 
@@ -38,14 +45,14 @@ mod partition;
 mod replicate;
 mod session;
 
-use crate::proto::{self, op};
+use crate::proto::{self, op, FIRST_FRAME_TIMEOUT};
 use partition::{ArtifactBoot, BootScan, Partition};
 use pdbt_core::RuleSet;
 use pdbt_obs::json::{Json, ToJson};
 use pdbt_par::TaskQueue;
 use pdbt_runtime::{BackendKind, EngineConfig};
 use pdbt_workloads::Workload;
-use session::{respond, respond_error};
+use session::{respond, respond_error, Held};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -59,15 +66,13 @@ use std::time::{Duration, Instant};
 /// replication calls run under it too.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The tighter bound on a connection's *first* frame, which the accept
-/// thread reads itself: a client that connects and says nothing, or
-/// trickles its frame, holds up accept, PING and STATS for this long,
-/// not for [`SOCKET_TIMEOUT`].
-const FIRST_FRAME_TIMEOUT: Duration = Duration::from_secs(1);
-
 /// A stream read under one deadline for all its reads: each read may
 /// wait only for what is left, so a peer sending a byte at a time
-/// cannot restart the clock with every byte.
+/// cannot restart the clock with every byte. The accept thread reads a
+/// first frame through it under [`FIRST_FRAME_TIMEOUT`], so a client that
+/// connects and says nothing, or trickles its frame, holds up accept,
+/// PING and STATS for that long, not for [`SOCKET_TIMEOUT`]; a worker
+/// reads a kept connection's next SUBMIT through it.
 struct Deadline<'a>(&'a TcpStream, Instant);
 
 impl Read for Deadline<'_> {
@@ -140,7 +145,8 @@ impl Default for ServeConfig {
 /// What a finished server saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// `SUBMIT` requests accepted (including ones that later failed).
+    /// `SUBMIT` frames received, on new and kept connections alike
+    /// (including ones that later failed).
     pub requests: u64,
     /// Sessions that panicked on a worker (isolated per-task; see
     /// `pdbt_par::TaskQueue`).
@@ -170,10 +176,14 @@ struct ServerCtx {
     /// next number, so a poller can order snapshots and compute
     /// deltas even when responses arrive out of order.
     stats_seq: AtomicU64,
-    /// SUBMIT requests accepted over the server's lifetime.
+    /// SUBMIT frames received over the server's lifetime.
     served: AtomicU64,
+    /// Of those, the ones that arrived on an already-used connection.
+    kept: AtomicU64,
     /// Sessions currently executing on a worker.
     active: AtomicU64,
+    /// The connections workers hold idle between SUBMITs.
+    held: Held,
     /// Artifact warm-boot tally: seeded by the bind-time scan, and
     /// bumped at runtime when a transferred artifact's sections turn
     /// out quarantinable (the wire rejects it, but the damage is
@@ -238,7 +248,9 @@ impl Server {
             started: Instant::now(),
             stats_seq: AtomicU64::new(0),
             served: AtomicU64::new(0),
+            kept: AtomicU64::new(0),
             active: AtomicU64::new(0),
+            held: Held::default(),
             artifacts: scan.boot,
             replication: Mutex::new(()),
             fleet: pdbt_obs::FleetCounters::default(),
@@ -280,15 +292,16 @@ impl Server {
         let ctx = &self.ctx;
         let port = self.local_addr().map_or(0, |a| u64::from(a.port()));
         let stop = AtomicBool::new(false);
-        let requests = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let tick = s.spawn(|| replicate::tick(ctx, port, &stop));
-            let requests = self.accept();
+            self.accept();
+            // An idle kept connection must not hold the drain up.
+            ctx.held.drain();
             // Quiesce the replication tick before the final snapshot
             // and the write-back; a pass that panicked is not the
             // drain's to report.
             stop.store(true, Ordering::Relaxed);
             let _ = tick.join();
-            requests
         });
         self.queue.wait_idle();
         // The flight recorder's dump: postmortems (including ones
@@ -309,15 +322,14 @@ impl Server {
             partition::write_back(ctx, dir);
         }
         let panicked = self.queue.drain();
+        let requests = ctx.served.load(Ordering::Relaxed);
         Ok(ServeSummary { requests, panicked })
     }
 
     /// The accept loop: reads each connection's first frame and
-    /// dispatches on its opcode until a `SHUTDOWN` arrives. Returns the
-    /// SUBMIT count.
-    fn accept(&self) -> u64 {
+    /// dispatches on its opcode until a `SHUTDOWN` arrives.
+    fn accept(&self) {
         let (ctx, queue) = (&self.ctx, &self.queue);
-        let mut requests = 0u64;
         for conn in self.listener.incoming() {
             // Transient accept failures (peer gone before accept) are
             // not fatal.
@@ -352,17 +364,13 @@ impl Server {
                     respond(ctx, &mut stream, op::PONG, &ack);
                     break;
                 }
-                op::SUBMIT => {
-                    requests += 1;
-                    session::submit(ctx, queue, &frame, stream);
-                }
+                op::SUBMIT => session::submit(ctx, queue, &frame, stream),
                 other => {
                     let unknown = format!("unknown opcode {other:#04x}");
                     respond_error(ctx, &mut stream, None, &unknown);
                 }
             }
         }
-        requests
     }
 }
 

@@ -92,13 +92,9 @@ pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
     };
     ctx.fleet.bytes.add(offer.bytes.len() as u64);
     let _plane = ctx.plane();
-    let (adopted, reason, current) = adopt_artifact(
-        ctx,
-        offer.bytes,
-        offer.generation,
-        offer.fingerprint,
-        &mut RuleCache::new(),
-    );
+    // A lone offer has no batch to share rule blocks with.
+    let (adopted, reason, current) =
+        adopt_artifact(ctx, offer.bytes, offer.generation, offer.fingerprint, None);
     let verdict = Json::obj([
         ("fingerprint", Json::str(fingerprint_hex(offer.fingerprint))),
         ("adopted", Json::from(adopted)),
@@ -110,7 +106,7 @@ pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
 
 /// The adoption decision for a transferred artifact whose envelope
 /// held: the wire trust boundary ([`validate`], opening through the
-/// caller's `cache` of the pass's rule blocks), then the version order
+/// pass's `cache` of rule blocks when there is a pass), then the version order
 /// against the locally *materialized* version — the local side seals
 /// its live growth first, so the comparison is deterministic no matter
 /// when the offer arrives. On adoption the partition is replaced by
@@ -124,7 +120,7 @@ pub(super) fn adopt_artifact(
     bytes: Vec<u8>,
     generation: u64,
     fp: u64,
-    cache: &mut RuleCache,
+    cache: Option<&mut RuleCache>,
 ) -> (bool, String, u64) {
     let opened = match validate(&bytes, fp, cache) {
         Ok(o) => o,
@@ -225,7 +221,7 @@ pub(super) fn replicate_once(ctx: &ServerCtx) {
                 pulled.bytes,
                 pulled.generation,
                 ad.fingerprint,
-                &mut cache,
+                Some(&mut cache),
             );
             if !adopted {
                 eprintln!("pdbt-serve: pulled artifact {name} from {peer} not adopted: {reason}");

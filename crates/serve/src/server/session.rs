@@ -10,19 +10,26 @@
 //! what a session observes — `tests/determinism.rs`). A `faults` spec
 //! arms injection for that request's worker thread only; every other
 //! request is explicitly shielded.
+//!
+//! A connection whose SUBMITs carry [`flag::KEEP`] stays with the worker
+//! that answered it: that worker reads the next SUBMIT itself and runs
+//! it, so the request pays neither a connect nor the accept→queue hop.
+//! The worker holds the idle connection in [`Held`] only while fewer than
+//! `jobs − 1` others are held, so one worker always serves the queue.
 
 use super::partition::Partition;
-use super::ServerCtx;
-use crate::proto::{self, op};
+use super::{Deadline, ServerCtx};
+use crate::proto::{self, flag, op, FIRST_FRAME_TIMEOUT};
 use pdbt_obs::json::{Emit, Json, ToJson};
 use pdbt_obs::RequestSummary;
 use pdbt_par::TaskQueue;
 use pdbt_runtime::{Engine, EngineConfig, Report, RunSetup, SharedTranslationState};
 use pdbt_workloads::{build, Benchmark, Scale, Workload};
+use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A request frame's JSON payload, if it is one.
@@ -45,18 +52,30 @@ pub(super) fn respond(
     opcode: u8,
     payload: &impl ToJson,
 ) -> u64 {
+    send(ctx, stream, opcode, 0, payload).unwrap_or_else(|error_bytes| error_bytes)
+}
+
+/// [`respond`] with header `flags`. `Err` carries the size of the
+/// `ERROR` frame that went out instead of a payload past the cap.
+fn send(
+    ctx: &ServerCtx,
+    stream: &mut TcpStream,
+    opcode: u8,
+    flags: u8,
+    payload: &impl ToJson,
+) -> Result<u64, u64> {
     let mut frame = Vec::with_capacity(4096);
-    proto::begin_frame(&mut frame, opcode);
+    proto::begin_frame(&mut frame, opcode, flags);
     payload.write_json(&mut frame);
     if let Err(e) = proto::finish_frame(&mut frame) {
         ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
         let msg = format!("reply {e}");
-        return respond(ctx, stream, op::ERROR, &error_doc(None, &msg));
+        return Err(respond(ctx, stream, op::ERROR, &error_doc(None, &msg)));
     }
     if stream.write_all(&frame).is_err() {
         ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
     }
-    (frame.len() - proto::HEADER_LEN) as u64
+    Ok((frame.len() - proto::HEADER_LEN) as u64)
 }
 
 /// An `ERROR` frame's payload.
@@ -77,21 +96,142 @@ pub(super) fn submit(
     frame: &proto::Frame,
     mut stream: TcpStream,
 ) {
-    let Some(req) = payload_json(frame) else {
-        respond_error(ctx, &mut stream, None, "request payload is not valid JSON");
+    let Some(request) = accepted(ctx, frame, &mut stream) else {
         return;
     };
-    // Accept-time stamps: the global request sequence number and the
-    // clock the queue-wait phase is measured against.
-    let seq = ctx.served.fetch_add(1, Ordering::Relaxed) + 1;
+    // The clock the queue-wait phase is measured against.
     let accept_ns = pdbt_obs::now_ns();
     let ctx = Arc::clone(ctx);
-    let submit = queue.submit(move || serve_request(&ctx, req, &mut stream, seq, accept_ns));
+    let submit = queue.submit(move || serve_connection(&ctx, stream, request, Some(accept_ns)));
     if let Err(pdbt_par::QueueClosed(task)) = submit {
         // Unreachable while the accept loop owns the queue (it only
         // closes on drain), but never drop a request silently: run it
         // inline.
         task();
+    }
+}
+
+/// A SUBMIT as it arrived: the parsed request, its global sequence
+/// number, and whether it asked to keep the connection.
+struct Request {
+    req: Json,
+    seq: u64,
+    keep: bool,
+}
+
+/// Counts a SUBMIT frame — every one claims the next sequence number —
+/// and parses its payload; a payload that is not JSON is answered with
+/// an `ERROR`.
+fn accepted(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) -> Option<Request> {
+    let seq = ctx.served.fetch_add(1, Ordering::Relaxed) + 1;
+    let Some(req) = payload_json(frame) else {
+        respond_error(ctx, stream, None, "request payload is not valid JSON");
+        return None;
+    };
+    Some(Request {
+        req,
+        seq,
+        keep: frame.keep(),
+    })
+}
+
+/// A connection's life on its worker: serve the request, then, while
+/// the RESULT promised another read, take the next SUBMIT off the same
+/// stream — whole within [`FIRST_FRAME_TIMEOUT`] of the reply — and
+/// serve it too. A late, partial or non-SUBMIT frame, an `ERROR` reply
+/// or the drain ends the connection.
+fn serve_connection(
+    ctx: &ServerCtx,
+    mut stream: TcpStream,
+    mut request: Request,
+    mut accept_ns: Option<u64>,
+) {
+    loop {
+        let Some(hold) = serve_request(ctx, request, &mut stream, accept_ns) else {
+            return;
+        };
+        let until = Instant::now() + FIRST_FRAME_TIMEOUT;
+        let next = proto::read_frame(&mut Deadline(&stream, until));
+        drop(hold);
+        let Ok(frame) = next else { return };
+        if frame.opcode != op::SUBMIT {
+            let only = "a kept connection carries only SUBMIT";
+            respond_error(ctx, &mut stream, None, only);
+            return;
+        }
+        ctx.kept.fetch_add(1, Ordering::Relaxed);
+        let Some(next) = accepted(ctx, &frame, &mut stream) else {
+            return;
+        };
+        request = next;
+        // A kept request never waits in the queue.
+        accept_ns = None;
+    }
+}
+
+/// The connections session workers hold idle between SUBMITs, by worker
+/// slot. The drain shuts every one down, so it never waits on an idle
+/// client.
+#[derive(Debug, Default)]
+pub(super) struct Held(Mutex<HeldStreams>);
+
+#[derive(Debug, Default)]
+struct HeldStreams {
+    /// Set by the drain: nothing is held from then on.
+    draining: bool,
+    streams: BTreeMap<usize, TcpStream>,
+}
+
+impl Held {
+    fn lock(&self) -> MutexGuard<'_, HeldStreams> {
+        self.0.lock().expect("held connections poisoned")
+    }
+
+    /// How many connections workers hold right now.
+    pub(super) fn count(&self) -> usize {
+        self.lock().streams.len()
+    }
+
+    /// Shuts the reading side of every held connection, which wakes its
+    /// worker at once, and holds no more. A SUBMIT that had already
+    /// arrived whole may still be read and served; its RESULT does not
+    /// keep.
+    pub(super) fn drain(&self) {
+        let mut held = self.lock();
+        held.draining = true;
+        for stream in held.streams.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// A worker's claim on its idle connection, in [`Held`] for as long as
+/// the guard lives, on every path out of the wait.
+struct Hold<'a> {
+    held: &'a Held,
+    slot: usize,
+}
+
+impl<'a> Hold<'a> {
+    /// Registers `stream` under this worker's slot, unless the server
+    /// drains or `jobs − 1` other workers hold a connection already.
+    fn park(ctx: &'a ServerCtx, stream: &TcpStream) -> Option<Hold<'a>> {
+        let slot = pdbt_par::current_worker_slot()?;
+        let mut held = ctx.held.lock();
+        if held.draining || held.streams.len() + 1 >= ctx.cfg.jobs {
+            return None;
+        }
+        held.streams.insert(slot, stream.try_clone().ok()?);
+        Some(Hold {
+            held: &ctx.held,
+            slot,
+        })
+    }
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        self.held.lock().streams.remove(&self.slot);
     }
 }
 
@@ -115,8 +255,16 @@ impl Drop for Active<'_> {
 /// The worker-side request lifecycle: stamp dequeue, run the session
 /// under a request-scoped trace id, render and write the reply, then
 /// fold the phase latencies into the partition's telemetry plane at
-/// this worker's slot.
-fn serve_request(ctx: &ServerCtx, req: Json, stream: &mut TcpStream, seq: u64, accept_ns: u64) {
+/// this worker's slot (`accept_ns` is `None` for a kept request, whose
+/// queue phase is 0). Returns the hold on the connection when the
+/// RESULT promised to read another frame on it.
+fn serve_request<'a>(
+    ctx: &'a ServerCtx,
+    request: Request,
+    stream: &mut TcpStream,
+    accept_ns: Option<u64>,
+) -> Option<Hold<'a>> {
+    let Request { req, seq, keep } = request;
     let dequeue_ns = pdbt_obs::now_ns();
     let _active = Active::enter(&ctx.active);
     // Tag every span this session opens (translate, exec, ...) with
@@ -127,19 +275,25 @@ fn serve_request(ctx: &ServerCtx, req: Json, stream: &mut TcpStream, seq: u64, a
     match run_request(ctx, &req) {
         Ok((reply, shared, mut summary)) => {
             let run_done_ns = pdbt_obs::now_ns();
-            summary.reply_bytes = respond(ctx, stream, op::RESULT, &reply);
+            let hold = if keep { Hold::park(ctx, stream) } else { None };
+            let flags = if hold.is_some() { flag::KEEP } else { 0 };
+            let sent = send(ctx, stream, op::RESULT, flags, &reply);
             let reply_done_ns = pdbt_obs::now_ns();
+            summary.reply_bytes = sent.unwrap_or_else(|error_bytes| error_bytes);
             summary.seq = seq;
-            summary.phases.queue = dequeue_ns.saturating_sub(accept_ns);
+            summary.phases.queue = accept_ns.map_or(0, |at| dequeue_ns.saturating_sub(at));
             summary.phases.execute = run_done_ns
                 .saturating_sub(dequeue_ns)
                 .saturating_sub(summary.phases.translate);
             summary.phases.reply = reply_done_ns.saturating_sub(run_done_ns);
             let slot = pdbt_par::current_worker_slot().unwrap_or(0);
             shared.telemetry().record(slot, summary);
+            // An ERROR in the RESULT's place closes the connection.
+            hold.filter(|_| sent.is_ok())
         }
         Err(e) => {
             respond_error(ctx, stream, id, &e);
+            None
         }
     }
 }

@@ -4,7 +4,6 @@ use super::partition::load_artifacts;
 use super::replicate::adopt_artifact;
 use super::*;
 use crate::client;
-use pdbt_artifact::RuleCache;
 use pdbt_fleet::{artifact_file_name, ArtifactVersion, MAX_ARTIFACT};
 use pdbt_runtime::{Engine, RunSetup};
 use pdbt_workloads::{Benchmark, Config, Experiment, Scale};
@@ -197,8 +196,7 @@ fn boot_scan_and_wire_adoption_install_the_same_partition() {
     let scanned = &scan.partitions[&fp];
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let (adopted, reason, generation) =
-        adopt_artifact(&server.ctx, bytes, 3, fp, &mut RuleCache::new());
+    let (adopted, reason, generation) = adopt_artifact(&server.ctx, bytes, 3, fp, None);
     assert!(adopted, "{reason}");
     assert_eq!(generation, 3);
     let table = server.ctx.partitions();

@@ -688,7 +688,7 @@ fn cmd_sync(args: &Args) -> Result<(), Fail> {
     for ad in &ads {
         let pulled = pdbt_serve::pull_artifact(peer.as_str(), ad.fingerprint, timeout)
             .map_err(|e| format!("pull {:016x}: {e}", ad.fingerprint))?;
-        pdbt::fleet::validate(&pulled.bytes, ad.fingerprint, &mut cache)
+        pdbt::fleet::validate(&pulled.bytes, ad.fingerprint, Some(&mut cache))
             .map_err(|(reason, _)| format!("pull {:016x}: {reason}", ad.fingerprint))?;
         let name = pdbt::fleet::artifact_file_name(pulled.fingerprint, pulled.generation);
         let path = dir.join(&name);

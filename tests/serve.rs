@@ -497,3 +497,269 @@ fn an_oversized_result_is_an_error_frame_not_a_panic() {
     let summary = handle.join().unwrap();
     assert_eq!((summary.requests, summary.panicked), (1, 0));
 }
+
+/// A small looping guest that prints the sum `k + (k − 1) + … + 1`:
+/// each `k` is its own image.
+fn sum_guest(k: u32) -> String {
+    format!(
+        "mov r0, #{k}\nmov r1, #0\nadd r1, r1, r0\nsubs r0, r0, #1\nbne .-8\nmov r0, r1\nsvc #1\nsvc #0\n"
+    )
+}
+
+/// A STATS `sessions` counter.
+fn sessions_field(snap: &Json, key: &str) -> u64 {
+    snap.get("sessions")
+        .and_then(|s| s.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats.sessions.{key}"))
+}
+
+/// Twenty SUBMITs from one thread ride one connection: the worker that
+/// answered the first reads the other nineteen itself. Keeping changes
+/// no report, and every SUBMIT is counted once, kept or not.
+#[test]
+fn one_thread_keeps_one_connection_for_twenty_submits() {
+    let images: Vec<String> = [5, 9, 14].into_iter().map(sum_guest).collect();
+    let cold: Vec<String> = images
+        .iter()
+        .map(|text| {
+            let prog = pdbt::arm::Program::new(0x1000, pdbt::arm::parse_listing(text).unwrap());
+            let setup = pdbt::runtime::RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+            let report = Engine::new(None, EngineConfig::default())
+                .run(&prog, &setup)
+                .expect("cold run");
+            stripped(&report.to_json())
+        })
+        .collect();
+
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    for i in 0..20u64 {
+        let image = i as usize % images.len();
+        let req = Json::obj([
+            ("id", Json::from(i)),
+            ("program", Json::str(&images[image])),
+        ]);
+        let resp = submit(addr, &req, T).expect("submit");
+        assert_eq!(
+            stripped(report_of(&resp)),
+            cold[image],
+            "request {i} diverged from its image's cold run"
+        );
+    }
+    let snap = settled_stats(addr, 20);
+    assert_eq!(sessions_field(&snap, "served"), 20);
+    assert_eq!(sessions_field(&snap, "kept"), 19);
+    assert_eq!(sessions_field(&snap, "reply_errors"), 0);
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (20, 0));
+}
+
+/// One worker must stay free for the queue, so a one-worker daemon
+/// keeps no connection.
+#[test]
+fn a_single_worker_daemon_never_keeps() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    for i in 0..3u64 {
+        let req = Json::obj([("id", Json::from(i)), ("program", Json::str(sum_guest(4)))]);
+        submit(addr, &req, T).expect("submit");
+    }
+    let snap = settled_stats(addr, 3);
+    assert_eq!(sessions_field(&snap, "kept"), 0);
+    assert_eq!(sessions_field(&snap, "held"), 0);
+    shutdown(addr, T).expect("shutdown");
+    assert_eq!(handle.join().unwrap().requests, 3);
+}
+
+/// A worker holding an idle connection would wait out its bound before
+/// the queue went idle; the drain shuts the connection instead.
+#[test]
+fn an_idle_kept_connection_does_not_hold_up_the_drain() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let req = Json::obj([("program", Json::str(sum_guest(3)))]);
+    submit(addr, &req, T).expect("submit");
+    let snap = stats(addr, T).expect("STATS");
+    assert_eq!(sessions_field(&snap, "held"), 1, "the connection is held");
+    let t0 = Instant::now();
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(500), "drain took {took:?}");
+    assert_eq!((summary.requests, summary.panicked), (1, 0));
+}
+
+/// A raw client that opts in and then breaks the rules: a kept
+/// connection carries only SUBMIT, and its next frame must arrive whole
+/// within the first-frame bound. Either way the connection closes, and
+/// the daemon serves the next client.
+#[test]
+fn a_kept_connection_closes_on_anything_but_a_timely_submit() {
+    use pdbt_serve::proto::{flag, op, read_frame, write_flagged_frame, write_frame};
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let req = Json::obj([("program", Json::str(sum_guest(6)))]).to_string();
+    let opted_in = || {
+        let mut client = std::net::TcpStream::connect(addr).expect("connect");
+        client.set_read_timeout(Some(T)).unwrap();
+        write_flagged_frame(&mut client, op::SUBMIT, flag::KEEP, req.as_bytes()).unwrap();
+        let frame = read_frame(&mut client).expect("RESULT");
+        assert_eq!(frame.opcode, op::RESULT);
+        assert!(frame.keep(), "the daemon keeps the connection");
+        client
+    };
+
+    // A PING on it: ERROR, then EOF.
+    let mut client = opted_in();
+    write_frame(&mut client, op::PING, b"").unwrap();
+    let frame = read_frame(&mut client).expect("an answer");
+    assert_eq!(frame.opcode, op::ERROR);
+    assert!(!frame.keep());
+    assert!(frame.payload_str().unwrap().contains("only SUBMIT"));
+    assert!(read_frame(&mut client).is_err(), "then EOF");
+
+    // Half a frame: closed within the bound, not the socket timeout.
+    let mut client = opted_in();
+    let mut frame = Vec::new();
+    write_frame(&mut frame, op::SUBMIT, req.as_bytes()).unwrap();
+    let t0 = Instant::now();
+    client.write_all(&frame[..frame.len() / 2]).unwrap();
+    assert!(read_frame(&mut client).is_err(), "the daemon closes it");
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "closed after {took:?}");
+
+    // The daemon still serves a fresh SUBMIT.
+    let resp = submit(addr, &Json::obj([("program", Json::str(sum_guest(6)))]), T);
+    assert_eq!(
+        resp.expect("fresh submit")
+            .get("outcome")
+            .and_then(Json::as_str),
+        Some("completed")
+    );
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (3, 0));
+}
+
+/// The client's kept connection outlives its daemon: a new daemon on
+/// the same port must get the next SUBMIT exactly once, on a fresh
+/// connection, never a resend.
+#[test]
+fn a_restarted_daemon_gets_each_request_once() {
+    let req = Json::obj([("program", Json::str(sum_guest(7)))]);
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    submit(addr, &req, T).expect("submit to the first daemon");
+    shutdown(addr, T).expect("shutdown");
+    assert_eq!(handle.join().unwrap().requests, 1);
+
+    let again = pdbt_serve::Server::bind(
+        addr,
+        ServeConfig {
+            jobs: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("rebind the port");
+    let handle = std::thread::spawn(move || again.serve().expect("serve"));
+    let resp = submit(addr, &req, T).expect("submit to the new daemon");
+    assert_eq!(
+        resp.get("outcome").and_then(Json::as_str),
+        Some("completed")
+    );
+    shutdown(addr, T).expect("shutdown");
+    assert_eq!(handle.join().unwrap().requests, 1, "the request was resent");
+}
+
+/// `pdbt loadgen` against a live daemon: the zipfian mix all answered,
+/// sane client and server quantiles, several partitions, the flight
+/// tail dumped on drain — and concurrent clients riding kept
+/// connections.
+#[test]
+fn loadgen_against_a_live_daemon() {
+    let flight_path =
+        std::env::temp_dir().join(format!("pdbt_loadgen_flight_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&flight_path);
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 4,
+        flight_path: Some(flight_path.clone()),
+        ..ServeConfig::default()
+    });
+    let cfg = pdbt_serve::LoadgenConfig {
+        addr,
+        sessions: 4,
+        requests: 64,
+        hot: 3,
+        tail: 13,
+        seed: 7,
+        ..pdbt_serve::LoadgenConfig::default()
+    };
+    let bench = pdbt_serve::loadgen::run(&cfg).expect("loadgen");
+    assert_eq!((bench.ok, bench.failed), (64, 0));
+    assert!(
+        bench.p99_ns > 0 && bench.p50_ns <= bench.p99_ns,
+        "client quantiles"
+    );
+    assert!(bench.sessions_per_sec > 0.0);
+    assert!(0.0 < bench.warm_hit_ratio && bench.warm_hit_ratio <= 1.0);
+
+    let snap = settled_stats(addr, 64);
+    assert!(snap.get("stats_seq").and_then(Json::as_u64) >= Some(1));
+    assert_eq!(sessions_field(&snap, "served"), 64);
+    assert!(
+        sessions_field(&snap, "kept") >= 1,
+        "no client kept a connection"
+    );
+    let quantiles = |hist: &Json| {
+        let q = |k: &str| hist.get(k).and_then(Json::as_u64).expect(k);
+        (q("p50"), q("p95"), q("p99"))
+    };
+    let lat = snap
+        .get("latency")
+        .and_then(|l| l.get("request_ns"))
+        .expect("latency");
+    assert_eq!(lat.get("count").and_then(Json::as_u64), Some(64));
+    let (p50, p95, p99) = quantiles(lat);
+    assert!(p50 <= p95 && p95 <= p99, "quantile order");
+    let parts = snap
+        .get("partitions")
+        .and_then(Json::as_arr)
+        .expect("partitions");
+    assert!(
+        parts.len() >= 4,
+        "the zipfian mix reached {} partitions",
+        parts.len()
+    );
+    let sessions = |p: &Json| p.get("sessions").and_then(Json::as_u64).unwrap();
+    assert_eq!(parts.iter().map(sessions).sum::<u64>(), 64);
+    // Without the obs feature `now_ns()` is a compiled-out zero.
+    if cfg!(feature = "obs") {
+        assert!(p50 > 0 && p99 > 0, "server quantiles");
+        for p in parts.iter().filter(|p| sessions(p) > 0) {
+            assert!(quantiles(p.get("latency").expect("latency")).2 > 0);
+        }
+    }
+
+    shutdown(addr, T).expect("shutdown");
+    assert_eq!(handle.join().unwrap().panicked, 0);
+    let dumped = std::fs::read_to_string(&flight_path).expect("flight dump written on drain");
+    let doc = Json::parse(&dumped).expect("the flight dump parses");
+    let tail = doc
+        .get("flight")
+        .and_then(Json::as_arr)
+        .map_or(0, <[Json]>::len);
+    assert!(tail > 0, "drain dumped an empty flight tail");
+    let _ = std::fs::remove_file(&flight_path);
+}

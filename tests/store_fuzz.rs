@@ -655,7 +655,7 @@ fn wire_delivered_corruption_is_rejected_and_serving_stays_golden() {
     // replication pass opens its pulls: the blocks it holds must not
     // let damage through.
     let cache = &mut pdbt::artifact::RuleCache::new();
-    pdbt::fleet::validate(&pulled.bytes, fp, cache).expect("pristine pull validates");
+    pdbt::fleet::validate(&pulled.bytes, fp, Some(cache)).expect("pristine pull validates");
     for _ in 0..8 {
         let mut mutated = pulled.bytes.clone();
         let i = rng.gen_range(0..mutated.len());
@@ -664,7 +664,7 @@ fn wire_delivered_corruption_is_rejected_and_serving_stays_golden() {
             continue;
         }
         assert!(
-            pdbt::fleet::validate(&mutated, fp, cache).is_err()
+            pdbt::fleet::validate(&mutated, fp, Some(cache)).is_err()
                 || open_salvage(&mutated)
                     .map(|o| seal(&o.artifact) == *bytes)
                     .unwrap_or(false),
