@@ -31,7 +31,7 @@
 use pdbt_artifact::{
     open_salvage, open_salvage_cached, section_table, ArtifactError, Opened, RuleCache,
 };
-use pdbt_obs::json::Json;
+use pdbt_obs::json::{Json, TextWriter, ToJson};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -226,25 +226,24 @@ pub struct ArtifactAd {
     pub label: String,
 }
 
-impl ArtifactAd {
-    /// The JSON wire form. Fingerprints travel as [`fingerprint_hex`]
-    /// strings; CRCs and generations fit in integers.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("fingerprint", Json::str(fingerprint_hex(self.fingerprint))),
-            ("generation", Json::from(self.version.generation)),
-            (
-                "crcs",
-                Json::arr(self.version.crcs.iter().map(|&c| Json::from(u64::from(c)))),
-            ),
-            ("blocks", Json::from(self.blocks)),
-            ("traces", Json::from(self.traces)),
-            ("bytes", Json::from(self.bytes)),
-            ("label", Json::str(self.label.as_str())),
-        ])
+/// The JSON wire form. Fingerprints travel as [`fingerprint_hex`]
+/// strings; CRCs and generations fit in integers.
+impl ToJson for ArtifactAd {
+    fn emit(&self, out: &mut TextWriter<'_>) {
+        out.begin_obj();
+        out.field("blocks", &self.blocks);
+        out.field("bytes", &self.bytes);
+        out.key("crcs");
+        out.arr(self.version.crcs.map(u64::from));
+        out.field("fingerprint", &fingerprint_hex(self.fingerprint));
+        out.field("generation", &self.version.generation);
+        out.field("label", &self.label);
+        out.field("traces", &self.traces);
+        out.end_obj();
     }
+}
 
+impl ArtifactAd {
     /// Parses the JSON wire form.
     ///
     /// # Errors

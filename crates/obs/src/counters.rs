@@ -12,7 +12,7 @@
 //!   Summed over all rules this equals the engine's `rule_covered`
 //!   metric, so coverage decomposes exactly into per-rule shares.
 
-use crate::json::Emit;
+use crate::json::TextWriter;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -316,7 +316,7 @@ impl From<u64> for Counter {
 /// Counters as object members, `fields[i]` keyed to `values[i]`, except
 /// the keys in `skip`: what `counter_family!`'s `emit_fields` and the
 /// sections that leave out part of a family write through.
-pub fn emit_counters<E: Emit>(out: &mut E, fields: &[&str], values: &[u64], skip: &[&str]) {
+pub fn emit_counters(out: &mut TextWriter<'_>, fields: &[&str], values: &[u64], skip: &[&str]) {
     for (key, &value) in fields.iter().zip(values) {
         if !skip.contains(key) {
             out.key(key);
@@ -346,9 +346,9 @@ pub fn emit_counters<E: Emit>(out: &mut E, fields: &[&str], values: &[u64], skip
 /// * `values()` / `values_mut()` — the fields in that order, for code
 ///   that must treat every counter alike (the merge-law tests);
 /// * `merge(&other)` — field-wise sum;
-/// * `emit_fields(out)` — one member per line, into an object a
-///   section has open, and [`ToJson`](crate::json::ToJson): the family
-///   as a flat object, streamed as text or built as a tree.
+/// * `emit_fields(out)` — one member per line, into the object a
+///   [`TextWriter`](crate::json::TextWriter) has open, and
+///   [`ToJson`](crate::json::ToJson): the family as a flat object.
 ///
 /// A trailing `atomic pub struct Twin;` adds the shared twin — the same
 /// names as `pub` [`Counter`] fields, bumped concurrently through
@@ -410,14 +410,14 @@ macro_rules! counter_family {
             }
 
             /// One member per counter, into the object `out` has open.
-            pub fn emit_fields<E: $crate::json::Emit>(&self, out: &mut E) {
+            pub fn emit_fields(&self, out: &mut $crate::json::TextWriter<'_>) {
                 $crate::counters::emit_counters(out, Self::FIELDS, &self.values(), &[]);
             }
         }
 
         /// The family as a flat JSON object.
         impl $crate::json::ToJson for $name {
-            fn emit<E: $crate::json::Emit>(&self, out: &mut E) {
+            fn emit(&self, out: &mut $crate::json::TextWriter<'_>) {
                 out.begin_obj();
                 self.emit_fields(out);
                 out.end_obj();
@@ -543,7 +543,7 @@ impl ServerSnapshot {
     /// The `server` section's counter members, into the object `out`
     /// has open: the table plus the derived `hits` and `hit_rate`, less
     /// the keys in `skip`.
-    pub fn emit_section<E: Emit>(&self, out: &mut E, skip: &[&str]) {
+    pub fn emit_section(&self, out: &mut TextWriter<'_>, skip: &[&str]) {
         emit_counters(out, Self::FIELDS, &self.values(), skip);
         if !skip.contains(&"hit_rate") {
             out.field("hit_rate", &self.hit_rate());

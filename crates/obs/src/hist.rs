@@ -6,7 +6,7 @@
 //! merging is element-wise, so per-shard histograms can be folded into
 //! a run-level one.
 
-use crate::json::{Emit, ToJson};
+use crate::json::{TextWriter, ToJson};
 use std::fmt;
 
 /// Upper bounds (ns, inclusive) for translate-latency style
@@ -264,7 +264,7 @@ impl Histogram {
 /// The report-ready object: bucket shape, totals, and the interpolated
 /// p50/p95/p99 quantiles.
 impl ToJson for Histogram {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.begin_obj();
         out.key("bounds");
         out.arr(self.bounds);

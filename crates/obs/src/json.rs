@@ -1,17 +1,15 @@
-//! Minimal serde-free JSON: a value tree with a writer and a
-//! recursive-descent parser, and [`Emit`] — the one way a report
-//! section says its fields. Enough for run reports, JSON-lines stats
-//! and the Chrome trace exporter — not a general-purpose library.
+//! Minimal serde-free JSON: one writer, one parser and a value tree.
+//! Enough for run reports, the daemon's frames and the Chrome trace
+//! exporter — not a general-purpose library.
 //!
-//! A section ([`ToJson`]) writes itself once, as a sequence of
-//! begin/end, key and scalar events, into either sink: [`TextWriter`]
-//! appends the text to a byte buffer (the daemon streams every reply
-//! frame's payload straight into the frame this way), and
-//! [`TreeBuilder`] assembles a [`Json`] tree (`Report::to_json`, tests,
-//! the CLI). The two agree byte for byte: the text writer puts each
-//! object's members in key order, as the tree's `BTreeMap` keeps them,
-//! and both spell numbers and strings through the same three functions
-//! (`write_int`, `write_float`, `write_string`).
+//! [`TextWriter`] is the only code that writes JSON text. A section
+//! ([`ToJson`]) says its fields once, as begin/end, key and scalar
+//! calls on it; the daemon streams every reply frame's payload straight
+//! into the frame this way. The writer puts each object's members in
+//! key order when it closes, so its text is canonical whatever order a
+//! section says them in. A [`Json`] tree prints through the same writer
+//! (`Display`), and a section becomes a tree by parsing its text
+//! (`ToJson::to_json`).
 //!
 //! Every reply the client reads is parsed here, without allocating per
 //! value: the parser slices string and number tokens out of the input
@@ -38,7 +36,7 @@ pub enum Json {
 /// Appends `s` as a JSON string literal, quotes included. Runs with
 /// nothing to escape are copied whole; only `"`, `\\` and the control
 /// characters are rewritten.
-pub(crate) fn write_string(out: &mut Vec<u8>, s: &str) {
+fn write_string(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
     out.reserve(bytes.len() + 2);
@@ -185,42 +183,6 @@ impl Json {
         None
     }
 
-    // -- writing ------------------------------------------------------
-
-    /// Appends the document's text to `out`, through the spelling
-    /// functions the [`TextWriter`] shares.
-    pub fn write(&self, out: &mut Vec<u8>) {
-        match self {
-            Json::Null => out.extend_from_slice(b"null"),
-            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
-            Json::Int(n) => write_int(out, *n),
-            Json::Float(x) => write_float(out, *x),
-            Json::Str(s) => write_string(out, s),
-            Json::Arr(v) => {
-                out.push(b'[');
-                for (i, item) in v.iter().enumerate() {
-                    if i > 0 {
-                        out.push(b',');
-                    }
-                    item.write(out);
-                }
-                out.push(b']');
-            }
-            Json::Obj(m) => {
-                out.push(b'{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(b',');
-                    }
-                    write_string(out, k);
-                    out.push(b':');
-                    v.write(out);
-                }
-                out.push(b'}');
-            }
-        }
-    }
-
     // -- parsing ------------------------------------------------------
 
     /// Parses one document. Nesting deeper than [`MAX_DEPTH`] is an
@@ -248,10 +210,12 @@ impl Json {
 }
 
 impl fmt::Display for Json {
-    /// Renders into a byte buffer, then hands the formatter one string.
+    /// Writes through [`TextWriter`] into a byte buffer, then hands the
+    /// formatter one string. A `BTreeMap` is already in key order, so
+    /// no object is re-sorted.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut text = Vec::new();
-        self.write(&mut text);
+        self.write_json(&mut text);
         f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
     }
 }
@@ -300,121 +264,74 @@ impl From<String> for Json {
     }
 }
 
-/// The events a JSON document is written as: what every report section
-/// says its fields through ([`ToJson::emit`]), and what both sinks —
-/// [`TextWriter`] and [`TreeBuilder`] — take in.
-///
-/// A document is one value; a value is a scalar or a container; inside
-/// an object every value follows its [`key`](Emit::key). A key may
-/// repeat — the last value wins, as in a `BTreeMap` — and members may
-/// come in any order: both sinks put them in key order.
-pub trait Emit {
-    fn begin_obj(&mut self);
-    fn end_obj(&mut self);
-    fn begin_arr(&mut self);
-    fn end_arr(&mut self);
-    /// The key of the object member whose value comes next.
-    fn key(&mut self, key: &str);
-    fn null(&mut self);
-    fn bool(&mut self, b: bool);
-    fn int(&mut self, n: i64);
-    /// A non-finite float is written as `null`.
-    fn float(&mut self, x: f64);
-    fn str(&mut self, s: &str);
-
-    /// Saturates at `i64::MAX`, like `Json::from(u64)`.
-    fn uint(&mut self, n: u64) {
-        self.int(i64::try_from(n).unwrap_or(i64::MAX));
-    }
-
-    /// One object member: the key, then the value.
-    fn field<V: ToJson + ?Sized>(&mut self, key: &str, value: &V)
-    where
-        Self: Sized,
-    {
-        self.key(key);
-        value.emit(self);
-    }
-
-    /// An array of `items`, in order.
-    fn arr<I>(&mut self, items: I)
-    where
-        Self: Sized,
-        I: IntoIterator,
-        I::Item: ToJson,
-    {
-        self.begin_arr();
-        for item in items {
-            item.emit(self);
-        }
-        self.end_arr();
-    }
-}
-
-/// A value that writes itself as JSON events: the one definition of a
-/// report section's fields, rendered as text or as a tree from the same
-/// code.
+/// A value that writes itself as JSON: the one definition of a report
+/// section's fields, said through a [`TextWriter`].
 pub trait ToJson {
-    fn emit<E: Emit>(&self, out: &mut E);
+    fn emit(&self, out: &mut TextWriter<'_>);
 
-    /// The value as a [`Json`] tree.
-    fn to_json(&self) -> Json {
-        let mut tree = TreeBuilder::default();
-        self.emit(&mut tree);
-        tree.finish()
-    }
-
-    /// Appends the value's text to `out`: byte for byte
-    /// `self.to_json().to_string()`, without the tree.
+    /// Appends the value's text to `out`.
     fn write_json(&self, out: &mut Vec<u8>) {
         self.emit(&mut TextWriter::new(out));
+    }
+
+    /// The value as a [`Json`] tree: its text, parsed. The tree holds
+    /// what the wire carries, so a non-finite float reads back as
+    /// [`Json::Null`], the `null` it was written as. The parse cannot
+    /// fail: the writer's text is well-formed, and only nesting past
+    /// [`MAX_DEPTH`] is refused, where no section comes near (the
+    /// deepest nests six levels).
+    fn to_json(&self) -> Json {
+        let mut text = Vec::new();
+        self.write_json(&mut text);
+        let text = std::str::from_utf8(&text).expect("the writer writes UTF-8");
+        Json::parse(text).expect("the writer's text parses")
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         (**self).emit(out);
     }
 }
 
 impl ToJson for bool {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.bool(*self);
     }
 }
 
 impl ToJson for u64 {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.uint(*self);
     }
 }
 
 impl ToJson for usize {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.uint(*self as u64);
     }
 }
 
 impl ToJson for f64 {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.float(*self);
     }
 }
 
 impl ToJson for str {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.str(self);
     }
 }
 
 impl ToJson for String {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.str(self);
     }
 }
 
 impl ToJson for Json {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         match self {
             Json::Null => out.null(),
             Json::Bool(b) => out.bool(*b),
@@ -430,118 +347,6 @@ impl ToJson for Json {
                 out.end_obj();
             }
         }
-    }
-}
-
-/// The [`Emit`] sink that assembles a [`Json`] tree. An object's map is
-/// filled as its members arrive; array elements wait on one shared run,
-/// as in the parser, so each array is built once, at its final size.
-#[derive(Debug)]
-pub struct TreeBuilder {
-    /// The open containers, innermost last, each with the key it will
-    /// be stored under.
-    open: Vec<(Option<String>, Node)>,
-    /// The key of the member whose value comes next.
-    key: Option<String>,
-    /// Elements of the open arrays, innermost last.
-    items: Vec<Json>,
-    root: Option<Json>,
-}
-
-impl Default for TreeBuilder {
-    /// Sized so that building a run report never regrows the stacks.
-    fn default() -> TreeBuilder {
-        TreeBuilder {
-            open: Vec::with_capacity(8),
-            key: None,
-            items: Vec::with_capacity(64),
-            root: None,
-        }
-    }
-}
-
-/// A container open in a [`TreeBuilder`].
-#[derive(Debug)]
-enum Node {
-    /// Where its elements start in `items`.
-    Arr(usize),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl TreeBuilder {
-    /// The document (`null` if nothing was emitted).
-    #[must_use]
-    pub fn finish(self) -> Json {
-        debug_assert!(self.open.is_empty(), "a container left open");
-        self.root.unwrap_or(Json::Null)
-    }
-
-    fn put(&mut self, value: Json) {
-        match self.open.last_mut() {
-            None => self.root = Some(value),
-            // A repeated key keeps its last value.
-            Some((_, Node::Obj(map))) => {
-                let key = self
-                    .key
-                    .take()
-                    .expect("an object member's value follows its key");
-                map.insert(key, value);
-            }
-            Some((_, Node::Arr(_))) => self.items.push(value),
-        }
-    }
-}
-
-impl Emit for TreeBuilder {
-    fn begin_obj(&mut self) {
-        self.open
-            .push((self.key.take(), Node::Obj(BTreeMap::new())));
-    }
-
-    fn end_obj(&mut self) {
-        let Some((key, Node::Obj(map))) = self.open.pop() else {
-            panic!("end_obj closes an object");
-        };
-        self.key = key;
-        self.put(Json::Obj(map));
-    }
-
-    fn begin_arr(&mut self) {
-        self.open
-            .push((self.key.take(), Node::Arr(self.items.len())));
-    }
-
-    fn end_arr(&mut self) {
-        let Some((key, Node::Arr(base))) = self.open.pop() else {
-            panic!("end_arr closes an array");
-        };
-        let value = Json::Arr(self.items.drain(base..).collect());
-        self.key = key;
-        self.put(value);
-    }
-
-    fn key(&mut self, key: &str) {
-        self.key = Some(key.to_string());
-    }
-
-    fn null(&mut self) {
-        self.put(Json::Null);
-    }
-
-    fn bool(&mut self, b: bool) {
-        self.put(Json::Bool(b));
-    }
-
-    fn int(&mut self, n: i64) {
-        self.put(Json::Int(n));
-    }
-
-    fn float(&mut self, x: f64) {
-        self.put(Json::Float(x));
-    }
-
-    fn str(&mut self, s: &str) {
-        self.put(Json::Str(s.to_string()));
     }
 }
 
@@ -569,16 +374,17 @@ struct Member {
     key: Range<usize>,
 }
 
-/// The [`Emit`] sink that appends JSON text to a byte buffer: what the
-/// daemon streams a reply frame's payload through, straight after the
-/// header.
+/// The JSON writer: appends a document's text to a byte buffer. The
+/// daemon streams each reply frame's payload through it, straight
+/// after the header.
 ///
-/// Its bytes are the tree's (`Json`'s `Display`) for the same events. A
-/// member is written where it arrives; when its object closes, members
-/// that came out of key order are put in it, a repeated key keeping
-/// its last value. Members that arrive in order cost one key compare
-/// each; an object that needs it costs one sort of its members and one
-/// copy of its text, through the buffer's own spare room.
+/// A document is one value; a value is a scalar or a container; inside
+/// an object every value follows its [`key`](TextWriter::key). A member
+/// is written where it arrives; when its object closes, members that
+/// came out of key order are put in it, a repeated key keeping its last
+/// value, as in a `BTreeMap`. Members that arrive in order cost one key
+/// compare each; an object that needs it costs one sort of its members
+/// and one copy of its text, through the buffer's own spare room.
 pub struct TextWriter<'a> {
     out: &'a mut Vec<u8>,
     open: Vec<Open>,
@@ -597,6 +403,125 @@ impl<'a> TextWriter<'a> {
             members: Vec::with_capacity(32),
             keys: String::with_capacity(256),
         }
+    }
+
+    pub fn begin_obj(&mut self) {
+        self.value();
+        self.open.push(Open::Obj {
+            members: self.members.len(),
+            keys: self.keys.len(),
+            sorted: true,
+        });
+        self.out.push(b'{');
+    }
+
+    pub fn end_obj(&mut self) {
+        let Some(Open::Obj {
+            members,
+            keys,
+            sorted,
+        }) = self.open.pop()
+        else {
+            panic!("end_obj closes an object");
+        };
+        if let Some(last) = self.members[members..].last_mut() {
+            last.text.end = self.out.len();
+            if !sorted {
+                self.sort_members(members);
+            }
+        }
+        self.members.truncate(members);
+        self.keys.truncate(keys);
+        self.out.push(b'}');
+    }
+
+    pub fn begin_arr(&mut self) {
+        self.value();
+        self.open.push(Open::Arr { empty: true });
+        self.out.push(b'[');
+    }
+
+    pub fn end_arr(&mut self) {
+        let Some(Open::Arr { .. }) = self.open.pop() else {
+            panic!("end_arr closes an array");
+        };
+        self.out.push(b']');
+    }
+
+    /// The key of the object member whose value comes next.
+    pub fn key(&mut self, key: &str) {
+        let Some(Open::Obj {
+            members, sorted, ..
+        }) = self.open.last_mut()
+        else {
+            panic!("a key belongs inside an object");
+        };
+        if let Some(prev) = self.members[*members..].last_mut() {
+            prev.text.end = self.out.len();
+            // Byte order is `str` order; short keys compare inline.
+            *sorted &= key.bytes().gt(self.keys[prev.key.clone()].bytes());
+            self.out.push(b',');
+        }
+        let at = self.keys.len();
+        self.keys.push_str(key);
+        let start = self.out.len();
+        self.members.push(Member {
+            text: start..start,
+            key: at..self.keys.len(),
+        });
+        write_string(self.out, key);
+        self.out.push(b':');
+    }
+
+    pub fn null(&mut self) {
+        self.value();
+        self.out.extend_from_slice(b"null");
+    }
+
+    pub fn bool(&mut self, b: bool) {
+        self.value();
+        self.out
+            .extend_from_slice(if b { b"true" as &[u8] } else { b"false" });
+    }
+
+    pub fn int(&mut self, n: i64) {
+        self.value();
+        write_int(self.out, n);
+    }
+
+    /// Saturates at `i64::MAX`, like `Json::from(u64)`.
+    pub fn uint(&mut self, n: u64) {
+        self.int(i64::try_from(n).unwrap_or(i64::MAX));
+    }
+
+    /// A non-finite float is written as `null`.
+    pub fn float(&mut self, x: f64) {
+        self.value();
+        write_float(self.out, x);
+    }
+
+    pub fn str(&mut self, s: &str) {
+        self.value();
+        write_string(self.out, s);
+    }
+
+    /// One object member: the key, then the value.
+    pub fn field<V: ToJson + ?Sized>(&mut self, key: &str, value: &V) {
+        self.key(key);
+        value.emit(self);
+    }
+
+    /// An array of `items`, in order.
+    pub fn arr<I>(&mut self, items: I)
+    where
+        I: IntoIterator,
+        I::Item: ToJson,
+    {
+        self.begin_arr();
+        for item in items {
+            item.emit(self);
+        }
+        self.end_arr();
     }
 
     /// Before a value: the comma between array elements.
@@ -639,101 +564,6 @@ impl<'a> TextWriter<'a> {
             at += from.len();
         }
         out.truncate(at);
-    }
-}
-
-impl Emit for TextWriter<'_> {
-    fn begin_obj(&mut self) {
-        self.value();
-        self.open.push(Open::Obj {
-            members: self.members.len(),
-            keys: self.keys.len(),
-            sorted: true,
-        });
-        self.out.push(b'{');
-    }
-
-    fn end_obj(&mut self) {
-        let Some(Open::Obj {
-            members,
-            keys,
-            sorted,
-        }) = self.open.pop()
-        else {
-            panic!("end_obj closes an object");
-        };
-        if let Some(last) = self.members[members..].last_mut() {
-            last.text.end = self.out.len();
-            if !sorted {
-                self.sort_members(members);
-            }
-        }
-        self.members.truncate(members);
-        self.keys.truncate(keys);
-        self.out.push(b'}');
-    }
-
-    fn begin_arr(&mut self) {
-        self.value();
-        self.open.push(Open::Arr { empty: true });
-        self.out.push(b'[');
-    }
-
-    fn end_arr(&mut self) {
-        let Some(Open::Arr { .. }) = self.open.pop() else {
-            panic!("end_arr closes an array");
-        };
-        self.out.push(b']');
-    }
-
-    fn key(&mut self, key: &str) {
-        let Some(Open::Obj {
-            members, sorted, ..
-        }) = self.open.last_mut()
-        else {
-            panic!("a key belongs inside an object");
-        };
-        if let Some(prev) = self.members[*members..].last_mut() {
-            prev.text.end = self.out.len();
-            // Byte order is `str` order; short keys compare inline.
-            *sorted &= key.bytes().gt(self.keys[prev.key.clone()].bytes());
-            self.out.push(b',');
-        }
-        let at = self.keys.len();
-        self.keys.push_str(key);
-        let start = self.out.len();
-        self.members.push(Member {
-            text: start..start,
-            key: at..self.keys.len(),
-        });
-        write_string(self.out, key);
-        self.out.push(b':');
-    }
-
-    fn null(&mut self) {
-        self.value();
-        self.out.extend_from_slice(b"null");
-    }
-
-    fn bool(&mut self, b: bool) {
-        self.value();
-        self.out
-            .extend_from_slice(if b { b"true" as &[u8] } else { b"false" });
-    }
-
-    fn int(&mut self, n: i64) {
-        self.value();
-        write_int(self.out, n);
-    }
-
-    fn float(&mut self, x: f64) {
-        self.value();
-        write_float(self.out, x);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.value();
-        write_string(self.out, s);
     }
 }
 
@@ -1128,42 +958,6 @@ mod tests {
         for bad in [r#""\ud83d\u""#, r#""\u12""#, r#""\u+123""#, r#""\u12é4""#] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
-    }
-
-    #[test]
-    fn the_text_writer_prints_what_the_tree_prints() {
-        // Members out of order, a repeated key (last wins), nesting
-        // under an unsorted member, and arrays of every scalar.
-        fn events<E: Emit>(out: &mut E) {
-            out.begin_obj();
-            out.field("z", &1u64);
-            out.key("m");
-            out.begin_obj();
-            out.field("b", "x\"y");
-            out.field("a", &f64::NAN);
-            out.field("b", &2.5);
-            out.end_obj();
-            out.field("a", &Json::Null);
-            out.key("arr");
-            out.arr([
-                Json::Bool(true),
-                Json::Int(-7),
-                Json::str("é"),
-                Json::arr([]),
-            ]);
-            out.field("z", &u64::MAX);
-            out.key("");
-            out.begin_obj();
-            out.end_obj();
-            out.end_obj();
-        }
-        let mut tree = TreeBuilder::default();
-        events(&mut tree);
-        let mut text = Vec::new();
-        events(&mut TextWriter::new(&mut text));
-        let want = r#"{"":{},"a":null,"arr":[true,-7,"é",[]],"m":{"a":null,"b":2.5},"z":9223372036854775807}"#;
-        assert_eq!(tree.finish().to_string(), want);
-        assert_eq!(String::from_utf8(text).unwrap(), want);
     }
 
     #[test]

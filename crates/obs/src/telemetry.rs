@@ -18,7 +18,7 @@
 
 use crate::counters::ServerSnapshot;
 use crate::hist::Histogram;
-use crate::json::{Emit, ToJson};
+use crate::json::{TextWriter, ToJson};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -49,7 +49,7 @@ impl PhaseNs {
 }
 
 impl ToJson for PhaseNs {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.begin_obj();
         out.field("execute_ns", &self.execute);
         out.field("queue_ns", &self.queue);
@@ -83,7 +83,7 @@ pub struct RequestSummary {
 }
 
 impl ToJson for RequestSummary {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.begin_obj();
         out.field("fault_sites", &self.fault_sites);
         out.field("id", &self.id);
@@ -137,7 +137,7 @@ impl LatencyHists {
 }
 
 impl ToJson for LatencyHists {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.begin_obj();
         out.field("queue_ns", &self.queue_ns);
         out.field("reply_bytes", &self.reply_bytes);
@@ -294,7 +294,7 @@ impl TelemetrySnapshot {
     /// has open: the fingerprint, the partition's `server` counters and
     /// its request-latency rollup. Duplicate translation work
     /// (`translate_calls`) is reported server-wide only.
-    pub fn emit_partition_fields<E: Emit>(&self, out: &mut E, server: &ServerSnapshot) {
+    pub fn emit_partition_fields(&self, out: &mut TextWriter<'_>, server: &ServerSnapshot) {
         server.emit_section(out, &["translate_calls"]);
         let requests = &self.latency.request_ns;
         out.key("latency");

@@ -181,41 +181,42 @@ mod imp {
 
 pub use imp::{drain_events, now_ns, scoped, span, ScopeGuard, SpanGuard};
 
-/// Serializes events as a Chrome `trace_event` JSON document (load in
-/// `chrome://tracing` or Perfetto). Timestamps are microseconds. Each
-/// distinct event scope (session/request id) becomes its own `pid`
-/// track — unscoped events land on pid 1 — so multi-session daemon
-/// traces no longer interleave on a single row.
-pub fn export_chrome_trace(events: &[Event]) -> String {
-    use crate::json::write_string;
-    use std::io::Write;
-    let mut out = Vec::with_capacity(events.len() * 96 + 32);
-    out.extend_from_slice(b"{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
+use crate::json::{TextWriter, ToJson};
+
+/// One Chrome `trace_event` complete event (`"ph":"X"`). Timestamps
+/// are microseconds. Each distinct scope (session/request id) is its
+/// own `pid` track, and unscoped events land on pid 1, so multi-session
+/// daemon traces do not interleave on a single row.
+impl ToJson for Event {
+    fn emit(&self, out: &mut TextWriter<'_>) {
+        let pid = if self.scope == 0 { 1 } else { self.scope };
+        out.begin_obj();
+        if let Some(detail) = &self.detail {
+            out.key("args");
+            out.begin_obj();
+            out.field("detail", &**detail);
+            out.end_obj();
         }
-        let pid = if e.scope == 0 { 1 } else { e.scope };
-        out.extend_from_slice(b"{\"name\":");
-        write_string(&mut out, e.name);
-        write!(
-            out,
-            ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{pid},\"ts\":{}.{:03},\"dur\":{}.{:03}",
-            e.start_ns / 1_000,
-            e.start_ns % 1_000,
-            e.dur_ns / 1_000,
-            e.dur_ns % 1_000,
-        )
-        .expect("writing to a Vec cannot fail");
-        if let Some(d) = &e.detail {
-            out.extend_from_slice(b",\"args\":{\"detail\":");
-            write_string(&mut out, d);
-            out.push(b'}');
-        }
-        out.push(b'}');
+        out.field("dur", &(self.dur_ns as f64 / 1e3));
+        out.field("name", self.name);
+        out.field("ph", "X");
+        out.field("pid", &pid);
+        out.field("tid", &pid);
+        out.field("ts", &(self.start_ns as f64 / 1e3));
+        out.end_obj();
     }
-    out.extend_from_slice(b"]}");
-    String::from_utf8(out).expect("names and details are UTF-8")
+}
+
+/// Serializes events as a Chrome `trace_event` JSON document (load in
+/// `chrome://tracing` or Perfetto).
+pub fn export_chrome_trace(events: &[Event]) -> String {
+    let mut text = Vec::with_capacity(events.len() * 96 + 32);
+    let mut out = TextWriter::new(&mut text);
+    out.begin_obj();
+    out.key("traceEvents");
+    out.arr(events);
+    out.end_obj();
+    String::from_utf8(text).expect("the writer writes UTF-8")
 }
 
 #[cfg(test)]
@@ -282,12 +283,12 @@ mod tests {
                 name: "translate_block",
                 start_ns: 1_500,
                 dur_ns: 2_000,
-                detail: Some("addr=0x1000".into()),
+                detail: Some("addr=0x1000 \"q\" \\ \n\t\u{1}\u{1f}".into()),
                 scope: 0,
             },
             Event {
                 name: "exec_segment",
-                start_ns: 4_000,
+                start_ns: 4_000_000_007,
                 dur_ns: 10,
                 detail: None,
                 scope: 42,
@@ -295,16 +296,21 @@ mod tests {
         ];
         let s = export_chrome_trace(&evs);
         let doc = crate::json::Json::parse(&s).expect("parses");
+        assert_eq!(doc.to_string(), s, "members in key order");
         let arr = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(
-            arr[0].get("name").and_then(|v| v.as_str()),
-            Some("translate_block")
-        );
-        assert_eq!(arr[1].get("ph").and_then(|v| v.as_str()), Some("X"));
-        // Unscoped events fall on pid 1; scoped events get their own.
-        assert_eq!(arr[0].get("pid").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(arr[1].get("pid").and_then(|v| v.as_u64()), Some(42));
-        assert_eq!(arr[1].get("tid").and_then(|v| v.as_u64()), Some(42));
+        assert_eq!(arr.len(), evs.len());
+        for (e, got) in evs.iter().zip(arr) {
+            let field = |k: &str| got.get(k).unwrap_or_else(|| panic!("{k} in {got}"));
+            assert_eq!(field("name").as_str(), Some(e.name));
+            assert_eq!(field("ph").as_str(), Some("X"));
+            assert_eq!(field("ts").as_f64(), Some(e.start_ns as f64 / 1e3));
+            assert_eq!(field("dur").as_f64(), Some(e.dur_ns as f64 / 1e3));
+            // Unscoped events fall on pid 1; scoped events get their own.
+            let pid = if e.scope == 0 { 1 } else { e.scope };
+            assert_eq!(field("pid").as_u64(), Some(pid));
+            assert_eq!(field("tid").as_u64(), Some(pid));
+            let detail = got.get("args").and_then(|a| a.get("detail"));
+            assert_eq!(detail.and_then(|d| d.as_str()), e.detail.as_deref());
+        }
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::translate::CodeClass;
 use pdbt_isa::ExecError;
-use pdbt_obs::json::{Emit, Json, ToJson};
+use pdbt_obs::json::{Json, TextWriter, ToJson};
 use pdbt_obs::{DispatchCounters, Histogram, PoolCounters, RuleCounters, ShardCounters};
 use std::fmt;
 
@@ -269,21 +269,22 @@ impl Report {
         doc
     }
 
-    /// The machine-readable run report (`pdbt run --report-json`) as a
-    /// tree: [`ToJson::to_json`], callable without the trait in scope.
+    /// The run report as a tree: [`ToJson::to_json`], callable without
+    /// the trait in scope.
     #[must_use]
     pub fn to_json(&self) -> Json {
         ToJson::to_json(self)
     }
 }
 
-/// The run report, written once for both sinks: a RESULT frame streams
-/// it as text, `to_json` builds the tree. Counter families write their
-/// own members (`emit_fields`, keyed by their table); only derived
-/// values, arrays and non-counter sections are spelled out here, each
-/// object's members in key order — the order the text comes out in.
+/// The run report, written once: a RESULT frame streams it, and `pdbt
+/// run --report-json` writes the same text to a file. Counter families
+/// write their own members (`emit_fields`, keyed by their table); only
+/// derived values, arrays and non-counter sections are spelled out
+/// here, each object's members in key order — the order the text comes
+/// out in.
 impl ToJson for Report {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         let m = &self.metrics;
         let r = &self.resilience;
         let obs = &self.obs;

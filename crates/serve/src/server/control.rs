@@ -2,12 +2,12 @@
 //! inline by the accept loop — everything they read is atomic, behind a
 //! short-lived lock, or merged from per-worker histograms in index
 //! order — so a probe never waits on a running session. Each is a
-//! [`ToJson`] section that reads the server as it is written: streamed
-//! into its reply frame, or built as a tree by the tests.
+//! [`ToJson`] section that reads the server as it is written, streamed
+//! into its reply frame.
 
 use super::ServerCtx;
 use crate::proto;
-use pdbt_obs::json::{Emit, ToJson};
+use pdbt_obs::json::{TextWriter, ToJson};
 use pdbt_obs::{LatencyHists, RequestSummary};
 use pdbt_par::TaskQueue;
 use pdbt_runtime::SharedTranslationState;
@@ -34,7 +34,7 @@ impl Totals {
 
     /// The `artifacts` section: the boot tally plus the trace-table
     /// hits.
-    fn emit_artifacts<E: Emit>(&self, ctx: &ServerCtx, out: &mut E) {
+    fn emit_artifacts(&self, ctx: &ServerCtx, out: &mut TextWriter<'_>) {
         out.key("artifacts");
         out.begin_obj();
         ctx.artifacts.snapshot().emit_fields(out);
@@ -48,7 +48,7 @@ impl Totals {
 pub(super) struct Status<'a>(pub(super) &'a ServerCtx, pub(super) &'a TaskQueue);
 
 impl ToJson for Status<'_> {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         let Status(ctx, queue) = *self;
         let mut totals = Totals::default();
         for p in ctx.partitions().values() {
@@ -104,7 +104,7 @@ impl<'a> Stats<'a> {
 }
 
 impl ToJson for Stats<'_> {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         let (ctx, queue) = (self.ctx, self.queue);
         // In fingerprint order, as the table iterates: deterministic
         // payload order.

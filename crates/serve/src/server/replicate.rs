@@ -12,7 +12,7 @@ use pdbt_artifact::RuleCache;
 use pdbt_fleet::{
     artifact_file_name, fingerprint_field, fingerprint_hex, validate, ArtifactAd, ArtifactVersion,
 };
-use pdbt_obs::json::Json;
+use pdbt_obs::json::{Json, TextWriter, ToJson};
 use rand::prelude::*;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,26 +22,36 @@ use std::time::{Duration, Instant};
 /// Answers an `ART_LIST`: one advertisement per sealable partition, in
 /// fingerprint order.
 pub(super) fn serve_list(ctx: &ServerCtx, stream: &mut TcpStream) {
-    let ads: Vec<Json> = {
+    let ads: Vec<ArtifactAd> = {
         let _plane = ctx.plane();
         let mut table = ctx.partitions();
         let sealable = table.iter_mut().filter_map(|(&fingerprint, p)| {
             let (sealed, version) = p.seal()?;
             let (blocks, traces) = p.sealed_sizes;
-            let ad = ArtifactAd {
+            Some(ArtifactAd {
                 fingerprint,
                 version,
                 blocks: blocks as u64,
                 traces: traces as u64,
                 bytes: sealed.len() as u64,
                 label: p.label.clone(),
-            };
-            Some(ad.to_json())
+            })
         });
         sealable.collect()
     };
-    let doc = Json::obj([("artifacts", Json::Arr(ads))]);
-    respond(ctx, stream, op::RESULT, &doc);
+    respond(ctx, stream, op::RESULT, &Listing(&ads));
+}
+
+/// An `ART_LIST` reply: `{"artifacts": [ad, ..]}`.
+struct Listing<'a>(&'a [ArtifactAd]);
+
+impl ToJson for Listing<'_> {
+    fn emit(&self, out: &mut TextWriter<'_>) {
+        out.begin_obj();
+        out.key("artifacts");
+        out.arr(self.0);
+        out.end_obj();
+    }
 }
 
 /// Answers an `ART_PULL` with the transfer of that partition's current

@@ -20,7 +20,7 @@
 use super::partition::Partition;
 use super::{Deadline, ServerCtx};
 use crate::proto::{self, flag, op, FIRST_FRAME_TIMEOUT};
-use pdbt_obs::json::{Emit, Json, ToJson};
+use pdbt_obs::json::{Json, TextWriter, ToJson};
 use pdbt_obs::RequestSummary;
 use pdbt_par::TaskQueue;
 use pdbt_runtime::{Engine, EngineConfig, Report, RunSetup, SharedTranslationState};
@@ -307,7 +307,7 @@ pub(super) struct Reply {
 }
 
 impl ToJson for Reply {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.begin_obj();
         out.field("faults_enabled", &pdbt_faults::ENABLED);
         out.field("id", &self.id);

@@ -67,7 +67,7 @@
 use pdbt::arm::{parse_listing, Program};
 use pdbt::core::derive::{derive_jobs, DeriveConfig};
 use pdbt::core::{load_rules_salvage, save_rules, RuleSet};
-use pdbt::obs::json::Json;
+use pdbt::obs::json::{Json, ToJson};
 use pdbt::obs::trace::export_chrome_trace;
 use pdbt::obs::DispatchCounters;
 use pdbt::runtime::{
@@ -470,8 +470,10 @@ fn outcome_err(report: &Report) -> Result<(), Fail> {
 /// Handles `--report-json FILE` and `--trace-out FILE`.
 fn export_report(args: &Args, report: &Report) -> Result<(), String> {
     if let Some(out) = args.value("report-json") {
-        std::fs::write(out, format!("{}\n", report.to_json()))
-            .map_err(|e| format!("{out}: {e}"))?;
+        let mut text = Vec::new();
+        report.write_json(&mut text);
+        text.push(b'\n');
+        std::fs::write(out, text).map_err(|e| format!("{out}: {e}"))?;
         eprintln!("wrote {out}");
     }
     if let Some(out) = args.value("trace-out") {

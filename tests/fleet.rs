@@ -419,3 +419,70 @@ fn a_push_that_fails_its_crc_is_rejected_and_counted() {
     shutdown(addr, T).expect("shutdown");
     assert_eq!(handle.join().unwrap().panicked, 0);
 }
+
+/// Replication through the `pdbt sync` binary: a leader warmed by one
+/// `mcf` run and a short zipfian load, a `--peer` follower that pulls
+/// every partition at boot and serves its first `mcf` request from the
+/// pulled blocks and traces, and a mirror holding one `.pdba` per image.
+#[test]
+fn sync_mirrors_one_artifact_per_pulled_image() {
+    let (leader, leader_h) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    submit(leader, &mcf_request(1), T).expect("leader warm-up");
+    let load = pdbt_serve::LoadgenConfig {
+        addr: leader,
+        sessions: 2,
+        requests: 16,
+        hot: 2,
+        tail: 6,
+        seed: 7,
+        ..pdbt_serve::LoadgenConfig::default()
+    };
+    let bench = pdbt_serve::loadgen::run(&load).expect("loadgen");
+    assert_eq!((bench.ok, bench.failed), (16, 0));
+
+    let (follower, follower_h) = spawn_server(ServeConfig {
+        jobs: 2,
+        peers: vec![leader.to_string()],
+        ..ServeConfig::default()
+    });
+    let boot = ping(follower, T).expect("follower ping");
+    assert!(fleet_field(&boot, "pulled") >= 1);
+    assert!(fleet_field(&boot, "adopted") >= 1);
+    assert_eq!(fleet_field(&boot, "rejected"), 0);
+    let images = boot.get("images").and_then(Json::as_u64).expect("images");
+    assert!(images >= 1);
+
+    submit(follower, &mcf_request(2), T).expect("follower first request");
+    let after = ping(follower, T).expect("follower ping");
+    // Every block and trace came over the wire.
+    assert_eq!(server_field(&after, "translate_calls"), 0);
+    assert!(artifacts_field(&after, "trace_hits") >= 1);
+    assert_eq!(server_field(&after, "reply_errors"), 0);
+
+    let mirror = std::env::temp_dir().join(format!("pdbt_sync_mirror_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&mirror);
+    let out = common::pdbt(&[
+        "sync",
+        &follower.to_string(),
+        "-o",
+        mirror.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "pdbt sync: {out:?}");
+    let mirrored = std::fs::read_dir(&mirror)
+        .expect("mirror written")
+        .filter(|e| {
+            let path = e.as_ref().unwrap().path();
+            path.extension().is_some_and(|x| x == "pdba")
+        })
+        .count();
+    assert_eq!(mirrored as u64, images, "one .pdba per image");
+
+    shutdown(follower, T).expect("follower shutdown");
+    shutdown(leader, T).expect("leader shutdown");
+    assert_eq!(follower_h.join().unwrap().panicked, 0);
+    assert_eq!(leader_h.join().unwrap().panicked, 0);
+    let _ = std::fs::remove_dir_all(&mirror);
+}

@@ -3,14 +3,13 @@
 //! round-trip property.
 //!
 //! Every report, PING/STATS payload, RESULT frame and artifact header
-//! this tool emits is spelled by these functions — through the tree's
-//! writer or the streaming one (`tests/json_stream.rs` holds the two
-//! equal) — so a codec change that moves a byte moves every consumer's
-//! input. The golden covers a fixed
-//! corpus: the stripped run report of `report_schema.rs`'s guest, a
-//! STATS-shaped payload, and hand-written edge documents (float and
-//! integer extremes, every control character, non-ASCII text, empty and
-//! nested containers). One line per document: `name<TAB>json`.
+//! this tool emits is spelled by the one writer, `TextWriter`, so a
+//! codec change that moves a byte moves every consumer's input. The
+//! golden covers a fixed corpus: the stripped run report of
+//! `report_schema.rs`'s guest, a STATS-shaped payload, and hand-written
+//! edge documents (float and integer extremes, every control character,
+//! non-ASCII text, empty and nested containers). One line per document:
+//! `name<TAB>json`.
 //!
 //! The property writes random trees (finite floats only: a non-finite
 //! float is written as `null`) and checks `parse(write(x)) == x` and
@@ -24,7 +23,7 @@ mod common;
 use common::{assert_golden, random_string};
 use pdbt::arm::{parse_listing, Program};
 use pdbt::core::derive::{derive, DeriveConfig};
-use pdbt::obs::json::{Emit, Json, ToJson, TreeBuilder};
+use pdbt::obs::json::{Json, TextWriter, ToJson};
 use pdbt::obs::{LatencyHists, PhaseNs, RequestSummary, ServerSnapshot, TelemetrySnapshot};
 use pdbt::runtime::{BackendKind, Engine, EngineConfig, Report, RunSetup};
 use pdbt::workloads::{learn_suite, suite, Scale};
@@ -82,7 +81,7 @@ fn guest_report() -> Json {
 /// A STATS-shaped payload built from the telemetry types the daemon
 /// renders, fed fixed request summaries (a live one carries clock
 /// readings): the latency rollup, one `partitions[]` row and the flight
-/// tail.
+/// tail, written as the daemon writes it and parsed back.
 fn stats_payload() -> Json {
     let summaries: Vec<RequestSummary> = (1..=5u64)
         .map(|seq| RequestSummary {
@@ -120,7 +119,8 @@ fn stats_payload() -> Json {
         sessions: 5,
         compiled_blocks: 9,
     };
-    let mut out = TreeBuilder::default();
+    let mut text = Vec::new();
+    let mut out = TextWriter::new(&mut text);
     out.begin_obj();
     out.field("stats_seq", &3u64);
     out.field("uptime_ns", &1_234_567_890u64);
@@ -141,7 +141,7 @@ fn stats_payload() -> Json {
     out.key("flight");
     out.arr(&summaries);
     out.end_obj();
-    out.finish()
+    Json::parse(std::str::from_utf8(&text).unwrap()).expect("the STATS text parses")
 }
 
 /// Hand-written documents at the writer's edges.
@@ -201,18 +201,14 @@ fn writer_bytes_match_the_golden() {
     let mut got = String::new();
     for (name, doc) in &corpus {
         let text = doc.to_string();
-        // `Display` and `write` into a non-empty buffer agree.
+        // `Display` and `write_json` into a non-empty buffer agree.
         let mut appended = b"x".to_vec();
-        doc.write(&mut appended);
+        doc.write_json(&mut appended);
         assert_eq!(
             appended[1..],
             *text.as_bytes(),
-            "{name}: write appends what Display prints"
+            "{name}: write_json appends what Display prints"
         );
-        // And the text writer, fed the tree's events, prints the same.
-        let mut streamed = Vec::new();
-        doc.write_json(&mut streamed);
-        assert_eq!(streamed, text.as_bytes(), "{name}: streamed text");
         got.push_str(&format!("{name}\t{text}\n"));
     }
     assert_golden(&got, "json_codec.txt");

@@ -1,34 +1,33 @@
-//! One definition, two sinks: every section a reply carries is written
-//! once through `pdbt_obs::json::Emit`, streamed as text into its frame
-//! (`ToJson::write_json`) or built as a tree (`ToJson::to_json`). The
-//! streamed bytes must be the tree's text, byte for byte — the text
-//! writer puts members in key order and spells numbers and strings
-//! through the tree's own functions.
+//! One writer, canonical text: every section a reply carries is
+//! written once, through `pdbt_obs::json::TextWriter`, and what it
+//! writes must be the text of the tree it parses to — members in key
+//! order, no repeated key, numbers and strings spelled as a tree
+//! prints them. So a section's tree (`ToJson::to_json`, its text
+//! parsed) prints its streamed bytes back unchanged.
 //!
-//! Held here over tiny-suite reports (default config, `no_delegation`,
-//! an exhausted budget, a fault-armed run), the frames of a live daemon
-//! (an inline session's RESULT, PING, STATS: each must be the canonical
-//! text of the document it holds), seeded report contents whose labels
-//! hold quotes, backslashes, control bytes and non-ASCII text, seeded
-//! shared-state sections as STATS writes them, and seeded event
-//! sequences with members out of order and repeated keys.
+//! Held here over the frames of a live daemon (an inline session's
+//! RESULT, PING, STATS), seeded report contents whose labels hold
+//! quotes, backslashes, control bytes and non-ASCII text, and seeded
+//! shared-state sections as STATS writes them; each is a
+//! write→parse→write fixpoint. The member sort has its own oracle:
+//! seeded call sequences, with members out of order and repeated keys,
+//! checked against a `BTreeMap` model of the document they describe.
 //! `FUZZ_CASES` scales the seeded parts. The daemon's own PING / STATS /
 //! RESULT sections are held in-process by the server's unit tests.
 
 mod common;
 
 use common::{random_string, spawn_server, T};
-use pdbt::obs::json::{Emit, Json, TextWriter, ToJson, TreeBuilder};
+use pdbt::obs::json::{Json, TextWriter, ToJson};
 use pdbt::obs::{
     Histogram, PhaseNs, RequestSummary, RuleCounters, ServerSnapshot, TelemetrySnapshot,
 };
-use pdbt::runtime::{Engine, EngineConfig, Outcome, Report};
-use pdbt::workloads::{learn_suite, suite, Scale};
-use pdbt_faults::{Plan, Site};
+use pdbt::runtime::{Outcome, Report};
 use pdbt_serve::proto::{op, read_frame, write_frame};
 use pdbt_serve::ServeConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Honour FUZZ_CASES when set; default to a CI-friendly 64.
 fn fuzz_cases() -> u64 {
@@ -38,55 +37,19 @@ fn fuzz_cases() -> u64 {
         .unwrap_or(64)
 }
 
-/// Asserts `doc` streams to exactly its tree's text.
-fn assert_streams_as_its_tree(doc: &impl ToJson, what: &str) {
-    let mut streamed = Vec::new();
-    doc.write_json(&mut streamed);
-    let tree = doc.to_json().to_string();
-    assert!(
-        streamed == tree.as_bytes(),
-        "{what}: streamed text differs from the tree's\n streamed: {}\n     tree: {tree}",
-        String::from_utf8_lossy(&streamed)
-    );
-}
-
-#[test]
-fn tiny_suite_reports_stream_as_their_trees() {
-    let ws = suite(Scale::tiny());
-    let rules = learn_suite(&ws, None);
-    for w in &ws {
-        let name = w.bench.name();
-        let run = |flag_delegation: bool, max_guest: Option<u64>| {
-            let mut cfg = EngineConfig::default();
-            cfg.translate.flag_delegation = flag_delegation;
-            let mut setup = w.setup();
-            if let Some(budget) = max_guest {
-                setup.max_guest = budget;
-            }
-            Engine::new(Some(rules.clone()), cfg)
-                .run(&w.pair.guest.program, &setup)
-                .expect("tiny workload runs")
-        };
-        assert_streams_as_its_tree(&run(true, None), &format!("{name}: default"));
-        assert_streams_as_its_tree(&run(false, None), &format!("{name}: no_delegation"));
-        let cut = run(true, Some(97));
-        assert_eq!(cut.outcome, Outcome::Budget, "{name}: the budget runs out");
-        assert_streams_as_its_tree(&cut, &format!("{name}: exhausted budget"));
-        let armed = {
-            let _plan = pdbt_faults::scoped(Some(Plan::single(Site::Cache, 7, 0.3)));
-            run(true, None)
-        };
-        assert_streams_as_its_tree(&armed, &format!("{name}: fault-armed"));
-    }
-}
-
-/// A frame's payload is canonical when the tree it parses to prints it
-/// back unchanged: members in key order, no repeated key, numbers and
-/// strings spelled as the tree spells them.
+/// A payload is canonical when the tree it parses to prints it back
+/// unchanged.
 fn assert_canonical(payload: &[u8], what: &str) {
     let text = std::str::from_utf8(payload).expect("UTF-8 payload");
     let doc = Json::parse(text).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(doc.to_string(), text, "{what}: not the tree's text");
+}
+
+/// Asserts `doc` streams canonical text.
+fn assert_streams_canonically(doc: &impl ToJson, what: &str) {
+    let mut streamed = Vec::new();
+    doc.write_json(&mut streamed);
+    assert_canonical(&streamed, what);
 }
 
 #[test]
@@ -208,13 +171,13 @@ fn random_report(rng: &mut StdRng) -> Report {
 fn seeded_report_contents_stream_as_their_trees() {
     let mut rng = StdRng::seed_from_u64(0x57_2EA4);
     for case in 0..fuzz_cases() {
-        assert_streams_as_its_tree(&random_report(&mut rng), &format!("report case {case}"));
+        assert_streams_canonically(&random_report(&mut rng), &format!("report case {case}"));
         let flight: Vec<RequestSummary> = (0..rng.gen_range(0..4u32))
             .map(|_| random_summary(&mut rng))
             .collect();
-        assert_streams_as_its_tree(&Flight(flight), &format!("flight case {case}"));
+        assert_streams_canonically(&Flight(flight), &format!("flight case {case}"));
         let shared = random_shared(&mut rng);
-        assert_streams_as_its_tree(&shared, &format!("shared case {case}"));
+        assert_streams_canonically(&shared, &format!("shared case {case}"));
     }
 }
 
@@ -222,7 +185,7 @@ fn seeded_report_contents_stream_as_their_trees() {
 struct Flight(Vec<RequestSummary>);
 
 impl ToJson for Flight {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.arr(&self.0);
     }
 }
@@ -232,7 +195,7 @@ impl ToJson for Flight {
 struct Shared(ServerSnapshot, TelemetrySnapshot);
 
 impl ToJson for Shared {
-    fn emit<E: Emit>(&self, out: &mut E) {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         let Shared(server, telemetry) = self;
         out.begin_obj();
         out.field("latency", &telemetry.latency);
@@ -265,55 +228,91 @@ fn random_shared(rng: &mut StdRng) -> Shared {
     Shared(server, telemetry)
 }
 
-/// Seeded events: objects whose members arrive in any order, with keys
-/// drawn from a small pool so they repeat, nested to depth 4.
-fn random_events<E: Emit>(rng: &mut StdRng, out: &mut E, depth: u32) {
-    match rng.gen_range(0..if depth == 0 { 5 } else { 7u32 }) {
-        0 => out.null(),
-        1 => out.bool(rng.gen()),
-        2 => out.uint(rng.gen()),
-        3 => out.float((rng.gen::<f64>() - 0.5) * 1e6),
-        4 => out.str(&random_string(rng)),
+/// Seeded calls: objects whose members arrive in any order, with keys
+/// drawn from a small pool so they repeat, nested to depth 4. Returns
+/// the document they describe: each member is inserted into its map as
+/// it arrives, so a repeated key keeps its last value.
+fn random_events(rng: &mut StdRng, out: &mut TextWriter<'_>, depth: u32) -> Json {
+    let scalar = match rng.gen_range(0..if depth == 0 { 5 } else { 7u32 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen()),
+        2 => Json::from(rng.gen::<u64>()),
+        3 => Json::Float((rng.gen::<f64>() - 0.5) * 1e6),
+        4 => Json::Str(random_string(rng)),
         5 => {
             out.begin_arr();
-            for _ in 0..rng.gen_range(0..4u32) {
-                random_events(rng, out, depth - 1);
-            }
+            let items = (0..rng.gen_range(0..4u32))
+                .map(|_| random_events(rng, out, depth - 1))
+                .collect();
             out.end_arr();
+            return Json::Arr(items);
         }
         _ => {
             out.begin_obj();
+            let mut members = BTreeMap::new();
             for _ in 0..rng.gen_range(0..7u32) {
                 let key = match rng.gen_range(0..3u32) {
                     0 => random_string(rng),
                     _ => ["a", "b", "ab", "", "\"", "é"][rng.gen_range(0..6usize)].to_string(),
                 };
                 out.key(&key);
-                random_events(rng, out, depth - 1);
+                members.insert(key, random_events(rng, out, depth - 1));
             }
             out.end_obj();
+            return Json::Obj(members);
         }
+    };
+    scalar.emit(out);
+    scalar
+}
+
+#[test]
+fn seeded_event_sequences_write_the_text_of_their_model() {
+    let mut rng = StdRng::seed_from_u64(0xE4E47);
+    for case in 0..fuzz_cases() * 8 {
+        let mut text = Vec::new();
+        let model = random_events(&mut rng, &mut TextWriter::new(&mut text), 4);
+        let text = String::from_utf8(text).expect("UTF-8 text");
+        let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}: {text}"));
+        assert_eq!(parsed, model, "case {case}: {text}");
+        assert_eq!(text, model.to_string(), "case {case}");
+    }
+}
+
+/// A section at the writer's edges: non-finite floats, a counter past
+/// `i64::MAX`, keys made of control characters, and a repeated key.
+struct Edges;
+
+impl ToJson for Edges {
+    fn emit(&self, out: &mut TextWriter<'_>) {
+        out.begin_obj();
+        out.field("nan", &f64::NAN);
+        out.field("inf", &f64::INFINITY);
+        out.field("-inf", &f64::NEG_INFINITY);
+        out.field("max", &u64::MAX);
+        out.field("\u{0}\t\n\u{1f}", &1u64);
+        out.field("dup", &1u64);
+        out.field("\u{1}", "x");
+        out.field("dup", "last");
+        out.end_obj();
     }
 }
 
 #[test]
-fn seeded_event_sequences_write_the_same_text_through_both_sinks() {
-    let mut rng = StdRng::seed_from_u64(0xE4E47);
-    for case in 0..fuzz_cases() * 8 {
-        let seed: u64 = rng.gen();
-        let mut tree = TreeBuilder::default();
-        random_events(&mut StdRng::seed_from_u64(seed), &mut tree, 4);
-        let mut text = Vec::new();
-        random_events(
-            &mut StdRng::seed_from_u64(seed),
-            &mut TextWriter::new(&mut text),
-            4,
-        );
-        let want = tree.finish().to_string();
-        assert!(
-            text == want.as_bytes(),
-            "case {case}: {} != {want}",
-            String::from_utf8_lossy(&text)
-        );
-    }
+fn to_json_is_the_parse_of_the_written_text() {
+    let mut text = Vec::new();
+    Edges.write_json(&mut text);
+    let parsed = Json::parse(std::str::from_utf8(&text).unwrap()).expect("parses");
+    let tree = Edges.to_json();
+    assert_eq!(tree, parsed);
+    let want = Json::obj([
+        ("nan", Json::Null),
+        ("inf", Json::Null),
+        ("-inf", Json::Null),
+        ("max", Json::Int(i64::MAX)),
+        ("\u{0}\t\n\u{1f}", Json::Int(1)),
+        ("\u{1}", Json::str("x")),
+        ("dup", Json::str("last")),
+    ]);
+    assert_eq!(tree, want);
 }

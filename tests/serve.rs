@@ -763,3 +763,74 @@ fn loadgen_against_a_live_daemon() {
     assert!(tail > 0, "drain dumped an empty flight tail");
     let _ = std::fs::remove_file(&flight_path);
 }
+
+/// The serving smoke through the `pdbt submit` binary: six clean
+/// concurrent `mcf` sessions, one armed with a cache fault plan and one
+/// loop past its deadline, each written out with `--report-json`. The
+/// deadline exits non-zero with its partial report; the armed session
+/// completes and injected; no clean session saw an injection.
+#[cfg(feature = "faults")]
+#[test]
+fn submit_report_json_files_hold_each_outcome() {
+    let dir = std::env::temp_dir().join(format!("pdbt_submit_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(path("loop.s"), "mov r0, #1\nb .+0\nsvc #0\n").unwrap();
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 4,
+        ..ServeConfig::default()
+    });
+    let addr = addr.to_string();
+    let submit = |extra: &[&str], report: &str| {
+        let report = path(report);
+        let mut args = vec!["submit", "--addr", &addr, "--report-json", &report];
+        args.extend_from_slice(extra);
+        common::pdbt(&args)
+    };
+    let mcf = ["--workload", "mcf", "--scale", "tiny"];
+    let armed = [&mcf[..], &["--faults", "seed=7,rate=0.3,sites=cache"]].concat();
+    let loop_s = path("loop.s");
+    let deadline = [loop_s.as_str(), "--deadline-ms", "200"];
+    std::thread::scope(|s| {
+        let runs: Vec<_> = (1..=6)
+            .map(|i| (format!("r{i}.json"), &mcf[..]))
+            .chain([("rf.json".to_string(), &armed[..])])
+            .chain([("rd.json".to_string(), &deadline[..])])
+            .map(|(report, extra)| s.spawn(move || (submit(extra, &report), report)))
+            .collect();
+        for run in runs {
+            let (out, report) = run.join().unwrap();
+            let deadline = report == "rd.json";
+            assert_eq!(out.status.success(), !deadline, "{report}: {out:?}");
+        }
+    });
+
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(path(name)).expect("report written");
+        Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    fn outcome(doc: &Json) -> Option<&str> {
+        doc.get("outcome")?.as_str()
+    }
+    let cache_injections = |doc: &Json| {
+        doc.get("resilience")
+            .and_then(|r| r.get("injected"))
+            .and_then(|i| i.get("cache"))
+            .and_then(Json::as_u64)
+            .expect("resilience.injected.cache")
+    };
+    assert_eq!(outcome(&read("rd.json")), Some("deadline"));
+    let armed = read("rf.json");
+    assert_eq!(outcome(&armed), Some("completed"));
+    assert!(cache_injections(&armed) > 0, "armed, not injected");
+    for i in 1..=6 {
+        let clean = read(&format!("r{i}.json"));
+        assert_eq!(outcome(&clean), Some("completed"), "r{i}");
+        assert_eq!(cache_injections(&clean), 0, "r{i} was perturbed");
+    }
+
+    shutdown(addr.as_str(), T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (8, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
