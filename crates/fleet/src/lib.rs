@@ -194,7 +194,8 @@ pub fn validate(
             opened.quarantined.len(),
         ));
     }
-    let fp = opened.artifact.fingerprint();
+    // `open` held the header's fingerprint to the image it carries.
+    let fp = opened.fingerprint;
     if fp != declared_fingerprint {
         return Err((
             format!(

@@ -8,6 +8,7 @@ use crate::inst::{Inst, Op};
 use crate::operand::{MemAddr, Operand, ShiftKind};
 use crate::reg::{FReg, Reg, RegList};
 use pdbt_isa::Cond;
+use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
@@ -32,28 +33,31 @@ fn err<T>(detail: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-/// Splits the operand text on top-level commas (commas inside `[...]` and
-/// `{...}` do not split), each piece trimmed.
-fn split_operands(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        match b {
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => depth = depth.saturating_sub(1),
-            b',' if depth == 0 => {
-                out.push(s[start..i].trim());
-                start = i + 1;
+/// The operand text's pieces, split on top-level commas (commas inside
+/// `[...]` and `{...}` do not split), each trimmed. A last piece that is
+/// empty is no piece.
+struct Pieces<'a>(&'a str);
+
+impl<'a> Iterator for Pieces<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let mut depth = 0usize;
+        for (i, b) in self.0.bytes().enumerate() {
+            match b {
+                b'[' | b'{' => depth += 1,
+                b']' | b'}' => depth = depth.saturating_sub(1),
+                b',' if depth == 0 => {
+                    let piece = self.0[..i].trim();
+                    self.0 = &self.0[i + 1..];
+                    return Some(piece);
+                }
+                _ => {}
             }
-            _ => {}
         }
+        let last = std::mem::take(&mut self.0).trim();
+        (!last.is_empty()).then_some(last)
     }
-    let last = s[start..].trim();
-    if !last.is_empty() {
-        out.push(last);
-    }
-    out
 }
 
 fn parse_imm(s: &str) -> Result<i64, ParseError> {
@@ -156,37 +160,49 @@ fn try_glue_shift(a: &str, b: &str) -> Option<Operand> {
     Some(Operand::Shifted { rm, kind, amount })
 }
 
-/// Splits a mnemonic into `(opcode, s, cond)`.
-fn parse_mnemonic(m: &str) -> Result<(Op, bool, Cond), ParseError> {
-    // Longest-match opcode first (ties in `Op::ALL` order), then optional
-    // `s`, then optional cond.
-    static LONGEST_FIRST: OnceLock<Vec<Op>> = OnceLock::new();
-    let candidates = LONGEST_FIRST.get_or_init(|| {
+/// What a mnemonic means: opcode, `s` suffix, condition.
+type Mnemonic = (Op, bool, Cond);
+
+/// Every mnemonic the grammar spells — an opcode, then `s` where the
+/// opcode takes it, then a condition suffix or none — built once. Where
+/// two spellings coincide the longer opcode wins, ties going to the
+/// first in `Op::ALL`: what matching the opcodes longest first against
+/// the text would pick. No condition starts with `s`, so `s` after an
+/// opcode that takes it is always the suffix.
+fn mnemonics() -> &'static HashMap<String, Mnemonic> {
+    static TABLE: OnceLock<HashMap<String, Mnemonic>> = OnceLock::new();
+    TABLE.get_or_init(|| {
         let mut ops = Op::ALL.to_vec();
         ops.sort_by_key(|o| std::cmp::Reverse(o.mnemonic().len()));
-        ops
-    });
-    for op in candidates {
-        if let Some(rest) = m.strip_prefix(op.mnemonic()) {
-            let (s, rest) = if op.supports_s() && rest.starts_with('s') {
-                // Avoid eating a condition that begins with 's'... no ARM
-                // condition starts with 's', so this is unambiguous.
-                (true, &rest[1..])
+        let mut table = HashMap::new();
+        for op in ops {
+            let suffixes: &[bool] = if op.supports_s() {
+                &[false, true]
             } else {
-                (false, rest)
+                &[false]
             };
-            let cond = if rest.is_empty() {
-                Cond::Al
-            } else {
-                match Cond::ALL.iter().find(|c| c.suffix() == rest) {
-                    Some(c) => *c,
-                    None => continue,
+            for &s in suffixes {
+                for cond in std::iter::once(Cond::Al).chain(Cond::ALL) {
+                    let text = format!(
+                        "{}{}{}",
+                        op.mnemonic(),
+                        if s { "s" } else { "" },
+                        cond.suffix()
+                    );
+                    table.entry(text).or_insert((op, s, cond));
                 }
-            };
-            return Ok((*op, s, cond));
+            }
         }
+        table
+    })
+}
+
+/// Splits a mnemonic into `(opcode, s, cond)`.
+fn parse_mnemonic(m: &str) -> Result<Mnemonic, ParseError> {
+    match mnemonics().get(m) {
+        Some(&meaning) => Ok(meaning),
+        None => err(format!("unknown mnemonic `{m}`")),
     }
-    err(format!("unknown mnemonic `{m}`"))
 }
 
 impl FromStr for Inst {
@@ -199,19 +215,18 @@ impl FromStr for Inst {
             None => (line, ""),
         };
         let (op, s, cond) = parse_mnemonic(mnemonic)?;
-        let pieces = split_operands(rest);
-        let mut operands = Vec::new();
-        let mut i = 0;
-        while i < pieces.len() {
-            if i + 1 < pieces.len() {
-                if let Some(glued) = try_glue_shift(pieces[i], pieces[i + 1]) {
+        // The instruction's own `Vec`, the one allocation of a line: no
+        // shape takes more than four operands.
+        let mut operands = Vec::with_capacity(4);
+        let mut pieces = Pieces(rest).peekable();
+        while let Some(piece) = pieces.next() {
+            match pieces.peek().and_then(|next| try_glue_shift(piece, next)) {
+                Some(glued) => {
+                    pieces.next();
                     operands.push(glued);
-                    i += 2;
-                    continue;
                 }
+                None => operands.push(parse_operand(piece)?),
             }
-            operands.push(parse_operand(pieces[i])?);
-            i += 1;
         }
         let mut inst = Inst::new(op, operands).map_err(|e| ParseError {
             detail: e.to_string(),

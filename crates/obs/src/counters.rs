@@ -12,7 +12,7 @@
 //!   Summed over all rules this equals the engine's `rule_covered`
 //!   metric, so coverage decomposes exactly into per-rule shares.
 
-use crate::json::TextWriter;
+use crate::json::{key_less, TextWriter, ToJson};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,15 +115,16 @@ impl RuleCounters {
     }
 
     /// Per-subgroup `(subgroup, dyn_covered)` totals, heaviest first.
-    pub fn coverage_by_subgroup(&self) -> Vec<(String, u64)> {
-        let mut map: HashMap<&str, u64> = HashMap::new();
-        for r in &self.rows {
-            if !r.subgroup.is_empty() {
-                *map.entry(r.subgroup.as_str()).or_insert(0) += r.dyn_covered;
+    /// Subgroups are few, so each row finds its total by a scan.
+    pub fn coverage_by_subgroup(&self) -> Vec<(&str, u64)> {
+        let mut v: Vec<(&str, u64)> = Vec::new();
+        for r in self.rows.iter().filter(|r| !r.subgroup.is_empty()) {
+            match v.iter_mut().find(|(subgroup, _)| *subgroup == r.subgroup) {
+                Some((_, n)) => *n += r.dyn_covered,
+                None => v.push((&r.subgroup, r.dyn_covered)),
             }
         }
-        let mut v: Vec<_> = map.into_iter().map(|(k, n)| (k.to_string(), n)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v
     }
 
@@ -313,16 +314,76 @@ impl From<u64> for Counter {
     }
 }
 
-/// Counters as object members, `fields[i]` keyed to `values[i]`, except
-/// the keys in `skip`: what `counter_family!`'s `emit_fields` and the
-/// sections that leave out part of a family write through.
-pub fn emit_counters(out: &mut TextWriter<'_>, fields: &[&str], values: &[u64], skip: &[&str]) {
-    for (key, &value) in fields.iter().zip(values) {
-        if !skip.contains(key) {
+/// A member an object holds beside its counters: a key and its value.
+pub type Member<'a> = (&'a str, &'a dyn ToJson);
+
+/// Counters and other members as one object's members, in key order:
+/// `fields[i]` keyed to `values[i]`, taken in `order` (the indices of
+/// `fields` in key order), merged with the runs of `extra` (each in key
+/// order too), except the keys in `skip`. What `counter_family!`'s
+/// `emit_with` and every section that adds to a family write through,
+/// so the writer never has to reorder them.
+pub fn emit_counters<const N: usize>(
+    out: &mut TextWriter<'_>,
+    fields: &[&str],
+    order: &[usize],
+    values: &[u64],
+    skip: &[&str],
+    mut extra: [&[Member<'_>]; N],
+) {
+    for &i in order {
+        let key = fields[i];
+        while let Some((k, v)) = least(&mut extra, Some(key)) {
+            if !skip.contains(k) {
+                out.field(k, *v);
+            }
+        }
+        if !skip.contains(&key) {
             out.key(key);
-            out.uint(value);
+            out.uint(values[i]);
         }
     }
+    while let Some((k, v)) = least(&mut extra, None) {
+        if !skip.contains(k) {
+            out.field(k, *v);
+        }
+    }
+}
+
+/// Takes the member with the least key off the front of `runs` (the
+/// first run's on a tie), if it sorts before `before`; with `None`,
+/// whatever it is.
+fn least<'r, 'a>(runs: &mut [&'r [Member<'a>]], before: Option<&str>) -> Option<&'r Member<'a>> {
+    let run = runs
+        .iter_mut()
+        .filter(|run| !run.is_empty())
+        .min_by_key(|run| run[0].0)?;
+    let (first, rest) = (*run).split_first()?;
+    if before.is_some_and(|key| first.0 >= key) {
+        return None;
+    }
+    *run = rest;
+    Some(first)
+}
+
+/// The indices of `fields` in the order of their keys: byte order, as
+/// the JSON writer orders an object's members.
+#[must_use]
+pub const fn key_order<const N: usize>(fields: &[&str]) -> [usize; N] {
+    let mut order = [0; N];
+    let mut i = 0;
+    while i < N {
+        order[i] = i;
+        let mut j = i;
+        while j > 0 && key_less(fields[order[j]].as_bytes(), fields[order[j - 1]].as_bytes()) {
+            let moved = order[j];
+            order[j] = order[j - 1];
+            order[j - 1] = moved;
+            j -= 1;
+        }
+        i += 1;
+    }
+    order
 }
 
 /// Declares a counter family from one table: each line is a doc
@@ -345,9 +406,11 @@ pub fn emit_counters(out: &mut TextWriter<'_>, fields: &[&str], values: &[u64], 
 /// * `Name::FIELDS` — the names in table order;
 /// * `values()` / `values_mut()` — the fields in that order, for code
 ///   that must treat every counter alike (the merge-law tests);
+/// * `KEY_ORDER` — the indices of `FIELDS` in key order;
 /// * `merge(&other)` — field-wise sum;
-/// * `emit_fields(out)` — one member per line, into the object a
-///   [`TextWriter`](crate::json::TextWriter) has open, and
+/// * `emit_with(out, extra)` — one member per line, into the object a
+///   [`TextWriter`](crate::json::TextWriter) has open, with the `extra`
+///   members merged in, all in key order; and
 ///   [`ToJson`](crate::json::ToJson): the family as a flat object.
 ///
 /// A trailing `atomic pub struct Twin;` adds the shared twin — the same
@@ -388,6 +451,10 @@ macro_rules! counter_family {
             /// The counter names, in table order.
             pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),+];
 
+            /// The indices of `FIELDS` in key order.
+            pub const KEY_ORDER: [usize; $name::FIELDS.len()] =
+                $crate::counters::key_order($name::FIELDS);
+
             /// The counters, in `FIELDS` order.
             #[must_use]
             pub fn values(&self) -> [u64; $name::FIELDS.len()] {
@@ -409,9 +476,21 @@ macro_rules! counter_family {
                 )+)?
             }
 
-            /// One member per counter, into the object `out` has open.
-            pub fn emit_fields(&self, out: &mut $crate::json::TextWriter<'_>) {
-                $crate::counters::emit_counters(out, Self::FIELDS, &self.values(), &[]);
+            /// One member per counter, into the object `out` has open,
+            /// with `extra` members merged in: all in key order.
+            pub fn emit_with(
+                &self,
+                out: &mut $crate::json::TextWriter<'_>,
+                extra: &[$crate::counters::Member<'_>],
+            ) {
+                $crate::counters::emit_counters(
+                    out,
+                    Self::FIELDS,
+                    &Self::KEY_ORDER,
+                    &self.values(),
+                    &[],
+                    [extra],
+                );
             }
         }
 
@@ -419,7 +498,7 @@ macro_rules! counter_family {
         impl $crate::json::ToJson for $name {
             fn emit(&self, out: &mut $crate::json::TextWriter<'_>) {
                 out.begin_obj();
-                self.emit_fields(out);
+                self.emit_with(out, &[]);
                 out.end_obj();
             }
         }
@@ -542,15 +621,26 @@ impl ServerSnapshot {
 
     /// The `server` section's counter members, into the object `out`
     /// has open: the table plus the derived `hits` and `hit_rate`, less
-    /// the keys in `skip`.
-    pub fn emit_section(&self, out: &mut TextWriter<'_>, skip: &[&str]) {
-        emit_counters(out, Self::FIELDS, &self.values(), skip);
-        if !skip.contains(&"hit_rate") {
-            out.field("hit_rate", &self.hit_rate());
-        }
-        if !skip.contains(&"hits") {
-            out.field("hits", &self.hits());
-        }
+    /// the keys in `skip`, with the members of `own` and `extra` (each
+    /// in key order) merged in.
+    pub fn emit_section(
+        &self,
+        out: &mut TextWriter<'_>,
+        skip: &[&str],
+        own: &[Member<'_>],
+        extra: &[Member<'_>],
+    ) {
+        let (hit_rate, hits) = (self.hit_rate(), self.hits());
+        let derived: [Member<'_>; 2] = [("hit_rate", &hit_rate), ("hits", &hits)];
+        let values = self.values();
+        emit_counters(
+            out,
+            Self::FIELDS,
+            &Self::KEY_ORDER,
+            &values,
+            skip,
+            [&derived, own, extra],
+        );
     }
 }
 
@@ -821,10 +911,7 @@ mod tests {
         c.covered(l, 5);
         assert_eq!(
             c.coverage_by_subgroup(),
-            vec![
-                ("Int/Dp/Alu".to_string(), 10),
-                ("Int/Mem/Load".to_string(), 5)
-            ]
+            vec![("Int/Dp/Alu", 10), ("Int/Mem/Load", 5)]
         );
     }
 }

@@ -11,11 +11,11 @@
 //! (`Display`), and a section becomes a tree by parsing its text
 //! (`ToJson::to_json`).
 //!
-//! Every reply the client reads is parsed here, without allocating per
-//! value: the parser slices string and number tokens out of the input
-//! and builds each array and object once, at its final size.
+//! Every reply the client reads is parsed here. The parser copies each
+//! string out of the input once, reads integers as their digits go by,
+//! builds each array once at its final size and each object by
+//! inserting its members as they arrive.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
@@ -33,10 +33,10 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
-/// Appends `s` as a JSON string literal, quotes included. Runs with
-/// nothing to escape are copied whole; only `"`, `\\` and the control
-/// characters are rewritten.
-fn write_string(out: &mut Vec<u8>, s: &str) {
+/// Appends `s` as a JSON string literal, quotes included, and returns
+/// whether it went out as it is. Runs with nothing to escape are copied
+/// whole; only `"`, `\\` and the control characters are rewritten.
+fn write_string(out: &mut Vec<u8>, s: &str) -> bool {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
     out.reserve(bytes.len() + 2);
@@ -63,6 +63,22 @@ fn write_string(out: &mut Vec<u8>, s: &str) {
     }
     out.extend_from_slice(&bytes[run..]);
     out.push(b'"');
+    run == 0
+}
+
+/// Whether key `a` sorts before key `b`: byte order, which is `str`
+/// order and the order of a `BTreeMap<String, _>`. Keys are short, so
+/// the bytes are compared inline.
+#[must_use]
+pub const fn key_less(a: &[u8], b: &[u8]) -> bool {
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
+    }
+    a.len() < b.len()
 }
 
 /// Appends `n` in decimal, digit by digit from a stack buffer: an
@@ -192,13 +208,7 @@ impl Json {
     ///
     /// Malformed input, with the byte offset where it went wrong.
     pub fn parse(s: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            src: s,
-            pos: 0,
-            depth: 0,
-            items: Vec::new(),
-            pairs: Vec::new(),
-        };
+        let mut p = Parser::new(s);
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -356,22 +366,14 @@ enum Open {
         empty: bool,
     },
     Obj {
-        /// Where its members start in `members`, and their keys in
-        /// `keys`.
-        members: usize,
-        keys: usize,
+        /// Where its text starts in `out`, at the `{`.
+        start: usize,
+        /// Its last key's text in `out`, between the quotes, when that
+        /// went out unescaped; `None` before the first key.
+        last: Option<Range<usize>>,
         /// Whether every key so far was greater than the one before.
         sorted: bool,
     },
-}
-
-/// A member of an object open in a [`TextWriter`].
-struct Member {
-    /// Its text in `out`, from its key's opening quote to the end of its
-    /// value (set when the next member starts or the object closes).
-    text: Range<usize>,
-    /// Its key, unescaped, in `keys`.
-    key: Range<usize>,
 }
 
 /// The JSON writer: appends a document's text to a byte buffer. The
@@ -380,58 +382,54 @@ struct Member {
 ///
 /// A document is one value; a value is a scalar or a container; inside
 /// an object every value follows its [`key`](TextWriter::key). A member
-/// is written where it arrives; when its object closes, members that
-/// came out of key order are put in it, a repeated key keeping its last
-/// value, as in a `BTreeMap`. Members that arrive in order cost one key
-/// compare each; an object that needs it costs one sort of its members
-/// and one copy of its text, through the buffer's own spare room.
+/// is written where it arrives, at the cost of one compare with the key
+/// before it. When an object whose members came out of key order
+/// closes, its text is read back, its members put in key order, a
+/// repeated key keeping its last value, as in a `BTreeMap`, and the
+/// text rewritten in place. Sections that say their members in key
+/// order never pay for that.
 pub struct TextWriter<'a> {
     out: &'a mut Vec<u8>,
     open: Vec<Open>,
-    /// The members of every open object, innermost last.
-    members: Vec<Member>,
-    /// The open objects' keys, unescaped, end to end.
-    keys: String,
+    /// Objects this writer had to put in key order.
+    reordered: usize,
 }
 
 impl<'a> TextWriter<'a> {
-    /// Sized so that writing a run report never regrows the stacks.
+    /// Sized so that writing a run report never regrows the stack.
     pub fn new(out: &'a mut Vec<u8>) -> TextWriter<'a> {
         TextWriter {
             out,
             open: Vec::with_capacity(8),
-            members: Vec::with_capacity(32),
-            keys: String::with_capacity(256),
+            reordered: 0,
         }
+    }
+
+    /// How many objects so far had their members put in key order
+    /// because a section said them out of it.
+    #[must_use]
+    pub fn reordered(&self) -> usize {
+        self.reordered
     }
 
     pub fn begin_obj(&mut self) {
         self.value();
         self.open.push(Open::Obj {
-            members: self.members.len(),
-            keys: self.keys.len(),
+            start: self.out.len(),
+            last: None,
             sorted: true,
         });
         self.out.push(b'{');
     }
 
     pub fn end_obj(&mut self) {
-        let Some(Open::Obj {
-            members,
-            keys,
-            sorted,
-        }) = self.open.pop()
-        else {
+        let Some(Open::Obj { start, sorted, .. }) = self.open.pop() else {
             panic!("end_obj closes an object");
         };
-        if let Some(last) = self.members[members..].last_mut() {
-            last.text.end = self.out.len();
-            if !sorted {
-                self.sort_members(members);
-            }
+        if !sorted {
+            self.reordered += 1;
+            sort_members(self.out, start + 1);
         }
-        self.members.truncate(members);
-        self.keys.truncate(keys);
         self.out.push(b'}');
     }
 
@@ -451,25 +449,24 @@ impl<'a> TextWriter<'a> {
     /// The key of the object member whose value comes next.
     pub fn key(&mut self, key: &str) {
         let Some(Open::Obj {
-            members, sorted, ..
+            start,
+            last,
+            sorted,
         }) = self.open.last_mut()
         else {
             panic!("a key belongs inside an object");
         };
-        if let Some(prev) = self.members[*members..].last_mut() {
-            prev.text.end = self.out.len();
-            // Byte order is `str` order; short keys compare inline.
-            *sorted &= key.bytes().gt(self.keys[prev.key.clone()].bytes());
+        if self.out.len() > *start + 1 {
+            // Byte order is `str` order. A key after an escaped one is
+            // not compared: its object is put in order when it closes.
+            let prev = last.take();
+            *sorted = *sorted && prev.is_some_and(|prev| key_less(&self.out[prev], key.as_bytes()));
             self.out.push(b',');
         }
-        let at = self.keys.len();
-        self.keys.push_str(key);
-        let start = self.out.len();
-        self.members.push(Member {
-            text: start..start,
-            key: at..self.keys.len(),
-        });
-        write_string(self.out, key);
+        let at = self.out.len() + 1;
+        if write_string(self.out, key) {
+            *last = Some(at..self.out.len() - 1);
+        }
         self.out.push(b':');
     }
 
@@ -533,37 +530,37 @@ impl<'a> TextWriter<'a> {
             *empty = false;
         }
     }
+}
 
-    /// Rewrites the members from `base` on in key order, dropping all
-    /// but the last of a repeated key. The object's text is copied past
-    /// its end and its members copied back from there.
-    fn sort_members(&mut self, base: usize) {
-        let TextWriter {
-            out, members, keys, ..
-        } = self;
-        let run = &mut members[base..];
-        let start = run[0].text.start;
-        // Stable, so a repeated key's members stay in arrival order.
-        run.sort_by(|a, b| keys[a.key.clone()].cmp(&keys[b.key.clone()]));
-        let copy = out.len();
-        out.extend_from_within(start..copy);
-        let mut at = start;
-        for (n, m) in run.iter().enumerate() {
-            if run
-                .get(n + 1)
-                .is_some_and(|next| keys[next.key.clone()] == keys[m.key.clone()])
-            {
-                continue;
-            }
-            if at > start {
-                out[at] = b',';
-                at += 1;
-            }
-            let from = m.text.start - start + copy..m.text.end - start + copy;
-            out.copy_within(from.clone(), at);
-            at += from.len();
+/// Rewrites the members of the object whose text runs from `from` (just
+/// past its `{`) to the end of `out` in key order, dropping all but the
+/// last of a repeated key. The text was written by [`TextWriter`], so
+/// it is well-formed: each member is read back as its key and the span
+/// of its text, and the members copied back from a copy of the text.
+fn sort_members(out: &mut Vec<u8>, from: usize) {
+    let text = std::str::from_utf8(&out[from..]).expect("the writer writes UTF-8");
+    let mut members = Vec::new();
+    let mut p = Parser::new(text);
+    while p.pos < text.len() {
+        let start = p.pos;
+        let key = p.string().expect("a written key");
+        p.pos += 1; // the `:`
+        p.skip_value();
+        members.push((key, start..p.pos));
+        p.pos += 1; // the `,`, or past the end
+    }
+    // Stable, so a repeated key's members stay in arrival order.
+    members.sort_by(|a, b| a.0.cmp(&b.0));
+    let copy = out[from..].to_vec();
+    out.truncate(from);
+    for (n, (key, span)) in members.iter().enumerate() {
+        if members.get(n + 1).is_some_and(|next| next.0 == *key) {
+            continue;
         }
-        out.truncate(at);
+        if out.len() > from {
+            out.push(b',');
+        }
+        out.extend_from_slice(&copy[span.clone()]);
     }
 }
 
@@ -596,12 +593,18 @@ struct Parser<'a> {
     /// run off the top when it closes, so its `Vec` is allocated once,
     /// at its final length.
     items: Vec<Json>,
-    /// The same for the open objects' members: an object's map is
-    /// built once, from its whole run.
-    pairs: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        Parser {
+            src,
+            pos: 0,
+            depth: 0,
+            items: Vec::new(),
+        }
+    }
+
     fn err(&self, msg: &'static str) -> ParseError {
         ParseError { pos: self.pos, msg }
     }
@@ -649,7 +652,7 @@ impl<'a> Parser<'a> {
                 self.depth -= 1;
                 v
             }
-            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
             Some(b'n') if self.literal("null") => Ok(Json::Null),
@@ -658,30 +661,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An object, its members inserted into its map as they arrive, so
+    /// a repeated key keeps its last value.
     fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
-        let base = self.pairs.len();
+        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(BTreeMap::new()));
+            return Ok(Json::Obj(map));
         }
         loop {
             self.skip_ws();
-            let k = self.string()?.into_owned();
+            let k = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
-            self.pairs.push((k, v));
+            map.insert(k, v);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    // One stable sort and a bulk build: a duplicate key
-                    // keeps its last value, as `insert` would.
-                    return Ok(Json::Obj(self.pairs.drain(base..).collect()));
+                    return Ok(Json::Obj(map));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -712,36 +715,56 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A string token: a slice of the input unless it holds an escape.
-    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+    /// A string token, copied out of the input once. Runs between
+    /// escapes end at ASCII bytes, so every slice is on char boundaries.
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let src = self.src;
-        let mut owned: Option<String> = None;
-        // Start of the run not yet copied to `owned`. Runs end at ASCII
-        // bytes, so every slice below is on char boundaries.
         let mut run = self.pos;
+        let mut owned = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    let tail = &src[run..self.pos];
-                    self.pos += 1;
-                    return Ok(match owned {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    });
+            let rest = &src.as_bytes()[self.pos..];
+            let Some(n) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = src.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += n;
+            if rest[n] == b'"' {
+                let tail = &src[run..self.pos];
+                self.pos += 1;
+                if owned.is_empty() {
+                    return Ok(tail.to_owned());
                 }
-                Some(b'\\') => {
-                    let s = owned.get_or_insert_with(String::new);
-                    s.push_str(&src[run..self.pos]);
+                owned.push_str(tail);
+                return Ok(owned);
+            }
+            owned.push_str(&src[run..self.pos]);
+            self.pos += 1;
+            owned.push(self.escape()?);
+            run = self.pos;
+        }
+    }
+
+    /// Moves `pos` past the value there, in text the writer wrote, up
+    /// to the `,` after it or the end.
+    fn skip_value(&mut self) {
+        let bytes = self.src.as_bytes();
+        let mut depth = 0usize;
+        while let Some(&b) = bytes.get(self.pos) {
+            if depth == 0 && b == b',' {
+                break;
+            }
+            self.pos += 1;
+            match b {
+                b'"' => {
+                    while bytes[self.pos] != b'"' {
+                        self.pos += if bytes[self.pos] == b'\\' { 2 } else { 1 };
+                    }
                     self.pos += 1;
-                    s.push(self.escape()?);
-                    run = self.pos;
                 }
-                Some(_) => self.pos += 1,
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                _ => {}
             }
         }
     }
@@ -791,12 +814,21 @@ impl<'a> Parser<'a> {
             .try_fold(0, |code, c| Some(code << 4 | c.to_digit(16)?))
     }
 
+    /// A number token. An integer is read as its digits go by; a token
+    /// with a fraction or an exponent is handed to `f64`'s parser.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let digits = self.pos;
+        // The magnitude, or `None` once it passes `u64`.
+        let mut magnitude = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(d - b'0')));
             self.pos += 1;
         }
         let mut float = false;
@@ -817,17 +849,19 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        // Every byte the token spans is ASCII.
-        let text = &self.src[start..self.pos];
         if float {
-            text.parse()
+            // Every byte the token spans is ASCII.
+            return self.src[start..self.pos]
+                .parse()
                 .map(Json::Float)
-                .map_err(|_| self.err("bad number"))
-        } else {
-            text.parse()
-                .map(Json::Int)
-                .map_err(|_| self.err("bad number"))
+                .map_err(|_| self.err("bad number"));
         }
+        let n = match magnitude.filter(|_| self.pos > digits) {
+            Some(m) if negative => 0i64.checked_sub_unsigned(m),
+            Some(m) => i64::try_from(m).ok(),
+            None => None,
+        };
+        n.map(Json::Int).ok_or_else(|| self.err("bad number"))
     }
 }
 

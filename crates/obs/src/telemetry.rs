@@ -16,7 +16,7 @@
 //! or a live `STATS` poll) can show *what the daemon just did* without
 //! rerunning anything.
 
-use crate::counters::ServerSnapshot;
+use crate::counters::{Member, ServerSnapshot};
 use crate::hist::Histogram;
 use crate::json::{TextWriter, ToJson};
 use std::collections::VecDeque;
@@ -292,19 +292,34 @@ pub struct TelemetrySnapshot {
 impl TelemetrySnapshot {
     /// One STATS `partitions[]` row's members, into the object `out`
     /// has open: the fingerprint, the partition's `server` counters and
-    /// its request-latency rollup. Duplicate translation work
+    /// its request-latency rollup, with the caller's `extra` members (in
+    /// key order) merged in. Duplicate translation work
     /// (`translate_calls`) is reported server-wide only.
-    pub fn emit_partition_fields(&self, out: &mut TextWriter<'_>, server: &ServerSnapshot) {
-        server.emit_section(out, &["translate_calls"]);
-        let requests = &self.latency.request_ns;
-        out.key("latency");
+    pub fn emit_partition_fields(
+        &self,
+        out: &mut TextWriter<'_>,
+        server: &ServerSnapshot,
+        extra: &[Member<'_>],
+    ) {
+        let latency = Rollup(&self.latency.request_ns);
+        let partition = hex16(self.partition);
+        let own: [Member<'_>; 2] = [("latency", &latency), ("partition", &partition)];
+        server.emit_section(out, &["translate_calls"], &own, extra);
+    }
+}
+
+/// A histogram's count and quantiles: a partition's request-latency
+/// rollup.
+struct Rollup<'a>(&'a Histogram);
+
+impl ToJson for Rollup<'_> {
+    fn emit(&self, out: &mut TextWriter<'_>) {
         out.begin_obj();
-        out.field("count", &requests.count());
-        out.field("p50", &requests.p50());
-        out.field("p95", &requests.p95());
-        out.field("p99", &requests.p99());
+        out.field("count", &self.0.count());
+        out.field("p50", &self.0.p50());
+        out.field("p95", &self.0.p95());
+        out.field("p99", &self.0.p99());
         out.end_obj();
-        out.field("partition", &hex16(self.partition));
     }
 }
 

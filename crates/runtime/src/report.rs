@@ -277,12 +277,46 @@ impl Report {
     }
 }
 
+/// `metrics.host_by_class`: executed host instructions per class.
+struct ByClass<'a>(&'a [u64; 4]);
+
+impl ToJson for ByClass<'_> {
+    fn emit(&self, out: &mut TextWriter<'_>) {
+        out.begin_obj();
+        for (key, class) in [
+            ("control", CodeClass::Control),
+            ("data_transfer", CodeClass::DataTransfer),
+            ("qemu_core", CodeClass::QemuCore),
+            ("rule_core", CodeClass::RuleCore),
+        ] {
+            out.field(key, &self.0[class.index()]);
+        }
+        out.end_obj();
+    }
+}
+
+/// `resilience.injected`: injected faults per site.
+struct Injected<'a>(&'a [u64; pdbt_faults::SITE_COUNT]);
+
+impl ToJson for Injected<'_> {
+    fn emit(&self, out: &mut TextWriter<'_>) {
+        out.begin_obj();
+        let mut sites = pdbt_faults::Site::ALL;
+        sites.sort_unstable_by_key(|site| site.name());
+        for site in sites {
+            out.field(site.name(), &self.0[site.index()]);
+        }
+        out.end_obj();
+    }
+}
+
 /// The run report, written once: a RESULT frame streams it, and `pdbt
 /// run --report-json` writes the same text to a file. Counter families
-/// write their own members (`emit_fields`, keyed by their table); only
-/// derived values, arrays and non-counter sections are spelled out
-/// here, each object's members in key order — the order the text comes
-/// out in.
+/// write their own members (`emit_with`, in the key order of their
+/// table) with the derived ones merged in; arrays and non-counter
+/// sections are spelled out here. Every object's members are said in
+/// key order, the order the text comes out in, so the writer never
+/// reorders one.
 impl ToJson for Report {
     fn emit(&self, out: &mut TextWriter<'_>) {
         let m = &self.metrics;
@@ -314,8 +348,7 @@ impl ToJson for Report {
 
         out.key("dispatch");
         out.begin_obj();
-        obs.dispatch.emit_fields(out);
-        out.field("backend", self.backend);
+        obs.dispatch.emit_with(out, &[("backend", &self.backend)]);
         out.end_obj();
 
         out.key("histograms");
@@ -337,21 +370,15 @@ impl ToJson for Report {
 
         out.key("metrics");
         out.begin_obj();
-        m.emit_fields(out);
-        out.field("coverage", &m.coverage());
-        out.field("host_executed", &m.host_executed());
-        out.field("total_ratio", &m.total_ratio());
-        out.key("host_by_class");
-        out.begin_obj();
-        for (key, class) in [
-            ("control", CodeClass::Control),
-            ("data_transfer", CodeClass::DataTransfer),
-            ("qemu_core", CodeClass::QemuCore),
-            ("rule_core", CodeClass::RuleCore),
-        ] {
-            out.field(key, &m.host_by_class[class.index()]);
-        }
-        out.end_obj();
+        m.emit_with(
+            out,
+            &[
+                ("coverage", &m.coverage()),
+                ("host_by_class", &ByClass(&m.host_by_class)),
+                ("host_executed", &m.host_executed()),
+                ("total_ratio", &m.total_ratio()),
+            ],
+        );
         out.end_obj();
 
         out.field("outcome", self.outcome.label());
@@ -368,13 +395,7 @@ impl ToJson for Report {
 
         out.key("resilience");
         out.begin_obj();
-        r.emit_fields(out);
-        out.key("injected");
-        out.begin_obj();
-        for site in pdbt_faults::Site::ALL {
-            out.field(site.name(), &r.injected[site.index()]);
-        }
-        out.end_obj();
+        r.emit_with(out, &[("injected", &Injected(&r.injected))]);
         out.end_obj();
 
         out.key("rules");

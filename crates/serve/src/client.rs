@@ -25,10 +25,10 @@ use crate::proto::{self, flag, op, FrameError, FIRST_FRAME_TIMEOUT};
 use pdbt_fleet::{
     chunk_count, fingerprint_field, fingerprint_hex, ArtifactAd, CHUNK, MAX_ARTIFACT,
 };
-use pdbt_obs::json::Json;
+use pdbt_obs::json::{Json, ToJson};
 use std::cell::RefCell;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -122,10 +122,16 @@ fn roundtrip(
 
 /// A connection the daemon promised to read another SUBMIT on.
 struct Kept {
-    stream: TcpStream,
+    /// The stream, read through one buffer for the connection's life,
+    /// which a RESULT that arrived whole leaves empty.
+    stream: BufReader<TcpStream>,
     peer: SocketAddr,
     /// When its last RESULT arrived.
     at: Instant,
+    /// The read and write timeout the stream has.
+    timeout: Duration,
+    /// The buffer its SUBMIT frames are assembled in.
+    out: Vec<u8>,
 }
 
 impl Kept {
@@ -133,7 +139,8 @@ impl Kept {
     fn reusable(&self, addrs: &[SocketAddr]) -> bool {
         addrs.contains(&self.peer)
             && self.at.elapsed() < FIRST_FRAME_TIMEOUT / 2
-            && open(&self.stream)
+            && self.stream.buffer().is_empty()
+            && open(self.stream.get_ref())
     }
 }
 
@@ -159,7 +166,12 @@ thread_local! {
 ///
 /// The timeout bounds each socket operation; pick one comfortably
 /// above the request's `deadline_ms` or the session will outlive the
-/// client waiting for it.
+/// client waiting for it. A kept connection's timeouts are set again
+/// only when the call asks for another.
+///
+/// On a kept connection a request costs the liveness peek (three
+/// calls), one write, since the request is streamed into its frame, and
+/// one read for a RESULT that has arrived whole.
 ///
 /// # Errors
 ///
@@ -171,25 +183,38 @@ pub fn submit(
 ) -> Result<Json, ClientError> {
     let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
     let kept = KEPT.with_borrow_mut(Option::take);
-    let (mut stream, peer) = match kept.filter(|k| k.reusable(&addrs)) {
-        Some(k) => {
-            k.stream.set_read_timeout(Some(timeout))?;
-            k.stream.set_write_timeout(Some(timeout))?;
-            (k.stream, k.peer)
+    let mut conn = match kept.filter(|k| k.reusable(&addrs)) {
+        Some(mut k) => {
+            if k.timeout != timeout {
+                k.stream.get_ref().set_read_timeout(Some(timeout))?;
+                k.stream.get_ref().set_write_timeout(Some(timeout))?;
+                k.timeout = timeout;
+            }
+            k
         }
         None => {
             let stream = connect(&addrs[..], timeout)?;
             let peer = stream.peer_addr()?;
-            (stream, peer)
+            Kept {
+                stream: BufReader::new(stream),
+                peer,
+                at: Instant::now(),
+                timeout,
+                out: Vec::with_capacity(512),
+            }
         }
     };
-    let payload = request.to_string();
-    proto::write_flagged_frame(&mut stream, op::SUBMIT, flag::KEEP, payload.as_bytes())?;
-    let frame = proto::read_frame(&mut stream)?;
+    conn.out.clear();
+    proto::begin_frame(&mut conn.out, op::SUBMIT, flag::KEEP);
+    request.write_json(&mut conn.out);
+    proto::finish_frame(&mut conn.out)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    conn.stream.get_ref().write_all(&conn.out)?;
+    let frame = proto::read_frame(&mut conn.stream)?;
     let reply = reply_json(&frame, op::RESULT)?;
     if frame.keep() {
-        let at = Instant::now();
-        KEPT.with_borrow_mut(|slot| *slot = Some(Kept { stream, peer, at }));
+        conn.at = Instant::now();
+        KEPT.with_borrow_mut(|slot| *slot = Some(conn));
     }
     Ok(reply)
 }

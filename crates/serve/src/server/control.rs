@@ -37,8 +37,9 @@ impl Totals {
     fn emit_artifacts(&self, ctx: &ServerCtx, out: &mut TextWriter<'_>) {
         out.key("artifacts");
         out.begin_obj();
-        ctx.artifacts.snapshot().emit_fields(out);
-        out.field("trace_hits", &self.trace_hits);
+        ctx.artifacts
+            .snapshot()
+            .emit_with(out, &[("trace_hits", &self.trace_hits)]);
         out.end_obj();
     }
 }
@@ -66,10 +67,13 @@ impl ToJson for Status<'_> {
         out.begin_obj();
         // The liveness probe carries the translation-sharing counters
         // only; STATS has the full section.
-        totals
-            .server
-            .emit_section(out, &["compiled_blocks", "hit_rate"]);
-        out.field("reply_errors", &ctx.reply_errors.load(Ordering::Relaxed));
+        let reply_errors = ctx.reply_errors.load(Ordering::Relaxed);
+        totals.server.emit_section(
+            out,
+            &["compiled_blocks", "hit_rate"],
+            &[],
+            &[("reply_errors", &reply_errors)],
+        );
         out.end_obj();
         out.field("version", &u64::from(proto::VERSION));
         out.end_obj();
@@ -103,9 +107,39 @@ impl<'a> Stats<'a> {
     }
 }
 
+/// One partition as STATS reads it, before anything is written: the
+/// rows come after sections that sum over them.
+struct Row {
+    label: String,
+    server: pdbt_obs::ServerSnapshot,
+    telemetry: pdbt_obs::TelemetrySnapshot,
+    artifact: pdbt_obs::ArtifactSnapshot,
+    cached_blocks: usize,
+}
+
+impl ToJson for Row {
+    fn emit(&self, out: &mut TextWriter<'_>) {
+        let art = &self.artifact;
+        out.begin_obj();
+        self.telemetry.emit_partition_fields(
+            out,
+            &self.server,
+            &[
+                ("cached_blocks", &self.cached_blocks),
+                ("label", &self.label),
+                ("loaded_blocks", &art.loaded_blocks),
+                ("trace_hits", &art.trace_hits),
+                ("warm", &art.warm()),
+            ],
+        );
+        out.end_obj();
+    }
+}
+
 impl ToJson for Stats<'_> {
     fn emit(&self, out: &mut TextWriter<'_>) {
         let (ctx, queue) = (self.ctx, self.queue);
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         // In fingerprint order, as the table iterates: deterministic
         // payload order.
         let states: Vec<(String, Arc<SharedTranslationState>)> = ctx
@@ -113,69 +147,67 @@ impl ToJson for Stats<'_> {
             .values()
             .map(|p| (p.label.clone(), Arc::clone(&p.state)))
             .collect();
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-
         let mut totals = Totals::default();
         let mut global = LatencyHists::default();
         let mut flight: Vec<RequestSummary> = Vec::new();
-        out.begin_obj();
-        out.key("partitions");
-        out.begin_arr();
-        for (label, state) in &states {
-            let snap = state.server().snapshot();
-            let tele = state.telemetry().snapshot();
-            let art = state.artifact().snapshot();
-            totals.add(state, &snap);
-            out.begin_obj();
-            tele.emit_partition_fields(out, &snap);
-            out.field("label", label);
-            out.field("cached_blocks", &state.cache().len());
-            out.field("warm", &art.warm());
-            out.field("loaded_blocks", &art.loaded_blocks);
-            out.field("trace_hits", &art.trace_hits);
-            out.end_obj();
-            global.merge(&tele.latency);
-            flight.extend(state.telemetry().flight().tail());
-        }
-        out.end_arr();
+        let rows: Vec<Row> = states
+            .into_iter()
+            .map(|(label, state)| {
+                let row = Row {
+                    label,
+                    server: state.server().snapshot(),
+                    telemetry: state.telemetry().snapshot(),
+                    artifact: state.artifact().snapshot(),
+                    cached_blocks: state.cache().len(),
+                };
+                totals.add(&state, &row.server);
+                global.merge(&row.telemetry.latency);
+                flight.extend(state.telemetry().flight().tail());
+                row
+            })
+            .collect();
         // The merged flight tail reads chronologically across
         // partitions.
         flight.sort_by_key(|s| s.seq);
         let tail_from = flight
             .len()
             .saturating_sub(pdbt_obs::FlightRecorder::CAPACITY);
+
+        out.begin_obj();
+        totals.emit_artifacts(ctx, out);
+        out.field("backend", ctx.cfg.backend.name());
+        out.field("fleet", &ctx.fleet.snapshot());
         out.key("flight");
         out.arr(&flight[tail_from..]);
-        out.field("latency", &global);
-        out.field("stats_seq", &self.stats_seq);
-        out.field("version", &u64::from(proto::VERSION));
-        out.field("uptime_ns", &self.uptime_ns);
         out.field("jobs", &ctx.cfg.jobs);
-        out.field("backend", ctx.cfg.backend.name());
+        out.field("latency", &global);
         out.field("outstanding", &queue.outstanding());
-        out.key("sessions");
-        out.begin_obj();
-        out.field("served", &load(&ctx.served));
-        out.field("kept", &load(&ctx.kept));
-        out.field("active", &load(&ctx.active));
-        out.field("held", &ctx.held.count());
-        out.field("panicked", &queue.panicked());
-        out.field("reply_errors", &load(&ctx.reply_errors));
-        out.end_obj();
+        out.key("partitions");
+        out.arr(&rows);
         out.key("pool");
         out.begin_obj();
-        out.field("high_water", &queue.high_water());
-        out.key("completed");
-        out.arr(queue.utilization());
         out.key("busy_ns");
         out.arr(queue.busy_ns());
+        out.key("completed");
+        out.arr(queue.utilization());
+        out.field("high_water", &queue.high_water());
         out.end_obj();
         out.key("server");
         out.begin_obj();
-        totals.server.emit_section(out, &[]);
+        totals.server.emit_section(out, &[], &[], &[]);
         out.end_obj();
-        totals.emit_artifacts(ctx, out);
-        out.field("fleet", &ctx.fleet.snapshot());
+        out.key("sessions");
+        out.begin_obj();
+        out.field("active", &load(&ctx.active));
+        out.field("held", &ctx.held.count());
+        out.field("kept", &load(&ctx.kept));
+        out.field("panicked", &queue.panicked());
+        out.field("reply_errors", &load(&ctx.reply_errors));
+        out.field("served", &load(&ctx.served));
+        out.end_obj();
+        out.field("stats_seq", &self.stats_seq);
+        out.field("uptime_ns", &self.uptime_ns);
+        out.field("version", &u64::from(proto::VERSION));
         out.end_obj();
     }
 }

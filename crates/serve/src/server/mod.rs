@@ -45,7 +45,7 @@ mod partition;
 mod replicate;
 mod session;
 
-use crate::proto::{self, op, FIRST_FRAME_TIMEOUT};
+use crate::proto::{self, op, Frame, FrameError, FIRST_FRAME_TIMEOUT};
 use partition::{ArtifactBoot, BootScan, Partition};
 use pdbt_core::RuleSet;
 use pdbt_obs::json::{Json, ToJson};
@@ -54,7 +54,7 @@ use pdbt_runtime::{BackendKind, EngineConfig};
 use pdbt_workloads::Workload;
 use session::{respond, respond_error, Held};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,23 +66,74 @@ use std::time::{Duration, Instant};
 /// replication calls run under it too.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A stream read under one deadline for all its reads: each read may
-/// wait only for what is left, so a peer sending a byte at a time
-/// cannot restart the clock with every byte. The accept thread reads a
-/// first frame through it under [`FIRST_FRAME_TIMEOUT`], so a client that
-/// connects and says nothing, or trickles its frame, holds up accept,
-/// PING and STATS for that long, not for [`SOCKET_TIMEOUT`]; a worker
-/// reads a kept connection's next SUBMIT through it.
-struct Deadline<'a>(&'a TcpStream, Instant);
+/// A connection's read side: its stream behind one buffer for the
+/// connection's life, so bytes a read takes past a frame wait there for
+/// the next one.
+type Inbound = BufReader<Deadline>;
 
-impl Read for Deadline<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let left = self.1.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
+/// The reader for a freshly accepted `stream`.
+fn inbound(stream: TcpStream) -> Inbound {
+    BufReader::new(Deadline {
+        stream: Arc::new(stream),
+        bound: None,
+        until: None,
+        timeout: None,
+    })
+}
+
+/// The next frame on `inbound`, whole within `bound` of its first read.
+/// The accept thread reads a first frame under [`FIRST_FRAME_TIMEOUT`],
+/// so a client that connects and says nothing, or trickles its frame,
+/// holds up accept, PING and STATS for that long, not for
+/// [`SOCKET_TIMEOUT`]; a worker reads a kept connection's next SUBMIT
+/// the same way.
+fn next_frame(inbound: &mut Inbound, bound: Duration) -> Result<Frame, FrameError> {
+    let deadline = inbound.get_mut();
+    deadline.bound = Some(bound);
+    deadline.until = None;
+    proto::read_frame(inbound)
+}
+
+/// A socket read under one deadline for all the reads of a frame,
+/// counted from the first: each read may wait only for what is left, so
+/// a peer sending a byte at a time cannot restart the clock with every
+/// byte. A frame that arrives whole is one read, whose timeout is the
+/// whole bound, which the socket already has from the frame before.
+struct Deadline {
+    /// Shared with [`Held`] while a worker waits on it.
+    stream: Arc<TcpStream>,
+    /// How long a frame may take; `None` leaves each read to the
+    /// socket's own timeout.
+    bound: Option<Duration>,
+    /// When the frame being read must be in, from its first read.
+    until: Option<Instant>,
+    /// The socket's read timeout, as last set here.
+    timeout: Option<Duration>,
+}
+
+impl Deadline {
+    /// Sets the socket's read timeout, unless it has it already.
+    fn set_timeout(&mut self, timeout: Duration) -> io::Result<()> {
+        if self.timeout != Some(timeout) {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.timeout = Some(timeout);
         }
-        self.0.set_read_timeout(Some(left))?;
-        self.0.read(buf)
+        Ok(())
+    }
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(bound) = self.bound {
+            let now = Instant::now();
+            let until = *self.until.get_or_insert(now + bound);
+            let left = until.saturating_duration_since(now);
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.set_timeout(left)?;
+        }
+        (&*self.stream).read(buf)
     }
 }
 
@@ -333,41 +384,49 @@ impl Server {
         for conn in self.listener.incoming() {
             // Transient accept failures (peer gone before accept) are
             // not fatal.
-            let Ok(mut stream) = conn else { continue };
+            let Ok(stream) = conn else { continue };
             let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-            let until = Instant::now() + FIRST_FRAME_TIMEOUT;
-            let frame = match proto::read_frame(&mut Deadline(&stream, until)) {
+            // Whatever a read takes past the first frame stays in
+            // `inbound` for the lane that reads on: a kept SUBMIT
+            // connection's worker, or an ART_PUSH's continuations.
+            let mut inbound = inbound(stream);
+            let next = next_frame(&mut inbound, FIRST_FRAME_TIMEOUT);
+            let stream = &*inbound.get_ref().stream;
+            let frame = match next {
                 Ok(f) => f,
                 Err(e) => {
-                    respond_error(ctx, &mut stream, None, &format!("bad frame: {e}"));
+                    respond_error(ctx, stream, None, &format!("bad frame: {e}"));
                     continue;
                 }
             };
-            // Whatever else this connection carries (ART_PUSH
-            // continuations) may take the long bound per read.
-            let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
             match frame.opcode {
                 op::PING => {
-                    respond(ctx, &mut stream, op::PONG, &control::Status(ctx, queue));
+                    respond(ctx, stream, op::PONG, &control::Status(ctx, queue));
                 }
                 op::STATS => {
-                    respond(ctx, &mut stream, op::PONG, &control::Stats::new(ctx, queue));
+                    respond(ctx, stream, op::PONG, &control::Stats::new(ctx, queue));
                 }
-                op::ART_LIST => replicate::serve_list(ctx, &mut stream),
-                op::ART_PULL => replicate::serve_pull(ctx, &frame, &mut stream),
-                op::ART_PUSH => replicate::serve_push(ctx, &frame, &mut stream),
+                op::ART_LIST => replicate::serve_list(ctx, stream),
+                op::ART_PULL => replicate::serve_pull(ctx, &frame, stream),
+                op::ART_PUSH => {
+                    // Its continuations may take the long bound per read.
+                    let deadline = inbound.get_mut();
+                    deadline.bound = None;
+                    let _ = deadline.set_timeout(SOCKET_TIMEOUT);
+                    replicate::serve_push(ctx, &frame, &mut inbound);
+                }
                 op::SHUTDOWN => {
                     let ack = Json::obj([
                         ("draining", Json::from(queue.outstanding())),
                         ("ok", Json::from(true)),
                     ]);
-                    respond(ctx, &mut stream, op::PONG, &ack);
+                    respond(ctx, stream, op::PONG, &ack);
                     break;
                 }
-                op::SUBMIT => session::submit(ctx, queue, &frame, stream),
+                op::SUBMIT => session::submit(ctx, queue, &frame, inbound),
                 other => {
                     let unknown = format!("unknown opcode {other:#04x}");
-                    respond_error(ctx, &mut stream, None, &unknown);
+                    respond_error(ctx, stream, None, &unknown);
                 }
             }
         }

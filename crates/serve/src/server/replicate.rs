@@ -5,7 +5,7 @@
 
 use super::partition::Partition;
 use super::session::{payload_json, respond, respond_error};
-use super::{ServerCtx, SOCKET_TIMEOUT};
+use super::{Inbound, ServerCtx, SOCKET_TIMEOUT};
 use crate::client::{self, PulledArtifact};
 use crate::proto::{self, op};
 use pdbt_artifact::RuleCache;
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 /// Answers an `ART_LIST`: one advertisement per sealable partition, in
 /// fingerprint order.
-pub(super) fn serve_list(ctx: &ServerCtx, stream: &mut TcpStream) {
+pub(super) fn serve_list(ctx: &ServerCtx, stream: &TcpStream) {
     let ads: Vec<ArtifactAd> = {
         let _plane = ctx.plane();
         let mut table = ctx.partitions();
@@ -57,7 +57,7 @@ impl ToJson for Listing<'_> {
 /// Answers an `ART_PULL` with the transfer of that partition's current
 /// seal. An unknown or unsealable fingerprint is an `ERROR` frame,
 /// never a partial stream.
-pub(super) fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
+pub(super) fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, mut stream: &TcpStream) {
     let Some(fp) = payload_json(frame).as_ref().and_then(fingerprint_field) else {
         respond_error(ctx, stream, None, "ART_PULL needs a hex `fingerprint`");
         return;
@@ -73,7 +73,14 @@ pub(super) fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
         respond_error(ctx, stream, None, &unknown);
         return;
     };
-    let sent = PulledArtifact::send(stream, op::RESULT, fp, version.generation, &label, &sealed);
+    let sent = PulledArtifact::send(
+        &mut stream,
+        op::RESULT,
+        fp,
+        version.generation,
+        &label,
+        &sealed,
+    );
     if sent.is_err() {
         ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
         return;
@@ -82,15 +89,18 @@ pub(super) fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut Tcp
     ctx.fleet.bytes.add(sealed.len() as u64);
 }
 
-/// Answers an `ART_PUSH`: receives the offered transfer, then runs the
-/// adoption decision. Always answers with a verdict or an `ERROR`
-/// frame; never panics on hostile input.
-pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
+/// Answers an `ART_PUSH`: receives the offered transfer through the
+/// reader its header `frame` came through, then runs the adoption
+/// decision. Always answers with a verdict or an `ERROR` frame; never
+/// panics on hostile input.
+pub(super) fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, inbound: &mut Inbound) {
+    let stream = Arc::clone(&inbound.get_ref().stream);
+    let stream = &*stream;
     let Some(header) = payload_json(frame) else {
         respond_error(ctx, stream, None, "ART_PUSH header is not valid JSON");
         return;
     };
-    let offer = match PulledArtifact::recv(&header, stream) {
+    let offer = match PulledArtifact::recv(&header, inbound) {
         Ok(offer) => offer,
         Err(refused) => {
             if refused.attempted {

@@ -18,7 +18,7 @@
 //! `jobs − 1` others are held, so one worker always serves the queue.
 
 use super::partition::Partition;
-use super::{Deadline, ServerCtx};
+use super::{next_frame, Inbound, ServerCtx};
 use crate::proto::{self, flag, op, FIRST_FRAME_TIMEOUT};
 use pdbt_obs::json::{Json, TextWriter, ToJson};
 use pdbt_obs::RequestSummary;
@@ -48,31 +48,34 @@ pub(super) fn payload_json(frame: &proto::Frame) -> Option<Json> {
 /// told about in an `ERROR` frame naming its size.
 pub(super) fn respond(
     ctx: &ServerCtx,
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     opcode: u8,
     payload: &impl ToJson,
 ) -> u64 {
-    send(ctx, stream, opcode, 0, payload).unwrap_or_else(|error_bytes| error_bytes)
+    let mut frame = Vec::with_capacity(4096);
+    send(ctx, stream, &mut frame, opcode, 0, payload).unwrap_or_else(|error_bytes| error_bytes)
 }
 
-/// [`respond`] with header `flags`. `Err` carries the size of the
-/// `ERROR` frame that went out instead of a payload past the cap.
+/// [`respond`] with header `flags`, assembling the frame in `frame`.
+/// `Err` carries the size of the `ERROR` frame that went out instead of
+/// a payload past the cap.
 fn send(
     ctx: &ServerCtx,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
+    frame: &mut Vec<u8>,
     opcode: u8,
     flags: u8,
     payload: &impl ToJson,
 ) -> Result<u64, u64> {
-    let mut frame = Vec::with_capacity(4096);
-    proto::begin_frame(&mut frame, opcode, flags);
-    payload.write_json(&mut frame);
-    if let Err(e) = proto::finish_frame(&mut frame) {
+    frame.clear();
+    proto::begin_frame(frame, opcode, flags);
+    payload.write_json(frame);
+    if let Err(e) = proto::finish_frame(frame) {
         ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
         let msg = format!("reply {e}");
         return Err(respond(ctx, stream, op::ERROR, &error_doc(None, &msg)));
     }
-    if stream.write_all(&frame).is_err() {
+    if stream.write_all(frame).is_err() {
         ctx.reply_errors.fetch_add(1, Ordering::Relaxed);
     }
     Ok((frame.len() - proto::HEADER_LEN) as u64)
@@ -84,25 +87,30 @@ fn error_doc(id: Option<u64>, msg: &str) -> Json {
     Json::obj([("error", Json::str(msg))].into_iter().chain(id))
 }
 
-pub(super) fn respond_error(ctx: &ServerCtx, stream: &mut TcpStream, id: Option<u64>, msg: &str) {
+pub(super) fn respond_error(ctx: &ServerCtx, stream: &TcpStream, id: Option<u64>, msg: &str) {
     respond(ctx, stream, op::ERROR, &error_doc(id, msg));
 }
 
 /// The accept-side half of a SUBMIT: parse the request, stamp it, and
-/// hand the connection to a queue worker.
+/// hand the connection, with what was read past the frame, to a queue
+/// worker.
 pub(super) fn submit(
     ctx: &Arc<ServerCtx>,
     queue: &TaskQueue,
     frame: &proto::Frame,
-    mut stream: TcpStream,
+    inbound: Inbound,
 ) {
-    let Some(request) = accepted(ctx, frame, &mut stream) else {
+    let Some(request) = accepted(ctx, frame, &inbound.get_ref().stream) else {
         return;
     };
     // The clock the queue-wait phase is measured against.
     let accept_ns = pdbt_obs::now_ns();
     let ctx = Arc::clone(ctx);
-    let submit = queue.submit(move || serve_connection(&ctx, stream, request, Some(accept_ns)));
+    let conn = Conn {
+        inbound,
+        frame: Vec::with_capacity(4096),
+    };
+    let submit = queue.submit(move || serve_connection(&ctx, conn, request, Some(accept_ns)));
     if let Err(pdbt_par::QueueClosed(task)) = submit {
         // Unreachable while the accept loop owns the queue (it only
         // closes on drain), but never drop a request silently: run it
@@ -122,7 +130,7 @@ struct Request {
 /// Counts a SUBMIT frame — every one claims the next sequence number —
 /// and parses its payload; a payload that is not JSON is answered with
 /// an `ERROR`.
-fn accepted(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) -> Option<Request> {
+fn accepted(ctx: &ServerCtx, frame: &proto::Frame, stream: &TcpStream) -> Option<Request> {
     let seq = ctx.served.fetch_add(1, Ordering::Relaxed) + 1;
     let Some(req) = payload_json(frame) else {
         respond_error(ctx, stream, None, "request payload is not valid JSON");
@@ -135,6 +143,14 @@ fn accepted(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) -> Op
     })
 }
 
+/// A SUBMIT connection on its worker: its read side, whose stream
+/// [`Held`] shares while the worker waits on it, and the buffer its
+/// RESULT frames are assembled in.
+struct Conn {
+    inbound: Inbound,
+    frame: Vec<u8>,
+}
+
 /// A connection's life on its worker: serve the request, then, while
 /// the RESULT promised another read, take the next SUBMIT off the same
 /// stream — whole within [`FIRST_FRAME_TIMEOUT`] of the reply — and
@@ -142,25 +158,25 @@ fn accepted(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) -> Op
 /// or the drain ends the connection.
 fn serve_connection(
     ctx: &ServerCtx,
-    mut stream: TcpStream,
+    mut conn: Conn,
     mut request: Request,
     mut accept_ns: Option<u64>,
 ) {
     loop {
-        let Some(hold) = serve_request(ctx, request, &mut stream, accept_ns) else {
+        let Some(hold) = serve_request(ctx, request, &mut conn, accept_ns) else {
             return;
         };
-        let until = Instant::now() + FIRST_FRAME_TIMEOUT;
-        let next = proto::read_frame(&mut Deadline(&stream, until));
+        let next = next_frame(&mut conn.inbound, FIRST_FRAME_TIMEOUT);
         drop(hold);
+        let stream = &conn.inbound.get_ref().stream;
         let Ok(frame) = next else { return };
         if frame.opcode != op::SUBMIT {
             let only = "a kept connection carries only SUBMIT";
-            respond_error(ctx, &mut stream, None, only);
+            respond_error(ctx, stream, None, only);
             return;
         }
         ctx.kept.fetch_add(1, Ordering::Relaxed);
-        let Some(next) = accepted(ctx, &frame, &mut stream) else {
+        let Some(next) = accepted(ctx, &frame, stream) else {
             return;
         };
         request = next;
@@ -179,7 +195,7 @@ pub(super) struct Held(Mutex<HeldStreams>);
 struct HeldStreams {
     /// Set by the drain: nothing is held from then on.
     draining: bool,
-    streams: BTreeMap<usize, TcpStream>,
+    streams: BTreeMap<usize, Arc<TcpStream>>,
 }
 
 impl Held {
@@ -214,14 +230,15 @@ struct Hold<'a> {
 
 impl<'a> Hold<'a> {
     /// Registers `stream` under this worker's slot, unless the server
-    /// drains or `jobs − 1` other workers hold a connection already.
-    fn park(ctx: &'a ServerCtx, stream: &TcpStream) -> Option<Hold<'a>> {
+    /// drains or `jobs − 1` other workers hold a connection already. The
+    /// slot shares the worker's stream: parking costs no system call.
+    fn park(ctx: &'a ServerCtx, stream: &Arc<TcpStream>) -> Option<Hold<'a>> {
         let slot = pdbt_par::current_worker_slot()?;
         let mut held = ctx.held.lock();
         if held.draining || held.streams.len() + 1 >= ctx.cfg.jobs {
             return None;
         }
-        held.streams.insert(slot, stream.try_clone().ok()?);
+        held.streams.insert(slot, Arc::clone(stream));
         Some(Hold {
             held: &ctx.held,
             slot,
@@ -261,9 +278,10 @@ impl Drop for Active<'_> {
 fn serve_request<'a>(
     ctx: &'a ServerCtx,
     request: Request,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     accept_ns: Option<u64>,
 ) -> Option<Hold<'a>> {
+    let stream = &conn.inbound.get_ref().stream;
     let Request { req, seq, keep } = request;
     let dequeue_ns = pdbt_obs::now_ns();
     let _active = Active::enter(&ctx.active);
@@ -277,7 +295,7 @@ fn serve_request<'a>(
             let run_done_ns = pdbt_obs::now_ns();
             let hold = if keep { Hold::park(ctx, stream) } else { None };
             let flags = if hold.is_some() { flag::KEEP } else { 0 };
-            let sent = send(ctx, stream, op::RESULT, flags, &reply);
+            let sent = send(ctx, stream, &mut conn.frame, op::RESULT, flags, &reply);
             let reply_done_ns = pdbt_obs::now_ns();
             summary.reply_bytes = sent.unwrap_or_else(|error_bytes| error_bytes);
             summary.seq = seq;

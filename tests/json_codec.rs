@@ -15,6 +15,11 @@
 //! float is written as `null`) and checks `parse(write(x)) == x` and
 //! `write(parse(write(x))) == write(x)`. `FUZZ_CASES` scales it.
 //!
+//! The parser's side is pinned by `tests/golden/json_verdicts.txt`: its
+//! verdict — the tree's canonical text, or the error's offset and
+//! message — on seeded cuts and byte overwrites of every golden
+//! document, and on hand-written edge inputs.
+//!
 //! Refresh after an intentional format change with
 //! `UPDATE_GOLDEN=1 cargo test --test json_codec`.
 
@@ -127,13 +132,13 @@ fn stats_payload() -> Json {
     out.field("backend", "threaded");
     out.key("server");
     out.begin_obj();
-    server.emit_section(&mut out, &[]);
+    server.emit_section(&mut out, &[], &[], &[]);
     out.end_obj();
     out.field("latency", &tele.latency);
     out.key("partitions");
     out.begin_arr();
     out.begin_obj();
-    tele.emit_partition_fields(&mut out, &server);
+    tele.emit_partition_fields(&mut out, &server, &[]);
     out.field("label", "mcf/tiny");
     out.field("warm", &false);
     out.end_obj();
@@ -274,4 +279,184 @@ fn random_trees_round_trip() {
         assert_eq!(back, doc, "case {case}: parse(write(x)) == x");
         assert_eq!(back.to_string(), text, "case {case}: write is a fixpoint");
     }
+}
+
+/// `Json::parse`'s verdict on one input: `ok` and the canonical text
+/// of the tree, or `err`, the byte offset and the message.
+fn verdict(text: &str) -> String {
+    match Json::parse(text) {
+        Ok(doc) => format!("ok {doc}"),
+        Err(e) => format!("err {} {}", e.pos, e.msg),
+    }
+}
+
+/// Hand-written inputs at the parser's edges: escapes, numbers, depth,
+/// trailing input, repeated keys and malformed containers.
+fn parser_edge_inputs() -> Vec<String> {
+    let mut cases: Vec<String> = [
+        // Escapes: good, bad and lone surrogates.
+        r#""\n\t\r\b\f\/\\\"""#,
+        r#""Aé日""#,
+        r#""😀""#,
+        r#""𝄞""#,
+        r#""\ud83d""#,
+        r#""\ude00""#,
+        r#""\ude00\ud83d""#,
+        r#""\ud83dx""#,
+        r#""\ud83dA""#,
+        r#""\ud83d\n""#,
+        r#""\ud83d\u""#,
+        r#""\ud83d😀""#,
+        r#""\u""#,
+        r#""\u12""#,
+        r#""\u+123""#,
+        r#""\u12é4""#,
+        r#""\uZZZZ""#,
+        r#""\x""#,
+        r#""\"#,
+        r#""abc"#,
+        "\"raw\u{1}control\"",
+        "\"tab\there\"",
+        r#""ünï😀""#,
+        // Numbers.
+        "0",
+        "-0",
+        "-0.0",
+        "0.0",
+        "01",
+        "-01",
+        "00",
+        "-",
+        "--1",
+        "+1",
+        "1.",
+        "2.e5",
+        ".5",
+        "1e3",
+        "1E-3",
+        "1e+2",
+        "1e",
+        "1e+",
+        "-1.5e300",
+        "1e400",
+        "-1e400",
+        "1.0e-400",
+        "5e-324",
+        "0x10",
+        "1_000",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "18446744073709551616",
+        "123456789012345678901234567890",
+        "[1,-2,3.5,-0,4e1]",
+        // Literals and trailing input.
+        "true",
+        "false",
+        "null",
+        "tru",
+        "nul",
+        "falsey",
+        "nullx",
+        "{} x",
+        "1 2",
+        "[1] ]",
+        " \t\n\r true \r\n\t ",
+        "",
+        "   ",
+        // Containers.
+        "[]",
+        "{}",
+        "[ ]",
+        "{ }",
+        "[1,]",
+        "[,1]",
+        "[1 2]",
+        "{\"a\":1,}",
+        "{,}",
+        "{\"a\" 1}",
+        "{\"a\":}",
+        "{1:2}",
+        "{\"a\":1",
+        "[1,2",
+        " { \"a\" : [ 1 , 2 ] , \"b\" : null } ",
+        // Repeated keys: the last value wins.
+        r#"{"a":1,"a":2}"#,
+        r#"{"a":1,"b":{"x":[],"x":2},"a":3}"#,
+        r#"{"b":1,"a":2,"b":3}"#,
+        r#"{"z":1,"y":2,"x":3,"y":4}"#,
+    ]
+    .map(String::from)
+    .to_vec();
+    // The depth bound, at and past it, for arrays, objects and a mix.
+    for n in [127, 128, 129] {
+        cases.push(format!("{}0{}", "[".repeat(n), "]".repeat(n)));
+        cases.push(format!("{}0{}", "{\"k\":".repeat(n), "}".repeat(n)));
+        let (open, close): (String, String) = (0..n)
+            .map(|i| {
+                if i % 2 == 0 {
+                    ("[", "]")
+                } else {
+                    ("{\"k\":", "}")
+                }
+            })
+            .fold((String::new(), String::new()), |(o, c), (a, b)| {
+                (o + a, b.to_string() + &c)
+            });
+        cases.push(format!("{open}0{close}"));
+    }
+    cases.push("[".repeat(300));
+    cases
+}
+
+/// Byte offsets where `text` may be cut and stay UTF-8.
+fn char_cuts(text: &str) -> Vec<usize> {
+    (0..text.len())
+        .filter(|&i| text.is_char_boundary(i))
+        .collect()
+}
+
+/// What `Json::parse` answers, pinned before any change to it: every
+/// document of `json_codec.txt` cut short at seeded points and with
+/// seeded bytes overwritten, plus the hand cases of
+/// `parser_edge_inputs`. One line per input: its name, then `ok` and
+/// the canonical text of the tree, or `err`, the byte offset and the
+/// message. A parser rewrite must reproduce the file byte for byte.
+#[test]
+fn parse_verdicts_match_the_golden() {
+    const FLIP_TO: &[u8] = b"\"\\{}[],:0-.eE+ utnx9";
+    let golden = std::fs::read_to_string(common::golden_path("json_codec.txt")).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5EED_0D0C);
+    let mut got = String::new();
+    for line in golden.lines() {
+        let (name, text) = line.split_once('\t').expect("name<TAB>json");
+        let cuts = char_cuts(text);
+        for _ in 0..6 {
+            let at = cuts[rng.gen_range(0..cuts.len())];
+            got.push_str(&format!("{name} cut {at}\t{}\n", verdict(&text[..at])));
+        }
+        // Overwrite one ASCII byte with another: the text stays UTF-8.
+        let ascii: Vec<usize> = (0..text.len())
+            .filter(|&i| text.as_bytes()[i].is_ascii())
+            .collect();
+        for _ in 0..10 {
+            let at = ascii[rng.gen_range(0..ascii.len())];
+            let to = FLIP_TO[rng.gen_range(0..FLIP_TO.len())];
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[at] = to;
+            let flipped = String::from_utf8(bytes).expect("an ASCII byte for an ASCII byte");
+            let to = char::from(to);
+            got.push_str(&format!("{name} flip {at} {to:?}\t{}\n", verdict(&flipped)));
+        }
+    }
+    for (n, input) in parser_edge_inputs().iter().enumerate() {
+        let shown = if input.len() > 40 {
+            format!("{} bytes", input.len())
+        } else {
+            format!("{input:?}")
+        };
+        got.push_str(&format!("edge {n} {shown}\t{}\n", verdict(input)));
+    }
+    assert_golden(&got, "json_verdicts.txt");
 }

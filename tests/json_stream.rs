@@ -202,12 +202,12 @@ impl ToJson for Shared {
         out.key("partitions");
         out.begin_arr();
         out.begin_obj();
-        telemetry.emit_partition_fields(out, server);
+        telemetry.emit_partition_fields(out, server, &[]);
         out.end_obj();
         out.end_arr();
         out.key("server");
         out.begin_obj();
-        server.emit_section(out, &[]);
+        server.emit_section(out, &[], &[], &[]);
         out.end_obj();
         out.end_obj();
     }

@@ -127,7 +127,12 @@ fn fingerprint(o: &RunObs) -> Fingerprint {
             .into_iter()
             .map(|(l, n)| (l.to_string(), n))
             .collect(),
-        by_subgroup: o.rules.coverage_by_subgroup(),
+        by_subgroup: o
+            .rules
+            .coverage_by_subgroup()
+            .into_iter()
+            .map(|(s, n)| (s.to_string(), n))
+            .collect(),
         hists: vec![
             hist(&o.translate_ns),
             hist(&o.block_host_len),

@@ -834,3 +834,168 @@ fn submit_report_json_files_hold_each_outcome() {
     assert_eq!((summary.requests, summary.panicked), (8, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A SUBMIT frame flagged `KEEP` for `sum_guest(k)`, under request id
+/// `k`, appended to `wire`.
+fn kept_submit(wire: &mut Vec<u8>, k: u32) {
+    use pdbt_serve::proto::{flag, op, write_flagged_frame};
+    let req = Json::obj([
+        ("id", Json::from(u64::from(k))),
+        ("program", Json::str(sum_guest(k))),
+    ]);
+    write_flagged_frame(wire, op::SUBMIT, flag::KEEP, req.to_string().as_bytes()).unwrap();
+}
+
+/// Reads one RESULT frame that keeps its connection and returns its
+/// request id and printed value.
+fn kept_result(client: &mut std::net::TcpStream) -> (u64, u64) {
+    use pdbt_serve::proto::{op, read_frame};
+    let frame = read_frame(client).expect("a RESULT");
+    assert_eq!(frame.opcode, op::RESULT, "{:?}", frame.payload_str());
+    assert!(frame.keep(), "the daemon keeps the connection");
+    let doc = Json::parse(frame.payload_str().unwrap()).unwrap();
+    let id = doc.get("id").and_then(Json::as_u64).expect("id");
+    let printed = report_of(&doc)
+        .get("output")
+        .and_then(Json::as_arr)
+        .and_then(|out| out.first())
+        .and_then(Json::as_u64)
+        .expect("one printed value");
+    (id, printed)
+}
+
+/// SUBMITs written back to back in one `write` are each answered, in
+/// order: the first pair opens the connection (the accept thread reads
+/// the first frame, its worker the second), the second pair rides it
+/// once kept. No read may take bytes of the next frame and lose them.
+#[test]
+fn pipelined_submits_are_each_answered_in_order() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let mut client = std::net::TcpStream::connect(addr).expect("connect");
+    client.set_read_timeout(Some(T)).unwrap();
+    for pair in [[3, 4], [5, 6]] {
+        let mut wire = Vec::new();
+        for k in pair {
+            kept_submit(&mut wire, k);
+        }
+        client.write_all(&wire).unwrap();
+        for k in pair {
+            let sum = u64::from(k * (k + 1) / 2);
+            assert_eq!(kept_result(&mut client), (u64::from(k), sum), "request {k}");
+        }
+    }
+    drop(client);
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (4, 0));
+}
+
+/// A SUBMIT whose bytes arrive in several writes, all within
+/// `FIRST_FRAME_TIMEOUT`, is served: as a connection's first frame and
+/// as the next frame of a kept one.
+#[test]
+fn a_submit_split_across_writes_within_the_bound_is_served() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let mut client = std::net::TcpStream::connect(addr).expect("connect");
+    client.set_read_timeout(Some(T)).unwrap();
+    for k in [7, 8] {
+        let mut wire = Vec::new();
+        kept_submit(&mut wire, k);
+        // Mid-header, then mid-payload, then the rest.
+        let cuts = [0, 5, pdbt_serve::proto::HEADER_LEN + 9, wire.len()];
+        for piece in cuts.windows(2) {
+            client.write_all(&wire[piece[0]..piece[1]]).unwrap();
+            client.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(150));
+        }
+        let sum = u64::from(k * (k + 1) / 2);
+        assert_eq!(kept_result(&mut client), (u64::from(k), sum), "request {k}");
+    }
+    drop(client);
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (2, 0));
+}
+
+/// A SUBMIT whose payload stalls past `FIRST_FRAME_TIMEOUT` gets its
+/// connection closed, not served: as a first frame (the accept thread
+/// answers why) and on a kept connection (the worker closes it).
+#[test]
+fn a_submit_stalled_past_the_bound_closes_its_connection() {
+    use pdbt_serve::proto::{op, read_frame, HEADER_LEN};
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let mut wire = Vec::new();
+    kept_submit(&mut wire, 9);
+    let stalled = &wire[..HEADER_LEN + 4];
+
+    // As a first frame: an ERROR naming the bad frame, then EOF.
+    let mut client = std::net::TcpStream::connect(addr).expect("connect");
+    client.set_read_timeout(Some(T)).unwrap();
+    let t0 = Instant::now();
+    client.write_all(stalled).unwrap();
+    let frame = read_frame(&mut client).expect("an answer");
+    assert_eq!(frame.opcode, op::ERROR);
+    assert!(frame.payload_str().unwrap().contains("bad frame"));
+    assert!(read_frame(&mut client).is_err(), "then EOF");
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(3), "closed after {took:?}");
+
+    // On a kept connection: closed without an answer.
+    let mut client = std::net::TcpStream::connect(addr).expect("connect");
+    client.set_read_timeout(Some(T)).unwrap();
+    client.write_all(&wire).unwrap();
+    assert_eq!(kept_result(&mut client), (9, 45));
+    let t0 = Instant::now();
+    client.write_all(stalled).unwrap();
+    assert!(read_frame(&mut client).is_err(), "the daemon closes it");
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(3), "closed after {took:?}");
+
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.requests, summary.panicked), (1, 0));
+}
+
+/// The socket timeout `submit` is given holds on a kept connection too:
+/// after a call with a 60 s timeout, a call with a short one against a
+/// daemon that reads the request and never answers times out on time.
+/// The daemon here is a stand-in that keeps one connection and accepts
+/// no other, so the second call provably rode the kept one.
+#[test]
+fn a_kept_connection_takes_each_calls_timeout() {
+    use pdbt_serve::proto::{flag, op, read_frame, write_flagged_frame};
+    use std::io::Read;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let stalled = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        conn.set_read_timeout(Some(T)).unwrap();
+        let first = read_frame(&mut conn).expect("the first SUBMIT");
+        assert!(first.opcode == op::SUBMIT && first.keep());
+        let reply = br#"{"id":0,"outcome":"completed"}"#;
+        write_flagged_frame(&mut conn, op::RESULT, flag::KEEP, reply).unwrap();
+        let second = read_frame(&mut conn).expect("the second SUBMIT, on the kept connection");
+        // Never answer; wait for the client to give up and close.
+        let _ = conn.read(&mut [0u8; 1]);
+        second.opcode
+    });
+    let req = Json::obj([("program", Json::str(sum_guest(2)))]);
+    submit(addr, &req, Duration::from_secs(60)).expect("the first call");
+    let t0 = Instant::now();
+    let err = submit(addr, &req, Duration::from_millis(300)).expect_err("a stalled daemon");
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "timed out after {took:?}: {err}"
+    );
+    assert_eq!(stalled.join().unwrap(), pdbt_serve::proto::op::SUBMIT);
+}
