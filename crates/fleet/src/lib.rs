@@ -455,7 +455,11 @@ mod tests {
             bytes: 4096,
             label: "mcf/tiny".to_string(),
         };
-        let json = Json::parse(&ad.to_json().to_string()).unwrap();
+        let mut text = Vec::new();
+        ad.write_json(&mut text);
+        let text = String::from_utf8(text).unwrap();
+        let json = Json::parse(&text).unwrap();
+        assert_eq!(json.to_string(), text, "the advert's text is canonical");
         assert_eq!(ArtifactAd::from_json(&json).unwrap(), ad);
         assert!(ArtifactAd::from_json(&Json::parse("{}").unwrap()).is_err());
     }

@@ -12,7 +12,7 @@
 //!   Summed over all rules this equals the engine's `rule_covered`
 //!   metric, so coverage decomposes exactly into per-rule shares.
 
-use crate::json::{key_less, TextWriter, ToJson};
+use crate::json::{TextWriter, ToJson};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,8 +321,8 @@ pub type Member<'a> = (&'a str, &'a dyn ToJson);
 /// `fields[i]` keyed to `values[i]`, taken in `order` (the indices of
 /// `fields` in key order), merged with the runs of `extra` (each in key
 /// order too), except the keys in `skip`. What `counter_family!`'s
-/// `emit_with` and every section that adds to a family write through,
-/// so the writer never has to reorder them.
+/// `emit_with` and every section that adds to a family write through:
+/// the writer writes members in the order they are said.
 pub fn emit_counters<const N: usize>(
     out: &mut TextWriter<'_>,
     fields: &[&str],
@@ -366,8 +366,22 @@ fn least<'r, 'a>(runs: &mut [&'r [Member<'a>]], before: Option<&str>) -> Option<
     Some(first)
 }
 
-/// The indices of `fields` in the order of their keys: byte order, as
-/// the JSON writer orders an object's members.
+/// Whether key `a` sorts before key `b`: byte order, which is `str`
+/// order and the order of a `BTreeMap<String, _>`. Compared inline, as
+/// a `const fn` must.
+const fn key_less(a: &[u8], b: &[u8]) -> bool {
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
+    }
+    a.len() < b.len()
+}
+
+/// The indices of `fields` in the order of their keys: byte order, the
+/// order a section says an object's members in.
 #[must_use]
 pub const fn key_order<const N: usize>(fields: &[&str]) -> [usize; N] {
     let mut order = [0; N];

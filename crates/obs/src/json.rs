@@ -5,11 +5,13 @@
 //! [`TextWriter`] is the only code that writes JSON text. A section
 //! ([`ToJson`]) says its fields once, as begin/end, key and scalar
 //! calls on it; the daemon streams every reply frame's payload straight
-//! into the frame this way. The writer puts each object's members in
-//! key order when it closes, so its text is canonical whatever order a
-//! section says them in. A [`Json`] tree prints through the same writer
-//! (`Display`), and a section becomes a tree by parsing its text
-//! (`ToJson::to_json`).
+//! into the frame this way. A section says each object's members in
+//! key order, once each, so its text is canonical: the text a `Json`
+//! tree of it prints. The writer writes members as they come and does
+//! not check or repair their order; the tests hold every section's
+//! text as a write→parse→write fixpoint. A [`Json`] tree prints through
+//! the same writer (`Display`), and a section becomes a tree by parsing
+//! its text (`ToJson::to_json`).
 //!
 //! Every reply the client reads is parsed here. The parser copies each
 //! string out of the input once, reads integers as their digits go by,
@@ -18,7 +20,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
 
 /// A JSON value. Objects use a `BTreeMap` so output key order is
 /// deterministic.
@@ -33,10 +34,10 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
-/// Appends `s` as a JSON string literal, quotes included, and returns
-/// whether it went out as it is. Runs with nothing to escape are copied
-/// whole; only `"`, `\\` and the control characters are rewritten.
-fn write_string(out: &mut Vec<u8>, s: &str) -> bool {
+/// Appends `s` as a JSON string literal, quotes included. Runs with
+/// nothing to escape are copied whole; only `"`, `\\` and the control
+/// characters are rewritten.
+fn write_string(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
     out.reserve(bytes.len() + 2);
@@ -63,22 +64,6 @@ fn write_string(out: &mut Vec<u8>, s: &str) -> bool {
     }
     out.extend_from_slice(&bytes[run..]);
     out.push(b'"');
-    run == 0
-}
-
-/// Whether key `a` sorts before key `b`: byte order, which is `str`
-/// order and the order of a `BTreeMap<String, _>`. Keys are short, so
-/// the bytes are compared inline.
-#[must_use]
-pub const fn key_less(a: &[u8], b: &[u8]) -> bool {
-    let mut i = 0;
-    while i < a.len() && i < b.len() {
-        if a[i] != b[i] {
-            return a[i] < b[i];
-        }
-        i += 1;
-    }
-    a.len() < b.len()
 }
 
 /// Appends `n` in decimal, digit by digit from a stack buffer: an
@@ -221,8 +206,8 @@ impl Json {
 
 impl fmt::Display for Json {
     /// Writes through [`TextWriter`] into a byte buffer, then hands the
-    /// formatter one string. A `BTreeMap` is already in key order, so
-    /// no object is re-sorted.
+    /// formatter one string. A `BTreeMap` holds its keys in key order,
+    /// once each, so a tree's text is canonical.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut text = Vec::new();
         self.write_json(&mut text);
@@ -275,7 +260,9 @@ impl From<String> for Json {
 }
 
 /// A value that writes itself as JSON: the one definition of a report
-/// section's fields, said through a [`TextWriter`].
+/// section's fields, said through a [`TextWriter`]. Each object's
+/// members are said in key order (byte order, a `BTreeMap`'s), once
+/// each, so that `parse(text).to_string() == text`.
 pub trait ToJson {
     fn emit(&self, out: &mut TextWriter<'_>);
 
@@ -360,20 +347,11 @@ impl ToJson for Json {
     }
 }
 
-/// A container open in a [`TextWriter`].
+/// A container open in a [`TextWriter`], and whether it has a member
+/// yet.
 enum Open {
-    Arr {
-        empty: bool,
-    },
-    Obj {
-        /// Where its text starts in `out`, at the `{`.
-        start: usize,
-        /// Its last key's text in `out`, between the quotes, when that
-        /// went out unescaped; `None` before the first key.
-        last: Option<Range<usize>>,
-        /// Whether every key so far was greater than the one before.
-        sorted: bool,
-    },
+    Arr { empty: bool },
+    Obj { empty: bool },
 }
 
 /// The JSON writer: appends a document's text to a byte buffer. The
@@ -381,18 +359,12 @@ enum Open {
 /// after the header.
 ///
 /// A document is one value; a value is a scalar or a container; inside
-/// an object every value follows its [`key`](TextWriter::key). A member
-/// is written where it arrives, at the cost of one compare with the key
-/// before it. When an object whose members came out of key order
-/// closes, its text is read back, its members put in key order, a
-/// repeated key keeping its last value, as in a `BTreeMap`, and the
-/// text rewritten in place. Sections that say their members in key
-/// order never pay for that.
+/// an object every value follows its [`key`](TextWriter::key). Members
+/// go out as they are said: a section says its members in key order,
+/// once each, and the writer neither checks nor repairs that order.
 pub struct TextWriter<'a> {
     out: &'a mut Vec<u8>,
     open: Vec<Open>,
-    /// Objects this writer had to put in key order.
-    reordered: usize,
 }
 
 impl<'a> TextWriter<'a> {
@@ -401,35 +373,19 @@ impl<'a> TextWriter<'a> {
         TextWriter {
             out,
             open: Vec::with_capacity(8),
-            reordered: 0,
         }
-    }
-
-    /// How many objects so far had their members put in key order
-    /// because a section said them out of it.
-    #[must_use]
-    pub fn reordered(&self) -> usize {
-        self.reordered
     }
 
     pub fn begin_obj(&mut self) {
         self.value();
-        self.open.push(Open::Obj {
-            start: self.out.len(),
-            last: None,
-            sorted: true,
-        });
+        self.open.push(Open::Obj { empty: true });
         self.out.push(b'{');
     }
 
     pub fn end_obj(&mut self) {
-        let Some(Open::Obj { start, sorted, .. }) = self.open.pop() else {
+        let Some(Open::Obj { .. }) = self.open.pop() else {
             panic!("end_obj closes an object");
         };
-        if !sorted {
-            self.reordered += 1;
-            sort_members(self.out, start + 1);
-        }
         self.out.push(b'}');
     }
 
@@ -446,27 +402,17 @@ impl<'a> TextWriter<'a> {
         self.out.push(b']');
     }
 
-    /// The key of the object member whose value comes next.
+    /// The key of the object member whose value comes next, after the
+    /// comma between members.
     pub fn key(&mut self, key: &str) {
-        let Some(Open::Obj {
-            start,
-            last,
-            sorted,
-        }) = self.open.last_mut()
-        else {
+        let Some(Open::Obj { empty }) = self.open.last_mut() else {
             panic!("a key belongs inside an object");
         };
-        if self.out.len() > *start + 1 {
-            // Byte order is `str` order. A key after an escaped one is
-            // not compared: its object is put in order when it closes.
-            let prev = last.take();
-            *sorted = *sorted && prev.is_some_and(|prev| key_less(&self.out[prev], key.as_bytes()));
+        if !*empty {
             self.out.push(b',');
         }
-        let at = self.out.len() + 1;
-        if write_string(self.out, key) {
-            *last = Some(at..self.out.len() - 1);
-        }
+        *empty = false;
+        write_string(self.out, key);
         self.out.push(b':');
     }
 
@@ -529,38 +475,6 @@ impl<'a> TextWriter<'a> {
             }
             *empty = false;
         }
-    }
-}
-
-/// Rewrites the members of the object whose text runs from `from` (just
-/// past its `{`) to the end of `out` in key order, dropping all but the
-/// last of a repeated key. The text was written by [`TextWriter`], so
-/// it is well-formed: each member is read back as its key and the span
-/// of its text, and the members copied back from a copy of the text.
-fn sort_members(out: &mut Vec<u8>, from: usize) {
-    let text = std::str::from_utf8(&out[from..]).expect("the writer writes UTF-8");
-    let mut members = Vec::new();
-    let mut p = Parser::new(text);
-    while p.pos < text.len() {
-        let start = p.pos;
-        let key = p.string().expect("a written key");
-        p.pos += 1; // the `:`
-        p.skip_value();
-        members.push((key, start..p.pos));
-        p.pos += 1; // the `,`, or past the end
-    }
-    // Stable, so a repeated key's members stay in arrival order.
-    members.sort_by(|a, b| a.0.cmp(&b.0));
-    let copy = out[from..].to_vec();
-    out.truncate(from);
-    for (n, (key, span)) in members.iter().enumerate() {
-        if members.get(n + 1).is_some_and(|next| next.0 == *key) {
-            continue;
-        }
-        if out.len() > from {
-            out.push(b',');
-        }
-        out.extend_from_slice(&copy[span.clone()]);
     }
 }
 
@@ -742,30 +656,6 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             owned.push(self.escape()?);
             run = self.pos;
-        }
-    }
-
-    /// Moves `pos` past the value there, in text the writer wrote, up
-    /// to the `,` after it or the end.
-    fn skip_value(&mut self) {
-        let bytes = self.src.as_bytes();
-        let mut depth = 0usize;
-        while let Some(&b) = bytes.get(self.pos) {
-            if depth == 0 && b == b',' {
-                break;
-            }
-            self.pos += 1;
-            match b {
-                b'"' => {
-                    while bytes[self.pos] != b'"' {
-                        self.pos += if bytes[self.pos] == b'\\' { 2 } else { 1 };
-                    }
-                    self.pos += 1;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => depth -= 1,
-                _ => {}
-            }
         }
     }
 

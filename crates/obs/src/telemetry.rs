@@ -69,8 +69,8 @@ pub struct RequestSummary {
     pub id: u64,
     /// Guest-image partition fingerprint the request ran against.
     pub partition: u64,
-    /// Outcome label (`completed`, `deadline`, `error`, ...).
-    pub outcome: String,
+    /// Outcome label (`completed`, `budget`, `deadline`, `exec`).
+    pub outcome: &'static str,
     /// Phase latencies.
     pub phases: PhaseNs,
     /// Response payload size in bytes.
@@ -88,7 +88,7 @@ impl ToJson for RequestSummary {
         out.field("fault_sites", &self.fault_sites);
         out.field("id", &self.id);
         out.field("injected", &self.injected);
-        out.field("outcome", &self.outcome);
+        out.field("outcome", self.outcome);
         out.field("partition", &hex16(self.partition));
         out.field("phases", &self.phases);
         out.field("reply_bytes", &self.reply_bytes);
@@ -331,7 +331,7 @@ mod tests {
         RequestSummary {
             seq,
             id: seq,
-            outcome: "completed".into(),
+            outcome: "completed",
             phases: PhaseNs {
                 queue: total / 4,
                 translate: total / 4,

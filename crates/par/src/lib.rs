@@ -29,13 +29,13 @@
 //!   worker propagates to the caller (workers are joined, so no work is
 //!   leaked, but the whole map is lost). Right for stages where a panic
 //!   means the pipeline's own invariants are broken.
-//! * **Panic isolation** — [`Pool::map_catch`] / [`Pool::map_catch_util`]:
-//!   each item runs under [`std::panic::catch_unwind`]; a panicking item
-//!   yields `None` in its output slot while every other item completes,
-//!   and utilization counters still count the panicked item as claimed
-//!   work. Right for stages mapping over *untrusted or fault-injected*
-//!   inputs (rule-combo verification), where one bad item must degrade
-//!   to a counted quarantine, not an abort. The serial path catches
+//! * **Panic isolation** — [`Pool::map_catch_util`]: each item runs
+//!   under [`std::panic::catch_unwind`]; a panicking item yields `None`
+//!   in its output slot while every other item completes, and the
+//!   utilization counts still count the panicked item as claimed work.
+//!   Right for stages mapping over *untrusted or fault-injected* inputs
+//!   (rule-combo verification), where one bad item must degrade to a
+//!   counted quarantine, not an abort. The serial path catches
 //!   identically, so `jobs=1` and `jobs=N` stay bit-identical even in
 //!   the presence of panics.
 
@@ -53,9 +53,6 @@ use std::sync::{Arc, Condvar, Mutex};
 #[derive(Debug)]
 pub struct Pool {
     jobs: usize,
-    /// Cumulative items completed per worker slot, across all `map`
-    /// calls — the utilization signal surfaced through `pdbt-obs`.
-    completed: Vec<AtomicU64>,
 }
 
 impl Pool {
@@ -65,11 +62,7 @@ impl Pool {
     /// any `n` yields a usable pool with `jobs() >= 1`.
     #[must_use]
     pub fn new(jobs: usize) -> Pool {
-        let jobs = jobs.max(1);
-        Pool {
-            jobs,
-            completed: (0..jobs).map(|_| AtomicU64::new(0)).collect(),
-        }
+        Pool { jobs: jobs.max(1) }
     }
 
     /// A pool as wide as the hardware reports.
@@ -88,16 +81,6 @@ impl Pool {
         self.jobs
     }
 
-    /// Cumulative items completed per worker slot (index = worker).
-    /// Serial maps attribute everything to slot 0.
-    #[must_use]
-    pub fn utilization(&self) -> Vec<u64> {
-        self.completed
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Maps `f` over `items`, returning results in item order.
     ///
     /// `f` must be pure for the ordering guarantee to make the output
@@ -112,7 +95,8 @@ impl Pool {
     }
 
     /// Like [`Pool::map`], additionally returning this call's items
-    /// completed per worker slot (the utilization delta).
+    /// completed per worker slot (index = worker); a serial map
+    /// attributes everything to slot 0.
     pub fn map_util<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, Vec<u64>)
     where
         T: Sync,
@@ -122,10 +106,8 @@ impl Pool {
         let workers = self.jobs.min(items.len());
         if workers <= 1 {
             let out: Vec<R> = items.iter().map(&f).collect();
-            let n = out.len() as u64;
-            self.completed[0].fetch_add(n, Ordering::Relaxed);
             let mut util = vec![0u64; self.jobs];
-            util[0] = n;
+            util[0] = out.len() as u64;
             return (out, util);
         }
         let next = AtomicUsize::new(0);
@@ -159,7 +141,6 @@ impl Pool {
         let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
         for (w, local) in per_worker.into_iter().enumerate() {
             util[w] = local.len() as u64;
-            self.completed[w].fetch_add(util[w], Ordering::Relaxed);
             for (i, r) in local {
                 slots[i] = Some(r);
             }
@@ -174,20 +155,10 @@ impl Pool {
     /// Maps `f` over `items` with per-item panic isolation: a panicking
     /// item yields `None` in its slot, every other item completes. See
     /// the crate docs' *Panic semantics* for when to prefer this over
-    /// the fail-fast [`Pool::map`].
-    pub fn map_catch<T, R, F>(&self, items: &[T], f: F) -> Vec<Option<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.map_catch_util(items, f).0
-    }
-
-    /// Like [`Pool::map_catch`], additionally returning this call's
-    /// items completed per worker slot. A panicked item still counts as
-    /// completed work for its worker — the worker claimed and finished
-    /// it, just without a usable result.
+    /// the fail-fast [`Pool::map`]. Also returns this call's items
+    /// completed per worker slot, as [`Pool::map_util`] does. A panicked
+    /// item still counts as completed work for its worker — the worker
+    /// claimed and finished it, just without a usable result.
     pub fn map_catch_util<T, R, F>(&self, items: &[T], f: F) -> (Vec<Option<R>>, Vec<u64>)
     where
         T: Sync,
@@ -223,7 +194,7 @@ struct QueueInner {
     /// Signaled on enqueue and close (wakes workers) and on task
     /// completion (wakes `drain`/`wait_idle`).
     cv: Condvar,
-    /// Tasks completed per worker slot (utilization, like [`Pool`]).
+    /// Tasks completed per worker slot (utilization).
     completed: Vec<AtomicU64>,
     /// Wall-clock nanoseconds each worker slot spent executing tasks
     /// (busy ticks; the complement of time parked on the condvar).
@@ -259,13 +230,13 @@ pub fn current_worker_slot() -> Option<usize> {
 ///
 /// * **Panic isolation** — a panicking task is caught and counted
 ///   ([`TaskQueue::panicked`]); the worker survives and takes the next
-///   task. Matches `Pool::map_catch`'s discipline for untrusted input.
+///   task. Matches `Pool::map_catch_util`'s discipline for untrusted input.
 /// * **Graceful drain** — [`TaskQueue::drain`] closes intake, waits for
 ///   the backlog *and* in-flight tasks to finish, and joins the
 ///   workers. Dropping the queue drains it the same way (so a server
 ///   shutdown can't leak running sessions).
-/// * **Utilization** — per-worker completed-task counters, surfaced the
-///   same way as [`Pool::utilization`].
+/// * **Utilization** — cumulative per-worker completed-task counters
+///   ([`TaskQueue::utilization`]).
 pub struct TaskQueue {
     inner: Arc<QueueInner>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -709,9 +680,9 @@ mod tests {
         let (_, util) = pool.map_util(&items, |&x| x);
         assert_eq!(util.len(), 4);
         assert_eq!(util.iter().sum::<u64>(), 64);
-        // Cumulative counters agree after a second call.
-        pool.map(&items, |&x| x);
-        assert_eq!(pool.utilization().iter().sum::<u64>(), 128);
+        // Each call counts its own items: a serial map, all on slot 0.
+        let (_, util) = Pool::new(1).map_util(&items, |&x| x);
+        assert_eq!(util, vec![64]);
     }
 
     #[test]
@@ -748,10 +719,10 @@ mod tests {
                 assert_eq!(*slot, Some(i as u32 * 2));
             }
         }
-        // Panicked items still count as claimed work: utilization
-        // deltas and cumulative counters cover all 64 items.
+        // Panicked items still count as claimed work: the per-call
+        // counts cover all 64 items.
+        assert_eq!(util.len(), 4);
         assert_eq!(util.iter().sum::<u64>(), 64);
-        assert_eq!(pool.utilization().iter().sum::<u64>(), 64);
     }
 
     #[test]
@@ -761,8 +732,8 @@ mod tests {
             assert!(x % 7 != 3, "injected");
             x + 1
         };
-        let serial = quiet_panics(|| Pool::new(1).map_catch(&items, f));
-        let parallel = quiet_panics(|| Pool::new(8).map_catch(&items, f));
+        let serial = quiet_panics(|| Pool::new(1).map_catch_util(&items, f).0);
+        let parallel = quiet_panics(|| Pool::new(8).map_catch_util(&items, f).0);
         assert_eq!(serial, parallel);
     }
 

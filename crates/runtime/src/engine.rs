@@ -540,7 +540,7 @@ impl Engine {
                 seq: telemetry.next_seq(),
                 id: 0,
                 partition: telemetry.partition(),
-                outcome: outcome.label().to_string(),
+                outcome: outcome.label(),
                 phases: PhaseNs {
                     queue: 0,
                     translate,

@@ -315,8 +315,8 @@ impl ToJson for Injected<'_> {
 /// write their own members (`emit_with`, in the key order of their
 /// table) with the derived ones merged in; arrays and non-counter
 /// sections are spelled out here. Every object's members are said in
-/// key order, the order the text comes out in, so the writer never
-/// reorders one.
+/// key order, the order the text comes out in: the writer does not
+/// sort them.
 impl ToJson for Report {
     fn emit(&self, out: &mut TextWriter<'_>) {
         let m = &self.metrics;

@@ -448,7 +448,7 @@ pub(super) fn run_request(
     let mut summary = RequestSummary {
         id,
         partition,
-        outcome: report.outcome.label().to_string(),
+        outcome: report.outcome.label(),
         injected: report.resilience.injected.iter().sum(),
         fault_sites: fault_spec.unwrap_or("").to_string(),
         ..RequestSummary::default()

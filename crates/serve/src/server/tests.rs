@@ -5,7 +5,6 @@ use super::replicate::adopt_artifact;
 use super::*;
 use crate::client;
 use pdbt_fleet::{artifact_file_name, ArtifactVersion, MAX_ARTIFACT};
-use pdbt_obs::json::TextWriter;
 use pdbt_runtime::{Engine, RunSetup};
 use pdbt_workloads::{Benchmark, Config, Experiment, Scale};
 use std::collections::HashSet;
@@ -363,14 +362,11 @@ fn expired_deadline_reports_a_deadline_outcome() {
 #[test]
 fn replies_stream_canonical_text() {
     // The RESULT, PING and STATS sections, each written once: what a
-    // frame streams is the text of the tree it parses to, and every
-    // object's members were said in key order, so the writer reordered
-    // none.
+    // frame streams is the text of the tree it parses to, so every
+    // object's members were said in key order, once each.
     fn assert_same(doc: &impl ToJson, what: &str) {
         let mut streamed = Vec::new();
-        let mut out = TextWriter::new(&mut streamed);
-        doc.emit(&mut out);
-        assert_eq!(out.reordered(), 0, "{what}: members out of key order");
+        doc.write_json(&mut streamed);
         let text = String::from_utf8(streamed).unwrap();
         assert_eq!(Json::parse(&text).unwrap().to_string(), text, "{what}");
     }

@@ -86,14 +86,15 @@ fn guest_report() -> Json {
 /// A STATS-shaped payload built from the telemetry types the daemon
 /// renders, fed fixed request summaries (a live one carries clock
 /// readings): the latency rollup, one `partitions[]` row and the flight
-/// tail, written as the daemon writes it and parsed back.
+/// tail, written as the daemon writes it, members in key order, and
+/// parsed back.
 fn stats_payload() -> Json {
     let summaries: Vec<RequestSummary> = (1..=5u64)
         .map(|seq| RequestSummary {
             seq,
             id: seq * 7,
             partition: 0x0123_4567_89ab_cdef,
-            outcome: if seq == 4 { "deadline" } else { "completed" }.into(),
+            outcome: if seq == 4 { "deadline" } else { "completed" },
             phases: PhaseNs {
                 queue: 1_000 * seq,
                 translate: 33_333 * seq,
@@ -127,26 +128,31 @@ fn stats_payload() -> Json {
     let mut text = Vec::new();
     let mut out = TextWriter::new(&mut text);
     out.begin_obj();
-    out.field("stats_seq", &3u64);
-    out.field("uptime_ns", &1_234_567_890u64);
     out.field("backend", "threaded");
-    out.key("server");
-    out.begin_obj();
-    server.emit_section(&mut out, &[], &[], &[]);
-    out.end_obj();
+    out.key("flight");
+    out.arr(&summaries);
     out.field("latency", &tele.latency);
     out.key("partitions");
     out.begin_arr();
     out.begin_obj();
-    tele.emit_partition_fields(&mut out, &server, &[]);
-    out.field("label", "mcf/tiny");
-    out.field("warm", &false);
+    tele.emit_partition_fields(
+        &mut out,
+        &server,
+        &[("label", &"mcf/tiny"), ("warm", &false)],
+    );
     out.end_obj();
     out.end_arr();
-    out.key("flight");
-    out.arr(&summaries);
+    out.key("server");
+    out.begin_obj();
+    server.emit_section(&mut out, &[], &[], &[]);
     out.end_obj();
-    Json::parse(std::str::from_utf8(&text).unwrap()).expect("the STATS text parses")
+    out.field("stats_seq", &3u64);
+    out.field("uptime_ns", &1_234_567_890u64);
+    out.end_obj();
+    let text = std::str::from_utf8(&text).unwrap();
+    let doc = Json::parse(text).expect("the STATS text parses");
+    assert_eq!(doc.to_string(), text, "the STATS text is canonical");
+    doc
 }
 
 /// Hand-written documents at the writer's edges.
