@@ -23,8 +23,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Per-request phase durations in nanoseconds. All zero when the `obs`
-/// clock is compiled out.
+/// Per-request phase durations in nanoseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNs {
     /// Accept to dequeue: time spent waiting for a session worker.

@@ -1,14 +1,21 @@
-//! Ring-buffered structured span tracing.
+//! Span tracing, recorded only under a capture.
 //!
-//! [`span`] opens a named span; the guard records a completed [`Event`]
-//! into a thread-local ring buffer when dropped. The buffer holds the
-//! most recent [`CAPACITY`] events and counts (rather than grows on)
-//! overflow, so tracing a long run has a fixed memory bound.
+//! [`span`] opens a named span. While its thread holds a [`Capture`]
+//! (see [`capture`]), the guard records a completed [`Event`] into a
+//! thread-local ring buffer when dropped, and [`Capture::finish`]
+//! drains it. The buffer holds the most recent [`CAPACITY`] events and
+//! counts (rather than grows on) overflow, so tracing a long run has a
+//! fixed memory bound.
 //!
-//! Without the `enabled` feature the guard is a zero-sized type, the
-//! clock reads return 0, and the whole module folds away — the
-//! instrumentation sites in `learn`, `parameterize`, `verify`,
-//! `translate_block` and `exec_segment` cost nothing.
+//! Outside a capture a span reads no clock, runs no detail closure and
+//! records nothing: the instrumentation sites in `learn`,
+//! `parameterize`, `verify`, `translate_block` and `exec_segment` cost
+//! one thread-local read, and no ring fills up that nothing drains.
+
+use crate::json::{TextWriter, ToJson};
+use std::cell::{Cell, RefCell};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A completed span.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,159 +36,152 @@ pub struct Event {
 /// Ring capacity in events.
 pub const CAPACITY: usize = 1 << 16;
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{Event, CAPACITY};
-    use std::cell::RefCell;
-    use std::sync::OnceLock;
-    use std::time::Instant;
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// Nanoseconds since the process-wide trace epoch (the first call).
+pub fn now_ns() -> u64 {
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
 
-    pub fn now_ns() -> u64 {
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+struct Ring {
+    events: Vec<Event>,
+    head: usize,
+    dropped: u64,
+}
+
+thread_local! {
+    static RING: RefCell<Ring> = const { RefCell::new(Ring {
+        events: Vec::new(),
+        head: 0,
+        dropped: 0,
+    }) };
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+    static CAPTURING: Cell<bool> = const { Cell::new(false) };
+}
+
+#[inline]
+fn capturing() -> bool {
+    CAPTURING.with(Cell::get)
+}
+
+/// Tags every span opened on this thread until the guard drops with
+/// `id` (a session or request identifier). Nested scopes restore the
+/// outer id on drop.
+pub fn scoped(id: u64) -> ScopeGuard {
+    let prev = SCOPE.with(|s| s.replace(id));
+    ScopeGuard { prev }
+}
+
+/// Restores the enclosing scope id when dropped (see [`scoped`]).
+pub struct ScopeGuard {
+    prev: u64,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.prev));
     }
+}
 
-    struct Ring {
-        events: Vec<Event>,
-        head: usize,
-        dropped: u64,
+/// Records this thread's spans until the guard finishes or drops.
+/// Other threads record nothing unless they take their own capture. A
+/// capture taken inside another shares its ring: finishing either
+/// drains everything recorded so far.
+pub fn capture() -> Capture {
+    let prev = CAPTURING.with(|c| c.replace(true));
+    Capture { prev }
+}
+
+/// An open capture (see [`capture`]). Dropping it unfinished discards
+/// what it recorded.
+#[must_use = "spans are recorded only while the capture is held"]
+pub struct Capture {
+    prev: bool,
+}
+
+impl Capture {
+    /// Ends the capture and returns its events in chronological order
+    /// with the count of events lost to ring overflow.
+    pub fn finish(self) -> (Vec<Event>, u64) {
+        drain()
     }
+}
 
-    thread_local! {
-        static RING: RefCell<Ring> = const { RefCell::new(Ring {
-            events: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }) };
-        static SCOPE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    /// Tags every span opened on this thread until the guard drops with
-    /// `id` (a session or request identifier). Nested scopes restore
-    /// the outer id on drop.
-    pub fn scoped(id: u64) -> ScopeGuard {
-        let prev = SCOPE.with(|s| s.replace(id));
-        ScopeGuard { prev }
-    }
-
-    pub struct ScopeGuard {
-        prev: u64,
-    }
-
-    impl Drop for ScopeGuard {
-        fn drop(&mut self) {
-            SCOPE.with(|s| s.set(self.prev));
+impl Drop for Capture {
+    fn drop(&mut self) {
+        CAPTURING.with(|c| c.set(self.prev));
+        if !self.prev {
+            drain();
         }
     }
+}
 
-    fn current_scope() -> u64 {
-        SCOPE.with(|s| s.get())
-    }
+fn drain() -> (Vec<Event>, u64) {
+    RING.with(|r| {
+        let mut r = r.borrow_mut();
+        let head = r.head;
+        let mut evs = std::mem::take(&mut r.events);
+        evs.rotate_left(head);
+        r.head = 0;
+        (evs, std::mem::take(&mut r.dropped))
+    })
+}
 
-    pub struct SpanGuard {
-        name: &'static str,
-        start_ns: u64,
-        detail: Option<Box<str>>,
-    }
+/// An open span: records its [`Event`] when dropped, if it was opened
+/// under a capture that is still held.
+pub struct SpanGuard(Option<Event>);
 
-    impl SpanGuard {
-        /// Attaches a free-form detail string to the span.
-        pub fn detail(mut self, d: impl Into<String>) -> Self {
-            self.detail = Some(d.into().into_boxed_str());
-            self
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let dur_ns = now_ns().saturating_sub(self.start_ns);
-            let ev = Event {
-                name: self.name,
-                start_ns: self.start_ns,
-                dur_ns,
-                detail: self.detail.take(),
-                scope: current_scope(),
-            };
-            RING.with(|r| {
-                let mut r = r.borrow_mut();
-                if r.events.len() < CAPACITY {
-                    r.events.push(ev);
-                } else {
-                    let head = r.head;
-                    r.events[head] = ev;
-                    r.head = (head + 1) % CAPACITY;
-                    r.dropped += 1;
-                }
-            });
-        }
-    }
-
+impl Drop for SpanGuard {
     #[inline]
-    pub fn span(name: &'static str) -> SpanGuard {
-        SpanGuard {
-            name,
-            start_ns: now_ns(),
-            detail: None,
+    fn drop(&mut self) {
+        if let Some(ev) = self.0.take() {
+            record(ev);
         }
     }
+}
 
-    /// Drains this thread's buffered events in chronological order and
-    /// returns them with the count of events lost to ring overflow.
-    pub fn drain_events() -> (Vec<Event>, u64) {
-        RING.with(|r| {
-            let mut r = r.borrow_mut();
+fn record(mut ev: Event) {
+    if !capturing() {
+        return;
+    }
+    ev.dur_ns = now_ns().saturating_sub(ev.start_ns);
+    ev.scope = SCOPE.with(Cell::get);
+    RING.with(|r| {
+        let mut r = r.borrow_mut();
+        if r.events.len() < CAPACITY {
+            r.events.push(ev);
+        } else {
             let head = r.head;
-            let mut evs = std::mem::take(&mut r.events);
-            evs.rotate_left(head);
-            r.head = 0;
-            (evs, std::mem::take(&mut r.dropped))
-        })
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::Event;
-
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    /// Inert zero-sized guard: construction, `detail` and drop all
-    /// compile to nothing.
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        #[inline(always)]
-        pub fn detail(self, _d: impl Into<String>) -> Self {
-            self
+            r.events[head] = ev;
+            r.head = (head + 1) % CAPACITY;
+            r.dropped += 1;
         }
-    }
-
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard
-    }
-
-    #[inline(always)]
-    pub fn drain_events() -> (Vec<Event>, u64) {
-        (Vec::new(), 0)
-    }
-
-    /// Inert zero-sized scope guard.
-    pub struct ScopeGuard;
-
-    #[inline(always)]
-    pub fn scoped(_id: u64) -> ScopeGuard {
-        ScopeGuard
-    }
+    });
 }
 
-pub use imp::{drain_events, now_ns, scoped, span, ScopeGuard, SpanGuard};
+/// Opens a span named `name`.
+#[inline]
+pub fn span(name: &'static str) -> SpanGuard {
+    SpanGuard(capturing().then(|| Event {
+        name,
+        start_ns: now_ns(),
+        dur_ns: 0,
+        detail: None,
+        scope: 0,
+    }))
+}
 
-use crate::json::{TextWriter, ToJson};
+/// Opens a span with a lazily-built detail string: the closure runs
+/// only under a capture, so callers can format rule keys or addresses
+/// without paying for it when nothing records.
+#[inline]
+pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> SpanGuard {
+    let mut guard = span(name);
+    if let Some(ev) = &mut guard.0 {
+        ev.detail = Some(detail().into_boxed_str());
+    }
+    guard
+}
 
 /// One Chrome `trace_event` complete event (`"ph":"X"`). Timestamps
 /// are microseconds. Each distinct scope (session/request id) is its
@@ -224,14 +224,13 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn spans_record_into_ring_in_order() {
-        let _ = drain_events();
+        let capture = capture();
         {
             let _a = span("outer");
-            let _b = span("inner").detail("x=1");
+            let _b = span_with("inner", || "x=1".into());
         }
-        let (evs, dropped) = drain_events();
+        let (evs, dropped) = capture.finish();
         assert_eq!(dropped, 0);
         // Guards drop inner-first.
         assert_eq!(evs.len(), 2);
@@ -242,20 +241,25 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn disabled_spans_are_inert() {
-        let _g = span("anything").detail("ignored");
-        drop(_g);
-        let (evs, dropped) = drain_events();
-        assert!(evs.is_empty());
+    fn spans_outside_a_capture_record_nothing() {
+        let before = span("before_capture");
+        let _ = span_with("anything", || panic!("detail built outside a capture"));
+        let held = capture();
+        drop(before);
+        let (evs, dropped) = held.finish();
+        assert!(evs.is_empty(), "{evs:?}");
         assert_eq!(dropped, 0);
-        assert_eq!(now_ns(), 0);
+        // Nor does a span that outlives its capture.
+        let held = capture();
+        let late = span("late");
+        held.finish();
+        drop(late);
+        assert!(capture().finish().0.is_empty());
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn scoped_spans_carry_the_session_id() {
-        let _ = drain_events();
+        let capture = capture();
         {
             let _outer = scoped(7);
             let _a = span("in_scope");
@@ -268,7 +272,7 @@ mod tests {
         }
         let _d = span("unscoped");
         drop(_d);
-        let (evs, _) = drain_events();
+        let (evs, _) = capture.finish();
         let scope_of = |name: &str| evs.iter().find(|e| e.name == name).unwrap().scope;
         assert_eq!(scope_of("in_scope"), 7);
         assert_eq!(scope_of("nested_scope"), 9);

@@ -306,10 +306,8 @@ impl Engine {
 
     /// Books a translation this session just paid for.
     pub(crate) fn record_translate_ns(&mut self, ns: Option<u64>) {
-        if pdbt_obs::ENABLED {
-            if let Some(ns) = ns {
-                self.obs.translate_ns.record(ns);
-            }
+        if let Some(ns) = ns {
+            self.obs.translate_ns.record(ns);
         }
     }
 

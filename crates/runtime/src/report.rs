@@ -123,8 +123,7 @@ pub struct RunObs {
     /// Translation latency in nanoseconds: one sample per block this
     /// session translated and one per trace it translated (a trace taken
     /// from the shared trace table is not translated, so not timed). Its
-    /// sum is the `translate` phase. Stays empty when the `obs` feature
-    /// is disabled (no clock).
+    /// sum is the `translate` phase.
     pub translate_ns: Histogram,
     /// Executed host instructions per block execution.
     pub block_host_len: Histogram,

@@ -286,8 +286,8 @@ fn serve_request<'a>(
     let dequeue_ns = pdbt_obs::now_ns();
     let _active = Active::enter(&ctx.active);
     // Tag every span this session opens (translate, exec, ...) with
-    // the request sequence, so multi-session Chrome traces separate
-    // into one track per request.
+    // the request sequence, so a capture on this worker would export one
+    // Chrome track per request. The daemon itself takes no capture.
     let _scope = pdbt_obs::scoped(seq);
     let id = req.get("id").and_then(Json::as_u64);
     match run_request(ctx, &req) {

@@ -467,8 +467,15 @@ fn outcome_err(report: &Report) -> Result<(), Fail> {
     }
 }
 
-/// Handles `--report-json FILE` and `--trace-out FILE`.
-fn export_report(args: &Args, report: &Report) -> Result<(), String> {
+/// Runs a guest program (`execute`), shows its report, then handles
+/// `--report-json FILE` and `--trace-out FILE`. Spans are recorded only
+/// for `--trace-out`: this thread captures them around the run.
+fn run_and_export(args: &Args, verb: &str, show: fn(&Args, &Report)) -> Result<(), Fail> {
+    let capture = args
+        .value("trace-out")
+        .map(|out| (out, pdbt::obs::capture()));
+    let report = execute(args, verb)?;
+    show(args, &report);
     if let Some(out) = args.value("report-json") {
         let mut text = Vec::new();
         report.write_json(&mut text);
@@ -476,33 +483,33 @@ fn export_report(args: &Args, report: &Report) -> Result<(), String> {
         std::fs::write(out, text).map_err(|e| format!("{out}: {e}"))?;
         eprintln!("wrote {out}");
     }
-    if let Some(out) = args.value("trace-out") {
-        let (events, dropped) = pdbt::obs::drain_events();
-        if !pdbt::obs::ENABLED {
-            eprintln!("warning: built without the `obs` feature; trace is empty");
-        } else if dropped > 0 {
+    if let Some((out, capture)) = capture {
+        let (events, dropped) = capture.finish();
+        if dropped > 0 {
             eprintln!("warning: trace ring overflowed, {dropped} early events dropped");
         }
         std::fs::write(out, export_chrome_trace(&events)).map_err(|e| format!("{out}: {e}"))?;
         eprintln!("wrote {out} ({} events)", events.len());
     }
-    Ok(())
-}
-
-fn cmd_run(args: &Args) -> Result<(), Fail> {
-    let report = execute(args, "run")?;
-    for v in &report.output {
-        println!("{v}");
-    }
-    if args.has("stats") {
-        eprintln!("{}", report.metrics);
-    }
-    export_report(args, &report)?;
     outcome_err(&report)
 }
 
+fn cmd_run(args: &Args) -> Result<(), Fail> {
+    run_and_export(args, "run", |args, report| {
+        for v in &report.output {
+            println!("{v}");
+        }
+        if args.has("stats") {
+            eprintln!("{}", report.metrics);
+        }
+    })
+}
+
 fn cmd_stats(args: &Args) -> Result<(), Fail> {
-    let report = execute(args, "stats")?;
+    run_and_export(args, "stats", show_stats)
+}
+
+fn show_stats(_: &Args, report: &Report) {
     println!("metrics");
     println!("{}", report.metrics);
     let rules = &report.obs.rules;
@@ -524,9 +531,7 @@ fn cmd_stats(args: &Args) -> Result<(), Fail> {
             println!("  {label:<40} {n:>8}");
         }
     }
-    if pdbt::obs::ENABLED {
-        println!("\ntranslate latency (ns)\n{}", report.obs.translate_ns);
-    }
+    println!("\ntranslate latency (ns)\n{}", report.obs.translate_ns);
     println!(
         "\nhost instructions per block execution\n{}",
         report.obs.block_host_len
@@ -556,8 +561,6 @@ fn cmd_stats(args: &Args) -> Result<(), Fail> {
             }
         }
     }
-    export_report(args, &report)?;
-    outcome_err(&report)
 }
 
 fn cmd_trace(args: &Args) -> Result<(), Fail> {

@@ -3,11 +3,13 @@
 //! experiment name each exit 2, naming the offending token and printing
 //! that subcommand's usage line — instead of training at the wrong
 //! scale or running without the rules that were asked for. What it
-//! does understand, `pdbt stats` prints from the counter tables.
+//! does understand, `pdbt stats` prints from the counter tables, and
+//! `--trace-out` writes the spans of the run it exports.
 
 mod common;
 
 use common::pdbt;
+use pdbt::obs::json::Json;
 use pdbt::obs::DispatchCounters;
 use pdbt::workloads::{Experiment, Scale, EXPERIMENTS};
 
@@ -95,5 +97,38 @@ fn stats_prints_every_dispatch_counter() {
             words.next() == Some(name) && words.next().is_some_and(|n| n.parse::<u64>().is_ok())
         });
         assert!(printed, "no `{name}` row in:\n{stdout}");
+    }
+}
+
+#[test]
+fn trace_out_writes_the_spans_of_the_run() {
+    let dir = std::env::temp_dir().join(format!("pdbt-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (prog, trace) = (dir.join("p.s"), dir.join("t.json"));
+    std::fs::write(
+        &prog,
+        "mov r0, #5\nmov r1, #0\nadd r1, r1, r0\nsubs r0, r0, #1\nbne .-8\nmov r0, r1\nsvc #1\nsvc #0\n",
+    )
+    .unwrap();
+    let run = pdbt(&[
+        "run",
+        prog.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&trace);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(run.status.code(), Some(0));
+    assert_eq!(run.stdout, b"15\n");
+    let text = text.expect("--trace-out wrote its file");
+    let doc = Json::parse(&text).expect("the trace parses");
+    assert_eq!(doc.to_string(), text, "the trace is a write fixpoint");
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    for name in ["translate_block", "exec_segment"] {
+        let n = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .count();
+        assert!(n > 0, "no `{name}` event in {text}");
     }
 }

@@ -347,19 +347,18 @@ fn chained_dispatch_is_deterministic_across_jobs() {
 /// The tracing budget of the dispatcher: one `exec_segment` span per
 /// dispatcher entry — not per block — so a chained run's ring keeps its
 /// `translate_block` spans; unchained, a segment is one block.
-#[cfg(feature = "obs")]
 #[test]
 fn exec_spans_are_per_chain_segment_and_leave_room_for_translate_spans() {
     let rules = tiny_rules();
-    let drain = || {
-        let (events, dropped) = pdbt::obs::drain_events();
+    let captured = |capture: pdbt::obs::Capture| {
+        let (events, dropped) = capture.finish();
         let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
         (count("exec_segment"), count("translate_block"), dropped)
     };
     for w in &suite(Scale::tiny()) {
-        drain();
+        let capture = pdbt::obs::capture();
         let chained = run_with(w, Some(&rules), chained_cfg());
-        let (exec, translate, dropped) = drain();
+        let (exec, translate, dropped) = captured(capture);
         let d = &chained.obs.dispatch;
         assert!(exec > 0, "{}: no exec spans", w.bench);
         assert!(
@@ -381,8 +380,9 @@ fn exec_spans_are_per_chain_segment_and_leave_room_for_translate_spans() {
         );
         assert_eq!(dropped, 0, "{}: the ring wrapped", w.bench);
 
+        let capture = pdbt::obs::capture();
         let unchained = run_with(w, Some(&rules), unchained_cfg());
-        let (exec, _, dropped) = drain();
+        let (exec, _, dropped) = captured(capture);
         assert_eq!(dropped, 0, "{}: the ring wrapped unchained", w.bench);
         assert_eq!(
             exec, unchained.metrics.blocks_executed,

@@ -233,11 +233,7 @@ fn stats_polls_stay_monotone_and_sum_to_the_drain_summary() {
         let lat = p.get("latency").expect("partition latency");
         let q = |k: &str| lat.get(k).and_then(Json::as_u64).expect(k);
         assert!(q("p50") <= q("p95") && q("p95") <= q("p99"));
-        // Without the obs feature `now_ns()` is a compiled-out zero, so
-        // real latencies only exist in default builds.
-        if cfg!(feature = "obs") {
-            assert!(q("p99") > 0, "quantiles must be nonzero after real runs");
-        }
+        assert!(q("p99") > 0, "quantiles must be nonzero after real runs");
     }
     let flight = snap.get("flight").and_then(Json::as_arr).expect("flight");
     assert_eq!(flight.len(), 8, "every request lands in the flight tail");
@@ -744,12 +740,9 @@ fn loadgen_against_a_live_daemon() {
     );
     let sessions = |p: &Json| p.get("sessions").and_then(Json::as_u64).unwrap();
     assert_eq!(parts.iter().map(sessions).sum::<u64>(), 64);
-    // Without the obs feature `now_ns()` is a compiled-out zero.
-    if cfg!(feature = "obs") {
-        assert!(p50 > 0 && p99 > 0, "server quantiles");
-        for p in parts.iter().filter(|p| sessions(p) > 0) {
-            assert!(quantiles(p.get("latency").expect("latency")).2 > 0);
-        }
+    assert!(p50 > 0 && p99 > 0, "server quantiles");
+    for p in parts.iter().filter(|p| sessions(p) > 0) {
+        assert!(quantiles(p.get("latency").expect("latency")).2 > 0);
     }
 
     shutdown(addr, T).expect("shutdown");
