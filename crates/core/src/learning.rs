@@ -627,7 +627,6 @@ mod tests {
 
     /// Under a `symexec` fault plan a re-check may be injected to fail;
     /// a replayed verdict must be the one a fresh check injects.
-    #[cfg(feature = "faults")]
     #[test]
     fn shared_verdicts_replay_injected_faults() {
         use pdbt_faults::{Plan, Site};

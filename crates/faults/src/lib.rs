@@ -19,13 +19,17 @@
 //! seed=7,rate=0.01,sites=symexec,emit,store,pool,cache
 //! ```
 //!
-//! With the `enabled` cargo feature off (the default everywhere), every
-//! entry point is an inlinable no-op and [`hit`] is constant `false`;
-//! the call sites stay in the code but cost nothing. Per-site injection
-//! counters ([`injected`]) are folded into the engine's run report so a
-//! fault-matrix harness can assert that faults actually fired.
+//! There is one build: a site fires only while a plan is installed.
+//! With none, [`hit`] costs one thread-local read and one relaxed
+//! atomic load, and [`hit_with`] never runs its key closure. Per-site
+//! injection counters ([`injected`]) are folded into the engine's run
+//! report so a fault-matrix harness can assert that faults actually
+//! fired.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Number of fault sites (the length of [`Site::ALL`]).
 pub const SITE_COUNT: usize = 5;
@@ -194,200 +198,63 @@ pub fn key_of(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Whether the crate was built with the fault machinery compiled in.
-pub const ENABLED: bool = cfg!(feature = "enabled");
+#[derive(Clone, Copy)]
+struct State {
+    seed: u64,
+    /// `rate` pre-scaled to an integer threshold so the per-key
+    /// decision is a single u64 compare.
+    threshold: u64,
+    sites: u8,
+}
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{Plan, Site, SITE_COUNT};
-    use std::cell::{Cell, RefCell};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    #[derive(Clone, Copy)]
-    struct State {
-        seed: u64,
-        /// `rate` pre-scaled to an integer threshold so the per-key
-        /// decision is a single u64 compare.
-        threshold: u64,
-        sites: u8,
-    }
-
-    impl State {
-        fn of(p: Plan) -> State {
-            State {
-                seed: p.seed,
-                threshold: (p.rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64,
-                sites: p.sites,
-            }
-        }
-    }
-
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static STATE: Mutex<Option<State>> = Mutex::new(None);
-    static COUNTS: [AtomicU64; SITE_COUNT] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-
-    thread_local! {
-        /// Request-scoped overlay: `Some(Some(state))` = a scoped plan
-        /// shadows the process plan on this thread, `Some(None)` = the
-        /// thread is explicitly shielded (no faults at all, even with a
-        /// process plan installed), `None` = fall through to the
-        /// process plan.
-        static SCOPED: Cell<Option<Option<State>>> = const { Cell::new(None) };
-        /// Per-site injection counts of the innermost scoped plan.
-        static SCOPED_COUNTS: RefCell<[u64; SITE_COUNT]> = const { RefCell::new([0; SITE_COUNT]) };
-    }
-
-    fn splitmix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    pub fn configure(plan: Option<Plan>) {
-        let state = plan.map(State::of);
-        for c in &COUNTS {
-            c.store(0, Ordering::SeqCst);
-        }
-        let active = state.is_some();
-        *STATE.lock().expect("fault plan lock") = state;
-        ACTIVE.store(active, Ordering::SeqCst);
-    }
-
-    pub fn active() -> bool {
-        SCOPED.with(|s| match s.get() {
-            Some(over) => over.is_some(),
-            None => ACTIVE.load(Ordering::Relaxed),
-        })
-    }
-
-    fn decide(state: State, site: Site, key: impl FnOnce() -> u64) -> bool {
-        if state.sites & (1 << site.index()) == 0 {
-            return false;
-        }
-        let decision = splitmix(
-            state
-                .seed
-                .wrapping_add(splitmix(site.index() as u64 ^ splitmix(key()))),
-        );
-        decision < state.threshold
-    }
-
-    pub fn hit_with(site: Site, key: impl FnOnce() -> u64) -> bool {
-        // The scoped overlay wins: it both arms per-request plans and
-        // shields scoped threads from the process-wide plan.
-        if let Some(over) = SCOPED.with(Cell::get) {
-            let Some(state) = over else { return false };
-            if decide(state, site, key) {
-                SCOPED_COUNTS.with(|c| c.borrow_mut()[site.index()] += 1);
-                return true;
-            }
-            return false;
-        }
-        if !ACTIVE.load(Ordering::Relaxed) {
-            return false;
-        }
-        let Some(state) = *STATE.lock().expect("fault plan lock") else {
-            return false;
-        };
-        if decide(state, site, key) {
-            COUNTS[site.index()].fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-
-    pub fn injected() -> [u64; SITE_COUNT] {
-        let mut out = [0u64; SITE_COUNT];
-        for (o, c) in out.iter_mut().zip(&COUNTS) {
-            *o = c.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// RAII state for a scoped plan on this thread: the previous
-    /// overlay and counts, restored on drop.
-    pub struct ScopedGuard {
-        prev: Option<Option<State>>,
-        prev_counts: [u64; SITE_COUNT],
-    }
-
-    pub fn scoped(plan: Option<Plan>) -> ScopedGuard {
-        let prev = SCOPED.with(|s| s.replace(Some(plan.map(State::of))));
-        let prev_counts =
-            SCOPED_COUNTS.with(|c| std::mem::replace(&mut *c.borrow_mut(), [0; SITE_COUNT]));
-        ScopedGuard { prev, prev_counts }
-    }
-
-    pub fn scoped_active() -> bool {
-        SCOPED.with(|s| s.get().is_some())
-    }
-
-    pub fn scoped_injected() -> [u64; SITE_COUNT] {
-        SCOPED_COUNTS.with(|c| *c.borrow())
-    }
-
-    impl Drop for ScopedGuard {
-        fn drop(&mut self) {
-            SCOPED.with(|s| s.set(self.prev));
-            SCOPED_COUNTS.with(|c| *c.borrow_mut() = self.prev_counts);
+impl State {
+    fn of(p: Plan) -> State {
+        State {
+            seed: p.seed,
+            threshold: (p.rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64,
+            sites: p.sites,
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{Plan, Site, SITE_COUNT};
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+static STATE: Mutex<Option<State>> = Mutex::new(None);
+static COUNTS: [AtomicU64; SITE_COUNT] = [
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+];
 
-    #[inline(always)]
-    pub fn configure(_plan: Option<Plan>) {}
+thread_local! {
+    /// Request-scoped overlay: `Some(Some(state))` = a scoped plan
+    /// shadows the process plan on this thread, `Some(None)` = the
+    /// thread is explicitly shielded (no faults at all, even with a
+    /// process plan installed), `None` = fall through to the process
+    /// plan.
+    static SCOPED: Cell<Option<Option<State>>> = const { Cell::new(None) };
+    /// Per-site injection counts of the innermost scoped plan.
+    static SCOPED_COUNTS: RefCell<[u64; SITE_COUNT]> = const { RefCell::new([0; SITE_COUNT]) };
+}
 
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn hit_with(_site: Site, _key: impl FnOnce() -> u64) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn injected() -> [u64; SITE_COUNT] {
-        [0; SITE_COUNT]
-    }
-
-    /// Inert scoped-plan guard for disabled builds.
-    pub struct ScopedGuard;
-
-    #[inline(always)]
-    pub fn scoped(_plan: Option<Plan>) -> ScopedGuard {
-        ScopedGuard
-    }
-
-    #[inline(always)]
-    pub fn scoped_active() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn scoped_injected() -> [u64; SITE_COUNT] {
-        [0; SITE_COUNT]
-    }
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Installs (or, with `None`, clears) the process-wide fault plan and
-/// resets every injection counter. A no-op without the `enabled`
-/// feature.
+/// resets every injection counter.
 pub fn configure(plan: Option<Plan>) {
-    imp::configure(plan);
+    let state = plan.map(State::of);
+    for c in &COUNTS {
+        c.store(0, Ordering::SeqCst);
+    }
+    let active = state.is_some();
+    *STATE.lock().expect("fault plan lock") = state;
+    ACTIVE.store(active, Ordering::SeqCst);
 }
 
 /// Installs a plan from the `PDBT_FAULTS` environment variable.
@@ -408,10 +275,26 @@ pub fn configure_from_env() -> Result<bool, String> {
     }
 }
 
-/// Whether a fault plan is currently installed.
+/// Whether a fault plan is in force on this thread: its scoped plan,
+/// or, with no scoped overlay, the process-wide one.
 #[must_use]
 pub fn active() -> bool {
-    imp::active()
+    SCOPED.with(|s| match s.get() {
+        Some(over) => over.is_some(),
+        None => ACTIVE.load(Ordering::Relaxed),
+    })
+}
+
+fn decide(state: State, site: Site, key: impl FnOnce() -> u64) -> bool {
+    if state.sites & (1 << site.index()) == 0 {
+        return false;
+    }
+    let decision = splitmix(
+        state
+            .seed
+            .wrapping_add(splitmix(site.index() as u64 ^ splitmix(key()))),
+    );
+    decision < state.threshold
 }
 
 /// Decides whether the fault at `site` fires for `key`.
@@ -423,25 +306,60 @@ pub fn active() -> bool {
 /// injection counter.
 #[must_use]
 pub fn hit(site: Site, key: u64) -> bool {
-    imp::hit_with(site, || key)
+    hit_with(site, || key)
 }
 
 /// Like [`hit`], but computes the key lazily — the closure never runs
-/// when no plan is active (or the feature is off), so call sites can
-/// hash item identity without paying for it on the hot path.
+/// when no plan is in force, so call sites can hash item identity
+/// without paying for it on the hot path.
 #[must_use]
 pub fn hit_with(site: Site, key: impl FnOnce() -> u64) -> bool {
-    imp::hit_with(site, key)
+    // The scoped overlay wins: it both arms per-request plans and
+    // shields scoped threads from the process-wide plan.
+    if let Some(over) = SCOPED.with(Cell::get) {
+        let Some(state) = over else { return false };
+        if decide(state, site, key) {
+            SCOPED_COUNTS.with(|c| c.borrow_mut()[site.index()] += 1);
+            return true;
+        }
+        return false;
+    }
+    if !ACTIVE.load(Ordering::Relaxed) {
+        return false;
+    }
+    let Some(state) = *STATE.lock().expect("fault plan lock") else {
+        return false;
+    };
+    if decide(state, site, key) {
+        COUNTS[site.index()].fetch_add(1, Ordering::Relaxed);
+        return true;
+    }
+    false
 }
 
 /// Per-site injection counts since the last [`configure`].
 #[must_use]
 pub fn injected() -> [u64; SITE_COUNT] {
-    imp::injected()
+    let mut out = [0u64; SITE_COUNT];
+    for (o, c) in out.iter_mut().zip(&COUNTS) {
+        *o = c.load(Ordering::Relaxed);
+    }
+    out
 }
 
-/// RAII guard for a request-scoped fault plan (see [`scoped`]).
-pub use imp::ScopedGuard;
+/// RAII guard for a request-scoped fault plan (see [`scoped`]): the
+/// previous overlay and counts, restored on drop.
+pub struct ScopedGuard {
+    prev: Option<Option<State>>,
+    prev_counts: [u64; SITE_COUNT],
+}
+
+impl Drop for ScopedGuard {
+    fn drop(&mut self) {
+        SCOPED.with(|s| s.set(self.prev));
+        SCOPED_COUNTS.with(|c| *c.borrow_mut() = self.prev_counts);
+    }
+}
 
 /// Installs a *request-scoped* fault plan on the current thread,
 /// shadowing the process-wide plan until the returned guard drops.
@@ -459,21 +377,24 @@ pub use imp::ScopedGuard;
 /// Guards nest: dropping restores the previous overlay and counts.
 #[must_use]
 pub fn scoped(plan: Option<Plan>) -> ScopedGuard {
-    imp::scoped(plan)
+    let prev = SCOPED.with(|s| s.replace(Some(plan.map(State::of))));
+    let prev_counts =
+        SCOPED_COUNTS.with(|c| std::mem::replace(&mut *c.borrow_mut(), [0; SITE_COUNT]));
+    ScopedGuard { prev, prev_counts }
 }
 
 /// Whether a scoped overlay (armed or shielding) is installed on the
 /// current thread.
 #[must_use]
 pub fn scoped_active() -> bool {
-    imp::scoped_active()
+    SCOPED.with(|s| s.get().is_some())
 }
 
 /// Per-site injection counts of the current thread's scoped plan
 /// (zeros when none is installed).
 #[must_use]
 pub fn scoped_injected() -> [u64; SITE_COUNT] {
-    imp::scoped_injected()
+    SCOPED_COUNTS.with(|c| *c.borrow())
 }
 
 /// The injection counters that describe *this context*: the scoped
@@ -532,10 +453,8 @@ mod tests {
 
     /// The process-wide plan is global; tests that configure it take
     /// this lock.
-    #[cfg(feature = "enabled")]
     static PLAN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn decisions_are_keyed_and_counted() {
         let _lock = PLAN.lock().unwrap();
@@ -555,7 +474,6 @@ mod tests {
         assert_eq!(injected(), [0; SITE_COUNT]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn scoped_plans_shadow_and_shield() {
         let _lock = PLAN.lock().unwrap();
@@ -607,19 +525,28 @@ mod tests {
         configure(None);
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn disabled_build_is_inert() {
-        configure(Some(Plan::all_sites(1, 1.0)));
+    fn no_plan_fires_nothing_and_never_computes_a_key() {
+        let _lock = PLAN.lock().unwrap();
+        configure(None);
         assert!(!active());
         assert!(!hit(Site::Cache, 0));
         assert!(!hit_with(Site::Cache, || unreachable!(
             "key must stay lazy"
         )));
         assert_eq!(injected(), [0; SITE_COUNT]);
-        let _g = scoped(Some(Plan::all_sites(1, 1.0)));
-        assert!(!scoped_active());
-        assert!(!hit(Site::Cache, 0));
-        assert_eq!(snapshot(), [0; SITE_COUNT]);
+        // A shielding scope keeps a process plan off this thread, key
+        // closure included.
+        configure(Some(Plan::all_sites(1, 1.0)));
+        {
+            let _g = scoped(None);
+            assert!(!active());
+            assert!(!hit_with(Site::Cache, || unreachable!(
+                "key must stay lazy"
+            )));
+            assert_eq!(snapshot(), [0; SITE_COUNT]);
+        }
+        assert!(hit(Site::Cache, 0));
+        configure(None);
     }
 }

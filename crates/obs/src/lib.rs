@@ -24,4 +24,4 @@ pub use telemetry::{
     FlightRecorder, LatencyHists, LatencyRecorder, PhaseNs, RequestSummary, Telemetry,
     TelemetrySnapshot,
 };
-pub use trace::{capture, now_ns, scoped, span, span_with, Capture, Event, ScopeGuard, SpanGuard};
+pub use trace::{capture, now_ns, span, span_with, Capture, Event, SpanGuard};

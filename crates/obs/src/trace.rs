@@ -28,9 +28,6 @@ pub struct Event {
     pub dur_ns: u64,
     /// Optional free-form argument (e.g. the block address or rule key).
     pub detail: Option<Box<str>>,
-    /// Session/request scope the span ran under (see [`scoped`]); 0
-    /// when no scope was active.
-    pub scope: u64,
 }
 
 /// Ring capacity in events.
@@ -55,32 +52,12 @@ thread_local! {
         head: 0,
         dropped: 0,
     }) };
-    static SCOPE: Cell<u64> = const { Cell::new(0) };
     static CAPTURING: Cell<bool> = const { Cell::new(false) };
 }
 
 #[inline]
 fn capturing() -> bool {
     CAPTURING.with(Cell::get)
-}
-
-/// Tags every span opened on this thread until the guard drops with
-/// `id` (a session or request identifier). Nested scopes restore the
-/// outer id on drop.
-pub fn scoped(id: u64) -> ScopeGuard {
-    let prev = SCOPE.with(|s| s.replace(id));
-    ScopeGuard { prev }
-}
-
-/// Restores the enclosing scope id when dropped (see [`scoped`]).
-pub struct ScopeGuard {
-    prev: u64,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPE.with(|s| s.set(self.prev));
-    }
 }
 
 /// Records this thread's spans until the guard finishes or drops.
@@ -145,7 +122,6 @@ fn record(mut ev: Event) {
         return;
     }
     ev.dur_ns = now_ns().saturating_sub(ev.start_ns);
-    ev.scope = SCOPE.with(Cell::get);
     RING.with(|r| {
         let mut r = r.borrow_mut();
         if r.events.len() < CAPACITY {
@@ -167,7 +143,6 @@ pub fn span(name: &'static str) -> SpanGuard {
         start_ns: now_ns(),
         dur_ns: 0,
         detail: None,
-        scope: 0,
     }))
 }
 
@@ -184,12 +159,10 @@ pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> SpanGua
 }
 
 /// One Chrome `trace_event` complete event (`"ph":"X"`). Timestamps
-/// are microseconds. Each distinct scope (session/request id) is its
-/// own `pid` track, and unscoped events land on pid 1, so multi-session
-/// daemon traces do not interleave on a single row.
+/// are microseconds. A capture holds one thread's spans, so every event
+/// is on track 1 (`pid` and `tid`).
 impl ToJson for Event {
     fn emit(&self, out: &mut TextWriter<'_>) {
-        let pid = if self.scope == 0 { 1 } else { self.scope };
         out.begin_obj();
         if let Some(detail) = &self.detail {
             out.key("args");
@@ -200,8 +173,8 @@ impl ToJson for Event {
         out.field("dur", &(self.dur_ns as f64 / 1e3));
         out.field("name", self.name);
         out.field("ph", "X");
-        out.field("pid", &pid);
-        out.field("tid", &pid);
+        out.field("pid", &1u64);
+        out.field("tid", &1u64);
         out.field("ts", &(self.start_ns as f64 / 1e3));
         out.end_obj();
     }
@@ -258,29 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_spans_carry_the_session_id() {
-        let capture = capture();
-        {
-            let _outer = scoped(7);
-            let _a = span("in_scope");
-            drop(_a);
-            {
-                let _inner = scoped(9);
-                let _b = span("nested_scope");
-            }
-            let _c = span("back_in_outer");
-        }
-        let _d = span("unscoped");
-        drop(_d);
-        let (evs, _) = capture.finish();
-        let scope_of = |name: &str| evs.iter().find(|e| e.name == name).unwrap().scope;
-        assert_eq!(scope_of("in_scope"), 7);
-        assert_eq!(scope_of("nested_scope"), 9);
-        assert_eq!(scope_of("back_in_outer"), 7);
-        assert_eq!(scope_of("unscoped"), 0);
-    }
-
-    #[test]
     fn chrome_export_is_wellformed_json() {
         let evs = vec![
             Event {
@@ -288,14 +238,12 @@ mod tests {
                 start_ns: 1_500,
                 dur_ns: 2_000,
                 detail: Some("addr=0x1000 \"q\" \\ \n\t\u{1}\u{1f}".into()),
-                scope: 0,
             },
             Event {
                 name: "exec_segment",
                 start_ns: 4_000_000_007,
                 dur_ns: 10,
                 detail: None,
-                scope: 42,
             },
         ];
         let s = export_chrome_trace(&evs);
@@ -309,10 +257,8 @@ mod tests {
             assert_eq!(field("ph").as_str(), Some("X"));
             assert_eq!(field("ts").as_f64(), Some(e.start_ns as f64 / 1e3));
             assert_eq!(field("dur").as_f64(), Some(e.dur_ns as f64 / 1e3));
-            // Unscoped events fall on pid 1; scoped events get their own.
-            let pid = if e.scope == 0 { 1 } else { e.scope };
-            assert_eq!(field("pid").as_u64(), Some(pid));
-            assert_eq!(field("tid").as_u64(), Some(pid));
+            assert_eq!(field("pid").as_u64(), Some(1));
+            assert_eq!(field("tid").as_u64(), Some(1));
             let detail = got.get("args").and_then(|a| a.get("detail"));
             assert_eq!(detail.and_then(|d| d.as_str()), e.detail.as_deref());
         }

@@ -58,7 +58,6 @@ impl ToJson for Status<'_> {
         out.begin_obj();
         totals.emit_artifacts(ctx, out);
         out.field("cached_blocks", &totals.cached_blocks);
-        out.field("faults_enabled", &pdbt_faults::ENABLED);
         out.field("fleet", &ctx.fleet.snapshot());
         out.field("images", &totals.images);
         out.field("jobs", &queue.jobs());

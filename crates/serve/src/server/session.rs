@@ -285,10 +285,6 @@ fn serve_request<'a>(
     let Request { req, seq, keep } = request;
     let dequeue_ns = pdbt_obs::now_ns();
     let _active = Active::enter(&ctx.active);
-    // Tag every span this session opens (translate, exec, ...) with
-    // the request sequence, so a capture on this worker would export one
-    // Chrome track per request. The daemon itself takes no capture.
-    let _scope = pdbt_obs::scoped(seq);
     let id = req.get("id").and_then(Json::as_u64);
     match run_request(ctx, &req) {
         Ok((reply, shared, mut summary)) => {
@@ -327,7 +323,6 @@ pub(super) struct Reply {
 impl ToJson for Reply {
     fn emit(&self, out: &mut TextWriter<'_>) {
         out.begin_obj();
-        out.field("faults_enabled", &pdbt_faults::ENABLED);
         out.field("id", &self.id);
         out.field("outcome", self.report.outcome.label());
         out.field("report", &self.report);

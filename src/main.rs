@@ -53,12 +53,10 @@
 //!
 //! `--faults SPEC` (or the `PDBT_FAULTS` env var) installs a
 //! deterministic fault-injection plan, e.g.
-//! `seed=7,rate=0.01,sites=symexec,emit,store,pool,cache`; it needs a
-//! binary built with `--features faults` (a plain build warns and runs
-//! fault-free). Rule files load in salvage mode: malformed entries are
-//! quarantined with a warning and the rest are used, with the count
-//! reported in the `resilience` section of `pdbt stats` and the JSON
-//! report.
+//! `seed=7,rate=0.01,sites=symexec,emit,store,pool,cache`. Rule files
+//! load in salvage mode: malformed entries are quarantined with a
+//! warning and the rest are used, with the count reported in the
+//! `resilience` section of `pdbt stats` and the JSON report.
 //!
 //! Guest programs are assembly listings in the syntax the disassembler
 //! prints (see `pdbt_isa_arm::parse_listing`); they are loaded at
@@ -263,22 +261,16 @@ fn load_program(path: &str) -> Result<Program, String> {
 }
 
 /// Installs the fault-injection plan from `--faults SPEC` or the
-/// `PDBT_FAULTS` env var (flag wins). A plan on a binary built without
-/// the `faults` feature warns and stays inert.
+/// `PDBT_FAULTS` env var (flag wins).
 fn configure_faults(args: &Args) -> Result<(), String> {
-    let active = match args.value("faults") {
+    match args.value("faults") {
         Some(spec) => {
             let plan = pdbt_faults::Plan::parse(spec).map_err(|e| format!("bad --faults: {e}"))?;
             pdbt_faults::configure(Some(plan));
-            true
         }
-        None => pdbt_faults::configure_from_env().map_err(|e| format!("bad PDBT_FAULTS: {e}"))?,
-    };
-    if active && !pdbt_faults::ENABLED {
-        eprintln!(
-            "warning: fault plan given, but this binary was built without the `faults` \
-             feature; no faults will be injected"
-        );
+        None => {
+            pdbt_faults::configure_from_env().map_err(|e| format!("bad PDBT_FAULTS: {e}"))?;
+        }
     }
     Ok(())
 }

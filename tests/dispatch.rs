@@ -412,17 +412,12 @@ fn counts_line(tag: &str, r: &Report) -> String {
     )
 }
 
-/// Heads the golden's second section, which only a `--features faults`
-/// build can compute.
-const FAULTS_SECTION: &str = "# --features faults\n";
-
 /// Pins every dispatch *count*, not only the counter names: how a block
 /// is found, linked, promoted and invalidated decides these numbers, so
 /// a change to the session's bookkeeping that is meant to be invisible
 /// leaves `tests/golden/dispatch_counts.txt` untouched. The second
 /// section holds the only runs that drop a trace and follow a link into
-/// it — the `cache`-site plans of `tests/fault_matrix.rs`; a build
-/// without fault injection carries it over from the file as recorded.
+/// it — the `cache`-site plans of `tests/fault_matrix.rs`.
 #[test]
 fn dispatch_counters_match_the_golden() {
     let rules = tiny_rules();
@@ -466,35 +461,27 @@ fn dispatch_counters_match_the_golden() {
             .expect("partial report");
         got += &counts_line(&format!("hot_loop max_guest={max_guest}"), &report);
     }
-    got += FAULTS_SECTION;
-    if pdbt_faults::ENABLED {
-        let w = &workloads[0];
-        for seed in [0xFA_01u64, 0xFA_02, 0xFA_03] {
-            for (mode, cfg) in [
-                (
-                    "chained threshold=2",
-                    EngineConfig {
-                        trace_threshold: 2,
-                        ..EngineConfig::default()
-                    },
-                ),
-                ("unchained", unchained_cfg()),
-            ] {
-                // Scoped to this thread, where the one-job engine runs:
-                // the other tests of this binary never see the plan.
-                let _plan = pdbt_faults::scoped(Some(Plan::single(Site::Cache, seed, 0.3)));
-                let report = run_with(w, Some(&rules), cfg);
-                assert!(report.resilience.degraded_blocks > 0, "{seed:#x}: vacuous");
-                let degraded = report.resilience.degraded_blocks;
-                let tag = format!("{} cache/{seed:#x}/0.3 {mode} degraded={degraded}", w.bench);
-                got += &counts_line(&tag, &report);
-            }
-        }
-    } else {
-        let path = common::golden_path("dispatch_counts.txt");
-        let recorded = std::fs::read_to_string(path).unwrap_or_default();
-        if let Some((_, faults)) = recorded.split_once(FAULTS_SECTION) {
-            got += faults;
+    got += "# fault plans\n";
+    let w = &workloads[0];
+    for seed in [0xFA_01u64, 0xFA_02, 0xFA_03] {
+        for (mode, cfg) in [
+            (
+                "chained threshold=2",
+                EngineConfig {
+                    trace_threshold: 2,
+                    ..EngineConfig::default()
+                },
+            ),
+            ("unchained", unchained_cfg()),
+        ] {
+            // Scoped to this thread, where the one-job engine runs:
+            // the other tests of this binary never see the plan.
+            let _plan = pdbt_faults::scoped(Some(Plan::single(Site::Cache, seed, 0.3)));
+            let report = run_with(w, Some(&rules), cfg);
+            assert!(report.resilience.degraded_blocks > 0, "{seed:#x}: vacuous");
+            let degraded = report.resilience.degraded_blocks;
+            let tag = format!("{} cache/{seed:#x}/0.3 {mode} degraded={degraded}", w.bench);
+            got += &counts_line(&tag, &report);
         }
     }
     common::assert_golden(&got, "dispatch_counts.txt");

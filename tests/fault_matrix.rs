@@ -9,8 +9,6 @@
 //! The fault plan is process-global, so every test in this file takes
 //! the `PLAN` lock before configuring one.
 
-#![cfg(feature = "faults")]
-
 mod common;
 
 use common::{assert_golden, counterparts_text};

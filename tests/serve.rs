@@ -307,13 +307,20 @@ fn fault_armed_and_deadline_requests_leave_neighbours_untouched() {
         );
     }
 
-    // The armed session degrades gracefully: same guest output, run to
-    // completion. (With the `faults` feature compiled out the plan is
-    // inert and the report matches the oracle exactly.)
+    // The armed session injected and degraded gracefully: same guest
+    // output, run to completion.
     assert_eq!(
         armed.get("outcome").and_then(Json::as_str),
         Some("completed")
     );
+    let resilience = report_of(&armed).get("resilience").expect("resilience");
+    let injected_cache = resilience
+        .get("injected")
+        .and_then(|i| i.get("cache"))
+        .and_then(Json::as_u64);
+    assert!(injected_cache > Some(0), "armed, not injected");
+    let degraded = resilience.get("degraded_blocks").and_then(Json::as_u64);
+    assert!(degraded > Some(0), "armed, nothing degraded");
     assert_eq!(
         report_of(&armed).get("output"),
         oracle_json.get("output"),
@@ -762,7 +769,6 @@ fn loadgen_against_a_live_daemon() {
 /// loop past its deadline, each written out with `--report-json`. The
 /// deadline exits non-zero with its partial report; the armed session
 /// completes and injected; no clean session saw an injection.
-#[cfg(feature = "faults")]
 #[test]
 fn submit_report_json_files_hold_each_outcome() {
     let dir = std::env::temp_dir().join(format!("pdbt_submit_smoke_{}", std::process::id()));

@@ -220,10 +220,6 @@ fn targeted_corruption_quarantines_exactly_the_mutated_entry() {
 // Rule-store verdicts, pinned
 // ---------------------------------------------------------------------
 
-/// Heads the verdict golden's second section, which only a `--features
-/// faults` build can compute.
-const STORE_FAULTS_SECTION: &str = "# --features faults\n";
-
 /// What both loaders make of one store: the strict verdict (rule count
 /// and digest of the re-saved set, or the error's line and detail), the
 /// salvaged set's count and digest, and every quarantine in order. Texts
@@ -284,8 +280,7 @@ fn mutate_store(class: usize, text: &str, rng: &mut StdRng) -> String {
 /// by line and reason — to `tests/golden/store_verdicts.txt`. A parser
 /// change that is meant to be invisible leaves the file untouched. The
 /// second section holds `store`-site fault plans over the healthy
-/// store, so the order of the salvage loader's fault hits is pinned too;
-/// a build without fault injection carries it over from the file.
+/// store, so the order of the salvage loader's fault hits is pinned too.
 #[test]
 fn store_verdicts_match_the_golden() {
     let text = healthy_store();
@@ -299,21 +294,11 @@ fn store_verdicts_match_the_golden() {
             );
         }
     }
-    got += STORE_FAULTS_SECTION;
-    if pdbt_faults::ENABLED {
-        for seed in [0x5F_01u64, 0x5F_02, 0x5F_03] {
-            let plan = pdbt_faults::Plan::single(pdbt_faults::Site::Store, seed, 0.25);
-            let _plan = pdbt_faults::scoped(Some(plan));
-            got += &store_verdict(&format!("store/{seed:#x}/0.25"), &text);
-        }
-    } else {
-        let recorded = std::fs::read_to_string(common::golden_path("store_verdicts.txt"));
-        if let Some((_, faults)) = recorded
-            .unwrap_or_default()
-            .split_once(STORE_FAULTS_SECTION)
-        {
-            got += faults;
-        }
+    got += "# fault plans\n";
+    for seed in [0x5F_01u64, 0x5F_02, 0x5F_03] {
+        let plan = pdbt_faults::Plan::single(pdbt_faults::Site::Store, seed, 0.25);
+        let _plan = pdbt_faults::scoped(Some(plan));
+        got += &store_verdict(&format!("store/{seed:#x}/0.25"), &text);
     }
     common::assert_golden(&got, "store_verdicts.txt");
 }
